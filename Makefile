@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-json bench-json-fleetrpc bench-json-router bench-json-obs bench-json-overload bench-json-forecast obs-demo ci
+.PHONY: all build vet test test-race bench bench-repo bench-json bench-json-fleetrpc bench-json-router bench-json-obs bench-json-overload bench-json-forecast obs-demo ci
 
 all: build vet test
 
@@ -20,11 +20,16 @@ test-race:
 bench:
 	$(GO) run ./cmd/grafbench -scale quick
 
-# Machine-readable numbers for the fleet hot paths: scratch vs allocating
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): four
+# control-plane workloads, untraced and traced, every metric by name.
+bench-repo:
+	bash benchmark/run.sh
+
+# Machine-readable numbers for the fleet hot paths: scratch-reusing
 # inference, one full solve, and the multi-tenant fleet experiment. Emits
 # BENCH_fleet.json for CI trend tracking.
 bench-json:
-	{ $(GO) test -run '^$$' -bench '^(BenchmarkPredict|BenchmarkPredictWith|BenchmarkPredictGrad|BenchmarkPredictGradWith)$$' -benchmem ./internal/gnn/ ; \
+	{ $(GO) test -run '^$$' -bench '^(BenchmarkPredict|BenchmarkPredictGrad)$$' -benchmem ./internal/gnn/ ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkSolver|BenchmarkFleet)$$' -benchtime 1x -benchmem . ; } | \
 	  $(GO) run ./cmd/benchjson -o BENCH_fleet.json
 	@echo wrote BENCH_fleet.json

@@ -1,6 +1,7 @@
 package graf
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,6 +50,26 @@ func TestTrainAndSolve(t *testing.T) {
 		if q < tr.Bounds.Lo[i]-1e-9 || q > tr.Bounds.Hi[i]+1e-9 {
 			t.Errorf("quota %d = %v outside bounds", i, q)
 		}
+	}
+}
+
+// Same options, same process, same bytes: nothing on the offline path
+// (search-space reduction, sample collection, training) may depend on map
+// iteration order.
+func TestTrainIsByteReproducible(t *testing.T) {
+	o := TrainOptions{
+		SLO: 250 * time.Millisecond, MinRate: 40, MaxRate: 320,
+		Samples: 120, Iterations: 40, Batch: 16, Seed: 5,
+	}
+	var blobs [2][]byte
+	for i := range blobs {
+		var err error
+		if blobs[i], err = Train(OnlineBoutique(), o).Model.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Error("two Train calls with the same options produced different model bytes")
 	}
 }
 

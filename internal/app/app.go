@@ -160,11 +160,15 @@ func (a *App) Visits(api string) map[string]float64 {
 
 // PerServiceRate converts a per-API frontend workload (requests/s keyed by
 // API name) into the per-service arrival rate each microservice experiences.
+// Rates are summed over the APIs in declaration order, never map order, so
+// equal workloads give bit-equal floats; a key naming no API adds nothing.
 func (a *App) PerServiceRate(apiRate map[string]float64) map[string]float64 {
 	out := make(map[string]float64, len(a.Services))
-	for api, rate := range apiRate {
-		for svc, visits := range a.Visits(api) {
-			out[svc] += rate * visits
+	for _, api := range a.APIs {
+		if rate, ok := apiRate[api.Name]; ok {
+			for svc, visits := range a.Visits(api.Name) {
+				out[svc] += rate * visits
+			}
 		}
 	}
 	return out

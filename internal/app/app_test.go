@@ -2,6 +2,7 @@ package app
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -83,6 +84,25 @@ func TestPerServiceRate(t *testing.T) {
 	}
 	if rates["shipping"] != 10 {
 		t.Errorf("shipping rate = %v, want 10", rates["shipping"])
+	}
+}
+
+// Summation order must not follow map iteration: with non-round rates the
+// last ulp of a shared service's rate would differ between calls, and with
+// it the warm-start quotas of two constructions of the same tenant.
+func TestPerServiceRateIsBitReproducible(t *testing.T) {
+	a := OnlineBoutique() // three APIs sharing services
+	// 77.7 req/s: about one summation order in four rounds differently.
+	apiRates := a.MixRates(77.7)
+	apiRates["no-such-api"] = 11.1
+	want := a.PerServiceRate(apiRates)
+	if len(want) != len(a.Services) {
+		t.Fatalf("rates for %d services, want %d", len(want), len(a.Services))
+	}
+	for i := 0; i < 200; i++ {
+		if got := a.PerServiceRate(apiRates); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: %v, first call %v", i, got, want)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // Fleet benchmarks the sharded multi-tenant control plane against running
-// the same tenants serially with per-call (allocating, uncached) inference.
+// the same tenants serially with per-call (uncached, unbatched) inference.
 // Two comparisons:
 //
 //   - aggregate control-plane throughput (tenant ticks per wall second) for
@@ -25,8 +25,8 @@ import (
 //
 // On a single core neither speedup can come from parallelism; it comes from
 // the quantized prediction cache (homogeneous tenants share solver
-// trajectories grid-point for grid-point) and from the zero-allocation
-// scratch inference path.
+// trajectories grid-point for grid-point). Both sides run the same
+// zero-allocation scratch kernel.
 func Fleet(s Scale) Result {
 	res := Result{
 		ID:     "fleet",
@@ -57,7 +57,7 @@ func Fleet(s Scale) Result {
 
 	res.Note("fleet_speedup=%.1fx (target >=3x aggregate ticks/s, 32 tenants, 8 workers)", speedup)
 	res.Note("inference_speedup=%.1fx (target >=2x prediction throughput vs per-call Predict)", infSpeedup)
-	res.Note("single-core speedup source: quantized prediction cache shared across homogeneous tenants + zero-alloc scratch inference")
+	res.Note("single-core speedup source: quantized prediction cache shared across homogeneous tenants (both sides run zero-alloc scratch inference)")
 	return res
 }
 
@@ -147,7 +147,7 @@ func inferenceThroughput(tenants int) (perCallRate, sharedRate float64) {
 		return 1 + 0.001*float64((tid*31+p*7+i)%10)/10
 	}
 
-	// Per-call path: the historical allocating model.Predict.
+	// Per-call path: model.Predict, no cache.
 	start := time.Now()
 	for tid := 0; tid < tenants; tid++ {
 		ld := make([]float64, n)

@@ -62,9 +62,9 @@ type Config struct {
 	// Service parameterizes the shared batched inference service.
 	Service ServiceConfig
 
-	// DisableSharing gives every tenant a private allocating predictor
-	// instead of the shared batched service — the serial baseline the
-	// fleet benchmark compares against.
+	// DisableSharing has every tenant call the model directly (uncached,
+	// unbatched) instead of going through the shared inference service —
+	// the serial baseline the fleet benchmark compares against.
 	DisableSharing bool
 
 	// WarmStart provisions each tenant's cluster near its expected demand

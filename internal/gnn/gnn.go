@@ -19,6 +19,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"graf/internal/nn"
 )
@@ -59,6 +60,13 @@ type Model struct {
 	phi     []*nn.MLP // per step: message network φ^(k)
 	gamma   []*nn.MLP // per step: update network γ^(k)
 	readout *nn.MLP
+
+	// free is the stack of idle Scratches Predict/PredictGrad borrow from.
+	// A mutex-guarded stack, not a sync.Pool: the GC never empties it, so
+	// allocation counts repeat exactly. It grows to the peak number of
+	// concurrent one-shot callers; one that panics drops its Scratch.
+	mu   sync.Mutex
+	free []*Scratch
 }
 
 // New builds a model with freshly initialized weights drawn from rng.
@@ -207,23 +215,45 @@ func (m *Model) backward(st *fwdState, dy float64) (dLoad, dQuota []float64) {
 	return dLoad, dQuota
 }
 
+// borrow pops an idle Scratch, or builds one when all are in use.
+func (m *Model) borrow() *Scratch {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n := len(m.free); n > 0 {
+		s := m.free[n-1]
+		m.free = m.free[:n-1]
+		return s
+	}
+	return m.NewScratch()
+}
+
+func (m *Model) giveBack(s *Scratch) {
+	m.mu.Lock()
+	m.free = append(m.free, s)
+	m.mu.Unlock()
+}
+
 // Predict returns the model's end-to-end tail-latency estimate in seconds.
-// It is strictly read-only on the model (weights only, no gradient
-// accumulators, no rng), so concurrent Predict calls on one model are safe.
-// Hot paths should hold a Scratch and call PredictWith instead; this
-// convenience allocates a fresh one per call.
+// It only reads the weights and is safe for concurrent use: each call runs
+// the PredictWith kernel on a borrowed Scratch, so it does not allocate once
+// the free list is warm. PredictWith on a caller-owned Scratch skips the lock.
 func (m *Model) Predict(load, quota []float64) float64 {
-	return m.PredictWith(m.NewScratch(), load, quota)
+	s := m.borrow()
+	y := m.PredictWith(s, load, quota)
+	m.giveBack(s)
+	return y
 }
 
 // PredictGrad returns the prediction and its gradient with respect to each
 // node's quota (seconds per millicore) — the ∂L/∂r the configuration solver
-// descends. Like Predict it is read-only and safe for concurrent use; the
-// returned slice is freshly allocated and owned by the caller.
+// descends. Like Predict it borrows its Scratch; the returned slice is a copy
+// owned by the caller and the call's only allocation.
 func (m *Model) PredictGrad(load, quota []float64) (latency float64, dQuota []float64) {
-	s := m.NewScratch()
+	s := m.borrow()
 	y, dq := m.PredictGradWith(s, load, quota)
-	return y, append([]float64(nil), dq...)
+	dQuota = append([]float64(nil), dq...)
+	m.giveBack(s)
+	return y, dQuota
 }
 
 func (m *Model) params() []*nn.Linear {
@@ -293,6 +323,9 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	}
 	fresh := New(p.Cfg, rand.New(rand.NewSource(0)))
 	fresh.restoreWeights(p.Weights)
-	*m = *fresh
+	// Not *m = *fresh, which would copy the free-list mutex. Decoding needs
+	// exclusive access to m anyway; Scratches of the old shape are dropped.
+	m.Cfg, m.phi, m.gamma, m.readout = fresh.Cfg, fresh.phi, fresh.gamma, fresh.readout
+	m.free = nil
 	return nil
 }

@@ -9,7 +9,8 @@
 //   - rng-free: dropout is a training-time device, inference never needs a
 //     *rand.Rand;
 //   - allocation-free after setup: every intermediate lives in a Scratch
-//     the caller owns and reuses across calls.
+//     reused across calls: the caller's own (PredictWith/PredictGradWith)
+//     or one borrowed from the model's free list (Predict/PredictGrad).
 //
 // Floating-point operation order matches the training-path forward exactly,
 // so Predict via a Scratch is bit-identical to the historical

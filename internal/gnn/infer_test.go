@@ -101,8 +101,10 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 // Predict/PredictGrad must be safe to hammer from many goroutines on one
-// model: the inference path may not touch gradient accumulators, tapes, or
-// any other shared mutable state. Run with -race.
+// model: the kernel may not touch gradient accumulators, tapes, or any other
+// shared mutable state, and the free list the one-shot methods borrow from
+// must hand each concurrent caller its own Scratch. Every result must equal,
+// bit for bit, the same kernel on a private Scratch. Run with -race.
 func TestConcurrentInferenceIsReadOnly(t *testing.T) {
 	m := testModel(t, true)
 	rng := rand.New(rand.NewSource(21))
@@ -111,10 +113,12 @@ func TestConcurrentInferenceIsReadOnly(t *testing.T) {
 	quotas := make([][]float64, inputs)
 	wantY := make([]float64, inputs)
 	wantDQ := make([][]float64, inputs)
+	ref := m.NewScratch()
 	for i := range loads {
 		loads[i], quotas[i] = randInputs(rng, m.Cfg.Nodes)
-		wantY[i] = m.Predict(loads[i], quotas[i])
-		_, wantDQ[i] = m.PredictGrad(loads[i], quotas[i])
+		wantY[i] = m.PredictWith(ref, loads[i], quotas[i])
+		_, dq := m.PredictGradWith(ref, loads[i], quotas[i])
+		wantDQ[i] = append([]float64(nil), dq...)
 	}
 
 	const goroutines = 8
@@ -140,17 +144,18 @@ func TestConcurrentInferenceIsReadOnly(t *testing.T) {
 						errs <- "concurrent Predict diverged"
 						return
 					}
-				} else {
-					y, dq := m.PredictGradWith(s, loads[i], quotas[i])
-					if y != wantY[i] {
-						errs <- "concurrent PredictGradWith y diverged"
+					continue
+				}
+				y, dq := m.PredictGradWith(s, loads[i], quotas[i])
+				y1, dq1 := m.PredictGrad(loads[i], quotas[i])
+				if y != wantY[i] || y1 != wantY[i] {
+					errs <- "concurrent PredictGrad(With) y diverged"
+					return
+				}
+				for d := range dq {
+					if dq[d] != wantDQ[i][d] || dq1[d] != wantDQ[i][d] {
+						errs <- "concurrent PredictGrad(With) dq diverged"
 						return
-					}
-					for d := range dq {
-						if dq[d] != wantDQ[i][d] {
-							errs <- "concurrent PredictGradWith dq diverged"
-							return
-						}
 					}
 				}
 			}
@@ -161,10 +166,71 @@ func TestConcurrentInferenceIsReadOnly(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
+	if n := len(m.free); n < 1 || n > goroutines {
+		t.Fatalf("free list holds %d scratches after %d concurrent callers, want 1..%d", n, goroutines, goroutines)
+	}
 }
 
-// --- Perf baseline (satellite): the fleet's win comes from killing the
-// per-call allocations of the historical inference path. ---
+// The one-shot methods borrow their Scratch from the model: after the first
+// call Predict allocates nothing and PredictGrad only the gradient it
+// returns, for both architectures.
+func TestOneShotInferenceDoesNotAllocate(t *testing.T) {
+	for _, mpnn := range []bool{true, false} {
+		m := testModel(t, mpnn)
+		load, quota := randInputs(rand.New(rand.NewSource(4)), m.Cfg.Nodes)
+		if n := testing.AllocsPerRun(50, func() { m.Predict(load, quota) }); n != 0 {
+			t.Errorf("mpnn=%v: Predict allocates %v objects per call, want 0", mpnn, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { m.PredictGrad(load, quota) }); n > 1 {
+			t.Errorf("mpnn=%v: PredictGrad allocates %v objects per call, want <= 1", mpnn, n)
+		}
+		if len(m.free) != 1 {
+			t.Errorf("mpnn=%v: serial callers left %d scratches on the free list, want 1", mpnn, len(m.free))
+		}
+	}
+}
+
+// A clone and a MarshalBinary/UnmarshalBinary round trip carry weights, not
+// borrowed buffers: both start with an empty free list (no copied lock, no
+// Scratch shared with the source) and predict identically to the source.
+// Decoding over a used model of another shape must drop its old Scratches.
+func TestCloneAndRoundTripStartWithEmptyFreeList(t *testing.T) {
+	m := testModel(t, true)
+	load, quota := randInputs(rand.New(rand.NewSource(8)), m.Cfg.Nodes)
+	wantY, wantDQ := m.PredictGrad(load, quota)
+	if len(m.free) != 1 {
+		t.Fatalf("source free list = %d, want 1", len(m.free))
+	}
+	blob, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := testModel(t, false) // other shape, free list in use
+	reused.Predict(load, quota)
+	for name, c := range map[string]*Model{"clone": m.Clone(), "fresh decode": {}, "decode over used model": reused} {
+		if name != "clone" {
+			if err := c.UnmarshalBinary(blob); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if len(c.free) != 0 {
+			t.Errorf("%s: free list starts with %d scratches, want 0", name, len(c.free))
+		}
+		y, dq := c.PredictGrad(load, quota)
+		if y != wantY || c.Predict(load, quota) != wantY {
+			t.Errorf("%s: predicts %v, source %v", name, y, wantY)
+		}
+		for i := range dq {
+			if dq[i] != wantDQ[i] {
+				t.Errorf("%s: dq[%d]=%v, source %v", name, i, dq[i], wantDQ[i])
+			}
+		}
+	}
+}
+
+// --- Perf baseline. Predict/PredictGrad run the PredictWith/PredictGradWith
+// kernel plus the free-list borrow (and, for PredictGrad, the gradient copy),
+// so one pair of benchmarks covers both entry points. ---
 
 func benchInputs() (*Model, []float64, []float64) {
 	parents := [][]int{{}, {0}, {0}, {1, 2}, {3}, {3}, {4, 5}, {6}, {6}, {7, 8}}
@@ -184,31 +250,11 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-func BenchmarkPredictWith(b *testing.B) {
-	m, load, quota := benchInputs()
-	s := m.NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictWith(s, load, quota)
-	}
-}
-
 func BenchmarkPredictGrad(b *testing.B) {
 	m, load, quota := benchInputs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.PredictGrad(load, quota)
-	}
-}
-
-func BenchmarkPredictGradWith(b *testing.B) {
-	m, load, quota := benchInputs()
-	s := m.NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictGradWith(s, load, quota)
 	}
 }

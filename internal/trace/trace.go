@@ -101,34 +101,51 @@ func (c *Collector) Traces(api string) []Trace { return c.byAPI[api] }
 // VisitProfile returns, for each service touched by api, the q-quantile of
 // per-trace visit counts. The paper chooses the 90th percentile of request
 // histories to represent an API's behaviour (§3.3): "from the history
-// 90%-ile samples are chosen".
+// 90%-ile samples are chosen". The Workload Analyzer calls this every solve
+// tick over the whole retained history, so it tallies a small histogram per
+// service rather than one float per trace per service.
 func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
 	traces := c.byAPI[api]
 	if len(traces) == 0 {
 		return nil
 	}
-	counts := make(map[string][]float64)
+	hist := make(map[string][]int) // hist[svc][n]: traces visiting svc exactly n ≥ 1 times
+	visits := make(map[string]int) // the trace being walked; emptied after each
 	for _, t := range traces {
-		for svc, n := range t.Visits() {
-			counts[svc] = append(counts[svc], float64(n))
+		for _, s := range t.Spans {
+			visits[s.Service]++
+		}
+		for svc, n := range visits {
+			h := hist[svc]
+			for len(h) <= n {
+				h = append(h, 0)
+			}
+			h[n]++
+			hist[svc] = h
+			delete(visits, svc)
 		}
 	}
-	out := make(map[string]float64, len(counts))
-	for svc, vals := range counts {
+	// Nearest-rank, matching metrics.Digest.Quantile.
+	rank := int(math.Ceil(q * float64(len(traces))))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > len(traces) {
+		rank = len(traces)
+	}
+	out := make(map[string]float64, len(hist))
+	for svc, h := range hist {
 		// Services missing from some traces count as zero visits there.
-		for len(vals) < len(traces) {
-			vals = append(vals, 0)
+		atMost := len(traces)
+		for _, k := range h {
+			atMost -= k
 		}
-		sort.Float64s(vals)
-		// Nearest-rank, matching metrics.Digest.Quantile.
-		rank := int(math.Ceil(q * float64(len(vals))))
-		if rank < 1 {
-			rank = 1
+		n := 0
+		for atMost < rank {
+			n++
+			atMost += h[n]
 		}
-		if rank > len(vals) {
-			rank = len(vals)
-		}
-		out[svc] = vals[rank-1]
+		out[svc] = float64(n)
 	}
 	return out
 }

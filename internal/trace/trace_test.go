@@ -2,6 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -79,6 +83,67 @@ func TestVisitProfileMissingService(t *testing.T) {
 	p := c.VisitProfile("home", 0.5)
 	if p["rare"] != 0 {
 		t.Errorf("median visits for rare service = %v, want 0", p["rare"])
+	}
+}
+
+// visitProfileReference is VisitProfile as it was first written: one float
+// per trace per service, zero-padded, sorted, nearest rank. The histogram
+// version must return exactly this.
+func visitProfileReference(c *Collector, api string, q float64) map[string]float64 {
+	traces := c.byAPI[api]
+	if len(traces) == 0 {
+		return nil
+	}
+	counts := make(map[string][]float64)
+	for _, t := range traces {
+		for svc, n := range t.Visits() {
+			counts[svc] = append(counts[svc], float64(n))
+		}
+	}
+	out := make(map[string]float64, len(counts))
+	for svc, vals := range counts {
+		for len(vals) < len(traces) {
+			vals = append(vals, 0)
+		}
+		sort.Float64s(vals)
+		rank := int(math.Ceil(q * float64(len(vals))))
+		if rank < 1 {
+			rank = 1
+		}
+		if rank > len(vals) {
+			rank = len(vals)
+		}
+		out[svc] = vals[rank-1]
+	}
+	return out
+}
+
+func TestVisitProfileMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	services := []string{"frontend", "cart", "currency", "catalog", "shipping", "ads"}
+	for set := 0; set < 200; set++ {
+		c := NewCollector(0)
+		for id, n := 0, 1+rng.Intn(40); id < n; id++ {
+			tr := Trace{ID: int64(id), API: "home"}
+			// Each service is absent from some traces, rarely visited in
+			// others; spans of different services interleave.
+			for _, svc := range services[:1+rng.Intn(len(services))] {
+				for v := rng.Intn(5) * rng.Intn(2); v > 0; v-- {
+					tr.Spans = append(tr.Spans, Span{TraceID: tr.ID, API: tr.API, Service: svc})
+				}
+			}
+			rng.Shuffle(len(tr.Spans), func(i, j int) { tr.Spans[i], tr.Spans[j] = tr.Spans[j], tr.Spans[i] })
+			c.Collect(tr)
+		}
+		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+			got, want := c.VisitProfile("home", q), visitProfileReference(c, "home", q)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("set %d q=%v: VisitProfile = %v, sort reference = %v", set, q, got, want)
+			}
+		}
+	}
+	if p := NewCollector(0).VisitProfile("home", 0.9); p != nil {
+		t.Errorf("no traces: VisitProfile = %v, want nil", p)
 	}
 }
 
