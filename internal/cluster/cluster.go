@@ -16,6 +16,18 @@
 // sum/max latency composition of §3 ("a combination of multiple addition and
 // max operations").
 //
+// Every invocation of a call-tree node runs on a frame (frame.go): one record
+// holding the call's progress — repetition, attempt, queue wait, service time,
+// the stage in progress and the children it still waits for — and a pointer
+// to its parent's frame. The deployment queues the frame itself and the event
+// engine calls it back through func values bound when the frame object was
+// made, so a request's steps allocate nothing; frames and request records are
+// recycled through per-Cluster free lists. Completed traces go to a per-API
+// ring (internal/trace) that returns the evicted trace's span array for the
+// next request, and telemetry to chunked windows (internal/metrics): once the
+// rings are full a simulated request costs 16 bytes per observation and
+// nothing else.
+//
 // # Instance creation
 //
 // Creating instances takes time (paper Fig 1: 5.5 s for one instance,
@@ -93,19 +105,12 @@ type instance struct {
 	readyAt   float64
 }
 
-type job struct {
-	enqueuedAt float64
-	started    bool // dispatched to an instance
-	dead       bool // timed out while queued; dispatch must skip it
-	exec       func(inst *instance, queued float64)
-}
-
 // Deployment is one microservice's replica set.
 type Deployment struct {
 	Service app.Service
 
 	cl        *Cluster
-	queue     []*job
+	queue     frameQueue // frames waiting for an instance, FIFO
 	instances []*instance
 	nextID    int
 
@@ -145,12 +150,17 @@ type Cluster struct {
 	App *app.App
 	Cfg Config
 
-	deps        map[string]*Deployment
-	names       []string
-	traces      *trace.Collector
-	e2e         map[string]*metrics.Window // end-to-end latency per API
-	e2eAll      *metrics.Window            // end-to-end latency, all APIs
-	apiArrivals map[string]*metrics.Window // frontend arrivals per API
+	deps   map[string]*Deployment
+	names  []string
+	apis   map[string]*apiState
+	traces *trace.Collector
+	e2eAll *metrics.Window // end-to-end latency, all APIs
+
+	// Free lists of the request path (frame.go). Both grow to the peak
+	// number of requests and calls in flight and are never trimmed.
+	freeReqs   []*request
+	freeFrames []*frame
+	framesMade int // frame objects ever created
 
 	nextTraceID  int64
 	inFlight     int
@@ -181,8 +191,8 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 		App:         a,
 		Cfg:         cfg,
 		deps:        make(map[string]*Deployment, len(a.Services)),
+		apis:        make(map[string]*apiState, len(a.APIs)),
 		traces:      trace.NewCollector(cfg.TraceCap),
-		e2e:         make(map[string]*metrics.Window),
 		e2eAll:      metrics.NewWindow(),
 		arrivalKeep: 1,
 	}
@@ -205,10 +215,13 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 		c.deps[svc.Name] = d
 		c.names = append(c.names, svc.Name)
 	}
-	c.apiArrivals = make(map[string]*metrics.Window)
 	for _, api := range a.APIs {
-		c.e2e[api.Name] = metrics.NewWindow()
-		c.apiArrivals[api.Name] = metrics.NewWindow()
+		c.apis[api.Name] = &apiState{
+			def:      a.API(api.Name),
+			e2e:      metrics.NewWindow(),
+			arrivals: metrics.NewWindow(),
+			spans:    countSpans(api.Root),
+		}
 	}
 	return c
 }
@@ -218,7 +231,7 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 // allowed to use (§3.8: "Latency Prediction Model only utilizes front-end
 // workloads data").
 func (c *Cluster) APIArrivalRate(api string, window float64) float64 {
-	w, ok := c.apiArrivals[api]
+	st, ok := c.apis[api]
 	if !ok {
 		return 0
 	}
@@ -230,13 +243,13 @@ func (c *Cluster) APIArrivalRate(api string, window float64) float64 {
 	if now <= from {
 		return 0
 	}
-	return float64(w.Count(from, now)) / (now - from)
+	return float64(st.arrivals.Count(from, now)) / (now - from)
 }
 
 // APIArrivalRates returns APIArrivalRate for every API.
 func (c *Cluster) APIArrivalRates(window float64) map[string]float64 {
-	out := make(map[string]float64, len(c.apiArrivals))
-	for api := range c.apiArrivals {
+	out := make(map[string]float64, len(c.apis))
+	for api := range c.apis {
 		out[api] = c.APIArrivalRate(api, window)
 	}
 	return out
@@ -423,11 +436,11 @@ func (d *Deployment) gc() {
 
 // --- Deployment: serving ---------------------------------------------------
 
-func (d *Deployment) enqueue(j *job) {
+func (d *Deployment) enqueue(f *frame) {
 	if d.telemetryOn() {
 		d.arrivals.Add(d.cl.Eng.Now(), 1)
 	}
-	d.queue = append(d.queue, j)
+	d.queue.push(f)
 	d.dispatch()
 }
 
@@ -441,20 +454,13 @@ func (d *Deployment) freeInstance() *instance {
 }
 
 func (d *Deployment) dispatch() {
-	for len(d.queue) > 0 {
-		j := d.queue[0]
-		if j.dead {
-			d.queue = d.queue[1:]
-			continue
-		}
+	for d.queue.n > 0 {
 		in := d.freeInstance()
 		if in == nil {
 			return
 		}
-		d.queue = d.queue[1:]
 		in.busy = true
-		j.started = true
-		j.exec(in, d.cl.Eng.Now()-j.enqueuedAt)
+		d.queue.pop().serve(in)
 	}
 }
 
@@ -508,10 +514,7 @@ func (d *Deployment) Utilization(window float64) float64 {
 	if now <= from {
 		return 0
 	}
-	used := 0.0
-	for _, v := range d.cpuWork.Since(from, now) {
-		used += v
-	}
+	used, _ := d.cpuWork.Sum(from, now)
 	meanReady := d.readySeries.Mean(from, now)
 	if meanReady < 1 {
 		meanReady = 1
@@ -533,15 +536,7 @@ func (d *Deployment) CPUPerRequestMS(window float64) float64 {
 	if from < 0 {
 		from = 0
 	}
-	vals := d.cpuWork.Since(from, now)
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals)) * 1000
+	return d.cpuWork.Mean(from, now) * 1000
 }
 
 // ArrivalRate returns the perceived workload in requests/s over the trailing
@@ -629,7 +624,7 @@ func (c *Cluster) E2EWindow() *metrics.Window { return c.e2eAll }
 // APILatencyQuantile returns the q-quantile of end-to-end latency (seconds)
 // for one API over the trailing window.
 func (c *Cluster) APILatencyQuantile(api string, q, window float64) float64 {
-	w, ok := c.e2e[api]
+	st, ok := c.apis[api]
 	if !ok {
 		return 0
 	}
@@ -638,7 +633,7 @@ func (c *Cluster) APILatencyQuantile(api string, q, window float64) float64 {
 	if from < 0 {
 		from = 0
 	}
-	return w.Quantile(q, from, now)
+	return st.e2e.Quantile(q, from, now)
 }
 
 // TotalInstances returns the number of non-condemned instances across all
@@ -747,174 +742,11 @@ func (c *Cluster) TrimTelemetry(before float64) {
 		c.deps[name].TrimTelemetry(before)
 	}
 	c.e2eAll.Trim(before)
-	for _, w := range c.e2e {
-		w.Trim(before)
-	}
-	for _, w := range c.apiArrivals {
-		w.Trim(before)
+	for _, st := range c.apis {
+		st.e2e.Trim(before)
+		st.arrivals.Trim(before)
 	}
 }
-
-// --- Request execution -----------------------------------------------------
-
-// Submit injects one request for the named API at the current simulated
-// time. onDone, if non-nil, receives the end-to-end latency in seconds when
-// the request completes.
-func (c *Cluster) Submit(api string, onDone func(latency float64)) {
-	ap := c.App.API(api)
-	if ap == nil {
-		panic(fmt.Sprintf("cluster: unknown API %q", api))
-	}
-	c.nextTraceID++
-	tid := c.nextTraceID
-	start := c.Eng.Now()
-	c.recordArrival(api, start)
-	tr := &trace.Trace{ID: tid, API: api}
-	c.inFlight++
-	c.execCall(ap.Root, api, tid, "", tr, func() {
-		lat := c.Eng.Now() - start
-		if c.frontendTelemetryOn() {
-			c.e2e[api].Add(c.Eng.Now(), lat)
-			c.e2eAll.Add(c.Eng.Now(), lat)
-		}
-		if c.traceDropP > 0 && c.Eng.Rand().Float64() < c.traceDropP {
-			c.droppedTraces++
-		} else {
-			c.traces.Collect(*tr)
-		}
-		if tr.Errors > 0 {
-			c.failedReqs++
-		}
-		c.inFlight--
-		if onDone != nil {
-			onDone(lat)
-		}
-		if c.inFlight == 0 && c.onDoneDrain != nil {
-			c.onDoneDrain()
-		}
-	})
-}
-
-// recordArrival stamps one frontend arrival, subject to the telemetry
-// fault taps: a full blackhole window drops it, and arrival sampling keeps
-// only a deterministic arrivalKeep fraction.
-func (c *Cluster) recordArrival(api string, at float64) {
-	if !c.frontendTelemetryOn() {
-		return
-	}
-	if c.arrivalKeep < 1 {
-		c.arrivalAcc += c.arrivalKeep
-		if c.arrivalAcc < 1 {
-			return
-		}
-		c.arrivalAcc--
-	}
-	c.apiArrivals[api].Add(at, 1)
-}
-
-// execCall runs one Call node: Times() sequential repetitions of
-// (queue → service → stages), then done. Each repetition is one RPC at the
-// call layer: a job lost to a crashed instance, or stuck queued past the
-// queue timeout, is retried with exponential backoff up to Cfg.MaxRetries
-// times; exhausted retries fail the call and the request continues
-// degraded (the caller swallows the error), annotated on the trace.
-func (c *Cluster) execCall(call *app.Call, api string, tid int64, parent string, tr *trace.Trace, done func()) {
-	d := c.Deployment(call.Service)
-	reps := call.Times()
-	var runRep func(rep int)
-	runRep = func(rep int) {
-		if rep == reps {
-			done()
-			return
-		}
-		enq := c.Eng.Now()
-		var attempt func(try int)
-		// retryOrFail runs after a failed attempt: backoff-retry while
-		// budget remains, otherwise fail the call. Each attempt fails at
-		// most once (the queue-timeout and crash paths are mutually
-		// exclusive via job.started), so a completed request is never
-		// duplicated by a retry.
-		retryOrFail := func(try int) {
-			d.errors.Add(c.Eng.Now(), 1)
-			if try < c.Cfg.MaxRetries {
-				backoff := c.Cfg.RetryBaseS * math.Pow(2, float64(try))
-				c.Eng.After(backoff, func() { attempt(try + 1) })
-				return
-			}
-			c.failedCalls++
-			tr.Errors++
-			runRep(rep + 1)
-		}
-		attempt = func(try int) {
-			j := &job{enqueuedAt: c.Eng.Now()}
-			j.exec = func(in *instance, queued float64) {
-				svcS, cpuS := d.sampleServiceTime()
-				c.Eng.After(svcS, func() {
-					if in.crashed {
-						// The instance died under the request: its work
-						// and telemetry are lost.
-						retryOrFail(try)
-						return
-					}
-					now := c.Eng.Now()
-					if d.telemetryOn() {
-						d.cpuWork.Add(now, cpuS)
-						d.selfLat.Add(now, queued+svcS)
-					}
-					d.release(in)
-					// Service work done; run stages, then record span.
-					c.runStages(call, 0, api, tid, tr, func() {
-						tr.Spans = append(tr.Spans, trace.Span{
-							TraceID: tid, API: api,
-							Service: call.Service, Parent: parent,
-							Start: enq, End: c.Eng.Now(), Queue: queued,
-						})
-						runRep(rep + 1)
-					})
-				})
-			}
-			if c.Cfg.QueueTimeoutS > 0 {
-				jj := j
-				c.Eng.After(c.Cfg.QueueTimeoutS, func() {
-					if jj.started || jj.dead {
-						return
-					}
-					jj.dead = true
-					retryOrFail(try)
-				})
-			}
-			d.enqueue(j)
-		}
-		attempt(0)
-	}
-	runRep(0)
-}
-
-// runStages executes call.Stages[idx:] sequentially; within a stage all
-// children run in parallel.
-func (c *Cluster) runStages(call *app.Call, idx int, api string, tid int64, tr *trace.Trace, done func()) {
-	if idx == len(call.Stages) {
-		done()
-		return
-	}
-	stage := call.Stages[idx]
-	if len(stage) == 0 {
-		c.runStages(call, idx+1, api, tid, tr, done)
-		return
-	}
-	remaining := len(stage)
-	for _, child := range stage {
-		c.execCall(child, api, tid, call.Service, tr, func() {
-			remaining--
-			if remaining == 0 {
-				c.runStages(call, idx+1, api, tid, tr, done)
-			}
-		})
-	}
-}
-
-// OnDrain registers fn to run whenever in-flight requests reach zero.
-func (c *Cluster) OnDrain(fn func()) { c.onDoneDrain = fn }
 
 // InjectContention slows the named service's CPU work by factor (> 1) for
 // duration seconds (svc == "" contends every service), simulating the
@@ -1129,10 +961,7 @@ func (c *Cluster) CorruptTelemetry(latS float64, n int) {
 		c.e2eAll.Add(now, latS)
 	}
 	for _, api := range c.App.APIs {
-		w, ok := c.apiArrivals[api.Name]
-		if !ok {
-			continue
-		}
+		w := c.apis[api.Name].arrivals
 		for i := 0; i < n; i++ {
 			w.Add(now, 1)
 		}
@@ -1158,8 +987,8 @@ func (c *Cluster) DroppedTraces() int { return c.droppedTraces }
 // stale-telemetry detector compares against the clock.
 func (c *Cluster) LastArrivalAt() (float64, bool) {
 	best, any := 0.0, false
-	for _, w := range c.apiArrivals {
-		if at, ok := w.LastAt(); ok && (!any || at > best) {
+	for _, st := range c.apis {
+		if at, ok := st.arrivals.LastAt(); ok && (!any || at > best) {
 			best, any = at, true
 		}
 	}

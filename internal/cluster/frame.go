@@ -1,0 +1,354 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+
+	"graf/internal/app"
+	"graf/internal/metrics"
+	"graf/internal/trace"
+)
+
+// apiState is what the cluster keeps per API: its definition, its frontend
+// telemetry and the number of spans a request leaves when no call fails.
+type apiState struct {
+	def      *app.API
+	e2e      *metrics.Window // end-to-end latency
+	arrivals *metrics.Window // frontend arrivals
+	spans    int
+}
+
+// countSpans returns how many invocations one execution of c makes.
+func countSpans(c *app.Call) int {
+	n := 1
+	for _, stage := range c.Stages {
+		for _, child := range stage {
+			n += countSpans(child)
+		}
+	}
+	return n * c.Times()
+}
+
+// request is one Submit in flight. Records are recycled through
+// Cluster.freeReqs; a record keeps the span array the trace collector handed
+// back for it, so a request on a full collector allocates nothing.
+type request struct {
+	api    *apiState
+	start  float64
+	tr     trace.Trace
+	onDone func(latency float64)
+}
+
+// frame is one invocation of an app.Call node within a request: Times()
+// sequential repetitions of (queue → service → stages). Each repetition is
+// one RPC at the call layer: an attempt lost to a crashed instance, or stuck
+// queued past the queue timeout, is retried with exponential backoff up to
+// Cfg.MaxRetries times; exhausted retries fail the call and the request
+// continues degraded (the caller swallows the error), annotated on the
+// trace.
+//
+// The frame is the unit the deployment queues and the event engine calls
+// back: serviceDone and retry are bound once, when the frame object is made,
+// so scheduling a frame's next step allocates nothing. Frames are recycled
+// through Cluster.freeFrames when their call returns. At most one event is
+// ever pending for a frame that is in service or backing off, and it is the
+// one that moves it on, so those events need no guard; the queue-timeout
+// event is the exception (see attempt).
+type frame struct {
+	cl     *Cluster
+	req    *request
+	parent *frame // nil for the API's root call
+	call   *app.Call
+	d      *Deployment
+
+	rep int     // repetition in progress
+	enq float64 // when it began: the span's Start, retries included
+
+	try      int     // attempt of this repetition, 0..Cfg.MaxRetries
+	attempts uint64  // attempts this frame object ever made; the timeout token
+	queuedAt float64 // when this attempt joined the queue
+	served   bool    // this attempt was dispatched to an instance
+	queued   float64 // how long it waited
+	svcS     float64 // its service time
+	cpuS     float64 // and CPU-seconds
+	inst     *instance
+
+	stage     int // stage of call.Stages in progress
+	remaining int // calls of that stage still running
+
+	serviceDone func()
+	retry       func()
+}
+
+func (c *Cluster) newFrame() *frame {
+	if n := len(c.freeFrames); n > 0 {
+		f := c.freeFrames[n-1]
+		c.freeFrames = c.freeFrames[:n-1]
+		return f
+	}
+	c.framesMade++
+	f := &frame{cl: c}
+	f.serviceDone = f.onServiceDone
+	f.retry = f.attempt
+	return f
+}
+
+// Submit injects one request for the named API at the current simulated
+// time. onDone, if non-nil, receives the end-to-end latency in seconds when
+// the request completes.
+func (c *Cluster) Submit(api string, onDone func(latency float64)) {
+	st := c.apis[api]
+	if st == nil {
+		panic(fmt.Sprintf("cluster: unknown API %q", api))
+	}
+	var req *request
+	if n := len(c.freeReqs); n > 0 {
+		req = c.freeReqs[n-1]
+		c.freeReqs = c.freeReqs[:n-1]
+	} else {
+		req = &request{}
+	}
+	c.nextTraceID++
+	req.api, req.start, req.onDone = st, c.Eng.Now(), onDone
+	c.recordArrival(st, req.start)
+	spans := req.tr.Spans
+	if spans == nil {
+		spans = make([]trace.Span, 0, st.spans)
+	}
+	req.tr = trace.Trace{ID: c.nextTraceID, API: api, Spans: spans}
+	c.inFlight++
+	c.exec(st.def.Root, req, nil)
+}
+
+// recordArrival stamps one frontend arrival, subject to the telemetry
+// fault taps: a full blackhole window drops it, and arrival sampling keeps
+// only a deterministic arrivalKeep fraction.
+func (c *Cluster) recordArrival(st *apiState, at float64) {
+	if !c.frontendTelemetryOn() {
+		return
+	}
+	if c.arrivalKeep < 1 {
+		c.arrivalAcc += c.arrivalKeep
+		if c.arrivalAcc < 1 {
+			return
+		}
+		c.arrivalAcc--
+	}
+	st.arrivals.Add(at, 1)
+}
+
+// OnDrain registers fn to run whenever in-flight requests reach zero.
+func (c *Cluster) OnDrain(fn func()) { c.onDoneDrain = fn }
+
+// complete runs when a request's root call returns.
+func (c *Cluster) complete(req *request) {
+	now := c.Eng.Now()
+	lat := now - req.start
+	if c.frontendTelemetryOn() {
+		req.api.e2e.Add(now, lat)
+		c.e2eAll.Add(now, lat)
+	}
+	if c.traceDropP > 0 && c.Eng.Rand().Float64() < c.traceDropP {
+		c.droppedTraces++
+		req.tr.Spans = req.tr.Spans[:0]
+	} else {
+		c.traces.Collect(req.tr)
+		req.tr.Spans = c.traces.Spare(req.tr.API)
+	}
+	if req.tr.Errors > 0 {
+		c.failedReqs++
+	}
+	c.inFlight--
+	onDone := req.onDone
+	req.onDone = nil
+	c.freeReqs = append(c.freeReqs, req)
+	if onDone != nil {
+		onDone(lat)
+	}
+	if c.inFlight == 0 && c.onDoneDrain != nil {
+		c.onDoneDrain()
+	}
+}
+
+// exec starts one Call node of req on a frame; the frame reports to parent
+// (or completes the request) when every repetition has returned.
+func (c *Cluster) exec(call *app.Call, req *request, parent *frame) {
+	f := c.newFrame()
+	f.req, f.parent, f.call, f.d = req, parent, call, c.Deployment(call.Service)
+	f.rep = 0
+	f.startRep()
+}
+
+func (f *frame) startRep() {
+	if f.rep == f.call.Times() {
+		f.done()
+		return
+	}
+	f.enq = f.cl.Eng.Now()
+	f.try = 0
+	f.attempt()
+}
+
+// attempt queues the frame at its deployment. With a queue timeout
+// configured it also arms the timeout, which — unlike every other event
+// aimed at a frame — can outlive the attempt, the call and the frame's
+// current use: it carries the attempt's number and does nothing unless the
+// frame is still waiting on that very attempt.
+func (f *frame) attempt() {
+	c := f.cl
+	f.attempts++
+	f.served = false
+	f.queuedAt = c.Eng.Now()
+	if c.Cfg.QueueTimeoutS > 0 {
+		token := f.attempts
+		c.Eng.After(c.Cfg.QueueTimeoutS, func() {
+			if f.attempts != token || f.served {
+				return
+			}
+			f.d.queue.remove(f)
+			f.retryOrFail()
+		})
+	}
+	f.d.enqueue(f)
+}
+
+// serve runs when the deployment hands the waiting frame to instance in.
+func (f *frame) serve(in *instance) {
+	eng := f.cl.Eng
+	f.served = true
+	f.inst = in
+	f.queued = eng.Now() - f.queuedAt
+	f.svcS, f.cpuS = f.d.sampleServiceTime()
+	eng.After(f.svcS, f.serviceDone)
+}
+
+func (f *frame) onServiceDone() {
+	in := f.inst
+	f.inst = nil
+	if in.crashed {
+		// The instance died under the request: its work and telemetry are
+		// lost.
+		f.retryOrFail()
+		return
+	}
+	d := f.d
+	if d.telemetryOn() {
+		now := f.cl.Eng.Now()
+		d.cpuWork.Add(now, f.cpuS)
+		d.selfLat.Add(now, f.queued+f.svcS)
+	}
+	d.release(in)
+	f.stage = 0
+	f.runStages()
+}
+
+// retryOrFail runs after a failed attempt: backoff-retry while budget
+// remains, otherwise fail the call. Each attempt fails at most once (the
+// queue-timeout and crash paths are mutually exclusive via frame.served), so
+// a completed request is never duplicated by a retry.
+func (f *frame) retryOrFail() {
+	c := f.cl
+	f.d.errors.Add(c.Eng.Now(), 1)
+	if f.try < c.Cfg.MaxRetries {
+		backoff := c.Cfg.RetryBaseS * math.Pow(2, float64(f.try))
+		f.try++
+		c.Eng.After(backoff, f.retry)
+		return
+	}
+	c.failedCalls++
+	f.req.tr.Errors++
+	f.rep++
+	f.startRep()
+}
+
+// runStages executes call.Stages[f.stage:] sequentially; within a stage all
+// children run in parallel. After the last stage it records the span and
+// moves to the next repetition.
+func (f *frame) runStages() {
+	stages := f.call.Stages
+	for f.stage < len(stages) && len(stages[f.stage]) == 0 {
+		f.stage++
+	}
+	if f.stage < len(stages) {
+		stage := stages[f.stage]
+		f.remaining = len(stage)
+		for _, child := range stage {
+			f.cl.exec(child, f.req, f)
+		}
+		return
+	}
+	parent := ""
+	if f.parent != nil {
+		parent = f.parent.call.Service
+	}
+	tr := &f.req.tr
+	tr.Spans = append(tr.Spans, trace.Span{
+		TraceID: tr.ID, API: tr.API,
+		Service: f.call.Service, Parent: parent,
+		Start: f.enq, End: f.cl.Eng.Now(), Queue: f.queued,
+	})
+	f.rep++
+	f.startRep()
+}
+
+// done returns the call: the frame goes back to the free list and its
+// parent's stage (or the request) moves on.
+func (f *frame) done() {
+	c, req, parent := f.cl, f.req, f.parent
+	f.req, f.parent = nil, nil
+	c.freeFrames = append(c.freeFrames, f)
+	if parent == nil {
+		c.complete(req)
+		return
+	}
+	parent.remaining--
+	if parent.remaining == 0 {
+		parent.stage++
+		parent.runStages()
+	}
+}
+
+// frameQueue is a deployment's FIFO of waiting frames, a ring that grows by
+// doubling and never shrinks.
+type frameQueue struct {
+	buf  []*frame // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *frameQueue) push(f *frame) {
+	if q.n == len(q.buf) {
+		grown := make([]*frame, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = f
+	q.n++
+}
+
+func (q *frameQueue) pop() *frame {
+	f := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return f
+}
+
+// remove takes f out of the queue, keeping the order of the rest. Queue
+// timeouts expire in arrival order, so f is at or near the head.
+func (q *frameQueue) remove(f *frame) {
+	mask := len(q.buf) - 1
+	for i := 0; i < q.n; i++ {
+		if q.buf[(q.head+i)&mask] != f {
+			continue
+		}
+		for ; i > 0; i-- {
+			q.buf[(q.head+i)&mask] = q.buf[(q.head+i-1)&mask]
+		}
+		q.pop()
+		return
+	}
+	panic("cluster: frame to remove is not queued")
+}

@@ -162,47 +162,81 @@ func TestPendingInstances(t *testing.T) {
 	}
 }
 
-// Conservation under fault injection: with instance kills, retries and
-// queue timeouts in play, every submitted request still completes exactly
-// once (a retried call must never complete twice, a crashed one never
-// strand), and in-flight accounting returns to zero.
+// Conservation under fault injection: with instance kills, back-off retries
+// and queue timeouts short enough to fire in play, every submitted request
+// still completes exactly once (a retried call must never complete twice, a
+// crashed one never strand, and a timeout armed for a frame's earlier use
+// never drive its current one), in-flight accounting returns to zero, and
+// every call frame is back on the free list.
 func TestRequestConservationUnderKillsProperty(t *testing.T) {
-	f := func(seed int64, rateRaw, killRaw uint8) bool {
+	failedAttempts, failedCalls, reused := 0, 0, 0
+	f := func(seed int64, rateRaw, killRaw, timeoutRaw, retryRaw uint8) bool {
 		rate := 10 + float64(rateRaw%50)
 		cfg := DefaultConfig()
-		cfg.QueueTimeoutS = 8 // bound the wait behind dead capacity
+		// From 20 ms (most queued attempts time out, and their timeouts
+		// outlive several uses of the frame) to 8 s (only the wait behind
+		// dead capacity does).
+		cfg.QueueTimeoutS = []float64{0.02, 0.1, 0.5, 8}[timeoutRaw%4]
+		cfg.MaxRetries = int(retryRaw % 4)
 		eng := sim.NewEngine(seed)
 		cl := New(eng, app.OnlineBoutique(), cfg)
 		for _, name := range cl.App.ServiceNames() {
 			cl.Deployment(name).SetReplicas(2)
 		}
 		eng.RunUntil(60)
-		submitted, completed := 0, 0
+		const n = 150
+		var completed [n]int
 		base := eng.Now()
-		for i := 0; i < 150; i++ {
-			at := base + float64(i)/rate
-			eng.At(at, func() {
-				submitted++
-				cl.Submit("cart", func(float64) { completed++ })
+		for i := 0; i < n; i++ {
+			i := i
+			eng.At(base+float64(i)/rate, func() {
+				cl.Submit("cart", func(float64) { completed[i]++ })
 			})
 		}
 		// Kill churn while requests are in flight: single-service kills and
 		// correlated crashes.
 		for i := 0; i < 4; i++ {
-			at := base + float64(i+1)*150/rate/5
-			n := 1 + int(killRaw)%2
+			at := base + float64(i+1)*n/rate/5
+			k := 1 + int(killRaw)%2
 			eng.At(at, func() {
-				cl.KillInstances("cart", n)
-				if n > 1 {
+				cl.KillInstances("cart", k)
+				if k > 1 {
 					cl.CrashFraction(0.3)
 				}
 			})
 		}
 		eng.Run()
-		return submitted == 150 && completed == 150 && cl.InFlight() == 0
+		for i, k := range completed {
+			if k != 1 {
+				t.Logf("request %d completed %d times", i, k)
+				return false
+			}
+		}
+		if cl.InFlight() != 0 || cl.Traces().Total() != n {
+			t.Logf("in flight %d, traces %d", cl.InFlight(), cl.Traces().Total())
+			return false
+		}
+		if len(cl.freeFrames) != cl.framesMade || len(cl.freeReqs) == 0 {
+			t.Logf("%d of %d frames on the free list", len(cl.freeFrames), cl.framesMade)
+			return false
+		}
+		for _, name := range cl.App.ServiceNames() {
+			d := cl.Deployment(name)
+			if d.queue.n != 0 {
+				t.Logf("%s: %d frames still queued", name, d.queue.n)
+				return false
+			}
+			failedAttempts += d.errors.Len()
+		}
+		failedCalls += cl.FailedCalls()
+		reused += 7*n - cl.framesMade // a "cart" request runs on 7 frames
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(80))}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(80))}); err != nil {
 		t.Error(err)
+	}
+	if failedAttempts == 0 || failedCalls == 0 || reused <= 0 {
+		t.Errorf("fault paths not exercised: %d failed attempts, %d failed calls, %d frame reuses", failedAttempts, failedCalls, reused)
 	}
 }
 

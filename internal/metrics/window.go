@@ -8,48 +8,83 @@ type timed struct {
 	v  float64
 }
 
+// chunkLen is the number of observations per chunk (4 KB of timed).
+const (
+	chunkShift = 8
+	chunkLen   = 1 << chunkShift
+)
+
+type chunk [chunkLen]timed
+
 // Window retains timestamped observations and answers queries over a
 // trailing interval, e.g. "p99 latency over the last 10 seconds". This is
 // the primitive behind both the paper's 10-second sample-collection windows
 // (§5, Sample Collection) and the autoscalers' utilization windows.
+//
+// Observations live in fixed-size chunks allocated as the window fills, so
+// growth never copies what is already recorded and Trim frees whole chunks.
 type Window struct {
-	buf []timed
+	chunks []*chunk
+	off    int // position in chunks[0] of the oldest retained observation
+	n      int // retained observations
 }
 
 // NewWindow returns an empty window.
 func NewWindow() *Window { return &Window{} }
 
+// at returns the i-th oldest retained observation.
+func (w *Window) at(i int) *timed {
+	pos := w.off + i
+	return &w.chunks[pos>>chunkShift][pos&(chunkLen-1)]
+}
+
 // Add records observation v at time at. Observations must be added in
 // nondecreasing time order (the simulator guarantees this).
 func (w *Window) Add(at, v float64) {
-	w.buf = append(w.buf, timed{at, v})
+	if w.off+w.n == len(w.chunks)*chunkLen {
+		w.chunks = append(w.chunks, new(chunk))
+	}
+	*w.at(w.n) = timed{at, v}
+	w.n++
 }
 
 // Trim discards observations strictly older than before. Call periodically
 // to bound memory in long simulations.
 func (w *Window) Trim(before float64) {
-	i := sort.Search(len(w.buf), func(i int) bool { return w.buf[i].at >= before })
-	if i > 0 {
-		w.buf = append(w.buf[:0], w.buf[i:]...)
+	i := sort.Search(w.n, func(i int) bool { return w.at(i).at >= before })
+	w.off += i
+	w.n -= i
+	if drop := w.off >> chunkShift; drop > 0 {
+		kept := copy(w.chunks, w.chunks[drop:])
+		clear(w.chunks[kept:])
+		w.chunks = w.chunks[:kept]
+		w.off -= drop << chunkShift
 	}
 }
 
 // LastAt returns the timestamp of the most recent observation and whether
 // the window holds any.
 func (w *Window) LastAt() (float64, bool) {
-	if len(w.buf) == 0 {
+	if w.n == 0 {
 		return 0, false
 	}
-	return w.buf[len(w.buf)-1].at, true
+	return w.at(w.n - 1).at, true
+}
+
+// bounds returns the index range [lo, hi) of the observations with
+// timestamp in [from, to].
+func (w *Window) bounds(from, to float64) (lo, hi int) {
+	lo = sort.Search(w.n, func(i int) bool { return w.at(i).at >= from })
+	hi = sort.Search(w.n, func(i int) bool { return w.at(i).at > to })
+	return lo, hi
 }
 
 // Since returns the observations with timestamp in [from, to].
 func (w *Window) Since(from, to float64) []float64 {
-	lo := sort.Search(len(w.buf), func(i int) bool { return w.buf[i].at >= from })
-	hi := sort.Search(len(w.buf), func(i int) bool { return w.buf[i].at > to })
+	lo, hi := w.bounds(from, to)
 	out := make([]float64, 0, hi-lo)
-	for _, t := range w.buf[lo:hi] {
-		out = append(out, t.v)
+	for i := lo; i < hi; i++ {
+		out = append(out, w.at(i).v)
 	}
 	return out
 }
@@ -65,24 +100,33 @@ func (w *Window) Quantile(q, from, to float64) float64 {
 	return d.Quantile(q)
 }
 
+// Sum returns the sum (in time order) and the number of the observations in
+// [from, to], reading them in place.
+func (w *Window) Sum(from, to float64) (sum float64, n int) {
+	lo, hi := w.bounds(from, to)
+	for i := lo; i < hi; i++ {
+		sum += w.at(i).v
+	}
+	return sum, hi - lo
+}
+
 // Mean returns the mean of observations in [from, to], or 0 when empty.
 func (w *Window) Mean(from, to float64) float64 {
-	vals := w.Since(from, to)
-	if len(vals) == 0 {
+	sum, n := w.Sum(from, to)
+	if n == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
+	return sum / float64(n)
 }
 
 // Count returns the number of observations in [from, to].
-func (w *Window) Count(from, to float64) int { return len(w.Since(from, to)) }
+func (w *Window) Count(from, to float64) int {
+	lo, hi := w.bounds(from, to)
+	return hi - lo
+}
 
 // Len returns the total number of retained observations.
-func (w *Window) Len() int { return len(w.buf) }
+func (w *Window) Len() int { return w.n }
 
 // Series is an append-only timestamped series used to record experiment
 // outputs (instance counts over time, perceived workload, …) exactly as the

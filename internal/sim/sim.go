@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -19,43 +18,19 @@ type Clock interface {
 	Now() float64
 }
 
-// Event is a scheduled callback.
+// event is a scheduled callback. Events are ordered by (at, seq); seq is
+// unique, so the order is total and any correct heap pops the same sequence.
 type event struct {
-	at   float64
-	seq  uint64
-	fn   func()
-	dead bool
+	at  float64
+	seq uint64
+	fn  func()
 }
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ e *event }
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (id EventID) Cancel() {
-	if id.e != nil {
-		id.e.dead = true
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a single-threaded discrete-event simulator.
@@ -66,7 +41,7 @@ func (q *eventQueue) Pop() any {
 type Engine struct {
 	now    float64
 	seq    uint64
-	queue  eventQueue
+	queue  []event // binary min-heap, stored by value: scheduling allocates nothing
 	rng    *rand.Rand
 	halted bool
 }
@@ -88,55 +63,77 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past panics: it indicates a logic error in the caller, and silently
 // clamping would corrupt causality.
-func (e *Engine) At(t float64, fn func()) EventID {
+func (e *Engine) At(t float64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %.6f before now %.6f", t, e.now))
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
+	e.queue = append(e.queue, event{at: t, seq: e.seq, fn: fn})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return EventID{e: ev}
+	// Sift the new event up.
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.
-func (e *Engine) After(d float64, fn func()) EventID {
-	return e.At(e.now+d, fn)
+func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }
+
+// pop removes and returns the earliest event. The queue must not be empty.
+func (e *Engine) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // drop the callback reference
+	q = q[:n]
+	e.queue = q
+	// Sift the moved event down.
+	i := 0
+	for {
+		least := i
+		if l := 2*i + 1; l < n && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	return top
 }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.at
-		ev.fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.pop()
+	e.now = ev.at
+	ev.fn()
+	return true
 }
 
 // RunUntil executes events in order until the queue is empty or the next
-// event is after t. The clock is left at min(t, time of last event executed),
-// then advanced to t so subsequent scheduling is relative to t.
+// event is after t, then advances the clock to t so subsequent scheduling is
+// relative to t. If Halt stops it early the clock stays at the last executed
+// event: events before t are still queued, and time must not pass them.
 func (e *Engine) RunUntil(t float64) {
-	for len(e.queue) > 0 && !e.halted {
-		// Peek.
-		next := e.queue[0]
-		if next.dead {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at > t {
-			break
-		}
-		heap.Pop(&e.queue)
-		e.now = next.at
-		next.fn()
+	for len(e.queue) > 0 && !e.halted && e.queue[0].at <= t {
+		e.Step()
 	}
-	if t > e.now {
+	if !e.halted && t > e.now {
 		e.now = t
 	}
 	e.halted = false
@@ -152,8 +149,7 @@ func (e *Engine) Run() {
 // Halt stops Run/RunUntil after the current event completes.
 func (e *Engine) Halt() { e.halted = true }
 
-// Pending returns the number of events currently scheduled (including
-// cancelled events not yet drained).
+// Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Ticker invokes fn every interval seconds, starting at start, until the

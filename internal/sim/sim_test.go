@@ -43,17 +43,6 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	id := e.At(1, func() { fired = true })
-	id.Cancel()
-	e.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	var got []float64
@@ -161,6 +150,39 @@ func TestHalt(t *testing.T) {
 	e.Run()
 	if n != 10 {
 		t.Errorf("resumed Run fired %d total events, want 10", n)
+	}
+}
+
+// A halted RunUntil(t) leaves events before t queued, so it must not move
+// the clock to t: the next run would execute them with time going backwards,
+// and At would accept times before them.
+func TestHaltedRunUntilKeepsClockAtLastEvent(t *testing.T) {
+	e := NewEngine(1)
+	var fired []float64
+	for i := 1; i <= 5; i++ {
+		e.At(float64(i), func() {
+			fired = append(fired, e.Now())
+			if e.Now() == 2 {
+				e.Halt()
+			}
+		})
+	}
+	e.RunUntil(10)
+	if e.Now() != 2 {
+		t.Fatalf("Now() = %v after a RunUntil(10) halted at 2, want 2", e.Now())
+	}
+	e.RunUntil(10)
+	want := []float64{1, 2, 3, 4, 5}
+	if len(fired) != len(want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Errorf("event %d saw clock %v, want %v", i, fired[i], want[i])
+		}
+	}
+	if e.Now() != 10 {
+		t.Errorf("Now() = %v after the resumed RunUntil(10), want 10", e.Now())
 	}
 }
 

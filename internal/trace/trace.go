@@ -58,28 +58,62 @@ func (t Trace) Visits() map[string]int {
 	return m
 }
 
+// ring holds one API's retained traces. It grows by appending until the
+// collector's cap is reached and from then on overwrites its oldest trace.
+type ring struct {
+	buf   []Trace // the oldest retained trace is buf[head]
+	head  int
+	spare []Span  // Spans array of the last evicted trace, until Spare takes it
+	view  []Trace // Traces' oldest-first copy once the ring has wrapped
+}
+
 // Collector accumulates completed traces. Cap bounds retained traces per API
 // (oldest evicted first); 0 means unbounded.
 type Collector struct {
 	Cap    int
-	byAPI  map[string][]Trace
+	byAPI  map[string]*ring
 	nTotal int
 }
 
 // NewCollector returns a collector retaining at most cap traces per API
 // (0 = unbounded).
 func NewCollector(cap int) *Collector {
-	return &Collector{Cap: cap, byAPI: make(map[string][]Trace)}
+	return &Collector{Cap: cap, byAPI: make(map[string]*ring)}
 }
 
-// Collect stores one completed trace.
+// Collect stores one completed trace and takes ownership of t.Spans.
 func (c *Collector) Collect(t Trace) {
-	list := append(c.byAPI[t.API], t)
-	if c.Cap > 0 && len(list) > c.Cap {
-		list = list[len(list)-c.Cap:]
+	r := c.byAPI[t.API]
+	if r == nil {
+		r = &ring{}
+		c.byAPI[t.API] = r
 	}
-	c.byAPI[t.API] = list
 	c.nTotal++
+	if c.Cap <= 0 || len(r.buf) < c.Cap {
+		r.buf = append(r.buf, t)
+		return
+	}
+	oldest := &r.buf[r.head]
+	r.spare = oldest.Spans[:0]
+	*oldest = t
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+}
+
+// Spare hands back the Spans array of the trace api's last Collect evicted,
+// emptied, for the caller to build a later trace in; nil when that Collect
+// evicted nothing or the array was already taken. It lets a producer that
+// collects one trace per request run without allocating span storage once
+// the ring is full.
+func (c *Collector) Spare(api string) []Span {
+	r := c.byAPI[api]
+	if r == nil {
+		return nil
+	}
+	s := r.spare
+	r.spare = nil
+	return s
 }
 
 // Total returns the number of traces ever collected.
@@ -95,8 +129,29 @@ func (c *Collector) APIs() []string {
 	return names
 }
 
-// Traces returns the retained traces for api (shared slice; do not mutate).
-func (c *Collector) Traces(api string) []Trace { return c.byAPI[api] }
+// Traces returns the retained traces for api, oldest first. The slice and
+// the Spans inside it are the collector's own storage: do not mutate them,
+// and do not use them after the next Collect, which may overwrite both.
+func (c *Collector) Traces(api string) []Trace {
+	r := c.byAPI[api]
+	if r == nil {
+		return nil
+	}
+	if r.head == 0 {
+		return r.buf
+	}
+	r.view = append(append(r.view[:0], r.buf[r.head:]...), r.buf[:r.head]...)
+	return r.view
+}
+
+// retained returns api's traces in storage order, for the order-independent
+// statistics below.
+func (c *Collector) retained(api string) []Trace {
+	if r := c.byAPI[api]; r != nil {
+		return r.buf
+	}
+	return nil
+}
 
 // VisitProfile returns, for each service touched by api, the q-quantile of
 // per-trace visit counts. The paper chooses the 90th percentile of request
@@ -105,7 +160,7 @@ func (c *Collector) Traces(api string) []Trace { return c.byAPI[api] }
 // tick over the whole retained history, so it tallies a small histogram per
 // service rather than one float per trace per service.
 func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
-	traces := c.byAPI[api]
+	traces := c.retained(api)
 	if len(traces) == 0 {
 		return nil
 	}
@@ -155,7 +210,7 @@ func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
 // (§3.4); this is that construction.
 func (c *Collector) Edges(api string) map[[2]string]bool {
 	out := make(map[[2]string]bool)
-	for _, t := range c.byAPI[api] {
+	for _, t := range c.retained(api) {
 		for _, s := range t.Spans {
 			if s.Parent != "" {
 				out[[2]string{s.Parent, s.Service}] = true
@@ -177,4 +232,4 @@ func (c *Collector) AllEdges() map[[2]string]bool {
 }
 
 // Reset discards all retained traces but keeps the total counter.
-func (c *Collector) Reset() { c.byAPI = make(map[string][]Trace) }
+func (c *Collector) Reset() { c.byAPI = make(map[string]*ring) }

@@ -90,7 +90,7 @@ func TestVisitProfileMissingService(t *testing.T) {
 // per trace per service, zero-padded, sorted, nearest rank. The histogram
 // version must return exactly this.
 func visitProfileReference(c *Collector, api string, q float64) map[string]float64 {
-	traces := c.byAPI[api]
+	traces := c.Traces(api)
 	if len(traces) == 0 {
 		return nil
 	}
@@ -144,6 +144,69 @@ func TestVisitProfileMatchesSortReference(t *testing.T) {
 	}
 	if p := NewCollector(0).VisitProfile("home", 0.9); p != nil {
 		t.Errorf("no traces: VisitProfile = %v, want nil", p)
+	}
+}
+
+// The ring must retain exactly what a slice that appends and re-slices to
+// its last Cap entries retains, present it oldest first, and derive the same
+// statistics from it, before and after wrap-around, while the producer
+// builds each new trace in the array the ring last evicted.
+func TestRingMatchesSliceCollector(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	services := []string{"frontend", "cart", "currency", "catalog"}
+	apis := []string{"home", "cart"}
+	for _, limit := range []int{0, 1, 3, 8} {
+		c := NewCollector(limit)
+		ref := map[string][]Trace{} // the slice implementation
+		recycled := 0
+		for id := int64(0); id < 60; id++ {
+			api := apis[rng.Intn(len(apis))]
+			tr := Trace{ID: id, API: api, Spans: c.Spare(api)}
+			if tr.Spans != nil {
+				recycled++
+			}
+			for n := 1 + rng.Intn(6); n > 0; n-- {
+				tr.Spans = append(tr.Spans, Span{
+					TraceID: id, API: api,
+					Service: services[rng.Intn(len(services))],
+					Parent:  services[rng.Intn(len(services))],
+				})
+			}
+			c.Collect(tr)
+			list := append(ref[api], tr)
+			if limit > 0 && len(list) > limit {
+				list = list[len(list)-limit:]
+			}
+			ref[api] = list
+
+			for _, api := range apis {
+				got, want := c.Traces(api), ref[api]
+				if len(got) != len(want) {
+					t.Fatalf("cap %d after %d: %d traces of %s retained, want %d", limit, id, len(got), api, len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("cap %d after %d: Traces(%s)[%d] = %+v, want %+v", limit, id, api, i, got[i], want[i])
+					}
+				}
+				slice := NewCollector(0)
+				for _, tr := range want {
+					slice.Collect(tr)
+				}
+				if got, want := c.VisitProfile(api, 0.9), visitProfileReference(slice, api, 0.9); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cap %d after %d: VisitProfile(%s) = %v, want %v", limit, id, api, got, want)
+				}
+				if got, want := c.Edges(api), slice.Edges(api); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cap %d after %d: Edges(%s) = %v, want %v", limit, id, api, got, want)
+				}
+			}
+		}
+		if c.Total() != 60 {
+			t.Errorf("cap %d: Total = %d, want 60", limit, c.Total())
+		}
+		if (limit == 0) != (recycled == 0) {
+			t.Errorf("cap %d: %d traces were built in recycled arrays", limit, recycled)
+		}
 	}
 }
 

@@ -62,11 +62,14 @@ type OpenLoop struct {
 
 	pick    *picker
 	stopped bool
+	arrive  func() // g.arrival, bound once: scheduling an arrival allocates nothing
 }
 
 // NewOpenLoop returns a generator targeting c with the given rate shape.
 func NewOpenLoop(c *cluster.Cluster, rate func(t float64) float64) *OpenLoop {
-	return &OpenLoop{Eng: c.Eng, Cluster: c, Rate: rate, pick: newPicker(c)}
+	g := &OpenLoop{Eng: c.Eng, Cluster: c, Rate: rate, pick: newPicker(c)}
+	g.arrive = g.arrival
+	return g
 }
 
 // Start begins generating at the current simulated time until Stop or until
@@ -94,17 +97,20 @@ func (g *OpenLoop) next() {
 	if gap > 10 {
 		gap = 10
 	}
-	g.Eng.After(gap, func() {
-		if g.stopped {
-			return
-		}
-		api := g.API
-		if api == "" {
-			api = g.pick.pick(g.Eng)
-		}
-		g.Cluster.Submit(api, nil)
-		g.next()
-	})
+	g.Eng.After(gap, g.arrive)
+}
+
+// arrival submits one request and schedules the next.
+func (g *OpenLoop) arrival() {
+	if g.stopped {
+		return
+	}
+	api := g.API
+	if api == "" {
+		api = g.pick.pick(g.Eng)
+	}
+	g.Cluster.Submit(api, nil)
+	g.next()
 }
 
 // ConstRate returns a rate function fixed at r.
