@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-repo bench-json bench-json-fleetrpc bench-json-router bench-json-obs bench-json-overload bench-json-forecast obs-demo ci
+.PHONY: all build vet test test-race bench bench-repo bench-json bench-json-fleetrpc bench-json-router bench-json-obs bench-json-overload bench-json-forecast obs-demo ci FORCE
 
 all: build vet test
 
@@ -25,62 +25,48 @@ bench:
 bench-repo:
 	bash benchmark/run.sh
 
-# Machine-readable numbers for the fleet hot paths: scratch-reusing
-# inference, one full solve, and the multi-tenant fleet experiment. Emits
-# BENCH_fleet.json for CI trend tracking.
-bench-json:
-	{ $(GO) test -run '^$$' -bench '^(BenchmarkPredict|BenchmarkPredictGrad)$$' -benchmem ./internal/gnn/ ; \
-	  $(GO) test -run '^$$' -bench '^(BenchmarkSolver|BenchmarkFleet)$$' -benchtime 1x -benchmem . ; } | \
-	  $(GO) run ./cmd/benchjson -o BENCH_fleet.json
-	@echo wrote BENCH_fleet.json
+# Machine-readable numbers for CI trend tracking and regression ceilings:
+# `make BENCH_<stem>.json` runs the stem's root-package benchmarks once
+# (-benchtime 1x) through cmd/benchjson; custom b.ReportMetric units land as
+# "extra" metrics. Each benchmark enforces its own invariants and fails
+# outright when one breaks.
+#   fleet     scratch-reusing inference (the gnn micro-benchmarks, run first
+#             at the default benchtime), one full solve, the fleet experiment
+#   fleetrpc  router→shard plane (DESIGN.md §3h): ticks/s, migration and
+#             shard-loss blackout, zero lost decisions; CI holds
+#             migration-blackout-ms under a ceiling
+#   router    crash-safe router (§3k): standby takeover blackout after a
+#             SIGKILL mid-migration, zero lost decisions / fenced writes; CI
+#             holds takeover-blackout-ms under a ceiling
+#   obs       tracing overhead per tenant tick (§3i; CI holds overhead-pct,
+#             the traced run stays byte-identical) and SLO burn-rate detection
+#   overload  brownout ladder vs never-degrade and always-heuristic (§3j):
+#             both orderings and a monotone ladder walk
+#   forecast  forecasted-quantile vs reactive provisioning on the diurnal
+#             cycle and the Azure trace (§3l): strictly fewer violation-seconds
+BENCH_RE_fleet    := ^(BenchmarkSolver|BenchmarkFleet)$$
+BENCH_RE_fleetrpc := ^BenchmarkFleetRPC$$
+BENCH_RE_router   := ^BenchmarkRouterFailover$$
+BENCH_RE_obs      := ^(BenchmarkTraceOverhead|BenchmarkSLOBurn)$$
+BENCH_RE_overload := ^BenchmarkOverload$$
+BENCH_RE_forecast := ^BenchmarkForecast$$
+BENCH_PRE_fleet   := $(GO) test -run '^$$' -bench '^(BenchmarkPredict|BenchmarkPredictGrad)$$' -benchmem ./internal/gnn/ ;
 
-# Multi-process control-plane numbers (DESIGN.md §3h): aggregate ticks/s
-# through the router, migration blackout, shard-loss rebalance blackout and
-# the zero-lost-decisions invariant, as benchjson extra metrics. CI holds
-# migration-blackout-ms under a regression ceiling.
-bench-json-fleetrpc:
-	$(GO) test -run '^$$' -bench '^BenchmarkFleetRPC$$' -benchtime 1x . | \
-	  $(GO) run ./cmd/benchjson -o BENCH_fleetrpc.json
-	@echo wrote BENCH_fleetrpc.json
+BENCH_%.json: FORCE
+	@test -n '$(BENCH_RE_$*)' || { echo "no benchmark set named $*"; exit 1; }
+	{ $(BENCH_PRE_$*) $(GO) test -run '^$$' -bench '$(BENCH_RE_$*)' -benchtime 1x -benchmem . ; } | \
+	  $(GO) run ./cmd/benchjson -o $@
+	@echo wrote $@
 
-# Crash-safe router numbers (DESIGN.md §3k): standby takeover blackout after
-# a SIGKILL mid-migration, with the zero-lost-decisions / zero-fenced-writes
-# invariants enforced inside the benchmark, as benchjson extra metrics in
-# BENCH_router.json. CI holds takeover-blackout-ms under a regression
-# ceiling.
-bench-json-router:
-	$(GO) test -run '^$$' -bench '^BenchmarkRouterFailover$$' -benchtime 1x . | \
-	  $(GO) run ./cmd/benchjson -o BENCH_router.json
-	@echo wrote BENCH_router.json
+FORCE:
 
-# Fleet-wide observability numbers (DESIGN.md §3i): tracing overhead per
-# tenant tick (CI holds overhead-pct under a regression ceiling; the traced
-# run must stay byte-identical) and the multi-window SLO burn-rate detection
-# times, as benchjson extra metrics in BENCH_obs.json.
-bench-json-obs:
-	$(GO) test -run '^$$' -bench '^(BenchmarkTraceOverhead|BenchmarkSLOBurn)$$' -benchtime 1x . | \
-	  $(GO) run ./cmd/benchjson -o BENCH_obs.json
-	@echo wrote BENCH_obs.json
-
-# Overload-protection numbers (DESIGN.md §3j): the brownout ladder vs the
-# never-degrade and always-heuristic fixed policies, as benchjson extra
-# metrics in BENCH_overload.json. The benchmark fails outright if the ladder
-# loses either ordering (deadline misses vs never-degrade, violation seconds
-# vs always-heuristic) or records a non-monotone ladder walk.
-bench-json-overload:
-	$(GO) test -run '^$$' -bench '^BenchmarkOverload$$' -benchtime 1x . | \
-	  $(GO) run ./cmd/benchjson -o BENCH_overload.json
-	@echo wrote BENCH_overload.json
-
-# Workload-forecasting numbers (DESIGN.md §3l): forecasted-quantile vs
-# reactive provisioning on the diurnal cycle and the Azure trace, as
-# benchjson extra metrics in BENCH_forecast.json. The benchmark fails
-# outright unless forecasting buys strictly fewer SLO-violation seconds than
-# reacting on both workloads.
-bench-json-forecast:
-	$(GO) test -run '^$$' -bench '^BenchmarkForecast$$' -benchtime 1x . | \
-	  $(GO) run ./cmd/benchjson -o BENCH_forecast.json
-	@echo wrote BENCH_forecast.json
+# The target names CI calls.
+bench-json: BENCH_fleet.json
+bench-json-fleetrpc: BENCH_fleetrpc.json
+bench-json-router: BENCH_router.json
+bench-json-obs: BENCH_obs.json
+bench-json-overload: BENCH_overload.json
+bench-json-forecast: BENCH_forecast.json
 
 # Observability smoke demo: train a quick model, run the controller with the
 # telemetry endpoints up, self-scrape /metrics, then hold the endpoints for

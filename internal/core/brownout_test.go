@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"graf/internal/app"
@@ -99,54 +98,5 @@ func TestBrownoutLadderKindsAndReplay(t *testing.T) {
 	}
 	if ReplayAudit(h, log).OK() {
 		t.Error("replay accepted a warm-solve record with the Warm flag stripped")
-	}
-}
-
-// TestApplyAuditTailBrownout checks the warm-restore fold across ladder
-// transitions: a snapshot taken before the brownout window, rolled forward
-// through the tail — which contains "brownout" transition records, warm
-// solves and heuristic decisions — must land on the state a live snapshot
-// reports after the window.
-func TestApplyAuditTailBrownout(t *testing.T) {
-	var buf bytes.Buffer
-	eng, ctl, tel, cfg, _, gen := brownoutRig(&buf)
-	ctl.Start()
-
-	var early ControllerState
-	eng.At(80, func() { early = ctl.Snapshot() })
-	set := func(at float64, step int) {
-		eng.At(at, func() {
-			tel.Flight.Record(obs.Record{
-				Type: "brownout", At: eng.Now(),
-				Summary: map[string]float64{"to_step": float64(step)},
-			})
-			ctl.SetBrownout(step)
-		})
-	}
-	set(100, BrownoutWarm)
-	set(140, BrownoutHeuristic)
-	set(170, BrownoutWarm)
-	eng.RunUntil(200)
-	live := ctl.Snapshot()
-	gen.Stop()
-	ctl.Stop()
-	eng.Run()
-
-	folded := early
-	var tail []obs.Record
-	for _, r := range tel.Flight.Records() {
-		if r.At > early.At {
-			tail = append(tail, r)
-		}
-	}
-	ApplyAuditTail(&folded, tail, cfg)
-	if folded.Brownout != BrownoutWarm {
-		t.Fatalf("fold landed on rung %d, want %d", folded.Brownout, BrownoutWarm)
-	}
-	folded.At, live.At = 0, 0
-	folded.HealthStreak, live.HealthStreak = 0, 0
-	folded.Profiles, live.Profiles = nil, nil
-	if !reflect.DeepEqual(folded, live) {
-		t.Errorf("folded state diverges from live state across brownout:\nfolded: %+v\nlive:   %+v", folded, live)
 	}
 }

@@ -64,36 +64,24 @@ type ControllerState struct {
 	Forecast *forecast.Predictor
 }
 
+// clone deep-copies the state: snapshot isolation in both directions.
+func (st ControllerState) clone() ControllerState {
+	st.LastQuotas = copyQuotas(st.LastQuotas)
+	if st.LastRaw != nil {
+		st.LastRaw = append([]float64(nil), st.LastRaw...)
+	}
+	st.Forecast = st.Forecast.Clone()
+	return st
+}
+
 // Snapshot captures the controller's current state. It is a pure read: the
 // running controller is not disturbed.
 func (c *Controller) Snapshot() ControllerState {
-	s := ControllerState{
-		At:           c.Cluster.Eng.Now(),
-		LastRate:     c.lastRate,
-		LastRateAt:   c.lastRateAt,
-		LastSLO:      c.lastSLO,
-		Solves:       c.solves,
-		Boosts:       c.boosts,
-		Health:       int(c.health),
-		Stats:        c.stats,
-		StaleSince:   c.staleSince,
-		BreakerOpen:  c.breakerOpen,
-		HealthStreak: c.healthStreak,
-		Unconverged:  c.unconverged,
-		ModelGen:     c.modelGen,
-		Trust:        int(c.trust),
-		Brownout:     c.brownout,
-	}
-	if c.lastQuotas != nil {
-		s.LastQuotas = copyQuotas(c.lastQuotas)
-	}
-	if c.lastRaw != nil {
-		s.LastRaw = append([]float64(nil), c.lastRaw...)
-	}
+	s := c.st.clone()
+	s.At = c.Cluster.Eng.Now()
 	if c.Analyzer != nil {
 		s.Profiles = c.Analyzer.SnapshotProfiles()
 	}
-	s.Forecast = c.fc.Clone()
 	return s
 }
 
@@ -102,211 +90,232 @@ func (c *Controller) Snapshot() ControllerState {
 // OnHealth or record an obs health transition: restoring is resumption, not
 // a state change.
 func (c *Controller) Restore(s ControllerState) {
-	c.lastRate = s.LastRate
-	c.lastRateAt = s.LastRateAt
-	c.lastSLO = s.LastSLO
-	c.lastQuotas = nil
-	if s.LastQuotas != nil {
-		c.lastQuotas = copyQuotas(s.LastQuotas)
-	}
-	c.solves = s.Solves
-	c.boosts = s.Boosts
-	c.health = HealthState(s.Health)
-	c.stats = s.Stats
-	c.staleSince = s.StaleSince
-	c.breakerOpen = s.BreakerOpen
-	c.healthStreak = s.HealthStreak
-	c.unconverged = s.Unconverged
-	c.modelGen = s.ModelGen
-	c.trust = ModelTrust(s.Trust)
-	c.brownout = s.Brownout
-	c.lastRaw = nil
-	if s.LastRaw != nil {
-		c.lastRaw = append([]float64(nil), s.LastRaw...)
-	}
+	fresh := c.st.Forecast
+	c.st = s.clone()
+	c.st.Profiles = nil // the analyzer owns them
 	if c.Analyzer != nil && s.Profiles != nil {
 		c.Analyzer.RestoreProfiles(s.Profiles)
 	}
 	// A pre-forecast snapshot (nil) keeps the freshly built predictor: a
-	// cold forecaster degrades to reactive until it warms, never worse.
-	if c.fc != nil && s.Forecast != nil {
-		c.fc = s.Forecast.Clone()
+	// cold forecaster degrades to reactive until it warms, never worse. A
+	// controller built with forecasting off stays off.
+	if fresh == nil || s.Forecast == nil {
+		c.st.Forecast = fresh
 	}
 }
 
-// parseHealthState inverts HealthState.String for audit-log records.
-func parseHealthState(s string) (HealthState, bool) {
-	switch s {
-	case "Healthy":
-		return Healthy, true
-	case "DegradedTelemetry":
-		return DegradedTelemetry, true
-	case "FallbackHeuristic":
-		return FallbackHeuristic, true
-	case "Boosting":
-		return Boosting, true
+// setBrownout moves the brownout rung — SetBrownout live, a "brownout"
+// record in the fold. A change zeroes the hysteresis reference (like
+// SetTrust) so the next tick reflects the new rung immediately instead of
+// coasting on the old one.
+func (st *ControllerState) setBrownout(level int) {
+	if level < BrownoutFull {
+		level = BrownoutFull
 	}
-	return Healthy, false
+	if level > BrownoutHold {
+		level = BrownoutHold
+	}
+	if level == st.Brownout {
+		return
+	}
+	st.Brownout = level
+	st.LastRate = 0
+}
+
+// liveFacts is what a decision knows at the instant it is made and its audit
+// record does not carry. The live step hands them to commit; the crash fold
+// has only the record, passes nil, and gets the conservative value of each.
+// These fields — with the analyzer's Profiles, which the fold leaves at the
+// snapshot's — are exactly where a folded state may differ from the state
+// that died.
+type liveFacts struct {
+	// StaleSince is the stale stage's verdict: -1 when the signal was not
+	// collapsed, else the instant the collapse began. A solve on a signal
+	// whose hold expired and one on a recovered signal write the same
+	// record, so the fold assumes recovery (-1): at worst a still-collapsed
+	// signal re-arms one more bounded hold after a restart.
+	StaleSince float64
+
+	// BreakerHealthy is the breaker's verdict on this tick's solve, which
+	// needs the measured p99 at that instant. The fold assumes unhealthy
+	// for the HealthStreak count only (whether the breaker is open is exact:
+	// the kind says so), which can delay the breaker's close by at most the
+	// checkpoint cadence.
+	BreakerHealthy bool
+}
+
+// observe feeds one tick's observed front-end total to the forecaster and
+// returns the fresh forecast with the forecasts that matured against the
+// observation. Every decision that read the rate calls it — whatever stage
+// then yields — and the fold calls it for the same records, so live, folded
+// and restored predictors walk identical state: forecasts are a pure
+// function of the observation sequence (no clock, no randomness).
+// Observations before one full interval are excluded for the same reason the
+// stale-rate reference is: a trailing window over near-zero elapsed time
+// reads wildly inflated, and the Hampel sanitizer's ring is still empty at
+// that point — one garbage sample would poison the seasonal bootstrap for a
+// whole period.
+func (st *ControllerState) observe(at, total float64, cfg ControllerConfig) (forecast.Prediction, []forecast.Matured) {
+	if st.Forecast == nil || at < cfg.IntervalS {
+		return forecast.Prediction{}, nil
+	}
+	_, matured := st.Forecast.Observe(total)
+	pred := st.Forecast.Predict()
+	if pred.OK && !st.Forecast.Healthy() {
+		st.Stats.ForecastDegraded++
+	}
+	return pred, matured
+}
+
+// commit is the one place a decision changes the controller's memory: given
+// the decision's record it advances workload memory, the applied
+// configuration, the counters, the breaker and the health state machine. The
+// live step calls it after actuating; the crash fold calls it per recorded
+// decision with live == nil. It returns the health transition (from == to
+// when there was none) for the live step to announce.
+func (st *ControllerState) commit(rec *obs.Record, cfg ControllerConfig, live *liveFacts) (from, to HealthState) {
+	st.At = rec.At
+	switch rec.Kind {
+	case KindBoost:
+		st.Boosts++
+		st.Stats.Boosts++
+		fallthrough
+	case KindBoostWait:
+		st.LastRate = 0 // force a fresh solve once the violation clears
+	case KindHold:
+		st.Stats.StaleHolds++
+	case KindSolve, KindWarmSolve, KindFallback, KindFallbackModel:
+		st.commitSolve(rec, cfg, live)
+		fallthrough
+	case KindBrownoutHeuristic:
+		// An allocator ran: this is the rate the next decision's hysteresis
+		// and stale detection compare against.
+		st.LastRate, st.LastRateAt, st.LastSLO = solveRate(rec), rec.At, cfg.SLO
+	}
+	switch {
+	case rec.Kind == KindBrownoutHold || rec.Kind == KindBoost || rec.Kind == KindBoostWait:
+		// Yielded before the stale stage ran.
+	case live != nil:
+		st.StaleSince = live.StaleSince
+	case rec.Kind != KindHold:
+		st.StaleSince = -1
+	case st.StaleSince < 0:
+		st.StaleSince = rec.At
+	}
+	if rec.Applied != nil {
+		st.LastQuotas = copyQuotas(rec.Applied)
+	}
+	if rec.Limited {
+		st.Stats.RateLimited++
+	}
+	from = HealthState(st.Health)
+	to = healthAfter(from, rec.Kind)
+	if to != from {
+		st.Health = int(to)
+		st.Stats.Transitions++
+	}
+	return from, to
+}
+
+// commitSolve is commit's share for the four kinds that ran the solver.
+func (st *ControllerState) commitSolve(rec *obs.Record, cfg ControllerConfig, live *liveFacts) {
+	st.Solves++
+	st.ModelGen = rec.ModelGen
+	st.LastRaw = append([]float64(nil), rec.Raw...)
+	if rec.FcRate > 0 {
+		st.Stats.ForecastSolves++
+	}
+	if rec.Prewarm > 0 {
+		st.Stats.Prewarms++
+	}
+	if rec.Enveloped {
+		st.Stats.EnvelopeClamped++
+	}
+	if rec.Kind == KindFallback || rec.Kind == KindFallbackModel {
+		st.Stats.FallbackSolves++
+	}
+	// The breaker evaluated this solve unless it is disabled or the solve
+	// was a warm-rung short one (see Controller.solve).
+	if cfg.BreakerBand > 0 && !rec.Warm {
+		st.Unconverged = nextUnconverged(st.Unconverged, rec.Converged, rec.Predicted, cfg.SLO)
+		if live == nil || !live.BreakerHealthy {
+			st.HealthStreak = 0
+		} else if st.BreakerOpen {
+			st.HealthStreak++
+		}
+	}
+	// The kind is chosen from the breaker's state after the evaluation:
+	// "fallback" if and only if it is open.
+	open := rec.Kind == KindFallback
+	switch {
+	case open && !st.BreakerOpen:
+		st.Stats.BreakerTrips++
+	case !open && st.BreakerOpen:
+		st.Stats.BreakerCloses++
+	}
+	st.BreakerOpen = open
+}
+
+// breakerOpenAfter is the circuit breaker's transition: a closed breaker
+// trips on an untrustworthy solve; an open one closes after BreakerClose
+// consecutive healthy shadow solves, this one included.
+func (st *ControllerState) breakerOpenAfter(healthy bool, cfg ControllerConfig) bool {
+	if !st.BreakerOpen {
+		return !healthy
+	}
+	return !(healthy && st.HealthStreak+1 >= cfg.BreakerClose)
+}
+
+// healthAfter is the degraded-mode state machine: the health a decision of
+// the given kind leaves behind. Kinds that neither allocate nor judge the
+// signal (idle, boost-wait, the brownout rungs) leave it where it was.
+func healthAfter(prev HealthState, kind string) HealthState {
+	switch kind {
+	case KindBoost:
+		return Boosting
+	case KindHold:
+		return DegradedTelemetry
+	case KindFallback, KindFallbackModel:
+		return FallbackHeuristic
+	case KindSolve, KindWarmSolve:
+		return Healthy
+	case KindHysteresis:
+		// Signal recovered and stable: the telemetry degradation, if any,
+		// is over.
+		if prev == DegradedTelemetry {
+			return Healthy
+		}
+	}
+	return prev
 }
 
 // ApplyAuditTail rolls a restored ControllerState forward through the
 // audit-log records written after the snapshot was taken — the decisions a
-// crashed controller made between its last checkpoint and its death. Each
-// decision record carries the applied quotas and the observed total rate, so
-// the fold re-derives exactly the state mutations the live step performed:
-// a warm restart resumes as if the snapshot had been taken at the crash
-// instant.
+// crashed controller made between its last checkpoint and its death — by
+// making, per decision record, the same observe and commit calls the live
+// step made: a warm restart resumes as if the snapshot had been taken at the
+// crash instant. What the log does not carry is the liveFacts type, nothing
+// else: after the fold StaleSince reads -1 where an expired hold was still
+// collapsed, HealthStreak restarts from zero, and Profiles stay the
+// snapshot's (a live refresh re-learns them within one decision).
 //
-// Two breaker-internal counters cannot be read back from records alone and
-// are reconstructed conservatively: Unconverged is re-derived from each
-// recorded solve's convergence flag and prediction (exact), while
-// HealthStreak — the count of healthy shadow solves while the breaker is
-// open — needs the measured p99 at the recorded instant, which the log does
-// not carry. A tail containing open-breaker shadow solves therefore resets
-// the streak, which can only delay the breaker's close by at most the
-// checkpoint cadence. Records at or before st.At and non-decision records
-// other than health transitions are ignored.
+// Decision records at or before st.At are ignored. "brownout" records —
+// ladder transitions — are stamped at the tick boundary, which coincides
+// exactly with checkpoint times: one at At == st.At happened at the start of
+// the tick after the checkpoint, so that filter is non-strict (re-applying a
+// transition the snapshot already holds is a no-op). "health" records are
+// ignored: commit derives the transitions they announce.
 func ApplyAuditTail(st *ControllerState, tail []obs.Record, cfg ControllerConfig) {
 	for i := range tail {
 		rec := &tail[i]
-		if rec.Type == "brownout" {
-			// A ladder transition: the live path (SetBrownout) also zeroes
-			// the hysteresis reference. Brownout records are stamped at the
-			// tick boundary, which coincides exactly with checkpoint times —
-			// a transition at At == st.At happened at the start of the tick
-			// AFTER the checkpoint, so the filter is strict here.
-			if rec.At < st.At {
-				continue
+		switch {
+		case rec.Type == "brownout" && rec.At >= st.At:
+			st.setBrownout(int(rec.Summary["to_step"]))
+		case rec.Type == "decision" && rec.At > st.At:
+			if rec.Kind != KindBrownoutHold { // yielded before collect
+				st.observe(rec.At, rec.Total, cfg)
 			}
-			st.Brownout = int(rec.Summary["to_step"])
-			st.LastRate = 0
-			continue
+			st.commit(rec, cfg, nil)
 		}
-		if rec.At <= st.At {
-			continue
-		}
-		switch rec.Type {
-		case "health":
-			if h, ok := parseHealthState(rec.To); ok {
-				st.Health = int(h)
-				st.Stats.Transitions++
-			}
-			continue
-		case "decision":
-		default:
-			continue
-		}
-		// The live step feeds the forecaster on every tick that collects a
-		// rate — before the boost/stale/idle/hysteresis exits — so the fold
-		// replays the recorded observed total through the restored predictor
-		// for exactly those decision kinds (brownout-hold returns before
-		// collect and is excluded on both sides). Forecasts are a pure
-		// function of the observation sequence (no clock, no randomness), so
-		// the folded predictor lands bit-identical to the one that died.
-		switch rec.Kind {
-		case "hold", "idle", "hysteresis", "solve", "warm-solve",
-			"fallback", "fallback-model", "brownout-heuristic",
-			"boost", "boost-wait":
-			// Mirrors the live gate: ticks before one full interval carry
-			// divide-by-near-zero rate readings and are not fed to the
-			// predictor.
-			if st.Forecast != nil && rec.At >= cfg.IntervalS {
-				st.Forecast.Observe(rec.Total)
-				if pred := st.Forecast.Predict(); pred.OK && !st.Forecast.Healthy() {
-					st.Stats.ForecastDegraded++
-				}
-			}
-		}
-		switch rec.Kind {
-		case "solve", "warm-solve", "fallback", "fallback-model":
-			st.LastRate = rec.Total
-			st.LastRateAt = rec.At
-			st.LastSLO = cfg.SLO
-			if rec.FcRate > 0 {
-				// The forecast drove this solve: the hysteresis reference the
-				// live path kept is the forecasted rate, not the observed one.
-				st.LastRate = rec.FcRate
-				st.Stats.ForecastSolves++
-			}
-			if rec.Prewarm > 0 {
-				st.Stats.Prewarms++
-			}
-			st.Solves++
-			st.StaleSince = -1
-			st.ModelGen = rec.ModelGen
-			if rec.Applied != nil {
-				st.LastQuotas = copyQuotas(rec.Applied)
-			}
-			if rec.Raw != nil {
-				st.LastRaw = append([]float64(nil), rec.Raw...)
-			}
-			// Warm short solves are breaker-exempt on the live path; the fold
-			// must not re-derive Unconverged from them either.
-			if cfg.BreakerBand > 0 && !rec.Warm {
-				if !rec.Converged && rec.Predicted > cfg.SLO*1.05 {
-					st.Unconverged++
-				} else {
-					st.Unconverged = 0
-				}
-			}
-			switch rec.Kind {
-			case "fallback":
-				if !st.BreakerOpen {
-					st.Stats.BreakerTrips++
-					st.HealthStreak = 0
-				}
-				st.BreakerOpen = true
-				st.Stats.FallbackSolves++
-			case "fallback-model":
-				// A lifecycle demotion, not a breaker trip: the heuristic
-				// served the decision but the breaker state is untouched.
-				// Trust itself is restored from the lifecycle snapshot blob.
-				st.Stats.FallbackSolves++
-			default:
-				if st.BreakerOpen {
-					st.Stats.BreakerCloses++
-				}
-				st.BreakerOpen = false
-				st.HealthStreak = 0
-			}
-			if rec.Limited {
-				st.Stats.RateLimited++
-			}
-			if rec.Enveloped {
-				st.Stats.EnvelopeClamped++
-			}
-		case "brownout-heuristic":
-			// The heuristic rung applies quotas and advances the workload
-			// memory but runs no solve and leaves the breaker untouched.
-			st.LastRate = rec.Total
-			st.LastRateAt = rec.At
-			st.LastSLO = cfg.SLO
-			st.StaleSince = -1
-			if rec.Applied != nil {
-				st.LastQuotas = copyQuotas(rec.Applied)
-			}
-			if rec.Limited {
-				st.Stats.RateLimited++
-			}
-		case "boost":
-			// The live boost path zeroes the hysteresis reference so the
-			// next clear interval forces a fresh solve.
-			st.LastRate = 0
-			st.Boosts++
-			st.Stats.Boosts++
-			if rec.Applied != nil {
-				st.LastQuotas = copyQuotas(rec.Applied)
-			}
-		case "boost-wait":
-			st.LastRate = 0
-		case "hold":
-			st.Stats.StaleHolds++
-			if st.StaleSince < 0 {
-				st.StaleSince = rec.At
-			}
-		case "hysteresis", "idle":
-			st.StaleSince = -1
-		}
-		st.At = rec.At
 	}
 }

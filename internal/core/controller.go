@@ -254,6 +254,23 @@ func VanillaControllerConfig(slo float64) ControllerConfig {
 	return cfg
 }
 
+// Decision kinds: the exit a decision took, stamped on its audit record as
+// Kind. The stages below produce them; ControllerState.commit is the only
+// consumer that gives them meaning.
+const (
+	KindSolve             = "solve"              // full solve, model allocation applied
+	KindWarmSolve         = "warm-solve"         // brownout warm rung: short solve from the previous Raw
+	KindFallback          = "fallback"           // solved in shadow, breaker open: heuristic allocation applied
+	KindFallbackModel     = "fallback-model"     // solved in shadow, model untrusted: heuristic allocation applied
+	KindBrownoutHeuristic = "brownout-heuristic" // brownout heuristic rung: no trace refresh, no solve
+	KindBrownoutHold      = "brownout-hold"      // brownout hold rung: nothing read, nothing changed
+	KindBoost             = "boost"              // measured SLO violation: last configuration grown
+	KindBoostWait         = "boost-wait"         // violation, but the previous scale-up is still materializing
+	KindHold              = "hold"               // suspected-stale telemetry: last-known-good held
+	KindHysteresis        = "hysteresis"         // rate moved less than Cfg.Hysteresis: configuration kept
+	KindIdle              = "idle"               // below Cfg.MinTotalRate: no workload signal
+)
+
 // Controller is GRAF's runtime: every interval it reads the front-end
 // workload, distributes it over the graph with the Workload Analyzer, runs
 // the Configuration Solver through the trained model, and applies the
@@ -266,39 +283,13 @@ type Controller struct {
 	Bounds   Bounds
 	Cfg      ControllerConfig
 
-	lastRate   float64
-	lastRateAt float64 // simulated time lastRate was observed
-	lastSLO    float64
-	lastQuotas map[string]float64
-	solves     int
-	boosts     int
-	stop       func()
-
-	// Degraded-mode state.
-	health       HealthState
-	stats        HealthStats
-	staleSince   float64 // simulated time the suspect signal first appeared; -1 = none
-	breakerOpen  bool
-	healthStreak int // consecutive healthy solves while the breaker is open
-	unconverged  int // consecutive non-converged solves
-
-	// Model-lifecycle state, driven externally by internal/lifecycle.
-	trust    ModelTrust
-	modelGen int
-
-	// Brownout ladder state (overload.Step semantics, kept as a plain int
-	// so core stays a leaf): 0 full solve, 1 warm-start short solve, 2
-	// heuristic quota, 3 hold last decision. Driven externally by the
-	// fleet's ladder; lastRaw is the previous solve's raw quota vector,
-	// the warm start of rung 1.
-	brownout int
-	lastRaw  []float64
-
-	// Workload forecaster (nil when Cfg.Forecast.Enabled is false). Its
-	// state advances on every collect-passing tick — whatever path the
-	// decision then takes — so the audit-tail fold can rebuild it exactly
-	// from the recorded observed totals.
-	fc *forecast.Predictor
+	// st is everything the controller remembers between decisions — the
+	// same struct a checkpoint persists. Decisions change it only through
+	// st.observe and st.commit (checkpoint.go), the two transitions the
+	// crash fold replays; SetModel, SetTrust and SetBrownout are the
+	// external inputs.
+	st   ControllerState
+	stop func()
 
 	// OnPrewarm, if set, observes every decision that ordered instances
 	// ahead of forecasted demand: n instances with leadS seconds of
@@ -322,31 +313,35 @@ type Controller struct {
 
 // NewController wires a controller. The bounds come from Algorithm 1.
 func NewController(cl *cluster.Cluster, m LatencyModel, an *Analyzer, b Bounds, cfg ControllerConfig) *Controller {
-	c := &Controller{Cluster: cl, Model: m, Analyzer: an, Bounds: b, Cfg: cfg, staleSince: -1}
+	var fc *forecast.Predictor
 	if cfg.Forecast.Enabled {
-		c.fc = forecast.NewPredictor(cfg.Forecast)
+		fc = forecast.NewPredictor(cfg.Forecast)
 	}
-	return c
+	return &Controller{Cluster: cl, Model: m, Analyzer: an, Bounds: b, Cfg: cfg,
+		st: ControllerState{StaleSince: -1, Forecast: fc}}
 }
 
 // Forecaster returns the controller's workload predictor, or nil when
 // forecasting is disabled.
-func (c *Controller) Forecaster() *forecast.Predictor { return c.fc }
+func (c *Controller) Forecaster() *forecast.Predictor { return c.st.Forecast }
 
 // Solves returns how many times the solver has run.
-func (c *Controller) Solves() int { return c.solves }
+func (c *Controller) Solves() int { return c.st.Solves }
 
 // Boosts returns how many times the SLO-violation guardrail fired.
-func (c *Controller) Boosts() int { return c.boosts }
+func (c *Controller) Boosts() int { return c.st.Boosts }
 
 // Health returns the controller's current degraded-mode state.
-func (c *Controller) Health() HealthState { return c.health }
+func (c *Controller) Health() HealthState { return HealthState(c.st.Health) }
 
 // ModelGen returns the generation number of the model driving the solver.
-func (c *Controller) ModelGen() int { return c.modelGen }
+func (c *Controller) ModelGen() int { return c.st.ModelGen }
 
 // Trust returns the lifecycle trust level of the current model.
-func (c *Controller) Trust() ModelTrust { return c.trust }
+func (c *Controller) Trust() ModelTrust { return ModelTrust(c.st.Trust) }
+
+// Stats returns the degraded-mode activity counters.
+func (c *Controller) Stats() HealthStats { return c.st.Stats }
 
 // SetModel swaps the latency model driving the solver (a canary promotion or
 // a rollback) and stamps its generation number into subsequent audit
@@ -355,27 +350,28 @@ func (c *Controller) Trust() ModelTrust { return c.trust }
 // zeroed so the next tick re-solves with the new model instead of coasting.
 func (c *Controller) SetModel(m LatencyModel, gen int) {
 	c.Model = m
-	c.modelGen = gen
-	c.breakerOpen = false
-	c.healthStreak = 0
-	c.unconverged = 0
-	c.lastRate = 0
+	c.st.ModelGen = gen
+	c.st.BreakerOpen = false
+	c.st.HealthStreak = 0
+	c.st.Unconverged = 0
+	c.st.LastRate = 0
 }
 
 // SetTrust sets the lifecycle trust level. Demoting to ModelUntrusted zeroes
 // the hysteresis reference so the heuristic fallback takes over at the next
 // tick rather than whenever the rate next moves.
 func (c *Controller) SetTrust(t ModelTrust) {
-	if t == c.trust {
+	if t == c.Trust() {
 		return
 	}
-	c.trust = t
+	c.st.Trust = int(t)
 	if t == ModelUntrusted {
-		c.lastRate = 0
+		c.st.LastRate = 0
 	}
 }
 
-// Brownout levels (mirroring overload.Step — core stays import-free).
+// Brownout levels, driven externally by the fleet's ladder (overload.Step
+// semantics, kept as a plain int so core stays a leaf).
 const (
 	BrownoutFull      = 0 // full GNN solve
 	BrownoutWarm      = 1 // warm-start short solve from the last raw solution
@@ -383,42 +379,12 @@ const (
 	BrownoutHold      = 3 // hold the last applied decision untouched
 )
 
-// SetBrownout sets the controller's brownout rung. A change zeroes the
-// hysteresis reference (like SetTrust) so the next tick reflects the new
-// rung immediately instead of coasting on the old one. Levels outside
+// SetBrownout sets the controller's brownout rung; levels outside
 // [BrownoutFull, BrownoutHold] are clamped.
-func (c *Controller) SetBrownout(level int) {
-	if level < BrownoutFull {
-		level = BrownoutFull
-	}
-	if level > BrownoutHold {
-		level = BrownoutHold
-	}
-	if level == c.brownout {
-		return
-	}
-	c.brownout = level
-	c.lastRate = 0
-}
+func (c *Controller) SetBrownout(level int) { c.st.setBrownout(level) }
 
 // Brownout returns the controller's current brownout rung.
-func (c *Controller) Brownout() int { return c.brownout }
-
-// Stats returns the degraded-mode activity counters.
-func (c *Controller) Stats() HealthStats { return c.stats }
-
-func (c *Controller) setHealth(s HealthState) {
-	if s == c.health {
-		return
-	}
-	from := c.health
-	c.health = s
-	c.stats.Transitions++
-	if c.OnHealth != nil {
-		c.OnHealth(c.Cluster.Eng.Now(), from, s)
-	}
-	c.Obs.Health(c.Cluster.Eng.Now(), from.String(), s.String(), int(s))
-}
+func (c *Controller) Brownout() int { return c.st.Brownout }
 
 // wallStart returns the wall clock only when instrumentation is on, so the
 // disabled path never calls time.Now.
@@ -449,35 +415,105 @@ func (c *Controller) Stop() {
 	}
 }
 
-// Step executes one decision: observe → analyze → solve → apply. Exposed so
-// experiments can drive decisions at exact instants.
-func (c *Controller) Step() {
-	if c.Obs == nil {
-		c.step(nil)
-		return
-	}
-	rec := &obs.Record{At: c.Cluster.Eng.Now(), Health: c.health.String()}
-	t0 := time.Now()
-	c.step(rec)
-	c.stage("step", t0, nil)
-	c.Obs.Decision(*rec)
+// tick is one decision in flight: what the stages have read and proposed so
+// far. Nothing in it outlives the step.
+type tick struct {
+	now float64
+	// rec is the decision's audit record, filled as the stages go: every
+	// exit labels rec.Kind and records the inputs and outputs it used, which
+	// is what makes the log replayable — and what commit reads. rec.Applied
+	// doubles as the proposal: non-nil means "actuate this".
+	rec    obs.Record
+	live   liveFacts          // what commit needs and rec does not carry
+	rates  map[string]float64 // per-API rates the allocators will see (forecast- and region-scaled)
+	scale  float64            // workload-scaling factor (§3.6)
+	sol    Solution           // OnDecision's argument
+	solved bool               // the solver ran this tick
 }
 
-// step is the decision body. rec is non-nil only when instrumentation is on;
-// every exit path labels rec.Kind and records the inputs and outputs that
-// path used, which is what makes the audit log replayable.
-func (c *Controller) step(rec *obs.Record) {
-	// Deepest brownout rung: hold the last applied decision untouched. This
-	// sits above even the boost guardrail — the rung exists to bound the
-	// decision's cost to (almost) zero while the shard digs out of overload,
-	// and a one-interval-deep ladder walk means the rung never persists long
-	// enough for the guardrail to matter.
-	if c.brownout >= BrownoutHold {
-		if rec != nil {
-			rec.Kind = "brownout-hold"
+// stages is the decision kernel: a decision is the first stage that yields.
+// A stage reads c.st and the cluster, fills t, and never assigns c.st — what
+// the decision does to the controller's memory is commit's business, so the
+// live step and the crash fold cannot drift. Order is policy:
+//
+//   - holdRung precedes collect: the rung's point is a decision that costs
+//     (almost) nothing, so it must not even read telemetry.
+//   - collect feeds the forecaster before boost or staleHold can yield: the
+//     seasonal model counts its period in ticks, and skipping the overloaded
+//     or black-holed ones would let the seasonal index drift out of phase
+//     with real time exactly when the workload is most dynamic.
+//   - boost precedes staleHold: closed-loop throttling under an SLO
+//     violation collapses the arrival rate with requests still in flight —
+//     exactly what the stale detector calls a telemetry fault, and holding
+//     there would pin the starved configuration.
+//   - idle and hysteresis precede everything that costs an analyzer pass;
+//     scaleRates precedes both allocators so they see the same workload.
+var stages = []func(*Controller, *tick) bool{
+	(*Controller).holdRung,
+	(*Controller).collect,
+	(*Controller).boost,
+	(*Controller).staleHold,
+	(*Controller).idle,
+	(*Controller).hysteresis,
+	(*Controller).scaleRates,
+	(*Controller).heuristicRung,
+	(*Controller).solve,
+}
+
+// Step executes one decision: the stages up to the first that yields (the
+// forecaster is fed on the way, by collect) → actuate → commit → emit.
+// Exposed so experiments can drive decisions at exact instants.
+func (c *Controller) Step() {
+	t0 := c.wallStart()
+	t := &tick{now: c.Cluster.Eng.Now(), scale: 1}
+	t.rec = obs.Record{At: t.now, Health: c.Health().String()}
+	for _, stage := range stages {
+		if stage(c, t) {
+			break
 		}
-		return
 	}
+	if t.rec.Applied != nil {
+		tActuate := c.wallStart()
+		c.Cluster.ApplyQuotas(t.rec.Applied)
+		c.stage("actuate", tActuate, nil)
+	}
+	from, to := c.st.commit(&t.rec, c.Cfg, &t.live)
+	// Emit in the audit log's order: the forecast records went out with
+	// collect; then the health transition, then the decision itself.
+	if from != to {
+		if c.OnHealth != nil {
+			c.OnHealth(t.now, from, to)
+		}
+		c.Obs.Health(t.now, from.String(), to.String(), int(to))
+	}
+	if t.rec.Prewarm > 0 && c.OnPrewarm != nil {
+		c.OnPrewarm(t.now, t.rec.Prewarm, t.rec.PrewarmLeadS, t.rec.PrewarmReadyS)
+	}
+	if t.solved && c.OnDecision != nil {
+		c.OnDecision(t.now, t.rec.Total, t.sol)
+	}
+	c.stage("step", t0, nil)
+	c.Obs.Decision(t.rec)
+}
+
+// holdRung is the deepest brownout rung: hold the last applied decision
+// untouched. It sits above even the boost guardrail — the rung exists to
+// bound the decision's cost to (almost) zero while the shard digs out of
+// overload, and a one-interval-deep ladder walk means the rung never
+// persists long enough for the guardrail to matter.
+func (c *Controller) holdRung(t *tick) bool {
+	if c.Brownout() < BrownoutHold {
+		return false
+	}
+	t.rec.Kind = KindBrownoutHold
+	return true
+}
+
+// collect reads the front-end workload signal and feeds it to the
+// forecaster. It never yields. The st.observe call is the one state write
+// that precedes commit: the forecast has to exist before a later stage can
+// solve against it, and the fold makes the identical call per record.
+func (c *Controller) collect(t *tick) bool {
 	tCollect := c.wallStart()
 	rates := c.Cluster.APIArrivalRates(c.Cfg.RateWindowS)
 	// Sum in sorted key order: map iteration order is randomized, and float
@@ -494,390 +530,356 @@ func (c *Controller) step(rec *obs.Record) {
 		total += rates[api]
 	}
 	c.stage("collect", tCollect, map[string]float64{"total_rate": total})
-	if rec != nil {
-		rec.Rates = rates
-		rec.Total = total
-	}
+	t.rates, t.rec.Rates, t.rec.Total = rates, rates, total
 
-	// Workload forecasting: the predictor consumes every tick's observed
-	// rate — whatever path the decision then takes, including the boost
-	// guardrail below — so its state is a pure function of the recorded
-	// observed totals and the audit-tail fold can walk it to the identical
-	// state after a crash. Feeding through boost ticks matters for the
-	// seasonal model: its period is counted in ticks, and skipping the
-	// overloaded ones would let the seasonal index drift out of phase with
-	// real time exactly when the workload is most dynamic. The forecast
-	// drives the solve only from a fully healthy loop: a tripped breaker, an
-	// untrusted model, a brownout rung, or a residual blowout all degrade
-	// back to the reactive path rather than compound with a forecast.
-	// Observations before one full interval are excluded for the same reason
-	// the stale-rate reference is: a trailing window over near-zero elapsed
-	// time reads wildly inflated, and the Hampel sanitizer's ring is still
-	// empty at that point — one garbage sample would poison the seasonal
-	// bootstrap for a whole period. The fold applies the identical gate on
-	// the recorded timestamps.
-	var fcPred forecast.Prediction
-	fcEff := total
-	fcActive := false
-	if c.fc != nil && c.Cluster.Eng.Now() >= c.Cfg.IntervalS {
-		_, matured := c.fc.Observe(total)
-		fcPred = c.fc.Predict()
-		if c.Obs != nil {
-			for _, m := range matured {
-				c.Obs.Forecast(c.Cluster.Eng.Now(), c.fc.ModelName(), m.Predicted, m.Actual, c.fc.Sigma(), c.fc.Healthy())
-			}
-		}
-		if fcPred.OK && !c.fc.Healthy() {
-			c.stats.ForecastDegraded++
-		}
-		fcActive = fcPred.OK && c.fc.Healthy() && !c.breakerOpen &&
-			c.trust != ModelUntrusted && c.brownout == BrownoutFull &&
-			fcPred.Upper >= c.Cfg.MinTotalRate
-		if fcActive {
-			fcEff = fcPred.Upper
-			if rec != nil {
-				rec.FcRate = fcEff
-				rec.FcPoint = fcPred.Point
-				rec.FcSigma = fcPred.Sigma
-			}
+	pred, matured := c.st.observe(t.now, total, c.Cfg)
+	fc := c.st.Forecast
+	if c.Obs != nil {
+		for _, m := range matured {
+			c.Obs.Forecast(t.now, fc.ModelName(), m.Predicted, m.Actual, fc.Sigma(), fc.Healthy())
 		}
 	}
+	// The forecast drives the solve only from a fully healthy loop: a
+	// tripped breaker, an untrusted model, a brownout rung, or a residual
+	// blowout all degrade back to the reactive path rather than compound
+	// with a forecast.
+	if pred.OK && fc.Healthy() && !c.st.BreakerOpen &&
+		c.Trust() != ModelUntrusted && c.Brownout() == BrownoutFull &&
+		pred.Upper >= c.Cfg.MinTotalRate {
+		t.rec.FcRate, t.rec.FcPoint, t.rec.FcSigma = pred.Upper, pred.Point, pred.Sigma
+	}
+	return false
+}
 
-	// Reactive guardrail: under a measured SLO violation the arrival rate
-	// under-reports demand (closed-loop throttling), so grow the current
-	// configuration instead of re-solving on a starved signal.
-	if c.Cfg.ViolationBoost > 1 {
-		p99 := c.Cluster.E2ELatencyQuantile(0.99, c.Cfg.RateWindowS)
-		if p99 > c.Cfg.SLO*1.1 {
-			c.lastRate = 0 // force a fresh solve once the violation clears
-			// Wait until the previous scale-up has fully materialized:
-			// boosting faster than instances start compounds into huge
-			// overshoot.
-			if c.Cluster.PendingInstances() > 0 {
-				if rec != nil {
-					rec.Kind = "boost-wait"
-				}
-				return
-			}
-			if c.lastQuotas == nil {
-				c.lastQuotas = c.Cluster.Quotas()
-			}
-			for k := range c.lastQuotas {
-				q := c.lastQuotas[k] * c.Cfg.ViolationBoost
-				if c.Cfg.BoostCap > 0 {
-					if cap := c.hiFor(k) * c.Cfg.BoostCap; cap > 0 && q > cap {
-						q = cap
-					}
-				}
-				c.lastQuotas[k] = q
-			}
-			c.Cluster.ApplyQuotas(c.lastQuotas)
-			c.boosts++
-			c.stats.Boosts++
-			c.setHealth(Boosting)
-			if rec != nil {
-				rec.Kind = "boost"
-				rec.Applied = copyQuotas(c.lastQuotas)
-			}
-			return
-		}
+// solveRate is the rate a decision's solver would see (and hysteresis
+// compares, and the next decision remembers): the risk-adjusted forecast
+// when it drove the decision, else the observed total.
+func solveRate(rec *obs.Record) float64 {
+	if rec.FcRate > 0 {
+		return rec.FcRate
 	}
-	// Stale-telemetry detection: a collapse of the observed rate while the
-	// cluster is demonstrably still serving traffic is a telemetry fault
-	// (black-holed or sampled-down pipeline), not a traffic drop. Hold the
-	// last-known-good configuration instead of solving on it — but only
-	// for StaleHoldMaxS; a collapse that persists longer is accepted as
-	// real. Two signatures are recognized:
-	//   - gap: no new frontend arrival has been recorded for a full
-	//     decision interval (a dead pipeline), while the rate reads below
-	//     its reference — catches blackholes at the fault edge, before
-	//     the trailing window has fully decayed;
-	//   - collapse: the rate reads below StaleRateCollapse× the reference
-	//     — catches lossy sampling, where observations keep trickling in.
-	// Either needs corroborating activity evidence: requests in flight, or
-	// deployment-level telemetry (which a frontend fault leaves intact)
-	// within the last interval. The reference rate is only trusted once at
-	// least one decision interval has elapsed — observations right at
-	// simulation start divide by near-zero elapsed time and can be wildly
-	// inflated.
-	now := c.Cluster.Eng.Now()
+	return rec.Total
+}
+
+// boost is the reactive guardrail: under a measured SLO violation the
+// arrival rate under-reports demand (closed-loop throttling), so grow the
+// current configuration instead of re-solving on a starved signal. Either
+// exit makes commit zero the hysteresis reference, forcing a fresh solve
+// once the violation clears.
+func (c *Controller) boost(t *tick) bool {
+	violated := c.Cfg.ViolationBoost > 1 &&
+		c.Cluster.E2ELatencyQuantile(0.99, c.Cfg.RateWindowS) > c.Cfg.SLO*1.1
+	if !violated {
+		return false
+	}
+	// Wait until the previous scale-up has fully materialized: boosting
+	// faster than instances start compounds into huge overshoot.
+	if c.Cluster.PendingInstances() > 0 {
+		t.rec.Kind = KindBoostWait
+		return true
+	}
+	last := c.st.LastQuotas
+	if last == nil {
+		last = c.Cluster.Quotas()
+	}
+	boosted := make(map[string]float64, len(last))
+	for i, name := range c.Cluster.App.ServiceNames() {
+		q, ok := last[name]
+		if !ok {
+			continue
+		}
+		q *= c.Cfg.ViolationBoost
+		if c.Cfg.BoostCap > 0 && i < len(c.Bounds.Hi) {
+			if cap := c.Bounds.Hi[i] * c.Cfg.BoostCap; cap > 0 && q > cap {
+				q = cap
+			}
+		}
+		boosted[name] = q
+	}
+	t.rec.Kind, t.rec.Applied = KindBoost, boosted
+	return true
+}
+
+// staleHold is stale-telemetry detection: a collapse of the observed rate
+// while the cluster is demonstrably still serving traffic is a telemetry
+// fault (black-holed or sampled-down pipeline), not a traffic drop. Hold the
+// last-known-good configuration instead of solving on it — but only for
+// StaleHoldMaxS; a collapse that persists longer is accepted as real. Two
+// signatures are recognized:
+//   - gap: no new frontend arrival has been recorded for a full decision
+//     interval (a dead pipeline), while the rate reads below its reference —
+//     catches blackholes at the fault edge, before the trailing window has
+//     fully decayed;
+//   - collapse: the rate reads below StaleRateCollapse× the reference —
+//     catches lossy sampling, where observations keep trickling in.
+//
+// Either needs corroborating activity evidence: requests in flight, or
+// deployment-level telemetry (which a frontend fault leaves intact) within
+// the last interval. The reference rate is only trusted once at least one
+// decision interval has elapsed — observations right at simulation start
+// divide by near-zero elapsed time and can be wildly inflated.
+func (c *Controller) staleHold(t *tick) bool {
+	total, ref := t.rec.Total, c.st.LastRate
 	collapsed := false
-	if c.Cfg.StaleRateCollapse > 0 && c.lastRate > 0 && c.lastRateAt >= c.Cfg.IntervalS {
+	if c.Cfg.StaleRateCollapse > 0 && ref > 0 && c.st.LastRateAt >= c.Cfg.IntervalS {
 		evidence := c.Cluster.InFlight() > 0
 		if !evidence {
-			if at, ok := c.Cluster.LastDeploymentTelemetryAt(); ok && now-at <= c.Cfg.IntervalS {
+			if at, ok := c.Cluster.LastDeploymentTelemetryAt(); ok && t.now-at <= c.Cfg.IntervalS {
 				evidence = true
 			}
 		}
 		if evidence {
-			if total < c.lastRate*c.Cfg.StaleRateCollapse {
+			if total < ref*c.Cfg.StaleRateCollapse {
 				collapsed = true
-			} else if total < c.lastRate {
-				if at, ok := c.Cluster.LastArrivalAt(); !ok || now-at >= c.Cfg.IntervalS {
+			} else if total < ref {
+				if at, ok := c.Cluster.LastArrivalAt(); !ok || t.now-at >= c.Cfg.IntervalS {
 					collapsed = true
 				}
 			}
 		}
 	}
-	if collapsed {
-		if c.staleSince < 0 {
-			c.staleSince = now
-		}
-		if c.Cfg.StaleHoldMaxS <= 0 || now-c.staleSince <= c.Cfg.StaleHoldMaxS {
-			c.stats.StaleHolds++
-			c.setHealth(DegradedTelemetry)
-			if rec != nil {
-				rec.Kind = "hold"
-			}
-			return
-		}
-		// Hold expired: fall through and treat the signal as genuine.
-		// staleSince is kept so the hold does not re-arm until the signal
-		// actually recovers.
-	} else {
-		c.staleSince = -1
+	if !collapsed {
+		t.live.StaleSince = -1
+		return false
 	}
+	// An expired hold does not yield — the signal is treated as genuine — but
+	// keeps its start, so the hold does not re-arm until the signal actually
+	// recovers.
+	since := c.st.StaleSince
+	if since < 0 {
+		since = t.now
+	}
+	t.live.StaleSince = since
+	if c.Cfg.StaleHoldMaxS <= 0 || t.now-since <= c.Cfg.StaleHoldMaxS {
+		t.rec.Kind = KindHold
+		return true
+	}
+	return false
+}
 
-	if total < c.Cfg.MinTotalRate {
-		if rec != nil {
-			rec.Kind = "idle"
-		}
-		return
+// idle: with no traffic there is no workload signal to decide on.
+func (c *Controller) idle(t *tick) bool {
+	if t.rec.Total < c.Cfg.MinTotalRate {
+		t.rec.Kind = KindIdle
+		return true
 	}
-	if c.lastRate > 0 && c.lastSLO == c.Cfg.SLO {
-		// Hysteresis compares the rate the solver would actually see — the
-		// forecasted one when the forecast is driving — so a moving forecast
-		// re-solves even while the observed rate still looks flat.
-		rel := (fcEff - c.lastRate) / c.lastRate
-		if rel < 0 {
-			rel = -rel
-		}
-		// While the breaker is open — or the lifecycle manager holds the
-		// model untrusted — keep solving every interval even on a stable
-		// rate: the shadow solves are what lets the breaker close, and the
-		// heuristic fallback must keep tracking measured demand.
-		if rel < c.Cfg.Hysteresis && !c.breakerOpen && c.trust != ModelUntrusted {
-			// Signal recovered and stable: the telemetry degradation, if
-			// any, is over.
-			if c.health == DegradedTelemetry {
-				c.setHealth(Healthy)
-			}
-			if rec != nil {
-				rec.Kind = "hysteresis"
-			}
-			return
-		}
-	}
-	c.lastRate, c.lastRateAt, c.lastSLO = fcEff, now, c.Cfg.SLO
-	if fcActive {
-		c.stats.ForecastSolves++
-		// Substitute the forecasted total for the observed one, keeping the
-		// observed per-API mix: each rate scales by fcEff/total so the
-		// analyzer distributes the forecasted demand over the same shape.
-		if total > 0 && fcEff != total {
-			f := fcEff / total
-			scaled := make(map[string]float64, len(rates))
-			for k, v := range rates {
-				scaled[k] = v * f
-			}
-			rates = scaled
-		}
-	}
+	return false
+}
 
+// hysteresis keeps the previous configuration while the rate has moved less
+// than Cfg.Hysteresis. It compares the rate the solver would actually see —
+// the forecasted one when the forecast is driving — so a moving forecast
+// re-solves even while the observed rate still looks flat. A stable signal
+// also ends a telemetry degradation (commit: DegradedTelemetry → Healthy).
+func (c *Controller) hysteresis(t *tick) bool {
+	ref := c.st.LastRate
+	if ref <= 0 || c.Cfg.SLO != c.st.LastSLO {
+		return false
+	}
+	rel := (solveRate(&t.rec) - ref) / ref
+	if rel < 0 {
+		rel = -rel
+	}
+	// While the breaker is open — or the lifecycle manager holds the model
+	// untrusted — keep solving every interval even on a stable rate: the
+	// shadow solves are what lets the breaker close, and the heuristic
+	// fallback must keep tracking measured demand.
+	if rel < c.Cfg.Hysteresis && !c.st.BreakerOpen && c.Trust() != ModelUntrusted {
+		t.rec.Kind = KindHysteresis
+		return true
+	}
+	return false
+}
+
+// scaleRates settles the per-API rates the allocators will distribute. It
+// never yields.
+func (c *Controller) scaleRates(t *tick) bool {
+	rate := solveRate(&t.rec)
+	// Substitute the forecasted total for the observed one, keeping the
+	// observed per-API mix: each rate scales by rate/total so the analyzer
+	// distributes the forecasted demand over the same shape.
+	if total := t.rec.Total; total > 0 && rate != total {
+		f := rate / total
+		scaled := make(map[string]float64, len(t.rates))
+		for k, v := range t.rates {
+			scaled[k] = v * f
+		}
+		t.rates = scaled
+	}
 	// Workload scaling (§3.6): solve inside the trained region, scale the
 	// configuration back proportionally in either direction.
-	scale := 1.0
 	switch {
-	case c.Cfg.TrainedMaxRate > 0 && fcEff > c.Cfg.TrainedMaxRate:
-		scale = fcEff / c.Cfg.TrainedMaxRate
-	case c.Cfg.TrainedMinRate > 0 && fcEff < c.Cfg.TrainedMinRate:
-		scale = fcEff / c.Cfg.TrainedMinRate
+	case c.Cfg.TrainedMaxRate > 0 && rate > c.Cfg.TrainedMaxRate:
+		t.scale = rate / c.Cfg.TrainedMaxRate
+	case c.Cfg.TrainedMinRate > 0 && rate < c.Cfg.TrainedMinRate:
+		t.scale = rate / c.Cfg.TrainedMinRate
 	}
-	if scale != 1 {
-		scaled := make(map[string]float64, len(rates))
-		for k, v := range rates {
-			scaled[k] = v / scale
+	if t.scale != 1 {
+		scaled := make(map[string]float64, len(t.rates))
+		for k, v := range t.rates {
+			scaled[k] = v / t.scale
 		}
-		rates = scaled
+		t.rates = scaled
 	}
+	t.rec.Scale = t.scale
+	return false
+}
 
-	// Heuristic brownout rung: allocate from measured CPU demand, skipping
-	// both the trace refresh and the solver. The analyzer keeps serving its
-	// last learned profile, exactly as it does under trace loss. No Raw is
-	// recorded, so offline replay skips re-solving these decisions.
-	if c.brownout >= BrownoutHeuristic {
-		load := c.Analyzer.Distribute(rates)
-		quotas := c.heuristicQuotas(load, scale)
-		quotas, limited := c.limitStep(quotas)
-		c.Cluster.ApplyQuotas(quotas)
-		c.lastQuotas = quotas
-		if rec != nil {
-			rec.Kind = "brownout-heuristic"
-			rec.Load = append([]float64(nil), load...)
-			rec.Scale = scale
-			rec.Applied = copyQuotas(quotas)
-			rec.Limited = limited
-		}
-		return
+// heuristicRung is the heuristic brownout rung: allocate from measured CPU
+// demand, skipping both the trace refresh and the solver. The analyzer keeps
+// serving its last learned profile, exactly as it does under trace loss. No
+// Raw is recorded, so offline replay skips re-solving these decisions.
+func (c *Controller) heuristicRung(t *tick) bool {
+	if c.Brownout() < BrownoutHeuristic {
+		return false
 	}
+	load := c.Analyzer.Distribute(t.rates)
+	quotas := c.heuristicQuotas(load, t.scale, c.st.BreakerOpen)
+	t.rec.Kind, t.rec.Load = KindBrownoutHeuristic, load
+	t.rec.Applied, t.rec.Limited = c.limitStep(quotas)
+	return true
+}
 
+// solve is the paper's path: analyze → solve through the model → allocate.
+// It always yields.
+func (c *Controller) solve(t *tick) bool {
 	tAnalyze := c.wallStart()
 	c.Analyzer.Refresh(c.Cluster.Traces())
-	load := c.Analyzer.Distribute(rates)
+	load := c.Analyzer.Distribute(t.rates)
 	c.stage("analyze", tAnalyze, nil)
+	lo, hi := c.demandBounds(load)
 
-	// Capacity guardrail: never solve below measured CPU demand.
-	lo := c.Bounds.Lo
-	hi := c.Bounds.Hi
-	if c.Cfg.DemandFloorUtil > 0 {
-		lo = append([]float64(nil), c.Bounds.Lo...)
-		hi = append([]float64(nil), c.Bounds.Hi...)
-		for i, name := range c.Cluster.App.ServiceNames() {
-			cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(c.Cfg.RateWindowS * 3)
-			// req/s × cpu-ms/req = cpu-ms/s = millicores of demand.
-			floor := load[i] * cpuMS / c.Cfg.DemandFloorUtil
-			if floor > lo[i] {
-				lo[i] = floor
-			}
-			if lo[i] > hi[i] {
-				hi[i] = lo[i]
-			}
-		}
-	}
 	// Warm brownout rung: a short solve warm-started from the previous raw
 	// solution. WarmSolverConfig is a pure function of the header's solver
 	// config and the warm start is the previous record's Raw, so offline
 	// replay reproduces these solves bit-identically.
-	warm := c.brownout == BrownoutWarm
+	warm := c.Brownout() == BrownoutWarm
 	scfg := c.Cfg.Solver
 	var warmStart []float64
 	if warm {
 		scfg = WarmSolverConfig(scfg)
-		warmStart = c.lastRaw
+		warmStart = c.st.LastRaw
 	}
 	tSolve := c.wallStart()
 	sol := SolveFrom(c.Model, load, c.Cfg.SLO, lo, hi, scfg, warmStart)
-	c.lastRaw = append(c.lastRaw[:0], sol.Quotas...)
-	c.solves++
 	if c.Obs != nil {
 		wallNS := time.Since(tSolve).Nanoseconds()
 		c.stage("solve", tSolve, map[string]float64{"predicted": sol.Predicted})
-		c.Obs.Solver(c.Cluster.Eng.Now(), sol.Iterations, sol.Converged, wallNS)
+		c.Obs.Solver(t.now, sol.Iterations, sol.Converged, wallNS)
 	}
-	if rec != nil {
-		// The complete solver inputs and raw outputs: with the header's SLO
-		// and solver configuration these replay the solve bit-identically.
-		// ModelGen names the model that produced them, so replay of a run
-		// that swapped models mid-flight picks the right archived model.
-		rec.ModelGen = c.modelGen
-		rec.Load = append([]float64(nil), load...)
-		rec.Lo = append([]float64(nil), lo...)
-		rec.Hi = append([]float64(nil), hi...)
-		rec.Scale = scale
-		rec.Raw = append([]float64(nil), sol.Quotas...)
-		rec.Predicted = sol.Predicted
-		rec.Iters = sol.Iterations
-		rec.Converged = sol.Converged
-		rec.Warm = warm
-	}
+	t.sol, t.solved = sol, true
+	// The complete solver inputs and raw outputs: with the header's SLO and
+	// solver configuration these replay the solve bit-identically. ModelGen
+	// names the model that produced them, so replay of a run that swapped
+	// models mid-flight picks the right archived model. load, lo, hi and
+	// sol.Quotas are this tick's own allocations, so the record keeps them
+	// without another copy.
+	rec := &t.rec
+	rec.ModelGen = c.st.ModelGen
+	rec.Load, rec.Lo, rec.Hi = load, lo, hi
+	rec.Raw, rec.Predicted, rec.Iters, rec.Converged = sol.Quotas, sol.Predicted, sol.Iterations, sol.Converged
+	rec.Warm = warm
 
 	// Model circuit breaker: decide whether this solve can be trusted. A
 	// warm-rung short solve is exempt — its truncated iteration budget makes
 	// non-convergence routine, and tripping the breaker on it would turn
 	// transient overload into a model-distrust episode.
+	open := c.st.BreakerOpen
 	if c.Cfg.BreakerBand > 0 && !warm {
-		c.evalBreaker(sol)
+		t.live.BreakerHealthy = c.solveHealthy(sol)
+		open = c.st.breakerOpenAfter(t.live.BreakerHealthy, c.Cfg)
 	}
 
 	var quotas map[string]float64
-	enveloped := false
-	if c.breakerOpen || c.trust == ModelUntrusted {
+	switch {
+	case open || c.Trust() == ModelUntrusted:
 		// Fallback: allocate from measured CPU demand instead of the model.
 		// "fallback" is the breaker's doing, "fallback-model" the lifecycle
-		// manager's — the audit-tail fold must not mistake a drift demotion
-		// for an open breaker.
-		quotas = c.heuristicQuotas(load, scale)
-		c.stats.FallbackSolves++
-		c.setHealth(FallbackHeuristic)
-		if rec != nil {
-			rec.Kind = "fallback"
-			if !c.breakerOpen {
-				rec.Kind = "fallback-model"
-			}
+		// manager's — commit must not mistake a drift demotion for an open
+		// breaker.
+		quotas = c.heuristicQuotas(load, t.scale, open)
+		rec.Kind = KindFallbackModel
+		if open {
+			rec.Kind = KindFallback
 		}
-	} else {
+	default:
 		quotas = make(map[string]float64, len(sol.Quotas))
 		for i, name := range c.Cluster.App.ServiceNames() {
-			quotas[name] = sol.Quotas[i] * scale
+			quotas[name] = sol.Quotas[i] * t.scale
 		}
-		if c.trust == ModelProbation && c.Cfg.Envelope.Enabled() {
-			quotas, enveloped = c.Cfg.Envelope.Clamp(quotas, c.lastQuotas)
-			if enveloped {
-				c.stats.EnvelopeClamped++
-			}
+		if c.Trust() == ModelProbation && c.Cfg.Envelope.Enabled() {
+			quotas, rec.Enveloped = c.Cfg.Envelope.Clamp(quotas, c.st.LastQuotas)
 		}
-		c.setHealth(Healthy)
-		if rec != nil {
-			rec.Kind = "solve"
-			if warm {
-				rec.Kind = "warm-solve"
+		rec.Kind = KindSolve
+		if warm {
+			rec.Kind = KindWarmSolve
+		}
+	}
+	rec.Applied, rec.Limited = c.limitStep(quotas)
+	if rec.FcRate > 0 {
+		c.countPrewarm(rec)
+	}
+	return true
+}
+
+// demandBounds returns this tick's solver box — the Algorithm-1 bounds with
+// the capacity guardrail applied: never solve below measured CPU demand.
+func (c *Controller) demandBounds(load []float64) (lo, hi []float64) {
+	lo = append([]float64(nil), c.Bounds.Lo...)
+	hi = append([]float64(nil), c.Bounds.Hi...)
+	if c.Cfg.DemandFloorUtil <= 0 {
+		return lo, hi
+	}
+	for i, name := range c.Cluster.App.ServiceNames() {
+		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(c.Cfg.RateWindowS * 3)
+		// req/s × cpu-ms/req = cpu-ms/s = millicores of demand.
+		floor := load[i] * cpuMS / c.Cfg.DemandFloorUtil
+		if floor > lo[i] {
+			lo[i] = floor
+		}
+		if lo[i] > hi[i] {
+			hi[i] = lo[i]
+		}
+	}
+	return lo, hi
+}
+
+// countPrewarm is the pre-warm accounting of a forecast-driven decision: how
+// many instances rec.Applied orders beyond what the previously applied
+// quotas realize. Those instances start their Figure-1 curve now — leadS
+// seconds before the forecasted demand lands — instead of after the surge is
+// observed.
+func (c *Controller) countPrewarm(rec *obs.Record) {
+	prev := c.st.LastQuotas
+	if prev == nil {
+		prev = c.Cluster.Quotas()
+	}
+	n, maxBatch := 0, 0
+	for name, q := range rec.Applied {
+		old, ok := prev[name]
+		if !ok {
+			continue
+		}
+		if d := c.Cluster.InstancesFor(q) - c.Cluster.InstancesFor(old); d > 0 {
+			n += d
+			if d > maxBatch {
+				maxBatch = d
 			}
 		}
 	}
-	quotas, limited := c.limitStep(quotas)
-	// Pre-warm accounting: how many instances this forecast-driven decision
-	// orders beyond what the previously applied quotas realize. Those
-	// instances start their Figure-1 curve now — leadS seconds before the
-	// forecasted demand lands — instead of after the surge is observed.
-	prewarmN, maxBatch := 0, 0
-	if fcActive {
-		prev := c.lastQuotas
-		if prev == nil {
-			prev = c.Cluster.Quotas()
-		}
-		for name, q := range quotas {
-			old, ok := prev[name]
-			if !ok {
-				continue
-			}
-			if d := c.Cluster.InstancesFor(q) - c.Cluster.InstancesFor(old); d > 0 {
-				prewarmN += d
-				if d > maxBatch {
-					maxBatch = d
-				}
-			}
-		}
-	}
-	tActuate := c.wallStart()
-	c.Cluster.ApplyQuotas(quotas)
-	c.stage("actuate", tActuate, nil)
-	c.lastQuotas = quotas
-	if prewarmN > 0 {
-		c.stats.Prewarms++
-		leadS := float64(c.fc.Cfg.HorizonTicks) * c.Cfg.IntervalS
-		readyS := c.Cluster.StartupSeconds(maxBatch)
-		if rec != nil {
-			rec.Prewarm = prewarmN
-			rec.PrewarmLeadS = leadS
-			rec.PrewarmReadyS = readyS
-		}
-		if c.OnPrewarm != nil {
-			c.OnPrewarm(c.Cluster.Eng.Now(), prewarmN, leadS, readyS)
-		}
-	}
-	if rec != nil {
-		rec.Applied = copyQuotas(quotas)
-		rec.Limited = limited
-		rec.Enveloped = enveloped
-	}
-	if c.OnDecision != nil {
-		c.OnDecision(c.Cluster.Eng.Now(), total, sol)
+	if n > 0 {
+		rec.Prewarm = n
+		rec.PrewarmLeadS = float64(c.st.Forecast.Cfg.HorizonTicks) * c.Cfg.IntervalS
+		rec.PrewarmReadyS = c.Cluster.StartupSeconds(maxBatch)
 	}
 }
 
-// copyQuotas snapshots a quota map for the flight recorder — the live map
-// keeps mutating (boost compounding, later decisions).
+// copyQuotas snapshots a quota map: a record's map belongs to the flight
+// recorder, the state's to the next decision.
 func copyQuotas(m map[string]float64) map[string]float64 {
+	if m == nil {
+		return nil
+	}
 	out := make(map[string]float64, len(m))
 	for k, v := range m {
 		out[k] = v
@@ -885,56 +887,40 @@ func copyQuotas(m map[string]float64) map[string]float64 {
 	return out
 }
 
-// evalBreaker updates the model circuit breaker from one solve. A closed
-// breaker trips on an untrustworthy solution; an open one closes after
-// BreakerClose consecutive healthy shadow solves.
-func (c *Controller) evalBreaker(sol Solution) {
-	// Non-convergence alone is routine (the calm-EMA criterion is strict);
-	// it only signals trouble when the solution also misses the objective —
-	// the penalty solver ran out of iterations without finding a feasible
-	// configuration.
-	if !sol.Converged && sol.Predicted > c.Cfg.SLO*1.05 {
-		c.unconverged++
-	} else {
-		c.unconverged = 0
+// nextUnconverged counts consecutive solves that ran out of iterations
+// without finding a feasible configuration. Non-convergence alone is routine
+// (the calm-EMA criterion is strict); it only signals trouble when the
+// solution also misses the objective.
+func nextUnconverged(prev int, converged bool, predicted, slo float64) int {
+	if !converged && predicted > slo*1.05 {
+		return prev + 1
 	}
-	healthy := !math.IsNaN(sol.Predicted) && !math.IsInf(sol.Predicted, 0) && sol.Predicted > 0
-	if healthy && c.unconverged >= 2 {
-		healthy = false
+	return 0
+}
+
+// solveHealthy is the circuit breaker's verdict on one solve: false for a
+// NaN/non-positive prediction, for a second consecutive unconverged miss, or
+// when the measured tail is more than BreakerBand× the prediction. Gross
+// underestimation is the dangerous direction: the model says the
+// configuration is fine while measured tail latency screams. An
+// overestimating model merely over-provisions. The 3×-window p99 is read
+// only when the cheaper checks pass.
+func (c *Controller) solveHealthy(sol Solution) bool {
+	if math.IsNaN(sol.Predicted) || math.IsInf(sol.Predicted, 0) || sol.Predicted <= 0 {
+		return false
 	}
-	if healthy {
-		// Gross underestimation is the dangerous direction: the model says
-		// the configuration is fine while measured tail latency screams. An
-		// overestimating model merely over-provisions.
-		measured := c.Cluster.E2ELatencyQuantile(0.99, c.Cfg.RateWindowS*3)
-		if measured > sol.Predicted*c.Cfg.BreakerBand {
-			healthy = false
-		}
+	if nextUnconverged(c.st.Unconverged, sol.Converged, sol.Predicted, c.Cfg.SLO) >= 2 {
+		return false
 	}
-	if !c.breakerOpen {
-		if !healthy {
-			c.breakerOpen = true
-			c.healthStreak = 0
-			c.stats.BreakerTrips++
-		}
-		return
-	}
-	if healthy {
-		c.healthStreak++
-		if c.healthStreak >= c.Cfg.BreakerClose {
-			c.breakerOpen = false
-			c.stats.BreakerCloses++
-		}
-	} else {
-		c.healthStreak = 0
-	}
+	measured := c.Cluster.E2ELatencyQuantile(0.99, c.Cfg.RateWindowS*3)
+	return !(measured > sol.Predicted*c.Cfg.BreakerBand)
 }
 
 // heuristicQuotas is the demand-floor allocator used while the model circuit
 // breaker is open: quota_i = load_i × measured-CPU-per-request / target
 // utilization, clamped to the solver bounds. It cannot shave latency like
 // the model can, but it never starves a service of raw CPU demand.
-func (c *Controller) heuristicQuotas(load []float64, scale float64) map[string]float64 {
+func (c *Controller) heuristicQuotas(load []float64, scale float64, breakerOpen bool) map[string]float64 {
 	util := c.Cfg.DemandFloorUtil
 	if util <= 0 {
 		util = 0.85
@@ -942,7 +928,7 @@ func (c *Controller) heuristicQuotas(load []float64, scale float64) map[string]f
 	// A lifecycle demotion (as opposed to an open breaker) over-provisions:
 	// the SLO is protected with CPU while no model can be trusted to shave
 	// the tail any closer.
-	if c.trust == ModelUntrusted && !c.breakerOpen && c.Cfg.UntrustedUtil > 0 {
+	if c.Trust() == ModelUntrusted && !breakerOpen && c.Cfg.UntrustedUtil > 0 {
 		util = c.Cfg.UntrustedUtil
 	}
 	out := make(map[string]float64, len(load))
@@ -965,18 +951,18 @@ func (c *Controller) heuristicQuotas(load []float64, scale float64) map[string]f
 	return out
 }
 
-// limitStep rate-limits the applied configuration against the previously
+// limitStep rate-limits a proposed configuration against the previously
 // applied one: each quota may grow at most MaxStepUp× and shrink at most to
 // MaxStepDown× per decision. The second return reports whether any quota was
-// clamped, so the audit record carries the fact and a post-crash state fold
-// can rebuild the RateLimited counter exactly.
+// clamped, so the audit record carries the fact and commit counts it.
 func (c *Controller) limitStep(quotas map[string]float64) (map[string]float64, bool) {
-	if c.lastQuotas == nil || (c.Cfg.MaxStepUp <= 0 && c.Cfg.MaxStepDown <= 0) {
+	last := c.st.LastQuotas
+	if last == nil || (c.Cfg.MaxStepUp <= 0 && c.Cfg.MaxStepDown <= 0) {
 		return quotas, false
 	}
 	limited := false
 	for k, v := range quotas {
-		old, ok := c.lastQuotas[k]
+		old, ok := last[k]
 		if !ok || old <= 0 {
 			continue
 		}
@@ -990,22 +976,5 @@ func (c *Controller) limitStep(quotas map[string]float64) (map[string]float64, b
 		}
 		quotas[k] = v
 	}
-	if limited {
-		c.stats.RateLimited++
-	}
 	return quotas, limited
-}
-
-// hiFor returns the upper solver bound for the named service, or 0 when
-// unknown.
-func (c *Controller) hiFor(name string) float64 {
-	for i, n := range c.Cluster.App.ServiceNames() {
-		if n == name {
-			if i < len(c.Bounds.Hi) {
-				return c.Bounds.Hi[i]
-			}
-			return 0
-		}
-	}
-	return 0
 }

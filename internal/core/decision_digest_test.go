@@ -1,0 +1,241 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/fnv"
+	"os"
+	"testing"
+
+	"graf/internal/forecast"
+	"graf/internal/obs"
+	"graf/internal/workload"
+)
+
+// digestCase is one scripted run with the decision kinds it must produce, a
+// check on its final state, and its digest as recorded at the parent commit.
+type digestCase struct {
+	name  string
+	sc    scenario
+	kinds []string
+	check func(t *testing.T, st ControllerState)
+	want  uint64
+}
+
+// digestScenarios are six scripted runs that between them take every exit of
+// the decision kernel. Each names the decision kinds it must produce, so a
+// scenario that stops exercising its path fails loudly instead of hashing a
+// quieter log.
+func digestScenarios() []digestCase {
+	surge := DefaultControllerConfig(0.150)
+	surge.BoostCap = 1.2
+
+	blackhole := DefaultControllerConfig(0.25)
+	blackhole.ViolationBoost = 1 // isolate the stale-telemetry path
+	blackhole.StaleHoldMaxS = 15
+
+	liar := DefaultControllerConfig(0.25)
+	liar.ViolationBoost = 1
+	liar.Hysteresis = 0 // a solve every interval, so breaker streaks accumulate
+
+	ladder := DefaultControllerConfig(0.150)
+	ladder.Hysteresis = 0
+
+	fc := DefaultControllerConfig(0.150)
+	fc.Forecast = forecast.Config{Enabled: true, Model: "hw", PeriodTicks: 24, HorizonTicks: 3}
+	diurnal := workload.SeriesRate(workload.Diurnal(workload.DiurnalConfig{
+		Seconds: 700, PeriodS: 120, Base: 140, Amp: 80, Seed: 5,
+	}), 1)
+
+	trust := DefaultControllerConfig(0.150)
+	trust.Hysteresis = 0
+
+	return []digestCase{
+		{
+			name:  "surge-boost-cap",
+			sc:    scenario{seed: 9, hi: 600, cfg: surge, rate: workload.StepRate(40, 400, 60), until: 300},
+			kinds: []string{"solve", "hysteresis", "boost", "boost-wait"},
+			check: func(t *testing.T, st ControllerState) {
+				if st.Boosts < 2 {
+					t.Errorf("%d boosts; the cap needs compounding to bite", st.Boosts)
+				}
+				capped := false
+				for _, q := range st.LastQuotas {
+					capped = capped || q == 600*1.2
+				}
+				if !capped {
+					t.Errorf("no quota sits on BoostCap×Hi = 720: %v", st.LastQuotas)
+				}
+			},
+			want: 0x3c99632cfeef6375,
+		},
+		{
+			name: "blackhole-hold-expiry",
+			sc: scenario{robotShop: true, seed: 22, cfg: blackhole, rate: workload.ConstRate(40), until: 200,
+				script: func(r *scriptRig) {
+					// Heavy sampling, not a full black-hole: a dead signal
+					// sits below MinTotalRate, where no decision is made.
+					r.eng.At(90, func() { r.cl.SetArrivalSampling(0.05) })
+				}},
+			kinds: []string{"solve", "hysteresis", "hold"},
+			check: func(t *testing.T, st ControllerState) {
+				if st.Stats.StaleHolds == 0 || st.Health != int(Healthy) {
+					t.Errorf("holds %d, health %d: want a hold that expired", st.Stats.StaleHolds, st.Health)
+				}
+			},
+			want: 0xfd03e3ff72785907,
+		},
+		{
+			name: "lying-model-breaker",
+			sc: scenario{robotShop: true, seed: 23, cfg: liar, rate: workload.ConstRate(40), until: 240,
+				script: func(r *scriptRig) {
+					r.eng.At(120, func() { *r.lie = true })
+					r.eng.At(160, func() { *r.lie = false })
+				}},
+			kinds: []string{"solve", "fallback"},
+			check: func(t *testing.T, st ControllerState) {
+				if st.Stats.BreakerTrips == 0 || st.Stats.BreakerCloses == 0 || st.BreakerOpen {
+					t.Errorf("breaker %+v open=%v: want tripped and closed again", st.Stats, st.BreakerOpen)
+				}
+			},
+			want: 0x8fb651b98998c1e3,
+		},
+		{
+			name: "brownout-ladder",
+			sc: scenario{seed: 9, cfg: ladder, rate: workload.StepRate(40, 200, 30), until: 300,
+				script: func(r *scriptRig) {
+					r.brownoutAt(100, BrownoutWarm)
+					r.brownoutAt(150, BrownoutHeuristic)
+					r.brownoutAt(180, BrownoutHold)
+					r.brownoutAt(210, BrownoutHeuristic)
+					r.brownoutAt(215, BrownoutWarm)
+					r.brownoutAt(220, BrownoutFull)
+				}},
+			kinds: []string{"solve", "warm-solve", "brownout-heuristic", "brownout-hold"},
+			want:  0x30b46af4ff0efa73,
+		},
+		{
+			name:  "forecast-diurnal-prewarm",
+			sc:    scenario{seed: 9, cfg: fc, rate: diurnal, until: 600},
+			kinds: []string{"solve", "hysteresis"},
+			check: func(t *testing.T, st ControllerState) {
+				if st.Stats.ForecastSolves == 0 || st.Stats.Prewarms == 0 {
+					t.Errorf("forecast never drove a pre-warming solve: %+v", st.Stats)
+				}
+			},
+			want: 0x364fdee25e398d70,
+		},
+		{
+			name: "trust-walk-envelope",
+			sc: scenario{seed: 9, cfg: trust, rate: workload.StepRate(40, 300, 165), until: 300,
+				script: func(r *scriptRig) {
+					r.eng.At(100, func() { r.ctl.SetTrust(ModelUntrusted) })
+					r.eng.At(150, func() { r.ctl.SetTrust(ModelProbation) })
+					r.eng.At(230, func() { r.ctl.SetTrust(ModelTrusted) })
+				}},
+			kinds: []string{"solve", "fallback-model"},
+			check: func(t *testing.T, st ControllerState) {
+				if st.Stats.EnvelopeClamped == 0 {
+					t.Error("the probation envelope never engaged")
+				}
+			},
+			want: 0xae483f129a63439d,
+		},
+	}
+}
+
+// TestDecisionDigestsMatchParent pins "same decisions": each scenario hashes
+// the JSONL bytes of its whole flight log plus the final StateDigest. The
+// constants were recorded at commit cd08a14, where step() was one 408-line
+// function and the crash fold re-typed its transitions by hand; they change
+// only if a decision, a record field, or the order records are emitted in
+// changes.
+func TestDecisionDigestsMatchParent(t *testing.T) {
+	for _, tc := range digestScenarios() {
+		r, final := tc.sc.run(t)
+		log, err := obs.ReadLog(bytes.NewReader(r.buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := kinds(log)
+		for _, k := range tc.kinds {
+			if got[k] == 0 {
+				t.Errorf("%s: no %q decisions (kinds: %v)", tc.name, k, got)
+			}
+		}
+		if tc.check != nil {
+			tc.check(t, final)
+		}
+		sd, err := StateDigest(final)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(r.buf.Bytes())
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], sd)
+		h.Write(b[:])
+		if d := h.Sum64(); d != tc.want {
+			t.Errorf("%s: digest %#016x, want %#016x (kinds: %v)", tc.name, d, tc.want, got)
+		}
+	}
+}
+
+// fixtureScenario drives a forecasting controller into the state the
+// checked-in snapshot froze: the lying model has opened the breaker, then
+// the arrival signal is sampled down and the controller is mid-hold.
+func fixtureScenario() scenario {
+	cfg := DefaultControllerConfig(0.25)
+	cfg.ViolationBoost = 1
+	cfg.Hysteresis = 0
+	cfg.Forecast = forecast.Config{Enabled: true, Model: "hw", PeriodTicks: 12, HorizonTicks: 2}
+	return scenario{robotShop: true, seed: 23, cfg: cfg, rate: workload.ConstRate(40), until: 200,
+		script: func(r *scriptRig) {
+			r.eng.At(150, func() { *r.lie = true })
+			r.eng.At(180, func() { r.cl.SetArrivalSampling(0.05) })
+		}}
+}
+
+// fixtureDigest is StateDigest of testdata/controller_state_cd08a14.gob,
+// recorded when commit cd08a14 wrote the file.
+const fixtureDigest uint64 = 0xa555b41eefa5454c
+
+// TestParentWrittenSnapshotRestores decodes a gob ControllerState written by
+// the parent commit's field-by-field Snapshot and checks the state-as-a-struct
+// controller reads it unchanged: same digest decoded, same digest after a
+// Restore/Snapshot round trip, and the same digest from re-running the
+// scenario that produced it.
+func TestParentWrittenSnapshotRestores(t *testing.T) {
+	raw, err := os.ReadFile("testdata/controller_state_cd08a14.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ControllerState
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Forecast == nil || !st.BreakerOpen || st.StaleSince < 0 || st.Health != int(DegradedTelemetry) {
+		t.Fatalf("fixture is not forecast-on, breaker-open, mid-hold: %+v", st)
+	}
+	digest := func(what string, s ControllerState) {
+		t.Helper()
+		d, err := StateDigest(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != fixtureDigest {
+			t.Errorf("%s: digest %#016x, want %#016x", what, d, fixtureDigest)
+		}
+	}
+	digest("decoded fixture", st)
+
+	r, live := fixtureScenario().run(t)
+	digest("re-run scenario", live)
+
+	fresh := NewController(r.cl, r.ctl.Model, NewAnalyzer(r.cl.App), r.ctl.Bounds, r.ctl.Cfg)
+	fresh.Restore(st)
+	back := fresh.Snapshot()
+	back.At = st.At // Snapshot stamps the clock of the cluster it is attached to
+	digest("restored and re-snapshotted", back)
+}

@@ -38,10 +38,11 @@ func (r ReplayReport) String() string {
 // SLO and solver configuration. Solve is deterministic — pure float64
 // arithmetic, no randomness, no wall-clock reads — and encoding/json
 // round-trips float64 exactly, so any mismatch means either a different
-// model than the recording used or a behavior change in the solver. Only
-// "solve", "warm-solve", and "fallback" decisions carry solver inputs; the
-// reactive paths (boost, hold, hysteresis, idle, the brownout heuristic and
-// hold rungs) made no model call and are counted but not re-run.
+// model than the recording used or a behavior change in the solver. Only the
+// kinds that ran the solver (KindSolve, KindWarmSolve, KindFallback,
+// KindFallbackModel) carry its inputs; the reactive paths (boost, hold,
+// hysteresis, idle, the brownout heuristic and hold rungs) made no model
+// call and are counted but not re-run.
 func ReplayAudit(m LatencyModel, log []obs.Record) ReplayReport {
 	return ReplayAuditModels(map[int]LatencyModel{0: m}, log)
 }
@@ -92,13 +93,7 @@ func ReplayAuditModels(models map[int]LatencyModel, log []obs.Record) ReplayRepo
 				fmt.Sprintf("seq %d: no header record; cannot reconstruct solver config", rec.Seq))
 			continue
 		}
-		cfg := SolverConfig{
-			Rho:           hdr.Solver["rho"],
-			LR:            hdr.Solver["lr"],
-			MaxIters:      int(hdr.Solver["max_iters"]),
-			Tolerance:     hdr.Solver["tolerance"],
-			PatienceIters: int(hdr.Solver["patience_iters"]),
-		}
+		cfg := SolverConfigFromMap(hdr.Solver)
 		// A brownout-warm decision used the derived short-solve config and
 		// started from the previous solve's raw output; both re-derive
 		// exactly from the header and the scan state.
@@ -138,5 +133,17 @@ func SolverConfigMap(cfg SolverConfig) map[string]float64 {
 		"max_iters":      float64(cfg.MaxIters),
 		"tolerance":      cfg.Tolerance,
 		"patience_iters": float64(cfg.PatienceIters),
+	}
+}
+
+// SolverConfigFromMap inverts SolverConfigMap: the solver configuration a
+// recording's header carries.
+func SolverConfigFromMap(m map[string]float64) SolverConfig {
+	return SolverConfig{
+		Rho:           m["rho"],
+		LR:            m["lr"],
+		MaxIters:      int(m["max_iters"]),
+		Tolerance:     m["tolerance"],
+		PatienceIters: int(m["patience_iters"]),
 	}
 }

@@ -13,9 +13,8 @@ import "sort"
 // separates real demand from noise.
 //
 // It lives in this package (the import-graph leaf) so both the model
-// lifecycle (internal/lifecycle re-exports it unchanged) and the
-// controller's forecaster can sanitize their inputs without an import
-// cycle.
+// lifecycle (internal/lifecycle) and the controller's forecaster can
+// sanitize their inputs without an import cycle.
 type Hampel struct {
 	// K is the MAD multiplier: values farther than K scaled-MADs from the
 	// window median are rejected. 0 picks the default 4.

@@ -8,6 +8,7 @@ import (
 
 	"graf/internal/cluster"
 	"graf/internal/core"
+	"graf/internal/forecast"
 	"graf/internal/gnn"
 	"graf/internal/obs"
 )
@@ -62,9 +63,11 @@ type Config struct {
 	MinRate float64
 	MinP99  float64
 
-	// Hampel is the telemetry sanitization filter template (K, Floor, N)
-	// applied per stream.
-	Hampel Hampel
+	// Hampel is the telemetry sanitization filter template (K, Floor, N):
+	// every stream (per-API observed rates, measured p99) passes through its
+	// own filter before it reaches the residual monitor or the retraining
+	// sample window.
+	Hampel forecast.Hampel
 
 	// Monitor is the drift-detection configuration.
 	Monitor MonitorConfig
@@ -219,8 +222,8 @@ type Manager struct {
 	phase     Phase
 
 	mon        *Monitor
-	hampelP99  *Hampel
-	hampelRate map[string]*Hampel
+	hampelP99  *forecast.Hampel
+	hampelRate map[string]*forecast.Hampel
 	samples    []gnn.Sample
 
 	candidate  *gnn.Model
@@ -257,8 +260,8 @@ func NewManager(cl *cluster.Cluster, model *gnn.Model, b core.Bounds, slo float6
 		an:          core.NewAnalyzer(cl.App),
 		incumbent:   model,
 		mon:         NewMonitor(cfg.Monitor),
-		hampelP99:   m2h(cfg.Hampel),
-		hampelRate:  map[string]*Hampel{},
+		hampelP99:   &forecast.Hampel{K: cfg.Hampel.K, Floor: cfg.Hampel.Floor, N: cfg.Hampel.N},
+		hampelRate:  map[string]*forecast.Hampel{},
 		archive:     map[int]*gnn.Model{0: model},
 		lastRatio:   1,
 		boundsScale: 1,
@@ -266,9 +269,6 @@ func NewManager(cl *cluster.Cluster, model *gnn.Model, b core.Bounds, slo float6
 	m.persistGen(0, model)
 	return m
 }
-
-// m2h clones the Hampel template for one stream.
-func m2h(t Hampel) *Hampel { return &Hampel{K: t.K, Floor: t.Floor, N: t.N} }
 
 // Attach binds the manager to a controller and applies the manager's view of
 // the model world. On a matching controller (fresh boot at generation 0, or
@@ -382,7 +382,7 @@ func (m *Manager) Tick() {
 	for _, api := range apis {
 		h, ok := m.hampelRate[api]
 		if !ok {
-			h = m2h(m.Cfg.Hampel)
+			h = &forecast.Hampel{K: m.Cfg.Hampel.K, Floor: m.Cfg.Hampel.Floor, N: m.Cfg.Hampel.N}
 			m.hampelRate[api] = h
 		}
 		rates[api] = h.Push(rawRates[api])

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"graf/internal/forecast"
 	"graf/internal/gnn"
 )
 
@@ -35,8 +36,8 @@ type persistedState struct {
 	Monitor Monitor
 	Samples []gnn.Sample
 
-	HampelP99  Hampel
-	HampelRate map[string]Hampel
+	HampelP99  forecast.Hampel
+	HampelRate map[string]forecast.Hampel
 
 	Candidate []byte
 	Archive   map[int][]byte
@@ -68,7 +69,7 @@ func (m *Manager) SnapshotState() []byte {
 		Monitor:    *m.mon,
 		Samples:    m.Samples(),
 		HampelP99:  *m.hampelP99,
-		HampelRate: map[string]Hampel{},
+		HampelRate: map[string]forecast.Hampel{},
 		Archive:    map[int][]byte{},
 	}
 	for api, h := range m.hampelRate {
@@ -157,7 +158,7 @@ func (m *Manager) RestoreState(blob []byte) error {
 	m.samples = st.Samples
 	hp := st.HampelP99
 	m.hampelP99 = &hp
-	m.hampelRate = map[string]*Hampel{}
+	m.hampelRate = map[string]*forecast.Hampel{}
 	for api, h := range st.HampelRate {
 		hh := h
 		m.hampelRate[api] = &hh

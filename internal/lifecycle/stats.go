@@ -8,20 +8,7 @@
 // itself on live traffic.
 package lifecycle
 
-import (
-	"sort"
-
-	"graf/internal/forecast"
-)
-
-// Hampel is the rolling-median/MAD outlier filter applied to each telemetry
-// stream (per-API observed rates, measured p99) before it reaches the
-// residual monitor or the retraining sample window. The implementation
-// lives in internal/forecast — the import-graph leaf — so the controller's
-// forecaster can sanitize its rate feed with the same filter without an
-// import cycle; the alias keeps this package's API (and the gob wire shape
-// of checkpointed lifecycle state) unchanged.
-type Hampel = forecast.Hampel
+import "sort"
 
 // median returns the middle order statistic without mutating its argument.
 func median(xs []float64) float64 {

@@ -23,9 +23,9 @@ import (
 //     rates, distributed load vector, effective solver bounds after the
 //     demand floor, workload scale, health state, chaos events active) and
 //     outputs (raw solver quotas, prediction, iterations, applied quotas).
-//     Kind says which path the step took: "solve", "warm-solve",
-//     "fallback", "brownout-heuristic", "brownout-hold", "boost",
-//     "boost-wait", "hold", "hysteresis", or "idle".
+//     Kind says which path the step took: one of the eleven Kind*
+//     constants in internal/core (controller.go), the only place the
+//     strings are spelled.
 //   - "health": a degraded-mode state transition.
 //   - "brownout": a brownout-ladder transition (From/To rung names, the
 //     tick and rung numbers in Summary). These live in the byte-compared
