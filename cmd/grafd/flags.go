@@ -2,268 +2,144 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 
 	"graf/internal/rpc"
 )
 
-// options is the parsed command line, gathered so contradictory flag
-// combinations are rejected before any training, file, or simulation work
-// starts. A daemon that runs 600 simulated seconds and then silently ignores
-// half its flags wastes a CI cycle; failing fast costs nothing.
+// options is the parsed command line: the run flags grafd shares with
+// grafrouter (rpc.Flags — artifact, tenants, durable state, per-tenant
+// policy) plus what only this binary does. Contradictions are rejected
+// before any training, file or simulation work starts.
 type options struct {
+	*rpc.Flags
 	train bool
-	model string
-
-	appName string
-	shape   string
-	rate    float64
-	sloMS   int
-	durS    int
 
 	obs   string
-	audit string
 	hold  int
 	smoke bool
 
 	replay string
 
-	ckpt          string
 	ckptEvery     float64
 	cold          bool
 	crashAt       float64
 	assertRestore bool
 
-	lifecycle    bool
 	modelArchive string
-
-	fleetN    int
-	shards    int
-	auditDir  string
-	sloBudget float64
-	brownout  string
+	shards       int
 
 	shardAddr        string
 	maxInflight      int
 	governorBudgetMS float64
 
-	forecast     string
-	horizonTicks int
-	fcQuantile   float64
+	spec rpc.Spec // the validated policy (local runs)
+	set  []string // flags given explicitly, in name order
+}
+
+// parseFlags declares grafd's flags on fs, parses args and validates.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{Flags: rpc.RegisterFlags(fs, 1)}
+	fs.BoolVar(&o.train, "train", false, "train a quick model in-process instead of loading one")
+	fs.StringVar(&o.obs, "obs", "", "serve /metrics (the fleet's and every tenant's registry, merged), /debug/vars and /debug/pprof/* on this address (e.g. 127.0.0.1:9090)")
+	fs.IntVar(&o.hold, "hold", 0, "keep serving -obs endpoints this many wall-clock seconds after the run")
+	fs.BoolVar(&o.smoke, "smoke", false, "self-scrape -obs /metrics after the run and verify expected families (CI smoke test)")
+	fs.StringVar(&o.replay, "replay", "", "replay a recorded audit log against the model and verify bit-identical decisions (offline: no simulation)")
+	fs.Float64Var(&o.ckptEvery, "ckpt-every", 20, "checkpoint cadence in simulated seconds (with -ckpt)")
+	fs.BoolVar(&o.cold, "cold", false, "with -ckpt: ignore existing snapshots and audit logs and start every tenant fresh")
+	fs.Float64Var(&o.crashAt, "crash-at", 0, "die abruptly (exit 42) at this simulated time, leaving a torn audit tail for the restart to recover")
+	fs.BoolVar(&o.assertRestore, "assert-restore", false, "with -ckpt: exit non-zero unless every tenant was restored from a snapshot and verified against it")
+	fs.StringVar(&o.modelArchive, "model-archive", "", "with -lifecycle: persist every model generation under this directory as <tenant>/model-N.graf")
+	fs.IntVar(&o.shards, "shards", 0, "number of deterministic tenant groups ticked in parallel (default: one per worker)")
+	fs.StringVar(&o.shardAddr, "shard", "", "serve one control-plane shard on this address (host:port; port 0 picks one) and wait for a grafrouter to install the fleet spec")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0, "with -shard: admission-gate bound on concurrently executing control-plane requests (0 = default)")
+	fs.Float64Var(&o.governorBudgetMS, "governor-budget-ms", 0, "with -shard: defend this per-round wall budget with the adaptive brownout governor (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) { o.set = append(o.set, f.Name) })
+	return o, o.validate()
+}
+
+// only rejects every explicitly given flag outside allowed: a mode states
+// once why the other modes' flags do not apply to it.
+func (o *options) only(reason string, allowed ...string) error {
+	ok := map[string]bool{}
+	for _, name := range allowed {
+		ok[name] = true
+	}
+	for _, name := range o.set {
+		if !ok[name] {
+			return fmt.Errorf("-%s: %s", name, reason)
+		}
+	}
+	return nil
+}
+
+// given returns the first of names that was given explicitly, or "".
+func (o *options) given(names ...string) string {
+	for _, set := range o.set {
+		for _, name := range names {
+			if set == name {
+				return name
+			}
+		}
+	}
+	return ""
 }
 
 // validate returns the first contradiction it finds, phrased so the fix is
-// obvious.
-func (o options) validate() error {
-	if !o.train && o.model == "" {
+// obvious. Policy (shape, rate, forecast, budget, brownout, ...) is checked
+// by rpc.Spec.Validate, the same for every binary.
+func (o *options) validate() error {
+	if !o.train && o.Model == "" {
 		return errors.New("need -model <path> or -train")
 	}
-	if o.train && o.model != "" {
+	if o.train && o.Model != "" {
 		return errors.New("-train and -model are mutually exclusive: train in-process or load a file, not both")
 	}
-	switch o.shape {
-	case "const", "surge", "azure", "diurnal":
-	default:
-		return fmt.Errorf("unknown -shape %q (const | surge | azure | diurnal)", o.shape)
-	}
-	if o.rate <= 0 {
-		return fmt.Errorf("-rate %v must be positive", o.rate)
-	}
-	if o.sloMS <= 0 {
-		return fmt.Errorf("-slo %v ms must be positive", o.sloMS)
-	}
-	if o.durS <= 0 {
-		return fmt.Errorf("-dur %v s must be positive", o.durS)
-	}
-
-	if o.fleetN < 0 {
-		return fmt.Errorf("-fleet %d must be positive", o.fleetN)
-	}
-	if o.shards < 0 {
-		return fmt.Errorf("-shards %d must be positive", o.shards)
-	}
 	if o.shardAddr != "" {
-		// Shard mode turns grafd into one control-plane member process:
-		// grafrouter installs the fleet spec over HTTP, so every local mode
-		// selector contradicts it.
-		if o.fleetN > 0 {
-			return errors.New("-shard serves one shard of a routed fleet and -fleet runs a whole fleet in-process: pick one")
-		}
 		if o.train {
 			return errors.New("-shard processes must load the same -model artifact; -train would give every shard a different model")
 		}
-		for _, c := range []struct {
-			set  bool
-			flag string
-		}{
-			{o.shards > 0, "-shards"},
-			{o.replay != "", "-replay"},
-			{o.crashAt > 0, "-crash-at"},
-			{o.assertRestore, "-assert-restore"},
-			{o.cold, "-cold"},
-			{o.lifecycle, "-lifecycle"},
-			{o.audit != "", "-audit"},
-			{o.obs != "", "-obs"},
-			{o.smoke, "-smoke"},
-			{o.hold > 0, "-hold"},
-			{o.brownout != "", "-brownout"},
-		} {
-			if c.set {
-				return fmt.Errorf("%s drives a local run; a -shard process takes its fleet spec from the router (only -ckpt and -audit-dir apply)", c.flag)
-			}
+		if err := o.only("a -shard process takes its policy from the router's spec",
+			"shard", "model", "ckpt", "audit-dir", "model-archive", "max-inflight", "governor-budget-ms"); err != nil {
+			return err
 		}
-	}
-	if o.auditDir != "" && o.fleetN == 0 && o.shardAddr == "" {
-		return errors.New("-audit-dir mirrors per-tenant fleet audit logs; it needs -fleet or -shard (single-tenant runs use -audit <file>)")
-	}
-	if o.fleetN > 0 {
-		// Fleet mode runs many tenant simulations in one process; the
-		// single-tenant modes below have no meaning there.
+	} else {
+		var err error
+		if o.spec, err = o.Spec(); err != nil {
+			return err
+		}
 		if o.replay != "" {
-			return errors.New("-fleet runs a live fleet and -replay verifies a recorded log: pick one")
+			return o.only("-replay verifies a recorded log offline, without running a simulation",
+				"replay", "model", "train", "app", "slo", "seed", "lifecycle")
 		}
-		if o.shards > o.fleetN {
-			return fmt.Errorf("-shards %d exceeds the fleet's %d tenants: shards must not be empty", o.shards, o.fleetN)
+		if o.modelArchive != "" && !o.spec.Lifecycle {
+			return errors.New("-model-archive stores lifecycle model generations; it needs -lifecycle")
 		}
-		if o.shape != "const" && o.shape != "surge" {
-			return fmt.Errorf("-shape %s is a single-tenant shape; fleet tenants drive (const | surge)", o.shape)
-		}
-		for _, c := range []struct {
-			set  bool
-			flag string
-		}{
-			{o.crashAt > 0, "-crash-at"},
-			{o.assertRestore, "-assert-restore"},
-			{o.cold, "-cold"},
-			{o.lifecycle, "-lifecycle"},
-			{o.audit != "", "-audit"},
-			{o.obs != "", "-obs"},
-			{o.smoke, "-smoke"},
-			{o.hold > 0, "-hold"},
-		} {
-			if c.set {
-				return fmt.Errorf("%s supervises the single-tenant daemon; it is not available with -fleet (fleet telemetry lives in -audit-dir and checkpoints in -ckpt)", c.flag)
-			}
-		}
-	} else if o.shards > 0 {
-		return errors.New("-shards groups a fleet's tenants; it needs -fleet")
-	}
-	if o.sloBudget < 0 || o.sloBudget >= 1 {
-		return fmt.Errorf("-slo-budget %v must be in [0,1) (fraction of time allowed in violation; 0 disables)", o.sloBudget)
-	}
-	if o.sloBudget > 0 && o.fleetN == 0 {
-		return errors.New("-slo-budget enables the fleet's per-tenant burn-rate monitor; it needs -fleet (shard processes take the budget from the router's spec)")
-	}
-	if o.brownout != "" {
-		if o.fleetN == 0 {
-			return errors.New("-brownout scripts the fleet's degradation ladder; it needs -fleet (shard processes take the schedule from the router's spec)")
-		}
-		if _, err := rpc.ParseBrownout(o.brownout); err != nil {
-			return fmt.Errorf("-brownout: %v", err)
+		if name := o.given("max-inflight", "governor-budget-ms"); name != "" {
+			return fmt.Errorf("-%s configures a control-plane shard; it needs -shard", name)
 		}
 	}
-	if o.maxInflight < 0 {
-		return fmt.Errorf("-max-inflight %d must be non-negative", o.maxInflight)
+	if o.maxInflight < 0 || o.governorBudgetMS < 0 {
+		return fmt.Errorf("-max-inflight %d and -governor-budget-ms %v must be non-negative", o.maxInflight, o.governorBudgetMS)
 	}
-	if o.maxInflight > 0 && o.shardAddr == "" {
-		return errors.New("-max-inflight bounds a shard's control-plane admission gate; it needs -shard")
+	if o.shards < 0 || o.shards > o.Tenants {
+		return fmt.Errorf("-shards %d must be in [0, %d]: it exceeds the fleet's tenants and shards must not be empty", o.shards, o.Tenants)
 	}
-	if o.governorBudgetMS < 0 {
-		return fmt.Errorf("-governor-budget-ms %v must be non-negative", o.governorBudgetMS)
-	}
-	if o.governorBudgetMS > 0 && o.shardAddr == "" {
-		return errors.New("-governor-budget-ms runs a shard's adaptive brownout governor; it needs -shard")
-	}
-
-	switch o.forecast {
-	case "", "hw", "ar", "naive":
-	default:
-		return fmt.Errorf("unknown -forecast model %q (hw | ar | naive)", o.forecast)
-	}
-	if o.forecast != "" {
-		// The forecaster rides inside one live single-tenant controller;
-		// offline replay runs no controller at all, and the multi-process
-		// modes build theirs from the router's fleet spec.
-		if o.replay != "" {
-			return errors.New("-replay verifies a recorded log without running a simulation; -forecast configures a live controller")
-		}
-		if o.fleetN > 0 {
-			return errors.New("-forecast runs the single-tenant controller's workload predictor; it is not available with -fleet")
-		}
-		if o.shardAddr != "" {
-			return errors.New("-forecast configures a local run; a -shard process takes its fleet spec from the router")
-		}
-	}
-	if o.horizonTicks < 0 {
-		return fmt.Errorf("-horizon-ticks %d must be non-negative (0 auto-sizes to the startup curve)", o.horizonTicks)
-	}
-	if o.horizonTicks > 0 && o.forecast == "" {
-		return errors.New("-horizon-ticks sizes the forecast horizon; it needs -forecast")
-	}
-	if o.fcQuantile != 0 {
-		if o.forecast == "" {
-			return errors.New("-forecast-quantile risk-adjusts the forecast; it needs -forecast")
-		}
-		if o.fcQuantile <= 0 || o.fcQuantile >= 1 {
-			return fmt.Errorf("-forecast-quantile %v must be in (0,1): it is the probability the planned rate covers the realized one", o.fcQuantile)
-		}
-	}
-
-	if o.replay != "" {
-		// Replay is an offline verification pass over a recorded log: no
-		// simulation runs, so every live-run flag would be silently dead.
-		for _, c := range []struct {
-			set  bool
-			flag string
-		}{
-			{o.ckpt != "", "-ckpt"},
-			{o.crashAt > 0, "-crash-at"},
-			{o.assertRestore, "-assert-restore"},
-			{o.cold, "-cold"},
-			{o.audit != "", "-audit"},
-			{o.obs != "", "-obs"},
-			{o.smoke, "-smoke"},
-			{o.hold > 0, "-hold"},
-			{o.lifecycle, "-lifecycle"},
-		} {
-			if c.set {
-				return fmt.Errorf("-replay verifies a recorded log without running a simulation; %s has no effect there", c.flag)
-			}
-		}
-	}
-
-	if o.ckpt == "" {
-		for _, c := range []struct {
-			set  bool
-			flag string
-		}{
-			{o.crashAt > 0, "-crash-at"},
-			{o.assertRestore, "-assert-restore"},
-			{o.cold, "-cold"},
-		} {
-			if c.set {
-				return fmt.Errorf("%s requires -ckpt: without a checkpoint store there is nothing to restore", c.flag)
-			}
-		}
+	if name := o.given("crash-at", "assert-restore", "cold"); name != "" && o.Ckpt == "" {
+		return fmt.Errorf("-%s requires -ckpt: without a checkpoint store there is nothing to restore", name)
 	}
 	if o.ckptEvery <= 0 {
 		return fmt.Errorf("-ckpt-every %v must be positive", o.ckptEvery)
 	}
-	if o.crashAt > 0 && o.crashAt >= float64(o.durS) {
-		return fmt.Errorf("-crash-at %v lands at or after the end of the run (-dur %d)", o.crashAt, o.durS)
+	if o.crashAt > 0 && o.crashAt >= float64(o.spec.DurS) {
+		return fmt.Errorf("-crash-at %v lands at or after the end of the run (-dur %d)", o.crashAt, o.spec.DurS)
 	}
-
-	if o.obs == "" {
-		if o.smoke {
-			return errors.New("-smoke scrapes the daemon's own /metrics endpoint and needs -obs")
-		}
-		if o.hold > 0 {
-			return errors.New("-hold keeps the -obs endpoints alive; it needs -obs")
-		}
-	}
-
-	if o.modelArchive != "" && !o.lifecycle {
-		return errors.New("-model-archive stores lifecycle model generations; it needs -lifecycle")
+	if name := o.given("smoke", "hold"); name != "" && o.obs == "" {
+		return fmt.Errorf("-%s reads the daemon's own /metrics endpoint; it needs -obs", name)
 	}
 	return nil
 }

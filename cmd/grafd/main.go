@@ -1,39 +1,35 @@
-// Command grafd runs the GRAF controller live against a simulated cluster
-// and streams its decisions: the closest thing to deploying GRAF on a real
-// Kubernetes cluster that an offline reproduction can offer. Load follows a
-// configurable shape (constant, surge, or the Azure-style trace of Fig 20),
-// and each line shows the front-end workload, the controller's solve, and
-// the measured tail latency.
+// Command grafd runs GRAF controllers live against simulated clusters and
+// records their decisions: the closest thing to deploying GRAF on a real
+// Kubernetes cluster that an offline reproduction can offer. Every run is a
+// fleet of -fleet tenants (default one) on the tenant runtime of
+// internal/fleet, built from one per-tenant policy (rpc.Spec): the workload
+// source, forecasting, the model lifecycle, the SLO and its error budget and
+// a brownout schedule all work for any tenant count, and the same policy
+// drives a routed multi-process fleet (grafrouter + grafd -shard).
 //
 // Usage:
 //
-//	grafd -model boutique.graf                 # constant 150 rps
-//	grafd -model boutique.graf -shape surge    # 50→300 rps at t=120s
-//	grafd -model boutique.graf -shape azure    # trace replay
-//	grafd -train                               # train a quick model first
-//
-// Observability:
-//
+//	grafd -model boutique.graf                 # one tenant, constant 150 rps
+//	grafd -model boutique.graf -shape diurnal -forecast hw
+//	grafd -train -fleet 8 -dur 120             # 8 tenants, shared batched inference
 //	grafd -train -obs 127.0.0.1:9090           # /metrics, /debug/vars, /debug/pprof/*
-//	grafd -train -audit run.jsonl              # flight-recorder audit log
-//	grafd -model m.graf -replay run.jsonl      # verify a recorded log replays bit-identically
+//	grafd -train -audit-dir a                  # a/tenant-00.jsonl flight-recorder log
+//	grafd -model m.graf -replay a/tenant-00.jsonl   # verify it replays bit-identically
 //
 // Crash recovery:
 //
-//	grafd -model m.graf -ckpt state            # supervised: checkpoint every 20 s of sim time
-//	grafd -model m.graf -ckpt state -crash-at 100   # die abruptly at t=100s (exit 42)
-//	grafd -model m.graf -ckpt state -audit run.jsonl -assert-restore
-//	                                           # restart: warm-restore from the latest
-//	                                           # snapshot + audit tail, assert state survived
+//	grafd -model m.graf -ckpt state -audit-dir a              # checkpoint every 20 s of sim time
+//	grafd -model m.graf -ckpt state -audit-dir a -crash-at 100   # die abruptly (exit 42)
+//	grafd -model m.graf -ckpt state -audit-dir a -assert-restore
+//	                                           # restart: rebuild every tenant, re-execute to its
+//	                                           # snapshot, verify state digest and audit prefix
 //
-// Fleet mode:
+// Control-plane member (see cmd/grafrouter):
 //
-//	grafd -train -fleet 8 -dur 120            # 8 tenants, shared batched inference
-//	grafd -train -fleet 8 -shards 4 -dur 120  # pin the shard count
+//	grafd -model m.graf -shard 127.0.0.1:0 -ckpt state -audit-dir a
 //
-// grafd shuts down gracefully on SIGINT/SIGTERM: the control loop stops, the
-// audit log is flushed with a final summary record, and the degraded-mode
-// statistics are printed.
+// grafd drains on SIGINT/SIGTERM: every audit log is flushed and (with
+// -ckpt) every tenant checkpointed before exit.
 package main
 
 import (
@@ -42,440 +38,68 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"graf"
-	"graf/internal/azure"
-	"graf/internal/forecast"
-	"graf/internal/workload"
+	"graf/internal/fleet"
 )
 
-// diurnalPeriodS is the -shape diurnal cycle length: compressed enough that
-// a default 600 s run traverses the cycle twice after the forecaster's one
-// warm-up period, long enough that the climb outpaces reactive scaling.
-const diurnalPeriodS = 240.0
-
 func main() {
-	modelPath := flag.String("model", "", "trained model from graftrain (omit with -train)")
-	train := flag.Bool("train", false, "train a quick model in-process instead of loading one")
-	shape := flag.String("shape", "const", "const | surge | azure")
-	rate := flag.Float64("rate", 150, "constant-shape rate (req/s)")
-	sloMS := flag.Int("slo", 250, "latency SLO (ms)")
-	durS := flag.Int("dur", 600, "simulated duration (s)")
-	seed := flag.Int64("seed", 1, "random seed")
-	obsAddr := flag.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof/* on this address (e.g. 127.0.0.1:9090)")
-	auditPath := flag.String("audit", "", "write the flight-recorder audit log (JSONL) to this file")
-	replayPath := flag.String("replay", "", "replay a recorded audit log against the model and verify bit-identical decisions (no simulation)")
-	holdS := flag.Int("hold", 0, "keep serving -obs endpoints this many wall-clock seconds after the run")
-	smoke := flag.Bool("smoke", false, "self-scrape -obs /metrics after the run and verify expected families (CI smoke test)")
-	ckptDir := flag.String("ckpt", "", "run supervised with crash-safe checkpoints in this directory; resumes from the latest valid snapshot")
-	ckptEveryS := flag.Float64("ckpt-every", 20, "checkpoint cadence in simulated seconds (with -ckpt)")
-	cold := flag.Bool("cold", false, "with -ckpt: ignore existing snapshots and restart the controller cold")
-	crashAt := flag.Float64("crash-at", 0, "die abruptly (exit 42) at this simulated time — leaves a torn audit tail for the recovery smoke test")
-	assertRestore := flag.Bool("assert-restore", false, "with -ckpt: exit non-zero unless the boot warm-restored controller state and quotas from a snapshot")
-	lifecycleOn := flag.Bool("lifecycle", false, "run the model-trust lifecycle: drift detection, heuristic fallback, shadow retraining, gated canary promotion, rollback")
-	modelDir := flag.String("model-archive", "", "with -lifecycle: persist every model generation into this directory as GRAFMDL1 files")
-	fleetN := flag.Int("fleet", 0, "run a sharded multi-tenant fleet of this many tenant applications sharing one batched inference service")
-	shards := flag.Int("shards", 0, "with -fleet: number of deterministic tenant shards (default: one per worker)")
-	appName := flag.String("app", "online-boutique", "builtin application graph (online-boutique | social-network | robot-shop | bookinfo | chain-N)")
-	auditDir := flag.String("audit-dir", "", "with -fleet or -shard: mirror every tenant's audit log into this directory (torn tails are repaired at startup)")
-	shardAddr := flag.String("shard", "", "serve one control-plane shard on this address (host:port; port 0 picks one) and wait for a grafrouter to install the fleet spec")
-	sloBudget := flag.Float64("slo-budget", 0, "with -fleet: per-tenant SLO error budget as allowed violation fraction (e.g. 0.02); enables multi-window burn-rate telemetry (0 = off)")
-	brownout := flag.String("brownout", "", "with -fleet: scripted brownout schedule FROM[-TO]:STEP[,...] in ticks, e.g. 12-24:heuristic (STEP: full | warm | heuristic | hold)")
-	maxInflight := flag.Int("max-inflight", 0, "with -shard: admission-gate bound on concurrently executing control-plane requests (0 = default)")
-	governorBudgetMS := flag.Float64("governor-budget-ms", 0, "with -shard: defend this per-round wall budget with the adaptive brownout governor (0 = off)")
-	fcModel := flag.String("forecast", "", "scale ahead of the surge: plan quotas on a forecasted workload rate (hw | ar | naive)")
-	horizonTicks := flag.Int("horizon-ticks", 0, "with -forecast: decision intervals to forecast ahead (0 auto-sizes to the startup curve)")
-	fcQuantile := flag.Float64("forecast-quantile", 0, "with -forecast: plan against this quantile of the forecast's residual spread (0 = default 0.95)")
-	flag.Parse()
-
-	opts := options{
-		train: *train, model: *modelPath, shape: *shape, rate: *rate,
-		sloMS: *sloMS, durS: *durS, obs: *obsAddr, audit: *auditPath,
-		replay: *replayPath, hold: *holdS, smoke: *smoke,
-		ckpt: *ckptDir, ckptEvery: *ckptEveryS, cold: *cold,
-		crashAt: *crashAt, assertRestore: *assertRestore,
-		lifecycle: *lifecycleOn, modelArchive: *modelDir,
-		fleetN: *fleetN, shards: *shards,
-		appName: *appName, auditDir: *auditDir, shardAddr: *shardAddr,
-		sloBudget: *sloBudget, brownout: *brownout,
-		maxInflight: *maxInflight, governorBudgetMS: *governorBudgetMS,
-		forecast: *fcModel, horizonTicks: *horizonTicks, fcQuantile: *fcQuantile,
-	}
-	if err := opts.validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "grafd: %v\n", err)
-		os.Exit(2)
-	}
-
-	a, err := graf.AppByName(opts.appName)
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "grafd: %v\n", err)
 		os.Exit(2)
 	}
-	var tr *graf.TrainedModel
+	tr, err := loadModel(o)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "grafd: %v\n", err)
+		os.Exit(1)
+	}
 	switch {
-	case *train:
-		fmt.Println("training a quick in-process model (use graftrain for a better one)...")
-		tr = graf.Train(a, graf.TrainOptions{
-			SLO:     time.Duration(*sloMS) * time.Millisecond,
-			MinRate: 40, MaxRate: 320,
-			Samples: 1500, Iterations: 600, Batch: 96, Seed: *seed,
-		})
-	case *modelPath != "":
-		var err error
-		tr, err = graf.LoadModel(*modelPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load model: %v\n", err)
-			os.Exit(1)
-		}
+	case o.replay != "":
+		os.Exit(replay(tr, o.replay, o.spec.Lifecycle))
+	case o.shardAddr != "":
+		os.Exit(runShard(tr, o))
 	default:
-		fmt.Fprintln(os.Stderr, "need -model <path> or -train")
-		os.Exit(2)
-	}
-
-	if *replayPath != "" {
-		os.Exit(replay(tr, *replayPath))
-	}
-
-	if *shardAddr != "" {
-		os.Exit(runShard(tr, opts))
-	}
-
-	if *fleetN > 0 {
-		os.Exit(runFleet(tr, opts, *seed))
-	}
-
-	s := graf.NewSimulation(a, *seed)
-
-	// Crash recovery: before the audit file is re-opened, salvage the
-	// previous process's decision tail — the records after its last
-	// checkpoint. A crash mid-append leaves a torn final line;
-	// RepairAuditLog returns the valid prefix and truncates the tear off
-	// the file, so the append that follows keeps the log parseable across
-	// any number of crash/restart cycles.
-	var priorAudit []graf.AuditRecord
-	if *ckptDir != "" && !*cold && *auditPath != "" {
-		if _, err := os.Stat(*auditPath); err == nil {
-			recs, repaired, rerr := graf.RepairAuditLog(*auditPath)
-			switch {
-			case rerr != nil:
-				fmt.Fprintf(os.Stderr, "prior audit log unusable (%v); warm restore will use the snapshot alone\n", rerr)
-			case repaired:
-				fmt.Printf("prior audit log ended in a torn record (crash mid-append); recovered %d records\n", len(recs))
-				priorAudit = recs
-			default:
-				priorAudit = recs
-			}
-		}
-	}
-
-	// Observability: attach the telemetry bundle before the controller
-	// starts so the header record and every decision land in the log.
-	var audit *os.File
-	needObs := *obsAddr != "" || *auditPath != ""
-	var tel *graf.Observability
-	if needObs {
-		cfg := graf.ObservabilityConfig{}
-		if *auditPath != "" {
-			var err error
-			if *ckptDir != "" {
-				// A supervised daemon appends across restarts: the audit log
-				// is one continuous recording of the run, crashes included.
-				audit, err = os.OpenFile(*auditPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			} else {
-				audit, err = os.Create(*auditPath)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "audit log: %v\n", err)
-				os.Exit(1)
-			}
-			cfg.AuditW = audit
-			cfg.AuditMemory = 4096
-		}
-		tel = s.EnableObservability(cfg)
-	}
-	var srv *http.Server
-	if *obsAddr != "" {
-		var err error
-		srv, err = tel.Serve(*obsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs listener: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("observability: http://%s/metrics /debug/vars /debug/pprof/\n", srv.Addr)
-	}
-
-	slo := time.Duration(*sloMS) * time.Millisecond
-	ccfg := graf.DefaultControllerConfig(slo)
-	if opts.forecast != "" {
-		fc := graf.ForecastConfig{
-			Enabled:      true,
-			Model:        opts.forecast,
-			HorizonTicks: opts.horizonTicks,
-			Quantile:     opts.fcQuantile,
-		}
-		if opts.shape == "diurnal" {
-			// Match the seasonal period to the shape so Holt-Winters learns
-			// the actual cycle rather than an aliased one.
-			fc.PeriodTicks = int(diurnalPeriodS / ccfg.IntervalS)
-		}
-		if fc.HorizonTicks == 0 {
-			// Auto-size to the Figure-1 startup curve: far enough ahead that
-			// a typical pre-warm batch is ready when the forecasted rate
-			// arrives.
-			fc.HorizonTicks = forecast.HorizonForStartup(
-				s.Cluster.Cfg.StartupBaseS, s.Cluster.Cfg.StartupSlopeS, 4, ccfg.IntervalS)
-		}
-		ccfg.Forecast = fc
-		q := fc.Quantile
-		if q == 0 {
-			q = 0.95
-		}
-		fmt.Printf("forecast: model=%s horizon=%d ticks quantile=%.2f\n", fc.Model, fc.HorizonTicks, q)
-	}
-	tune := func(ctl *graf.Controller) {
-		ctl.OnDecision = func(t float64, total float64, sol graf.Solution) {
-			fmt.Printf("[%6.0fs] solve: frontend %.0f rps → total quota %.0f mc (predicted p99 %.0f ms, %d iters)\n",
-				t, total, sol.TotalQuota, sol.Predicted*1000, sol.Iterations)
-		}
-		ctl.OnHealth = func(t float64, from, to graf.HealthState) {
-			fmt.Printf("[%6.0fs] health: %s → %s\n", t, from, to)
-		}
-		ctl.OnPrewarm = func(t float64, n int, leadS, readyS float64) {
-			fmt.Printf("[%6.0fs] pre-warm: +%d instances ordered %.0fs ahead of forecasted demand (batch ready in %.1fs)\n",
-				t, n, leadS, readyS)
-		}
-	}
-	// The model-trust lifecycle watches the predictor's live residuals and
-	// retrains/promotes/rolls back autonomously; grafd narrates its events.
-	var lc *graf.Lifecycle
-	if *lifecycleOn {
-		lc = s.NewLifecycle(tr, graf.LifecycleOptions{
-			Dir: *modelDir,
-			OnEvent: func(at time.Duration, kind, detail string) {
-				fmt.Printf("[%6.0fs] lifecycle %s: %s\n", at.Seconds(), kind, detail)
-			},
-		})
-		if len(tr.Samples) == 0 {
-			fmt.Println("lifecycle: model file carries no training samples; retraining will use live telemetry only")
-		}
-	}
-
-	var ctl *graf.Controller
-	var sup *graf.Supervisor
-	if *ckptDir != "" {
-		// Supervised mode: resume the previous process's run from the
-		// latest valid snapshot (simulated clock, cluster scaling state),
-		// then boot the controller under the supervisor, which restores its
-		// decision state from the same snapshot and folds the salvaged
-		// audit tail on top.
-		if !*cold {
-			resumed, err := s.ResumeFromCheckpoint(*ckptDir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "resume from checkpoint: %v\n", err)
-				os.Exit(1)
-			}
-			if resumed {
-				fmt.Printf("resumed cluster state from checkpoint at t=%.0fs (%d instances, %.0f mc)\n",
-					s.Engine.Now(), s.Cluster.TotalInstances(), s.Cluster.TotalQuota())
-			}
-		}
-		var err error
-		sup, err = s.StartGRAFSupervised(tr, ccfg, graf.SupervisorOptions{
-			Dir:             *ckptDir,
-			CheckpointEvery: time.Duration(*ckptEveryS * float64(time.Second)),
-			Cold:            *cold,
-			PriorAudit:      priorAudit,
-			Tune:            tune,
-			Lifecycle:       lc,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ctl = sup.Controller()
-		fmt.Printf("supervised control plane up: restore=%s health=%s\n",
-			sup.LastRestoreMode(), ctl.Health())
-		if *assertRestore {
-			if err := checkRestore(s, sup); err != nil {
-				fmt.Fprintf(os.Stderr, "assert-restore: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("assert-restore OK: mode=warm health=%s totalQuota=%.0f mc\n",
-				ctl.Health(), s.Cluster.TotalQuota())
-		}
-	} else {
-		var err error
-		ctl, err = s.StartGRAFWith(tr, ccfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		tune(ctl)
-		if lc != nil {
-			lc.Attach(ctl)
-			lc.Start()
-		}
-	}
-
-	if *crashAt > 0 {
-		// An abrupt controller death for the recovery smoke test: flush what
-		// the OS would plausibly have persisted, append a torn half-record
-		// (a crash mid-append), and exit without any graceful-shutdown path.
-		s.Engine.At(*crashAt, func() {
-			fmt.Printf("[%6.0fs] simulated crash: exiting abruptly\n", s.Engine.Now())
-			if tel != nil {
-				tel.Flight.Flush()
-			}
-			if audit != nil {
-				fmt.Fprintf(audit, `{"type":"decision","at":%.3f,"kind":"solve","tot`, s.Engine.Now())
-				audit.Sync()
-			}
-			os.Exit(42)
-		})
-	}
-
-	var gen interface{ Start() }
-	switch *shape {
-	case "const":
-		gen = s.OpenLoop(graf.ConstRate(*rate))
-	case "surge":
-		gen = s.OpenLoop(graf.StepRate(50, 300, 120*time.Second))
-	case "azure":
-		trace := azure.Generate(azure.DefaultTrace())
-		gen = s.ClosedLoop(workload.TraceUsers(trace, 24))
-	case "diurnal":
-		gen = s.OpenLoop(graf.DiurnalRate(graf.DiurnalConfig{
-			Seed: *seed, Seconds: *durS + 60, PeriodS: diurnalPeriodS,
-			Base: 140, Amp: 100,
-		}))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown shape %q\n", *shape)
-		os.Exit(2)
-	}
-	gen.Start()
-
-	// Graceful shutdown: SIGINT/SIGTERM interrupts the chunked run loop
-	// between 30-second chunks, then falls through to the same flush path a
-	// natural end of run takes.
-	sigC := make(chan os.Signal, 1)
-	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
-
-run:
-	for t := 30; t <= *durS; t += 30 {
-		select {
-		case sig := <-sigC:
-			fmt.Printf("\n%v: shutting down gracefully\n", sig)
-			break run
-		default:
-		}
-		s.RunFor(30 * time.Second)
-		fmt.Printf("[%6.0fs] status: %3d instances, %6.0f mc, p99 %6.1f ms (SLO %d ms)\n",
-			s.Engine.Now(), s.Cluster.TotalInstances(), s.Cluster.TotalRealizedQuota(),
-			float64(s.P99(30*time.Second))/float64(time.Millisecond), *sloMS)
-	}
-
-	// Stop the loop and flush telemetry: final Stats summary on stdout, a
-	// summary record closing the audit log, and a clean file sync.
-	if sup != nil {
-		// Restarts replace the controller instance; report the live one. A
-		// final checkpoint preserves the end-of-run state for a successor.
-		if live := sup.Controller(); live != nil {
-			ctl = live
-			if _, err := sup.Checkpoint(); err != nil {
-				fmt.Fprintf(os.Stderr, "final checkpoint: %v\n", err)
-			}
-		}
-		sup.Stop()
-	} else {
-		ctl.Stop()
-	}
-	if lc != nil {
-		lc.Stop()
-		trips, promos, rolls, rejects, retrains, recovers := lc.Stats()
-		fmt.Printf("lifecycle: phase=%s gen=%d trips=%d retrains=%d promotions=%d rollbacks=%d rejections=%d recoveries=%d\n",
-			lc.Phase(), lc.Generation(), trips, retrains, promos, rolls, rejects, recovers)
-	}
-	st := ctl.Stats()
-	fmt.Printf("final: health=%s solves=%d boosts=%d staleHolds=%d breakerTrips=%d fallbackSolves=%d rateLimited=%d transitions=%d\n",
-		ctl.Health(), ctl.Solves(), st.Boosts, st.StaleHolds, st.BreakerTrips, st.FallbackSolves, st.RateLimited, st.Transitions)
-	if fc := ctl.Forecaster(); fc != nil {
-		fmt.Printf("forecast: model=%s forecastSolves=%d prewarms=%d degradedTicks=%d matured=%d mae=%.1f rps healthy=%v\n",
-			fc.ModelName(), st.ForecastSolves, st.Prewarms, st.ForecastDegraded, fc.MaturedN, fc.MAE(), fc.Healthy())
-	}
-	if tel != nil {
-		tel.Flight.Record(graf.AuditRecord{
-			Type: "summary", At: s.Engine.Now(),
-			Summary: map[string]float64{
-				"solves":          float64(ctl.Solves()),
-				"boosts":          float64(st.Boosts),
-				"stale_holds":     float64(st.StaleHolds),
-				"breaker_trips":   float64(st.BreakerTrips),
-				"fallback_solves": float64(st.FallbackSolves),
-				"rate_limited":    float64(st.RateLimited),
-				"transitions":     float64(st.Transitions),
-				"forecast_solves": float64(st.ForecastSolves),
-				"prewarms":        float64(st.Prewarms),
-			},
-		})
-		if err := tel.Flight.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "audit flush: %v\n", err)
-		}
-	}
-	if audit != nil {
-		if err := audit.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "audit close: %v\n", err)
-		}
-		fmt.Printf("audit log written to %s\n", *auditPath)
-	}
-
-	if srv != nil {
-		if *smoke {
-			if err := selfScrape(srv.Addr); err != nil {
-				fmt.Fprintf(os.Stderr, "smoke scrape: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("smoke scrape: /metrics OK")
-		}
-		if *holdS > 0 {
-			fmt.Printf("holding observability endpoints for %ds (ctrl-c to stop)\n", *holdS)
-			select {
-			case <-time.After(time.Duration(*holdS) * time.Second):
-			case <-sigC:
-			}
-		}
-		srv.Close()
+		os.Exit(runFleet(tr, o))
 	}
 }
 
-// checkRestore verifies a supervised boot actually resumed state: warm
-// restore mode, and cluster quotas above the fresh-boot default (one CPU
-// unit per service) — i.e. the scale the previous process had reached
-// survived its death.
-func checkRestore(s *graf.Simulation, sup *graf.Supervisor) error {
-	if mode := sup.LastRestoreMode(); mode != "warm" {
-		return fmt.Errorf("boot restore mode is %q, want \"warm\" (no valid snapshot?)", mode)
+// loadModel returns the run's model artifact: loaded from -model, or trained
+// in-process with -train.
+func loadModel(o *options) (*graf.TrainedModel, error) {
+	if !o.train {
+		tr, err := graf.LoadModel(o.Model)
+		if err != nil {
+			return nil, fmt.Errorf("load model: %w", err)
+		}
+		return tr, nil
 	}
-	freshDefault := float64(len(s.Cluster.App.Services)) * 250
-	if q := s.Cluster.TotalQuota(); q <= freshDefault {
-		return fmt.Errorf("total quota %.0f mc is at or below the fresh-boot default %.0f mc: quotas did not survive", q, freshDefault)
+	a, err := graf.AppByName(o.spec.App)
+	if err != nil {
+		return nil, err
 	}
-	ctl := sup.Controller()
-	if ctl == nil {
-		return fmt.Errorf("controller not running after supervised boot")
+	slo := 250 * time.Millisecond
+	if o.spec.SLOMS > 0 {
+		slo = time.Duration(o.spec.SLOMS) * time.Millisecond
 	}
-	if ctl.Solves() == 0 && ctl.Health() == graf.Healthy {
-		return fmt.Errorf("controller state is empty after warm restore (0 solves, default health)")
-	}
-	return nil
+	fmt.Println("training a quick in-process model (use graftrain for a better one)...")
+	return graf.Train(a, graf.TrainOptions{
+		SLO:     slo,
+		MinRate: 40, MaxRate: 320,
+		Samples: 1500, Iterations: 600, Batch: 96, Seed: o.spec.Seed,
+	}), nil
 }
 
 // replay verifies a recorded audit log against the model: every model-path
-// decision must reproduce bit-identically. Returns a process exit code.
-func replay(tr *graf.TrainedModel, path string) int {
+// decision must reproduce bit-identically. A tenant's solver evaluates the
+// model through the fleet's inference service, which snaps inputs to its
+// cache grid, so replay goes through the same service — unless the log is a
+// lifecycle tenant's (direct), whose decisions were made on its private
+// model generations; only generation 0, the artifact, can be re-run here.
+// Returns a process exit code.
+func replay(tr *graf.TrainedModel, path string, direct bool) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
@@ -487,7 +111,14 @@ func replay(tr *graf.TrainedModel, path string) int {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 		return 1
 	}
-	rep := graf.ReplayAudit(tr, log)
+	model := graf.LatencyModel(tr.Model)
+	if !direct {
+		svc := fleet.NewInferenceService(tr.Model, fleet.ServiceConfig{}, nil)
+		svc.Start()
+		defer svc.Stop()
+		model = svc.NewPredictor("replay")
+	}
+	rep := graf.ReplayAuditManaged(map[int]graf.LatencyModel{0: model}, log)
 	fmt.Println(rep)
 	if !rep.OK() {
 		for _, m := range rep.Mismatches {

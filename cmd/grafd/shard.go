@@ -26,16 +26,17 @@ import (
 // SIGTERM/SIGINT drains the shard (flush audit, checkpoint every tenant,
 // stop the fleet) before exiting; a SIGKILL — the chaos case — leaves the
 // durable audit logs behind, which is all recovery needs.
-func runShard(tr *graf.TrainedModel, o options) int {
+func runShard(tr *graf.TrainedModel, o *options) int {
 	// The shard's telemetry rides the control-plane mux — /metrics,
 	// /debug/vars, and /debug/pprof/* on the same listener the router
-	// already talks to, so there is no separate -obs port to configure
-	// (and -obs is rejected in shard mode for exactly that reason). The
+	// already talks to, so there is no separate -obs port to configure. The
 	// router scrapes this endpoint to federate a fleet-wide metrics view.
+	bundle := tr.Bundle()
+	bundle.ArchiveDir = o.modelArchive
 	s := &rpc.ShardServer{
-		Bundle:      fleetBundle(tr),
-		CkptDir:     o.ckpt,
-		AuditDir:    o.auditDir,
+		Bundle:      bundle,
+		CkptDir:     o.Ckpt,
+		AuditDir:    o.AuditDir,
 		MaxInflight: o.maxInflight,
 		Tel:         obs.New(obs.Options{}),
 		Logf: func(format string, args ...any) {

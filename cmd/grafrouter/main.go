@@ -57,19 +57,16 @@ import (
 	"graf/internal/rpc"
 )
 
+// routerOptions is the parsed command line: the run flags shared with grafd
+// (rpc.Flags — artifact, tenants, durable state, per-tenant policy) plus the
+// router's own placement, chaos and failover knobs.
 type routerOptions struct {
-	model    string
-	appName  string
-	shape    string
-	rate     float64
-	seed     int64
-	durS     int
-	fleetN   int
+	*rpc.Flags
+	spec rpc.Spec // the validated policy
+
 	spawn    int
 	shards   string
 	grafdBin string
-	ckpt     string
-	auditDir string
 
 	ckptEveryRounds int
 	restartBudget   int
@@ -78,11 +75,9 @@ type routerOptions struct {
 	netDrop         float64
 	netDelayMS      float64
 	roundBudgetMS   float64
-	brownout        string
 
-	trace     string
-	obsAddr   string
-	sloBudget float64
+	trace   string
+	obsAddr string
 
 	// Crash safety & failover (DESIGN.md §3k).
 	stateDir        string
@@ -95,12 +90,47 @@ type routerOptions struct {
 	crashAtRound    int
 }
 
+// parseFlags declares grafrouter's flags on fs, parses args and validates.
+func parseFlags(fs *flag.FlagSet, args []string) (*routerOptions, error) {
+	o := &routerOptions{Flags: rpc.RegisterFlags(fs, 8)}
+	fs.IntVar(&o.spawn, "spawn", 0, "spawn this many grafd -shard child processes")
+	fs.StringVar(&o.shards, "shards", "", "attach to running shard processes at these comma-separated addresses (instead of -spawn)")
+	fs.StringVar(&o.grafdBin, "grafd-bin", "./grafd", "grafd binary to spawn shards from (with -spawn)")
+	fs.IntVar(&o.ckptEveryRounds, "ckpt-every-rounds", 0, "checkpoint every shard each N rounds (0 = only at shutdown)")
+	fs.IntVar(&o.restartBudget, "restart-budget", 1, "respawns allowed per shard slot before falling back to reassignment (0 = reassign immediately)")
+	fs.StringVar(&o.killShard, "kill-shard", "", "chaos: SIGKILL spawned shard <slot> at the start of round <round>, as slot@round (e.g. 0@12)")
+	fs.StringVar(&o.migrate, "migrate", "", "planned migration tenant@round:slot (e.g. tenant-03@5:1)")
+	fs.Float64Var(&o.netDrop, "net-drop", 0, "chaos: drop each control-plane request with this probability (seeded-deterministic)")
+	fs.Float64Var(&o.netDelayMS, "net-delay-ms", 0, "chaos: add this latency to ~30% of control-plane requests")
+	fs.Float64Var(&o.roundBudgetMS, "round-budget-ms", 0, "end-to-end wall budget per round; the remaining budget propagates to shards as Graf-Deadline-Ms and over-budget ticks are shed, not retried (0 = unbounded)")
+	fs.StringVar(&o.trace, "trace", "", "enable control-plane tracing on router and every shard; write the merged Chrome trace-event JSON to this file")
+	fs.StringVar(&o.obsAddr, "obs", "", "serve the router's metrics plus a federated fleet-wide /metrics view (every shard's registry relabeled with shard=addr) on this address")
+	fs.StringVar(&o.stateDir, "state-dir", "", "durable router state directory: placement, round clock, migration records, and the fencing epoch are checkpointed here (\"\" = in-memory router, no crash safety)")
+	fs.BoolVar(&o.resume, "resume", false, "warm-restore the router from -state-dir: bump the fencing epoch, reconcile placement against every shard's reported residency, and continue the round sequence")
+	fs.StringVar(&o.routerAddr, "router-addr", "", "serve the router's own /v1/router/healthz on this address (the standby's probe target)")
+	fs.StringVar(&o.standby, "standby", "", "run as a hot standby: probe the primary router's /v1/router/healthz at this host:port and take over (epoch bump + reconcile) after sustained failure")
+	fs.IntVar(&o.standbyMisses, "standby-misses", 5, "consecutive failed primary probes that trigger the standby's takeover")
+	fs.Float64Var(&o.standbyEveryMS, "standby-every-ms", 100, "primary probe interval (ms)")
+	fs.BoolVar(&o.crashAfterDrain, "crash-after-drain", false, "drill: self-SIGKILL at the migrate-after-drain crash site — the migrated tenant is resident nowhere, only the durable migration record knows where it was headed")
+	fs.IntVar(&o.crashAtRound, "crash-at-round", 0, "drill: self-SIGKILL at the start of this round (0 = never)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return o, o.validate()
+}
+
 // validate rejects contradictory flag combinations before any process is
-// spawned — the router-side twin of grafd's own flag validation.
-func (o routerOptions) validate() error {
-	if o.model == "" {
+// spawned. Policy (shape, rate, forecast, budget, brownout, ...) is checked
+// by rpc.Spec.Validate, the same for every binary.
+func (o *routerOptions) validate() error {
+	if o.Model == "" {
 		return fmt.Errorf("need -model <path> (every shard process loads the same artifact)")
 	}
+	var err error
+	if o.spec, err = o.Spec(); err != nil {
+		return err
+	}
+	o.spec.Trace = o.trace != ""
 	if o.spawn > 0 && o.shards != "" {
 		return fmt.Errorf("-spawn starts shard processes and -shards attaches to running ones: pick one")
 	}
@@ -115,9 +145,6 @@ func (o routerOptions) validate() error {
 		if o.spawn > 0 {
 			return fmt.Errorf("-resume/-standby attach to the previous generation's shards (recorded in -state-dir); they cannot -spawn a new fleet")
 		}
-		if o.killShard != "" {
-			return fmt.Errorf("-kill-shard SIGKILLs a spawned child; a resumed/standby router spawned none")
-		}
 	}
 	if o.resume && o.standby != "" {
 		return fmt.Errorf("-resume takes over immediately and -standby waits for the primary to die: pick one")
@@ -131,29 +158,14 @@ func (o routerOptions) validate() error {
 	if o.standby != "" && o.standbyMisses <= 0 {
 		return fmt.Errorf("-standby-misses %d must be positive", o.standbyMisses)
 	}
-	if o.fleetN <= 0 {
-		return fmt.Errorf("-fleet %d must be positive", o.fleetN)
-	}
-	if o.durS <= 0 {
-		return fmt.Errorf("-dur %d s must be positive", o.durS)
-	}
-	if o.rate <= 0 {
-		return fmt.Errorf("-rate %v must be positive", o.rate)
-	}
 	if o.killShard != "" && o.spawn <= 0 {
 		return fmt.Errorf("-kill-shard sends SIGKILL to a spawned shard; it needs -spawn (the router does not kill processes it did not start)")
 	}
 	if o.netDrop < 0 || o.netDrop >= 1 {
 		return fmt.Errorf("-net-drop %v must be in [0,1)", o.netDrop)
 	}
-	if o.sloBudget < 0 || o.sloBudget >= 1 {
-		return fmt.Errorf("-slo-budget %v must be in [0,1) (fraction of time allowed in violation; 0 disables)", o.sloBudget)
-	}
 	if o.roundBudgetMS < 0 {
 		return fmt.Errorf("-round-budget-ms %v must be non-negative (0 disables the round deadline)", o.roundBudgetMS)
-	}
-	if _, err := rpc.ParseBrownout(o.brownout); err != nil {
-		return fmt.Errorf("-brownout: %v", err)
 	}
 	return nil
 }
@@ -169,13 +181,13 @@ type shardProc struct {
 // spawnShard starts one grafd shard process and parses its bound address
 // from the contract line `shard listening on HOST:PORT` (always the first
 // stdout line). Remaining output is streamed through with a slot prefix.
-func spawnShard(o routerOptions, slot int) (*shardProc, error) {
-	args := []string{"-model", o.model, "-shard", "127.0.0.1:0"}
-	if o.ckpt != "" {
-		args = append(args, "-ckpt", o.ckpt)
+func spawnShard(o *routerOptions, slot int) (*shardProc, error) {
+	args := []string{"-model", o.Model, "-shard", "127.0.0.1:0"}
+	if o.Ckpt != "" {
+		args = append(args, "-ckpt", o.Ckpt)
 	}
-	if o.auditDir != "" {
-		args = append(args, "-audit-dir", o.auditDir)
+	if o.AuditDir != "" {
+		args = append(args, "-audit-dir", o.AuditDir)
 	}
 	cmd := exec.Command(o.grafdBin, args...)
 	cmd.Stderr = os.Stderr
@@ -361,78 +373,31 @@ func parseAt(s string) (string, int, error) {
 }
 
 func main() {
-	o := routerOptions{}
-	flag.StringVar(&o.model, "model", "", "trained model from graftrain (shared by every shard)")
-	flag.StringVar(&o.appName, "app", "online-boutique", "builtin application graph (online-boutique | social-network | robot-shop | bookinfo | chain-N)")
-	flag.StringVar(&o.shape, "shape", "const", "tenant arrival-rate shape: const | surge")
-	flag.Float64Var(&o.rate, "rate", 150, "constant rate, or surge base (req/s)")
-	flag.Int64Var(&o.seed, "seed", 1, "fleet seed (per-tenant engine seeds derive from it)")
-	flag.IntVar(&o.durS, "dur", 600, "simulated duration (s)")
-	flag.IntVar(&o.fleetN, "fleet", 8, "tenant count")
-	flag.IntVar(&o.spawn, "spawn", 0, "spawn this many grafd -shard child processes")
-	flag.StringVar(&o.shards, "shards", "", "attach to running shard processes at these comma-separated addresses (instead of -spawn)")
-	flag.StringVar(&o.grafdBin, "grafd-bin", "./grafd", "grafd binary to spawn shards from (with -spawn)")
-	flag.StringVar(&o.ckpt, "ckpt", "", "shared checkpoint directory passed to every shard")
-	flag.StringVar(&o.auditDir, "audit-dir", "", "shared per-tenant audit mirror directory passed to every shard")
-	flag.IntVar(&o.ckptEveryRounds, "ckpt-every-rounds", 0, "checkpoint every shard each N rounds (0 = only at shutdown)")
-	flag.IntVar(&o.restartBudget, "restart-budget", 1, "respawns allowed per shard slot before falling back to reassignment (0 = reassign immediately)")
-	flag.StringVar(&o.killShard, "kill-shard", "", "chaos: SIGKILL spawned shard <slot> at the start of round <round>, as slot@round (e.g. 0@12)")
-	flag.StringVar(&o.migrate, "migrate", "", "planned migration tenant@round:slot (e.g. tenant-03@5:1)")
-	flag.Float64Var(&o.netDrop, "net-drop", 0, "chaos: drop each control-plane request with this probability (seeded-deterministic)")
-	flag.Float64Var(&o.netDelayMS, "net-delay-ms", 0, "chaos: add this latency to ~30% of control-plane requests")
-	flag.Float64Var(&o.roundBudgetMS, "round-budget-ms", 0, "end-to-end wall budget per round; the remaining budget propagates to shards as Graf-Deadline-Ms and over-budget ticks are shed, not retried (0 = unbounded)")
-	flag.StringVar(&o.brownout, "brownout", "", "scripted brownout schedule FROM[-TO]:STEP[,...] in ticks, e.g. 12-24:heuristic; installed in every shard via the fleet spec")
-	flag.StringVar(&o.trace, "trace", "", "enable control-plane tracing on router and every shard; write the merged Chrome trace-event JSON to this file")
-	flag.StringVar(&o.obsAddr, "obs", "", "serve the router's metrics plus a federated fleet-wide /metrics view (every shard's registry relabeled with shard=addr) on this address")
-	flag.Float64Var(&o.sloBudget, "slo-budget", 0, "per-tenant SLO error budget as allowed violation fraction (e.g. 0.02); enables multi-window burn-rate telemetry on every shard (0 = off)")
-	flag.StringVar(&o.stateDir, "state-dir", "", "durable router state directory: placement, round clock, migration records, and the fencing epoch are checkpointed here (\"\" = in-memory router, no crash safety)")
-	flag.BoolVar(&o.resume, "resume", false, "warm-restore the router from -state-dir: bump the fencing epoch, reconcile placement against every shard's reported residency, and continue the round sequence")
-	flag.StringVar(&o.routerAddr, "router-addr", "", "serve the router's own /v1/router/healthz on this address (the standby's probe target)")
-	flag.StringVar(&o.standby, "standby", "", "run as a hot standby: probe the primary router's /v1/router/healthz at this host:port and take over (epoch bump + reconcile) after sustained failure")
-	flag.IntVar(&o.standbyMisses, "standby-misses", 5, "consecutive failed primary probes that trigger the standby's takeover")
-	flag.Float64Var(&o.standbyEveryMS, "standby-every-ms", 100, "primary probe interval (ms)")
-	flag.BoolVar(&o.crashAfterDrain, "crash-after-drain", false, "drill: self-SIGKILL at the migrate-after-drain crash site — the migrated tenant is resident nowhere, only the durable migration record knows where it was headed")
-	flag.IntVar(&o.crashAtRound, "crash-at-round", 0, "drill: self-SIGKILL at the start of this round (0 = never)")
-	flag.Parse()
-
-	if err := o.validate(); err != nil {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "grafrouter: %v\n", err)
 		os.Exit(2)
 	}
 	os.Exit(run(o))
 }
 
-func run(o routerOptions) int {
-	tr, err := graf.LoadModel(o.model)
+func run(o *routerOptions) int {
+	tr, err := graf.LoadModel(o.Model)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "load model: %v\n", err)
 		return 1
 	}
-	spec := rpc.Spec{
-		App: o.appName, Shape: o.shape, Rate: o.rate,
-		Seed: o.seed, TickS: 5, WarmStart: true,
-		Trace: o.trace != "",
-	}
-	if o.sloBudget > 0 {
-		// The budget travels in the spec, so every shard — including a
-		// respawned one — reconstructs the identical burn-rate monitor.
-		spec.SLOBudget = &obs.SLOConfig{Budget: o.sloBudget}
-	}
-	// Scripted brownout rides the spec for the same reason: every shard —
-	// and the single-process reference run — degrades at the same ticks.
-	spec.Brownout, _ = rpc.ParseBrownout(o.brownout) // validated in main
+	// The policy travels in the spec, so every shard — including a respawned
+	// one — and the single-process reference run rebuild identical tenants.
+	spec := o.spec
 	// Fail fast if the artifact cannot realize the spec (wrong service
-	// count, bad shape) before any shard process is spawned. The shards
-	// load the same file themselves; the router never keeps the model.
-	bundle := rpc.ModelBundle{
-		Model: tr.Model, Bounds: tr.Bounds, SLO: tr.SLO.Seconds(),
-		MinRate: tr.MinRate, MaxRate: tr.MaxRate,
-	}
-	if _, err := spec.FleetConfig(bundle, ""); err != nil {
+	// count) before any shard process is spawned. The shards load the same
+	// file themselves; the router never keeps the model.
+	if _, err := spec.FleetConfig(tr.Bundle(), ""); err != nil {
 		fmt.Fprintf(os.Stderr, "grafrouter: %v\n", err)
 		return 2
 	}
-	rounds := int(float64(o.durS) / spec.TickS)
+	rounds := o.Rounds()
 
 	// Assemble the shard set: spawned children or external addresses.
 	var addrs []string
@@ -524,7 +489,7 @@ func run(o routerOptions) int {
 	}
 	var fault rpc.FaultInjector
 	if len(events) > 0 {
-		fault = chaos.NewNetInjector(chaos.NetScenario{Name: "grafrouter", Seed: o.seed, Events: events})
+		fault = chaos.NewNetInjector(chaos.NetScenario{Name: "grafrouter", Seed: spec.Seed, Events: events})
 	}
 
 	// The router's own telemetry (round/migration/recovery metrics plus the
@@ -535,12 +500,12 @@ func run(o routerOptions) int {
 	var tracer *obs.Tracer
 	if o.trace != "" {
 		tracer = obs.NewTracer(obs.TracerOptions{
-			Seed: obs.DeriveTraceSeed(o.seed, "router"), Proc: "router",
+			Seed: obs.DeriveTraceSeed(spec.Seed, "router"), Proc: "router",
 		})
 	}
 	cfg := rpc.RouterConfig{
 		Spec:                  spec,
-		Client:                rpc.ClientConfig{Seed: o.seed},
+		Client:                rpc.ClientConfig{Seed: spec.Seed},
 		RestartBudget:         o.restartBudget,
 		CheckpointEveryRounds: o.ckptEveryRounds,
 		Fault:                 fault,
@@ -585,9 +550,7 @@ func run(o routerOptions) int {
 			return p.addr, nil
 		}
 	}
-	for i := 0; i < o.fleetN; i++ {
-		cfg.Tenants = append(cfg.Tenants, fmt.Sprintf("tenant-%02d", i))
-	}
+	cfg.Tenants = o.TenantIDs()
 
 	var r *rpc.Router
 	takeoverBlackoutMS := -1.0
@@ -622,7 +585,7 @@ func run(o routerOptions) int {
 		r = rr
 	}
 	fmt.Printf("router: %d tenants, %d shards, shape=%s, %d rounds (%ds horizon)\n",
-		o.fleetN, len(r.Shards()), o.shape, rounds, o.durS)
+		o.Tenants, len(r.Shards()), spec.Shape, rounds, spec.DurS)
 	if o.routerAddr != "" {
 		ln, err := net.Listen("tcp", o.routerAddr)
 		if err != nil {
@@ -748,7 +711,7 @@ func run(o routerOptions) int {
 	}
 	wall := time.Since(start).Seconds()
 
-	if o.ckpt != "" {
+	if o.Ckpt != "" {
 		if n, err := r.CheckpointAll(); err != nil {
 			fmt.Fprintf(os.Stderr, "final checkpoint: %v\n", err)
 		} else {
@@ -897,8 +860,8 @@ func run(o routerOptions) int {
 		}
 	}
 	procMu.Unlock()
-	if o.auditDir != "" {
-		fmt.Printf("audit logs written to %s\n", o.auditDir)
+	if o.AuditDir != "" {
+		fmt.Printf("audit logs written to %s\n", o.AuditDir)
 	}
 	return exit
 }

@@ -381,13 +381,7 @@ func (s *Simulation) NewLifecycle(t *TrainedModel, o LifecycleOptions) *Lifecycl
 		cfg.Dir = o.Dir
 	}
 	m := lifecycle.NewManager(s.Cluster, t.Model, t.Bounds, t.SLO.Seconds(), cfg)
-	// Generations persist in the same GRAFMDL1 frame as Save/LoadModel, with
-	// the incumbent's metadata, so an archived generation is a loadable
-	// TrainedModel in its own right.
-	m.SaveModel = func(mod *Model, path string) error {
-		tm := &TrainedModel{Model: mod, Bounds: t.Bounds, MinRate: t.MinRate, MaxRate: t.MaxRate, SLO: t.SLO}
-		return tm.Save(path)
-	}
+	m.SaveModel = t.saveGeneration
 	m.LoadModel = func(path string) (*Model, error) {
 		tm, err := LoadModel(path)
 		if err != nil {
@@ -651,16 +645,7 @@ func (s *Simulation) StartGRAFWith(t *TrainedModel, cfg ControllerConfig) (*Cont
 	ctl := core.NewController(s.Cluster, t.Model, an, t.Bounds, cfg)
 	if s.obs != nil {
 		ctl.Obs = obs.NewControllerObs(s.obs)
-		// The header record carries everything a replay needs to
-		// reconstruct the solver calls: the SLO and solver configuration.
-		s.obs.Flight.Record(obs.Record{
-			Type:     "header",
-			At:       s.Engine.Now(),
-			App:      s.Cluster.App.Name,
-			SLO:      cfg.SLO,
-			Services: s.Cluster.App.ServiceNames(),
-			Solver:   core.SolverConfigMap(cfg.Solver),
-		})
+		s.obs.Flight.Record(core.HeaderRecord(s.Cluster.App, cfg, s.Engine.Now()))
 	}
 	ctl.Start()
 	return ctl, nil
@@ -749,14 +734,7 @@ func (s *Simulation) StartGRAFSupervised(t *TrainedModel, cfg ControllerConfig, 
 		}
 		// One header record for the whole supervised run: restarts resume
 		// the same recording rather than opening a new one.
-		s.obs.Flight.Record(obs.Record{
-			Type:     "header",
-			At:       s.Engine.Now(),
-			App:      s.Cluster.App.Name,
-			SLO:      cfg.SLO,
-			Services: s.Cluster.App.ServiceNames(),
-			Solver:   core.SolverConfigMap(cfg.Solver),
-		})
+		s.obs.Flight.Record(core.HeaderRecord(s.Cluster.App, cfg, s.Engine.Now()))
 	} else if len(prior) > 0 {
 		scfg.TailSince = func(at float64) []AuditRecord {
 			var out []AuditRecord
@@ -864,6 +842,27 @@ func Train(a *App, o TrainOptions) *TrainedModel {
 	tc.Obs = obs.NewTrainObs(o.Obs)
 	model.Train(samples, tc)
 	return &TrainedModel{Model: model, Bounds: b, MinRate: o.MinRate, MaxRate: o.MaxRate, SLO: o.SLO, Samples: samples}
+}
+
+// saveGeneration persists a lifecycle model generation in the same GRAFMDL1
+// frame as Save/LoadModel, with the incumbent's metadata, so an archived
+// generation is a loadable TrainedModel in its own right.
+func (t *TrainedModel) saveGeneration(mod *Model, path string) error {
+	tm := &TrainedModel{Model: mod, Bounds: t.Bounds, MinRate: t.MinRate, MaxRate: t.MaxRate, SLO: t.SLO}
+	return tm.Save(path)
+}
+
+// Bundle adapts the trained model to the control plane's process-local
+// artifact: what grafd, every shard and grafrouter combine with a fleet spec.
+func (t *TrainedModel) Bundle() rpc.ModelBundle {
+	return rpc.ModelBundle{
+		Model:   t.Model,
+		Bounds:  t.Bounds,
+		SLO:     t.SLO.Seconds(),
+		MinRate: t.MinRate, MaxRate: t.MaxRate,
+		Samples:   t.Samples,
+		SaveModel: t.saveGeneration,
+	}
 }
 
 // ValidateFor checks that the trained model's shape matches application a:

@@ -150,7 +150,9 @@ func Bookinfo() *App {
 
 // ByName resolves a builtin application by its registered name — the form
 // the multi-process control plane ships in its fleet spec, so every shard
-// process reconstructs the identical graph. "chain-N" builds SyntheticChain.
+// process reconstructs the identical graph. "chain-N" builds SyntheticChain
+// for 2 ≤ N ≤ 256: the name arrives over the wire, so N must not size an
+// allocation unchecked.
 func ByName(name string) (*App, error) {
 	switch name {
 	case "online-boutique", "boutique":
@@ -163,7 +165,7 @@ func ByName(name string) (*App, error) {
 		return Bookinfo(), nil
 	}
 	var n int
-	if _, err := fmt.Sscanf(name, "chain-%d", &n); err == nil && n >= 2 {
+	if _, err := fmt.Sscanf(name, "chain-%d", &n); err == nil && n >= 2 && n <= 256 {
 		return SyntheticChain(n), nil
 	}
 	return nil, fmt.Errorf("app: unknown application %q", name)

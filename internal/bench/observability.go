@@ -27,10 +27,7 @@ func obsRun(tr *Trained, seed int64, horizonS float64) []byte {
 	cfg := core.DefaultControllerConfig(tr.SLO)
 	ctl := newGRAFController(tr, cl, tr.SLO)
 	ctl.Obs = obs.NewControllerObs(tel)
-	tel.Flight.Record(obs.Record{
-		Type: "header", At: eng.Now(), App: tr.App.Name, SLO: tr.SLO,
-		Services: tr.App.ServiceNames(), Solver: core.SolverConfigMap(cfg.Solver),
-	})
+	tel.Flight.Record(core.HeaderRecord(tr.App, cfg, eng.Now()))
 	ctl.Start()
 	g := workload.NewOpenLoop(cl, workload.StepRate(EvalRate*0.5, EvalRate, eng.Now()+60))
 	g.Start()

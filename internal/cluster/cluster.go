@@ -598,15 +598,6 @@ func (d *Deployment) ErrorRate(window float64) float64 {
 	return float64(d.errors.Count(from, now)) / (now - from)
 }
 
-// TrimTelemetry drops telemetry older than before to bound memory in long
-// runs.
-func (d *Deployment) TrimTelemetry(before float64) {
-	d.cpuWork.Trim(before)
-	d.selfLat.Trim(before)
-	d.arrivals.Trim(before)
-	d.errors.Trim(before)
-}
-
 // E2ELatencyQuantile returns the q-quantile of end-to-end latency (seconds)
 // across all APIs over the trailing window.
 func (c *Cluster) E2ELatencyQuantile(q, window float64) float64 {
@@ -733,18 +724,6 @@ func (c *Cluster) ApplyQuotas(quotas map[string]float64) {
 	sort.Strings(names)
 	for _, n := range names {
 		c.Deployment(n).SetQuota(quotas[n])
-	}
-}
-
-// TrimTelemetry trims all deployments and e2e windows.
-func (c *Cluster) TrimTelemetry(before float64) {
-	for _, name := range c.names {
-		c.deps[name].TrimTelemetry(before)
-	}
-	c.e2eAll.Trim(before)
-	for _, st := range c.apis {
-		st.e2e.Trim(before)
-		st.arrivals.Trim(before)
 	}
 }
 

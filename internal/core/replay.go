@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"graf/internal/app"
 	"graf/internal/obs"
 )
 
@@ -133,6 +134,20 @@ func SolverConfigMap(cfg SolverConfig) map[string]float64 {
 		"max_iters":      float64(cfg.MaxIters),
 		"tolerance":      cfg.Tolerance,
 		"patience_iters": float64(cfg.PatienceIters),
+	}
+}
+
+// HeaderRecord builds the audit log's opening record: everything a replay
+// needs to reconstruct the recording's solver calls — the application, its
+// service order, the SLO and the solver configuration.
+func HeaderRecord(a *app.App, cfg ControllerConfig, at float64) obs.Record {
+	return obs.Record{
+		Type:     "header",
+		At:       at,
+		App:      a.Name,
+		SLO:      cfg.SLO,
+		Services: a.ServiceNames(),
+		Solver:   SolverConfigMap(cfg.Solver),
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"graf/internal/app"
@@ -110,8 +112,8 @@ func TestFleetScriptedBrownoutDeterministic(t *testing.T) {
 // governor — anything) land in the audit stream, so a second process can
 // extract the tick-keyed schedule from the recorded bytes, install it as a
 // replay schedule, re-execute the same spec and reproduce the stream
-// byte-for-byte. This is exactly what the rpc admit path does when it
-// restores a migrated tenant that browned out on its old shard.
+// byte-for-byte. This is exactly what Restore does for a migrated tenant that
+// browned out on its old shard.
 func TestFleetAdaptiveBrownoutReplaysFromAudit(t *testing.T) {
 	cfg := testConfig(3, 2, 2)
 	f, err := New(cfg)
@@ -131,40 +133,39 @@ func TestFleetAdaptiveBrownoutReplaysFromAudit(t *testing.T) {
 	}
 	f.Stop()
 
+	// A second, dynamic fleet with no adaptive driver finds the recorded
+	// bytes in its audit directory and restores each tenant from them.
+	dir := t.TempDir()
 	ref := map[string][]byte{}
-	scheds := map[string]map[int]overload.Step{}
 	for _, tn := range f.Tenants() {
 		ref[tn.ID] = append([]byte(nil), tn.AuditLog()...)
-		s, err := ExtractBrownoutSchedule(ref[tn.ID])
-		if err != nil {
+		if s, err := ExtractBrownoutSchedule(ref[tn.ID]); err != nil || s == nil {
+			t.Fatalf("tenant %s: no brownout schedule extracted (err %v)", tn.ID, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, SanitizeID(tn.ID)+".jsonl"), ref[tn.ID], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if s == nil {
-			t.Fatalf("tenant %s: no brownout schedule extracted", tn.ID)
-		}
-		scheds[tn.ID] = s
 	}
-
-	// Re-execute with no adaptive driver, schedules installed from bytes.
-	g, err := New(testConfig(3, 1, 1))
+	gcfg := testConfig(3, 1, 1)
+	tenants := gcfg.Tenants
+	gcfg.Tenants, gcfg.Dynamic, gcfg.AuditDir = nil, true, dir
+	g, err := New(gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, s := range scheds {
-		if err := g.SetReplayBrownout(id, s); err != nil {
-			t.Fatal(err)
-		}
-	}
 	g.Start()
-	g.RoundTo(12)
-	g.Stop()
-	for _, tn := range g.Tenants() {
-		if !bytes.Equal(tn.AuditLog(), ref[tn.ID]) {
-			t.Errorf("tenant %s: replayed audit differs from adaptive original (%d vs %d bytes)",
-				tn.ID, len(tn.AuditLog()), len(ref[tn.ID]))
-		}
-		if err := g.ClearReplayBrownout(tn.ID); err != nil {
+	defer g.Stop()
+	for _, tc := range tenants {
+		tn, rep, err := g.Restore(tc, 12, "", 0)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !rep.PriorVerified || rep.PriorBytes != len(ref[tc.ID]) {
+			t.Errorf("tenant %s: restore report %+v, want %d prior bytes verified", tc.ID, rep, len(ref[tc.ID]))
+		}
+		if !bytes.Equal(tn.AuditLog(), ref[tc.ID]) {
+			t.Errorf("tenant %s: replayed audit differs from adaptive original (%d vs %d bytes)",
+				tc.ID, len(tn.AuditLog()), len(ref[tc.ID]))
 		}
 	}
 }
@@ -257,5 +258,16 @@ func TestFleetHeterogeneousDeterministic(t *testing.T) {
 	bad.Tenants[0].Bounds = &core.Bounds{Lo: []float64{1}, Hi: []float64{2}}
 	if _, err := New(bad); err == nil {
 		t.Error("mis-sized per-tenant bounds accepted")
+	}
+}
+
+// A schedule handed to the fleet directly (rpc.Spec.Validate rejects these on
+// the wire) must not walk a tenant off the ladder: stepBrownout moves one rung
+// per tick toward the desired step and would never stop at hold.
+func TestScriptedStepStaysOnTheLadder(t *testing.T) {
+	for step, want := range map[overload.Step]overload.Step{9: overload.StepHold, -3: overload.StepFull} {
+		if got := scriptedStep([]BrownoutPhase{{Step: step}}, 0); got != want {
+			t.Errorf("scripted step %d resolves to %v, want %v", step, got, want)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"graf/internal/cluster"
 	"graf/internal/core"
 	"graf/internal/gnn"
+	"graf/internal/lifecycle"
 	"graf/internal/obs"
 	"graf/internal/overload"
 	"graf/internal/sim"
@@ -59,6 +60,17 @@ type Config struct {
 	// configuration (nil = core.DefaultControllerConfig(SLO)).
 	Controller *core.ControllerConfig
 
+	// Lifecycle, when non-nil, runs the model-trust lifecycle (drift
+	// detection, shadow retraining, gated promotion, rollback) for every
+	// tenant. A lifecycle tenant swaps model generations on its own, so it
+	// gets a private predictor like a TenantConfig.Model override. The
+	// manager runs on the tenant's simulated clock and retrains from a fixed
+	// seed, so restores by re-execution reproduce every promotion. With
+	// Lifecycle.Dir set, SaveModel persists each tenant's generations under
+	// <Dir>/<sanitized-id>/.
+	Lifecycle *lifecycle.Config
+	SaveModel func(m *gnn.Model, path string) error
+
 	// Service parameterizes the shared batched inference service.
 	Service ServiceConfig
 
@@ -95,11 +107,10 @@ type Config struct {
 	Dynamic bool
 
 	// AuditDir, when set, mirrors each tenant's audit stream into
-	// <AuditDir>/<sanitized-id>.jsonl so it survives the process. At fleet
-	// startup every existing per-tenant log in the directory is run through
-	// obs.RepairLog (a crash mid-append leaves a torn final line); the
-	// repaired prior content is retained for lossless-restore verification
-	// and the file is rewritten from scratch by the tenant that owns it.
+	// <AuditDir>/<sanitized-id>.jsonl so it survives the process. Building a
+	// tenant rewrites its file from scratch; Restore first repairs and reads
+	// what the previous owner left (a crash mid-append leaves a torn final
+	// line) and verifies the regenerated stream against it.
 	AuditDir string
 
 	// AuditMemory bounds each tenant's in-memory audit record buffer
@@ -130,7 +141,7 @@ func scriptedStep(phases []BrownoutPhase, tick int) overload.Step {
 	s := overload.StepFull
 	for _, p := range phases {
 		if tick >= p.FromTick && (p.ToTick <= 0 || tick < p.ToTick) {
-			s = p.Step
+			s = overload.ClampStep(p.Step)
 		}
 	}
 	return s
@@ -144,6 +155,10 @@ type TenantConfig struct {
 	// Rate is the open-loop arrival-rate shape (req/s as a function of
 	// simulated time). Nil means a constant 150 req/s.
 	Rate func(t float64) float64
+	// Users, when non-nil, drives the tenant closed-loop instead (Locust-like
+	// user threads, the Azure-trace replay); Rate then only sizes the warm
+	// start.
+	Users func(t float64) int
 	// Seed pins the tenant's engine seed; 0 derives one from the fleet
 	// seed and the tenant ID.
 	Seed int64
@@ -180,9 +195,9 @@ type Tenant struct {
 	Cluster *cluster.Cluster
 	Ctl     *core.Controller
 
-	gen       *workload.OpenLoop
 	tel       *obs.Telemetry
-	pred      *TenantPredictor // shared-service handle (nil when sharing is off)
+	lc        *lifecycle.Manager // nil unless Config.Lifecycle
+	pred      *TenantPredictor   // shared-service handle (nil when sharing is off)
 	audit     bytes.Buffer
 	auditFile *os.File
 
@@ -220,6 +235,14 @@ func (t *Tenant) PanicValue() any { return t.panicVal }
 
 // SLO returns the tenant's effective latency objective in seconds.
 func (t *Tenant) SLO() float64 { return t.slo }
+
+// Lifecycle returns the tenant's model-trust manager (nil unless the fleet
+// runs with Config.Lifecycle).
+func (t *Tenant) Lifecycle() *lifecycle.Manager { return t.lc }
+
+// Exposition renders the tenant's own metrics registry (decision counters,
+// stage histograms, cluster gauges) as Prometheus text.
+func (t *Tenant) Exposition() string { return t.tel.Reg.Expose() }
 
 // Brownout returns the ladder rung the tenant currently sits on.
 func (t *Tenant) Brownout() overload.Step { return t.bstep }
@@ -285,12 +308,6 @@ type Fleet struct {
 	// Written by the driving goroutine before a round, read by workers.
 	traceMu     sync.Mutex
 	traceParent obs.SpanContext
-
-	// priorAudit holds the repaired content of every per-tenant audit log
-	// found in AuditDir at startup, keyed by sanitized tenant ID. Restores
-	// verify their regenerated stream against it byte-for-byte.
-	priorAudit   map[string][]byte
-	repairedLogs int
 }
 
 // shardOf deterministically places a tenant ID.
@@ -343,7 +360,7 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: SLO must be positive")
 	}
 
-	f := &Fleet{cfg: cfg, fobs: obs.NewFleetObs(cfg.Obs), tracer: cfg.Tracer, priorAudit: map[string][]byte{}}
+	f := &Fleet{cfg: cfg, fobs: obs.NewFleetObs(cfg.Obs), tracer: cfg.Tracer}
 	if cfg.SLOBudget != nil {
 		var reg *obs.Registry
 		if cfg.Obs != nil {
@@ -358,16 +375,6 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.AuditDir != "" {
 		if err := os.MkdirAll(cfg.AuditDir, 0o755); err != nil {
 			return nil, fmt.Errorf("fleet: audit dir: %w", err)
-		}
-		// Dynamic (shard-server) fleets share the audit directory with live
-		// peer processes, whose files must not be scanned — RepairLog would
-		// truncate a peer's buffered partial line out from under it. They
-		// repair per-tenant at admit time instead, when ownership is
-		// exclusive.
-		if !cfg.Dynamic {
-			if err := f.repairAuditDir(); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -416,7 +423,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 	if tc.Model != nil {
 		model = tc.Model
 	}
-	private := tc.App != nil || tc.Model != nil
+	private := tc.App != nil || tc.Model != nil || cfg.Lifecycle != nil
 	slo := cfg.SLO
 	if tc.SLO > 0 {
 		slo = tc.SLO
@@ -481,18 +488,29 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 	an := core.NewAnalyzer(tapp)
 	t.Ctl = core.NewController(t.Cluster, predictor, an, bounds, ccfg)
 	t.Ctl.Obs = obs.NewControllerObs(t.tel)
-	t.tel.Flight.Record(obs.Record{
-		Type:     "header",
-		At:       t.Eng.Now(),
-		App:      tapp.Name,
-		SLO:      ccfg.SLO,
-		Services: tapp.ServiceNames(),
-		Solver:   core.SolverConfigMap(ccfg.Solver),
-	})
+	t.tel.Flight.Record(core.HeaderRecord(tapp, ccfg, t.Eng.Now()))
 	t.Ctl.Start()
+	if cfg.Lifecycle != nil {
+		lcfg := *cfg.Lifecycle
+		if lcfg.Dir != "" {
+			lcfg.Dir = filepath.Join(lcfg.Dir, sanitizeID(tc.ID))
+			if err := os.MkdirAll(lcfg.Dir, 0o755); err != nil {
+				return nil, fmt.Errorf("fleet: tenant %s model archive: %w", tc.ID, err)
+			}
+		}
+		t.lc = lifecycle.NewManager(t.Cluster, model, bounds, slo, lcfg)
+		t.lc.Obs = obs.NewLifecycleObs(t.tel)
+		t.lc.SaveModel = cfg.SaveModel
+		t.lc.PersistIncumbent()
+		t.lc.Attach(t.Ctl)
+		t.lc.Start()
+	}
 
-	t.gen = workload.NewOpenLoop(t.Cluster, rate)
-	t.gen.Start()
+	if tc.Users != nil {
+		workload.NewClosedLoop(t.Cluster, tc.Users).Start()
+	} else {
+		workload.NewOpenLoop(t.Cluster, rate).Start()
+	}
 
 	if tc.Chaos != nil {
 		inj := chaos.New(t.Cluster)
@@ -507,41 +525,6 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 	}
 	return t, nil
 }
-
-// repairAuditDir scans AuditDir for per-tenant audit logs left behind by a
-// previous process and runs obs.RepairLog on each: a crash mid-append leaves
-// a torn final line that would otherwise poison every later read. The
-// repaired content is retained so a restoring tenant can be verified
-// byte-for-byte against what the dead process had durably recorded.
-func (f *Fleet) repairAuditDir() error {
-	paths, err := filepath.Glob(filepath.Join(f.cfg.AuditDir, "*.jsonl"))
-	if err != nil {
-		return fmt.Errorf("fleet: audit dir: %w", err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, repaired, err := obs.RepairLog(p); err != nil {
-			return fmt.Errorf("fleet: repair %s: %w", p, err)
-		} else if repaired {
-			f.repairedLogs++
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return fmt.Errorf("fleet: repair %s: %w", p, err)
-		}
-		stem := strings.TrimSuffix(filepath.Base(p), ".jsonl")
-		f.priorAudit[stem] = data
-	}
-	return nil
-}
-
-// PriorAudit returns the repaired pre-existing audit log for a tenant ID (as
-// found in AuditDir at startup), or nil if none existed.
-func (f *Fleet) PriorAudit(id string) []byte { return f.priorAudit[sanitizeID(id)] }
-
-// RepairedLogs returns how many audit files had a torn tail truncated at
-// startup.
-func (f *Fleet) RepairedLogs() int { return f.repairedLogs }
 
 // Run advances every live tenant through rounds of TickS simulated seconds
 // until each has covered durS. Shards are dispatched to the worker pool
@@ -723,6 +706,135 @@ func (f *Fleet) Resume(id string, ticks int) error {
 	return nil
 }
 
+// RestoreReport says what a Restore found and verified.
+type RestoreReport struct {
+	// PriorBytes is how many audit bytes the tenant's previous owner had
+	// durably recorded (0 = a fresh tenant).
+	PriorBytes int
+	// ReplayedTicks counts ticks re-executed beyond the requested count to
+	// cover decisions the previous owner flushed but never reported.
+	ReplayedTicks int
+	// PriorVerified: the regenerated stream reproduced the prior bytes.
+	PriorVerified bool
+	// SnapshotVerified: the rebuilt controller state matched the tenant's
+	// latest checkpoint digest (attempted when one exists at `ticks`).
+	SnapshotVerified bool
+}
+
+// Restore places a tenant and brings it back losslessly when it lived
+// before — the one restore sequence behind a shard's admit, a migration
+// target and a restarted local daemon:
+//
+//  1. Repair + read any audit log the tenant's previous owner left in
+//     AuditDir (the caller guarantees exclusive ownership: the old owner is
+//     dead or has evicted).
+//  2. Rebuild the tenant from its config (this truncates the audit file)
+//     and fast-forward it to `ticks` by deterministic re-execution. Brownout
+//     transitions recorded in the prior bytes are replayed first, so an
+//     adaptively degraded tenant walks the same ladder at the same ticks.
+//  3. If a checkpoint at `ticks` exists in ckptDir, verify the rebuilt
+//     controller state digest against it.
+//  4. If the prior log proves the old owner got further, replay up to
+//     maxReplay more ticks until the regenerated stream covers it, then
+//     verify the prior bytes are a byte-exact prefix — zero lost decisions,
+//     checked, not assumed.
+//
+// On any failure the tenant is evicted again and the error returned.
+func (f *Fleet) Restore(tc TenantConfig, ticks int, ckptDir string, maxReplay int) (*Tenant, RestoreReport, error) {
+	var rep RestoreReport
+	var prior []byte
+	if f.cfg.AuditDir != "" {
+		path := filepath.Join(f.cfg.AuditDir, sanitizeID(tc.ID)+".jsonl")
+		if _, err := os.Stat(path); err == nil {
+			if _, _, err := obs.RepairLog(path); err != nil {
+				return nil, rep, fmt.Errorf("repair prior audit log: %w", err)
+			}
+			if prior, err = os.ReadFile(path); err != nil {
+				return nil, rep, fmt.Errorf("read prior audit log: %w", err)
+			}
+		}
+	}
+	rep.PriorBytes = len(prior)
+	sched, err := ExtractBrownoutSchedule(prior)
+	if err != nil {
+		return nil, rep, fmt.Errorf("extract brownout schedule: %w", err)
+	}
+	t, err := f.Admit(tc)
+	if err != nil {
+		return nil, rep, err
+	}
+	t.replayB = sched
+	if err := f.restore(t, prior, ticks, ckptDir, maxReplay, &rep); err != nil {
+		f.Evict(tc.ID)
+		return nil, rep, err
+	}
+	// Replay is done and verified; future ticks follow the live drivers
+	// (scripted schedule or adaptive target) from the rung replay landed on.
+	t.replayB = nil
+	return t, rep, nil
+}
+
+func (f *Fleet) restore(t *Tenant, prior []byte, ticks int, ckptDir string, maxReplay int, rep *RestoreReport) error {
+	if err := f.Resume(t.ID, ticks); err != nil {
+		return fmt.Errorf("resume: %w", err)
+	}
+	if ckptDir != "" {
+		snap, err := latestSnapshot(ckptDir, t.ID)
+		switch {
+		case err == nil && snap.Ticks == t.ticks:
+			if err := t.VerifyAgainstSnapshot(snap); err != nil {
+				return fmt.Errorf("snapshot verification: %w", err)
+			}
+			rep.SnapshotVerified = true
+		case err != nil && !errors.Is(err, ckpt.ErrNoSnapshot):
+			return fmt.Errorf("load snapshot: %w", err)
+		}
+	}
+	if len(prior) == 0 {
+		return nil
+	}
+	regen := t.AuditLog()
+	for len(regen) < len(prior) {
+		if rep.ReplayedTicks >= maxReplay {
+			return fmt.Errorf("tenant %s: prior audit log (%d bytes) not covered after replaying %d extra ticks (%d bytes) — lost decisions",
+				t.ID, len(prior), rep.ReplayedTicks, len(regen))
+		}
+		if err := f.Resume(t.ID, t.ticks+1); err != nil {
+			return fmt.Errorf("replay: %w", err)
+		}
+		rep.ReplayedTicks++
+		regen = t.AuditLog()
+	}
+	if !bytes.HasPrefix(regen, prior) {
+		return fmt.Errorf("tenant %s: regenerated audit stream diverges from prior log — lost decisions", t.ID)
+	}
+	rep.PriorVerified = true
+	return nil
+}
+
+// latestSnapshot loads a tenant's newest valid checkpoint from dir.
+func latestSnapshot(dir, id string) (*ckpt.Snapshot, error) {
+	store, err := ckpt.NewNamespacedStore(dir, "tenant-"+sanitizeID(id))
+	if err != nil {
+		return nil, err
+	}
+	return store.LoadLatest()
+}
+
+// CheckpointedTicks returns the tick count of a tenant's newest valid
+// checkpoint in dir — where a restarted daemon resumes it — or 0 when the
+// tenant has none.
+func CheckpointedTicks(dir, id string) (int, error) {
+	snap, err := latestSnapshot(dir, id)
+	if errors.Is(err, ckpt.ErrNoSnapshot) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	return snap.Ticks, nil
+}
+
 // rebucket rebuilds the shard membership lists after an admit or evict.
 func (f *Fleet) rebucket() {
 	f.shards = make([][]*Tenant, f.cfg.Shards)
@@ -862,33 +974,6 @@ func (f *Fleet) BrownoutTarget() overload.Step {
 	return f.btarget
 }
 
-// SetReplayBrownout installs a tick-keyed brownout schedule for one tenant,
-// overriding every live drive mode while it is in place — the rpc admit
-// path extracts it from the tenant's prior audit bytes (see
-// ExtractBrownoutSchedule) so deterministic re-execution walks the exact
-// rungs the original process walked, adaptively chosen or not. Call from
-// the driving goroutine, then ClearReplayBrownout once the restore is
-// verified.
-func (f *Fleet) SetReplayBrownout(id string, sched map[int]overload.Step) error {
-	t := f.Tenant(id)
-	if t == nil {
-		return fmt.Errorf("fleet: unknown tenant %q", id)
-	}
-	t.replayB = sched
-	return nil
-}
-
-// ClearReplayBrownout releases a tenant's replay schedule: subsequent ticks
-// follow the live drive modes again.
-func (f *Fleet) ClearReplayBrownout(id string) error {
-	t := f.Tenant(id)
-	if t == nil {
-		return fmt.Errorf("fleet: unknown tenant %q", id)
-	}
-	t.replayB = nil
-	return nil
-}
-
 // ExtractBrownoutSchedule recovers the tick-keyed brownout transitions from
 // a tenant's recorded audit bytes. A nil map means the recording never left
 // the full rung. A crash-torn final line is tolerated (the valid prefix is
@@ -988,18 +1073,8 @@ func (f *Fleet) Checkpoint(dir string) (int, error) {
 		if t.degraded {
 			continue
 		}
-		store, err := ckpt.NewNamespacedStore(dir, "tenant-"+sanitizeID(t.ID))
-		if err != nil {
-			return saved, fmt.Errorf("fleet: tenant %s: %w", t.ID, err)
-		}
-		snap := &ckpt.Snapshot{
-			At:         t.Eng.Now(),
-			Ticks:      t.ticks,
-			Controller: t.Ctl.Snapshot(),
-			Cluster:    t.Cluster.Snapshot(),
-		}
-		if _, _, err := store.Save(snap); err != nil {
-			return saved, fmt.Errorf("fleet: tenant %s: %w", t.ID, err)
+		if err := f.CheckpointTenant(dir, t.ID); err != nil {
+			return saved, err
 		}
 		saved++
 	}

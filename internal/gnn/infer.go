@@ -309,15 +309,3 @@ func (m *Model) PredictGradWith(s *Scratch, load, quota []float64) (float64, []f
 	m.inferBackward(s, 1)
 	return y, s.dQuota
 }
-
-// PredictBatch runs a multi-graph forward pass over a batch of inputs,
-// sharing one scratch's buffers across all graphs, and writes the latency
-// estimates into out (len(out) must equal len(loads)).
-func (m *Model) PredictBatch(s *Scratch, loads, quotas [][]float64, out []float64) {
-	if len(loads) != len(quotas) || len(out) != len(loads) {
-		panic("gnn: PredictBatch length mismatch")
-	}
-	for b := range loads {
-		out[b] = m.inferForward(s, loads[b], quotas[b])
-	}
-}

@@ -78,28 +78,6 @@ func TestScratchReuseIsStateless(t *testing.T) {
 	}
 }
 
-// PredictBatch is the batcher's multi-graph forward: one scratch, many
-// graphs, same answers as independent Predict calls.
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	m := testModel(t, true)
-	rng := rand.New(rand.NewSource(11))
-	const batch = 17
-	loads := make([][]float64, batch)
-	quotas := make([][]float64, batch)
-	want := make([]float64, batch)
-	for b := range loads {
-		loads[b], quotas[b] = randInputs(rng, m.Cfg.Nodes)
-		want[b] = m.Predict(loads[b], quotas[b])
-	}
-	got := make([]float64, batch)
-	m.PredictBatch(m.NewScratch(), loads, quotas, got)
-	for b := range got {
-		if got[b] != want[b] {
-			t.Fatalf("batch[%d]=%v want %v", b, got[b], want[b])
-		}
-	}
-}
-
 // Predict/PredictGrad must be safe to hammer from many goroutines on one
 // model: the kernel may not touch gradient accumulators, tapes, or any other
 // shared mutable state, and the free list the one-shot methods borrow from

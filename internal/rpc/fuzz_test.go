@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 
 	"graf/internal/overload"
@@ -68,6 +70,51 @@ func FuzzParseBrownout(f *testing.F) {
 		for i := range sched {
 			if again[i] != sched[i] {
 				t.Fatalf("ParseBrownout(%q) nondeterministic at phase %d: %+v vs %+v", s, i, sched[i], again[i])
+			}
+		}
+	})
+}
+
+// FuzzSpecDecode hammers the /v1/configure body: any JSON a router (or an
+// attacker on the control-plane port) can send must either be rejected by
+// Validate or materialise without panicking, and an accepted spec must give
+// every tenant a finite, non-negative arrival rate over its whole horizon —
+// a NaN or negative rate would wedge the open-loop generator's next-arrival
+// arithmetic in every process that builds the tenant.
+func FuzzSpecDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"app":"chain-4","shape":"const","rate":120,"seed":7,"tick_s":5}`,
+		`{"app":"chain-4","shape":"surge","rate":40,"surge_to":80,"surge_at_s":90,"warm_start":true}`,
+		`{"app":"chain-4","shape":"diurnal","rate":1,"dur_s":300,"forecast":"hw","horizon_ticks":3,"forecast_quantile":0.9}`,
+		`{"app":"online-boutique","shape":"azure","rate":1,"lifecycle":true,"slo_ms":200}`,
+		`{"app":"chain-4","rate":1,"brownout":[{"FromTick":6,"ToTick":12,"Step":2}]}`,
+		`{"app":"chain-4","rate":1,"brownout":[{"FromTick":0,"ToTick":0,"Step":9}]}`,
+		`{"app":"chain-4","rate":1,"brownout":[{"FromTick":-4,"ToTick":-9,"Step":-3}]}`,
+		`{"app":"chain-4","rate":1e308,"surge_to":-1,"shape":"surge"}`,
+		`{"app":"chain-4","rate":1,"dur_s":99999999999}`,
+		`{"app":"chain-4","rate":1,"slo_budget":{"budget":7}}`,
+		`{"app":"chain-99999999","rate":1}`,
+		`{"app":"chain-4","rate":-0}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	bundle := testBundle(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var s Spec
+		if json.Unmarshal(body, &s) != nil || s.Validate() != nil {
+			return
+		}
+		if _, err := s.FleetConfig(bundle, ""); err != nil && s.App == "chain-4" {
+			t.Fatalf("validated chain-4 spec %s does not materialise: %v", body, err)
+		}
+		tc := s.TenantConfig("tenant-00")
+		for _, at := range []float64{0, 1, 59.5, 60, 120, 121, float64(s.DurS), float64(s.DurS) + 59, float64(s.DurS) + 61} {
+			if r := tc.Rate(at); math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+				t.Fatalf("spec %s: rate(%v) = %v", body, at, r)
+			}
+			if tc.Users != nil && tc.Users(at) < 0 {
+				t.Fatalf("spec %s: users(%v) = %d", body, at, tc.Users(at))
 			}
 		}
 	})

@@ -18,12 +18,14 @@ import (
 	"graf/internal/core"
 	"graf/internal/fleet"
 	"graf/internal/gnn"
+	"graf/internal/obs"
+	"graf/internal/overload"
 )
 
 // testBundle builds the shard-local model artifact every test process
 // shares: an untrained but deterministic model, exactly like the fleet
 // package's own tests.
-func testBundle(t *testing.T) ModelBundle {
+func testBundle(t testing.TB) ModelBundle {
 	t.Helper()
 	a := app.SyntheticChain(4)
 	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(42)))
@@ -516,19 +518,115 @@ func TestRouterRespawnWithinBudget(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
+	phase := func(from, to int, step overload.Step) []fleet.BrownoutPhase {
+		return []fleet.BrownoutPhase{{FromTick: from, ToTick: to, Step: step}}
+	}
 	cases := []Spec{
-		{},                        // no app
-		{App: "nope", Rate: 100},  // unknown app
-		{App: "chain-4", Rate: 0}, // no rate
-		{App: "chain-4", Rate: 1, Shape: "zigzag"}, // unknown shape
+		{},                                 // no app
+		{App: "nope", Rate: 100},           // unknown app
+		{App: "chain-99999999", Rate: 100}, // a chain no process should build
+		{App: "chain-4", Rate: 0},          // no rate
+		{App: "chain-4", Rate: 1, Shape: "zigzag"},                        // unknown shape
+		{App: "chain-4", Rate: 1, Brownout: phase(0, 0, 9)},               // step past the ladder
+		{App: "chain-4", Rate: 1, Brownout: phase(0, 0, -3)},              // step before it
+		{App: "chain-4", Rate: 1, Brownout: phase(-1, 0, 1)},              // negative FROM
+		{App: "chain-4", Rate: 1, Brownout: phase(6, 6, 1)},               // TO not above FROM
+		{App: "chain-4", Rate: 1, Brownout: phase(6, 3, 1)},               // TO below FROM
+		{App: "chain-4", Rate: 1, SLOMS: -5},                              // negative SLO
+		{App: "chain-4", Rate: 1, SLOBudget: &obs.SLOConfig{Budget: 1}},   // whole time in violation
+		{App: "chain-4", Rate: 1, DurS: -1},                               // negative horizon
+		{App: "chain-4", Rate: 1, DurS: maxDurS + 1},                      // absurd horizon
+		{App: "chain-4", Rate: 1, Forecast: "lstm"},                       // unknown forecaster
+		{App: "chain-4", Rate: 1, HorizonTicks: 3},                        // horizon without forecast
+		{App: "chain-4", Rate: 1, ForecastQuantile: 0.9},                  // quantile without forecast
+		{App: "chain-4", Rate: 1, Forecast: "hw", HorizonTicks: -1},       // negative horizon
+		{App: "chain-4", Rate: 1, Forecast: "hw", ForecastQuantile: 1},    // quantile at one
+		{App: "chain-4", Rate: 1, Forecast: "hw", ForecastQuantile: -0.5}, // negative quantile
 	}
 	for i, s := range cases {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d (%+v): invalid spec accepted", i, s)
 		}
 	}
-	if err := testSpec().Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	valid := []Spec{
+		testSpec(),
+		{App: "chain-4", Rate: 1, Shape: "diurnal", DurS: 600, Forecast: "hw", HorizonTicks: 4, ForecastQuantile: 0.9},
+		{App: "chain-4", Rate: 1, Shape: "azure", Lifecycle: true, SLOMS: 200},
+		{App: "chain-4", Rate: 1, Brownout: phase(6, 12, overload.StepHold), SLOBudget: &obs.SLOConfig{Budget: 0.02}},
+	}
+	for i, s := range valid {
+		if err := s.Validate(); err != nil {
+			t.Errorf("valid spec %d rejected: %v", i, err)
+		}
+	}
+}
+
+// The policies this spec grew — a seeded diurnal source under a Holt-Winters
+// forecaster, and the per-tenant model lifecycle (the untrained test model
+// drifts at once, so tenants trip, retrain and promote mid-run) — must be as
+// portable as the old ones: a tenant migrated between shards mid-run finishes
+// byte-identical to the single-process reference.
+func TestNewPolicySpecsMigrateLossless(t *testing.T) {
+	bundle := testBundle(t)
+	for _, c := range []struct {
+		name, marker string
+		tenants      int
+		rounds       int
+		spec         Spec
+	}{
+		// Holt-Winters forecasts once it has seen one 48-tick cycle.
+		{"diurnal+forecast", `"type":"forecast"`, 2, 64, Spec{App: "chain-4", Shape: "diurnal", Rate: 120, Seed: 7,
+			TickS: 5, DurS: 320, WarmStart: true, Forecast: "hw"}},
+		// The tenant trips at tick 17 and retrains at tick 31, on samples it
+		// gathered on both sides of the migration. One tenant: a retrain
+		// costs about a second (fifteen under -race), here and in the reference.
+		{"lifecycle", `"kind":"retrain"`, 1, 32, Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7,
+			TickS: 5, Lifecycle: true, SLOMS: 200}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec, rounds := c.spec, c.rounds
+			ckpt, audit := t.TempDir(), t.TempDir()
+			_, addr1 := startShard(t, bundle, ckpt, audit)
+			_, addr2 := startShard(t, bundle, ckpt, audit)
+			ids := tenantIDs(c.tenants)
+			r, err := NewRouter(RouterConfig{Spec: spec, Tenants: ids, Client: fastClient()}, []string{addr1, addr2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Bootstrap(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.RunRounds(3 * rounds / 4); err != nil {
+				t.Fatal(err)
+			}
+			to := addr1
+			if r.Owner(ids[0]) == addr1 {
+				to = addr2
+			}
+			if _, err := r.Migrate(ids[0], to); err != nil {
+				t.Fatalf("migrate: %v", err)
+			}
+			if err := r.RunRounds(rounds / 4); err != nil {
+				t.Fatal(err)
+			}
+			if st := r.Stats(); st.LostDecisions != 0 || st.SnapshotVerified == 0 {
+				t.Fatalf("stats %+v: want a lossless, snapshot-verified migration", st)
+			}
+			want := referenceAudit(t, bundle, spec, ids, rounds)
+			for _, id := range ids {
+				b, err := os.ReadFile(filepath.Join(audit, fleet.SanitizeID(id)+".jsonl"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b, want[id]) {
+					t.Errorf("tenant %s: audit log differs from single-process reference (%d vs %d bytes)", id, len(b), len(want[id]))
+				}
+			}
+			// The policy must have acted, or byte-identity proves nothing new.
+			if !bytes.Contains(want[ids[0]], []byte(c.marker)) {
+				t.Errorf("reference audit carries no %s record: the policy never acted", c.marker)
+			}
+		})
 	}
 }
 

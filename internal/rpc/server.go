@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -515,21 +514,8 @@ func status(t *fleet.Tenant) TenantStatus {
 	}
 }
 
-// handleAdmit places a tenant, restoring losslessly when it lived before:
-//
-//  1. Repair + read any on-disk audit log the tenant's previous owner left
-//     (exclusive ownership is guaranteed here — the old owner is dead or
-//     has evicted).
-//  2. Rebuild the tenant from the spec (this truncates the audit file) and
-//     fast-forward it to the router's known tick count by deterministic
-//     re-execution.
-//  3. If the prior log proves the old owner got further (it flushed audit
-//     bytes for ticks it never reported), replay additional ticks until
-//     the regenerated stream covers the prior one.
-//  4. Verify the prior bytes are a byte-exact prefix of the regenerated
-//     stream — zero lost decisions, checked, not assumed — and, when a
-//     checkpoint at the same tick exists, verify the rebuilt controller
-//     state digest against it.
+// handleAdmit places a tenant, restoring it losslessly (fleet.Restore) when
+// it lived before.
 func (s *ShardServer) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req AdmitRequest
 	if !readJSON(w, r, &req) {
@@ -574,120 +560,24 @@ func (s *ShardServer) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var prior []byte
-	if s.AuditDir != "" {
-		path := filepath.Join(s.AuditDir, fleet.SanitizeID(req.ID)+".jsonl")
-		if _, err := os.Stat(path); err == nil {
-			if _, _, err := obs.RepairLog(path); err != nil {
-				writeErr(w, http.StatusInternalServerError, "repair prior audit log: %v", err)
-				return
-			}
-			b, err := os.ReadFile(path)
-			if err != nil {
-				writeErr(w, http.StatusInternalServerError, "read prior audit log: %v", err)
-				return
-			}
-			prior = b
-		}
+	maxReplay := s.MaxReplayTicks
+	if maxReplay <= 0 {
+		maxReplay = 4
 	}
-
-	t, err := s.fl.Admit(s.specTenant(req.ID))
+	t, rep, err := s.fl.Restore(s.spec.TenantConfig(req.ID), req.Ticks, s.CkptDir, maxReplay)
 	if err != nil {
-		writeErr(w, http.StatusConflict, "%v", err)
+		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	fail := func(status int, format string, args ...any) {
-		s.fl.Evict(req.ID)
-		writeErr(w, status, format, args...)
-	}
-	// If the previous owner browned the tenant out (adaptively — scripted
-	// schedules are already in the spec), its transitions are in the prior
-	// audit bytes. Install them as a replay schedule BEFORE re-execution so
-	// the regenerated stream walks the same ladder at the same ticks and the
-	// byte-prefix verification below still holds.
-	var replaySched map[int]overload.Step
-	if len(prior) > 0 {
-		if replaySched, err = fleet.ExtractBrownoutSchedule(prior); err != nil {
-			fail(http.StatusInternalServerError, "extract brownout schedule: %v", err)
-			return
-		}
-		if replaySched != nil {
-			if err := s.fl.SetReplayBrownout(req.ID, replaySched); err != nil {
-				fail(http.StatusInternalServerError, "install brownout schedule: %v", err)
-				return
-			}
-		}
-	}
-	if err := s.fl.Resume(req.ID, req.Ticks); err != nil {
-		fail(http.StatusInternalServerError, "resume: %v", err)
-		return
-	}
-
-	resp := AdmitResponse{PriorBytes: len(prior)}
-	if len(prior) > 0 {
-		maxReplay := s.MaxReplayTicks
-		if maxReplay <= 0 {
-			maxReplay = 4
-		}
-		regen := t.AuditLog()
-		for replay := 0; len(regen) < len(prior); replay++ {
-			if replay >= maxReplay {
-				fail(http.StatusInternalServerError,
-					"tenant %s: prior audit log (%d bytes) not covered after replaying %d extra ticks (%d bytes) — lost decisions",
-					req.ID, len(prior), replay, len(regen))
-				return
-			}
-			if err := s.fl.Resume(req.ID, t.Ticks()+1); err != nil {
-				fail(http.StatusInternalServerError, "replay: %v", err)
-				return
-			}
-			resp.ReplayedTicks++
-			regen = t.AuditLog()
-		}
-		if !bytes.HasPrefix(regen, prior) {
-			fail(http.StatusInternalServerError,
-				"tenant %s: regenerated audit stream diverges from prior log — lost decisions", req.ID)
-			return
-		}
-		resp.PriorVerified = true
-	}
-
-	if s.CkptDir != "" {
-		store, err := ckpt.NewNamespacedStore(s.CkptDir, "tenant-"+fleet.SanitizeID(req.ID))
-		if err == nil {
-			snap, err := store.LoadLatest()
-			if err == nil && snap.Ticks == t.Ticks() {
-				if err := t.VerifyAgainstSnapshot(snap); err != nil {
-					fail(http.StatusInternalServerError, "snapshot verification: %v", err)
-					return
-				}
-				resp.SnapshotVerified = true
-			} else if err != nil && !errors.Is(err, ckpt.ErrNoSnapshot) {
-				fail(http.StatusInternalServerError, "load snapshot: %v", err)
-				return
-			}
-		}
-	}
-
-	// Replay is done and verified; future ticks follow the live drivers
-	// (scripted schedule or adaptive target) from the rung replay landed on.
-	if replaySched != nil {
-		if err := s.fl.ClearReplayBrownout(req.ID); err != nil {
-			fail(http.StatusInternalServerError, "clear brownout schedule: %v", err)
-			return
-		}
-	}
-
 	s.fl.FlushAudit()
-	resp.Status = status(t)
+	resp := AdmitResponse{
+		Status:     status(t),
+		PriorBytes: rep.PriorBytes, PriorVerified: rep.PriorVerified,
+		ReplayedTicks: rep.ReplayedTicks, SnapshotVerified: rep.SnapshotVerified,
+	}
 	s.logf("admit %s ticks=%d prior=%dB replayed=%d verified=%v/%v",
 		req.ID, req.Ticks, resp.PriorBytes, resp.ReplayedTicks, resp.PriorVerified, resp.SnapshotVerified)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// specTenant rebuilds the tenant config from the shard's installed spec.
-func (s *ShardServer) specTenant(id string) fleet.TenantConfig {
-	return s.spec.TenantConfig(id)
 }
 
 func (s *ShardServer) handleEvict(w http.ResponseWriter, r *http.Request) {
