@@ -20,61 +20,52 @@ import (
 	"graf/internal/bench"
 )
 
-var runners = map[string]func(bench.Scale) bench.Result{
-	"fig01":           bench.Fig01InstanceCreation,
-	"fig02":           bench.Fig02SurgeInstances,
-	"fig03":           bench.Fig03SurgeLatency,
-	"fig06":           bench.Fig06LatencyCurves,
-	"fig07":           bench.Fig07CascadingEffect,
-	"tab01":           bench.Tab01Hyperparameters,
-	"tab02":           bench.Tab02PredictionError,
-	"fig11":           bench.Fig11MPNNAblation,
-	"fig12":           bench.Fig12LossHeatmap,
-	"fig13":           bench.Fig13SearchSpace,
-	"fig14":           bench.Fig14TotalCPU,
-	"fig15":           bench.Fig15PerMSBoutique,
-	"fig16":           bench.Fig16PerMSSocial,
-	"fig17":           bench.Fig17SLOTargeting,
-	"fig18":           bench.Fig18UserScaling,
-	"fig19":           bench.Fig19CostBenefit,
-	"tab03":           bench.Tab03Budget,
-	"fig20":           bench.Fig20AzureReplay,
-	"fig21":           bench.Fig21SurgeComparison,
-	"fig22":           bench.Fig22Convergence,
-	"abl-loss":        bench.AblationLoss,
-	"abl-steps":       bench.AblationSteps,
-	"abl-solver":      bench.AblationSolver,
-	"abl-sampler":     bench.AblationSampler,
-	"abl-integer":     bench.AblationInteger,
-	"abl-anomaly":     bench.AblationAnomaly,
-	"scalability":     bench.Scalability,
-	"abl-partition":   bench.AblationPartition,
-	"chaos":           bench.ChaosRobustness,
-	"recovery":        bench.Recovery,
-	"drift":           bench.Drift,
-	"replay":          bench.ObsReplay,
-	"obs-overhead":    bench.ObsOverhead,
-	"fleet":           bench.Fleet,
-	"fleet-rpc":       bench.FleetRPC,
-	"router-failover": bench.RouterFailover,
-	"overload":        bench.Overload,
-	"slo-burn":        bench.SLOBurn,
-	"trace-overhead":  bench.TraceOverhead,
-	"forecast":        bench.Forecast,
-}
-
-// order runs cheap observation experiments first and groups the ones that
-// share a trained pipeline.
-var order = []string{
-	"fig01", "fig06", "fig02", "fig03", "fig07",
-	"tab01", "tab02", "fig11", "fig12", "fig13",
-	"fig14", "fig15", "fig16", "fig17", "fig18",
-	"tab03", "fig19", "fig20", "fig21", "fig22",
-	"abl-loss", "abl-steps", "abl-solver", "abl-sampler",
-	"abl-integer", "abl-anomaly", "abl-partition", "scalability",
-	"chaos", "recovery", "drift", "replay", "obs-overhead",
-	"fleet", "fleet-rpc", "router-failover", "overload", "slo-burn", "trace-overhead",
-	"forecast",
+// experiments lists every experiment in run order: cheap observation
+// experiments first, then grouped by the trained pipeline they share.
+var experiments = []struct {
+	id  string
+	run func(bench.Scale) bench.Result
+}{
+	{"fig01", bench.Fig01InstanceCreation},
+	{"fig06", bench.Fig06LatencyCurves},
+	{"fig02", bench.Fig02SurgeInstances},
+	{"fig03", bench.Fig03SurgeLatency},
+	{"fig07", bench.Fig07CascadingEffect},
+	{"tab01", bench.Tab01Hyperparameters},
+	{"tab02", bench.Tab02PredictionError},
+	{"fig11", bench.Fig11MPNNAblation},
+	{"fig12", bench.Fig12LossHeatmap},
+	{"fig13", bench.Fig13SearchSpace},
+	{"fig14", bench.Fig14TotalCPU},
+	{"fig15", bench.Fig15PerMSBoutique},
+	{"fig16", bench.Fig16PerMSSocial},
+	{"fig17", bench.Fig17SLOTargeting},
+	{"fig18", bench.Fig18UserScaling},
+	{"tab03", bench.Tab03Budget},
+	{"fig19", bench.Fig19CostBenefit},
+	{"fig20", bench.Fig20AzureReplay},
+	{"fig21", bench.Fig21SurgeComparison},
+	{"fig22", bench.Fig22Convergence},
+	{"abl-loss", bench.AblationLoss},
+	{"abl-steps", bench.AblationSteps},
+	{"abl-solver", bench.AblationSolver},
+	{"abl-sampler", bench.AblationSampler},
+	{"abl-integer", bench.AblationInteger},
+	{"abl-anomaly", bench.AblationAnomaly},
+	{"abl-partition", bench.AblationPartition},
+	{"scalability", bench.Scalability},
+	{"chaos", bench.ChaosRobustness},
+	{"recovery", bench.Recovery},
+	{"drift", bench.Drift},
+	{"replay", bench.ObsReplay},
+	{"obs-overhead", bench.ObsOverhead},
+	{"fleet", bench.Fleet},
+	{"fleet-rpc", bench.FleetRPC},
+	{"router-failover", bench.RouterFailover},
+	{"overload", bench.Overload},
+	{"slo-burn", bench.SLOBurn},
+	{"trace-overhead", bench.TraceOverhead},
+	{"forecast", bench.Forecast},
 }
 
 func main() {
@@ -84,9 +75,9 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		ids := make([]string, 0, len(runners))
-		for id := range runners {
-			ids = append(ids, id)
+		ids := make([]string, len(experiments))
+		for i, e := range experiments {
+			ids[i] = e.id
 		}
 		sort.Strings(ids)
 		fmt.Println(strings.Join(ids, "\n"))
@@ -106,20 +97,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	ids := order
-	if *exp != "" {
-		r, ok := runners[*exp]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
+	ran := false
+	for _, e := range experiments {
+		if *exp != "" && *exp != e.id {
+			continue
 		}
-		ids = []string{*exp}
-		_ = r
-	}
-	for _, id := range ids {
+		ran = true
 		start := time.Now()
-		res := runners[id](scale)
-		fmt.Println(res.Format())
-		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
+		fmt.Println(e.run(scale).Format())
+		fmt.Printf("(%s in %.1fs)\n\n", e.id, time.Since(start).Seconds())
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
+		os.Exit(2)
 	}
 }

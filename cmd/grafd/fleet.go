@@ -2,8 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -201,23 +199,13 @@ func crash(f *fleet.Fleet, o *options, round int) int {
 // every tenant's own, each sample of the latter labeled with its tenant —
 // next to tel's /debug endpoints.
 func serveObs(addr string, tel *obs.Telemetry, f *fleet.Fleet) (*http.Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/debug/", tel.Handler())
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+	return tel.Serve(addr, func() string {
 		pages := []obs.Exposition{{Text: tel.Reg.Expose()}}
 		for _, t := range f.Tenants() {
 			pages = append(pages, obs.Exposition{Shard: t.ID, Text: t.Exposition()})
 		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		io.WriteString(w, obs.MergeExpositions(pages))
+		return obs.MergeExpositions(pages)
 	})
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux}
-	go srv.Serve(ln) // returns when the caller closes srv
-	return srv, nil
 }
 
 // report prints the end-of-run summary: one line per tenant, then the

@@ -13,7 +13,6 @@ import (
 
 	"graf"
 	"graf/internal/app"
-	"graf/internal/fleet"
 	"graf/internal/gnn"
 	"graf/internal/obs"
 	"graf/internal/rpc"
@@ -95,30 +94,17 @@ func TestFeatureModeTable(t *testing.T) {
 				t.Fatalf("grafrouter %v: exit %d", row.flags, code)
 			}
 
-			cfg, err := o.spec.FleetConfig(tr.Bundle(), "")
+			want, err := rpc.ReferenceAudit(tr.Bundle(), o.drill.Spec, o.TenantIDs(), o.Rounds())
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := fleet.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Start()
-			defer ref.Stop()
 			for _, id := range o.TenantIDs() {
-				tn, err := ref.Admit(o.spec.TenantConfig(id))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.Resume(id, o.Rounds()); err != nil {
-					t.Fatal(err)
-				}
 				got, err := os.ReadFile(filepath.Join(audit, id+".jsonl"))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, tn.AuditLog()) {
-					t.Errorf("%s: routed audit (%d bytes) differs from the single-process reference (%d bytes)", id, len(got), len(tn.AuditLog()))
+				if !bytes.Equal(got, want[id]) {
+					t.Errorf("%s: routed audit (%d bytes) differs from the single-process reference (%d bytes)", id, len(got), len(want[id]))
 				}
 			}
 		})
@@ -130,8 +116,9 @@ func TestFeatureModeTable(t *testing.T) {
 	}
 }
 
-// The router's own rules — placement, chaos and failover knobs — each once;
-// policy errors come from rpc.Spec.Validate, as in grafd.
+// The router's own rules — placement, chaos and failover knobs — each once,
+// and a schedule that does not parse, all before any shard is spawned; policy
+// errors come from rpc.Spec.Validate, as in grafd.
 func TestValidateRejectsContradictions(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -147,6 +134,8 @@ func TestValidateRejectsContradictions(t *testing.T) {
 		{[]string{"-model", "m", "-spawn", "2", "-crash-at-round", "3"}, "-state-dir"},
 		{[]string{"-model", "m", "-state-dir", "s", "-standby", "h:1", "-standby-misses", "0"}, "-standby-misses"},
 		{[]string{"-model", "m", "-shards", "127.0.0.1:1", "-kill-shard", "0@3"}, "-spawn"},
+		{[]string{"-model", "m", "-spawn", "2", "-kill-shard", "2@3"}, "out of range"},
+		{[]string{"-model", "m", "-spawn", "2", "-migrate", "tenant-00@soon:1"}, "tenant@round:slot"},
 		{[]string{"-model", "m", "-spawn", "2", "-net-drop", "1"}, "-net-drop"},
 		{[]string{"-model", "m", "-spawn", "2", "-round-budget-ms", "-1"}, "-round-budget-ms"},
 		{[]string{"-model", "m", "-spawn", "2", "-fleet", "0"}, "-fleet"},

@@ -1,18 +1,12 @@
 package bench
 
 import (
-	"bytes"
-	"fmt"
-	"math/rand"
+	"errors"
 	"os"
 	"path/filepath"
 	"time"
 
-	"graf/internal/app"
 	"graf/internal/chaos"
-	"graf/internal/core"
-	"graf/internal/fleet"
-	"graf/internal/gnn"
 	"graf/internal/rpc"
 )
 
@@ -49,123 +43,43 @@ func RouterFailoverRun(s Scale) (Result, RouterFailoverStats) {
 		Title:  "Crash-safe router: SIGKILL mid-migration, standby takeover, zombie fencing",
 		Header: []string{"mode", "tenants", "shards", "rounds", "epoch", "wall s", "lost decisions"},
 	}
-
-	tenants := 12
-	rounds := 8
+	tenants, rounds := 12, 8
 	if s.Name != "quick" {
-		tenants = 48
-		rounds = 12
+		tenants, rounds = 48, 12
 	}
+	dir := benchTempDir("failover")
+	defer os.RemoveAll(dir)
 
-	a := app.SyntheticChain(4)
-	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(42)))
-	n := len(a.Services)
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := range lo {
-		lo[i], hi[i] = 100, 1500
-	}
-	bundle := rpc.ModelBundle{
-		Model:  m,
-		Bounds: core.Bounds{Lo: lo, Hi: hi},
-		SLO:    0.25, MinRate: 50, MaxRate: 400,
-	}
-	spec := rpc.Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7, TickS: 5}
-	ids := make([]string, tenants)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("tenant-%03d", i)
-	}
-
-	// Ground truth: the same population, uninterrupted, in one process.
-	want := fleetRPCReference(bundle, spec, ids, rounds)
-
-	dirs := struct{ audit, ckpt, state string }{
-		benchTempDir("failover-audit"), benchTempDir("failover-ckpt"), benchTempDir("failover-state"),
-	}
-	defer os.RemoveAll(dirs.audit)
-	defer os.RemoveAll(dirs.ckpt)
-	defer os.RemoveAll(dirs.state)
-
-	newShard := func() *rpc.ShardServer {
-		sh := &rpc.ShardServer{Bundle: bundle, CkptDir: dirs.ckpt, AuditDir: dirs.audit}
-		if _, err := sh.Serve("127.0.0.1:0"); err != nil {
+	// Two shards that outlive the primary: both drills attach to them.
+	base := planeDrill(tenants, rounds, dir)
+	base.StateDir = filepath.Join(dir, "state")
+	start := rpc.LocalShards(*base.Reference, filepath.Join(dir, "ckpt"), base.AuditDir)
+	for slot := 0; slot < 2; slot++ {
+		sh, err := start(slot)
+		if err != nil {
 			panic(err)
 		}
-		return sh
+		defer sh.Shutdown()
+		base.Shards = append(base.Shards, sh.Addr())
 	}
-	shards := []*rpc.ShardServer{newShard(), newShard()}
-	addrs := []string{shards[0].Addr(), shards[1].Addr()}
-	defer func() {
-		for _, sh := range shards {
-			sh.Shutdown()
-		}
-	}()
+	// Mild request drops all run, absorbed by retries.
+	base.Schedule.Net = chaos.NetScenario{Name: "router-failover", Seed: 13,
+		Events: []chaos.NetEvent{chaos.Drop(1, rounds, "", 0.05)}}
 
-	// The chaos schedule scripts both fault axes: mild request drops all
-	// run (absorbed by retries) and the router kill itself, placed on the
-	// migration round so the primary dies inside the drain→restore window.
-	migRound := rounds / 2
-	inj := chaos.NewNetInjector(chaos.NetScenario{
-		Name: "router-failover", Seed: 13,
-		Events: []chaos.NetEvent{
-			chaos.Drop(1, rounds, "", 0.05),
-			chaos.RouterKill(migRound),
-		},
-	})
-	killRound := inj.RouterKillAt()
-
-	baseCfg := func() rpc.RouterConfig {
-		return rpc.RouterConfig{
-			Spec:    spec,
-			Tenants: ids,
-			Client: rpc.ClientConfig{
-				Timeout: 5 * time.Second, Retries: 4,
-				BackoffBase: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-				BreakerCooldown: 50 * time.Millisecond,
-			},
-			HeartbeatEvery: 20 * time.Millisecond,
-			StateDir:       dirs.state,
-			Fault:          inj,
-		}
-	}
-
-	// Primary: durable, with the SIGKILL emulated at the migrate-after-drain
-	// crash site — the same seam the process drill wires to a real SIGKILL.
-	errKilled := fmt.Errorf("router-failover: primary killed at migrate-after-drain")
-	primaryCfg := baseCfg()
-	primaryCfg.Failpoint = func(site string) error {
-		if site == "migrate-after-drain" {
-			return errKilled
-		}
-		return nil
-	}
-	primary, err := rpc.NewRouter(primaryCfg, addrs)
-	if err != nil {
-		panic(err)
-	}
-	if err := primary.Bootstrap(); err != nil {
-		panic(err)
-	}
-	start := time.Now()
-	for round := 1; round < killRound; round++ {
-		if err := primary.RunRound(); err != nil {
-			panic(err)
-		}
-	}
-
-	// The kill: a planned migration drains the victim tenant off its owner,
-	// then the primary dies before the restore. The tenant is resident
-	// nowhere; only the durable migration record knows where it was headed.
-	victim := ids[0]
-	target := addrs[0]
-	if primary.Owner(victim) == target {
-		target = addrs[1]
-	}
-	if _, err := primary.Migrate(victim, target); err == nil {
+	// Primary: a planned migration drains the victim tenant off its owner,
+	// then the router dies before the restore — the failpoint seam the
+	// process drill wires to a real SIGKILL. The tenant is resident nowhere;
+	// only the durable migration record knows where it was headed.
+	victim := base.Tenants[0]
+	primary := base
+	primary.Schedule.Migrations = []rpc.Migration{{Tenant: victim, Round: rounds / 2, Slot: rpc.SlotOther}}
+	primary.Schedule.CrashAfterDrain = true
+	t0 := time.Now()
+	if _, err := primary.Run(); !errors.Is(err, rpc.ErrRouterCrashed) {
 		panic("primary survived its scripted kill")
 	}
-	death := time.Now()
-	primaryWall := death.Sub(start).Seconds()
+	primaryWall := time.Since(t0).Seconds()
+	dead := primary.Router()
 
 	// Standby takeover: restore from the shared store, bump the epoch, run
 	// the anti-entropy reconcile (which rolls the migration forward), and
@@ -173,67 +87,52 @@ func RouterFailoverRun(s Scale) (Result, RouterFailoverStats) {
 	// gap: primary death → standby ready to run rounds. Failure *detection*
 	// is excluded here (the in-process drill hands over immediately); the
 	// process-level drill in CI adds its heartbeat-miss window on top.
-	standby, rep, err := rpc.ResumeRouter(baseCfg())
+	standby := base
+	standby.Resume = true
+	v, err := standby.Run()
 	if err != nil {
 		panic(err)
 	}
-	var st RouterFailoverStats
-	st.TakeoverBlackoutMS = float64(time.Since(death).Nanoseconds()) / 1e6
-	st.MigrationAction = rep.MigrationAction
-
-	standbyStart := time.Now()
-	for round := killRound; round <= rounds; round++ {
-		if err := standby.RunRound(); err != nil {
-			panic(err)
-		}
-	}
-	if err := standby.Settle(); err != nil {
-		panic(err)
-	}
-	standbyWall := time.Since(standbyStart).Seconds()
 
 	// The zombie test: the dead primary's process is still running as far as
 	// it knows. Every mutation it attempts must bounce off the epoch fence.
-	zombieErr := primary.RunRound()
-	zombieFenced := rpc.IsFenced(zombieErr) && primary.Fenced()
-
-	for _, addr := range addrs {
-		h, err := standby.Client().Health(addr)
+	zombieErr := dead.RunRound()
+	zombieFenced := rpc.IsFenced(zombieErr) && dead.Fenced()
+	// The shards' fence counters are read again now that the zombie has
+	// knocked: the verdict's were summed before it did.
+	var accepted, rejected int64
+	for _, addr := range base.Shards {
+		h, err := standby.Router().Client().Health(addr)
 		if err != nil {
 			panic(err)
 		}
-		st.FencedAccepted += float64(h.FencedAccepted)
-		st.FencedRejected += float64(h.FencedRejected)
-	}
-	rs := standby.Stats()
-	st.LostDecisions = float64(rs.LostDecisions + primary.Stats().LostDecisions)
-
-	st.ByteIdentical = true
-	for _, id := range ids {
-		b, err := os.ReadFile(filepath.Join(dirs.audit, fleet.SanitizeID(id)+".jsonl"))
-		if err != nil || !bytes.Equal(b, want[id]) {
-			st.ByteIdentical = false
-			res.Note("MISMATCH tenant %s: post-takeover audit differs from reference (err %v)", id, err)
-		}
+		accepted += h.FencedAccepted
+		rejected += h.FencedRejected
 	}
 
-	res.AddRow("primary (killed)", di(tenants), "2", di(killRound-1), "1", f2(primaryWall), "-")
-	res.AddRow("standby (takeover)", di(tenants), "2", di(rounds-killRound+1), di(int(standby.Epoch())), f2(standbyWall), f0(st.LostDecisions))
+	rs := v.Stats
+	st := RouterFailoverStats{
+		TakeoverBlackoutMS: v.TakeoverBlackoutMS,
+		LostDecisions:      float64(rs.LostDecisions + dead.Stats().LostDecisions),
+		FencedAccepted:     float64(accepted),
+		FencedRejected:     float64(rejected),
+		ByteIdentical:      len(v.Mismatched) == 0,
+		MigrationAction:    v.Reconcile.MigrationAction,
+	}
+
+	res.AddRow("primary (killed)", di(tenants), "2", di(dead.Stats().Rounds), di(int(dead.Epoch())), f2(primaryWall), "-")
+	res.AddRow("standby (takeover)", di(tenants), "2", di(rs.Rounds), di(int(v.Epoch)), f2(v.WallS), f0(st.LostDecisions))
 
 	res.Note("router_takeover_blackout_ms=%.2f (epoch bump + reconcile + migration roll-forward; detection excluded in-process)", st.TakeoverBlackoutMS)
-	res.Note("reconcile: %s", rep.String())
-	res.Note("migration %s -> %s resolved by reconcile as %q (want rolled-forward: drain completed, restore never ran)", victim, target, st.MigrationAction)
+	res.Note("reconcile: %s", v.Reconcile.String())
+	res.Note("migration %s -> %s resolved by reconcile as %q (want rolled-forward: drain completed, restore never ran)", victim, standby.Router().Owner(victim), st.MigrationAction)
 	res.Note("lost_decisions=%.0f verified_restores=%d snapshot_verified=%d (target 0 lost)", st.LostDecisions, rs.VerifiedRestores, rs.SnapshotVerified)
 	res.Note("fenced_writes_accepted=%.0f fenced_writes_rejected=%.0f zombie_fenced=%v (accepted must be 0)", st.FencedAccepted, st.FencedRejected, zombieFenced)
 	if !zombieFenced {
 		st.FencedAccepted++ // a zombie that mutates freely is an acceptance even if no shard counted one
 		res.Note("REGRESSION: zombie primary round did not bounce off the fence (err %v)", zombieErr)
 	}
-	if st.ByteIdentical {
-		res.Note("byte_identical=true: every tenant's audit log matches the uninterrupted single-process run exactly")
-	} else {
-		res.Note("byte_identical=false REGRESSION: the takeover lost or altered decisions")
-	}
+	noteByteIdentity(&res, v, "uninterrupted", "the takeover")
 	res.Note("wire chaos: 5%% seeded request drops all run, including during the reconcile sweep")
 	return res, st
 }

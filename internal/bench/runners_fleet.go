@@ -8,7 +8,6 @@ import (
 	"graf/internal/app"
 	"graf/internal/core"
 	"graf/internal/fleet"
-	"graf/internal/gnn"
 	"graf/internal/workload"
 )
 
@@ -65,14 +64,7 @@ func Fleet(s Scale) Result {
 // solve every interval (hysteresis off), so the benchmark measures the
 // inference-bound control path rather than idle simulation time.
 func fleetBenchConfig(tenants, workers int, serial bool) fleet.Config {
-	a := app.SyntheticChain(6)
-	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(11)))
-	n := len(a.Services)
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := range lo {
-		lo[i], hi[i] = 100, 1500
-	}
+	b := untrainedBundle(6, 11)
 	ccfg := core.DefaultControllerConfig(0.25)
 	// Solve on every tick: the fleet benchmark compares inference paths, and
 	// a coasting controller exercises neither.
@@ -84,8 +76,8 @@ func fleetBenchConfig(tenants, workers int, serial bool) fleet.Config {
 	ccfg.Solver.MaxIters = 400
 	ccfg.Solver.Tolerance = 0
 	cfg := fleet.Config{
-		App: a, Model: m,
-		Bounds:  core.Bounds{Lo: lo, Hi: hi},
+		App: app.SyntheticChain(6), Model: b.Model,
+		Bounds:  b.Bounds,
 		SLO:     0.25,
 		MinRate: 40, MaxRate: 320,
 		Workers: workers, Shards: workers,
@@ -126,9 +118,8 @@ func runFleetOnce(tenants, workers int, serial bool, durS float64) (wallS float6
 // 200-point solver trajectory with small per-tenant input noise (below the
 // quantization grid, as homogeneous tenants' solver trajectories are).
 func inferenceThroughput(tenants int) (perCallRate, sharedRate float64) {
-	a := app.SyntheticChain(6)
-	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(12)))
-	n := len(a.Services)
+	const n = 6
+	m := untrainedBundle(n, 12).Model
 
 	const points = 200
 	rng := rand.New(rand.NewSource(13))

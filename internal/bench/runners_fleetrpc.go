@@ -1,17 +1,16 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"graf/internal/app"
 	"graf/internal/chaos"
 	"graf/internal/core"
-	"graf/internal/fleet"
 	"graf/internal/gnn"
 	"graf/internal/rpc"
 )
@@ -46,183 +45,116 @@ func FleetRPCRun(s Scale) (Result, FleetRPCStats) {
 		Title:  "Multi-process fleet: routed shards vs single process, with migration + shard kill",
 		Header: []string{"mode", "tenants", "shards", "rounds", "wall s", "ticks/s", "lost decisions"},
 	}
-
-	tenants := 16
-	rounds := 10
+	tenants, rounds := 16, 10
 	if s.Name != "quick" {
-		tenants = 96
-		rounds = 16
+		tenants, rounds = 96, 16
 	}
+	dir := benchTempDir("fleetrpc")
+	defer os.RemoveAll(dir)
 
-	a := app.SyntheticChain(4)
-	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(42)))
-	n := len(a.Services)
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := range lo {
-		lo[i], hi[i] = 100, 1500
+	// Two in-process shard servers + router over real HTTP sockets. The
+	// first tenant migrates to whichever shard does not own it; then the
+	// shard owning the most tenants dies abruptly and — no respawns — its
+	// orphans are reassigned and verified against their logs.
+	killRound := rounds/2 + 1
+	d := planeDrill(tenants, rounds, dir)
+	d.Spawn, d.StartShard = 2, rpc.LocalShards(*d.Reference, filepath.Join(dir, "ckpt"), d.AuditDir)
+	d.RestartBudget = -1
+	d.Schedule = rpc.Schedule{
+		Migrations: []rpc.Migration{{Tenant: d.Tenants[0], Round: 3, Slot: rpc.SlotOther}},
+		Kills:      []rpc.ShardKill{{Slot: rpc.SlotMax, Round: killRound}},
+		Net: chaos.NetScenario{Name: "fleet-rpc", Seed: 11,
+			Events: []chaos.NetEvent{chaos.Drop(1, rounds, "", 0.10)}},
 	}
-	bundle := rpc.ModelBundle{
-		Model:  m,
-		Bounds: core.Bounds{Lo: lo, Hi: hi},
-		SLO:    0.25, MinRate: 50, MaxRate: 400,
-	}
-	spec := rpc.Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7, TickS: 5}
-	ids := make([]string, tenants)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("tenant-%03d", i)
-	}
-
-	// Reference: the same population in one static single-process fleet.
-	refStart := time.Now()
-	want := fleetRPCReference(bundle, spec, ids, rounds)
-	refWall := time.Since(refStart).Seconds()
-	res.AddRow("single process", di(tenants), "1", di(rounds), f2(refWall),
-		f1(float64(tenants*rounds)/refWall), "-")
-
-	// Distributed: two shard servers + router, chaos drops on the wire.
-	dirs := struct{ audit, ckpt string }{benchTempDir("fleetrpc-audit"), benchTempDir("fleetrpc-ckpt")}
-	defer os.RemoveAll(dirs.audit)
-	defer os.RemoveAll(dirs.ckpt)
-
-	newShard := func() *rpc.ShardServer {
-		sh := &rpc.ShardServer{Bundle: bundle, CkptDir: dirs.ckpt, AuditDir: dirs.audit}
-		if _, err := sh.Serve("127.0.0.1:0"); err != nil {
-			panic(err)
-		}
-		return sh
-	}
-	shards := []*rpc.ShardServer{newShard(), newShard()}
-	addrs := []string{shards[0].Addr(), shards[1].Addr()}
-
-	inj := chaos.NewNetInjector(chaos.NetScenario{
-		Name: "fleet-rpc", Seed: 11,
-		Events: []chaos.NetEvent{chaos.Drop(1, rounds, "", 0.10)},
-	})
-	r, err := rpc.NewRouter(rpc.RouterConfig{
-		Spec:    spec,
-		Tenants: ids,
-		// The breaker keeps its default threshold: a drop burst can open it
-		// spuriously, but the router resets the breaker on a heartbeat-ok
-		// verdict before re-ticking, so a droppy patch no longer turns into
-		// a false shard death.
-		Client: rpc.ClientConfig{
-			Timeout: 5 * time.Second, Retries: 4,
-			BackoffBase: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-			BreakerCooldown: 50 * time.Millisecond,
-		},
-		HeartbeatEvery: 20 * time.Millisecond,
-		Fault:          inj,
-	}, addrs)
+	v, err := d.Run()
 	if err != nil {
 		panic(err)
 	}
-	if err := r.Bootstrap(); err != nil {
-		panic(err)
-	}
 
-	var st FleetRPCStats
-	killRound := rounds/2 + 1
-	migRound := 3
-	start := time.Now()
-	for round := 1; round <= rounds; round++ {
-		if round == migRound {
-			// Planned migration: the first tenant moves to whichever shard
-			// does not own it.
-			target := addrs[0]
-			if r.Owner(ids[0]) == target {
-				target = addrs[1]
-			}
-			if _, err := r.Migrate(ids[0], target); err != nil {
-				panic(err)
-			}
-		}
-		if round == killRound {
-			// Chaos: abruptly kill the shard owning the most tenants; its
-			// orphans must be reassigned and verified against their logs.
-			owners := map[string]int{}
-			for _, id := range ids {
-				owners[r.Owner(id)]++
-			}
-			victim := 0
-			if owners[addrs[1]] > owners[addrs[0]] {
-				victim = 1
-			}
-			shards[victim].Kill()
-		}
-		if err := r.RunRound(); err != nil {
-			panic(err)
-		}
+	rs := v.Stats
+	st := FleetRPCStats{
+		TicksPerS:           float64(v.Ticks) / v.WallS,
+		RebalanceBlackoutMS: rs.RecoveryBlackoutMS,
+		LostDecisions:       float64(rs.LostDecisions),
+		ByteIdentical:       len(v.Mismatched) == 0,
 	}
-	wall := time.Since(start).Seconds()
-	for _, sh := range shards {
-		sh.Shutdown()
-	}
-
-	rs := r.Stats()
-	ticks := 0
-	for _, ts := range r.TenantStates() {
-		ticks += ts.Ticks
-	}
-	st.TicksPerS = float64(ticks) / wall
-	st.RebalanceBlackoutMS = rs.RecoveryBlackoutMS
-	st.LostDecisions = float64(rs.LostDecisions)
 	for _, ms := range rs.MigrationBlackouts {
-		if ms > st.MigrationBlackoutMS {
-			st.MigrationBlackoutMS = ms
-		}
+		st.MigrationBlackoutMS = max(st.MigrationBlackoutMS, ms)
 	}
 
-	// The acceptance check: every audit file byte-identical to the
-	// unkilled single-process reference.
-	st.ByteIdentical = true
-	for _, id := range ids {
-		b, err := os.ReadFile(filepath.Join(dirs.audit, fleet.SanitizeID(id)+".jsonl"))
-		if err != nil || !bytes.Equal(b, want[id]) {
-			st.ByteIdentical = false
-			res.Note("MISMATCH tenant %s: distributed audit differs from reference (err %v)", id, err)
-		}
-	}
-
-	res.AddRow("routed 2 shards", di(tenants), "2", di(rounds), f2(wall),
+	// Reference: the same population in one static single-process fleet.
+	res.AddRow("single process", di(tenants), "1", di(rounds), f2(v.ReferenceS),
+		f1(float64(tenants*rounds)/v.ReferenceS), "-")
+	res.AddRow("routed 2 shards", di(tenants), "2", di(rounds), f2(v.WallS),
 		f1(st.TicksPerS), f0(st.LostDecisions))
 
 	res.Note("fleetrpc_ticks_per_s=%.1f (aggregate, %d tenants across 2 shard processes + router over HTTP)", st.TicksPerS, tenants)
 	res.Note("migration_blackout_ms=%.2f (drain -> checkpoint -> rebuild + fast-forward on target, fingerprint-verified)", st.MigrationBlackoutMS)
 	res.Note("rebalance_blackout_ms=%.2f (shard killed at round %d: %d respawns, %d reassignments)", st.RebalanceBlackoutMS, killRound, rs.Respawns, rs.Reassignments)
 	res.Note("lost_decisions=%.0f verified_restores=%d snapshot_verified=%d replayed_ticks=%d (target 0 lost)", st.LostDecisions, rs.VerifiedRestores, rs.SnapshotVerified, rs.ReplayedTicks)
-	if st.ByteIdentical {
-		res.Note("byte_identical=true: every tenant's audit log matches the unkilled single-process run exactly")
-	} else {
-		res.Note("byte_identical=false REGRESSION: distributed run lost or altered decisions")
-	}
+	noteByteIdentity(&res, v, "unkilled", "distributed run")
 	res.Note("wire chaos: 10%% seeded request drops all run; client retries with jittered backoff absorb them")
 	return res, st
 }
 
-// fleetRPCReference runs the population in one static fleet and returns each
-// tenant's audit bytes.
-func fleetRPCReference(bundle rpc.ModelBundle, spec rpc.Spec, ids []string, rounds int) map[string][]byte {
-	cfg, err := spec.FleetConfig(bundle, "")
-	if err != nil {
-		panic(err)
+// planeDrill is what the control-plane experiments share: an untrained
+// chain-4 model (they measure the plane, not the model), constant-rate
+// tenants, a client with tight timings, and a verdict that compares every
+// audit log under dir with the single-process reference.
+func planeDrill(tenants, rounds int, dir string) rpc.Drill {
+	bundle := untrainedBundle(4, 42)
+	ids := make([]string, tenants)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("tenant-%03d", i)
 	}
-	cfg.Dynamic = false
-	cfg.Shards = 1
-	cfg.Workers = 1
-	for _, id := range ids {
-		cfg.Tenants = append(cfg.Tenants, spec.TenantConfig(id))
+	return rpc.Drill{
+		RouterConfig: rpc.RouterConfig{
+			Spec:    rpc.Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7, TickS: 5},
+			Tenants: ids,
+			// The breaker keeps its default threshold: a drop burst can open
+			// it spuriously, but the router resets the breaker on a
+			// heartbeat-ok verdict before re-ticking, so a droppy patch does
+			// not turn into a false shard death.
+			Client: rpc.ClientConfig{
+				Timeout: 5 * time.Second, Retries: 4,
+				BackoffBase: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
+				BreakerCooldown: 50 * time.Millisecond,
+			},
+			HeartbeatEvery: 20 * time.Millisecond,
+		},
+		Rounds:    rounds,
+		Reference: &bundle,
+		AuditDir:  filepath.Join(dir, "audit"),
 	}
-	f, err := fleet.New(cfg)
-	if err != nil {
-		panic(err)
+}
+
+// noteByteIdentity records the acceptance check — every audit file
+// byte-identical to the single-process reference — and anything else the
+// verdict holds against the run.
+func noteByteIdentity(res *Result, v *rpc.Verdict, reference, run string) {
+	if len(v.Mismatched) > 0 {
+		res.Note("byte_identical=false REGRESSION: %s lost or altered decisions", run)
+	} else {
+		res.Note("byte_identical=true: every tenant's audit log matches the %s single-process run exactly", reference)
 	}
-	f.Run(float64(rounds) * cfg.TickS)
-	out := map[string][]byte{}
-	for _, t := range f.Tenants() {
-		out[t.ID] = append([]byte(nil), t.AuditLog()...)
+	if err := v.Err(); err != nil {
+		res.Note("REGRESSION: %s", strings.ReplaceAll(err.Error(), "\n", "; "))
 	}
-	return out
+}
+
+// untrainedBundle is a deterministic, untrained chain-N model artifact.
+func untrainedBundle(services int, seed int64) rpc.ModelBundle {
+	a := app.SyntheticChain(services)
+	lo := make([]float64, services)
+	hi := make([]float64, services)
+	for i := range lo {
+		lo[i], hi[i] = 100, 1500
+	}
+	return rpc.ModelBundle{
+		Model:  gnn.New(gnn.DefaultConfig(services, a.Parents()), rand.New(rand.NewSource(seed))),
+		Bounds: core.Bounds{Lo: lo, Hi: hi},
+		SLO:    0.25, MinRate: 50, MaxRate: 400,
+	}
 }
 
 func benchTempDir(prefix string) string {

@@ -3,13 +3,9 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"graf/internal/app"
-	"graf/internal/core"
 	"graf/internal/fleet"
-	"graf/internal/gnn"
 	"graf/internal/obs"
 	"graf/internal/rpc"
 )
@@ -52,19 +48,7 @@ func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 		rounds = 24
 	}
 
-	a := app.SyntheticChain(4)
-	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(42)))
-	n := len(a.Services)
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := range lo {
-		lo[i], hi[i] = 100, 1500
-	}
-	bundle := rpc.ModelBundle{
-		Model:  m,
-		Bounds: core.Bounds{Lo: lo, Hi: hi},
-		SLO:    0.25, MinRate: 50, MaxRate: 400,
-	}
+	bundle := untrainedBundle(4, 42)
 	spec := rpc.Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7, TickS: 5}
 
 	run := func(traced bool) (nsPerTick float64, spans float64, audit map[string][]byte) {

@@ -8,10 +8,15 @@ import (
 // Network faults for the multi-process control plane. Unlike the
 // cluster-level events above, these fire on the wire between the router and
 // its shard processes: requests are dropped, delayed, or a shard is
-// partitioned or killed outright. They plug into the rpc client's
-// FaultInjector seam (structurally — chaos does not import rpc), and every
-// decision is a pure hash of (seed, op, shard, round, attempt), so a chaos
-// run replays identically no matter how requests interleave in wall time.
+// partitioned. They plug into the rpc client's FaultInjector seam
+// (structurally — chaos does not import rpc), and every decision is a pure
+// hash of (seed, op, shard, round, attempt). The client names a shard by its
+// router slot, never by its address (a respawn or a ":0" listener changes
+// the address, not the slot), and numbers attempts per (op, shard) across
+// the whole round, so a chaos run draws the same verdicts in every process
+// and on every run, and a re-tick of the same round draws fresh ones.
+// Process deaths — a shard's or the router's — are not wire faults: they are
+// rpc.Schedule entries, performed by rpc.Drill.
 
 // NetFaultKind enumerates the injectable network fault types.
 type NetFaultKind int
@@ -27,17 +32,6 @@ const (
 	// for the window, though the process stays healthy (heartbeats fail
 	// too; the breaker and the router's dead-shard machinery take over).
 	NetPartition
-	// NetShardKill marks the shard for death at the start of the window.
-	// The injector cannot kill a process itself; the driver polls
-	// KillAt/ShouldKill and performs the kill — keeping chaos free of
-	// process-management dependencies.
-	NetShardKill
-	// NetRouterKill marks the ROUTER for death at the start of the window —
-	// the control plane's brain, not a limb. As with NetShardKill the driver
-	// polls RouterKillAt and performs the kill (SIGKILL the primary, or trip
-	// an in-process failpoint); the standby's takeover and the resumed
-	// fleet's audit integrity are then the properties under test.
-	NetRouterKill
 )
 
 // String names the network fault kind.
@@ -49,10 +43,6 @@ func (k NetFaultKind) String() string {
 		return "net-delay"
 	case NetPartition:
 		return "net-partition"
-	case NetShardKill:
-		return "shard-kill"
-	case NetRouterKill:
-		return "router-kill"
 	default:
 		return "unknown"
 	}
@@ -66,7 +56,8 @@ type NetEvent struct {
 	// FromRound..ToRound (inclusive) is the active window. ToRound 0 means
 	// FromRound only.
 	FromRound, ToRound int
-	// Shard targets one shard address ("" = every shard).
+	// Shard targets one shard by the name the client gives it — its router
+	// slot, "0", "1", ... ("" = every shard).
 	Shard string
 	// Op targets one endpoint name ("" = every endpoint; heartbeat probes
 	// are "health").
@@ -107,17 +98,6 @@ func Partition(fromRound, toRound int, shard string) NetEvent {
 	return NetEvent{Kind: NetPartition, FromRound: fromRound, ToRound: toRound, Shard: shard}
 }
 
-// ShardKill returns a shard-death event.
-func ShardKill(atRound int, shard string) NetEvent {
-	return NetEvent{Kind: NetShardKill, FromRound: atRound, Shard: shard}
-}
-
-// RouterKill returns a router-death event: the primary router is killed at
-// the start of the round (mid-migration when the drill schedules one there).
-func RouterKill(atRound int) NetEvent {
-	return NetEvent{Kind: NetRouterKill, FromRound: atRound}
-}
-
 // NetInjector evaluates a NetScenario against outbound control-plane
 // requests. It implements the rpc client's FaultInjector interface
 // structurally. Stateless by construction — every verdict is recomputed
@@ -132,12 +112,14 @@ func NewNetInjector(sc NetScenario) *NetInjector {
 }
 
 // roll maps (seed, op, shard, round, attempt, eventIndex) to a uniform
-// [0,1) — the injector's only randomness source.
+// [0,1) — the injector's only randomness source. FNV-1a alone carries a
+// difference in its last bytes into the low bits only, which the result
+// discards: slots "0" and "1" would draw one stream. The finalizer
+// (MurmurHash3's) spreads every input bit over the whole word.
 func (n *NetInjector) roll(op, shard string, round, attempt, ev int) float64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for i, v := range []int64{n.sc.Seed, int64(round), int64(attempt), int64(ev)} {
-		_ = i
+	for _, v := range []int64{n.sc.Seed, int64(round), int64(attempt), int64(ev)} {
 		for b := 0; b < 8; b++ {
 			buf[b] = byte(v >> (8 * b))
 		}
@@ -146,11 +128,19 @@ func (n *NetInjector) roll(op, shard string, round, attempt, ev int) float64 {
 	h.Write([]byte(op))
 	h.Write([]byte{0})
 	h.Write([]byte(shard))
-	return float64(h.Sum64()>>11) / float64(1<<53)
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return float64(x>>11) / float64(1<<53)
 }
 
 // Intercept decides one outbound request's fate: drop it, delay it, or let
-// it through. Matches the rpc.FaultInjector contract.
+// it through. Matches the rpc.FaultInjector contract: shard is the slot name
+// and attempt counts this round's attempts at op on that shard, so the same
+// coordinates never come twice in one run.
 func (n *NetInjector) Intercept(op, shard string, round, attempt int) (drop bool, delay time.Duration) {
 	for i, e := range n.sc.Events {
 		if !e.active(round) {
@@ -176,32 +166,4 @@ func (n *NetInjector) Intercept(op, shard string, round, attempt int) (drop bool
 		}
 	}
 	return false, delay
-}
-
-// KillAt returns the round at which a shard is scripted to die (-1 = never).
-func (n *NetInjector) KillAt(shard string) int {
-	for _, e := range n.sc.Events {
-		if e.Kind == NetShardKill && (e.Shard == "" || e.Shard == shard) {
-			return e.FromRound
-		}
-	}
-	return -1
-}
-
-// ShouldKill reports whether a shard is scripted to die at exactly this
-// round — the driver's poll point.
-func (n *NetInjector) ShouldKill(shard string, round int) bool {
-	at := n.KillAt(shard)
-	return at >= 0 && at == round
-}
-
-// RouterKillAt returns the round at which the router is scripted to die
-// (-1 = never). The driver polls it and performs the kill.
-func (n *NetInjector) RouterKillAt() int {
-	for _, e := range n.sc.Events {
-		if e.Kind == NetRouterKill {
-			return e.FromRound
-		}
-	}
-	return -1
 }

@@ -102,17 +102,63 @@ func TestNetInjectorDelayAccumulates(t *testing.T) {
 	}
 }
 
-func TestNetInjectorShardKill(t *testing.T) {
-	inj := NewNetInjector(NetScenario{
-		Events: []NetEvent{ShardKill(5, "s2")},
-	})
-	if inj.KillAt("s1") != -1 {
-		t.Fatal("untargeted shard scripted to die")
+// The verdict stream is a function of the scenario and the coordinates alone.
+// rpc's client names a shard by its router slot — never by its listen
+// address, which is a fresh ephemeral port on every run — so pinning the
+// stream for slot "0" and "1" pins what every run of the scenario draws.
+func TestNetInjectorVerdictsPinnedBySlotName(t *testing.T) {
+	inj := NewNetInjector(NetScenario{Seed: 13, Events: []NetEvent{Drop(1, 4, "", 0.3)}})
+	want := map[string]string{
+		"0": "..xx.xx. ..x.xx.. x..xx... .x..x.xx ",
+		"1": "...xx... ....x.x. x...x.x. ..x.x... ",
 	}
-	if inj.KillAt("s2") != 5 {
-		t.Fatalf("KillAt=%d, want 5", inj.KillAt("s2"))
+	for shard, w := range want {
+		got := ""
+		for round := 1; round <= 4; round++ {
+			for attempt := 0; attempt < 8; attempt++ {
+				if drop, _ := inj.Intercept("tick", shard, round, attempt); drop {
+					got += "x"
+				} else {
+					got += "."
+				}
+			}
+			got += " "
+		}
+		if got != w {
+			t.Errorf("slot %s drew %q, want %q", shard, got, w)
+		}
 	}
-	if inj.ShouldKill("s2", 4) || !inj.ShouldKill("s2", 5) || inj.ShouldKill("s2", 6) {
-		t.Fatal("ShouldKill must fire exactly at the scripted round")
+}
+
+// A round whose first three tick attempts all drop opens the client's default
+// breaker; the router resets it and re-ticks the same round. The re-tick must
+// continue the attempt count: replaying 0..2 would replay the three drops and
+// re-open the breaker on every recovery attempt — the livelock this pins.
+func TestNetInjectorRetickDrawsFresh(t *testing.T) {
+	prefixes := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		inj := NewNetInjector(NetScenario{Seed: seed, Events: []NetEvent{Drop(1, 6, "", 0.3)}})
+		dropped := func(shard string, round, attempt int) bool {
+			d, _ := inj.Intercept("tick", shard, round, attempt)
+			return d
+		}
+		for _, shard := range []string{"0", "1"} {
+			for round := 1; round <= 6; round++ {
+				if !dropped(shard, round, 0) || !dropped(shard, round, 1) || !dropped(shard, round, 2) {
+					continue
+				}
+				prefixes++
+				if !dropped(shard, round, 0) {
+					t.Fatal("the same coordinates drew a different verdict")
+				}
+				if dropped(shard, round, 3) && dropped(shard, round, 4) && dropped(shard, round, 5) &&
+					dropped(shard, round, 6) && dropped(shard, round, 7) && dropped(shard, round, 8) {
+					t.Errorf("seed %d slot %s round %d: attempts 3..8 replay the drop burst", seed, shard, round)
+				}
+			}
+		}
+	}
+	if prefixes == 0 {
+		t.Fatal("no three-drop prefix in 40 seeds: the test exercises nothing")
 	}
 }

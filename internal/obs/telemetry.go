@@ -162,16 +162,24 @@ func (t *Telemetry) Handler() http.Handler {
 	return mux
 }
 
-// Serve starts an HTTP server for Handler on addr and returns it once the
-// listener is bound (so scrapes racing the return cannot miss). Shut it
-// down with srv.Close or srv.Shutdown.
-func (t *Telemetry) Serve(addr string) (*http.Server, error) {
+// Serve starts an HTTP server on addr — Handler's /debug endpoints, and at
+// /metrics the page metrics renders: a view merged from several registries
+// (a fleet's tenants, a router's shards) — and returns it once the listener
+// is bound, so scrapes racing the return cannot miss; srv.Addr is the bound
+// address. Shut it down with srv.Close or srv.Shutdown.
+func (t *Telemetry) Serve(addr string, metrics func() string) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: t.Handler()}
-	go srv.Serve(ln)
+	mux := http.NewServeMux()
+	mux.Handle("/debug/", t.Handler())
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		io.WriteString(w, metrics())
+	})
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux}
+	go srv.Serve(ln) // returns when the caller closes srv
 	return srv, nil
 }
 

@@ -426,3 +426,44 @@ func jsonString(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)
 }
+
+// StitchedTrace finds the best single trace that crosses at least two
+// processes and contains every stage of the control-plane path: the router's
+// round root, the shard-side tick handler, a tenant tick, a controller
+// decision stage, and a coalesced inference batch. Returns its trace ID,
+// span count, and process count.
+func StitchedTrace(spans []TraceSpan) (tid uint64, n, procs int, ok bool) {
+	type agg struct {
+		names map[string]bool
+		procs map[string]bool
+		n     int
+	}
+	byTrace := map[uint64]*agg{}
+	for _, s := range spans {
+		a := byTrace[s.Trace]
+		if a == nil {
+			a = &agg{names: map[string]bool{}, procs: map[string]bool{}}
+			byTrace[s.Trace] = a
+		}
+		name := s.Name
+		if strings.HasPrefix(name, "decision/") {
+			name = "decision"
+		}
+		a.names[name] = true
+		a.procs[s.Proc] = true
+		a.n++
+	}
+	var best *agg
+	for id, a := range byTrace {
+		full := a.names["router/round"] && a.names["shard/tick"] &&
+			a.names["tenant/tick"] && a.names["decision"] &&
+			a.names["inference/batch"] && len(a.procs) >= 2
+		if full && (best == nil || a.n > best.n) {
+			tid, best = id, a
+		}
+	}
+	if best == nil {
+		return 0, 0, 0, false
+	}
+	return tid, best.n, len(best.procs), true
+}

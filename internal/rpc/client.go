@@ -83,10 +83,14 @@ func (c ClientConfig) withDefaults() ClientConfig {
 }
 
 // FaultInjector intercepts outbound control-plane requests — the seam
-// chaos.NetInjector plugs into (structurally; rpc has no chaos dependency).
-// op is the endpoint name ("tick", "admit", ...), shard the target address.
-// Returning drop simulates the network losing the request; a positive delay
-// is injected before the attempt.
+// chaos.NetInjector plugs into. op is the endpoint name ("tick", "admit",
+// ...). shard is the target's stable name: its router slot ("0", "1", ...)
+// once a Router has named it, its address for a bare Client — a verdict keyed
+// on an ephemeral port would differ on every run. attempt counts the
+// attempts at op on that shard since the round began, across calls: a
+// re-tick after a breaker reset continues the sequence, it does not replay
+// the draws that opened the breaker. Returning drop simulates the network
+// losing the request; a positive delay is injected before the attempt.
 type FaultInjector interface {
 	Intercept(op, shard string, round, attempt int) (drop bool, delay time.Duration)
 }
@@ -146,6 +150,10 @@ type Client struct {
 	rng      *rand.Rand
 	round    int
 	deadline time.Time
+	// Fault-injection coordinates: names maps a shard address to its slot
+	// name, draws counts this round's injected attempts per (op, shard).
+	names map[string]string
+	draws map[string]int
 }
 
 // NewClient builds a client. fault may be nil.
@@ -157,7 +165,31 @@ func NewClient(cfg ClientConfig, fault FaultInjector) *Client {
 		Fault:    fault,
 		breakers: map[string]*breaker{},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		names:    map[string]string{},
+		draws:    map[string]int{},
 	}
+}
+
+// nameShard tells fault injection which router slot serves at addr.
+func (c *Client) nameShard(addr string, slot int) {
+	c.mu.Lock()
+	c.names[addr] = strconv.Itoa(slot)
+	c.mu.Unlock()
+}
+
+// faultCoords resolves one attempt's fault-injection coordinates and
+// advances the (op, shard) attempt count.
+func (c *Client) faultCoords(op, addr string) (shard string, round, attempt int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	shard = addr
+	if name, ok := c.names[addr]; ok {
+		shard = name
+	}
+	key := op + "\x00" + shard
+	attempt = c.draws[key]
+	c.draws[key]++
+	return shard, c.round, attempt
 }
 
 // SetEpoch installs the router generation's fencing epoch; every subsequent
@@ -177,7 +209,10 @@ func (c *Client) Epoch() uint64 {
 // wall time.
 func (c *Client) SetRound(r int) {
 	c.mu.Lock()
-	c.round = r
+	if r != c.round {
+		c.round = r
+		clear(c.draws)
+	}
 	c.mu.Unlock()
 }
 
@@ -338,10 +373,8 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 			return fmt.Errorf("%w: shard %s", ErrBreakerOpen, shard)
 		}
 		if c.Fault != nil {
-			c.mu.Lock()
-			round := c.round
-			c.mu.Unlock()
-			drop, delay := c.Fault.Intercept(op, shard, round, attempt)
+			name, round, n := c.faultCoords(op, shard)
+			drop, delay := c.Fault.Intercept(op, name, round, n)
 			if delay > 0 {
 				time.Sleep(delay)
 			}

@@ -3,6 +3,7 @@ package rpc
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"graf/internal/overload"
@@ -116,6 +117,65 @@ func FuzzSpecDecode(f *testing.F) {
 			if tc.Users != nil && tc.Users(at) < 0 {
 				t.Fatalf("spec %s: users(%v) = %d", body, at, tc.Users(at))
 			}
+		}
+	})
+}
+
+// FuzzParseSchedule hammers the -migrate / -kill-shard grammar. The router
+// parses it before a single shard process exists, so whatever it accepts must
+// be runnable as is: positive rounds, a named tenant, slots inside the shard
+// set (or the one symbolic slot each clause allows) — and a rejected clause
+// must reject the whole schedule, never half of it.
+func FuzzParseSchedule(f *testing.F) {
+	for _, seed := range []struct {
+		migrate, kill string
+		shards        int
+	}{
+		{"", "", 2},
+		{"tenant-03@5:1", "0@12", 2},
+		{"tenant-03@5:other", "max@12", 2},
+		{"tenant-03@5:max", "other@12", 2},
+		{"t@1:7", "7@1", 0},
+		{"@5:1", "@", 2},
+		{"tenant-03@5", "0", 2},
+		{"tenant-03@0:1", "0@0", 2},
+		{"tenant-03@-5:1", "-1@3", 2},
+		{"a@b@3:1", "1@2@3", 2},
+		{"tenant-03@5:1:2", "0@12:1", 2},
+		{"tenant-03@9999999999999999999:1", "0@9999999999999999999", 2},
+		{"tenant-03@5:+1", "+1@+3", 2},
+	} {
+		f.Add(seed.migrate, seed.kill, seed.shards)
+	}
+	f.Fuzz(func(t *testing.T, migrate, kill string, shards int) {
+		if shards < 0 {
+			shards = 0
+		}
+		s, err := ParseSchedule(migrate, kill, shards)
+		if err != nil {
+			if len(s.Migrations)+len(s.Kills) != 0 {
+				t.Fatalf("ParseSchedule(%q, %q, %d) returned half a schedule alongside error %v", migrate, kill, shards, err)
+			}
+			return
+		}
+		if (migrate == "") != (len(s.Migrations) == 0) || (kill == "") != (len(s.Kills) == 0) {
+			t.Fatalf("ParseSchedule(%q, %q, %d) = %+v: a clause was dropped or invented", migrate, kill, shards, s)
+		}
+		inRange := func(slot, symbolic int) bool {
+			return slot == symbolic || (slot >= 0 && (shards == 0 || slot < shards))
+		}
+		for _, m := range s.Migrations {
+			if m.Tenant == "" || m.Round <= 0 || !inRange(m.Slot, SlotOther) {
+				t.Fatalf("ParseSchedule(%q, _, %d) accepted %+v", migrate, shards, m)
+			}
+		}
+		for _, k := range s.Kills {
+			if k.Round <= 0 || !inRange(k.Slot, SlotMax) {
+				t.Fatalf("ParseSchedule(_, %q, %d) accepted %+v", kill, shards, k)
+			}
+		}
+		if again, err := ParseSchedule(migrate, kill, shards); err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("ParseSchedule(%q, %q, %d) is not deterministic: %+v then %+v (%v)", migrate, kill, shards, s, again, err)
 		}
 	})
 }

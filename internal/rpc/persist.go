@@ -5,7 +5,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"sort"
+	"time"
 
 	"graf/internal/ckpt"
 	"graf/internal/obs"
@@ -229,6 +232,7 @@ func ResumeRouter(cfg RouterConfig) (*Router, *ReconcileReport, error) {
 	for _, ps := range st.Slots {
 		s := &shardSlot{slot: ps.Slot, addr: ps.Addr, alive: ps.Alive, respawns: ps.Respawns}
 		r.slots = append(r.slots, s)
+		r.client.nameShard(s.addr, s.slot)
 		if s.alive {
 			r.ring.Add(s.addr)
 		}
@@ -251,6 +255,48 @@ func ResumeRouter(cfg RouterConfig) (*Router, *ReconcileReport, error) {
 		return nil, rep, err
 	}
 	return r, rep, nil
+}
+
+// primaryGrace is how long a standby waits for a primary that has never
+// answered before concluding it was dead from the start.
+const primaryGrace = 60 * time.Second
+
+// WaitForPrimaryFailure blocks until the primary's /v1/router/healthz has
+// failed `misses` consecutive probes after having answered at least once,
+// and returns the instant of the last successful probe — where the takeover
+// blackout clock starts. If the primary never answers within the grace
+// window (it was already dead when the standby started), it returns the
+// current time and answered=false: leadership is claimed immediately.
+func WaitForPrimaryFailure(primary string, every time.Duration, misses int) (lastOK time.Time, answered bool) {
+	timeout := 2 * every
+	if timeout < 100*time.Millisecond {
+		timeout = 100 * time.Millisecond
+	}
+	cl := &http.Client{Timeout: timeout}
+	url := "http://" + primary + "/v1/router/healthz"
+	grace := time.Now().Add(primaryGrace)
+	consecutive := 0
+	for {
+		resp, err := cl.Get(url)
+		ok := err == nil && resp.StatusCode == http.StatusOK
+		if resp != nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		switch {
+		case ok:
+			answered, consecutive = true, 0
+			lastOK = time.Now()
+		case answered:
+			consecutive++
+			if consecutive >= misses {
+				return lastOK, true
+			}
+		case time.Now().After(grace):
+			return time.Now(), false
+		}
+		time.Sleep(every)
+	}
 }
 
 // reconcile is the anti-entropy pass: declared (checkpointed) placement vs.

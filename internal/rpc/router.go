@@ -3,6 +3,8 @@ package rpc
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,6 +209,7 @@ func NewRouter(cfg RouterConfig, shardAddrs []string) (*Router, error) {
 	}
 	for i, addr := range shardAddrs {
 		r.slots = append(r.slots, &shardSlot{slot: i, addr: addr, alive: true})
+		r.client.nameShard(addr, i)
 		r.ring.Add(addr)
 	}
 	for _, id := range cfg.Tenants {
@@ -675,6 +678,7 @@ func (r *Router) handleShardFailure(s *shardSlot, parent ...obs.SpanContext) err
 		} else {
 			r.client.ResetBreaker(addr)
 			r.client.ResetBreaker(newAddr)
+			r.client.nameShard(newAddr, s.slot)
 			if err := r.client.Configure(newAddr, r.cfg.Spec, span.Context()); err != nil {
 				return fmt.Errorf("rpc: configure respawned shard %d (%s): %w", s.slot, newAddr, err)
 			}
@@ -904,4 +908,49 @@ func (r *Router) CheckpointAll() (int, error) {
 		total += resp.Saved
 	}
 	return total, nil
+}
+
+// scrapeShards fetches every live shard's Prometheus exposition from its
+// control-plane /metrics endpoint. Unreachable shards are skipped — the
+// caller compares the haul against the live count.
+func (r *Router) scrapeShards() []obs.Exposition {
+	cl := &http.Client{Timeout: 2 * time.Second}
+	var out []obs.Exposition
+	for _, addr := range r.aliveAddrs() {
+		resp, err := cl.Get("http://" + addr + "/metrics")
+		if err != nil {
+			continue
+		}
+		b, rerr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if rerr != nil || resp.StatusCode != http.StatusOK {
+			continue
+		}
+		out = append(out, obs.Exposition{Shard: addr, Text: string(b)})
+	}
+	return out
+}
+
+// federate renders the fleet-wide metrics view: the router's own registry
+// merged with the shard expositions, each sample relabeled with shard=addr.
+func federate(tel *obs.Telemetry, shards []obs.Exposition) string {
+	return obs.MergeExpositions(append(
+		[]obs.Exposition{{Shard: "router", Text: tel.Reg.Expose()}}, shards...))
+}
+
+// collectSpans merges the router's own spans with every live shard's span
+// buffer, pulled over /v1/traces. procs counts the processes that
+// contributed; errs names the shards that did not.
+func (r *Router) collectSpans() (spans []obs.TraceSpan, procs int, errs []error) {
+	spans, procs = r.cfg.Tracer.Snapshot(), 1
+	for _, addr := range r.aliveAddrs() {
+		resp, err := r.client.Traces(addr)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("traces from %s: %w", addr, err))
+			continue
+		}
+		spans = append(spans, resp.Spans...)
+		procs++
+	}
+	return spans, procs, errs
 }

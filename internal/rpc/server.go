@@ -399,6 +399,9 @@ func (s *ShardServer) Addr() string {
 	return s.ln.Addr().String()
 }
 
+// PID is the process the shard serves from — this one.
+func (s *ShardServer) PID() int { return os.Getpid() }
+
 // Kill closes the server abruptly — no flush, no checkpoint, no fleet stop:
 // the in-process stand-in for SIGKILL. Whatever was durably mirrored before
 // the last acknowledged tick is all a recovering router gets to work with,

@@ -92,32 +92,7 @@ func TestRoutedRunTracedByteIdenticalAndStitched(t *testing.T) {
 		procs[resp.Proc] = true
 		spans = append(spans, resp.Spans...)
 	}
-	type agg struct {
-		names map[string]bool
-		procs map[string]bool
-	}
-	byTrace := map[uint64]*agg{}
-	for _, s := range spans {
-		a := byTrace[s.Trace]
-		if a == nil {
-			a = &agg{names: map[string]bool{}, procs: map[string]bool{}}
-			byTrace[s.Trace] = a
-		}
-		name := s.Name
-		if strings.HasPrefix(name, "decision/") {
-			name = "decision"
-		}
-		a.names[name] = true
-		a.procs[s.Proc] = true
-	}
-	stitched := false
-	for _, a := range byTrace {
-		if a.names["router/round"] && a.names["shard/tick"] && a.names["tenant/tick"] &&
-			a.names["decision"] && a.names["inference/batch"] && len(a.procs) >= 2 {
-			stitched = true
-			break
-		}
-	}
+	_, _, _, stitched := obs.StitchedTrace(spans)
 	if !stitched {
 		seen := map[string]int{}
 		for _, s := range spans {
