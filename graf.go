@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -563,10 +564,13 @@ func (s *Simulation) EnableObservability(cfg ObservabilityConfig) *Observability
 func (s *Simulation) Observability() *Observability { return s.obs }
 
 // NewSimulation deploys a on a fresh simulated cluster (one warm instance
-// per microservice) with the default Kubernetes-like configuration.
+// per microservice) with the default Kubernetes-like configuration. The
+// cluster keeps its telemetry for the whole run: P99 takes any window.
 func NewSimulation(a *App, seed int64) *Simulation {
 	eng := sim.NewEngine(seed)
-	return &Simulation{Engine: eng, Cluster: cluster.New(eng, a, cluster.DefaultConfig())}
+	cl := cluster.New(eng, a, cluster.DefaultConfig())
+	cl.DeclareLookback(math.Inf(1))
+	return &Simulation{Engine: eng, Cluster: cl}
 }
 
 // RunFor advances simulated time by d.

@@ -75,6 +75,7 @@ type HPA struct {
 
 // NewHPA returns an HPA for every microservice of c.
 func NewHPA(c *cluster.Cluster, cfg HPAConfig) *HPA {
+	c.DeclareLookback(cfg.MetricWindowS)
 	return &HPA{Cluster: c, Cfg: cfg, recs: map[string]*metrics.Window{}}
 }
 
@@ -198,6 +199,7 @@ type FIRMLike struct {
 
 // NewFIRMLike returns a FIRM-like controller for every microservice of c.
 func NewFIRMLike(c *cluster.Cluster, cfg FIRMConfig) *FIRMLike {
+	c.DeclareLookback(cfg.MetricWindowS)
 	return &FIRMLike{Cluster: c, Cfg: cfg}
 }
 

@@ -7,7 +7,12 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
+
+	"graf/internal/app"
+	"graf/internal/cluster"
+	"graf/internal/sim"
 )
 
 // Result is one regenerated table or figure.
@@ -117,4 +122,14 @@ func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func di(v int) string     { return fmt.Sprintf("%d", v) }
 func ms(sec float64) string {
 	return fmt.Sprintf("%.1f", sec*1000)
+}
+
+// newCluster deploys a on eng with the evaluation's cluster configuration.
+// The runners read whole-run intervals of its telemetry (settled-phase
+// quantiles, arrival rates at past instants), so it keeps all of it, whatever
+// shorter look-back the controllers a runner attaches declare.
+func newCluster(eng *sim.Engine, a *app.App) *cluster.Cluster {
+	cl := cluster.New(eng, a, cluster.DefaultConfig())
+	cl.DeclareLookback(math.Inf(1))
+	return cl
 }

@@ -51,7 +51,7 @@ func AblationAnomaly(s Scale) Result {
 		Header: []string{"variant", "p99_before_ms", "p99_during_ms", "p99_after_ms", "boosts"}}
 	run := func(mitigate bool) []string {
 		eng := sim.NewEngine(71)
-		cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+		cl := newCluster(eng, tr.App)
 		warmStart(eng, cl, 120)
 		ctl := newGRAFController(tr, cl, tr.SLO)
 		// The controller's own violation guardrail would mask the

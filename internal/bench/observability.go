@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"graf/internal/cluster"
 	"graf/internal/core"
 	"graf/internal/obs"
 	"graf/internal/sim"
@@ -18,7 +17,7 @@ import (
 // wall time.
 func obsRun(tr *Trained, seed int64, horizonS float64) []byte {
 	eng := sim.NewEngine(seed)
-	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, EvalRate)
 
 	var buf bytes.Buffer
@@ -104,7 +103,7 @@ func ObsOverhead(s Scale) Result {
 
 	run := func(enabled bool) (nsPer float64) {
 		eng := sim.NewEngine(11)
-		cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+		cl := newCluster(eng, tr.App)
 		warmStart(eng, cl, EvalRate)
 		ctl := newGRAFController(tr, cl, tr.SLO)
 		// Defeat hysteresis so every Step takes the full

@@ -5,7 +5,6 @@ import (
 
 	"graf/internal/autoscale"
 	"graf/internal/chaos"
-	"graf/internal/cluster"
 	"graf/internal/core"
 	"graf/internal/sim"
 	"graf/internal/workload"
@@ -44,7 +43,7 @@ func chaosScenario() chaos.Scenario {
 // "firm".
 func runChaosPolicy(tr *Trained, policy string, slo float64, seed int64) chaosOut {
 	eng := sim.NewEngine(seed)
-	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, EvalRate) // engine now at 60
 
 	var out chaosOut

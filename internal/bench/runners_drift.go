@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"graf/internal/chaos"
-	"graf/internal/cluster"
 	"graf/internal/lifecycle"
 	"graf/internal/sim"
 	"graf/internal/workload"
@@ -43,7 +42,7 @@ func driftScenario(factor float64) chaos.Scenario {
 // model.
 func runDrift(tr *Trained, withLifecycle bool, slo float64, seed int64, observeS float64) driftOut {
 	eng := sim.NewEngine(seed)
-	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, EvalRate)
 
 	ctl := newGRAFController(tr, cl, slo)

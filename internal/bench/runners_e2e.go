@@ -43,7 +43,7 @@ func warmStart(eng *sim.Engine, cl *cluster.Cluster, totalRate float64) {
 // runGRAFSteady runs GRAF on a warm cluster at a constant open-loop rate.
 func runGRAFSteady(tr *Trained, slo, totalRate, horizonS float64, seed int64) steadyOut {
 	eng := sim.NewEngine(seed)
-	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, totalRate)
 	ctl := newGRAFController(tr, cl, slo)
 	ctl.Start()
@@ -56,7 +56,7 @@ func runGRAFSteady(tr *Trained, slo, totalRate, horizonS float64, seed int64) st
 // a warm cluster.
 func runHPASteady(tr *Trained, threshold, totalRate, horizonS float64, seed int64) steadyOut {
 	eng := sim.NewEngine(seed)
-	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, totalRate)
 	h := autoscale.NewHPA(cl, autoscale.DefaultHPAConfig(threshold))
 	h.Start()
@@ -193,7 +193,7 @@ func Fig17SLOTargeting(s Scale) Result {
 		sol := core.Solve(tr.Model, load, slo, tr.Bounds.Lo, tr.Bounds.Hi, core.DefaultSolverConfig())
 		// Deploy the solved configuration and measure.
 		eng := sim.NewEngine(int64(31 + sloMS))
-		cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+		cl := newCluster(eng, tr.App)
 		quotas := map[string]float64{}
 		for i, name := range tr.App.ServiceNames() {
 			quotas[name] = sol.Quotas[i]
@@ -232,7 +232,7 @@ func Fig18UserScaling(s Scale) Result {
 	for _, u := range users {
 		run := func(graf bool) float64 {
 			eng := sim.NewEngine(int64(42 + u))
-			cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+			cl := newCluster(eng, tr.App)
 			var stopCtl func()
 			if graf {
 				ctl := newGRAFController(tr, cl, tr.SLO)
@@ -277,7 +277,7 @@ func Fig20AzureReplay(s Scale) Result {
 	initialRate := float64(usersFn(0)) * 0.4
 	run := func(graf bool) (*metrics.Series, float64, float64) {
 		eng := sim.NewEngine(51)
-		cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+		cl := newCluster(eng, tr.App)
 		warmStart(eng, cl, initialRate) // the demo joins a running system
 		var stopCtl func()
 		if graf {
@@ -331,7 +331,7 @@ type surgeCompareOut struct {
 
 func runSurgeCompare(tr *Trained, policy string, baseUsers, surgeUsers int, surgeAt, horizonS float64, seed int64) surgeCompareOut {
 	eng := sim.NewEngine(seed)
-	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+	cl := newCluster(eng, tr.App)
 	var stopCtl func()
 	switch policy {
 	case "graf":

@@ -43,7 +43,7 @@ type ForecastStats struct {
 func runForecastPolicy(tr *Trained, fc forecast.Config, horizonS, scoreFromS, warmRate float64, seed int64,
 	attach func(cl *cluster.Cluster) (stop func())) forecastOut {
 	eng := sim.NewEngine(seed)
-	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+	cl := newCluster(eng, tr.App)
 	// The generator runs through the warm-up: a controller whose first tick
 	// reads a rate window that predates the traffic sees a half-empty
 	// window — a phantom half-rate sample that would poison the seasonal

@@ -19,7 +19,7 @@ func Fig01InstanceCreation(Scale) Result {
 	paper := map[int]float64{1: 5.5, 2: 8.7, 4: 12.5, 8: 23.6, 16: 45.6}
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		eng := sim.NewEngine(1)
-		cl := cluster.New(eng, app.RobotShop(), cluster.DefaultConfig())
+		cl := newCluster(eng, app.RobotShop())
 		d := cl.Deployment("web")
 		t0 := eng.Now()
 		d.SetReplicas(1 + k)
@@ -56,7 +56,7 @@ type surgeOut struct {
 func runSurge(variant surgeVariant, baseRate, surgeRate, surgeAt, horizonS float64, seed int64) surgeOut {
 	eng := sim.NewEngine(seed)
 	a := app.OnlineBoutique()
-	cl := cluster.New(eng, a, cluster.DefaultConfig())
+	cl := newCluster(eng, a)
 	variant.setup(cl, eng, surgeAt)
 
 	gen := workload.NewOpenLoop(cl, workload.StepRate(baseRate, surgeRate, surgeAt))

@@ -7,7 +7,6 @@ import (
 
 	"graf/internal/chaos"
 	"graf/internal/ckpt"
-	"graf/internal/cluster"
 	"graf/internal/core"
 	"graf/internal/obs"
 	"graf/internal/sim"
@@ -50,7 +49,7 @@ func recoveryScenario(warm bool) chaos.Scenario {
 // configuration until the telemetry recovers.
 func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 	eng := sim.NewEngine(seed)
-	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, EvalRate) // engine now at 60
 
 	dir, err := os.MkdirTemp("", "graf-recovery-ckpt-*")

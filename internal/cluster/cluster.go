@@ -23,10 +23,11 @@
 // engine calls it back through func values bound when the frame object was
 // made, so a request's steps allocate nothing; frames and request records are
 // recycled through per-Cluster free lists. Completed traces go to a per-API
-// ring (internal/trace) that returns the evicted trace's span array for the
-// next request, and telemetry to chunked windows (internal/metrics): once the
-// rings are full a simulated request costs 16 bytes per observation and
-// nothing else.
+// ring (internal/trace) that returns the evicted trace's span array for that
+// API's next request, and telemetry to windows (internal/metrics) that keep
+// only as far back as the cluster's readers declared they look
+// (DeclareLookback): once the rings are full and the windows hold one
+// look-back, a simulated request allocates nothing.
 //
 // # Instance creation
 //
@@ -156,6 +157,11 @@ type Cluster struct {
 	traces *trace.Collector
 	e2eAll *metrics.Window // end-to-end latency, all APIs
 
+	// lookback is the longest trailing interval, in seconds, any reader has
+	// declared through DeclareLookback; 0 while nobody has, and every window
+	// keeps everything.
+	lookback float64
+
 	// Free lists of the request path (frame.go). Both grow to the peak
 	// number of requests and calls in flight and are never trimmed.
 	freeReqs   []*request
@@ -224,6 +230,32 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 		}
 	}
 	return c
+}
+
+// DeclareLookback declares that a component about to read this cluster's
+// trailing telemetry (rates, utilizations, latency quantiles) looks back at
+// most seconds behind the clock; +Inf for one that reads whole-run intervals.
+// Every reader declares when it is constructed, the cluster keeps the
+// longest, and from then on its windows drop what lies further back. While
+// nobody has declared, everything is kept. A read that reaches past what a
+// too-short declaration left panics — a wiring bug, like Deployment's unknown
+// service. A later, longer declaration extends retention from that moment on;
+// it cannot bring back what is already gone.
+func (c *Cluster) DeclareLookback(seconds float64) {
+	if seconds <= c.lookback {
+		return
+	}
+	c.lookback = seconds
+	c.e2eAll.SetLookback(seconds)
+	for _, d := range c.deps {
+		for _, w := range []*metrics.Window{d.cpuWork, d.selfLat, d.arrivals, d.errors} {
+			w.SetLookback(seconds)
+		}
+	}
+	for _, st := range c.apis {
+		st.e2e.SetLookback(seconds)
+		st.arrivals.SetLookback(seconds)
+	}
 }
 
 // APIArrivalRate returns the frontend arrival rate (req/s) for one API over

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"graf/internal/app"
+	"graf/internal/metrics"
 	"graf/internal/sim"
 )
 
@@ -318,4 +321,43 @@ func TestBoutiqueEndToEnd(t *testing.T) {
 	if p["currency"] != 2 {
 		t.Errorf("traced currency visits = %v, want 2", p["currency"])
 	}
+}
+
+// The cluster keeps the longest look-back declared, on every window; a read
+// within it answers as a cluster that kept everything does, a read beyond it
+// panics naming it, and a cluster nobody declared on keeps everything.
+func TestDeclaredLookbackBoundsEveryWindow(t *testing.T) {
+	run := func(declare ...float64) *Cluster {
+		eng, c := newTestCluster(twoSvc())
+		for _, s := range declare {
+			c.DeclareLookback(s)
+		}
+		for i := 0; i < 200*40; i++ { // 40 req/s for 200 s; one back instance serves 62
+			eng.At(float64(i)/40, func() { c.Submit("get", nil) })
+		}
+		eng.Run()
+		return c
+	}
+	all, bounded := run(), run(5, 20, 10)
+	back := bounded.Deployment("back")
+	for _, w := range []*metrics.Window{bounded.e2eAll, back.cpuWork, back.selfLat, back.arrivals, bounded.apis["get"].e2e, bounded.apis["get"].arrivals} {
+		if w.Len() != 8000 || w.Retained() > 20*40+2*256 {
+			t.Errorf("a window holds %d of %d observations under a 20 s look-back at 40 req/s", w.Retained(), w.Len())
+		}
+	}
+	if got, want := bounded.E2ELatencyQuantile(0.99, 20), all.E2ELatencyQuantile(0.99, 20); got != want {
+		t.Errorf("p99 over the declared 20 s = %v, %v on a cluster that kept everything", got, want)
+	}
+	if got, want := back.Utilization(20), all.Deployment("back").Utilization(20); got != want {
+		t.Errorf("utilization over the declared 20 s = %v, want %v", got, want)
+	}
+	if got := all.Deployment("front").ArrivalRateAt(100, 100); got < 39 || got > 41 {
+		t.Errorf("undeclared cluster: arrival rate over the first 100 s = %v, want ≈40", got)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "look-back of 20 s") {
+			t.Errorf("reading 60 s back: recovered %q, want a panic naming the 20 s look-back", msg)
+		}
+	}()
+	bounded.APIArrivalRate("get", 60)
 }

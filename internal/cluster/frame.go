@@ -10,12 +10,16 @@ import (
 )
 
 // apiState is what the cluster keeps per API: its definition, its frontend
-// telemetry and the number of spans a request leaves when no call fails.
+// telemetry, the number of spans a request leaves when no call fails, and the
+// span arrays of that size waiting for its next requests — the ones its
+// trace ring evicted. They are kept per API because APIs differ in size: an
+// array handed to a larger API would be regrown on append and thrown away.
 type apiState struct {
 	def      *app.API
 	e2e      *metrics.Window // end-to-end latency
 	arrivals *metrics.Window // frontend arrivals
 	spans    int
+	spare    [][]trace.Span
 }
 
 // countSpans returns how many invocations one execution of c makes.
@@ -30,8 +34,7 @@ func countSpans(c *app.Call) int {
 }
 
 // request is one Submit in flight. Records are recycled through
-// Cluster.freeReqs; a record keeps the span array the trace collector handed
-// back for it, so a request on a full collector allocates nothing.
+// Cluster.freeReqs.
 type request struct {
 	api    *apiState
 	start  float64
@@ -111,8 +114,11 @@ func (c *Cluster) Submit(api string, onDone func(latency float64)) {
 	c.nextTraceID++
 	req.api, req.start, req.onDone = st, c.Eng.Now(), onDone
 	c.recordArrival(st, req.start)
-	spans := req.tr.Spans
-	if spans == nil {
+	var spans []trace.Span
+	if n := len(st.spare); n > 0 {
+		spans = st.spare[n-1]
+		st.spare = st.spare[:n-1]
+	} else {
 		spans = make([]trace.Span, 0, st.spans)
 	}
 	req.tr = trace.Trace{ID: c.nextTraceID, API: api, Spans: spans}
@@ -148,19 +154,22 @@ func (c *Cluster) complete(req *request) {
 		req.api.e2e.Add(now, lat)
 		c.e2eAll.Add(now, lat)
 	}
+	spare := req.tr.Spans[:0]
 	if c.traceDropP > 0 && c.Eng.Rand().Float64() < c.traceDropP {
 		c.droppedTraces++
-		req.tr.Spans = req.tr.Spans[:0]
 	} else {
 		c.traces.Collect(req.tr)
-		req.tr.Spans = c.traces.Spare(req.tr.API)
+		spare = c.traces.Spare(req.tr.API)
+	}
+	if spare != nil {
+		req.api.spare = append(req.api.spare, spare)
 	}
 	if req.tr.Errors > 0 {
 		c.failedReqs++
 	}
 	c.inFlight--
 	onDone := req.onDone
-	req.onDone = nil
+	req.onDone, req.tr.Spans = nil, nil
 	c.freeReqs = append(c.freeReqs, req)
 	if onDone != nil {
 		onDone(lat)

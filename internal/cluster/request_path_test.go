@@ -93,14 +93,15 @@ func TestSimulationDigestMatchesClosureImplementation(t *testing.T) {
 }
 
 // Once the free lists, the event heap and the collector rings have reached
-// their steady size, a simulated request costs its share of the telemetry
-// windows' chunks (16 bytes per observation, one 4 KB object per 256) and
-// nothing else: no call frame, closure, event, trace or span allocation.
+// their steady size and the telemetry windows hold one look-back, a simulated
+// request allocates nothing: no call frame, closure, event, trace, span array
+// or window chunk. The look-back is the one a controller declares, 3 × 10 s.
 func TestSteadyStateRequestAllocations(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.TraceCap = 256 // every API's ring is full after the warm-up
 	eng := sim.NewEngine(7)
 	cl := cluster.New(eng, app.OnlineBoutique(), cfg)
+	cl.DeclareLookback(30)
 	for _, name := range cl.App.ServiceNames() {
 		cl.Deployment(name).SetQuota(1500)
 	}
@@ -121,11 +122,11 @@ func TestSteadyStateRequestAllocations(t *testing.T) {
 	if perRun < 900 {
 		t.Fatalf("only %.0f requests completed per 10 simulated seconds at 100 req/s", perRun)
 	}
-	if perReq := objects / perRun; perReq > 1 {
-		t.Errorf("%.2f heap objects per request, want ≤ 1", perReq)
+	if perReq := objects / perRun; perReq > 0.01 {
+		t.Errorf("%.3f heap objects per request, want ≤ 0.01", perReq)
 	}
-	if perReq := float64(after.TotalAlloc-before.TotalAlloc) / runs / perRun; perReq > 1024 {
-		t.Errorf("%.0f bytes allocated per request, want ≤ 1024", perReq)
+	if perReq := float64(after.TotalAlloc-before.TotalAlloc) / runs / perRun; perReq > 16 {
+		t.Errorf("%.0f bytes allocated per request, want ≤ 16", perReq)
 	}
-	t.Logf("%.0f requests per run: %.3f objects, %.0f bytes per request", perRun, objects/perRun, float64(after.TotalAlloc-before.TotalAlloc)/runs/perRun)
+	t.Logf("%.0f requests per run: %.4f objects, %.1f bytes per request", perRun, objects/perRun, float64(after.TotalAlloc-before.TotalAlloc)/runs/perRun)
 }

@@ -317,6 +317,7 @@ func NewController(cl *cluster.Cluster, m LatencyModel, an *Analyzer, b Bounds, 
 	if cfg.Forecast.Enabled {
 		fc = forecast.NewPredictor(cfg.Forecast)
 	}
+	cl.DeclareLookback(3 * cfg.RateWindowS) // the measured-p99 and CPU-per-request reads
 	return &Controller{Cluster: cl, Model: m, Analyzer: an, Bounds: b, Cfg: cfg,
 		st: ControllerState{StaleSince: -1, Forecast: fc}}
 }

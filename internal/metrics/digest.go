@@ -58,21 +58,21 @@ func (d *Digest) Quantile(q float64) float64 {
 	if len(d.samples) == 0 {
 		return 0
 	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("metrics: quantile %v out of [0,1]", q))
-	}
+	rank := nearestRank(q, len(d.samples))
 	if !d.sorted {
 		sort.Float64s(d.samples)
 		d.sorted = true
 	}
-	rank := int(math.Ceil(q * float64(len(d.samples))))
-	if rank <= 0 {
-		rank = 1
-	}
-	if rank > len(d.samples) {
-		rank = len(d.samples)
-	}
 	return d.samples[rank-1]
+}
+
+// nearestRank returns the 1-based rank of the q-quantile among n ≥ 1 sorted
+// samples.
+func nearestRank(q float64, n int) int {
+	if q < 0 || q > 1 {
+		panic(fmt.Sprintf("metrics: quantile %v out of [0,1]", q))
+	}
+	return min(max(int(math.Ceil(q*float64(n))), 1), n)
 }
 
 // Mean returns the arithmetic mean, or 0 when empty.

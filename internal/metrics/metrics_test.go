@@ -124,8 +124,8 @@ func TestWindowTrim(t *testing.T) {
 		w.Add(float64(i), 1)
 	}
 	w.Trim(5)
-	if w.Len() != 5 {
-		t.Errorf("after Trim(5), Len = %d, want 5", w.Len())
+	if w.Retained() != 5 || w.Len() != 10 {
+		t.Errorf("after Trim(5), Retained = %d and Len = %d, want 5 of 10", w.Retained(), w.Len())
 	}
 	if got := w.Count(0, 100); got != 5 {
 		t.Errorf("Count after trim = %d, want 5", got)

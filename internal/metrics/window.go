@@ -1,6 +1,10 @@
 package metrics
 
-import "sort"
+import (
+	"fmt"
+	"math"
+	"sort"
+)
 
 // timed is one timestamped observation.
 type timed struct {
@@ -21,16 +25,35 @@ type chunk [chunkLen]timed
 // the primitive behind both the paper's 10-second sample-collection windows
 // (§5, Sample Collection) and the autoscalers' utilization windows.
 //
-// Observations live in fixed-size chunks allocated as the window fills, so
-// growth never copies what is already recorded and Trim frees whole chunks.
+// Observations live in a ring of fixed-size chunks. A window keeps what its
+// look-back covers — everything, until SetLookback says otherwise: when the
+// tail chunk fills, Add reuses the head chunk if every observation in it is
+// older than the newest minus the look-back, and allocates a new chunk only
+// if not. A window at a steady rate therefore stops allocating once it holds
+// one look-back, and never holds more than its busiest look-back plus two
+// chunks. A query that reaches back to a reused chunk panics: its answer
+// would silently miss observations.
 type Window struct {
-	chunks []*chunk
-	off    int // position in chunks[0] of the oldest retained observation
-	n      int // retained observations
+	chunks []*chunk // oldest first
+	off    int      // position in chunks[0] of the oldest retained observation
+	n      int      // retained observations
+	total  int      // observations ever added
+
+	lookback float64 // seconds behind the newest observation that readers reach
+	floor    float64 // newest timestamp the look-back dropped; -Inf while none
+
+	scratch []float64 // Quantile's copy of the interval it selects from
 }
 
-// NewWindow returns an empty window.
-func NewWindow() *Window { return &Window{} }
+// NewWindow returns an empty window that keeps every observation.
+func NewWindow() *Window {
+	return &Window{lookback: math.Inf(1), floor: math.Inf(-1)}
+}
+
+// SetLookback declares that no query will reach further than seconds behind
+// the newest observation. It takes effect as the window grows: what a
+// shorter look-back already dropped stays dropped.
+func (w *Window) SetLookback(seconds float64) { w.lookback = seconds }
 
 // at returns the i-th oldest retained observation.
 func (w *Window) at(i int) *timed {
@@ -42,14 +65,32 @@ func (w *Window) at(i int) *timed {
 // nondecreasing time order (the simulator guarantees this).
 func (w *Window) Add(at, v float64) {
 	if w.off+w.n == len(w.chunks)*chunkLen {
-		w.chunks = append(w.chunks, new(chunk))
+		w.grow(at)
 	}
 	*w.at(w.n) = timed{at, v}
 	w.n++
+	w.total++
 }
 
-// Trim discards observations strictly older than before. Call periodically
-// to bound memory in long simulations.
+// grow makes room behind a full tail chunk for observations from time now
+// on: the head chunk once the look-back has passed all of it, else a new one.
+func (w *Window) grow(now float64) {
+	if len(w.chunks) > 0 {
+		head := w.chunks[0]
+		if last := head[chunkLen-1].at; last < now-w.lookback {
+			w.floor = last
+			w.n -= chunkLen - w.off
+			w.off = 0
+			copy(w.chunks, w.chunks[1:])
+			w.chunks[len(w.chunks)-1] = head
+			return
+		}
+	}
+	w.chunks = append(w.chunks, new(chunk))
+}
+
+// Trim discards observations strictly older than before, freeing the chunks
+// they filled.
 func (w *Window) Trim(before float64) {
 	i := sort.Search(w.n, func(i int) bool { return w.at(i).at >= before })
 	w.off += i
@@ -72,32 +113,76 @@ func (w *Window) LastAt() (float64, bool) {
 }
 
 // bounds returns the index range [lo, hi) of the observations with
-// timestamp in [from, to].
+// timestamp in [from, to]. It panics when from reaches observations the
+// look-back dropped — a reader that declared too short a look-back, or none.
 func (w *Window) bounds(from, to float64) (lo, hi int) {
+	if from <= w.floor && !math.IsInf(w.floor, -1) {
+		panic(fmt.Sprintf("metrics: window read from t=%v, but a look-back of %v s was declared and observations up to t=%v are gone",
+			from, w.lookback, w.floor))
+	}
 	lo = sort.Search(w.n, func(i int) bool { return w.at(i).at >= from })
 	hi = sort.Search(w.n, func(i int) bool { return w.at(i).at > to })
 	return lo, hi
 }
 
+// appendValues appends the values of observations [lo, hi) to dst.
+func (w *Window) appendValues(dst []float64, lo, hi int) []float64 {
+	for i := lo; i < hi; i++ {
+		dst = append(dst, w.at(i).v)
+	}
+	return dst
+}
+
 // Since returns the observations with timestamp in [from, to].
 func (w *Window) Since(from, to float64) []float64 {
 	lo, hi := w.bounds(from, to)
-	out := make([]float64, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, w.at(i).v)
-	}
-	return out
+	return w.appendValues(make([]float64, 0, hi-lo), lo, hi)
 }
 
-// Quantile returns the q-quantile of observations in [from, to], or 0 when
-// the interval is empty.
+// Quantile returns the nearest-rank q-quantile (as Digest.Quantile defines
+// it) of observations in [from, to], or 0 when the interval is empty. It
+// selects the order statistic in a scratch copy the window keeps, so a
+// repeated query allocates nothing.
 func (w *Window) Quantile(q, from, to float64) float64 {
-	vals := w.Since(from, to)
-	if len(vals) == 0 {
+	lo, hi := w.bounds(from, to)
+	if lo == hi {
 		return 0
 	}
-	d := Digest{samples: vals}
-	return d.Quantile(q)
+	w.scratch = w.appendValues(w.scratch[:0], lo, hi)
+	return selectKth(w.scratch, nearestRank(q, hi-lo)-1)
+}
+
+// selectKth returns the value sorting v would leave at v[k], reordering v
+// only as far as that takes (Hoare's Find: partition around v[k] until it
+// stays put). Both scans stop at values equal to the pivot, so tied data
+// splits evenly, and on sorted data v[k] is already the right pivot.
+func selectKth(v []float64, k int) float64 {
+	lo, hi := 0, len(v)-1
+	for lo < hi {
+		pivot := v[k]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < pivot {
+				i++
+			}
+			for v[j] > pivot {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// v[lo..j] ≤ pivot ≤ v[i..hi], and anything between j and i equals it.
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return v[k]
 }
 
 // Sum returns the sum (in time order) and the number of the observations in
@@ -125,8 +210,13 @@ func (w *Window) Count(from, to float64) int {
 	return hi - lo
 }
 
-// Len returns the total number of retained observations.
-func (w *Window) Len() int { return w.n }
+// Len returns the number of observations ever added — those a look-back or
+// Trim has since dropped included, so it counts events (requests completed,
+// arrivals) however little of them the window still holds.
+func (w *Window) Len() int { return w.total }
+
+// Retained returns the number of observations the window still holds.
+func (w *Window) Retained() int { return w.n }
 
 // Series is an append-only timestamped series used to record experiment
 // outputs (instance counts over time, perceived workload, …) exactly as the

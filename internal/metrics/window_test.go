@@ -1,16 +1,25 @@
 package metrics
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
 // sliceWindow is the reference the chunked Window must agree with: every
 // observation in one slice, trimmed by copying down.
-type sliceWindow struct{ buf []timed }
+type sliceWindow struct {
+	buf   []timed
+	added int
+}
 
-func (w *sliceWindow) add(at, v float64) { w.buf = append(w.buf, timed{at, v}) }
+func (w *sliceWindow) add(at, v float64) {
+	w.buf = append(w.buf, timed{at, v})
+	w.added++
+}
 
 func (w *sliceWindow) trim(before float64) {
 	i := sort.Search(len(w.buf), func(i int) bool { return w.buf[i].at >= before })
@@ -58,8 +67,8 @@ func TestWindowMatchesSliceReference(t *testing.T) {
 				ref.trim(now + 1)
 			}
 
-			if w.Len() != len(ref.buf) {
-				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, w.Len(), len(ref.buf))
+			if w.Retained() != len(ref.buf) || w.Len() != ref.added {
+				t.Fatalf("seed %d step %d: holds %d of %d, want %d of %d", seed, step, w.Retained(), w.Len(), len(ref.buf), ref.added)
 			}
 			at, ok := w.LastAt()
 			if ok != (len(ref.buf) > 0) || (ok && at != ref.buf[len(ref.buf)-1].at) {
@@ -68,61 +77,217 @@ func TestWindowMatchesSliceReference(t *testing.T) {
 			for k := 0; k < 4; k++ {
 				from := now * (rng.Float64()*1.2 - 0.1)
 				to := from + now*rng.Float64()
-				want := ref.since(from, to)
-				got := w.Since(from, to)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d step %d: Since(%v,%v) has %d values, want %d", seed, step, from, to, len(got), len(want))
-				}
-				wantSum := 0.0
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("seed %d step %d: Since(%v,%v)[%d] = %v, want %v", seed, step, from, to, i, got[i], want[i])
-					}
-					wantSum += want[i]
-				}
-				if n := w.Count(from, to); n != len(want) {
-					t.Fatalf("seed %d step %d: Count %d, want %d", seed, step, n, len(want))
-				}
-				if sum, n := w.Sum(from, to); sum != wantSum || n != len(want) {
-					t.Fatalf("seed %d step %d: Sum %v/%d, want %v/%d", seed, step, sum, n, wantSum, len(want))
-				}
-				wantMean, wantQ := 0.0, 0.0
-				if len(want) > 0 {
-					wantMean = wantSum / float64(len(want))
-					d := Digest{samples: want}
-					wantQ = d.Quantile(0.9)
-				}
-				if m := w.Mean(from, to); m != wantMean {
-					t.Fatalf("seed %d step %d: Mean %v, want %v", seed, step, m, wantMean)
-				}
-				if q := w.Quantile(0.9, from, to); q != wantQ {
-					t.Fatalf("seed %d step %d: Quantile %v, want %v", seed, step, q, wantQ)
+				if err := sameAnswers(w, ref, 0.9, from, to); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 			}
 		}
 	}
 }
 
-// Appending to a window allocates one chunk per chunkLen observations (and,
-// rarely, a longer slice of chunk pointers); counting or summing a range
-// allocates nothing.
+// sameAnswers compares every query over [from, to] with the slice reference,
+// bit for bit.
+func sameAnswers(w *Window, ref *sliceWindow, q, from, to float64) error {
+	want := ref.since(from, to)
+	got := w.Since(from, to)
+	if len(got) != len(want) {
+		return fmt.Errorf("Since(%v,%v) has %d values, want %d", from, to, len(got), len(want))
+	}
+	wantSum := 0.0
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("Since(%v,%v)[%d] = %v, want %v", from, to, i, got[i], want[i])
+		}
+		wantSum += want[i]
+	}
+	if n := w.Count(from, to); n != len(want) {
+		return fmt.Errorf("Count(%v,%v) = %d, want %d", from, to, n, len(want))
+	}
+	if sum, n := w.Sum(from, to); sum != wantSum || n != len(want) {
+		return fmt.Errorf("Sum(%v,%v) = %v/%d, want %v/%d", from, to, sum, n, wantSum, len(want))
+	}
+	wantMean, wantQ := 0.0, 0.0
+	if len(want) > 0 {
+		wantMean = wantSum / float64(len(want))
+		d := Digest{samples: want}
+		wantQ = d.Quantile(q)
+	}
+	if m := w.Mean(from, to); m != wantMean {
+		return fmt.Errorf("Mean(%v,%v) = %v, want %v", from, to, m, wantMean)
+	}
+	if got := w.Quantile(q, from, to); got != wantQ {
+		return fmt.Errorf("Quantile(%v,%v,%v) = %v, want %v", q, from, to, got, wantQ)
+	}
+	return nil
+}
+
+var testQuantiles = []float64{0, 0.5, 0.9, 0.95, 0.99, 1}
+
+// A window with a look-back answers every query that stays inside it exactly
+// as one that kept everything, and holds no more than the look-back at the
+// stream's highest rate plus two chunks — through idle gaps, bursts at that
+// rate, and explicit Trims that leave the head chunk partly consumed when it
+// is reused.
+func TestLookbackMatchesUnboundedReference(t *testing.T) {
+	partHeadsReused := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lookback := []float64{0.3, 2, 10, 45}[rng.Intn(4)] * (0.5 + rng.Float64())
+		maxRate := []float64{20, 300, 5000}[rng.Intn(3)]
+		maxChunks := int(math.Ceil(lookback*maxRate/chunkLen)) + 2
+		w, ref := NewWindow(), &sliceWindow{}
+		w.SetLookback(lookback)
+		now := 0.0
+		for step := 0; step < 80; step++ {
+			switch rng.Intn(6) {
+			case 0:
+				now += lookback * 3 * rng.Float64() // idle
+			case 1:
+				before := now - lookback*rng.Float64() // lands inside the look-back
+				w.Trim(before)
+				ref.trim(before)
+			default:
+				slow := 1 + 4*rng.Float64()*float64(rng.Intn(2))
+				for n := rng.Intn(3 * chunkLen); n > 0; n-- {
+					now += (1 + slow*rng.Float64()) / maxRate
+					v := float64(rng.Intn(50)) // heavy ties
+					if w.off > 0 && w.off+w.n == len(w.chunks)*chunkLen && w.chunks[0][chunkLen-1].at < now-lookback {
+						partHeadsReused++
+					}
+					w.Add(now, v)
+					ref.add(now, v)
+				}
+			}
+			if len(w.chunks) > maxChunks {
+				t.Fatalf("seed %d step %d: %d chunks for a %.2f s look-back at ≤ %v/s, want ≤ %d", seed, step, len(w.chunks), lookback, maxRate, maxChunks)
+			}
+			if w.Len() != ref.added {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, w.Len(), ref.added)
+			}
+			newest, ok := w.LastAt()
+			if !ok {
+				continue
+			}
+			for k := 0; k < 6; k++ {
+				from := newest - lookback*rng.Float64()
+				if k == 0 {
+					from = newest - lookback // the furthest a reader may reach
+				}
+				to := from + 1.5*lookback*rng.Float64()
+				if err := sameAnswers(w, ref, testQuantiles[rng.Intn(len(testQuantiles))], from, to); err != nil {
+					t.Fatalf("seed %d step %d (look-back %v): %v", seed, step, lookback, err)
+				}
+			}
+		}
+		if maxRate >= 300 && w.Retained() == ref.added {
+			t.Errorf("seed %d: the look-back never dropped anything", seed)
+		}
+	}
+	if partHeadsReused == 0 {
+		t.Error("no head chunk was reused while a Trim had consumed part of it")
+	}
+}
+
+// Selecting the order statistic returns what sorting and indexing returns,
+// at every rank and with most values tied.
+func TestQuantileMatchesSortedNearestRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 3, 10, 100, 257, 1000, 5000} {
+		for _, distinct := range []int{1, 2, 7, n} {
+			w := NewWindow()
+			sorted := make([]float64, n)
+			for i := range sorted {
+				sorted[i] = float64(rng.Intn(distinct)) * 0.125
+				w.Add(float64(i), sorted[i])
+			}
+			sort.Float64s(sorted)
+			for _, q := range testQuantiles {
+				rank := max(int(math.Ceil(q*float64(n))), 1)
+				if got := w.Quantile(q, 0, float64(n)); got != sorted[rank-1] {
+					t.Fatalf("n=%d distinct=%d: Quantile(%v) = %v, sorted[%d] = %v", n, distinct, q, got, rank-1, sorted[rank-1])
+				}
+			}
+			if n <= 257 {
+				for k := 0; k < n; k++ {
+					v := w.Since(0, float64(n))
+					if got := selectKth(v, k); got != sorted[k] {
+						t.Fatalf("n=%d distinct=%d: selectKth(%d) = %v, want %v", n, distinct, k, got, sorted[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A read that reaches what the look-back dropped panics and names the
+// look-back; declaring a longer one afterwards keeps more from then on but
+// does not bring anything back.
+func TestReadPastLookbackPanics(t *testing.T) {
+	w := NewWindow()
+	w.SetLookback(10)
+	now := 0.0
+	run := func(seconds float64) {
+		for end := now + seconds; now < end; now += 0.01 {
+			w.Add(now, 1)
+		}
+	}
+	panics := func(from float64) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		w.Count(from, now)
+		return ""
+	}
+	run(100)
+	if got := w.Count(now-10, now); got < 999 || got > 1001 {
+		t.Errorf("Count over the declared look-back = %d, want ≈1000", got)
+	}
+	if msg := panics(now - 60); !strings.Contains(msg, "look-back of 10 s") {
+		t.Errorf("reading 60 s back under a 10 s look-back: panic %q, want one naming the look-back", msg)
+	}
+	w.SetLookback(50)
+	if msg := panics(now - 40); msg == "" {
+		t.Error("a longer look-back declared late answered from observations that were already gone")
+	}
+	run(60)
+	if msg := panics(now - 50); msg != "" {
+		t.Errorf("50 s back, 60 s after declaring 50 s: %s", msg)
+	}
+	if got := w.Count(now-50, now); got < 4999 || got > 5001 {
+		t.Errorf("Count over the longer look-back = %d, want ≈5000", got)
+	}
+}
+
+// Appending to a window that keeps everything allocates one chunk per
+// chunkLen observations (and, rarely, a longer slice of chunk pointers); once
+// a window with a look-back holds it, appending allocates nothing. Reading a
+// range never allocates, quantiles included.
 func TestWindowAllocations(t *testing.T) {
 	w := NewWindow()
 	at := 0.0
-	perChunk := testing.AllocsPerRun(50, func() {
+	fill := func() {
 		for i := 0; i < chunkLen; i++ {
 			at++
-			w.Add(at, 1)
+			w.Add(at, float64(i%17))
 		}
-	})
-	if perChunk > 1 {
+	}
+	if perChunk := testing.AllocsPerRun(50, fill); perChunk > 1 {
 		t.Errorf("%d Adds allocate %v objects, want 1 (the chunk)", chunkLen, perChunk)
 	}
+	w.SetLookback(20 * chunkLen)
+	if perChunk := testing.AllocsPerRun(50, fill); perChunk != 0 {
+		t.Errorf("%d Adds inside a held look-back allocate %v objects, want 0", chunkLen, perChunk)
+	}
+	w.Quantile(0.99, at-5000, at) // sizes the scratch
 	if n := testing.AllocsPerRun(100, func() {
-		w.Count(100, at-100)
-		w.Sum(100, at-100)
-		w.Mean(100, at-100)
+		w.Count(at-5000, at-100)
+		w.Sum(at-5000, at-100)
+		w.Mean(at-5000, at-100)
+		w.Quantile(0.99, at-5000, at-100)
+		w.Quantile(0.5, at-5000, at-100)
 	}); n != 0 {
-		t.Errorf("Count+Sum+Mean allocate %v objects, want 0", n)
+		t.Errorf("Count+Sum+Mean+Quantile allocate %v objects, want 0", n)
 	}
 }

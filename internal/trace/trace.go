@@ -65,6 +65,42 @@ type ring struct {
 	head  int
 	spare []Span  // Spans array of the last evicted trace, until Spare takes it
 	view  []Trace // Traces' oldest-first copy once the ring has wrapped
+
+	// Visit counts of the retained traces, which Collect keeps current so
+	// that VisitProfile need not walk them: hist[i][n] is how many retained
+	// traces visit svcs[i] exactly n ≥ 1 times. An API touches a handful of
+	// services, so a span finds its service by scanning svcs — the names
+	// come from one call tree and usually compare equal by pointer.
+	svcs  []string
+	hist  [][]int
+	visit []int // visits per service of the trace being tallied; zero between calls
+}
+
+// tally adds delta to the histogram cell of every service t visits.
+func (r *ring) tally(t *Trace, delta int) {
+spans:
+	for i := range t.Spans {
+		svc := t.Spans[i].Service
+		for j, known := range r.svcs {
+			if known == svc {
+				r.visit[j]++
+				continue spans
+			}
+		}
+		r.svcs = append(r.svcs, svc)
+		r.hist = append(r.hist, nil)
+		r.visit = append(r.visit, 1)
+	}
+	for j, n := range r.visit {
+		if n == 0 {
+			continue
+		}
+		for len(r.hist[j]) <= n {
+			r.hist[j] = append(r.hist[j], 0)
+		}
+		r.hist[j][n] += delta
+		r.visit[j] = 0
+	}
 }
 
 // Collector accumulates completed traces. Cap bounds retained traces per API
@@ -89,11 +125,13 @@ func (c *Collector) Collect(t Trace) {
 		c.byAPI[t.API] = r
 	}
 	c.nTotal++
+	r.tally(&t, 1)
 	if c.Cap <= 0 || len(r.buf) < c.Cap {
 		r.buf = append(r.buf, t)
 		return
 	}
 	oldest := &r.buf[r.head]
+	r.tally(oldest, -1)
 	r.spare = oldest.Spans[:0]
 	*oldest = t
 	if r.head++; r.head == len(r.buf) {
@@ -157,50 +195,32 @@ func (c *Collector) retained(api string) []Trace {
 // per-trace visit counts. The paper chooses the 90th percentile of request
 // histories to represent an API's behaviour (§3.3): "from the history
 // 90%-ile samples are chosen". The Workload Analyzer calls this every solve
-// tick over the whole retained history, so it tallies a small histogram per
-// service rather than one float per trace per service.
+// tick over the whole retained history, so it reads the histograms Collect
+// maintains rather than the traces.
 func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
-	traces := c.retained(api)
-	if len(traces) == 0 {
+	r := c.byAPI[api]
+	if r == nil || len(r.buf) == 0 {
 		return nil
 	}
-	hist := make(map[string][]int) // hist[svc][n]: traces visiting svc exactly n ≥ 1 times
-	visits := make(map[string]int) // the trace being walked; emptied after each
-	for _, t := range traces {
-		for _, s := range t.Spans {
-			visits[s.Service]++
-		}
-		for svc, n := range visits {
-			h := hist[svc]
-			for len(h) <= n {
-				h = append(h, 0)
-			}
-			h[n]++
-			hist[svc] = h
-			delete(visits, svc)
-		}
-	}
 	// Nearest-rank, matching metrics.Digest.Quantile.
-	rank := int(math.Ceil(q * float64(len(traces))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(traces) {
-		rank = len(traces)
-	}
-	out := make(map[string]float64, len(hist))
-	for svc, h := range hist {
+	traces := len(r.buf)
+	rank := min(max(int(math.Ceil(q*float64(traces))), 1), traces)
+	out := make(map[string]float64, len(r.svcs))
+	for i, h := range r.hist {
 		// Services missing from some traces count as zero visits there.
-		atMost := len(traces)
+		atMost := traces
 		for _, k := range h {
 			atMost -= k
+		}
+		if atMost == traces {
+			continue // every trace that visited it has been evicted
 		}
 		n := 0
 		for atMost < rank {
 			n++
 			atMost += h[n]
 		}
-		out[svc] = float64(n)
+		out[r.svcs[i]] = float64(n)
 	}
 	return out
 }

@@ -210,6 +210,66 @@ func TestRingMatchesSliceCollector(t *testing.T) {
 	}
 }
 
+// fullRings returns a collector whose three rings of limit traces have each
+// wrapped: APIs of 3, 5 and 8 spans, as OnlineBoutique's are, the largest
+// visiting one service three times and now and then failing to reach another.
+func fullRings(limit int) (*Collector, []string) {
+	apis := map[string][]string{
+		"home":    {"recommend", "catalog", "frontend"},
+		"product": {"catalog", "currency", "ads", "recommend", "frontend"},
+		"cart":    {"currency", "currency", "cart", "currency", "catalog", "shipping", "checkout", "frontend"},
+	}
+	c := NewCollector(limit)
+	names := []string{"cart", "home", "product"}
+	for id := 0; id < 3*2*limit; id++ {
+		api := names[id%3]
+		tr := Trace{ID: int64(id), API: api, Spans: c.Spare(api)}
+		for _, svc := range apis[api] {
+			if svc == "shipping" && id%7 == 0 {
+				continue
+			}
+			tr.Spans = append(tr.Spans, Span{TraceID: tr.ID, API: api, Service: svc})
+		}
+		c.Collect(tr)
+	}
+	return c, names
+}
+
+// The profile is read off the histograms Collect maintains: its cost does not
+// depend on how many traces the ring holds.
+func TestVisitProfileCostIsIndependentOfRingSize(t *testing.T) {
+	for _, limit := range []int{16, 4096} {
+		c, names := fullRings(limit)
+		for _, api := range names {
+			if got, want := c.VisitProfile(api, 0.9), visitProfileReference(c, api, 0.9); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cap %d: VisitProfile(%s) = %v, recount = %v", limit, api, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			for _, api := range names {
+				c.VisitProfile(api, 0.9)
+			}
+		}); n > 6 {
+			t.Errorf("cap %d: three profiles allocate %v objects, want ≤ 6 (the maps returned)", limit, n)
+		}
+	}
+}
+
+// What core.Analyzer.Refresh costs on every solve and lifecycle tick: one
+// profile per API over three full rings of the default TraceCap.
+func BenchmarkVisitProfile(b *testing.B) {
+	c, names := fullRings(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, api := range names {
+			sink = c.VisitProfile(api, 0.9)
+		}
+	}
+}
+
+var sink map[string]float64
+
 func TestEdges(t *testing.T) {
 	c := NewCollector(0)
 	tr := Trace{ID: 1, API: "post"}
