@@ -376,7 +376,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // not buy strictly fewer SLO-violation seconds than reacting to the observed
 // rate on BOTH workloads — the diurnal cycle and the Azure trace. That
 // ordering is the subsystem's reason to exist: capacity ordered at the
-// forecast horizon lands before the climb, not after it.
+// forecast horizon lands before the climb, not after it. Where reacting
+// already violates nothing there is nothing to buy, and a forecast that
+// violates nothing either passes.
 func BenchmarkForecast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, st := bench.ForecastRun(benchScale())
@@ -386,11 +388,11 @@ func BenchmarkForecast(b *testing.B) {
 			fmt.Println(res.Format())
 		}
 		printedMu.Unlock()
-		if st.DiurnalForecastViolS >= st.DiurnalReactiveViolS {
+		if st.DiurnalForecastViolS >= st.DiurnalReactiveViolS && st.DiurnalForecastViolS > 0 {
 			b.Fatalf("diurnal: forecasted violation seconds %.0f not below reactive %.0f",
 				st.DiurnalForecastViolS, st.DiurnalReactiveViolS)
 		}
-		if st.AzureForecastViolS >= st.AzureReactiveViolS {
+		if st.AzureForecastViolS >= st.AzureReactiveViolS && st.AzureForecastViolS > 0 {
 			b.Fatalf("azure: forecasted violation seconds %.0f not below reactive %.0f",
 				st.AzureForecastViolS, st.AzureReactiveViolS)
 		}

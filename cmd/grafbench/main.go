@@ -49,6 +49,7 @@ var experiments = []struct {
 	{"abl-loss", bench.AblationLoss},
 	{"abl-steps", bench.AblationSteps},
 	{"abl-solver", bench.AblationSolver},
+	{"solver-loop", bench.SolverLoop},
 	{"abl-sampler", bench.AblationSampler},
 	{"abl-integer", bench.AblationInteger},
 	{"abl-anomaly", bench.AblationAnomaly},

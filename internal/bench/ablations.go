@@ -69,13 +69,14 @@ func AblationSteps(s Scale) Result {
 	return res
 }
 
-// AblationSolver compares the gradient-descent configuration solver against
-// random search and coordinate grid search at equal latency-model-query
-// budgets — the paper's argument for GD is that global optimizers do not
-// fit the synchronous decision window.
+// AblationSolver compares the gradient-based configuration solver against
+// random search and coordinate grid search, each allowed the solver's whole
+// latency-model-query budget (the solver stops on its own criterion long
+// before it) — the paper's argument for gradients is that global optimizers
+// do not fit the synchronous decision window.
 func AblationSolver(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "abl-solver", Title: "Ablation: configuration solver strategies (equal model-query budget)",
+	res := Result{ID: "abl-solver", Title: "Ablation: configuration solver strategies (same model-query budget, queries used)",
 		Header: []string{"strategy", "total_quota_mc", "predicted_ms", "feasible", "queries"}}
 	a := tr.App
 	load := make([]float64, len(a.Services))
@@ -87,7 +88,7 @@ func AblationSolver(s Scale) Result {
 	budget := core.DefaultSolverConfig().MaxIters
 
 	sol := core.Solve(tr.Model, load, slo, tr.Bounds.Lo, tr.Bounds.Hi, core.DefaultSolverConfig())
-	res.AddRow("gradient descent (GRAF)", f0(sol.TotalQuota), ms(sol.Predicted),
+	res.AddRow("gradient projection (GRAF)", f0(sol.TotalQuota), ms(sol.Predicted),
 		boolStr(sol.Predicted <= slo*1.02), di(sol.Iterations))
 
 	// Random search: uniform in-bounds draws; keep the cheapest feasible.
@@ -142,7 +143,7 @@ func AblationSolver(s Scale) Result {
 		total += v
 	}
 	res.AddRow("coordinate grid", f0(total), ms(tr.Model.Predict(load, q)), "true", di(queries))
-	res.Note("shape target: GD matches or beats search baselines at equal budget, without tuning a step schedule per app")
+	res.Note("shape target: the gradient-based solver matches or beats the search baselines on a fraction of their queries, without tuning a step schedule per app")
 	return res
 }
 

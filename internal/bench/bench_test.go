@@ -306,3 +306,21 @@ func TestDriftLifecycleBeatsStatic(t *testing.T) {
 		t.Error("static run must not carry a lifecycle manager")
 	}
 }
+
+// TestSolverLoopRuns smoke-tests the closed-loop solver comparison at its
+// smallest size: both versions produce a row per trace, and version 2 makes
+// its decisions on a fraction of version 1's model calls.
+func TestSolverLoopRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	r := SolverLoop(Quick())
+	if len(r.Rows) != 2 {
+		t.Fatalf("want a diurnal and a step row, got %v", r.Rows)
+	}
+	for i, row := range r.Rows {
+		if v1, v2 := cell(t, r, i, 6), cell(t, r, i, 7); !(v2 > 0 && v2 < v1/4) {
+			t.Errorf("%s: %v model calls per solve under version 2 against %v under version 1, want under a quarter", row[1], v2, v1)
+		}
+	}
+}

@@ -84,8 +84,12 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 		// Solve every tick: a coasting controller has no decision cost to
 		// bound, and the deadline comparison would measure idle time.
 		ccfg.Hysteresis = 0
-		// Pin per-solve work so the never-degrade rounds cost the same
-		// wall clock every run instead of depending on convergence luck.
+		// Pin per-solve work on solver version 1's fixed schedule: the
+		// experiment models an inference-bound decision (2000 model calls)
+		// that cannot finish inside the round deadline, which is what the
+		// ladder exists for. A version 2 solve fits the deadline at every
+		// rung and the policies would have nothing to trade.
+		ccfg.Solver.Version = 1
 		ccfg.Solver.MaxIters = 2000
 		ccfg.Solver.Tolerance = 0
 		// Measure the policies themselves, not the reactive guardrail

@@ -1,0 +1,113 @@
+package bench
+
+import (
+	"math"
+	"sort"
+
+	"graf/internal/app"
+	"graf/internal/cluster"
+	"graf/internal/core"
+	"graf/internal/sim"
+	"graf/internal/workload"
+)
+
+// solverLoopOut is one closed-loop run's outcome.
+type solverLoopOut struct {
+	attainPct float64 // control intervals whose p99 met the SLO
+	coreHours float64 // Σ realized quota × time
+	calls     float64 // model calls per solve
+}
+
+// runSolverLoop drives one tenant the way the repo benchmark's single_diurnal
+// does — warm start, then RunUntil and Controller.Step alternating — under
+// the given solver version, and scores it the same way.
+func runSolverLoop(tr *Trained, version int, rate func(float64) float64, ticks int, seed int64) solverLoopOut {
+	const tickS = 5.0
+	eng := sim.NewEngine(seed)
+	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
+	warmStart(eng, cl, rate(0))
+	ctl := newGRAFController(tr, cl, tr.SLO)
+	ctl.Cfg.Solver.Version = version
+	solves, calls := 0, 0
+	ctl.OnDecision = func(_, _ float64, sol core.Solution) {
+		solves++
+		calls += sol.Iterations
+	}
+	gen := workload.NewOpenLoop(cl, rate)
+	gen.Start()
+	met, coreMilliS := 0, 0.0
+	for i := 0; i < ticks; i++ {
+		from := eng.Now()
+		eng.RunUntil(from + tickS)
+		ctl.Step()
+		if cl.E2EWindow().Quantile(0.99, from, from+tickS) <= tr.SLO {
+			met++
+		}
+		coreMilliS += cl.TotalRealizedQuota() * tickS
+	}
+	gen.Stop()
+	return solverLoopOut{
+		attainPct: 100 * float64(met) / float64(ticks),
+		coreHours: coreMilliS / 1000 / 3600,
+		calls:     float64(calls) / math.Max(1, float64(solves)),
+	}
+}
+
+func median(v []float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+}
+
+// SolverLoop compares the two solver versions where it counts: in the loop.
+// Each row is one latency model (Online Boutique, 250 ms, 50–300 req/s, on
+// the repo benchmark's budget of 800 samples, at one training seed) on one
+// trace (the benchmark's diurnal 50–250 req/s, and rpc_plane's 40 → 80 req/s
+// step, which sits on the lower edge of the trained range), medians over the
+// simulation seeds. The solver-level comparison is core.TestSolverOptimalityGap;
+// this one says what the decisions are worth, and how much of any difference
+// is the particular model rather than the method.
+func SolverLoop(s Scale) Result {
+	trainSeeds, simSeeds, ticks := 4, 12, 180
+	if s.Name == "quick" {
+		trainSeeds, simSeeds, ticks = 1, 2, 60
+	}
+	small := Scale{Name: "solver-loop", Samples: 800, Iterations: 400, Batch: 32, CalibrationProbes: 12}
+	res := Result{
+		ID:     "solver-loop",
+		Title:  "Closed-loop SLO attainment and cost, solver version 1 vs 2",
+		Header: []string{"train_seed", "trace", "v1_attain_%", "v2_attain_%", "v1_core_h", "v2_core_h", "v1_calls", "v2_calls"},
+	}
+	wins := 0
+	for ts := 1; ts <= trainSeeds; ts++ {
+		tr := TrainPipeline(app.OnlineBoutique(), PipelineConfig{SLO: 0.25, RateLo: 50, RateHi: 300, Scale: small, Seed: int64(ts)})
+		for _, trace := range []string{"diurnal", "step"} {
+			var out [3]struct{ attain, coreH, calls []float64 }
+			for seed := int64(1); seed <= int64(simSeeds); seed++ {
+				rate := workload.StepRate(40, 80, 60+5*float64(ticks)/2)
+				if trace == "diurnal" {
+					rate = workload.SeriesRate(workload.Diurnal(workload.DiurnalConfig{
+						Seed: seed, Seconds: 70 + 5*ticks, PeriodS: 300, Base: 150, Amp: 100,
+					}), 1)
+				}
+				for v := 1; v <= 2; v++ {
+					o := runSolverLoop(tr, v, rate, ticks, seed)
+					out[v].attain = append(out[v].attain, o.attainPct)
+					out[v].coreH = append(out[v].coreH, o.coreHours)
+					out[v].calls = append(out[v].calls, o.calls)
+				}
+			}
+			if median(out[2].attain) >= median(out[1].attain) {
+				wins++
+			}
+			res.AddRow(di(ts), trace,
+				f1(median(out[1].attain)), f1(median(out[2].attain)),
+				f3(median(out[1].coreH)), f3(median(out[2].coreH)),
+				f0(median(out[1].calls)), f0(median(out[2].calls)))
+		}
+	}
+	res.Note("%d simulation seeds × %d control intervals per cell; version 2 attains at least version 1's median on %d of %d rows",
+		simSeeds, ticks, wins, 2*trainSeeds)
+	res.Note("shape target: the two versions trade places from model to model by a few points either way, at a tenth of the model calls — the difference on any one model is that model's holes, not the method")
+	return res
+}

@@ -14,16 +14,15 @@ import (
 
 // LatencyModel is the trained Latency Prediction Model contract (§3.4). It
 // is satisfied by *gnn.Model; tests also satisfy it with analytic oracles.
-// The solver calls PredictGrad once per Adam iteration, so implementations
-// should reuse their buffers between calls (*gnn.Model borrows them from a
-// per-model free list); a solve then allocates only its own few vectors
-// plus the gradient slice each PredictGrad hands back.
+// A solve makes tens of calls, so implementations should reuse their buffers
+// between calls (*gnn.Model borrows them from a per-model free list).
 type LatencyModel interface {
 	// Predict returns end-to-end tail latency in seconds for per-node
 	// workloads (req/s) and CPU quotas (millicores).
 	Predict(load, quota []float64) float64
-	// PredictGrad additionally returns ∂latency/∂quota per node, in a slice
-	// the caller owns.
+	// PredictGrad additionally returns ∂latency/∂quota per node. The slice
+	// may be the implementation's own buffer, valid only until its next
+	// call (fleet.TenantPredictor's is); callers copy what they keep.
 	PredictGrad(load, quota []float64) (latency float64, dQuota []float64)
 }
 

@@ -782,7 +782,7 @@ func (c *Controller) solve(t *tick) bool {
 	rec.Warm = warm
 
 	// Model circuit breaker: decide whether this solve can be trusted. A
-	// warm-rung short solve is exempt — its truncated iteration budget makes
+	// warm-rung short solve is exempt — its truncated budget makes
 	// non-convergence routine, and tripping the breaker on it would turn
 	// transient overload into a model-distrust episode.
 	open := c.st.BreakerOpen
@@ -888,10 +888,13 @@ func copyQuotas(m map[string]float64) map[string]float64 {
 	return out
 }
 
-// nextUnconverged counts consecutive solves that ran out of iterations
-// without finding a feasible configuration. Non-convergence alone is routine
-// (the calm-EMA criterion is strict); it only signals trouble when the
-// solution also misses the objective.
+// nextUnconverged counts consecutive solves that ran out of budget without
+// finding a feasible configuration. A solve that stops by its own criterion
+// never counts, whatever it predicts: an SLO the box cannot meet converges at
+// the upper bounds on every tick of a surge, and that is the solver working.
+// Running out of budget alone is no trouble either (every iterate is
+// feasible once one has been found); it signals trouble only when the answer
+// also misses the objective.
 func nextUnconverged(prev int, converged bool, predicted, slo float64) int {
 	if !converged && predicted > slo*1.05 {
 		return prev + 1

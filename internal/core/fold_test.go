@@ -62,7 +62,7 @@ func foldAgainstLive(t *testing.T, name string, sc scenario, t1 float64) (folded
 // rate steps, black-holes on either side of StaleHoldMaxS, a lying model,
 // ladder walks and the forecaster.
 func TestApplyAuditTailMatchesLiveState(t *testing.T) {
-	cases := digestScenarios()
+	cases := digestScenarios(2)
 	byName := func(name string) scenario {
 		for _, c := range cases {
 			if c.name == name {

@@ -32,7 +32,8 @@ func (r ReplayReport) String() string {
 
 // ReplayAudit re-executes the solver over a recorded flight-recorder log and
 // verifies each model-path decision reproduces bit-identically: same quotas,
-// same predicted latency, same iteration count, same convergence flag.
+// same predicted latency, same iteration count, same convergence flag —
+// under the solver version the header names.
 //
 // Decision records carry the exact solver inputs (distributed load vector and
 // the effective bounds after the demand floor); the header record carries the
@@ -95,6 +96,11 @@ func ReplayAuditModels(models map[int]LatencyModel, log []obs.Record) ReplayRepo
 			continue
 		}
 		cfg := SolverConfigFromMap(hdr.Solver)
+		if _, known := solvers[cfg.Version]; !known {
+			rep.Mismatches = append(rep.Mismatches,
+				fmt.Sprintf("seq %d: header names solver version %d, which this build does not implement", rec.Seq, cfg.Version))
+			continue
+		}
 		// A brownout-warm decision used the derived short-solve config and
 		// started from the previous solve's raw output; both re-derive
 		// exactly from the header and the scan state.
@@ -127,14 +133,20 @@ func ReplayAuditModels(models map[int]LatencyModel, log []obs.Record) ReplayRepo
 }
 
 // SolverConfigMap flattens a SolverConfig for the audit-log header record.
+// Version 1 is written as no key at all, so a version 1 header keeps the
+// bytes it had before solvers were versioned.
 func SolverConfigMap(cfg SolverConfig) map[string]float64 {
-	return map[string]float64{
+	m := map[string]float64{
 		"rho":            cfg.Rho,
 		"lr":             cfg.LR,
 		"max_iters":      float64(cfg.MaxIters),
 		"tolerance":      cfg.Tolerance,
 		"patience_iters": float64(cfg.PatienceIters),
 	}
+	if cfg.Version != 1 {
+		m["version"] = float64(cfg.Version)
+	}
+	return m
 }
 
 // HeaderRecord builds the audit log's opening record: everything a replay
@@ -152,9 +164,15 @@ func HeaderRecord(a *app.App, cfg ControllerConfig, at float64) obs.Record {
 }
 
 // SolverConfigFromMap inverts SolverConfigMap: the solver configuration a
-// recording's header carries.
+// recording's header carries. A header without a version was written by
+// version 1.
 func SolverConfigFromMap(m map[string]float64) SolverConfig {
+	version := 1
+	if v, ok := m["version"]; ok {
+		version = int(v)
+	}
 	return SolverConfig{
+		Version:       version,
 		Rho:           m["rho"],
 		LR:            m["lr"],
 		MaxIters:      int(m["max_iters"]),

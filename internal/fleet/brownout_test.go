@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graf/internal/app"
@@ -268,6 +269,67 @@ func TestScriptedStepStaysOnTheLadder(t *testing.T) {
 	for step, want := range map[overload.Step]overload.Step{9: overload.StepHold, -3: overload.StepFull} {
 		if got := scriptedStep([]BrownoutPhase{{Step: step}}, 0); got != want {
 			t.Errorf("scripted step %d resolves to %v, want %v", step, got, want)
+		}
+	}
+}
+
+// TestRestoreRefusesAnotherSolverVersionsLog: a tenant whose audit log was
+// written under a different solver version cannot be restored by
+// re-execution. Restore must say so — naming both versions and the replay
+// tool that can still verify the log — before it admits the tenant, because
+// admitting truncates the file.
+func TestRestoreRefusesAnotherSolverVersionsLog(t *testing.T) {
+	v1 := core.DefaultControllerConfig(0.25)
+	v1.Solver.Version = 1
+	for _, tc := range []struct {
+		name          string
+		wrote, reads  *core.ControllerConfig
+		wroteV, readV string
+	}{
+		{"v1 log, v2 fleet", &v1, nil, "version 1", "version 2"},
+		{"v2 log, v1 fleet", nil, &v1, "version 2", "version 1"},
+	} {
+		dir := t.TempDir()
+		cfg := testConfig(1, 1, 1)
+		cfg.AuditDir, cfg.Controller = dir, tc.wrote
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Start()
+		for r := 0; r < 6; r++ {
+			f.Round()
+		}
+		f.Stop()
+		path := filepath.Join(dir, SanitizeID(cfg.Tenants[0].ID)+".jsonl")
+		prior, err := os.ReadFile(path)
+		if err != nil || len(prior) == 0 {
+			t.Fatalf("%s: no prior log: %v", tc.name, err)
+		}
+
+		gcfg := testConfig(1, 1, 1)
+		tenant := gcfg.Tenants[0]
+		gcfg.Tenants, gcfg.Dynamic, gcfg.AuditDir, gcfg.Controller = nil, true, dir, tc.reads
+		g, err := New(gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Start()
+		_, _, err = g.Restore(tenant, 6, "", 0)
+		g.Stop()
+		if err == nil {
+			t.Fatalf("%s: restore succeeded", tc.name)
+		}
+		for _, want := range []string{"recorded under solver " + tc.wroteV, "runs " + tc.readV, "grafd -replay"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error does not say %q: %v", tc.name, want, err)
+			}
+		}
+		if g.Tenant(tenant.ID) != nil {
+			t.Errorf("%s: refused tenant was admitted", tc.name)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, prior) {
+			t.Errorf("%s: the refused log changed on disk (%d → %d bytes)", tc.name, len(prior), len(after))
 		}
 	}
 }

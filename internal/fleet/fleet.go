@@ -473,13 +473,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 		t.Eng.RunUntil(60)
 	}
 
-	ccfg := core.DefaultControllerConfig(slo)
-	if cfg.Controller != nil {
-		ccfg = *cfg.Controller
-		ccfg.SLO = slo
-	}
-	ccfg.TrainedMinRate = cfg.MinRate
-	ccfg.TrainedMaxRate = cfg.MaxRate
+	ccfg := f.controllerConfig(slo)
 
 	var predictor core.LatencyModel = model
 	if f.svc != nil && !private {
@@ -756,6 +750,16 @@ func (f *Fleet) Restore(tc TenantConfig, ticks int, ckptDir string, maxReplay in
 		}
 	}
 	rep.PriorBytes = len(prior)
+	// Admit truncates the audit file and the restore below re-executes under
+	// this build's solver: a log another solver version recorded could only
+	// fail the prefix check, after its one copy was gone. Refuse it first
+	// (the repair above has dropped a crash-torn last line, nothing more).
+	if was, is := priorSolverVersion(prior), f.controllerConfig(0).Solver.Version; was != 0 && was != is {
+		return nil, rep, fmt.Errorf("tenant %s: prior audit log was recorded under solver version %d and this fleet runs version %d: "+
+			"a restore re-executes the log and cannot reproduce another version's decisions; "+
+			"verify it with `grafd -replay` (which solves under the version a log names) and restart the tenant on an empty audit directory",
+			tc.ID, was, is)
+	}
 	sched, err := ExtractBrownoutSchedule(prior)
 	if err != nil {
 		return nil, rep, fmt.Errorf("extract brownout schedule: %w", err)
@@ -811,6 +815,32 @@ func (f *Fleet) restore(t *Tenant, prior []byte, ticks int, ckptDir string, maxR
 	}
 	rep.PriorVerified = true
 	return nil
+}
+
+// controllerConfig is the configuration every tenant's controller is built
+// from, at the tenant's SLO.
+func (f *Fleet) controllerConfig(slo float64) core.ControllerConfig {
+	ccfg := core.DefaultControllerConfig(slo)
+	if f.cfg.Controller != nil {
+		ccfg = *f.cfg.Controller
+		ccfg.SLO = slo
+	}
+	ccfg.TrainedMinRate = f.cfg.MinRate
+	ccfg.TrainedMaxRate = f.cfg.MaxRate
+	return ccfg
+}
+
+// priorSolverVersion is the solver version the header of a tenant's prior
+// audit log names: 1 for a header from before solvers were versioned, 0 when
+// the log does not open with a header (an empty or foreign file, which the
+// prefix check deals with).
+func priorSolverVersion(log []byte) int {
+	line, _, _ := bytes.Cut(log, []byte("\n"))
+	recs, err := obs.ReadLog(bytes.NewReader(line))
+	if err != nil || len(recs) != 1 || recs[0].Type != "header" {
+		return 0
+	}
+	return core.SolverConfigFromMap(recs[0].Solver).Version
 }
 
 // latestSnapshot loads a tenant's newest valid checkpoint from dir.

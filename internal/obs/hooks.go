@@ -42,13 +42,14 @@ func (o *ControllerObs) Stage(name string, at float64, wallNS int64, attrs map[s
 	o.t.traceSpan("decision/"+name, wallNS, attrs)
 }
 
-// Solver records one solver run's iteration count and convergence outcome.
+// Solver records one solver run's effort (model calls; Adam iterations under
+// solver version 1) and whether it stopped by its own criterion.
 func (o *ControllerObs) Solver(at float64, iters int, converged bool, wallNS int64) {
 	if o == nil {
 		return
 	}
 	o.t.Reg.Histogram("graf_solver_iterations",
-		"Gradient-descent iterations per solver run.",
+		"Model calls per solver run.",
 		ExpBuckets(1, 2, 10), nil).Observe(float64(iters))
 	o.t.Reg.Counter("graf_solver_runs_total",
 		"Solver runs by convergence outcome.",

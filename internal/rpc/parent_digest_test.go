@@ -14,9 +14,15 @@ import (
 // existed before the spec grew: chain-4 × 6 tenants × seed 5 × rate 120 ×
 // 20 rounds, under each policy the old spec could express. The constants are
 // one FNV-1a/64 over every tenant's audit stream (in tenant order, each
-// prefixed by its ID), RECORDED AT 42115d6 by running this file, unchanged,
-// in a clone of that commit — it uses nothing newer than the Spec fields,
-// FleetConfig, TenantConfig and fleet.New of that commit.
+// prefixed by its ID). The file uses nothing newer than the Spec fields,
+// FleetConfig, TenantConfig and fleet.New of 42115d6, where the constants
+// were first recorded by running it, unchanged, in a clone of that commit;
+// they held until solver version 2 changed every solve (and the header, which
+// now names the version), and were RE-RECORDED WITH IT. No Spec field reaches
+// version 1, so the old constants cannot be kept alongside: the controller
+// kernel's version 1 pin is core.TestDecisionDigestsMatchParent, and the
+// plane's byte identity to the single-process reference is pinned by the
+// drill tests whatever the solver.
 func TestFleetAuditMatchesParent(t *testing.T) {
 	base := Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 5, TickS: 5, WarmStart: true}
 	cases := []struct {
@@ -24,12 +30,12 @@ func TestFleetAuditMatchesParent(t *testing.T) {
 		mut  func(*Spec)
 		want uint64
 	}{
-		{"const", func(*Spec) {}, 0x412e5fcebb782b6b},
-		{"surge", func(s *Spec) { s.Shape = "surge" }, 0x537353615c17cae},
+		{"const", func(*Spec) {}, 0x9a8e99fa7b8e6f6c},
+		{"surge", func(s *Spec) { s.Shape = "surge" }, 0xc96450d044fb1575},
 		{"brownout", func(s *Spec) {
 			s.Brownout = []fleet.BrownoutPhase{{FromTick: 6, ToTick: 12, Step: overload.StepHeuristic}}
-		}, 0xe19c28efabbd3310},
-		{"slo-budget", func(s *Spec) { s.SLOBudget = &obs.SLOConfig{Budget: 0.02} }, 0x9b7a43bda592c2cf},
+		}, 0xce0caccd18c70c5e},
+		{"slo-budget", func(s *Spec) { s.SLOBudget = &obs.SLOConfig{Budget: 0.02} }, 0x12d7b2ebbed88f5b},
 	}
 	bundle := testBundle(t)
 	ids := tenantIDs(6)
