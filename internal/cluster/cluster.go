@@ -22,12 +22,13 @@
 // to its parent's frame. The deployment queues the frame itself and the event
 // engine calls it back through func values bound when the frame object was
 // made, so a request's steps allocate nothing; frames and request records are
-// recycled through per-Cluster free lists. Completed traces go to a per-API
-// ring (internal/trace) that returns the evicted trace's span array for that
-// API's next request, and telemetry to windows (internal/metrics) that keep
-// only as far back as the cluster's readers declared they look
-// (DeclareLookback): once the rings are full and the windows hold one
-// look-back, a simulated request allocates nothing.
+// recycled through per-Cluster free lists, a request record with the span array
+// it builds its trace in. Completed traces go to a per-API ring (internal/trace)
+// that keeps their visit counts, and to the OnTrace observer if there is one;
+// telemetry goes to windows (internal/metrics) that keep only as far back as
+// the cluster's readers declared they look (DeclareLookback): once the free
+// lists have grown and the windows hold one look-back, a simulated request
+// allocates nothing.
 //
 // # Instance creation
 //
@@ -131,8 +132,7 @@ type Deployment struct {
 	drift float64
 
 	// Telemetry.
-	readySeries *metrics.Series // ready-instance count over time
-	totalSeries *metrics.Series // created (ready+starting) count over time
+	readySeries *metrics.Series // ready-instance count over time, as far back as the look-back
 	cpuWork     *metrics.Window // CPU-seconds consumed, stamped at completion
 	selfLat     *metrics.Window // per-invocation self latency (s): queue+service
 	arrivals    *metrics.Window // arrival timestamps (value 1)
@@ -151,11 +151,12 @@ type Cluster struct {
 	App *app.App
 	Cfg Config
 
-	deps   map[string]*Deployment
-	names  []string
-	apis   map[string]*apiState
-	traces *trace.Collector
-	e2eAll *metrics.Window // end-to-end latency, all APIs
+	deps    map[string]*Deployment
+	names   []string
+	apis    map[string]*apiState
+	traces  *trace.Collector
+	onTrace func(*trace.Trace)
+	e2eAll  *metrics.Window // end-to-end latency, all APIs
 
 	// lookback is the longest trailing interval, in seconds, any reader has
 	// declared through DeclareLookback; 0 while nobody has, and every window
@@ -167,6 +168,7 @@ type Cluster struct {
 	freeReqs   []*request
 	freeFrames []*frame
 	framesMade int // frame objects ever created
+	maxSpans   int // spans the largest API's request leaves when no call fails
 
 	nextTraceID  int64
 	inFlight     int
@@ -208,7 +210,6 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 			cl:          c,
 			quota:       cfg.CPUUnit,
 			readySeries: metrics.NewSeries(svc.Name + "/ready"),
-			totalSeries: metrics.NewSeries(svc.Name + "/total"),
 			cpuWork:     metrics.NewWindow(),
 			selfLat:     metrics.NewWindow(),
 			arrivals:    metrics.NewWindow(),
@@ -226,8 +227,8 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 			def:      a.API(api.Name),
 			e2e:      metrics.NewWindow(),
 			arrivals: metrics.NewWindow(),
-			spans:    countSpans(api.Root),
 		}
+		c.maxSpans = max(c.maxSpans, countSpans(api.Root))
 	}
 	return c
 }
@@ -300,6 +301,11 @@ func (c *Cluster) Deployment(name string) *Deployment {
 // Traces returns the cluster's trace collector.
 func (c *Cluster) Traces() *trace.Collector { return c.traces }
 
+// OnTrace registers fn to see every trace the collector is given, spans
+// included. The trace is valid for the call only — its request record is
+// reused — so an observer that keeps it copies it, as trace.Recorder does.
+func (c *Cluster) OnTrace(fn func(*trace.Trace)) { c.onTrace = fn }
+
 // InFlight returns the number of requests currently executing.
 func (c *Cluster) InFlight() int { return c.inFlight }
 
@@ -309,20 +315,21 @@ func (c *Cluster) CreatedTotal() int { return c.createdTotal }
 
 // --- Deployment: scaling ---------------------------------------------------
 
+// recordCounts stamps the ready-instance count, and drops what the series
+// holds from before the declared look-back: Utilization reads the series over
+// the interval it reads cpuWork over, which panics on a longer reach.
 func (d *Deployment) recordCounts() {
 	now := d.cl.Eng.Now()
-	ready, total := 0, 0
+	ready := 0
 	for _, in := range d.instances {
-		if in.condemned {
-			continue
-		}
-		total++
-		if in.ready {
+		if in.ready && !in.condemned {
 			ready++
 		}
 	}
 	d.readySeries.Add(now, float64(ready))
-	d.totalSeries.Add(now, float64(total))
+	if d.cl.lookback > 0 {
+		d.readySeries.Trim(now - d.cl.lookback)
+	}
 }
 
 // Quota returns the deployment's desired total CPU quota in millicores.
@@ -595,12 +602,6 @@ func (d *Deployment) SelfLatencyQuantile(q, window float64) float64 {
 	}
 	return d.selfLat.Quantile(q, from, now)
 }
-
-// ReadySeries returns the ready-instance-count time series.
-func (d *Deployment) ReadySeries() *metrics.Series { return d.readySeries }
-
-// TotalSeries returns the created-instance-count time series.
-func (d *Deployment) TotalSeries() *metrics.Series { return d.totalSeries }
 
 // ArrivalSeriesRate samples ArrivalRate-like data from recorded arrivals:
 // the request rate in [t-window, t].

@@ -9,6 +9,7 @@ import (
 	"graf/internal/app"
 	"graf/internal/metrics"
 	"graf/internal/sim"
+	"graf/internal/trace"
 )
 
 // twoSvc is a minimal frontend→backend app for focused tests.
@@ -165,9 +166,11 @@ func TestQueueingLatencyGrowsWithLoad(t *testing.T) {
 
 func TestTraceStructure(t *testing.T) {
 	eng, c := newTestCluster(twoSvc())
+	var rec trace.Recorder
+	c.OnTrace(rec.Record)
 	c.Submit("get", nil)
 	eng.Run()
-	trs := c.Traces().Traces("get")
+	trs := rec.Traces("get")
 	if len(trs) != 1 {
 		t.Fatalf("collected %d traces, want 1", len(trs))
 	}
@@ -182,7 +185,7 @@ func TestTraceStructure(t *testing.T) {
 	if tr.EndToEnd() <= 0 {
 		t.Error("EndToEnd must be positive")
 	}
-	edges := c.Traces().Edges("get")
+	edges := rec.Edges("get")
 	if !edges[[2]string{"front", "back"}] {
 		t.Errorf("edges = %v, missing front→back", edges)
 	}
@@ -258,6 +261,8 @@ func TestSequentialRepetitions(t *testing.T) {
 	)
 	eng := sim.NewEngine(3)
 	c := New(eng, a, DefaultConfig())
+	var rec trace.Recorder
+	c.OnTrace(rec.Record)
 	var lat float64
 	c.Submit("q", func(l float64) { lat = l })
 	eng.Run()
@@ -265,7 +270,7 @@ func TestSequentialRepetitions(t *testing.T) {
 	if math.Abs(lat-0.016) > 1e-9 {
 		t.Errorf("latency = %v, want 0.016", lat)
 	}
-	if v := c.Traces().Traces("q")[0].Visits(); v["b"] != 3 {
+	if v := rec.Traces("q")[0].Visits(); v["b"] != 3 {
 		t.Errorf("b visited %d times, want 3", v["b"])
 	}
 }

@@ -9,17 +9,12 @@ import (
 	"graf/internal/trace"
 )
 
-// apiState is what the cluster keeps per API: its definition, its frontend
-// telemetry, the number of spans a request leaves when no call fails, and the
-// span arrays of that size waiting for its next requests — the ones its
-// trace ring evicted. They are kept per API because APIs differ in size: an
-// array handed to a larger API would be regrown on append and thrown away.
+// apiState is what the cluster keeps per API: its definition and its frontend
+// telemetry.
 type apiState struct {
 	def      *app.API
 	e2e      *metrics.Window // end-to-end latency
 	arrivals *metrics.Window // frontend arrivals
-	spans    int
-	spare    [][]trace.Span
 }
 
 // countSpans returns how many invocations one execution of c makes.
@@ -34,7 +29,8 @@ func countSpans(c *app.Call) int {
 }
 
 // request is one Submit in flight. Records are recycled through
-// Cluster.freeReqs.
+// Cluster.freeReqs, each with the span array of its trace — which has room for
+// the largest API's spans, because the free list is shared by all of them.
 type request struct {
 	api    *apiState
 	start  float64
@@ -109,19 +105,12 @@ func (c *Cluster) Submit(api string, onDone func(latency float64)) {
 		req = c.freeReqs[n-1]
 		c.freeReqs = c.freeReqs[:n-1]
 	} else {
-		req = &request{}
+		req = &request{tr: trace.Trace{Spans: make([]trace.Span, 0, c.maxSpans)}}
 	}
 	c.nextTraceID++
 	req.api, req.start, req.onDone = st, c.Eng.Now(), onDone
 	c.recordArrival(st, req.start)
-	var spans []trace.Span
-	if n := len(st.spare); n > 0 {
-		spans = st.spare[n-1]
-		st.spare = st.spare[:n-1]
-	} else {
-		spans = make([]trace.Span, 0, st.spans)
-	}
-	req.tr = trace.Trace{ID: c.nextTraceID, API: api, Spans: spans}
+	req.tr = trace.Trace{ID: c.nextTraceID, API: api, Spans: req.tr.Spans[:0]}
 	c.inFlight++
 	c.exec(st.def.Root, req, nil)
 }
@@ -154,22 +143,20 @@ func (c *Cluster) complete(req *request) {
 		req.api.e2e.Add(now, lat)
 		c.e2eAll.Add(now, lat)
 	}
-	spare := req.tr.Spans[:0]
 	if c.traceDropP > 0 && c.Eng.Rand().Float64() < c.traceDropP {
 		c.droppedTraces++
 	} else {
 		c.traces.Collect(req.tr)
-		spare = c.traces.Spare(req.tr.API)
-	}
-	if spare != nil {
-		req.api.spare = append(req.api.spare, spare)
+		if c.onTrace != nil {
+			c.onTrace(&req.tr)
+		}
 	}
 	if req.tr.Errors > 0 {
 		c.failedReqs++
 	}
 	c.inFlight--
 	onDone := req.onDone
-	req.onDone, req.tr.Spans = nil, nil
+	req.onDone = nil
 	c.freeReqs = append(c.freeReqs, req)
 	if onDone != nil {
 		onDone(lat)

@@ -7,6 +7,7 @@ import (
 
 	"graf/internal/app"
 	"graf/internal/sim"
+	"graf/internal/trace"
 )
 
 // Conservation: every submitted request completes exactly once, across
@@ -48,13 +49,15 @@ func TestTraceCompletenessProperty(t *testing.T) {
 		eng := sim.NewEngine(seed)
 		a := app.SocialNetwork()
 		cl := New(eng, a, DefaultConfig())
+		var rec trace.Recorder
+		cl.OnTrace(rec.Record)
 		const n = 40
 		for i := 0; i < n; i++ {
 			at := float64(i) / 10
 			eng.At(at, func() { cl.Submit("compose-post", nil) })
 		}
 		eng.Run()
-		traces := cl.Traces().Traces("compose-post")
+		traces := rec.Traces("compose-post")
 		if len(traces) != n {
 			return false
 		}
@@ -79,12 +82,14 @@ func TestTraceCompletenessProperty(t *testing.T) {
 func TestSpanNesting(t *testing.T) {
 	eng := sim.NewEngine(9)
 	cl := New(eng, app.Bookinfo(), DefaultConfig())
+	var rec trace.Recorder
+	cl.OnTrace(rec.Record)
 	for i := 0; i < 20; i++ {
 		at := float64(i)
 		eng.At(at, func() { cl.Submit("productpage", nil) })
 	}
 	eng.Run()
-	for _, tr := range cl.Traces().Traces("productpage") {
+	for _, tr := range rec.Traces("productpage") {
 		var rootStart, rootEnd float64
 		for _, s := range tr.Spans {
 			if s.Parent == "" {

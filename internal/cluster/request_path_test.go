@@ -10,6 +10,7 @@ import (
 	"graf/internal/app"
 	"graf/internal/cluster"
 	"graf/internal/sim"
+	"graf/internal/trace"
 	"graf/internal/workload"
 )
 
@@ -22,6 +23,8 @@ import (
 func simulationDigest(a *app.App, cfg cluster.Config) uint64 {
 	eng := sim.NewEngine(42)
 	cl := cluster.New(eng, a, cfg)
+	rec := &trace.Recorder{Cap: cfg.TraceCap} // what the collector's rings retain, spans and all
+	cl.OnTrace(rec.Record)
 	for _, name := range a.ServiceNames() {
 		cl.Deployment(name).SetQuota(750)
 	}
@@ -48,7 +51,7 @@ func simulationDigest(a *app.App, cfg cluster.Config) uint64 {
 	}
 	for _, api := range cl.Traces().APIs() {
 		str(api)
-		for _, tr := range cl.Traces().Traces(api) {
+		for _, tr := range rec.Traces(api) {
 			f64(float64(tr.Errors))
 			for _, s := range tr.Spans {
 				str(s.Service)
@@ -94,8 +97,8 @@ func TestSimulationDigestMatchesClosureImplementation(t *testing.T) {
 
 // Once the free lists, the event heap and the collector rings have reached
 // their steady size and the telemetry windows hold one look-back, a simulated
-// request allocates nothing: no call frame, closure, event, trace, span array
-// or window chunk. The look-back is the one a controller declares, 3 × 10 s.
+// request allocates nothing: no call frame, closure, event, trace, span array,
+// visit vector or window chunk. The look-back is the one a controller declares, 3 × 10 s.
 func TestSteadyStateRequestAllocations(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.TraceCap = 256 // every API's ring is full after the warm-up

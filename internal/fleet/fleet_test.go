@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -183,5 +184,76 @@ func TestFleetCheckpointNamespaces(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 3 {
 		t.Fatalf("want 3 files in shared checkpoint dir, got %d", len(ents))
+	}
+}
+
+// AuditDigest is kept as the stream is written. It must be the length and
+// fnv-1a/64 of AuditLog() whenever it is asked: between rounds, on a tenant
+// that migrated (evicted here, rebuilt and re-executed there) and on one
+// fleet.Restore brought back from the audit file of a fleet that stopped.
+func TestAuditDigestMatchesAuditLog(t *testing.T) {
+	check := func(when string, tn *Tenant) (int, uint64) {
+		t.Helper()
+		n, sum := tn.AuditDigest()
+		log := tn.AuditLog()
+		h := fnv.New64a()
+		h.Write(log)
+		if n != len(log) || sum != h.Sum64() || n == 0 {
+			t.Fatalf("%s: %s AuditDigest = (%d, %#x), AuditLog is %d bytes hashing to %#x", when, tn.ID, n, sum, len(log), h.Sum64())
+		}
+		return n, sum
+	}
+	dir := t.TempDir()
+	cfg := testConfig(2, 2, 1)
+	cfg.AuditDir = dir
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 40; {
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			f.Round()
+			round++
+		}
+		for _, tn := range f.Tenants() {
+			check(fmt.Sprintf("after round %d", round), tn)
+		}
+	}
+	moved, stayed := cfg.Tenants[0], cfg.Tenants[1]
+	ticks := f.Tenant(moved.ID).Ticks()
+	wantN, wantSum := check("before migration", f.Tenant(moved.ID))
+	if _, err := f.Evict(moved.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	gcfg := testConfig(0, 1, 1)
+	gcfg.Dynamic, gcfg.AuditDir = true, dir
+	g, err := New(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	defer g.Stop()
+	tn, rep, err := g.Restore(moved, ticks, "", 0)
+	if err != nil || !rep.PriorVerified {
+		t.Fatalf("migration: %v (report %+v)", err, rep)
+	}
+	if n, sum := check("after migration", tn); n != wantN || sum != wantSum {
+		t.Errorf("migrated tenant's digest (%d, %#x) is not its source's (%d, %#x)", n, sum, wantN, wantSum)
+	}
+	g.Round()
+	check("a round after migration", tn)
+
+	wantN, wantSum = check("before stop", f.Tenant(stayed.ID))
+	ticks = f.Tenant(stayed.ID).Ticks()
+	f.Stop()
+	tn, rep, err = g.Restore(stayed, ticks, "", 0)
+	if err != nil || !rep.PriorVerified {
+		t.Fatalf("restore: %v (report %+v)", err, rep)
+	}
+	if n, sum := check("after restore", tn); n != wantN || sum != wantSum {
+		t.Errorf("restored tenant's digest (%d, %#x) is not the stopped fleet's (%d, %#x)", n, sum, wantN, wantSum)
 	}
 }

@@ -165,6 +165,82 @@ func TestSeriesMean(t *testing.T) {
 	}
 }
 
+// seriesMeanReference is Series.Mean as it was first written: a walk over
+// every point from the first.
+func seriesMeanReference(s *Series, from, to float64) float64 {
+	if len(s.T) == 0 || to <= from {
+		return 0
+	}
+	total := 0.0
+	prevT, prevV := from, s.At(from)
+	if prevV == 0 && from < s.T[0] {
+		prevV = s.V[0]
+	}
+	for i, t := range s.T {
+		if t <= from {
+			continue
+		}
+		if t >= to {
+			break
+		}
+		total += (t - prevT) * prevV
+		prevT, prevV = t, s.V[i]
+	}
+	total += (to - prevT) * prevV
+	return total / (to - from)
+}
+
+// A series trimmed to a look-back at every scale event answers Mean and At,
+// for any interval inside the look-back, with the bits an untrimmed series
+// walked from its first point gives — and holds only what the look-back
+// covers plus the one point that says what it held when the look-back began.
+func TestTrimmedSeriesMatchesUntrimmedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, lookback := range []float64{5, 30, 120} {
+		kept, all := NewSeries("kept"), NewSeries("all")
+		now := 0.0
+		for event := 0; event < 2000; event++ {
+			switch rng.Intn(4) {
+			case 0: // a batch of instances coming ready at one instant, or close
+				now += float64(rng.Intn(2)) * rng.Float64()
+			case 1: // a long quiet spell
+				now += lookback * 3 * rng.Float64()
+			default:
+				now += 4 * rng.Float64()
+			}
+			v := float64(rng.Intn(9))
+			kept.Add(now, v)
+			all.Add(now, v)
+			kept.Trim(now - lookback)
+
+			read := now + lookback*rng.Float64()/2 // a tick reads some time after the last event
+			for try := 0; try < 4; try++ {
+				from := read - lookback*rng.Float64()
+				if from < now-lookback {
+					from = now - lookback
+				}
+				to := from + (read-from)*rng.Float64()
+				if try == 0 {
+					from, to = math.Max(now-lookback, 0), read // the whole look-back, as Utilization asks
+				}
+				got, want := kept.Mean(from, to), seriesMeanReference(all, from, to)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("look-back %v, event %d: trimmed Mean(%v, %v) = %v, untrimmed reference = %v", lookback, event, from, to, got, want)
+				}
+				if got, want := kept.At(from), all.At(from); got != want {
+					t.Fatalf("look-back %v, event %d: trimmed At(%v) = %v, untrimmed = %v", lookback, event, from, got, want)
+				}
+			}
+			if n := kept.Len(); n > 1 && kept.T[1] <= now-lookback {
+				t.Fatalf("look-back %v, event %d: %d points kept, two of them at or before t=%v", lookback, event, n, now-lookback)
+			}
+		}
+		if kept.Len() >= all.Len()/4 {
+			t.Errorf("look-back %v: trimmed series holds %d of %d points", lookback, kept.Len(), all.Len())
+		}
+	}
+}
+
 // Property: window quantile equals digest quantile over the same values.
 func TestWindowMatchesDigest(t *testing.T) {
 	f := func(raw []uint16) bool {

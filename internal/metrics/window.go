@@ -218,9 +218,9 @@ func (w *Window) Len() int { return w.total }
 // Retained returns the number of observations the window still holds.
 func (w *Window) Retained() int { return w.n }
 
-// Series is an append-only timestamped series used to record experiment
-// outputs (instance counts over time, perceived workload, …) exactly as the
-// paper plots them.
+// Series is a timestamped series, appended to in time order, used to record
+// experiment outputs (instance counts over time, perceived workload, …)
+// exactly as the paper plots them.
 type Series struct {
 	Name string
 	T    []float64
@@ -238,6 +238,20 @@ func (s *Series) Add(t, v float64) {
 
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.T) }
+
+// Trim drops the points before the last one at or before t, the one that
+// says what the series holds at t: At and Mean answer as they did for every
+// time from t on.
+func (s *Series) Trim(t float64) {
+	i := sort.SearchFloat64s(s.T, t)
+	if i == len(s.T) || s.T[i] > t {
+		i--
+	}
+	if i > 0 {
+		s.T = append(s.T[:0], s.T[i:]...)
+		s.V = append(s.V[:0], s.V[i:]...)
+	}
+}
 
 // At returns the value at the latest point with timestamp ≤ t (step
 // interpolation), or 0 before the first point.
@@ -263,15 +277,11 @@ func (s *Series) Mean(from, to float64) float64 {
 	if prevV == 0 && from < s.T[0] {
 		prevV = s.V[0]
 	}
-	for i, t := range s.T {
-		if t <= from {
-			continue
+	for i := sort.SearchFloat64s(s.T, from); i < len(s.T) && s.T[i] < to; i++ {
+		if t := s.T[i]; t > from {
+			total += (t - prevT) * prevV
+			prevT, prevV = t, s.V[i]
 		}
-		if t >= to {
-			break
-		}
-		total += (t - prevT) * prevV
-		prevT, prevV = t, s.V[i]
 	}
 	total += (to - prevT) * prevV
 	return total / (to - from)

@@ -8,6 +8,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -58,29 +59,42 @@ func (t Trace) Visits() map[string]int {
 	return m
 }
 
-// ring holds one API's retained traces. It grows by appending until the
-// collector's cap is reached and from then on overwrites its oldest trace.
+// ring holds what the collector keeps of one API's retained traces: how many
+// times each visited each service, which is all its one reader (VisitProfile)
+// needs. It grows by appending until the collector's cap is reached and from
+// then on overwrites its oldest trace.
 type ring struct {
-	buf   []Trace // the oldest retained trace is buf[head]
-	head  int
-	spare []Span  // Spans array of the last evicted trace, until Spare takes it
-	view  []Trace // Traces' oldest-first copy once the ring has wrapped
+	// idx[i] is the position in vecs of one retained trace's visit vector,
+	// the oldest trace at idx[head]. Traces share vectors: an API whose calls
+	// never fail has one, a failed call adds another, and however they fail
+	// there are never more vectors than retained traces — a vector no trace
+	// refers to is the first to be overwritten.
+	idx  []uint32
+	head int
+	vecs []vector
 
-	// Visit counts of the retained traces, which Collect keeps current so
-	// that VisitProfile need not walk them: hist[i][n] is how many retained
-	// traces visit svcs[i] exactly n ≥ 1 times. An API touches a handful of
-	// services, so a span finds its service by scanning svcs — the names
-	// come from one call tree and usually compare equal by pointer.
-	svcs  []string
-	hist  [][]int
-	visit []int // visits per service of the trace being tallied; zero between calls
+	// An API touches a handful of services, so a span finds its service by
+	// scanning svcs — the names come from one call tree and usually compare
+	// equal by pointer.
+	svcs   []string
+	visit  []int32 // visits per service of the trace being collected; zero between calls
+	traces []int   // VisitProfile's count of traces by visits to one service
 }
 
-// tally adds delta to the histogram cell of every service t visits.
-func (r *ring) tally(t *Trace, delta int) {
+// vector is one distinct visit vector: visits per service of svcs, trailing
+// zeros cut so that it stays comparable while svcs grows, and the number of
+// retained traces that have it.
+type vector struct {
+	visits []int32
+	refs   int
+}
+
+// intern adds a reference to the visit vector of spans and returns its
+// position in vecs. It finds it by scanning: a ring has a handful of vectors.
+func (r *ring) intern(spans []Span) uint32 {
 spans:
-	for i := range t.Spans {
-		svc := t.Spans[i].Service
+	for i := range spans {
+		svc := spans[i].Service
 		for j, known := range r.svcs {
 			if known == svc {
 				r.visit[j]++
@@ -88,23 +102,29 @@ spans:
 			}
 		}
 		r.svcs = append(r.svcs, svc)
-		r.hist = append(r.hist, nil)
 		r.visit = append(r.visit, 1)
 	}
-	for j, n := range r.visit {
-		if n == 0 {
-			continue
-		}
-		for len(r.hist[j]) <= n {
-			r.hist[j] = append(r.hist[j], 0)
-		}
-		r.hist[j][n] += delta
-		r.visit[j] = 0
+	visits := r.visit
+	for len(visits) > 0 && visits[len(visits)-1] == 0 {
+		visits = visits[:len(visits)-1]
 	}
+	slot := slices.IndexFunc(r.vecs, func(v vector) bool { return v.refs > 0 && slices.Equal(v.visits, visits) })
+	if slot < 0 {
+		if slot = slices.IndexFunc(r.vecs, func(v vector) bool { return v.refs == 0 }); slot < 0 {
+			slot = len(r.vecs)
+			r.vecs = append(r.vecs, vector{})
+		}
+		r.vecs[slot].visits = append(r.vecs[slot].visits[:0], visits...)
+	}
+	r.vecs[slot].refs++
+	clear(visits)
+	return uint32(slot)
 }
 
 // Collector accumulates completed traces. Cap bounds retained traces per API
-// (oldest evicted first); 0 means unbounded.
+// (oldest evicted first); 0 means unbounded. It retains a trace's visit
+// counts, not its spans: a reader that wants those observes the traces as
+// they are produced (cluster.Cluster.OnTrace) and keeps them in a Recorder.
 type Collector struct {
 	Cap    int
 	byAPI  map[string]*ring
@@ -117,7 +137,8 @@ func NewCollector(cap int) *Collector {
 	return &Collector{Cap: cap, byAPI: make(map[string]*ring)}
 }
 
-// Collect stores one completed trace and takes ownership of t.Spans.
+// Collect counts one completed trace. It only reads t.Spans, which stay the
+// caller's.
 func (c *Collector) Collect(t Trace) {
 	r := c.byAPI[t.API]
 	if r == nil {
@@ -125,33 +146,15 @@ func (c *Collector) Collect(t Trace) {
 		c.byAPI[t.API] = r
 	}
 	c.nTotal++
-	r.tally(&t, 1)
-	if c.Cap <= 0 || len(r.buf) < c.Cap {
-		r.buf = append(r.buf, t)
+	if c.Cap <= 0 || len(r.idx) < c.Cap {
+		r.idx = append(r.idx, r.intern(t.Spans))
 		return
 	}
-	oldest := &r.buf[r.head]
-	r.tally(oldest, -1)
-	r.spare = oldest.Spans[:0]
-	*oldest = t
-	if r.head++; r.head == len(r.buf) {
+	r.vecs[r.idx[r.head]].refs-- // first, so that the table never has more vectors than Cap
+	r.idx[r.head] = r.intern(t.Spans)
+	if r.head++; r.head == len(r.idx) {
 		r.head = 0
 	}
-}
-
-// Spare hands back the Spans array of the trace api's last Collect evicted,
-// emptied, for the caller to build a later trace in; nil when that Collect
-// evicted nothing or the array was already taken. It lets a producer that
-// collects one trace per request run without allocating span storage once
-// the ring is full.
-func (c *Collector) Spare(api string) []Span {
-	r := c.byAPI[api]
-	if r == nil {
-		return nil
-	}
-	s := r.spare
-	r.spare = nil
-	return s
 }
 
 // Total returns the number of traces ever collected.
@@ -167,70 +170,81 @@ func (c *Collector) APIs() []string {
 	return names
 }
 
-// Traces returns the retained traces for api, oldest first. The slice and
-// the Spans inside it are the collector's own storage: do not mutate them,
-// and do not use them after the next Collect, which may overwrite both.
-func (c *Collector) Traces(api string) []Trace {
-	r := c.byAPI[api]
-	if r == nil {
-		return nil
-	}
-	if r.head == 0 {
-		return r.buf
-	}
-	r.view = append(append(r.view[:0], r.buf[r.head:]...), r.buf[:r.head]...)
-	return r.view
-}
-
-// retained returns api's traces in storage order, for the order-independent
-// statistics below.
-func (c *Collector) retained(api string) []Trace {
-	if r := c.byAPI[api]; r != nil {
-		return r.buf
-	}
-	return nil
-}
-
 // VisitProfile returns, for each service touched by api, the q-quantile of
 // per-trace visit counts. The paper chooses the 90th percentile of request
 // histories to represent an API's behaviour (§3.3): "from the history
 // 90%-ile samples are chosen". The Workload Analyzer calls this every solve
-// tick over the whole retained history, so it reads the histograms Collect
-// maintains rather than the traces.
+// tick over the whole retained history, so it reads the table of distinct
+// visit vectors and their reference counts rather than the traces.
 func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
 	r := c.byAPI[api]
-	if r == nil || len(r.buf) == 0 {
+	if r == nil || len(r.idx) == 0 {
 		return nil
 	}
 	// Nearest-rank, matching metrics.Digest.Quantile.
-	traces := len(r.buf)
-	rank := min(max(int(math.Ceil(q*float64(traces))), 1), traces)
+	rank := min(max(int(math.Ceil(q*float64(len(r.idx)))), 1), len(r.idx))
 	out := make(map[string]float64, len(r.svcs))
-	for i, h := range r.hist {
-		// Services missing from some traces count as zero visits there.
-		atMost := traces
-		for _, k := range h {
-			atMost -= k
+	for j, svc := range r.svcs {
+		// traces[n] retained traces visit svc n times; a vector too short to
+		// mention it, zero times.
+		clear(r.traces)
+		for _, v := range r.vecs {
+			n := 0
+			if j < len(v.visits) {
+				n = int(v.visits[j])
+			}
+			for len(r.traces) <= n {
+				r.traces = append(r.traces, 0)
+			}
+			r.traces[n] += v.refs
 		}
-		if atMost == traces {
+		if r.traces[0] == len(r.idx) {
 			continue // every trace that visited it has been evicted
 		}
-		n := 0
+		n, atMost := 0, r.traces[0]
 		for atMost < rank {
 			n++
-			atMost += h[n]
+			atMost += r.traces[n]
 		}
-		out[r.svcs[i]] = float64(n)
+		out[svc] = float64(n)
 	}
 	return out
 }
 
-// Edges returns the set of caller→callee pairs observed for api. The GNN's
+// Reset discards all retained traces but keeps the total counter.
+func (c *Collector) Reset() { c.byAPI = make(map[string]*ring) }
+
+// Recorder keeps copies of whole traces, spans included — the last Cap per
+// API, 0 for all — for the tests and exporters that want what the Collector
+// does not retain. Record is a cluster.Cluster.OnTrace observer.
+type Recorder struct {
+	Cap   int
+	byAPI map[string][]Trace
+}
+
+// Record copies t, which its producer may reuse once Record returns.
+func (r *Recorder) Record(t *Trace) {
+	if r.byAPI == nil {
+		r.byAPI = make(map[string][]Trace)
+	}
+	kept := *t
+	kept.Spans = append([]Span(nil), t.Spans...)
+	list := append(r.byAPI[t.API], kept)
+	if r.Cap > 0 && len(list) > r.Cap {
+		list = list[1:]
+	}
+	r.byAPI[t.API] = list
+}
+
+// Traces returns the recorded traces of api, oldest first.
+func (r *Recorder) Traces(api string) []Trace { return r.byAPI[api] }
+
+// Edges returns the set of caller→callee pairs recorded for api. The GNN's
 // message-passing structure is "constructed from microservices tracing data"
 // (§3.4); this is that construction.
-func (c *Collector) Edges(api string) map[[2]string]bool {
+func (r *Recorder) Edges(api string) map[[2]string]bool {
 	out := make(map[[2]string]bool)
-	for _, t := range c.retained(api) {
+	for _, t := range r.byAPI[api] {
 		for _, s := range t.Spans {
 			if s.Parent != "" {
 				out[[2]string{s.Parent, s.Service}] = true
@@ -239,17 +253,3 @@ func (c *Collector) Edges(api string) map[[2]string]bool {
 	}
 	return out
 }
-
-// AllEdges unions Edges over every API.
-func (c *Collector) AllEdges() map[[2]string]bool {
-	out := make(map[[2]string]bool)
-	for api := range c.byAPI {
-		for e := range c.Edges(api) {
-			out[e] = true
-		}
-	}
-	return out
-}
-
-// Reset discards all retained traces but keeps the total counter.
-func (c *Collector) Reset() { c.byAPI = make(map[string]*ring) }

@@ -37,18 +37,24 @@ func TestVisits(t *testing.T) {
 
 func TestCollectorCap(t *testing.T) {
 	c := NewCollector(5)
+	rec := &Recorder{Cap: 5}
 	for i := 0; i < 10; i++ {
-		c.Collect(mkTrace(int64(i), "cart", 0.1, nil))
+		// The first five visit "cart" twice, the five that evict them once.
+		tr := mkTrace(int64(i), "cart", 0.1, map[string]int{"cart": 2 - i/5})
+		c.Collect(tr)
+		rec.Record(&tr)
 	}
-	if len(c.Traces("cart")) != 5 {
-		t.Errorf("retained %d traces, want 5", len(c.Traces("cart")))
+	if p := c.VisitProfile("cart", 1); p["cart"] != 1 {
+		t.Errorf("most visits to cart among the retained = %v, want 1: the oldest five were not evicted", p["cart"])
 	}
 	if c.Total() != 10 {
 		t.Errorf("Total = %d, want 10", c.Total())
 	}
 	// Oldest evicted: remaining IDs are 5..9.
-	if c.Traces("cart")[0].ID != 5 {
-		t.Errorf("oldest retained ID = %d, want 5", c.Traces("cart")[0].ID)
+	if got := rec.Traces("cart"); len(got) != 5 {
+		t.Errorf("recorder retained %d traces, want 5", len(got))
+	} else if got[0].ID != 5 {
+		t.Errorf("oldest recorded ID = %d, want 5", got[0].ID)
 	}
 }
 
@@ -87,10 +93,9 @@ func TestVisitProfileMissingService(t *testing.T) {
 }
 
 // visitProfileReference is VisitProfile as it was first written: one float
-// per trace per service, zero-padded, sorted, nearest rank. The histogram
-// version must return exactly this.
-func visitProfileReference(c *Collector, api string, q float64) map[string]float64 {
-	traces := c.Traces(api)
+// per trace per service, zero-padded, sorted, nearest rank. The collector,
+// which keeps no traces, must return exactly this.
+func visitProfileReference(traces []Trace, q float64) map[string]float64 {
 	if len(traces) == 0 {
 		return nil
 	}
@@ -122,7 +127,7 @@ func TestVisitProfileMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	services := []string{"frontend", "cart", "currency", "catalog", "shipping", "ads"}
 	for set := 0; set < 200; set++ {
-		c := NewCollector(0)
+		c, rec := NewCollector(0), &Recorder{}
 		for id, n := 0, 1+rng.Intn(40); id < n; id++ {
 			tr := Trace{ID: int64(id), API: "home"}
 			// Each service is absent from some traces, rarely visited in
@@ -134,9 +139,10 @@ func TestVisitProfileMatchesSortReference(t *testing.T) {
 			}
 			rng.Shuffle(len(tr.Spans), func(i, j int) { tr.Spans[i], tr.Spans[j] = tr.Spans[j], tr.Spans[i] })
 			c.Collect(tr)
+			rec.Record(&tr)
 		}
 		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-			got, want := c.VisitProfile("home", q), visitProfileReference(c, "home", q)
+			got, want := c.VisitProfile("home", q), visitProfileReference(rec.Traces("home"), q)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("set %d q=%v: VisitProfile = %v, sort reference = %v", set, q, got, want)
 			}
@@ -147,83 +153,134 @@ func TestVisitProfileMatchesSortReference(t *testing.T) {
 	}
 }
 
-// The ring must retain exactly what a slice that appends and re-slices to
-// its last Cap entries retains, present it oldest first, and derive the same
-// statistics from it, before and after wrap-around, while the producer
-// builds each new trace in the array the ring last evicted.
+// distinctVectors counts the different visit vectors among traces.
+func distinctVectors(traces []Trace) int {
+	seen := map[string]bool{}
+	for _, tr := range traces {
+		seen[fmt.Sprint(tr.Visits())] = true
+	}
+	return len(seen)
+}
+
+// checkRing fails unless api's ring holds as many traces as want, one vector
+// per distinct visit vector among them, and as many references as traces.
+func checkRing(t *testing.T, c *Collector, api string, want []Trace) {
+	t.Helper()
+	r := c.byAPI[api]
+	if r == nil {
+		if len(want) != 0 {
+			t.Fatalf("no ring for %s, want %d traces", api, len(want))
+		}
+		return
+	}
+	refs, inUse := 0, 0
+	for _, v := range r.vecs {
+		refs += v.refs
+		if v.refs > 0 {
+			inUse++
+		}
+	}
+	if len(r.idx) != len(want) || refs != len(want) {
+		t.Fatalf("%s: %d traces retained with %d vector references, want %d", api, len(r.idx), refs, len(want))
+	}
+	if want := distinctVectors(want); inUse != want {
+		t.Fatalf("%s: %d vectors in use, want %d", api, inUse, want)
+	}
+}
+
+// The ring must count exactly the traces a slice that appends and re-slices
+// to its last Cap entries retains — the Recorder — before and after
+// wrap-around, while the producer builds every trace in one array. Traces run
+// a fixed call tree in which any call may fail and leave no span, so a ring
+// holds a few visit vectors, shared, that come and go as it wraps.
 func TestRingMatchesSliceCollector(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	services := []string{"frontend", "cart", "currency", "catalog"}
+	trees := map[string][]string{
+		"home": {"frontend", "catalog", "currency", "catalog"},
+		"cart": {"frontend", "cart", "currency", "currency", "catalog", "shipping"},
+	}
 	apis := []string{"home", "cart"}
 	for _, limit := range []int{0, 1, 3, 8} {
-		c := NewCollector(limit)
-		ref := map[string][]Trace{} // the slice implementation
-		recycled := 0
-		for id := int64(0); id < 60; id++ {
+		c, rec := NewCollector(limit), &Recorder{Cap: limit}
+		var spans []Span
+		for id := int64(0); id < 120; id++ {
 			api := apis[rng.Intn(len(apis))]
-			tr := Trace{ID: id, API: api, Spans: c.Spare(api)}
-			if tr.Spans != nil {
-				recycled++
+			failP := []float64{0, 0.1, 0.5}[id/40] // none fail, then few, then half
+			spans = spans[:0]
+			for i, svc := range trees[api] {
+				if i > 0 && rng.Float64() < failP {
+					continue
+				}
+				spans = append(spans, Span{TraceID: id, API: api, Service: svc, Parent: trees[api][0]})
 			}
-			for n := 1 + rng.Intn(6); n > 0; n-- {
-				tr.Spans = append(tr.Spans, Span{
-					TraceID: id, API: api,
-					Service: services[rng.Intn(len(services))],
-					Parent:  services[rng.Intn(len(services))],
-				})
-			}
+			tr := Trace{ID: id, API: api, Spans: spans}
 			c.Collect(tr)
-			list := append(ref[api], tr)
-			if limit > 0 && len(list) > limit {
-				list = list[len(list)-limit:]
-			}
-			ref[api] = list
+			rec.Record(&tr)
 
 			for _, api := range apis {
-				got, want := c.Traces(api), ref[api]
-				if len(got) != len(want) {
-					t.Fatalf("cap %d after %d: %d traces of %s retained, want %d", limit, id, len(got), api, len(want))
+				want := rec.Traces(api)
+				if limit > 0 && len(want) > limit {
+					t.Fatalf("cap %d after %d: recorder holds %d traces of %s", limit, id, len(want), api)
 				}
-				for i := range want {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Fatalf("cap %d after %d: Traces(%s)[%d] = %+v, want %+v", limit, id, api, i, got[i], want[i])
+				checkRing(t, c, api, want)
+				for _, q := range []float64{0.5, 0.9, 1} {
+					if got, want := c.VisitProfile(api, q), visitProfileReference(want, q); !reflect.DeepEqual(got, want) {
+						t.Fatalf("cap %d after %d: VisitProfile(%s, %v) = %v, want %v", limit, id, api, q, got, want)
 					}
-				}
-				slice := NewCollector(0)
-				for _, tr := range want {
-					slice.Collect(tr)
-				}
-				if got, want := c.VisitProfile(api, 0.9), visitProfileReference(slice, api, 0.9); !reflect.DeepEqual(got, want) {
-					t.Fatalf("cap %d after %d: VisitProfile(%s) = %v, want %v", limit, id, api, got, want)
-				}
-				if got, want := c.Edges(api), slice.Edges(api); !reflect.DeepEqual(got, want) {
-					t.Fatalf("cap %d after %d: Edges(%s) = %v, want %v", limit, id, api, got, want)
 				}
 			}
 		}
-		if c.Total() != 60 {
-			t.Errorf("cap %d: Total = %d, want 60", limit, c.Total())
+		if c.Total() != 120 {
+			t.Errorf("cap %d: Total = %d, want 120", limit, c.Total())
 		}
-		if (limit == 0) != (recycled == 0) {
-			t.Errorf("cap %d: %d traces were built in recycled arrays", limit, recycled)
+	}
+}
+
+// However the visit vectors vary — here no two traces in a row of 10 000 have
+// the same — the table holds no more of them than the ring holds traces, and
+// reuses the entries eviction frees.
+func TestVectorTableIsBoundedByCap(t *testing.T) {
+	const limit = 64
+	services := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	c, rec := NewCollector(limit), &Recorder{Cap: limit}
+	var spans []Span
+	for id := 0; id < 10000; id++ {
+		spans = spans[:0]
+		for i, n := 0, id%6561; i < len(services); i, n = i+1, n/3 { // id in base 3: visits per service
+			for v := n % 3; v > 0; v-- {
+				spans = append(spans, Span{Service: services[i]})
+			}
 		}
+		tr := Trace{ID: int64(id), API: "x", Spans: spans}
+		c.Collect(tr)
+		rec.Record(&tr)
+		if r := c.byAPI["x"]; len(r.vecs) > limit {
+			t.Fatalf("after %d traces the table has %d vectors, want ≤ %d", id+1, len(r.vecs), limit)
+		}
+	}
+	checkRing(t, c, "x", rec.Traces("x"))
+	if n := distinctVectors(rec.Traces("x")); n != limit {
+		t.Fatalf("the stream repeated itself: %d distinct vectors among the last %d traces", n, limit)
+	}
+	if got, want := c.VisitProfile("x", 0.9), visitProfileReference(rec.Traces("x"), 0.9); !reflect.DeepEqual(got, want) {
+		t.Errorf("VisitProfile = %v, want %v", got, want)
 	}
 }
 
 // fullRings returns a collector whose three rings of limit traces have each
 // wrapped: APIs of 3, 5 and 8 spans, as OnlineBoutique's are, the largest
 // visiting one service three times and now and then failing to reach another.
-func fullRings(limit int) (*Collector, []string) {
+func fullRings(limit int) (*Collector, *Recorder, []string) {
 	apis := map[string][]string{
 		"home":    {"recommend", "catalog", "frontend"},
 		"product": {"catalog", "currency", "ads", "recommend", "frontend"},
 		"cart":    {"currency", "currency", "cart", "currency", "catalog", "shipping", "checkout", "frontend"},
 	}
-	c := NewCollector(limit)
+	c, rec := NewCollector(limit), &Recorder{Cap: limit}
 	names := []string{"cart", "home", "product"}
 	for id := 0; id < 3*2*limit; id++ {
 		api := names[id%3]
-		tr := Trace{ID: int64(id), API: api, Spans: c.Spare(api)}
+		tr := Trace{ID: int64(id), API: api}
 		for _, svc := range apis[api] {
 			if svc == "shipping" && id%7 == 0 {
 				continue
@@ -231,17 +288,18 @@ func fullRings(limit int) (*Collector, []string) {
 			tr.Spans = append(tr.Spans, Span{TraceID: tr.ID, API: api, Service: svc})
 		}
 		c.Collect(tr)
+		rec.Record(&tr)
 	}
-	return c, names
+	return c, rec, names
 }
 
-// The profile is read off the histograms Collect maintains: its cost does not
-// depend on how many traces the ring holds.
+// The profile is read off the table of distinct visit vectors Collect
+// maintains: its cost does not depend on how many traces the ring holds.
 func TestVisitProfileCostIsIndependentOfRingSize(t *testing.T) {
 	for _, limit := range []int{16, 4096} {
-		c, names := fullRings(limit)
+		c, rec, names := fullRings(limit)
 		for _, api := range names {
-			if got, want := c.VisitProfile(api, 0.9), visitProfileReference(c, api, 0.9); !reflect.DeepEqual(got, want) {
+			if got, want := c.VisitProfile(api, 0.9), visitProfileReference(rec.Traces(api), 0.9); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cap %d: VisitProfile(%s) = %v, recount = %v", limit, api, got, want)
 			}
 		}
@@ -258,7 +316,7 @@ func TestVisitProfileCostIsIndependentOfRingSize(t *testing.T) {
 // What core.Analyzer.Refresh costs on every solve and lifecycle tick: one
 // profile per API over three full rings of the default TraceCap.
 func BenchmarkVisitProfile(b *testing.B) {
-	c, names := fullRings(4096)
+	c, _, names := fullRings(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,24 +329,24 @@ func BenchmarkVisitProfile(b *testing.B) {
 var sink map[string]float64
 
 func TestEdges(t *testing.T) {
-	c := NewCollector(0)
+	var rec Recorder
 	tr := Trace{ID: 1, API: "post"}
 	tr.Spans = []Span{
 		{Service: "nginx", Parent: ""},
 		{Service: "text", Parent: "nginx"},
 		{Service: "url", Parent: "text"},
 	}
-	c.Collect(tr)
-	e := c.Edges("post")
+	rec.Record(&tr)
+	tr.Spans[2] = Span{Service: "media", Parent: "nginx"} // the recorder kept a copy
+	e := rec.Edges("post")
 	if !e[[2]string{"nginx", "text"}] || !e[[2]string{"text", "url"}] {
 		t.Errorf("Edges = %v", e)
 	}
 	if len(e) != 2 {
 		t.Errorf("len(Edges) = %d, want 2", len(e))
 	}
-	all := c.AllEdges()
-	if len(all) != 2 {
-		t.Errorf("AllEdges = %v", all)
+	if e := rec.Edges("get"); len(e) != 0 {
+		t.Errorf("Edges of an API never recorded = %v", e)
 	}
 }
 
@@ -307,8 +365,8 @@ func TestReset(t *testing.T) {
 	c := NewCollector(0)
 	c.Collect(mkTrace(1, "cart", 0.1, nil))
 	c.Reset()
-	if len(c.Traces("cart")) != 0 {
-		t.Error("Reset did not clear traces")
+	if p := c.VisitProfile("cart", 0.9); p != nil {
+		t.Errorf("Reset did not clear traces: VisitProfile = %v", p)
 	}
 	if c.Total() != 1 {
 		t.Error("Reset must keep the total counter")

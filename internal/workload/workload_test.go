@@ -6,6 +6,7 @@ import (
 	"graf/internal/app"
 	"graf/internal/cluster"
 	"graf/internal/sim"
+	"graf/internal/trace"
 )
 
 func boutique(seed int64) (*sim.Engine, *cluster.Cluster) {
@@ -53,13 +54,14 @@ func TestOpenLoopStepSurge(t *testing.T) {
 
 func TestOpenLoopAPIMix(t *testing.T) {
 	eng, c := boutique(3)
+	var tr trace.Recorder
+	c.OnTrace(tr.Record)
 	g := NewOpenLoop(c, ConstRate(100))
 	g.Start()
 	start := eng.Now()
 	eng.RunUntil(start + 60)
 	g.Stop()
 	eng.Run()
-	tr := c.Traces()
 	nCart := len(tr.Traces("cart"))
 	nHome := len(tr.Traces("home"))
 	if nCart == 0 || nHome == 0 {
@@ -74,6 +76,8 @@ func TestOpenLoopAPIMix(t *testing.T) {
 
 func TestOpenLoopFixedAPI(t *testing.T) {
 	eng, c := boutique(4)
+	var tr trace.Recorder
+	c.OnTrace(tr.Record)
 	g := NewOpenLoop(c, ConstRate(50))
 	g.API = "cart"
 	g.Start()
@@ -81,10 +85,10 @@ func TestOpenLoopFixedAPI(t *testing.T) {
 	eng.RunUntil(start + 20)
 	g.Stop()
 	eng.Run()
-	if n := len(c.Traces().Traces("home")); n != 0 {
+	if n := len(tr.Traces("home")); n != 0 {
 		t.Errorf("fixed-API generator produced %d home traces", n)
 	}
-	if n := len(c.Traces().Traces("cart")); n == 0 {
+	if n := len(tr.Traces("cart")); n == 0 {
 		t.Error("fixed-API generator produced no cart traces")
 	}
 }
