@@ -148,6 +148,7 @@ func BenchmarkTrainingIteration(b *testing.B) {
 	tc.Iterations = 1
 	tc.Batch = 256
 	tc.ValFrac, tc.TestFrac = 0, 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Train(samples, tc)

@@ -17,7 +17,6 @@ package gnn
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -60,6 +59,8 @@ type Model struct {
 	phi     []*nn.MLP // per step: message network φ^(k)
 	gamma   []*nn.MLP // per step: update network γ^(k)
 	readout *nn.MLP
+	nets    []*nn.MLP // all of them: φ per step, γ per step, the readout
+	edges   int       // parent edges in Cfg.Parents
 
 	// free is the stack of idle Scratches Predict/PredictGrad borrow from.
 	// A mutex-guarded stack, not a sync.Pool: the GC never empties it, so
@@ -89,6 +90,10 @@ func New(cfg Config, rng *rand.Rand) *Model {
 	} else {
 		m.readout = nn.NewMLP([]int{cfg.Nodes * features, cfg.ReadoutHidden, cfg.ReadoutHidden, 1}, cfg.Dropout, rng)
 	}
+	m.nets = append(append(append(m.nets, m.phi...), m.gamma...), m.readout)
+	for _, ps := range cfg.Parents {
+		m.edges += len(ps)
+	}
 	return m
 }
 
@@ -98,121 +103,6 @@ type Sample struct {
 	Load    []float64 // per-node workload, req/s
 	Quota   []float64 // per-node CPU quota, millicores
 	Latency float64   // end-to-end tail latency, seconds
-}
-
-type fwdState struct {
-	x          [][]float64
-	embs       [][][]float64 // embs[k][i]: k=0 is x
-	gammaTapes [][]*nn.Tape  // [k][i]
-	phiTapes   [][][]*nn.Tape
-	readIn     []float64
-	readTape   *nn.Tape
-	y          float64
-}
-
-func (m *Model) features(load, quota []float64) [][]float64 {
-	if len(load) != m.Cfg.Nodes || len(quota) != m.Cfg.Nodes {
-		panic(fmt.Sprintf("gnn: expected %d nodes, got load=%d quota=%d", m.Cfg.Nodes, len(load), len(quota)))
-	}
-	x := make([][]float64, m.Cfg.Nodes)
-	for i := range x {
-		x[i] = []float64{load[i] * m.Cfg.LoadScale, quota[i] * m.Cfg.QuotaScale}
-	}
-	return x
-}
-
-func (m *Model) forward(load, quota []float64, train bool, rng *rand.Rand) *fwdState {
-	st := &fwdState{x: m.features(load, quota)}
-	if !m.Cfg.UseMPNN {
-		st.readIn = make([]float64, 0, m.Cfg.Nodes*2)
-		for _, xi := range st.x {
-			st.readIn = append(st.readIn, xi...)
-		}
-		out, tape := m.readout.Forward(st.readIn, train, rng)
-		st.readTape, st.y = tape, out[0]
-		return st
-	}
-	st.embs = append(st.embs, st.x)
-	cur := st.x
-	for k := 0; k < m.Cfg.Steps; k++ {
-		next := make([][]float64, m.Cfg.Nodes)
-		kGamma := make([]*nn.Tape, m.Cfg.Nodes)
-		kPhi := make([][]*nn.Tape, m.Cfg.Nodes)
-		for i := 0; i < m.Cfg.Nodes; i++ {
-			msg := make([]float64, m.Cfg.Embed)
-			for _, j := range m.Cfg.Parents[i] {
-				out, tape := m.phi[k].Forward(cur[j], train, rng)
-				kPhi[i] = append(kPhi[i], tape)
-				for d, v := range out {
-					msg[d] += v
-				}
-			}
-			in := make([]float64, 0, 2+m.Cfg.Embed)
-			in = append(in, st.x[i]...)
-			in = append(in, msg...)
-			out, tape := m.gamma[k].Forward(in, train, rng)
-			kGamma[i] = tape
-			next[i] = out
-		}
-		st.gammaTapes = append(st.gammaTapes, kGamma)
-		st.phiTapes = append(st.phiTapes, kPhi)
-		st.embs = append(st.embs, next)
-		cur = next
-	}
-	st.readIn = make([]float64, 0, m.Cfg.Nodes*m.Cfg.Embed)
-	for _, e := range cur {
-		st.readIn = append(st.readIn, e...)
-	}
-	out, tape := m.readout.Forward(st.readIn, train, rng)
-	st.readTape, st.y = tape, out[0]
-	return st
-}
-
-// backward accumulates parameter gradients for upstream gradient dy and
-// returns the gradient with respect to each node's (load, quota) features
-// in *unscaled* units (req/s, millicores).
-func (m *Model) backward(st *fwdState, dy float64) (dLoad, dQuota []float64) {
-	dLoad = make([]float64, m.Cfg.Nodes)
-	dQuota = make([]float64, m.Cfg.Nodes)
-	dRead := m.readout.Backward(st.readTape, []float64{dy})
-	addX := func(i int, d []float64) {
-		dLoad[i] += d[0] * m.Cfg.LoadScale
-		dQuota[i] += d[1] * m.Cfg.QuotaScale
-	}
-	if !m.Cfg.UseMPNN {
-		for i := 0; i < m.Cfg.Nodes; i++ {
-			addX(i, dRead[i*2:i*2+2])
-		}
-		return dLoad, dQuota
-	}
-	dEmb := make([][]float64, m.Cfg.Nodes)
-	for i := 0; i < m.Cfg.Nodes; i++ {
-		dEmb[i] = append([]float64(nil), dRead[i*m.Cfg.Embed:(i+1)*m.Cfg.Embed]...)
-	}
-	for k := m.Cfg.Steps - 1; k >= 0; k-- {
-		prevDim := len(st.embs[k][0])
-		dPrev := make([][]float64, m.Cfg.Nodes)
-		for i := range dPrev {
-			dPrev[i] = make([]float64, prevDim)
-		}
-		for i := 0; i < m.Cfg.Nodes; i++ {
-			d := m.gamma[k].Backward(st.gammaTapes[k][i], dEmb[i])
-			addX(i, d[:2])
-			dMsg := d[2:]
-			for pi, j := range m.Cfg.Parents[i] {
-				dp := m.phi[k].Backward(st.phiTapes[k][i][pi], dMsg)
-				for idx, v := range dp {
-					dPrev[j][idx] += v
-				}
-			}
-		}
-		dEmb = dPrev
-	}
-	// embs[0] = x.
-	for i := 0; i < m.Cfg.Nodes; i++ {
-		addX(i, dEmb[i])
-	}
-	return dLoad, dQuota
 }
 
 // borrow pops an idle Scratch, or builds one when all are in use.
@@ -258,20 +148,10 @@ func (m *Model) PredictGrad(load, quota []float64) (latency float64, dQuota []fl
 
 func (m *Model) params() []*nn.Linear {
 	var out []*nn.Linear
-	for _, p := range m.phi {
-		out = append(out, p.Params()...)
+	for _, net := range m.nets {
+		out = append(out, net.Layers...)
 	}
-	for _, g := range m.gamma {
-		out = append(out, g.Params()...)
-	}
-	out = append(out, m.readout.Params()...)
 	return out
-}
-
-func (m *Model) zeroGrad() {
-	for _, l := range m.params() {
-		l.ZeroGrad()
-	}
 }
 
 // snapshotWeights deep-copies all weights (for best-validation tracking).
@@ -325,7 +205,7 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	fresh.restoreWeights(p.Weights)
 	// Not *m = *fresh, which would copy the free-list mutex. Decoding needs
 	// exclusive access to m anyway; Scratches of the old shape are dropped.
-	m.Cfg, m.phi, m.gamma, m.readout = fresh.Cfg, fresh.phi, fresh.gamma, fresh.readout
+	m.Cfg, m.phi, m.gamma, m.readout, m.nets, m.edges = fresh.Cfg, fresh.phi, fresh.gamma, fresh.readout, fresh.nets, fresh.edges
 	m.free = nil
 	return nil
 }

@@ -25,9 +25,9 @@ func randInputs(rng *rand.Rand, nodes int) (load, quota []float64) {
 	return load, quota
 }
 
-// The scratch-based inference path must be bit-identical to the training
-// path's forward/backward (with train=false): replayed audit logs and
-// same-seed runs depend on it.
+// The scratch-based kernels must be bit-identical to the reference
+// forward/backward of train_reference_test.go (with train=false): replayed
+// audit logs and same-seed runs were recorded against it.
 func TestInferMatchesTrainingPath(t *testing.T) {
 	for _, mpnn := range []bool{true, false} {
 		m := testModel(t, mpnn)

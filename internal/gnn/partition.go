@@ -3,8 +3,6 @@ package gnn
 import (
 	"fmt"
 	"math/rand"
-
-	"graf/internal/nn"
 )
 
 // Partitioned implements the paper's §6 scalability direction: "graph
@@ -145,133 +143,14 @@ func (p *Partitioned) PredictGrad(load, quota []float64) (float64, []float64) {
 	return sum, grad
 }
 
-func (p *Partitioned) params() []*nn.Linear {
-	var out []*nn.Linear
-	for _, s := range p.Subs {
-		out = append(out, s.params()...)
-	}
-	return out
-}
-
 // Train jointly fits all sub-models against end-to-end labels: the summed
 // output is compared to the label and the loss gradient flows into every
 // partition.
 func (p *Partitioned) Train(samples []Sample, tc TrainConfig) TrainResult {
-	if tc.Loss == nil {
-		tc.Loss = nn.PaperLoss()
-	}
-	if tc.EvalEvery <= 0 {
-		tc.EvalEvery = 50
-	}
-	rng := rand.New(rand.NewSource(tc.Seed))
-	shuffled := append([]Sample(nil), samples...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	nVal := int(float64(len(shuffled)) * tc.ValFrac)
-	nTest := int(float64(len(shuffled)) * tc.TestFrac)
-	val := shuffled[:nVal]
-	test := shuffled[nVal : nVal+nTest]
-	train := shuffled[nVal+nTest:]
-	if len(train) == 0 {
-		panic("gnn: no training samples after splits")
-	}
-
-	opt := nn.NewAdam(tc.LR)
-	res := TrainResult{BestVal: -1, Test: test}
-
-	evalSet := func(set []Sample) float64 {
-		if len(set) == 0 {
-			return 0
-		}
-		sum := 0.0
-		for _, s := range set {
-			l, _ := tc.Loss.Loss(p.Predict(s.Load, s.Quota), s.Latency)
-			sum += l
-		}
-		return sum / float64(len(set))
-	}
-
-	var bestSnaps [][][]float64
-	for iter := 0; iter < tc.Iterations; iter++ {
-		for _, s := range p.Subs {
-			s.zeroGrad()
-		}
-		batchLoss := 0.0
-		for b := 0; b < tc.Batch; b++ {
-			s := train[rng.Intn(len(train))]
-			// Forward every partition, keeping states for backward.
-			states := make([]*fwdState, len(p.Subs))
-			pred := 0.0
-			for si, g := range p.Groups {
-				states[si] = p.Subs[si].forward(p.slice(s.Load, g), p.slice(s.Quota, g), true, rng)
-				pred += states[si].y
-			}
-			l, d := tc.Loss.Loss(pred, s.Latency)
-			batchLoss += l
-			for si := range p.Subs {
-				p.Subs[si].backward(states[si], d)
-			}
-		}
-		opt.Step(p.params(), float64(tc.Batch))
-
-		if iter%tc.EvalEvery == 0 || iter == tc.Iterations-1 {
-			v := evalSet(val)
-			res.Curve = append(res.Curve, CurvePoint{Iteration: iter, Train: batchLoss / float64(tc.Batch), Val: v})
-			if len(val) > 0 && (res.BestVal < 0 || v < res.BestVal) {
-				res.BestVal = v
-				bestSnaps = bestSnaps[:0]
-				for _, s := range p.Subs {
-					bestSnaps = append(bestSnaps, s.snapshotWeights())
-				}
-			}
-		}
-	}
-	if bestSnaps != nil {
-		for si, s := range p.Subs {
-			s.restoreWeights(bestSnaps[si])
-		}
-	}
-	return res
+	return trainLoop(p.Subs, p.Groups, p.Predict, samples, tc, 0)
 }
 
 // Evaluate mirrors Model.Evaluate for the partitioned predictor.
 func (p *Partitioned) Evaluate(set []Sample, regions [][2]float64) ([]RegionError, float64) {
-	// Delegate via a thin adapter: reuse the same accumulation logic.
-	type acc struct {
-		sum float64
-		n   int
-	}
-	accs := make([]acc, len(regions))
-	signedSum := 0.0
-	n := 0
-	for _, s := range set {
-		if s.Latency <= 0 {
-			continue
-		}
-		pe := (p.Predict(s.Load, s.Quota) - s.Latency) / s.Latency
-		signedSum += pe
-		n++
-		msV := s.Latency * 1000
-		for ri, r := range regions {
-			if msV >= r[0] && msV < r[1] {
-				a := pe
-				if a < 0 {
-					a = -a
-				}
-				accs[ri].sum += a
-				accs[ri].n++
-			}
-		}
-	}
-	rows := make([]RegionError, len(regions))
-	for ri, r := range regions {
-		rows[ri] = RegionError{LoMS: r[0], HiMS: r[1], Count: accs[ri].n}
-		if accs[ri].n > 0 {
-			rows[ri].MAPE = accs[ri].sum / float64(accs[ri].n)
-		}
-	}
-	over := 0.0
-	if n > 0 {
-		over = signedSum / float64(n)
-	}
-	return rows, over
+	return evaluate(p.Predict, set, regions)
 }

@@ -1,8 +1,12 @@
 package gnn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"graf/internal/nn"
@@ -63,8 +67,21 @@ type TrainResult struct {
 // Train runs minibatch Adam over the samples, holding out validation and
 // test splits, and restores the weights that achieved the best validation
 // loss (the paper: "the validation set is used to prevent overfitting and
-// save the best performance GNN").
+// save the best performance GNN"). tc.Loss is called from several goroutines
+// at once. It panics on a non-positive Batch or LR, which could only turn
+// every weight into NaN.
 func (m *Model) Train(samples []Sample, tc TrainConfig) TrainResult {
+	return trainLoop([]*Model{m}, nil, m.Predict, samples, tc, 0)
+}
+
+// trainLoop is the one training loop: subs are the sub-models whose summed
+// output predict returns (a Model is a list of one), groups their node
+// indices (nil = the one sub-model sees every node). workers = 0 picks the
+// worker count; the trained weights do not depend on it.
+func trainLoop(subs []*Model, groups [][]int, predict func(load, quota []float64) float64, samples []Sample, tc TrainConfig, workers int) TrainResult {
+	if tc.Batch <= 0 || tc.LR <= 0 {
+		panic(fmt.Sprintf("gnn: Train needs Batch > 0 and LR > 0, got Batch=%d LR=%g", tc.Batch, tc.LR))
+	}
 	if tc.Loss == nil {
 		tc.Loss = nn.PaperLoss()
 	}
@@ -83,9 +100,10 @@ func (m *Model) Train(samples []Sample, tc TrainConfig) TrainResult {
 		panic("gnn: no training samples after splits")
 	}
 
-	opt := nn.NewAdam(tc.LR)
+	t := newTrainer(subs, groups, train, tc, rng, workers)
+	defer t.workers.stop()
 	res := TrainResult{BestVal: -1, Test: test}
-	var bestSnap [][]float64
+	var bestSnaps [][][]float64
 
 	evalSet := func(set []Sample) float64 {
 		if len(set) == 0 {
@@ -93,7 +111,7 @@ func (m *Model) Train(samples []Sample, tc TrainConfig) TrainResult {
 		}
 		sum := 0.0
 		for _, s := range set {
-			l, _ := tc.Loss.Loss(m.Predict(s.Load, s.Quota), s.Latency)
+			l, _ := tc.Loss.Loss(predict(s.Load, s.Quota), s.Latency)
 			sum += l
 		}
 		return sum / float64(len(set))
@@ -104,16 +122,7 @@ func (m *Model) Train(samples []Sample, tc TrainConfig) TrainResult {
 		if tc.Obs != nil {
 			tBatch = time.Now()
 		}
-		m.zeroGrad()
-		batchLoss := 0.0
-		for b := 0; b < tc.Batch; b++ {
-			s := train[rng.Intn(len(train))]
-			st := m.forward(s.Load, s.Quota, true, rng)
-			l, d := tc.Loss.Loss(st.y, s.Latency)
-			batchLoss += l
-			m.backward(st, d)
-		}
-		opt.Step(m.params(), float64(tc.Batch))
+		batchLoss := t.iteration()
 		var batchNS int64
 		if tc.Obs != nil {
 			batchNS = time.Since(tBatch).Nanoseconds()
@@ -130,14 +139,281 @@ func (m *Model) Train(samples []Sample, tc TrainConfig) TrainResult {
 			tc.Obs.Eval(iter, batchLoss/float64(tc.Batch), v, batchNS)
 			if len(val) > 0 && (res.BestVal < 0 || v < res.BestVal) {
 				res.BestVal = v
-				bestSnap = m.snapshotWeights()
+				bestSnaps = bestSnaps[:0]
+				for _, m := range subs {
+					bestSnaps = append(bestSnaps, m.snapshotWeights())
+				}
 			}
 		}
 	}
-	if bestSnap != nil {
-		m.restoreWeights(bestSnap)
+	for si, snap := range bestSnaps {
+		subs[si].restoreWeights(snap)
 	}
 	return res
+}
+
+// trainChunk is how many samples of a minibatch are on tape at once: the
+// tape, not the batch, bounds training's memory (~40 KB a sample on Online
+// Boutique; the paper's batch is 256).
+const trainChunk = 8
+
+// trainer runs the iterations of one Train call. An iteration takes the
+// minibatch in chunks of trainChunk samples, each in two parallel phases that
+// differ from a serial loop only in schedule:
+//
+//   - per sample: PredictWith and inputGrad on the sample's tape, which only
+//     read the weights. Sample picks and dropout masks are drawn beforehand,
+//     on the calling goroutine, in the order a serial loop draws them.
+//   - per span of parameter rows: WeightGrad, sample by sample in batch order
+//     and invocation by invocation in backward's order, so every GW/GB entry
+//     receives a serial loop's addends in a serial loop's order, whichever
+//     worker takes the span.
+//
+// Adam is element-wise and steps span by span. The weights come out
+// byte-equal for any worker count and any interleaving.
+type trainer struct {
+	subs    []*Model
+	groups  [][]int
+	train   []Sample
+	batch   int
+	loss    nn.LossFunc
+	rng     *rand.Rand
+	opt     *nn.Adam
+	tapes   []tape
+	n       int    // samples of the current chunk
+	spans   []span // the parameter rows, in units of work
+	workers gang
+
+	// The phases as func values, made once so that running one allocates nothing.
+	pass, weightGrad, step func(i int)
+}
+
+// tape is one sample's pass through every sub-model.
+type tape struct {
+	load, quota [][]float64 // per sub-model: the sample's features for its nodes
+	scr         []*Scratch  // per sub-model
+	latency     float64     // the sample's label
+	loss        float64     // and the loss of the summed prediction against it
+}
+
+// span is rows [lo, hi) of layer li of network net of sub-model sub; layer is
+// that layer's position in the optimizer.
+type span struct{ sub, net, li, layer, lo, hi int }
+
+func newTrainer(subs []*Model, groups [][]int, train []Sample, tc TrainConfig, rng *rand.Rand, workers int) *trainer {
+	nodes := 0
+	for _, m := range subs {
+		nodes += m.Cfg.Nodes
+	}
+	for _, s := range train { // here, not as a panic on a helper goroutine
+		if len(s.Load) != nodes || len(s.Quota) != nodes {
+			panic(fmt.Sprintf("gnn: expected %d nodes, got load=%d quota=%d", nodes, len(s.Load), len(s.Quota)))
+		}
+	}
+	if workers == 0 {
+		workers = min(runtime.GOMAXPROCS(0), trainChunk, tc.Batch)
+	}
+	t := &trainer{subs: subs, groups: groups, train: train, batch: tc.Batch, loss: tc.Loss, rng: rng,
+		tapes: make([]tape, min(trainChunk, tc.Batch))}
+	for c := range t.tapes {
+		tp := &t.tapes[c]
+		tp.load, tp.quota = make([][]float64, len(subs)), make([][]float64, len(subs))
+		for si, m := range subs {
+			tp.scr = append(tp.scr, m.newScratch(true))
+			if groups != nil {
+				tp.load[si], tp.quota[si] = make([]float64, m.Cfg.Nodes), make([]float64, m.Cfg.Nodes)
+			}
+		}
+	}
+	layers, spans := rowSpans(subs)
+	for _, l := range layers {
+		clear(l.GW)
+		clear(l.GB)
+	}
+	t.opt, t.spans = nn.NewAdam(tc.LR, layers), spans
+	t.pass, t.weightGrad, t.step = t.passSample, t.weightGradSpan, t.stepSpan
+	t.workers.start(workers - 1)
+	return t
+}
+
+// rowSpans lists every parameter layer and cuts their rows into spans of at
+// most spanRows: with the layers' widths that is a few dozen units of
+// comparable cost, enough for handing them out one by one to balance any
+// worker count.
+func rowSpans(subs []*Model) (layers []*nn.Linear, spans []span) {
+	const spanRows = 32
+	for si, m := range subs {
+		for ni, net := range m.nets {
+			for li, l := range net.Layers {
+				for lo := 0; lo < l.Out; lo += spanRows {
+					spans = append(spans, span{sub: si, net: ni, li: li, layer: len(layers), lo: lo, hi: min(lo+spanRows, l.Out)})
+				}
+				layers = append(layers, l)
+			}
+		}
+	}
+	return layers, spans
+}
+
+// iteration runs one minibatch and the optimizer step, and returns the sum
+// of the samples' losses.
+func (t *trainer) iteration() (batchLoss float64) {
+	for done := 0; done < t.batch; done += t.n {
+		t.n = min(len(t.tapes), t.batch-done)
+		for c := range t.tapes[:t.n] {
+			t.draw(&t.tapes[c])
+		}
+		t.workers.each(t.n, t.pass)
+		for c := range t.tapes[:t.n] {
+			batchLoss += t.tapes[c].loss
+		}
+		t.workers.each(len(t.spans), t.weightGrad)
+	}
+	t.opt.Next()
+	t.workers.each(len(t.spans), t.step)
+	return batchLoss
+}
+
+// draw picks the tape's next sample and its dropout masks.
+func (t *trainer) draw(tp *tape) {
+	s := t.train[t.rng.Intn(len(t.train))]
+	tp.latency = s.Latency
+	for si, m := range t.subs {
+		if t.groups == nil {
+			tp.load[si], tp.quota[si] = s.Load, s.Quota
+		} else {
+			for li, gi := range t.groups[si] {
+				tp.load[si][li], tp.quota[si][li] = s.Load[gi], s.Quota[gi]
+			}
+		}
+		m.drawMasks(tp.scr[si], t.rng)
+	}
+}
+
+func (t *trainer) passSample(c int) {
+	tp := &t.tapes[c]
+	pred := 0.0
+	for si, m := range t.subs {
+		pred += m.PredictWith(tp.scr[si], tp.load[si], tp.quota[si])
+	}
+	var d float64
+	tp.loss, d = t.loss.Loss(pred, tp.latency)
+	for si, m := range t.subs {
+		m.inputGrad(tp.scr[si], d)
+	}
+}
+
+func (t *trainer) weightGradSpan(i int) {
+	sp := t.spans[i]
+	net := t.subs[sp.sub].nets[sp.net]
+	for c := range t.tapes[:t.n] {
+		for _, v := range t.tapes[c].scr[sp.sub].inv[sp.net] {
+			net.WeightGrad(v, sp.li, sp.lo, sp.hi)
+		}
+	}
+}
+
+func (t *trainer) stepSpan(i int) {
+	sp := t.spans[i]
+	t.opt.StepRows(sp.layer, sp.lo, sp.hi, float64(t.batch))
+}
+
+// gang is a set of helper goroutines for a caller that runs one parallel loop
+// at a time. Helpers are optional: a loop does not wait for one that has not
+// arrived (in a busy process its goroutine may not run for milliseconds),
+// only for those inside it. A phase of an iteration is a few hundred
+// microseconds and a sleeping thread takes about as long to wake up, so
+// whoever waits — a helper for the next loop, the caller for the helpers
+// inside — first polls, yielding the processor each time round, and sleeps
+// only after gangSpins rounds of that.
+type gang struct {
+	fn     func(i int)    // the open loop's body; nil tells the helpers to return
+	n      int32          // and its length
+	next   atomic.Int32   // its next index not yet handed out
+	epoch  atomic.Int32   // odd while a loop is open to helpers
+	inside atomic.Int32   // helpers that may be inside the loop
+	mu     sync.Mutex     // orders a sleeper's last look at epoch/inside with signal
+	wake   sync.Cond      // on mu
+	alive  sync.WaitGroup // helpers not yet returned
+}
+
+// gangSpins bounds the polling at about 50 µs.
+const gangSpins = 400
+
+func (g *gang) start(helpers int) {
+	g.wake.L = &g.mu
+	for ; helpers > 0; helpers-- {
+		g.alive.Add(1)
+		go func() {
+			defer g.alive.Done()
+			for e := int32(1); ; e += 2 {
+				e = g.await(&g.epoch, func(v int32) bool { return v >= e && v%2 == 1 })
+				g.inside.Add(1)
+				// While e is still open the caller cannot move on, or
+				// change fn, until this helper has left.
+				if open := g.epoch.Load() == e; open && g.fn == nil {
+					return
+				} else if open {
+					g.work()
+				}
+				if g.inside.Add(-1) == 0 {
+					g.signal()
+				}
+			}
+		}()
+	}
+}
+
+// work runs the loop body on indices until none are left.
+func (g *gang) work() {
+	for i := g.next.Add(1) - 1; i < g.n; i = g.next.Add(1) - 1 {
+		g.fn(int(i))
+	}
+}
+
+// await returns v's value once ok holds of it.
+func (g *gang) await(v *atomic.Int32, ok func(int32) bool) int32 {
+	for spins := 0; spins < gangSpins; spins++ {
+		if x := v.Load(); ok(x) {
+			return x
+		}
+		runtime.Gosched()
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	x := v.Load()
+	for ; !ok(x); x = v.Load() {
+		g.wake.Wait()
+	}
+	return x
+}
+
+// signal wakes the sleepers after epoch or inside changed: one that looked
+// before the change holds mu until it sleeps, so it is not missed.
+func (g *gang) signal() {
+	g.mu.Lock()
+	g.mu.Unlock()
+	g.wake.Broadcast()
+}
+
+// each calls fn(i) once for every i in [0, n), on the caller and on the
+// helpers that turn up while indices are left, and returns when all calls have.
+func (g *gang) each(n int, fn func(i int)) {
+	g.fn, g.n = fn, int32(n)
+	g.next.Store(0)
+	g.epoch.Add(1)
+	g.signal()
+	g.work()
+	g.epoch.Add(1)
+	g.await(&g.inside, func(v int32) bool { return v == 0 })
+}
+
+// stop ends the helpers and waits for them to return.
+func (g *gang) stop() {
+	g.fn = nil
+	g.epoch.Add(1)
+	g.signal()
+	g.alive.Wait()
 }
 
 // RegionError is one row of the paper's Table 2: the mean absolute
@@ -152,39 +428,35 @@ type RegionError struct {
 // Evaluate reproduces Table 2 on a sample set: per-region mean absolute
 // percentage error plus the mean signed overestimation across all samples.
 func (m *Model) Evaluate(set []Sample, regions [][2]float64) (rows []RegionError, overestimate float64) {
-	type acc struct {
-		sum float64
-		n   int
+	return evaluate(m.Predict, set, regions)
+}
+
+func evaluate(predict func(load, quota []float64) float64, set []Sample, regions [][2]float64) (rows []RegionError, overestimate float64) {
+	rows = make([]RegionError, len(regions))
+	for ri, r := range regions {
+		rows[ri] = RegionError{LoMS: r[0], HiMS: r[1]}
 	}
-	accs := make([]acc, len(regions))
 	signedSum := 0.0
 	n := 0
 	for _, s := range set {
 		if s.Latency <= 0 {
 			continue
 		}
-		pred := m.Predict(s.Load, s.Quota)
-		pe := (pred - s.Latency) / s.Latency
+		pe := (predict(s.Load, s.Quota) - s.Latency) / s.Latency
 		signedSum += pe
 		n++
 		ms := s.Latency * 1000
-		for ri, r := range regions {
-			if ms >= r[0] && ms < r[1] {
-				a := pe
-				if a < 0 {
-					a = -a
-				}
-				accs[ri].sum += a
-				accs[ri].n++
+		for ri := range rows {
+			if row := &rows[ri]; ms >= row.LoMS && ms < row.HiMS {
+				row.MAPE += math.Abs(pe)
+				row.Count++
 			}
 		}
 	}
-	for ri, r := range regions {
-		row := RegionError{LoMS: r[0], HiMS: r[1], Count: accs[ri].n}
-		if accs[ri].n > 0 {
-			row.MAPE = accs[ri].sum / float64(accs[ri].n)
+	for ri := range rows {
+		if rows[ri].Count > 0 {
+			rows[ri].MAPE /= float64(rows[ri].Count)
 		}
-		rows = append(rows, row)
 	}
 	if n > 0 {
 		overestimate = signedSum / float64(n)
@@ -217,10 +489,4 @@ func (m *Model) EvaluateRegions(set []Sample) ([]RegionError, float64) {
 		}
 	}
 	return m.Evaluate(set, DefaultRegions(maxMS))
-}
-
-// SortSamplesByLatency orders samples ascending by label — convenient for
-// stratified inspection in tests and reports.
-func SortSamplesByLatency(set []Sample) {
-	sort.Slice(set, func(i, j int) bool { return set[i].Latency < set[j].Latency })
 }

@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -249,6 +250,27 @@ func TestManagerPromoteThenRollback(t *testing.T) {
 	trips, promotions, rollbacks, _, _, _ := m.Stats()
 	if trips != 1 || promotions != 1 || rollbacks != 1 {
 		t.Fatalf("stats = %d trips %d promotions %d rollbacks; want 1/1/1", trips, promotions, rollbacks)
+	}
+}
+
+// A Config assembled by hand (graf.LifecycleOptions{Config: &graf.LifecycleConfig{…}})
+// may leave the retraining budget zero. A zero batch or learning rate used to
+// train a candidate of NaNs that the gates then rejected, forever; the
+// defaults must apply to all three fields.
+func TestStartShadowDefaultsRetrainBudget(t *testing.T) {
+	m, _ := testManager(t, 61)
+	m.Cfg.RetrainIters, m.Cfg.RetrainBatch, m.Cfg.RetrainLR = 0, 0, 0
+	m.startShadow(PhaseTrusted)
+	if m.Phase() != PhaseShadow || m.candidate == nil {
+		t.Fatalf("startShadow left phase=%v candidate=%v", m.Phase(), m.candidate)
+	}
+	s := m.samples[0]
+	cand, inc := m.candidate.Predict(s.Load, s.Quota), m.incumbent.Predict(s.Load, s.Quota)
+	if math.IsNaN(cand) || math.IsInf(cand, 0) {
+		t.Fatalf("candidate predicts %v", cand)
+	}
+	if cand == inc {
+		t.Error("candidate predicts exactly what the incumbent does: it was not retrained")
 	}
 }
 

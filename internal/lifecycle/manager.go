@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -575,15 +576,13 @@ func (m *Manager) startShadow(from Phase) {
 	m.retrains++
 	m.lastRetrainAt = m.Cl.Eng.Now()
 	m.candidate = m.incumbent.Clone()
-	iters := m.Cfg.RetrainIters
-	if iters <= 0 {
-		iters = 300
-	}
+	def := DefaultConfig() // a Config built by hand may leave the budget zero, which Train refuses
+	iters := cmp.Or(m.Cfg.RetrainIters, def.RetrainIters)
 	set := m.retrainSet()
 	m.candidate.Train(set, gnn.TrainConfig{
 		Iterations: iters,
-		Batch:      m.Cfg.RetrainBatch,
-		LR:         m.Cfg.RetrainLR,
+		Batch:      cmp.Or(m.Cfg.RetrainBatch, def.RetrainBatch),
+		LR:         cmp.Or(m.Cfg.RetrainLR, def.RetrainLR),
 		ValFrac:    0.2,
 		TestFrac:   0,
 		Seed:       m.Cfg.Seed + int64(m.gen+1)*1000 + int64(m.retrains),

@@ -65,7 +65,7 @@ func (MSE) Loss(pred, truth float64) (loss, dPred float64) {
 	return x * x, 2 * x / truth
 }
 
-// LossFunc is the training-loss contract shared by AsymmetricHuber and MSE.
+// LossFunc is the training-loss contract; Loss is called concurrently.
 type LossFunc interface {
 	Loss(pred, truth float64) (loss, dPred float64)
 }

@@ -1,17 +1,20 @@
 // Package nn is a small, dependency-free neural-network library: dense
-// layers with ReLU and dropout, multi-layer perceptrons with
-// weight-sharing-friendly tapes, the Adam optimizer, and the paper's
-// asymmetric Hüber loss on percentage error (Eq. 4).
+// layers with ReLU and dropout, multi-layer perceptrons, the Adam optimizer,
+// and the paper's asymmetric Hüber loss on percentage error (Eq. 4).
 //
-// Backpropagation is explicit rather than autodiff: every Forward returns a
-// Tape capturing the activations needed by Backward. One module can be
-// invoked many times within a single sample (the MPNN applies the same γ/φ
-// networks at every node and message-passing step); each invocation gets its
-// own tape while gradients accumulate into the shared parameters. Backward
-// also returns the gradient with respect to the module's input, which is
-// what makes the configuration solver (§3.5) possible: Eq. 5 is minimized
-// by gradient descent *through* the trained network onto its resource
-// inputs.
+// Backpropagation is explicit rather than autodiff, with one forward and one
+// backward for inference and training alike. An Invocation holds the buffers
+// of one evaluation of an MLP; one module can be invoked many times within a
+// sample (the MPNN applies the same γ/φ networks at every node and
+// message-passing step) and each invocation gets its own. Eval and InputGrad
+// only read the weights; InputGrad is what makes the configuration solver
+// (§3.5) possible: Eq. 5 is minimized by gradient descent *through* the
+// trained network onto its resource inputs. WeightGrad, the other half of
+// backward, replays a finished invocation into a range of parameter rows.
+//
+// Order contract: every accumulator (an output's sum, an input gradient, a
+// GW/GB entry) receives the same addends in the same order however the
+// kernels are blocked or the rows divided, so results are schedule-independent.
 package nn
 
 import (
@@ -45,51 +48,35 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes y = W·x + b.
-func (l *Linear) Forward(x []float64) []float64 {
-	if len(x) != l.In {
-		panic(fmt.Sprintf("nn: Linear(%d,%d) got input of size %d", l.In, l.Out, len(x)))
-	}
-	y := make([]float64, l.Out)
-	for o := 0; o < l.Out; o++ {
-		sum := l.B[o]
-		row := l.W[o*l.In : (o+1)*l.In]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		y[o] = sum
-	}
-	return y
-}
-
-// Backward accumulates parameter gradients given the input x that produced
-// the forward pass and upstream gradient dy, and returns dL/dx.
-func (l *Linear) Backward(x, dy []float64) []float64 {
-	dx := make([]float64, l.In)
-	for o := 0; o < l.Out; o++ {
-		g := dy[o]
-		l.GB[o] += g
-		row := l.W[o*l.In : (o+1)*l.In]
-		grow := l.GW[o*l.In : (o+1)*l.In]
-		for i, xi := range x {
-			grow[i] += g * xi
-			dx[i] += row[i] * g
-		}
-	}
-	return dx
-}
-
 // ForwardInto computes y = W·x + b into the caller-provided y (len Out)
-// without allocating. The floating-point operation order is identical to
-// Forward, so the two produce bit-identical results. It reads only W and B,
-// making it safe for concurrent use on a model that is not being mutated.
+// without allocating. Four output rows share one pass over x — four
+// independent add chains instead of one serial one — and each row's sum is
+// still B[o] + Σᵢ row[i]·x[i] taken in i order, so the blocking does not
+// change a bit of the result. It reads only W and B, making it safe for
+// concurrent use on a model that is not being mutated.
 func (l *Linear) ForwardInto(x, y []float64) {
 	if len(x) != l.In || len(y) != l.Out {
 		panic(fmt.Sprintf("nn: Linear(%d,%d) ForwardInto got x=%d y=%d", l.In, l.Out, len(x), len(y)))
 	}
-	for o := 0; o < l.Out; o++ {
+	n := l.In
+	o := 0
+	for ; o+4 <= l.Out; o += 4 {
+		r0 := l.W[o*n : (o+1)*n][:len(x)]
+		r1 := l.W[(o+1)*n : (o+2)*n][:len(x)]
+		r2 := l.W[(o+2)*n : (o+3)*n][:len(x)]
+		r3 := l.W[(o+3)*n : (o+4)*n][:len(x)]
+		s0, s1, s2, s3 := l.B[o], l.B[o+1], l.B[o+2], l.B[o+3]
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
+	}
+	for ; o < l.Out; o++ {
 		sum := l.B[o]
-		row := l.W[o*l.In : (o+1)*l.In]
+		row := l.W[o*n : (o+1)*n][:len(x)]
 		for i, xi := range x {
 			sum += row[i] * xi
 		}
@@ -98,10 +85,15 @@ func (l *Linear) ForwardInto(x, y []float64) {
 }
 
 // InputGrad computes dx = Wᵀ·dy into the caller-provided dx (len In)
-// WITHOUT touching the parameter gradient accumulators GW/GB. This is the
-// read-only half of Backward: it needs neither the forward input x nor any
-// mutable layer state, so concurrent invocations on one layer are safe. The
-// accumulation order matches Backward's dx computation exactly.
+// WITHOUT touching the parameter gradient accumulators GW/GB: it needs
+// neither the forward input x nor any mutable layer state, so concurrent
+// invocations on one layer are safe. Each dx[i] accumulates over o in
+// ascending order.
+//
+// Rows with dy[o] == 0 (most of a dropped-out ReLU layer) are skipped. That
+// is exact for finite weights: their products are ±0, and an accumulator
+// that starts at +0 can never become −0 under round-to-nearest (x + (−x) and
+// (+0) + (−0) are both +0), so adding a ±0 is the identity.
 func (l *Linear) InputGrad(dy, dx []float64) {
 	if len(dy) != l.Out || len(dx) != l.In {
 		panic(fmt.Sprintf("nn: Linear(%d,%d) InputGrad got dy=%d dx=%d", l.In, l.Out, len(dy), len(dx)))
@@ -109,22 +101,57 @@ func (l *Linear) InputGrad(dy, dx []float64) {
 	for i := range dx {
 		dx[i] = 0
 	}
-	for o := 0; o < l.Out; o++ {
+	n := l.In
+	var live [4]int // rows with a gradient, waiting to be applied together
+	k := 0
+	for o, g := range dy {
+		if g == 0 {
+			continue
+		}
+		live[k] = o
+		if k++; k < len(live) {
+			continue
+		}
+		k = 0
+		// One pass over dx for four rows; each dx[i] still takes them in
+		// ascending order.
+		g0, g1, g2, g3 := dy[live[0]], dy[live[1]], dy[live[2]], g
+		r0 := l.W[live[0]*n : (live[0]+1)*n][:len(dx)]
+		r1 := l.W[live[1]*n : (live[1]+1)*n][:len(dx)]
+		r2 := l.W[live[2]*n : (live[2]+1)*n][:len(dx)]
+		r3 := l.W[o*n : (o+1)*n][:len(dx)]
+		for i := range dx {
+			dx[i] = dx[i] + r0[i]*g0 + r1[i]*g1 + r2[i]*g2 + r3[i]*g3
+		}
+	}
+	for _, o := range live[:k] {
 		g := dy[o]
-		row := l.W[o*l.In : (o+1)*l.In]
+		row := l.W[o*n : (o+1)*n][:len(dx)]
 		for i := range dx {
 			dx[i] += row[i] * g
 		}
 	}
 }
 
-// ZeroGrad clears accumulated gradients.
-func (l *Linear) ZeroGrad() {
-	for i := range l.GW {
-		l.GW[i] = 0
+// WeightGrad accumulates rows [lo, hi) of the parameter gradients of one
+// invocation: GW[o,:] += dy[o]·x and GB[o] += dy[o], for the input x the
+// layer saw and the gradient dy of its output. Calls on disjoint row ranges
+// touch disjoint memory, so they may run concurrently; rows with dy[o] == 0
+// are skipped, which is exact for finite x by the argument at InputGrad.
+func (l *Linear) WeightGrad(x, dy []float64, lo, hi int) {
+	if len(x) != l.In || len(dy) != l.Out {
+		panic(fmt.Sprintf("nn: Linear(%d,%d) WeightGrad got x=%d dy=%d", l.In, l.Out, len(x), len(dy)))
 	}
-	for i := range l.GB {
-		l.GB[i] = 0
+	for o := lo; o < hi; o++ {
+		g := dy[o]
+		if g == 0 {
+			continue
+		}
+		l.GB[o] += g
+		grow := l.GW[o*l.In : (o+1)*l.In][:len(x)]
+		for i, xi := range x {
+			grow[i] += g * xi
+		}
 	}
 }
 
@@ -148,140 +175,177 @@ func NewMLP(sizes []int, dropout float64, rng *rand.Rand) *MLP {
 	return m
 }
 
-// Tape records one forward invocation's intermediate state for Backward.
-type Tape struct {
-	inputs [][]float64 // input to each layer
-	preact [][]float64 // pre-activation output of each hidden layer
-	masks  [][]float64 // dropout masks (scale factors), nil when not training
+// Invocation holds the buffers of one evaluation of an MLP: what Eval
+// computed, what InputGrad needs to undo it, and what WeightGrad needs to
+// replay it into the parameter gradients. It is sized for one architecture,
+// reused across calls, and not safe for concurrent use.
+type Invocation struct {
+	x    []float64   // Eval's input (aliased: the caller keeps it unchanged until WeightGrad)
+	dy   []float64   // InputGrad's upstream gradient (aliased likewise)
+	pre  [][]float64 // per layer: pre-activation output (last = the MLP's output)
+	act  [][]float64 // per hidden layer: post-ReLU, post-dropout output
+	din  [][]float64 // per layer: gradient of its input; din[li+1] is layer li's output gradient
+	mask [][]float64 // per hidden layer: dropout scale factors; nil = no dropout
 }
 
-// Forward runs the network. When train is true, dropout masks are sampled
-// from rng and activations are inverted-scaled so inference needs no
-// rescaling; rng may be nil when train is false.
-func (m *MLP) Forward(x []float64, train bool, rng *rand.Rand) ([]float64, *Tape) {
-	t := &Tape{}
+// NewInvocation sizes an Invocation for m. With train set and a dropout
+// network it carries masks, which Eval then applies: fill them with
+// DrawMasks before every Eval.
+func (m *MLP) NewInvocation(train bool) *Invocation {
+	v := &Invocation{}
+	last := len(m.Layers) - 1
+	for li, l := range m.Layers {
+		v.pre = append(v.pre, make([]float64, l.Out))
+		v.din = append(v.din, make([]float64, l.In))
+		if li == last {
+			break
+		}
+		v.act = append(v.act, make([]float64, l.Out))
+		if train && m.Dropout > 0 {
+			v.mask = append(v.mask, make([]float64, l.Out))
+		}
+	}
+	return v
+}
+
+// DrawMasks samples v's dropout masks from rng, one Float64 per hidden unit
+// in layer order — inverted dropout, so inference needs no rescaling. It
+// draws nothing for an Invocation without masks.
+func (m *MLP) DrawMasks(v *Invocation, rng *rand.Rand) {
+	keep := 1 - m.Dropout
+	for _, mask := range v.mask {
+		for i := range mask {
+			mask[i] = 0
+			if rng.Float64() < keep {
+				mask[i] = 1 / keep
+			}
+		}
+	}
+}
+
+// Eval runs the network on x, writing every intermediate into v, and
+// returns the output — a buffer of v, valid until its next Eval.
+func (m *MLP) Eval(v *Invocation, x []float64) []float64 {
+	v.x = x
 	cur := x
 	last := len(m.Layers) - 1
 	for li, l := range m.Layers {
-		t.inputs = append(t.inputs, cur)
-		y := l.Forward(cur)
+		l.ForwardInto(cur, v.pre[li])
 		if li == last {
-			t.preact = append(t.preact, nil)
-			t.masks = append(t.masks, nil)
-			cur = y
 			break
 		}
-		t.preact = append(t.preact, y)
-		act := make([]float64, len(y))
-		var mask []float64
-		if train && m.Dropout > 0 {
-			mask = make([]float64, len(y))
-			keep := 1 - m.Dropout
-			for i := range mask {
-				if rng.Float64() < keep {
-					mask[i] = 1 / keep
-				}
+		act := v.act[li]
+		for i, p := range v.pre[li] {
+			act[i] = 0
+			if p > 0 {
+				act[i] = p
 			}
 		}
-		for i, v := range y {
-			if v > 0 {
-				act[i] = v
-			}
-			if mask != nil {
-				act[i] *= mask[i]
+		if v.mask != nil {
+			for i, s := range v.mask[li] {
+				act[i] *= s
 			}
 		}
-		t.masks = append(t.masks, mask)
 		cur = act
 	}
-	return cur, t
+	return v.pre[last]
 }
 
-// Backward propagates dy through the taped invocation, accumulating
-// parameter gradients, and returns dL/dx.
-func (m *MLP) Backward(t *Tape, dy []float64) []float64 {
+// InputGrad backpropagates dy through the evaluation recorded in v and
+// returns dL/dx — a buffer of v, valid until its next InputGrad. It never
+// touches parameter gradient accumulators, and dy itself is only read.
+func (m *MLP) InputGrad(v *Invocation, dy []float64) []float64 {
+	v.dy = dy
 	cur := dy
-	for li := len(m.Layers) - 1; li >= 0; li-- {
-		if li != len(m.Layers)-1 {
-			// Undo dropout and ReLU.
-			pre := t.preact[li]
-			mask := t.masks[li]
-			d := make([]float64, len(cur))
-			for i := range cur {
-				g := cur[i]
-				if mask != nil {
-					g *= mask[i]
+	last := len(m.Layers) - 1
+	for li := last; li >= 0; li-- {
+		if li != last {
+			// Undo dropout and ReLU. cur is v.din[li+1] here, so the
+			// in-place masking never writes into the caller's dy.
+			if v.mask != nil {
+				for i, s := range v.mask[li] {
+					cur[i] *= s
 				}
-				if pre[i] <= 0 {
-					g = 0
-				}
-				d[i] = g
 			}
-			cur = d
+			for i, p := range v.pre[li] {
+				if p <= 0 {
+					cur[i] = 0
+				}
+			}
 		}
-		cur = m.Layers[li].Backward(t.inputs[li], cur)
+		m.Layers[li].InputGrad(cur, v.din[li])
+		cur = v.din[li]
 	}
 	return cur
 }
 
-// ZeroGrad clears all layer gradients.
-func (m *MLP) ZeroGrad() {
-	for _, l := range m.Layers {
-		l.ZeroGrad()
+// WeightGrad accumulates rows [lo, hi) of layer li's parameter gradients
+// from the evaluation and InputGrad recorded in v.
+func (m *MLP) WeightGrad(v *Invocation, li, lo, hi int) {
+	x, dy := v.x, v.dy
+	if li > 0 {
+		x = v.act[li-1]
 	}
+	if li < len(m.Layers)-1 {
+		dy = v.din[li+1]
+	}
+	m.Layers[li].WeightGrad(x, dy, lo, hi)
 }
 
-// Params returns the network's layers for optimization.
-func (m *MLP) Params() []*Linear { return m.Layers }
-
 // Adam implements the Adam optimizer (Kingma & Ba [45]), the paper's choice
-// for both model training and the configuration solver.
+// for both model training and the configuration solver. Its moments are
+// indexed by the layer's position in the list it was built for.
 type Adam struct {
 	LR      float64
 	Beta1   float64
 	Beta2   float64
 	Epsilon float64
 
-	t  int
-	mw map[*Linear][]float64
-	vw map[*Linear][]float64
-	mb map[*Linear][]float64
-	vb map[*Linear][]float64
+	layers []*Linear
+	t      int
+	c1, c2 float64     // bias corrections of step t
+	mw, vw [][]float64 // per layer
+	mb, vb [][]float64
 }
 
-// NewAdam returns an Adam optimizer with standard β₁=0.9, β₂=0.999.
-func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8,
-		mw: map[*Linear][]float64{}, vw: map[*Linear][]float64{},
-		mb: map[*Linear][]float64{}, vb: map[*Linear][]float64{},
-	}
-}
-
-// Step applies one update to every layer from its accumulated gradients
-// (scaled by 1/scale, e.g. the batch size), then zeroes the gradients.
-func (a *Adam) Step(layers []*Linear, scale float64) {
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+// NewAdam returns an Adam optimizer over layers with standard β₁=0.9,
+// β₂=0.999.
+func NewAdam(lr float64, layers []*Linear) *Adam {
+	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8, layers: layers}
 	for _, l := range layers {
-		if a.mw[l] == nil {
-			a.mw[l] = make([]float64, len(l.W))
-			a.vw[l] = make([]float64, len(l.W))
-			a.mb[l] = make([]float64, len(l.B))
-			a.vb[l] = make([]float64, len(l.B))
-		}
-		upd := func(p, g, m, v []float64) {
-			for i := range p {
-				gi := g[i] / scale
-				m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-				v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
-				p[i] -= a.LR * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.Epsilon)
-			}
-		}
-		upd(l.W, l.GW, a.mw[l], a.vw[l])
-		upd(l.B, l.GB, a.mb[l], a.vb[l])
-		l.ZeroGrad()
+		a.mw = append(a.mw, make([]float64, len(l.W)))
+		a.vw = append(a.vw, make([]float64, len(l.W)))
+		a.mb = append(a.mb, make([]float64, len(l.B)))
+		a.vb = append(a.vb, make([]float64, len(l.B)))
+	}
+	return a
+}
+
+// Next begins an update: one step is Next followed by StepRows over every row
+// of every layer, in any order and on any number of goroutines, since the
+// update is element-wise.
+func (a *Adam) Next() {
+	a.t++
+	a.c1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.c2 = 1 - math.Pow(a.Beta2, float64(a.t))
+}
+
+// StepRows updates rows [lo, hi) of layer li from their accumulated gradients
+// (scaled by 1/scale, e.g. the batch size), then zeroes the gradients.
+func (a *Adam) StepRows(li, lo, hi int, scale float64) {
+	l := a.layers[li]
+	w0, w1 := lo*l.In, hi*l.In
+	a.update(l.W[w0:w1], l.GW[w0:w1], a.mw[li][w0:w1], a.vw[li][w0:w1], scale)
+	a.update(l.B[lo:hi], l.GB[lo:hi], a.mb[li][lo:hi], a.vb[li][lo:hi], scale)
+}
+
+func (a *Adam) update(p, g, m, v []float64, scale float64) {
+	for i := range p {
+		gi := g[i] / scale
+		m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
+		v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+		p[i] -= a.LR * (m[i] / a.c1) / (math.Sqrt(v[i]/a.c2) + a.Epsilon)
+		g[i] = 0
 	}
 }
 

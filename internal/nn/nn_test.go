@@ -7,24 +7,48 @@ import (
 	"testing/quick"
 )
 
-// numGradCheck compares analytic input gradients against central
-// differences for an MLP.
+// pass runs one forward and backward of m on x through the production
+// kernels — Eval, InputGrad, and WeightGrad over every row — accumulating
+// parameter gradients. The returned slices are v's buffers.
+func pass(m *MLP, v *Invocation, x, dy []float64) (y, dx []float64) {
+	y = m.Eval(v, x)
+	dx = m.InputGrad(v, dy)
+	for li, l := range m.Layers {
+		m.WeightGrad(v, li, 0, l.Out)
+	}
+	return y, dx
+}
+
+func eval(m *MLP, x []float64) float64 { return m.Eval(m.NewInvocation(false), x)[0] }
+
+// step takes one whole Adam step.
+func step(a *Adam, m *MLP, scale float64) {
+	a.Next()
+	for li, l := range m.Layers {
+		a.StepRows(li, 0, l.Out, scale)
+	}
+}
+
+func zeroGrad(m *MLP) {
+	for _, l := range m.Layers {
+		clear(l.GW)
+		clear(l.GB)
+	}
+}
+
+// Analytic input gradients against central differences for an MLP.
 func TestMLPInputGradientNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP([]int{3, 8, 8, 1}, 0, rng)
 	x := []float64{0.3, -0.7, 1.2}
-	y, tape := m.Forward(x, false, nil)
-	m.ZeroGrad()
-	dx := m.Backward(tape, []float64{1})
+	y, dx := pass(m, m.NewInvocation(false), x, []float64{1})
 	const h = 1e-6
 	for i := range x {
 		xp := append([]float64(nil), x...)
 		xm := append([]float64(nil), x...)
 		xp[i] += h
 		xm[i] -= h
-		yp, _ := m.Forward(xp, false, nil)
-		ym, _ := m.Forward(xm, false, nil)
-		num := (yp[0] - ym[0]) / (2 * h)
+		num := (eval(m, xp) - eval(m, xm)) / (2 * h)
 		if math.Abs(num-dx[i]) > 1e-5*(1+math.Abs(num)) {
 			t.Errorf("d y/d x[%d]: analytic %v, numeric %v (y=%v)", i, dx[i], num, y[0])
 		}
@@ -35,19 +59,17 @@ func TestMLPParamGradientNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := NewMLP([]int{2, 5, 1}, 0, rng)
 	x := []float64{0.5, -0.25}
-	_, tape := m.Forward(x, false, nil)
-	m.ZeroGrad()
-	m.Backward(tape, []float64{1})
+	pass(m, m.NewInvocation(false), x, []float64{1})
 	const h = 1e-6
 	for li, l := range m.Layers {
 		for wi := range l.W {
 			orig := l.W[wi]
 			l.W[wi] = orig + h
-			yp, _ := m.Forward(x, false, nil)
+			yp := eval(m, x)
 			l.W[wi] = orig - h
-			ym, _ := m.Forward(x, false, nil)
+			ym := eval(m, x)
 			l.W[wi] = orig
-			num := (yp[0] - ym[0]) / (2 * h)
+			num := (yp - ym) / (2 * h)
 			if math.Abs(num-l.GW[wi]) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("layer %d W[%d]: analytic %v, numeric %v", li, wi, l.GW[wi], num)
 			}
@@ -55,13 +77,51 @@ func TestMLPParamGradientNumeric(t *testing.T) {
 		for bi := range l.B {
 			orig := l.B[bi]
 			l.B[bi] = orig + h
-			yp, _ := m.Forward(x, false, nil)
+			yp := eval(m, x)
 			l.B[bi] = orig - h
-			ym, _ := m.Forward(x, false, nil)
+			ym := eval(m, x)
 			l.B[bi] = orig
-			num := (yp[0] - ym[0]) / (2 * h)
+			num := (yp - ym) / (2 * h)
 			if math.Abs(num-l.GB[bi]) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("layer %d B[%d]: analytic %v, numeric %v", li, bi, l.GB[bi], num)
+			}
+		}
+	}
+}
+
+// The same check with dropout masks in force: the masked network is the
+// function whose gradients training accumulates.
+func TestMaskedGradientsNumeric(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	m := NewMLP([]int{3, 9, 7, 1}, 0.4, rng)
+	v := m.NewInvocation(true)
+	m.DrawMasks(v, rng)
+	x := []float64{0.4, -0.2, 0.9}
+	_, dx := pass(m, v, x, []float64{1})
+	dx = append([]float64(nil), dx...)
+	const h = 1e-6
+	for i := range x {
+		xp := append([]float64(nil), x...)
+		xm := append([]float64(nil), x...)
+		xp[i] += h
+		xm[i] -= h
+		yp := m.Eval(v, xp)[0] // Eval returns v's buffer: read it before the next call
+		ym := m.Eval(v, xm)[0]
+		num := (yp - ym) / (2 * h)
+		if math.Abs(num-dx[i]) > 1e-5*(1+math.Abs(num)) {
+			t.Errorf("masked d y/d x[%d]: analytic %v, numeric %v", i, dx[i], num)
+		}
+	}
+	for li, l := range m.Layers {
+		for wi := range l.W {
+			orig := l.W[wi]
+			l.W[wi] = orig + h
+			yp := m.Eval(v, x)[0]
+			l.W[wi] = orig - h
+			ym := m.Eval(v, x)[0]
+			l.W[wi] = orig
+			if num := (yp - ym) / (2 * h); math.Abs(num-l.GW[wi]) > 1e-5*(1+math.Abs(num)) {
+				t.Fatalf("masked layer %d W[%d]: analytic %v, numeric %v", li, wi, l.GW[wi], num)
 			}
 		}
 	}
@@ -73,17 +133,19 @@ func TestWeightSharingAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewMLP([]int{1, 4, 1}, 0, rng)
 	x1, x2 := []float64{0.7}, []float64{-0.4}
-	_, t1 := m.Forward(x1, false, nil)
-	_, t2 := m.Forward(x2, false, nil)
-	m.ZeroGrad()
-	m.Backward(t1, []float64{1})
+	v1, v2 := m.NewInvocation(false), m.NewInvocation(false)
+	pass(m, v1, x1, []float64{1})
 	g1 := append([]float64(nil), m.Layers[0].GW...)
-	m.ZeroGrad()
-	m.Backward(t2, []float64{1})
+	zeroGrad(m)
+	pass(m, v2, x2, []float64{1})
 	g2 := append([]float64(nil), m.Layers[0].GW...)
-	m.ZeroGrad()
-	m.Backward(t1, []float64{1})
-	m.Backward(t2, []float64{1})
+	zeroGrad(m)
+	// Both recorded invocations replay into one accumulator, row range by
+	// row range, the way the trainer does it.
+	for _, v := range []*Invocation{v1, v2} {
+		m.WeightGrad(v, 0, 0, 3)
+		m.WeightGrad(v, 0, 3, 4)
+	}
 	for i := range g1 {
 		if math.Abs(m.Layers[0].GW[i]-(g1[i]+g2[i])) > 1e-12 {
 			t.Fatalf("shared gradient does not accumulate: %v vs %v+%v", m.Layers[0].GW[i], g1[i], g2[i])
@@ -95,28 +157,38 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewMLP([]int{2, 50, 1}, 0.5, rng)
 	x := []float64{1, 1}
-	// Eval is deterministic and ignores dropout.
-	y1, _ := m.Forward(x, false, nil)
-	y2, _ := m.Forward(x, false, nil)
-	if y1[0] != y2[0] {
+	// Eval without masks is deterministic and ignores dropout.
+	y1, y2 := eval(m, x), eval(m, x)
+	if y1 != y2 {
 		t.Error("eval forward not deterministic")
 	}
 	// Training passes differ between draws.
-	a, _ := m.Forward(x, true, rng)
-	b, _ := m.Forward(x, true, rng)
-	if a[0] == b[0] {
+	v := m.NewInvocation(true)
+	train := func() float64 {
+		m.DrawMasks(v, rng)
+		return m.Eval(v, x)[0]
+	}
+	if train() == train() {
 		t.Error("dropout produced identical training passes (vanishingly unlikely)")
 	}
 	// Inverted dropout: expectation of training output ≈ eval output.
 	sum := 0.0
 	n := 2000
 	for i := 0; i < n; i++ {
-		v, _ := m.Forward(x, true, rng)
-		sum += v[0]
+		sum += train()
 	}
 	mean := sum / float64(n)
-	if math.Abs(mean-y1[0]) > 0.15*math.Abs(y1[0])+0.05 {
-		t.Errorf("E[train output] = %v, eval output = %v", mean, y1[0])
+	if math.Abs(mean-y1) > 0.15*math.Abs(y1)+0.05 {
+		t.Errorf("E[train output] = %v, eval output = %v", mean, y1)
+	}
+	// A network without dropout consumes no random numbers: the trainer
+	// pre-draws masks in the order a serial loop would, so a stray draw
+	// would shift every later one.
+	plain := NewMLP([]int{2, 5, 1}, 0, rng)
+	r1, r2 := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	plain.DrawMasks(plain.NewInvocation(true), r1)
+	if r1.Int63() != r2.Int63() {
+		t.Error("DrawMasks on a network without dropout consumed random numbers")
 	}
 }
 
@@ -137,23 +209,21 @@ func TestVecAdamConvergesOnQuadratic(t *testing.T) {
 func TestMLPLearnsFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP([]int{1, 16, 16, 1}, 0, rng)
-	opt := NewAdam(0.01)
+	opt := NewAdam(0.01, m.Layers)
+	v := m.NewInvocation(false)
 	target := func(x float64) float64 { return 1 + x*x }
 	for iter := 0; iter < 3000; iter++ {
-		m.ZeroGrad()
 		const batch = 16
 		for b := 0; b < batch; b++ {
-			x := rng.Float64()*2 - 1
-			y, tape := m.Forward([]float64{x}, false, nil)
-			diff := y[0] - target(x)
-			m.Backward(tape, []float64{2 * diff})
+			x := []float64{rng.Float64()*2 - 1}
+			diff := m.Eval(v, x)[0] - target(x[0])
+			pass(m, v, x, []float64{2 * diff})
 		}
-		opt.Step(m.Params(), batch)
+		step(opt, m, batch)
 	}
 	worst := 0.0
 	for x := -1.0; x <= 1; x += 0.1 {
-		y, _ := m.Forward([]float64{x}, false, nil)
-		if e := math.Abs(y[0] - target(x)); e > worst {
+		if e := math.Abs(eval(m, []float64{x}) - target(x)); e > worst {
 			worst = e
 		}
 	}
@@ -226,7 +296,7 @@ func TestLinearShapePanics(t *testing.T) {
 			t.Error("size mismatch did not panic")
 		}
 	}()
-	l.Forward([]float64{1, 2})
+	l.ForwardInto([]float64{1, 2}, make([]float64, 2))
 }
 
 // Adam training with the asymmetric loss biases predictions upward on noisy
@@ -234,23 +304,23 @@ func TestLinearShapePanics(t *testing.T) {
 func TestAsymmetricLossBiasesUp(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := NewMLP([]int{1, 8, 1}, 0, rng)
-	opt := NewAdam(0.005)
+	opt := NewAdam(0.005, m.Layers)
+	v := m.NewInvocation(false)
 	h := PaperLoss()
 	truthMean := 1.0
+	x := []float64{0.5}
 	for iter := 0; iter < 4000; iter++ {
-		m.ZeroGrad()
 		const batch = 8
 		for b := 0; b < batch; b++ {
 			truth := truthMean * math.Exp(0.4*rng.NormFloat64())
-			y, tape := m.Forward([]float64{0.5}, false, nil)
-			_, d := h.Loss(y[0], truth)
-			m.Backward(tape, []float64{d})
+			_, d := h.Loss(m.Eval(v, x)[0], truth)
+			pass(m, v, x, []float64{d})
 		}
-		opt.Step(m.Params(), batch)
+		step(opt, m, batch)
 	}
-	y, _ := m.Forward([]float64{0.5}, false, nil)
+	y := eval(m, x)
 	med := truthMean * math.Exp(-0.4*0.4/2) // lognormal median < mean
-	if y[0] <= med {
-		t.Errorf("asymmetric loss prediction %v should sit above the median %v", y[0], med)
+	if y <= med {
+		t.Errorf("asymmetric loss prediction %v should sit above the median %v", y, med)
 	}
 }
