@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-repo bench-json bench-json-fleetrpc bench-json-router bench-json-obs bench-json-overload bench-json-forecast obs-demo ci FORCE
+.PHONY: all build vet test test-race loc bench bench-repo bench-json bench-json-fleetrpc bench-json-router bench-json-obs bench-json-overload bench-json-forecast obs-demo ci FORCE
 
 all: build vet test
 
@@ -15,6 +15,11 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The size figure ROADMAP.md and CHANGES.md quote: non-test Go lines outside
+# the nested benchmark module and its build scratch.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 
 # Reproduce the paper's evaluation tables (see EXPERIMENTS.md).
 bench:

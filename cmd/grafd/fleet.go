@@ -18,7 +18,7 @@ import (
 // the flags describe — the same spec that drives the multi-process control
 // plane (grafrouter + grafd -shard), which is what makes this run the
 // byte-exact reference for a distributed one. Tenants are sharded across the
-// worker pool and solve through one shared batched inference service.
+// worker pool and solve against one shared model behind a prediction cache.
 //
 // With -ckpt every tenant boots through fleet.Restore, the sequence a shard
 // runs when it admits a migrated tenant: rebuild from the spec, re-execute to
@@ -52,7 +52,6 @@ func runFleet(tr *graf.TrainedModel, o *options) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	f.Start()
 	rounds := o.Rounds()
 	if code := boot(f, o, rounds); code != 0 {
 		return code
@@ -233,14 +232,9 @@ func report(f *fleet.Fleet, o *options, wall float64) {
 	st := f.Stats()
 	fmt.Printf("fleet done: %d rounds, %d ticks in %.1fs wall (%.1f ticks/s), %d contained panics, %d brownout transitions\n",
 		st.Rounds, st.Ticks, wall, float64(st.Ticks)/wall, st.Panics, st.BrownoutTransitions)
-	if st.BatchedReqs > 0 {
-		total := st.CacheHits + st.CacheMisses
-		hitPct := 0.0
-		if total > 0 {
-			hitPct = 100 * float64(st.CacheHits) / float64(total)
-		}
-		fmt.Printf("inference: %d requests in %d batches, cache hit rate %.1f%% (%d/%d)\n",
-			st.BatchedReqs, st.Batches, hitPct, st.CacheHits, total)
+	if total := st.CacheHits + st.CacheMisses; total > 0 {
+		fmt.Printf("inference: %d model calls, cache hit rate %.1f%% (%d/%d)\n",
+			st.CacheMisses, 100*float64(st.CacheHits)/float64(total), st.CacheHits, total)
 	}
 	if o.AuditDir != "" {
 		fmt.Printf("audit logs written to %s\n", o.AuditDir)

@@ -11,7 +11,7 @@
 //
 //	grafd -model boutique.graf                 # one tenant, constant 150 rps
 //	grafd -model boutique.graf -shape diurnal -forecast hw
-//	grafd -train -fleet 8 -dur 120             # 8 tenants, shared batched inference
+//	grafd -train -fleet 8 -dur 120             # 8 tenants, one model, shared prediction cache
 //	grafd -train -obs 127.0.0.1:9090           # /metrics, /debug/vars, /debug/pprof/*
 //	grafd -train -audit-dir a                  # a/tenant-00.jsonl flight-recorder log
 //	grafd -model m.graf -replay a/tenant-00.jsonl   # verify it replays bit-identically
@@ -113,10 +113,7 @@ func replay(tr *graf.TrainedModel, path string, direct bool) int {
 	}
 	model := graf.LatencyModel(tr.Model)
 	if !direct {
-		svc := fleet.NewInferenceService(tr.Model, fleet.ServiceConfig{}, nil)
-		svc.Start()
-		defer svc.Stop()
-		model = svc.NewPredictor("replay")
+		model = fleet.NewInferenceService(tr.Model, fleet.ServiceConfig{}).NewPredictor()
 	}
 	rep := graf.ReplayAuditManaged(map[int]graf.LatencyModel{0: model}, log)
 	fmt.Println(rep)

@@ -974,7 +974,7 @@ func IsFencedEpoch(err error) bool { return rpc.IsFenced(err) }
 type (
 	// Fleet runs many tenant applications — each with its own simulated
 	// cluster and controller — in one process, sharing one latency model
-	// through a batched, cached inference service.
+	// behind a quantized prediction cache.
 	Fleet = fleet.Fleet
 
 	// FleetConfig parameterizes NewFleet beyond what the trained model
@@ -987,12 +987,11 @@ type (
 	// FleetStats aggregates a fleet run.
 	FleetStats = fleet.Stats
 
-	// InferenceService is the shared batched GNN inference service with a
-	// quantized prediction cache; NewFleet wires one up automatically.
+	// InferenceService shares one GNN behind a quantized prediction cache;
+	// NewFleet wires one up automatically.
 	InferenceService = fleet.InferenceService
 
-	// InferenceServiceConfig tunes request batching and the prediction
-	// cache grid.
+	// InferenceServiceConfig tunes the prediction cache grid.
 	InferenceServiceConfig = fleet.ServiceConfig
 )
 

@@ -12,11 +12,11 @@ import (
 )
 
 // Fleet benchmarks the sharded multi-tenant control plane against running
-// the same tenants serially with per-call (uncached, unbatched) inference.
+// the same tenants serially with per-call (uncached) inference.
 // Two comparisons:
 //
 //   - aggregate control-plane throughput (tenant ticks per wall second) for
-//     a 32-tenant fleet: 8 workers + shared batched/cached inference vs the
+//     a 32-tenant fleet: 8 workers + the shared prediction cache vs the
 //     1-worker per-call baseline — the acceptance target is ≥3×;
 //   - raw prediction throughput for a fleet-mix request stream (32 tenants'
 //     solvers walking near-identical descent trajectories): shared service
@@ -29,7 +29,7 @@ import (
 func Fleet(s Scale) Result {
 	res := Result{
 		ID:     "fleet",
-		Title:  "Multi-tenant fleet: shared batched inference vs serial per-call",
+		Title:  "Multi-tenant fleet: shared prediction cache vs serial per-call",
 		Header: []string{"mode", "tenants", "workers", "wall s", "ticks", "ticks/s", "speedup"},
 	}
 
@@ -47,7 +47,7 @@ func Fleet(s Scale) Result {
 	speedup := fleetRate / serialRate
 
 	res.AddRow("serial per-call", di(tenants), "1", f2(serialWall), di(serialTicks), f1(serialRate), "1.0x")
-	res.AddRow("fleet batched+cached", di(tenants), "8", f2(fleetWall), di(fleetTicks), f1(fleetRate), fmt.Sprintf("%.1fx", speedup))
+	res.AddRow("fleet shared cache", di(tenants), "8", f2(fleetWall), di(fleetTicks), f1(fleetRate), fmt.Sprintf("%.1fx", speedup))
 
 	perCall, shared := inferenceThroughput(tenants)
 	infSpeedup := shared / perCall
@@ -71,7 +71,7 @@ func fleetBenchConfig(tenants, workers int, serial bool) fleet.Config {
 	ccfg.Hysteresis = 0
 	// Pin the per-solve work on solver version 1's fixed schedule: this
 	// experiment models an inference-bound decision (400 model calls per
-	// tick) to compare the batched and per-tenant inference paths. Under
+	// tick) to compare the shared-cache and per-tenant inference paths. Under
 	// version 2 a solve is a few dozen calls, the serial baseline is five
 	// times faster and the comparison measures the simulator instead.
 	ccfg.Solver.Version = 1
@@ -157,12 +157,10 @@ func inferenceThroughput(tenants int) (perCallRate, sharedRate float64) {
 
 	// Shared service: same stream through per-tenant predictors hitting the
 	// quantized cache.
-	svc := fleet.NewInferenceService(m, fleet.ServiceConfig{}, nil)
-	svc.Start()
-	defer svc.Stop()
+	svc := fleet.NewInferenceService(m, fleet.ServiceConfig{})
 	start = time.Now()
 	for tid := 0; tid < tenants; tid++ {
-		p := svc.NewPredictor(fmt.Sprintf("t%02d", tid))
+		p := svc.NewPredictor()
 		ld := make([]float64, n)
 		qt := make([]float64, n)
 		for pt := 0; pt < points; pt++ {

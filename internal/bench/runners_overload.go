@@ -123,7 +123,6 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 	// hardcoded wall time.
 	budgetMS := func() float64 {
 		f := build(nil)
-		f.Start()
 		defer f.Stop()
 		// Round 0 is an idle decision (no telemetry yet), so run enough
 		// rounds that the worst is a genuine full solve.
@@ -150,7 +149,6 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 			gov = overload.NewGovernor(overload.GovernorConfig{BudgetMS: budgetMS})
 		}
 		var out outcome
-		f.Start()
 		for r := 0; r < rounds; r++ {
 			stopBurn := func() {}
 			if r >= burstFrom && r < burstTo {

@@ -24,8 +24,8 @@ type TraceOverheadStats struct {
 // TraceOverhead measures what distributed tracing costs the fleet's hot
 // path (DESIGN.md §3i): the same sharded multi-tenant run with the tracer
 // disabled (nil, one pointer check per instrumentation point) and enabled
-// (per-round roots, tenant ticks, decision stages, and coalesced inference
-// batches all recording spans). The traced run must also leave every
+// (per-round roots, tenant ticks, decision stages, and inference forward
+// passes all recording spans). The traced run must also leave every
 // tenant's audit log byte-identical — spans go to the tracer's own store,
 // never the decision stream.
 func TraceOverhead(s Scale) Result {
@@ -82,7 +82,6 @@ func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 			f.RoundTo(r)
 			span.End()
 		}
-		f.Start()
 		round(1) // warm caches and first-registration costs before timing
 		t0 := time.Now()
 		for r := 2; r <= rounds+1; r++ {
@@ -135,7 +134,7 @@ func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 	res.AddRow("enabled (spans+events)", di(tenants), di(rounds), f0(on),
 		fmt.Sprintf("%+.2f%%", st.OverheadPct))
 	res.Note("trace_overhead_pct=%.2f (target <1%% per tenant tick; CI regression ceiling 5%% for runner noise)", st.OverheadPct)
-	res.Note("spans_recorded=%.0f across %d timed rounds: round roots, tenant ticks, decision stages, coalesced inference batches", spans, rounds)
+	res.Note("spans_recorded=%.0f across %d timed rounds: round roots, tenant ticks, decision stages, inference forward passes", spans, rounds)
 	if st.ByteIdentical {
 		res.Note("byte_identical=true: tracing moved no audit bytes (spans live in the tracer's ring, decisions in the flight recorder)")
 	} else {

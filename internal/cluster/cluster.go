@@ -172,7 +172,6 @@ type Cluster struct {
 
 	nextTraceID  int64
 	inFlight     int
-	onDoneDrain  func()
 	createdTotal int
 
 	// Fault-injection state (driven by internal/chaos).
@@ -616,21 +615,6 @@ func (d *Deployment) ArrivalRateAt(t, window float64) float64 {
 	return float64(d.arrivals.Count(from, t)) / (t - from)
 }
 
-// ErrorRate returns failed call attempts per second (crashed-instance
-// losses and queue timeouts, including ones later recovered by a retry)
-// over the trailing window.
-func (d *Deployment) ErrorRate(window float64) float64 {
-	now := d.cl.Eng.Now()
-	from := now - window
-	if from < 0 {
-		from = 0
-	}
-	if now <= from {
-		return 0
-	}
-	return float64(d.errors.Count(from, now)) / (now - from)
-}
-
 // E2ELatencyQuantile returns the q-quantile of end-to-end latency (seconds)
 // across all APIs over the trailing window.
 func (c *Cluster) E2ELatencyQuantile(q, window float64) float64 {
@@ -644,21 +628,6 @@ func (c *Cluster) E2ELatencyQuantile(q, window float64) float64 {
 
 // E2EWindow exposes the all-API end-to-end latency window.
 func (c *Cluster) E2EWindow() *metrics.Window { return c.e2eAll }
-
-// APILatencyQuantile returns the q-quantile of end-to-end latency (seconds)
-// for one API over the trailing window.
-func (c *Cluster) APILatencyQuantile(api string, q, window float64) float64 {
-	st, ok := c.apis[api]
-	if !ok {
-		return 0
-	}
-	now := c.Eng.Now()
-	from := now - window
-	if from < 0 {
-		from = 0
-	}
-	return st.e2e.Quantile(q, from, now)
-}
 
 // TotalInstances returns the number of non-condemned instances across all
 // deployments (ready + starting), the quantity Figures 2, 20 and 21 plot.

@@ -132,9 +132,6 @@ func (c *Cluster) recordArrival(st *apiState, at float64) {
 	st.arrivals.Add(at, 1)
 }
 
-// OnDrain registers fn to run whenever in-flight requests reach zero.
-func (c *Cluster) OnDrain(fn func()) { c.onDoneDrain = fn }
-
 // complete runs when a request's root call returns.
 func (c *Cluster) complete(req *request) {
 	now := c.Eng.Now()
@@ -160,9 +157,6 @@ func (c *Cluster) complete(req *request) {
 	c.freeReqs = append(c.freeReqs, req)
 	if onDone != nil {
 		onDone(lat)
-	}
-	if c.inFlight == 0 && c.onDoneDrain != nil {
-		c.onDoneDrain()
 	}
 }
 

@@ -121,7 +121,6 @@ func TestFleetAdaptiveBrownoutReplaysFromAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Start()
 	for r := 0; r < 12; r++ {
 		// An "adaptive" driver: pressure appears at round 3 and clears at 7.
 		switch r {
@@ -296,7 +295,6 @@ func TestRestoreRefusesAnotherSolverVersionsLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Start()
 		for r := 0; r < 6; r++ {
 			f.Round()
 		}

@@ -1,8 +1,7 @@
 // Package fleet is the sharded multi-tenant control plane: N independent
 // GRAF application controllers (each with its own simulated cluster,
 // workload and decision loop) driven inside one process by a fixed worker
-// pool, all sharing one latency model through a batched, cached inference
-// service.
+// pool, all sharing one latency model behind a quantized prediction cache.
 //
 // Three properties anchor the design:
 //
@@ -19,11 +18,9 @@
 //     degraded and quarantines it; the process and every other tenant are
 //     unaffected.
 //
-//   - Sharing. The expensive MPNN inference is served centrally: requests
-//     from concurrent solvers are coalesced into multi-graph forward
-//     passes over reusable scratch buffers, and a quantized
-//     (load, quota) → (latency, gradient) cache lets homogeneous tenants
-//     reuse each other's solver trajectories.
+//   - Sharing. Tenants evaluate one read-only model, each on its own
+//     worker, and a quantized (load, quota) → (latency, gradient) cache
+//     lets homogeneous tenants reuse each other's solver trajectories.
 package fleet
 
 import (
@@ -41,28 +38,21 @@ type cacheEntry struct {
 }
 
 // PredCache is the quantized prediction cache shared by every tenant's
-// solver. Invalidate (called on lifecycle model promotion) bumps the epoch
-// and drops every entry. When the entry count reaches capacity the whole
-// map is flushed — the fleet's access pattern is bursts of shared solver
-// trajectories, for which wholesale flush behaves as well as LRU and costs
-// nothing on the hit path.
+// solver. When the entry count reaches capacity the whole map is flushed —
+// the fleet's access pattern is bursts of shared solver trajectories, for
+// which wholesale flush behaves as well as LRU and costs nothing on the hit
+// path.
 type PredCache struct {
 	mu      sync.RWMutex
 	entries map[uint64]*cacheEntry
 	cap     int
 
-	hits          atomic.Int64
-	misses        atomic.Int64
-	invalidations atomic.Int64
-	flushes       atomic.Int64
-	epoch         atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
-// NewPredCache returns a cache bounded to capacity entries (default 1<<16).
+// NewPredCache returns a cache bounded to capacity entries.
 func NewPredCache(capacity int) *PredCache {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
 	return &PredCache{entries: make(map[uint64]*cacheEntry), cap: capacity}
 }
 
@@ -112,29 +102,16 @@ func (c *PredCache) Get(h uint64, key []int32, needGrad bool) (float64, []float6
 	return lat, dq, true
 }
 
-// Epoch returns the cache's current invalidation epoch. Callers capture it
-// before computing a value and pass it to Put, which drops the write if an
-// Invalidate intervened — the guard that keeps a prediction computed against
-// the old model from being cached after a model swap.
-func (c *PredCache) Epoch() int64 { return c.epoch.Load() }
-
 // Put stores a prediction for the quantized key, copying key and dq. An
 // existing entry holding a gradient is never downgraded to a grad-free one.
-// epoch must be the Epoch() observed before the value was computed: a stale
-// epoch means the serving model changed while the value was in flight, so
-// the write is silently dropped rather than poisoning the new model's cache.
-func (c *PredCache) Put(h uint64, key []int32, lat float64, dq []float64, epoch int64) {
+func (c *PredCache) Put(h uint64, key []int32, lat float64, dq []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch != c.epoch.Load() {
-		return
-	}
 	if e := c.entries[h]; e != nil && keysEqual(e.key, key) && e.dq != nil && dq == nil {
 		return
 	}
 	if len(c.entries) >= c.cap {
 		c.entries = make(map[uint64]*cacheEntry)
-		c.flushes.Add(1)
 	}
 	e := &cacheEntry{key: append([]int32(nil), key...), lat: lat}
 	if dq != nil {
@@ -143,23 +120,10 @@ func (c *PredCache) Put(h uint64, key []int32, lat float64, dq []float64, epoch 
 	c.entries[h] = e
 }
 
-// Invalidate drops every entry and bumps the epoch. Called when the serving
-// model changes (lifecycle promotion): predictions from the old surface
-// must never answer queries against the new one. The epoch bump happens
-// under the same lock Put takes, so an in-flight Put from before the swap
-// cannot land after the flush.
-func (c *PredCache) Invalidate() {
-	c.mu.Lock()
-	c.entries = make(map[uint64]*cacheEntry)
-	c.epoch.Add(1)
-	c.mu.Unlock()
-	c.invalidations.Add(1)
-}
-
 // Stats returns the cache's lifetime counters and current size.
-func (c *PredCache) Stats() (hits, misses, invalidations, size int64) {
+func (c *PredCache) Stats() (hits, misses, size int64) {
 	c.mu.RLock()
 	size = int64(len(c.entries))
 	c.mu.RUnlock()
-	return c.hits.Load(), c.misses.Load(), c.invalidations.Load(), size
+	return c.hits.Load(), c.misses.Load(), size
 }

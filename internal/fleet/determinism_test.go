@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 
 	"graf/internal/workload"
 )
@@ -11,7 +12,7 @@ import (
 // Same seed + same tenant set must produce byte-identical per-tenant audit
 // logs no matter how the fleet is scheduled: worker count, shard count and
 // GOMAXPROCS may each change which OS thread runs which tenant when, and
-// how requests coalesce in the inference batcher — none of it may leak into
+// which tenant's miss fills a cache entry first — none of it may leak into
 // a tenant's decisions. The prediction cache is the dangerous part: it is
 // shared mutable state whose contents DO depend on scheduling, which is why
 // every prediction is computed at the quantized grid point (hit and miss
@@ -22,7 +23,7 @@ func TestFleetDeterministicAcrossSchedules(t *testing.T) {
 		cfg := testConfig(tenants, workers, shards)
 		// A time-varying rate keeps the solvers busy (hysteresis would
 		// otherwise let them coast), maximizing traffic through the shared
-		// batcher and cache — the paths under test.
+		// cache — the path under test.
 		for i := range cfg.Tenants {
 			cfg.Tenants[i].Rate = workload.StepRate(100, 160, 20)
 		}
@@ -122,5 +123,53 @@ func TestFleetRepeatedRunsIdentical(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("no tenants ran")
+	}
+}
+
+// A fleet driven by Round alone must decide exactly what one bracketed by
+// Start does: nothing about a solve may depend on a call the driver can
+// forget (Restore and Admit replay ticks in whatever order they are reached).
+func TestFleetRoundsWithoutStart(t *testing.T) {
+	type digest struct {
+		n   int
+		sum uint64
+	}
+	run := func(start bool) map[string]digest {
+		cfg := testConfig(3, 2, 2)
+		for i := range cfg.Tenants {
+			cfg.Tenants[i].Rate = workload.StepRate(100, 160, 20)
+		}
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start {
+			f.Start()
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for r := 0; r < 8; r++ {
+				f.Round()
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("Round() without Start() did not return")
+		}
+		f.Stop()
+		out := map[string]digest{}
+		for _, tn := range f.Tenants() {
+			n, sum := tn.AuditDigest()
+			out[tn.ID] = digest{n, sum}
+		}
+		return out
+	}
+	want, got := run(true), run(false)
+	for id, d := range want {
+		if d.n == 0 || got[id] != d {
+			t.Errorf("tenant %s: digest %v without Start, %v with", id, got[id], d)
+		}
 	}
 }

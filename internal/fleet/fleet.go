@@ -72,12 +72,12 @@ type Config struct {
 	Lifecycle *lifecycle.Config
 	SaveModel func(m *gnn.Model, path string) error
 
-	// Service parameterizes the shared batched inference service.
+	// Service parameterizes the shared inference service.
 	Service ServiceConfig
 
-	// DisableSharing has every tenant call the model directly (uncached,
-	// unbatched) instead of going through the shared inference service —
-	// the serial baseline the fleet benchmark compares against.
+	// DisableSharing has every tenant call the model directly, at its exact
+	// inputs and uncached, instead of going through the shared inference
+	// service — the baseline the fleet benchmark compares against.
 	DisableSharing bool
 
 	// WarmStart provisions each tenant's cluster near its expected demand
@@ -90,9 +90,9 @@ type Config struct {
 
 	// Tracer, when non-nil, records control-plane trace spans: one
 	// "tenant/tick" span per tick with the controller's decision stages and
-	// the batcher's "inference/batch" spans nested under it. Tracing writes
-	// only to the tracer — never to the audit stream — so same-seed runs
-	// stay byte-identical with it on or off.
+	// one "inference/batch" span per forward pass nested under it. Tracing
+	// writes only to the tracer — never to the audit stream — so same-seed
+	// runs stay byte-identical with it on or off.
 	Tracer *obs.Tracer
 
 	// SLOBudget, when non-nil, enables the per-tenant error-budget monitor:
@@ -172,7 +172,7 @@ type TenantConfig struct {
 
 	// App optionally overrides the fleet-wide application graph — a
 	// heterogeneous fleet mixes topologies in one process. Override
-	// tenants get a private (unbatched) predictor: the shared inference
+	// tenants get a private (uncached) predictor: the shared inference
 	// service serves only the fleet-wide model/topology pair.
 	App *app.App
 	// Model optionally overrides the shared latency model (private
@@ -371,7 +371,7 @@ func New(cfg Config) (*Fleet, error) {
 		f.slo = obs.NewSLOMonitor(*cfg.SLOBudget, reg)
 	}
 	if !cfg.DisableSharing {
-		f.svc = NewInferenceService(cfg.Model, cfg.Service, f.fobs)
+		f.svc = NewInferenceService(cfg.Model, cfg.Service)
 		f.svc.tracer = cfg.Tracer
 	}
 	if cfg.AuditDir != "" {
@@ -415,7 +415,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 	}
 	// Per-tenant heterogeneity: topology, model, SLO and bounds may all be
 	// overridden. An overridden topology or model cannot ride the shared
-	// batched service (it was built for the fleet-wide pair), so those
+	// service (it was built for the fleet-wide pair), so those
 	// tenants get a private predictor below.
 	tapp := cfg.App
 	if tc.App != nil {
@@ -479,7 +479,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 
 	var predictor core.LatencyModel = model
 	if f.svc != nil && !private {
-		t.pred = f.svc.NewPredictor(tc.ID)
+		t.pred = f.svc.NewPredictor()
 		predictor = t.pred
 	}
 	an := core.NewAnalyzer(tapp)
@@ -528,7 +528,6 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 // each round with a barrier between rounds, so no tenant can run more than
 // one tick ahead of another.
 func (f *Fleet) Run(durS float64) {
-	f.Start()
 	rounds := int(math.Ceil(durS / f.cfg.TickS))
 	for r := 0; r < rounds; r++ {
 		f.Round()
@@ -536,16 +535,12 @@ func (f *Fleet) Run(durS float64) {
 	f.Stop()
 }
 
-// Start brings up the shared inference service. Callers driving the fleet
-// round-by-round (rather than through Run) pair it with Stop.
-func (f *Fleet) Start() {
-	if f.svc != nil {
-		f.svc.Start()
-	}
-}
+// Start does nothing: a fleet has nothing to bring up. The frozen benchmark/
+// module calls it; it goes at the benchmark refresh (ROADMAP 7(a)).
+func (f *Fleet) Start() {}
 
-// Stop flushes every tenant's audit stream, closes audit files and stops the
-// shared inference service. The fleet can still be inspected afterwards.
+// Stop flushes every tenant's audit stream and closes audit files. The fleet
+// can still be inspected afterwards.
 func (f *Fleet) Stop() {
 	f.FlushAudit()
 	for _, t := range f.tenants {
@@ -553,9 +548,6 @@ func (f *Fleet) Stop() {
 			t.auditFile.Close()
 			t.auditFile = nil
 		}
-	}
-	if f.svc != nil {
-		f.svc.Stop()
 	}
 }
 
@@ -1055,10 +1047,6 @@ func (f *Fleet) Tenant(id string) *Tenant {
 	return nil
 }
 
-// Service returns the shared inference service (nil when sharing is
-// disabled).
-func (f *Fleet) Service() *InferenceService { return f.svc }
-
 // Stats summarizes a fleet run.
 type Stats struct {
 	Tenants  int
@@ -1074,6 +1062,8 @@ type Stats struct {
 
 	CacheHits   int64
 	CacheMisses int64
+	// Batches and BatchedReqs both count forward passes run — one per cache
+	// miss. The frozen benchmark/ module reads them (ROADMAP 7(a)).
 	Batches     int64
 	BatchedReqs int64
 }
@@ -1091,8 +1081,8 @@ func (f *Fleet) Stats() Stats {
 		}
 	}
 	if f.svc != nil {
-		s.CacheHits, s.CacheMisses, _, _ = f.svc.Cache.Stats()
-		s.Batches, s.BatchedReqs = f.svc.Batches()
+		s.CacheHits, s.CacheMisses, _ = f.svc.Cache.Stats()
+		s.Batches, s.BatchedReqs = s.CacheMisses, s.CacheMisses
 	}
 	return s
 }

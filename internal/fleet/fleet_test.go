@@ -210,7 +210,6 @@ func TestAuditDigestMatchesAuditLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Start()
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 40; {
 		for n := 1 + rng.Intn(6); n > 0; n-- {

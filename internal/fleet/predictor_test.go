@@ -4,20 +4,15 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"graf/internal/app"
 	"graf/internal/gnn"
 )
 
-func testService(t *testing.T, cfg ServiceConfig) (*InferenceService, *gnn.Model) {
-	t.Helper()
+func testService() (*InferenceService, *gnn.Model) {
 	a := app.SyntheticChain(5)
 	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(9)))
-	s := NewInferenceService(m, cfg, nil)
-	s.Start()
-	t.Cleanup(s.Stop)
-	return s, m
+	return NewInferenceService(m, ServiceConfig{}), m
 }
 
 func randReq(rng *rand.Rand, n int) (load, quota []float64) {
@@ -34,8 +29,8 @@ func randReq(rng *rand.Rand, n int) (load, quota []float64) {
 // quantized grid point — the property that makes cache hits
 // indistinguishable from misses.
 func TestPredictorMatchesModelAtGridPoint(t *testing.T) {
-	s, m := testService(t, ServiceConfig{})
-	p := s.NewPredictor("t0")
+	s, m := testService()
+	p := s.NewPredictor()
 	rng := rand.New(rand.NewSource(1))
 	n := m.Cfg.Nodes
 	sc := m.NewScratch()
@@ -65,18 +60,18 @@ func TestPredictorMatchesModelAtGridPoint(t *testing.T) {
 // A second tenant asking for a grid point another tenant already computed
 // must be served from the cache with bit-identical values.
 func TestCacheSharesAcrossTenants(t *testing.T) {
-	s, m := testService(t, ServiceConfig{})
-	p1 := s.NewPredictor("t1")
-	p2 := s.NewPredictor("t2")
+	s, m := testService()
+	p1 := s.NewPredictor()
+	p2 := s.NewPredictor()
 	rng := rand.New(rand.NewSource(2))
 	load, quota := randReq(rng, m.Cfg.Nodes)
 
 	y1, dq1 := p1.PredictGrad(load, quota)
 	dq1c := append([]float64(nil), dq1...)
-	h0, m0, _, _ := s.Cache.Stats()
+	h0, m0, _ := s.Cache.Stats()
 
 	y2, dq2 := p2.PredictGrad(load, quota)
-	h1, m1, _, _ := s.Cache.Stats()
+	h1, m1, _ := s.Cache.Stats()
 	if h1 != h0+1 || m1 != m0 {
 		t.Fatalf("second tenant's identical query was not a pure cache hit (hits %d→%d, misses %d→%d)", h0, h1, m0, m1)
 	}
@@ -92,8 +87,8 @@ func TestCacheSharesAcrossTenants(t *testing.T) {
 
 // Predict-only entries must upgrade to gradient entries, never the reverse.
 func TestCacheGradUpgrade(t *testing.T) {
-	s, m := testService(t, ServiceConfig{})
-	p := s.NewPredictor("t0")
+	s, m := testService()
+	p := s.NewPredictor()
 	rng := rand.New(rand.NewSource(3))
 	load, quota := randReq(rng, m.Cfg.Nodes)
 
@@ -102,14 +97,14 @@ func TestCacheGradUpgrade(t *testing.T) {
 	if gy != y {
 		t.Fatalf("grad-upgrade recompute: %v want %v", gy, y)
 	}
-	h0, _, _, _ := s.Cache.Stats()
+	h0, _, _ := s.Cache.Stats()
 	if y2 := p.Predict(load, quota); y2 != y {
 		t.Fatalf("Predict after grad upgrade: %v want %v", y2, y)
 	}
 	if gy2, _ := p.PredictGrad(load, quota); gy2 != y {
 		t.Fatalf("PredictGrad after upgrade: %v want %v", gy2, y)
 	}
-	h1, _, _, _ := s.Cache.Stats()
+	h1, _, _ := s.Cache.Stats()
 	if h1 != h0+2 {
 		t.Fatalf("expected both post-upgrade calls to hit (hits %d→%d)", h0, h1)
 	}
@@ -122,7 +117,7 @@ func TestCacheCollisionIsMissNotCorruption(t *testing.T) {
 	keyA := []int32{1, 2, 3}
 	keyB := []int32{4, 5, 6}
 	const h = uint64(12345) // force both keys into one bucket
-	c.Put(h, keyA, 0.111, nil, c.Epoch())
+	c.Put(h, keyA, 0.111, nil)
 	if _, _, ok := c.Get(h, keyB, false); ok {
 		t.Fatal("colliding key returned another entry's value")
 	}
@@ -131,98 +126,65 @@ func TestCacheCollisionIsMissNotCorruption(t *testing.T) {
 	}
 }
 
-// SwapModel must invalidate the cache and serve the new model's surface;
-// an architecture mismatch must be rejected before it can corrupt the
-// executors' scratch buffers.
-func TestSwapModelInvalidatesCache(t *testing.T) {
-	s, m := testService(t, ServiceConfig{})
-	p := s.NewPredictor("t0")
-	rng := rand.New(rand.NewSource(4))
-	load, quota := randReq(rng, m.Cfg.Nodes)
-	y1 := p.Predict(load, quota)
-
-	// Same architecture, different weights: a promoted candidate.
-	next := gnn.New(m.Cfg, rand.New(rand.NewSource(77)))
-	if err := s.SwapModel(next, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, inv, size := s.Cache.Stats(); inv != 1 || size != 0 {
-		t.Fatalf("cache not invalidated on swap (inv=%d size=%d)", inv, size)
-	}
-	if s.Generation() != 2 {
-		t.Fatalf("generation %d, want 2", s.Generation())
-	}
-	y2 := p.Predict(load, quota)
-	if y1 == y2 {
-		t.Fatal("prediction unchanged after model swap — stale cache or stale model")
-	}
-
-	bad := gnn.New(gnn.DefaultConfig(2, [][]int{{}, {0}}), rand.New(rand.NewSource(5)))
-	if err := s.SwapModel(bad, 3); err == nil {
-		t.Fatal("architecture mismatch accepted")
-	}
-}
-
-// Concurrent solvers hammering the service must coalesce into multi-request
-// batches, and every response must be bit-identical to the single-threaded
-// answer for the same inputs. To make coalescing deterministic (a fast
-// executor on an idle machine can drain every request individually), the
-// test steals the executor's only scratch, so requests pile up behind a
-// stalled batch exactly as they do behind a busy one. Run with -race.
-func TestServiceConcurrentClientsCoalesce(t *testing.T) {
-	s, m := testService(t, ServiceConfig{NoCache: true, BatchMax: 8, Executors: 1})
+// Tenants on different workers share the model and the cache with no
+// dispatcher between them: concurrent predictors hammering overlapping grid
+// points must each get exactly the model's answer at the grid point, and the
+// cache must account for every request. Run with -race.
+func TestPredictorsConcurrentBitEqual(t *testing.T) {
+	s, m := testService()
 	n := m.Cfg.Nodes
 
-	const clients = 24
-	inputs := make([][2][]float64, clients)
-	want := make([]float64, clients)
+	const clients, points, rounds = 32, 12, 40
+	type point struct {
+		load, quota []float64
+		lat         float64
+		dq          []float64
+	}
+	pts := make([]point, points)
 	rng := rand.New(rand.NewSource(6))
 	sc := m.NewScratch()
 	qload, qquota := make([]float64, n), make([]float64, n)
 	key := make([]int32, 2*n)
-	for c := range inputs {
-		load, quota := randReq(rng, n)
-		inputs[c] = [2][]float64{load, quota}
-		s.quantize(load, quota, qload, qquota, key)
-		want[c] = m.PredictWith(sc, qload, qquota)
+	for i := range pts {
+		pt := &pts[i]
+		pt.load, pt.quota = randReq(rng, n)
+		s.quantize(pt.load, pt.quota, qload, qquota, key)
+		lat, dq := m.PredictGradWith(sc, qload, qquota)
+		pt.lat, pt.dq = lat, append([]float64(nil), dq...)
 	}
 
-	// Stall the pipeline: with the scratch pool empty, the dispatcher's
-	// first batch blocks in its executor and every later client queues.
-	stolen := <-s.scratch
-
 	var wg sync.WaitGroup
-	errs := make(chan string, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			p := s.NewPredictor("t")
-			if y := p.Predict(inputs[c][0], inputs[c][1]); y != want[c] {
-				errs <- "concurrent client got a different prediction"
+			p := s.NewPredictor()
+			for i := 0; i < rounds; i++ {
+				pt := &pts[(c+i)%points]
+				if (c+i)%3 == 0 {
+					if y := p.Predict(pt.load, pt.quota); y != pt.lat {
+						t.Errorf("client %d: Predict=%v want %v", c, y, pt.lat)
+						return
+					}
+					continue
+				}
+				y, dq := p.PredictGrad(pt.load, pt.quota)
+				if y != pt.lat {
+					t.Errorf("client %d: PredictGrad=%v want %v", c, y, pt.lat)
+					return
+				}
+				for j := range pt.dq {
+					if dq[j] != pt.dq[j] {
+						t.Errorf("client %d: dq[%d]=%v want %v", c, j, dq[j], pt.dq[j])
+						return
+					}
+				}
 			}
 		}(c)
 	}
-	// Wait until every client has submitted (or been dequeued into the
-	// stalled batch), then release the executor.
-	for s.pending.Load()+int64(len(s.reqC)) < clients-int64(s.cfg.BatchMax) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond)
-	s.scratch <- stolen
-
 	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
 
-	batches, reqs := s.Batches()
-	if reqs != clients {
-		t.Fatalf("served %d requests, want %d", reqs, clients)
+	if hits, misses, _ := s.Cache.Stats(); hits+misses != clients*rounds {
+		t.Fatalf("cache saw %d hits + %d misses, want %d requests", hits, misses, clients*rounds)
 	}
-	if batches > reqs/2 {
-		t.Fatalf("no real coalescing: %d batches for %d requests", batches, reqs)
-	}
-	t.Logf("coalesced %d requests into %d batches (mean %.1f)", reqs, batches, float64(reqs)/float64(batches))
 }

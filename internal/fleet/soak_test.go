@@ -63,7 +63,6 @@ func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.Start()
 			tn := f.Tenants()[0]
 			liveAfter := func(decisions int) float64 {
 				for tn.Ticks() < decisions {

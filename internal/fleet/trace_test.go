@@ -27,7 +27,6 @@ func TestFleetAuditByteIdenticalWithTracing(t *testing.T) {
 		// Drive both runs through the same round loop; the traced one
 		// additionally parents every round under a root span, as the shard
 		// server does from the router's traceparent header.
-		f.Start()
 		for r := 1; r <= 30; r++ {
 			var span *obs.ActiveSpan
 			if trace {
@@ -57,8 +56,8 @@ func TestFleetAuditByteIdenticalWithTracing(t *testing.T) {
 }
 
 // TestFleetTraceCoversControlPlane checks the span vocabulary a stitched
-// trace needs: tenant ticks, controller decision stages, and coalesced
-// inference batches all land under the round root.
+// trace needs: tenant ticks, controller decision stages, and inference
+// forward passes all land under the round root.
 func TestFleetTraceCoversControlPlane(t *testing.T) {
 	cfg := testConfig(4, 3, 3)
 	tracer := obs.NewTracer(obs.TracerOptions{
@@ -69,7 +68,6 @@ func TestFleetTraceCoversControlPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Start()
 	var rootTrace uint64
 	for r := 1; r <= 10; r++ {
 		span := tracer.StartRoot("shard/tick")

@@ -136,14 +136,21 @@ func (m *Model) Predict(load, quota []float64) float64 {
 
 // PredictGrad returns the prediction and its gradient with respect to each
 // node's quota (seconds per millicore) — the ∂L/∂r the configuration solver
-// descends. Like Predict it borrows its Scratch; the returned slice is a copy
-// owned by the caller and the call's only allocation.
+// descends. The returned slice is owned by the caller and the call's only
+// allocation.
 func (m *Model) PredictGrad(load, quota []float64) (latency float64, dQuota []float64) {
+	dQuota = make([]float64, m.Cfg.Nodes)
+	return m.PredictGradInto(load, quota, dQuota), dQuota
+}
+
+// PredictGradInto is PredictGrad writing the gradient into dQuota (one entry
+// per node). Like Predict it borrows its Scratch and does not allocate.
+func (m *Model) PredictGradInto(load, quota, dQuota []float64) float64 {
 	s := m.borrow()
 	y, dq := m.PredictGradWith(s, load, quota)
-	dQuota = append([]float64(nil), dq...)
+	copy(dQuota, dq)
 	m.giveBack(s)
-	return y, dQuota
+	return y
 }
 
 func (m *Model) params() []*nn.Linear {

@@ -26,9 +26,8 @@ import (
 // Scratch holds every buffer one pass (forward or forward+input-grad)
 // needs. A Scratch is sized for one model architecture and may be reused
 // across any number of calls — and across model swaps, as long as the new
-// model has the same shape (the fleet's lifecycle promotion path relies on
-// this). A Scratch is NOT safe for concurrent use; give each goroutine its
-// own.
+// model has the same shape. A Scratch is NOT safe for concurrent use; give
+// each goroutine its own.
 type Scratch struct {
 	nodes, embed, steps int
 	useMPNN             bool

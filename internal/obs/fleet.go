@@ -2,7 +2,7 @@ package obs
 
 // FleetObs observes the sharded multi-tenant control plane: per-tenant tick
 // and SLO accounting under a {tenant} label, fleet-wide aggregates, and the
-// shared batched-inference service's batch/cache behaviour. Like every hook
+// shared prediction cache's counters. Like every hook
 // in this package it is a valid no-op when nil. Its methods are called from
 // many worker goroutines concurrently; the registry's families are
 // mutex-guarded and the metric values atomic, so no extra locking is needed
@@ -85,25 +85,10 @@ func (o *FleetObs) Brownout(tenant, from, to string, step int) {
 		Labels{"tenant": tenant}).Set(float64(step))
 }
 
-// Batch records one coalesced inference batch executed by the shared
-// service.
-func (o *FleetObs) Batch(size int) {
-	if o == nil {
-		return
-	}
-	o.t.Reg.Histogram("graf_fleet_batch_size",
-		"Requests coalesced per batched-inference forward pass.",
-		ExpBuckets(1, 2, 8), nil).Observe(float64(size))
-	o.t.Reg.Counter("graf_fleet_batches_total",
-		"Batched-inference forward passes executed.", nil).Inc()
-	o.t.Reg.Counter("graf_fleet_batched_requests_total",
-		"Inference requests served through the batching service.", nil).Add(float64(size))
-}
-
 // CacheStats publishes the prediction cache's absolute counters; the fleet
 // calls it once per round rather than once per lookup to keep the hot path
 // off the registry.
-func (o *FleetObs) CacheStats(hits, misses, invalidations, size int64) {
+func (o *FleetObs) CacheStats(hits, misses, size int64) {
 	if o == nil {
 		return
 	}
@@ -111,20 +96,6 @@ func (o *FleetObs) CacheStats(hits, misses, invalidations, size int64) {
 		"Quantized prediction-cache hits.", nil).Set(float64(hits))
 	o.t.Reg.Gauge("graf_fleet_cache_misses_total",
 		"Quantized prediction-cache misses.", nil).Set(float64(misses))
-	o.t.Reg.Gauge("graf_fleet_cache_invalidations_total",
-		"Prediction-cache epoch invalidations (model promotions).", nil).Set(float64(invalidations))
 	o.t.Reg.Gauge("graf_fleet_cache_entries",
 		"Live entries in the prediction cache.", nil).Set(float64(size))
-}
-
-// ModelSwap records a fleet-wide model promotion (the event that
-// invalidates the prediction cache).
-func (o *FleetObs) ModelSwap(gen int) {
-	if o == nil {
-		return
-	}
-	o.t.Reg.Counter("graf_fleet_model_swaps_total",
-		"Shared-model promotions applied to the inference service.", nil).Inc()
-	o.t.Reg.Gauge("graf_fleet_model_generation",
-		"Generation of the model currently serving the fleet.", nil).Set(float64(gen))
 }

@@ -5,7 +5,7 @@ package obs
 // byte-identical trace structure — the same replay discipline the audit log
 // follows — and spans carry parent links across process boundaries via a
 // W3C traceparent-style header, so one trace stitches router fan-out →
-// shard tick → tenant controller stages → batched inference execution.
+// shard tick → tenant controller stages → inference forward passes.
 //
 // Tracing is strictly additive: spans record wall-clock timestamps for
 // flamegraph viewing, but nothing here ever feeds back into a decision or
@@ -430,7 +430,7 @@ func jsonString(s string) string {
 // StitchedTrace finds the best single trace that crosses at least two
 // processes and contains every stage of the control-plane path: the router's
 // round root, the shard-side tick handler, a tenant tick, a controller
-// decision stage, and a coalesced inference batch. Returns its trace ID,
+// decision stage, and an inference forward pass. Returns its trace ID,
 // span count, and process count.
 func StitchedTrace(spans []TraceSpan) (tid uint64, n, procs int, ok bool) {
 	type agg struct {

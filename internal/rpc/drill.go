@@ -506,7 +506,7 @@ func (d *Drill) judge(r *Router, v *Verdict) {
 		spans, procs, errs := r.collectSpans()
 		v.failures = append(v.failures, errs...)
 		tid, n, np, ok := obs.StitchedTrace(spans)
-		v.failIf(!ok, "trace NOT stitched: no single trace covers router round → shard tick → tenant stages → batched inference")
+		v.failIf(!ok, "trace NOT stitched: no single trace covers router round → shard tick → tenant stages → inference")
 		v.passIf(ok, "trace stitched: trace %016x crosses %d processes, %d spans (router/round → shard/tick → tenant/tick → decision → inference/batch)", tid, np, n)
 		if d.TraceFile != "" {
 			var buf bytes.Buffer

@@ -76,13 +76,3 @@ func (r *Ring) Lookup(key string) string {
 	}
 	return r.points[i].member
 }
-
-// Members returns the live members in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}

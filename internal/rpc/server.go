@@ -495,7 +495,6 @@ func (s *ShardServer) handleConfigure(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	fl.Start()
 	s.fl = fl
 	s.spec = req.Spec
 	s.round = 0

@@ -17,7 +17,7 @@ import (
 // drill in-process: a two-shard routed run with tracing and an SLO budget
 // enabled must (a) stay byte-identical to the single-process reference,
 // (b) produce one trace that stitches router round → shard tick → tenant
-// tick → decision stages → batched inference across processes, and (c)
+// tick → decision stages → inference across processes, and (c)
 // serve shard metrics on the control-plane mux for the router to federate.
 func TestRoutedRunTracedByteIdenticalAndStitched(t *testing.T) {
 	bundle := testBundle(t)
