@@ -569,7 +569,7 @@ func (s *Simulation) Observability() *Observability { return s.obs }
 func NewSimulation(a *App, seed int64) *Simulation {
 	eng := sim.NewEngine(seed)
 	cl := cluster.New(eng, a, cluster.DefaultConfig())
-	cl.DeclareLookback(math.Inf(1))
+	cl.DeclareLookback(cluster.AllSignals, math.Inf(1))
 	return &Simulation{Engine: eng, Cluster: cl}
 }
 

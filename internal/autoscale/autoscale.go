@@ -75,7 +75,7 @@ type HPA struct {
 
 // NewHPA returns an HPA for every microservice of c.
 func NewHPA(c *cluster.Cluster, cfg HPAConfig) *HPA {
-	c.DeclareLookback(cfg.MetricWindowS)
+	c.DeclareLookback(cluster.CPU, cfg.MetricWindowS)
 	return &HPA{Cluster: c, Cfg: cfg, recs: map[string]*metrics.Window{}}
 }
 
@@ -125,7 +125,7 @@ func (h *HPA) Step() {
 		// trailing window, so downscaling trails by StabilizationS.
 		w := h.recs[name]
 		if w == nil {
-			w = metrics.NewWindow()
+			w = metrics.NewWindow(name + " replicas")
 			h.recs[name] = w
 		}
 		w.Add(now, float64(desired))
@@ -199,7 +199,7 @@ type FIRMLike struct {
 
 // NewFIRMLike returns a FIRM-like controller for every microservice of c.
 func NewFIRMLike(c *cluster.Cluster, cfg FIRMConfig) *FIRMLike {
-	c.DeclareLookback(cfg.MetricWindowS)
+	c.DeclareLookback(cluster.CPU|cluster.SelfLatency, cfg.MetricWindowS)
 	return &FIRMLike{Cluster: c, Cfg: cfg}
 }
 

@@ -130,6 +130,6 @@ func ms(sec float64) string {
 // shorter look-back the controllers a runner attaches declare.
 func newCluster(eng *sim.Engine, a *app.App) *cluster.Cluster {
 	cl := cluster.New(eng, a, cluster.DefaultConfig())
-	cl.DeclareLookback(math.Inf(1))
+	cl.DeclareLookback(cluster.AllSignals, math.Inf(1))
 	return cl
 }

@@ -42,7 +42,8 @@ type Store struct {
 	// fail validation on load and fall back). Production code leaves it nil.
 	WriteFault func(path string, data []byte) ([]byte, error)
 
-	lastGen int // highest generation ever saved or seen
+	lastGen int   // highest generation ever saved or seen
+	gens    []int // generations on disk, ascending: the constructor's listing, kept by Save, prune and LoadLatest
 }
 
 // DefaultKeep is how many snapshot generations a store retains by default:
@@ -66,7 +67,7 @@ func NewNamespacedStore(dir, prefix string) (*Store, error) {
 	}
 	s := &Store{Dir: dir, Prefix: prefix}
 	if gens, err := s.generations(); err == nil && len(gens) > 0 {
-		s.lastGen = gens[len(gens)-1]
+		s.gens, s.lastGen = gens, gens[len(gens)-1]
 	}
 	return s, nil
 }
@@ -82,7 +83,8 @@ func (s *Store) path(gen int) string {
 	return filepath.Join(s.Dir, fmt.Sprintf("%s-%08d.ckpt", s.prefix(), gen))
 }
 
-// generations lists the on-disk generation numbers, ascending.
+// generations lists the on-disk generation numbers, ascending. It reads the
+// whole directory — every store's files — so Save works from s.gens instead.
 func (s *Store) generations() ([]int, error) {
 	ents, err := os.ReadDir(s.Dir)
 	if err != nil {
@@ -131,6 +133,7 @@ func (s *Store) Save(snap *Snapshot) (gen, size int, err error) {
 		return 0, 0, err
 	}
 	s.lastGen = gen
+	s.gens = append(s.gens, gen)
 	s.prune()
 	return gen, len(data), nil
 }
@@ -140,13 +143,9 @@ func (s *Store) prune() {
 	if keep <= 0 {
 		keep = DefaultKeep
 	}
-	gens, err := s.generations()
-	if err != nil {
-		return
-	}
-	for len(gens) > keep {
-		os.Remove(s.path(gens[0]))
-		gens = gens[1:]
+	for len(s.gens) > keep {
+		os.Remove(s.path(s.gens[0]))
+		s.gens = append(s.gens[:0], s.gens[1:]...)
 	}
 }
 
@@ -161,6 +160,7 @@ func (s *Store) LoadLatest() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.gens = gens
 	for i := len(gens) - 1; i >= 0; i-- {
 		p := s.path(gens[i])
 		data, err := os.ReadFile(p)
@@ -175,6 +175,7 @@ func (s *Store) LoadLatest() (*Snapshot, error) {
 			return nil, err
 		}
 		s.quarantine(p, err)
+		s.gens = gens[:i]
 	}
 	return nil, ErrNoSnapshot
 }

@@ -25,10 +25,10 @@
 // recycled through per-Cluster free lists, a request record with the span array
 // it builds its trace in. Completed traces go to a per-API ring (internal/trace)
 // that keeps their visit counts, and to the OnTrace observer if there is one;
-// telemetry goes to windows (internal/metrics) that keep only as far back as
-// the cluster's readers declared they look (DeclareLookback): once the free
-// lists have grown and the windows hold one look-back, a simulated request
-// allocates nothing.
+// telemetry goes to windows (internal/metrics), one kind per Signal, that keep
+// only as far back as that signal's readers declared they look
+// (DeclareLookback): once the free lists have grown and the windows hold one
+// look-back, a simulated request allocates nothing.
 //
 // # Instance creation
 //
@@ -132,11 +132,11 @@ type Deployment struct {
 	drift float64
 
 	// Telemetry.
-	readySeries *metrics.Series // ready-instance count over time, as far back as the look-back
-	cpuWork     *metrics.Window // CPU-seconds consumed, stamped at completion
-	selfLat     *metrics.Window // per-invocation self latency (s): queue+service
-	arrivals    *metrics.Window // arrival timestamps (value 1)
-	errors      *metrics.Window // failed attempts (crashes, timeouts), value 1
+	readySeries    *metrics.Series // ready-instance count over time, as far back as CPU's look-back
+	cpuWork        *metrics.Window // CPU-seconds consumed, stamped at completion
+	selfLat        *metrics.Window // per-invocation self latency (s): queue+service
+	arrivals       *metrics.Window // arrival timestamps (value 1)
+	failedAttempts int             // attempts lost to a crash or a queue timeout
 
 	// suppressUntil black-holes the deployment's metric writes (cpuWork,
 	// selfLat, arrivals) until the given simulated time: a dead metrics
@@ -158,10 +158,7 @@ type Cluster struct {
 	onTrace func(*trace.Trace)
 	e2eAll  *metrics.Window // end-to-end latency, all APIs
 
-	// lookback is the longest trailing interval, in seconds, any reader has
-	// declared through DeclareLookback; 0 while nobody has, and every window
-	// keeps everything.
-	lookback float64
+	declared bool // DeclareLookback was called: windows keep what their signal's readers declared, not everything
 
 	// Free lists of the request path (frame.go). Both grow to the peak
 	// number of requests and calls in flight and are never trimmed.
@@ -200,7 +197,7 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 		deps:        make(map[string]*Deployment, len(a.Services)),
 		apis:        make(map[string]*apiState, len(a.APIs)),
 		traces:      trace.NewCollector(cfg.TraceCap),
-		e2eAll:      metrics.NewWindow(),
+		e2eAll:      metrics.NewWindow("end-to-end latency"),
 		arrivalKeep: 1,
 	}
 	for _, svc := range a.Services {
@@ -209,10 +206,9 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 			cl:          c,
 			quota:       cfg.CPUUnit,
 			readySeries: metrics.NewSeries(svc.Name + "/ready"),
-			cpuWork:     metrics.NewWindow(),
-			selfLat:     metrics.NewWindow(),
-			arrivals:    metrics.NewWindow(),
-			errors:      metrics.NewWindow(),
+			cpuWork:     metrics.NewWindow("CPU work"),
+			selfLat:     metrics.NewWindow("service self-latency"),
+			arrivals:    metrics.NewWindow("service arrival"),
 		}
 		inst := &instance{id: d.nextID, ready: true, readyAt: eng.Now()}
 		d.nextID++
@@ -222,40 +218,68 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 		c.names = append(c.names, svc.Name)
 	}
 	for _, api := range a.APIs {
-		c.apis[api.Name] = &apiState{
-			def:      a.API(api.Name),
-			e2e:      metrics.NewWindow(),
-			arrivals: metrics.NewWindow(),
-		}
+		c.apis[api.Name] = &apiState{def: a.API(api.Name), arrivals: metrics.NewWindow("API arrival")}
 		c.maxSpans = max(c.maxSpans, countSpans(api.Root))
 	}
 	return c
 }
 
-// DeclareLookback declares that a component about to read this cluster's
-// trailing telemetry (rates, utilizations, latency quantiles) looks back at
-// most seconds behind the clock; +Inf for one that reads whole-run intervals.
-// Every reader declares when it is constructed, the cluster keeps the
-// longest, and from then on its windows drop what lies further back. While
-// nobody has declared, everything is kept. A read that reaches past what a
-// too-short declaration left panics — a wiring bug, like Deployment's unknown
-// service. A later, longer declaration extends retention from that moment on;
-// it cannot bring back what is already gone.
-func (c *Cluster) DeclareLookback(seconds float64) {
-	if seconds <= c.lookback {
-		return
-	}
-	c.lookback = seconds
-	c.e2eAll.SetLookback(seconds)
-	for _, d := range c.deps {
-		for _, w := range []*metrics.Window{d.cpuWork, d.selfLat, d.arrivals, d.errors} {
-			w.SetLookback(seconds)
-		}
-	}
+// Signal names one kind of trailing telemetry the cluster records, as a bit
+// so that a reader declares several at once. They mirror the accessor groups.
+type Signal uint8
+
+const (
+	APIRates     Signal = 1 << iota // APIArrivalRate(s), per API
+	E2ELatency                      // E2ELatencyQuantile, E2EWindow
+	CPU                             // Utilization, CPUPerRequestMS, per service
+	ServiceRates                    // ArrivalRate, ArrivalRateAt, per service
+	SelfLatency                     // SelfLatencyQuantile, per service
+	AllSignals   = APIRates | E2ELatency | CPU | ServiceRates | SelfLatency
+)
+
+// windows calls fn on every telemetry window, with the signal it records.
+func (c *Cluster) windows(fn func(Signal, *metrics.Window)) {
+	fn(E2ELatency, c.e2eAll)
 	for _, st := range c.apis {
-		st.e2e.SetLookback(seconds)
-		st.arrivals.SetLookback(seconds)
+		fn(APIRates, st.arrivals)
 	}
+	for _, d := range c.deps {
+		fn(CPU, d.cpuWork)
+		fn(ServiceRates, d.arrivals)
+		fn(SelfLatency, d.selfLat)
+	}
+}
+
+// DeclareLookback declares that a component about to read the named signals
+// looks back at most seconds behind the clock; +Inf for one that reads
+// whole-run intervals. Every reader declares what it reads when it is
+// constructed, and a signal's windows keep the longest declared for it. While
+// nobody has declared, everything is kept; from the first declaration on, a
+// signal nobody declared keeps nothing — its windows count and date their
+// observations (Len, LastAt, LastArrivalAt, LastDeploymentTelemetryAt answer
+// as ever) and any read of one panics naming it, as does a read that reaches
+// past a too-short declaration: a wiring bug, like Deployment's unknown
+// service. A later declaration cannot bring back what is already gone.
+func (c *Cluster) DeclareLookback(signals Signal, seconds float64) {
+	c.windows(func(s Signal, w *metrics.Window) {
+		if !c.declared {
+			w.SetLookback(0)
+		}
+		if signals&s != 0 {
+			w.SetLookback(max(w.Lookback(), seconds))
+		}
+	})
+	c.declared = true
+}
+
+// Retained returns how many observations the named signals' windows hold.
+func (c *Cluster) Retained(signals Signal) (n int) {
+	c.windows(func(s Signal, w *metrics.Window) {
+		if signals&s != 0 {
+			n += w.Retained()
+		}
+	})
+	return n
 }
 
 // APIArrivalRate returns the frontend arrival rate (req/s) for one API over
@@ -315,8 +339,8 @@ func (c *Cluster) CreatedTotal() int { return c.createdTotal }
 // --- Deployment: scaling ---------------------------------------------------
 
 // recordCounts stamps the ready-instance count, and drops what the series
-// holds from before the declared look-back: Utilization reads the series over
-// the interval it reads cpuWork over, which panics on a longer reach.
+// holds from before the CPU signal's look-back (at 0, all but the newest
+// point): Utilization, its one reader, reads cpuWork over the same interval.
 func (d *Deployment) recordCounts() {
 	now := d.cl.Eng.Now()
 	ready := 0
@@ -326,9 +350,7 @@ func (d *Deployment) recordCounts() {
 		}
 	}
 	d.readySeries.Add(now, float64(ready))
-	if d.cl.lookback > 0 {
-		d.readySeries.Trim(now - d.cl.lookback)
-	}
+	d.readySeries.Trim(now - d.cpuWork.Lookback()) // +Inf while nothing is declared: trims nothing
 }
 
 // Quota returns the deployment's desired total CPU quota in millicores.

@@ -328,41 +328,96 @@ func TestBoutiqueEndToEnd(t *testing.T) {
 	}
 }
 
-// The cluster keeps the longest look-back declared, on every window; a read
-// within it answers as a cluster that kept everything does, a read beyond it
-// panics naming it, and a cluster nobody declared on keeps everything.
+// The cluster keeps, per signal, the longest look-back declared for it: a
+// declared signal holds about one look-back and answers as a cluster that kept
+// everything does; an undeclared one holds nothing, still counts and dates its
+// observations, and panics on any read, naming the signal; a cluster nobody
+// declared on keeps everything.
 func TestDeclaredLookbackBoundsEveryWindow(t *testing.T) {
-	run := func(declare ...float64) *Cluster {
+	run := func(declare func(*Cluster)) *Cluster {
 		eng, c := newTestCluster(twoSvc())
-		for _, s := range declare {
-			c.DeclareLookback(s)
-		}
+		declare(c)
 		for i := 0; i < 200*40; i++ { // 40 req/s for 200 s; one back instance serves 62
 			eng.At(float64(i)/40, func() { c.Submit("get", nil) })
 		}
 		eng.Run()
 		return c
 	}
-	all, bounded := run(), run(5, 20, 10)
-	back := bounded.Deployment("back")
-	for _, w := range []*metrics.Window{bounded.e2eAll, back.cpuWork, back.selfLat, back.arrivals, bounded.apis["get"].e2e, bounded.apis["get"].arrivals} {
-		if w.Len() != 8000 || w.Retained() > 20*40+2*256 {
-			t.Errorf("a window holds %d of %d observations under a 20 s look-back at 40 req/s", w.Retained(), w.Len())
+	all := run(func(*Cluster) {})
+	bounded := run(func(c *Cluster) {
+		c.DeclareLookback(APIRates, 5)
+		c.DeclareLookback(E2ELatency|CPU, 20)
+		c.DeclareLookback(CPU, 10)
+	})
+	back, allBack := bounded.Deployment("back"), all.Deployment("back")
+	held := func(name string, w *metrics.Window, lookback float64) {
+		t.Helper()
+		if w.Len() != 8000 || w.Retained() > int(lookback)*40+2*256 || w.Retained() < int(lookback)*40 {
+			t.Errorf("%s holds %d of %d observations under a %v s look-back at 40 req/s", name, w.Retained(), w.Len(), lookback)
 		}
 	}
+	held("e2e", bounded.e2eAll, 20)
+	held("cpuWork", back.cpuWork, 20)
+	held("API arrivals", bounded.apis["get"].arrivals, 5)
 	if got, want := bounded.E2ELatencyQuantile(0.99, 20), all.E2ELatencyQuantile(0.99, 20); got != want {
 		t.Errorf("p99 over the declared 20 s = %v, %v on a cluster that kept everything", got, want)
 	}
-	if got, want := back.Utilization(20), all.Deployment("back").Utilization(20); got != want {
+	if got, want := back.Utilization(20), allBack.Utilization(20); got != want {
 		t.Errorf("utilization over the declared 20 s = %v, want %v", got, want)
 	}
-	if got := all.Deployment("front").ArrivalRateAt(100, 100); got < 39 || got > 41 {
+	if got, want := back.CPUPerRequestMS(20), allBack.CPUPerRequestMS(20); got != want {
+		t.Errorf("CPU per request over the declared 20 s = %v, want %v", got, want)
+	}
+	if got, want := bounded.APIArrivalRate("get", 5), all.APIArrivalRate("get", 5); got != want {
+		t.Errorf("API rate over the declared 5 s = %v, want %v", got, want)
+	}
+	if got := allBack.ArrivalRateAt(100, 100); got < 39 || got > 41 {
 		t.Errorf("undeclared cluster: arrival rate over the first 100 s = %v, want ≈40", got)
 	}
-	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "look-back of 20 s") {
-			t.Errorf("reading 60 s back: recovered %q, want a panic naming the 20 s look-back", msg)
+	if got, want := len(back.readySeries.T), len(allBack.readySeries.T); got > want {
+		t.Errorf("ready series holds %d points, %d on a cluster that kept everything", got, want)
+	}
+
+	panics := func(read func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		read()
+		return
+	}
+	for _, w := range []struct {
+		name       string
+		got, whole *metrics.Window
+	}{{"self-latency", back.selfLat, allBack.selfLat}, {"service arrival", back.arrivals, allBack.arrivals}} {
+		at, ok := w.got.LastAt()
+		if wantAt, _ := w.whole.LastAt(); w.got.Retained() != 0 || w.got.Len() != 8000 || !ok || at != wantAt {
+			t.Errorf("undeclared %s window: retains %d, Len %d, LastAt %v %v; want 0, 8000, %v", w.name, w.got.Retained(), w.got.Len(), at, ok, wantAt)
 		}
-	}()
-	bounded.APIArrivalRate("get", 60)
+	}
+	if n := bounded.Retained(ServiceRates | SelfLatency); n != 0 {
+		t.Errorf("Retained reports %d observations of the undeclared signals", n)
+	}
+	at, ok := bounded.LastDeploymentTelemetryAt()
+	if wantAt, wantOK := all.LastDeploymentTelemetryAt(); at != wantAt || ok != wantOK {
+		t.Errorf("LastDeploymentTelemetryAt = %v %v, want %v %v", at, ok, wantAt, wantOK)
+	}
+	now := bounded.Eng.Now()
+	if msg := panics(func() { back.SelfLatencyQuantile(0.5, 1) }); !strings.Contains(msg, "service self-latency") {
+		t.Errorf("reading undeclared self latency: recovered %q, want a panic naming the signal", msg)
+	}
+	if msg := panics(func() { back.ArrivalRateAt(now+10, 5) }); !strings.Contains(msg, "service arrival") {
+		t.Errorf("reading undeclared service arrivals after their last observation: recovered %q, want a panic naming the signal", msg)
+	}
+	if msg := panics(func() { bounded.APIArrivalRate("get", 60) }); !strings.Contains(msg, "look-back of 5 s") || !strings.Contains(msg, "API arrival") {
+		t.Errorf("reading API arrivals 60 s back: recovered %q, want a panic naming the 5 s look-back", msg)
+	}
+
+	// CPU undeclared: the ready series keeps its newest point only.
+	eng, c := newTestCluster(twoSvc())
+	c.DeclareLookback(E2ELatency, 10)
+	for i := 1; i <= 50; i++ {
+		eng.At(float64(i), func() { c.Deployment("back").SetReplicas(1 + i%3) })
+	}
+	eng.RunUntil(120)
+	if n := len(c.Deployment("back").readySeries.T); n != 1 {
+		t.Errorf("ready series holds %d points with CPU undeclared, want 1", n)
+	}
 }

@@ -13,7 +13,6 @@ import (
 // telemetry.
 type apiState struct {
 	def      *app.API
-	e2e      *metrics.Window // end-to-end latency
 	arrivals *metrics.Window // frontend arrivals
 }
 
@@ -137,7 +136,6 @@ func (c *Cluster) complete(req *request) {
 	now := c.Eng.Now()
 	lat := now - req.start
 	if c.frontendTelemetryOn() {
-		req.api.e2e.Add(now, lat)
 		c.e2eAll.Add(now, lat)
 	}
 	if c.traceDropP > 0 && c.Eng.Rand().Float64() < c.traceDropP {
@@ -238,7 +236,7 @@ func (f *frame) onServiceDone() {
 // a completed request is never duplicated by a retry.
 func (f *frame) retryOrFail() {
 	c := f.cl
-	f.d.errors.Add(c.Eng.Now(), 1)
+	f.d.failedAttempts++
 	if f.try < c.Cfg.MaxRetries {
 		backoff := c.Cfg.RetryBaseS * math.Pow(2, float64(f.try))
 		f.try++

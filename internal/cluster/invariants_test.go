@@ -231,7 +231,7 @@ func TestRequestConservationUnderKillsProperty(t *testing.T) {
 				t.Logf("%s: %d frames still queued", name, d.queue.n)
 				return false
 			}
-			failedAttempts += d.errors.Len()
+			failedAttempts += d.failedAttempts
 		}
 		failedCalls += cl.FailedCalls()
 		reused += 7*n - cl.framesMade // a "cart" request runs on 7 frames

@@ -98,13 +98,13 @@ func TestSimulationDigestMatchesClosureImplementation(t *testing.T) {
 // Once the free lists, the event heap and the collector rings have reached
 // their steady size and the telemetry windows hold one look-back, a simulated
 // request allocates nothing: no call frame, closure, event, trace, span array,
-// visit vector or window chunk. The look-back is the one a controller declares, 3 × 10 s.
+// visit vector or window chunk. Every signal is kept, over a controller's longest look-back, 3 × 10 s.
 func TestSteadyStateRequestAllocations(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.TraceCap = 256 // every API's ring is full after the warm-up
 	eng := sim.NewEngine(7)
 	cl := cluster.New(eng, app.OnlineBoutique(), cfg)
-	cl.DeclareLookback(30)
+	cl.DeclareLookback(cluster.AllSignals, 30)
 	for _, name := range cl.App.ServiceNames() {
 		cl.Deployment(name).SetQuota(1500)
 	}

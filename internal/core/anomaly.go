@@ -53,7 +53,7 @@ type AnomalyMitigator struct {
 
 // NewAnomalyMitigator returns a mitigator for every microservice of c.
 func NewAnomalyMitigator(c *cluster.Cluster, cfg AnomalyMitigatorConfig) *AnomalyMitigator {
-	c.DeclareLookback(cfg.LongWindowS)
+	c.DeclareLookback(cluster.SelfLatency|cluster.ServiceRates, cfg.LongWindowS)
 	return &AnomalyMitigator{Cluster: c, Cfg: cfg, extra: map[string]float64{}, preBoost: map[string]float64{}}
 }
 

@@ -317,7 +317,8 @@ func NewController(cl *cluster.Cluster, m LatencyModel, an *Analyzer, b Bounds, 
 	if cfg.Forecast.Enabled {
 		fc = forecast.NewPredictor(cfg.Forecast)
 	}
-	cl.DeclareLookback(3 * cfg.RateWindowS) // the measured-p99 and CPU-per-request reads
+	cl.DeclareLookback(cluster.APIRates, cfg.RateWindowS)
+	cl.DeclareLookback(cluster.E2ELatency|cluster.CPU, 3*cfg.RateWindowS) // the measured-p99 and CPU-per-request reads
 	return &Controller{Cluster: cl, Model: m, Analyzer: an, Bounds: b, Cfg: cfg,
 		st: ControllerState{StaleSince: -1, Forecast: fc}}
 }

@@ -442,7 +442,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 	t := &Tenant{ID: tc.ID, Shard: shardOf(tc.ID, cfg.Shards), slo: slo, auditSum: fnv.New64a()}
 	t.Eng = sim.NewEngine(seed)
 	t.Cluster = cluster.New(t.Eng, tapp, cluster.DefaultConfig())
-	t.Cluster.DeclareLookback(cfg.TickS) // tick's p99 over the interval it just ran
+	t.Cluster.DeclareLookback(cluster.E2ELatency, cfg.TickS) // tick's p99 over the interval it just ran
 
 	// Per-tenant telemetry: the audit stream goes to a private buffer so
 	// determinism tests can compare runs byte-for-byte; fleet-level

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graf/internal/app"
+	"graf/internal/cluster"
 	"graf/internal/core"
 	"graf/internal/gnn"
 	"graf/internal/obs"
@@ -17,18 +18,18 @@ import (
 // and the request path recycles everything else. The live heap after 2000
 // decisions is the live heap after 500, the audit buffer aside (it is the
 // tenant's output and grows by one record per decision) — and it is small:
-// the ceilings are what each tenant measured when the trace rings stopped
-// keeping spans (1100 and 1573 KB, half of it exact-quantile telemetry
-// windows), plus 15%, so that a per-tenant structure of ring size — the spans
-// were 5.9 MB on OnlineBoutique — cannot come back unnoticed.
+// the ceilings are what each tenant measured when its windows stopped keeping
+// the signals nothing in a tenant reads (496 and 677 KB, from 1034 and 1456),
+// plus 15%, so that a per-tenant structure of ring size — trace spans were
+// 5.9 MB on OnlineBoutique, unread windows 0.9 MB — cannot come back unnoticed.
 func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		app       *app.App
 		ceilingKB float64 // live heap less model and audit buffer
 	}{
-		{"chain-4", app.SyntheticChain(4), 1265},
-		{"online-boutique", app.OnlineBoutique(), 1810}, // the repo benchmark's tenant
+		{"chain-4", app.SyntheticChain(4), 570},
+		{"online-boutique", app.OnlineBoutique(), 780}, // the repo benchmark's tenant
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// A tenant in its steady state: capacity enough that the SLO holds
@@ -50,6 +51,7 @@ func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 			live := func() float64 {
 				var ms runtime.MemStats
 				runtime.GC()
+				runtime.GC() // twice: what earlier tests left in sync.Pools survives one collection
 				runtime.ReadMemStats(&ms)
 				return float64(ms.HeapAlloc)
 			}
@@ -84,5 +86,36 @@ func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 			}
 			f.Stop()
 		})
+	}
+}
+
+// Nothing in a default tenant reads per-service arrival rates or self latency
+// (the anomaly mitigator and FIRM-like do; a tenant runs neither), so their
+// windows count what they are given and hold none of it, while the signals
+// the controller and the tick read hold about one look-back each.
+func TestTenantRetainsOnlySignalsItReads(t *testing.T) {
+	f, err := New(testConfig(1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	for i := 0; i < 100; i++ {
+		f.Round()
+	}
+	tn := f.Tenants()[0]
+	if tn.Degraded() {
+		t.Fatalf("tenant degraded: %v", tn.PanicValue())
+	}
+	cl := tn.Cluster
+	if at, ok := cl.LastDeploymentTelemetryAt(); !ok || cl.Eng.Now()-at > 1 {
+		t.Errorf("LastDeploymentTelemetryAt = %v %v at t=%v, want a fresh timestamp", at, ok, cl.Eng.Now())
+	}
+	if n := cl.Retained(cluster.ServiceRates | cluster.SelfLatency); n != 0 {
+		t.Errorf("%d per-service arrival and self-latency observations retained, want 0", n)
+	}
+	for _, sig := range []cluster.Signal{cluster.APIRates, cluster.E2ELatency, cluster.CPU} {
+		if cl.Retained(sig) == 0 {
+			t.Errorf("signal %#b, which the tenant reads, retains nothing", sig)
+		}
 	}
 }

@@ -256,7 +256,7 @@ func NewManager(cl *cluster.Cluster, model *gnn.Model, b core.Bounds, slo float6
 	if cfg.IntervalS <= 0 {
 		cfg.IntervalS = 5
 	}
-	cl.DeclareLookback(cfg.WindowS)
+	cl.DeclareLookback(cluster.APIRates|cluster.E2ELatency, cfg.WindowS)
 	m := &Manager{
 		Cl: cl, Cfg: cfg, SLO: slo, Bounds: b,
 		an:          core.NewAnalyzer(cl.App),

@@ -100,7 +100,7 @@ func TestDigestMeanMax(t *testing.T) {
 }
 
 func TestWindowQueries(t *testing.T) {
-	w := NewWindow()
+	w := NewWindow("")
 	for i := 0; i < 100; i++ {
 		w.Add(float64(i), float64(i))
 	}
@@ -119,7 +119,7 @@ func TestWindowQueries(t *testing.T) {
 }
 
 func TestWindowTrim(t *testing.T) {
-	w := NewWindow()
+	w := NewWindow("")
 	for i := 0; i < 10; i++ {
 		w.Add(float64(i), 1)
 	}
@@ -133,7 +133,7 @@ func TestWindowTrim(t *testing.T) {
 }
 
 func TestWindowEmptyInterval(t *testing.T) {
-	w := NewWindow()
+	w := NewWindow("")
 	w.Add(1, 10)
 	if w.Quantile(0.99, 5, 6) != 0 || w.Mean(5, 6) != 0 {
 		t.Error("queries over empty interval must return 0")
@@ -244,7 +244,7 @@ func TestTrimmedSeriesMatchesUntrimmedReference(t *testing.T) {
 // Property: window quantile equals digest quantile over the same values.
 func TestWindowMatchesDigest(t *testing.T) {
 	f := func(raw []uint16) bool {
-		w := NewWindow()
+		w := NewWindow("")
 		d := NewDigest(len(raw))
 		for i, r := range raw {
 			v := float64(r)

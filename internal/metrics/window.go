@@ -33,7 +33,10 @@ type chunk [chunkLen]timed
 // one look-back, and never holds more than its busiest look-back plus two
 // chunks. A query that reaches back to a reused chunk panics: its answer
 // would silently miss observations.
+// At look-back 0 — a signal no reader declared — Add only counts and dates the
+// observation (Len and LastAt answer as ever), and every interval query panics.
 type Window struct {
+	name   string   // what the window records, for the panic of a read past its look-back
 	chunks []*chunk // oldest first
 	off    int      // position in chunks[0] of the oldest retained observation
 	n      int      // retained observations
@@ -45,15 +48,19 @@ type Window struct {
 	scratch []float64 // Quantile's copy of the interval it selects from
 }
 
-// NewWindow returns an empty window that keeps every observation.
-func NewWindow() *Window {
-	return &Window{lookback: math.Inf(1), floor: math.Inf(-1)}
+// NewWindow returns an empty window, named for what it records, that keeps
+// every observation.
+func NewWindow(name string) *Window {
+	return &Window{name: name, lookback: math.Inf(1), floor: math.Inf(-1)}
 }
 
 // SetLookback declares that no query will reach further than seconds behind
-// the newest observation. It takes effect as the window grows: what a
-// shorter look-back already dropped stays dropped.
+// the newest observation, or with 0 no query at all. It takes effect with the
+// next Add: what a shorter look-back already dropped stays dropped.
 func (w *Window) SetLookback(seconds float64) { w.lookback = seconds }
+
+// Lookback returns the look-back last set; +Inf for a window that keeps everything.
+func (w *Window) Lookback() float64 { return w.lookback }
 
 // at returns the i-th oldest retained observation.
 func (w *Window) at(i int) *timed {
@@ -64,12 +71,16 @@ func (w *Window) at(i int) *timed {
 // Add records observation v at time at. Observations must be added in
 // nondecreasing time order (the simulator guarantees this).
 func (w *Window) Add(at, v float64) {
+	w.total++
+	if w.lookback == 0 {
+		w.chunks, w.scratch, w.off, w.n, w.floor = nil, nil, 0, 0, at
+		return
+	}
 	if w.off+w.n == len(w.chunks)*chunkLen {
 		w.grow(at)
 	}
 	*w.at(w.n) = timed{at, v}
 	w.n++
-	w.total++
 }
 
 // grow makes room behind a full tail chunk for observations from time now
@@ -104,21 +115,25 @@ func (w *Window) Trim(before float64) {
 }
 
 // LastAt returns the timestamp of the most recent observation and whether
-// the window holds any.
+// the window holds any — at look-back 0, whether it has counted any.
 func (w *Window) LastAt() (float64, bool) {
-	if w.n == 0 {
-		return 0, false
+	if w.n > 0 {
+		return w.at(w.n - 1).at, true
 	}
-	return w.at(w.n - 1).at, true
+	if w.lookback == 0 && w.total > 0 {
+		return w.floor, true
+	}
+	return 0, false
 }
 
 // bounds returns the index range [lo, hi) of the observations with
 // timestamp in [from, to]. It panics when from reaches observations the
-// look-back dropped — a reader that declared too short a look-back, or none.
+// look-back dropped — a reader that declared too short a look-back — and on
+// any read at look-back 0, whose reader declared none.
 func (w *Window) bounds(from, to float64) (lo, hi int) {
-	if from <= w.floor && !math.IsInf(w.floor, -1) {
-		panic(fmt.Sprintf("metrics: window read from t=%v, but a look-back of %v s was declared and observations up to t=%v are gone",
-			from, w.lookback, w.floor))
+	if w.lookback == 0 || from <= w.floor && !math.IsInf(w.floor, -1) {
+		panic(fmt.Sprintf("metrics: %s window read from t=%v, but a look-back of %v s was declared (0: by no reader) and observations up to t=%v are gone",
+			w.name, from, w.lookback, w.floor))
 	}
 	lo = sort.Search(w.n, func(i int) bool { return w.at(i).at >= from })
 	hi = sort.Search(w.n, func(i int) bool { return w.at(i).at > to })

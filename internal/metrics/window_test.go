@@ -42,7 +42,7 @@ func (w *sliceWindow) since(from, to float64) []float64 {
 func TestWindowMatchesSliceReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		w, ref := NewWindow(), &sliceWindow{}
+		w, ref := NewWindow(""), &sliceWindow{}
 		now := 0.0
 		for step := 0; step < 60; step++ {
 			switch rng.Intn(4) {
@@ -135,7 +135,7 @@ func TestLookbackMatchesUnboundedReference(t *testing.T) {
 		lookback := []float64{0.3, 2, 10, 45}[rng.Intn(4)] * (0.5 + rng.Float64())
 		maxRate := []float64{20, 300, 5000}[rng.Intn(3)]
 		maxChunks := int(math.Ceil(lookback*maxRate/chunkLen)) + 2
-		w, ref := NewWindow(), &sliceWindow{}
+		w, ref := NewWindow(""), &sliceWindow{}
 		w.SetLookback(lookback)
 		now := 0.0
 		for step := 0; step < 80; step++ {
@@ -194,7 +194,7 @@ func TestQuantileMatchesSortedNearestRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 3, 10, 100, 257, 1000, 5000} {
 		for _, distinct := range []int{1, 2, 7, n} {
-			w := NewWindow()
+			w := NewWindow("")
 			sorted := make([]float64, n)
 			for i := range sorted {
 				sorted[i] = float64(rng.Intn(distinct)) * 0.125
@@ -223,7 +223,7 @@ func TestQuantileMatchesSortedNearestRank(t *testing.T) {
 // look-back; declaring a longer one afterwards keeps more from then on but
 // does not bring anything back.
 func TestReadPastLookbackPanics(t *testing.T) {
-	w := NewWindow()
+	w := NewWindow("")
 	w.SetLookback(10)
 	now := 0.0
 	run := func(seconds float64) {
@@ -260,12 +260,64 @@ func TestReadPastLookbackPanics(t *testing.T) {
 	}
 }
 
+// At look-back 0 a window counts and dates what it is given and holds none of
+// it — what it held before included, from the next Add on; every interval
+// query panics, naming the window, whatever interval it asks for; and raising
+// the look-back afterwards retains from then on, with what came before gone.
+func TestLookbackZeroKeepsCountAndLastAtOnly(t *testing.T) {
+	w := NewWindow("self latency")
+	if _, ok := w.LastAt(); ok {
+		t.Error("an empty window reports a last observation")
+	}
+	for i := 0; i < 3*chunkLen; i++ {
+		w.Add(float64(i), 1)
+	}
+	w.SetLookback(0)
+	if w.Retained() != 3*chunkLen {
+		t.Errorf("SetLookback(0) alone dropped observations: %d held", w.Retained())
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { w.Add(1000, 2) }); allocs != 0 {
+		t.Errorf("Add at look-back 0 allocates %v objects", allocs)
+	}
+	w.Add(1001.5, 2)
+	if at, ok := w.LastAt(); w.Retained() != 0 || len(w.chunks) != 0 || w.Len() != 3*chunkLen+1002 || !ok || at != 1001.5 {
+		t.Errorf("at look-back 0: holds %d in %d chunks, Len %d, LastAt %v %v", w.Retained(), len(w.chunks), w.Len(), at, ok)
+	}
+	panics := func(read func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		read()
+		return ""
+	}
+	for name, read := range map[string]func(){
+		"Quantile": func() { w.Quantile(0.99, 0, 2000) },
+		"Count":    func() { w.Count(1500, 2000) }, // newer than anything it saw
+		"Sum":      func() { w.Sum(1001.5, 1001.5) },
+		"Mean":     func() { w.Mean(0, 1) },
+		"Since":    func() { w.Since(0, 2000) },
+	} {
+		if msg := panics(read); !strings.Contains(msg, "self latency window") || !strings.Contains(msg, "look-back of 0 s") {
+			t.Errorf("%s at look-back 0: recovered %q, want a panic naming the window and its look-back", name, msg)
+		}
+	}
+
+	w.SetLookback(10)
+	for i := 0; i < 5; i++ {
+		w.Add(1002+float64(i), 3)
+	}
+	if got := w.Count(1002, 1010); got != 5 || w.Retained() != 5 {
+		t.Errorf("after raising the look-back: Count %d, holds %d, want 5 and 5", got, w.Retained())
+	}
+	if msg := panics(func() { w.Count(1001.5, 1010) }); !strings.Contains(msg, "look-back of 10 s") {
+		t.Errorf("reading back to what look-back 0 dropped: recovered %q, want a panic", msg)
+	}
+}
+
 // Appending to a window that keeps everything allocates one chunk per
 // chunkLen observations (and, rarely, a longer slice of chunk pointers); once
 // a window with a look-back holds it, appending allocates nothing. Reading a
 // range never allocates, quantiles included.
 func TestWindowAllocations(t *testing.T) {
-	w := NewWindow()
+	w := NewWindow("")
 	at := 0.0
 	fill := func() {
 		for i := 0; i < chunkLen; i++ {
