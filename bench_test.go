@@ -245,8 +245,10 @@ func BenchmarkChaosRobustness(b *testing.B) { runExperiment(b, bench.ChaosRobust
 func BenchmarkObsReplay(b *testing.B)   { runExperiment(b, bench.ObsReplay) }
 func BenchmarkObsOverhead(b *testing.B) { runExperiment(b, bench.ObsOverhead) }
 
-// --- Crash recovery (checkpoint + supervised warm restart, DESIGN.md §3e) ---
+// --- Crash recovery (checkpoint + in-place warm restart, DESIGN.md §3e) -----
 
+// BenchmarkRecovery prints the recovery table at the benchmark scale; its
+// shape targets are asserted by internal/bench's TestRecoveryWarmBeatsCold.
 func BenchmarkRecovery(b *testing.B) { runExperiment(b, bench.Recovery) }
 
 // --- Fleet control plane (sharded multi-tenant, DESIGN.md §3g) --------------

@@ -26,7 +26,6 @@
 package graf
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -234,76 +233,10 @@ func ChaosTelemetryCorrupt(at, lat time.Duration, n int) ChaosEvent {
 	return chaos.CorruptTelemetry(at.Seconds(), lat.Seconds(), n)
 }
 
-// ChaosControllerCrash kills the control plane itself at the given offset;
-// the supervisor restarts it after restartAfter, warm (checkpoint +
-// audit-tail restore) or cold. Requires a controller started with
-// StartGRAFSupervised — against a plain StartGRAF controller the event is a
-// logged no-op.
-func ChaosControllerCrash(at, restartAfter time.Duration, warm bool) ChaosEvent {
-	return chaos.CrashController(at.Seconds(), restartAfter.Seconds(), warm)
-}
-
-// Crash-recovery building blocks (see internal/ckpt and DESIGN.md §3e).
-type (
-	// CheckpointStore persists generations of control-plane snapshots with
-	// corruption quarantine and previous-generation fallback.
-	CheckpointStore = ckpt.Store
-	// Supervisor runs the GRAF controller under panic protection with
-	// periodic checkpointing and warm restart.
-	Supervisor = ckpt.Supervisor
-)
-
 // ErrCorruptFile matches (via errors.Is) every corruption error raised by
 // checkpoint and model files: bad magic, wrong version, truncation, or
 // checksum mismatch.
 var ErrCorruptFile = ckpt.ErrCorrupt
-
-// NewCheckpointStore opens (creating if needed) a snapshot store rooted at
-// dir.
-func NewCheckpointStore(dir string) (*CheckpointStore, error) { return ckpt.NewStore(dir) }
-
-// SupervisorOptions parameterizes StartGRAFSupervised.
-type SupervisorOptions struct {
-	// Dir is the checkpoint directory (required).
-	Dir string
-
-	// CheckpointEvery is the snapshot cadence in simulated time
-	// (default 20s).
-	CheckpointEvery time.Duration
-
-	// Cold disables warm restore: after a crash the controller restarts
-	// with empty state, as if no checkpoint existed. The recovery
-	// benchmark's baseline.
-	Cold bool
-
-	// MaxRestarts bounds panic-driven restarts (default 8). Chaos-scripted
-	// crashes don't consume the budget.
-	MaxRestarts int
-
-	// BackoffBase is the first panic-restart delay, doubling per restart
-	// (default 1s, capped at 60s).
-	BackoffBase time.Duration
-
-	// PriorAudit supplies audit records recovered from a previous
-	// process's log file (see ReadAuditLog), so a cross-process warm
-	// restore can fold the decisions the dead process made after its last
-	// checkpoint. Records at or before the snapshot time are ignored.
-	PriorAudit []AuditRecord
-
-	// Tune, if set, is called on every controller the supervisor builds
-	// (initial boot and each restart) before it starts — the place to hang
-	// OnDecision/OnHealth callbacks, since restarts replace the controller
-	// instance.
-	Tune func(*Controller)
-
-	// Lifecycle, if set, runs the model-trust subsystem under the
-	// supervisor's crash-safety umbrella: the manager re-attaches to every
-	// rebuilt controller, its full state (phase, monitor, samples, model
-	// archive) rides in every checkpoint, and a warm restore resumes a
-	// mid-canary probation window exactly where it stood. Create it with
-	// NewLifecycle; the supervisor starts its ticker.
-	Lifecycle *Lifecycle
-}
 
 // Model-lifecycle building blocks (see internal/lifecycle and DESIGN.md §3f).
 type (
@@ -361,13 +294,17 @@ type LifecycleOptions struct {
 
 // NewLifecycle creates the model-trust manager for this simulation around a
 // trained model (generation 0). The manager is not yet watching anything:
-// either pass it to StartGRAFSupervised via SupervisorOptions.Lifecycle, or
-// bind it to a plain controller yourself with Attach + Start:
+// bind it to a controller with Attach, then Start it:
 //
 //	ctl, _ := sim.StartGRAF(trained, slo)
 //	lc := sim.NewLifecycle(trained, graf.LifecycleOptions{BaseSamples: samples})
 //	lc.Attach(ctl)
 //	lc.Start()
+//
+// A simulation's manager lives and dies with the process. A lifecycle
+// tenant that must survive a crash runs on the fleet (grafd -lifecycle),
+// whose restore re-executes the tenant, lifecycle included, up to its
+// checkpoint.
 func (s *Simulation) NewLifecycle(t *TrainedModel, o LifecycleOptions) *Lifecycle {
 	cfg := lifecycle.DefaultConfig()
 	if o.Config != nil {
@@ -407,32 +344,6 @@ func (s *Simulation) NewLifecycle(t *TrainedModel, o LifecycleOptions) *Lifecycl
 		m.PersistIncumbent()
 	}
 	return m
-}
-
-// ResumeFromCheckpoint prepares a fresh simulation to continue a previous
-// process's run: it loads the latest valid snapshot from dir, fast-forwards
-// the simulated clock to the snapshot instant, and rebuilds the cluster's
-// scaling state (quotas, ready replicas, in-progress startups). Returns
-// false when no valid snapshot exists — the caller proceeds with a cold
-// boot. Call it before starting generators or StartGRAFSupervised (whose
-// warm boot then restores the controller state from the same snapshot).
-func (s *Simulation) ResumeFromCheckpoint(dir string) (bool, error) {
-	store, err := ckpt.NewStore(dir)
-	if err != nil {
-		return false, err
-	}
-	snap, err := store.LoadLatest()
-	if err != nil {
-		if errors.Is(err, ckpt.ErrNoSnapshot) {
-			return false, nil
-		}
-		return false, err
-	}
-	if snap.At > s.Engine.Now() {
-		s.Engine.RunUntil(snap.At)
-	}
-	s.Cluster.RestoreState(snap.Cluster)
-	return true, nil
 }
 
 // Observability building blocks (see internal/obs and DESIGN.md §3d).
@@ -653,110 +564,6 @@ func (s *Simulation) StartGRAFWith(t *TrainedModel, cfg ControllerConfig) (*Cont
 	}
 	ctl.Start()
 	return ctl, nil
-}
-
-// StartGRAFSupervised runs the GRAF controller under the crash-recovery
-// supervisor: decisions execute inside a panic guard, the control plane's
-// state (controller + cluster scaling state) is checkpointed to o.Dir every
-// o.CheckpointEvery of simulated time, and on death — a panic, or a
-// scripted ChaosControllerCrash — the controller is rebuilt and (unless
-// o.Cold) warm-restored from the latest valid snapshot plus the audit-log
-// tail. The simulation's chaos injector is wired to the supervisor, so
-// ControllerCrash events target it.
-func (s *Simulation) StartGRAFSupervised(t *TrainedModel, cfg ControllerConfig, o SupervisorOptions) (*Supervisor, error) {
-	if err := t.ValidateFor(s.Cluster.App); err != nil {
-		return nil, err
-	}
-	store, err := ckpt.NewStore(o.Dir)
-	if err != nil {
-		return nil, err
-	}
-	cfg.TrainedMinRate = t.MinRate
-	cfg.TrainedMaxRate = t.MaxRate
-	build := func() *Controller {
-		an := core.NewAnalyzer(s.Cluster.App)
-		ctl := core.NewController(s.Cluster, t.Model, an, t.Bounds, cfg)
-		if s.obs != nil {
-			ctl.Obs = obs.NewControllerObs(s.obs)
-		}
-		if o.Tune != nil {
-			o.Tune(ctl)
-		}
-		if o.Lifecycle != nil {
-			// Restarts replace the controller instance; the manager follows.
-			// The supervisor restores controller state after this, then
-			// RestoreExtra re-applies the restored lifecycle world on top,
-			// so a warm boot ends with the snapshot's generation and trust.
-			o.Lifecycle.Attach(ctl)
-		}
-		return ctl
-	}
-	scfg := ckpt.SupervisorConfig{
-		Store:            store,
-		Build:            build,
-		CheckpointEveryS: 20,
-		Warm:             !o.Cold,
-		MaxRestarts:      o.MaxRestarts,
-	}
-	if o.Lifecycle != nil {
-		lc := o.Lifecycle
-		scfg.SnapshotExtra = lc.SnapshotState
-		scfg.RestoreExtra = func(blob []byte) {
-			// A snapshot from a pre-lifecycle run carries no blob; the
-			// manager keeps its in-memory state. A corrupt blob is reported
-			// through the manager's own event stream and likewise keeps the
-			// live state — a lifecycle decode problem must not take down an
-			// otherwise healthy warm restore.
-			if err := lc.RestoreState(blob); err != nil && lc.OnEvent != nil {
-				lc.OnEvent(s.Engine.Now(), "restore-error", err.Error())
-			}
-		}
-	}
-	if o.CheckpointEvery > 0 {
-		scfg.CheckpointEveryS = o.CheckpointEvery.Seconds()
-	}
-	if o.BackoffBase > 0 {
-		scfg.BackoffBaseS = o.BackoffBase.Seconds()
-	}
-	prior := o.PriorAudit
-	if s.obs != nil {
-		scfg.Obs = obs.NewSupervisorObs(s.obs)
-		flight := s.obs.Flight
-		scfg.TailSince = func(at float64) []AuditRecord {
-			var out []AuditRecord
-			for _, r := range prior {
-				if r.At > at {
-					out = append(out, r)
-				}
-			}
-			for _, r := range flight.Records() {
-				if r.At > at {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-		// One header record for the whole supervised run: restarts resume
-		// the same recording rather than opening a new one.
-		s.obs.Flight.Record(core.HeaderRecord(s.Cluster.App, cfg, s.Engine.Now()))
-	} else if len(prior) > 0 {
-		scfg.TailSince = func(at float64) []AuditRecord {
-			var out []AuditRecord
-			for _, r := range prior {
-				if r.At > at {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-	}
-	sup := ckpt.NewSupervisor(s.Engine, s.Cluster, scfg)
-	s.Chaos().Control = sup
-	sup.Start()
-	if o.Lifecycle != nil {
-		o.Lifecycle.Start()
-	}
-	return sup, nil
 }
 
 // TrainOptions parameterizes offline training (§3.7, §5 "Sample Collection

@@ -307,6 +307,32 @@ func TestDriftLifecycleBeatsStatic(t *testing.T) {
 	}
 }
 
+func TestRecoveryWarmBeatsCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("recovery experiment needs a trained pipeline")
+	}
+	tr := BoutiquePipeline(Quick())
+	warm := runRecovery(tr, true, tr.SLO, 42)
+	cold := runRecovery(tr, false, tr.SLO, 42)
+	if warm.violS >= cold.violS {
+		t.Errorf("warm viol-s %.0f not strictly below cold %.0f", warm.violS, cold.violS)
+	}
+	if warm.reconvergeTick >= cold.reconvergeTick {
+		t.Errorf("warm reconverged in %d ticks, not strictly fewer than cold's %d",
+			warm.reconvergeTick, cold.reconvergeTick)
+	}
+	if warm.crashes != 1 || cold.crashes != 1 {
+		t.Errorf("crashes warm=%d cold=%d, want one scripted kill per run", warm.crashes, cold.crashes)
+	}
+	if warm.mode != "warm" || cold.mode != "cold" {
+		t.Errorf("restore modes warm=%q cold=%q, want warm and cold", warm.mode, cold.mode)
+	}
+	if warm.stranded != 0 || cold.stranded != 0 {
+		t.Errorf("stranded in-flight requests after drain: warm=%d cold=%d",
+			warm.stranded, cold.stranded)
+	}
+}
+
 // TestSolverLoopRuns smoke-tests the closed-loop solver comparison at its
 // smallest size: both versions produce a row per trace, and version 2 makes
 // its decisions on a fraction of version 1's model calls.

@@ -18,35 +18,35 @@ type recoveryOut struct {
 	violS          float64 // seconds of fault-window samples with p99(10s) > SLO
 	worstP99       float64 // worst sliding p99 during the window (s)
 	reconvergeTick int     // decision ticks from restart to the last violating sample
-	crashes        int     // controller deaths observed by the supervisor
+	crashes        int     // controller kills the run scripted
 	mode           string  // restore mode of the last restart
 	stranded       int     // in-flight requests left after full drain (must be 0)
 }
 
-// recoveryScenario is the crash schedule, relative to the injection start:
-// the telemetry pipeline starts lying (5% arrival sampling) at +10 and the
-// control plane is killed at +13 — inside the same decision interval, so
-// the live controller never gets to act on the lying signal — then restarts
-// 15 s later, warm or cold per the flag. The workload surges two seconds
-// after the restart, while the telemetry is still lying: the restarted
-// controller must decide, from whatever state it came back with, whether
-// the ~12 rps it observes is a real traffic drop or a telemetry fault.
-func recoveryScenario(warm bool) chaos.Scenario {
-	return chaos.Scenario{Name: "recovery", Events: []chaos.Event{
-		chaos.SampleArrivals(10, 0.05, 60),
-		chaos.CrashController(13, 15, warm),
-	}}
-}
+// The crash schedule, relative to the injection start: the telemetry
+// pipeline starts lying (5% arrival sampling) at +10 and the control plane
+// is killed at +13 — inside the same decision interval, so the live
+// controller never gets to act on the lying signal — then restarts 15 s
+// later, warm or cold. The workload surges two seconds after the restart,
+// while the telemetry is still lying: the restarted controller must decide,
+// from whatever state it came back with, whether the ~12 rps it observes is
+// a real traffic drop or a telemetry fault.
+const (
+	recoveryCrashAtS  = 13
+	recoveryRestartS  = 15
+	recoveryCkptEvery = 20
+)
 
-// runRecovery drives one supervised GRAF control plane through the crash
-// scenario on a warm Online Boutique cluster. The only difference between
-// the two runs is the restart mode: warm restores the last checkpoint and
-// folds the audit tail; cold restarts the controller with empty state. The
-// cold controller trusts the sampled-down arrival rate (its stale-telemetry
-// detector has no reference rate to compare against) and tears capacity
-// down just as the surge lands; the warm one recognizes the collapse
-// against its restored reference rate and holds the last-known-good
-// configuration until the telemetry recovers.
+// runRecovery drives one GRAF controller through the crash scenario on a
+// warm Online Boutique cluster, checkpointing it every 20 s. The cluster
+// outlives the kill; only the controller dies and is rebuilt in place. The
+// only difference between the two runs is the restart mode: warm restores
+// the last checkpoint and folds the audit tail; cold restarts the
+// controller with empty state. The cold controller trusts the sampled-down
+// arrival rate (its stale-telemetry detector has no reference rate to
+// compare against) and tears capacity down just as the surge lands; the
+// warm one recognizes the collapse against its restored reference rate and
+// holds the last-known-good configuration until the telemetry recovers.
 func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
@@ -62,8 +62,8 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 		panic(err)
 	}
 
-	// A memory-only telemetry bundle feeds the audit tail that warm restore
-	// folds on top of the snapshot.
+	// A memory-only telemetry bundle keeps the audit log whose tail warm
+	// restore folds on top of the snapshot.
 	tel := obs.New(obs.Options{})
 	cfg := core.DefaultControllerConfig(slo)
 	cfg.TrainedMinRate = tr.RateLo
@@ -74,22 +74,13 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 		ctl.Obs = obs.NewControllerObs(tel)
 		return ctl
 	}
-	sup := ckpt.NewSupervisor(eng, cl, ckpt.SupervisorConfig{
-		Store:            store,
-		Build:            build,
-		CheckpointEveryS: 20,
-		Warm:             warm,
-		TailSince: func(at float64) []obs.Record {
-			var out []obs.Record
-			for _, r := range tel.Flight.Records() {
-				if r.At > at {
-					out = append(out, r)
-				}
-			}
-			return out
-		},
+	ctl := build()
+	ctl.Start()
+	stopCkpt := eng.Ticker(eng.Now()+recoveryCkptEvery, recoveryCkptEvery, func() {
+		if _, _, err := store.Save(&ckpt.Snapshot{At: eng.Now(), Controller: ctl.Snapshot()}); err != nil {
+			panic(err)
+		}
 	})
-	sup.Start()
 
 	// The workload surges 240→300 rps at absolute t=240, two seconds after
 	// the restarted controller comes back at t=238: the restart and the
@@ -99,14 +90,38 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 	settle := eng.Now() + 150
 	eng.RunUntil(settle)
 
-	inj := chaos.New(cl)
-	inj.Control = sup
-	inj.Play(recoveryScenario(warm))
-
-	faultStart := eng.Now()           // 210
-	restartAt := faultStart + 13 + 15 // crash +13, restart delay 15
-	const observeS = 240
 	var out recoveryOut
+	restart := func() {
+		ctl = build()
+		out.mode = "cold"
+		if warm {
+			snap, err := store.LoadLatest()
+			if err != nil {
+				panic(err)
+			}
+			st := snap.Controller
+			core.ApplyAuditTail(&st, tel.Flight.Records(), ctl.Cfg)
+			ctl.Restore(st)
+			// Re-assert the last applied configuration; a no-op when the
+			// cluster kept its scaling state through the kill.
+			cl.ReconcileQuotas(st.LastQuotas)
+			out.mode = "warm"
+		}
+		ctl.Start()
+	}
+	faultStart := eng.Now() // 210
+	chaos.New(cl).Play(chaos.Scenario{Name: "recovery", Events: []chaos.Event{
+		chaos.SampleArrivals(10, 0.05, 60),
+	}})
+	eng.At(faultStart+recoveryCrashAtS, func() {
+		out.crashes++
+		ctl.Stop()
+		stopCkpt() // a dead controller writes no checkpoints
+		eng.After(recoveryRestartS, restart)
+	})
+
+	restartAt := faultStart + recoveryCrashAtS + recoveryRestartS
+	const observeS = 240
 	violations := 0
 	lastViolationAt := restartAt
 	stopTick := eng.Ticker(faultStart+2, 2, func() {
@@ -122,15 +137,13 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 	eng.RunUntil(faultStart + observeS)
 	stopTick()
 	g.Stop()
-	sup.Stop()
+	ctl.Stop()
 	eng.Run() // drain everything, including retries and startups
 
 	out.violS = float64(violations) * 2
 	if lastViolationAt > restartAt {
 		out.reconvergeTick = int(math.Ceil((lastViolationAt - restartAt) / cfg.IntervalS))
 	}
-	out.crashes = sup.Crashes()
-	out.mode = sup.LastRestoreMode()
 	out.stranded = cl.InFlight()
 	return out
 }

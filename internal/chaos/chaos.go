@@ -40,11 +40,6 @@ const (
 	TraceDrop
 	// Contention multiplies one service's CPU work for a window.
 	Contention
-	// ControllerCrash kills the control plane itself: the supervised
-	// controller dies and is restarted after Duration seconds, warm
-	// (checkpoint + audit-tail restore) or cold per the Warm flag. Fires
-	// as a no-op when the injector has no ControlPlane attached.
-	ControllerCrash
 	// SurfaceDrift permanently multiplies a service's CPU work per request
 	// (Service == "" drifts every service): the queueing surface the latency
 	// model was trained on no longer exists, and never comes back. The fault
@@ -74,8 +69,6 @@ func (k Kind) String() string {
 		return "trace-drop"
 	case Contention:
 		return "contention"
-	case ControllerCrash:
-		return "controller-crash"
 	case SurfaceDrift:
 		return "surface-drift"
 	case TelemetryCorrupt:
@@ -93,8 +86,7 @@ type Event struct {
 	N        int     // KillInstances; TelemetryCorrupt bogus-sample count
 	Fraction float64 // CrashFraction kill fraction; ArrivalSampling keep; TraceDrop probability
 	Factor   float64 // Contention / SurfaceDrift work multiplier; TelemetryCorrupt bogus latency seconds
-	Duration float64 // windowed faults (blackholes, sampling, drop, contention); ControllerCrash restart delay
-	Warm     bool    // ControllerCrash: restore from checkpoint on restart
+	Duration float64 // windowed faults (blackholes, sampling, drop, contention)
 }
 
 // Kill returns an event killing n instances of svc at time at.
@@ -136,13 +128,6 @@ func Contend(at float64, svc string, factor, duration float64) Event {
 	return Event{At: at, Kind: Contention, Service: svc, Factor: factor, Duration: duration}
 }
 
-// CrashController returns an event killing the control plane at time at,
-// restarting it after restartAfter seconds; warm selects checkpoint restore
-// versus cold start.
-func CrashController(at, restartAfter float64, warm bool) Event {
-	return Event{At: at, Kind: ControllerCrash, Duration: restartAfter, Warm: warm}
-}
-
 // Drift returns an event permanently multiplying svc's CPU work per request
 // by factor at time at (svc == "" drifts every service). Unlike Contend it
 // never expires: only a model retrained on post-drift telemetry recovers
@@ -175,21 +160,10 @@ func (f Fired) String() string {
 	return fmt.Sprintf("t=%.1f %s %s", f.At, f.Event.Kind, f.Detail)
 }
 
-// ControlPlane is the control-plane surface a ControllerCrash event needs:
-// a scripted kill with a scheduled restart. Satisfied by *ckpt.Supervisor;
-// declared here so chaos does not depend on the checkpoint subsystem.
-type ControlPlane interface {
-	Crash(restartAfterS float64, warm bool)
-}
-
 // Injector plays fault scenarios against one cluster on its engine.
 type Injector struct {
 	cl  *cluster.Cluster
 	log []Fired
-
-	// Control, if set, receives ControllerCrash events. Without it those
-	// events fire as no-ops (logged, zero kills).
-	Control ControlPlane
 
 	// Obs, if set, records every firing: a counter per fault kind, a span,
 	// a flight-recorder entry, and an active-fault window so controller
@@ -244,17 +218,6 @@ func (in *Injector) apply(ev Event) {
 	case TelemetryCorrupt:
 		in.cl.CorruptTelemetry(ev.Factor, ev.N)
 		detail = fmt.Sprintf("%d bogus samples @ %.1fs", ev.N, ev.Factor)
-	case ControllerCrash:
-		mode := "cold"
-		if ev.Warm {
-			mode = "warm"
-		}
-		if in.Control == nil {
-			detail = "no control plane attached"
-		} else {
-			in.Control.Crash(ev.Duration, ev.Warm)
-			detail = fmt.Sprintf("%s restart in %.0fs", mode, ev.Duration)
-		}
 	}
 	in.log = append(in.log, Fired{At: in.cl.Eng.Now(), Event: ev, Detail: detail})
 	if in.Obs != nil {

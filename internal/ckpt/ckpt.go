@@ -1,5 +1,5 @@
 // Package ckpt is the GRAF control plane's crash-safe state persistence
-// layer. It has three pieces:
+// layer. It has two pieces:
 //
 //   - a framed, checksummed file envelope (Frame/Unframe/WriteFileAtomic)
 //     shared by controller snapshots and trained-model files: any torn
@@ -7,12 +7,12 @@
 //     deserialized into silently wrong state;
 //   - a generation Store that keeps the last few snapshot files, detects a
 //     corrupt newest generation, quarantines it, and falls back to the
-//     previous valid one;
-//   - a Supervisor that wraps the controller's decision loop with panic
-//     recovery, an exponential-backoff bounded restart budget, periodic
-//     checkpointing, and warm restore (snapshot + audit-log tail fold) so a
-//     restarted control plane resumes from its pre-crash state instead of
-//     re-learning it as a cold reactive scaler.
+//     previous valid one.
+//
+// Restarting a dead controller from what the Store holds is the caller's
+// business: fleet.Restore re-executes a tenant to its snapshot and verifies
+// it, and the recovery experiment (internal/bench) restores a controller in
+// place against a cluster that outlived it.
 package ckpt
 
 import (
@@ -60,14 +60,10 @@ type Snapshot struct {
 	Controller core.ControllerState
 	Cluster    cluster.ClusterState
 
-	// Lifecycle is the model-lifecycle manager's opaque serialized state
-	// (internal/lifecycle.Manager.SnapshotState): phase, drift-monitor
-	// statistics, rolling retraining samples, and every archived model
-	// generation. Opaque bytes keep ckpt free of a lifecycle dependency —
-	// the supervisor moves the blob via the SnapshotExtra/RestoreExtra
-	// hooks. Empty when no lifecycle manager is attached; gob decodes old
-	// snapshots without the field to an empty slice.
-	Lifecycle []byte
+	// Snapshots older binaries wrote may carry a Lifecycle []byte field. Gob
+	// skips a field the reader does not declare, so they still load; never
+	// declare a field of that name with another type, or they stop loading
+	// (TestRetiredLifecycleFieldStillLoads).
 
 	// Opaque carries a store-owner-defined payload for snapshots that are
 	// not controller checkpoints at all — the fleet router persists its

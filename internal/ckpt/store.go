@@ -30,10 +30,6 @@ type Store struct {
 	// pruned after each save). <= 0 keeps DefaultKeep.
 	Keep int
 
-	// OnQuarantine, if set, is told about every corrupt snapshot file
-	// set aside during LoadLatest.
-	OnQuarantine func(file, reason string)
-
 	// WriteFault, if set, intercepts the encoded bytes just before they hit
 	// the filesystem in Save. Tests inject write-path faults through it: an
 	// error return simulates ENOSPC (Save must fail without advancing the
@@ -150,10 +146,9 @@ func (s *Store) prune() {
 }
 
 // LoadLatest returns the newest snapshot that validates. A generation that
-// fails validation is renamed to <file>.corrupt (reported via OnQuarantine)
-// and the previous generation is tried, so a crash that tore the newest
-// file — or a disk that flipped a bit in it — costs one checkpoint
-// interval of state, not a cold start. ErrNoSnapshot means the caller
+// fails validation is renamed to <file>.corrupt and the previous generation
+// is tried, so a crash that tore the newest file — or a disk that flipped a
+// bit in it — costs one checkpoint interval of state, not a cold start. ErrNoSnapshot means the caller
 // should cold-start; any other error is an I/O problem worth surfacing.
 func (s *Store) LoadLatest() (*Snapshot, error) {
 	gens, err := s.generations()
@@ -174,19 +169,11 @@ func (s *Store) LoadLatest() (*Snapshot, error) {
 		if !errors.Is(err, ErrCorrupt) {
 			return nil, err
 		}
-		s.quarantine(p, err)
+		if err := os.Rename(p, p+".corrupt"); err != nil {
+			// Could not set it aside; removing it at least stops retry loops.
+			os.Remove(p)
+		}
 		s.gens = gens[:i]
 	}
 	return nil, ErrNoSnapshot
-}
-
-func (s *Store) quarantine(path string, cause error) {
-	reason := cause.Error()
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		// Could not set it aside; removing it at least stops retry loops.
-		os.Remove(path)
-	}
-	if s.OnQuarantine != nil {
-		s.OnQuarantine(filepath.Base(path), reason)
-	}
 }

@@ -1,12 +1,18 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
+
+	"graf/internal/cluster"
+	"graf/internal/core"
 )
 
 // TestSaveENOSPCSurfacesAndDoesNotAdvance injects a full-disk failure into
@@ -94,8 +100,6 @@ func TestSaveShortWriteQuarantinedOnLoad(t *testing.T) {
 	}
 	s.WriteFault = nil
 
-	var quarantined []string
-	s.OnQuarantine = func(file, reason string) { quarantined = append(quarantined, file) }
 	snap, err := s.LoadLatest()
 	if err != nil {
 		t.Fatalf("LoadLatest: %v", err)
@@ -103,11 +107,12 @@ func TestSaveShortWriteQuarantinedOnLoad(t *testing.T) {
 	if string(snap.Opaque) != "good" {
 		t.Fatalf("LoadLatest returned %q, want fallback to the valid generation", snap.Opaque)
 	}
-	if len(quarantined) != 1 {
-		t.Fatalf("quarantined %v, want exactly the torn generation", quarantined)
+	corrupt, err := filepath.Glob(filepath.Join(dir, "*.corrupt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantined[0]+".corrupt")); err != nil {
-		t.Fatalf("torn generation not preserved as .corrupt: %v", err)
+	if len(corrupt) != 1 || filepath.Base(corrupt[0]) != "router-00000002.ckpt.corrupt" {
+		t.Fatalf("quarantined %v, want exactly the torn generation as router-00000002.ckpt.corrupt", corrupt)
 	}
 }
 
@@ -138,6 +143,56 @@ func TestOpaqueRoundTrip(t *testing.T) {
 	}
 	if len(legacy.Opaque) != 0 {
 		t.Fatalf("legacy snapshot decoded with non-empty Opaque: %x", legacy.Opaque)
+	}
+}
+
+// TestRetiredLifecycleFieldStillLoads pins gob compatibility for the
+// Lifecycle []byte field snapshots used to carry: router resume and
+// fleet.Restore read snapshots that older binaries wrote, and a blob in a
+// field the reader no longer declares must cost nothing else.
+func TestRetiredLifecycleFieldStillLoads(t *testing.T) {
+	type olderSnapshot struct {
+		Generation int
+		At         float64
+		Ticks      int
+		Controller core.ControllerState
+		Cluster    cluster.ClusterState
+		Lifecycle  []byte
+		Opaque     []byte
+	}
+	old := olderSnapshot{Generation: 4, At: 95, Ticks: 19,
+		Lifecycle: []byte("phase, monitor, samples, model archive"), Opaque: []byte{0x00, 0x42}}
+	old.Controller.LastRate = 240
+	old.Controller.LastQuotas = map[string]float64{"web": 900, "db": 450}
+	old.Cluster = cluster.ClusterState{At: 95, Deployments: []cluster.DeploymentState{
+		{Service: "web", Quota: 900, Ready: 1, PendingReadyAt: []float64{97.5}},
+	}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewNamespacedStore(t.TempDir(), "tenant-00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(old.Generation), Frame(SnapshotMagic, SnapshotVersion, buf.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := s.LoadLatest()
+	if err != nil {
+		t.Fatalf("snapshot carrying the retired field: %v", err)
+	}
+	want, err := DecodeSnapshot(mustEncode(t, &Snapshot{Generation: old.Generation, At: old.At, Ticks: old.Ticks,
+		Controller: old.Controller, Cluster: old.Cluster, Opaque: old.Opaque}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fields lost beside the retired one:\n got %+v\nwant %+v", got, want)
+	}
+	if got.Controller.LastQuotas["db"] != 450 || got.Cluster.Deployments[0].PendingReadyAt[0] != 97.5 {
+		t.Fatalf("controller or cluster state not carried: %+v", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -66,10 +65,6 @@ func TestStoreQuarantineAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var quarantined []string
-	st.OnQuarantine = func(file, reason string) {
-		quarantined = append(quarantined, file+": "+reason)
-	}
 	if _, _, err := st.Save(snapAt(10)); err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +91,9 @@ func TestStoreQuarantineAndFallback(t *testing.T) {
 	if snap.Generation != 1 || snap.At != 10 {
 		t.Errorf("fallback loaded gen %d at %.0f, want gen 1 at 10", snap.Generation, snap.At)
 	}
-	if len(quarantined) != 1 || !strings.Contains(quarantined[0], "graf-00000002.ckpt") {
-		t.Errorf("quarantine callback: %v", quarantined)
-	}
-	if _, err := os.Stat(p2 + ".corrupt"); err != nil {
-		t.Errorf("corrupt file not preserved for inspection: %v", err)
+	// The damaged generation, and only it, is preserved for inspection.
+	if corrupt, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(corrupt) != 1 || corrupt[0] != p2+".corrupt" {
+		t.Errorf("quarantined %v, want exactly %s.corrupt", corrupt, filepath.Base(p2))
 	}
 	if _, err := os.Stat(p2); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("corrupt file still in rotation: %v", err)

@@ -34,8 +34,8 @@ type ControllerState struct {
 	HealthStreak int
 	Unconverged  int
 
-	// Model-lifecycle state. The model weights themselves are restored by
-	// the lifecycle manager (the snapshot carries them as an opaque blob);
+	// Model-lifecycle state. The model weights themselves belong to the
+	// lifecycle manager, which a fleet restore rebuilds by re-execution;
 	// these two keep record numbering and trust gating consistent across a
 	// warm restore even when no lifecycle manager is attached.
 	ModelGen int
@@ -58,9 +58,9 @@ type ControllerState struct {
 	// forecasting is disabled, and absent from pre-forecast snapshots —
 	// gob decodes a missing field to nil, so old snapshots restore with a
 	// cold forecaster rather than failing). It rides inside ControllerState
-	// — not an opaque SnapshotExtra blob — because ApplyAuditTail must
-	// advance it record-by-record through the post-crash decisions, which
-	// only works on the decoded structure.
+	// — not an opaque blob beside it — because ApplyAuditTail must advance
+	// it record-by-record through the post-crash decisions, which only works
+	// on the decoded structure.
 	Forecast *forecast.Predictor
 }
 

@@ -39,7 +39,7 @@ func decisionsAfter(t *testing.T, buf *bytes.Buffer, after float64) []string {
 // a controller snapshotted mid-run, torn down, rebuilt from scratch and
 // Restored must produce decisions byte-identical to one that never stopped —
 // same seed, same workload, same instants. The swap happens on the decision
-// grid, exactly how the supervisor restores after a crash.
+// grid, exactly how the recovery experiment restarts a killed controller.
 func TestSnapshotRestoreResumesByteIdentical(t *testing.T) {
 	const swapAt = 150.0 // between the 145.001 and 150.001 decisions
 

@@ -273,69 +273,3 @@ func TestStartShadowDefaultsRetrainBudget(t *testing.T) {
 		t.Error("candidate predicts exactly what the incumbent does: it was not retrained")
 	}
 }
-
-func TestManagerStateRoundTrip(t *testing.T) {
-	m, a := testManager(t, 51)
-
-	// Put the manager mid-canary with history behind it.
-	m.trip()
-	m.candidate = m.incumbent.Clone()
-	m.promote(GateResult{Pass: true})
-	m.probLeft = 7 // partway through probation
-	m.mon.Observe(0.12)
-	m.hampelP99.Push(0.2)
-
-	blob := m.SnapshotState()
-	if len(blob) == 0 {
-		t.Fatal("SnapshotState returned nothing")
-	}
-
-	// A freshly built manager (as after a process restart) restores it.
-	m2, _ := testManager(t, 51)
-	if err := m2.RestoreState(blob); err != nil {
-		t.Fatal(err)
-	}
-	if m2.Phase() != PhaseProbation || m2.Generation() != 1 {
-		t.Fatalf("restored: phase=%v gen=%d; want Probation gen 1", m2.Phase(), m2.Generation())
-	}
-	if m2.probLeft != 7 {
-		t.Fatalf("restored probation window = %d; want 7 (mid-canary resume)", m2.probLeft)
-	}
-	if m2.mon.N != m.mon.N || m2.mon.EWMA != m.mon.EWMA {
-		t.Fatalf("monitor state not restored: N %d vs %d, EWMA %g vs %g",
-			m2.mon.N, m.mon.N, m2.mon.EWMA, m.mon.EWMA)
-	}
-	if len(m2.Models()) != len(m.Models()) {
-		t.Fatalf("archive: %d generations restored, want %d", len(m2.Models()), len(m.Models()))
-	}
-	if got, want := len(m2.Samples()), len(m.Samples()); got != want {
-		t.Fatalf("samples: %d restored, want %d", got, want)
-	}
-
-	// The restored incumbent is the same function, bit for bit.
-	names := a.ServiceNames()
-	load := make([]float64, len(names))
-	quota := make([]float64, len(names))
-	for i := range names {
-		load[i], quota[i] = 10, 900
-	}
-	if p1, p2 := m.incumbent.Predict(load, quota), m2.incumbent.Predict(load, quota); p1 != p2 {
-		t.Fatalf("restored incumbent predicts %g; original %g", p2, p1)
-	}
-
-	// And a rollback still works after restore: generation 0 survived.
-	m2.rollback()
-	if m2.Generation() != 0 {
-		t.Fatalf("post-restore rollback landed on gen %d; want 0", m2.Generation())
-	}
-}
-
-func TestManagerRestoreRejectsGarbage(t *testing.T) {
-	m, _ := testManager(t, 61)
-	if err := m.RestoreState([]byte("not a gob stream")); err == nil {
-		t.Fatal("RestoreState accepted garbage")
-	}
-	if err := m.RestoreState(nil); err != nil {
-		t.Fatalf("RestoreState(nil) should be a no-op, got %v", err)
-	}
-}

@@ -230,77 +230,6 @@ func (o *ChaosObs) Fired(at float64, kind, detail string, until float64) {
 	o.t.ChaosActive(kind, until)
 }
 
-// SupervisorObs observes the control-plane supervisor: checkpoints written,
-// crashes survived, restarts (cold or warm), and recovery cost.
-type SupervisorObs struct {
-	t *Telemetry
-}
-
-// NewSupervisorObs returns a supervisor hook, or nil when t is nil.
-func NewSupervisorObs(t *Telemetry) *SupervisorObs {
-	if t == nil {
-		return nil
-	}
-	return &SupervisorObs{t: t}
-}
-
-// Checkpoint records one snapshot write: generation number, encoded size and
-// wall-clock cost.
-func (o *SupervisorObs) Checkpoint(at float64, gen int, bytes int, wallNS int64) {
-	if o == nil {
-		return
-	}
-	o.t.Reg.Counter("graf_checkpoints_total",
-		"Controller state snapshots written.", nil).Inc()
-	o.t.Reg.Gauge("graf_checkpoint_generation",
-		"Generation number of the most recent snapshot.", nil).Set(float64(gen))
-	o.t.Reg.Histogram("graf_checkpoint_bytes",
-		"Encoded size of each snapshot.",
-		ExpBuckets(256, 4, 8), nil).Observe(float64(bytes))
-	o.t.Spans.Add(Span{Name: "ckpt/write", At: at, WallNS: wallNS,
-		Attrs: map[string]float64{"gen": float64(gen), "bytes": float64(bytes)}})
-}
-
-// Crash records a controller death observed by the supervisor.
-func (o *SupervisorObs) Crash(at float64, cause string) {
-	if o == nil {
-		return
-	}
-	o.t.Reg.Counter("graf_controller_crashes_total",
-		"Controller deaths observed by the supervisor.",
-		Labels{"cause": cause}).Inc()
-	o.t.Spans.Add(Span{Name: "supervisor/crash", At: at, Note: cause})
-	o.t.Flight.Record(Record{Type: "chaos", At: at, Kind: "controller-crash", Detail: cause})
-}
-
-// Restart records one supervisor restart attempt. mode is "warm" or "cold";
-// tailN is how many audit-tail records were folded into the restored state.
-func (o *SupervisorObs) Restart(at float64, mode string, attempt, tailN int) {
-	if o == nil {
-		return
-	}
-	o.t.Reg.Counter("graf_controller_restarts_total",
-		"Supervisor restarts of the controller by mode.",
-		Labels{"mode": mode}).Inc()
-	o.t.Spans.Add(Span{Name: "supervisor/restart", At: at, Note: mode,
-		Attrs: map[string]float64{"attempt": float64(attempt), "tail": float64(tailN)}})
-	o.t.Flight.Record(Record{Type: "recovery", At: at, Kind: mode,
-		Detail: "restart", Summary: map[string]float64{
-			"attempt": float64(attempt), "tail": float64(tailN)}})
-}
-
-// Quarantine records a corrupt snapshot detected and set aside.
-func (o *SupervisorObs) Quarantine(at float64, file, reason string) {
-	if o == nil {
-		return
-	}
-	o.t.Reg.Counter("graf_checkpoint_quarantined_total",
-		"Corrupt snapshots detected and quarantined.", nil).Inc()
-	o.t.Spans.Add(Span{Name: "ckpt/quarantine", At: at, Note: file + ": " + reason})
-	o.t.Flight.Record(Record{Type: "recovery", At: at, Kind: "quarantine",
-		Detail: file + ": " + reason})
-}
-
 // TrainObs observes GNN training: per-evaluation loss curves and batch cost.
 type TrainObs struct {
 	t *Telemetry

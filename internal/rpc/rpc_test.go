@@ -547,9 +547,12 @@ func TestSpecValidate(t *testing.T) {
 
 // The policies this spec grew — a seeded diurnal source under a Holt-Winters
 // forecaster, and the per-tenant model lifecycle (the untrained test model
-// drifts at once, so tenants trip, retrain and promote mid-run) — must be as
-// portable as the old ones: a tenant migrated between shards mid-run finishes
-// byte-identical to the single-process reference.
+// drifts at once, so the tenant trips, retrains and promotes mid-run) — must
+// be as portable as the old ones: a tenant migrated between shards mid-run
+// finishes byte-identical to the single-process reference. The lifecycle
+// tenant migrates in the middle of a canary probation window, so the adopting
+// shard must resume the window where it stood: no spurious rollback, and the
+// candidate earns full trust on the same tick.
 func TestNewPolicySpecsMigrateLossless(t *testing.T) {
 	bundle := testBundle(t)
 	for _, c := range []struct {
@@ -561,11 +564,12 @@ func TestNewPolicySpecsMigrateLossless(t *testing.T) {
 		// Holt-Winters forecasts once it has seen one 48-tick cycle.
 		{"diurnal+forecast", `"type":"forecast"`, 2, 64, Spec{App: "chain-4", Shape: "diurnal", Rate: 120, Seed: 7,
 			TickS: 5, DurS: 320, WarmStart: true, Forecast: "hw"}},
-		// The tenant trips at tick 17 and retrains at tick 31, on samples it
-		// gathered on both sides of the migration. One tenant: a retrain
-		// costs about a second (fifteen under -race), here and in the reference.
-		{"lifecycle", `"kind":"retrain"`, 1, 32, Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7,
-			TickS: 5, Lifecycle: true, SLOMS: 200}},
+		// The tenant trips at tick 11, retrains at 25, is promoted at 35 and
+		// earns full trust at 59: the migration after round 48 lands inside
+		// the 24-tick probation window. One tenant: a retrain costs about a
+		// second (fifteen under -race), here and in the reference.
+		{"lifecycle", `"kind":"promote"`, 1, 64, Spec{App: "chain-4", Shape: "const", Rate: 60, Seed: 1,
+			TickS: 5, Lifecycle: true, SLOMS: 300}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			spec, rounds := c.spec, c.rounds
@@ -616,7 +620,52 @@ func TestNewPolicySpecsMigrateLossless(t *testing.T) {
 			if !bytes.Contains(want[ids[0]], []byte(c.marker)) {
 				t.Errorf("reference audit carries no %s record: the policy never acted", c.marker)
 			}
+			if spec.Lifecycle {
+				assertMigratedInProbation(t, want[ids[0]], rounds, 3*rounds/4)
+			}
 		})
+	}
+}
+
+// assertMigratedInProbation checks, on a lifecycle tenant's reference audit,
+// that the migration after round mig fell inside a probation window: a
+// promotion precedes the first decision of round mig+1, no "trusted" record
+// closes the window before it, and no rollback follows the promotion.
+func assertMigratedInProbation(t *testing.T, audit []byte, rounds, mig int) {
+	t.Helper()
+	recs, err := obs.ReadLog(bytes.NewReader(audit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decisions []float64
+	for _, r := range recs {
+		if r.Type == "decision" {
+			decisions = append(decisions, r.At)
+		}
+	}
+	if len(decisions) != rounds {
+		t.Fatalf("%d decision records for %d rounds", len(decisions), rounds)
+	}
+	migAt := decisions[mig]
+	promotedAt, open := 0.0, false
+	for _, r := range recs {
+		if r.Type != "lifecycle" {
+			continue
+		}
+		if r.Kind == "rollback" && open {
+			t.Errorf("t=%.1f: rollback after the promotion at t=%.1f: %s", r.At, promotedAt, r.Detail)
+		}
+		if r.At < migAt {
+			switch r.Kind {
+			case "promote":
+				promotedAt, open = r.At, true
+			case "trusted":
+				open = false
+			}
+		}
+	}
+	if !open {
+		t.Fatalf("no probation window open at the migration (first adopted decision t=%.1f)", migAt)
 	}
 }
 
