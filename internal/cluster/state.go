@@ -8,8 +8,7 @@ import (
 // DeploymentState is the authoritative per-service scaling state captured in
 // a checkpoint: the desired quota plus the instance set realizing it, split
 // into ready capacity and instances still paying their Figure-1 startup
-// delay (with their absolute readiness times, so a restore can finish the
-// startups in progress rather than restarting them from zero).
+// delay (with their absolute readiness times).
 type DeploymentState struct {
 	Service string
 	Quota   float64
@@ -50,57 +49,6 @@ func (c *Cluster) Snapshot() ClusterState {
 		st.Deployments = append(st.Deployments, ds)
 	}
 	return st
-}
-
-// RestoreState rebuilds each deployment's scaling state from a snapshot,
-// for a cluster reconstructed after a full-process restart: quotas are set
-// directly (no scaling side effects), ready instances are materialized
-// immediately, and pending instances resume their startups at the later of
-// their recorded readiness time and now. Unknown services in the snapshot
-// are ignored; services missing from it keep their current state.
-func (c *Cluster) RestoreState(st ClusterState) {
-	now := c.Eng.Now()
-	for _, ds := range st.Deployments {
-		d, ok := c.deps[ds.Service]
-		if !ok {
-			continue
-		}
-		d.quota = ds.Quota
-		if d.quota < c.Cfg.MinQuota {
-			d.quota = c.Cfg.MinQuota
-		}
-		d.instances = d.instances[:0]
-		ready := ds.Ready
-		if ready < 1 && len(ds.PendingReadyAt) == 0 {
-			ready = 1 // a deployment never has zero instances
-		}
-		for i := 0; i < ready; i++ {
-			d.instances = append(d.instances, &instance{id: d.nextID, ready: true, readyAt: now})
-			d.nextID++
-		}
-		for _, at := range ds.PendingReadyAt {
-			if at < now {
-				at = now
-			}
-			inst := &instance{id: d.nextID, readyAt: at}
-			d.nextID++
-			d.instances = append(d.instances, inst)
-			in := inst
-			c.Eng.At(at, func() {
-				if in.condemned || in.crashed {
-					return
-				}
-				in.ready = true
-				d.recordCounts()
-				if c.Obs != nil {
-					c.Obs.Churn(d.Service.Name, 0, 0, 0, d.ReadyReplicas())
-				}
-				d.dispatch()
-			})
-		}
-		d.recordCounts()
-		d.dispatch()
-	}
 }
 
 // ReconcileQuotas re-applies a checkpointed quota map through the normal

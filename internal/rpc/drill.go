@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -265,6 +266,12 @@ func (d *Drill) Run() (*Verdict, error) {
 		rung = d.announceBrownout(r, round, rung)
 	}
 	v.WallS = time.Since(start).Seconds()
+	if d.RoundBudget > 0 {
+		// A budget may have shed the last rounds' ticks, and no later round
+		// catches those shards up: settle, or they are judged BEHIND.
+		err := r.Settle()
+		v.failIf(err != nil, "%v", err)
+	}
 
 	if d.FinalCheckpoint {
 		if n, err := r.CheckpointAll(); err != nil {
@@ -479,7 +486,7 @@ func (d *Drill) judge(r *Router, v *Verdict) {
 			behind++
 		}
 	}
-	alive := r.aliveAddrs()
+	alive := r.live()
 	for _, addr := range alive {
 		if h, err := r.client.Health(addr); err == nil {
 			v.Shards.Shed += h.Shed
@@ -657,4 +664,87 @@ func (v *Verdict) String() string {
 		b.WriteString(line + "\n")
 	}
 	return b.String()
+}
+
+// primaryGrace is how long a standby waits for a primary that has never
+// answered before concluding it was dead from the start.
+const primaryGrace = 60 * time.Second
+
+// WaitForPrimaryFailure blocks until the primary's /v1/router/healthz has
+// failed `misses` consecutive probes after having answered at least once,
+// and returns the instant of the last successful probe — where the takeover
+// blackout clock starts. If the primary never answers within the grace
+// window (it was already dead when the standby started), it returns the
+// current time and answered=false: leadership is claimed immediately.
+func WaitForPrimaryFailure(primary string, every time.Duration, misses int) (lastOK time.Time, answered bool) {
+	cl := &http.Client{Timeout: max(2*every, 100*time.Millisecond)}
+	url := "http://" + primary + "/v1/router/healthz"
+	grace := time.Now().Add(primaryGrace)
+	consecutive := 0
+	for {
+		resp, err := cl.Get(url)
+		ok := err == nil && resp.StatusCode == http.StatusOK
+		if resp != nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		switch {
+		case ok:
+			answered, consecutive = true, 0
+			lastOK = time.Now()
+		case answered:
+			consecutive++
+			if consecutive >= misses {
+				return lastOK, true
+			}
+		case time.Now().After(grace):
+			return time.Now(), false
+		}
+		time.Sleep(every)
+	}
+}
+
+// scrapeShards fetches every live shard's Prometheus exposition from its
+// control-plane /metrics endpoint. Unreachable shards are skipped — the
+// caller compares the haul against the live count.
+func (r *Router) scrapeShards() []obs.Exposition {
+	cl := &http.Client{Timeout: 2 * time.Second}
+	var out []obs.Exposition
+	for _, addr := range r.live() {
+		resp, err := cl.Get("http://" + addr + "/metrics")
+		if err != nil {
+			continue
+		}
+		b, rerr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if rerr != nil || resp.StatusCode != http.StatusOK {
+			continue
+		}
+		out = append(out, obs.Exposition{Shard: addr, Text: string(b)})
+	}
+	return out
+}
+
+// federate renders the fleet-wide metrics view: the router's own registry
+// merged with the shard expositions, each sample relabeled with shard=addr.
+func federate(tel *obs.Telemetry, shards []obs.Exposition) string {
+	return obs.MergeExpositions(append(
+		[]obs.Exposition{{Shard: "router", Text: tel.Reg.Expose()}}, shards...))
+}
+
+// collectSpans merges the router's own spans with every live shard's span
+// buffer, pulled over /v1/traces. procs counts the processes that
+// contributed; errs names the shards that did not.
+func (r *Router) collectSpans() (spans []obs.TraceSpan, procs int, errs []error) {
+	spans, procs = r.cfg.Tracer.Snapshot(), 1
+	for _, addr := range r.live() {
+		resp, err := r.client.Traces(addr)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("traces from %s: %w", addr, err))
+			continue
+		}
+		spans = append(spans, resp.Spans...)
+		procs++
+	}
+	return spans, procs, errs
 }

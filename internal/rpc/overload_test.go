@@ -314,3 +314,27 @@ func TestRouterOverloadDrillByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// A budgeted drill settles before it judges: every tick of the final round
+// eats 600ms of injected latency against a 250ms budget and is shed, so
+// without Router.Settle the verdict reads every tenant BEHIND and its audit
+// log one round short of the reference.
+func TestDrillSettlesBudgetedRun(t *testing.T) {
+	const rounds = 4
+	d := testDrill(t, 4, rounds)
+	d.Logf = t.Logf
+	d.RoundBudget = 250 * time.Millisecond
+	d.Schedule.Net = chaos.NetScenario{Seed: 3, Events: []chaos.NetEvent{
+		{Kind: chaos.NetDelay, FromRound: rounds, Op: "tick", P: 1, DelayMS: 600},
+	}}
+	v, err := d.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Err(); err != nil {
+		t.Fatalf("verdict: %v\n%s", err, v)
+	}
+	if st := v.Stats; st.ShedTicks == 0 || st.PartialRounds != 1 || st.Rounds != rounds {
+		t.Fatalf("stats %+v: want the final round, and only it, shed", st)
+	}
+}

@@ -3,43 +3,46 @@ package rpc
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
+	"slices"
 	"sort"
-	"time"
+	"strings"
 
 	"graf/internal/ckpt"
-	"graf/internal/obs"
 )
 
-// Durable router state (DESIGN.md §3k). The router persists everything a
-// replacement needs to take over — ring membership, tenant→shard placement,
-// the round counter, any migration-in-progress record, and the per-slot
-// restart-budget counters — as a gob blob in the shared checkpoint
-// directory's "router" namespace, written atomically at round boundaries and
-// at every placement mutation. The shards remain the system of record for
-// tenant *state*; this blob is only the map and the clock, so a stale
-// snapshot costs a reconcile pass, never correctness.
-
-// persistedSlot mirrors shardSlot on disk.
-type persistedSlot struct {
-	Slot     int
-	Addr     string
-	Alive    bool
-	Respawns int
+// Durable router state (DESIGN.md §3k). placement is the router's whole
+// state — ring membership (slots and their alive flags), tenant→shard
+// placement, the round counter, the in-flight migration, per-slot
+// restart-budget counters and the fencing epoch — and the gob payload commit
+// persists in the shared checkpoint directory's "router" namespace. Its
+// methods are the router's placement decisions: pure, no lock, clock or I/O.
+// The shards remain the system of record for tenant *state*; this is only the
+// map and the clock, so a stale snapshot costs a reconcile pass, never
+// correctness. The field names are the on-disk format.
+type placement struct {
+	Epoch     uint64
+	Round     int
+	Slots     []*ShardInfo   // indexed by slot
+	Tenants   []*tenantState // sorted by ID
+	Migration *migrationRecord
 }
 
-// persistedTenant mirrors the placement-relevant half of tenantState.
-type persistedTenant struct {
+// tenantState is the router's authoritative record of one tenant: where it
+// lives and the last acknowledged tick count and audit fingerprint — the
+// baseline every recovery and migration is verified against. The unexported
+// fields are live-only reports, which gob does not persist.
+type tenantState struct {
 	ID       string
-	Shard    string
-	Pinned   bool
+	Shard    string // current owner address ("" = unplaced)
+	Pinned   bool   // placed by Migrate, exempt from ring lookup
 	Ticks    int
 	AuditLen int
 	AuditFNV uint64
-	Brownout int
+	Brownout int // last reported degradation-ladder rung (0=full)
+	degraded bool
+	p99      float64
+	violS    float64
 }
 
 // migrationRecord marks a migration in flight: persisted before the drain
@@ -55,43 +58,181 @@ type migrationRecord struct {
 	Drained bool
 }
 
-// routerState is the gob payload carried in ckpt.Snapshot.Opaque.
-type routerState struct {
-	Epoch     uint64
-	Round     int
-	Slots     []persistedSlot
-	Tenants   []persistedTenant
-	Migration *migrationRecord
-}
+func byID(t *tenantState, id string) int { return strings.Compare(t.ID, id) }
 
-func encodeRouterState(st *routerState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
+// tenant returns id's record, nil when there is none.
+func (p *placement) tenant(id string) *tenantState {
+	if i, ok := slices.BinarySearchFunc(p.Tenants, id, byID); ok {
+		return p.Tenants[i]
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
-func decodeRouterState(b []byte) (*routerState, error) {
-	var st routerState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
+// note records shard-reported statuses; a tenant the router does not place
+// is ignored.
+func (p *placement) note(sts ...TenantStatus) {
+	for _, st := range sts {
+		if t := p.tenant(st.ID); t != nil {
+			t.Ticks, t.AuditLen, t.AuditFNV, t.Brownout = st.Ticks, st.AuditLen, st.AuditFNV, st.Brownout
+			t.degraded, t.p99, t.violS = st.Degraded, st.P99, st.ViolS
+		}
+	}
+}
+
+// live returns the live slots' addresses, in slot order: the ring's members.
+func (p *placement) live() []string {
+	var out []string
+	for _, s := range p.Slots {
+		if s.Alive {
+			out = append(out, s.Addr)
+		}
+	}
+	return out
+}
+
+// orphans lists the tenants placed on addr, by ID; "" lists the unplaced.
+func (p *placement) orphans(addr string) []string {
+	var ids []string
+	for _, t := range p.Tenants {
+		if t.Shard == addr {
+			ids = append(ids, t.ID)
+		}
+	}
+	return ids
+}
+
+// candidates keeps the live addresses of want, each once, in order: the list
+// a placement tries. home, migrateTo and rollForward are the three orders.
+func (p *placement) candidates(want ...string) []string {
+	var out []string
+	live := p.live()
+	for _, addr := range want {
+		if slices.Contains(live, addr) && !slices.Contains(out, addr) {
+			out = append(out, addr)
+		}
+	}
+	return out
+}
+
+// home is a tenant's ring placement.
+func (p *placement) home(id string, ring *Ring) []string { return p.candidates(ring.Lookup(id)) }
+
+// migrateTo is a migration's: the target, then rollback onto the source (its
+// audit log and checkpoint are intact there), then every other survivor.
+func (p *placement) migrateTo(id, to string) []string {
+	return p.candidates(append([]string{to, p.tenant(id).Shard}, p.live()...)...)
+}
+
+// rollForward is a drained migration's completion after a router death:
+// forward onto the target, else back to the source, else the ring.
+func (p *placement) rollForward(m *migrationRecord, ring *Ring) []string {
+	return p.candidates(m.To, m.From, ring.Lookup(m.Tenant))
+}
+
+// residence is one tenant's status as one shard reports it.
+type residence struct {
+	addr string
+	st   TenantStatus
+}
+
+// resolve is reconcile's decision. It folds one sweep of the shards into p —
+// up[i] is whether slot i answered, seen every residence reported — in the
+// order DESIGN.md §3k pins: a slot is live iff it answered (a dead-marked
+// slot that answers is re-adopted); a tenant on several shards keeps the copy
+// with the most ticks (ties: the migration target, then the address) and the
+// rest are returned to evict; observed residency wins, adopting tenants the
+// checkpoint predates; a tenant resident nowhere is unplaced BEFORE migration
+// handling, so the migrating tenant (drained, restored nowhere) is not
+// re-orphaned after its roll-forward; the migration record resolves to
+// "completed" on the target, "rolled-back" elsewhere, or — resident nowhere —
+// roll, for the executor to place by rollForward, and is cleared.
+func (p *placement) resolve(up []bool, seen []residence) (res ReconcileReport, evict []residence, roll *migrationRecord) {
+	res.Epoch, res.Round = p.Epoch, p.Round
+	for i, s := range p.Slots {
+		if s.Alive = up[i]; s.Alive {
+			res.ShardsScanned++
+		} else {
+			res.ShardsDead++
+		}
+	}
+	// By tenant, each tenant's winning copy first.
+	m := p.Migration
+	sort.Slice(seen, func(i, j int) bool {
+		a, b := seen[i], seen[j]
+		switch {
+		case a.st.ID != b.st.ID:
+			return a.st.ID < b.st.ID
+		case a.st.Ticks != b.st.Ticks:
+			return a.st.Ticks > b.st.Ticks
+		case m != nil && m.Tenant == a.st.ID && (a.addr == m.To) != (b.addr == m.To):
+			return a.addr == m.To
+		}
+		return a.addr < b.addr
+	})
+	resident := map[string]string{} // tenant → the shard that keeps it
+	for i, h := range seen {
+		if i > 0 && seen[i-1].st.ID == h.st.ID {
+			evict = append(evict, h)
+			continue
+		}
+		resident[h.st.ID] = h.addr
+		k, ok := slices.BinarySearchFunc(p.Tenants, h.st.ID, byID)
+		if !ok { // a tenant the checkpoint predates: adopt it wholesale
+			p.Tenants = slices.Insert(p.Tenants, k, &tenantState{ID: h.st.ID})
+		}
+		t := p.Tenants[k]
+		if t.Shard == h.addr {
+			res.Confirmed++
+		} else {
+			res.Adopted++
+			t.Shard = h.addr
+		}
+		p.note(h.st)
+	}
+	res.DupEvicted = len(evict)
+	for _, t := range p.Tenants {
+		if t.Shard != "" && resident[t.ID] == "" {
+			t.Shard, t.Pinned = "", false
+		}
+		if t.Shard == "" && (m == nil || t.ID != m.Tenant) {
+			res.Orphaned++
+		}
+	}
+	if m != nil {
+		res.MigrationTenant = m.Tenant
+		switch at := resident[m.Tenant]; {
+		case at != "" && at == m.To:
+			res.MigrationAction = "completed"
+			p.tenant(m.Tenant).Pinned = true
+		case at != "":
+			res.MigrationAction = "rolled-back"
+		case p.tenant(m.Tenant) != nil:
+			roll = m
+		}
+		p.Migration = nil
+	}
+	return res, evict, roll
+}
+
+func encodeRouterState(p *placement) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(p)
+	return buf.Bytes(), err
+}
+
+func decodeRouterState(b []byte) (*placement, error) {
+	var p placement
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("rpc: undecodable router state: %w", err)
 	}
-	return &st, nil
-}
-
-// routerStoreName is the ckpt namespace the router persists under.
-const routerStoreName = "router"
-
-// openRouterStore opens the router's namespaced generation store.
-func openRouterStore(dir string) (*ckpt.Store, error) {
-	return ckpt.NewNamespacedStore(dir, routerStoreName)
+	slices.SortFunc(p.Tenants, func(a, b *tenantState) int { return byID(a, b.ID) })
+	return &p, nil
 }
 
 // loadRouterState returns the newest valid persisted router state, or
 // ckpt.ErrNoSnapshot when the store holds none.
-func loadRouterState(dir string) (*routerState, error) {
-	store, err := openRouterStore(dir)
+func loadRouterState(dir string) (*placement, error) {
+	store, err := ckpt.NewNamespacedStore(dir, "router")
 	if err != nil {
 		return nil, err
 	}
@@ -102,50 +243,35 @@ func loadRouterState(dir string) (*routerState, error) {
 	return decodeRouterState(snap.Opaque)
 }
 
-// snapshotLocked captures the router's durable state. Callers hold r.mu.
-func (r *Router) snapshotLocked() *routerState {
-	st := &routerState{Epoch: r.epoch, Round: r.round, Migration: r.migration}
-	for _, s := range r.slots {
-		st.Slots = append(st.Slots, persistedSlot{
-			Slot: s.slot, Addr: s.addr, Alive: s.alive, Respawns: s.respawns,
-		})
-	}
-	ids := make([]string, 0, len(r.tenants))
-	for id := range r.tenants {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		t := r.tenants[id]
-		st.Tenants = append(st.Tenants, persistedTenant{
-			ID: t.id, Shard: t.shard, Pinned: t.pinned, Ticks: t.ticks,
-			AuditLen: t.auditLen, AuditFNV: t.auditFNV, Brownout: t.brownout,
-		})
-	}
-	return st
+// update runs f on the placement under r.mu and persists nothing: for the
+// round loop's writes that no successor needs (live reports, stats) or that
+// the next commit makes durable.
+func (r *Router) update(f func(p *placement)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f(&r.p)
 }
 
-// persistLocked checkpoints the router's state. Callers hold r.mu. A fenced
-// router never persists: it has lost leadership and must not overwrite its
-// successor's newer snapshots in the shared store. Persistence failures are
-// surfaced in stats and the log but do not stop the round loop — a router
-// with a full disk degrades to PR-6 in-memory behavior rather than halting
-// the fleet.
-func (r *Router) persistLocked() {
+// commit is the one way the placement changes durably: f mutates it under
+// r.mu, and the result is checkpointed. A fenced router never persists: it
+// has lost leadership and must not overwrite its successor's newer snapshots
+// in the shared store. Persistence failures are surfaced in stats and the log
+// but do not stop the round loop — a router with a full disk degrades to
+// in-memory behavior rather than halting the fleet.
+func (r *Router) commit(f func(p *placement)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f(&r.p)
 	if r.store == nil || r.fenced.Load() {
 		return
 	}
-	blob, err := encodeRouterState(r.snapshotLocked())
+	blob, err := encodeRouterState(&r.p)
 	if err == nil {
-		_, _, err = r.store.Save(&ckpt.Snapshot{
-			At:     float64(r.round),
-			Ticks:  r.round,
-			Opaque: blob,
-		})
+		_, _, err = r.store.Save(&ckpt.Snapshot{At: float64(r.p.Round), Ticks: r.p.Round, Opaque: blob})
 	}
 	if err != nil {
 		r.stats.PersistErrors++
-		r.logf("router: persist round %d failed: %v", r.round, err)
+		r.logf("router: persist round %d failed: %v", r.p.Round, err)
 	}
 }
 
@@ -198,58 +324,17 @@ func (rep *ReconcileReport) String() string {
 // orphans through the ring. The returned router continues the round sequence
 // where the checkpoint left off.
 func ResumeRouter(cfg RouterConfig) (*Router, *ReconcileReport, error) {
-	cfg = cfg.withDefaults()
 	if cfg.StateDir == "" {
 		return nil, nil, fmt.Errorf("rpc: ResumeRouter needs cfg.StateDir")
 	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return nil, nil, err
-	}
-	st, err := loadRouterState(cfg.StateDir)
-	if err != nil {
-		if errors.Is(err, ckpt.ErrNoSnapshot) {
-			return nil, nil, fmt.Errorf("rpc: nothing to resume: %w", err)
-		}
-		return nil, nil, fmt.Errorf("rpc: load router state: %w", err)
-	}
-	store, err := openRouterStore(cfg.StateDir)
+	r, err := newRouter(cfg, nil)
 	if err != nil {
 		return nil, nil, err
-	}
-	r := &Router{
-		cfg:       cfg,
-		client:    NewClient(cfg.Client, cfg.Fault),
-		ring:      NewRing(cfg.VNodes),
-		tenants:   map[string]*tenantState{},
-		store:     store,
-		epoch:     st.Epoch + 1,
-		round:     st.Round,
-		migration: st.Migration,
-	}
-	r.client.Obs = cfg.RPCObs
-	r.client.Tracer = cfg.Tracer
-	r.client.SetEpoch(r.epoch)
-	for _, ps := range st.Slots {
-		s := &shardSlot{slot: ps.Slot, addr: ps.Addr, alive: ps.Alive, respawns: ps.Respawns}
-		r.slots = append(r.slots, s)
-		r.client.nameShard(s.addr, s.slot)
-		if s.alive {
-			r.ring.Add(s.addr)
-		}
-	}
-	for _, pt := range st.Tenants {
-		r.tenants[pt.ID] = &tenantState{
-			id: pt.ID, shard: pt.Shard, pinned: pt.Pinned, ticks: pt.Ticks,
-			auditLen: pt.AuditLen, auditFNV: pt.AuditFNV, brownout: pt.Brownout,
-		}
 	}
 	// Durably claim the new epoch before the first shard call: the first
 	// mutating RPC raises every shard's fence to it, and re-using an epoch
 	// after a crash-during-reconcile would let the previous zombie back in.
-	r.mu.Lock()
-	r.persistLocked()
-	r.mu.Unlock()
-
+	r.commit(func(*placement) {})
 	rep, err := r.reconcile()
 	if err != nil {
 		return nil, rep, err
@@ -257,223 +342,54 @@ func ResumeRouter(cfg RouterConfig) (*Router, *ReconcileReport, error) {
 	return r, rep, nil
 }
 
-// primaryGrace is how long a standby waits for a primary that has never
-// answered before concluding it was dead from the start.
-const primaryGrace = 60 * time.Second
-
-// WaitForPrimaryFailure blocks until the primary's /v1/router/healthz has
-// failed `misses` consecutive probes after having answered at least once,
-// and returns the instant of the last successful probe — where the takeover
-// blackout clock starts. If the primary never answers within the grace
-// window (it was already dead when the standby started), it returns the
-// current time and answered=false: leadership is claimed immediately.
-func WaitForPrimaryFailure(primary string, every time.Duration, misses int) (lastOK time.Time, answered bool) {
-	timeout := 2 * every
-	if timeout < 100*time.Millisecond {
-		timeout = 100 * time.Millisecond
-	}
-	cl := &http.Client{Timeout: timeout}
-	url := "http://" + primary + "/v1/router/healthz"
-	grace := time.Now().Add(primaryGrace)
-	consecutive := 0
-	for {
-		resp, err := cl.Get(url)
-		ok := err == nil && resp.StatusCode == http.StatusOK
-		if resp != nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		switch {
-		case ok:
-			answered, consecutive = true, 0
-			lastOK = time.Now()
-		case answered:
-			consecutive++
-			if consecutive >= misses {
-				return lastOK, true
-			}
-		case time.Now().After(grace):
-			return time.Now(), false
-		}
-		time.Sleep(every)
-	}
-}
-
 // reconcile is the anti-entropy pass: declared (checkpointed) placement vs.
-// observed (shard-reported) residency, observed wins.
+// observed (shard-reported) residency, observed wins (resolve).
 func (r *Router) reconcile() (*ReconcileReport, error) {
-	var span *obs.ActiveSpan
-	if r.cfg.Tracer != nil {
-		span = r.cfg.Tracer.StartRoot("router/reconcile")
-	}
+	span := r.cfg.Tracer.StartRoot("router/reconcile")
 	defer span.End()
-	rep := &ReconcileReport{Epoch: r.epoch, Round: r.round}
-
-	// Sweep every checkpointed slot — including ones marked dead, which may
-	// have been respawned behind the router's back. A slot that answers is
-	// (re-)adopted into the ring; one that does not is marked dead so its
-	// tenants flow through the orphan path below.
-	type residence struct {
-		addr string
-		st   TenantStatus
-	}
-	resident := map[string][]residence{}
-	r.mu.Lock()
-	slots := append([]*shardSlot(nil), r.slots...)
-	r.mu.Unlock()
-	for _, s := range slots {
-		resp, err := r.client.Tenants(s.addr, span.Context())
-		r.mu.Lock()
-		if err != nil {
-			if s.alive {
-				s.alive = false
-				r.ring.Remove(s.addr)
-			}
-			rep.ShardsDead++
-			r.mu.Unlock()
-			r.logf("reconcile: shard %d (%s) unreachable: %v", s.slot, s.addr, err)
+	var up []bool
+	var seen []residence
+	for _, s := range r.p.Slots {
+		resp, err := r.client.Tenants(s.Addr, span.Context())
+		if up = append(up, err == nil); err != nil {
+			r.logf("reconcile: shard %d (%s) unreachable: %v", s.Slot, s.Addr, err)
 			continue
 		}
-		if !s.alive {
-			s.alive = true
-			r.ring.Add(s.addr)
-			r.logf("reconcile: shard %d (%s) re-adopted into the ring", s.slot, s.addr)
-		}
-		rep.ShardsScanned++
-		r.mu.Unlock()
 		for _, st := range resp.Statuses {
-			resident[st.ID] = append(resident[st.ID], residence{addr: s.addr, st: st})
+			seen = append(seen, residence{addr: s.Addr, st: st})
 		}
 	}
-
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.aliveSlotsLocked()) == 0 {
-		return rep, fmt.Errorf("rpc: reconcile: no live shards")
+	rep, evict, m := r.p.resolve(up, seen)
+	r.mu.Unlock()
+	if len(r.p.live()) == 0 {
+		return &rep, fmt.Errorf("rpc: reconcile: no live shards")
 	}
-
-	// Duplicate residency (a lost admit response followed by a rollback can
-	// leave a tenant on two shards): keep the furthest-ahead copy — ties
-	// broken toward the in-flight migration's target, then lexicographic for
-	// determinism — and evict the rest.
-	ids := make([]string, 0, len(resident))
-	for id := range resident {
-		ids = append(ids, id)
+	for _, h := range evict {
+		if _, err := r.client.Evict(h.addr, h.st.ID, false, span.Context()); err != nil {
+			return &rep, fmt.Errorf("rpc: reconcile: evict duplicate %s from %s: %w", h.st.ID, h.addr, err)
+		}
+		r.logf("reconcile: tenant %s duplicate on %s evicted", h.st.ID, h.addr)
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		homes := resident[id]
-		if len(homes) <= 1 {
-			continue
-		}
-		sort.Slice(homes, func(i, j int) bool {
-			if homes[i].st.Ticks != homes[j].st.Ticks {
-				return homes[i].st.Ticks > homes[j].st.Ticks
-			}
-			if m := r.migration; m != nil && m.Tenant == id {
-				if (homes[i].addr == m.To) != (homes[j].addr == m.To) {
-					return homes[i].addr == m.To
-				}
-			}
-			return homes[i].addr < homes[j].addr
-		})
-		for _, h := range homes[1:] {
-			if _, err := r.client.Evict(h.addr, id, false, span.Context()); err != nil {
-				return rep, fmt.Errorf("rpc: reconcile: evict duplicate %s from %s: %w", id, h.addr, err)
-			}
-			rep.DupEvicted++
-			r.logf("reconcile: tenant %s duplicate on %s evicted (kept %s at tick %d)",
-				id, h.addr, homes[0].addr, homes[0].st.Ticks)
-		}
-		resident[id] = homes[:1]
-	}
-
-	// Observed residency wins over the checkpointed map.
-	for _, id := range ids {
-		h := resident[id][0]
-		t := r.tenants[id]
-		if t == nil {
-			// A tenant the checkpoint predates: adopt it wholesale.
-			t = &tenantState{id: id}
-			r.tenants[id] = t
-		}
-		if t.shard == h.addr {
-			rep.Confirmed++
-		} else {
-			rep.Adopted++
-			r.logf("reconcile: tenant %s adopted at %s (checkpoint said %q)", id, h.addr, t.shard)
-			t.shard = h.addr
-		}
-		r.noteStatus(h.st)
-	}
-
-	// Tenants the checkpoint places on a shard that no longer holds them
-	// are unplaced BEFORE migration handling, so a mid-flight migration's
-	// tenant (drained off its source, restored nowhere) enters that branch
-	// already unplaced and is not re-orphaned after the roll-forward.
-	for _, t := range r.tenants {
-		if t.shard != "" && len(resident[t.id]) == 0 {
-			r.logf("reconcile: tenant %s missing from %s", t.id, t.shard)
-			t.shard = ""
-			t.pinned = false
-		}
-	}
-
-	// A mid-flight migration whose tenant is resident nowhere is rolled
-	// forward onto its target (audit log and checkpoint are intact in the
-	// shared stores); if the target is gone, rolled back to the source; if
-	// both are gone, the ring re-places it with the other orphans.
-	if m := r.migration; m != nil {
-		rep.MigrationTenant = m.Tenant
-		if homes := resident[m.Tenant]; len(homes) > 0 {
-			if homes[0].addr == m.To {
-				rep.MigrationAction = "completed"
-				if t := r.tenants[m.Tenant]; t != nil {
-					t.pinned = true
-				}
-			} else {
-				rep.MigrationAction = "rolled-back"
-			}
-		} else if t := r.tenants[m.Tenant]; t != nil {
-			t.shard = ""
-			if r.isAliveLocked(m.To) && r.placeTenant(m.Tenant, m.To, span.Context()) == nil {
-				t.pinned = true
-				rep.MigrationAction = "rolled-forward"
-			} else if m.From != "" && r.isAliveLocked(m.From) && r.placeTenant(m.Tenant, m.From, span.Context()) == nil {
-				t.pinned = false
-				rep.MigrationAction = "rolled-back"
-			} else {
-				t.pinned = false
-				rep.MigrationAction = "re-placed"
-			}
-			r.logf("reconcile: migration %s (%s → %s, drained=%v) %s",
-				m.Tenant, m.From, m.To, m.Drained, rep.MigrationAction)
-		}
-		r.migration = nil
-	}
-
-	// Everything still unplaced goes through the standard ring placement.
-	for _, t := range r.tenants {
-		if t.shard == "" {
+	if m != nil {
+		won, _ := r.place(m.Tenant, span.Context(), r.p.rollForward(m, NewRing(r.cfg.VNodes, r.p.live()...))...)
+		switch {
+		case won != "" && won == m.To:
+			rep.MigrationAction = "rolled-forward"
+		case won != "" && won == m.From:
+			rep.MigrationAction = "rolled-back"
+		default:
+			rep.MigrationAction = "re-placed"
 			rep.Orphaned++
 		}
+		r.update(func(p *placement) { p.tenant(m.Tenant).Pinned = rep.MigrationAction == "rolled-forward" })
+		r.logf("reconcile: migration %s (%s → %s, drained=%v) %s", m.Tenant, m.From, m.To, m.Drained, rep.MigrationAction)
 	}
-	if err := r.placeUnplacedLocked(); err != nil {
-		return rep, fmt.Errorf("rpc: reconcile: %w", err)
+	if err := r.placeUnplaced(span.Context()); err != nil {
+		return &rep, fmt.Errorf("rpc: reconcile: %w", err)
 	}
-
-	r.persistLocked()
+	r.commit(func(*placement) {})
 	r.cfg.Obs.Reconcile(rep.Epoch, rep.Confirmed, rep.Adopted, rep.Orphaned, rep.DupEvicted)
 	r.logf("%s", rep.String())
-	return rep, nil
-}
-
-// isAliveLocked reports whether addr is a live slot. Callers hold r.mu.
-func (r *Router) isAliveLocked(addr string) bool {
-	for _, s := range r.slots {
-		if s.addr == addr && s.alive {
-			return true
-		}
-	}
-	return false
+	return &rep, nil
 }

@@ -3,9 +3,7 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +51,7 @@ type RouterConfig struct {
 	// namespace at round boundaries and every placement mutation, and the
 	// router fences all mutating shard RPCs with a persisted epoch
 	// (Graf-Epoch) that ResumeRouter bumps on restore/takeover. "" keeps the
-	// PR-6 in-memory router: no persistence, no fencing.
+	// router in memory: no persistence, no fencing.
 	StateDir string
 	// Failpoint, when set, is consulted at named crash sites
 	// ("migrate-after-drain"); returning an error aborts the operation
@@ -96,31 +94,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// tenantState is the router's authoritative record of one tenant: where it
-// lives and the last acknowledged tick count and audit fingerprint — the
-// baseline every recovery and migration is verified against.
-type tenantState struct {
-	id       string
-	shard    string // current owner address
-	pinned   bool   // placed by Migrate, exempt from ring lookup
-	ticks    int
-	auditLen int
-	auditFNV uint64
-	degraded bool
-	p99      float64
-	violS    float64
-	brownout int // last reported degradation-ladder rung (0=full)
-}
-
-// shardSlot is one shard position the router manages. The slot survives the
-// process: a respawn installs a new address into the same slot.
-type shardSlot struct {
-	slot     int
-	addr     string
-	alive    bool
-	respawns int
-}
-
 // RouterStats aggregates a router run.
 type RouterStats struct {
 	Rounds             int
@@ -144,79 +117,85 @@ type RouterStats struct {
 // cannot be rebuilt from shard responses — the shards are the system of
 // record, the router is the clock and the map.
 //
-// Locking: r.mu guards every mutable field — the tenant table, the slot
-// table (addr/alive/respawns), the ring, the round counter, and the stats —
-// so observers (Stats, Shards, Owner, TenantStates, Round) are safe to call
-// concurrently with the round loop. The round loop itself is single-caller:
-// RunRound/Migrate/Bootstrap must not be invoked concurrently with each
-// other. Placement round-trips (placeTenant) run under the lock; the tick
-// fan-out does not.
+// Its state is one placement value (persist.go): the placement methods
+// decide, the drivers below execute every shard RPC, and commit persists.
+//
+// Locking: the round loop — RunRound, Migrate, Bootstrap, Settle, and the
+// reconcile inside ResumeRouter — is single-caller and the only writer of
+// the placement and the stats. It writes them under r.mu (through commit
+// wherever the change must be durable) and reads them without it; observers
+// (Stats, Shards, Owner, TenantStates, Round) read under r.mu, so they are
+// safe to call concurrently with the round loop. No shard RPC runs under
+// r.mu.
 type Router struct {
-	cfg     RouterConfig
-	client  *Client
-	ring    *Ring
-	slots   []*shardSlot
-	tenants map[string]*tenantState
-	round   int
-	stats   RouterStats
-	mu      sync.Mutex
+	cfg    RouterConfig
+	client *Client
+	p      placement
+	stats  RouterStats
+	mu     sync.Mutex
 
-	// Crash safety (nil/zero when cfg.StateDir is empty). store is the
-	// durable generation store; epoch is this router generation's fencing
-	// token (immutable after construction); migration is the in-flight
-	// migration record, persisted so a successor can roll it forward or
-	// back. fenced flips permanently when any shard rejects this generation
-	// as stale — the router has lost leadership and must stop mutating the
-	// fleet and the shared store.
-	store     *ckpt.Store
-	epoch     uint64
-	migration *migrationRecord
-	fenced    atomic.Bool
+	// store is the durable generation store (nil when cfg.StateDir is
+	// empty). fenced flips permanently when any shard rejects this
+	// generation as stale — the router has lost leadership and must stop
+	// mutating the fleet and the shared store.
+	store  *ckpt.Store
+	fenced atomic.Bool
 }
 
 // NewRouter builds a router over the given shard addresses. Call Bootstrap
 // to configure shards and place tenants.
 func NewRouter(cfg RouterConfig, shardAddrs []string) (*Router, error) {
-	cfg = cfg.withDefaults()
 	if len(shardAddrs) == 0 {
 		return nil, fmt.Errorf("rpc: router needs at least one shard")
 	}
+	p := &placement{}
+	for i, addr := range shardAddrs {
+		p.Slots = append(p.Slots, &ShardInfo{Slot: i, Addr: addr, Alive: true})
+	}
+	for _, id := range cfg.Tenants {
+		i, dup := slices.BinarySearchFunc(p.Tenants, id, byID)
+		if dup {
+			return nil, fmt.Errorf("rpc: duplicate tenant %q", id)
+		}
+		p.Tenants = slices.Insert(p.Tenants, i, &tenantState{ID: id})
+	}
+	return newRouter(cfg, p)
+}
+
+// newRouter is the one constructor: over p, or — p nil — over the state
+// persisted in cfg.StateDir.
+func newRouter(cfg RouterConfig, p *placement) (*Router, error) {
+	cfg = cfg.withDefaults()
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Router{
-		cfg:     cfg,
-		client:  NewClient(cfg.Client, cfg.Fault),
-		ring:    NewRing(cfg.VNodes),
-		tenants: map[string]*tenantState{},
-	}
-	r.client.Obs = cfg.RPCObs
-	r.client.Tracer = cfg.Tracer
+	r := &Router{cfg: cfg, client: NewClient(cfg.Client, cfg.Fault)}
+	r.client.Obs, r.client.Tracer = cfg.RPCObs, cfg.Tracer
 	if cfg.StateDir != "" {
-		store, err := openRouterStore(cfg.StateDir)
-		if err != nil {
+		var err error
+		if r.store, err = ckpt.NewNamespacedStore(cfg.StateDir, "router"); err != nil {
 			return nil, err
 		}
-		r.store = store
-		// A fresh router over a state dir with history is a new generation:
-		// its epoch must exceed every predecessor's so the shards' fences
-		// lock all of them out the moment this one first writes.
-		r.epoch = 1
-		if prev, err := loadRouterState(cfg.StateDir); err == nil {
-			r.epoch = prev.Epoch + 1
+		prev, err := loadRouterState(cfg.StateDir)
+		if p == nil && err != nil {
+			return nil, fmt.Errorf("rpc: nothing to resume: %w", err)
 		}
-		r.client.SetEpoch(r.epoch)
-	}
-	for i, addr := range shardAddrs {
-		r.slots = append(r.slots, &shardSlot{slot: i, addr: addr, alive: true})
-		r.client.nameShard(addr, i)
-		r.ring.Add(addr)
-	}
-	for _, id := range cfg.Tenants {
-		if r.tenants[id] != nil {
-			return nil, fmt.Errorf("rpc: duplicate tenant %q", id)
+		// A generation's epoch is one above its newest predecessor's, so the
+		// shards' fences lock every predecessor out the moment this one first
+		// writes.
+		epoch := uint64(1)
+		if prev != nil {
+			epoch += prev.Epoch
 		}
-		r.tenants[id] = &tenantState{id: id}
+		if p == nil {
+			p = prev
+		}
+		p.Epoch = epoch
+		r.client.SetEpoch(epoch)
+	}
+	r.p = *p
+	for _, s := range r.p.Slots {
+		r.client.nameShard(s.Addr, s.Slot)
 	}
 	return r, nil
 }
@@ -233,7 +212,7 @@ func (r *Router) Client() *Client { return r.client }
 
 // Epoch returns this router generation's fencing epoch (0 = fencing off —
 // no StateDir configured). Immutable after construction.
-func (r *Router) Epoch() uint64 { return r.epoch }
+func (r *Router) Epoch() uint64 { return r.p.Epoch }
 
 // Fenced reports whether any shard has rejected this generation as stale —
 // a newer router owns the fleet and this one must stop.
@@ -248,7 +227,7 @@ func (r *Router) noteFenced(err error) bool {
 		return false
 	}
 	if !r.fenced.Swap(true) {
-		r.logf("router: FENCED at epoch %d — a newer generation owns the fleet", r.epoch)
+		r.logf("router: FENCED at epoch %d — a newer generation owns the fleet", r.p.Epoch)
 	}
 	return true
 }
@@ -266,26 +245,23 @@ func (r *Router) Stats() RouterStats {
 func (r *Router) Round() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.round
+	return r.p.Round
 }
 
-// TenantStates returns a sorted snapshot of the router's tenant table.
+// TenantStates returns the router's tenant table, sorted by ID.
 func (r *Router) TenantStates() []TenantStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TenantStatus, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		out = append(out, TenantStatus{
-			ID: t.id, Ticks: t.ticks, P99: t.p99, ViolS: t.violS,
-			Degraded: t.degraded, AuditLen: t.auditLen, AuditFNV: t.auditFNV,
-			Brownout: t.brownout,
-		})
+	out := make([]TenantStatus, 0, len(r.p.Tenants))
+	for _, t := range r.p.Tenants {
+		out = append(out, TenantStatus{ID: t.ID, Ticks: t.Ticks, P99: t.p99, ViolS: t.violS, Degraded: t.degraded,
+			AuditLen: t.AuditLen, AuditFNV: t.AuditFNV, Brownout: t.Brownout})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// ShardInfo is a read-only view of one router slot.
+// ShardInfo is one router slot. The slot survives the process: a respawn
+// installs a new address into the same slot.
 type ShardInfo struct {
 	Slot     int
 	Addr     string
@@ -299,19 +275,26 @@ type ShardInfo struct {
 func (r *Router) Shards() []ShardInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]ShardInfo, 0, len(r.slots))
-	for _, s := range r.slots {
-		out = append(out, ShardInfo{Slot: s.slot, Addr: s.addr, Alive: s.alive, Respawns: s.respawns})
+	out := make([]ShardInfo, 0, len(r.p.Slots))
+	for _, s := range r.p.Slots {
+		out = append(out, *s)
 	}
 	return out
+}
+
+// live returns the live shard addresses (placement.live under the lock).
+func (r *Router) live() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.p.live()
 }
 
 // Owner returns the shard address currently owning a tenant.
 func (r *Router) Owner(id string) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t := r.tenants[id]; t != nil {
-		return t.shard
+	if t := r.p.tenant(id); t != nil {
+		return t.Shard
 	}
 	return ""
 }
@@ -319,60 +302,66 @@ func (r *Router) Owner(id string) string {
 // Bootstrap configures every shard with the spec and admits every tenant at
 // its ring placement.
 func (r *Router) Bootstrap() error {
-	var span *obs.ActiveSpan
-	if r.cfg.Tracer != nil {
-		span = r.cfg.Tracer.StartRoot("router/bootstrap").
-			SetAttr("shards", float64(len(r.slots))).
-			SetAttr("tenants", float64(len(r.tenants)))
-	}
+	span := r.cfg.Tracer.StartRoot("router/bootstrap").
+		SetAttr("shards", float64(len(r.p.Slots))).SetAttr("tenants", float64(len(r.p.Tenants)))
 	defer span.End()
 	for _, s := range r.Shards() {
 		if err := r.client.Configure(s.Addr, r.cfg.Spec, span.Context()); err != nil {
 			return fmt.Errorf("rpc: configure shard %d (%s): %w", s.Slot, s.Addr, err)
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]string, 0, len(r.tenants))
-	for id := range r.tenants {
-		ids = append(ids, id)
+	if err := r.placeUnplaced(span.Context()); err != nil {
+		return err
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		addr := r.ring.Lookup(id)
-		if err := r.placeTenant(id, addr, span.Context()); err != nil {
-			return err
-		}
-	}
-	r.persistLocked()
-	r.logf("bootstrap: %d tenants across %d shards (epoch %d)", len(ids), len(r.slots), r.epoch)
+	r.commit(func(*placement) {})
+	r.logf("bootstrap: %d tenants across %d shards (epoch %d)", len(r.p.Tenants), len(r.p.Slots), r.p.Epoch)
 	return nil
 }
 
-// placeTenant admits a tenant on a shard at its recorded tick count and
+// place is the executor's one placement: it admits id on each candidate in
+// turn and commits the first whose answer verifies (admit). If none does,
+// the tenant is left unplaced for the next round's pass to re-place. won is
+// the owner, "" when unplaced; err joins the candidates that failed, so it
+// can be non-nil when a later candidate won.
+func (r *Router) place(id string, parent obs.SpanContext, candidates ...string) (won string, err error) {
+	var errs []error
+	for _, addr := range candidates {
+		st, err := r.admit(id, addr, parent)
+		if err == nil {
+			r.commit(func(p *placement) { p.tenant(id).Shard = addr; p.note(st) })
+			return addr, errors.Join(errs...)
+		}
+		errs = append(errs, err)
+	}
+	r.update(func(p *placement) { p.tenant(id).Shard = "" })
+	if len(errs) == 0 {
+		errs = append(errs, fmt.Errorf("rpc: no live shard to place tenant %s", id))
+	}
+	return "", errors.Join(errs...)
+}
+
+// admit restores a tenant on a shard at its recorded tick count and
 // verifies the response against the router's audit fingerprint baseline.
-// Callers must hold r.mu (the admit round-trip happens under the lock —
-// placement is serialized by design, and observers block only on Stats-style
-// reads, never on the data path).
-func (r *Router) placeTenant(id, addr string, parent ...obs.SpanContext) error {
-	t := r.tenants[id]
-	resp, err := r.client.Admit(addr, id, t.ticks, parent...)
+func (r *Router) admit(id, addr string, parent obs.SpanContext) (TenantStatus, error) {
+	t := r.p.tenant(id)
+	resp, err := r.client.Admit(addr, id, t.Ticks, parent)
 	if err != nil {
 		r.noteFenced(err)
-		return fmt.Errorf("rpc: admit %s on %s: %w", id, addr, err)
+		return resp.Status, fmt.Errorf("rpc: admit %s on %s: %w", id, addr, err)
 	}
-	if resp.Status.Ticks < t.ticks {
-		return fmt.Errorf("rpc: admit %s: shard reports %d ticks, router knows %d", id, resp.Status.Ticks, t.ticks)
+	if resp.Status.Ticks < t.Ticks {
+		return resp.Status, fmt.Errorf("rpc: admit %s: shard reports %d ticks, router knows %d", id, resp.Status.Ticks, t.Ticks)
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	// The restored stream must contain at least the bytes the router last
 	// acknowledged; equality of the fingerprint is checked when tick counts
 	// line up exactly.
-	if resp.Status.Ticks == t.ticks && t.auditLen > 0 {
-		if resp.Status.AuditLen != t.auditLen || resp.Status.AuditFNV != t.auditFNV {
-			r.stats.LostDecisions++
-			return fmt.Errorf("rpc: admit %s: audit fingerprint mismatch (len %d/%d fnv %x/%x) — lost decisions",
-				id, resp.Status.AuditLen, t.auditLen, resp.Status.AuditFNV, t.auditFNV)
-		}
+	if resp.Status.Ticks == t.Ticks && t.AuditLen > 0 &&
+		(resp.Status.AuditLen != t.AuditLen || resp.Status.AuditFNV != t.AuditFNV) {
+		r.stats.LostDecisions++
+		return resp.Status, fmt.Errorf("rpc: admit %s: audit fingerprint mismatch (len %d/%d fnv %x/%x) — lost decisions",
+			id, resp.Status.AuditLen, t.AuditLen, resp.Status.AuditFNV, t.AuditFNV)
 	}
 	if resp.PriorVerified {
 		r.stats.VerifiedRestores++
@@ -381,70 +370,23 @@ func (r *Router) placeTenant(id, addr string, parent ...obs.SpanContext) error {
 		r.stats.SnapshotVerified++
 	}
 	r.stats.ReplayedTicks += resp.ReplayedTicks
-	t.shard = addr
-	r.noteStatus(resp.Status)
-	r.persistLocked()
-	return nil
+	return resp.Status, nil
 }
 
-func (r *Router) noteStatus(st TenantStatus) {
-	t := r.tenants[st.ID]
-	if t == nil {
-		return
+// placeUnplaced places every tenant that has no owner — not yet
+// bootstrapped, a failed migration whose rollback also failed, a reconcile
+// orphan — at its ring home, so no tenant can stay silently stalled across
+// rounds.
+func (r *Router) placeUnplaced(parent obs.SpanContext) error {
+	ids := r.p.orphans("")
+	if len(ids) == 0 {
+		return nil
 	}
-	t.ticks = st.Ticks
-	t.auditLen = st.AuditLen
-	t.auditFNV = st.AuditFNV
-	t.degraded = st.Degraded
-	t.p99 = st.P99
-	t.violS = st.ViolS
-	t.brownout = st.Brownout
-}
-
-// aliveSlotsLocked returns the live shard slots. Callers must hold r.mu.
-func (r *Router) aliveSlotsLocked() []*shardSlot {
-	var out []*shardSlot
-	for _, s := range r.slots {
-		if s.alive {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// aliveAddrs snapshots the live shard addresses.
-func (r *Router) aliveAddrs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for _, s := range r.slots {
-		if s.alive {
-			out = append(out, s.addr)
-		}
-	}
-	return out
-}
-
-// placeUnplacedLocked re-places any tenant that currently has no owner (a
-// failed migration whose rollback also failed) onto its ring shard, so no
-// tenant can stay silently stalled across rounds. Callers must hold r.mu.
-func (r *Router) placeUnplacedLocked() error {
-	var ids []string
-	for id, t := range r.tenants {
-		if t.shard == "" {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
+	ring := NewRing(r.cfg.VNodes, r.p.live()...)
 	for _, id := range ids {
-		target := r.ring.Lookup(id)
-		if target == "" {
-			return fmt.Errorf("rpc: no live shards to place tenant %s", id)
-		}
-		if err := r.placeTenant(id, target); err != nil {
+		if _, err := r.place(id, parent, r.p.home(id, ring)...); err != nil {
 			return err
 		}
-		r.logf("tenant %s: re-placed on %s after failed migration", id, target)
 	}
 	return nil
 }
@@ -465,32 +407,21 @@ func (r *Router) RunRounds(n int) error {
 // round then completes on the post-recovery topology, so one lost shard
 // never stalls the fleet.
 func (r *Router) RunRound() error {
-	r.mu.Lock()
-	r.round++
-	round := r.round
-	err := r.placeUnplacedLocked()
-	r.mu.Unlock()
-	if err != nil {
+	r.update(func(p *placement) { p.Round++ })
+	round := r.p.Round
+	if err := r.placeUnplaced(obs.SpanContext{}); err != nil {
 		return err
 	}
 	t0 := time.Now()
-	totalFailed := 0
-	totalShed := 0
-	var span *obs.ActiveSpan
-	if r.cfg.Tracer != nil {
-		span = r.cfg.Tracer.StartRoot("router/round").SetAttr("round", float64(round))
-	}
+	failed, shed := 0, 0
+	span := r.cfg.Tracer.StartRoot("router/round").SetAttr("round", float64(round))
 	defer func() {
-		span.SetAttr("failed", float64(totalFailed)).SetAttr("shed", float64(totalShed)).End()
-		r.mu.Lock()
-		alive := len(r.aliveSlotsLocked())
-		if totalShed > 0 {
-			r.stats.ShedTicks += totalShed
-			r.stats.PartialRounds++
+		span.SetAttr("failed", float64(failed)).SetAttr("shed", float64(shed)).End()
+		if shed > 0 {
+			r.update(func(*placement) { r.stats.ShedTicks += shed; r.stats.PartialRounds++ })
 		}
-		r.mu.Unlock()
-		r.cfg.Obs.Round(time.Since(t0).Seconds(), alive, totalFailed)
-		r.cfg.Obs.Shed(totalShed)
+		r.cfg.Obs.Round(time.Since(t0).Seconds(), len(r.p.live()), failed)
+		r.cfg.Obs.Shed(shed)
 	}()
 	r.client.SetRound(round)
 	if r.cfg.RoundBudget > 0 {
@@ -500,130 +431,103 @@ func (r *Router) RunRound() error {
 		defer r.client.SetDeadline(time.Time{})
 	}
 	if r.cfg.CheckpointEveryRounds > 0 && round > 1 && (round-1)%r.cfg.CheckpointEveryRounds == 0 {
-		for _, addr := range r.aliveAddrs() {
+		for _, addr := range r.live() {
 			if _, err := r.client.Checkpoint(addr, span.Context()); err != nil {
 				r.logf("round %d: checkpoint %s: %v", round, addr, err)
 			}
 		}
 	}
-
 	for attempt := 0; ; attempt++ {
-		// Snapshot the live topology under the lock; the tick fan-out itself
-		// must not hold r.mu (observers keep working during a slow round).
-		type target struct {
-			slot *shardSlot
-			addr string
+		failing, n, err := r.tick(round, span)
+		if shed += n; err != nil {
+			return err
 		}
-		r.mu.Lock()
-		var alive []target
-		for _, s := range r.slots {
-			if s.alive {
-				alive = append(alive, target{slot: s, addr: s.addr})
-			}
-		}
-		r.mu.Unlock()
-		if len(alive) == 0 {
-			return fmt.Errorf("rpc: round %d: no live shards", round)
-		}
-		type result struct {
-			slot *shardSlot
-			resp TickResponse
-			err  error
-		}
-		results := make([]result, len(alive))
-		var wg sync.WaitGroup
-		for i, tgt := range alive {
-			wg.Add(1)
-			go func(i int, tgt target) {
-				defer wg.Done()
-				resp, err := r.client.Tick(tgt.addr, round, span.Context())
-				results[i] = result{slot: tgt.slot, resp: resp, err: err}
-			}(i, tgt)
-		}
-		wg.Wait()
-
-		var failed []*shardSlot
-		var fencedErr error
-		r.mu.Lock()
-		for _, res := range results {
-			if res.err != nil {
-				if r.noteFenced(res.err) {
-					// Lost leadership: a newer router generation has taken
-					// over and the shard fences this one out. Fatal, and
-					// deliberately not a "failure" — investigating would
-					// find a perfectly healthy shard, and retrying can never
-					// succeed. The process must stop driving the fleet.
-					fencedErr = res.err
-					continue
-				}
-				if isShedErr(res.err) {
-					// Backpressure or budget exhaustion, not shard death: the
-					// shard is alive and deliberately refused (or we refused to
-					// send) this round's work. The round completes partially —
-					// RoundTo is idempotent catch-up, so the next round covers
-					// the skipped ticks. Investigating would waste heartbeats
-					// and could respawn a healthy shard.
-					totalShed++
-					span.Event("tick-shed", res.slot.addr)
-					r.logf("round %d: tick shed on %s: %v", round, res.slot.addr, res.err)
-					continue
-				}
-				failed = append(failed, res.slot)
-				continue
-			}
-			for _, st := range res.resp.Statuses {
-				r.noteStatus(st)
-			}
-		}
-		r.mu.Unlock()
-		if fencedErr != nil {
-			return fmt.Errorf("rpc: round %d: router lost leadership: %w", round, fencedErr)
-		}
-		if len(failed) == 0 {
+		if len(failing) == 0 {
 			break
 		}
-		totalFailed += len(failed)
-		if attempt >= len(r.slots)+1 {
+		failed += len(failing)
+		if attempt >= len(r.p.Slots)+1 {
 			return fmt.Errorf("rpc: round %d: shards kept failing after %d recovery attempts", round, attempt)
 		}
-		for _, s := range failed {
-			span.Event("shard-failure", s.addr)
-			if err := r.handleShardFailure(s, span.Context()); err != nil {
+		for _, addr := range failing {
+			span.Event("shard-failure", addr)
+			if err := r.handleShardFailure(addr, span.Context()); err != nil {
 				return err
 			}
 		}
 		// Loop: re-tick the post-recovery topology. RoundTo is idempotent,
 		// so shards that already completed this round are no-ops.
 	}
-	r.mu.Lock()
-	r.stats.Rounds++
 	// Round boundary: the durable state now names a round every shard has
 	// completed, so a successor resuming from it re-ticks at most one round
 	// (idempotently) and never misses one.
-	r.persistLocked()
-	r.mu.Unlock()
+	r.commit(func(*placement) { r.stats.Rounds++ })
 	return nil
+}
+
+// tick fans one round out to the live shards — without r.mu, so observers
+// keep working during a slow round — and folds in the answers. It returns
+// the shards whose tick failed and the number of ticks shed.
+func (r *Router) tick(round int, span *obs.ActiveSpan) (failed []string, shed int, err error) {
+	live := r.live()
+	if len(live) == 0 {
+		return nil, 0, fmt.Errorf("rpc: round %d: no live shards", round)
+	}
+	resps, errs := make([]TickResponse, len(live)), make([]error, len(live))
+	var wg sync.WaitGroup
+	for i, addr := range live {
+		wg.Add(1)
+		go func(i int, addr string) {
+			defer wg.Done()
+			resps[i], errs[i] = r.client.Tick(addr, round, span.Context())
+		}(i, addr)
+	}
+	wg.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, addr := range live {
+		switch e := errs[i]; {
+		case e == nil:
+			r.p.note(resps[i].Statuses...)
+		case r.noteFenced(e):
+			// Lost leadership: a newer router generation has taken over and
+			// the shard fences this one out. Fatal, and deliberately not a
+			// "failure" — investigating would find a perfectly healthy shard,
+			// and retrying can never succeed. The process must stop driving
+			// the fleet.
+			err = fmt.Errorf("rpc: round %d: router lost leadership: %w", round, e)
+		case IsOverloaded(e) || IsExpired(e) || errors.Is(e, ErrBudgetExhausted):
+			// Shedding — an admission-control 429, a deadline-expiry 504, or
+			// the client's own budget refusal — not shard death: the shard
+			// is alive and deliberately refused (or we refused to send) this
+			// round's work. The round completes partially — RoundTo is
+			// idempotent catch-up, so the next round covers the skipped
+			// ticks. Investigating would waste heartbeats and could respawn
+			// a healthy shard.
+			shed++
+			span.Event("tick-shed", addr)
+			r.logf("round %d: tick shed on %s: %v", round, addr, e)
+		default:
+			failed = append(failed, addr)
+		}
+	}
+	return failed, shed, err
 }
 
 // handleShardFailure confirms a shard is dead with heartbeat probes, then
 // recovers: respawn into the same slot while the restart budget lasts,
-// otherwise remove the shard from the ring and reassign its tenants to the
-// survivors. Every orphan is restored at its last acknowledged tick count
-// and byte-verified against its on-disk audit log — zero lost decisions.
-func (r *Router) handleShardFailure(s *shardSlot, parent ...obs.SpanContext) error {
-	r.mu.Lock()
-	addr := s.addr
-	r.mu.Unlock()
-	var span *obs.ActiveSpan
-	if r.cfg.Tracer != nil {
-		span = r.cfg.Tracer.StartChild(optCtx(parent), "router/recover").SetTrack(addr)
-	}
+// otherwise reassign its tenants to the survivors' ring. Every orphan is
+// restored at its last acknowledged tick count and byte-verified against its
+// on-disk audit log — zero lost decisions.
+func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
+	slot := slices.IndexFunc(r.p.Slots, func(s *ShardInfo) bool { return s.Addr == dead })
+	span := r.cfg.Tracer.StartChild(parent, "router/recover").SetTrack(dead)
 	defer span.End()
 	for probe := 0; probe < r.cfg.HeartbeatMisses; probe++ {
 		if probe > 0 {
 			time.Sleep(r.cfg.HeartbeatEvery)
 		}
-		if _, err := r.client.Health(addr, span.Context()); err == nil {
+		if _, err := r.client.Health(dead, span.Context()); err == nil {
 			// Alive after all — a slow round, a transient partition, or a
 			// breaker that opened during a blip. Close the breaker so the
 			// caller's re-tick actually reaches the shard: without the reset,
@@ -631,96 +535,80 @@ func (r *Router) handleShardFailure(s *shardSlot, parent ...obs.SpanContext) err
 			// ErrBreakerOpen until its cooldown elapses, burning through the
 			// recovery-attempt bound in milliseconds and aborting the round
 			// over a survivable transient.
-			r.client.ResetBreaker(addr)
-			r.logf("shard %d (%s): unresponsive but heartbeat ok; breaker reset", s.slot, addr)
+			r.client.ResetBreaker(dead)
+			r.logf("shard %d (%s): unresponsive but heartbeat ok; breaker reset", slot, dead)
 			return nil
 		}
 	}
-	r.logf("shard %d (%s): declared dead after %d missed heartbeats", s.slot, addr, r.cfg.HeartbeatMisses)
-	span.Event("declared-dead", addr)
-	r.mu.Lock()
-	s.alive = false
-	r.ring.Remove(addr)
+	r.logf("shard %d (%s): declared dead after %d missed heartbeats", slot, dead, r.cfg.HeartbeatMisses)
+	span.Event("declared-dead", dead)
 	var orphans []string
-	for id, t := range r.tenants {
-		if t.shard == addr {
-			orphans = append(orphans, id)
-		}
-	}
-	r.persistLocked() // membership change: the slot is out of the ring
-	r.mu.Unlock()
-	sort.Strings(orphans)
-
+	r.commit(func(p *placement) { // membership change: the slot leaves the ring
+		p.Slots[slot].Alive = false
+		orphans = p.orphans(dead)
+	})
 	t0 := time.Now()
-	respawned := false
-	reassigned := 0
+	respawned, reassigned := false, 0
 	defer func() {
 		ms := float64(time.Since(t0).Nanoseconds()) / 1e6
-		r.mu.Lock()
-		r.stats.RecoveryBlackoutMS += ms
-		r.mu.Unlock()
+		r.update(func(*placement) { r.stats.RecoveryBlackoutMS += ms })
 		r.cfg.Obs.ShardDeath(respawned, reassigned, ms)
 		span.SetAttr("orphans", float64(len(orphans))).SetAttr("blackout_ms", ms)
-		r.logf("shard %d: recovery of %d tenants took %.1fms", s.slot, len(orphans), ms)
+		r.logf("shard %d: recovery of %d tenants took %.1fms", slot, len(orphans), ms)
 	}()
-
-	r.mu.Lock()
-	respawnable := r.cfg.Respawn != nil && s.respawns < r.cfg.RestartBudget
-	if respawnable {
-		s.respawns++
-		r.stats.Respawns++
+	addr, err := r.respawn(slot, dead, span)
+	if err != nil {
+		return err
 	}
-	r.mu.Unlock()
-	if respawnable {
-		newAddr, err := r.cfg.Respawn(s.slot)
-		if err != nil {
-			r.logf("shard %d: respawn failed (%v); falling back to reassignment", s.slot, err)
-		} else {
-			r.client.ResetBreaker(addr)
-			r.client.ResetBreaker(newAddr)
-			r.client.nameShard(newAddr, s.slot)
-			if err := r.client.Configure(newAddr, r.cfg.Spec, span.Context()); err != nil {
-				return fmt.Errorf("rpc: configure respawned shard %d (%s): %w", s.slot, newAddr, err)
-			}
-			r.mu.Lock()
-			s.addr = newAddr
-			s.alive = true
-			r.ring.Add(newAddr)
-			for _, id := range orphans {
-				if err := r.placeTenant(id, newAddr, span.Context()); err != nil {
-					r.mu.Unlock()
-					return err
-				}
-			}
-			r.persistLocked() // membership change: respawned addr in the ring
-			r.mu.Unlock()
-			respawned = true
-			span.Event("respawned", newAddr)
-			r.logf("shard %d: respawned at %s, %d tenants restored", s.slot, newAddr, len(orphans))
-			return nil
-		}
-	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.aliveSlotsLocked()) == 0 {
-		return fmt.Errorf("rpc: shard %d dead and no survivors to reassign %d tenants to", s.slot, len(orphans))
-	}
+	ring := NewRing(r.cfg.VNodes, r.p.live()...)
 	for _, id := range orphans {
-		t := r.tenants[id]
-		if t.pinned {
-			// A pinned tenant lost its pin target; fall back to the ring.
-			t.pinned = false
+		home := []string{addr}
+		if addr == "" {
+			home = r.p.home(id, ring)
 		}
-		target := r.ring.Lookup(id)
-		if err := r.placeTenant(id, target, span.Context()); err != nil {
+		if len(home) == 0 {
+			return fmt.Errorf("rpc: shard %d dead and no survivors to reassign %d tenants to", slot, len(orphans))
+		}
+		if _, err := r.place(id, span.Context(), home...); err != nil {
 			return err
 		}
-		r.stats.Reassignments++
-		reassigned++
-		r.logf("tenant %s: reassigned %s → %s at tick %d", id, addr, target, t.ticks)
+		if addr == "" {
+			// A pinned tenant lost its pin target: it is back on the ring.
+			r.update(func(p *placement) { p.tenant(id).Pinned = false; r.stats.Reassignments++ })
+			reassigned++
+			r.logf("tenant %s: reassigned %s → %s at tick %d", id, dead, home[0], r.p.tenant(id).Ticks)
+		}
+	}
+	if respawned = addr != ""; respawned {
+		span.Event("respawned", addr)
+		r.logf("shard %d: respawned at %s, %d tenants restored", slot, addr, len(orphans))
 	}
 	return nil
+}
+
+// respawn restarts a dead slot's process while its restart budget lasts and
+// commits the new address into the slot. "" with a nil error means no
+// respawn: the budget is spent or the respawn failed, so reassign instead.
+func (r *Router) respawn(slot int, dead string, span *obs.ActiveSpan) (string, error) {
+	if r.cfg.Respawn == nil || r.p.Slots[slot].Respawns >= r.cfg.RestartBudget {
+		return "", nil
+	}
+	r.update(func(p *placement) { p.Slots[slot].Respawns++; r.stats.Respawns++ })
+	addr, err := r.cfg.Respawn(slot)
+	if err != nil {
+		r.logf("shard %d: respawn failed (%v); falling back to reassignment", slot, err)
+		return "", nil
+	}
+	r.client.ResetBreaker(dead)
+	r.client.ResetBreaker(addr)
+	r.client.nameShard(addr, slot)
+	if err := r.client.Configure(addr, r.cfg.Spec, span.Context()); err != nil {
+		return "", fmt.Errorf("rpc: configure respawned shard %d (%s): %w", slot, addr, err)
+	}
+	r.commit(func(p *placement) { // membership change: the respawned address joins the ring
+		p.Slots[slot].Addr, p.Slots[slot].Alive = addr, true
+	})
+	return addr, nil
 }
 
 // Migrate moves one tenant to an explicit shard address: drain (evict with
@@ -732,39 +620,24 @@ func (r *Router) handleShardFailure(s *shardSlot, parent ...obs.SpanContext) err
 // running nowhere; if even that fails, it is marked unplaced and re-placed
 // at the start of the next round.
 func (r *Router) Migrate(id, toAddr string) (time.Duration, error) {
-	var span *obs.ActiveSpan
-	if r.cfg.Tracer != nil {
-		span = r.cfg.Tracer.StartRoot("router/migrate").SetTrack(id)
-	}
-	outcome := "error"
+	span := r.cfg.Tracer.StartRoot("router/migrate").SetTrack(id)
+	outcome, ms := "error", 0.0 // a blackout is only meaningful for "ok"
 	defer func() {
 		span.End()
 		if outcome != "" {
-			// "ok" records its blackout inline at the success site; here we
-			// only count the failure modes (blackout is meaningless there).
-			r.cfg.Obs.Migration(outcome, 0)
+			r.cfg.Obs.Migration(outcome, ms)
 		}
 	}()
-	r.mu.Lock()
-	t := r.tenants[id]
+	t := r.p.tenant(id)
 	if t == nil {
-		r.mu.Unlock()
 		return 0, fmt.Errorf("rpc: unknown tenant %q", id)
 	}
-	if t.shard == toAddr {
-		r.mu.Unlock()
+	from, candidates := t.Shard, r.p.migrateTo(id, toAddr)
+	switch {
+	case from == toAddr:
 		outcome = "" // no-op move, nothing to count
 		return 0, nil
-	}
-	fromAddr := t.shard
-	targetLive := false
-	for _, s := range r.slots {
-		if s.addr == toAddr && s.alive {
-			targetLive = true
-		}
-	}
-	r.mu.Unlock()
-	if !targetLive {
+	case len(candidates) == 0 || candidates[0] != toAddr:
 		return 0, fmt.Errorf("rpc: migration target %s is not a live shard", toAddr)
 	}
 
@@ -774,33 +647,20 @@ func (r *Router) Migrate(id, toAddr string) (time.Duration, error) {
 	// record tells its successor exactly how to finish the move (reconcile
 	// rolls a drained migration forward onto the target, whose shared audit
 	// log and checkpoint are intact).
-	r.mu.Lock()
-	r.migration = &migrationRecord{Tenant: id, From: fromAddr, To: toAddr}
-	r.persistLocked()
-	r.mu.Unlock()
-	clearRecord := func() {
-		r.mu.Lock()
-		r.migration = nil
-		r.persistLocked()
-		r.mu.Unlock()
-	}
-	if fromAddr != "" {
-		ev, err := r.client.Evict(fromAddr, id, true, span.Context())
+	r.commit(func(p *placement) { p.Migration = &migrationRecord{Tenant: id, From: from, To: toAddr} })
+	var drained []TenantStatus
+	if from != "" {
+		ev, err := r.client.Evict(from, id, true, span.Context())
 		if err != nil {
 			r.noteFenced(err)
-			clearRecord()
+			r.commit(func(p *placement) { p.Migration = nil })
 			return 0, fmt.Errorf("rpc: migrate %s: drain: %w", id, err)
 		}
 		if !ev.Missing {
-			r.mu.Lock()
-			r.noteStatus(ev.Status)
-			r.mu.Unlock()
+			drained = append(drained, ev.Status)
 		}
 	}
-	r.mu.Lock()
-	r.migration.Drained = true
-	r.persistLocked()
-	r.mu.Unlock()
+	r.commit(func(p *placement) { p.note(drained...); p.Migration.Drained = true })
 	if r.cfg.Failpoint != nil {
 		// The crash site the failover drill aims at: drained but not yet
 		// restored. A non-nil error emulates SIGKILL — return with no
@@ -811,57 +671,26 @@ func (r *Router) Migrate(id, toAddr string) (time.Duration, error) {
 			return 0, err
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	defer func() {
-		r.migration = nil
-		r.persistLocked()
-	}()
-	if err := r.placeTenant(id, toAddr, span.Context()); err != nil {
-		// Drained but not restored — the tenant is running nowhere. Roll
-		// back onto the source shard (its audit log and checkpoint are
-		// intact there), else any other survivor, so the tenant is never
-		// silently stalled for the rest of the run.
-		rbErr := fmt.Errorf("no source shard")
-		if fromAddr != "" {
-			rbErr = r.placeTenant(id, fromAddr)
-		}
-		if rbErr != nil {
-			for _, s := range r.aliveSlotsLocked() {
-				if s.addr == fromAddr || s.addr == toAddr {
-					continue
-				}
-				if rbErr = r.placeTenant(id, s.addr); rbErr == nil {
-					break
-				}
-			}
-		}
-		if rbErr != nil {
-			// Every rollback target failed too: mark the tenant unplaced so
-			// the next round's placeUnplacedLocked pass re-places it.
-			t.shard = ""
-			return 0, fmt.Errorf("rpc: migrate %s: restore failed (%v); rollback failed (%v); tenant unplaced until next round", id, err, rbErr)
-		}
-		r.logf("tenant %s: migration to %s failed; rolled back to %s", id, toAddr, t.shard)
-		return 0, fmt.Errorf("rpc: migrate %s: restore: %w (rolled back to %s)", id, err, t.shard)
-	}
-	t.pinned = true
-	r.stats.Migrations++
+	won, err := r.place(id, span.Context(), candidates...)
 	d := time.Since(t0)
-	ms := float64(d.Nanoseconds()) / 1e6
-	r.stats.MigrationBlackouts = append(r.stats.MigrationBlackouts, ms)
-	outcome = ""
-	r.cfg.Obs.Migration("ok", ms)
-	span.SetAttr("blackout_ms", ms)
-	r.logf("tenant %s: migrated %s → %s at tick %d in %.1fms", id, fromAddr, toAddr, t.ticks, ms)
-	return d, nil
-}
-
-// isShedErr classifies a tick error as deliberate overload shedding — an
-// admission-control 429, a deadline-expiry 504, or the client's own budget
-// refusal — as opposed to a transport failure worth investigating.
-func isShedErr(err error) bool {
-	return IsOverloaded(err) || IsExpired(err) || errors.Is(err, ErrBudgetExhausted)
+	r.commit(func(p *placement) {
+		if p.Migration = nil; won == toAddr {
+			outcome, ms = "ok", float64(d.Nanoseconds())/1e6
+			t.Pinned = true
+			r.stats.Migrations++
+			r.stats.MigrationBlackouts = append(r.stats.MigrationBlackouts, ms)
+		}
+	})
+	switch won {
+	case "":
+		return 0, fmt.Errorf("rpc: migrate %s: restore and rollback failed; tenant unplaced until next round: %w", id, err)
+	case toAddr:
+		span.SetAttr("blackout_ms", ms)
+		r.logf("tenant %s: migrated %s → %s at tick %d in %.1fms", id, from, toAddr, t.Ticks, ms)
+		return d, nil
+	}
+	r.logf("tenant %s: migration to %s failed; rolled back to %s", id, toAddr, won)
+	return 0, fmt.Errorf("rpc: migrate %s: restore: %w (rolled back to %s)", id, err, won)
 }
 
 // Settle re-ticks the current round with no deadline so shards whose ticks
@@ -870,36 +699,28 @@ func isShedErr(err error) bool {
 // streams stay byte-comparable to an unshed run. Call it before reading
 // final per-tenant state after budgeted rounds.
 func (r *Router) Settle() error {
-	r.mu.Lock()
-	round := r.round
-	r.mu.Unlock()
+	round := r.p.Round
 	if round == 0 {
 		return nil
 	}
 	r.client.SetDeadline(time.Time{})
-	for _, addr := range r.aliveAddrs() {
+	for _, addr := range r.live() {
 		// A breaker left open by a budget-starved burst is stale state here:
 		// settling runs with no deadline, so probe the shard directly instead
 		// of failing fast on the burst's verdict.
 		r.client.ResetBreaker(addr)
-		resp, err := r.client.Tick(addr, round)
-		if err != nil {
-			r.noteFenced(err)
-			return fmt.Errorf("rpc: settle round %d on %s: %w", round, addr, err)
-		}
-		r.mu.Lock()
-		for _, st := range resp.Statuses {
-			r.noteStatus(st)
-		}
-		r.mu.Unlock()
 	}
-	return nil
+	failed, shed, err := r.tick(round, nil)
+	if err == nil && len(failed)+shed > 0 {
+		err = fmt.Errorf("rpc: settle round %d: %d shards failed, %d shed", round, len(failed), shed)
+	}
+	return err
 }
 
 // CheckpointAll snapshots every live shard's tenants.
 func (r *Router) CheckpointAll() (int, error) {
 	total := 0
-	for _, addr := range r.aliveAddrs() {
+	for _, addr := range r.live() {
 		resp, err := r.client.Checkpoint(addr)
 		if err != nil {
 			r.noteFenced(err)
@@ -908,49 +729,4 @@ func (r *Router) CheckpointAll() (int, error) {
 		total += resp.Saved
 	}
 	return total, nil
-}
-
-// scrapeShards fetches every live shard's Prometheus exposition from its
-// control-plane /metrics endpoint. Unreachable shards are skipped — the
-// caller compares the haul against the live count.
-func (r *Router) scrapeShards() []obs.Exposition {
-	cl := &http.Client{Timeout: 2 * time.Second}
-	var out []obs.Exposition
-	for _, addr := range r.aliveAddrs() {
-		resp, err := cl.Get("http://" + addr + "/metrics")
-		if err != nil {
-			continue
-		}
-		b, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		out = append(out, obs.Exposition{Shard: addr, Text: string(b)})
-	}
-	return out
-}
-
-// federate renders the fleet-wide metrics view: the router's own registry
-// merged with the shard expositions, each sample relabeled with shard=addr.
-func federate(tel *obs.Telemetry, shards []obs.Exposition) string {
-	return obs.MergeExpositions(append(
-		[]obs.Exposition{{Shard: "router", Text: tel.Reg.Expose()}}, shards...))
-}
-
-// collectSpans merges the router's own spans with every live shard's span
-// buffer, pulled over /v1/traces. procs counts the processes that
-// contributed; errs names the shards that did not.
-func (r *Router) collectSpans() (spans []obs.TraceSpan, procs int, errs []error) {
-	spans, procs = r.cfg.Tracer.Snapshot(), 1
-	for _, addr := range r.aliveAddrs() {
-		resp, err := r.client.Traces(addr)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("traces from %s: %w", addr, err))
-			continue
-		}
-		spans = append(spans, resp.Spans...)
-		procs++
-	}
-	return spans, procs, errs
 }
