@@ -178,7 +178,7 @@ func BenchmarkClusterSimulation(b *testing.B) {
 // BenchmarkControllerObsOverhead measures the cost the telemetry subsystem
 // adds to one full controller decision (collect→analyze→solve→actuate).
 // Disabled is the nil-hook path (one nil check per instrumentation point);
-// Enabled records metrics, spans, and audit records to a memory-capped
+// Enabled records metrics and audit records to a memory-capped
 // flight recorder. The acceptance budget is Enabled ≤ Disabled + 5%.
 func BenchmarkControllerObsOverhead(b *testing.B) {
 	run := func(b *testing.B, enabled bool) {
@@ -251,15 +251,11 @@ func BenchmarkObsOverhead(b *testing.B) { runExperiment(b, bench.ObsOverhead) }
 // shape targets are asserted by internal/bench's TestRecoveryWarmBeatsCold.
 func BenchmarkRecovery(b *testing.B) { runExperiment(b, bench.Recovery) }
 
-// --- Fleet control plane (sharded multi-tenant, DESIGN.md §3g) --------------
-
-func BenchmarkFleet(b *testing.B) { runExperiment(b, bench.Fleet) }
-
 // --- Multi-process fleet (HTTP control plane, DESIGN.md §3h) ----------------
 
 // BenchmarkFleetRPC reports the control-plane numbers as benchmark metrics
-// so the benchjson pipeline can track them in BENCH_fleetrpc.json — the
-// migration-blackout metric carries a CI regression ceiling.
+// and fails outright on a lost decision or a migration blackout over 5 s
+// (drain, checkpoint and restore dragging).
 func BenchmarkFleetRPC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, st := bench.FleetRPCRun(benchScale())
@@ -272,6 +268,9 @@ func BenchmarkFleetRPC(b *testing.B) {
 		if !st.ByteIdentical || st.LostDecisions > 0 {
 			b.Fatalf("fleet-rpc lost decisions (byteIdentical=%v lost=%v)", st.ByteIdentical, st.LostDecisions)
 		}
+		if st.MigrationBlackoutMS > 5000 {
+			b.Fatalf("migration blackout %.0f ms, ceiling 5000 ms", st.MigrationBlackoutMS)
+		}
 		b.ReportMetric(st.TicksPerS, "ticks/s")
 		b.ReportMetric(st.MigrationBlackoutMS, "migration-blackout-ms")
 		b.ReportMetric(st.RebalanceBlackoutMS, "rebalance-blackout-ms")
@@ -281,12 +280,12 @@ func BenchmarkFleetRPC(b *testing.B) {
 
 // --- Crash-safe router (durable placement + epoch fencing, DESIGN.md §3k) ---
 
-// BenchmarkRouterFailover reports the router-failover drill as benchjson
-// metrics for BENCH_router.json — the takeover-blackout metric carries a CI
-// regression ceiling — and fails outright on any integrity breach: a lost
-// decision, a stale-epoch mutation accepted by a shard, a migration record
-// not rolled forward, or a post-takeover audit that is not byte-identical
-// to the uninterrupted reference.
+// BenchmarkRouterFailover reports the router-failover drill as benchmark
+// metrics and fails outright on a takeover blackout over 3 s (epoch bump,
+// reconcile and migration roll-forward dragging) or any integrity breach: a
+// lost decision, a stale-epoch mutation accepted by a shard, a migration
+// record not rolled forward, or a post-takeover audit that is not
+// byte-identical to the uninterrupted reference.
 func BenchmarkRouterFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, st := bench.RouterFailoverRun(benchScale())
@@ -305,6 +304,9 @@ func BenchmarkRouterFailover(b *testing.B) {
 		if st.MigrationAction != "rolled-forward" {
 			b.Fatalf("mid-flight migration resolved as %q, want rolled-forward", st.MigrationAction)
 		}
+		if st.TakeoverBlackoutMS > 3000 {
+			b.Fatalf("takeover blackout %.0f ms, ceiling 3000 ms", st.TakeoverBlackoutMS)
+		}
 		b.ReportMetric(st.TakeoverBlackoutMS, "takeover-blackout-ms")
 		b.ReportMetric(st.LostDecisions, "lost-decisions")
 		b.ReportMetric(st.FencedAccepted, "fenced-accepted")
@@ -314,11 +316,11 @@ func BenchmarkRouterFailover(b *testing.B) {
 
 // --- Overload protection (brownout ladder, DESIGN.md §3j) -------------------
 
-// BenchmarkOverload reports the overload-policy comparison as benchjson
-// metrics for BENCH_overload.json, and fails outright if the ladder loses
-// either ordering (fewer deadline misses than never-degrade, fewer
-// violation seconds than always-heuristic) or walks the ladder
-// non-monotonically — the regression contract of the brownout subsystem.
+// BenchmarkOverload reports the overload-policy comparison as benchmark
+// metrics, and fails outright if the ladder loses either ordering (fewer
+// deadline misses than never-degrade, fewer violation seconds than
+// always-heuristic) or walks the ladder non-monotonically — the regression
+// contract of the brownout subsystem.
 func BenchmarkOverload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, st := bench.OverloadRun(benchScale())
@@ -350,9 +352,9 @@ func BenchmarkOverload(b *testing.B) {
 // --- Fleet-wide observability (tracing + SLO budgets, DESIGN.md §3i) --------
 
 // BenchmarkTraceOverhead reports what distributed tracing costs one tenant
-// tick on the fleet's hot path, as benchjson metrics for BENCH_obs.json —
-// the overhead-pct metric carries a CI regression ceiling, and a traced run
-// that moves audit bytes fails outright.
+// tick on the fleet's hot path, and fails outright on an overhead over 5%
+// (the local target is under 1%; the rest is runner noise) or a traced run
+// that moves audit bytes.
 func BenchmarkTraceOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, st := bench.TraceOverheadRun(benchScale())
@@ -365,6 +367,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		if !st.ByteIdentical {
 			b.Fatal("trace-overhead: tracing changed the audit stream")
 		}
+		if st.OverheadPct > 5 {
+			b.Fatalf("tracing overhead %.1f%% per tenant tick, ceiling 5%%", st.OverheadPct)
+		}
 		b.ReportMetric(st.OverheadPct, "overhead-pct")
 		b.ReportMetric(st.DisabledNSPerTick, "ns/tick-disabled")
 		b.ReportMetric(st.EnabledNSPerTick, "ns/tick-enabled")
@@ -374,10 +379,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 
 // --- Workload forecasting (proactive provisioning, DESIGN.md §3l) -----------
 
-// BenchmarkForecast reports the forecasted-vs-reactive study as benchjson
-// metrics for BENCH_forecast.json, and fails outright if forecasting does
-// not buy strictly fewer SLO-violation seconds than reacting to the observed
-// rate on BOTH workloads — the diurnal cycle and the Azure trace. That
+// BenchmarkForecast reports the forecasted-vs-reactive study as benchmark
+// metrics, and fails outright if forecasting does not buy strictly fewer
+// SLO-violation seconds than reacting to the observed rate on BOTH
+// workloads — the diurnal cycle and the Azure trace. That
 // ordering is the subsystem's reason to exist: capacity ordered at the
 // forecast horizon lands before the climb, not after it. Where reacting
 // already violates nothing there is nothing to buy, and a forecast that

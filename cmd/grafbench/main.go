@@ -60,7 +60,6 @@ var experiments = []struct {
 	{"drift", bench.Drift},
 	{"replay", bench.ObsReplay},
 	{"obs-overhead", bench.ObsOverhead},
-	{"fleet", bench.Fleet},
 	{"fleet-rpc", bench.FleetRPC},
 	{"router-failover", bench.RouterFailover},
 	{"overload", bench.Overload},

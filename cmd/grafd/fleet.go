@@ -37,11 +37,6 @@ func runFleet(tr *graf.TrainedModel, o *options) int {
 		return 2
 	}
 	cfg.Shards = o.shards
-	if cfg.Shards == 0 && o.Tenants < 8 {
-		// The default shard count tracks the worker pool; small fleets tick
-		// one tenant per shard.
-		cfg.Shards = o.Tenants
-	}
 	var tel *obs.Telemetry
 	if o.obs != "" {
 		tel = obs.New(obs.Options{})
@@ -57,7 +52,7 @@ func runFleet(tr *graf.TrainedModel, o *options) int {
 		return code
 	}
 	fmt.Printf("fleet: %d tenants, %d shards, shape=%s, %ds horizon (%d rounds)\n",
-		o.Tenants, cfg.Shards, o.spec.Shape, o.spec.DurS, rounds)
+		o.Tenants, f.Stats().Shards, o.spec.Shape, o.spec.DurS, rounds)
 	if c := cfg.Controller; c != nil {
 		fmt.Printf("forecast: model=%s horizon=%d ticks\n", c.Forecast.Model, c.Forecast.HorizonTicks)
 	}

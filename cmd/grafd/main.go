@@ -113,7 +113,7 @@ func replay(tr *graf.TrainedModel, path string, direct bool) int {
 	}
 	model := graf.LatencyModel(tr.Model)
 	if !direct {
-		model = fleet.NewInferenceService(tr.Model, fleet.ServiceConfig{}).NewPredictor()
+		model = fleet.NewInferenceService(tr.Model).NewPredictor()
 	}
 	rep := graf.ReplayAuditManaged(map[int]graf.LatencyModel{0: model}, log)
 	fmt.Println(rep)

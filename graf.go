@@ -349,13 +349,11 @@ func (s *Simulation) NewLifecycle(t *TrainedModel, o LifecycleOptions) *Lifecycl
 // Observability building blocks (see internal/obs and DESIGN.md §3d).
 type (
 	// Observability bundles the flight-recorder telemetry planes: the
-	// metrics registry behind /metrics, the span ring, and the JSONL audit
-	// log. Obtain one with Simulation.EnableObservability.
+	// metrics registry behind /metrics and the JSONL audit log. Obtain one
+	// with Simulation.EnableObservability.
 	Observability = obs.Telemetry
 	// AuditRecord is one line of the flight-recorder audit log.
 	AuditRecord = obs.Record
-	// ObsSpan is one timed unit of control-plane work in the span ring.
-	ObsSpan = obs.Span
 	// ReplayReport summarizes an audit-log replay (see ReplayAudit).
 	ReplayReport = core.ReplayReport
 
@@ -391,9 +389,6 @@ func ExportChromeTrace(w io.Writer, spans []TraceSpan) error { return obs.Chrome
 
 // ObservabilityConfig parameterizes Simulation.EnableObservability.
 type ObservabilityConfig struct {
-	// SpanRing bounds the in-memory span buffer (default 4096).
-	SpanRing int
-
 	// AuditW, if non-nil, receives the JSONL audit-log stream (e.g. a
 	// file). The in-memory record buffer works either way.
 	AuditW io.Writer
@@ -457,12 +452,12 @@ type Simulation struct {
 
 // EnableObservability attaches a flight-recorder telemetry bundle to the
 // simulation: cluster scale events and instance churn, chaos firings, and —
-// for controllers started after this call — per-decision spans, metrics and
-// audit records. Returns the bundle; serve its Handler (or call Serve) to
+// for controllers started after this call — per-decision metrics and audit
+// records. Returns the bundle; serve its Handler (or call Serve) to
 // expose /metrics, /debug/vars and /debug/pprof/*. Calling it again replaces
 // the bundle.
 func (s *Simulation) EnableObservability(cfg ObservabilityConfig) *Observability {
-	t := obs.New(obs.Options{SpanRing: cfg.SpanRing, AuditW: cfg.AuditW, AuditMemory: cfg.AuditMemory})
+	t := obs.New(obs.Options{AuditW: cfg.AuditW, AuditMemory: cfg.AuditMemory})
 	s.obs = t
 	s.Cluster.Obs = obs.NewClusterObs(t)
 	if s.chaosInj != nil {
@@ -785,7 +780,7 @@ type (
 	Fleet = fleet.Fleet
 
 	// FleetConfig parameterizes NewFleet beyond what the trained model
-	// provides: the tenant set, worker/shard counts, and service tuning.
+	// provides: the tenant set, worker/shard counts and policies.
 	FleetConfig = fleet.Config
 
 	// FleetTenant describes one tenant application in a fleet.
@@ -797,9 +792,6 @@ type (
 	// InferenceService shares one GNN behind a quantized prediction cache;
 	// NewFleet wires one up automatically.
 	InferenceService = fleet.InferenceService
-
-	// InferenceServiceConfig tunes the prediction cache grid.
-	InferenceServiceConfig = fleet.ServiceConfig
 )
 
 // NewFleet builds a multi-tenant fleet from a trained model: the

@@ -87,8 +87,8 @@ func ObsReplay(s Scale) Result {
 
 // ObsOverhead measures the wall-clock cost the telemetry subsystem adds to
 // one controller decision: the same solve-heavy Step loop with
-// instrumentation disabled (nil hooks) and enabled (metrics + spans +
-// audit records to a memory-capped recorder).
+// instrumentation disabled (nil hooks) and enabled (metrics + audit records
+// to a memory-capped recorder).
 func ObsOverhead(s Scale) Result {
 	r := Result{
 		ID:     "obs-overhead",
@@ -130,7 +130,7 @@ func ObsOverhead(s Scale) Result {
 	on := run(true)
 	overhead := (on - off) / off * 100
 	r.AddRow("disabled (nil hooks)", fmt.Sprint(steps), f0(off), "-")
-	r.AddRow("enabled (metrics+spans+audit)", fmt.Sprint(steps), f0(on), fmt.Sprintf("%+.1f%%", overhead))
+	r.AddRow("enabled (metrics+audit)", fmt.Sprint(steps), f0(on), fmt.Sprintf("%+.1f%%", overhead))
 	r.Note("every decision solves (hysteresis defeated); the disabled path costs one nil check per instrumentation point")
 	r.Note("acceptance budget: enabled ≤ +5%% per decision")
 	return r

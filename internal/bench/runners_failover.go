@@ -11,9 +11,9 @@ import (
 )
 
 // RouterFailoverStats are the machine-checked numbers of the router-failover
-// experiment, exposed for BenchmarkRouterFailover and the BENCH_router.json
-// regression pipeline. TakeoverBlackoutMS carries a CI ceiling; the three
-// integrity counters are hard zero/nonzero assertions, not trends.
+// experiment, exposed for BenchmarkRouterFailover, which holds
+// TakeoverBlackoutMS under a ceiling; the three integrity counters are hard
+// zero/nonzero assertions, not trends.
 type RouterFailoverStats struct {
 	TakeoverBlackoutMS float64
 	LostDecisions      float64

@@ -16,8 +16,8 @@ import (
 )
 
 // FleetRPCStats are the machine-checked numbers of the fleet-rpc
-// experiment, exposed separately so BenchmarkFleetRPC can emit them as
-// testing.B metrics for the BENCH_fleetrpc.json regression pipeline.
+// experiment, exposed separately so BenchmarkFleetRPC can report them as
+// testing.B metrics and hold them to their floors.
 type FleetRPCStats struct {
 	TicksPerS           float64
 	MigrationBlackoutMS float64

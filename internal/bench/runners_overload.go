@@ -14,8 +14,8 @@ import (
 )
 
 // OverloadStats are the machine-checked numbers of the overload experiment,
-// exposed separately so BenchmarkOverload can emit them as testing.B metrics
-// for the BENCH_overload.json regression pipeline.
+// exposed separately so BenchmarkOverload can report them as testing.B
+// metrics and hold the orderings.
 type OverloadStats struct {
 	// Round-deadline misses per policy (rounds whose wall clock exceeded
 	// the calibrated budget) across the whole run.

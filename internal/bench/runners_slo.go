@@ -8,7 +8,7 @@ import (
 
 // SLOBurnStats are the machine-checked numbers of the slo-burn experiment
 // at the default burn-rate configuration, exposed separately so
-// BenchmarkSLOBurn can emit them for the BENCH_obs.json pipeline.
+// BenchmarkSLOBurn can report them and hold the ordering.
 type SLOBurnStats struct {
 	FastAtS float64 // sustained-violation seconds before the fast window fired
 	SlowAtS float64 // sustained-violation seconds before the slow window fired

@@ -11,8 +11,8 @@ import (
 )
 
 // TraceOverheadStats are the machine-checked numbers of the trace-overhead
-// experiment, exposed separately so BenchmarkTraceOverhead can emit them
-// for the BENCH_obs.json regression pipeline.
+// experiment, exposed separately so BenchmarkTraceOverhead can report them
+// and hold the overhead under its ceiling.
 type TraceOverheadStats struct {
 	DisabledNSPerTick float64
 	EnabledNSPerTick  float64

@@ -430,7 +430,7 @@ func (d *Deployment) SetReplicas(n int) {
 	}
 	d.recordCounts()
 	if d.cl.Obs != nil && n != cur {
-		d.cl.Obs.Scale(d.cl.Eng.Now(), d.Service.Name, cur, n)
+		d.cl.Obs.Scale(d.Service.Name, cur, n)
 	}
 	d.dispatch()
 }

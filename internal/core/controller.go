@@ -402,7 +402,7 @@ func (c *Controller) stage(name string, t0 time.Time, attrs map[string]float64) 
 	if c.Obs == nil {
 		return
 	}
-	c.Obs.Stage(name, c.Cluster.Eng.Now(), time.Since(t0).Nanoseconds(), attrs)
+	c.Obs.Stage(name, time.Since(t0).Nanoseconds(), attrs)
 }
 
 // Start begins the control loop at the current simulated time.
@@ -767,7 +767,7 @@ func (c *Controller) solve(t *tick) bool {
 	if c.Obs != nil {
 		wallNS := time.Since(tSolve).Nanoseconds()
 		c.stage("solve", tSolve, map[string]float64{"predicted": sol.Predicted})
-		c.Obs.Solver(t.now, sol.Iterations, sol.Converged, wallNS)
+		c.Obs.Solver(sol.Iterations, sol.Converged, wallNS)
 	}
 	t.sol, t.solved = sol, true
 	// The complete solver inputs and raw outputs: with the header's SLO and

@@ -48,7 +48,8 @@ type Config struct {
 	// Workers is the worker-pool size driving tenant ticks (default 8).
 	Workers int
 	// Shards is the number of deterministic tenant groups; tenants map to
-	// shards by fnv-1a of their ID. Default: one shard per worker.
+	// shards by fnv-1a of their ID. Default: one shard per worker, and no
+	// more shards than a static fleet has tenants.
 	Shards int
 	// TickS is the per-tenant tick quantum in simulated seconds: each
 	// round advances every live tenant by this much (default 5).
@@ -71,14 +72,6 @@ type Config struct {
 	// <Dir>/<sanitized-id>/.
 	Lifecycle *lifecycle.Config
 	SaveModel func(m *gnn.Model, path string) error
-
-	// Service parameterizes the shared inference service.
-	Service ServiceConfig
-
-	// DisableSharing has every tenant call the model directly, at its exact
-	// inputs and uncached, instead of going through the shared inference
-	// service — the baseline the fleet benchmark compares against.
-	DisableSharing bool
 
 	// WarmStart provisions each tenant's cluster near its expected demand
 	// and runs 60 simulated seconds before the controllers take over.
@@ -198,7 +191,7 @@ type Tenant struct {
 
 	tel       *obs.Telemetry
 	lc        *lifecycle.Manager // nil unless Config.Lifecycle
-	pred      *TenantPredictor   // shared-service handle (nil when sharing is off)
+	pred      *TenantPredictor   // shared-service handle (nil for a private predictor)
 	audit     bytes.Buffer
 	auditSum  hash.Hash64 // running fnv-1a/64 of audit, fed by the same writer chain
 	auditFile *os.File
@@ -337,8 +330,7 @@ func sanitizeID(id string) string {
 }
 
 // New builds a fleet: per-tenant engines, clusters, workloads and
-// controllers, plus the shared inference service (unless sharing is
-// disabled). Run drives it.
+// controllers, plus the shared inference service. Run drives it.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.App == nil || cfg.Model == nil {
 		return nil, fmt.Errorf("fleet: App and Model are required")
@@ -351,6 +343,9 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = cfg.Workers
+		if !cfg.Dynamic {
+			cfg.Shards = min(cfg.Workers, len(cfg.Tenants))
+		}
 	}
 	if cfg.Shards > len(cfg.Tenants) && !cfg.Dynamic {
 		return nil, fmt.Errorf("fleet: %d shards exceed %d tenants", cfg.Shards, len(cfg.Tenants))
@@ -370,10 +365,8 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		f.slo = obs.NewSLOMonitor(*cfg.SLOBudget, reg)
 	}
-	if !cfg.DisableSharing {
-		f.svc = NewInferenceService(cfg.Model, cfg.Service)
-		f.svc.tracer = cfg.Tracer
-	}
+	f.svc = NewInferenceService(cfg.Model)
+	f.svc.tracer = cfg.Tracer
 	if cfg.AuditDir != "" {
 		if err := os.MkdirAll(cfg.AuditDir, 0o755); err != nil {
 			return nil, fmt.Errorf("fleet: audit dir: %w", err)
@@ -462,7 +455,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 	if mem <= 0 {
 		mem = 16
 	}
-	t.tel = obs.New(obs.Options{SpanRing: 64, AuditW: auditW, AuditMemory: mem})
+	t.tel = obs.New(obs.Options{AuditW: auditW, AuditMemory: mem})
 	t.tel.SetTracer(f.tracer)
 	t.Cluster.Obs = obs.NewClusterObs(t.tel)
 
@@ -478,7 +471,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 	ccfg := f.controllerConfig(slo)
 
 	var predictor core.LatencyModel = model
-	if f.svc != nil && !private {
+	if !private {
 		t.pred = f.svc.NewPredictor()
 		predictor = t.pred
 	}
@@ -1029,9 +1022,7 @@ func (f *Fleet) publishRound() {
 		}
 	}
 	f.fobs.Round(f.rounds, len(f.tenants), degraded)
-	if f.svc != nil {
-		f.fobs.CacheStats(f.svc.Cache.Stats())
-	}
+	f.fobs.CacheStats(f.svc.Cache.Stats())
 }
 
 // Tenants returns the fleet's tenants in sorted ID order.
@@ -1050,6 +1041,7 @@ func (f *Fleet) Tenant(id string) *Tenant {
 // Stats summarizes a fleet run.
 type Stats struct {
 	Tenants  int
+	Shards   int
 	Degraded int
 	Rounds   int
 	Ticks    int
@@ -1071,7 +1063,7 @@ type Stats struct {
 // Stats aggregates the fleet's accounting. Call after Run (or between
 // rounds from the driving goroutine).
 func (f *Fleet) Stats() Stats {
-	s := Stats{Tenants: len(f.tenants), Rounds: f.rounds, Panics: f.panics}
+	s := Stats{Tenants: len(f.tenants), Shards: f.cfg.Shards, Rounds: f.rounds, Panics: f.panics}
 	for _, t := range f.tenants {
 		s.Ticks += t.ticks
 		s.ViolationSeconds += t.violS
@@ -1080,10 +1072,8 @@ func (f *Fleet) Stats() Stats {
 			s.Degraded++
 		}
 	}
-	if f.svc != nil {
-		s.CacheHits, s.CacheMisses, _ = f.svc.Cache.Stats()
-		s.Batches, s.BatchedReqs = s.CacheMisses, s.CacheMisses
-	}
+	s.CacheHits, s.CacheMisses, _ = f.svc.Cache.Stats()
+	s.Batches, s.BatchedReqs = s.CacheMisses, s.CacheMisses
 	return s
 }
 

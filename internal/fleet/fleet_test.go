@@ -97,6 +97,15 @@ func TestFleetRejectsBadConfigs(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("accepted more shards than tenants")
 	}
+	// The defaults are not a bad config: eight workers' worth of shards
+	// shrink to a two-tenant fleet.
+	f, err := New(testConfig(2, 0, 0))
+	if err != nil {
+		t.Fatalf("default workers and shards over two tenants: %v", err)
+	}
+	if n := f.Stats().Shards; n != 2 {
+		t.Fatalf("default shards over two tenants: %d, want 2", n)
+	}
 	cfg = testConfig(2, 2, 2)
 	cfg.Tenants[1].ID = cfg.Tenants[0].ID
 	if _, err := New(cfg); err == nil {

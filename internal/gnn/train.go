@@ -123,10 +123,8 @@ func trainLoop(subs []*Model, groups [][]int, predict func(load, quota []float64
 			tBatch = time.Now()
 		}
 		batchLoss := t.iteration()
-		var batchNS int64
 		if tc.Obs != nil {
-			batchNS = time.Since(tBatch).Nanoseconds()
-			tc.Obs.Batch(batchNS)
+			tc.Obs.Batch(time.Since(tBatch).Nanoseconds())
 		}
 
 		if iter%tc.EvalEvery == 0 || iter == tc.Iterations-1 {
@@ -136,7 +134,7 @@ func trainLoop(subs []*Model, groups [][]int, predict func(load, quota []float64
 				Train:     batchLoss / float64(tc.Batch),
 				Val:       v,
 			})
-			tc.Obs.Eval(iter, batchLoss/float64(tc.Batch), v, batchNS)
+			tc.Obs.Eval(iter, batchLoss/float64(tc.Batch), v)
 			if len(val) > 0 && (res.BestVal < 0 || v < res.BestVal) {
 				res.BestVal = v
 				bestSnaps = bestSnaps[:0]

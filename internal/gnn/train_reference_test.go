@@ -343,10 +343,8 @@ func refTrain(m *Model, samples []Sample, tc TrainConfig) TrainResult {
 			m.backward(st, d)
 		}
 		opt.Step(m.params(), float64(tc.Batch))
-		var batchNS int64
 		if tc.Obs != nil {
-			batchNS = time.Since(tBatch).Nanoseconds()
-			tc.Obs.Batch(batchNS)
+			tc.Obs.Batch(time.Since(tBatch).Nanoseconds())
 		}
 
 		if iter%tc.EvalEvery == 0 || iter == tc.Iterations-1 {
@@ -356,7 +354,7 @@ func refTrain(m *Model, samples []Sample, tc TrainConfig) TrainResult {
 				Train:     batchLoss / float64(tc.Batch),
 				Val:       v,
 			})
-			tc.Obs.Eval(iter, batchLoss/float64(tc.Batch), v, batchNS)
+			tc.Obs.Eval(iter, batchLoss/float64(tc.Batch), v)
 			if len(val) > 0 && (res.BestVal < 0 || v < res.BestVal) {
 				res.BestVal = v
 				bestSnap = m.snapshotWeights()

@@ -30,21 +30,20 @@ func (o *ControllerObs) Telemetry() *Telemetry {
 }
 
 // Stage records one timed decision stage (collect, forward, solve, actuate)
-// as both a histogram observation (seconds) and a span.
-func (o *ControllerObs) Stage(name string, at float64, wallNS int64, attrs map[string]float64) {
+// as a histogram observation (seconds) and, when traced, a trace span.
+func (o *ControllerObs) Stage(name string, wallNS int64, attrs map[string]float64) {
 	if o == nil {
 		return
 	}
 	o.t.Reg.Histogram("graf_decision_stage_seconds",
 		"Wall-clock cost of each controller decision stage.",
 		nil, Labels{"stage": name}).Observe(float64(wallNS) / 1e9)
-	o.t.Spans.Add(Span{Name: "decision/" + name, At: at, WallNS: wallNS, Attrs: attrs})
 	o.t.traceSpan("decision/"+name, wallNS, attrs)
 }
 
 // Solver records one solver run's effort (model calls; Adam iterations under
 // solver version 1) and whether it stopped by its own criterion.
-func (o *ControllerObs) Solver(at float64, iters int, converged bool, wallNS int64) {
+func (o *ControllerObs) Solver(iters int, converged bool, wallNS int64) {
 	if o == nil {
 		return
 	}
@@ -54,8 +53,6 @@ func (o *ControllerObs) Solver(at float64, iters int, converged bool, wallNS int
 	o.t.Reg.Counter("graf_solver_runs_total",
 		"Solver runs by convergence outcome.",
 		Labels{"converged": fmt.Sprintf("%v", converged)}).Inc()
-	o.t.Spans.Add(Span{Name: "solver", At: at, WallNS: wallNS,
-		Attrs: map[string]float64{"iters": float64(iters), "converged": b2f(converged)}})
 	o.t.traceSpan("solver", wallNS,
 		map[string]float64{"iters": float64(iters), "converged": b2f(converged)})
 }
@@ -134,7 +131,6 @@ func (o *ControllerObs) Health(at float64, from, to string, code int) {
 	o.t.Reg.Gauge("graf_health_state",
 		"Current controller health state (0=healthy 1=degraded-telemetry 2=fallback-heuristic 3=boosting).",
 		nil).Set(float64(code))
-	o.t.Spans.Add(Span{Name: "health", At: at, Note: from + "->" + to})
 	o.t.Flight.Record(Record{Type: "health", At: at, From: from, To: to})
 }
 
@@ -162,7 +158,7 @@ func NewClusterObs(t *Telemetry) *ClusterObs {
 }
 
 // Scale records a replica-count change for one service.
-func (o *ClusterObs) Scale(at float64, service string, from, to int) {
+func (o *ClusterObs) Scale(service string, from, to int) {
 	if o == nil || from == to {
 		return
 	}
@@ -173,8 +169,6 @@ func (o *ClusterObs) Scale(at float64, service string, from, to int) {
 	o.t.Reg.Counter("graf_scale_events_total",
 		"Replica scale events by service and direction.",
 		Labels{"service": service, "direction": dir}).Inc()
-	o.t.Spans.Add(Span{Name: "scale/" + service, At: at,
-		Attrs: map[string]float64{"from": float64(from), "to": float64(to)}})
 }
 
 // Churn records instance lifecycle counts for one service: instances created,
@@ -225,7 +219,6 @@ func (o *ChaosObs) Fired(at float64, kind, detail string, until float64) {
 	o.t.Reg.Counter("graf_chaos_events_total",
 		"Chaos fault injections by kind.",
 		Labels{"kind": kind}).Inc()
-	o.t.Spans.Add(Span{Name: "chaos/" + kind, At: at, Note: detail})
 	o.t.Flight.Record(Record{Type: "chaos", At: at, Kind: kind, Detail: detail})
 	o.t.ChaosActive(kind, until)
 }
@@ -244,7 +237,7 @@ func NewTrainObs(t *Telemetry) *TrainObs {
 }
 
 // Eval records one training evaluation point (iteration, train/val loss).
-func (o *TrainObs) Eval(iter int, trainLoss, valLoss float64, wallNS int64) {
+func (o *TrainObs) Eval(iter int, trainLoss, valLoss float64) {
 	if o == nil {
 		return
 	}
@@ -256,8 +249,6 @@ func (o *TrainObs) Eval(iter int, trainLoss, valLoss float64, wallNS int64) {
 		"Most recent training-set loss.", nil).Set(trainLoss)
 	o.t.Reg.Gauge("graf_train_val_loss",
 		"Most recent validation-set loss.", nil).Set(valLoss)
-	o.t.Spans.Add(Span{Name: "train/eval", At: float64(iter), WallNS: wallNS,
-		Attrs: map[string]float64{"loss": trainLoss, "val_loss": valLoss}})
 }
 
 // Batch records the wall-clock cost of one training batch.

@@ -1,7 +1,5 @@
 package obs
 
-import "fmt"
-
 // LifecycleObs observes the model-trust lifecycle: residual monitoring,
 // drift trips, shadow retraining, canary gate verdicts, promotions and
 // rollbacks. Like every hook in this package it is a valid no-op when nil.
@@ -35,7 +33,7 @@ func (o *LifecycleObs) Residual(at float64, residual, ewma, cusum float64) {
 
 // Event records one lifecycle state-machine event ("drift-trip", "retrain",
 // "gate-pass", "gate-reject", "promote", "rollback", "recover") into the
-// metrics registry, span ring and flight recorder.
+// metrics registry and flight recorder.
 func (o *LifecycleObs) Event(at float64, kind string, gen int, detail string, summary map[string]float64) {
 	if o == nil {
 		return
@@ -46,8 +44,6 @@ func (o *LifecycleObs) Event(at float64, kind string, gen int, detail string, su
 	o.t.Reg.Gauge("graf_model_generation",
 		"Generation number of the model currently driving the solver.",
 		nil).Set(float64(gen))
-	o.t.Spans.Add(Span{Name: "lifecycle/" + kind, At: at,
-		Note: fmt.Sprintf("gen=%d %s", gen, detail)})
 	o.t.Flight.Record(Record{Type: "lifecycle", At: at, Kind: kind,
 		ModelGen: gen, Detail: detail, Summary: summary})
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -211,23 +212,6 @@ func TestFlightMemoryCap(t *testing.T) {
 	}
 }
 
-// TestSpanRingWrap pins overwrite order and total accounting.
-func TestSpanRingWrap(t *testing.T) {
-	r := NewSpanRing(4)
-	for i := 0; i < 10; i++ {
-		r.Add(Span{Name: "s", At: float64(i)})
-	}
-	snap := r.Snapshot()
-	if len(snap) != 4 || r.Total() != 10 {
-		t.Fatalf("len %d total %d, want 4 and 10", len(snap), r.Total())
-	}
-	for i, s := range snap {
-		if s.At != float64(6+i) {
-			t.Errorf("snapshot[%d].At = %v, want %v (oldest-first)", i, s.At, 6+i)
-		}
-	}
-}
-
 // TestActiveChaos pins window registration, pruning and sorted labels.
 func TestActiveChaos(t *testing.T) {
 	tel := New(Options{})
@@ -261,12 +245,38 @@ func TestHandlerMetrics(t *testing.T) {
 	}
 }
 
+// TestExpvarShowsTheServedBundle: /debug/vars publishes the registry of the
+// bundle a process serves, not of whichever bundle was built last — a fleet
+// builds one per tenant after its own.
+func TestExpvarShowsTheServedBundle(t *testing.T) {
+	served := New(Options{})
+	served.Reg.Counter("graf_decisions_total", "d", Labels{"kind": "solve"}).Add(7)
+	h := served.Handler()
+	for i := 0; i < 3; i++ {
+		New(Options{}).Reg.Counter("graf_tenant_only_total", "t", nil).Inc()
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
+	var vars struct {
+		Graf map[string]float64 `json:"graf"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+		t.Fatalf("decode /debug/vars: %v", err)
+	}
+	if got := vars.Graf[`graf_decisions_total{kind="solve"}`]; got != 7 {
+		t.Errorf("served counter reads %v in /debug/vars, want 7: %v", got, vars.Graf)
+	}
+	if _, ok := vars.Graf["graf_tenant_only_total"]; ok {
+		t.Errorf("/debug/vars shows a bundle built after the served one: %v", vars.Graf)
+	}
+}
+
 // TestNilHooksAreNoOps pins the nil-receiver contract every instrumented
 // call site relies on.
 func TestNilHooksAreNoOps(t *testing.T) {
 	var c *ControllerObs
-	c.Stage("solve", 0, 1, nil)
-	c.Solver(0, 1, true, 1)
+	c.Stage("solve", 1, nil)
+	c.Solver(1, true, 1)
 	c.Decision(Record{Kind: "solve"})
 	c.Health(0, "a", "b", 1)
 	c.Boost(0, "svc")
@@ -274,12 +284,12 @@ func TestNilHooksAreNoOps(t *testing.T) {
 		t.Error("nil hook returned non-nil telemetry")
 	}
 	var cl *ClusterObs
-	cl.Scale(0, "svc", 1, 2)
+	cl.Scale("svc", 1, 2)
 	cl.Churn("svc", 1, 1, 1, 1)
 	var ch *ChaosObs
 	ch.Fired(0, "kill", "", 0)
 	var tr *TrainObs
-	tr.Eval(0, 1, 1, 1)
+	tr.Eval(0, 1, 1)
 	tr.Batch(1)
 	if NewControllerObs(nil) != nil || NewClusterObs(nil) != nil ||
 		NewChaosObs(nil) != nil || NewTrainObs(nil) != nil {

@@ -11,13 +11,11 @@ import (
 	"sync/atomic"
 )
 
-// Telemetry bundles the three observability planes — the metrics registry,
-// the span ring, and the flight recorder — plus the shared state they need
-// (which chaos events are currently active). One Telemetry instance
-// observes one simulation.
+// Telemetry bundles the two observability planes — the metrics registry and
+// the flight recorder — plus the shared state they need (which chaos events
+// are currently active). One Telemetry instance observes one simulation.
 type Telemetry struct {
 	Reg    *Registry
-	Spans  *SpanRing
 	Flight *FlightRecorder
 
 	mu     sync.Mutex
@@ -92,7 +90,8 @@ type chaosWindow struct {
 
 // Options parameterizes New.
 type Options struct {
-	// SpanRing bounds the in-memory span buffer (default 4096).
+	// SpanRing is ignored: the span ring it sized is gone. The field stays
+	// because the frozen benchmark/ module sets it (ROADMAP 7(a)).
 	SpanRing int
 	// AuditW receives the JSONL flight-recorder stream (nil = memory only).
 	AuditW io.Writer
@@ -103,16 +102,10 @@ type Options struct {
 
 // New builds a Telemetry bundle.
 func New(o Options) *Telemetry {
-	if o.SpanRing <= 0 {
-		o.SpanRing = 4096
-	}
-	t := &Telemetry{
+	return &Telemetry{
 		Reg:    NewRegistry(),
-		Spans:  NewSpanRing(o.SpanRing),
 		Flight: NewFlightRecorder(o.AuditW, o.AuditMemory),
 	}
-	publishExpvar(t)
-	return t
 }
 
 // ChaosActive registers a fault as active until the given simulated time;
@@ -146,8 +139,11 @@ func (t *Telemetry) ActiveChaos(now float64) []string {
 // Handler returns the observability HTTP mux: Prometheus text exposition at
 // /metrics, expvar at /debug/vars, and the full pprof suite under
 // /debug/pprof/ — the cAdvisor/Prometheus/pprof surface of the paper's
-// deployment, for the control plane itself.
+// deployment, for the control plane itself. The "graf" expvar shows the
+// registry of the bundle whose Handler was built last: the one a process
+// serves, not the last of its tenants' bundles.
 func (t *Telemetry) Handler() http.Handler {
+	publishExpvar(t)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -183,7 +179,7 @@ func (t *Telemetry) Serve(addr string, metrics func() string) (*http.Server, err
 	return srv, nil
 }
 
-// current holds the most recently constructed Telemetry for the process-wide
+// current holds the most recently served Telemetry for the process-wide
 // expvar publication: expvar names are global and re-publishing panics, so
 // the "graf" var indirects through this pointer.
 var (
