@@ -584,7 +584,7 @@ type TrainOptions struct {
 	SimulatorLabels bool
 
 	// Obs, if set, streams the learning curve and per-batch timing into
-	// the telemetry bundle's registry and span ring during training.
+	// the telemetry bundle's metrics registry during training.
 	Obs *Observability
 
 	Seed int64

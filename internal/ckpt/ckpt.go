@@ -24,6 +24,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"graf/internal/cluster"
 	"graf/internal/core"
@@ -83,16 +85,22 @@ const headerLen = 8 + 4 + 8 + 4
 //
 // magic must be exactly 8 bytes.
 func Frame(magic string, version uint32, payload []byte) []byte {
+	out := make([]byte, headerLen+len(payload))
+	copy(out[headerLen:], payload)
+	putHeader(out, magic, version)
+	return out
+}
+
+// putHeader fills framed[:headerLen] for the payload framed[headerLen:].
+func putHeader(framed []byte, magic string, version uint32) {
 	if len(magic) != 8 {
 		panic(fmt.Sprintf("ckpt: magic %q must be 8 bytes", magic))
 	}
-	out := make([]byte, headerLen+len(payload))
-	copy(out, magic)
-	binary.BigEndian.PutUint32(out[8:], version)
-	binary.BigEndian.PutUint64(out[12:], uint64(len(payload)))
-	binary.BigEndian.PutUint32(out[20:], crc32.ChecksumIEEE(payload))
-	copy(out[headerLen:], payload)
-	return out
+	payload := framed[headerLen:]
+	copy(framed, magic)
+	binary.BigEndian.PutUint32(framed[8:], version)
+	binary.BigEndian.PutUint64(framed[12:], uint64(len(payload)))
+	binary.BigEndian.PutUint32(framed[20:], crc32.ChecksumIEEE(payload))
 }
 
 // Unframe validates the envelope and returns the payload. Every validation
@@ -160,14 +168,75 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	return nil
 }
 
+// GobEncoder writes values of one type as self-contained gob streams — what
+// gob.NewEncoder(w).Encode(v) writes, and what a fresh gob.Decoder reads —
+// but builds T's type descriptors once instead of once per value. gob sends
+// a type's descriptors before its first value only, so encoding a zero T
+// twice on one encoder tells them apart: the first output minus the second
+// is the descriptor prefix. Every later value is encoded on that warmed
+// encoder and emitted behind the prefix. The stream has the length of a
+// fresh encoder's and decodes to the same value; only gob's random map
+// order can make the bytes differ. Safe for concurrent use.
+type GobEncoder[T any] struct {
+	mu     sync.Mutex
+	enc    *gob.Encoder // nil until warmed, and again after an encode error
+	buf    bytes.Buffer // enc's sink, reused across calls
+	prefix []byte       // T's type descriptors
+}
+
+// Append appends the gob stream of *v to dst.
+func (g *GobEncoder[T]) Append(dst []byte, v *T) ([]byte, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.enc == nil {
+		if err := g.warm(); err != nil {
+			return dst, err
+		}
+	}
+	g.buf.Reset()
+	if err := g.enc.Encode(v); err != nil {
+		g.enc = nil // gob may have left it mid-message
+		return dst, err
+	}
+	dst = slices.Grow(dst, len(g.prefix)+g.buf.Len())
+	return append(append(dst, g.prefix...), g.buf.Bytes()...), nil
+}
+
+func (g *GobEncoder[T]) warm() error {
+	var zero T
+	g.buf.Reset()
+	enc := gob.NewEncoder(&g.buf)
+	if err := enc.Encode(&zero); err != nil {
+		return err
+	}
+	first := g.buf.Len()
+	if err := enc.Encode(&zero); err != nil {
+		return err
+	}
+	g.prefix = append(g.prefix[:0], g.buf.Bytes()[:2*first-g.buf.Len()]...)
+	g.enc = enc
+	return nil
+}
+
+var snapshotGob GobEncoder[Snapshot]
+
 // EncodeSnapshot serializes a snapshot into its framed on-disk form.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+	out, err := snapshotGob.Append(make([]byte, headerLen), s)
+	if err != nil {
 		return nil, err
 	}
-	return Frame(SnapshotMagic, SnapshotVersion, buf.Bytes()), nil
+	putHeader(out, SnapshotMagic, SnapshotVersion)
+	return out, nil
 }
+
+// snapshotProbe declares none of Snapshot's maps. A checksum-valid payload
+// can still claim a map of 2^40 entries, and gob allocates a map it decodes
+// at its claimed size before reading one entry. A map the receiver does not
+// declare, gob skips entry by entry instead, allocating nothing, so a first
+// decode into snapshotProbe fails on any count larger than the bytes behind
+// it, and the real decode only ever sees counts the payload can hold.
+type snapshotProbe struct{ Generation int }
 
 // DecodeSnapshot validates a framed snapshot file and deserializes it. Gob
 // decode failures of a checksum-valid payload are also reported as
@@ -177,6 +246,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	payload, err := Unframe(SnapshotMagic, SnapshotVersion, data)
 	if err != nil {
 		return nil, err
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snapshotProbe{}); err != nil {
+		return nil, fmt.Errorf("%w: undecodable payload: %v", ErrCorrupt, err)
 	}
 	var s Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {

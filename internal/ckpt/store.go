@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -79,21 +80,26 @@ func (s *Store) path(gen int) string {
 	return filepath.Join(s.Dir, fmt.Sprintf("%s-%08d.ckpt", s.prefix(), gen))
 }
 
-// generations lists the on-disk generation numbers, ascending. It reads the
-// whole directory — every store's files — so Save works from s.gens instead.
+// generations lists the on-disk generation numbers, ascending: exactly the
+// names <prefix>-<8 digits>.ckpt, so other stores' files sharing the
+// directory, temp files and quarantined .corrupt files are skipped unparsed.
+// It reads the whole directory, so Save works from s.gens instead.
 func (s *Store) generations() ([]int, error) {
 	ents, err := os.ReadDir(s.Dir)
 	if err != nil {
 		return nil, err
 	}
 	var gens []int
-	pat := s.prefix() + "-%08d.ckpt"
 	for _, e := range ents {
-		var g int
-		if _, err := fmt.Sscanf(e.Name(), pat, &g); err == nil &&
-			e.Name() == fmt.Sprintf(pat, g) {
-			gens = append(gens, g)
+		num, ok := strings.CutPrefix(e.Name(), s.prefix()+"-")
+		if !ok {
+			continue
 		}
+		if num, ok = strings.CutSuffix(num, ".ckpt"); !ok || len(num) != 8 || strings.Trim(num, "0123456789") != "" {
+			continue
+		}
+		g, _ := strconv.Atoi(num) // eight digits always parse
+		gens = append(gens, g)
 	}
 	sort.Ints(gens)
 	return gens, nil

@@ -2,8 +2,10 @@ package ckpt
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -202,5 +204,42 @@ func TestNamespacedStoreRejectsBadPrefixes(t *testing.T) {
 		if _, err := NewNamespacedStore(dir, p); err == nil {
 			t.Errorf("prefix %q accepted", p)
 		}
+	}
+}
+
+// generations lists exactly the store's own <prefix>-<8 digits>.ckpt files in
+// a directory 16 tenants share — not a tenant whose prefix extends this one
+// (tenant-1 vs tenant-10), not temp files of an interrupted write, not
+// quarantined .corrupt files, not names with a ninth digit or a sign.
+func TestStoreListsOnlyItsOwnGenerations(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string) {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		for g := 1; g <= 3; g++ {
+			write(fmt.Sprintf("tenant-%d-%08d.ckpt", i, 10*i+g))
+		}
+		write(fmt.Sprintf("tenant-%d-%08d.ckpt.tmp-12345", i, 10*i+4))
+		write(fmt.Sprintf("tenant-%d-%08d.ckpt.corrupt", i, 10*i))
+	}
+	for _, name := range []string{"tenant-1-123456789.ckpt", "tenant-1-+0000001.ckpt", "tenant-1-0000001.ckpt", "tenant-1-00000x01.ckpt", "tenant-1-00000099.ckpt.bak"} {
+		write(name)
+	}
+	s, err := NewNamespacedStore(dir, "tenant-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens, err := s.generations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{11, 12, 13}; !reflect.DeepEqual(gens, want) {
+		t.Fatalf("tenant-1 lists generations %v, want %v", gens, want)
+	}
+	if s.lastGen != 13 {
+		t.Fatalf("tenant-1 resumes after generation %d, want 13", s.lastGen)
 	}
 }

@@ -2,16 +2,20 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"graf/internal/app"
 	"graf/internal/chaos"
+	"graf/internal/ckpt"
 	"graf/internal/core"
+	"graf/internal/forecast"
 	"graf/internal/gnn"
 	"graf/internal/workload"
 )
@@ -263,5 +267,49 @@ func TestAuditDigestMatchesAuditLog(t *testing.T) {
 	}
 	if n, sum := check("after restore", tn); n != wantN || sum != wantSum {
 		t.Errorf("restored tenant's digest (%d, %#x) is not the stopped fleet's (%d, %#x)", n, sum, wantN, wantSum)
+	}
+}
+
+// Every tenant checkpoint goes through ckpt's warmed gob encoder. Over the
+// snapshots a forecasting fleet really takes, the file must have the length
+// of one framed from a fresh encoder's stream and decode to the same snapshot.
+func TestCheckpointEncodingMatchesFreshEncoder(t *testing.T) {
+	cfg := testConfig(3, 1, 1)
+	ccfg := core.DefaultControllerConfig(cfg.SLO)
+	ccfg.Forecast = forecast.Config{Enabled: true, Model: "hw"}
+	cfg.Controller = &ccfg
+	cfg.Tenants[2].Rate = workload.StepRate(100, 250, 40)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 6; round++ {
+		f.Run(20)
+		for _, tn := range f.Tenants() {
+			snap := &ckpt.Snapshot{At: tn.Eng.Now(), Ticks: tn.Ticks(), Controller: tn.Ctl.Snapshot(), Cluster: tn.Cluster.Snapshot()}
+			got, err := ckpt.EncodeSnapshot(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fresh bytes.Buffer
+			if err := gob.NewEncoder(&fresh).Encode(snap); err != nil {
+				t.Fatal(err)
+			}
+			want := ckpt.Frame(ckpt.SnapshotMagic, ckpt.SnapshotVersion, fresh.Bytes())
+			if len(got) != len(want) {
+				t.Fatalf("round %d %s: %d bytes, framed fresh stream %d", round, tn.ID, len(got), len(want))
+			}
+			a, err := ckpt.DecodeSnapshot(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ckpt.DecodeSnapshot(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("round %d %s: snapshot decodes differently from a fresh encoder's", round, tn.ID)
+			}
+		}
 	}
 }

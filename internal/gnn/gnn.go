@@ -17,6 +17,7 @@ package gnn
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -76,25 +77,35 @@ func New(cfg Config, rng *rand.Rand) *Model {
 		panic("gnn: invalid node/parents configuration")
 	}
 	m := &Model{Cfg: cfg}
-	const features = 2 // (load, quota)
-	if cfg.UseMPNN {
-		for k := 0; k < cfg.Steps; k++ {
-			inDim := features
-			if k > 0 {
-				inDim = cfg.Embed
-			}
-			m.phi = append(m.phi, nn.NewMLP([]int{inDim, cfg.Hidden, cfg.Hidden, cfg.Embed}, 0, rng))
-			m.gamma = append(m.gamma, nn.NewMLP([]int{features + cfg.Embed, cfg.Hidden, cfg.Hidden, cfg.Embed}, 0, rng))
-		}
-		m.readout = nn.NewMLP([]int{cfg.Nodes * cfg.Embed, cfg.ReadoutHidden, cfg.ReadoutHidden, 1}, cfg.Dropout, rng)
-	} else {
-		m.readout = nn.NewMLP([]int{cfg.Nodes * features, cfg.ReadoutHidden, cfg.ReadoutHidden, 1}, cfg.Dropout, rng)
+	phi, gamma, readout := netSizes(cfg)
+	for k := range phi {
+		m.phi = append(m.phi, nn.NewMLP(phi[k], 0, rng))
+		m.gamma = append(m.gamma, nn.NewMLP(gamma[k], 0, rng))
 	}
+	m.readout = nn.NewMLP(readout, cfg.Dropout, rng)
 	m.nets = append(append(append(m.nets, m.phi...), m.gamma...), m.readout)
 	for _, ps := range cfg.Parents {
 		m.edges += len(ps)
 	}
 	return m
+}
+
+// netSizes returns the layer widths of the networks New builds: φ and γ per
+// message-passing step (none without MPNN), then the readout.
+func netSizes(cfg Config) (phi, gamma [][]int, readout []int) {
+	const features = 2 // (load, quota)
+	if !cfg.UseMPNN {
+		return nil, nil, []int{cfg.Nodes * features, cfg.ReadoutHidden, cfg.ReadoutHidden, 1}
+	}
+	for k := 0; k < cfg.Steps; k++ {
+		inDim := features
+		if k > 0 {
+			inDim = cfg.Embed
+		}
+		phi = append(phi, []int{inDim, cfg.Hidden, cfg.Hidden, cfg.Embed})
+		gamma = append(gamma, []int{features + cfg.Embed, cfg.Hidden, cfg.Hidden, cfg.Embed})
+	}
+	return phi, gamma, []int{cfg.Nodes * cfg.Embed, cfg.ReadoutHidden, cfg.ReadoutHidden, 1}
 }
 
 // Sample is one (workload, resources, latency) training triple, the format
@@ -203,9 +214,14 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a model previously encoded with MarshalBinary.
+// A payload whose architecture is malformed or disagrees with its weights
+// is an error, never a panic or an allocation larger than the payload.
 func (m *Model) UnmarshalBinary(data []byte) error {
 	var p persisted
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
+		return err
+	}
+	if err := p.check(); err != nil {
 		return err
 	}
 	fresh := New(p.Cfg, rand.New(rand.NewSource(0)))
@@ -214,5 +230,44 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	// exclusive access to m anyway; Scratches of the old shape are dropped.
 	m.Cfg, m.phi, m.gamma, m.readout, m.nets, m.edges = fresh.Cfg, fresh.phi, fresh.gamma, fresh.readout, fresh.nets, fresh.edges
 	m.free = nil
+	return nil
+}
+
+// check verifies that New(p.Cfg) builds exactly the layers p.Weights fills:
+// W then B for every layer, in m.nets order.
+func (p *persisted) check() error {
+	const maxDim = 1 << 16
+	c := p.Cfg
+	if c.Nodes <= 0 || c.Nodes > maxDim || len(c.Parents) != c.Nodes {
+		return fmt.Errorf("gnn: %d nodes with %d parent lists", c.Nodes, len(c.Parents))
+	}
+	for i, ps := range c.Parents {
+		for _, j := range ps {
+			if j < 0 || j >= c.Nodes {
+				return fmt.Errorf("gnn: node %d has parent %d of %d nodes", i, j, c.Nodes)
+			}
+		}
+	}
+	for _, d := range []int{c.Hidden, c.Embed, c.ReadoutHidden} {
+		if d <= 0 || d > maxDim {
+			return fmt.Errorf("gnn: layer width %d outside [1, %d]", d, maxDim)
+		}
+	}
+	if c.UseMPNN && (c.Steps < 0 || c.Steps > len(p.Weights)) {
+		return fmt.Errorf("gnn: %d message-passing steps for %d weight tensors", c.Steps, len(p.Weights))
+	}
+	phi, gamma, readout := netSizes(c)
+	i := 0
+	for _, sizes := range append(append(phi, gamma...), readout) {
+		for l := 0; l+1 < len(sizes); l++ {
+			if i+1 >= len(p.Weights) || len(p.Weights[i]) != sizes[l]*sizes[l+1] || len(p.Weights[i+1]) != sizes[l+1] {
+				return fmt.Errorf("gnn: weight tensors %d–%d do not fit a %d×%d layer", i, i+1, sizes[l], sizes[l+1])
+			}
+			i += 2
+		}
+	}
+	if i != len(p.Weights) {
+		return fmt.Errorf("gnn: %d weight tensors for %d layers", len(p.Weights), i/2)
+	}
 	return nil
 }

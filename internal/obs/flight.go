@@ -102,6 +102,7 @@ type Record struct {
 type FlightRecorder struct {
 	mu   sync.Mutex
 	w    *bufio.Writer
+	enc  *json.Encoder // on w: Marshal's bytes plus '\n', with no copy
 	mem  []Record
 	cap  int // max retained records; <= 0 means unbounded
 	seq  int
@@ -117,6 +118,7 @@ func NewFlightRecorder(w io.Writer, memCap int) *FlightRecorder {
 	f := &FlightRecorder{cap: memCap}
 	if w != nil {
 		f.w = bufio.NewWriter(w)
+		f.enc = json.NewEncoder(f.w)
 	}
 	return f
 }
@@ -134,11 +136,7 @@ func (f *FlightRecorder) Record(rec Record) {
 	}
 	f.mem = append(f.mem, rec)
 	if f.w != nil && f.err == nil {
-		b, err := json.Marshal(rec)
-		if err == nil {
-			_, err = f.w.Write(append(b, '\n'))
-		}
-		f.err = err
+		f.err = f.enc.Encode(rec)
 	}
 }
 

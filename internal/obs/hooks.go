@@ -1,6 +1,6 @@
 package obs
 
-import "fmt"
+import "strconv"
 
 // The hook types below are the only API the instrumented packages
 // (internal/core, internal/cluster, internal/chaos, internal/gnn) see. All
@@ -52,7 +52,7 @@ func (o *ControllerObs) Solver(iters int, converged bool, wallNS int64) {
 		ExpBuckets(1, 2, 10), nil).Observe(float64(iters))
 	o.t.Reg.Counter("graf_solver_runs_total",
 		"Solver runs by convergence outcome.",
-		Labels{"converged": fmt.Sprintf("%v", converged)}).Inc()
+		Labels{"converged": strconv.FormatBool(converged)}).Inc()
 	o.t.traceSpan("solver", wallNS,
 		map[string]float64{"iters": float64(iters), "converged": b2f(converged)})
 }

@@ -296,3 +296,62 @@ func TestNilHooksAreNoOps(t *testing.T) {
 		t.Error("constructors must return nil for nil telemetry")
 	}
 }
+
+// A lookup that finds its child builds the label key on the stack: the
+// per-stage, per-decision and per-service metric updates every tick make
+// allocate nothing. Only the first lookup of a child allocates its key.
+func TestRegistryHitAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	one := Labels{"stage": "solve"}
+	two := Labels{"tenant": "tenant-07", "service": "cart"}
+	hits := map[string]func(){
+		"counter, no labels": func() { r.Counter("c_total", "c", nil).Inc() },
+		"counter, one label": func() { r.Counter("c_total", "c", one).Inc() },
+		"gauge, two labels":  func() { r.Gauge("g", "g", two).Set(3) },
+		"histogram, one label": func() {
+			r.Histogram("h_seconds", "h", nil, one)
+		},
+		"histogram, two labels": func() {
+			r.Histogram("h_seconds", "h", nil, two)
+		},
+	}
+	for name, hit := range hits {
+		hit() // the miss that registers the child
+		if n := testing.AllocsPerRun(100, hit); n != 0 {
+			t.Errorf("%s: %v allocations per hit, want 0", name, n)
+		}
+	}
+	if got := len(r.Snapshot()); got != 7 { // c_total ×2, g, h_seconds_{count,sum} ×2
+		t.Fatalf("%d samples, want 7: a hit registered a new child", got)
+	}
+}
+
+// The recorder encodes onto its buffered writer with one json.Encoder; every
+// line must stay json.Marshal's bytes plus '\n', HTML escaping included, or
+// every recorded audit digest moves.
+func TestFlightLineIsMarshalPlusNewline(t *testing.T) {
+	recs := []Record{
+		{Type: "header", App: "a<b>&c", SLO: 0.25, Services: []string{`say "hi"`, "x&y"}, Solver: map[string]float64{"lr": 0.05}},
+		{Type: "decision", At: 5, Kind: "solve", Rates: map[string]float64{"home": 120.5}, Load: []float64{1, 2.25}, Raw: []float64{900}, Converged: true, Applied: map[string]float64{"<web>": 900}},
+		{Type: "chaos", At: 7.5, Detail: "kill <pod> & \"restart\" "},
+		{Type: "summary", Summary: map[string]float64{"b": 2, "a": 1e-9}},
+	}
+	var buf bytes.Buffer
+	f := NewFlightRecorder(&buf, 0)
+	var want []byte
+	for i, rec := range recs {
+		f.Record(rec)
+		rec.Seq = i + 1
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, b...), '\n')
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("audit bytes differ from json.Marshal + newline:\n got %s\nwant %s", buf.Bytes(), want)
+	}
+}

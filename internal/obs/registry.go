@@ -1,7 +1,7 @@
 // Package obs is the flight-recorder telemetry subsystem: a stdlib-only
-// metrics registry with Prometheus text exposition, lightweight span tracing
-// of controller decisions into a bounded in-memory ring, and a JSONL audit
-// log from which recorded decisions can be replayed bit-identically. It
+// metrics registry with Prometheus text exposition, distributed tracing of
+// the decision stages when a Tracer is attached (trace.go), and a JSONL
+// audit log from which recorded decisions can be replayed bit-identically. It
 // plays the role Prometheus + Jaeger play around the paper's deployment,
 // but for the control plane itself: the collect→predict→solve→actuate loop,
 // the gradient-descent solver, training, cluster scale events, and chaos
@@ -28,27 +28,31 @@ import (
 // Labels are constant label pairs attached to one child of a metric family.
 type Labels map[string]string
 
-// key serializes labels deterministically for map keying and exposition.
-func (l Labels) key() string {
-	if len(l) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(l))
+// appendKey appends the labels' deterministic serialization — the map key
+// of a family's child, and its label set in exposition — to dst:
+// k1="v1",k2="v2" in key order. Up to four labels are sorted in a stack
+// array, so a lookup into a stack buffer allocates nothing.
+func (l Labels) appendKey(dst []byte) []byte {
+	var arr [4]string
+	keys := arr[:0]
 	for k := range l {
 		keys = append(keys, k)
+		i := len(keys) - 1
+		for ; i > 0 && keys[i-1] > k; i-- {
+			keys[i] = keys[i-1]
+		}
+		keys[i] = k
 	}
-	sort.Strings(keys)
-	var b strings.Builder
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l[k]))
-		b.WriteByte('"')
+		dst = append(dst, k...)
+		dst = append(dst, `="`...)
+		dst = append(dst, escapeLabel(l[k])...)
+		dst = append(dst, '"')
 	}
-	return b.String()
+	return dst
 }
 
 // escapeLabel escapes a label value per the Prometheus text format:
@@ -268,10 +272,12 @@ func (r *Registry) child(name, help string, kind metricKind, labels Labels, boun
 	} else if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", name, kind, f.kind))
 	}
-	key := labels.key()
-	if c, ok := f.children[key]; ok {
+	var buf [128]byte
+	kb := labels.appendKey(buf[:0])
+	if c, ok := f.children[string(kb)]; ok {
 		return c
 	}
+	key := string(kb)
 	var c any
 	switch kind {
 	case kindCounter:

@@ -214,10 +214,10 @@ func (p *placement) resolve(up []bool, seen []residence) (res ReconcileReport, e
 	return res, evict, roll
 }
 
+var placementGob ckpt.GobEncoder[placement]
+
 func encodeRouterState(p *placement) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(p)
-	return buf.Bytes(), err
+	return placementGob.Append(nil, p)
 }
 
 func decodeRouterState(b []byte) (*placement, error) {

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
@@ -290,33 +291,55 @@ func TestPlacementDecisionsProperty(t *testing.T) {
 		m := newPlacementModel(t, seed)
 		m.check("bootstrap")
 		for step := 0; step < 40; step++ {
-			name := ""
-			switch k := m.rng.Intn(10); {
-			case k < 2:
-				name = "kill"
-				m.kill()
-			case k < 4:
-				name = "respawn"
-				m.respawn()
-			case k < 7:
-				name = "migrate"
-				if m.migrate() {
-					name = "migrate-crash+resume"
-					m.resume()
-				}
-			case k < 9:
-				name = "resume"
-				m.resume()
-			default:
-				name = "round"
-				for _, ts := range m.p.Tenants {
-					if ts.Shard != "" {
-						ts.Ticks++
-					}
-				}
-				m.placeUnplaced(m.failP)
-			}
+			name := m.step()
 			m.check(fmt.Sprintf("seed %d step %d %s", seed, step, name))
+		}
+	}
+}
+
+// step takes one random step and names it.
+func (m *placementModel) step() string {
+	switch k := m.rng.Intn(10); {
+	case k < 2:
+		m.kill()
+		return "kill"
+	case k < 4:
+		m.respawn()
+		return "respawn"
+	case k < 7:
+		if m.migrate() {
+			m.resume()
+			return "migrate-crash+resume"
+		}
+		return "migrate"
+	case k < 9:
+		m.resume()
+		return "resume"
+	}
+	for _, ts := range m.p.Tenants {
+		if ts.Shard != "" {
+			ts.Ticks++
+		}
+	}
+	m.placeUnplaced(m.failP)
+	return "round"
+}
+
+// The router commits its placement through ckpt's warmed gob encoder every
+// round. placement holds no map, so the stream must be a fresh encoder's
+// byte for byte, in every state the placement decisions reach.
+func TestRouterStateEncodingMatchesFreshEncoder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		m := newPlacementModel(t, seed)
+		for step := 0; step < 40; step++ {
+			name := m.step()
+			var fresh bytes.Buffer
+			if err := gob.NewEncoder(&fresh).Encode(m.p); err != nil {
+				t.Fatal(err)
+			}
+			if got := mustEncode(t, m.p); !bytes.Equal(got, fresh.Bytes()) {
+				t.Fatalf("seed %d step %d %s: router state differs from a fresh encoder's:\n%s", seed, step, name, dumpPlacement(m.p))
+			}
 		}
 	}
 }
