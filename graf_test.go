@@ -2,8 +2,11 @@ package graf
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -70,6 +73,38 @@ func TestTrainIsByteReproducible(t *testing.T) {
 	}
 	if !bytes.Equal(blobs[0], blobs[1]) {
 		t.Error("two Train calls with the same options produced different model bytes")
+	}
+}
+
+// TestTrainModelBytesArePinned pins the bytes graf.Train produces, recorded
+// on amd64 at f2e08d8: the first options are the repo benchmark's model, the
+// second label with the simulator. A change to the offline recipe that moves
+// either must be deliberate and re-record the value. Other architectures may
+// fuse multiply-adds and are skipped.
+func TestTrainModelBytesArePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes recorded on amd64")
+	}
+	for _, c := range []struct {
+		o    TrainOptions
+		want string
+	}{
+		{TrainOptions{
+			SLO: 250 * time.Millisecond, MinRate: 50, MaxRate: 300,
+			Samples: 800, Iterations: 400, Batch: 32, Seed: 1,
+		}, "d39c736c53257a028add8016e801c47d946bb76c8265bb2dd29d880711c67763"},
+		{TrainOptions{
+			SLO: 250 * time.Millisecond, MinRate: 40, MaxRate: 320,
+			Samples: 120, Iterations: 40, Batch: 16, Seed: 5, SimulatorLabels: true,
+		}, "17bad557e29c91bce4a76e55f6b304c8aa839fb820a570ff1720c8e42c2a0931"},
+	} {
+		blob, err := Train(OnlineBoutique(), c.o).Model.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != c.want {
+			t.Errorf("Train(%+v) model sha256 = %x, want %s", c.o, sum, c.want)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 
@@ -204,6 +205,17 @@ func (m *Model) Clone() *Model {
 type persisted struct {
 	Cfg     Config
 	Weights [][]float64
+}
+
+// gob numbers each type the first time anything in the process encodes it
+// and writes those numbers into the stream, so a model's bytes would depend
+// on what the process gob-encoded before (a checkpoint, say). Encoding the
+// model's types first, at init, gives the same model the same bytes in every
+// process.
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(persisted{}); err != nil {
+		panic(err)
+	}
 }
 
 // MarshalBinary encodes the model (architecture + weights) with gob.
