@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"sort"
 	"time"
@@ -620,34 +619,13 @@ func Train(a *App, o TrainOptions) *TrainedModel {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	probe := 0.75 * o.MaxRate
-	sc := core.NewSampleCollector(a, core.NewAnalyticMeasurer(a, 0, o.Seed), o.SLO.Seconds(), probe)
-	sc.ProbeRateLo = o.MinRate
-	sc.Seed = o.Seed + 10
-	b := sc.ReduceSearchSpace()
-
-	var m core.Measurer
-	if o.SimulatorLabels {
-		m = core.NewSimMeasurer(a, o.Seed+20)
-	} else {
-		cal := core.Calibrate(a, b, o.MinRate, o.MaxRate, 5*o.SLO.Seconds(), 12, o.Seed+30)
-		m = core.CalibratedMeasurer{
-			AnalyticMeasurer: core.NewAnalyticMeasurer(a, 0.15, o.Seed+40),
-			Cal:              cal,
-		}
-	}
-	sc.M = m
-	sc.MaxLatency = 5 * o.SLO.Seconds()
-	samples := sc.Collect(o.Samples, o.MinRate, o.MaxRate, b)
-
-	cfg := gnn.DefaultConfig(len(a.Services), a.Parents())
-	model := gnn.New(cfg, rand.New(rand.NewSource(o.Seed+50)))
-	tc := gnn.DefaultTrainConfig()
-	tc.Iterations, tc.Batch, tc.Seed = o.Iterations, o.Batch, o.Seed+60
-	tc.LR = 2e-3
-	tc.Obs = obs.NewTrainObs(o.Obs)
-	model.Train(samples, tc)
-	return &TrainedModel{Model: model, Bounds: b, MinRate: o.MinRate, MaxRate: o.MaxRate, SLO: o.SLO, Samples: samples}
+	tr := core.Train(a, core.TrainSpec{
+		SLO: o.SLO.Seconds(), MinRate: o.MinRate, MaxRate: o.MaxRate,
+		Samples: o.Samples, Iterations: o.Iterations, Batch: o.Batch,
+		LR: core.ProductLR, CalibrationProbes: core.ProductCalibrationProbes,
+		SimulatorLabels: o.SimulatorLabels, Seed: o.Seed, Obs: o.Obs,
+	})
+	return &TrainedModel{Model: tr.Model, Bounds: tr.Bounds, MinRate: o.MinRate, MaxRate: o.MaxRate, SLO: o.SLO, Samples: tr.Samples}
 }
 
 // saveGeneration persists a lifecycle model generation in the same GRAFMDL1

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"math/rand"
+	"time"
 
+	"graf/internal/app"
 	"graf/internal/core"
 	"graf/internal/gnn"
 	"graf/internal/nn"
+	"graf/internal/obs"
 )
 
 // Ablations for the design choices DESIGN.md §4 calls out. These go beyond
@@ -84,7 +87,7 @@ func AblationSolver(s Scale) Result {
 	for i, n := range a.ServiceNames() {
 		load[i] = rates[n]
 	}
-	slo := tr.SLO
+	slo := tr.Spec.SLO
 	budget := core.DefaultSolverConfig().MaxIters
 
 	sol := core.Solve(tr.Model, load, slo, tr.Bounds.Lo, tr.Bounds.Hi, core.DefaultSolverConfig())
@@ -147,51 +150,43 @@ func AblationSolver(s Scale) Result {
 	return res
 }
 
-// AblationSampler compares models trained on analytic-calibrated labels vs
-// simulator-measured labels, both evaluated against simulator-measured
-// ground truth.
+// AblationSampler compares the product's two labellers: core.Train with the
+// same spec, once on simulator-calibrated analytic labels and once on
+// simulator labels (at a quarter of the samples), both evaluated against
+// simulator-measured ground truth.
 func AblationSampler(s Scale) Result {
 	res := Result{ID: "abl-sampler", Title: "Ablation: analytic-calibrated vs simulator-labeled training data",
 		Header: []string{"labeler", "sim_test_MAPE_%", "samples"}}
-	a := BoutiquePipeline(s).App
+	a := app.OnlineBoutique()
 	nTest := 60
 	if s.Name == "quick" {
 		nTest = 24
 	}
-	// Shared: bounds + a simulator-labeled test set.
-	ana := core.NewAnalyticMeasurer(a, 0, 5)
-	sc := core.NewSampleCollector(a, ana, 0.25, 240)
-	b := sc.ReduceSearchSpace()
-	simM := core.NewSimMeasurer(a, 300)
-	scTest := core.NewSampleCollector(a, simM, 0.25, 240)
-	scTest.Seed = 97
-	test := scTest.Collect(nTest, 40, 320, b)
-
-	train := func(m core.Measurer, n int, seed int64) *gnn.Model {
-		sc := core.NewSampleCollector(a, m, 0.25, 240)
-		sc.Seed = seed
-		samples := sc.Collect(n, 40, 320, b)
-		cfg := gnn.DefaultConfig(len(a.Services), a.Parents())
-		mdl := gnn.New(cfg, rand.New(rand.NewSource(seed)))
-		tc := gnn.DefaultTrainConfig()
-		tc.Iterations, tc.Batch, tc.Seed = s.Iterations, s.Batch, seed
-		tc.LR = 2e-3
-		mdl.Train(samples, tc)
-		return mdl
+	spec := core.TrainSpec{
+		SLO: 0.25, MinRate: 40, MaxRate: 320, Iterations: s.Iterations, Batch: s.Batch,
+		LR: core.ProductLR, CalibrationProbes: s.CalibrationProbes, Seed: 5,
 	}
-	cal := core.Calibrate(a, b, 40, 320, 5*0.25, s.CalibrationProbes, 31)
-	calibrated := core.CalibratedMeasurer{AnalyticMeasurer: core.NewAnalyticMeasurer(a, 0.15, 32), Cal: cal}
-	mA := train(calibrated, s.Samples, 33)
-	simN := s.Samples / 4 // simulator labels cost ~10⁴× more; budget fewer
-	mS := train(core.NewSimMeasurer(a, 400), simN, 34)
-
-	evalOn := func(m *gnn.Model) float64 {
-		rows, _ := m.Evaluate(test, [][2]float64{{0, 1e9}})
-		return rows[0].MAPE
+	var test []gnn.Sample
+	for _, arm := range []struct {
+		name    string
+		sim     bool
+		samples int
+	}{{"analytic+calibration", false, s.Samples}, {"simulator-labeled", true, s.Samples / 4}} {
+		spec.SimulatorLabels, spec.Samples, spec.Obs = arm.sim, arm.samples, obs.New(obs.Options{})
+		t0 := time.Now()
+		tr := core.Train(a, spec)
+		wallS := time.Since(t0).Seconds() - spec.Obs.Reg.Histogram("graf_train_batch_seconds", "", nil, nil).Sum()
+		if test == nil { // the spec fixes the bounds, so both arms share them
+			sc := core.NewSampleCollector(a, core.NewSimMeasurer(a, 300), spec.SLO, 0)
+			sc.Seed, sc.MaxLatency = 97, 5*spec.SLO // the range core.Train keeps
+			test = sc.Collect(nTest, spec.MinRate, spec.MaxRate, tr.Bounds)
+		}
+		rows, _ := tr.Model.Evaluate(test, [][2]float64{{0, 1e9}})
+		res.AddRow(arm.name, f1(rows[0].MAPE*100), di(len(tr.Samples)))
+		res.Note("%s: %.3f ms wall time per label (core.Train outside its training batches: bounds, calibration, labelling)",
+			arm.name, 1e3*wallS/float64(max(1, len(tr.Samples))))
 	}
-	res.AddRow("analytic+calibration", f1(evalOn(mA)*100), di(s.Samples))
-	res.AddRow("simulator-labeled", f1(evalOn(mS)*100), di(simN))
-	res.Note("test labels are simulator-measured; calibration ln(sim)=%.2f+%.2f·ln(analytic)", cal.A, cal.B)
+	res.Note("test labels are simulator-measured; %d calibration probes", spec.CalibrationProbes)
 	return res
 }
 

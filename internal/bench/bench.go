@@ -71,8 +71,8 @@ func (r Result) Format() string {
 	return b.String()
 }
 
-// Scale selects how much compute an experiment spends. Tests use Quick;
-// cmd/grafbench and the benchmarks default to Standard; cmd/graftrain -full
+// Scale selects how much compute an experiment spends. Tests and the root
+// benchmarks default to Quick; cmd/grafbench defaults to Standard; Full
 // approaches the paper's budgets.
 type Scale struct {
 	Name string
@@ -107,7 +107,8 @@ func Standard() Scale {
 }
 
 // Full approaches the paper's budgets (50 K samples; long training). Hours
-// of CPU time — used only by cmd/graftrain -full.
+// of CPU time — grafbench -scale full, and the root benchmarks under
+// GRAF_BENCH_SCALE=full.
 func Full() Scale {
 	return Scale{
 		Name: "full", Samples: 50000, Iterations: 20000, Batch: 256,

@@ -251,8 +251,8 @@ func TestScalesAreOrdered(t *testing.T) {
 
 func TestChaosHardenedBeatsVanilla(t *testing.T) {
 	tr := BoutiquePipeline(Quick())
-	hardened := runChaosPolicy(tr, "graf", tr.SLO, 42)
-	vanilla := runChaosPolicy(tr, "graf-vanilla", tr.SLO, 42)
+	hardened := runChaosPolicy(tr, "graf", tr.Spec.SLO, 42)
+	vanilla := runChaosPolicy(tr, "graf-vanilla", tr.Spec.SLO, 42)
 	if hardened.violRate >= vanilla.violRate {
 		t.Errorf("hardened viol rate %.3f not strictly below vanilla %.3f",
 			hardened.violRate, vanilla.violRate)
@@ -283,8 +283,8 @@ func TestDriftLifecycleBeatsStatic(t *testing.T) {
 		t.Skip("drift experiment needs a trained pipeline")
 	}
 	tr := BoutiquePipeline(Quick())
-	lc := runDrift(tr, true, tr.SLO, 42, 480)
-	st := runDrift(tr, false, tr.SLO, 42, 480)
+	lc := runDrift(tr, true, tr.Spec.SLO, 42, 480)
+	st := runDrift(tr, false, tr.Spec.SLO, 42, 480)
 	if lc.violS >= st.violS {
 		t.Errorf("lifecycle viol-s %.0f not strictly below static %.0f\nevents: %v",
 			lc.violS, st.violS, lc.events)
@@ -312,8 +312,8 @@ func TestRecoveryWarmBeatsCold(t *testing.T) {
 		t.Skip("recovery experiment needs a trained pipeline")
 	}
 	tr := BoutiquePipeline(Quick())
-	warm := runRecovery(tr, true, tr.SLO, 42)
-	cold := runRecovery(tr, false, tr.SLO, 42)
+	warm := runRecovery(tr, true, tr.Spec.SLO, 42)
+	cold := runRecovery(tr, false, tr.Spec.SLO, 42)
 	if warm.violS >= cold.violS {
 		t.Errorf("warm viol-s %.0f not strictly below cold %.0f", warm.violS, cold.violS)
 	}

@@ -58,10 +58,10 @@ func savedInstancesPerQPS(s Scale) float64 {
 	tr := BoutiquePipeline(s)
 	// Two operating points of the Fig 18 study suffice for a slope.
 	loRate, hiRate := 120.0, 280.0
-	th, _ := tuneHPA(tr, tr.SLO, EvalRate, s.SteadyS, 91)
+	th, _ := tuneHPA(tr, tr.Spec.SLO, EvalRate, s.SteadyS, 91)
 	run := func(rate float64, graf bool) float64 {
 		if graf {
-			return runGRAFSteady(tr, tr.SLO, rate, s.SteadyS, 92).instances
+			return runGRAFSteady(tr, tr.Spec.SLO, rate, s.SteadyS, 92).instances
 		}
 		return runHPASteady(tr, th, rate, s.SteadyS, 93).instances
 	}

@@ -30,12 +30,12 @@ func AblationInteger(s Scale) Result {
 		for i, n := range tr.App.ServiceNames() {
 			load[i] = rates[n]
 		}
-		sol := core.Solve(tr.Model, load, tr.SLO, tr.Bounds.Lo, tr.Bounds.Hi, core.DefaultSolverConfig())
+		sol := core.Solve(tr.Model, load, tr.Spec.SLO, tr.Bounds.Lo, tr.Bounds.Hi, core.DefaultSolverConfig())
 		naive := 0.0
 		for _, q := range sol.Quotas {
 			naive += math.Ceil(q/unit) * unit
 		}
-		ref := core.RefineInteger(tr.Model, load, tr.SLO, sol, tr.Bounds.Lo, unit)
+		ref := core.RefineInteger(tr.Model, load, tr.Spec.SLO, sol, tr.Bounds.Lo, unit)
 		res.AddRow(f0(rate), f0(sol.TotalQuota), f0(naive), f0(ref.TotalQuota), f0(naive-ref.TotalQuota))
 	}
 	res.Note("§6: 'there is slight improvement room for GRAF to save more resources' — the recovered column is that room")
@@ -53,7 +53,7 @@ func AblationAnomaly(s Scale) Result {
 		eng := sim.NewEngine(71)
 		cl := newCluster(eng, tr.App)
 		warmStart(eng, cl, 120)
-		ctl := newGRAFController(tr, cl, tr.SLO)
+		ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(tr.Spec.SLO))
 		// The controller's own violation guardrail would mask the
 		// mitigator; disable it for a clean comparison.
 		ctl.Cfg.ViolationBoost = 1

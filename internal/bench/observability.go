@@ -23,8 +23,8 @@ func obsRun(tr *Trained, seed int64, horizonS float64) []byte {
 	var buf bytes.Buffer
 	tel := obs.New(obs.Options{AuditW: &buf})
 	cl.Obs = obs.NewClusterObs(tel)
-	cfg := core.DefaultControllerConfig(tr.SLO)
-	ctl := newGRAFController(tr, cl, tr.SLO)
+	cfg := core.DefaultControllerConfig(tr.Spec.SLO)
+	ctl := newGRAFController(tr, cl, cfg)
 	ctl.Obs = obs.NewControllerObs(tel)
 	tel.Flight.Record(core.HeaderRecord(tr.App, cfg, eng.Now()))
 	ctl.Start()
@@ -105,7 +105,7 @@ func ObsOverhead(s Scale) Result {
 		eng := sim.NewEngine(11)
 		cl := newCluster(eng, tr.App)
 		warmStart(eng, cl, EvalRate)
-		ctl := newGRAFController(tr, cl, tr.SLO)
+		ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(tr.Spec.SLO))
 		// Defeat hysteresis so every Step takes the full
 		// collect→analyze→solve→actuate path — the path whose overhead the
 		// <5% budget is about.

@@ -2,113 +2,57 @@ package bench
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 
 	"graf/internal/app"
 	"graf/internal/core"
-	"graf/internal/gnn"
 )
 
 // Trained bundles everything the end-to-end experiments need: the
-// application, Algorithm 1's bounds, the collected samples, and the trained
-// latency prediction model.
+// application, the spec it was trained to, and core.Train's bounds, samples
+// and latency model.
 type Trained struct {
-	App     *app.App
-	Bounds  core.Bounds
-	Samples []gnn.Sample
-	Model   *gnn.Model
-	Result  gnn.TrainResult
-
-	SLO     float64 // SLO used for bound probing (seconds)
-	RateLo  float64 // workload range covered by the training set (total rps)
-	RateHi  float64
-	Calib   core.Calibration // analytic→simulated label calibration
-	NoMPNN  *gnn.Model
-	NoMPNNR gnn.TrainResult
+	core.Trained
+	App  *app.App
+	Spec core.TrainSpec
 }
 
-// PipelineConfig controls TrainPipeline.
-type PipelineConfig struct {
-	SLO     float64 // seconds; Algorithm 1's lower-bound probe
-	RateLo  float64
-	RateHi  float64
-	Scale   Scale
-	Seed    int64
-	Ablate  bool // also train the no-MPNN variant (Fig 11)
-	SimOnly bool // label every sample with the simulator (slow, exact)
+// figureSpec is the offline recipe at a figure's scale. The paper trains at
+// 2e-4 for 7e4 iterations; at reduced iteration budgets a proportionally
+// larger LR reaches the same loss region.
+func figureSpec(slo, rateLo, rateHi float64, s Scale, seed int64) core.TrainSpec {
+	return core.TrainSpec{
+		SLO: slo, MinRate: rateLo, MaxRate: rateHi,
+		Samples: s.Samples, Iterations: s.Iterations, Batch: s.Batch,
+		LR:                math.Min(2e-4*math.Sqrt(70000/float64(s.Iterations)), 5e-3),
+		CalibrationProbes: s.CalibrationProbes,
+		Seed:              seed,
+	}
 }
 
-// TrainPipeline runs the full offline path of §3.7/§5: reduce the search
-// space with Algorithm 1, collect labeled samples, calibrate the labeler
-// against the simulator, and train the latency prediction model.
-func TrainPipeline(a *app.App, pc PipelineConfig) *Trained {
-	// Probe Algorithm 1's bounds near the top of the workload range so the
-	// reduced search space admits configurations for the heaviest loads
-	// the controller will solve for.
-	probeRate := 0.75 * pc.RateHi
-	ana := core.NewAnalyticMeasurer(a, 0, pc.Seed)
-	sc := core.NewSampleCollector(a, ana, pc.SLO, probeRate)
-	sc.ProbeRateLo = pc.RateLo
-	sc.Seed = pc.Seed + 10
-	b := sc.ReduceSearchSpace()
-
-	tr := &Trained{App: a, Bounds: b, SLO: pc.SLO, RateLo: pc.RateLo, RateHi: pc.RateHi, Calib: core.IdentityCalibration()}
-
-	var m core.Measurer
-	if pc.SimOnly {
-		m = core.NewSimMeasurer(a, pc.Seed+20)
-	} else {
-		tr.Calib = core.Calibrate(a, b, pc.RateLo, pc.RateHi, 5*pc.SLO, pc.Scale.CalibrationProbes, pc.Seed+30)
-		noisy := core.NewAnalyticMeasurer(a, 0.15, pc.Seed+40)
-		m = core.CalibratedMeasurer{AnalyticMeasurer: noisy, Cal: tr.Calib}
-	}
-	sc.M = m
-	sc.MaxLatency = 5 * pc.SLO
-	tr.Samples = sc.Collect(pc.Scale.Samples, pc.RateLo, pc.RateHi, b)
-
-	cfg := gnn.DefaultConfig(len(a.Services), a.Parents())
-	tr.Model = gnn.New(cfg, rand.New(rand.NewSource(pc.Seed+50)))
-	tc := gnn.DefaultTrainConfig()
-	tc.Iterations = pc.Scale.Iterations
-	tc.Batch = pc.Scale.Batch
-	tc.Seed = pc.Seed + 60
-	// The paper trains at 2e-4 for 7e4 iterations; at reduced iteration
-	// budgets a proportionally larger LR reaches the same loss region.
-	tc.LR = 2e-4 * math.Sqrt(70000/float64(pc.Scale.Iterations))
-	if tc.LR > 5e-3 {
-		tc.LR = 5e-3
-	}
-	tr.Result = tr.Model.Train(tr.Samples, tc)
-
-	if pc.Ablate {
-		cfg2 := cfg
-		cfg2.UseMPNN = false
-		tr.NoMPNN = gnn.New(cfg2, rand.New(rand.NewSource(pc.Seed+70)))
-		tr.NoMPNNR = tr.NoMPNN.Train(tr.Samples, tc)
-	}
-	return tr
+// Shared pipelines are expensive; memoize per (app, spec) within a process
+// so e.g. Fig 14/15/17 reuse one trained model, exactly as the paper reuses
+// one trained model for every result ("the trained model is then used to
+// reproduce every result in the evaluation without retraining").
+type pipeKey struct {
+	app  string
+	spec core.TrainSpec
 }
 
-// Shared pipelines are expensive; memoize per (app, scale, slo) within a
-// process so e.g. Fig 14/15/17 reuse one trained model, exactly as the
-// paper reuses one trained model for every result ("the trained model is
-// then used to reproduce every result in the evaluation without
-// retraining").
 var (
 	pipeMu   sync.Mutex
-	pipeMemo = map[string]*Trained{}
+	pipeMemo = map[pipeKey]*Trained{}
 )
 
-// SharedPipeline returns a memoized TrainPipeline result.
-func SharedPipeline(a *app.App, pc PipelineConfig) *Trained {
-	key := a.Name + "/" + pc.Scale.Name + "/" + f3(pc.SLO) + "/" + f0(pc.RateLo) + "-" + f0(pc.RateHi)
+// SharedPipeline returns the memoized core.Train of a to spec.
+func SharedPipeline(a *app.App, spec core.TrainSpec) *Trained {
+	key := pipeKey{a.Name, spec}
 	pipeMu.Lock()
 	defer pipeMu.Unlock()
 	if t, ok := pipeMemo[key]; ok {
 		return t
 	}
-	t := TrainPipeline(a, pc)
+	t := &Trained{Trained: core.Train(a, spec), App: a, Spec: spec}
 	pipeMemo[key] = t
 	return t
 }
@@ -118,16 +62,12 @@ func SharedPipeline(a *app.App, pc PipelineConfig) *Trained {
 // multiple instances, the regime where allocation quality matters (below
 // one instance per service, every allocator sits at the same floor).
 func BoutiquePipeline(scale Scale) *Trained {
-	return SharedPipeline(app.OnlineBoutique(), PipelineConfig{
-		SLO: 0.250, RateLo: 40, RateHi: 420, Scale: scale, Seed: 1, Ablate: true,
-	})
+	return SharedPipeline(app.OnlineBoutique(), figureSpec(0.250, 40, 420, scale, 1))
 }
 
 // SocialPipeline is the Social Network pipeline (Fig 14/16).
 func SocialPipeline(scale Scale) *Trained {
-	return SharedPipeline(app.SocialNetwork(), PipelineConfig{
-		SLO: 0.150, RateLo: 40, RateHi: 420, Scale: scale, Seed: 2,
-	})
+	return SharedPipeline(app.SocialNetwork(), figureSpec(0.150, 40, 420, scale, 2))
 }
 
 // EvalRate is the steady-state workload the Fig 14/15/16 comparisons run

@@ -51,14 +51,11 @@ func runChaosPolicy(tr *Trained, policy string, slo float64, seed int64) chaosOu
 	var ctl *core.Controller
 	switch policy {
 	case "graf", "graf-vanilla":
-		an := core.NewAnalyzer(tr.App)
 		cfg := core.DefaultControllerConfig(slo)
 		if policy == "graf-vanilla" {
 			cfg = core.VanillaControllerConfig(slo)
 		}
-		cfg.TrainedMinRate = tr.RateLo
-		cfg.TrainedMaxRate = tr.RateHi
-		ctl = core.NewController(cl, tr.Model, an, tr.Bounds, cfg)
+		ctl = newGRAFController(tr, cl, cfg)
 		ctl.OnHealth = func(t float64, from, to core.HealthState) {
 			out.health = append(out.health, fmt.Sprintf("t=%.0f %s→%s", t, from, to))
 		}
@@ -129,7 +126,7 @@ func runChaosPolicy(tr *Trained, policy string, slo float64, seed int64) chaosOu
 // the capacity dies.
 func ChaosRobustness(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	slo := tr.SLO
+	slo := tr.Spec.SLO
 	res := Result{
 		ID:    "chaos",
 		Title: "SLO violations under fault injection (Online Boutique, 240 rps, 250 ms SLO)",

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"graf/internal/chaos"
+	"graf/internal/core"
 	"graf/internal/lifecycle"
 	"graf/internal/sim"
 	"graf/internal/workload"
@@ -45,7 +46,7 @@ func runDrift(tr *Trained, withLifecycle bool, slo float64, seed int64, observeS
 	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, EvalRate)
 
-	ctl := newGRAFController(tr, cl, slo)
+	ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(slo))
 	ctl.Start()
 
 	// A slow ±25% swell around the evaluation rate. A constant rate would
@@ -128,7 +129,7 @@ func runDrift(tr *Trained, withLifecycle bool, slo float64, seed int64, observeS
 // with at least one drift trip and one promotion.
 func Drift(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	slo := tr.SLO
+	slo := tr.Spec.SLO
 	observeS := 600.0
 	if s.Name == "quick" {
 		observeS = 480

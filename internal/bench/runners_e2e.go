@@ -21,13 +21,12 @@ type steadyOut struct {
 	instances float64            // mean instances over the settled window
 }
 
-// newGRAFController wires a trained pipeline into a live cluster.
-func newGRAFController(tr *Trained, cl *cluster.Cluster, slo float64) *core.Controller {
-	an := core.NewAnalyzer(tr.App)
-	cfg := core.DefaultControllerConfig(slo)
-	cfg.TrainedMinRate = tr.RateLo
-	cfg.TrainedMaxRate = tr.RateHi
-	return core.NewController(cl, tr.Model, an, tr.Bounds, cfg)
+// newGRAFController wires a trained pipeline into a live cluster under cfg,
+// telling it the workload range the model was trained on.
+func newGRAFController(tr *Trained, cl *cluster.Cluster, cfg core.ControllerConfig) *core.Controller {
+	cfg.TrainedMinRate = tr.Spec.MinRate
+	cfg.TrainedMaxRate = tr.Spec.MaxRate
+	return core.NewController(cl, tr.Model, core.NewAnalyzer(tr.App), tr.Bounds, cfg)
 }
 
 // warmStart provisions a fresh cluster near the expected demand and lets
@@ -45,7 +44,7 @@ func runGRAFSteady(tr *Trained, slo, totalRate, horizonS float64, seed int64) st
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, totalRate)
-	ctl := newGRAFController(tr, cl, slo)
+	ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(slo))
 	ctl.Start()
 	g := workload.NewOpenLoop(cl, workload.ConstRate(totalRate))
 	g.Start()
@@ -141,11 +140,11 @@ func Fig14TotalCPU(s Scale) Result {
 		{BoutiquePipeline(s), EvalRate},
 		{SocialPipeline(s), EvalRate},
 	} {
-		graf := runGRAFSteady(c.tr, c.tr.SLO, c.rate, s.SteadyS, 21)
-		_, k8s := tuneHPA(c.tr, c.tr.SLO, c.rate, s.SteadyS, 22)
+		graf := runGRAFSteady(c.tr, c.tr.Spec.SLO, c.rate, s.SteadyS, 21)
+		_, k8s := tuneHPA(c.tr, c.tr.Spec.SLO, c.rate, s.SteadyS, 22)
 		saving := (k8s.total - graf.total) / k8s.total * 100
 		res.AddRow(c.tr.App.Name, f0(graf.total), f0(k8s.total), f1(saving),
-			ms(graf.p99), ms(k8s.p99), ms(c.tr.SLO))
+			ms(graf.p99), ms(k8s.p99), ms(c.tr.Spec.SLO))
 	}
 	res.Note("paper: GRAF saves 14-19%% total CPU at equal tail latency (2324 vs 2711 social; 2220 vs 2650 boutique)")
 	return res
@@ -154,8 +153,8 @@ func Fig14TotalCPU(s Scale) Result {
 func perMSFigure(id string, tr *Trained, rate float64, s Scale) Result {
 	res := Result{ID: id, Title: tr.App.Name + ": per-microservice CPU quota, GRAF vs fine-tuned K8s autoscaler",
 		Header: []string{"service", "GRAF_mc", "K8s_mc"}}
-	graf := runGRAFSteady(tr, tr.SLO, rate, s.SteadyS, 23)
-	_, k8s := tuneHPA(tr, tr.SLO, rate, s.SteadyS, 24)
+	graf := runGRAFSteady(tr, tr.Spec.SLO, rate, s.SteadyS, 23)
+	_, k8s := tuneHPA(tr, tr.Spec.SLO, rate, s.SteadyS, 24)
 	for _, name := range tr.App.ServiceNames() {
 		res.AddRow(name, f0(graf.quotas[name]), f0(k8s.quotas[name]))
 	}
@@ -224,7 +223,7 @@ func Fig18UserScaling(s Scale) Result {
 	tr := BoutiquePipeline(s)
 	res := Result{ID: "fig18", Title: "Total instances vs simulated users (Online Boutique, closed loop)",
 		Header: []string{"users", "GRAF", "K8s", "saved"}}
-	th, _ := tuneHPA(tr, tr.SLO, EvalRate, s.SteadyS, 41)
+	th, _ := tuneHPA(tr, tr.Spec.SLO, EvalRate, s.SteadyS, 41)
 	users := []int{500, 1000, 1500, 2000, 2500, 3000}
 	if s.Name == "quick" {
 		users = []int{300, 600, 900}
@@ -235,7 +234,7 @@ func Fig18UserScaling(s Scale) Result {
 			cl := newCluster(eng, tr.App)
 			var stopCtl func()
 			if graf {
-				ctl := newGRAFController(tr, cl, tr.SLO)
+				ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(tr.Spec.SLO))
 				ctl.Start()
 				stopCtl = ctl.Stop
 			} else {
@@ -281,7 +280,7 @@ func Fig20AzureReplay(s Scale) Result {
 		warmStart(eng, cl, initialRate) // the demo joins a running system
 		var stopCtl func()
 		if graf {
-			ctl := newGRAFController(tr, cl, tr.SLO)
+			ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(tr.Spec.SLO))
 			ctl.Start()
 			stopCtl = ctl.Stop
 		} else {
@@ -335,7 +334,7 @@ func runSurgeCompare(tr *Trained, policy string, baseUsers, surgeUsers int, surg
 	var stopCtl func()
 	switch policy {
 	case "graf":
-		ctl := newGRAFController(tr, cl, tr.SLO)
+		ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(tr.Spec.SLO))
 		ctl.Start()
 		stopCtl = ctl.Stop
 	case "hpa":
@@ -367,8 +366,8 @@ func runSurgeCompare(tr *Trained, policy string, baseUsers, surgeUsers int, surg
 	// Convergence: first post-surge time the 20 s sliding p99 drops to
 	// within 1.3× of the final settled tail and stays representative.
 	thr := out.settleP99 * 1.3
-	if thr < tr.SLO {
-		thr = tr.SLO
+	if thr < tr.Spec.SLO {
+		thr = tr.Spec.SLO
 	}
 	out.converge = horizonS
 	for t := surgeAt + 20; t <= end; t += 5 {

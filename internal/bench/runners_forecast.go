@@ -51,11 +51,9 @@ func runForecastPolicy(tr *Trained, fc forecast.Config, horizonS, scoreFromS, wa
 	stopGen := attach(cl)
 	warmStart(eng, cl, warmRate)
 
-	cfg := core.DefaultControllerConfig(tr.SLO)
-	cfg.TrainedMinRate = tr.RateLo
-	cfg.TrainedMaxRate = tr.RateHi
+	cfg := core.DefaultControllerConfig(tr.Spec.SLO)
 	cfg.Forecast = fc
-	ctl := core.NewController(cl, tr.Model, core.NewAnalyzer(tr.App), tr.Bounds, cfg)
+	ctl := newGRAFController(tr, cl, cfg)
 	ctl.Start()
 
 	out := forecastOut{}
@@ -72,7 +70,7 @@ func runForecastPolicy(tr *Trained, fc forecast.Config, horizonS, scoreFromS, wa
 		if p99 > out.worstP99 {
 			out.worstP99 = p99
 		}
-		if p99 > tr.SLO {
+		if p99 > tr.Spec.SLO {
 			violations++
 		}
 		out.coreHours += cl.TotalRealizedQuota() / 1000 * 2 / 3600

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math/rand"
+
 	"graf/internal/core"
 	"graf/internal/gnn"
 )
@@ -52,12 +54,9 @@ func Fig11MPNNAblation(s Scale) Result {
 	tr := BoutiquePipeline(s)
 	res := Result{ID: "fig11", Title: "Learning curves: GRAF vs GRAF w/o MPNN (validation loss)",
 		Header: []string{"iteration", "GRAF", "GRAF w/o MPNN"}}
-	if tr.NoMPNN == nil {
-		res.Note("pipeline was built without the ablation model")
-		return res
-	}
+	noMPNN, noMPNNR := trainNoMPNN(tr)
 	n := len(tr.Result.Curve)
-	if m := len(tr.NoMPNNR.Curve); m < n {
+	if m := len(noMPNNR.Curve); m < n {
 		n = m
 	}
 	step := n / 12
@@ -65,15 +64,25 @@ func Fig11MPNNAblation(s Scale) Result {
 		step = 1
 	}
 	for i := 0; i < n; i += step {
-		res.AddRow(di(tr.Result.Curve[i].Iteration), f3(tr.Result.Curve[i].Val), f3(tr.NoMPNNR.Curve[i].Val))
+		res.AddRow(di(tr.Result.Curve[i].Iteration), f3(tr.Result.Curve[i].Val), f3(noMPNNR.Curve[i].Val))
 	}
-	res.AddRow("best", f3(tr.Result.BestVal), f3(tr.NoMPNNR.BestVal))
+	res.AddRow("best", f3(tr.Result.BestVal), f3(noMPNNR.BestVal))
 	// Generalization: evaluate both on the held-out test set.
 	g, _ := tr.Model.Evaluate(tr.Result.Test, [][2]float64{{0, 10000}})
-	ng, _ := tr.NoMPNN.Evaluate(tr.Result.Test, [][2]float64{{0, 10000}})
+	ng, _ := noMPNN.Evaluate(tr.Result.Test, [][2]float64{{0, 10000}})
 	res.AddRow("test MAPE %", f1(g[0].MAPE*100), f1(ng[0].MAPE*100))
 	res.Note("paper: GRAF generalizes better; w/o MPNN converges faster in training but overfits noisy samples")
 	return res
+}
+
+// trainNoMPNN fits Fig 11's ablation: the pipeline's model without message
+// passing (readout over raw node features), trained on the same samples with
+// the same training loop.
+func trainNoMPNN(tr *Trained) (*gnn.Model, gnn.TrainResult) {
+	cfg := gnn.DefaultConfig(len(tr.App.Services), tr.App.Parents())
+	cfg.UseMPNN = false
+	m := gnn.New(cfg, rand.New(rand.NewSource(tr.Spec.Seed+70)))
+	return m, m.Train(tr.Samples, tr.Spec.TrainConfig())
 }
 
 // Fig12LossHeatmap reproduces Figure 12: the solver's Eq. 5 loss over a
@@ -89,7 +98,7 @@ func Fig12LossHeatmap(s Scale) Result {
 	for i, n := range a.ServiceNames() {
 		load[i] = rates[n]
 	}
-	sol := core.Solve(tr.Model, load, tr.SLO, tr.Bounds.Lo, tr.Bounds.Hi, core.DefaultSolverConfig())
+	sol := core.Solve(tr.Model, load, tr.Spec.SLO, tr.Bounds.Lo, tr.Bounds.Hi, core.DefaultSolverConfig())
 	fi := a.ServiceIndex("frontend")
 	ri := a.ServiceIndex("recommendation")
 	quota := append([]float64(nil), sol.Quotas...)
@@ -98,7 +107,7 @@ func Fig12LossHeatmap(s Scale) Result {
 		row := []string{f0(rq)}
 		for _, fq := range grid {
 			quota[ri], quota[fi] = rq, fq
-			row = append(row, f2(core.LossAt(tr.Model, load, quota, tr.SLO, core.DefaultSolverConfig().Rho)))
+			row = append(row, f2(core.LossAt(tr.Model, load, quota, tr.Spec.SLO, core.DefaultSolverConfig().Rho)))
 		}
 		res.AddRow(row...)
 	}
@@ -112,7 +121,7 @@ func Fig13SearchSpace(s Scale) Result {
 	tr := BoutiquePipeline(s)
 	res := Result{ID: "fig13", Title: "Reduced vs original search space (Online Boutique)",
 		Header: []string{"service", "lo_mc", "hi_mc", "original"}}
-	sc := core.NewSampleCollector(tr.App, core.NewAnalyticMeasurer(tr.App, 0, 1), tr.SLO, (tr.RateLo+tr.RateHi)/2)
+	sc := core.NewSampleCollector(tr.App, core.NewAnalyticMeasurer(tr.App, 0, 1), tr.Spec.SLO, (tr.Spec.MinRate+tr.Spec.MaxRate)/2)
 	for i, name := range tr.App.ServiceNames() {
 		res.AddRow(name, f0(tr.Bounds.Lo[i]), f0(tr.Bounds.Hi[i]), f0(sc.MinQuota)+"-"+f0(sc.HighQuota))
 	}

@@ -80,7 +80,7 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 	const tenantRate = 50.0
 
 	build := func(scripted []fleet.BrownoutPhase) *fleet.Fleet {
-		ccfg := core.DefaultControllerConfig(tr.SLO)
+		ccfg := core.DefaultControllerConfig(tr.Spec.SLO)
 		// Solve every tick: a coasting controller has no decision cost to
 		// bound, and the deadline comparison would measure idle time.
 		ccfg.Hysteresis = 0
@@ -98,8 +98,8 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 		cfg := fleet.Config{
 			App: tr.App, Model: tr.Model,
 			Bounds:  tr.Bounds,
-			SLO:     tr.SLO,
-			MinRate: tr.RateLo, MaxRate: tr.RateHi,
+			SLO:     tr.Spec.SLO,
+			MinRate: tr.Spec.MinRate, MaxRate: tr.Spec.MaxRate,
 			Workers: 2, Shards: 2,
 			TickS: 5, Seed: 9,
 			Controller: &ccfg,

@@ -65,12 +65,8 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 	// A memory-only telemetry bundle keeps the audit log whose tail warm
 	// restore folds on top of the snapshot.
 	tel := obs.New(obs.Options{})
-	cfg := core.DefaultControllerConfig(slo)
-	cfg.TrainedMinRate = tr.RateLo
-	cfg.TrainedMaxRate = tr.RateHi
 	build := func() *core.Controller {
-		an := core.NewAnalyzer(tr.App)
-		ctl := core.NewController(cl, tr.Model, an, tr.Bounds, cfg)
+		ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(slo))
 		ctl.Obs = obs.NewControllerObs(tel)
 		return ctl
 	}
@@ -142,7 +138,7 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 
 	out.violS = float64(violations) * 2
 	if lastViolationAt > restartAt {
-		out.reconvergeTick = int(math.Ceil((lastViolationAt - restartAt) / cfg.IntervalS))
+		out.reconvergeTick = int(math.Ceil((lastViolationAt - restartAt) / ctl.Cfg.IntervalS))
 	}
 	out.stranded = cl.InFlight()
 	return out
@@ -156,7 +152,7 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 // ticks-to-reconverge than cold under the identical seed and fault script.
 func Recovery(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	slo := tr.SLO
+	slo := tr.Spec.SLO
 	res := Result{
 		ID:     "recovery",
 		Title:  "Cold vs. warm control-plane restart under a surge (Online Boutique, 240→300 rps, 250 ms SLO)",

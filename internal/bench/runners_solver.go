@@ -26,7 +26,7 @@ func runSolverLoop(tr *Trained, version int, rate func(float64) float64, ticks i
 	eng := sim.NewEngine(seed)
 	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
 	warmStart(eng, cl, rate(0))
-	ctl := newGRAFController(tr, cl, tr.SLO)
+	ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(tr.Spec.SLO))
 	ctl.Cfg.Solver.Version = version
 	solves, calls := 0, 0
 	ctl.OnDecision = func(_, _ float64, sol core.Solution) {
@@ -40,7 +40,7 @@ func runSolverLoop(tr *Trained, version int, rate func(float64) float64, ticks i
 		from := eng.Now()
 		eng.RunUntil(from + tickS)
 		ctl.Step()
-		if cl.E2EWindow().Quantile(0.99, from, from+tickS) <= tr.SLO {
+		if cl.E2EWindow().Quantile(0.99, from, from+tickS) <= tr.Spec.SLO {
 			met++
 		}
 		coreMilliS += cl.TotalRealizedQuota() * tickS
@@ -59,12 +59,21 @@ func median(v []float64) float64 {
 	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
 }
 
+// solverLoopModel is the repo benchmark's model at a training seed: graf.Train
+// of Online Boutique at 250 ms, 50–300 req/s, 800 samples, 400 iterations,
+// batch 32.
+func solverLoopModel(seed int64) *Trained {
+	return SharedPipeline(app.OnlineBoutique(), core.TrainSpec{
+		SLO: 0.25, MinRate: 50, MaxRate: 300, Samples: 800, Iterations: 400, Batch: 32,
+		LR: core.ProductLR, CalibrationProbes: core.ProductCalibrationProbes, Seed: seed,
+	})
+}
+
 // SolverLoop compares the two solver versions where it counts: in the loop.
-// Each row is one latency model (Online Boutique, 250 ms, 50–300 req/s, on
-// the repo benchmark's budget of 800 samples, at one training seed) on one
-// trace (the benchmark's diurnal 50–250 req/s, and rpc_plane's 40 → 80 req/s
-// step, which sits on the lower edge of the trained range), medians over the
-// simulation seeds. The solver-level comparison is core.TestSolverOptimalityGap;
+// Each row is one latency model (the repo benchmark's, solverLoopModel, at
+// one training seed) on one trace (the benchmark's diurnal 50–250 req/s, and
+// rpc_plane's 40 → 80 req/s step, which sits on the lower edge of the trained
+// range), medians over the simulation seeds. The solver-level comparison is core.TestSolverOptimalityGap;
 // this one says what the decisions are worth, and how much of any difference
 // is the particular model rather than the method.
 func SolverLoop(s Scale) Result {
@@ -72,7 +81,6 @@ func SolverLoop(s Scale) Result {
 	if s.Name == "quick" {
 		trainSeeds, simSeeds, ticks = 1, 2, 60
 	}
-	small := Scale{Name: "solver-loop", Samples: 800, Iterations: 400, Batch: 32, CalibrationProbes: 12}
 	res := Result{
 		ID:     "solver-loop",
 		Title:  "Closed-loop SLO attainment and cost, solver version 1 vs 2",
@@ -80,7 +88,7 @@ func SolverLoop(s Scale) Result {
 	}
 	wins := 0
 	for ts := 1; ts <= trainSeeds; ts++ {
-		tr := TrainPipeline(app.OnlineBoutique(), PipelineConfig{SLO: 0.25, RateLo: 50, RateHi: 300, Scale: small, Seed: int64(ts)})
+		tr := solverLoopModel(int64(ts))
 		for _, trace := range []string{"diurnal", "step"} {
 			var out [3]struct{ attain, coreH, calls []float64 }
 			for seed := int64(1); seed <= int64(simSeeds); seed++ {

@@ -15,15 +15,7 @@ import (
 // is exactly where the solver operates.
 type Calibration struct {
 	A, B float64
-
-	// Probes is how many probe configurations survived the saturation filter
-	// and entered the fit (0 for the identity calibration) — surfaced so
-	// observability can report calibration quality.
-	Probes int
 }
-
-// Identity is the no-op calibration.
-func IdentityCalibration() Calibration { return Calibration{A: 0, B: 1} }
 
 // Apply maps one analytic latency (seconds) onto the calibrated scale.
 func (c Calibration) Apply(analytic float64) float64 {
@@ -39,7 +31,7 @@ func (c Calibration) Apply(analytic float64) float64 {
 // analytic saturation penalty). It needs ~2·probes simulator runs: one
 // analytic and one simulated measurement per kept probe.
 func Calibrate(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probes int, seed int64) Calibration {
-	ident := IdentityCalibration()
+	ident := Calibration{A: 0, B: 1}
 	if probes <= 0 {
 		return ident
 	}
@@ -88,7 +80,7 @@ func Calibrate(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probes int,
 		bHat = 2.5
 	}
 	aHat := (sy - bHat*sx) / n
-	return Calibration{A: aHat, B: bHat, Probes: len(xs)}
+	return Calibration{A: aHat, B: bHat}
 }
 
 // CalibratedMeasurer applies a Calibration to an AnalyticMeasurer's

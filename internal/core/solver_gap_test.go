@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -12,11 +11,10 @@ import (
 	"graf/internal/gnn"
 )
 
-// trained is an application with a latency model fit step for step the way
-// graf.Train fits one (Algorithm 1 bounds, simulator-calibrated analytic
-// labels, state-aware samples, the paper's MPNN) on the repo benchmark's
-// small budget: a few seconds per application, and the surface the solver
-// meets in production — piecewise linear, creased, with more than one basin.
+// trained is an application with a latency model fit by Train with
+// graf.Train's learning rate and probes on the repo benchmark's small budget:
+// a few seconds per application, and the surface the solver meets in
+// production — piecewise linear, creased, with more than one basin.
 type trained struct {
 	app   *app.App
 	model *gnn.Model
@@ -24,22 +22,11 @@ type trained struct {
 }
 
 func quickModel(a *app.App) trained {
-	const slo, minRate, maxRate, seed = 0.25, 50.0, 300.0, 1
-	sc := NewSampleCollector(a, NewAnalyticMeasurer(a, 0, seed), slo, 0.75*maxRate)
-	sc.ProbeRateLo = minRate
-	sc.Seed = seed + 10
-	b := sc.ReduceSearchSpace()
-	sc.M = CalibratedMeasurer{
-		AnalyticMeasurer: NewAnalyticMeasurer(a, 0.15, seed+40),
-		Cal:              Calibrate(a, b, minRate, maxRate, 5*slo, 12, seed+30),
-	}
-	sc.MaxLatency = 5 * slo
-	samples := sc.Collect(800, minRate, maxRate, b)
-	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(seed+50)))
-	tc := gnn.DefaultTrainConfig()
-	tc.Iterations, tc.Batch, tc.Seed, tc.LR = 400, 32, seed+60, 2e-3
-	m.Train(samples, tc)
-	return trained{app: a, model: m, b: b}
+	tr := Train(a, TrainSpec{
+		SLO: 0.25, MinRate: 50, MaxRate: 300, Samples: 800, Iterations: 400, Batch: 32,
+		LR: ProductLR, CalibrationProbes: ProductCalibrationProbes, Seed: 1,
+	})
+	return trained{app: a, model: tr.Model, b: tr.Bounds}
 }
 
 var (
