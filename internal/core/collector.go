@@ -90,8 +90,14 @@ func NewSimMeasurer(a *app.App, seed int64) *SimMeasurer {
 
 func (m *SimMeasurer) run(quotas map[string]float64, totalRate float64) *cluster.Cluster {
 	m.seed++
-	eng := sim.NewEngine(m.seed)
+	return m.runSeeded(m.seed, quotas, totalRate)
+}
+
+func (m *SimMeasurer) runSeeded(seed int64, quotas map[string]float64, totalRate float64) *cluster.Cluster {
+	eng := sim.NewEngine(seed)
 	cl := cluster.New(eng, m.App, m.Cfg)
+	// Keep only the window a measurement reads: Calibrate runs two at once.
+	cl.DeclareLookback(cluster.E2ELatency|cluster.SelfLatency, m.WindowS)
 	cl.ApplyQuotas(quotas)
 	eng.RunUntil(1)
 	g := workload.NewOpenLoop(cl, workload.ConstRate(totalRate))
@@ -111,6 +117,13 @@ func (m *SimMeasurer) MeasureSelf(svc string, quotas map[string]float64, totalRa
 func (m *SimMeasurer) MeasureE2E(quotas map[string]float64, totalRate float64) float64 {
 	cl := m.run(quotas, totalRate)
 	return cl.E2ELatencyQuantile(m.Quantile, m.WindowS)
+}
+
+// measureE2EAt returns what the MeasureE2E call n calls from now (n = 0: the
+// next) would return, without advancing m: its run is seeded by n alone, so
+// such calls may run concurrently and in any order.
+func (m *SimMeasurer) measureE2EAt(n int, quotas map[string]float64, totalRate float64) float64 {
+	return m.runSeeded(m.seed+1+int64(n), quotas, totalRate).E2ELatencyQuantile(m.Quantile, m.WindowS)
 }
 
 // SampleCollector is the state-aware sample collector (§3.7): it bounds the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"graf/internal/app"
@@ -128,6 +129,51 @@ func TestSimMeasurerAgreesWithAnalytic(t *testing.T) {
 	}
 	if r := s / an; r < 0.3 || r > 3 {
 		t.Errorf("sim p99 %v vs analytic %v: ratio %v outside [0.3,3]", s, an, r)
+	}
+}
+
+// calibrateSerial is Calibrate as a serial loop, one simulator run after the
+// other on one SimMeasurer: the oracle for its batched, parallel schedule.
+func calibrateSerial(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probes int, seed int64) (xs, ys []float64) {
+	ana := NewAnalyticMeasurer(a, 0, seed)
+	simm := NewSimMeasurer(a, seed+1)
+	rng := rand.New(rand.NewSource(seed + 2))
+	names := a.ServiceNames()
+	for p := 0; p < probes*5 && len(xs) < probes; p++ {
+		quotas := map[string]float64{}
+		for i, s := range names {
+			quotas[s] = b.Lo[i] + rng.Float64()*(b.Hi[i]-b.Lo[i])
+		}
+		rate := rateLo + rng.Float64()*(rateHi-rateLo)
+		av := ana.MeasureE2E(quotas, rate)
+		sv := simm.MeasureE2E(quotas, rate)
+		if av <= 0 || sv <= 0 || av > maxLat || sv > maxLat {
+			continue
+		}
+		xs = append(xs, math.Log(av))
+		ys = append(ys, math.Log(sv))
+	}
+	return xs, ys
+}
+
+// Calibrate's parallel probes fit what the serial loop fits, to the bit,
+// whether every probe is kept (one batch), some are discarded (several
+// batches) or too few survive 5·probes attempts.
+func TestCalibrateMatchesSerialLoop(t *testing.T) {
+	a := app.RobotShop()
+	sc := NewSampleCollector(a, NewAnalyticMeasurer(a, 0, 1), 0.2, 60)
+	b := sc.ReduceSearchSpace()
+	// Serially these keep 6 of 6, 5 of 30 and 1 of 30 attempts.
+	for _, c := range []struct{ rateHi, maxLat float64 }{{100, 1}, {100, 0.25}, {200, 0.25}} {
+		xs, ys := calibrateSerial(a, b, 20, c.rateHi, c.maxLat, 6, 9)
+		want := Calibration{A: 0, B: 1}
+		if len(xs) >= 4 {
+			want = fitLogLinear(xs, ys)
+		}
+		got := Calibrate(a, b, 20, c.rateHi, c.maxLat, 6, 9)
+		if math.Float64bits(got.A) != math.Float64bits(want.A) || math.Float64bits(got.B) != math.Float64bits(want.B) {
+			t.Errorf("%+v (%d probes kept serially): Calibrate %+v, serial loop %+v", c, len(xs), got, want)
+		}
 	}
 }
 

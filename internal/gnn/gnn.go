@@ -183,11 +183,8 @@ func (m *Model) snapshotWeights() [][]float64 {
 }
 
 func (m *Model) restoreWeights(snap [][]float64) {
-	i := 0
-	for _, l := range m.params() {
-		copy(l.W, snap[i])
-		copy(l.B, snap[i+1])
-		i += 2
+	for i, l := range m.params() {
+		l.SetParams(snap[2*i], snap[2*i+1])
 	}
 }
 

@@ -168,12 +168,27 @@ func TestOneShotInferenceDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// staleMirror returns a layer of m whose forward mirror is not W's transpose,
+// or -1: every writer of weights (New, training, restoring, decoding) must
+// leave none.
+func staleMirror(m *Model) int {
+	for i, l := range m.params() {
+		if !l.MirrorFresh() {
+			return i
+		}
+	}
+	return -1
+}
+
 // A clone and a MarshalBinary/UnmarshalBinary round trip carry weights, not
 // borrowed buffers: both start with an empty free list (no copied lock, no
 // Scratch shared with the source) and predict identically to the source.
 // Decoding over a used model of another shape must drop its old Scratches.
 func TestCloneAndRoundTripStartWithEmptyFreeList(t *testing.T) {
 	m := testModel(t, true)
+	if l := staleMirror(m); l >= 0 {
+		t.Fatalf("New: layer %d's mirror is stale", l)
+	}
 	load, quota := randInputs(rand.New(rand.NewSource(8)), m.Cfg.Nodes)
 	wantY, wantDQ := m.PredictGrad(load, quota)
 	if len(m.free) != 1 {
@@ -193,6 +208,9 @@ func TestCloneAndRoundTripStartWithEmptyFreeList(t *testing.T) {
 		}
 		if len(c.free) != 0 {
 			t.Errorf("%s: free list starts with %d scratches, want 0", name, len(c.free))
+		}
+		if l := staleMirror(c); l >= 0 {
+			t.Errorf("%s: layer %d's mirror is stale", name, l)
 		}
 		y, dq := c.PredictGrad(load, quota)
 		if y != wantY || c.Predict(load, quota) != wantY {

@@ -5,7 +5,9 @@ package gnn
 // network invocation, a backward that accumulates parameter gradients as it
 // goes, Adam with its moments in maps, and the two copies of the loop
 // (Model.Train, Partitioned.Train). Only the receivers changed: what used to
-// be methods of nn.Linear, nn.MLP and nn.Adam are functions here.
+// be methods of nn.Linear, nn.MLP and nn.Adam are functions here. Validation
+// reads the reference forward, not Predict, whose kernels are under test (and
+// read the forward's mirror of W, which this loop's Adam does not refresh).
 
 import (
 	"fmt"
@@ -322,7 +324,7 @@ func refTrain(m *Model, samples []Sample, tc TrainConfig) TrainResult {
 		}
 		sum := 0.0
 		for _, s := range set {
-			l, _ := tc.Loss.Loss(m.Predict(s.Load, s.Quota), s.Latency)
+			l, _ := tc.Loss.Loss(m.forward(s.Load, s.Quota, false, nil).y, s.Latency)
 			sum += l
 		}
 		return sum / float64(len(set))
@@ -402,7 +404,11 @@ func refTrainPartitioned(p *Partitioned, samples []Sample, tc TrainConfig) Train
 		}
 		sum := 0.0
 		for _, s := range set {
-			l, _ := tc.Loss.Loss(p.Predict(s.Load, s.Quota), s.Latency)
+			pred := 0.0
+			for si, g := range p.Groups {
+				pred += p.Subs[si].forward(p.slice(s.Load, g), p.slice(s.Quota, g), false, nil).y
+			}
+			l, _ := tc.Loss.Loss(pred, s.Latency)
 			sum += l
 		}
 		return sum / float64(len(set))

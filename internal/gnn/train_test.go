@@ -124,6 +124,9 @@ func TestTrainMatchesReference(t *testing.T) {
 				}
 				var blobs [][]byte
 				for _, sub := range subs {
+					if l := staleMirror(sub); l >= 0 && workers >= 0 {
+						t.Errorf("workers=%d: layer %d's mirror is stale after training", workers, l)
+					}
 					blob, err := sub.MarshalBinary()
 					if err != nil {
 						t.Fatal(err)

@@ -1,0 +1,30 @@
+package nn
+
+// useAVX selects the assembly kernels of kernels_amd64.s: the CPU has AVX and
+// the OS saves the YMM registers. It is set once, at start-up.
+var useAVX = hasAVX()
+
+func hasAVX() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	return xcr0&6 == 6 // XMM and YMM state
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+//go:noescape
+func fwdAVX(wt, b, x, y *float64, in, out int)
+
+//go:noescape
+func igradAVX(w, dy, dx *float64, in, out int)
+
+//go:noescape
+func wgradAVX(gw, gb, x, dy *float64, in, lo, hi int)
+
+//go:noescape
+func adamAVX(p, grad, m, v *float64, n int, k *[9]float64)

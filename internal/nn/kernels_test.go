@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -135,6 +136,163 @@ func TestAdamStepRowsMatchesStep(t *testing.T) {
 				t.Fatalf("step %d layer %d: StepRows left gradients behind", n, li)
 			}
 		}
+	}
+}
+
+// special draws normal values and, among them, what the two kernel sets must
+// also agree on: ±0, subnormals, and magnitudes whose products and sums
+// overflow. Subnormals are rare because the CPU computes them slowly.
+func special(rng *rand.Rand) float64 {
+	switch n := rng.Intn(64); {
+	case n < 8:
+		return 0
+	case n < 12:
+		return math.Copysign(0, -1)
+	case n < 13:
+		return float64(rng.Intn(2001)-1000) * 5e-324
+	case n < 15:
+		return rng.NormFloat64() * 1e300
+	}
+	return rng.NormFloat64()
+}
+
+// checkKernels runs the Go and the AVX kernels on one Linear(in, out) whose
+// weights, inputs, gradients and optimizer state fill draws, and reports the
+// first result that differs in a bit: the forward; for a drawn and an
+// all-zero dy, InputGrad over stale dx and WeightGrad onto non-zero
+// accumulators in two row ranges; one Adam update of out weights.
+func checkKernels(in, out int, fill func([]float64)) error {
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		fill(v)
+		return v
+	}
+	l := &Linear{In: in, Out: out, W: vec(in * out), B: vec(out), GW: vec(in * out), GB: vec(out), wt: make([]float64, in*out)}
+	l.mirror(0, out)
+	x := vec(in)
+	yGo, yAVX := vec(out), vec(out)
+	l.forwardGo(x, yGo)
+	l.forwardAVX(x, yAVX)
+	if !sameBits(yGo, yAVX) {
+		return fmt.Errorf("forward: Go %v, AVX %v", yGo, yAVX)
+	}
+	for _, dy := range [][]float64{vec(out), make([]float64, out)} {
+		dxGo, dxAVX := vec(in), vec(in)
+		l.inputGradGo(dy, dxGo)
+		l.inputGradAVX(dy, dxAVX)
+		if !sameBits(dxGo, dxAVX) {
+			return fmt.Errorf("InputGrad(dy=%v): Go %v, AVX %v", dy, dxGo, dxAVX)
+		}
+		gw, gb := append([]float64(nil), l.GW...), append([]float64(nil), l.GB...)
+		l.weightGradGo(x, dy, 0, out/2)
+		l.weightGradGo(x, dy, out/2, out)
+		wantGW, wantGB := l.GW, l.GB
+		l.GW, l.GB = gw, gb
+		l.weightGradAVX(x, dy, 0, out/2)
+		l.weightGradAVX(x, dy, out/2, out)
+		if !sameBits(l.GW, wantGW) || !sameBits(l.GB, wantGB) {
+			return fmt.Errorf("WeightGrad(dy=%v) differs", dy)
+		}
+	}
+	a := &Adam{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
+	a.Next()
+	a.Next()
+	state := [][]float64{vec(out), vec(out), vec(out), vec(out)} // p, g, m, v
+	var twin [][]float64
+	for _, s := range state {
+		twin = append(twin, append([]float64(nil), s...))
+	}
+	a.updateGo(state[0], state[1], state[2], state[3], 32)
+	a.updateAVX(twin[0], twin[1], twin[2], twin[3], 32)
+	for i, s := range state {
+		if !sameBits(s, twin[i]) {
+			return fmt.Errorf("Adam: vector %d differs: Go %v, AVX %v", i, s, twin[i])
+		}
+	}
+	return nil
+}
+
+// The AVX kernels are the Go kernels to the bit for every shape up to 130 ×
+// 130: every tile and tail of the forward's 16/4/1 outputs, of the gradient
+// kernels' 4/1 inputs, and of InputGrad's groups of four live rows.
+func TestAVXKernelsMatchGo(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this host")
+	}
+	rng := rand.New(rand.NewSource(13))
+	pool := make([]float64, 1<<16)
+	for i := range pool {
+		pool[i] = special(rng)
+	}
+	fill := func(v []float64) { copy(v, pool[rng.Intn(len(pool)-len(v)+1):]) }
+	for in := 1; in <= 130; in++ {
+		for out := 1; out <= 130; out++ {
+			if err := checkKernels(in, out, fill); err != nil {
+				t.Fatalf("Linear(%d,%d): %v", in, out, err)
+			}
+		}
+	}
+}
+
+// FuzzLinearKernels is TestAVXKernelsMatchGo on fuzzed shapes and values.
+// Values come from the input's bytes while they last; NaN and ±Inf, which no
+// trained weight holds and whose payloads the kernels do not promise to keep,
+// are replaced by draws.
+func FuzzLinearKernels(f *testing.F) {
+	f.Add(uint8(20), uint8(20), int64(1), []byte{})
+	f.Add(uint8(129), uint8(16), int64(2), make([]byte, 64))
+	f.Fuzz(func(t *testing.T, in, out uint8, seed int64, raw []byte) {
+		if !useAVX {
+			t.Skip("no AVX on this host")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		fill := func(v []float64) {
+			for i := range v {
+				v[i] = special(rng)
+				if len(raw) >= 8 {
+					if u := math.Float64frombits(binary.LittleEndian.Uint64(raw)); !math.IsNaN(u) && !math.IsInf(u, 0) {
+						v[i] = u
+					}
+					raw = raw[8:]
+				}
+			}
+		}
+		if err := checkKernels(int(in)%130+1, int(out)%130+1, fill); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// The forward's mirror is W's transpose after every writer of W.
+func TestMirrorFollowsW(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	m := NewMLP([]int{7, 13, 5, 1}, 0, rng)
+	opt := NewAdam(0.01, m.Layers)
+	check := func(when string) {
+		for li, l := range m.Layers {
+			if !l.MirrorFresh() {
+				t.Fatalf("layer %d after %s: mirror is not Wᵀ", li, when)
+			}
+		}
+	}
+	check("NewLinear")
+	for n := 0; n < 3; n++ {
+		opt.Next()
+		for li, l := range m.Layers {
+			copy(l.GW, randVec(rng, len(l.GW)))
+			copy(l.GB, randVec(rng, len(l.GB)))
+			opt.StepRows(li, l.Out/2, l.Out, 8)
+			opt.StepRows(li, 0, l.Out/2, 8)
+		}
+		check("StepRows")
+	}
+	for _, l := range m.Layers {
+		l.SetParams(randVec(rng, len(l.W)), randVec(rng, len(l.B)))
+	}
+	check("SetParams")
+	m.Layers[1].W[3]++
+	if m.Layers[1].MirrorFresh() {
+		t.Error("MirrorFresh misses a weight written behind the mirror's back")
 	}
 }
 

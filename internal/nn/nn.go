@@ -15,6 +15,10 @@
 // Order contract: every accumulator (an output's sum, an input gradient, a
 // GW/GB entry) receives the same addends in the same order however the
 // kernels are blocked or the rows divided, so results are schedule-independent.
+// It holds across implementations too: where the CPU has AVX the Linear and
+// Adam kernels run in assembly, one vector lane per accumulator, fed by
+// separate multiplies and adds (no fused multiply-add), so they compute the
+// bits of the Go kernels that run everywhere else (kernels.go).
 package nn
 
 import (
@@ -30,6 +34,12 @@ type Linear struct {
 	B       []float64
 	GW      []float64 // gradient accumulators
 	GB      []float64
+
+	// wt mirrors W column-major, In×Out (wt[i*Out+o] == W[o*In+i]), for the
+	// AVX forward, whose vector lanes run across outputs. Every writer of W
+	// refreshes it: NewLinear, SetParams and Adam.StepRows. Code outside this
+	// package writes weights through SetParams only.
+	wt []float64
 }
 
 // NewLinear returns a dense layer with He initialization drawn from rng.
@@ -40,47 +50,52 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 		B:  make([]float64, out),
 		GW: make([]float64, in*out),
 		GB: make([]float64, out),
+		wt: make([]float64, in*out),
 	}
 	std := math.Sqrt(2.0 / float64(in))
 	for i := range l.W {
 		l.W[i] = rng.NormFloat64() * std
 	}
+	l.mirror(0, out)
 	return l
 }
 
+// SetParams copies w and b into the layer's weights and biases.
+func (l *Linear) SetParams(w, b []float64) {
+	copy(l.W, w)
+	copy(l.B, b)
+	l.mirror(0, l.Out)
+}
+
+// MirrorFresh reports whether the forward's column-major copy of W equals
+// W's transpose to the bit, the invariant every writer of W keeps.
+func (l *Linear) MirrorFresh() bool {
+	if len(l.wt) != len(l.W) {
+		return false
+	}
+	for o := 0; o < l.Out; o++ {
+		for i := 0; i < l.In; i++ {
+			if math.Float64bits(l.wt[i*l.Out+o]) != math.Float64bits(l.W[o*l.In+i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // ForwardInto computes y = W·x + b into the caller-provided y (len Out)
-// without allocating. Four output rows share one pass over x — four
-// independent add chains instead of one serial one — and each row's sum is
-// still B[o] + Σᵢ row[i]·x[i] taken in i order, so the blocking does not
-// change a bit of the result. It reads only W and B, making it safe for
-// concurrent use on a model that is not being mutated.
+// without allocating. Each y[o] is B[o] + Σᵢ W[o,i]·x[i] taken in i order,
+// whichever kernel runs, so their blocking does not change a bit of the
+// result. It reads only the weights, making it safe for concurrent use on a
+// model that is not being mutated.
 func (l *Linear) ForwardInto(x, y []float64) {
 	if len(x) != l.In || len(y) != l.Out {
 		panic(fmt.Sprintf("nn: Linear(%d,%d) ForwardInto got x=%d y=%d", l.In, l.Out, len(x), len(y)))
 	}
-	n := l.In
-	o := 0
-	for ; o+4 <= l.Out; o += 4 {
-		r0 := l.W[o*n : (o+1)*n][:len(x)]
-		r1 := l.W[(o+1)*n : (o+2)*n][:len(x)]
-		r2 := l.W[(o+2)*n : (o+3)*n][:len(x)]
-		r3 := l.W[(o+3)*n : (o+4)*n][:len(x)]
-		s0, s1, s2, s3 := l.B[o], l.B[o+1], l.B[o+2], l.B[o+3]
-		for i, xi := range x {
-			s0 += r0[i] * xi
-			s1 += r1[i] * xi
-			s2 += r2[i] * xi
-			s3 += r3[i] * xi
-		}
-		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
-	}
-	for ; o < l.Out; o++ {
-		sum := l.B[o]
-		row := l.W[o*n : (o+1)*n][:len(x)]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		y[o] = sum
+	if useAVX {
+		l.forwardAVX(x, y)
+	} else {
+		l.forwardGo(x, y)
 	}
 }
 
@@ -98,38 +113,10 @@ func (l *Linear) InputGrad(dy, dx []float64) {
 	if len(dy) != l.Out || len(dx) != l.In {
 		panic(fmt.Sprintf("nn: Linear(%d,%d) InputGrad got dy=%d dx=%d", l.In, l.Out, len(dy), len(dx)))
 	}
-	for i := range dx {
-		dx[i] = 0
-	}
-	n := l.In
-	var live [4]int // rows with a gradient, waiting to be applied together
-	k := 0
-	for o, g := range dy {
-		if g == 0 {
-			continue
-		}
-		live[k] = o
-		if k++; k < len(live) {
-			continue
-		}
-		k = 0
-		// One pass over dx for four rows; each dx[i] still takes them in
-		// ascending order.
-		g0, g1, g2, g3 := dy[live[0]], dy[live[1]], dy[live[2]], g
-		r0 := l.W[live[0]*n : (live[0]+1)*n][:len(dx)]
-		r1 := l.W[live[1]*n : (live[1]+1)*n][:len(dx)]
-		r2 := l.W[live[2]*n : (live[2]+1)*n][:len(dx)]
-		r3 := l.W[o*n : (o+1)*n][:len(dx)]
-		for i := range dx {
-			dx[i] = dx[i] + r0[i]*g0 + r1[i]*g1 + r2[i]*g2 + r3[i]*g3
-		}
-	}
-	for _, o := range live[:k] {
-		g := dy[o]
-		row := l.W[o*n : (o+1)*n][:len(dx)]
-		for i := range dx {
-			dx[i] += row[i] * g
-		}
+	if useAVX {
+		l.inputGradAVX(dy, dx)
+	} else {
+		l.inputGradGo(dy, dx)
 	}
 }
 
@@ -139,19 +126,13 @@ func (l *Linear) InputGrad(dy, dx []float64) {
 // touch disjoint memory, so they may run concurrently; rows with dy[o] == 0
 // are skipped, which is exact for finite x by the argument at InputGrad.
 func (l *Linear) WeightGrad(x, dy []float64, lo, hi int) {
-	if len(x) != l.In || len(dy) != l.Out {
-		panic(fmt.Sprintf("nn: Linear(%d,%d) WeightGrad got x=%d dy=%d", l.In, l.Out, len(x), len(dy)))
+	if len(x) != l.In || len(dy) != l.Out || lo < 0 || hi > l.Out {
+		panic(fmt.Sprintf("nn: Linear(%d,%d) WeightGrad got x=%d dy=%d rows [%d, %d)", l.In, l.Out, len(x), len(dy), lo, hi))
 	}
-	for o := lo; o < hi; o++ {
-		g := dy[o]
-		if g == 0 {
-			continue
-		}
-		l.GB[o] += g
-		grow := l.GW[o*l.In : (o+1)*l.In][:len(x)]
-		for i, xi := range x {
-			grow[i] += g * xi
-		}
+	if useAVX {
+		l.weightGradAVX(x, dy, lo, hi)
+	} else {
+		l.weightGradGo(x, dy, lo, hi)
 	}
 }
 
@@ -331,21 +312,21 @@ func (a *Adam) Next() {
 }
 
 // StepRows updates rows [lo, hi) of layer li from their accumulated gradients
-// (scaled by 1/scale, e.g. the batch size), then zeroes the gradients.
+// (scaled by 1/scale, e.g. the batch size), zeroes the gradients and
+// refreshes the forward's mirror of those rows.
 func (a *Adam) StepRows(li, lo, hi int, scale float64) {
 	l := a.layers[li]
 	w0, w1 := lo*l.In, hi*l.In
 	a.update(l.W[w0:w1], l.GW[w0:w1], a.mw[li][w0:w1], a.vw[li][w0:w1], scale)
 	a.update(l.B[lo:hi], l.GB[lo:hi], a.mb[li][lo:hi], a.vb[li][lo:hi], scale)
+	l.mirror(lo, hi)
 }
 
 func (a *Adam) update(p, g, m, v []float64, scale float64) {
-	for i := range p {
-		gi := g[i] / scale
-		m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-		v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
-		p[i] -= a.LR * (m[i] / a.c1) / (math.Sqrt(v[i]/a.c2) + a.Epsilon)
-		g[i] = 0
+	if useAVX {
+		a.updateAVX(p, g, m, v, scale)
+	} else {
+		a.updateGo(p, g, m, v, scale)
 	}
 }
 

@@ -29,6 +29,12 @@ func step(a *Adam, m *MLP, scale float64) {
 	}
 }
 
+// setW writes one weight and the forward's mirror of it.
+func setW(l *Linear, wi int, v float64) {
+	l.W[wi] = v
+	l.mirror(wi/l.In, wi/l.In+1)
+}
+
 func zeroGrad(m *MLP) {
 	for _, l := range m.Layers {
 		clear(l.GW)
@@ -64,11 +70,11 @@ func TestMLPParamGradientNumeric(t *testing.T) {
 	for li, l := range m.Layers {
 		for wi := range l.W {
 			orig := l.W[wi]
-			l.W[wi] = orig + h
+			setW(l, wi, orig+h)
 			yp := eval(m, x)
-			l.W[wi] = orig - h
+			setW(l, wi, orig-h)
 			ym := eval(m, x)
-			l.W[wi] = orig
+			setW(l, wi, orig)
 			num := (yp - ym) / (2 * h)
 			if math.Abs(num-l.GW[wi]) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("layer %d W[%d]: analytic %v, numeric %v", li, wi, l.GW[wi], num)
@@ -115,11 +121,11 @@ func TestMaskedGradientsNumeric(t *testing.T) {
 	for li, l := range m.Layers {
 		for wi := range l.W {
 			orig := l.W[wi]
-			l.W[wi] = orig + h
+			setW(l, wi, orig+h)
 			yp := m.Eval(v, x)[0]
-			l.W[wi] = orig - h
+			setW(l, wi, orig-h)
 			ym := m.Eval(v, x)[0]
-			l.W[wi] = orig
+			setW(l, wi, orig)
 			if num := (yp - ym) / (2 * h); math.Abs(num-l.GW[wi]) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("masked layer %d W[%d]: analytic %v, numeric %v", li, wi, l.GW[wi], num)
 			}
