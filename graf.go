@@ -408,7 +408,8 @@ func ReadAuditLog(r io.Reader) ([]AuditRecord, error) { return obs.ReadLog(r) }
 // subsequent appends keep the log parseable. It returns the salvaged
 // records and whether a torn tail was removed.
 func RepairAuditLog(path string) (recs []AuditRecord, repaired bool, err error) {
-	return obs.RepairLog(path)
+	_, recs, repaired, err = obs.RepairLog(path)
+	return recs, repaired, err
 }
 
 // ErrTruncatedAuditTail matches (via errors.Is) the error ReadAuditLog

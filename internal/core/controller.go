@@ -290,6 +290,7 @@ type Controller struct {
 	// external inputs.
 	st   ControllerState
 	stop func()
+	tk   tick // the decision in flight, reused by every Step
 
 	// OnPrewarm, if set, observes every decision that ordered instances
 	// ahead of forecasted demand: n instances with leadS seconds of
@@ -405,6 +406,15 @@ func (c *Controller) stage(name string, t0 time.Time, attrs map[string]float64) 
 	c.Obs.Stage(name, time.Since(t0).Nanoseconds(), attrs)
 }
 
+// spanAttr is a stage's span attribute, built only when the span is
+// recorded.
+func (c *Controller) spanAttr(key string, v float64) map[string]float64 {
+	if !c.Obs.Traced() {
+		return nil
+	}
+	return map[string]float64{key: v}
+}
+
 // Start begins the control loop at the current simulated time.
 func (c *Controller) Start() {
 	c.stop = c.Cluster.Eng.Ticker(c.Cluster.Eng.Now()+0.001, c.Cfg.IntervalS, c.Step)
@@ -418,7 +428,8 @@ func (c *Controller) Stop() {
 }
 
 // tick is one decision in flight: what the stages have read and proposed so
-// far. Nothing in it outlives the step.
+// far. Nothing in it outlives the step, so the controller keeps one and Step
+// resets it.
 type tick struct {
 	now float64
 	// rec is the decision's audit record, filled as the stages go: every
@@ -467,7 +478,8 @@ var stages = []func(*Controller, *tick) bool{
 // Exposed so experiments can drive decisions at exact instants.
 func (c *Controller) Step() {
 	t0 := c.wallStart()
-	t := &tick{now: c.Cluster.Eng.Now(), scale: 1}
+	t := &c.tk
+	*t = tick{now: c.Cluster.Eng.Now(), scale: 1}
 	t.rec = obs.Record{At: t.now, Health: c.Health().String()}
 	for _, stage := range stages {
 		if stage(c, t) {
@@ -522,7 +534,8 @@ func (c *Controller) collect(t *tick) bool {
 	// addition is not associative, so an unordered sum can differ by an ULP
 	// between otherwise identical runs — enough to break the flight
 	// recorder's byte-identical same-seed replay contract.
-	apis := make([]string, 0, len(rates))
+	var buf [8]string // on the stack for every modelled application's APIs
+	apis := buf[:0]
 	for api := range rates {
 		apis = append(apis, api)
 	}
@@ -531,7 +544,7 @@ func (c *Controller) collect(t *tick) bool {
 	for _, api := range apis {
 		total += rates[api]
 	}
-	c.stage("collect", tCollect, map[string]float64{"total_rate": total})
+	c.stage("collect", tCollect, c.spanAttr("total_rate", total))
 	t.rates, t.rec.Rates, t.rec.Total = rates, rates, total
 
 	pred, matured := c.st.observe(t.now, total, c.Cfg)
@@ -766,7 +779,7 @@ func (c *Controller) solve(t *tick) bool {
 	sol := SolveFrom(c.Model, load, c.Cfg.SLO, lo, hi, scfg, warmStart)
 	if c.Obs != nil {
 		wallNS := time.Since(tSolve).Nanoseconds()
-		c.stage("solve", tSolve, map[string]float64{"predicted": sol.Predicted})
+		c.stage("solve", tSolve, c.spanAttr("predicted", sol.Predicted))
 		c.Obs.Solver(sol.Iterations, sol.Converged, wallNS)
 	}
 	t.sol, t.solved = sol, true

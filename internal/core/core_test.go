@@ -1,12 +1,14 @@
 package core
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"testing"
 
 	"graf/internal/app"
 	"graf/internal/cluster"
+	"graf/internal/obs"
 	"graf/internal/sim"
 	"graf/internal/workload"
 )
@@ -308,6 +310,42 @@ func TestControllerHysteresisSkipsStableLoad(t *testing.T) {
 	if ctl.Solves() == 0 {
 		t.Error("solver never ran")
 	}
+}
+
+// A decision that keeps the configuration allocates only what its audit
+// record keeps — the per-API rates map, 2 objects — and the 3 that
+// encoding/json spends writing that map. The tick, the record handed to the
+// encoder, the sort of the rates' keys and the untraced stage spans' names
+// and attributes must cost nothing.
+func TestHysteresisStepAllocatesOnlyTheRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	a := app.RobotShop()
+	eng := sim.NewEngine(10)
+	cl := cluster.New(eng, a, cluster.DefaultConfig())
+	b := Bounds{Lo: []float64{100, 100}, Hi: []float64{4000, 4000}}
+	ctl := NewController(cl, hyperbola{a: []float64{2, 2}, c: 0.01}, NewAnalyzer(a), b, DefaultControllerConfig(0.2))
+	tel := obs.New(obs.Options{AuditW: io.Discard, AuditMemory: 16})
+	ctl.Obs = obs.NewControllerObs(tel)
+	ctl.Start()
+	gen := workload.NewOpenLoop(cl, workload.ConstRate(40))
+	gen.Start()
+	eng.RunUntil(120)
+	ctl.Stop()
+	for i := 0; i < 20; i++ { // fill the audit memory and every metric child
+		ctl.Step()
+	}
+	allocs := testing.AllocsPerRun(50, ctl.Step)
+	for _, rec := range tel.Flight.Records() {
+		if rec.Type == "decision" && rec.Kind != KindHysteresis {
+			t.Fatalf("decision at %v is %q, want every measured step to hold by hysteresis", rec.At, rec.Kind)
+		}
+	}
+	if allocs > 5 {
+		t.Errorf("%v allocations per hysteresis-hold Step, want ≤ 5", allocs)
+	}
+	gen.Stop()
 }
 
 func TestControllerWorkloadScaling(t *testing.T) {

@@ -45,24 +45,22 @@ func (p gapPoint) gapPct() float64 {
 	return 100 * (p.v2.TotalQuota - p.v1.TotalQuota) / p.v1.TotalQuota
 }
 
-// gapGrid solves (OnlineBoutique, SocialNetwork) × 3 SLOs × 14 rates with
-// version 1 on its shipped 600 iterations and with version 2.
+// gapGrid solves (OnlineBoutique, SocialNetwork) × the solver grid's 3 SLOs
+// × 14 rates with version 1 on its shipped 600 iterations and with version 2.
 var gapGrid = sync.OnceValue(func() []gapPoint {
 	v1, v2 := DefaultSolverConfig(), DefaultSolverConfig()
 	v1.Version = 1
 	var out []gapPoint
 	for _, tr := range []trained{boutiqueModel(), socialModel()} {
 		an := NewAnalyzer(tr.app)
-		for _, slo := range []float64{0.2, 0.25, 0.3} {
-			for rate := 50.0; rate <= 300; rate += 19 {
-				load := an.Distribute(tr.app.MixRates(rate))
-				out = append(out, gapPoint{
-					app: tr.app.Name, slo: slo, rate: rate,
-					v1: Solve(tr.model, load, slo, tr.b.Lo, tr.b.Hi, v1),
-					v2: Solve(tr.model, load, slo, tr.b.Lo, tr.b.Hi, v2),
-				})
-			}
-		}
+		solverGrid(func(slo, rate float64) {
+			load := an.Distribute(tr.app.MixRates(rate))
+			out = append(out, gapPoint{
+				app: tr.app.Name, slo: slo, rate: rate,
+				v1: Solve(tr.model, load, slo, tr.b.Lo, tr.b.Hi, v1),
+				v2: Solve(tr.model, load, slo, tr.b.Lo, tr.b.Hi, v2),
+			})
+		})
 	}
 	return out
 })
@@ -119,6 +117,31 @@ func TestSolverOptimalityGap(t *testing.T) {
 	if 10*converged < 9*len(grid) {
 		t.Errorf("%d of %d solves converged, want ≥ 90%%", converged, len(grid))
 	}
+}
+
+// TestSolverHonesty is ROADMAP item 1(a)'s measurement, with nothing gated
+// on it yet: version 2's answers on the same grid as TestSolverOptimalityGap,
+// each run in the simulator at a fixed seed per problem and binned by its
+// distance to the nearest lower face of the box. Run with -v for the table
+// EXPERIMENTS.md quotes; grafbench -exp solver-loop prints it per training
+// seed of the repo benchmark's model.
+func TestSolverHonesty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two models")
+	}
+	var table strings.Builder
+	for _, tr := range []trained{boutiqueModel(), socialModel()} {
+		answers := 0
+		for _, bin := range Honesty(tr.app, tr.model, tr.b, DefaultSolverConfig(), 1) {
+			answers += bin.Answers
+			fmt.Fprintf(&table, "%-15s face [%.2f, %.2f) | %2d answers | p99 ≤ SLO %5.1f%% | measured/predicted p99 median %.2f\n",
+				tr.app.Name, bin.From, bin.To, bin.Answers, bin.MetPct, bin.Ratio)
+		}
+		if answers != 3*14 {
+			t.Errorf("%s: %d answers binned, want the grid's %d", tr.app.Name, answers, 3*14)
+		}
+	}
+	t.Logf("\n%s", table.String())
 }
 
 // TestChainedWarmStartsDoNotPay measures the road not taken: starting every

@@ -114,7 +114,9 @@ func TestFleetScriptedBrownoutDeterministic(t *testing.T) {
 // extract the tick-keyed schedule from the recorded bytes, install it as a
 // replay schedule, re-execute the same spec and reproduce the stream
 // byte-for-byte. This is exactly what Restore does for a migrated tenant that
-// browned out on its old shard.
+// browned out on its old shard — also when its old owner died mid-append and
+// left a torn last line, which Restore cuts off in the one read of the log
+// that also yields the schedule.
 func TestFleetAdaptiveBrownoutReplaysFromAudit(t *testing.T) {
 	cfg := testConfig(3, 2, 2)
 	f, err := New(cfg)
@@ -137,12 +139,17 @@ func TestFleetAdaptiveBrownoutReplaysFromAudit(t *testing.T) {
 	// bytes in its audit directory and restores each tenant from them.
 	dir := t.TempDir()
 	ref := map[string][]byte{}
-	for _, tn := range f.Tenants() {
+	for i, tn := range f.Tenants() {
 		ref[tn.ID] = append([]byte(nil), tn.AuditLog()...)
-		if s, err := ExtractBrownoutSchedule(ref[tn.ID]); err != nil || s == nil {
+		recs, err := obs.ReadLog(bytes.NewReader(ref[tn.ID]))
+		if s := brownoutSchedule(recs); err != nil || s == nil {
 			t.Fatalf("tenant %s: no brownout schedule extracted (err %v)", tn.ID, err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, SanitizeID(tn.ID)+".jsonl"), ref[tn.ID], 0o644); err != nil {
+		onDisk := ref[tn.ID]
+		if i%2 == 0 { // the old owner died appending a decision
+			onDisk = append(append([]byte(nil), onDisk...), `{"type":"decision","at":6`...)
+		}
+		if err := os.WriteFile(filepath.Join(dir, SanitizeID(tn.ID)+".jsonl"), onDisk, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

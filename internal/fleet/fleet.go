@@ -725,14 +725,12 @@ type RestoreReport struct {
 func (f *Fleet) Restore(tc TenantConfig, ticks int, ckptDir string, maxReplay int) (*Tenant, RestoreReport, error) {
 	var rep RestoreReport
 	var prior []byte
+	var recs []obs.Record
 	if f.cfg.AuditDir != "" {
 		path := filepath.Join(f.cfg.AuditDir, sanitizeID(tc.ID)+".jsonl")
 		if _, err := os.Stat(path); err == nil {
-			if _, _, err := obs.RepairLog(path); err != nil {
+			if prior, recs, _, err = obs.RepairLog(path); err != nil {
 				return nil, rep, fmt.Errorf("repair prior audit log: %w", err)
-			}
-			if prior, err = os.ReadFile(path); err != nil {
-				return nil, rep, fmt.Errorf("read prior audit log: %w", err)
 			}
 		}
 	}
@@ -741,21 +739,17 @@ func (f *Fleet) Restore(tc TenantConfig, ticks int, ckptDir string, maxReplay in
 	// this build's solver: a log another solver version recorded could only
 	// fail the prefix check, after its one copy was gone. Refuse it first
 	// (the repair above has dropped a crash-torn last line, nothing more).
-	if was, is := priorSolverVersion(prior), f.controllerConfig(0).Solver.Version; was != 0 && was != is {
+	if was, is := priorSolverVersion(recs), f.controllerConfig(0).Solver.Version; was != 0 && was != is {
 		return nil, rep, fmt.Errorf("tenant %s: prior audit log was recorded under solver version %d and this fleet runs version %d: "+
 			"a restore re-executes the log and cannot reproduce another version's decisions; "+
 			"verify it with `grafd -replay` (which solves under the version a log names) and restart the tenant on an empty audit directory",
 			tc.ID, was, is)
 	}
-	sched, err := ExtractBrownoutSchedule(prior)
-	if err != nil {
-		return nil, rep, fmt.Errorf("extract brownout schedule: %w", err)
-	}
 	t, err := f.Admit(tc)
 	if err != nil {
 		return nil, rep, err
 	}
-	t.replayB = sched
+	t.replayB = brownoutSchedule(recs)
 	if err := f.restore(t, prior, ticks, ckptDir, maxReplay, &rep); err != nil {
 		f.Evict(tc.ID)
 		return nil, rep, err
@@ -821,13 +815,11 @@ func (f *Fleet) controllerConfig(slo float64) core.ControllerConfig {
 // audit log names: 1 for a header from before solvers were versioned, 0 when
 // the log does not open with a header (an empty or foreign file, which the
 // prefix check deals with).
-func priorSolverVersion(log []byte) int {
-	line, _, _ := bytes.Cut(log, []byte("\n"))
-	recs, err := obs.ReadLog(bytes.NewReader(line))
-	if err != nil || len(recs) != 1 || recs[0].Type != "header" {
+func priorSolverVersion(log []obs.Record) int {
+	if len(log) == 0 || log[0].Type != "header" {
 		return 0
 	}
-	return core.SolverConfigFromMap(recs[0].Solver).Version
+	return core.SolverConfigFromMap(log[0].Solver).Version
 }
 
 // latestSnapshot loads a tenant's newest valid checkpoint from dir.
@@ -992,17 +984,12 @@ func (f *Fleet) BrownoutTarget() overload.Step {
 	return f.btarget
 }
 
-// ExtractBrownoutSchedule recovers the tick-keyed brownout transitions from
-// a tenant's recorded audit bytes. A nil map means the recording never left
-// the full rung. A crash-torn final line is tolerated (the valid prefix is
-// scanned); mid-file corruption is an error.
-func ExtractBrownoutSchedule(log []byte) (map[int]overload.Step, error) {
-	recs, err := obs.ReadLog(bytes.NewReader(log))
-	if err != nil && !errors.Is(err, obs.ErrTruncatedTail) {
-		return nil, err
-	}
+// brownoutSchedule recovers the tick-keyed brownout transitions from a
+// tenant's recorded audit log. A nil map means the recording never left the
+// full rung.
+func brownoutSchedule(log []obs.Record) map[int]overload.Step {
 	var sched map[int]overload.Step
-	for _, r := range recs {
+	for _, r := range log {
 		if r.Type != "brownout" {
 			continue
 		}
@@ -1011,7 +998,7 @@ func ExtractBrownoutSchedule(log []byte) (map[int]overload.Step, error) {
 		}
 		sched[int(r.Summary["tick"])] = overload.ClampStep(overload.Step(r.Summary["to_step"]))
 	}
-	return sched, nil
+	return sched
 }
 
 func (f *Fleet) publishRound() {

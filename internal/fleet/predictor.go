@@ -8,9 +8,9 @@ import (
 )
 
 const (
-	loadGridRel  = 0.05    // relative width of the logarithmic load grid: loads within ~5% share a point
-	quotaGridMC  = 2       // quota quantization grid, millicores
-	predCacheCap = 1 << 16 // prediction-cache entries before a wholesale flush
+	loadGridRel    = 0.05 // relative width of the logarithmic load grid: loads within ~5% share a point
+	quotaGridMC    = 2    // quota quantization grid, millicores
+	predCacheSlots = 8192 // prediction-cache slots, in sets of cacheWays
 )
 
 // InferenceService shares one gnn.Model between tenants: a quantization grid
@@ -34,7 +34,7 @@ func NewInferenceService(m *gnn.Model) *InferenceService {
 		model: m,
 		nodes: m.Cfg.Nodes,
 		logK:  1 / math.Log1p(loadGridRel),
-		Cache: NewPredCache(predCacheCap),
+		Cache: NewPredCache(predCacheSlots, 2*m.Cfg.Nodes, m.Cfg.Nodes),
 	}
 }
 
@@ -104,7 +104,7 @@ func (p *TenantPredictor) Predict(load, quota []float64) float64 {
 	s := p.svc
 	s.quantize(load, quota, p.qload, p.qquota, p.key)
 	h := hashKey(p.key)
-	if lat, _, ok := s.Cache.Get(h, p.key, false); ok {
+	if lat, ok := s.Cache.Get(h, p.key, nil); ok {
 		return lat
 	}
 	span := p.pass()
@@ -121,8 +121,7 @@ func (p *TenantPredictor) PredictGrad(load, quota []float64) (float64, []float64
 	s := p.svc
 	s.quantize(load, quota, p.qload, p.qquota, p.key)
 	h := hashKey(p.key)
-	if lat, dq, ok := s.Cache.Get(h, p.key, true); ok {
-		copy(p.dq, dq)
+	if lat, ok := s.Cache.Get(h, p.key, p.dq); ok {
 		return lat, p.dq
 	}
 	span := p.pass()

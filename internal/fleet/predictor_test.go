@@ -113,26 +113,107 @@ func TestCacheGradUpgrade(t *testing.T) {
 // A hash collision (same bucket, different key) must degrade to a miss —
 // never return another grid point's values.
 func TestCacheCollisionIsMissNotCorruption(t *testing.T) {
-	c := NewPredCache(16)
+	c := NewPredCache(16, 3, 0)
 	keyA := []int32{1, 2, 3}
 	keyB := []int32{4, 5, 6}
 	const h = uint64(12345) // force both keys into one bucket
 	c.Put(h, keyA, 0.111, nil)
-	if _, _, ok := c.Get(h, keyB, false); ok {
+	if _, ok := c.Get(h, keyB, nil); ok {
 		t.Fatal("colliding key returned another entry's value")
 	}
-	if lat, _, ok := c.Get(h, keyA, false); !ok || lat != 0.111 {
+	if lat, ok := c.Get(h, keyA, nil); !ok || lat != 0.111 {
 		t.Fatal("stored key not retrievable")
+	}
+}
+
+// A set holds cacheWays keys and overwrites them round-robin: the key a
+// new one evicts is a miss from then on, and a key written again after its
+// eviction returns its new value — never the value of the key that had
+// taken its slot.
+func TestCacheEvictionIsMissNotCorruption(t *testing.T) {
+	c := NewPredCache(cacheWays, 2, 1) // one set
+	key := func(i int) []int32 { return []int32{int32(i), -int32(i)} }
+	put := func(i int, lat float64) { c.Put(uint64(i), key(i), lat, []float64{-lat}) }
+	get := func(i int) (float64, bool) {
+		dq := []float64{0}
+		lat, ok := c.Get(uint64(i), key(i), dq)
+		if ok && dq[0] != -lat {
+			t.Fatalf("key %d: latency %v came back with gradient %v", i, lat, dq[0])
+		}
+		return lat, ok
+	}
+	for i := 0; i < cacheWays; i++ {
+		put(i, float64(i))
+	}
+	put(cacheWays, 100) // evicts key 0, the oldest
+	if _, ok := get(0); ok {
+		t.Fatal("evicted key 0 still hits")
+	}
+	for i := 1; i <= cacheWays; i++ {
+		want := float64(i)
+		if i == cacheWays {
+			want = 100
+		}
+		if lat, ok := get(i); !ok || lat != want {
+			t.Fatalf("key %d: got %v, %v after evicting key 0, want %v", i, lat, ok, want)
+		}
+	}
+	put(0, 7) // evicts key 1 and takes its slot
+	if lat, ok := get(0); !ok || lat != 7 {
+		t.Fatalf("re-written key 0: got %v, %v, want its new value 7", lat, ok)
+	}
+	if _, ok := get(1); ok {
+		t.Fatal("key 1, evicted by the re-written key 0, still hits")
+	}
+	if _, _, size := c.Stats(); size != cacheWays {
+		t.Fatalf("size %d, want the %d slots", size, cacheWays)
+	}
+}
+
+// Once its sets are filled, the cache allocates nothing: not on a hit, not
+// on a miss, not on a Put that evicts.
+func TestWarmCacheDoesNotAllocate(t *testing.T) {
+	const slots, n = 64, 3
+	c := NewPredCache(slots, 2*n, n)
+	key, dq := make([]int32, 2*n), make([]float64, n)
+	next := 0
+	put := func() {
+		key[0] = int32(next)
+		next++
+		c.Put(hashKey(key), key, 1, dq)
+	}
+	for i := range c.sets {
+		for c.sets[i] == nil {
+			put()
+		}
+	}
+	for i := 0; i < 4*slots; i++ {
+		put()
+	}
+	if _, _, size := c.Stats(); size != slots {
+		t.Fatalf("size %d after filling, want %d", size, slots)
+	}
+	hit := make([]int32, 2*n)
+	copy(hit, key)
+	h := hashKey(hit)
+	if allocs := testing.AllocsPerRun(200, func() {
+		put()
+		c.Get(h, hit, dq)
+		c.Get(h, hit, nil)
+	}); allocs != 0 {
+		t.Fatalf("warm Put + Get allocate %v objects per call, want 0", allocs)
 	}
 }
 
 // Tenants on different workers share the model and the cache with no
 // dispatcher between them: concurrent predictors hammering overlapping grid
 // points must each get exactly the model's answer at the grid point, and the
-// cache must account for every request. Run with -race.
+// cache must account for every request. The table is smaller than the
+// working set, so evictions race with hits too. Run with -race.
 func TestPredictorsConcurrentBitEqual(t *testing.T) {
 	s, m := testService()
 	n := m.Cfg.Nodes
+	s.Cache = NewPredCache(2*cacheWays, 2*n, n)
 
 	const clients, points, rounds = 32, 12, 40
 	type point struct {

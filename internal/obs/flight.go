@@ -136,7 +136,8 @@ func (f *FlightRecorder) Record(rec Record) {
 	}
 	f.mem = append(f.mem, rec)
 	if f.w != nil && f.err == nil {
-		f.err = f.enc.Encode(rec)
+		// The retained copy, by pointer: Encode(rec) would box a copy.
+		f.err = f.enc.Encode(&f.mem[len(f.mem)-1])
 	}
 }
 
@@ -181,23 +182,38 @@ var ErrTruncatedTail = errors.New("obs: audit log ends in a truncated record")
 // record before it together with ErrTruncatedTail, letting warm recovery
 // proceed on the valid prefix.
 func ReadLog(r io.Reader) ([]Record, error) {
+	recs, _, err := readLog(r)
+	return recs, err
+}
+
+// readLog is ReadLog that also returns the length of the log's valid
+// prefix: every byte before the first line that does not parse, blank lines
+// included — the whole log when it is clean.
+func readLog(r io.Reader) (out []Record, valid int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var out []Record
+	read := 0 // bytes consumed through the end of the current line
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		read += adv
+		return adv, tok, err
+	})
 	line, badLine := 0, 0
 	var tailErr error
 	for sc.Scan() {
 		line++
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			// Blank (or whitespace-only) lines are skipped, matching the
-			// byte-offset scan in RepairLog — the two must agree on what
-			// counts as a record or repair would not converge.
+			// Blank (or whitespace-only) lines are skipped; ahead of a bad
+			// line they are part of the valid prefix.
+			if tailErr == nil {
+				valid = read
+			}
 			continue
 		}
 		if tailErr != nil {
 			// The bad line has records after it: that is corruption, not a
 			// torn final append, so it must not read as ErrTruncatedTail.
-			return nil, fmt.Errorf("obs: audit log line %d: malformed record followed by more records: corrupt log", badLine)
+			return nil, 0, fmt.Errorf("obs: audit log line %d: malformed record followed by more records: corrupt log", badLine)
 		}
 		var rec Record
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
@@ -206,51 +222,34 @@ func ReadLog(r io.Reader) ([]Record, error) {
 			continue
 		}
 		out = append(out, rec)
+		valid = read
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if tailErr != nil {
-		return out, tailErr
-	}
-	return out, nil
+	return out, valid, tailErr
 }
 
 // RepairLog reads the audit log at path and, if it ends in a crash-torn
 // final record, truncates the file back to its valid prefix so subsequent
-// appends produce a parseable log again. It returns the parsed records and
-// whether a torn tail was removed. Mid-file corruption is returned as an
-// error and the file is left untouched.
-func RepairLog(path string) (recs []Record, repaired bool, err error) {
-	data, err := os.ReadFile(path)
+// appends produce a parseable log again. It returns the log's bytes as they
+// stand after the repair, the parsed records and whether a torn tail was
+// removed: one read and one parse of the file. Mid-file corruption is
+// returned as an error and the file is left untouched.
+func RepairLog(path string) (data []byte, recs []Record, repaired bool, err error) {
+	data, err = os.ReadFile(path)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	recs, err = ReadLog(bytes.NewReader(data))
+	recs, valid, err := readLog(bytes.NewReader(data))
 	if err == nil {
-		return recs, false, nil
+		return data, recs, false, nil
 	}
 	if !errors.Is(err, ErrTruncatedTail) {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	// Valid prefix length: bytes up to the start of the torn final line.
-	// The tail is whatever follows the last newline-terminated record that
-	// parsed; everything before it parsed, so summing those line lengths
-	// (plus their newlines) lands exactly on the torn line's first byte.
-	off := 0
-	for _, ln := range bytes.SplitAfter(data, []byte("\n")) {
-		if len(bytes.TrimSpace(ln)) == 0 { // blank line, or the empty final segment
-			off += len(ln)
-			continue
-		}
-		var rec Record
-		if json.Unmarshal(bytes.TrimSuffix(ln, []byte("\n")), &rec) != nil {
-			break
-		}
-		off += len(ln)
+	if err := os.Truncate(path, int64(valid)); err != nil {
+		return nil, recs, false, err
 	}
-	if err := os.Truncate(path, int64(off)); err != nil {
-		return recs, false, err
-	}
-	return recs, true, nil
+	return data[:valid], recs, true, nil
 }

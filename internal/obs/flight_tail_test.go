@@ -84,7 +84,7 @@ func TestRepairLogTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, repaired, err := RepairLog(path)
+	_, recs, repaired, err := RepairLog(path)
 	if err != nil || !repaired || len(recs) != 3 {
 		t.Fatalf("repair: %d records, repaired=%v, err %v; want 3, true, nil", len(recs), repaired, err)
 	}
@@ -118,7 +118,7 @@ func TestRepairLogTruncatesTornTail(t *testing.T) {
 	}
 
 	// A clean log is a no-op: same records back, nothing rewritten.
-	recs, repaired, err = RepairLog(path)
+	_, recs, repaired, err = RepairLog(path)
 	if err != nil || repaired || len(recs) != 4 {
 		t.Fatalf("clean-log repair: %d records, repaired=%v, err %v; want 4, false, nil", len(recs), repaired, err)
 	}
@@ -129,7 +129,7 @@ func TestRepairLogTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := os.ReadFile(bad)
-	_, repaired, err = RepairLog(bad)
+	_, _, repaired, err = RepairLog(bad)
 	if err == nil || repaired {
 		t.Fatalf("mid-file corruption: repaired=%v, err %v; want refusal", repaired, err)
 	}

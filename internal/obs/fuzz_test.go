@@ -100,7 +100,7 @@ func FuzzRepairLog(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		recs, repaired, err := RepairLog(path)
+		_, recs, repaired, err := RepairLog(path)
 		if err != nil {
 			if repaired {
 				t.Fatalf("RepairLog reported repaired=true alongside error %v", err)
@@ -117,7 +117,7 @@ func FuzzRepairLog(f *testing.F) {
 			}
 			return
 		}
-		recs2, repaired2, err2 := RepairLog(path)
+		_, recs2, repaired2, err2 := RepairLog(path)
 		if err2 != nil {
 			t.Fatalf("second RepairLog errored on a repaired log: %v", err2)
 		}

@@ -8,6 +8,13 @@ import "strconv"
 // guard — so the disabled path costs exactly one pointer comparison at each
 // instrumentation point and allocates nothing.
 
+// Bucket bounds of the per-decision histograms, built once: a family keeps
+// the bounds of its first registration, so every later call's are garbage.
+var (
+	solverIterBuckets    = ExpBuckets(1, 2, 10)
+	forecastErrorBuckets = ExpBuckets(1, 2, 12)
+)
+
 // ControllerObs observes the collect→predict→solve→actuate loop.
 type ControllerObs struct {
 	t *Telemetry
@@ -29,6 +36,10 @@ func (o *ControllerObs) Telemetry() *Telemetry {
 	return o.t
 }
 
+// Traced reports whether a stage measured now becomes a trace span, so a
+// caller builds span attributes only when they will be kept.
+func (o *ControllerObs) Traced() bool { return o != nil && o.t.traced() }
+
 // Stage records one timed decision stage (collect, forward, solve, actuate)
 // as a histogram observation (seconds) and, when traced, a trace span.
 func (o *ControllerObs) Stage(name string, wallNS int64, attrs map[string]float64) {
@@ -38,7 +49,9 @@ func (o *ControllerObs) Stage(name string, wallNS int64, attrs map[string]float6
 	o.t.Reg.Histogram("graf_decision_stage_seconds",
 		"Wall-clock cost of each controller decision stage.",
 		nil, Labels{"stage": name}).Observe(float64(wallNS) / 1e9)
-	o.t.traceSpan("decision/"+name, wallNS, attrs)
+	if o.t.traced() {
+		o.t.traceSpan("decision/"+name, wallNS, attrs)
+	}
 }
 
 // Solver records one solver run's effort (model calls; Adam iterations under
@@ -49,12 +62,14 @@ func (o *ControllerObs) Solver(iters int, converged bool, wallNS int64) {
 	}
 	o.t.Reg.Histogram("graf_solver_iterations",
 		"Model calls per solver run.",
-		ExpBuckets(1, 2, 10), nil).Observe(float64(iters))
+		solverIterBuckets, nil).Observe(float64(iters))
 	o.t.Reg.Counter("graf_solver_runs_total",
 		"Solver runs by convergence outcome.",
 		Labels{"converged": strconv.FormatBool(converged)}).Inc()
-	o.t.traceSpan("solver", wallNS,
-		map[string]float64{"iters": float64(iters), "converged": b2f(converged)})
+	if o.t.traced() {
+		o.t.traceSpan("solver", wallNS,
+			map[string]float64{"iters": float64(iters), "converged": b2f(converged)})
+	}
 }
 
 // Decision counts one completed controller step by outcome kind, records the
@@ -107,7 +122,7 @@ func (o *ControllerObs) Forecast(at float64, model string, predicted, actual, si
 		Labels{"model": model}).Inc()
 	o.t.Reg.Histogram("graf_forecast_abs_error",
 		"Absolute error of matured forecasts (req/s).",
-		ExpBuckets(1, 2, 12), Labels{"model": model}).Observe(fabsf(actual - predicted))
+		forecastErrorBuckets, Labels{"model": model}).Observe(fabsf(actual - predicted))
 	o.t.Reg.Gauge("graf_forecast_sigma",
 		"Standard deviation of recent forecast residuals (req/s).",
 		nil).Set(sigma)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -353,5 +354,26 @@ func TestFlightLineIsMarshalPlusNewline(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("audit bytes differ from json.Marshal + newline:\n got %s\nwant %s", buf.Bytes(), want)
+	}
+}
+
+// Recording a record that carries no map allocates nothing once the
+// memory buffer is at its cap: the encoder writes the retained copy, not a
+// boxed one.
+func TestFlightRecordAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	f := NewFlightRecorder(io.Discard, 4)
+	rec := Record{Type: "decision", At: 5, Kind: "hysteresis", Health: "healthy", Total: 120.5,
+		Load: []float64{1, 2.25}, Raw: []float64{900}, Predicted: 0.2, Chaos: []string{"kill"}}
+	for i := 0; i < 8; i++ {
+		f.Record(rec)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.Record(rec) }); n != 0 {
+		t.Fatalf("%v allocations per Record, want 0", n)
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -70,6 +70,13 @@ func (t *Telemetry) TraceParent() SpanContext {
 	return t.trcParent
 }
 
+// traced reports whether traceSpan would record a span now.
+func (t *Telemetry) traced() bool {
+	t.trcMu.Lock()
+	defer t.trcMu.Unlock()
+	return t.tracer != nil && t.trcParent.Valid()
+}
+
 // traceSpan mirrors one completed hook measurement into the tracer as a
 // child of the current parent. Without a tracer or a valid parent it is a
 // no-op, so hooks stay free when tracing is off or the work is untraced.
