@@ -58,21 +58,26 @@ func TestTrainAndSolve(t *testing.T) {
 
 // Same options, same process, same bytes: nothing on the offline path
 // (search-space reduction, sample collection, training) may depend on map
-// iteration order.
+// iteration order, nor on how many workers the trainer runs on, which
+// GOMAXPROCS sets.
 func TestTrainIsByteReproducible(t *testing.T) {
 	o := TrainOptions{
 		SLO: 250 * time.Millisecond, MinRate: 40, MaxRate: 320,
 		Samples: 120, Iterations: 40, Batch: 16, Seed: 5,
 	}
-	var blobs [2][]byte
-	for i := range blobs {
-		var err error
-		if blobs[i], err = Train(OnlineBoutique(), o).Model.MarshalBinary(); err != nil {
+	var first []byte
+	for _, procs := range []int{2, 2, 1, 5} {
+		prev := runtime.GOMAXPROCS(procs)
+		blob, err := Train(OnlineBoutique(), o).Model.MarshalBinary()
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !bytes.Equal(blobs[0], blobs[1]) {
-		t.Error("two Train calls with the same options produced different model bytes")
+		if first == nil {
+			first = blob
+		} else if !bytes.Equal(blob, first) {
+			t.Errorf("Train at GOMAXPROCS %d produced other model bytes than the first call, at 2", procs)
+		}
 	}
 }
 

@@ -131,6 +131,9 @@ type Deployment struct {
 	// patience, recovers the model's accuracy. 0 or 1 = none.
 	drift float64
 
+	// ln caches the service-time distribution's parameters between requests.
+	ln lognormal
+
 	// Telemetry.
 	readySeries    *metrics.Series // ready-instance count over time, as far back as CPU's look-back
 	cpuWork        *metrics.Window // CPU-seconds consumed, stamped at completion
@@ -541,13 +544,31 @@ func (d *Deployment) sampleServiceTime() (svcS, cpuS float64) {
 	if cv <= 0 {
 		workMS = mean
 	} else {
-		sigma2 := math.Log(1 + cv*cv)
-		mu := math.Log(mean) - sigma2/2
-		workMS = math.Exp(mu + math.Sqrt(sigma2)*d.cl.Eng.Rand().NormFloat64())
+		ln := &d.ln
+		ln.fit(cv, mean)
+		workMS = math.Exp(ln.mu + ln.sigma*d.cl.Eng.Rand().NormFloat64())
 	}
 	svcS = (d.Service.BaseMS + workMS) / 1000
 	cpuS = workMS / 1000 * q / 1000 // CPU-seconds at q millicores
 	return svcS, cpuS
+}
+
+// lognormal holds the parameters of a lognormal with coefficient of
+// variation cv and mean mean: σ² = ln(1+cv²), σ, and μ = ln(mean) − σ²/2.
+// fit recomputes only what a changed cv or mean moves — the CV terms once per
+// service, μ when the per-instance quota or a work multiplier changes — so
+// each request draws from the same bits as computing them afresh.
+type lognormal struct{ cv, sigma2, sigma, mean, mu float64 }
+
+func (ln *lognormal) fit(cv, mean float64) {
+	if cv != ln.cv {
+		ln.cv, ln.sigma2 = cv, math.Log(1+cv*cv)
+		ln.sigma = math.Sqrt(ln.sigma2)
+		ln.mean = math.NaN() // μ depends on σ² too
+	}
+	if mean != ln.mean {
+		ln.mean, ln.mu = mean, math.Log(mean)-ln.sigma2/2
+	}
 }
 
 func (d *Deployment) release(in *instance) {

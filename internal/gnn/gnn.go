@@ -62,7 +62,11 @@ type Model struct {
 	gamma   []*nn.MLP // per step: update network γ^(k)
 	readout *nn.MLP
 	nets    []*nn.MLP // all of them: φ per step, γ per step, the readout
-	edges   int       // parent edges in Cfg.Parents
+
+	// The parent edges in node order, each node's in Cfg.Parents order:
+	// edge e runs from node src[e] to node dst[e], and node i's are
+	// [off[i], off[i+1]).
+	src, dst, off []int
 
 	// free is the stack of idle Scratches Predict/PredictGrad borrow from.
 	// A mutex-guarded stack, not a sync.Pool: the GC never empties it, so
@@ -85,9 +89,13 @@ func New(cfg Config, rng *rand.Rand) *Model {
 	}
 	m.readout = nn.NewMLP(readout, cfg.Dropout, rng)
 	m.nets = append(append(append(m.nets, m.phi...), m.gamma...), m.readout)
-	for _, ps := range cfg.Parents {
-		m.edges += len(ps)
+	for i, ps := range cfg.Parents {
+		m.off = append(m.off, len(m.src))
+		for _, j := range ps {
+			m.src, m.dst = append(m.src, j), append(m.dst, i)
+		}
 	}
+	m.off = append(m.off, len(m.src))
 	return m
 }
 
@@ -173,13 +181,21 @@ func (m *Model) params() []*nn.Linear {
 	return out
 }
 
-// snapshotWeights deep-copies all weights (for best-validation tracking).
-func (m *Model) snapshotWeights() [][]float64 {
-	var out [][]float64
-	for _, l := range m.params() {
-		out = append(out, append([]float64(nil), l.W...), append([]float64(nil), l.B...))
+// snapshotWeights deep-copies all weights.
+func (m *Model) snapshotWeights() [][]float64 { return m.snapshotInto(nil) }
+
+// snapshotInto copies all weights into dst, W then B of every layer, reusing
+// its buffers (best-validation tracking keeps one), and returns it.
+func (m *Model) snapshotInto(dst [][]float64) [][]float64 {
+	ps := m.params()
+	if dst == nil {
+		dst = make([][]float64, 2*len(ps))
 	}
-	return out
+	for i, l := range ps {
+		dst[2*i] = append(dst[2*i][:0], l.W...)
+		dst[2*i+1] = append(dst[2*i+1][:0], l.B...)
+	}
+	return dst
 }
 
 func (m *Model) restoreWeights(snap [][]float64) {
@@ -237,7 +253,8 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	fresh.restoreWeights(p.Weights)
 	// Not *m = *fresh, which would copy the free-list mutex. Decoding needs
 	// exclusive access to m anyway; Scratches of the old shape are dropped.
-	m.Cfg, m.phi, m.gamma, m.readout, m.nets, m.edges = fresh.Cfg, fresh.phi, fresh.gamma, fresh.readout, fresh.nets, fresh.edges
+	m.Cfg, m.phi, m.gamma, m.readout, m.nets = fresh.Cfg, fresh.phi, fresh.gamma, fresh.readout, fresh.nets
+	m.src, m.dst, m.off = fresh.src, fresh.dst, fresh.off
 	m.free = nil
 	return nil
 }

@@ -1,20 +1,27 @@
 // The model's one forward and one backward pass. Inference and training run
-// the same kernels on the same buffers; the path is:
+// the same kernels on the same buffers, layer-major: a Scratch holds up to N
+// samples, and each network's layer takes every row it has in the pass —
+// φ^(k) one per parent edge of every sample, γ^(k) one per node, the readout
+// one per sample — in one call (nn.Rows). Between the layers, plain loops
+// gather φ's inputs, sum the messages into γ's inputs and, going back,
+// scatter the gradients, in the order the per-node recursion of Eq. 3 takes
+// them. The path is:
 //
 //   - read-only: it touches only layer weights (W, B), never the GW/GB
 //     accumulators, so any number of goroutines may run it against one
-//     model concurrently (as long as nothing mutates the weights);
+//     model concurrently (as long as nothing mutates the weights), and
+//     passes over disjoint samples of one Scratch may run at once;
 //   - rng-free: dropout masks are drawn into a training Scratch beforehand
 //     (drawMasks), an inference Scratch has none;
 //   - allocation-free after setup: every intermediate lives in a Scratch
 //     reused across calls: the caller's own (PredictWith/PredictGradWith),
-//     one borrowed from the model's free list (Predict/PredictGrad), or one
-//     of the trainer's tape.
+//     one borrowed from the model's free list (Predict/PredictGrad), or the
+//     trainer's.
 //
 // Every buffer a pass reads stays untouched until the Scratch's next pass, so
-// a finished PredictWith+inputGrad is also the tape weight gradients are
-// accumulated from (trainer.weightGradSpan): each nn.Invocation still sees its input and
-// its output gradient. Same-seed runs replay byte-identically.
+// a finished forward+backward is also the tape weight gradients are
+// accumulated from (trainer.weightGradSpan). Same-seed runs replay
+// byte-identically.
 package gnn
 
 import (
@@ -23,84 +30,63 @@ import (
 	"graf/internal/nn"
 )
 
-// Scratch holds every buffer one pass (forward or forward+input-grad)
-// needs. A Scratch is sized for one model architecture and may be reused
-// across any number of calls — and across model swaps, as long as the new
-// model has the same shape. A Scratch is NOT safe for concurrent use; give
-// each goroutine its own.
+// Scratch holds every buffer a pass (forward or forward+backward) over up to
+// n samples needs. A Scratch is sized for one model architecture and may be
+// reused across any number of calls — and across model swaps, as long as the
+// new model has the same shape. A Scratch is NOT safe for concurrent use,
+// except for passes over disjoint samples; give each goroutine its own.
 type Scratch struct {
 	nodes, embed, steps int
 	useMPNN             bool
 	edges               int
 
-	x       [][]float64        // per-node (load, quota) features
-	edgeOff []int              // node i's parent edges start at edgeOff[i]
-	inv     [][]*nn.Invocation // per network of Model.nets: φ's in edge order, γ's in node order, as backward visits them
-	phi     [][]*nn.Invocation // views of inv: [step][edge]
-	gam     [][]*nn.Invocation // [step][node]
-	read    *nn.Invocation     // the readout's one
-	gin     [][][]float64      // gin[k][i] = γ's input at node i: (x_i, Σ messages)
-	lvl     [][][]float64      // lvl[k][i] = γ's output at node i
-	readIn  []float64
+	x    []float64  // n·nodes × 2: the (load, quota) features
+	nets []*nn.Rows // per network of Model.nets: φ's (n·edges rows), γ's (n·nodes rows), the readout's (n rows)
+	phi  []*nn.Rows // views of nets: per step
+	gam  []*nn.Rows
+	read *nn.Rows
 
-	dy1           []float64     // upstream gradient for the readout
-	dRead         [][]float64   // per-node views of the readout's input gradient
-	dPrev         [][][]float64 // dPrev[k][i] = gradient of step k's input embedding
-	dLoad, dQuota []float64
+	dPrev         [][]float64 // per step k: n·nodes × width of step k's input, its gradient
+	dLoad, dQuota []float64   // n × nodes
 }
 
-// NewScratch allocates a reusable inference scratch sized for m's
+// NewScratch allocates a reusable one-sample inference scratch sized for m's
 // architecture.
-func (m *Model) NewScratch() *Scratch { return m.newScratch(false) }
+func (m *Model) NewScratch() *Scratch { return m.newScratch(1, false) }
 
-// newScratch sizes a Scratch for m; a training one carries dropout masks.
-func (m *Model) newScratch(train bool) *Scratch {
+// newScratch sizes a Scratch of n samples for m; a training one carries
+// dropout masks.
+func (m *Model) newScratch(n int, train bool) *Scratch {
 	cfg := m.Cfg
+	N := cfg.Nodes
 	s := &Scratch{
-		nodes: cfg.Nodes, embed: cfg.Embed, steps: cfg.Steps,
-		useMPNN: cfg.UseMPNN,
-		x:       make([][]float64, cfg.Nodes),
-		inv:     make([][]*nn.Invocation, len(m.nets)),
-		dy1:     make([]float64, 1),
-		dRead:   make([][]float64, cfg.Nodes),
-		dLoad:   make([]float64, cfg.Nodes),
-		dQuota:  make([]float64, cfg.Nodes),
+		nodes: N, embed: cfg.Embed, steps: cfg.Steps, useMPNN: cfg.UseMPNN, edges: len(m.src),
+		x:      make([]float64, n*N*2),
+		dLoad:  make([]float64, n*N),
+		dQuota: make([]float64, n*N),
 	}
-	for i := range s.x {
-		s.x[i] = make([]float64, 2)
-	}
-	for _, ps := range cfg.Parents {
-		s.edgeOff = append(s.edgeOff, s.edges)
-		s.edges += len(ps)
-	}
-	for ni, net := range m.nets {
-		n := 1 // the readout
-		if ni < len(m.phi) {
-			n = s.edges
-		} else if ni < len(m.nets)-1 {
-			n = cfg.Nodes
-		}
-		for ; n > 0; n-- {
-			s.inv[ni] = append(s.inv[ni], net.NewInvocation(train))
-		}
-	}
-	s.read = s.inv[len(s.inv)-1][0]
-	s.readIn = make([]float64, m.readout.Layers[0].In)
 	if !cfg.UseMPNN {
+		s.read = m.readout.NewRows(n, nil, nil, train)
+		s.nets = []*nn.Rows{s.read}
 		return s
 	}
-	s.phi, s.gam = s.inv[:cfg.Steps], s.inv[cfg.Steps:2*cfg.Steps]
-	for k := 0; k < cfg.Steps; k++ {
-		gin := make([][]float64, cfg.Nodes)
-		dPrev := make([][]float64, cfg.Nodes)
-		for i := range gin {
-			gin[i] = make([]float64, 2+cfg.Embed)
-			dPrev[i] = make([]float64, m.phi[k].Layers[0].In)
-		}
-		s.gin = append(s.gin, gin)
-		s.dPrev = append(s.dPrev, dPrev)
-		s.lvl = append(s.lvl, make([][]float64, cfg.Nodes))
+	for k := range m.phi {
+		s.dPrev = append(s.dPrev, make([]float64, n*N*m.phi[k].Layers[0].In))
 	}
+	for k := range m.phi {
+		s.phi = append(s.phi, m.phi[k].NewRows(n*len(m.src), nil, nil, train))
+		var dOut []float64 // γ^(k)'s output gradient is step k+1's input gradient
+		if k+1 < cfg.Steps {
+			dOut = s.dPrev[k+1]
+		}
+		s.gam = append(s.gam, m.gamma[k].NewRows(n*N, nil, dOut, train))
+	}
+	// The readout reads the last level in place, one sample's nodes to a
+	// row, and writes its input gradient where the last γ reads it.
+	last := s.gam[cfg.Steps-1]
+	s.read = m.readout.NewRows(n, last.Out(), nil, train)
+	last.DOut = s.read.DIn()
+	s.nets = append(append(append(s.nets, s.phi...), s.gam...), s.read)
 	return s
 }
 
@@ -108,21 +94,144 @@ func (m *Model) newScratch(train bool) *Scratch {
 func (s *Scratch) fits(m *Model) bool {
 	cfg := m.Cfg
 	return s.nodes == cfg.Nodes && s.useMPNN == cfg.UseMPNN &&
-		(!cfg.UseMPNN || s.embed == cfg.Embed && s.steps == cfg.Steps && s.edges == m.edges)
+		(!cfg.UseMPNN || s.embed == cfg.Embed && s.steps == cfg.Steps && s.edges == len(m.src))
 }
 
-// drawMasks samples the dropout masks of a training Scratch for its next
-// forward pass, in the order that pass invokes the networks.
-func (m *Model) drawMasks(s *Scratch, rng *rand.Rand) {
+// perSample returns how many rows of network ni's tape one sample takes.
+func (m *Model) perSample(ni int) int {
+	switch {
+	case ni == len(m.nets)-1:
+		return 1
+	case ni < len(m.phi):
+		return len(m.src)
+	}
+	return m.Cfg.Nodes
+}
+
+// setInput writes sample c's features: node i's load and quota are
+// load[group[i]] and quota[group[i]] (group nil: load[i] and quota[i]).
+func (m *Model) setInput(s *Scratch, c int, load, quota []float64, group []int) {
+	x := s.x[c*s.nodes*2 : (c+1)*s.nodes*2]
+	for i := 0; i < s.nodes; i++ {
+		g := i
+		if group != nil {
+			g = group[i]
+		}
+		x[2*i] = load[g] * m.Cfg.LoadScale
+		x[2*i+1] = quota[g] * m.Cfg.QuotaScale
+	}
+}
+
+// drawMasks samples the dropout masks of sample c of a training Scratch for
+// its next forward pass, in the order the per-node recursion of Eq. 3 invokes
+// the networks: for each step, each node's parent edges' φ, then its γ; the
+// readout last.
+func (m *Model) drawMasks(s *Scratch, c int, rng *rand.Rand) {
 	for k := range s.phi {
-		for i := range s.gam[k] {
-			for pi := range m.Cfg.Parents[i] {
-				m.phi[k].DrawMasks(s.phi[k][s.edgeOff[i]+pi], rng)
+		for i := 0; i < s.nodes; i++ {
+			for e := m.off[i]; e < m.off[i+1]; e++ {
+				m.phi[k].DrawMasks(s.phi[k], c*s.edges+e, rng)
 			}
-			m.gamma[k].DrawMasks(s.gam[k][i], rng)
+			m.gamma[k].DrawMasks(s.gam[k], c*s.nodes+i, rng)
 		}
 	}
-	m.readout.DrawMasks(s.read, rng)
+	m.readout.DrawMasks(s.read, c, rng)
+}
+
+// forwardRows runs samples [lo, hi) of s through the MPNN and the readout; their
+// predictions are s.read.Out()[lo:hi].
+func (m *Model) forwardRows(s *Scratch, lo, hi int) {
+	N, E, w := s.nodes, s.edges, 2
+	cur := s.x
+	if !s.useMPNN { // one sample's features are one row
+		copy(s.read.In[lo*N*w:hi*N*w], s.x[lo*N*w:hi*N*w])
+	}
+	for k := range s.phi {
+		in := s.phi[k].In
+		for c := lo; c < hi; c++ {
+			for e, j := range m.src {
+				r, from := c*E+e, c*N+j
+				copy(in[r*w:(r+1)*w], cur[from*w:(from+1)*w])
+			}
+		}
+		m.phi[k].Forward(s.phi[k], lo*E, hi*E)
+		msgs, gin, gw := s.phi[k].Out(), s.gam[k].In, 2+s.embed
+		for c := lo; c < hi; c++ {
+			for i := 0; i < N; i++ {
+				r := c*N + i
+				row := gin[r*gw : (r+1)*gw]
+				copy(row, s.x[r*2:r*2+2])
+				msg := row[2:]
+				clear(msg)
+				for e := m.off[i]; e < m.off[i+1]; e++ {
+					for d, v := range msgs[(c*E+e)*s.embed : (c*E+e+1)*s.embed] {
+						msg[d] += v
+					}
+				}
+			}
+		}
+		m.gamma[k].Forward(s.gam[k], lo*N, hi*N)
+		cur, w = s.gam[k].Out(), s.embed
+	}
+	m.readout.Forward(s.read, lo, hi)
+}
+
+// backwardRows propagates the output gradients s.read.DOut[lo:hi] back through
+// the pass forwardRows recorded for samples [lo, hi), leaving every network's
+// output gradients for the weight gradients; with features set it also fills
+// s.dLoad and s.dQuota in unscaled units (req/s, millicores).
+func (m *Model) backwardRows(s *Scratch, lo, hi int, features bool) {
+	N, E := s.nodes, s.edges
+	m.readout.Backward(s.read, lo, hi, features || s.useMPNN)
+	if features {
+		clear(s.dLoad[lo*N : hi*N])
+		clear(s.dQuota[lo*N : hi*N])
+	}
+	addX := func(r int, d []float64) {
+		s.dLoad[r] += d[0] * m.Cfg.LoadScale
+		s.dQuota[r] += d[1] * m.Cfg.QuotaScale
+	}
+	src := s.read.DIn() // the gradient of the current step's input
+	for k := len(s.phi) - 1; k >= 0; k-- {
+		m.gamma[k].Backward(s.gam[k], lo*N, hi*N, true)
+		gd, gw := s.gam[k].DIn(), 2+s.embed
+		dOut := s.phi[k].DOut
+		for c := lo; c < hi; c++ {
+			if features {
+				for i := 0; i < N; i++ {
+					r := c*N + i
+					addX(r, gd[r*gw:r*gw+2])
+				}
+			}
+			for e, i := range m.dst {
+				r, from := c*E+e, (c*N+i)*gw+2
+				copy(dOut[r*s.embed:(r+1)*s.embed], gd[from:from+s.embed])
+			}
+		}
+		// Step 0's input is the features: training needs no gradient of them.
+		m.phi[k].Backward(s.phi[k], lo*E, hi*E, k > 0 || features)
+		if k == 0 && !features {
+			return
+		}
+		pd, dst, w := s.phi[k].DIn(), s.dPrev[k], m.phi[k].Layers[0].In
+		clear(dst[lo*N*w : hi*N*w])
+		for c := lo; c < hi; c++ {
+			for e, j := range m.src {
+				to, from := (c*N+j)*w, (c*E+e)*w
+				for d, v := range pd[from : from+w] {
+					dst[to+d] += v
+				}
+			}
+		}
+		src = dst
+	}
+	if !features {
+		return
+	}
+	// src now holds gradients w.r.t. the raw (load, quota) features.
+	for r := lo * N; r < hi*N; r++ {
+		addX(r, src[r*2:r*2+2])
+	}
 }
 
 // PredictWith runs the MPNN + readout forward and returns the latency
@@ -135,79 +244,9 @@ func (m *Model) PredictWith(s *Scratch, load, quota []float64) float64 {
 	if len(load) != m.Cfg.Nodes || len(quota) != m.Cfg.Nodes {
 		panic("gnn: PredictWith input size mismatch")
 	}
-	for i := range s.x {
-		s.x[i][0] = load[i] * m.Cfg.LoadScale
-		s.x[i][1] = quota[i] * m.Cfg.QuotaScale
-	}
-	cur := s.x
-	for k := range s.phi {
-		for i := 0; i < m.Cfg.Nodes; i++ {
-			in := s.gin[k][i]
-			copy(in, s.x[i])
-			msg := in[2:]
-			for d := range msg {
-				msg[d] = 0
-			}
-			for pi, j := range m.Cfg.Parents[i] {
-				out := m.phi[k].Eval(s.phi[k][s.edgeOff[i]+pi], cur[j])
-				for d, v := range out {
-					msg[d] += v
-				}
-			}
-			s.lvl[k][i] = m.gamma[k].Eval(s.gam[k][i], in)
-		}
-		cur = s.lvl[k]
-	}
-	w := len(cur[0])
-	for i, e := range cur {
-		copy(s.readIn[i*w:(i+1)*w], e)
-	}
-	return m.readout.Eval(s.read, s.readIn)[0]
-}
-
-// inputGrad computes input gradients for the forward pass recorded in s
-// (upstream gradient dy), filling s.dLoad and s.dQuota in unscaled units
-// (req/s, millicores).
-func (m *Model) inputGrad(s *Scratch, dy float64) {
-	for i := range s.dLoad {
-		s.dLoad[i] = 0
-		s.dQuota[i] = 0
-	}
-	s.dy1[0] = dy
-	dRead := m.readout.InputGrad(s.read, s.dy1)
-	addX := func(i int, d []float64) {
-		s.dLoad[i] += d[0] * m.Cfg.LoadScale
-		s.dQuota[i] += d[1] * m.Cfg.QuotaScale
-	}
-	w := len(dRead) / m.Cfg.Nodes
-	src := s.dRead
-	for i := range src {
-		src[i] = dRead[i*w : (i+1)*w]
-	}
-	for k := len(s.phi) - 1; k >= 0; k-- {
-		dst := s.dPrev[k]
-		for _, d := range dst {
-			for idx := range d {
-				d[idx] = 0
-			}
-		}
-		for i := 0; i < m.Cfg.Nodes; i++ {
-			d := m.gamma[k].InputGrad(s.gam[k][i], src[i])
-			addX(i, d)
-			dMsg := d[2:]
-			for pi, j := range m.Cfg.Parents[i] {
-				dp := m.phi[k].InputGrad(s.phi[k][s.edgeOff[i]+pi], dMsg)
-				for idx, v := range dp {
-					dst[j][idx] += v
-				}
-			}
-		}
-		src = dst
-	}
-	// src now holds gradients w.r.t. the raw (load, quota) features.
-	for i := 0; i < m.Cfg.Nodes; i++ {
-		addX(i, src[i])
-	}
+	m.setInput(s, 0, load, quota, nil)
+	m.forwardRows(s, 0, 1)
+	return s.read.Out()[0]
 }
 
 // PredictGradWith returns the prediction and the gradient of latency with
@@ -215,6 +254,7 @@ func (m *Model) inputGrad(s *Scratch, dy float64) {
 // only until the next call using s — copy it to retain it.
 func (m *Model) PredictGradWith(s *Scratch, load, quota []float64) (float64, []float64) {
 	y := m.PredictWith(s, load, quota)
-	m.inputGrad(s, 1)
-	return y, s.dQuota
+	s.read.DOut[0] = 1
+	m.backwardRows(s, 0, 1, true)
+	return y, s.dQuota[:s.nodes]
 }

@@ -147,7 +147,7 @@ func (p *Partitioned) PredictGrad(load, quota []float64) (float64, []float64) {
 // output is compared to the label and the loss gradient flows into every
 // partition.
 func (p *Partitioned) Train(samples []Sample, tc TrainConfig) TrainResult {
-	return trainLoop(p.Subs, p.Groups, p.Predict, samples, tc, 0)
+	return trainLoop(p.Subs, p.Groups, samples, tc, 0)
 }
 
 // Evaluate mirrors Model.Evaluate for the partitioned predictor.

@@ -71,14 +71,14 @@ type TrainResult struct {
 // at once. It panics on a non-positive Batch or LR, which could only turn
 // every weight into NaN.
 func (m *Model) Train(samples []Sample, tc TrainConfig) TrainResult {
-	return trainLoop([]*Model{m}, nil, m.Predict, samples, tc, 0)
+	return trainLoop([]*Model{m}, nil, samples, tc, 0)
 }
 
-// trainLoop is the one training loop: subs are the sub-models whose summed
-// output predict returns (a Model is a list of one), groups their node
-// indices (nil = the one sub-model sees every node). workers = 0 picks the
-// worker count; the trained weights do not depend on it.
-func trainLoop(subs []*Model, groups [][]int, predict func(load, quota []float64) float64, samples []Sample, tc TrainConfig, workers int) TrainResult {
+// trainLoop is the one training loop: subs are the sub-models whose outputs
+// sum to the prediction (a Model is a list of one), groups their node indices
+// (nil = the one sub-model sees every node). workers = 0 picks the worker
+// count; the trained weights do not depend on it.
+func trainLoop(subs []*Model, groups [][]int, samples []Sample, tc TrainConfig, workers int) TrainResult {
 	if tc.Batch <= 0 || tc.LR <= 0 {
 		panic(fmt.Sprintf("gnn: Train needs Batch > 0 and LR > 0, got Batch=%d LR=%g", tc.Batch, tc.LR))
 	}
@@ -103,19 +103,7 @@ func trainLoop(subs []*Model, groups [][]int, predict func(load, quota []float64
 	t := newTrainer(subs, groups, train, tc, rng, workers)
 	defer t.workers.stop()
 	res := TrainResult{BestVal: -1, Test: test}
-	var bestSnaps [][][]float64
-
-	evalSet := func(set []Sample) float64 {
-		if len(set) == 0 {
-			return 0
-		}
-		sum := 0.0
-		for _, s := range set {
-			l, _ := tc.Loss.Loss(predict(s.Load, s.Quota), s.Latency)
-			sum += l
-		}
-		return sum / float64(len(set))
-	}
+	var bestSnaps [][][]float64 // one buffer per sub-model, reused at every improvement
 
 	for iter := 0; iter < tc.Iterations; iter++ {
 		var tBatch time.Time
@@ -128,7 +116,7 @@ func trainLoop(subs []*Model, groups [][]int, predict func(load, quota []float64
 		}
 
 		if iter%tc.EvalEvery == 0 || iter == tc.Iterations-1 {
-			v := evalSet(val)
+			v := t.evalSet(val)
 			res.Curve = append(res.Curve, CurvePoint{
 				Iteration: iter,
 				Train:     batchLoss / float64(tc.Batch),
@@ -137,9 +125,11 @@ func trainLoop(subs []*Model, groups [][]int, predict func(load, quota []float64
 			tc.Obs.Eval(iter, batchLoss/float64(tc.Batch), v)
 			if len(val) > 0 && (res.BestVal < 0 || v < res.BestVal) {
 				res.BestVal = v
-				bestSnaps = bestSnaps[:0]
-				for _, m := range subs {
-					bestSnaps = append(bestSnaps, m.snapshotWeights())
+				if bestSnaps == nil {
+					bestSnaps = make([][][]float64, len(subs))
+				}
+				for si, m := range subs {
+					bestSnaps[si] = m.snapshotInto(bestSnaps[si])
 				}
 			}
 		}
@@ -151,7 +141,7 @@ func trainLoop(subs []*Model, groups [][]int, predict func(load, quota []float64
 }
 
 // trainChunk is how many samples of a minibatch are on tape at once: the
-// tape, not the batch, bounds training's memory (~40 KB a sample on Online
+// tape, not the batch, bounds training's memory (~50 KB a sample on Online
 // Boutique; the paper's batch is 256).
 const trainChunk = 8
 
@@ -159,39 +149,46 @@ const trainChunk = 8
 // minibatch in chunks of trainChunk samples, each in two parallel phases that
 // differ from a serial loop only in schedule:
 //
-//   - per sample: PredictWith and inputGrad on the sample's tape, which only
-//     read the weights. Sample picks and dropout masks are drawn beforehand,
-//     on the calling goroutine, in the order a serial loop draws them.
-//   - per span of parameter rows: WeightGrad, sample by sample in batch order
-//     and invocation by invocation in backward's order, so every GW/GB entry
-//     receives a serial loop's addends in a serial loop's order, whichever
-//     worker takes the span.
+//   - per part of the chunk's samples: the layer-major forward, the loss and
+//     the backward over those samples' rows, which only read the weights.
+//     Sample picks and dropout masks are drawn beforehand, on the calling
+//     goroutine while the helpers run the previous phase, in the order a
+//     serial loop draws them.
+//   - per span of parameter rows: the weight gradient over all of the
+//     chunk's rows of that layer in one kernel call, samples in batch order
+//     and, within a sample, invocations in backward's order (γ by node, φ by
+//     edge), so every GW/GB entry receives a serial loop's addends in a
+//     serial loop's order, whichever worker takes the span.
 //
 // Adam is element-wise and steps span by span. The weights come out
-// byte-equal for any worker count and any interleaving.
+// byte-equal for any worker count and any interleaving. Validation runs the
+// forward the same way, on tapes without dropout.
 type trainer struct {
-	subs    []*Model
-	groups  [][]int
-	train   []Sample
-	batch   int
-	loss    nn.LossFunc
-	rng     *rand.Rand
-	opt     *nn.Adam
-	tapes   []tape
-	n       int    // samples of the current chunk
-	spans   []span // the parameter rows, in units of work
-	workers gang
+	subs     []*Model
+	groups   [][]int
+	train    []Sample
+	batch    int
+	loss     nn.LossFunc
+	rng      *rand.Rand
+	opt      *nn.Adam
+	fit, val tapes  // the chunk's training tapes; tapes without dropout, for validation
+	on       *tapes // the set the open pass phase runs on
+	n        int    // samples of the current chunk
+	parts    int    // the chunk's samples are cut into this many parts
+	spans    []span // the parameter rows, in units of work
+	workers  gang
+	drawAt   int // the minibatch sample the chunk drawNext draws starts at
 
 	// The phases as func values, made once so that running one allocates nothing.
-	pass, weightGrad, step func(i int)
+	pass, eval, weightGrad, step func(i int)
+	drawNext                     func()
 }
 
-// tape is one sample's pass through every sub-model.
-type tape struct {
-	load, quota [][]float64 // per sub-model: the sample's features for its nodes
-	scr         []*Scratch  // per sub-model
-	latency     float64     // the sample's label
-	loss        float64     // and the loss of the summed prediction against it
+// tapes is one Scratch per sub-model and, per sample of the chunk, its label
+// and the loss of the summed prediction against it.
+type tapes struct {
+	scr             []*Scratch
+	latency, losses []float64
 }
 
 // span is rows [lo, hi) of layer li of network net of sub-model sub; layer is
@@ -211,27 +208,27 @@ func newTrainer(subs []*Model, groups [][]int, train []Sample, tc TrainConfig, r
 	if workers == 0 {
 		workers = min(runtime.GOMAXPROCS(0), trainChunk, tc.Batch)
 	}
-	t := &trainer{subs: subs, groups: groups, train: train, batch: tc.Batch, loss: tc.Loss, rng: rng,
-		tapes: make([]tape, min(trainChunk, tc.Batch))}
-	for c := range t.tapes {
-		tp := &t.tapes[c]
-		tp.load, tp.quota = make([][]float64, len(subs)), make([][]float64, len(subs))
-		for si, m := range subs {
-			tp.scr = append(tp.scr, m.newScratch(true))
-			if groups != nil {
-				tp.load[si], tp.quota[si] = make([]float64, m.Cfg.Nodes), make([]float64, m.Cfg.Nodes)
-			}
-		}
-	}
+	t := &trainer{subs: subs, groups: groups, train: train, batch: tc.Batch, loss: tc.Loss, rng: rng, parts: workers}
+	t.fit, t.val = newTapes(subs, min(trainChunk, tc.Batch), true), newTapes(subs, trainChunk, false)
 	layers, spans := rowSpans(subs)
 	for _, l := range layers {
 		clear(l.GW)
 		clear(l.GB)
 	}
 	t.opt, t.spans = nn.NewAdam(tc.LR, layers), spans
-	t.pass, t.weightGrad, t.step = t.passSample, t.weightGradSpan, t.stepSpan
+	t.pass, t.eval, t.weightGrad, t.step = t.passPart, t.evalPart, t.weightGradSpan, t.stepSpan
+	t.drawNext = func() { t.drawChunk(t.drawAt) }
 	t.workers.start(workers - 1)
+	t.drawChunk(0)
 	return t
+}
+
+func newTapes(subs []*Model, n int, train bool) tapes {
+	ts := tapes{latency: make([]float64, n), losses: make([]float64, n)}
+	for _, m := range subs {
+		ts.scr = append(ts.scr, m.newScratch(n, train))
+	}
+	return ts
 }
 
 // rowSpans lists every parameter layer and cuts their rows into spans of at
@@ -254,61 +251,116 @@ func rowSpans(subs []*Model) (layers []*nn.Linear, spans []span) {
 }
 
 // iteration runs one minibatch and the optimizer step, and returns the sum
-// of the samples' losses.
+// of the samples' losses. Its first chunk is drawn already; each later one is
+// drawn while the helpers start on the previous one's weight gradients, and
+// the next iteration's first while they start on the step.
 func (t *trainer) iteration() (batchLoss float64) {
 	for done := 0; done < t.batch; done += t.n {
-		t.n = min(len(t.tapes), t.batch-done)
-		for c := range t.tapes[:t.n] {
-			t.draw(&t.tapes[c])
+		t.n = t.chunk(done)
+		t.on = &t.fit
+		t.workers.each(min(t.parts, t.n), t.pass)
+		for _, l := range t.fit.losses[:t.n] {
+			batchLoss += l
 		}
-		t.workers.each(t.n, t.pass)
-		for c := range t.tapes[:t.n] {
-			batchLoss += t.tapes[c].loss
+		t.drawAt = done + t.n
+		if t.drawAt < t.batch {
+			t.workers.eachWhile(len(t.spans), t.weightGrad, t.drawNext)
+		} else {
+			t.workers.each(len(t.spans), t.weightGrad)
 		}
-		t.workers.each(len(t.spans), t.weightGrad)
 	}
 	t.opt.Next()
-	t.workers.each(len(t.spans), t.step)
+	t.drawAt = 0
+	t.workers.eachWhile(len(t.spans), t.step, t.drawNext)
 	return batchLoss
 }
 
-// draw picks the tape's next sample and its dropout masks.
-func (t *trainer) draw(tp *tape) {
-	s := t.train[t.rng.Intn(len(t.train))]
-	tp.latency = s.Latency
-	for si, m := range t.subs {
-		if t.groups == nil {
-			tp.load[si], tp.quota[si] = s.Load, s.Quota
-		} else {
-			for li, gi := range t.groups[si] {
-				tp.load[si][li], tp.quota[si][li] = s.Load[gi], s.Quota[gi]
-			}
+// chunk returns the size of the chunk of the minibatch that starts at sample
+// done.
+func (t *trainer) chunk(done int) int { return min(len(t.fit.latency), t.batch-done) }
+
+// drawChunk picks the samples of the chunk that starts at sample done, and
+// their dropout masks, onto the training tapes: the pass of the chunk before
+// is over, and the weight gradients read neither features nor masks.
+func (t *trainer) drawChunk(done int) {
+	for c := 0; c < t.chunk(done); c++ {
+		s := t.train[t.rng.Intn(len(t.train))]
+		t.setSample(&t.fit, c, s)
+		for si, m := range t.subs {
+			m.drawMasks(t.fit.scr[si], c, t.rng)
 		}
-		m.drawMasks(tp.scr[si], t.rng)
 	}
 }
 
-func (t *trainer) passSample(c int) {
-	tp := &t.tapes[c]
-	pred := 0.0
-	for si, m := range t.subs {
-		pred += m.PredictWith(tp.scr[si], tp.load[si], tp.quota[si])
+// evalSet returns the mean loss over set, the samples' losses summed in
+// order.
+func (t *trainer) evalSet(set []Sample) float64 {
+	if len(set) == 0 {
+		return 0
 	}
-	var d float64
-	tp.loss, d = t.loss.Loss(pred, tp.latency)
+	sum := 0.0
+	t.on = &t.val
+	for done := 0; done < len(set); done += t.n {
+		t.n = min(len(t.val.latency), len(set)-done)
+		for c, s := range set[done : done+t.n] {
+			t.setSample(&t.val, c, s)
+		}
+		t.workers.each(min(t.parts, t.n), t.eval)
+		for _, l := range t.val.losses[:t.n] {
+			sum += l
+		}
+	}
+	return sum / float64(len(set))
+}
+
+// setSample puts s into sample c of ts.
+func (t *trainer) setSample(ts *tapes, c int, s Sample) {
+	ts.latency[c] = s.Latency
 	for si, m := range t.subs {
-		m.inputGrad(tp.scr[si], d)
+		var group []int
+		if t.groups != nil {
+			group = t.groups[si]
+		}
+		m.setInput(ts.scr[si], c, s.Load, s.Quota, group)
 	}
 }
+
+// forwardLoss runs part p of the chunk forward on t.on, records each sample's
+// loss and sets each one's output gradient; it returns the part's samples.
+func (t *trainer) forwardLoss(p int) (lo, hi int) {
+	parts := min(t.parts, t.n)
+	lo, hi = p*t.n/parts, (p+1)*t.n/parts
+	ts := t.on
+	for si, m := range t.subs {
+		m.forwardRows(ts.scr[si], lo, hi)
+	}
+	for c := lo; c < hi; c++ {
+		pred := 0.0
+		for _, s := range ts.scr {
+			pred += s.read.Out()[c]
+		}
+		var d float64
+		ts.losses[c], d = t.loss.Loss(pred, ts.latency[c])
+		for _, s := range ts.scr {
+			s.read.DOut[c] = d
+		}
+	}
+	return lo, hi
+}
+
+func (t *trainer) passPart(p int) {
+	lo, hi := t.forwardLoss(p)
+	for si, m := range t.subs {
+		m.backwardRows(t.fit.scr[si], lo, hi, false)
+	}
+}
+
+func (t *trainer) evalPart(p int) { t.forwardLoss(p) }
 
 func (t *trainer) weightGradSpan(i int) {
 	sp := t.spans[i]
-	net := t.subs[sp.sub].nets[sp.net]
-	for c := range t.tapes[:t.n] {
-		for _, v := range t.tapes[c].scr[sp.sub].inv[sp.net] {
-			net.WeightGrad(v, sp.li, sp.lo, sp.hi)
-		}
-	}
+	m := t.subs[sp.sub]
+	m.nets[sp.net].WeightGrad(t.fit.scr[sp.sub].nets[sp.net], t.n*m.perSample(sp.net), sp.li, sp.lo, sp.hi)
 }
 
 func (t *trainer) stepSpan(i int) {
@@ -396,11 +448,18 @@ func (g *gang) signal() {
 
 // each calls fn(i) once for every i in [0, n), on the caller and on the
 // helpers that turn up while indices are left, and returns when all calls have.
-func (g *gang) each(n int, fn func(i int)) {
+func (g *gang) each(n int, fn func(i int)) { g.eachWhile(n, fn, nil) }
+
+// eachWhile is each with the caller first running meanwhile (unless nil),
+// while the helpers start on the loop, and then joining it.
+func (g *gang) eachWhile(n int, fn func(i int), meanwhile func()) {
 	g.fn, g.n = fn, int32(n)
 	g.next.Store(0)
 	g.epoch.Add(1)
 	g.signal()
+	if meanwhile != nil {
+		meanwhile()
+	}
 	g.work()
 	g.epoch.Add(1)
 	g.await(&g.inside, func(v int32) bool { return v == 0 })

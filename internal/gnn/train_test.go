@@ -104,7 +104,7 @@ func TestTrainMatchesReference(t *testing.T) {
 			// the result of one run: the reference loop's for workers < 0.
 			train := func(workers int) ([][]byte, TrainResult) {
 				m := c.model(5)
-				subs, groups, predict := []*Model{m}, [][]int(nil), m.Predict
+				subs, groups := []*Model{m}, [][]int(nil)
 				reference := func() TrainResult { return refTrain(m, samples, c.trainConfig()) }
 				if c.groups > 0 {
 					p := NewPartitioned(c.config(), c.parents, PartitionByDepth(c.parents, c.groups), rand.New(rand.NewSource(5)))
@@ -113,14 +113,14 @@ func TestTrainMatchesReference(t *testing.T) {
 							net.Dropout = c.dropout
 						}
 					}
-					subs, groups, predict = p.Subs, p.Groups, p.Predict
+					subs, groups = p.Subs, p.Groups
 					reference = func() TrainResult { return refTrainPartitioned(p, samples, c.trainConfig()) }
 				}
 				var res TrainResult
 				if workers < 0 {
 					res = reference()
 				} else {
-					res = trainLoop(subs, groups, predict, samples, c.trainConfig(), workers)
+					res = trainLoop(subs, groups, samples, c.trainConfig(), workers)
 				}
 				var blobs [][]byte
 				for _, sub := range subs {

@@ -2,10 +2,156 @@ package nn
 
 import "math"
 
-// The Linear and Adam kernels twice: in Go (the path on hosts without AVX, and
-// the oracle the assembly is tested against) and as thin wrappers over the AVX
-// kernels of kernels_amd64.s, which compute the same bits. The exported
-// methods in nn.go pick one by useAVX.
+// The row kernel and the Adam kernel twice: in Go (the path on hosts without
+// AVX, and the oracle the assembly is tested against) and as thin wrappers
+// over the AVX kernels of kernels_amd64.s, which compute the same bits. The
+// methods of nn.go pick one by useAVX.
+
+// rowOp is one call of the row kernel, the product every pass of a Linear is:
+//
+//	C[a, b] = C₀[a, b] + Σₖ A[a, k]·B[k, b]   for a < na, b < nb, k ascending,
+//
+// each C entry taking its addends in k order through a separate multiply and
+// add, from C₀: C's own value (initC), the vector row (initRow: C₀[a, b] =
+// row[b]) or +0 (initZero). Strides are in elements; along b both B and C are
+// contiguous. The three passes of a Linear are its shapes:
+//
+//	forward:     a = row,    b = output, k = input;  A = x,   B = wt, C = pre, from B
+//	input-grad:  a = row,    b = input,  k = output; A = dy,  B = W,  C = dx, from +0
+//	weight-grad: a = output, b = input,  k = row;    A = dyᵀ, B = x,  C = GW, from GW
+//
+// and GB is the weight-grad against a B of one 1 (sb = 0): a product with 1
+// is exact, so each GB[o] is the plain sum of its dy in row order.
+//
+// post is applied to C's rows once the product is done, while they are still
+// in cache: postReLU writes p = max(C, +0)·m (the activation of a hidden
+// layer, whose pre-activation stays in C); postGate rewrites C as C·m, then
+// +0 where p ≤ 0 (the gradient of a hidden layer's pre-activation, p that
+// pre-activation). m is the dropout mask, nil for none; p and m share C's
+// layout.
+type rowOp struct {
+	a          []float64
+	sa, sk     int
+	b          []float64
+	sb         int
+	c          []float64
+	sc         int
+	na, nb, nk int
+	init       int
+	row        []float64
+	post       int
+	p, m       []float64
+}
+
+const (
+	initC = iota
+	initRow
+	initZero
+)
+
+const (
+	postNone = iota
+	postReLU
+	postGate
+)
+
+// one is the B of the bias gradient.
+var one = []float64{1}
+
+func (o *rowOp) run() {
+	if o.na == 0 || o.nb == 0 {
+		return
+	}
+	if useAVX {
+		o.runAVX()
+	} else {
+		o.runGo()
+	}
+}
+
+// runGo takes each C row's entries through k together, so every entry still
+// receives its addends in k order. The conversion keeps a compiler that
+// fuses multiply-adds (arm64's) from changing the rounding.
+func (o *rowOp) runGo() {
+	for i := 0; i < o.na; i++ {
+		c := o.c[i*o.sc : i*o.sc+o.nb]
+		switch o.init {
+		case initRow:
+			copy(c, o.row)
+		case initZero:
+			clear(c)
+		}
+		for k := 0; k < o.nk; k++ {
+			av := o.a[i*o.sa+k*o.sk]
+			b := o.b[k*o.sb : k*o.sb+o.nb]
+			for j := range c {
+				c[j] += float64(av * b[j])
+			}
+		}
+	}
+	if o.post == postNone {
+		return
+	}
+	for i := 0; i < o.na; i++ {
+		c, p := o.c[i*o.sc:i*o.sc+o.nb], o.p[i*o.sc:i*o.sc+o.nb]
+		var m []float64
+		if o.m != nil {
+			m = o.m[i*o.sc : i*o.sc+o.nb]
+		}
+		for j, v := range c {
+			if o.post == postReLU {
+				act := 0.0
+				if v > 0 {
+					act = v
+				}
+				if m != nil {
+					act *= m[j]
+				}
+				p[j] = act
+				continue
+			}
+			if m != nil {
+				v *= m[j]
+			}
+			if p[j] <= 0 {
+				v = 0
+			}
+			c[j] = v
+		}
+	}
+}
+
+// kern is a rowOp as kernels_amd64.s reads it: pointers, strides in bytes.
+type kern struct {
+	a, b, c, p, m, row *float64
+	sa, sk, sb, sc     int
+	na, nk             int
+	nb                 int // C's row width, in bytes
+	init               int
+	post               int // postNone, postReLU or postGate, plus kernMask when m is set
+}
+
+const kernMask = 4
+
+func (o *rowOp) runAVX() {
+	const f = 8 // bytes per float64
+	k := kern{c: &o.c[0], sa: o.sa * f, sk: o.sk * f, sb: o.sb * f, sc: o.sc * f,
+		na: o.na, nk: o.nk, nb: o.nb * f, init: o.init, post: o.post}
+	if o.nk > 0 {
+		k.a, k.b = &o.a[0], &o.b[0]
+	}
+	if o.init == initRow {
+		k.row = &o.row[0]
+	}
+	if o.post != postNone {
+		k.p = &o.p[0]
+		if o.m != nil {
+			k.m = &o.m[0]
+			k.post |= kernMask
+		}
+	}
+	rowsAVX(&k)
+}
 
 // mirror copies rows [lo, hi) of W into columns [lo, hi) of wt.
 func (l *Linear) mirror(lo, hi int) {
@@ -15,112 +161,6 @@ func (l *Linear) mirror(lo, hi int) {
 			col[k] = l.W[(lo+k)*l.In+i]
 		}
 	}
-}
-
-// forwardGo lets four output rows share one pass over x — four independent
-// add chains instead of one serial one — and each row's sum is still
-// B[o] + Σᵢ row[i]·x[i] taken in i order.
-func (l *Linear) forwardGo(x, y []float64) {
-	n := l.In
-	o := 0
-	for ; o+4 <= l.Out; o += 4 {
-		r0 := l.W[o*n : (o+1)*n][:len(x)]
-		r1 := l.W[(o+1)*n : (o+2)*n][:len(x)]
-		r2 := l.W[(o+2)*n : (o+3)*n][:len(x)]
-		r3 := l.W[(o+3)*n : (o+4)*n][:len(x)]
-		s0, s1, s2, s3 := l.B[o], l.B[o+1], l.B[o+2], l.B[o+3]
-		for i, xi := range x {
-			s0 += r0[i] * xi
-			s1 += r1[i] * xi
-			s2 += r2[i] * xi
-			s3 += r3[i] * xi
-		}
-		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
-	}
-	for ; o < l.Out; o++ {
-		sum := l.B[o]
-		row := l.W[o*n : (o+1)*n][:len(x)]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		y[o] = sum
-	}
-}
-
-// forwardAVX reads the mirror, whose rows hold one input's weights for every
-// output, so a vector lane is an output.
-func (l *Linear) forwardAVX(x, y []float64) {
-	if l.In == 0 || l.Out == 0 {
-		l.forwardGo(x, y)
-		return
-	}
-	fwdAVX(&l.wt[0], &l.B[0], &x[0], &y[0], l.In, l.Out)
-}
-
-// inputGradGo applies the rows with a gradient four per pass over dx; each
-// dx[i] still takes them in ascending order.
-func (l *Linear) inputGradGo(dy, dx []float64) {
-	for i := range dx {
-		dx[i] = 0
-	}
-	n := l.In
-	var live [4]int // rows with a gradient, waiting to be applied together
-	k := 0
-	for o, g := range dy {
-		if g == 0 {
-			continue
-		}
-		live[k] = o
-		if k++; k < len(live) {
-			continue
-		}
-		k = 0
-		g0, g1, g2, g3 := dy[live[0]], dy[live[1]], dy[live[2]], g
-		r0 := l.W[live[0]*n : (live[0]+1)*n][:len(dx)]
-		r1 := l.W[live[1]*n : (live[1]+1)*n][:len(dx)]
-		r2 := l.W[live[2]*n : (live[2]+1)*n][:len(dx)]
-		r3 := l.W[o*n : (o+1)*n][:len(dx)]
-		for i := range dx {
-			dx[i] = dx[i] + r0[i]*g0 + r1[i]*g1 + r2[i]*g2 + r3[i]*g3
-		}
-	}
-	for _, o := range live[:k] {
-		g := dy[o]
-		row := l.W[o*n : (o+1)*n][:len(dx)]
-		for i := range dx {
-			dx[i] += row[i] * g
-		}
-	}
-}
-
-func (l *Linear) inputGradAVX(dy, dx []float64) {
-	if l.In == 0 || l.Out == 0 {
-		l.inputGradGo(dy, dx)
-		return
-	}
-	igradAVX(&l.W[0], &dy[0], &dx[0], l.In, l.Out)
-}
-
-func (l *Linear) weightGradGo(x, dy []float64, lo, hi int) {
-	for o := lo; o < hi; o++ {
-		g := dy[o]
-		if g == 0 {
-			continue
-		}
-		l.GB[o] += g
-		grow := l.GW[o*l.In : (o+1)*l.In][:len(x)]
-		for i, xi := range x {
-			grow[i] += g * xi
-		}
-	}
-}
-
-func (l *Linear) weightGradAVX(x, dy []float64, lo, hi int) {
-	if l.In == 0 || lo >= hi {
-		l.weightGradGo(x, dy, lo, hi)
-		return
-	}
-	wgradAVX(&l.GW[0], &l.GB[0], &x[0], &dy[0], l.In, lo, hi)
 }
 
 func (a *Adam) updateGo(p, g, m, v []float64, scale float64) {
@@ -138,6 +178,9 @@ func (a *Adam) updateAVX(p, g, m, v []float64, scale float64) {
 		return
 	}
 	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
-	k := [9]float64{scale, a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2, a.LR, a.c1, a.c2, a.Epsilon}
+	k := [10]float64{scale, a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2, a.LR, a.c1, a.c2, a.Epsilon}
+	if frac, exp := math.Frexp(scale); frac == 0.5 && exp > -1021 && exp < 1024 {
+		k[9] = math.Ldexp(1, 1-exp) // 1/scale, exactly
+	}
 	adamAVX(&p[0], &g[0], &m[0], &v[0], len(p), &k)
 }

@@ -18,13 +18,7 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func fwdAVX(wt, b, x, y *float64, in, out int)
+func rowsAVX(k *kern)
 
 //go:noescape
-func igradAVX(w, dy, dx *float64, in, out int)
-
-//go:noescape
-func wgradAVX(gw, gb, x, dy *float64, in, lo, hi int)
-
-//go:noescape
-func adamAVX(p, grad, m, v *float64, n int, k *[9]float64)
+func adamAVX(p, grad, m, v *float64, n int, k *[10]float64)

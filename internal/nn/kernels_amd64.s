@@ -1,306 +1,554 @@
 #include "textflag.h"
+#include "go_asm.h"
 
-// AVX kernels of nn.Linear and nn.Adam (kernels.go has their Go twins). Every
-// vector lane is one accumulator of the Go kernel it replaces and receives
-// that kernel's addends in that kernel's order, through a separate VMULPD and
-// VADDPD (never a fused multiply-add); VDIVPD and VSQRTPD round like / and
-// math.Sqrt. So the results are the Go kernels' to the bit.
+// AVX kernels of nn.Linear's row kernel and of nn.Adam (kernels.go has their
+// Go twins). Every vector lane is one accumulator of the Go kernel it replaces
+// and receives that kernel's addends in that kernel's order, through a
+// separate VMULPD and VADDPD (never a fused multiply-add); VDIVPD and VSQRTPD
+// round like / and math.Sqrt. So the results are the Go kernels' to the bit.
 
-// func fwdAVX(wt, b, x, y *float64, in, out int)
+// func rowsAVX(k *kern)
 //
-// y[o] = b[o] + Σᵢ wt[i*out+o]·x[i], i ascending, lanes across o: tiles of 16
-// outputs held in four registers, then tiles of 4, then single outputs.
-TEXT ·fwdAVX(SB), NOSPLIT, $0-48
-	MOVQ wt+0(FP), SI
-	MOVQ b+8(FP), DX
-	MOVQ x+16(FP), R8
-	MOVQ y+24(FP), DI
-	MOVQ in+32(FP), CX
-	MOVQ out+40(FP), R10
-	MOVQ R10, R9
-	SHLQ $3, R9          // a row of wt, one input's weights, in bytes
+// rowOp.runGo (kernels.go) blocked for the registers and the cache: C is taken
+// column tile by column tile — 8 columns, then 4, then 1 — each down all the
+// groups of four rows (eight accumulators, B's two vectors loaded once per k
+// and shared by the four rows), so a tile of B is read once per call and
+// serves every row while it sits in L1; rows left over (fewer than four, as in
+// a one-sample pass) go one at a time in tiles of 16, 4 and 1 columns. Each
+// accumulator starts from C, from the row vector, or at +0 (kern.init),
+// receives A[a, k]·B[k, b] for k ascending, and is stored to C; then, if k
+// asks for one, the post-op runs over every row of C.
+TEXT ·rowsAVX(SB), NOSPLIT, $0-8
+	MOVQ k+0(FP), DI
+	MOVQ kern_a(DI), SI    // row a of A
+	MOVQ kern_c(DI), DX    // row a of C
+	MOVQ kern_na(DI), BX   // rows left
+	MOVQ kern_sa(DI), R9
+	LEAQ (R9)(R9*2), R10   // three rows of A
+	MOVQ kern_sk(DI), R12
+	MOVQ kern_sb(DI), R13
 
-tile16:
-	CMPQ    R10, $16
-	JLT     tile4
-	VMOVUPD 0(DX), Y0
-	VMOVUPD 32(DX), Y1
-	VMOVUPD 64(DX), Y2
-	VMOVUPD 96(DX), Y3
-	MOVQ    SI, AX
-	MOVQ    R8, R11
-	MOVQ    CX, R12
+	CMPQ BX, $4
+	JLT  rows1
+	XORQ AX, AX            // column b, in bytes
 
-loop16:
-	VBROADCASTSD (R11), Y4
-	VMULPD       0(AX), Y4, Y5
-	VADDPD       Y5, Y0, Y0
-	VMULPD       32(AX), Y4, Y5
-	VADDPD       Y5, Y1, Y1
-	VMULPD       64(AX), Y4, Y5
-	VADDPD       Y5, Y2, Y2
-	VMULPD       96(AX), Y4, Y5
-	VADDPD       Y5, Y3, Y3
-	ADDQ         R9, AX
-	ADDQ         $8, R11
-	DECQ         R12
-	JNZ          loop16
-	VMOVUPD      Y0, 0(DI)
-	VMOVUPD      Y1, 32(DI)
-	VMOVUPD      Y2, 64(DI)
-	VMOVUPD      Y3, 96(DI)
-	ADDQ         $128, SI
-	ADDQ         $128, DX
-	ADDQ         $128, DI
-	SUBQ         $16, R10
-	JMP          tile16
+c8:
+	LEAQ 64(AX), R8
+	CMPQ R8, kern_nb(DI)
+	JGT  c4
+	MOVQ kern_a(DI), SI
+	MOVQ kern_c(DI), DX
+	MOVQ kern_na(DI), BX
+	SHRQ $2, BX            // groups of four rows
 
-tile4:
-	CMPQ    R10, $4
-	JLT     tile1
-	VMOVUPD (DX), Y0
-	MOVQ    SI, AX
-	MOVQ    R8, R11
-	MOVQ    CX, R12
+r4w8:
+	MOVQ    kern_init(DI), CX
+	CMPQ    CX, $1
+	JEQ     r4w8row
+	JGT     r4w8zero
+	MOVQ    kern_sc(DI), CX
+	LEAQ    (DX)(AX*1), R8
+	VMOVUPD (R8), Y0
+	VMOVUPD 32(R8), Y1
+	VMOVUPD (R8)(CX*1), Y2
+	VMOVUPD 32(R8)(CX*1), Y3
+	VMOVUPD (R8)(CX*2), Y4
+	VMOVUPD 32(R8)(CX*2), Y5
+	LEAQ    (R8)(CX*2), R8
+	VMOVUPD (R8)(CX*1), Y6
+	VMOVUPD 32(R8)(CX*1), Y7
+	JMP     r4w8go
 
-loop4:
-	VBROADCASTSD (R11), Y4
-	VMULPD       (AX), Y4, Y5
-	VADDPD       Y5, Y0, Y0
-	ADDQ         R9, AX
-	ADDQ         $8, R11
-	DECQ         R12
-	JNZ          loop4
-	VMOVUPD      Y0, (DI)
-	ADDQ         $32, SI
-	ADDQ         $32, DX
-	ADDQ         $32, DI
-	SUBQ         $4, R10
-	JMP          tile4
+r4w8row:
+	MOVQ    kern_row(DI), R8
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVUPD 32(R8)(AX*1), Y1
+	VMOVAPD Y0, Y2
+	VMOVAPD Y1, Y3
+	VMOVAPD Y0, Y4
+	VMOVAPD Y1, Y5
+	VMOVAPD Y0, Y6
+	VMOVAPD Y1, Y7
+	JMP     r4w8go
 
-tile1:
-	TESTQ  R10, R10
-	JZ     fwddone
-	VMOVSD (DX), X0
-	MOVQ   SI, AX
-	MOVQ   R8, R11
-	MOVQ   CX, R12
-
-loop1:
-	VMOVSD (R11), X4
-	VMULSD (AX), X4, X5
-	VADDSD X5, X0, X0
-	ADDQ   R9, AX
-	ADDQ   $8, R11
-	DECQ   R12
-	JNZ    loop1
-	VMOVSD X0, (DI)
-	ADDQ   $8, SI
-	ADDQ   $8, DX
-	ADDQ   $8, DI
-	DECQ   R10
-	JMP    tile1
-
-fwddone:
-	VZEROUPPER
-	RET
-
-// func igradAVX(w, dy, dx *float64, in, out int)
-//
-// dx[i] = Σₒ w[o*in+i]·dy[o], o ascending, lanes across i. Rows with
-// dy[o] == ±0 are skipped; the live ones are gathered four at a time (R8–R11,
-// their dy broadcast in Y8–Y11, oldest first) and applied in one pass over dx
-// as dx[i] + r0[i]·g0 + r1[i]·g1 + r2[i]·g2 + r3[i]·g3, left to right. The last
-// group is padded with g = 0 rows: they add ±0 to an accumulator that cannot
-// be −0, which for finite weights changes nothing.
-TEXT ·igradAVX(SB), NOSPLIT, $0-40
-	MOVQ   w+0(FP), SI
-	MOVQ   dy+8(FP), DX
-	MOVQ   dx+16(FP), DI
-	MOVQ   in+24(FP), R13
-	MOVQ   out+32(FP), BX
-	SHLQ   $3, R13         // a row of w, in bytes
-	LEAQ   (DX)(BX*8), BX  // the end of dy
-	MOVQ   R13, CX
-	ANDQ   $-32, CX        // the bytes of a row that fill whole vectors
+r4w8zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	XORQ   AX, AX
 
-zerov:
-	CMPQ    AX, CX
-	JAE     zeros
-	VMOVUPD Y7, (DI)(AX*1)
+r4w8go:
+	MOVQ    SI, R8
+	MOVQ    kern_b(DI), R11
+	ADDQ    AX, R11
+	MOVQ    kern_nk(DI), CX
+	TESTQ   CX, CX
+	JZ      r4w8st
+
+r4w8k:
+	VMOVUPD      (R11), Y12
+	VMOVUPD      32(R11), Y13
+	VBROADCASTSD (R8), Y8
+	VBROADCASTSD (R8)(R9*1), Y9
+	VBROADCASTSD (R8)(R9*2), Y10
+	VBROADCASTSD (R8)(R10*1), Y11
+	VMULPD       Y12, Y8, Y14
+	VADDPD       Y14, Y0, Y0
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y12, Y9, Y14
+	VADDPD       Y14, Y2, Y2
+	VMULPD       Y13, Y9, Y15
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y12, Y10, Y14
+	VADDPD       Y14, Y4, Y4
+	VMULPD       Y13, Y10, Y15
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y12, Y11, Y14
+	VADDPD       Y14, Y6, Y6
+	VMULPD       Y13, Y11, Y15
+	VADDPD       Y15, Y7, Y7
+	ADDQ         R12, R8
+	ADDQ         R13, R11
+	DECQ         CX
+	JNZ          r4w8k
+
+r4w8st:
+	MOVQ    kern_sc(DI), CX
+	LEAQ    (DX)(AX*1), R8
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, 32(R8)
+	VMOVUPD Y2, (R8)(CX*1)
+	VMOVUPD Y3, 32(R8)(CX*1)
+	VMOVUPD Y4, (R8)(CX*2)
+	VMOVUPD Y5, 32(R8)(CX*2)
+	LEAQ    (R8)(CX*2), R8
+	VMOVUPD Y6, (R8)(CX*1)
+	VMOVUPD Y7, 32(R8)(CX*1)
+	LEAQ    (SI)(R9*4), SI
+	LEAQ    (DX)(CX*4), DX
+	DECQ    BX
+	JNZ     r4w8
+	ADDQ    $64, AX
+	JMP     c8
+
+c4:
+	LEAQ 32(AX), R8
+	CMPQ R8, kern_nb(DI)
+	JGT  c1
+	MOVQ kern_a(DI), SI
+	MOVQ kern_c(DI), DX
+	MOVQ kern_na(DI), BX
+	SHRQ $2, BX
+
+r4w4:
+	MOVQ    kern_init(DI), CX
+	CMPQ    CX, $1
+	JEQ     r4w4row
+	JGT     r4w4zero
+	MOVQ    kern_sc(DI), CX
+	LEAQ    (DX)(AX*1), R8
+	VMOVUPD (R8), Y0
+	VMOVUPD (R8)(CX*1), Y2
+	VMOVUPD (R8)(CX*2), Y4
+	LEAQ    (R8)(CX*2), R8
+	VMOVUPD (R8)(CX*1), Y6
+	JMP     r4w4go
+
+r4w4row:
+	MOVQ    kern_row(DI), R8
+	VMOVUPD (R8)(AX*1), Y0
+	VMOVAPD Y0, Y2
+	VMOVAPD Y0, Y4
+	VMOVAPD Y0, Y6
+	JMP     r4w4go
+
+r4w4zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
+
+r4w4go:
+	MOVQ    SI, R8
+	MOVQ    kern_b(DI), R11
+	ADDQ    AX, R11
+	MOVQ    kern_nk(DI), CX
+	TESTQ   CX, CX
+	JZ      r4w4st
+
+r4w4k:
+	VMOVUPD      (R11), Y12
+	VBROADCASTSD (R8), Y8
+	VBROADCASTSD (R8)(R9*1), Y9
+	VBROADCASTSD (R8)(R9*2), Y10
+	VBROADCASTSD (R8)(R10*1), Y11
+	VMULPD       Y12, Y8, Y8
+	VADDPD       Y8, Y0, Y0
+	VMULPD       Y12, Y9, Y9
+	VADDPD       Y9, Y2, Y2
+	VMULPD       Y12, Y10, Y10
+	VADDPD       Y10, Y4, Y4
+	VMULPD       Y12, Y11, Y11
+	VADDPD       Y11, Y6, Y6
+	ADDQ         R12, R8
+	ADDQ         R13, R11
+	DECQ         CX
+	JNZ          r4w4k
+
+r4w4st:
+	MOVQ    kern_sc(DI), CX
+	LEAQ    (DX)(AX*1), R8
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y2, (R8)(CX*1)
+	VMOVUPD Y4, (R8)(CX*2)
+	LEAQ    (R8)(CX*2), R8
+	VMOVUPD Y6, (R8)(CX*1)
+	LEAQ    (SI)(R9*4), SI
+	LEAQ    (DX)(CX*4), DX
+	DECQ    BX
+	JNZ     r4w4
 	ADDQ    $32, AX
-	JMP     zerov
+	JMP     c4
 
-zeros:
-	CMPQ   AX, R13
-	JAE    gather
-	VMOVSD X7, (DI)(AX*1)
-	ADDQ   $8, AX
-	JMP    zeros
+c1:
+	CMPQ AX, kern_nb(DI)
+	JGE  tail
+	MOVQ kern_a(DI), SI
+	MOVQ kern_c(DI), DX
+	MOVQ kern_na(DI), BX
+	SHRQ $2, BX
 
-gather:
-	XORQ   R12, R12        // live rows gathered
+r4w1:
+	MOVQ   kern_init(DI), CX
+	CMPQ   CX, $1
+	JEQ    r4w1row
+	JGT    r4w1zero
+	MOVQ   kern_sc(DI), CX
+	LEAQ   (DX)(AX*1), R8
+	VMOVSD (R8), X0
+	VMOVSD (R8)(CX*1), X2
+	VMOVSD (R8)(CX*2), X4
+	LEAQ   (R8)(CX*2), R8
+	VMOVSD (R8)(CX*1), X6
+	JMP    r4w1go
+
+r4w1row:
+	MOVQ    kern_row(DI), R8
+	VMOVSD  (R8)(AX*1), X0
+	VMOVAPD X0, X2
+	VMOVAPD X0, X4
+	VMOVAPD X0, X6
+	JMP     r4w1go
+
+r4w1zero:
+	VXORPD X0, X0, X0
+	VXORPD X2, X2, X2
+	VXORPD X4, X4, X4
+	VXORPD X6, X6, X6
+
+r4w1go:
 	MOVQ   SI, R8
-	MOVQ   SI, R9
-	MOVQ   SI, R10
-	MOVQ   SI, R11
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
+	MOVQ   kern_b(DI), R11
+	ADDQ   AX, R11
+	MOVQ   kern_nk(DI), CX
+	TESTQ  CX, CX
+	JZ     r4w1st
 
-scan:
-	CMPQ     DX, BX
-	JAE      flush
-	VUCOMISD (DX), X7
-	JNE      live
-	JPS      live          // NaN is not zero
-	ADDQ     $8, DX
-	ADDQ     R13, SI
-	JMP      scan
+r4w1k:
+	VMOVSD (R11), X12
+	VMOVSD (R8), X8
+	VMOVSD (R8)(R9*1), X9
+	VMOVSD (R8)(R9*2), X10
+	VMOVSD (R8)(R10*1), X11
+	VMULSD X12, X8, X8
+	VADDSD X8, X0, X0
+	VMULSD X12, X9, X9
+	VADDSD X9, X2, X2
+	VMULSD X12, X10, X10
+	VADDSD X10, X4, X4
+	VMULSD X12, X11, X11
+	VADDSD X11, X6, X6
+	ADDQ   R12, R8
+	ADDQ   R13, R11
+	DECQ   CX
+	JNZ    r4w1k
 
-live:
-	MOVQ         R9, R8
-	MOVQ         R10, R9
-	MOVQ         R11, R10
-	MOVQ         SI, R11
-	VMOVAPD      Y9, Y8
-	VMOVAPD      Y10, Y9
-	VMOVAPD      Y11, Y10
-	VBROADCASTSD (DX), Y11
-	ADDQ         $8, DX
-	ADDQ         R13, SI
-	INCQ         R12
-	CMPQ         R12, $4
-	JLT          scan
-
-pass:
-	XORQ R12, R12
-	XORQ AX, AX
-
-passv:
-	CMPQ    AX, CX
-	JAE     passs
-	VMOVUPD (DI)(AX*1), Y0
-	VMULPD  (R8)(AX*1), Y8, Y1
-	VADDPD  Y1, Y0, Y0
-	VMULPD  (R9)(AX*1), Y9, Y1
-	VADDPD  Y1, Y0, Y0
-	VMULPD  (R10)(AX*1), Y10, Y1
-	VADDPD  Y1, Y0, Y0
-	VMULPD  (R11)(AX*1), Y11, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	JMP     passv
-
-passs:
-	CMPQ   AX, R13
-	JAE    scan
-	VMOVSD (DI)(AX*1), X0
-	VMULSD (R8)(AX*1), X8, X1
-	VADDSD X1, X0, X0
-	VMULSD (R9)(AX*1), X9, X1
-	VADDSD X1, X0, X0
-	VMULSD (R10)(AX*1), X10, X1
-	VADDSD X1, X0, X0
-	VMULSD (R11)(AX*1), X11, X1
-	VADDSD X1, X0, X0
-	VMOVSD X0, (DI)(AX*1)
+r4w1st:
+	MOVQ   kern_sc(DI), CX
+	LEAQ   (DX)(AX*1), R8
+	VMOVSD X0, (R8)
+	VMOVSD X2, (R8)(CX*1)
+	VMOVSD X4, (R8)(CX*2)
+	LEAQ   (R8)(CX*2), R8
+	VMOVSD X6, (R8)(CX*1)
+	LEAQ   (SI)(R9*4), SI
+	LEAQ   (DX)(CX*4), DX
+	DECQ   BX
+	JNZ    r4w1
 	ADDQ   $8, AX
-	JMP    passs
+	JMP    c1
 
-flush:
-	TESTQ R12, R12
-	JZ    igraddone
+// The rows past the last group of four, one at a time.
+tail:
+	MOVQ  kern_na(DI), BX
+	MOVQ  BX, CX
+	ANDQ  $-4, CX          // rows done
+	ANDQ  $3, BX
+	MOVQ  CX, SI
+	IMULQ R9, SI
+	ADDQ  kern_a(DI), SI
+	MOVQ  kern_sc(DI), DX
+	IMULQ CX, DX
+	ADDQ  kern_c(DI), DX
 
-pad:
-	MOVQ    R9, R8
-	MOVQ    R10, R9
-	MOVQ    R11, R10
-	VMOVAPD Y9, Y8
-	VMOVAPD Y10, Y9
-	VMOVAPD Y11, Y10
-	VXORPD  Y11, Y11, Y11
-	INCQ    R12
-	CMPQ    R12, $4
-	JLT     pad
-	JMP     pass           // which returns to scan, finding dy done and nothing gathered
+rows1:
+	TESTQ BX, BX
+	JZ    post
+	XORQ  AX, AX
 
-igraddone:
+r1w16:
+	LEAQ    128(AX), R8
+	CMPQ    R8, kern_nb(DI)
+	JGT     r1w4
+	LEAQ    (DX)(AX*1), R8
+	MOVQ    kern_init(DI), CX
+	CMPQ    CX, $1
+	JNE     r1w16c
+	MOVQ    kern_row(DI), R8
+	ADDQ    AX, R8
+
+r1w16c:
+	VMOVUPD (R8), Y0
+	VMOVUPD 32(R8), Y1
+	VMOVUPD 64(R8), Y2
+	VMOVUPD 96(R8), Y3
+	CMPQ    CX, $2
+	JNE     r1w16go
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+
+r1w16go:
+	MOVQ    SI, R8
+	MOVQ    kern_b(DI), R11
+	ADDQ    AX, R11
+	MOVQ    kern_nk(DI), CX
+	TESTQ   CX, CX
+	JZ      r1w16st
+
+r1w16k:
+	VBROADCASTSD (R8), Y8
+	VMULPD       (R11), Y8, Y12
+	VADDPD       Y12, Y0, Y0
+	VMULPD       32(R11), Y8, Y13
+	VADDPD       Y13, Y1, Y1
+	VMULPD       64(R11), Y8, Y14
+	VADDPD       Y14, Y2, Y2
+	VMULPD       96(R11), Y8, Y15
+	VADDPD       Y15, Y3, Y3
+	ADDQ         R12, R8
+	ADDQ         R13, R11
+	DECQ         CX
+	JNZ          r1w16k
+
+r1w16st:
+	LEAQ    (DX)(AX*1), R8
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, 32(R8)
+	VMOVUPD Y2, 64(R8)
+	VMOVUPD Y3, 96(R8)
+	ADDQ    $128, AX
+	JMP     r1w16
+
+r1w4:
+	LEAQ    32(AX), R8
+	CMPQ    R8, kern_nb(DI)
+	JGT     r1w1
+	LEAQ    (DX)(AX*1), R8
+	MOVQ    kern_init(DI), CX
+	CMPQ    CX, $1
+	JNE     r1w4c
+	MOVQ    kern_row(DI), R8
+	ADDQ    AX, R8
+
+r1w4c:
+	VMOVUPD (R8), Y0
+	CMPQ    CX, $2
+	JNE     r1w4go
+	VXORPD  Y0, Y0, Y0
+
+r1w4go:
+	MOVQ    SI, R8
+	MOVQ    kern_b(DI), R11
+	ADDQ    AX, R11
+	MOVQ    kern_nk(DI), CX
+	TESTQ   CX, CX
+	JZ      r1w4st
+
+r1w4k:
+	VBROADCASTSD (R8), Y8
+	VMULPD       (R11), Y8, Y12
+	VADDPD       Y12, Y0, Y0
+	ADDQ         R12, R8
+	ADDQ         R13, R11
+	DECQ         CX
+	JNZ          r1w4k
+
+r1w4st:
+	VMOVUPD Y0, (DX)(AX*1)
+	ADDQ    $32, AX
+	JMP     r1w4
+
+r1w1:
+	CMPQ   AX, kern_nb(DI)
+	JGE    r1next
+	LEAQ   (DX)(AX*1), R8
+	MOVQ   kern_init(DI), CX
+	CMPQ   CX, $1
+	JNE    r1w1c
+	MOVQ   kern_row(DI), R8
+	ADDQ   AX, R8
+
+r1w1c:
+	VMOVSD (R8), X0
+	CMPQ   CX, $2
+	JNE    r1w1go
+	VXORPD X0, X0, X0
+
+r1w1go:
+	MOVQ   SI, R8
+	MOVQ   kern_b(DI), R11
+	ADDQ   AX, R11
+	MOVQ   kern_nk(DI), CX
+	TESTQ  CX, CX
+	JZ     r1w1st
+
+r1w1k:
+	VMOVSD (R8), X8
+	VMULSD (R11), X8, X12
+	VADDSD X12, X0, X0
+	ADDQ   R12, R8
+	ADDQ   R13, R11
+	DECQ   CX
+	JNZ    r1w1k
+
+r1w1st:
+	VMOVSD X0, (DX)(AX*1)
+	ADDQ   $8, AX
+	JMP    r1w1
+
+r1next:
+	ADDQ R9, SI
+	ADDQ kern_sc(DI), DX
+	DECQ BX
+	JMP  rows1
+
+// The post-op, row by row: postReLU stores max(c, +0)·m into p (VMAXPD
+// returns its second operand, +0, when both are zeros or either is NaN, as
+// the Go loop's "act = 0; if c > 0" does); postGate stores (c·m) with +0
+// wherever p ≤ 0 (an ordered, quiet compare: false for NaN) back into c.
+post:
+	MOVQ   kern_post(DI), CX
+	TESTQ  CX, CX
+	JZ     done
+	VXORPD Y15, Y15, Y15
+	MOVQ   kern_c(DI), DX
+	MOVQ   kern_p(DI), R9
+	SUBQ   DX, R9          // p − c, in bytes
+	MOVQ   kern_m(DI), R10
+	SUBQ   DX, R10         // m − c, read only with kernMask
+	MOVQ   kern_na(DI), BX
+	MOVQ   kern_nb(DI), R13
+	MOVQ   R13, R12
+	ANDQ   $-32, R12       // the bytes of a row that fill whole vectors
+
+prow:
+	TESTQ BX, BX
+	JZ    done
+	XORQ  AX, AX
+
+pv:
+	CMPQ    AX, R12
+	JAE     ps
+	LEAQ    (DX)(AX*1), R11
+	VMOVUPD (R11), Y0
+	TESTQ   $2, CX         // postGate
+	JNZ     pvgate
+	VMAXPD  Y15, Y0, Y0
+	TESTQ   $4, CX         // kernMask
+	JZ      pvrelu
+	VMULPD  (R11)(R10*1), Y0, Y0
+
+pvrelu:
+	VMOVUPD Y0, (R11)(R9*1)
+	ADDQ    $32, AX
+	JMP     pv
+
+pvgate:
+	TESTQ   $4, CX
+	JZ      pvg
+	VMULPD  (R11)(R10*1), Y0, Y0
+
+pvg:
+	VMOVUPD (R11)(R9*1), Y1
+	VCMPPD  $0x12, Y15, Y1, Y1 // p ≤ 0, LE_OQ
+	VANDNPD Y0, Y1, Y0
+	VMOVUPD Y0, (R11)
+	ADDQ    $32, AX
+	JMP     pv
+
+ps:
+	CMPQ   AX, R13
+	JAE    pnext
+	LEAQ   (DX)(AX*1), R11
+	VMOVSD (R11), X0
+	TESTQ  $2, CX
+	JNZ    psgate
+	VMAXSD X15, X0, X0
+	TESTQ  $4, CX
+	JZ     psrelu
+	VMULSD (R11)(R10*1), X0, X0
+
+psrelu:
+	VMOVSD X0, (R11)(R9*1)
+	ADDQ   $8, AX
+	JMP    ps
+
+psgate:
+	TESTQ  $4, CX
+	JZ     psg
+	VMULSD (R11)(R10*1), X0, X0
+
+psg:
+	VMOVSD  (R11)(R9*1), X1
+	VCMPSD  $0x12, X15, X1, X1
+	VANDNPD X0, X1, X0
+	VMOVSD  X0, (R11)
+	ADDQ    $8, AX
+	JMP     ps
+
+pnext:
+	ADDQ kern_sc(DI), DX
+	DECQ BX
+	JMP  prow
+
+done:
 	VZEROUPPER
 	RET
 
-// func wgradAVX(gw, gb, x, dy *float64, in, lo, hi int)
-//
-// For o in [lo, hi) with dy[o] != ±0: gb[o] += dy[o] and
-// gw[o*in+i] += dy[o]·x[i], lanes across i.
-TEXT ·wgradAVX(SB), NOSPLIT, $0-56
-	MOVQ   gw+0(FP), SI
-	MOVQ   gb+8(FP), DI
-	MOVQ   x+16(FP), R8
-	MOVQ   dy+24(FP), DX
-	MOVQ   in+32(FP), R13
-	MOVQ   lo+40(FP), AX
-	MOVQ   hi+48(FP), BX
-	LEAQ   (DX)(BX*8), BX  // the end of dy's range
-	LEAQ   (DX)(AX*8), DX
-	LEAQ   (DI)(AX*8), DI
-	IMULQ  R13, AX
-	LEAQ   (SI)(AX*8), SI  // row lo of gw
-	SHLQ   $3, R13         // a row of gw, in bytes
-	MOVQ   R13, CX
-	ANDQ   $-32, CX
-	VXORPD X7, X7, X7
-
-row:
-	CMPQ     DX, BX
-	JAE      wgraddone
-	VUCOMISD (DX), X7
-	JNE      wlive
-	JPS      wlive
-
-next:
-	ADDQ $8, DX
-	ADDQ $8, DI
-	ADDQ R13, SI
-	JMP  row
-
-wlive:
-	VMOVSD       (DI), X0
-	VADDSD       (DX), X0, X0
-	VMOVSD       X0, (DI)
-	VBROADCASTSD (DX), Y8
-	XORQ         AX, AX
-
-wv:
-	CMPQ    AX, CX
-	JAE     ws
-	VMULPD  (R8)(AX*1), Y8, Y1
-	VADDPD  (SI)(AX*1), Y1, Y1
-	VMOVUPD Y1, (SI)(AX*1)
-	ADDQ    $32, AX
-	JMP     wv
-
-ws:
-	CMPQ   AX, R13
-	JAE    next
-	VMULSD (R8)(AX*1), X8, X1
-	VADDSD (SI)(AX*1), X1, X1
-	VMOVSD X1, (SI)(AX*1)
-	ADDQ   $8, AX
-	JMP    ws
-
-wgraddone:
-	VZEROUPPER
-	RET
-
-// func adamAVX(p, grad, m, v *float64, n int, k *[9]float64)
+// func adamAVX(p, grad, m, v *float64, n int, k *[10]float64)
 //
 // Adam.updateGo four weights at a time. k holds scale, β₁, 1−β₁, β₂, 1−β₂,
-// LR, c₁, c₂ and ε, broadcast into Y7–Y15.
+// LR, c₁, c₂ and ε, broadcast into Y7–Y15, and 1/scale when scale is a power
+// of two (else 0), in Y5: then g·(1/scale) is g/scale to the bit, both being
+// the one rounding of the same real number, and costs a multiply instead of a
+// division.
 TEXT ·adamAVX(SB), NOSPLIT, $0-48
 	MOVQ         p+0(FP), DI
 	MOVQ         grad+8(FP), SI
@@ -317,6 +565,8 @@ TEXT ·adamAVX(SB), NOSPLIT, $0-48
 	VBROADCASTSD 48(DX), Y13
 	VBROADCASTSD 56(DX), Y14
 	VBROADCASTSD 64(DX), Y15
+	VBROADCASTSD 72(DX), Y5
+	MOVQ         72(DX), R10   // non-zero: multiply by Y5
 	VXORPD       Y6, Y6, Y6
 	SHLQ         $3, R13
 	MOVQ         R13, CX
@@ -327,7 +577,15 @@ adamv:
 	CMPQ    AX, CX
 	JAE     adams
 	VMOVUPD (SI)(AX*1), Y0
+	TESTQ   R10, R10
+	JNZ     adamvmul
 	VDIVPD  Y7, Y0, Y0          // gi = g / scale
+	JMP     adamvgi
+
+adamvmul:
+	VMULPD Y5, Y0, Y0
+
+adamvgi:
 	VMULPD  (R8)(AX*1), Y8, Y1  // β₁·m
 	VMULPD  Y0, Y9, Y2          // (1−β₁)·gi
 	VADDPD  Y2, Y1, Y1
@@ -354,7 +612,15 @@ adams:
 	CMPQ    AX, R13
 	JAE     adamdone
 	VMOVSD  (SI)(AX*1), X0
+	TESTQ   R10, R10
+	JNZ     adamsmul
 	VDIVSD  X7, X0, X0
+	JMP     adamsgi
+
+adamsmul:
+	VMULSD X5, X0, X0
+
+adamsgi:
 	VMULSD  (R8)(AX*1), X8, X1
 	VMULSD  X0, X9, X2
 	VADDSD  X2, X1, X1

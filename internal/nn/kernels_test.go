@@ -56,10 +56,10 @@ func TestForwardIntoMatchesNaiveLoop(t *testing.T) {
 	}
 }
 
-// Skipping the rows whose output gradient is zero changes nothing, signed
-// zeros included: InputGrad and WeightGrad against loops that skip nothing,
-// with WeightGrad adding to accumulators that already hold gradients and
-// taking the rows in two ranges.
+// The input- and weight-gradient row kernels are the naive loops to the bit
+// over several rows, signed zeros and all-zero gradient rows included, with
+// the weight gradient adding to accumulators that already hold gradients and
+// taking the parameter rows in two ranges.
 func TestGradKernelsMatchNaiveLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	negZero := math.Copysign(0, -1)
@@ -71,34 +71,41 @@ func TestGradKernelsMatchNaiveLoops(t *testing.T) {
 		"all-dense": randVec(rng, out),
 	} {
 		l := NewLinear(in, out, rng)
-		x := randVec(rng, in)
-		x[3], x[7] = 0, negZero // ±0 inputs make ±0 products on live rows too
+		const n = 3 // rows: dy, a zero row, dy again
+		dys := append(append(append([]float64(nil), dy...), make([]float64, out)...), dy...)
+		x := randVec(rng, n*in)
+		x[3], x[7], x[in+5] = 0, negZero, negZero // ±0 inputs make ±0 products on live rows too
 
-		wantDX := make([]float64, in)
-		for o, g := range dy {
-			for i := range wantDX {
-				wantDX[i] += l.W[o*in+i] * g
+		wantDX := make([]float64, n*in)
+		for r := 0; r < n; r++ {
+			for o := 0; o < out; o++ {
+				for i := 0; i < in; i++ {
+					wantDX[r*in+i] += l.W[o*in+i] * dys[r*out+o]
+				}
 			}
 		}
-		gotDX := randVec(rng, in) // stale contents must not survive
-		l.InputGrad(dy, gotDX)
+		gotDX := randVec(rng, n*in) // stale contents must not survive
+		l.inputGradRows(dys, gotDX, nil, nil, n)
 		if !sameBits(gotDX, wantDX) {
-			t.Errorf("%s: InputGrad %v, naive %v", name, gotDX, wantDX)
+			t.Errorf("%s: InputGrad rows %v, naive %v", name, gotDX, wantDX)
 		}
 
 		for pass := 0; pass < 2; pass++ { // from zeroed accumulators, then onto the result
 			wantGW := append([]float64(nil), l.GW...)
 			wantGB := append([]float64(nil), l.GB...)
-			for o, g := range dy {
-				wantGB[o] += g
-				for i, xi := range x {
-					wantGW[o*in+i] += g * xi
+			for r := 0; r < n; r++ {
+				for o := 0; o < out; o++ {
+					g := dys[r*out+o]
+					wantGB[o] += g
+					for i := 0; i < in; i++ {
+						wantGW[o*in+i] += g * x[r*in+i]
+					}
 				}
 			}
-			l.WeightGrad(x, dy, 0, 5)
-			l.WeightGrad(x, dy, 5, out)
+			l.weightGradRows(x, dys, n, 0, 5)
+			l.weightGradRows(x, dys, n, 5, out)
 			if !sameBits(l.GW, wantGW) || !sameBits(l.GB, wantGB) {
-				t.Errorf("%s pass %d: WeightGrad differs from the naive loop", name, pass)
+				t.Errorf("%s pass %d: weight gradient rows differ from the naive loop", name, pass)
 			}
 		}
 	}
@@ -156,65 +163,121 @@ func special(rng *rand.Rand) float64 {
 	return rng.NormFloat64()
 }
 
-// checkKernels runs the Go and the AVX kernels on one Linear(in, out) whose
-// weights, inputs, gradients and optimizer state fill draws, and reports the
-// first result that differs in a bit: the forward; for a drawn and an
-// all-zero dy, InputGrad over stale dx and WeightGrad onto non-zero
-// accumulators in two row ranges; one Adam update of out weights.
-func checkKernels(in, out int, fill func([]float64)) error {
-	vec := func(n int) []float64 {
-		v := make([]float64, n)
+// bothKernels runs goOp through the Go kernel and avxOp, the same op on
+// copies of the buffers it writes, through the AVX kernel.
+func bothKernels(goOp, avxOp rowOp) {
+	goOp.runGo()
+	avxOp.runAVX()
+}
+
+// clone returns a copy of v, nil for nil.
+func clone(v []float64) []float64 {
+	if v == nil {
+		return nil
+	}
+	return append([]float64(nil), v...)
+}
+
+// checkKernels runs the Go and the AVX kernels on one Linear(in, out) and n
+// rows whose weights, inputs, gradients, masks and optimizer state fill
+// draws, and reports the first result that differs in a bit: the forward,
+// plain and as a hidden layer with and without dropout; the input gradient
+// over stale dx, plain, gated, and gated with dropout, for drawn dy rows with
+// an all-zero one among them;
+// the weight gradient onto non-zero accumulators in two row ranges; the
+// post-ops alone on pre-activations of ±0, NaN and the drawn values; Adam
+// updates of out weights, for a batch of 32 and of 12.
+func checkKernels(in, out, n int, fill func([]float64)) error {
+	vec := func(k int) []float64 {
+		v := make([]float64, k)
 		fill(v)
 		return v
 	}
 	l := &Linear{In: in, Out: out, W: vec(in * out), B: vec(out), GW: vec(in * out), GB: vec(out), wt: make([]float64, in*out)}
 	l.mirror(0, out)
-	x := vec(in)
-	yGo, yAVX := vec(out), vec(out)
-	l.forwardGo(x, yGo)
-	l.forwardAVX(x, yAVX)
-	if !sameBits(yGo, yAVX) {
-		return fmt.Errorf("forward: Go %v, AVX %v", yGo, yAVX)
-	}
-	for _, dy := range [][]float64{vec(out), make([]float64, out)} {
-		dxGo, dxAVX := vec(in), vec(in)
-		l.inputGradGo(dy, dxGo)
-		l.inputGradAVX(dy, dxAVX)
-		if !sameBits(dxGo, dxAVX) {
-			return fmt.Errorf("InputGrad(dy=%v): Go %v, AVX %v", dy, dxGo, dxAVX)
+	x, mask := vec(n*in), vec(n*out)
+	dy := vec(n * out)
+	clear(dy[(n/2)*out : (n/2+1)*out])
+	// Each kernel's three variants: plain, hidden (ReLU or gate), and hidden
+	// with dropout. The post-ops are also checked alone below.
+	for variant := 0; variant < 3; variant++ {
+		act, m := [3][]float64{nil, vec(n * out), vec(n * out)}[variant], [3][]float64{nil, nil, mask}[variant]
+		preGo, actGo := vec(n*out), clone(act)
+		preAVX, actAVX := clone(preGo), clone(act)
+		bothKernels(l.forwardOp(x, preGo, actGo, m, n), l.forwardOp(x, preAVX, actAVX, m, n))
+		if !sameBits(preGo, preAVX) || !sameBits(actGo, actAVX) {
+			return fmt.Errorf("forward (hidden %v, mask %v): Go %v %v, AVX %v %v", act != nil, m != nil, preGo, actGo, preAVX, actAVX)
 		}
-		gw, gb := append([]float64(nil), l.GW...), append([]float64(nil), l.GB...)
-		l.weightGradGo(x, dy, 0, out/2)
-		l.weightGradGo(x, dy, out/2, out)
-		wantGW, wantGB := l.GW, l.GB
-		l.GW, l.GB = gw, gb
-		l.weightGradAVX(x, dy, 0, out/2)
-		l.weightGradAVX(x, dy, out/2, out)
-		if !sameBits(l.GW, wantGW) || !sameBits(l.GB, wantGB) {
-			return fmt.Errorf("WeightGrad(dy=%v) differs", dy)
+		pre, dmask := [3][]float64{nil, vec(n * in), vec(n * in)}[variant], [3][]float64{nil, nil, vec(n * in)}[variant]
+		dxGo := vec(n * in)
+		dxAVX := clone(dxGo)
+		bothKernels(l.inputGradOp(dy, dxGo, pre, dmask, n), l.inputGradOp(dy, dxAVX, pre, dmask, n))
+		if !sameBits(dxGo, dxAVX) {
+			return fmt.Errorf("input gradient (gated %v, mask %v): Go %v, AVX %v", pre != nil, dmask != nil, dxGo, dxAVX)
+		}
+	}
+	twin := *l
+	twin.GW, twin.GB = clone(l.GW), clone(l.GB)
+	for _, r := range [][2]int{{0, out / 2}, {out / 2, out}} {
+		goOps, avxOps := l.weightGradOps(x, dy, n, r[0], r[1]), twin.weightGradOps(x, dy, n, r[0], r[1])
+		bothKernels(goOps[0], avxOps[0])
+		bothKernels(goOps[1], avxOps[1])
+	}
+	if !sameBits(l.GW, twin.GW) || !sameBits(l.GB, twin.GB) {
+		return fmt.Errorf("weight gradient: Go %v %v, AVX %v %v", l.GW, l.GB, twin.GW, twin.GB)
+	}
+	// The post-ops on their own: no product (nk = 0), so they see C as drawn,
+	// with ±0 and NaN among it.
+	c := vec(n * out)
+	for i := 0; i < len(c); i += 3 {
+		c[i] = [...]float64{0, math.Copysign(0, -1), math.NaN()}[i/3%3]
+	}
+	p := vec(n * out)
+	for i := 1; i < len(p); i += 4 {
+		p[i] = [...]float64{0, math.Copysign(0, -1), math.NaN()}[i/4%3]
+	}
+	for _, post := range []int{postReLU, postGate} {
+		for _, m := range [][]float64{nil, mask} {
+			cGo, pGo := clone(c), clone(p)
+			cAVX, pAVX := clone(c), clone(p)
+			op := rowOp{c: cGo, sc: out, na: n, nb: out, post: post, p: pGo, m: m}
+			goOp := op
+			op.c, op.p = cAVX, pAVX
+			bothKernels(goOp, op)
+			if !sameBits(cGo, cAVX) || !sameBits(pGo, pAVX) {
+				return fmt.Errorf("post-op %d (mask %v) on %v, %v: Go %v %v, AVX %v %v", post, m != nil, c, p, cGo, pGo, cAVX, pAVX)
+			}
 		}
 	}
 	a := &Adam{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 	a.Next()
 	a.Next()
-	state := [][]float64{vec(out), vec(out), vec(out), vec(out)} // p, g, m, v
-	var twin [][]float64
-	for _, s := range state {
-		twin = append(twin, append([]float64(nil), s...))
-	}
-	a.updateGo(state[0], state[1], state[2], state[3], 32)
-	a.updateAVX(twin[0], twin[1], twin[2], twin[3], 32)
-	for i, s := range state {
-		if !sameBits(s, twin[i]) {
-			return fmt.Errorf("Adam: vector %d differs: Go %v, AVX %v", i, s, twin[i])
+	for _, scale := range []float64{32, 12} { // a power of two, which the AVX kernel multiplies by its inverse, and not
+		state := [][]float64{vec(out), vec(out), vec(out), vec(out)} // p, g, m, v
+		var adamTwin [][]float64
+		for _, s := range state {
+			adamTwin = append(adamTwin, clone(s))
+		}
+		a.updateGo(state[0], state[1], state[2], state[3], scale)
+		a.updateAVX(adamTwin[0], adamTwin[1], adamTwin[2], adamTwin[3], scale)
+		for i, s := range state {
+			if !sameBits(s, adamTwin[i]) {
+				return fmt.Errorf("Adam (scale %v): vector %d differs: Go %v, AVX %v", scale, i, s, adamTwin[i])
+			}
 		}
 	}
 	return nil
 }
 
-// The AVX kernels are the Go kernels to the bit for every shape up to 130 ×
-// 130: every tile and tail of the forward's 16/4/1 outputs, of the gradient
-// kernels' 4/1 inputs, and of InputGrad's groups of four live rows.
+// kernelRows are the row counts the kernels are checked at: every remainder of
+// the four-row tiles, one and several tiles, and a training chunk's worth.
+var kernelRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 48}
+
+// The AVX kernels are the Go kernels to the bit for layer shapes up to 130 ×
+// 130 — every shape with a side of at most 20, every third one beyond — each
+// at one of kernelRows in turn, and at 48 rows every 64th shape: every tile
+// and tail of the row kernel's 4 × 8/4/1 and 1 × 16/4/1 blocks, along rows
+// and columns.
 func TestAVXKernelsMatchGo(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX on this host")
@@ -224,20 +287,33 @@ func TestAVXKernelsMatchGo(t *testing.T) {
 	for i := range pool {
 		pool[i] = special(rng)
 	}
-	fill := func(v []float64) { copy(v, pool[rng.Intn(len(pool)-len(v)+1):]) }
+	fill := func(v []float64) {
+		for len(v) > 0 {
+			v = v[copy(v, pool[rng.Intn(len(pool)):]):]
+		}
+	}
 	for in := 1; in <= 130; in++ {
 		for out := 1; out <= 130; out++ {
-			if err := checkKernels(in, out, fill); err != nil {
-				t.Fatalf("Linear(%d,%d): %v", in, out, err)
+			if in > 20 && out > 20 && (in+out)%3 != 0 {
+				continue
+			}
+			ns := []int{kernelRows[(in+out)%(len(kernelRows)-1)]}
+			if (in*131+out)%64 == 0 {
+				ns = append(ns, 48)
+			}
+			for _, n := range ns {
+				if err := checkKernels(in, out, n, fill); err != nil {
+					t.Fatalf("Linear(%d,%d) × %d rows: %v", in, out, n, err)
+				}
 			}
 		}
 	}
 }
 
-// FuzzLinearKernels is TestAVXKernelsMatchGo on fuzzed shapes and values.
-// Values come from the input's bytes while they last; NaN and ±Inf, which no
-// trained weight holds and whose payloads the kernels do not promise to keep,
-// are replaced by draws.
+// FuzzLinearKernels is TestAVXKernelsMatchGo on fuzzed shapes, row counts
+// and values. Values come from the input's bytes while they last; NaN and
+// ±Inf, which no trained weight holds and whose payloads the kernels do not
+// promise to keep, are replaced by draws.
 func FuzzLinearKernels(f *testing.F) {
 	f.Add(uint8(20), uint8(20), int64(1), []byte{})
 	f.Add(uint8(129), uint8(16), int64(2), make([]byte, 64))
@@ -257,7 +333,8 @@ func FuzzLinearKernels(f *testing.F) {
 				}
 			}
 		}
-		if err := checkKernels(int(in)%130+1, int(out)%130+1, fill); err != nil {
+		n := kernelRows[int(uint64(seed)%uint64(len(kernelRows)))]
+		if err := checkKernels(int(in)%130+1, int(out)%130+1, n, fill); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -3,22 +3,25 @@
 // and the paper's asymmetric Hüber loss on percentage error (Eq. 4).
 //
 // Backpropagation is explicit rather than autodiff, with one forward and one
-// backward for inference and training alike. An Invocation holds the buffers
-// of one evaluation of an MLP; one module can be invoked many times within a
-// sample (the MPNN applies the same γ/φ networks at every node and
-// message-passing step) and each invocation gets its own. Eval and InputGrad
-// only read the weights; InputGrad is what makes the configuration solver
-// (§3.5) possible: Eq. 5 is minimized by gradient descent *through* the
-// trained network onto its resource inputs. WeightGrad, the other half of
-// backward, replays a finished invocation into a range of parameter rows.
+// backward for inference and training alike, and layer-major: a Rows tape
+// holds N evaluations of an MLP (the MPNN applies the same γ/φ networks at
+// every node and edge of every sample in a chunk), each layer's inputs,
+// outputs and gradients for all of them as one matrix, so a layer is one
+// kernel call over N rows. Forward and Backward only read the weights;
+// Backward is what makes the configuration solver (§3.5) possible: Eq. 5 is
+// minimized by gradient descent *through* the trained network onto its
+// resource inputs. WeightGrad, the other half of backward, accumulates a
+// finished tape into a range of parameter rows.
 //
 // Order contract: every accumulator (an output's sum, an input gradient, a
 // GW/GB entry) receives the same addends in the same order however the
-// kernels are blocked or the rows divided, so results are schedule-independent.
-// It holds across implementations too: where the CPU has AVX the Linear and
-// Adam kernels run in assembly, one vector lane per accumulator, fed by
-// separate multiplies and adds (no fused multiply-add), so they compute the
-// bits of the Go kernels that run everywhere else (kernels.go).
+// kernels are blocked or the rows divided, so results are schedule-independent:
+// outputs sum their inputs in ascending order, input gradients their outputs,
+// and GW/GB entries their rows. It holds across implementations too: where the
+// CPU has AVX the row and Adam kernels run in assembly, one vector lane per
+// accumulator, fed by separate multiplies and adds (no fused multiply-add), so
+// they compute the bits of the Go kernels that run everywhere else
+// (kernels.go).
 package nn
 
 import (
@@ -84,56 +87,79 @@ func (l *Linear) MirrorFresh() bool {
 }
 
 // ForwardInto computes y = W·x + b into the caller-provided y (len Out)
-// without allocating. Each y[o] is B[o] + Σᵢ W[o,i]·x[i] taken in i order,
-// whichever kernel runs, so their blocking does not change a bit of the
-// result. It reads only the weights, making it safe for concurrent use on a
-// model that is not being mutated.
+// without allocating: the one-row case of the forward row kernel. It reads
+// only the weights, making it safe for concurrent use on a model that is not
+// being mutated.
 func (l *Linear) ForwardInto(x, y []float64) {
 	if len(x) != l.In || len(y) != l.Out {
 		panic(fmt.Sprintf("nn: Linear(%d,%d) ForwardInto got x=%d y=%d", l.In, l.Out, len(x), len(y)))
 	}
-	if useAVX {
-		l.forwardAVX(x, y)
-	} else {
-		l.forwardGo(x, y)
-	}
+	l.forwardRows(x, y, nil, nil, 1)
 }
 
-// InputGrad computes dx = Wᵀ·dy into the caller-provided dx (len In)
-// WITHOUT touching the parameter gradient accumulators GW/GB: it needs
-// neither the forward input x nor any mutable layer state, so concurrent
-// invocations on one layer are safe. Each dx[i] accumulates over o in
-// ascending order.
-//
-// Rows with dy[o] == 0 (most of a dropped-out ReLU layer) are skipped. That
-// is exact for finite weights: their products are ±0, and an accumulator
-// that starts at +0 can never become −0 under round-to-nearest (x + (−x) and
-// (+0) + (−0) are both +0), so adding a ±0 is the identity.
+// InputGrad computes dx = Wᵀ·dy into the caller-provided dx (len In), the
+// one-row case of the input-gradient row kernel. It touches neither the
+// parameter gradient accumulators GW/GB nor any other mutable layer state, so
+// concurrent calls on one layer are safe.
 func (l *Linear) InputGrad(dy, dx []float64) {
 	if len(dy) != l.Out || len(dx) != l.In {
 		panic(fmt.Sprintf("nn: Linear(%d,%d) InputGrad got dy=%d dx=%d", l.In, l.Out, len(dy), len(dx)))
 	}
-	if useAVX {
-		l.inputGradAVX(dy, dx)
-	} else {
-		l.inputGradGo(dy, dx)
-	}
+	l.inputGradRows(dy, dx, nil, nil, 1)
 }
 
-// WeightGrad accumulates rows [lo, hi) of the parameter gradients of one
-// invocation: GW[o,:] += dy[o]·x and GB[o] += dy[o], for the input x the
-// layer saw and the gradient dy of its output. Calls on disjoint row ranges
-// touch disjoint memory, so they may run concurrently; rows with dy[o] == 0
-// are skipped, which is exact for finite x by the argument at InputGrad.
-func (l *Linear) WeightGrad(x, dy []float64, lo, hi int) {
-	if len(x) != l.In || len(dy) != l.Out || lo < 0 || hi > l.Out {
-		panic(fmt.Sprintf("nn: Linear(%d,%d) WeightGrad got x=%d dy=%d rows [%d, %d)", l.In, l.Out, len(x), len(dy), lo, hi))
+// forwardRows runs n rows of x (n×In) through the layer: pre[r] = B + W·x[r]
+// (n×Out), each output B[o] + Σᵢ W[o,i]·x[r,i] taken in i order. With act set
+// the layer is a hidden one and act[r] = max(pre[r], +0)·mask[r], mask nil
+// meaning no dropout.
+func (l *Linear) forwardRows(x, pre, act, mask []float64, n int) {
+	op := l.forwardOp(x, pre, act, mask, n)
+	op.run()
+}
+
+// forwardOp returns forwardRows as an op.
+func (l *Linear) forwardOp(x, pre, act, mask []float64, n int) rowOp {
+	op := rowOp{a: x, sa: l.In, sk: 1, b: l.wt, sb: l.Out, c: pre, sc: l.Out, na: n, nb: l.Out, nk: l.In, init: initRow, row: l.B}
+	if act != nil {
+		op.post, op.p, op.m = postReLU, act, mask
 	}
-	if useAVX {
-		l.weightGradAVX(x, dy, lo, hi)
-	} else {
-		l.weightGradGo(x, dy, lo, hi)
+	return op
+}
+
+// inputGradRows computes dx[r] = Wᵀ·dy[r] for n rows, each dx[r,i] summing
+// over o in ascending order from +0. With pre set (the pre-activation of the
+// hidden layer feeding this one, n×In) it returns that layer's output
+// gradient instead: dx·mask, +0 wherever pre ≤ 0.
+func (l *Linear) inputGradRows(dy, dx, pre, mask []float64, n int) {
+	op := l.inputGradOp(dy, dx, pre, mask, n)
+	op.run()
+}
+
+// inputGradOp returns inputGradRows as an op.
+func (l *Linear) inputGradOp(dy, dx, pre, mask []float64, n int) rowOp {
+	op := rowOp{a: dy, sa: l.Out, sk: 1, b: l.W, sb: l.In, c: dx, sc: l.In, na: n, nb: l.In, nk: l.Out, init: initZero}
+	if pre != nil {
+		op.post, op.p, op.m = postGate, pre, mask
 	}
+	return op
+}
+
+// weightGradRows accumulates rows [lo, hi) of the parameter gradients over n
+// rows of input x and output gradient dy: GW[o,:] += Σᵣ dy[r,o]·x[r,:] and
+// GB[o] += Σᵣ dy[r,o], r ascending. Calls on
+// disjoint row ranges touch disjoint memory, so they may run concurrently.
+func (l *Linear) weightGradRows(x, dy []float64, n, lo, hi int) {
+	ops := l.weightGradOps(x, dy, n, lo, hi)
+	ops[0].run()
+	ops[1].run()
+}
+
+// weightGradOps returns weightGradRows as two ops, GW's and GB's.
+func (l *Linear) weightGradOps(x, dy []float64, n, lo, hi int) [2]rowOp {
+	gw := rowOp{a: dy[lo:], sa: 1, sk: l.Out, b: x, sb: l.In, c: l.GW[lo*l.In:], sc: l.In, na: hi - lo, nb: l.In, nk: n}
+	gb := gw
+	gb.b, gb.sb, gb.c, gb.sc, gb.nb = one, 0, l.GB[lo:], 1, 1
+	return [2]rowOp{gw, gb}
 }
 
 // MLP is a stack of Linear layers with ReLU activations and dropout on
@@ -156,121 +182,135 @@ func NewMLP(sizes []int, dropout float64, rng *rand.Rand) *MLP {
 	return m
 }
 
-// Invocation holds the buffers of one evaluation of an MLP: what Eval
-// computed, what InputGrad needs to undo it, and what WeightGrad needs to
-// replay it into the parameter gradients. It is sized for one architecture,
-// reused across calls, and not safe for concurrent use.
-type Invocation struct {
-	x    []float64   // Eval's input (aliased: the caller keeps it unchanged until WeightGrad)
-	dy   []float64   // InputGrad's upstream gradient (aliased likewise)
-	pre  [][]float64 // per layer: pre-activation output (last = the MLP's output)
-	act  [][]float64 // per hidden layer: post-ReLU, post-dropout output
-	din  [][]float64 // per layer: gradient of its input; din[li+1] is layer li's output gradient
+// Rows is the tape of up to N evaluations of an MLP, layer-major: each
+// layer's inputs, outputs and gradients for all N rows form one row-major
+// matrix, so one kernel call takes every row through a layer. Forward fills
+// it, Backward adds the gradients, and WeightGrad accumulates the parameter
+// gradients from both. It is sized for one architecture, reused across calls,
+// and safe for concurrent passes over disjoint row ranges.
+type Rows struct {
+	In   []float64   // N × Layers[0].In: the inputs
+	DOut []float64   // N × the last layer's Out: the gradient of the outputs
+	pre  [][]float64 // per layer: N × Out pre-activations (the last one is the output)
+	act  [][]float64 // per hidden layer: N × Out post-ReLU, post-dropout outputs
 	mask [][]float64 // per hidden layer: dropout scale factors; nil = no dropout
+	d    [][]float64 // per layer: N × In, the gradient of its input; d[li+1] is hidden layer li's output gradient
 }
 
-// NewInvocation sizes an Invocation for m. With train set and a dropout
-// network it carries masks, which Eval then applies: fill them with
-// DrawMasks before every Eval.
-func (m *MLP) NewInvocation(train bool) *Invocation {
-	v := &Invocation{}
+// NewRows sizes a tape of n rows for m. In and DOut are the caller's
+// matrices when given (another tape's output, say), allocated when nil. With
+// train set and a dropout network it carries masks, which Forward then
+// applies: fill them with DrawMasks before every Forward.
+func (m *MLP) NewRows(n int, in, dOut []float64, train bool) *Rows {
 	last := len(m.Layers) - 1
+	if in == nil {
+		in = make([]float64, n*m.Layers[0].In)
+	}
+	if dOut == nil {
+		dOut = make([]float64, n*m.Layers[last].Out)
+	}
+	t := &Rows{In: in, DOut: dOut}
 	for li, l := range m.Layers {
-		v.pre = append(v.pre, make([]float64, l.Out))
-		v.din = append(v.din, make([]float64, l.In))
+		t.pre = append(t.pre, make([]float64, n*l.Out))
+		t.d = append(t.d, make([]float64, n*l.In))
 		if li == last {
 			break
 		}
-		v.act = append(v.act, make([]float64, l.Out))
+		t.act = append(t.act, make([]float64, n*l.Out))
 		if train && m.Dropout > 0 {
-			v.mask = append(v.mask, make([]float64, l.Out))
+			t.mask = append(t.mask, make([]float64, n*l.Out))
 		}
 	}
-	return v
+	return t
 }
 
-// DrawMasks samples v's dropout masks from rng, one Float64 per hidden unit
-// in layer order — inverted dropout, so inference needs no rescaling. It
-// draws nothing for an Invocation without masks.
-func (m *MLP) DrawMasks(v *Invocation, rng *rand.Rand) {
+// Out is the N × Out matrix of outputs Forward writes.
+func (t *Rows) Out() []float64 { return t.pre[len(t.pre)-1] }
+
+// DIn is the N × In matrix of input gradients Backward writes.
+func (t *Rows) DIn() []float64 { return t.d[0] }
+
+// DrawMasks samples row r's dropout masks from rng, one Float64 per hidden
+// unit in layer order — inverted dropout, so inference needs no rescaling. It
+// draws nothing for a tape without masks.
+func (m *MLP) DrawMasks(t *Rows, r int, rng *rand.Rand) {
 	keep := 1 - m.Dropout
-	for _, mask := range v.mask {
-		for i := range mask {
-			mask[i] = 0
+	for li, mask := range t.mask {
+		w := m.Layers[li].Out
+		for i := range mask[r*w : (r+1)*w] {
+			mask[r*w+i] = 0
 			if rng.Float64() < keep {
-				mask[i] = 1 / keep
+				mask[r*w+i] = 1 / keep
 			}
 		}
 	}
 }
 
-// Eval runs the network on x, writing every intermediate into v, and
-// returns the output — a buffer of v, valid until its next Eval.
-func (m *MLP) Eval(v *Invocation, x []float64) []float64 {
-	v.x = x
-	cur := x
+// rows returns rows [r0, r1) of a matrix of width w; nil stays nil.
+func rows(v []float64, w, r0, r1 int) []float64 {
+	if v == nil {
+		return nil
+	}
+	return v[r0*w : r1*w]
+}
+
+func (t *Rows) maskOf(li int) []float64 {
+	if t.mask == nil {
+		return nil
+	}
+	return t.mask[li]
+}
+
+// Forward runs rows [r0, r1) of t.In through the network, one kernel call per
+// layer; the outputs are in t.Out().
+func (m *MLP) Forward(t *Rows, r0, r1 int) {
+	x := rows(t.In, m.Layers[0].In, r0, r1)
 	last := len(m.Layers) - 1
 	for li, l := range m.Layers {
-		l.ForwardInto(cur, v.pre[li])
+		pre := rows(t.pre[li], l.Out, r0, r1)
 		if li == last {
-			break
+			l.forwardRows(x, pre, nil, nil, r1-r0)
+			return
 		}
-		act := v.act[li]
-		for i, p := range v.pre[li] {
-			act[i] = 0
-			if p > 0 {
-				act[i] = p
-			}
-		}
-		if v.mask != nil {
-			for i, s := range v.mask[li] {
-				act[i] *= s
-			}
-		}
-		cur = act
+		act := rows(t.act[li], l.Out, r0, r1)
+		l.forwardRows(x, pre, act, rows(t.maskOf(li), l.Out, r0, r1), r1-r0)
+		x = act
 	}
-	return v.pre[last]
 }
 
-// InputGrad backpropagates dy through the evaluation recorded in v and
-// returns dL/dx — a buffer of v, valid until its next InputGrad. It never
-// touches parameter gradient accumulators, and dy itself is only read.
-func (m *MLP) InputGrad(v *Invocation, dy []float64) []float64 {
-	v.dy = dy
-	cur := dy
+// Backward propagates rows [r0, r1) of t.DOut back through the evaluation
+// Forward recorded, one kernel call per layer, leaving every layer's output
+// gradient for WeightGrad and, with input set, the input gradients in
+// t.DIn(). It only reads the weights.
+func (m *MLP) Backward(t *Rows, r0, r1 int, input bool) {
 	last := len(m.Layers) - 1
+	dy := rows(t.DOut, m.Layers[last].Out, r0, r1)
 	for li := last; li >= 0; li-- {
-		if li != last {
-			// Undo dropout and ReLU. cur is v.din[li+1] here, so the
-			// in-place masking never writes into the caller's dy.
-			if v.mask != nil {
-				for i, s := range v.mask[li] {
-					cur[i] *= s
-				}
-			}
-			for i, p := range v.pre[li] {
-				if p <= 0 {
-					cur[i] = 0
-				}
-			}
+		l := m.Layers[li]
+		if li == 0 && !input {
+			return
 		}
-		m.Layers[li].InputGrad(cur, v.din[li])
-		cur = v.din[li]
+		var pre, mask []float64
+		if li > 0 {
+			pre, mask = rows(t.pre[li-1], l.In, r0, r1), rows(t.maskOf(li-1), l.In, r0, r1)
+		}
+		dx := rows(t.d[li], l.In, r0, r1)
+		l.inputGradRows(dy, dx, pre, mask, r1-r0)
+		dy = dx
 	}
-	return cur
 }
 
-// WeightGrad accumulates rows [lo, hi) of layer li's parameter gradients
-// from the evaluation and InputGrad recorded in v.
-func (m *MLP) WeightGrad(v *Invocation, li, lo, hi int) {
-	x, dy := v.x, v.dy
+// WeightGrad accumulates rows [lo, hi) of layer li's parameter gradients over
+// the first n rows of a tape Forward and Backward filled, rows in order.
+func (m *MLP) WeightGrad(t *Rows, n, li, lo, hi int) {
+	x, dy := t.In, t.DOut
 	if li > 0 {
-		x = v.act[li-1]
+		x = t.act[li-1]
 	}
 	if li < len(m.Layers)-1 {
-		dy = v.din[li+1]
+		dy = t.d[li+1]
 	}
-	m.Layers[li].WeightGrad(x, dy, lo, hi)
+	m.Layers[li].weightGradRows(x, dy, n, lo, hi)
 }
 
 // Adam implements the Adam optimizer (Kingma & Ba [45]), the paper's choice

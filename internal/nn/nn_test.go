@@ -8,18 +8,27 @@ import (
 )
 
 // pass runs one forward and backward of m on x through the production
-// kernels — Eval, InputGrad, and WeightGrad over every row — accumulating
-// parameter gradients. The returned slices are v's buffers.
-func pass(m *MLP, v *Invocation, x, dy []float64) (y, dx []float64) {
-	y = m.Eval(v, x)
-	dx = m.InputGrad(v, dy)
+// kernels — Forward, Backward, and WeightGrad over every parameter row — on
+// the one-row tape t, accumulating parameter gradients. The returned slices
+// are t's buffers.
+func pass(m *MLP, t *Rows, x, dy []float64) (y, dx []float64) {
+	evalOn(m, t, x)
+	copy(t.DOut, dy)
+	m.Backward(t, 0, 1, true)
 	for li, l := range m.Layers {
-		m.WeightGrad(v, li, 0, l.Out)
+		m.WeightGrad(t, 1, li, 0, l.Out)
 	}
-	return y, dx
+	return t.Out(), t.DIn()
 }
 
-func eval(m *MLP, x []float64) float64 { return m.Eval(m.NewInvocation(false), x)[0] }
+// evalOn runs x forward on the one-row tape t.
+func evalOn(m *MLP, t *Rows, x []float64) float64 {
+	copy(t.In, x)
+	m.Forward(t, 0, 1)
+	return t.Out()[0]
+}
+
+func eval(m *MLP, x []float64) float64 { return evalOn(m, m.NewRows(1, nil, nil, false), x) }
 
 // step takes one whole Adam step.
 func step(a *Adam, m *MLP, scale float64) {
@@ -47,7 +56,7 @@ func TestMLPInputGradientNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP([]int{3, 8, 8, 1}, 0, rng)
 	x := []float64{0.3, -0.7, 1.2}
-	y, dx := pass(m, m.NewInvocation(false), x, []float64{1})
+	y, dx := pass(m, m.NewRows(1, nil, nil, false), x, []float64{1})
 	const h = 1e-6
 	for i := range x {
 		xp := append([]float64(nil), x...)
@@ -65,7 +74,7 @@ func TestMLPParamGradientNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := NewMLP([]int{2, 5, 1}, 0, rng)
 	x := []float64{0.5, -0.25}
-	pass(m, m.NewInvocation(false), x, []float64{1})
+	pass(m, m.NewRows(1, nil, nil, false), x, []float64{1})
 	const h = 1e-6
 	for li, l := range m.Layers {
 		for wi := range l.W {
@@ -100,8 +109,8 @@ func TestMLPParamGradientNumeric(t *testing.T) {
 func TestMaskedGradientsNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := NewMLP([]int{3, 9, 7, 1}, 0.4, rng)
-	v := m.NewInvocation(true)
-	m.DrawMasks(v, rng)
+	v := m.NewRows(1, nil, nil, true)
+	m.DrawMasks(v, 0, rng)
 	x := []float64{0.4, -0.2, 0.9}
 	_, dx := pass(m, v, x, []float64{1})
 	dx = append([]float64(nil), dx...)
@@ -111,8 +120,8 @@ func TestMaskedGradientsNumeric(t *testing.T) {
 		xm := append([]float64(nil), x...)
 		xp[i] += h
 		xm[i] -= h
-		yp := m.Eval(v, xp)[0] // Eval returns v's buffer: read it before the next call
-		ym := m.Eval(v, xm)[0]
+		yp := evalOn(m, v, xp)
+		ym := evalOn(m, v, xm)
 		num := (yp - ym) / (2 * h)
 		if math.Abs(num-dx[i]) > 1e-5*(1+math.Abs(num)) {
 			t.Errorf("masked d y/d x[%d]: analytic %v, numeric %v", i, dx[i], num)
@@ -122,9 +131,9 @@ func TestMaskedGradientsNumeric(t *testing.T) {
 		for wi := range l.W {
 			orig := l.W[wi]
 			setW(l, wi, orig+h)
-			yp := m.Eval(v, x)[0]
+			yp := evalOn(m, v, x)
 			setW(l, wi, orig-h)
-			ym := m.Eval(v, x)[0]
+			ym := evalOn(m, v, x)
 			setW(l, wi, orig)
 			if num := (yp - ym) / (2 * h); math.Abs(num-l.GW[wi]) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("masked layer %d W[%d]: analytic %v, numeric %v", li, wi, l.GW[wi], num)
@@ -133,25 +142,26 @@ func TestMaskedGradientsNumeric(t *testing.T) {
 	}
 }
 
-// Weight sharing: two invocations of the same MLP accumulate both
-// contributions into the shared gradients.
+// Weight sharing: two rows of one tape accumulate both contributions into
+// the shared gradients.
 func TestWeightSharingAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewMLP([]int{1, 4, 1}, 0, rng)
 	x1, x2 := []float64{0.7}, []float64{-0.4}
-	v1, v2 := m.NewInvocation(false), m.NewInvocation(false)
-	pass(m, v1, x1, []float64{1})
+	pass(m, m.NewRows(1, nil, nil, false), x1, []float64{1})
 	g1 := append([]float64(nil), m.Layers[0].GW...)
 	zeroGrad(m)
-	pass(m, v2, x2, []float64{1})
+	pass(m, m.NewRows(1, nil, nil, false), x2, []float64{1})
 	g2 := append([]float64(nil), m.Layers[0].GW...)
 	zeroGrad(m)
-	// Both recorded invocations replay into one accumulator, row range by
-	// row range, the way the trainer does it.
-	for _, v := range []*Invocation{v1, v2} {
-		m.WeightGrad(v, 0, 0, 3)
-		m.WeightGrad(v, 0, 3, 4)
-	}
+	// Both rows of one tape accumulate into one gradient, row range by row
+	// range, the way the trainer does it.
+	v := m.NewRows(2, []float64{x1[0], x2[0]}, []float64{1, 1}, false)
+	m.Forward(v, 0, 1)
+	m.Forward(v, 1, 2)
+	m.Backward(v, 0, 2, false)
+	m.WeightGrad(v, 2, 0, 0, 3)
+	m.WeightGrad(v, 2, 0, 3, 4)
 	for i := range g1 {
 		if math.Abs(m.Layers[0].GW[i]-(g1[i]+g2[i])) > 1e-12 {
 			t.Fatalf("shared gradient does not accumulate: %v vs %v+%v", m.Layers[0].GW[i], g1[i], g2[i])
@@ -169,10 +179,10 @@ func TestDropoutTrainVsEval(t *testing.T) {
 		t.Error("eval forward not deterministic")
 	}
 	// Training passes differ between draws.
-	v := m.NewInvocation(true)
+	v := m.NewRows(1, nil, nil, true)
 	train := func() float64 {
-		m.DrawMasks(v, rng)
-		return m.Eval(v, x)[0]
+		m.DrawMasks(v, 0, rng)
+		return evalOn(m, v, x)
 	}
 	if train() == train() {
 		t.Error("dropout produced identical training passes (vanishingly unlikely)")
@@ -192,7 +202,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	// would shift every later one.
 	plain := NewMLP([]int{2, 5, 1}, 0, rng)
 	r1, r2 := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
-	plain.DrawMasks(plain.NewInvocation(true), r1)
+	plain.DrawMasks(plain.NewRows(1, nil, nil, true), 0, r1)
 	if r1.Int63() != r2.Int63() {
 		t.Error("DrawMasks on a network without dropout consumed random numbers")
 	}
@@ -216,13 +226,13 @@ func TestMLPLearnsFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP([]int{1, 16, 16, 1}, 0, rng)
 	opt := NewAdam(0.01, m.Layers)
-	v := m.NewInvocation(false)
+	v := m.NewRows(1, nil, nil, false)
 	target := func(x float64) float64 { return 1 + x*x }
 	for iter := 0; iter < 3000; iter++ {
 		const batch = 16
 		for b := 0; b < batch; b++ {
 			x := []float64{rng.Float64()*2 - 1}
-			diff := m.Eval(v, x)[0] - target(x[0])
+			diff := evalOn(m, v, x) - target(x[0])
 			pass(m, v, x, []float64{2 * diff})
 		}
 		step(opt, m, batch)
@@ -311,7 +321,7 @@ func TestAsymmetricLossBiasesUp(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := NewMLP([]int{1, 8, 1}, 0, rng)
 	opt := NewAdam(0.005, m.Layers)
-	v := m.NewInvocation(false)
+	v := m.NewRows(1, nil, nil, false)
 	h := PaperLoss()
 	truthMean := 1.0
 	x := []float64{0.5}
@@ -319,7 +329,7 @@ func TestAsymmetricLossBiasesUp(t *testing.T) {
 		const batch = 8
 		for b := 0; b < batch; b++ {
 			truth := truthMean * math.Exp(0.4*rng.NormFloat64())
-			_, d := h.Loss(m.Eval(v, x)[0], truth)
+			_, d := h.Loss(evalOn(m, v, x), truth)
 			pass(m, v, x, []float64{d})
 		}
 		step(opt, m, batch)
