@@ -16,19 +16,22 @@
 // sum/max latency composition of §3 ("a combination of multiple addition and
 // max operations").
 //
-// Every invocation of a call-tree node runs on a frame (frame.go): one record
-// holding the call's progress — repetition, attempt, queue wait, service time,
-// the stage in progress and the children it still waits for — and a pointer
-// to its parent's frame. The deployment queues the frame itself and the event
-// engine calls it back through func values bound when the frame object was
-// made, so a request's steps allocate nothing; frames and request records are
-// recycled through per-Cluster free lists, a request record with the span array
-// it builds its trace in. Completed traces go to a per-API ring (internal/trace)
-// that keeps their visit counts, and to the OnTrace observer if there is one;
-// telemetry goes to windows (internal/metrics), one kind per Signal, that keep
-// only as far back as that signal's readers declared they look
-// (DeclareLookback): once the free lists have grown and the windows hold one
-// look-back, a simulated request allocates nothing.
+// Each API's call tree is compiled once, when the cluster is built, into
+// nodes that hold their deployment. Every invocation of a node runs on a frame
+// (frame.go): one record holding the call's progress — repetition, attempt,
+// queue wait, service time, the stage in progress and the children it still
+// waits for — and a pointer to its parent's frame. The deployment queues the
+// frame itself and the event engine calls it back through func values bound
+// when the frame object was made, so a request's steps allocate nothing;
+// frames and request records are recycled through per-Cluster free lists. A
+// request record counts the request's visits per service; it builds the spans
+// of a trace only while an OnTrace observer is set. Completed requests give
+// their visit counts to a per-API history (internal/trace), and their traces
+// to the observer if there is one; telemetry goes to windows
+// (internal/metrics), one kind per Signal, that keep only as far back as that
+// signal's readers declared they look (DeclareLookback): once the free lists
+// have grown and the windows hold one look-back, a simulated request
+// allocates nothing.
 //
 // # Instance creation
 //
@@ -168,7 +171,6 @@ type Cluster struct {
 	freeReqs   []*request
 	freeFrames []*frame
 	framesMade int // frame objects ever created
-	maxSpans   int // spans the largest API's request leaves when no call fails
 
 	nextTraceID  int64
 	inFlight     int
@@ -199,7 +201,7 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 		Cfg:         cfg,
 		deps:        make(map[string]*Deployment, len(a.Services)),
 		apis:        make(map[string]*apiState, len(a.APIs)),
-		traces:      trace.NewCollector(cfg.TraceCap),
+		traces:      trace.NewCollector(cfg.TraceCap, a.ServiceNames()),
 		e2eAll:      metrics.NewWindow("end-to-end latency"),
 		arrivalKeep: 1,
 	}
@@ -221,8 +223,7 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 		c.names = append(c.names, svc.Name)
 	}
 	for _, api := range a.APIs {
-		c.apis[api.Name] = &apiState{def: a.API(api.Name), arrivals: metrics.NewWindow("API arrival")}
-		c.maxSpans = max(c.maxSpans, countSpans(api.Root))
+		c.apis[api.Name] = &apiState{name: api.Name, root: c.compile(api.Root), arrivals: metrics.NewWindow("API arrival")}
 	}
 	return c
 }
@@ -327,9 +328,13 @@ func (c *Cluster) Deployment(name string) *Deployment {
 // Traces returns the cluster's trace collector.
 func (c *Cluster) Traces() *trace.Collector { return c.traces }
 
-// OnTrace registers fn to see every trace the collector is given, spans
-// included. The trace is valid for the call only — its request record is
-// reused — so an observer that keeps it copies it, as trace.Recorder does.
+// OnTrace registers fn (nil removes it) to see the whole trace, spans
+// included, of every request submitted while it is set whose trace reaches
+// the collector (see SetTraceDrop). Only those requests build spans: one
+// already in flight when fn is registered is counted by the collector but
+// never shown to fn. The trace is valid for the call only — its request
+// record is reused — so an observer that keeps it copies it, as
+// trace.Recorder does.
 func (c *Cluster) OnTrace(fn func(*trace.Trace)) { c.onTrace = fn }
 
 // InFlight returns the number of requests currently executing.

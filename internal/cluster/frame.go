@@ -9,41 +9,63 @@ import (
 	"graf/internal/trace"
 )
 
-// apiState is what the cluster keeps per API: its definition and its frontend
-// telemetry.
+// apiState is what the cluster keeps per API: its compiled call tree and its
+// frontend telemetry.
 type apiState struct {
-	def      *app.API
+	name     string
+	root     *node
 	arrivals *metrics.Window // frontend arrivals
 }
 
-// countSpans returns how many invocations one execution of c makes.
-func countSpans(c *app.Call) int {
-	n := 1
-	for _, stage := range c.Stages {
-		for _, child := range stage {
-			n += countSpans(child)
+// node is one app.Call compiled for this cluster: the deployment it runs on,
+// that service's index among the cluster's services (and in a request's visit
+// counts), its repetitions and its non-empty stages.
+type node struct {
+	d      *Deployment
+	svc    int
+	times  int
+	stages [][]*node
+}
+
+// compile builds the node tree of call once, so that executing it looks
+// nothing up by name.
+func (c *Cluster) compile(call *app.Call) *node {
+	n := &node{d: c.Deployment(call.Service), svc: c.App.ServiceIndex(call.Service), times: call.Times()}
+	for _, stage := range call.Stages {
+		if len(stage) == 0 {
+			continue
 		}
+		children := make([]*node, len(stage))
+		for i, child := range stage {
+			children[i] = c.compile(child)
+		}
+		n.stages = append(n.stages, children)
 	}
-	return n * c.Times()
+	return n
 }
 
 // request is one Submit in flight. Records are recycled through
-// Cluster.freeReqs, each with the span array of its trace — which has room for
-// the largest API's spans, because the free list is shared by all of them.
+// Cluster.freeReqs. A request counts its completed invocations per service,
+// which is all the trace collector keeps; only a request submitted while an
+// OnTrace observer is set builds the spans of its trace, in a Trace the
+// record keeps once it has one.
 type request struct {
 	api    *apiState
 	start  float64
-	tr     trace.Trace
+	visits []int32 // invocations per service that returned, indexed like Cluster.names
 	onDone func(latency float64)
+	tr     *trace.Trace // valid while traced
+	errors int32        // calls that exhausted their retries
+	traced bool         // an observer was set at Submit
 }
 
-// frame is one invocation of an app.Call node within a request: Times()
+// frame is one invocation of a call-tree node within a request: Times()
 // sequential repetitions of (queue → service → stages). Each repetition is
 // one RPC at the call layer: an attempt lost to a crashed instance, or stuck
 // queued past the queue timeout, is retried with exponential backoff up to
 // Cfg.MaxRetries times; exhausted retries fail the call and the request
-// continues degraded (the caller swallows the error), annotated on the
-// trace.
+// continues degraded (the caller swallows the error), counted on the
+// request.
 //
 // The frame is the unit the deployment queues and the event engine calls
 // back: serviceDone and retry are bound once, when the frame object is made,
@@ -56,8 +78,7 @@ type frame struct {
 	cl     *Cluster
 	req    *request
 	parent *frame // nil for the API's root call
-	call   *app.Call
-	d      *Deployment
+	node   *node
 
 	rep int     // repetition in progress
 	enq float64 // when it began: the span's Start, retries included
@@ -71,7 +92,7 @@ type frame struct {
 	cpuS     float64 // and CPU-seconds
 	inst     *instance
 
-	stage     int // stage of call.Stages in progress
+	stage     int // stage of node.stages in progress
 	remaining int // calls of that stage still running
 
 	serviceDone func()
@@ -99,19 +120,28 @@ func (c *Cluster) Submit(api string, onDone func(latency float64)) {
 	if st == nil {
 		panic(fmt.Sprintf("cluster: unknown API %q", api))
 	}
-	var req *request
-	if n := len(c.freeReqs); n > 0 {
-		req = c.freeReqs[n-1]
-		c.freeReqs = c.freeReqs[:n-1]
-	} else {
-		req = &request{tr: trace.Trace{Spans: make([]trace.Span, 0, c.maxSpans)}}
-	}
+	req := c.newRequest()
 	c.nextTraceID++
 	req.api, req.start, req.onDone = st, c.Eng.Now(), onDone
 	c.recordArrival(st, req.start)
-	req.tr = trace.Trace{ID: c.nextTraceID, API: api, Spans: req.tr.Spans[:0]}
+	if req.traced = c.onTrace != nil; req.traced {
+		if req.tr == nil {
+			req.tr = &trace.Trace{}
+		}
+		*req.tr = trace.Trace{ID: c.nextTraceID, API: api, Spans: req.tr.Spans[:0]}
+	}
 	c.inFlight++
-	c.exec(st.def.Root, req, nil)
+	c.exec(st.root, req, nil)
+}
+
+// newRequest takes a request record off the free list, or makes one.
+func (c *Cluster) newRequest() *request {
+	if n := len(c.freeReqs); n > 0 {
+		req := c.freeReqs[n-1]
+		c.freeReqs = c.freeReqs[:n-1]
+		return req
+	}
+	return &request{visits: make([]int32, len(c.names))}
 }
 
 // recordArrival stamps one frontend arrival, subject to the telemetry
@@ -141,34 +171,36 @@ func (c *Cluster) complete(req *request) {
 	if c.traceDropP > 0 && c.Eng.Rand().Float64() < c.traceDropP {
 		c.droppedTraces++
 	} else {
-		c.traces.Collect(req.tr)
-		if c.onTrace != nil {
-			c.onTrace(&req.tr)
+		c.traces.Collect(req.api.name, req.visits)
+		if req.traced && c.onTrace != nil {
+			req.tr.Errors = int(req.errors)
+			c.onTrace(req.tr)
 		}
 	}
-	if req.tr.Errors > 0 {
+	if req.errors > 0 {
 		c.failedReqs++
 	}
 	c.inFlight--
 	onDone := req.onDone
-	req.onDone = nil
+	req.onDone, req.errors = nil, 0
+	clear(req.visits)
 	c.freeReqs = append(c.freeReqs, req)
 	if onDone != nil {
 		onDone(lat)
 	}
 }
 
-// exec starts one Call node of req on a frame; the frame reports to parent
-// (or completes the request) when every repetition has returned.
-func (c *Cluster) exec(call *app.Call, req *request, parent *frame) {
+// exec starts one call-tree node of req on a frame; the frame reports to
+// parent (or completes the request) when every repetition has returned.
+func (c *Cluster) exec(n *node, req *request, parent *frame) {
 	f := c.newFrame()
-	f.req, f.parent, f.call, f.d = req, parent, call, c.Deployment(call.Service)
+	f.req, f.parent, f.node = req, parent, n
 	f.rep = 0
 	f.startRep()
 }
 
 func (f *frame) startRep() {
-	if f.rep == f.call.Times() {
+	if f.rep == f.node.times {
 		f.done()
 		return
 	}
@@ -193,11 +225,11 @@ func (f *frame) attempt() {
 			if f.attempts != token || f.served {
 				return
 			}
-			f.d.queue.remove(f)
+			f.node.d.queue.remove(f)
 			f.retryOrFail()
 		})
 	}
-	f.d.enqueue(f)
+	f.node.d.enqueue(f)
 }
 
 // serve runs when the deployment hands the waiting frame to instance in.
@@ -206,7 +238,7 @@ func (f *frame) serve(in *instance) {
 	f.served = true
 	f.inst = in
 	f.queued = eng.Now() - f.queuedAt
-	f.svcS, f.cpuS = f.d.sampleServiceTime()
+	f.svcS, f.cpuS = f.node.d.sampleServiceTime()
 	eng.After(f.svcS, f.serviceDone)
 }
 
@@ -219,7 +251,7 @@ func (f *frame) onServiceDone() {
 		f.retryOrFail()
 		return
 	}
-	d := f.d
+	d := f.node.d
 	if d.telemetryOn() {
 		now := f.cl.Eng.Now()
 		d.cpuWork.Add(now, f.cpuS)
@@ -236,7 +268,7 @@ func (f *frame) onServiceDone() {
 // a completed request is never duplicated by a retry.
 func (f *frame) retryOrFail() {
 	c := f.cl
-	f.d.failedAttempts++
+	f.node.d.failedAttempts++
 	if f.try < c.Cfg.MaxRetries {
 		backoff := c.Cfg.RetryBaseS * math.Pow(2, float64(f.try))
 		f.try++
@@ -244,20 +276,16 @@ func (f *frame) retryOrFail() {
 		return
 	}
 	c.failedCalls++
-	f.req.tr.Errors++
+	f.req.errors++
 	f.rep++
 	f.startRep()
 }
 
-// runStages executes call.Stages[f.stage:] sequentially; within a stage all
-// children run in parallel. After the last stage it records the span and
-// moves to the next repetition.
+// runStages executes node.stages[f.stage:] sequentially; within a stage all
+// children run in parallel. After the last stage it counts the visit (and
+// records the span of a traced request) and moves to the next repetition.
 func (f *frame) runStages() {
-	stages := f.call.Stages
-	for f.stage < len(stages) && len(stages[f.stage]) == 0 {
-		f.stage++
-	}
-	if f.stage < len(stages) {
+	if stages := f.node.stages; f.stage < len(stages) {
 		stage := stages[f.stage]
 		f.remaining = len(stage)
 		for _, child := range stage {
@@ -265,16 +293,20 @@ func (f *frame) runStages() {
 		}
 		return
 	}
-	parent := ""
-	if f.parent != nil {
-		parent = f.parent.call.Service
+	req := f.req
+	req.visits[f.node.svc]++
+	if req.traced {
+		parent := ""
+		if f.parent != nil {
+			parent = f.parent.node.d.Service.Name
+		}
+		tr := req.tr
+		tr.Spans = append(tr.Spans, trace.Span{
+			TraceID: tr.ID, API: tr.API,
+			Service: f.node.d.Service.Name, Parent: parent,
+			Start: f.enq, End: f.cl.Eng.Now(), Queue: f.queued,
+		})
 	}
-	tr := &f.req.tr
-	tr.Spans = append(tr.Spans, trace.Span{
-		TraceID: tr.ID, API: tr.API,
-		Service: f.call.Service, Parent: parent,
-		Start: f.enq, End: f.cl.Eng.Now(), Queue: f.queued,
-	})
 	f.rep++
 	f.startRep()
 }

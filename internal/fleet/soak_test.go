@@ -13,21 +13,23 @@ import (
 )
 
 // A tenant's memory does not depend on how long it has run: its telemetry
-// windows hold one look-back, its trace rings four bytes per retained trace,
-// and the request path recycles everything else. The live heap after 2000
-// decisions is the live heap after 500, the audit buffer aside (it is the
-// tenant's output and grows by one record per decision) — and it is small:
-// the ceilings are what each tenant measures (688 and 888 KB) plus 15%, so
-// that a per-tenant structure of ring size — trace spans were 5.9 MB on
-// OnlineBoutique, unread windows 0.9 MB — cannot come back unnoticed.
+// windows hold one look-back, its trace histories a run of slots per change
+// of visit vector, and the request path recycles everything else. The live
+// heap after 2000 decisions is the live heap after 500, the audit buffer
+// aside (it is the tenant's output and grows by one record per decision) —
+// and it is small: the ceilings are what each tenant measures (608–614 and
+// 641–647 KB) plus ~10%, so that a per-tenant structure of ring size — trace
+// spans were 5.9 MB on OnlineBoutique, unread windows 0.9 MB, the request
+// records' span arrays and the index rings 0.11–0.26 MB — cannot come back
+// unnoticed.
 func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		app       *app.App
 		ceilingKB float64 // live heap less model and audit buffer
 	}{
-		{"chain-4", app.SyntheticChain(4), 790},
-		{"online-boutique", app.OnlineBoutique(), 1020}, // the repo benchmark's tenant
+		{"chain-4", app.SyntheticChain(4), 680},
+		{"online-boutique", app.OnlineBoutique(), 710}, // the repo benchmark's tenant
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// A tenant in its steady state: capacity enough that the SLO holds

@@ -1,12 +1,15 @@
 // Package trace is the distributed-tracing substrate (the paper's Jaeger,
-// §3.2). The cluster simulator emits one Span per microservice invocation;
-// the Collector groups spans into Traces and derives the per-API execution
-// statistics the Workload Analyzer (§3.3) consumes: which microservices an
-// API touches and how many times, at the 90th percentile of observed request
-// histories.
+// §3.2). The Collector keeps, per API, the history of how many times each
+// request visited each microservice and derives from it what the Workload
+// Analyzer (§3.3) consumes: which microservices an API touches and how many
+// times, at the 90th percentile of observed request histories. The cluster
+// simulator gives it one visit vector per completed request; only for an
+// observer (a Recorder) does it build a Trace of one Span per microservice
+// invocation.
 package trace
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -61,53 +64,69 @@ func (t Trace) Visits() map[string]int {
 
 // ring holds what the collector keeps of one API's retained traces: how many
 // times each visited each service, which is all its one reader (VisitProfile)
-// needs. It grows by appending until the collector's cap is reached and from
-// then on overwrites its oldest trace.
+// needs. It is a FIFO of runs of consecutive traces with the same visit
+// vector, newest last: an API whose calls never fail is one run however many
+// traces it retains. It grows until the collector's cap is reached and from
+// then on evicts its oldest trace for each new one.
 type ring struct {
-	// idx[i] is the position in vecs of one retained trace's visit vector,
-	// the oldest trace at idx[head]. Traces share vectors: an API whose calls
-	// never fail has one, a failed call adds another, and however they fail
-	// there are never more vectors than retained traces — a vector no trace
-	// refers to is the first to be overwritten.
-	idx  []uint32
-	head int
-	vecs []vector
+	runs  []run // a circular buffer of nruns runs from head; len is zero or a power of two
+	head  int
+	nruns int
+	n     int // traces retained, the sum of the runs' lengths
 
-	// An API touches a handful of services, so a span finds its service by
-	// scanning svcs — the names come from one call tree and usually compare
-	// equal by pointer.
-	svcs   []string
-	visit  []int32 // visits per service of the trace being collected; zero between calls
-	traces []int   // VisitProfile's count of traces by visits to one service
+	// vecs are the distinct visit vectors of the retained traces; however
+	// they fail there are never more of them than traces, because a vector no
+	// trace refers to is the first to be overwritten.
+	vecs   []vector
+	traces []int // VisitProfile's count of traces by visits to one service
 }
 
-// vector is one distinct visit vector: visits per service of svcs, trailing
-// zeros cut so that it stays comparable while svcs grows, and the number of
-// retained traces that have it.
+// run is n consecutive traces whose visit vector is vecs[slot].
+type run struct{ slot, n uint32 }
+
+// vector is one distinct visit vector — visits per service of the
+// collector's services — and the number of retained traces that have it.
 type vector struct {
 	visits []int32
 	refs   int
 }
 
-// intern adds a reference to the visit vector of spans and returns its
-// position in vecs. It finds it by scanning: a ring has a handful of vectors.
-func (r *ring) intern(spans []Span) uint32 {
-spans:
-	for i := range spans {
-		svc := spans[i].Service
-		for j, known := range r.svcs {
-			if known == svc {
-				r.visit[j]++
-				continue spans
-			}
+// push appends one trace with visit vector visits.
+func (r *ring) push(visits []int32) {
+	slot := r.intern(visits)
+	r.n++
+	mask := len(r.runs) - 1
+	if r.nruns > 0 {
+		if last := &r.runs[(r.head+r.nruns-1)&mask]; last.slot == slot {
+			last.n++
+			return
 		}
-		r.svcs = append(r.svcs, svc)
-		r.visit = append(r.visit, 1)
 	}
-	visits := r.visit
-	for len(visits) > 0 && visits[len(visits)-1] == 0 {
-		visits = visits[:len(visits)-1]
+	if r.nruns == len(r.runs) {
+		grown := make([]run, max(4, 2*len(r.runs)))
+		for i := 0; i < r.nruns; i++ {
+			grown[i] = r.runs[(r.head+i)&mask]
+		}
+		r.runs, r.head, mask = grown, 0, len(grown)-1
 	}
+	r.runs[(r.head+r.nruns)&mask] = run{slot: slot, n: 1}
+	r.nruns++
+}
+
+// pop evicts the oldest trace.
+func (r *ring) pop() {
+	first := &r.runs[r.head]
+	r.vecs[first.slot].refs--
+	r.n--
+	if first.n--; first.n == 0 {
+		r.head = (r.head + 1) & (len(r.runs) - 1)
+		r.nruns--
+	}
+}
+
+// intern adds a reference to visits and returns its position in vecs. It
+// finds it by scanning: a ring has a handful of vectors.
+func (r *ring) intern(visits []int32) uint32 {
 	slot := slices.IndexFunc(r.vecs, func(v vector) bool { return v.refs > 0 && slices.Equal(v.visits, visits) })
 	if slot < 0 {
 		if slot = slices.IndexFunc(r.vecs, func(v vector) bool { return v.refs == 0 }); slot < 0 {
@@ -117,44 +136,43 @@ spans:
 		r.vecs[slot].visits = append(r.vecs[slot].visits[:0], visits...)
 	}
 	r.vecs[slot].refs++
-	clear(visits)
 	return uint32(slot)
 }
 
-// Collector accumulates completed traces. Cap bounds retained traces per API
-// (oldest evicted first); 0 means unbounded. It retains a trace's visit
-// counts, not its spans: a reader that wants those observes the traces as
-// they are produced (cluster.Cluster.OnTrace) and keeps them in a Recorder.
+// Collector accumulates completed requests' visit counts. Cap bounds retained
+// traces per API (oldest evicted first); 0 means unbounded. It retains a
+// trace's visit counts, not its spans: a reader that wants those observes the
+// traces as they are produced (cluster.Cluster.OnTrace) and keeps them in a
+// Recorder.
 type Collector struct {
 	Cap    int
+	svcs   []string
 	byAPI  map[string]*ring
 	nTotal int
 }
 
-// NewCollector returns a collector retaining at most cap traces per API
-// (0 = unbounded).
-func NewCollector(cap int) *Collector {
-	return &Collector{Cap: cap, byAPI: make(map[string]*ring)}
+// NewCollector returns a collector of visit vectors over services, retaining
+// at most cap traces per API (0 = unbounded).
+func NewCollector(cap int, services []string) *Collector {
+	return &Collector{Cap: cap, svcs: services, byAPI: make(map[string]*ring)}
 }
 
-// Collect counts one completed trace. It only reads t.Spans, which stay the
-// caller's.
-func (c *Collector) Collect(t Trace) {
-	r := c.byAPI[t.API]
+// Collect counts one completed trace of api that visited services[i]
+// visits[i] times. visits stays the caller's.
+func (c *Collector) Collect(api string, visits []int32) {
+	if len(visits) != len(c.svcs) {
+		panic(fmt.Sprintf("trace: %d visit counts for %d services", len(visits), len(c.svcs)))
+	}
+	r := c.byAPI[api]
 	if r == nil {
 		r = &ring{}
-		c.byAPI[t.API] = r
+		c.byAPI[api] = r
 	}
 	c.nTotal++
-	if c.Cap <= 0 || len(r.idx) < c.Cap {
-		r.idx = append(r.idx, r.intern(t.Spans))
-		return
+	if c.Cap > 0 && r.n == c.Cap {
+		r.pop() // first, so that the table never has more vectors than Cap
 	}
-	r.vecs[r.idx[r.head]].refs-- // first, so that the table never has more vectors than Cap
-	r.idx[r.head] = r.intern(t.Spans)
-	if r.head++; r.head == len(r.idx) {
-		r.head = 0
-	}
+	r.push(visits)
 }
 
 // Total returns the number of traces ever collected.
@@ -170,36 +188,33 @@ func (c *Collector) APIs() []string {
 	return names
 }
 
-// VisitProfile returns, for each service touched by api, the q-quantile of
-// per-trace visit counts. The paper chooses the 90th percentile of request
-// histories to represent an API's behaviour (§3.3): "from the history
-// 90%-ile samples are chosen". The Workload Analyzer calls this every solve
-// tick over the whole retained history, so it reads the table of distinct
-// visit vectors and their reference counts rather than the traces.
+// VisitProfile returns, for each service touched by a retained trace of api,
+// the q-quantile of per-trace visit counts. The paper chooses the 90th
+// percentile of request histories to represent an API's behaviour (§3.3):
+// "from the history 90%-ile samples are chosen". The Workload Analyzer calls
+// this every solve tick over the whole retained history, so it reads the
+// table of distinct visit vectors and their reference counts rather than the
+// traces.
 func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
 	r := c.byAPI[api]
-	if r == nil || len(r.idx) == 0 {
+	if r == nil || r.n == 0 {
 		return nil
 	}
 	// Nearest-rank, matching metrics.Digest.Quantile.
-	rank := min(max(int(math.Ceil(q*float64(len(r.idx)))), 1), len(r.idx))
-	out := make(map[string]float64, len(r.svcs))
-	for j, svc := range r.svcs {
-		// traces[n] retained traces visit svc n times; a vector too short to
-		// mention it, zero times.
+	rank := min(max(int(math.Ceil(q*float64(r.n))), 1), r.n)
+	out := make(map[string]float64, len(c.svcs))
+	for j, svc := range c.svcs {
+		// traces[n] retained traces visit svc n times.
 		clear(r.traces)
 		for _, v := range r.vecs {
-			n := 0
-			if j < len(v.visits) {
-				n = int(v.visits[j])
-			}
+			n := int(v.visits[j])
 			for len(r.traces) <= n {
 				r.traces = append(r.traces, 0)
 			}
 			r.traces[n] += v.refs
 		}
-		if r.traces[0] == len(r.idx) {
-			continue // every trace that visited it has been evicted
+		if r.traces[0] == r.n {
+			continue // no retained trace visits it
 		}
 		n, atMost := 0, r.traces[0]
 		for atMost < rank {
@@ -210,9 +225,6 @@ func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
 	}
 	return out
 }
-
-// Reset discards all retained traces but keeps the total counter.
-func (c *Collector) Reset() { c.byAPI = make(map[string]*ring) }
 
 // Recorder keeps copies of whole traces, spans included — the last Cap per
 // API, 0 for all — for the tests and exporters that want what the Collector

@@ -5,9 +5,20 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
+
+// collect gives c the visit counts of tr's spans, as the cluster counts a
+// request's invocations.
+func collect(c *Collector, tr Trace) {
+	visits := make([]int32, len(c.svcs))
+	for _, s := range tr.Spans {
+		visits[slices.Index(c.svcs, s.Service)]++
+	}
+	c.Collect(tr.API, visits)
+}
 
 func mkTrace(id int64, api string, e2e float64, visits map[string]int) Trace {
 	t := Trace{ID: id, API: api}
@@ -36,12 +47,12 @@ func TestVisits(t *testing.T) {
 }
 
 func TestCollectorCap(t *testing.T) {
-	c := NewCollector(5)
+	c := NewCollector(5, []string{"frontend", "cart"})
 	rec := &Recorder{Cap: 5}
 	for i := 0; i < 10; i++ {
 		// The first five visit "cart" twice, the five that evict them once.
 		tr := mkTrace(int64(i), "cart", 0.1, map[string]int{"cart": 2 - i/5})
-		c.Collect(tr)
+		collect(c, tr)
 		rec.Record(&tr)
 	}
 	if p := c.VisitProfile("cart", 1); p["cart"] != 1 {
@@ -59,12 +70,12 @@ func TestCollectorCap(t *testing.T) {
 }
 
 func TestVisitProfile(t *testing.T) {
-	c := NewCollector(0)
+	c := NewCollector(0, []string{"frontend", "cart"})
 	// 10 traces: 9 visit "cart" once, 1 visits it 5 times.
 	for i := 0; i < 9; i++ {
-		c.Collect(mkTrace(int64(i), "cart", 0.1, map[string]int{"cart": 1}))
+		collect(c, mkTrace(int64(i), "cart", 0.1, map[string]int{"cart": 1}))
 	}
-	c.Collect(mkTrace(99, "cart", 0.1, map[string]int{"cart": 5}))
+	collect(c, mkTrace(99, "cart", 0.1, map[string]int{"cart": 5}))
 	p := c.VisitProfile("cart", 0.90)
 	if p["cart"] != 1 {
 		t.Errorf("p90 cart visits = %v, want 1", p["cart"])
@@ -79,13 +90,13 @@ func TestVisitProfile(t *testing.T) {
 }
 
 func TestVisitProfileMissingService(t *testing.T) {
-	c := NewCollector(0)
+	c := NewCollector(0, []string{"frontend", "rare"})
 	// Service "rare" appears in only 1 of 10 traces → p90 visits 0 or more
 	// depending on rank; must not be reported as always-visited.
 	for i := 0; i < 9; i++ {
-		c.Collect(mkTrace(int64(i), "home", 0.1, nil))
+		collect(c, mkTrace(int64(i), "home", 0.1, nil))
 	}
-	c.Collect(mkTrace(9, "home", 0.1, map[string]int{"rare": 1}))
+	collect(c, mkTrace(9, "home", 0.1, map[string]int{"rare": 1}))
 	p := c.VisitProfile("home", 0.5)
 	if p["rare"] != 0 {
 		t.Errorf("median visits for rare service = %v, want 0", p["rare"])
@@ -127,7 +138,7 @@ func TestVisitProfileMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	services := []string{"frontend", "cart", "currency", "catalog", "shipping", "ads"}
 	for set := 0; set < 200; set++ {
-		c, rec := NewCollector(0), &Recorder{}
+		c, rec := NewCollector(0, services), &Recorder{}
 		for id, n := 0, 1+rng.Intn(40); id < n; id++ {
 			tr := Trace{ID: int64(id), API: "home"}
 			// Each service is absent from some traces, rarely visited in
@@ -138,7 +149,7 @@ func TestVisitProfileMatchesSortReference(t *testing.T) {
 				}
 			}
 			rng.Shuffle(len(tr.Spans), func(i, j int) { tr.Spans[i], tr.Spans[j] = tr.Spans[j], tr.Spans[i] })
-			c.Collect(tr)
+			collect(c, tr)
 			rec.Record(&tr)
 		}
 		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
@@ -148,7 +159,7 @@ func TestVisitProfileMatchesSortReference(t *testing.T) {
 			}
 		}
 	}
-	if p := NewCollector(0).VisitProfile("home", 0.9); p != nil {
+	if p := NewCollector(0, services).VisitProfile("home", 0.9); p != nil {
 		t.Errorf("no traces: VisitProfile = %v, want nil", p)
 	}
 }
@@ -162,8 +173,20 @@ func distinctVectors(traces []Trace) int {
 	return len(seen)
 }
 
-// checkRing fails unless api's ring holds as many traces as want, one vector
-// per distinct visit vector among them, and as many references as traces.
+// runsOf counts the runs of consecutive traces with the same visit vector.
+func runsOf(traces []Trace) int {
+	runs := 0
+	for i, tr := range traces {
+		if i == 0 || fmt.Sprint(tr.Visits()) != fmt.Sprint(traces[i-1].Visits()) {
+			runs++
+		}
+	}
+	return runs
+}
+
+// checkRing fails unless api's ring holds as many traces as want, one run per
+// run of equal visit vectors among them, one vector per distinct visit vector
+// and as many references as traces.
 func checkRing(t *testing.T, c *Collector, api string, want []Trace) {
 	t.Helper()
 	r := c.byAPI[api]
@@ -173,15 +196,21 @@ func checkRing(t *testing.T, c *Collector, api string, want []Trace) {
 		}
 		return
 	}
-	refs, inUse := 0, 0
+	refs, inUse, inRuns := 0, 0, 0
 	for _, v := range r.vecs {
 		refs += v.refs
 		if v.refs > 0 {
 			inUse++
 		}
 	}
-	if len(r.idx) != len(want) || refs != len(want) {
-		t.Fatalf("%s: %d traces retained with %d vector references, want %d", api, len(r.idx), refs, len(want))
+	for i := 0; i < r.nruns; i++ {
+		inRuns += int(r.runs[(r.head+i)%len(r.runs)].n)
+	}
+	if r.n != len(want) || refs != len(want) || inRuns != len(want) {
+		t.Fatalf("%s: %d traces retained in runs of %d with %d vector references, want %d", api, r.n, inRuns, refs, len(want))
+	}
+	if want := runsOf(want); r.nruns != want {
+		t.Fatalf("%s: %d runs, want %d", api, r.nruns, want)
 	}
 	if want := distinctVectors(want); inUse != want {
 		t.Fatalf("%s: %d vectors in use, want %d", api, inUse, want)
@@ -200,8 +229,9 @@ func TestRingMatchesSliceCollector(t *testing.T) {
 		"cart": {"frontend", "cart", "currency", "currency", "catalog", "shipping"},
 	}
 	apis := []string{"home", "cart"}
+	services := []string{"frontend", "catalog", "currency", "cart", "shipping"}
 	for _, limit := range []int{0, 1, 3, 8} {
-		c, rec := NewCollector(limit), &Recorder{Cap: limit}
+		c, rec := NewCollector(limit, services), &Recorder{Cap: limit}
 		var spans []Span
 		for id := int64(0); id < 120; id++ {
 			api := apis[rng.Intn(len(apis))]
@@ -214,7 +244,7 @@ func TestRingMatchesSliceCollector(t *testing.T) {
 				spans = append(spans, Span{TraceID: id, API: api, Service: svc, Parent: trees[api][0]})
 			}
 			tr := Trace{ID: id, API: api, Spans: spans}
-			c.Collect(tr)
+			collect(c, tr)
 			rec.Record(&tr)
 
 			for _, api := range apis {
@@ -242,7 +272,7 @@ func TestRingMatchesSliceCollector(t *testing.T) {
 func TestVectorTableIsBoundedByCap(t *testing.T) {
 	const limit = 64
 	services := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	c, rec := NewCollector(limit), &Recorder{Cap: limit}
+	c, rec := NewCollector(limit, services), &Recorder{Cap: limit}
 	var spans []Span
 	for id := 0; id < 10000; id++ {
 		spans = spans[:0]
@@ -252,7 +282,7 @@ func TestVectorTableIsBoundedByCap(t *testing.T) {
 			}
 		}
 		tr := Trace{ID: int64(id), API: "x", Spans: spans}
-		c.Collect(tr)
+		collect(c, tr)
 		rec.Record(&tr)
 		if r := c.byAPI["x"]; len(r.vecs) > limit {
 			t.Fatalf("after %d traces the table has %d vectors, want ≤ %d", id+1, len(r.vecs), limit)
@@ -276,7 +306,8 @@ func fullRings(limit int) (*Collector, *Recorder, []string) {
 		"product": {"catalog", "currency", "ads", "recommend", "frontend"},
 		"cart":    {"currency", "currency", "cart", "currency", "catalog", "shipping", "checkout", "frontend"},
 	}
-	c, rec := NewCollector(limit), &Recorder{Cap: limit}
+	c := NewCollector(limit, []string{"frontend", "recommend", "catalog", "currency", "ads", "cart", "shipping", "checkout"})
+	rec := &Recorder{Cap: limit}
 	names := []string{"cart", "home", "product"}
 	for id := 0; id < 3*2*limit; id++ {
 		api := names[id%3]
@@ -287,10 +318,21 @@ func fullRings(limit int) (*Collector, *Recorder, []string) {
 			}
 			tr.Spans = append(tr.Spans, Span{TraceID: tr.ID, API: api, Service: svc})
 		}
-		c.Collect(tr)
+		collect(c, tr)
 		rec.Record(&tr)
 	}
 	return c, rec, names
+}
+
+// A ring whose traces all share one visit vector holds one run and one
+// vector, however many traces it retains.
+func TestRingOfOneVectorIsOneRun(t *testing.T) {
+	c, _, _ := fullRings(4096)
+	for _, api := range []string{"home", "product"} {
+		if r := c.byAPI[api]; r.n != 4096 || r.nruns != 1 || len(r.vecs) != 1 || len(r.runs) > 4 {
+			t.Errorf("%s: %d traces in %d runs (%d allocated) of %d vectors, want 4096 in one run of one vector", api, r.n, r.nruns, len(r.runs), len(r.vecs))
+		}
+	}
 }
 
 // The profile is read off the table of distinct visit vectors Collect
@@ -351,24 +393,12 @@ func TestEdges(t *testing.T) {
 }
 
 func TestAPIsSorted(t *testing.T) {
-	c := NewCollector(0)
+	c := NewCollector(0, nil)
 	for _, api := range []string{"z", "a", "m"} {
-		c.Collect(Trace{API: api})
+		c.Collect(api, nil)
 	}
 	got := fmt.Sprint(c.APIs())
 	if got != "[a m z]" {
 		t.Errorf("APIs = %v", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := NewCollector(0)
-	c.Collect(mkTrace(1, "cart", 0.1, nil))
-	c.Reset()
-	if p := c.VisitProfile("cart", 0.9); p != nil {
-		t.Errorf("Reset did not clear traces: VisitProfile = %v", p)
-	}
-	if c.Total() != 1 {
-		t.Error("Reset must keep the total counter")
 	}
 }
