@@ -23,7 +23,7 @@ loc:
 
 # Reproduce the paper's evaluation tables (see EXPERIMENTS.md). An
 # experiment's floors live in its root-package benchmark, which fails when
-# one breaks: go test -run '^$' -bench '^BenchmarkOverload$' -benchtime 1x .
+# one breaks: go test -run '^$' -bench '^BenchmarkForecast$' -benchtime 1x .
 bench:
 	$(GO) run ./cmd/grafbench -scale quick
 

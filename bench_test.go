@@ -316,38 +316,7 @@ func BenchmarkRouterFailover(b *testing.B) {
 
 // --- Overload protection (brownout ladder, DESIGN.md §3j) -------------------
 
-// BenchmarkOverload reports the overload-policy comparison as benchmark
-// metrics, and fails outright if the ladder loses either ordering (fewer
-// deadline misses than never-degrade, fewer violation seconds than
-// always-heuristic) or walks the ladder non-monotonically — the regression
-// contract of the brownout subsystem.
-func BenchmarkOverload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, st := bench.OverloadRun(benchScale())
-		printedMu.Lock()
-		if !printed[res.ID] {
-			printed[res.ID] = true
-			fmt.Println(res.Format())
-		}
-		printedMu.Unlock()
-		if !st.LadderBeatsNever {
-			b.Fatalf("ladder deadline misses %.0f not below never-degrade %.0f", st.MissesLadder, st.MissesNever)
-		}
-		if !st.LadderBeatsHeuristic {
-			b.Fatalf("ladder violation seconds %.0f not below always-heuristic %.0f", st.ViolSLadder, st.ViolSHeuristic)
-		}
-		if !st.Monotone {
-			b.Fatal("governed run recorded a non-monotone ladder walk")
-		}
-		b.ReportMetric(st.MissesNever, "misses-never")
-		b.ReportMetric(st.MissesLadder, "misses-ladder")
-		b.ReportMetric(st.MissesHeuristic, "misses-heuristic")
-		b.ReportMetric(st.ViolSNever, "viol-s-never")
-		b.ReportMetric(st.ViolSLadder, "viol-s-ladder")
-		b.ReportMetric(st.ViolSHeuristic, "viol-s-heuristic")
-		b.ReportMetric(st.LadderTransitions, "ladder-transitions")
-	}
-}
+func BenchmarkOverload(b *testing.B) { runExperiment(b, bench.Overload) }
 
 // --- Fleet-wide observability (tracing + SLO budgets, DESIGN.md §3i) --------
 

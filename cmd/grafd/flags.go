@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 
+	"graf/internal/overload"
 	"graf/internal/rpc"
 )
 
@@ -123,8 +124,11 @@ func (o *options) validate() error {
 			return fmt.Errorf("-%s configures a control-plane shard; it needs -shard", name)
 		}
 	}
-	if o.maxInflight < 0 || o.governorBudgetMS < 0 {
-		return fmt.Errorf("-max-inflight %d and -governor-budget-ms %v must be non-negative", o.maxInflight, o.governorBudgetMS)
+	if o.maxInflight < 0 {
+		return fmt.Errorf("-max-inflight %d must be non-negative", o.maxInflight)
+	}
+	if !overload.ValidBudgetMS(o.governorBudgetMS) {
+		return fmt.Errorf("-governor-budget-ms %v must be finite, non-negative and fit a time.Duration (0 = off)", o.governorBudgetMS)
 	}
 	if o.shards < 0 || o.shards > o.Tenants {
 		return fmt.Errorf("-shards %d must be in [0, %d]: it exceeds the fleet's tenants and shards must not be empty", o.shards, o.Tenants)

@@ -154,6 +154,10 @@ func TestValidateRejectsContradictions(t *testing.T) {
 		{[]string{"-model", "m", "-max-inflight", "16"}, "needs -shard"},
 		{[]string{"-model", "m", "-governor-budget-ms", "500"}, "needs -shard"},
 		{[]string{"-model", "m", "-shard", "127.0.0.1:0", "-max-inflight", "-1"}, "non-negative"},
+		{[]string{"-model", "m", "-shard", "127.0.0.1:0", "-governor-budget-ms", "-1"}, "-governor-budget-ms"},
+		{[]string{"-model", "m", "-shard", "127.0.0.1:0", "-governor-budget-ms", "NaN"}, "-governor-budget-ms"},
+		{[]string{"-model", "m", "-shard", "127.0.0.1:0", "-governor-budget-ms", "+Inf"}, "-governor-budget-ms"},
+		{[]string{"-model", "m", "-shard", "127.0.0.1:0", "-governor-budget-ms", "1e13"}, "-governor-budget-ms"},
 	} {
 		if _, err := parse(c.args...); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("grafd %v: got %v, want an error mentioning %q", c.args, err, c.want)

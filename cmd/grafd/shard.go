@@ -8,7 +8,6 @@ import (
 
 	"graf"
 	"graf/internal/obs"
-	"graf/internal/overload"
 	"graf/internal/rpc"
 )
 
@@ -38,17 +37,15 @@ func runShard(tr *graf.TrainedModel, o *options) int {
 		CkptDir:     o.Ckpt,
 		AuditDir:    o.AuditDir,
 		MaxInflight: o.maxInflight,
-		Tel:         obs.New(obs.Options{}),
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	}
-	if o.governorBudgetMS > 0 {
 		// Adaptive brownout lives shard-side (scripted schedules arrive in
 		// the router's spec instead): the governor watches this shard's own
 		// round wall clock and walks its tenants down the ladder when rounds
 		// run past the budget.
-		s.Governor = &overload.GovernorConfig{BudgetMS: o.governorBudgetMS}
+		GovernorBudgetMS: o.governorBudgetMS,
+		Tel:              obs.New(obs.Options{}),
+		Logf: func(format string, args ...any) {
+			fmt.Printf(format+"\n", args...)
+		},
 	}
 	addr, err := s.Serve(o.shardAddr)
 	if err != nil {

@@ -27,6 +27,7 @@ import (
 	"graf"
 	"graf/internal/chaos"
 	"graf/internal/obs"
+	"graf/internal/overload"
 	"graf/internal/rpc"
 )
 
@@ -99,8 +100,8 @@ func (o *routerOptions) validate() error {
 		{crash && d.StateDir == "", "a scripted router crash without -state-dir leaves nothing to resume from"},
 		{d.Standby != "" && d.StandbyMisses <= 0, fmt.Sprintf("-standby-misses %d must be positive", d.StandbyMisses)},
 		{o.killShard != "" && d.Spawn <= 0, "-kill-shard sends SIGKILL to a spawned shard; it needs -spawn (the router does not kill processes it did not start)"},
-		{o.netDrop < 0 || o.netDrop >= 1, fmt.Sprintf("-net-drop %v must be in [0,1)", o.netDrop)},
-		{o.roundBudgetMS < 0, fmt.Sprintf("-round-budget-ms %v must be non-negative (0 disables the round deadline)", o.roundBudgetMS)},
+		{!(o.netDrop >= 0 && o.netDrop < 1), fmt.Sprintf("-net-drop %v must be in [0,1)", o.netDrop)},
+		{!overload.ValidBudgetMS(o.roundBudgetMS), fmt.Sprintf("-round-budget-ms %v must be finite, non-negative and fit a time.Duration (0 disables the round deadline)", o.roundBudgetMS)},
 	} {
 		if rule.broken {
 			return errors.New(rule.msg)

@@ -138,6 +138,10 @@ func TestValidateRejectsContradictions(t *testing.T) {
 		{[]string{"-model", "m", "-spawn", "2", "-migrate", "tenant-00@soon:1"}, "tenant@round:slot"},
 		{[]string{"-model", "m", "-spawn", "2", "-net-drop", "1"}, "-net-drop"},
 		{[]string{"-model", "m", "-spawn", "2", "-round-budget-ms", "-1"}, "-round-budget-ms"},
+		{[]string{"-model", "m", "-spawn", "2", "-round-budget-ms", "1e13"}, "-round-budget-ms"},
+		{[]string{"-model", "m", "-spawn", "2", "-round-budget-ms", "NaN"}, "-round-budget-ms"},
+		{[]string{"-model", "m", "-spawn", "2", "-round-budget-ms", "+Inf"}, "-round-budget-ms"},
+		{[]string{"-model", "m", "-spawn", "2", "-net-drop", "NaN"}, "-net-drop"},
 		{[]string{"-model", "m", "-spawn", "2", "-fleet", "0"}, "-fleet"},
 		{[]string{"-model", "m", "-spawn", "2", "-shape", "zigzag"}, "shape"},
 		{[]string{"-model", "m", "-spawn", "2", "-forecast-quantile", "0.9"}, "without a forecast model"},

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -275,6 +277,35 @@ func TestChaosHardenedBeatsVanilla(t *testing.T) {
 	}
 	if vanilla.stats.StaleHolds != 0 || vanilla.stats.BreakerTrips != 0 || vanilla.stats.RateLimited != 0 {
 		t.Error("vanilla configuration must run with guardrails disabled")
+	}
+}
+
+// TestOverloadLadderBeatsFixedPolicies holds the overload experiment's
+// orderings on ten fleet seeds: the ladder misses fewer round deadlines than
+// never-degrade, pays fewer violation seconds than always-heuristic, and
+// walks the ladder one rung at a time. Round costs are counted model calls,
+// so the stats must not depend on GOMAXPROCS.
+func TestOverloadLadderBeatsFixedPolicies(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		_, st := runOverload(Quick(), seed)
+		if st.MissesLadder >= st.MissesNever {
+			t.Errorf("seed %d: ladder deadline misses %.0f not below never-degrade %.0f", seed, st.MissesLadder, st.MissesNever)
+		}
+		if st.ViolSLadder >= st.ViolSHeuristic {
+			t.Errorf("seed %d: ladder violation seconds %.0f not below always-heuristic %.0f", seed, st.ViolSLadder, st.ViolSHeuristic)
+		}
+		if !st.Monotone || st.LadderTransitions < 1 {
+			t.Errorf("seed %d: ladder walk monotone=%v with %.0f transitions", seed, st.Monotone, st.LadderTransitions)
+		}
+	}
+
+	stats := func(procs int) OverloadStats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		_, st := runOverload(Quick(), 9)
+		return st
+	}
+	if one, two := stats(1), stats(2); !reflect.DeepEqual(one, two) {
+		t.Errorf("overload stats depend on GOMAXPROCS:\n1: %+v\n2: %+v", one, two)
 	}
 }
 

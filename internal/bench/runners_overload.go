@@ -2,9 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
-	"time"
 
 	"graf/internal/chaos"
 	"graf/internal/core"
@@ -14,11 +11,10 @@ import (
 )
 
 // OverloadStats are the machine-checked numbers of the overload experiment,
-// exposed separately so BenchmarkOverload can report them as testing.B
-// metrics and hold the orderings.
+// which TestOverloadLadderBeatsFixedPolicies holds to their orderings.
 type OverloadStats struct {
-	// Round-deadline misses per policy (rounds whose wall clock exceeded
-	// the calibrated budget) across the whole run.
+	// Round-deadline misses per policy (rounds whose cost exceeded the
+	// calibrated budget) across the whole run.
 	MissesNever     float64
 	MissesLadder    float64
 	MissesHeuristic float64
@@ -31,14 +27,10 @@ type OverloadStats struct {
 	// Ladder activity in the governed run.
 	LadderTransitions float64
 	Monotone          bool
-
-	// The two orderings the experiment exists to demonstrate.
-	LadderBeatsNever     bool // fewer deadline misses than never-degrade
-	LadderBeatsHeuristic bool // fewer violation seconds than always-heuristic
 }
 
 // Overload compares three overload policies on the same fleet through the
-// same CPU-contention burst (DESIGN.md §3j):
+// same contention burst (DESIGN.md §3j):
 //
 //   - never-degrade: full GNN solves no matter what — best decisions, but
 //     every burst round blows the round deadline;
@@ -52,13 +44,23 @@ type OverloadStats struct {
 // The ladder must beat never-degrade on round-deadline misses AND beat
 // always-heuristic on violation seconds: degrading only under pressure is
 // strictly better than either fixed policy.
+//
+// A round costs the model calls its decisions made (predictor requests, the
+// fleet's CacheHits + CacheMisses, which do not depend on scheduling), and a
+// burst round costs burstFactor times as much: the burst leaves a solver a
+// seventh of a core. So the table is the same on every host and at every
+// GOMAXPROCS.
 func Overload(s Scale) Result {
-	res, _ := OverloadRun(s)
+	res, _ := runOverload(s, 9)
 	return res
 }
 
-// OverloadRun is Overload plus its raw stats.
-func OverloadRun(s Scale) (Result, OverloadStats) {
+// burstFactor is the contention a burst round runs under: its model calls
+// cost seven times what they cost unloaded.
+const burstFactor = 7
+
+// runOverload runs the three policies on a fleet seeded with seed.
+func runOverload(s Scale, seed int64) (Result, OverloadStats) {
 	res := Result{
 		ID:     "overload",
 		Title:  "Overload brownout ladder vs never-degrade and always-heuristic",
@@ -81,17 +83,9 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 
 	build := func(scripted []fleet.BrownoutPhase) *fleet.Fleet {
 		ccfg := core.DefaultControllerConfig(tr.Spec.SLO)
-		// Solve every tick: a coasting controller has no decision cost to
-		// bound, and the deadline comparison would measure idle time.
+		// Solve every tick: a coasting controller makes no model calls, so
+		// it has no decision cost to bound.
 		ccfg.Hysteresis = 0
-		// Pin per-solve work on solver version 1's fixed schedule: the
-		// experiment models an inference-bound decision (2000 model calls)
-		// that cannot finish inside the round deadline, which is what the
-		// ladder exists for. A version 2 solve fits the deadline at every
-		// rung and the policies would have nothing to trade.
-		ccfg.Solver.Version = 1
-		ccfg.Solver.MaxIters = 2000
-		ccfg.Solver.Tolerance = 0
 		// Measure the policies themselves, not the reactive guardrail
 		// (precedent: the extension ablations disable it the same way).
 		ccfg.ViolationBoost = 1
@@ -101,7 +95,7 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 			SLO:     tr.Spec.SLO,
 			MinRate: tr.Spec.MinRate, MaxRate: tr.Spec.MaxRate,
 			Workers: 2, Shards: 2,
-			TickS: 5, Seed: 9,
+			TickS: 5, Seed: seed,
 			Controller: &ccfg,
 			Brownout:   scripted,
 		}
@@ -118,21 +112,23 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 		return f
 	}
 
-	// Calibrate the round budget from unloaded full-solve rounds: the
-	// deadline the burst must break is relative to this machine, not a
-	// hardcoded wall time.
-	budgetMS := func() float64 {
+	// cost runs one round and returns the model calls it made.
+	cost := func(f *fleet.Fleet) float64 {
+		before := f.Stats()
+		f.Round()
+		after := f.Stats()
+		return float64(after.CacheHits + after.CacheMisses - before.CacheHits - before.CacheMisses)
+	}
+
+	// The round budget is twice the worst unloaded full-solve round. Round
+	// 0 is an idle decision (no telemetry yet), so run enough rounds that
+	// the worst is a genuine full solve.
+	budget := func() float64 {
 		f := build(nil)
 		defer f.Stop()
-		// Round 0 is an idle decision (no telemetry yet), so run enough
-		// rounds that the worst is a genuine full solve.
 		worst := 0.0
 		for r := 0; r < 4; r++ {
-			start := time.Now()
-			f.Round()
-			if ms := float64(time.Since(start)) / float64(time.Millisecond); ms > worst {
-				worst = ms
-			}
+			worst = max(worst, cost(f))
 		}
 		return worst * 2
 	}()
@@ -146,23 +142,19 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 		f := build(scripted)
 		var gov *overload.Governor
 		if governed {
-			gov = overload.NewGovernor(overload.GovernorConfig{BudgetMS: budgetMS})
+			gov = overload.NewGovernor(budget)
 		}
 		var out outcome
 		for r := 0; r < rounds; r++ {
-			stopBurn := func() {}
+			c := cost(f)
 			if r >= burstFrom && r < burstTo {
-				stopBurn = burnCPU()
+				c *= burstFactor
 			}
-			start := time.Now()
-			f.Round()
-			wallMS := float64(time.Since(start)) / float64(time.Millisecond)
-			stopBurn()
-			if wallMS > budgetMS {
+			if c > budget {
 				out.misses++
 			}
 			if gov != nil {
-				if step, changed := gov.Observe(wallMS); changed {
+				if step, changed := gov.Observe(c); changed {
 					f.SetBrownoutTarget(step)
 				}
 			}
@@ -181,9 +173,7 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 	st := OverloadStats{
 		MissesNever: float64(never.misses), MissesLadder: float64(ladder.misses), MissesHeuristic: float64(heuristic.misses),
 		ViolSNever: never.violS, ViolSLadder: ladder.violS, ViolSHeuristic: heuristic.violS,
-		LadderTransitions:    float64(ladder.trans),
-		LadderBeatsNever:     ladder.misses < never.misses,
-		LadderBeatsHeuristic: ladder.violS < heuristic.violS,
+		LadderTransitions: float64(ladder.trans),
 	}
 
 	// The governed run's per-tenant audit streams must record a monotone
@@ -202,41 +192,13 @@ func OverloadRun(s Scale) (Result, OverloadStats) {
 	res.AddRow("brownout ladder", di(rounds), di(ladder.misses), f1(ladder.violS), di(ladder.trans))
 	res.AddRow("always-heuristic", di(rounds), di(heuristic.misses), f1(heuristic.violS), di(heuristic.trans))
 
-	res.Note("round budget %.0fms (2x worst unloaded full-solve round); CPU burst rounds %d-%d via %d spinner goroutines",
-		budgetMS, burstFrom, burstTo-1, 6*runtime.NumCPU())
+	res.Note("round budget %.0f model calls (2x worst unloaded full-solve round); burst rounds %d-%d cost %dx their model calls",
+		budget, burstFrom, burstTo-1, burstFactor)
 	res.Note("ladder_beats_never=%v: %d vs %d deadline misses (degrade under pressure instead of blowing the budget)",
-		st.LadderBeatsNever, ladder.misses, never.misses)
+		ladder.misses < never.misses, ladder.misses, never.misses)
 	res.Note("ladder_beats_heuristic=%v: %.0f vs %.0f violation seconds (full solves whenever there is headroom)",
-		st.LadderBeatsHeuristic, ladder.violS, heuristic.violS)
+		ladder.violS < heuristic.violS, ladder.violS, heuristic.violS)
 	res.Note("ladder transitions=%d monotone=%v (every walk one rung at a time, recorded in the audit stream)",
 		ladder.trans, st.Monotone)
 	return res, st
-}
-
-// burnCPU oversubscribes every core with spinner goroutines and returns a
-// stop function — the overload source the burst rounds run under. 6x the
-// core count so solver goroutines get at most a eighth of each core and
-// full-solve rounds reliably blow the calibrated budget.
-func burnCPU() func() {
-	var stop atomic.Bool
-	done := make(chan struct{})
-	n := 6 * runtime.NumCPU()
-	for i := 0; i < n; i++ {
-		go func() {
-			// Deliberately no Gosched: a yielding goroutine lands on the
-			// GLOBAL run queue, which the scheduler polls only once per 61
-			// scheduling events, so polite spinners burn almost nothing at
-			// GOMAXPROCS=1. A tight loop is async-preempted (~10ms quanta)
-			// onto the local queue and round-robins fairly with the work.
-			for !stop.Load() {
-			}
-			done <- struct{}{}
-		}()
-	}
-	return func() {
-		stop.Store(true)
-		for i := 0; i < n; i++ {
-			<-done
-		}
-	}
 }

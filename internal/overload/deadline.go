@@ -18,6 +18,14 @@ const HeaderDeadlineMS = "Graf-Deadline-Ms"
 // millisecond count would overflow it are rejected as malformed.
 const maxDuration = time.Duration(1<<63 - 1)
 
+// ValidBudgetMS reports whether ms is a usable budget in milliseconds:
+// finite, non-negative, and no larger than a time.Duration can hold. NaN,
+// +Inf and larger values convert to a negative Duration, which would
+// silently turn off the deadline they configure.
+func ValidBudgetMS(ms float64) bool {
+	return ms >= 0 && ms <= float64(maxDuration/time.Millisecond)
+}
+
 // FormatRemaining renders a remaining budget as the header value, rounding
 // up so a positive remainder never serializes to "0" (which would mean
 // already expired). Non-positive budgets return "0".

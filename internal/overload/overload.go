@@ -69,47 +69,18 @@ func ClampStep(s Step) Step {
 	return s
 }
 
-// GovernorConfig tunes the adaptive pressure governor. The zero value is
-// usable after withDefaults: enter on one round over budget, exit after two
-// consecutive rounds under half budget.
-type GovernorConfig struct {
-	// BudgetMS is the round wall-clock budget the governor defends.
-	BudgetMS float64
-
-	// EnterHigh is the fraction of BudgetMS at or above which a round
-	// counts as pressure (default 1.0).
-	EnterHigh float64
-
-	// ExitLow is the fraction of BudgetMS at or below which a round counts
-	// toward recovery (default 0.5). The gap between EnterHigh and ExitLow
-	// is the hysteresis band: rounds inside it reset both streaks, so the
-	// ladder cannot oscillate on borderline rounds.
-	ExitLow float64
-
-	// EnterN is how many consecutive pressure rounds force one step down
-	// the ladder (default 1 — degrade promptly).
-	EnterN int
-
-	// ExitN is how many consecutive calm rounds allow one step back up
-	// (default 2 — recover cautiously).
-	ExitN int
-}
-
-func (c GovernorConfig) withDefaults() GovernorConfig {
-	if c.EnterHigh <= 0 {
-		c.EnterHigh = 1.0
-	}
-	if c.ExitLow <= 0 {
-		c.ExitLow = 0.5
-	}
-	if c.EnterN <= 0 {
-		c.EnterN = 1
-	}
-	if c.ExitN <= 0 {
-		c.ExitN = 2
-	}
-	return c
-}
+// The governor's hysteresis. A round costing at least enterHigh × budget is
+// pressure, and one costing at most exitLow × budget counts toward recovery;
+// rounds inside the band reset both streaks, so the ladder cannot oscillate
+// on borderline rounds. enterN consecutive pressure rounds step one rung
+// down (degrade promptly), exitN consecutive calm rounds one rung back up
+// (recover cautiously).
+const (
+	enterHigh = 1.0
+	exitLow   = 0.5
+	enterN    = 1
+	exitN     = 2
+)
 
 // Transition is one recorded ladder move. From and To always differ by
 // exactly one rung — the governor never jumps.
@@ -118,63 +89,49 @@ type Transition struct {
 	From, To Step
 }
 
-// Governor turns observed round wall times into a brownout target with
-// hysteresis. It is not goroutine-safe: one observer (the round loop) owns
-// it.
+// Governor turns observed round costs into a brownout target with
+// hysteresis. It does not assume the cost's unit: a shard feeds it wall
+// milliseconds, the overload experiment counted model calls. It is not
+// goroutine-safe: one observer (the round loop) owns it.
 type Governor struct {
-	cfg    GovernorConfig
+	budget float64
 	step   Step
-	rounds int
-	high   int // consecutive rounds at/over EnterHigh
-	low    int // consecutive rounds at/under ExitLow
-	trans  []Transition
+	high   int // consecutive rounds at/over enterHigh
+	low    int // consecutive rounds at/under exitLow
 }
 
-// NewGovernor builds a governor defending cfg.BudgetMS per round.
-func NewGovernor(cfg GovernorConfig) *Governor {
-	return &Governor{cfg: cfg.withDefaults()}
+// NewGovernor builds a governor defending budget per round.
+func NewGovernor(budget float64) *Governor {
+	return &Governor{budget: budget}
 }
 
-// Observe feeds one completed round's wall time and returns the (possibly
+// Observe feeds one completed round's cost and returns the (possibly
 // updated) target step and whether it changed this round. Moves are always
 // a single rung.
-func (g *Governor) Observe(wallMS float64) (Step, bool) {
-	g.rounds++
-	budget := g.cfg.BudgetMS
+func (g *Governor) Observe(cost float64) (Step, bool) {
 	switch {
-	case budget > 0 && wallMS >= budget*g.cfg.EnterHigh:
+	case g.budget > 0 && cost >= g.budget*enterHigh:
 		g.high++
 		g.low = 0
-	case budget > 0 && wallMS <= budget*g.cfg.ExitLow:
+	case g.budget > 0 && cost <= g.budget*exitLow:
 		g.low++
 		g.high = 0
 	default:
 		g.high, g.low = 0, 0
 	}
 	from := g.step
-	if g.high >= g.cfg.EnterN && g.step < StepHold {
+	if g.high >= enterN && g.step < StepHold {
 		g.step++
 		g.high = 0
-	} else if g.low >= g.cfg.ExitN && g.step > StepFull {
+	} else if g.low >= exitN && g.step > StepFull {
 		g.step--
 		g.low = 0
 	}
-	if g.step != from {
-		g.trans = append(g.trans, Transition{Round: g.rounds, From: from, To: g.step})
-		return g.step, true
-	}
-	return g.step, false
+	return g.step, g.step != from
 }
 
 // Step returns the current target rung.
 func (g *Governor) Step() Step { return g.step }
-
-// Transitions returns the recorded ladder moves in order.
-func (g *Governor) Transitions() []Transition {
-	out := make([]Transition, len(g.trans))
-	copy(out, g.trans)
-	return out
-}
 
 // MonotoneTransitions reports whether every recorded move in trans walks
 // exactly one rung and stays on the ladder — the invariant the chaos

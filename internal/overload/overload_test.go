@@ -9,45 +9,56 @@ import (
 )
 
 func TestGovernorLadderAndHysteresis(t *testing.T) {
-	g := NewGovernor(GovernorConfig{BudgetMS: 100, EnterN: 1, ExitN: 2})
+	g := NewGovernor(100)
+	var trans []Transition
+	round := 0
+	observe := func(cost float64) (Step, bool) {
+		round++
+		from := g.Step()
+		step, changed := g.Observe(cost)
+		if changed {
+			trans = append(trans, Transition{Round: round, From: from, To: step})
+		}
+		return step, changed
+	}
 
 	// Calm rounds: stay at full.
 	for i := 0; i < 3; i++ {
-		if step, changed := g.Observe(20); step != StepFull || changed {
+		if step, changed := observe(20); step != StepFull || changed {
 			t.Fatalf("calm round %d: step=%v changed=%v", i, step, changed)
 		}
 	}
-	// One round over budget degrades one rung (EnterN=1), never more.
-	if step, changed := g.Observe(500); step != StepWarm || !changed {
+	// One round over budget degrades one rung (enterN=1), never more.
+	if step, changed := observe(500); step != StepWarm || !changed {
 		t.Fatalf("pressure round: step=%v changed=%v, want warm", step, changed)
 	}
 	// Sustained pressure walks the ladder rung by rung and saturates.
 	for i, want := range []Step{StepHeuristic, StepHold, StepHold, StepHold} {
-		if step, _ := g.Observe(500); step != want {
+		if step, _ := observe(500); step != want {
 			t.Fatalf("pressure round %d: step=%v want %v", i, step, want)
 		}
 	}
 	// A round inside the hysteresis band (between 50% and 100% of budget)
 	// neither degrades nor starts recovery.
-	if step, changed := g.Observe(75); step != StepHold || changed {
+	if step, changed := observe(75); step != StepHold || changed {
 		t.Fatalf("band round: step=%v changed=%v", step, changed)
 	}
-	// Recovery needs ExitN=2 consecutive calm rounds per rung.
-	if step, _ := g.Observe(10); step != StepHold {
+	// Recovery needs exitN=2 consecutive calm rounds per rung.
+	if step, _ := observe(10); step != StepHold {
 		t.Fatal("recovered after a single calm round")
 	}
-	if step, changed := g.Observe(10); step != StepHeuristic || !changed {
+	if step, changed := observe(10); step != StepHeuristic || !changed {
 		t.Fatalf("after 2 calm rounds: step=%v changed=%v, want heuristic", step, changed)
 	}
 	// A pressure round mid-recovery resets the calm streak and re-degrades.
-	if step, _ := g.Observe(500); step != StepHold {
+	if step, _ := observe(500); step != StepHold {
 		t.Fatal("pressure mid-recovery did not re-degrade")
 	}
 
-	if err := MonotoneTransitions(g.Transitions()); err != nil {
+	if err := MonotoneTransitions(trans); err != nil {
 		t.Fatalf("governor produced non-monotone transitions: %v", err)
 	}
-	if n := len(g.Transitions()); n != 5 {
+	if n := len(trans); n != 5 {
 		t.Fatalf("recorded %d transitions, want 5", n)
 	}
 }

@@ -56,17 +56,18 @@ type ShardServer struct {
 	// RetryAfterMS is the backpressure hint attached to shed verdicts
 	// (<=0 = gate default).
 	RetryAfterMS int
-	// Governor, when set, drives the fleet's adaptive brownout target from
-	// observed round wall times: rounds over budget walk every tenant one
-	// rung down the degradation ladder, calm rounds walk them back up.
-	Governor *overload.GovernorConfig
+	// GovernorBudgetMS, when positive, drives the fleet's adaptive brownout
+	// target from observed round wall times: rounds over this budget walk
+	// every tenant one rung down the degradation ladder, calm rounds walk
+	// them back up (0 = off).
+	GovernorBudgetMS float64
 
 	mu      sync.Mutex
 	fl      *fleet.Fleet
 	spec    Spec
 	round   int
 	started time.Time
-	gov     *overload.Governor // lazily built from Governor; guarded by mu
+	gov     *overload.Governor // lazily built from GovernorBudgetMS; guarded by mu
 
 	gateOnce sync.Once
 	gate     *overload.Gate
@@ -667,9 +668,9 @@ func (s *ShardServer) handleTick(w http.ResponseWriter, r *http.Request) {
 	s.fl.SetTraceParent(span.Context())
 	s.fl.RoundTo(req.Round)
 	s.round = req.Round
-	if s.Governor != nil {
+	if s.GovernorBudgetMS > 0 {
 		if s.gov == nil {
-			s.gov = overload.NewGovernor(*s.Governor)
+			s.gov = overload.NewGovernor(s.GovernorBudgetMS)
 		}
 		wallMS := float64(time.Since(now)) / float64(time.Millisecond)
 		if step, changed := s.gov.Observe(wallMS); changed {
