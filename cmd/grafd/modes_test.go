@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -51,6 +52,23 @@ func local(t *testing.T, args ...string) int {
 	return runFleet(testModel(), o)
 }
 
+// stdoutOf runs f with os.Stdout redirected and returns what it printed.
+func stdoutOf(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() { b, _ := io.ReadAll(r); out <- b }()
+	saved := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = saved }()
+	f()
+	w.Close()
+	return string(<-out)
+}
+
 const (
 	fromRouter = "takes its policy from the router"
 	offline    = "offline"
@@ -75,7 +93,7 @@ func TestFeatureModeTable(t *testing.T) {
 		{"shape diurnal", []string{"-shape", "diurnal"}, fromRouter},
 		{"shape azure", []string{"-shape", "azure"}, fromRouter},
 		{"forecast", []string{"-shape", "diurnal", "-forecast", "hw", "-horizon-ticks", "3", "-forecast-quantile", "0.9"}, fromRouter},
-		{"lifecycle", []string{"-lifecycle", "-model-archive", at("models")}, fromRouter},
+		{"lifecycle", []string{"-fleet", "2", "-lifecycle", "-model-archive", at("models")}, fromRouter},
 		{"slo", []string{"-slo", "200"}, fromRouter},
 		{"slo budget", []string{"-slo-budget", "0.02"}, fromRouter},
 		{"scripted brownout", []string{"-brownout", "2-5:heuristic"}, fromRouter},
@@ -86,6 +104,7 @@ func TestFeatureModeTable(t *testing.T) {
 		{"restart restore", []string{"-ckpt", at("ckpt"), "-audit-dir", at("ckpt-audit"), "-assert-restore"}, fromRouter},
 		{"replay", []string{"-replay", at("audit/tenant-00.jsonl")}, fromRouter},
 	}
+	stdout := map[string]string{}
 	for _, row := range rows {
 		t.Run(row.feature, func(t *testing.T) {
 			if row.feature == "replay" {
@@ -100,8 +119,12 @@ func TestFeatureModeTable(t *testing.T) {
 				if _, err := parse("-model", "m.graf", "-replay", "x.jsonl", "-forecast", "hw"); err == nil || !strings.Contains(err.Error(), offline) {
 					t.Errorf("-replay with a live-run flag: got %v, want the reason %q", err, offline)
 				}
-			} else if code := local(t, row.flags...); code != 0 {
-				t.Errorf("grafd %v: exit %d", row.flags, code)
+			} else {
+				var code int
+				stdout[row.feature] = stdoutOf(t, func() { code = local(t, row.flags...) })
+				if code != 0 {
+					t.Errorf("grafd %v: exit %d\n%s", row.flags, code, stdout[row.feature])
+				}
 			}
 			_, err := parse(append([]string{"-model", "m.graf", "-shard", "127.0.0.1:0"}, row.flags...)...)
 			switch {
@@ -112,8 +135,18 @@ func TestFeatureModeTable(t *testing.T) {
 			}
 		})
 	}
-	if gens, _ := filepath.Glob(at("models/tenant-00/model-*.graf")); len(gens) == 0 {
-		t.Error("lifecycle run archived no model generation")
+	// Every tenant of a lifecycle fleet archives its generation 0 and prints
+	// its lifecycle summary.
+	if n := strings.Count(stdout["lifecycle"], "lifecycle: phase="); n != 2 {
+		t.Errorf("lifecycle run printed %d lifecycle summaries, want one per tenant:\n%s", n, stdout["lifecycle"])
+	}
+	for _, id := range []string{"tenant-00", "tenant-01"} {
+		if _, err := os.Stat(at("models/" + id + "/model-00000000.graf")); err != nil {
+			t.Errorf("lifecycle run archived no generation 0 for %s: %v", id, err)
+		}
+		if !regexp.MustCompile(`(?m)^\s*` + id + `\s+lifecycle: phase=`).MatchString(stdout["lifecycle"]) {
+			t.Errorf("lifecycle run printed no lifecycle summary for %s", id)
+		}
 	}
 	// -train is the one model source a shard refuses, with its own reason.
 	if _, err := parse("-train", "-shard", "127.0.0.1:0"); err == nil || !strings.Contains(err.Error(), "different model") {

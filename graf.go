@@ -244,7 +244,10 @@ type (
 	// telemetry, gated canary promotion, and automatic rollback within a
 	// probation window. Obtain one with NewLifecycle.
 	Lifecycle = lifecycle.Manager
-	// LifecycleConfig parameterizes the lifecycle manager.
+	// LifecycleConfig turns on the lifecycle for every tenant of a fleet
+	// (FleetConfig.Lifecycle): the offline set retraining replays (NewFleet
+	// defaults it to the trained model's Samples) and the generation
+	// archive directory. Every tuning value is a constant of the lifecycle.
 	LifecycleConfig = lifecycle.Config
 	// LifecyclePhase is the manager's state-machine phase (Trusted,
 	// Drifted, Shadow, Probation).
@@ -266,21 +269,8 @@ const (
 	ModelUntrusted = core.ModelUntrusted
 )
 
-// DefaultLifecycleConfig returns the lifecycle settings used by the
-// evaluation (drift experiment, EXPERIMENTS.md).
-func DefaultLifecycleConfig() LifecycleConfig { return lifecycle.DefaultConfig() }
-
 // LifecycleOptions parameterizes NewLifecycle.
 type LifecycleOptions struct {
-	// Config overrides DefaultLifecycleConfig.
-	Config *LifecycleConfig
-
-	// BaseSamples overrides the offline training set retraining replays
-	// (re-registered onto the drifted surface) so candidates keep global
-	// shape. Defaults to the trained model's own Samples, which Save/
-	// LoadModel round-trip with the weights.
-	BaseSamples []Sample
-
 	// Dir, when non-empty, persists every model generation as a
 	// generation-numbered GRAFMDL1 file (model-00000001.graf, …) readable
 	// with LoadModel.
@@ -292,11 +282,13 @@ type LifecycleOptions struct {
 }
 
 // NewLifecycle creates the model-trust manager for this simulation around a
-// trained model (generation 0). The manager is not yet watching anything:
-// bind it to a controller with Attach, then Start it:
+// trained model (generation 0). Retraining replays the model's own Samples
+// (which Save/LoadModel round-trip with the weights) re-registered onto the
+// drifted surface, so candidates keep global shape. The manager is not yet
+// watching anything: bind it to a controller with Attach, then Start it:
 //
 //	ctl, _ := sim.StartGRAF(trained, slo)
-//	lc := sim.NewLifecycle(trained, graf.LifecycleOptions{BaseSamples: samples})
+//	lc := sim.NewLifecycle(trained, graf.LifecycleOptions{Dir: "models"})
 //	lc.Attach(ctl)
 //	lc.Start()
 //
@@ -305,27 +297,9 @@ type LifecycleOptions struct {
 // whose restore re-executes the tenant, lifecycle included, up to its
 // checkpoint.
 func (s *Simulation) NewLifecycle(t *TrainedModel, o LifecycleOptions) *Lifecycle {
-	cfg := lifecycle.DefaultConfig()
-	if o.Config != nil {
-		cfg = *o.Config
-	}
-	if len(o.BaseSamples) > 0 {
-		cfg.BaseSamples = o.BaseSamples
-	} else if len(cfg.BaseSamples) == 0 {
-		cfg.BaseSamples = t.Samples
-	}
-	if o.Dir != "" {
-		cfg.Dir = o.Dir
-	}
+	cfg := lifecycle.Config{BaseSamples: t.Samples, Dir: o.Dir}
 	m := lifecycle.NewManager(s.Cluster, t.Model, t.Bounds, t.SLO.Seconds(), cfg)
 	m.SaveModel = t.saveGeneration
-	m.LoadModel = func(path string) (*Model, error) {
-		tm, err := LoadModel(path)
-		if err != nil {
-			return nil, err
-		}
-		return tm.Model, nil
-	}
 	if s.obs != nil {
 		m.Obs = obs.NewLifecycleObs(s.obs)
 	}
@@ -776,7 +750,9 @@ type (
 // NewFleet builds a multi-tenant fleet from a trained model: the
 // application graph, solver bounds, SLO, and trained workload range all
 // come from t; cfg supplies the tenant set and scheduling knobs (its App,
-// Model, Bounds, SLO, MinRate and MaxRate fields are overwritten).
+// Model, Bounds, SLO, MinRate and MaxRate fields are overwritten). Lifecycle
+// tenants replay t.Samples when cfg.Lifecycle names no base set, as
+// NewLifecycle's do.
 func NewFleet(a *App, t *TrainedModel, cfg FleetConfig) (*Fleet, error) {
 	if err := t.ValidateFor(a); err != nil {
 		return nil, err
@@ -787,5 +763,8 @@ func NewFleet(a *App, t *TrainedModel, cfg FleetConfig) (*Fleet, error) {
 	cfg.SLO = t.SLO.Seconds()
 	cfg.MinRate = t.MinRate
 	cfg.MaxRate = t.MaxRate
+	if lc := cfg.Lifecycle; lc != nil && len(lc.BaseSamples) == 0 {
+		cfg.Lifecycle = &LifecycleConfig{BaseSamples: t.Samples, Dir: lc.Dir}
+	}
 	return fleet.New(cfg)
 }

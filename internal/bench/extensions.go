@@ -62,7 +62,7 @@ func AblationAnomaly(s Scale) Result {
 		g.Start()
 		var mit *core.AnomalyMitigator
 		if mitigate {
-			mit = core.NewAnomalyMitigator(cl, core.DefaultAnomalyMitigatorConfig())
+			mit = core.NewAnomalyMitigator(cl)
 			mit.Start()
 		}
 		eng.RunUntil(260)

@@ -67,9 +67,7 @@ func runDrift(tr *Trained, withLifecycle bool, slo float64, seed int64, observeS
 	var mgr *lifecycle.Manager
 	var events []string
 	if withLifecycle {
-		lcfg := lifecycle.DefaultConfig()
-		lcfg.BaseSamples = tr.Samples
-		mgr = lifecycle.NewManager(cl, tr.Model, tr.Bounds, slo, lcfg)
+		mgr = lifecycle.NewManager(cl, tr.Model, tr.Bounds, slo, lifecycle.Config{BaseSamples: tr.Samples})
 		mgr.OnEvent = func(at float64, kind, detail string) {
 			events = append(events, fmt.Sprintf("t=%.0f %s: %s", at, kind, detail))
 		}

@@ -5,6 +5,17 @@ import (
 	"graf/internal/obs"
 )
 
+// The anomaly mitigator's one recipe.
+const (
+	mitigatorIntervalS = 5    // check period
+	spikeShortWindowS  = 10   // spike detection window
+	spikeLongWindowS   = 120  // baseline window
+	spikeFactor        = 1.8  // short/long p95 ratio that flags an anomaly
+	spikeRateTol       = 0.25 // max relative arrival-rate change still "unchanged"
+	boostQuota         = 250  // extra millicores added per firing
+	maxBoost           = 2000 // cap on accumulated extra quota per service
+)
+
 // AnomalyMitigator implements the paper's §6 direction of "actively
 // removing contention anomalies": GRAF minimizes quota for the given
 // workload, which leaves no slack for unexpected resource interference.
@@ -13,34 +24,8 @@ import (
 // roughly unchanged, so it is not a workload effect GRAF would handle — is
 // attributed to contention, and the service temporarily receives extra
 // quota until the spike clears.
-type AnomalyMitigatorConfig struct {
-	IntervalS    float64 // check period
-	ShortWindowS float64 // spike detection window
-	LongWindowS  float64 // baseline window
-	SpikeFactor  float64 // short/long p95 ratio that flags an anomaly
-	RateTol      float64 // max relative arrival-rate change still "unchanged"
-	BoostQuota   float64 // extra millicores added per firing
-	MaxBoost     float64 // cap on accumulated extra quota per service
-}
-
-// DefaultAnomalyMitigatorConfig returns the settings used in the tests and
-// the ablation bench.
-func DefaultAnomalyMitigatorConfig() AnomalyMitigatorConfig {
-	return AnomalyMitigatorConfig{
-		IntervalS:    5,
-		ShortWindowS: 10,
-		LongWindowS:  120,
-		SpikeFactor:  1.8,
-		RateTol:      0.25,
-		BoostQuota:   250,
-		MaxBoost:     2000,
-	}
-}
-
-// AnomalyMitigator is the runtime component.
 type AnomalyMitigator struct {
 	Cluster *cluster.Cluster
-	Cfg     AnomalyMitigatorConfig
 
 	// Obs, if set, counts every boost firing per service.
 	Obs *obs.ControllerObs
@@ -52,14 +37,14 @@ type AnomalyMitigator struct {
 }
 
 // NewAnomalyMitigator returns a mitigator for every microservice of c.
-func NewAnomalyMitigator(c *cluster.Cluster, cfg AnomalyMitigatorConfig) *AnomalyMitigator {
-	c.DeclareLookback(cluster.SelfLatency|cluster.ServiceRates, cfg.LongWindowS)
-	return &AnomalyMitigator{Cluster: c, Cfg: cfg, extra: map[string]float64{}, preBoost: map[string]float64{}}
+func NewAnomalyMitigator(c *cluster.Cluster) *AnomalyMitigator {
+	c.DeclareLookback(cluster.SelfLatency|cluster.ServiceRates, spikeLongWindowS)
+	return &AnomalyMitigator{Cluster: c, extra: map[string]float64{}, preBoost: map[string]float64{}}
 }
 
 // Start begins the check loop.
 func (m *AnomalyMitigator) Start() {
-	m.stop = m.Cluster.Eng.Ticker(m.Cluster.Eng.Now()+m.Cfg.IntervalS, m.Cfg.IntervalS, m.Step)
+	m.stop = m.Cluster.Eng.Ticker(m.Cluster.Eng.Now()+mitigatorIntervalS, mitigatorIntervalS, m.Step)
 }
 
 // Stop halts the check loop.
@@ -79,10 +64,10 @@ func (m *AnomalyMitigator) Extra(svc string) float64 { return m.extra[svc] }
 func (m *AnomalyMitigator) Step() {
 	for _, name := range m.Cluster.App.ServiceNames() {
 		d := m.Cluster.Deployment(name)
-		short := d.SelfLatencyQuantile(0.95, m.Cfg.ShortWindowS)
-		long := d.SelfLatencyQuantile(0.95, m.Cfg.LongWindowS)
-		rShort := d.ArrivalRate(m.Cfg.ShortWindowS)
-		rLong := d.ArrivalRate(m.Cfg.LongWindowS)
+		short := d.SelfLatencyQuantile(0.95, spikeShortWindowS)
+		long := d.SelfLatencyQuantile(0.95, spikeLongWindowS)
+		rShort := d.ArrivalRate(spikeShortWindowS)
+		rLong := d.ArrivalRate(spikeLongWindowS)
 		if long <= 0 || rLong <= 0 {
 			continue
 		}
@@ -90,15 +75,15 @@ func (m *AnomalyMitigator) Step() {
 		if rateShift < 0 {
 			rateShift = -rateShift
 		}
-		spiking := short > long*m.Cfg.SpikeFactor && rateShift <= m.Cfg.RateTol
+		spiking := short > long*spikeFactor && rateShift <= spikeRateTol
 		switch {
-		case spiking && m.extra[name] < m.Cfg.MaxBoost:
+		case spiking && m.extra[name] < maxBoost:
 			if m.extra[name] == 0 {
 				m.preBoost[name] = d.Quota()
 			}
-			m.extra[name] += m.Cfg.BoostQuota
+			m.extra[name] += boostQuota
 			m.fired++
-			d.SetQuota(d.Quota() + m.Cfg.BoostQuota)
+			d.SetQuota(d.Quota() + boostQuota)
 			m.Obs.Boost(m.Cluster.Eng.Now(), name)
 		case !spiking && m.extra[name] > 0 && short <= long*1.1:
 			// Spike cleared: return the borrowed quota. Never restore below

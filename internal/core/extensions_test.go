@@ -95,7 +95,7 @@ func TestAnomalyMitigatorBoostsAndReverts(t *testing.T) {
 	eng.RunUntil(30)
 	g := workload.NewOpenLoop(cl, workload.ConstRate(30))
 	g.Start()
-	mit := NewAnomalyMitigator(cl, DefaultAnomalyMitigatorConfig())
+	mit := NewAnomalyMitigator(cl)
 	mit.Start()
 	// Build a clean baseline first.
 	eng.RunUntil(200)
@@ -134,7 +134,7 @@ func TestAnomalyMitigatorIgnoresWorkloadChanges(t *testing.T) {
 	eng.RunUntil(30)
 	g := workload.NewOpenLoop(cl, workload.StepRate(10, 60, 230))
 	g.Start()
-	mit := NewAnomalyMitigator(cl, DefaultAnomalyMitigatorConfig())
+	mit := NewAnomalyMitigator(cl)
 	mit.Start()
 	eng.RunUntil(260) // shortly after the surge: rate clearly shifted
 	firedAtSurge := mit.Fired()

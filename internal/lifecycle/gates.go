@@ -57,7 +57,7 @@ func overallMAPE(m *gnn.Model, set []gnn.Sample) float64 {
 // on the (equally poisoned) shadow window while being catastrophically wrong
 // about the quota→latency surface the solver differentiates through.
 func gateCandidate(cand, inc *gnn.Model, samples []gnn.Sample,
-	bounds core.Bounds, slo float64, cfg Config,
+	bounds core.Bounds, slo float64,
 	candShadow, incShadow float64, shadowN int) GateResult {
 
 	g := GateResult{CandShadow: candShadow, IncShadow: incShadow}
@@ -66,11 +66,11 @@ func gateCandidate(cand, inc *gnn.Model, samples []gnn.Sample,
 	}
 
 	// Gate 1: live shadow residual. The candidate must beat the incumbent
-	// by the configured margin on traffic neither trained on.
+	// by promoteMargin on traffic neither trained on.
 	if shadowN == 0 {
 		fail("no shadow observations")
-	} else if !(candShadow < incShadow*cfg.PromoteMargin) {
-		fail("shadow residual %.3f not < %.3f×%.2f", candShadow, incShadow, cfg.PromoteMargin)
+	} else if !(candShadow < incShadow*promoteMargin) {
+		fail("shadow residual %.3f not < %.3f×%.2f", candShadow, incShadow, promoteMargin)
 	}
 
 	// Gate 2: sample-window MAPE via EvaluateRegions — a broader probe than
@@ -88,9 +88,9 @@ func gateCandidate(cand, inc *gnn.Model, samples []gnn.Sample,
 	load := medianLoad(samples, len(bounds.Lo))
 
 	// Gate 3: bounded prediction envelope. Predictions along the Lo→Hi box
-	// diagonal must be finite, positive, and under PredCapFactor×SLO — a
+	// diagonal must be finite, positive, and under predCapFactor×SLO — a
 	// collapsed or exploded candidate fails here regardless of its scores.
-	cap := cfg.PredCapFactor * slo
+	cap := predCapFactor * slo
 	fracs := []float64{0, 0.25, 0.5, 0.75, 1}
 	preds := make([]float64, len(fracs))
 	for i, f := range fracs {
@@ -109,7 +109,7 @@ func gateCandidate(cand, inc *gnn.Model, samples []gnn.Sample,
 	// surface is monotone non-increasing in quota, and the solver's
 	// gradient descent relies on it.
 	for i := 1; i < len(preds); i++ {
-		if preds[i] > preds[i-1]*(1+cfg.MonotoneTol) {
+		if preds[i] > preds[i-1]*(1+monotoneTol) {
 			fail("non-monotone: pred rises %.3fs→%.3fs from box fraction %.2f to %.2f",
 				preds[i-1], preds[i], fracs[i-1], fracs[i])
 		}
@@ -127,8 +127,8 @@ func gateCandidate(cand, inc *gnn.Model, samples []gnn.Sample,
 			sum += d
 		}
 		// Tolerance scaled to the surface: a per-millicore slope budget of
-		// MonotoneTol×pred over a 1000-millicore sweep.
-		if tol := cfg.MonotoneTol * pred / 1000; sum > tol {
+		// monotoneTol×pred over a 1000-millicore sweep.
+		if tol := monotoneTol * pred / 1000; sum > tol {
 			fail("gradient-sign: Σ∂latency/∂quota = %.2e > %.2e", sum, tol)
 		}
 	}

@@ -16,9 +16,9 @@ import (
 // --- Drift monitor ----------------------------------------------------------
 
 func TestMonitorWarmupAndTrip(t *testing.T) {
-	m := NewMonitor(DefaultMonitorConfig())
+	m := &Monitor{}
 	// Large residuals before warmup must not trip.
-	for i := 0; i < m.Cfg.Warmup-1; i++ {
+	for i := 0; i < warmup-1; i++ {
 		m.Observe(0.9)
 	}
 	if m.Tripped() {
@@ -43,7 +43,7 @@ func TestMonitorWarmupAndTrip(t *testing.T) {
 }
 
 func TestMonitorIgnoresSmallResiduals(t *testing.T) {
-	m := NewMonitor(DefaultMonitorConfig())
+	m := &Monitor{}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		m.Observe(0.05 * rng.NormFloat64()) // well inside the slack band
@@ -54,7 +54,7 @@ func TestMonitorIgnoresSmallResiduals(t *testing.T) {
 }
 
 func TestMonitorTripsOnOverestimation(t *testing.T) {
-	m := NewMonitor(DefaultMonitorConfig())
+	m := &Monitor{}
 	tripped := false
 	for i := 0; i < 40; i++ {
 		m.Observe(-0.9) // model predicts far above reality
@@ -146,11 +146,10 @@ func TestGateRejectsPoisonedCandidate(t *testing.T) {
 		ValFrac: 0.2, TestFrac: 0, Seed: 12, EvalEvery: 400,
 	})
 
-	cfg := DefaultConfig()
 	// Hand the poisoned candidate the best possible shadow score, so the
 	// rejection must come from the sanity gates, not the live comparison.
-	g := gateCandidate(cand, inc, good, testBounds(len(a.Services)), 0.250, cfg,
-		0.01, 0.50, cfg.ShadowTicks)
+	g := gateCandidate(cand, inc, good, testBounds(len(a.Services)), 0.250,
+		0.01, 0.50, shadowTicks)
 	if g.Pass {
 		t.Fatalf("promotion gate passed a quota-anti-correlated candidate: %s", g.String())
 	}
@@ -165,9 +164,8 @@ func TestGateRejectsWorseShadowScore(t *testing.T) {
 	inc := trainIncumbent(t, a, good, 21)
 	cand := inc.Clone() // identical surface: zero improvement
 
-	cfg := DefaultConfig()
-	g := gateCandidate(cand, inc, good, testBounds(len(a.Services)), 0.250, cfg,
-		0.30, 0.30, cfg.ShadowTicks) // parity, not a win
+	g := gateCandidate(cand, inc, good, testBounds(len(a.Services)), 0.250,
+		0.30, 0.30, shadowTicks) // parity, not a win
 	if g.Pass {
 		t.Fatal("promotion gate passed a candidate with no shadow improvement")
 	}
@@ -186,15 +184,14 @@ func TestGatePassesBetterCandidate(t *testing.T) {
 		Iterations: 800, Batch: 32, LR: 1e-3, ValFrac: 0.2, Seed: 32, EvalEvery: 800,
 	})
 
-	cfg := DefaultConfig()
-	g := gateCandidate(cand, inc, good, testBounds(len(a.Services)), 0.250, cfg,
-		0.05, 0.40, cfg.ShadowTicks)
+	g := gateCandidate(cand, inc, good, testBounds(len(a.Services)), 0.250,
+		0.05, 0.40, shadowTicks)
 	if !g.Pass {
 		t.Fatalf("promotion gate rejected a strictly better candidate: %v", g.Reasons)
 	}
 }
 
-// --- Manager state machine and snapshot/restore ------------------------------
+// --- Manager state machine ---------------------------------------------------
 
 func testManager(t *testing.T, seed int64) (*Manager, *app.App) {
 	t.Helper()
@@ -203,9 +200,7 @@ func testManager(t *testing.T, seed int64) (*Manager, *app.App) {
 	cl := cluster.New(eng, a, cluster.DefaultConfig())
 	good := synthSamples(a, 120, seed)
 	inc := trainIncumbent(t, a, good, seed)
-	cfg := DefaultConfig()
-	cfg.MinRetrainSamples = 10
-	m := NewManager(cl, inc, testBounds(len(a.Services)), 0.250, cfg)
+	m := NewManager(cl, inc, testBounds(len(a.Services)), 0.250, Config{})
 	m.samples = good[:40]
 	return m, a
 }
@@ -220,8 +215,8 @@ func TestManagerPromoteThenRollback(t *testing.T) {
 	if m.Phase() != PhaseDrifted {
 		t.Fatalf("after trip: phase=%v", m.Phase())
 	}
-	if len(m.samples) > m.Cfg.DriftLookback {
-		t.Fatalf("trip kept %d samples; want ≤ lookback %d", len(m.samples), m.Cfg.DriftLookback)
+	if len(m.samples) > driftLookback {
+		t.Fatalf("trip kept %d samples; want ≤ lookback %d", len(m.samples), driftLookback)
 	}
 
 	// Promote a candidate (bypassing the gates — they have their own tests).
@@ -230,8 +225,8 @@ func TestManagerPromoteThenRollback(t *testing.T) {
 	if m.Phase() != PhaseProbation || m.Generation() != 1 {
 		t.Fatalf("after promote: phase=%v gen=%d", m.Phase(), m.Generation())
 	}
-	if m.probLeft != m.Cfg.ProbationTicks {
-		t.Fatalf("probation window = %d; want %d", m.probLeft, m.Cfg.ProbationTicks)
+	if m.probLeft != probationTicks {
+		t.Fatalf("probation window = %d; want %d", m.probLeft, probationTicks)
 	}
 	if _, ok := m.archive[0]; !ok {
 		t.Fatal("promotion dropped the archived generation 0")
@@ -244,8 +239,8 @@ func TestManagerPromoteThenRollback(t *testing.T) {
 	if m.Phase() != PhaseDrifted || m.Generation() != 0 {
 		t.Fatalf("after rollback: phase=%v gen=%d", m.Phase(), m.Generation())
 	}
-	if m.cooldown != m.Cfg.CooldownTicks {
-		t.Fatalf("rollback cooldown = %d; want %d", m.cooldown, m.Cfg.CooldownTicks)
+	if m.cooldown != cooldownTicks {
+		t.Fatalf("rollback cooldown = %d; want %d", m.cooldown, cooldownTicks)
 	}
 	trips, promotions, rollbacks, _, _, _ := m.Stats()
 	if trips != 1 || promotions != 1 || rollbacks != 1 {
@@ -253,13 +248,11 @@ func TestManagerPromoteThenRollback(t *testing.T) {
 	}
 }
 
-// A Config assembled by hand (graf.LifecycleOptions{Config: &graf.LifecycleConfig{…}})
-// may leave the retraining budget zero. A zero batch or learning rate used to
-// train a candidate of NaNs that the gates then rejected, forever; the
-// defaults must apply to all three fields.
-func TestStartShadowDefaultsRetrainBudget(t *testing.T) {
+// startShadow must train a candidate that predicts finite latencies and
+// differs from the incumbent: a zero batch or learning rate once trained a
+// candidate of NaNs that the gates then rejected, forever.
+func TestStartShadowTrainsFiniteDistinctCandidate(t *testing.T) {
 	m, _ := testManager(t, 61)
-	m.Cfg.RetrainIters, m.Cfg.RetrainBatch, m.Cfg.RetrainLR = 0, 0, 0
 	m.startShadow(PhaseTrusted)
 	if m.Phase() != PhaseShadow || m.candidate == nil {
 		t.Fatalf("startShadow left phase=%v candidate=%v", m.Phase(), m.candidate)

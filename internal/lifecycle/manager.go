@@ -1,7 +1,6 @@
 package lifecycle
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -50,53 +49,9 @@ func (p Phase) String() string {
 	return "Unknown"
 }
 
-// Config parameterizes the lifecycle manager.
+// Config is what a caller gives the lifecycle manager: the offline training
+// set and the archive directory. Every tuning value is a constant below.
 type Config struct {
-	// IntervalS is the monitor cadence in seconds (default: the
-	// controller's 5s).
-	IntervalS float64
-
-	// WindowS is the trailing telemetry window for rates and p99.
-	WindowS float64
-
-	// MinRate and MinP99 gate signal quality: ticks with less observed
-	// traffic or no measured tail are skipped entirely.
-	MinRate float64
-	MinP99  float64
-
-	// Hampel is the telemetry sanitization filter template (K, Floor, N):
-	// every stream (per-API observed rates, measured p99) passes through its
-	// own filter before it reaches the residual monitor or the retraining
-	// sample window.
-	Hampel forecast.Hampel
-
-	// Monitor is the drift-detection configuration.
-	Monitor MonitorConfig
-
-	// RecoverEWMA and RecoverTicks re-trust a demoted incumbent without
-	// retraining: if its residual EWMA stays below RecoverEWMA for
-	// RecoverTicks consecutive ticks while drifted, the drift was transient
-	// (e.g. a contention burst that expired) and the incumbent is restored.
-	RecoverEWMA  float64
-	RecoverTicks int
-
-	// SampleWindow bounds the rolling (load, quota, p99) sample buffer;
-	// DriftLookback is how many of the freshest samples survive a drift
-	// trip (older ones describe the pre-drift surface and would dilute the
-	// retraining set); MinRetrainSamples is the floor below which
-	// retraining waits for more data.
-	SampleWindow      int
-	DriftLookback     int
-	MinRetrainSamples int
-
-	// Retraining budget. The candidate is a fine-tuned clone of the
-	// incumbent: warm-starting preserves the global surface while the
-	// fresh samples correct the drifted region — and is cheap enough to
-	// run inside one control tick.
-	RetrainIters int
-	RetrainBatch int
-	RetrainLR    float64
-
 	// BaseSamples, if set, is the offline training set (§3.7 pipeline).
 	// Live telemetry clusters around one operating point, so a candidate
 	// fine-tuned on it alone forgets the rest of the quota box and fails
@@ -111,85 +66,91 @@ type Config struct {
 	// result when the hypothesis was wrong.
 	BaseSamples []gnn.Sample
 
-	// RescaleLo/RescaleHi clamp the fitted quota rescale κ. 0 picks the
-	// defaults 0.5 and 4.
-	RescaleLo float64
-	RescaleHi float64
-
-	// BoundsScaleCap caps how far promotion may widen the solver's upper
-	// quota bounds. Algorithm 1's box was probed on the pre-drift surface;
-	// when work per request inflates, the SLO-feasible region can leave
-	// that box entirely, so each promotion scales Bounds.Hi by the
-	// observed label-rescale ratio (never shrinking, never beyond
-	// cap × the original bounds). 0 picks the default 2.
-	BoundsScaleCap float64
-
-	// RetrainEveryS additionally retrains on a schedule even without a
-	// drift trip (0 disables; drift-triggered retraining always works).
-	RetrainEveryS float64
-
-	// CooldownTicks is the back-off after a rejected candidate or a
-	// rollback before the next retraining attempt.
-	CooldownTicks int
-
-	// ShadowTicks is the live canary scoring window (in manager ticks).
-	ShadowTicks int
-
-	// PromoteMargin: the candidate's shadow residual must be below
-	// incumbent×PromoteMargin to promote — parity is not enough to justify
-	// a model swap.
-	PromoteMargin float64
-
-	// ProbationTicks is how long a promoted model stays under the envelope
-	// clamp with a fresh monitor before earning full trust.
-	ProbationTicks int
-
-	// PredCapFactor bounds the prediction envelope gate at
-	// PredCapFactor×SLO; MonotoneTol is the tolerance of the monotone and
-	// gradient-sign gates.
-	PredCapFactor float64
-	MonotoneTol   float64
-
-	// LatencyCapFactor clamps p99 training labels at LatencyCapFactor×SLO,
-	// like the offline pipeline, so violation storms don't blow up the
-	// regression target.
-	LatencyCapFactor float64
-
-	// Seed derives the deterministic retraining seeds.
-	Seed int64
-
 	// Dir, when non-empty, persists every model generation as a
 	// generation-numbered GRAFMDL1 file (model-00000001.graf …) via the
 	// SaveModel callback.
 	Dir string
 }
 
-// DefaultConfig returns the lifecycle settings used by the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		IntervalS:         5,
-		WindowS:           15,
-		MinRate:           1,
-		MinP99:            1e-4,
-		Monitor:           DefaultMonitorConfig(),
-		RecoverEWMA:       0.15,
-		RecoverTicks:      6,
-		SampleWindow:      240,
-		DriftLookback:     6,
-		MinRetrainSamples: 20,
-		RetrainIters:      300,
-		RetrainBatch:      32,
-		RetrainLR:         1e-3,
-		CooldownTicks:     12,
-		ShadowTicks:       10,
-		PromoteMargin:     0.85,
-		ProbationTicks:    24,
-		PredCapFactor:     20,
-		MonotoneTol:       0.10,
-		LatencyCapFactor:  5,
-		Seed:              1,
-	}
-}
+const (
+	// intervalS is the monitor cadence in seconds: the controller's.
+	intervalS = 5
+
+	// windowS is the trailing telemetry window for rates and p99.
+	windowS = 15
+
+	// minRate and minP99 gate signal quality: ticks with less observed
+	// traffic or no measured tail are skipped entirely.
+	minRate = 1
+	minP99  = 1e-4
+
+	// recoverEWMA and recoverTicks re-trust a demoted incumbent without
+	// retraining: if its residual EWMA stays below recoverEWMA for
+	// recoverTicks consecutive ticks while drifted, the drift was transient
+	// (e.g. a contention burst that expired) and the incumbent is restored.
+	recoverEWMA  = 0.15
+	recoverTicks = 6
+
+	// sampleWindow bounds the rolling (load, quota, p99) sample buffer.
+	sampleWindow = 240
+	// driftLookback is how many of the freshest samples survive a drift
+	// trip: older ones describe the pre-drift surface and would dilute the
+	// retraining set.
+	driftLookback = 6
+	// minRetrainSamples is the floor below which retraining waits for more
+	// data.
+	minRetrainSamples = 20
+
+	// Retraining budget. The candidate is a fine-tuned clone of the
+	// incumbent: warm-starting preserves the global surface while the
+	// fresh samples correct the drifted region — and is cheap enough to
+	// run inside one control tick.
+	retrainIters = 300
+	retrainBatch = 32
+	retrainLR    = 1e-3
+
+	// retrainSeed derives the deterministic retraining seeds.
+	retrainSeed = 1
+
+	// rescaleLo and rescaleHi clamp the fitted quota rescale κ.
+	rescaleLo = 0.5
+	rescaleHi = 4
+
+	// boundsScaleCap caps how far promotion may widen the solver's upper
+	// quota bounds. Algorithm 1's box was probed on the pre-drift surface;
+	// when work per request inflates, the SLO-feasible region can leave
+	// that box entirely, so each promotion scales Bounds.Hi by the
+	// observed label-rescale ratio (never shrinking, never beyond
+	// boundsScaleCap × the original bounds).
+	boundsScaleCap = 2
+
+	// cooldownTicks is the back-off after a rejected candidate or a
+	// rollback before the next retraining attempt.
+	cooldownTicks = 12
+
+	// shadowTicks is the live canary scoring window (in manager ticks).
+	shadowTicks = 10
+
+	// promoteMargin: the candidate's shadow residual must be below
+	// incumbent×promoteMargin to promote — parity is not enough to justify
+	// a model swap.
+	promoteMargin = 0.85
+
+	// probationTicks is how long a promoted model stays under the envelope
+	// clamp with a fresh monitor before earning full trust.
+	probationTicks = 24
+
+	// predCapFactor bounds the prediction envelope gate at
+	// predCapFactor×SLO; monotoneTol is the tolerance of the monotone and
+	// gradient-sign gates.
+	predCapFactor = 20
+	monotoneTol   = 0.10
+
+	// latencyCapFactor clamps p99 training labels at latencyCapFactor×SLO,
+	// like the offline pipeline, so violation storms don't blow up the
+	// regression target.
+	latencyCapFactor = 5
+)
 
 // Manager runs the model lifecycle against one controller. Everything it
 // consumes is read from cluster telemetry on its own ticker, off the
@@ -209,11 +170,10 @@ type Manager struct {
 	// OnEvent, if set, observes every lifecycle event (for CLI logging).
 	OnEvent func(at float64, kind, detail string)
 
-	// SaveModel and LoadModel persist one model generation to/from a file.
-	// graf.go wires them to the public TrainedModel Save/Load (GRAFMDL1
-	// framing); nil keeps the archive in memory only.
+	// SaveModel persists one model generation to a file. graf.go wires it
+	// to the public TrainedModel Save (GRAFMDL1 framing); nil keeps the
+	// archive in memory only.
 	SaveModel func(m *gnn.Model, path string) error
-	LoadModel func(path string) (*gnn.Model, error)
 
 	ctl *core.Controller
 	an  *core.Analyzer
@@ -239,7 +199,6 @@ type Manager struct {
 
 	cooldown      int
 	recoverStreak int
-	lastRetrainAt float64
 	lastRatio     float64 // label rescale ratio of the latest retrain
 	boundsScale   float64 // cumulative Bounds.Hi widening (1 = original box)
 
@@ -253,16 +212,13 @@ type Manager struct {
 // NewManager wires a lifecycle manager for a cluster. model is generation 0;
 // bounds are the solver's (Algorithm 1) bounds, reused for gate probes.
 func NewManager(cl *cluster.Cluster, model *gnn.Model, b core.Bounds, slo float64, cfg Config) *Manager {
-	if cfg.IntervalS <= 0 {
-		cfg.IntervalS = 5
-	}
-	cl.DeclareLookback(cluster.APIRates|cluster.E2ELatency, cfg.WindowS)
+	cl.DeclareLookback(cluster.APIRates|cluster.E2ELatency, windowS)
 	m := &Manager{
 		Cl: cl, Cfg: cfg, SLO: slo, Bounds: b,
 		an:          core.NewAnalyzer(cl.App),
 		incumbent:   model,
-		mon:         NewMonitor(cfg.Monitor),
-		hampelP99:   &forecast.Hampel{K: cfg.Hampel.K, Floor: cfg.Hampel.Floor, N: cfg.Hampel.N},
+		mon:         &Monitor{},
+		hampelP99:   &forecast.Hampel{},
 		hampelRate:  map[string]*forecast.Hampel{},
 		archive:     map[int]*gnn.Model{0: model},
 		lastRatio:   1,
@@ -341,7 +297,7 @@ func (m *Manager) Samples() []gnn.Sample {
 // the controller just applied.
 func (m *Manager) Start() {
 	eng := m.Cl.Eng
-	m.stop = eng.Ticker(eng.Now()+0.0037, m.Cfg.IntervalS, m.Tick)
+	m.stop = eng.Ticker(eng.Now()+0.0037, intervalS, m.Tick)
 }
 
 // Stop halts the ticker.
@@ -373,7 +329,7 @@ func (m *Manager) Tick() {
 
 	// Sanitized telemetry. Per-API rates and the measured p99 each pass
 	// through their own Hampel filter before anything downstream sees them.
-	rawRates := m.Cl.APIArrivalRates(m.Cfg.WindowS)
+	rawRates := m.Cl.APIArrivalRates(windowS)
 	apis := make([]string, 0, len(rawRates))
 	for api := range rawRates {
 		apis = append(apis, api)
@@ -384,15 +340,15 @@ func (m *Manager) Tick() {
 	for _, api := range apis {
 		h, ok := m.hampelRate[api]
 		if !ok {
-			h = &forecast.Hampel{K: m.Cfg.Hampel.K, Floor: m.Cfg.Hampel.Floor, N: m.Cfg.Hampel.N}
+			h = &forecast.Hampel{}
 			m.hampelRate[api] = h
 		}
 		rates[api] = h.Push(rawRates[api])
 		total += rates[api]
 	}
-	p99 := m.hampelP99.Push(m.Cl.E2ELatencyQuantile(0.99, m.Cfg.WindowS))
+	p99 := m.hampelP99.Push(m.Cl.E2ELatencyQuantile(0.99, windowS))
 
-	if total < m.Cfg.MinRate || p99 <= m.Cfg.MinP99 {
+	if total < minRate || p99 <= minP99 {
 		return // no signal this tick
 	}
 
@@ -406,17 +362,14 @@ func (m *Manager) Tick() {
 	}
 
 	// Rolling retraining sample, label capped like the offline pipeline.
-	label := p99
-	if cap := m.Cfg.LatencyCapFactor * m.SLO; m.Cfg.LatencyCapFactor > 0 && label > cap {
-		label = cap
-	}
+	label := min(p99, latencyCapFactor*m.SLO)
 	m.samples = append(m.samples, gnn.Sample{
 		Load:    append([]float64(nil), load...),
 		Quota:   append([]float64(nil), quota...),
 		Latency: label,
 	})
-	if n := m.Cfg.SampleWindow; n > 0 && len(m.samples) > n {
-		m.samples = m.samples[len(m.samples)-n:]
+	if len(m.samples) > sampleWindow {
+		m.samples = m.samples[len(m.samples)-sampleWindow:]
 	}
 
 	// Residual of the incumbent at the operating point. While ordered
@@ -437,19 +390,14 @@ func (m *Manager) Tick() {
 	case PhaseTrusted:
 		if m.mon.Tripped() {
 			m.trip()
-			return
-		}
-		if m.Cfg.RetrainEveryS > 0 && now-m.lastRetrainAt >= m.Cfg.RetrainEveryS &&
-			m.cooldown == 0 && len(m.samples) >= m.Cfg.MinRetrainSamples {
-			m.startShadow(PhaseTrusted)
 		}
 
 	case PhaseDrifted:
 		// Transient drift (an expired contention burst) clears on its own:
 		// re-trust the incumbent instead of retraining.
-		if m.mon.EWMA < m.Cfg.RecoverEWMA {
+		if m.mon.EWMA < recoverEWMA {
 			m.recoverStreak++
-			if m.recoverStreak >= m.Cfg.RecoverTicks {
+			if m.recoverStreak >= recoverTicks {
 				m.recoveries++
 				m.phase = PhaseTrusted
 				m.mon.Reset()
@@ -460,7 +408,7 @@ func (m *Manager) Tick() {
 		} else {
 			m.recoverStreak = 0
 		}
-		if m.cooldown == 0 && len(m.samples) >= m.Cfg.MinRetrainSamples {
+		if m.cooldown == 0 && len(m.samples) >= minRetrainSamples {
 			m.startShadow(PhaseDrifted)
 		}
 
@@ -507,8 +455,8 @@ func (m *Manager) trip() {
 	m.phase = PhaseDrifted
 	m.recoverStreak = 0
 	detail := fmt.Sprintf("gen %d demoted: ewma=%.3f cusum=%.3f", m.gen, m.mon.EWMA, m.mon.Cusum())
-	if n := m.Cfg.DriftLookback; n > 0 && len(m.samples) > n {
-		m.samples = append([]gnn.Sample(nil), m.samples[len(m.samples)-n:]...)
+	if len(m.samples) > driftLookback {
+		m.samples = append([]gnn.Sample(nil), m.samples[len(m.samples)-driftLookback:]...)
 	}
 	m.setTrust()
 	m.event("drift-trip", detail)
@@ -518,12 +466,12 @@ func (m *Manager) trip() {
 // incumbent's prediction at quota/κ matches the observed latency (the
 // cluster behaving like the old one with κ× less CPU). Grid search over a
 // log scale — the surface is monotone in quota, so 33 points suffice.
-func (m *Manager) fitKappa(s gnn.Sample, lo, hi float64) float64 {
+func (m *Manager) fitKappa(s gnn.Sample) float64 {
 	best, bestErr := 1.0, abs(m.incumbent.Predict(s.Load, s.Quota)-s.Latency)
 	q := make([]float64, len(s.Quota))
 	const steps = 32
 	for i := 0; i <= steps; i++ {
-		k := lo * math.Pow(hi/lo, float64(i)/steps)
+		k := rescaleLo * math.Pow(rescaleHi/rescaleLo, float64(i)/steps)
 		for j, v := range s.Quota {
 			q[j] = v / k
 		}
@@ -542,16 +490,9 @@ func (m *Manager) retrainSet() []gnn.Sample {
 	if len(m.Cfg.BaseSamples) == 0 {
 		return fresh
 	}
-	lo, hi := m.Cfg.RescaleLo, m.Cfg.RescaleHi
-	if lo <= 0 {
-		lo = 0.5
-	}
-	if hi <= 0 {
-		hi = 4
-	}
 	kappas := make([]float64, 0, len(fresh))
 	for _, s := range fresh {
-		kappas = append(kappas, m.fitKappa(s, lo, hi))
+		kappas = append(kappas, m.fitKappa(s))
 	}
 	kappa := 1.0
 	if len(kappas) > 0 {
@@ -574,23 +515,20 @@ func (m *Manager) retrainSet() []gnn.Sample {
 // a deterministic seed, entirely off the controller's decision path.
 func (m *Manager) startShadow(from Phase) {
 	m.retrains++
-	m.lastRetrainAt = m.Cl.Eng.Now()
 	m.candidate = m.incumbent.Clone()
-	def := DefaultConfig() // a Config built by hand may leave the budget zero, which Train refuses
-	iters := cmp.Or(m.Cfg.RetrainIters, def.RetrainIters)
 	set := m.retrainSet()
 	m.candidate.Train(set, gnn.TrainConfig{
-		Iterations: iters,
-		Batch:      cmp.Or(m.Cfg.RetrainBatch, def.RetrainBatch),
-		LR:         cmp.Or(m.Cfg.RetrainLR, def.RetrainLR),
+		Iterations: retrainIters,
+		Batch:      retrainBatch,
+		LR:         retrainLR,
 		ValFrac:    0.2,
 		TestFrac:   0,
-		Seed:       m.Cfg.Seed + int64(m.gen+1)*1000 + int64(m.retrains),
-		EvalEvery:  iters, // evaluate only first and last
+		Seed:       retrainSeed + int64(m.gen+1)*1000 + int64(m.retrains),
+		EvalEvery:  retrainIters, // evaluate only first and last
 	})
 	m.shadowFrom = from
 	m.phase = PhaseShadow
-	m.shadowLeft = m.Cfg.ShadowTicks
+	m.shadowLeft = shadowTicks
 	m.shadowN = 0
 	m.candErrSum, m.incErrSum = 0, 0
 	m.event("retrain", fmt.Sprintf("candidate for gen %d trained on %d fresh + %d replayed samples",
@@ -605,13 +543,13 @@ func (m *Manager) judge() {
 		candShadow = m.candErrSum / float64(m.shadowN)
 		incShadow = m.incErrSum / float64(m.shadowN)
 	}
-	g := gateCandidate(m.candidate, m.incumbent, m.samples, m.scaledBounds(), m.SLO, m.Cfg,
+	g := gateCandidate(m.candidate, m.incumbent, m.samples, m.scaledBounds(), m.SLO,
 		candShadow, incShadow, m.shadowN)
 	if !g.Pass {
 		m.rejections++
 		m.candidate = nil
 		m.phase = m.shadowFrom
-		m.cooldown = m.Cfg.CooldownTicks
+		m.cooldown = cooldownTicks
 		m.setTrust()
 		m.event("gate-reject", g.String())
 		return
@@ -637,17 +575,7 @@ func (m *Manager) scaledBounds() core.Bounds {
 // only ever widens: the ratio measures how far the cluster's real demand
 // surface moved, which does not revert when a model is rolled back.
 func (m *Manager) widenBounds() {
-	cap := m.Cfg.BoundsScaleCap
-	if cap <= 0 {
-		cap = 2
-	}
-	s := m.lastRatio
-	if s < m.boundsScale {
-		s = m.boundsScale
-	}
-	if s > cap {
-		s = cap
-	}
+	s := min(max(m.lastRatio, m.boundsScale), boundsScaleCap)
 	if s == m.boundsScale {
 		return
 	}
@@ -669,7 +597,7 @@ func (m *Manager) promote(g GateResult) {
 	m.archive[m.gen] = m.incumbent
 	m.persistGen(m.gen, m.incumbent)
 	m.phase = PhaseProbation
-	m.probLeft = m.Cfg.ProbationTicks
+	m.probLeft = probationTicks
 	m.mon.Reset() // the promoted model starts with a clean record
 	m.widenBounds()
 	if m.ctl != nil {
@@ -696,7 +624,7 @@ func (m *Manager) rollback() {
 	m.gen = m.prevGen
 	m.phase = PhaseDrifted
 	m.recoverStreak = 0
-	m.cooldown = m.Cfg.CooldownTicks
+	m.cooldown = cooldownTicks
 	m.mon.Reset()
 	if m.ctl != nil {
 		m.ctl.SetModel(m.incumbent, m.gen)

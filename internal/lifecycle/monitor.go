@@ -1,82 +1,46 @@
 package lifecycle
 
-// MonitorConfig parameterizes the residual monitor. The residual it watches
-// is relative and signed: (observed p99 − predicted p99) / observed p99, so
-// +0.5 means the model underestimates the measured tail by half — the
-// dangerous direction, because the solver will then under-provision.
-type MonitorConfig struct {
-	// Alpha is the EWMA smoothing factor over the absolute residual.
-	Alpha float64
+// The residual monitor watches a relative, signed residual: (observed p99 −
+// predicted p99) / observed p99, so +0.5 means the model underestimates the
+// measured tail by half — the dangerous direction, because the solver will
+// then under-provision.
+const (
+	// ewmaAlpha is the EWMA smoothing factor over the absolute residual.
+	ewmaAlpha = 0.25
 
-	// Slack is the CUSUM allowance k: per-tick residual mass below it is
-	// forgiven, mass above it accumulates toward the trip threshold. The
-	// underestimation wire uses Slack directly; the overestimation wire
-	// uses 2×Slack — an overestimating model merely over-provisions.
-	Slack float64
+	// cusumSlack is the CUSUM allowance k: per-tick residual mass below it
+	// is forgiven, mass above it accumulates toward the trip threshold. The
+	// underestimation wire uses cusumSlack directly; the overestimation
+	// wire uses 2×cusumSlack — an overestimating model merely
+	// over-provisions.
+	cusumSlack = 0.15
 
-	// Trip is the CUSUM trip threshold h. With Slack 0.15 and Trip 1.2, a
-	// sustained 35% underestimation trips in six ticks; a 20% one in 24.
-	Trip float64
+	// cusumTrip is the CUSUM trip threshold h. With cusumSlack 0.15 and
+	// cusumTrip 1.2, a sustained 35% underestimation trips in six ticks; a
+	// 20% one in 24.
+	cusumTrip = 1.2
 
-	// Window and Q configure the windowed-quantile wire: the Q-quantile of
-	// the last Window absolute residuals above QuantileTrip also trips.
-	// This catches erratic models whose signed error averages out.
-	Window       int
-	Q            float64
-	QuantileTrip float64
+	// ringLen and ringQ configure the windowed-quantile wire: the
+	// ringQ-quantile of the last ringLen absolute residuals above
+	// quantileTrip also trips. This catches erratic models whose signed
+	// error averages out.
+	ringLen      = 12
+	ringQ        = 0.75
+	quantileTrip = 0.6
 
-	// Warmup is how many residuals must be observed before any wire arms.
-	Warmup int
-}
-
-// DefaultMonitorConfig returns the drift-detection thresholds used by the
-// evaluation.
-func DefaultMonitorConfig() MonitorConfig {
-	return MonitorConfig{
-		Alpha: 0.25, Slack: 0.15, Trip: 1.2,
-		Window: 12, Q: 0.75, QuantileTrip: 0.6,
-		Warmup: 6,
-	}
-}
+	// warmup is how many residuals must be observed before any wire arms.
+	warmup = 6
+)
 
 // Monitor is the online residual monitor: EWMA + windowed quantile of the
-// relative residual, with two one-sided CUSUM trip wires. All state is
-// exported so checkpoints can carry it.
+// relative residual, with two one-sided CUSUM trip wires. The zero Monitor
+// is ready to use.
 type Monitor struct {
-	Cfg MonitorConfig
-
 	N       int     // residuals observed since the last reset
 	EWMA    float64 // EWMA of |residual|
 	CusumHi float64 // underestimation wire (observed ≫ predicted)
 	CusumLo float64 // overestimation wire (predicted ≫ observed)
 	Ring    []float64
-}
-
-// NewMonitor returns a monitor with cfg, filling zero fields from defaults.
-func NewMonitor(cfg MonitorConfig) *Monitor {
-	d := DefaultMonitorConfig()
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = d.Alpha
-	}
-	if cfg.Slack <= 0 {
-		cfg.Slack = d.Slack
-	}
-	if cfg.Trip <= 0 {
-		cfg.Trip = d.Trip
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = d.Window
-	}
-	if cfg.Q <= 0 {
-		cfg.Q = d.Q
-	}
-	if cfg.QuantileTrip <= 0 {
-		cfg.QuantileTrip = d.QuantileTrip
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = d.Warmup
-	}
-	return &Monitor{Cfg: cfg}
 }
 
 // Observe folds one signed relative residual into every statistic.
@@ -85,18 +49,18 @@ func (m *Monitor) Observe(r float64) {
 	if m.N == 0 {
 		m.EWMA = a
 	} else {
-		m.EWMA += m.Cfg.Alpha * (a - m.EWMA)
+		m.EWMA += ewmaAlpha * (a - m.EWMA)
 	}
 	m.N++
-	m.CusumHi += r - m.Cfg.Slack
+	m.CusumHi += r - cusumSlack
 	if m.CusumHi < 0 {
 		m.CusumHi = 0
 	}
-	m.CusumLo += -r - 2*m.Cfg.Slack
+	m.CusumLo += -r - 2*cusumSlack
 	if m.CusumLo < 0 {
 		m.CusumLo = 0
 	}
-	if len(m.Ring) >= m.Cfg.Window {
+	if len(m.Ring) >= ringLen {
 		copy(m.Ring, m.Ring[1:])
 		m.Ring = m.Ring[:len(m.Ring)-1]
 	}
@@ -113,17 +77,17 @@ func (m *Monitor) Cusum() float64 {
 
 // Tripped reports whether any armed wire has fired.
 func (m *Monitor) Tripped() bool {
-	if m.N < m.Cfg.Warmup {
+	if m.N < warmup {
 		return false
 	}
-	if m.CusumHi > m.Cfg.Trip || m.CusumLo > m.Cfg.Trip {
+	if m.CusumHi > cusumTrip || m.CusumLo > cusumTrip {
 		return true
 	}
-	return len(m.Ring) >= m.Cfg.Window && quantile(m.Ring, m.Cfg.Q) > m.Cfg.QuantileTrip
+	return len(m.Ring) >= ringLen && quantile(m.Ring, ringQ) > quantileTrip
 }
 
-// Reset clears all accumulated state (a new model starts with a clean
-// record; configuration is kept).
+// Reset clears all accumulated state: a new model starts with a clean
+// record.
 func (m *Monitor) Reset() {
 	m.N = 0
 	m.EWMA = 0

@@ -310,10 +310,8 @@ func (s Spec) FleetConfig(b ModelBundle, auditDir string) (fleet.Config, error) 
 		cfg.Controller = &ccfg
 	}
 	if s.Lifecycle {
-		lc := lifecycle.DefaultConfig()
-		lc.BaseSamples = b.Samples
-		lc.Dir = b.ArchiveDir
-		cfg.Lifecycle, cfg.SaveModel = &lc, b.SaveModel
+		cfg.Lifecycle = &lifecycle.Config{BaseSamples: b.Samples, Dir: b.ArchiveDir}
+		cfg.SaveModel = b.SaveModel
 	}
 	return cfg, nil
 }

@@ -157,9 +157,8 @@ func TestLifecycleSupervisedWarmRecoveryMidCanary(t *testing.T) {
 	ckptDir := filepath.Join(dir, "ckpt")
 	newFleet := func(audit string) *Fleet {
 		t.Helper()
-		lc := DefaultLifecycleConfig()
 		f, err := NewFleet(a, tm, FleetConfig{
-			Dynamic: true, TickS: 5, Seed: 1, Lifecycle: &lc, AuditDir: filepath.Join(dir, audit),
+			Dynamic: true, TickS: 5, Seed: 1, Lifecycle: &LifecycleConfig{}, AuditDir: filepath.Join(dir, audit),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -231,5 +230,59 @@ func TestLifecycleSupervisedWarmRecoveryMidCanary(t *testing.T) {
 	ref.Stop()
 	if got, want := ten2.AuditLog(), refTen.AuditLog(); !bytes.Equal(got, want) {
 		t.Errorf("restored run's audit (%d bytes) differs from the uninterrupted run's (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestNewFleetLifecycleReplaysModelSamples: a NewFleet lifecycle tenant
+// retrains on the trained model's own Samples, as NewLifecycle and the grafd
+// path do, when the fleet's LifecycleConfig names no base set — and the
+// caller's config is left as it was.
+func TestNewFleetLifecycleReplaysModelSamples(t *testing.T) {
+	a, err := AppByName("chain-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(a.Services)
+	lo, hi := make([]float64, n), make([]float64, n)
+	for i := range lo {
+		lo[i], hi[i] = 100, 1500
+	}
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]Sample, 150)
+	for i := range samples {
+		load, quota := make([]float64, n), make([]float64, n)
+		lat := 0.02
+		for j := range load {
+			load[j], quota[j] = 20+rng.Float64()*200, 100+rng.Float64()*1400
+			lat += 0.5 * load[j] / quota[j] / float64(n)
+		}
+		samples[i] = Sample{Load: load, Quota: quota, Latency: lat}
+	}
+	// The untrained model trips at tick 11 and retrains at 25.
+	tm := &TrainedModel{
+		Model:  gnn.New(gnn.DefaultConfig(n, a.Parents()), rand.New(rand.NewSource(42))),
+		Bounds: Bounds{Lo: lo, Hi: hi},
+		SLO:    250 * time.Millisecond, MinRate: 50, MaxRate: 400,
+		Samples: samples,
+	}
+	lc := &LifecycleConfig{}
+	f, err := NewFleet(a, tm, FleetConfig{Dynamic: true, TickS: 5, Seed: 1, Lifecycle: lc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ten, err := f.Admit(FleetTenant{ID: "tenant-00", Rate: ConstRate(60), SLO: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.RoundTo(30)
+	f.Stop()
+	if len(lc.BaseSamples) != 0 {
+		t.Errorf("NewFleet wrote %d base samples into the caller's LifecycleConfig", len(lc.BaseSamples))
+	}
+	if _, _, _, _, retrains, _ := ten.Lifecycle().Stats(); retrains < 1 {
+		t.Fatal("the tenant never retrained")
+	}
+	if want := fmt.Sprintf("+ %d replayed samples", len(samples)); !bytes.Contains(ten.AuditLog(), []byte(want)) {
+		t.Errorf("no retrain event in the audit log says %q", want)
 	}
 }

@@ -59,12 +59,12 @@ func TestEveryReaderDeclaresWhatItReads(t *testing.T) {
 			return ctl.Step
 		})},
 		{"anomaly mitigator", onCluster(func(cl *cluster.Cluster) func() {
-			m := core.NewAnomalyMitigator(cl, core.DefaultAnomalyMitigatorConfig())
+			m := core.NewAnomalyMitigator(cl)
 			m.Start()
 			return m.Step
 		})},
 		{"lifecycle manager", onCluster(func(cl *cluster.Cluster) func() {
-			m := lifecycle.NewManager(cl, model, bounds, slo, lifecycle.DefaultConfig())
+			m := lifecycle.NewManager(cl, model, bounds, slo, lifecycle.Config{})
 			ctl := newController(cl)
 			m.Attach(ctl)
 			ctl.Start()
