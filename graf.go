@@ -495,14 +495,14 @@ func (s *Simulation) Chaos() *ChaosInjector {
 // StartHPA runs the Kubernetes autoscaler baseline over every microservice
 // at the given CPU-utilization threshold.
 func (s *Simulation) StartHPA(threshold float64) *HPA {
-	h := autoscale.NewHPA(s.Cluster, autoscale.DefaultHPAConfig(threshold))
+	h := autoscale.NewHPA(s.Cluster, threshold)
 	h.Start()
 	return h
 }
 
 // StartFIRM runs the FIRM-like baseline.
 func (s *Simulation) StartFIRM() *FIRMLike {
-	f := autoscale.NewFIRMLike(s.Cluster, autoscale.DefaultFIRMConfig())
+	f := autoscale.NewFIRMLike(s.Cluster)
 	f.Start()
 	return f
 }

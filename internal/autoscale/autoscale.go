@@ -14,74 +14,59 @@ import (
 	"graf/internal/metrics"
 )
 
-// HPAConfig mirrors the knobs of the Kubernetes Horizontal Pod Autoscaler.
-type HPAConfig struct {
-	// Threshold is the target CPU utilization in (0,1] — the paper tunes
-	// this per-SLO by hand since the HPA cannot target latency (§5.3).
-	Threshold float64
+// The HPA's constants: the Kubernetes defaults, which the evaluation runs
+// unchanged. Only the utilization threshold is tuned (§5.3).
+const (
+	// k8sSyncS is how often scaling decisions are made (paper: 15 s).
+	k8sSyncS = 15.0
 
-	// SyncIntervalS is how often scaling decisions are made (paper: 15 s).
-	SyncIntervalS float64
+	// k8sMetricWindowS is the trailing window utilization is averaged over.
+	k8sMetricWindowS = 30.0
 
-	// MetricWindowS is the trailing window utilization is averaged over.
-	MetricWindowS float64
+	// k8sTolerance suppresses scaling while |ratio−1| is inside it.
+	k8sTolerance = 0.1
 
-	// Tolerance suppresses scaling when |ratio−1| is inside it (K8s
-	// default 0.1).
-	Tolerance float64
+	// k8sStabilizationS is the scale-down stabilization window: the HPA
+	// applies the highest recommendation of the past window — the cause of
+	// the slow scale-down in Fig 20.
+	k8sStabilizationS = 300.0
 
-	// StabilizationS is the scale-down stabilization window: the HPA
-	// applies the highest recommendation of the past window (K8s default
-	// 300 s — the cause of the slow scale-down in Fig 20).
-	StabilizationS float64
+	// k8sScaleUpPercent and k8sScaleUpPods bound one sync period's scale-up
+	// to max(current×(1+percent/100), current+pods), the default scale-up
+	// policy. This is what makes the HPA ramp incrementally during a surge
+	// (Fig 21) instead of jumping.
+	k8sScaleUpPercent = 100.0
+	k8sScaleUpPods    = 4
 
-	// ScaleUpMaxPercent and ScaleUpMaxPods bound one sync period's
-	// scale-up to max(current×(1+percent/100), current+pods), the K8s
-	// default scale-up policy. This is what makes the HPA ramp
-	// incrementally during a surge (Fig 21) instead of jumping.
-	ScaleUpMaxPercent float64
-	ScaleUpMaxPods    int
-
-	MinReplicas int
-	MaxReplicas int
-}
-
-// DefaultHPAConfig returns the Kubernetes defaults with the given
-// utilization threshold.
-func DefaultHPAConfig(threshold float64) HPAConfig {
-	return HPAConfig{
-		Threshold:         threshold,
-		SyncIntervalS:     15,
-		MetricWindowS:     30,
-		Tolerance:         0.1,
-		StabilizationS:    300,
-		ScaleUpMaxPercent: 100,
-		ScaleUpMaxPods:    4,
-		MinReplicas:       1,
-		MaxReplicas:       200,
-	}
-}
+	// hpaMinReplicas and hpaMaxReplicas bound every deployment's replica
+	// count: minReplicas' default, and the maxReplicas every HPA object
+	// must name.
+	hpaMinReplicas = 1
+	hpaMaxReplicas = 200
+)
 
 // HPA drives every deployment of a cluster with the K8s autoscaler
 // algorithm: desired = ceil(current × utilization/threshold), independently
 // per microservice — the design that produces the cascading effect (§2.1).
 type HPA struct {
 	Cluster *cluster.Cluster
-	Cfg     HPAConfig
 
-	recs map[string]*metrics.Window // recommendation history per service
-	stop func()
+	threshold float64                    // target CPU utilization in (0,1]
+	recs      map[string]*metrics.Window // recommendation history per service
+	stop      func()
 }
 
-// NewHPA returns an HPA for every microservice of c.
-func NewHPA(c *cluster.Cluster, cfg HPAConfig) *HPA {
-	c.DeclareLookback(cluster.CPU, cfg.MetricWindowS)
-	return &HPA{Cluster: c, Cfg: cfg, recs: map[string]*metrics.Window{}}
+// NewHPA returns an HPA for every microservice of c that targets the given
+// CPU utilization in (0,1] — the paper tunes it per SLO by hand, since the
+// HPA cannot target latency (§5.3).
+func NewHPA(c *cluster.Cluster, threshold float64) *HPA {
+	c.DeclareLookback(cluster.CPU, k8sMetricWindowS)
+	return &HPA{Cluster: c, threshold: threshold, recs: map[string]*metrics.Window{}}
 }
 
 // Start begins the control loop at one sync interval from now.
 func (h *HPA) Start() {
-	h.stop = h.Cluster.Eng.Ticker(h.Cluster.Eng.Now()+h.Cfg.SyncIntervalS, h.Cfg.SyncIntervalS, h.Step)
+	h.stop = h.Cluster.Eng.Ticker(h.Cluster.Eng.Now()+k8sSyncS, k8sSyncS, h.Step)
 }
 
 // Stop halts the control loop.
@@ -97,49 +82,31 @@ func (h *HPA) Step() {
 	for _, name := range h.Cluster.App.ServiceNames() {
 		d := h.Cluster.Deployment(name)
 		cur := d.Replicas()
-		util := d.Utilization(h.Cfg.MetricWindowS)
-		ratio := util / h.Cfg.Threshold
+		util := d.Utilization(k8sMetricWindowS)
+		ratio := util / h.threshold
 		desired := cur
-		if math.Abs(ratio-1) > h.Cfg.Tolerance {
+		if math.Abs(ratio-1) > k8sTolerance {
 			desired = int(math.Ceil(float64(cur) * ratio))
 		}
 		// K8s scale-up policy: at most max(+percent, +pods) per period.
 		if desired > cur {
-			byPct := int(math.Floor(float64(cur) * (1 + h.Cfg.ScaleUpMaxPercent/100)))
-			byPods := cur + h.Cfg.ScaleUpMaxPods
-			lim := byPct
-			if byPods > lim {
-				lim = byPods
-			}
-			if desired > lim {
-				desired = lim
-			}
+			lim := max(int(math.Floor(float64(cur)*(1+k8sScaleUpPercent/100))), cur+k8sScaleUpPods)
+			desired = min(desired, lim)
 		}
-		if desired < h.Cfg.MinReplicas {
-			desired = h.Cfg.MinReplicas
-		}
-		if desired > h.Cfg.MaxReplicas {
-			desired = h.Cfg.MaxReplicas
-		}
+		desired = min(max(desired, hpaMinReplicas), hpaMaxReplicas)
 		// Scale-down stabilization: apply the max recommendation of the
-		// trailing window, so downscaling trails by StabilizationS.
+		// trailing window, so downscaling trails by k8sStabilizationS.
 		w := h.recs[name]
 		if w == nil {
 			w = metrics.NewWindow(name + " replicas")
 			h.recs[name] = w
 		}
 		w.Add(now, float64(desired))
-		w.Trim(now - h.Cfg.StabilizationS)
+		w.Trim(now - k8sStabilizationS)
 		apply := desired
 		if desired < cur {
-			m := w.Quantile(1, now-h.Cfg.StabilizationS, now)
-			apply = int(m)
-			if apply < desired {
-				apply = desired
-			}
-			if apply > cur {
-				apply = cur
-			}
+			m := w.Quantile(1, now-k8sStabilizationS, now)
+			apply = min(max(int(m), desired), cur)
 		}
 		if apply != cur {
 			d.SetReplicas(apply)
@@ -147,65 +114,55 @@ func (h *HPA) Step() {
 	}
 }
 
-// FIRMConfig parameterizes the FIRM-like baseline (§5.3): "increases the
-// CPU quota of a microservice when a ratio between median and 95%-tile
-// latency for the microservice exceeds a pre-determined threshold".
-type FIRMConfig struct {
-	// RatioThreshold triggers scale-up when p95/p50 self latency exceeds it.
-	RatioThreshold float64
+// The FIRM-like baseline's constants (§5.3): it "increases the CPU quota of
+// a microservice when a ratio between median and 95%-tile latency for the
+// microservice exceeds a pre-determined threshold".
+const (
+	// firmRatioThreshold triggers scale-up when p95/p50 self latency
+	// exceeds it.
+	firmRatioThreshold = 2.5
 
-	SyncIntervalS float64
-	MetricWindowS float64
+	// firmSyncS and firmMetricWindowS match the HPA's.
+	firmSyncS         = k8sSyncS
+	firmMetricWindowS = k8sMetricWindowS
 
-	// StepQuota is how many millicores are added per trigger (one CPU
-	// unit in the evaluation).
-	StepQuota float64
+	// firmStepQuota is how many millicores are added or removed per
+	// trigger (one CPU unit in the evaluation).
+	firmStepQuota = 250.0
 
-	// SaturationUtil additionally triggers scale-up when mean CPU
+	// firmSaturationUtil additionally triggers scale-up when mean CPU
 	// utilization reaches it. Under deep open-loop saturation the
 	// latency-ratio signal compresses toward 1 (every request waits a
 	// backlog-dominated, similar time), which would leave a pure
 	// ratio-trigger wedged; real FIRM's RL agent consumes utilization
 	// signals too.
-	SaturationUtil float64
+	firmSaturationUtil = 0.92
 
-	// ScaleDownUtil removes one unit when utilization drops below it and
-	// the latency ratio is healthy, so steady-state comparisons are fair.
-	ScaleDownUtil float64
+	// firmScaleDownUtil removes one unit when utilization drops below it
+	// and the latency ratio is healthy, so steady-state comparisons are
+	// fair.
+	firmScaleDownUtil = 0.2
 
-	MaxQuota float64
-}
-
-// DefaultFIRMConfig returns the settings used in the evaluation.
-func DefaultFIRMConfig() FIRMConfig {
-	return FIRMConfig{
-		RatioThreshold: 2.5,
-		SyncIntervalS:  15,
-		MetricWindowS:  30,
-		StepQuota:      250,
-		SaturationUtil: 0.92,
-		ScaleDownUtil:  0.2,
-		MaxQuota:       50000,
-	}
-}
+	// firmMaxQuota caps a service's quota in millicores.
+	firmMaxQuota = 50000.0
+)
 
 // FIRMLike is the per-microservice latency-ratio autoscaler. Like the HPA
 // it has no view of the chain, so it too exhibits the cascading effect.
 type FIRMLike struct {
 	Cluster *cluster.Cluster
-	Cfg     FIRMConfig
 	stop    func()
 }
 
 // NewFIRMLike returns a FIRM-like controller for every microservice of c.
-func NewFIRMLike(c *cluster.Cluster, cfg FIRMConfig) *FIRMLike {
-	c.DeclareLookback(cluster.CPU|cluster.SelfLatency, cfg.MetricWindowS)
-	return &FIRMLike{Cluster: c, Cfg: cfg}
+func NewFIRMLike(c *cluster.Cluster) *FIRMLike {
+	c.DeclareLookback(cluster.CPU|cluster.SelfLatency, firmMetricWindowS)
+	return &FIRMLike{Cluster: c}
 }
 
 // Start begins the control loop at one sync interval from now.
 func (f *FIRMLike) Start() {
-	f.stop = f.Cluster.Eng.Ticker(f.Cluster.Eng.Now()+f.Cfg.SyncIntervalS, f.Cfg.SyncIntervalS, f.Step)
+	f.stop = f.Cluster.Eng.Ticker(f.Cluster.Eng.Now()+firmSyncS, firmSyncS, f.Step)
 }
 
 // Stop halts the control loop.
@@ -219,17 +176,16 @@ func (f *FIRMLike) Stop() {
 func (f *FIRMLike) Step() {
 	for _, name := range f.Cluster.App.ServiceNames() {
 		d := f.Cluster.Deployment(name)
-		med := d.SelfLatencyQuantile(0.5, f.Cfg.MetricWindowS)
-		p95 := d.SelfLatencyQuantile(0.95, f.Cfg.MetricWindowS)
-		util := d.Utilization(f.Cfg.MetricWindowS)
+		med := d.SelfLatencyQuantile(0.5, firmMetricWindowS)
+		p95 := d.SelfLatencyQuantile(0.95, firmMetricWindowS)
+		util := d.Utilization(firmMetricWindowS)
 		q := d.Quota()
-		ratioHot := med > 0 && p95/med > f.Cfg.RatioThreshold
-		saturated := f.Cfg.SaturationUtil > 0 && util >= f.Cfg.SaturationUtil
+		ratioHot := med > 0 && p95/med > firmRatioThreshold
 		switch {
-		case (ratioHot || saturated) && q < f.Cfg.MaxQuota:
-			d.SetQuota(q + f.Cfg.StepQuota)
-		case util < f.Cfg.ScaleDownUtil && q > f.Cfg.StepQuota:
-			d.SetQuota(q - f.Cfg.StepQuota)
+		case (ratioHot || util >= firmSaturationUtil) && q < firmMaxQuota:
+			d.SetQuota(q + firmStepQuota)
+		case util < firmScaleDownUtil && q > firmStepQuota:
+			d.SetQuota(q - firmStepQuota)
 		}
 	}
 }

@@ -16,7 +16,7 @@ func boutique(seed int64) (*sim.Engine, *cluster.Cluster) {
 
 func TestHPAScalesUpUnderLoad(t *testing.T) {
 	eng, cl := boutique(1)
-	h := NewHPA(cl, DefaultHPAConfig(0.5))
+	h := NewHPA(cl, 0.5)
 	h.Start()
 	g := workload.NewOpenLoop(cl, workload.ConstRate(150))
 	g.Start()
@@ -36,7 +36,7 @@ func TestHPAScalesUpUnderLoad(t *testing.T) {
 func TestHPALowerThresholdMoreInstances(t *testing.T) {
 	run := func(th float64) int {
 		eng, cl := boutique(2)
-		h := NewHPA(cl, DefaultHPAConfig(th))
+		h := NewHPA(cl, th)
 		h.Start()
 		g := workload.NewOpenLoop(cl, workload.ConstRate(120))
 		g.Start()
@@ -54,8 +54,7 @@ func TestHPALowerThresholdMoreInstances(t *testing.T) {
 
 func TestHPAScaleDownStabilization(t *testing.T) {
 	eng, cl := boutique(3)
-	cfg := DefaultHPAConfig(0.5)
-	h := NewHPA(cl, cfg)
+	h := NewHPA(cl, 0.5)
 	h.Start()
 	g := workload.NewOpenLoop(cl, workload.StepRate(150, 5, 400))
 	g.Start()
@@ -86,7 +85,7 @@ func TestHPAScaleDownStabilization(t *testing.T) {
 
 func TestHPAToleranceSuppressesChurn(t *testing.T) {
 	eng, cl := boutique(4)
-	h := NewHPA(cl, DefaultHPAConfig(0.5))
+	h := NewHPA(cl, 0.5)
 	// No load at all: utilization 0, ratio 0 → scale to min (1), stay.
 	h.Start()
 	eng.RunUntil(200)
@@ -99,7 +98,7 @@ func TestHPAToleranceSuppressesChurn(t *testing.T) {
 
 func TestFIRMLikeScalesUpOnTailRatio(t *testing.T) {
 	eng, cl := boutique(5)
-	f := NewFIRMLike(cl, DefaultFIRMConfig())
+	f := NewFIRMLike(cl)
 	f.Start()
 	// Overload: single instances saturate, p95/p50 ratio explodes.
 	g := workload.NewOpenLoop(cl, workload.ConstRate(200))
@@ -117,9 +116,9 @@ func TestFIRMLikeScalesDownWhenIdle(t *testing.T) {
 	eng, cl := boutique(6)
 	cl.Deployment("frontend").SetQuota(2000)
 	eng.RunUntil(60)
-	f := NewFIRMLike(cl, DefaultFIRMConfig())
+	f := NewFIRMLike(cl)
 	f.Start()
-	// Light load keeps utilization below ScaleDownUtil.
+	// Light load keeps utilization below firmScaleDownUtil.
 	g := workload.NewOpenLoop(cl, workload.ConstRate(2))
 	g.Start()
 	eng.RunUntil(400)

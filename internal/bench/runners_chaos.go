@@ -62,11 +62,11 @@ func runChaosPolicy(tr *Trained, policy string, slo float64, seed int64) chaosOu
 		ctl.Start()
 		stopPolicy = ctl.Stop
 	case "hpa":
-		h := autoscale.NewHPA(cl, autoscale.DefaultHPAConfig(0.5))
+		h := autoscale.NewHPA(cl, 0.5)
 		h.Start()
 		stopPolicy = h.Stop
 	case "firm":
-		f := autoscale.NewFIRMLike(cl, autoscale.DefaultFIRMConfig())
+		f := autoscale.NewFIRMLike(cl)
 		f.Start()
 		stopPolicy = f.Stop
 	default:

@@ -57,7 +57,7 @@ func runHPASteady(tr *Trained, threshold, totalRate, horizonS float64, seed int6
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, totalRate)
-	h := autoscale.NewHPA(cl, autoscale.DefaultHPAConfig(threshold))
+	h := autoscale.NewHPA(cl, threshold)
 	h.Start()
 	g := workload.NewOpenLoop(cl, workload.ConstRate(totalRate))
 	g.Start()
@@ -238,7 +238,7 @@ func Fig18UserScaling(s Scale) Result {
 				ctl.Start()
 				stopCtl = ctl.Stop
 			} else {
-				h := autoscale.NewHPA(cl, autoscale.DefaultHPAConfig(th))
+				h := autoscale.NewHPA(cl, th)
 				h.Start()
 				stopCtl = h.Stop
 			}
@@ -284,7 +284,7 @@ func Fig20AzureReplay(s Scale) Result {
 			ctl.Start()
 			stopCtl = ctl.Stop
 		} else {
-			h := autoscale.NewHPA(cl, autoscale.DefaultHPAConfig(0.5))
+			h := autoscale.NewHPA(cl, 0.5)
 			h.Start()
 			stopCtl = h.Stop
 		}
@@ -338,11 +338,11 @@ func runSurgeCompare(tr *Trained, policy string, baseUsers, surgeUsers int, surg
 		ctl.Start()
 		stopCtl = ctl.Stop
 	case "hpa":
-		h := autoscale.NewHPA(cl, autoscale.DefaultHPAConfig(0.5))
+		h := autoscale.NewHPA(cl, 0.5)
 		h.Start()
 		stopCtl = h.Stop
 	case "firm":
-		f := autoscale.NewFIRMLike(cl, autoscale.DefaultFIRMConfig())
+		f := autoscale.NewFIRMLike(cl)
 		f.Start()
 		stopCtl = f.Stop
 	default:

@@ -111,7 +111,7 @@ func surgeVariants() []surgeVariant {
 		return surgeVariant{
 			name: fmt.Sprintf("K8s Autoscaler(%d%%)", int(th*100)),
 			setup: func(cl *cluster.Cluster, eng *sim.Engine, _ float64) {
-				h := autoscale.NewHPA(cl, autoscale.DefaultHPAConfig(th))
+				h := autoscale.NewHPA(cl, th)
 				h.Start()
 			},
 		}

@@ -138,7 +138,7 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 
 	out.violS = float64(violations) * 2
 	if lastViolationAt > restartAt {
-		out.reconvergeTick = int(math.Ceil((lastViolationAt - restartAt) / ctl.Cfg.IntervalS))
+		out.reconvergeTick = int(math.Ceil((lastViolationAt - restartAt) / core.IntervalS))
 	}
 	out.stranded = cl.InFlight()
 	return out

@@ -155,8 +155,8 @@ type liveFacts struct {
 // reads wildly inflated, and the Hampel sanitizer's ring is still empty at
 // that point — one garbage sample would poison the seasonal bootstrap for a
 // whole period.
-func (st *ControllerState) observe(at, total float64, cfg ControllerConfig) (forecast.Prediction, []forecast.Matured) {
-	if st.Forecast == nil || at < cfg.IntervalS {
+func (st *ControllerState) observe(at, total float64) (forecast.Prediction, []forecast.Matured) {
+	if st.Forecast == nil || at < IntervalS {
 		return forecast.Prediction{}, nil
 	}
 	_, matured := st.Forecast.Observe(total)
@@ -257,13 +257,13 @@ func (st *ControllerState) commitSolve(rec *obs.Record, cfg ControllerConfig, li
 }
 
 // breakerOpenAfter is the circuit breaker's transition: a closed breaker
-// trips on an untrustworthy solve; an open one closes after BreakerClose
+// trips on an untrustworthy solve; an open one closes after breakerClose
 // consecutive healthy shadow solves, this one included.
-func (st *ControllerState) breakerOpenAfter(healthy bool, cfg ControllerConfig) bool {
+func (st *ControllerState) breakerOpenAfter(healthy bool) bool {
 	if !st.BreakerOpen {
 		return !healthy
 	}
-	return !(healthy && st.HealthStreak+1 >= cfg.BreakerClose)
+	return !(healthy && st.HealthStreak+1 >= breakerClose)
 }
 
 // healthAfter is the degraded-mode state machine: the health a decision of
@@ -313,7 +313,7 @@ func ApplyAuditTail(st *ControllerState, tail []obs.Record, cfg ControllerConfig
 			st.setBrownout(int(rec.Summary["to_step"]))
 		case rec.Type == "decision" && rec.At > st.At:
 			if rec.Kind != KindBrownoutHold { // yielded before collect
-				st.observe(rec.At, rec.Total, cfg)
+				st.observe(rec.At, rec.Total)
 			}
 			st.commit(rec, cfg, nil)
 		}

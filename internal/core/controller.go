@@ -10,20 +10,63 @@ import (
 	"graf/internal/obs"
 )
 
-// ControllerConfig parameterizes the end-to-end GRAF control loop (§3.6,
-// §3.8).
-type ControllerConfig struct {
+// The loop's constants (§3.6, §3.8). Every caller ran with these values, so
+// they are not configuration.
+const (
 	// IntervalS is the decision interval in seconds. GRAF solves
 	// synchronously to workload change; the interval only bounds how often
 	// the front-end rate is re-read.
-	IntervalS float64
+	IntervalS = 5.0
 
-	// RateWindowS is the trailing window over which front-end per-API
-	// rates are observed. Short windows make the controller proactive:
-	// the surge is visible within seconds at the front end even though
-	// deep services have not yet perceived it.
-	RateWindowS float64
+	// RateWindowS is the trailing window over which front-end per-API rates
+	// are observed. Short windows make the controller proactive: the surge
+	// is visible within seconds at the front end even though deep services
+	// have not yet perceived it.
+	RateWindowS = 10.0
 
+	// minTotalRate is the observed-rate floor below which no decision is
+	// made at all: with no traffic there is no workload signal, and solving
+	// for a near-zero rate would tear down a standing deployment (e.g. right
+	// after the controller attaches to a warm cluster).
+	minTotalRate = 1.0
+
+	// demandFloorUtil adds a capacity guardrail to every solve: each
+	// service's quota is floored at (per-service arrival rate × measured CPU
+	// per request) / demandFloorUtil, with the CPU-per-request signal read
+	// from the cluster's telemetry (the cAdvisor data the state collector
+	// already observes, §3.2). The latency model alone cannot be trusted to
+	// never dip below raw CPU demand — a configuration below demand diverges
+	// no matter what the model predicted. The heuristic fallback allocates
+	// at the same utilization.
+	demandFloorUtil = 0.85
+
+	// untrustedUtil is the heuristic's utilization target while the
+	// lifecycle manager holds the model ModelUntrusted. demandFloorUtil
+	// sizes capacity, not tail latency: running the heuristic there parks
+	// p99 just above a tight SLO for the whole degraded window. With no
+	// trustworthy model, protecting the SLO is worth over-provisioning. The
+	// breaker's fallback keeps demandFloorUtil.
+	untrustedUtil = 0.55
+
+	// breakerClose is how many consecutive healthy shadow solves close an
+	// open model circuit breaker (see ControllerConfig.BreakerBand).
+	breakerClose = 3
+
+	// The probation envelope clamps the quota steps of a model on probation
+	// (a freshly promoted canary that has not yet earned full trust): each
+	// applied quota moves at most envelopeStepUp× up and envelopeStepDown×
+	// down per decision, and never below envelopeMinQuota millicores. It is
+	// tighter than MaxStepUp/MaxStepDown, so an untrusted model's mistakes
+	// leak into the cluster slowly enough for the probation monitor to
+	// catch them before they starve a service.
+	envelopeStepUp   = 1.5
+	envelopeStepDown = 0.7
+	envelopeMinQuota = 50.0
+)
+
+// ControllerConfig parameterizes the end-to-end GRAF control loop (§3.6,
+// §3.8): the values its callers vary. The rest are the constants above.
+type ControllerConfig struct {
 	// SLO is the end-to-end tail-latency objective in seconds.
 	SLO float64
 
@@ -41,32 +84,6 @@ type ControllerConfig struct {
 	// Hysteresis is the relative front-end rate change below which the
 	// previous configuration is kept (avoids churn from rate noise).
 	Hysteresis float64
-
-	// MinTotalRate is the observed-rate floor below which no decision is
-	// made at all: with no traffic there is no workload signal, and
-	// solving for a near-zero rate would tear down a standing deployment
-	// (e.g. right after the controller attaches to a warm cluster).
-	MinTotalRate float64
-
-	// DemandFloorUtil adds a capacity guardrail to every solve: each
-	// service's quota is floored at (per-service arrival rate × measured
-	// CPU per request) / DemandFloorUtil, with the CPU-per-request signal
-	// read from the cluster's telemetry (the cAdvisor data the state
-	// collector already observes, §3.2). The latency model alone cannot
-	// be trusted to never dip below raw CPU demand — a configuration
-	// below demand diverges no matter what the model predicted. 0
-	// disables the floor.
-	DemandFloorUtil float64
-
-	// UntrustedUtil is the demand-floor utilization target used while the
-	// lifecycle manager holds the model ModelUntrusted. The regular
-	// DemandFloorUtil (0.85) sizes capacity, not tail latency: running the
-	// heuristic there parks p99 just above a tight SLO for the whole
-	// degraded window. With no trustworthy model, protecting the SLO is
-	// worth over-provisioning, so the untrusted fallback targets a lower
-	// utilization. 0 falls back to DemandFloorUtil (the breaker path is
-	// unchanged either way).
-	UntrustedUtil float64
 
 	// ViolationBoost is a reactive guardrail beyond the paper's design:
 	// when the measured tail latency violates the SLO, the last applied
@@ -96,7 +113,8 @@ type ControllerConfig struct {
 
 	// StaleHoldMaxS bounds how long the stale-telemetry hold lasts. A
 	// collapsed signal persisting longer is accepted as a real traffic
-	// drop and the proactive path resumes on it.
+	// drop and the proactive path resumes on it. 0 holds for as long as
+	// the collapse lasts.
 	StaleHoldMaxS float64
 
 	// BreakerBand opens the model circuit breaker when a solve is
@@ -106,10 +124,9 @@ type ControllerConfig struct {
 	// and repeated non-converged solves that also miss the SLO trip it.
 	// While open the controller allocates with the demand-floor heuristic
 	// instead of the model and keeps shadow-solving every interval;
-	// BreakerClose consecutive healthy shadow solves close it again.
+	// breakerClose consecutive healthy shadow solves close it again.
 	// 0 disables the breaker.
-	BreakerBand  float64
-	BreakerClose int
+	BreakerBand float64
 
 	// MaxStepUp and MaxStepDown rate-limit the applied configuration per
 	// decision interval: each service's new quota is clamped to
@@ -117,12 +134,6 @@ type ControllerConfig struct {
 	// or faulted signals. Zero disables a direction.
 	MaxStepUp   float64
 	MaxStepDown float64
-
-	// Envelope clamps quota steps produced by a model on probation (a
-	// freshly promoted canary that has not yet earned full trust). It is
-	// tighter than MaxStepUp/MaxStepDown and only engages while the
-	// lifecycle manager holds the controller in ModelProbation.
-	Envelope Envelope
 
 	// Forecast enables the workload-forecasting subsystem: when
 	// Forecast.Enabled, the controller solves against the risk-adjusted
@@ -194,7 +205,7 @@ const (
 	// ModelTrusted: the model drives the solver unconstrained.
 	ModelTrusted ModelTrust = iota
 	// ModelProbation: the model drives the solver, but applied quota steps
-	// are clamped by Cfg.Envelope until the probation window passes.
+	// are clamped by the probation envelope until the probation window passes.
 	ModelProbation
 	// ModelUntrusted: the drift monitor demoted the model; allocations come
 	// from the demand-floor heuristic while solves continue in shadow.
@@ -217,24 +228,16 @@ func (m ModelTrust) String() string {
 // DefaultControllerConfig returns the loop settings used in the evaluation.
 func DefaultControllerConfig(slo float64) ControllerConfig {
 	return ControllerConfig{
-		IntervalS:       5,
-		RateWindowS:     10,
-		SLO:             slo,
-		TrainedMaxRate:  0, // 0 = no workload scaling
-		Hysteresis:      0.12,
-		MinTotalRate:    1,
-		DemandFloorUtil: 0.85,
-		UntrustedUtil:   0.55,
-		ViolationBoost:  1.5,
-		BoostCap:        4,
+		SLO:            slo,
+		Hysteresis:     0.12,
+		ViolationBoost: 1.5,
+		BoostCap:       4,
 
 		StaleRateCollapse: 0.35,
 		StaleHoldMaxS:     60,
 		BreakerBand:       12,
-		BreakerClose:      3,
 		MaxStepUp:         6,
 		MaxStepDown:       0.5,
-		Envelope:          Envelope{MaxStepUp: 1.5, MaxStepDown: 0.7, MinQuota: 50},
 
 		Solver: DefaultSolverConfig(),
 	}
@@ -268,7 +271,7 @@ const (
 	KindBoostWait         = "boost-wait"         // violation, but the previous scale-up is still materializing
 	KindHold              = "hold"               // suspected-stale telemetry: last-known-good held
 	KindHysteresis        = "hysteresis"         // rate moved less than Cfg.Hysteresis: configuration kept
-	KindIdle              = "idle"               // below Cfg.MinTotalRate: no workload signal
+	KindIdle              = "idle"               // below minTotalRate: no workload signal
 )
 
 // Controller is GRAF's runtime: every interval it reads the front-end
@@ -292,11 +295,6 @@ type Controller struct {
 	stop func()
 	tk   tick // the decision in flight, reused by every Step
 
-	// OnPrewarm, if set, observes every decision that ordered instances
-	// ahead of forecasted demand: n instances with leadS seconds of
-	// forecast lead against a readyS-second Figure-1 startup.
-	OnPrewarm func(t float64, n int, leadS, readyS float64)
-
 	// OnDecision, if set, observes every applied configuration.
 	OnDecision func(t float64, totalRate float64, sol Solution)
 
@@ -318,8 +316,8 @@ func NewController(cl *cluster.Cluster, m LatencyModel, an *Analyzer, b Bounds, 
 	if cfg.Forecast.Enabled {
 		fc = forecast.NewPredictor(cfg.Forecast)
 	}
-	cl.DeclareLookback(cluster.APIRates, cfg.RateWindowS)
-	cl.DeclareLookback(cluster.E2ELatency|cluster.CPU, 3*cfg.RateWindowS) // the measured-p99 and CPU-per-request reads
+	cl.DeclareLookback(cluster.APIRates, RateWindowS)
+	cl.DeclareLookback(cluster.E2ELatency|cluster.CPU, 3*RateWindowS) // the measured-p99 and CPU-per-request reads
 	return &Controller{Cluster: cl, Model: m, Analyzer: an, Bounds: b, Cfg: cfg,
 		st: ControllerState{StaleSince: -1, Forecast: fc}}
 }
@@ -417,7 +415,7 @@ func (c *Controller) spanAttr(key string, v float64) map[string]float64 {
 
 // Start begins the control loop at the current simulated time.
 func (c *Controller) Start() {
-	c.stop = c.Cluster.Eng.Ticker(c.Cluster.Eng.Now()+0.001, c.Cfg.IntervalS, c.Step)
+	c.stop = c.Cluster.Eng.Ticker(c.Cluster.Eng.Now()+0.001, IntervalS, c.Step)
 }
 
 // Stop halts the control loop.
@@ -500,9 +498,6 @@ func (c *Controller) Step() {
 		}
 		c.Obs.Health(t.now, from.String(), to.String(), int(to))
 	}
-	if t.rec.Prewarm > 0 && c.OnPrewarm != nil {
-		c.OnPrewarm(t.now, t.rec.Prewarm, t.rec.PrewarmLeadS, t.rec.PrewarmReadyS)
-	}
 	if t.solved && c.OnDecision != nil {
 		c.OnDecision(t.now, t.rec.Total, t.sol)
 	}
@@ -529,7 +524,7 @@ func (c *Controller) holdRung(t *tick) bool {
 // solve against it, and the fold makes the identical call per record.
 func (c *Controller) collect(t *tick) bool {
 	tCollect := c.wallStart()
-	rates := c.Cluster.APIArrivalRates(c.Cfg.RateWindowS)
+	rates := c.Cluster.APIArrivalRates(RateWindowS)
 	// Sum in sorted key order: map iteration order is randomized, and float
 	// addition is not associative, so an unordered sum can differ by an ULP
 	// between otherwise identical runs — enough to break the flight
@@ -547,7 +542,7 @@ func (c *Controller) collect(t *tick) bool {
 	c.stage("collect", tCollect, c.spanAttr("total_rate", total))
 	t.rates, t.rec.Rates, t.rec.Total = rates, rates, total
 
-	pred, matured := c.st.observe(t.now, total, c.Cfg)
+	pred, matured := c.st.observe(t.now, total)
 	fc := c.st.Forecast
 	if c.Obs != nil {
 		for _, m := range matured {
@@ -560,7 +555,7 @@ func (c *Controller) collect(t *tick) bool {
 	// with a forecast.
 	if pred.OK && fc.Healthy() && !c.st.BreakerOpen &&
 		c.Trust() != ModelUntrusted && c.Brownout() == BrownoutFull &&
-		pred.Upper >= c.Cfg.MinTotalRate {
+		pred.Upper >= minTotalRate {
 		t.rec.FcRate, t.rec.FcPoint, t.rec.FcSigma = pred.Upper, pred.Point, pred.Sigma
 	}
 	return false
@@ -583,7 +578,7 @@ func solveRate(rec *obs.Record) float64 {
 // once the violation clears.
 func (c *Controller) boost(t *tick) bool {
 	violated := c.Cfg.ViolationBoost > 1 &&
-		c.Cluster.E2ELatencyQuantile(0.99, c.Cfg.RateWindowS) > c.Cfg.SLO*1.1
+		c.Cluster.E2ELatencyQuantile(0.99, RateWindowS) > c.Cfg.SLO*1.1
 	if !violated {
 		return false
 	}
@@ -636,10 +631,10 @@ func (c *Controller) boost(t *tick) bool {
 func (c *Controller) staleHold(t *tick) bool {
 	total, ref := t.rec.Total, c.st.LastRate
 	collapsed := false
-	if c.Cfg.StaleRateCollapse > 0 && ref > 0 && c.st.LastRateAt >= c.Cfg.IntervalS {
+	if c.Cfg.StaleRateCollapse > 0 && ref > 0 && c.st.LastRateAt >= IntervalS {
 		evidence := c.Cluster.InFlight() > 0
 		if !evidence {
-			if at, ok := c.Cluster.LastDeploymentTelemetryAt(); ok && t.now-at <= c.Cfg.IntervalS {
+			if at, ok := c.Cluster.LastDeploymentTelemetryAt(); ok && t.now-at <= IntervalS {
 				evidence = true
 			}
 		}
@@ -647,7 +642,7 @@ func (c *Controller) staleHold(t *tick) bool {
 			if total < ref*c.Cfg.StaleRateCollapse {
 				collapsed = true
 			} else if total < ref {
-				if at, ok := c.Cluster.LastArrivalAt(); !ok || t.now-at >= c.Cfg.IntervalS {
+				if at, ok := c.Cluster.LastArrivalAt(); !ok || t.now-at >= IntervalS {
 					collapsed = true
 				}
 			}
@@ -674,7 +669,7 @@ func (c *Controller) staleHold(t *tick) bool {
 
 // idle: with no traffic there is no workload signal to decide on.
 func (c *Controller) idle(t *tick) bool {
-	if t.rec.Total < c.Cfg.MinTotalRate {
+	if t.rec.Total < minTotalRate {
 		t.rec.Kind = KindIdle
 		return true
 	}
@@ -802,7 +797,7 @@ func (c *Controller) solve(t *tick) bool {
 	open := c.st.BreakerOpen
 	if c.Cfg.BreakerBand > 0 && !warm {
 		t.live.BreakerHealthy = c.solveHealthy(sol)
-		open = c.st.breakerOpenAfter(t.live.BreakerHealthy, c.Cfg)
+		open = c.st.breakerOpenAfter(t.live.BreakerHealthy)
 	}
 
 	var quotas map[string]float64
@@ -822,8 +817,8 @@ func (c *Controller) solve(t *tick) bool {
 		for i, name := range c.Cluster.App.ServiceNames() {
 			quotas[name] = sol.Quotas[i] * t.scale
 		}
-		if c.Trust() == ModelProbation && c.Cfg.Envelope.Enabled() {
-			quotas, rec.Enveloped = c.Cfg.Envelope.Clamp(quotas, c.st.LastQuotas)
+		if c.Trust() == ModelProbation {
+			quotas, rec.Enveloped = envelopeClamp(quotas, c.st.LastQuotas)
 		}
 		rec.Kind = KindSolve
 		if warm {
@@ -842,13 +837,10 @@ func (c *Controller) solve(t *tick) bool {
 func (c *Controller) demandBounds(load []float64) (lo, hi []float64) {
 	lo = append([]float64(nil), c.Bounds.Lo...)
 	hi = append([]float64(nil), c.Bounds.Hi...)
-	if c.Cfg.DemandFloorUtil <= 0 {
-		return lo, hi
-	}
 	for i, name := range c.Cluster.App.ServiceNames() {
-		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(c.Cfg.RateWindowS * 3)
+		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(RateWindowS * 3)
 		// req/s × cpu-ms/req = cpu-ms/s = millicores of demand.
-		floor := load[i] * cpuMS / c.Cfg.DemandFloorUtil
+		floor := load[i] * cpuMS / demandFloorUtil
 		if floor > lo[i] {
 			lo[i] = floor
 		}
@@ -884,7 +876,7 @@ func (c *Controller) countPrewarm(rec *obs.Record) {
 	}
 	if n > 0 {
 		rec.Prewarm = n
-		rec.PrewarmLeadS = float64(c.st.Forecast.Cfg.HorizonTicks) * c.Cfg.IntervalS
+		rec.PrewarmLeadS = float64(c.st.Forecast.Cfg.HorizonTicks) * IntervalS
 		rec.PrewarmReadyS = c.Cluster.StartupSeconds(maxBatch)
 	}
 }
@@ -930,7 +922,7 @@ func (c *Controller) solveHealthy(sol Solution) bool {
 	if nextUnconverged(c.st.Unconverged, sol.Converged, sol.Predicted, c.Cfg.SLO) >= 2 {
 		return false
 	}
-	measured := c.Cluster.E2ELatencyQuantile(0.99, c.Cfg.RateWindowS*3)
+	measured := c.Cluster.E2ELatencyQuantile(0.99, RateWindowS*3)
 	return !(measured > sol.Predicted*c.Cfg.BreakerBand)
 }
 
@@ -939,19 +931,16 @@ func (c *Controller) solveHealthy(sol Solution) bool {
 // utilization, clamped to the solver bounds. It cannot shave latency like
 // the model can, but it never starves a service of raw CPU demand.
 func (c *Controller) heuristicQuotas(load []float64, scale float64, breakerOpen bool) map[string]float64 {
-	util := c.Cfg.DemandFloorUtil
-	if util <= 0 {
-		util = 0.85
-	}
+	util := demandFloorUtil
 	// A lifecycle demotion (as opposed to an open breaker) over-provisions:
 	// the SLO is protected with CPU while no model can be trusted to shave
 	// the tail any closer.
-	if c.Trust() == ModelUntrusted && !breakerOpen && c.Cfg.UntrustedUtil > 0 {
-		util = c.Cfg.UntrustedUtil
+	if c.Trust() == ModelUntrusted && !breakerOpen {
+		util = untrustedUtil
 	}
 	out := make(map[string]float64, len(load))
 	for i, name := range c.Cluster.App.ServiceNames() {
-		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(c.Cfg.RateWindowS * 3)
+		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(RateWindowS * 3)
 		if cpuMS <= 0 {
 			// No telemetry either (e.g. black-holed): fall back to the
 			// application model's nominal work per request.

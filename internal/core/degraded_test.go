@@ -120,7 +120,7 @@ func TestControllerStaleHoldExpires(t *testing.T) {
 	// Permanent heavy sampling: the observed rate collapses to 5% and
 	// stays there. The hold must expire and the controller accept the
 	// (apparently) collapsed workload rather than hold forever. A full
-	// blackhole would not do here: a dead signal sits below MinTotalRate,
+	// blackhole would not do here: a dead signal sits below minTotalRate,
 	// where no decision — including scale-down — is ever made.
 	cl.SetArrivalSampling(0.05)
 	eng.RunUntil(200)
@@ -165,7 +165,7 @@ func TestControllerBreakerFallbackAndClose(t *testing.T) {
 		t.Errorf("heuristic fallback applied bogus total quota %v", q)
 	}
 
-	// Model heals: BreakerClose healthy solves must close the breaker.
+	// Model heals: breakerClose healthy solves must close the breaker.
 	eng.At(160, func() { broken = false })
 	eng.RunUntil(220)
 	gen.Stop()

@@ -1,57 +1,34 @@
 package core
 
-// Envelope is the solver-output guardrail applied while the model driving
-// the solver is on probation (a freshly promoted canary): each applied quota
-// may move at most MaxStepUp× up and MaxStepDown× down per decision relative
-// to the previously applied configuration, and never below MinQuota. It is
-// deliberately tighter than the regular step limiter — an untrusted model's
-// mistakes should leak into the cluster slowly enough for the probation
-// monitor to catch them before they starve a service.
+// envelopeClamp is the solver-output guardrail applied while the model
+// driving the solver is on probation (see envelopeStepUp): it bounds each
+// proposed quota against last to [old × envelopeStepDown, old ×
+// envelopeStepUp], and every quota to at least envelopeMinQuota. Services
+// absent from last (or with a non-positive last quota) only get the floor —
+// there is no step to bound. The input maps are not mutated; the second
+// return reports whether any quota was changed.
 //
-// Clamp is a pure function so its contract can be property-tested in
-// isolation: bounded steps, a hard floor, and convergence — iterating Clamp
-// against a fixed target reaches the target, so once the model is trusted
-// again the applied configuration converges to the unclamped solution.
-type Envelope struct {
-	// MaxStepUp and MaxStepDown bound the per-decision multiplicative step
-	// (e.g. 1.5 and 0.7). Values <= 0, or <= 1 for MaxStepUp / >= 1 for
-	// MaxStepDown, disable that direction.
-	MaxStepUp   float64
-	MaxStepDown float64
-
-	// MinQuota is the absolute millicore floor for every clamped quota.
-	MinQuota float64
-}
-
-// Enabled reports whether the envelope constrains anything.
-func (e Envelope) Enabled() bool {
-	return e.MaxStepUp > 1 || (e.MaxStepDown > 0 && e.MaxStepDown < 1) || e.MinQuota > 0
-}
-
-// Clamp bounds proposed against last. Services absent from last (or with a
-// non-positive last quota) only get the MinQuota floor — there is no step to
-// bound. The input maps are not mutated; the second return reports whether
-// any quota was changed.
-func (e Envelope) Clamp(proposed, last map[string]float64) (map[string]float64, bool) {
+// It is a pure function so its contract can be property-tested in
+// isolation: bounded steps, a hard floor, and convergence — iterating the
+// clamp against a fixed target reaches the target, so once the model is
+// trusted again the applied configuration converges to the unclamped
+// solution.
+func envelopeClamp(proposed, last map[string]float64) (map[string]float64, bool) {
 	out := make(map[string]float64, len(proposed))
 	clamped := false
 	for k, v := range proposed {
-		old, ok := 0.0, false
-		if last != nil {
-			old, ok = last[k]
-		}
-		if ok && old > 0 {
-			if e.MaxStepUp > 1 && v > old*e.MaxStepUp {
-				v = old * e.MaxStepUp
+		if old := last[k]; old > 0 {
+			if v > old*envelopeStepUp {
+				v = old * envelopeStepUp
 				clamped = true
 			}
-			if e.MaxStepDown > 0 && e.MaxStepDown < 1 && v < old*e.MaxStepDown {
-				v = old * e.MaxStepDown
+			if v < old*envelopeStepDown {
+				v = old * envelopeStepDown
 				clamped = true
 			}
 		}
-		if e.MinQuota > 0 && v < e.MinQuota {
-			v = e.MinQuota
+		if v < envelopeMinQuota {
+			v = envelopeMinQuota
 			clamped = true
 		}
 		out[k] = v

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graf/internal/app"
+	"graf/internal/workload"
 )
 
 // randomQuotas draws a quota map over an app's services in [lo, hi).
@@ -19,39 +20,38 @@ func randomQuotas(a *app.App, rng *rand.Rand, lo, hi float64) map[string]float64
 
 // TestEnvelopeClampProperties checks the probation envelope's contract over
 // random applications and seeds: every clamped step stays within the
-// per-tick multiplicative bound and never dips below MinQuota.
+// per-tick multiplicative bound and never dips below envelopeMinQuota.
 func TestEnvelopeClampProperties(t *testing.T) {
 	apps := []*app.App{
 		app.OnlineBoutique(), app.SocialNetwork(), app.RobotShop(),
 		app.Bookinfo(), app.SyntheticChain(4), app.SyntheticChain(9),
 	}
-	env := Envelope{MaxStepUp: 1.5, MaxStepDown: 0.7, MinQuota: 50}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a := apps[rng.Intn(len(apps))]
 		last := randomQuotas(a, rng, 10, 4000)
 		proposed := randomQuotas(a, rng, 1, 8000)
 		// Random membership holes: services the last configuration never
-		// touched must still get the MinQuota floor.
+		// touched must still get the envelopeMinQuota floor.
 		for k := range last {
 			if rng.Float64() < 0.15 {
 				delete(last, k)
 			}
 		}
-		got, _ := env.Clamp(proposed, last)
+		got, _ := envelopeClamp(proposed, last)
 		if len(got) != len(proposed) {
 			t.Fatalf("seed %d: clamp dropped services: %d != %d", seed, len(got), len(proposed))
 		}
 		for k, v := range got {
-			if v < env.MinQuota-1e-9 {
-				t.Errorf("seed %d: %s clamped to %v below MinQuota %v", seed, k, v, env.MinQuota)
+			if v < envelopeMinQuota-1e-9 {
+				t.Errorf("seed %d: %s clamped to %v below envelopeMinQuota %v", seed, k, v, envelopeMinQuota)
 			}
 			old, ok := last[k]
 			if !ok || old <= 0 {
 				continue
 			}
-			hi := math.Max(old*env.MaxStepUp, env.MinQuota)
-			lo := math.Min(old*env.MaxStepDown, math.Max(proposed[k], env.MinQuota))
+			hi := math.Max(old*envelopeStepUp, envelopeMinQuota)
+			lo := math.Min(old*envelopeStepDown, math.Max(proposed[k], envelopeMinQuota))
 			if v > hi+1e-9 {
 				t.Errorf("seed %d: %s step %v -> %v exceeds up-bound %v", seed, k, old, v, hi)
 			}
@@ -67,7 +67,6 @@ func TestEnvelopeClampProperties(t *testing.T) {
 // is what guarantees a model coming off probation converges to the same
 // configuration it would have applied unconstrained.
 func TestEnvelopeClampConverges(t *testing.T) {
-	env := Envelope{MaxStepUp: 1.5, MaxStepDown: 0.7, MinQuota: 50}
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a := app.SyntheticChain(3 + rng.Intn(8))
@@ -75,7 +74,7 @@ func TestEnvelopeClampConverges(t *testing.T) {
 		cur := randomQuotas(a, rng, 60, 6000)
 		converged := false
 		for i := 0; i < 64; i++ {
-			next, clamped := env.Clamp(target, cur)
+			next, clamped := envelopeClamp(target, cur)
 			cur = next
 			if !clamped {
 				converged = true
@@ -94,24 +93,38 @@ func TestEnvelopeClampConverges(t *testing.T) {
 }
 
 // TestEnvelopeIdentityWhenTrusted: a trusted model bypasses the envelope
-// entirely — the controller only clamps in ModelProbation — and a disabled
-// envelope is the identity even when invoked.
+// entirely — the controller only clamps in ModelProbation — and a proposal
+// already inside the envelope passes the clamp unchanged.
 func TestEnvelopeIdentityWhenTrusted(t *testing.T) {
-	var off Envelope
-	if off.Enabled() {
-		t.Fatal("zero-value envelope reports enabled")
+	// The trust walk's surge, which the envelope clamps on probation.
+	clamped := func(trust ModelTrust) int {
+		cfg := DefaultControllerConfig(0.150)
+		cfg.Hysteresis = 0
+		sc := scenario{seed: 9, cfg: cfg, rate: workload.StepRate(40, 300, 165), until: 300,
+			script: func(r *scriptRig) { r.ctl.SetTrust(trust) }}
+		_, st := sc.run(t)
+		return st.Stats.EnvelopeClamped
 	}
+	if n := clamped(ModelTrusted); n != 0 {
+		t.Errorf("a trusted model's configuration was enveloped %d times", n)
+	}
+	if n := clamped(ModelProbation); n == 0 {
+		t.Error("the surge never reached the envelope on probation: the trusted run proves nothing")
+	}
+
 	rng := rand.New(rand.NewSource(7))
-	a := app.OnlineBoutique()
-	last := randomQuotas(a, rng, 10, 4000)
-	proposed := randomQuotas(a, rng, 1, 8000)
-	got, clamped := off.Clamp(proposed, last)
-	if clamped {
-		t.Error("disabled envelope reported clamping")
+	last := randomQuotas(app.OnlineBoutique(), rng, 100, 4000)
+	proposed := make(map[string]float64, len(last))
+	for k, old := range last {
+		proposed[k] = old * (envelopeStepDown + rng.Float64()*(envelopeStepUp-envelopeStepDown))
+	}
+	got, clampedAny := envelopeClamp(proposed, last)
+	if clampedAny {
+		t.Error("a proposal inside the envelope was reported clamped")
 	}
 	for k, v := range got {
 		if v != proposed[k] {
-			t.Errorf("disabled envelope changed %s: %v != %v", k, v, proposed[k])
+			t.Errorf("inside the envelope, %s changed: %v != %v", k, v, proposed[k])
 		}
 	}
 }

@@ -42,13 +42,6 @@ func TestForecastDrivesSolvesAndPrewarms(t *testing.T) {
 	tel := obs.New(obs.Options{AuditW: &buf})
 	ctl := NewController(cl, h, NewAnalyzer(cl.App), b, cfg)
 	ctl.Obs = obs.NewControllerObs(tel)
-	prewarms := 0
-	ctl.OnPrewarm = func(at float64, n int, leadS, readyS float64) {
-		if n <= 0 || leadS <= 0 || readyS <= 0 {
-			t.Errorf("OnPrewarm(%v, %d, %v, %v): non-positive argument", at, n, leadS, readyS)
-		}
-		prewarms++
-	}
 	ctl.Start()
 	gen := workload.NewOpenLoop(cl, rate)
 	gen.Start()
@@ -60,9 +53,6 @@ func TestForecastDrivesSolvesAndPrewarms(t *testing.T) {
 	if got := ctl.Stats().ForecastSolves; got == 0 {
 		t.Error("forecaster never drove a solve on a matched seasonal workload")
 	}
-	if prewarms == 0 || ctl.Stats().Prewarms != prewarms {
-		t.Errorf("prewarms: callback %d, stats %d — want equal and > 0", prewarms, ctl.Stats().Prewarms)
-	}
 	if ctl.Forecaster() == nil || ctl.Forecaster().MaturedN == 0 {
 		t.Error("no forecasts matured over a 600 s run")
 	}
@@ -73,10 +63,16 @@ func TestForecastDrivesSolvesAndPrewarms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcDriven, fcRecords := 0, 0
+	fcDriven, fcRecords, prewarms := 0, 0, 0
 	for _, r := range log {
 		if r.Type == "decision" && r.FcRate > 0 {
 			fcDriven++
+		}
+		if r.Type == "decision" && r.Prewarm != 0 {
+			if r.Prewarm < 0 || r.PrewarmLeadS <= 0 || r.PrewarmReadyS <= 0 {
+				t.Errorf("t=%v: pre-warm of %d instances, lead %v s, ready %v s: non-positive", r.At, r.Prewarm, r.PrewarmLeadS, r.PrewarmReadyS)
+			}
+			prewarms++
 		}
 		if r.Type == "forecast" {
 			fcRecords++
@@ -87,6 +83,9 @@ func TestForecastDrivesSolvesAndPrewarms(t *testing.T) {
 	}
 	if fcRecords == 0 {
 		t.Error("no forecast maturation records in the audit log")
+	}
+	if prewarms == 0 || ctl.Stats().Prewarms != prewarms {
+		t.Errorf("prewarms: records %d, stats %d — want equal and > 0", prewarms, ctl.Stats().Prewarms)
 	}
 }
 

@@ -73,9 +73,6 @@ type Config struct {
 }
 
 const (
-	// intervalS is the monitor cadence in seconds: the controller's.
-	intervalS = 5
-
 	// windowS is the trailing telemetry window for rates and p99.
 	windowS = 15
 
@@ -292,12 +289,12 @@ func (m *Manager) Samples() []gnn.Sample {
 	return append([]gnn.Sample(nil), m.samples...)
 }
 
-// Start begins the lifecycle ticker. The phase offset places it after the
-// controller's tick at the same instant, so each tick observes the quotas
-// the controller just applied.
+// Start begins the lifecycle ticker, on the controller's decision interval.
+// The phase offset places it after the controller's tick at the same
+// instant, so each tick observes the quotas the controller just applied.
 func (m *Manager) Start() {
 	eng := m.Cl.Eng
-	m.stop = eng.Ticker(eng.Now()+0.0037, intervalS, m.Tick)
+	m.stop = eng.Ticker(eng.Now()+0.0037, core.IntervalS, m.Tick)
 }
 
 // Stop halts the ticker.

@@ -372,7 +372,7 @@ func (r *Router) reconcile() (*ReconcileReport, error) {
 		r.logf("reconcile: tenant %s duplicate on %s evicted", h.st.ID, h.addr)
 	}
 	if m != nil {
-		won, _ := r.place(m.Tenant, span.Context(), r.p.rollForward(m, NewRing(r.cfg.VNodes, r.p.live()...))...)
+		won, _ := r.place(m.Tenant, span.Context(), r.p.rollForward(m, NewRing(ringVNodes, r.p.live()...))...)
 		switch {
 		case won != "" && won == m.To:
 			rep.MigrationAction = "rolled-forward"

@@ -21,12 +21,12 @@ type ringPoint struct {
 	member string
 }
 
+// ringVNodes is the router's virtual-node count per member.
+const ringVNodes = 64
+
 // NewRing returns the ring over members with the given virtual-node count
-// per member (default 64).
+// per member.
 func NewRing(vnodes int, members ...string) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	r := &Ring{}
 	for _, m := range members {
 		for i := 0; i < vnodes; i++ {

@@ -20,8 +20,6 @@ type RouterConfig struct {
 	Tenants []string
 	// Client tunes call discipline (timeouts, retries, breakers).
 	Client ClientConfig
-	// VNodes is the consistent-hash virtual-node count (default 64).
-	VNodes int
 	// HeartbeatMisses is how many consecutive failed health probes declare
 	// a shard dead (default 3).
 	HeartbeatMisses int
@@ -77,9 +75,6 @@ type RouterConfig struct {
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.HeartbeatMisses <= 0 {
 		c.HeartbeatMisses = 3
 	}
@@ -382,7 +377,7 @@ func (r *Router) placeUnplaced(parent obs.SpanContext) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	ring := NewRing(r.cfg.VNodes, r.p.live()...)
+	ring := NewRing(ringVNodes, r.p.live()...)
 	for _, id := range ids {
 		if _, err := r.place(id, parent, r.p.home(id, ring)...); err != nil {
 			return err
@@ -560,7 +555,7 @@ func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
 	if err != nil {
 		return err
 	}
-	ring := NewRing(r.cfg.VNodes, r.p.live()...)
+	ring := NewRing(ringVNodes, r.p.live()...)
 	for _, id := range orphans {
 		home := []string{addr}
 		if addr == "" {

@@ -20,6 +20,12 @@ import (
 	"graf/internal/overload"
 )
 
+// maxReplayTicks bounds how far past the router's tick count an admit
+// replays to cover a dead owner's flushed-but-unreported decisions: a shard
+// can only have been one round ahead, but partial flushes make the exact
+// boundary fuzzy.
+const maxReplayTicks = 4
+
 // ShardServer exposes one dynamic fleet over the control-plane protocol.
 // One mutex serializes all fleet-touching handlers — the fleet's dynamic
 // API is single-owner by design, and the round cadence (one tick request
@@ -36,11 +42,6 @@ type ShardServer struct {
 	// AuditDir mirrors per-tenant audit logs to disk ("" = in-memory).
 	// Shared across shards for the same reason.
 	AuditDir string
-	// MaxReplayTicks bounds how far past the router's tick count an admit
-	// will replay to cover a dead owner's flushed-but-unreported decisions
-	// (default 4; a shard can only have been one round ahead, but partial
-	// flushes make the exact boundary fuzzy).
-	MaxReplayTicks int
 	// Tel, when set before Serve, exposes /metrics, /debug/vars and
 	// /debug/pprof/* on the shard's own control-plane mux (the router
 	// scrapes /metrics for federation), records per-operation durations,
@@ -563,11 +564,7 @@ func (s *ShardServer) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	maxReplay := s.MaxReplayTicks
-	if maxReplay <= 0 {
-		maxReplay = 4
-	}
-	t, rep, err := s.fl.Restore(s.spec.TenantConfig(req.ID), req.Ticks, s.CkptDir, maxReplay)
+	t, rep, err := s.fl.Restore(s.spec.TenantConfig(req.ID), req.Ticks, s.CkptDir, maxReplayTicks)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -306,7 +306,7 @@ func (s Spec) FleetConfig(b ModelBundle, auditDir string) (fleet.Config, error) 
 	}
 	if s.Forecast != "" {
 		ccfg := core.DefaultControllerConfig(b.SLO) // tenants apply their own SLO
-		ccfg.Forecast = s.forecastConfig(ccfg.IntervalS)
+		ccfg.Forecast = s.forecastConfig()
 		cfg.Controller = &ccfg
 	}
 	if s.Lifecycle {
@@ -317,8 +317,8 @@ func (s Spec) FleetConfig(b ModelBundle, auditDir string) (fleet.Config, error) 
 }
 
 // forecastConfig sizes the forecaster for a controller deciding every
-// intervalS seconds.
-func (s Spec) forecastConfig(intervalS float64) forecast.Config {
+// core.IntervalS seconds.
+func (s Spec) forecastConfig() forecast.Config {
 	fc := forecast.Config{
 		Enabled:      true,
 		Model:        s.Forecast,
@@ -328,13 +328,13 @@ func (s Spec) forecastConfig(intervalS float64) forecast.Config {
 	if s.Shape == "diurnal" {
 		// Match the seasonal period to the shape so Holt-Winters learns the
 		// actual cycle rather than an aliased one.
-		fc.PeriodTicks = int(diurnalPeriodS / intervalS)
+		fc.PeriodTicks = int(diurnalPeriodS / core.IntervalS)
 	}
 	if fc.HorizonTicks == 0 {
 		// Far enough ahead that a typical pre-warm batch (4 instances on the
 		// Figure-1 startup curve) is ready when the forecasted rate arrives.
 		cc := cluster.DefaultConfig()
-		fc.HorizonTicks = forecast.HorizonForStartup(cc.StartupBaseS, cc.StartupSlopeS, 4, intervalS)
+		fc.HorizonTicks = forecast.HorizonForStartup(cc.StartupBaseS, cc.StartupSlopeS, 4, core.IntervalS)
 	}
 	return fc
 }

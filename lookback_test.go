@@ -72,12 +72,12 @@ func TestEveryReaderDeclaresWhatItReads(t *testing.T) {
 			return m.Tick
 		})},
 		{"HPA", onCluster(func(cl *cluster.Cluster) func() {
-			h := autoscale.NewHPA(cl, autoscale.DefaultHPAConfig(0.5))
+			h := autoscale.NewHPA(cl, 0.5)
 			h.Start()
 			return h.Step
 		})},
 		{"FIRM-like", onCluster(func(cl *cluster.Cluster) func() {
-			f := autoscale.NewFIRMLike(cl, autoscale.DefaultFIRMConfig())
+			f := autoscale.NewFIRMLike(cl)
 			f.Start()
 			return f.Step
 		})},
