@@ -188,8 +188,8 @@ func (m *Model) backwardRows(s *Scratch, lo, hi int, features bool) {
 		clear(s.dQuota[lo*N : hi*N])
 	}
 	addX := func(r int, d []float64) {
-		s.dLoad[r] += d[0] * m.Cfg.LoadScale
-		s.dQuota[r] += d[1] * m.Cfg.QuotaScale
+		s.dLoad[r] += float64(d[0] * m.Cfg.LoadScale)
+		s.dQuota[r] += float64(d[1] * m.Cfg.QuotaScale)
 	}
 	src := s.read.DIn() // the gradient of the current step's input
 	for k := len(s.phi) - 1; k >= 0; k-- {

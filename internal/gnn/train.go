@@ -142,8 +142,15 @@ func trainLoop(subs []*Model, groups [][]int, samples []Sample, tc TrainConfig, 
 
 // trainChunk is how many samples of a minibatch are on tape at once: the
 // tape, not the batch, bounds training's memory (~50 KB a sample on Online
-// Boutique; the paper's batch is 256).
-const trainChunk = 8
+// Boutique; the paper's batch is 256). At 16 a batch of 32 is two chunks,
+// with half the barriers of 8-sample chunks and twice the rows per kernel
+// call; at 32 an iteration is faster still, but the tape adds ~0.6 MB of peak
+// RSS. evalChunk is the same for the validation tapes, which only run the
+// forward, so a larger one would buy little and cost memory.
+const (
+	trainChunk = 16
+	evalChunk  = 8
+)
 
 // trainer runs the iterations of one Train call. An iteration takes the
 // minibatch in chunks of trainChunk samples, each in two parallel phases that
@@ -209,7 +216,7 @@ func newTrainer(subs []*Model, groups [][]int, train []Sample, tc TrainConfig, r
 		workers = min(runtime.GOMAXPROCS(0), trainChunk, tc.Batch)
 	}
 	t := &trainer{subs: subs, groups: groups, train: train, batch: tc.Batch, loss: tc.Loss, rng: rng, parts: workers}
-	t.fit, t.val = newTapes(subs, min(trainChunk, tc.Batch), true), newTapes(subs, trainChunk, false)
+	t.fit, t.val = newTapes(subs, min(trainChunk, tc.Batch), true), newTapes(subs, evalChunk, false)
 	layers, spans := rowSpans(subs)
 	for _, l := range layers {
 		clear(l.GW)

@@ -27,7 +27,7 @@ func refLinearForward(l *nn.Linear, x []float64) []float64 {
 		sum := l.B[o]
 		row := l.W[o*l.In : (o+1)*l.In]
 		for i, xi := range x {
-			sum += row[i] * xi
+			sum += float64(row[i] * xi)
 		}
 		y[o] = sum
 	}
@@ -42,8 +42,8 @@ func refLinearBackward(l *nn.Linear, x, dy []float64) []float64 {
 		row := l.W[o*l.In : (o+1)*l.In]
 		grow := l.GW[o*l.In : (o+1)*l.In]
 		for i, xi := range x {
-			grow[i] += g * xi
-			dx[i] += row[i] * g
+			grow[i] += float64(g * xi)
+			dx[i] += float64(row[i] * g)
 		}
 	}
 	return dx
@@ -163,8 +163,8 @@ func (a *refAdam) Step(layers []*nn.Linear, scale float64) {
 		upd := func(p, g, m, v []float64) {
 			for i := range p {
 				gi := g[i] / scale
-				m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-				v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+				m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*gi)
+				v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*gi*gi)
 				p[i] -= a.LR * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.Epsilon)
 			}
 		}
@@ -250,8 +250,8 @@ func (m *Model) backward(st *fwdState, dy float64) (dLoad, dQuota []float64) {
 	dQuota = make([]float64, m.Cfg.Nodes)
 	dRead := refMLPBackward(m.readout, st.readTape, []float64{dy})
 	addX := func(i int, d []float64) {
-		dLoad[i] += d[0] * m.Cfg.LoadScale
-		dQuota[i] += d[1] * m.Cfg.QuotaScale
+		dLoad[i] += float64(d[0] * m.Cfg.LoadScale)
+		dQuota[i] += float64(d[1] * m.Cfg.QuotaScale)
 	}
 	if !m.Cfg.UseMPNN {
 		for i := 0; i < m.Cfg.Nodes; i++ {

@@ -223,20 +223,26 @@ func TestWarmTrainingIterationAllocations(t *testing.T) {
 	}
 }
 
+// BenchmarkTrainerIteration times one training iteration on Online Boutique
+// at the benchmark recipe's batch of 32 and the paper's (and Full's) of 256,
+// and reports it per sample too.
 func BenchmarkTrainerIteration(b *testing.B) {
 	a := app.OnlineBoutique()
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			m := New(DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(1)))
-			tc := TrainConfig{Batch: 32, LR: 1e-3, Loss: nn.PaperLoss()}
-			tr := newTrainer([]*Model{m}, nil, randSamples(m.Cfg.Nodes, 64, 2), tc, rand.New(rand.NewSource(3)), workers)
-			defer tr.workers.stop()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.iteration()
-			}
-		})
+	for _, batch := range []int{32, 256} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("batch=%d/workers=%d", batch, workers), func(b *testing.B) {
+				m := New(DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(1)))
+				tc := TrainConfig{Batch: batch, LR: 1e-3, Loss: nn.PaperLoss()}
+				tr := newTrainer([]*Model{m}, nil, randSamples(m.Cfg.Nodes, 64, 2), tc, rand.New(rand.NewSource(3)), workers)
+				defer tr.workers.stop()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tr.iteration()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
+			})
+		}
 	}
 }
 

@@ -5,7 +5,8 @@ import "math"
 // The row kernel and the Adam kernel twice: in Go (the path on hosts without
 // AVX, and the oracle the assembly is tested against) and as thin wrappers
 // over the AVX kernels of kernels_amd64.s, which compute the same bits. The
-// methods of nn.go pick one by useAVX.
+// methods of nn.go pick one by useAVX; the row kernel adds its ZMM tiles by
+// useAVX512.
 
 // rowOp is one call of the row kernel, the product every pass of a Linear is:
 //
@@ -129,6 +130,7 @@ type kern struct {
 	nb                 int // C's row width, in bytes
 	init               int
 	post               int // postNone, postReLU or postGate, plus kernMask when m is set
+	wide               int // non-zero: the ZMM tiles run ahead of the YMM ones
 }
 
 const kernMask = 4
@@ -137,6 +139,9 @@ func (o *rowOp) runAVX() {
 	const f = 8 // bytes per float64
 	k := kern{c: &o.c[0], sa: o.sa * f, sk: o.sk * f, sb: o.sb * f, sc: o.sc * f,
 		na: o.na, nk: o.nk, nb: o.nb * f, init: o.init, post: o.post}
+	if useAVX512 {
+		k.wide = 1
+	}
 	if o.nk > 0 {
 		k.a, k.b = &o.a[0], &o.b[0]
 	}
@@ -166,8 +171,8 @@ func (l *Linear) mirror(lo, hi int) {
 func (a *Adam) updateGo(p, g, m, v []float64, scale float64) {
 	for i := range p {
 		gi := g[i] / scale
-		m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-		v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+		m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*gi)
+		v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*gi*gi)
 		p[i] -= a.LR * (m[i] / a.c1) / (math.Sqrt(v[i]/a.c2) + a.Epsilon)
 		g[i] = 0
 	}

@@ -10,14 +10,17 @@
 // func rowsAVX(k *kern)
 //
 // rowOp.runGo (kernels.go) blocked for the registers and the cache: C is taken
-// column tile by column tile — 8 columns, then 4, then 1 — each down all the
+// column tile by column tile — 16 columns (in ZMM registers, where kern.wide
+// says the host has AVX-512F), then 8, then 4, then 1 — each down all the
 // groups of four rows (eight accumulators, B's two vectors loaded once per k
 // and shared by the four rows), so a tile of B is read once per call and
 // serves every row while it sits in L1; rows left over (fewer than four, as in
-// a one-sample pass) go one at a time in tiles of 16, 4 and 1 columns. Each
-// accumulator starts from C, from the row vector, or at +0 (kern.init),
-// receives A[a, k]·B[k, b] for k ascending, and is stored to C; then, if k
-// asks for one, the post-op runs over every row of C.
+// a one-sample pass) go one at a time in tiles of 32 (ZMM again), 16, 4 and 1
+// columns. Each accumulator starts from C, from the row vector, or at +0
+// (kern.init), receives A[a, k]·B[k, b] for k ascending, and is stored to C;
+// then, if k asks for one, the post-op runs over every row of C. A ZMM lane is
+// an accumulator like a YMM lane, fed by the same separate VMULPD and VADDPD,
+// so the tiles a host runs do not change a bit.
 TEXT ·rowsAVX(SB), NOSPLIT, $0-8
 	MOVQ k+0(FP), DI
 	MOVQ kern_a(DI), SI    // row a of A
@@ -31,6 +34,112 @@ TEXT ·rowsAVX(SB), NOSPLIT, $0-8
 	CMPQ BX, $4
 	JLT  rows1
 	XORQ AX, AX            // column b, in bytes
+	CMPQ kern_wide(DI), $0
+	JEQ  c8
+
+c16:
+	LEAQ 128(AX), R8
+	CMPQ R8, kern_nb(DI)
+	JGT  c8
+	MOVQ kern_a(DI), SI
+	MOVQ kern_c(DI), DX
+	MOVQ kern_na(DI), BX
+	SHRQ $2, BX            // groups of four rows
+
+r4w16:
+	MOVQ    kern_init(DI), CX
+	CMPQ    CX, $1
+	JEQ     r4w16row
+	JGT     r4w16zero
+	MOVQ    kern_sc(DI), CX
+	LEAQ    (DX)(AX*1), R8
+	VMOVUPD (R8), Z0
+	VMOVUPD 64(R8), Z1
+	VMOVUPD (R8)(CX*1), Z2
+	VMOVUPD 64(R8)(CX*1), Z3
+	VMOVUPD (R8)(CX*2), Z4
+	VMOVUPD 64(R8)(CX*2), Z5
+	LEAQ    (R8)(CX*2), R8
+	VMOVUPD (R8)(CX*1), Z6
+	VMOVUPD 64(R8)(CX*1), Z7
+	JMP     r4w16go
+
+r4w16row:
+	MOVQ    kern_row(DI), R8
+	VMOVUPD (R8)(AX*1), Z0
+	VMOVUPD 64(R8)(AX*1), Z1
+	VMOVAPD Z0, Z2
+	VMOVAPD Z1, Z3
+	VMOVAPD Z0, Z4
+	VMOVAPD Z1, Z5
+	VMOVAPD Z0, Z6
+	VMOVAPD Z1, Z7
+	JMP     r4w16go
+
+r4w16zero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+r4w16go:
+	MOVQ    SI, R8
+	MOVQ    kern_b(DI), R11
+	ADDQ    AX, R11
+	MOVQ    kern_nk(DI), CX
+	TESTQ   CX, CX
+	JZ      r4w16st
+
+r4w16k:
+	VMOVUPD      (R11), Z12
+	VMOVUPD      64(R11), Z13
+	VBROADCASTSD (R8), Z8
+	VBROADCASTSD (R8)(R9*1), Z9
+	VBROADCASTSD (R8)(R9*2), Z10
+	VBROADCASTSD (R8)(R10*1), Z11
+	VMULPD       Z12, Z8, Z14
+	VMULPD       Z13, Z8, Z15
+	VMULPD       Z12, Z9, Z16
+	VMULPD       Z13, Z9, Z17
+	VMULPD       Z12, Z10, Z18
+	VMULPD       Z13, Z10, Z19
+	VMULPD       Z12, Z11, Z20
+	VMULPD       Z13, Z11, Z21
+	VADDPD       Z14, Z0, Z0
+	VADDPD       Z15, Z1, Z1
+	VADDPD       Z16, Z2, Z2
+	VADDPD       Z17, Z3, Z3
+	VADDPD       Z18, Z4, Z4
+	VADDPD       Z19, Z5, Z5
+	VADDPD       Z20, Z6, Z6
+	VADDPD       Z21, Z7, Z7
+	ADDQ         R12, R8
+	ADDQ         R13, R11
+	DECQ         CX
+	JNZ          r4w16k
+
+r4w16st:
+	MOVQ    kern_sc(DI), CX
+	LEAQ    (DX)(AX*1), R8
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, 64(R8)
+	VMOVUPD Z2, (R8)(CX*1)
+	VMOVUPD Z3, 64(R8)(CX*1)
+	VMOVUPD Z4, (R8)(CX*2)
+	VMOVUPD Z5, 64(R8)(CX*2)
+	LEAQ    (R8)(CX*2), R8
+	VMOVUPD Z6, (R8)(CX*1)
+	VMOVUPD Z7, 64(R8)(CX*1)
+	LEAQ    (SI)(R9*4), SI
+	LEAQ    (DX)(CX*4), DX
+	DECQ    BX
+	JNZ     r4w16
+	ADDQ    $128, AX
+	JMP     c16
 
 c8:
 	LEAQ 64(AX), R8
@@ -310,6 +419,63 @@ rows1:
 	TESTQ BX, BX
 	JZ    post
 	XORQ  AX, AX
+	CMPQ  kern_wide(DI), $0
+	JEQ   r1w16
+
+r1w32:
+	LEAQ    256(AX), R8
+	CMPQ    R8, kern_nb(DI)
+	JGT     r1w16
+	LEAQ    (DX)(AX*1), R8
+	MOVQ    kern_init(DI), CX
+	CMPQ    CX, $1
+	JNE     r1w32c
+	MOVQ    kern_row(DI), R8
+	ADDQ    AX, R8
+
+r1w32c:
+	VMOVUPD (R8), Z0
+	VMOVUPD 64(R8), Z1
+	VMOVUPD 128(R8), Z2
+	VMOVUPD 192(R8), Z3
+	CMPQ    CX, $2
+	JNE     r1w32go
+	VPXORQ  Z0, Z0, Z0
+	VPXORQ  Z1, Z1, Z1
+	VPXORQ  Z2, Z2, Z2
+	VPXORQ  Z3, Z3, Z3
+
+r1w32go:
+	MOVQ    SI, R8
+	MOVQ    kern_b(DI), R11
+	ADDQ    AX, R11
+	MOVQ    kern_nk(DI), CX
+	TESTQ   CX, CX
+	JZ      r1w32st
+
+r1w32k:
+	VBROADCASTSD (R8), Z8
+	VMULPD       (R11), Z8, Z12
+	VADDPD       Z12, Z0, Z0
+	VMULPD       64(R11), Z8, Z13
+	VADDPD       Z13, Z1, Z1
+	VMULPD       128(R11), Z8, Z14
+	VADDPD       Z14, Z2, Z2
+	VMULPD       192(R11), Z8, Z15
+	VADDPD       Z15, Z3, Z3
+	ADDQ         R12, R8
+	ADDQ         R13, R11
+	DECQ         CX
+	JNZ          r1w32k
+
+r1w32st:
+	LEAQ    (DX)(AX*1), R8
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, 64(R8)
+	VMOVUPD Z2, 128(R8)
+	VMOVUPD Z3, 192(R8)
+	ADDQ    $256, AX
+	JMP     r1w32
 
 r1w16:
 	LEAQ    128(AX), R8

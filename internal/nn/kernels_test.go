@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,7 +42,7 @@ func TestForwardIntoMatchesNaiveLoop(t *testing.T) {
 			for o := range want {
 				sum := l.B[o]
 				for i, xi := range x {
-					sum += l.W[o*in+i] * xi
+					sum += float64(l.W[o*in+i] * xi)
 				}
 				want[o] = sum
 			}
@@ -80,7 +79,7 @@ func TestGradKernelsMatchNaiveLoops(t *testing.T) {
 		for r := 0; r < n; r++ {
 			for o := 0; o < out; o++ {
 				for i := 0; i < in; i++ {
-					wantDX[r*in+i] += l.W[o*in+i] * dys[r*out+o]
+					wantDX[r*in+i] += float64(l.W[o*in+i] * dys[r*out+o])
 				}
 			}
 		}
@@ -98,7 +97,7 @@ func TestGradKernelsMatchNaiveLoops(t *testing.T) {
 					g := dys[r*out+o]
 					wantGB[o] += g
 					for i := 0; i < in; i++ {
-						wantGW[o*in+i] += g * x[r*in+i]
+						wantGW[o*in+i] += float64(g * x[r*in+i])
 					}
 				}
 			}
@@ -267,77 +266,6 @@ func checkKernels(in, out, n int, fill func([]float64)) error {
 		}
 	}
 	return nil
-}
-
-// kernelRows are the row counts the kernels are checked at: every remainder of
-// the four-row tiles, one and several tiles, and a training chunk's worth.
-var kernelRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 48}
-
-// The AVX kernels are the Go kernels to the bit for layer shapes up to 130 ×
-// 130 — every shape with a side of at most 20, every third one beyond — each
-// at one of kernelRows in turn, and at 48 rows every 64th shape: every tile
-// and tail of the row kernel's 4 × 8/4/1 and 1 × 16/4/1 blocks, along rows
-// and columns.
-func TestAVXKernelsMatchGo(t *testing.T) {
-	if !useAVX {
-		t.Skip("no AVX on this host")
-	}
-	rng := rand.New(rand.NewSource(13))
-	pool := make([]float64, 1<<16)
-	for i := range pool {
-		pool[i] = special(rng)
-	}
-	fill := func(v []float64) {
-		for len(v) > 0 {
-			v = v[copy(v, pool[rng.Intn(len(pool)):]):]
-		}
-	}
-	for in := 1; in <= 130; in++ {
-		for out := 1; out <= 130; out++ {
-			if in > 20 && out > 20 && (in+out)%3 != 0 {
-				continue
-			}
-			ns := []int{kernelRows[(in+out)%(len(kernelRows)-1)]}
-			if (in*131+out)%64 == 0 {
-				ns = append(ns, 48)
-			}
-			for _, n := range ns {
-				if err := checkKernels(in, out, n, fill); err != nil {
-					t.Fatalf("Linear(%d,%d) × %d rows: %v", in, out, n, err)
-				}
-			}
-		}
-	}
-}
-
-// FuzzLinearKernels is TestAVXKernelsMatchGo on fuzzed shapes, row counts
-// and values. Values come from the input's bytes while they last; NaN and
-// ±Inf, which no trained weight holds and whose payloads the kernels do not
-// promise to keep, are replaced by draws.
-func FuzzLinearKernels(f *testing.F) {
-	f.Add(uint8(20), uint8(20), int64(1), []byte{})
-	f.Add(uint8(129), uint8(16), int64(2), make([]byte, 64))
-	f.Fuzz(func(t *testing.T, in, out uint8, seed int64, raw []byte) {
-		if !useAVX {
-			t.Skip("no AVX on this host")
-		}
-		rng := rand.New(rand.NewSource(seed))
-		fill := func(v []float64) {
-			for i := range v {
-				v[i] = special(rng)
-				if len(raw) >= 8 {
-					if u := math.Float64frombits(binary.LittleEndian.Uint64(raw)); !math.IsNaN(u) && !math.IsInf(u, 0) {
-						v[i] = u
-					}
-					raw = raw[8:]
-				}
-			}
-		}
-		n := kernelRows[int(uint64(seed)%uint64(len(kernelRows)))]
-		if err := checkKernels(int(in)%130+1, int(out)%130+1, n, fill); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 // The forward's mirror is W's transpose after every writer of W.

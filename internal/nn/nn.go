@@ -21,7 +21,8 @@
 // CPU has AVX the row and Adam kernels run in assembly, one vector lane per
 // accumulator, fed by separate multiplies and adds (no fused multiply-add), so
 // they compute the bits of the Go kernels that run everywhere else
-// (kernels.go).
+// (kernels.go), whose products are converted before they are added
+// (float64(x*y)) so that no compiler fuses them either.
 package nn
 
 import (
@@ -395,8 +396,8 @@ func (a *VecAdam) Step(x, g []float64) {
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i := range x {
-		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g[i]
-		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g[i]*g[i]
+		a.m[i] = float64(a.Beta1*a.m[i]) + float64((1-a.Beta1)*g[i])
+		a.v[i] = float64(a.Beta2*a.v[i]) + float64((1-a.Beta2)*g[i]*g[i])
 		x[i] -= a.LR * (a.m[i] / c1) / (math.Sqrt(a.v[i]/c2) + a.Epsilon)
 	}
 }
