@@ -76,8 +76,9 @@ func solverLoopModel(seed int64) *Trained {
 // range), medians over the simulation seeds. The solver-level comparison is core.TestSolverOptimalityGap;
 // this one says what the decisions are worth, and how much of any difference
 // is the particular model rather than the method. The notes end with
-// core.Honesty's table per training seed: how the model's predictions at
-// version 2's answers on the solver grid compare with the simulator's.
+// core.Honesty per training seed: the grid score core.TestSolverHonesty
+// ratchets, and how the model's predictions at version 2's answers on the
+// solver grid compare with the simulator's.
 func SolverLoop(s Scale) Result {
 	trainSeeds, simSeeds, ticks := 4, 12, 180
 	if s.Name == "quick" {
@@ -119,11 +120,15 @@ func SolverLoop(s Scale) Result {
 	res.Note("%d simulation seeds × %d control intervals per cell; version 2 attains at least version 1's median on %d of %d rows",
 		simSeeds, ticks, wins, 2*trainSeeds)
 	res.Note("shape target: the two versions trade places from model to model by a few points either way, at a tenth of the model calls — the difference on any one model is that model's holes, not the method")
-	// The honesty table (ROADMAP 1(a)) costs a training and 42 short
-	// simulations per model, so it covers four training seeds at any scale.
+	// The honesty table (ROADMAP 1(a)) and the grid score core's quality
+	// ratchet pins cost a training and 42 short simulations per model, so
+	// they cover four training seeds at any scale, measured as the ratchet
+	// measures them.
 	for ts := 1; ts <= 4; ts++ {
 		tr := solverLoopModel(int64(ts))
-		for _, bin := range core.Honesty(tr.App, tr.Model, tr.Bounds, core.DefaultSolverConfig(), 1) {
+		bins, met, quota := core.Honesty(tr.App, tr.Model, tr.Bounds, core.DefaultSolverConfig(), 7000+int64(ts))
+		res.Note("grid train_seed %d: %d of 42 answers meet their SLO, Σ quota %.0f m", ts, met, quota)
+		for _, bin := range bins {
 			if bin.Answers == 0 {
 				res.Note("honesty train_seed %d, lower face [%.2f, %.2f):  0 answers", ts, bin.From, bin.To)
 				continue

@@ -88,16 +88,18 @@ func NewSimMeasurer(a *app.App, seed int64) *SimMeasurer {
 	return &SimMeasurer{App: a, Cfg: cfg, Quantile: 0.99, WarmupS: 5, WindowS: 10, seed: seed}
 }
 
-func (m *SimMeasurer) run(quotas map[string]float64, totalRate float64) *cluster.Cluster {
+func (m *SimMeasurer) run(reads cluster.Signal, quotas map[string]float64, totalRate float64) *cluster.Cluster {
 	m.seed++
-	return m.runSeeded(m.seed, quotas, totalRate)
+	return m.runSeeded(m.seed, reads, quotas, totalRate)
 }
 
-func (m *SimMeasurer) runSeeded(seed int64, quotas map[string]float64, totalRate float64) *cluster.Cluster {
+// runSeeded runs one measurement; reads is the signal the caller's
+// measurement reads.
+func (m *SimMeasurer) runSeeded(seed int64, reads cluster.Signal, quotas map[string]float64, totalRate float64) *cluster.Cluster {
 	eng := sim.NewEngine(seed)
 	cl := cluster.New(eng, m.App, m.Cfg)
 	// Keep only the window a measurement reads: Calibrate runs two at once.
-	cl.DeclareLookback(cluster.E2ELatency|cluster.SelfLatency, m.WindowS)
+	cl.DeclareLookback(reads, m.WindowS)
 	cl.ApplyQuotas(quotas)
 	eng.RunUntil(1)
 	g := workload.NewOpenLoop(cl, workload.ConstRate(totalRate))
@@ -109,13 +111,13 @@ func (m *SimMeasurer) runSeeded(seed int64, quotas map[string]float64, totalRate
 
 // MeasureSelf implements Measurer.
 func (m *SimMeasurer) MeasureSelf(svc string, quotas map[string]float64, totalRate float64) float64 {
-	cl := m.run(quotas, totalRate)
+	cl := m.run(cluster.SelfLatency, quotas, totalRate)
 	return cl.Deployment(svc).SelfLatencyQuantile(m.Quantile, m.WindowS)
 }
 
 // MeasureE2E implements Measurer.
 func (m *SimMeasurer) MeasureE2E(quotas map[string]float64, totalRate float64) float64 {
-	cl := m.run(quotas, totalRate)
+	cl := m.run(cluster.E2ELatency, quotas, totalRate)
 	return cl.E2ELatencyQuantile(m.Quantile, m.WindowS)
 }
 
@@ -123,7 +125,7 @@ func (m *SimMeasurer) MeasureE2E(quotas map[string]float64, totalRate float64) f
 // next) would return, without advancing m: its run is seeded by n alone, so
 // such calls may run concurrently and in any order.
 func (m *SimMeasurer) measureE2EAt(n int, quotas map[string]float64, totalRate float64) float64 {
-	return m.runSeeded(m.seed+1+int64(n), quotas, totalRate).E2ELatencyQuantile(m.Quantile, m.WindowS)
+	return m.runSeeded(m.seed+1+int64(n), cluster.E2ELatency, quotas, totalRate).E2ELatencyQuantile(m.Quantile, m.WindowS)
 }
 
 // SampleCollector is the state-aware sample collector (§3.7): it bounds the

@@ -134,6 +134,21 @@ func TestSimMeasurerAgreesWithAnalytic(t *testing.T) {
 	}
 }
 
+// A simulator measurement keeps only the signal it reads: an end-to-end one
+// holds no per-call self-latency, a self-latency one no end-to-end window.
+func TestSimMeasurerKeepsOnlyWhatItReads(t *testing.T) {
+	m := NewSimMeasurer(app.RobotShop(), 3)
+	quotas := map[string]float64{"web": 1000, "catalogue": 1500}
+	for _, c := range []struct {
+		reads, other cluster.Signal
+	}{{cluster.E2ELatency, cluster.SelfLatency}, {cluster.SelfLatency, cluster.E2ELatency}} {
+		cl := m.run(c.reads, quotas, 40)
+		if kept, dropped := cl.Retained(c.reads), cl.Retained(c.other); kept == 0 || dropped != 0 {
+			t.Errorf("measurement reading signal %v retained %d of it and %d of signal %v, want > 0 and 0", c.reads, kept, dropped, c.other)
+		}
+	}
+}
+
 // calibrateSerial is Calibrate as a serial loop, one simulator run after the
 // other on one SimMeasurer: the oracle for its batched, parallel schedule.
 func calibrateSerial(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probes int, seed int64) (xs, ys []float64) {

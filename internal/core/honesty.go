@@ -37,44 +37,62 @@ type HonestyBin struct {
 // each answer in the simulator (SimMeasurer, the p99 over a 10 s window,
 // seeded per problem from seed), then bins the answers by their distance to
 // the nearest lower face of b: there the model has seen the fewest samples.
-func Honesty(a *app.App, m LatencyModel, b Bounds, cfg SolverConfig, seed int64) []HonestyBin {
+// It also returns the grid's score: how many answers met their SLO, and
+// their summed quota in millicores. The problems solve and run in parallel,
+// so m must be safe for concurrent use (a gnn.Model is); each is seeded by
+// its place in the grid, so the result does not depend on the schedule.
+func Honesty(a *app.App, m LatencyModel, b Bounds, cfg SolverConfig, seed int64) (bins []HonestyBin, met int, quota float64) {
 	an := NewAnalyzer(a)
 	meas := NewSimMeasurer(a, seed)
 	names := a.ServiceNames()
-	met := make([]int, len(honestyFaces))
-	ratios := make([][]float64, len(honestyFaces))
-	n := 0
+	type problem struct {
+		slo, rate, p99 float64
+		load           []float64
+		sol            Solution
+	}
+	var grid []problem
 	solverGrid(func(slo, rate float64) {
-		sol := Solve(m, an.Distribute(a.MixRates(rate)), slo, b.Lo, b.Hi, cfg)
-		face := 1.0
+		grid = append(grid, problem{slo: slo, rate: rate, load: an.Distribute(a.MixRates(rate))})
+	})
+	eachParallel(len(grid), func(n int) {
+		p := &grid[n]
+		p.sol = Solve(m, p.load, p.slo, b.Lo, b.Hi, cfg)
 		quotas := make(map[string]float64, len(names))
-		for i, q := range sol.Quotas {
+		for i, q := range p.sol.Quotas {
 			quotas[names[i]] = q
+		}
+		p.p99 = meas.measureE2EAt(n, quotas, p.rate)
+	})
+	metIn := make([]int, len(honestyFaces))
+	ratios := make([][]float64, len(honestyFaces))
+	for _, p := range grid {
+		face := 1.0
+		for i, q := range p.sol.Quotas {
 			if w := b.Hi[i] - b.Lo[i]; w > 0 {
 				face = min(face, (q-b.Lo[i])/w)
 			}
 		}
-		p99 := meas.measureE2EAt(n, quotas, rate)
-		n++
 		i := 0 // bin i holds [honestyFaces[i-1], honestyFaces[i])
 		for i < len(honestyFaces)-1 && face >= honestyFaces[i] {
 			i++
 		}
-		if p99 <= slo {
-			met[i]++
+		if p.p99 <= p.slo {
+			metIn[i]++
+			met++
 		}
-		ratios[i] = append(ratios[i], p99/sol.Predicted)
-	})
-	out := make([]HonestyBin, len(honestyFaces))
+		ratios[i] = append(ratios[i], p.p99/p.sol.Predicted)
+		quota += p.sol.TotalQuota
+	}
+	bins = make([]HonestyBin, len(honestyFaces))
 	from := 0.0
 	for i, to := range honestyFaces {
-		out[i] = HonestyBin{From: from, To: to, Answers: len(ratios[i])}
+		bins[i] = HonestyBin{From: from, To: to, Answers: len(ratios[i])}
 		from = to
 		if k := len(ratios[i]); k > 0 {
 			slices.Sort(ratios[i])
-			out[i].MetPct = 100 * float64(met[i]) / float64(k)
-			out[i].Ratio = (ratios[i][(k-1)/2] + ratios[i][k/2]) / 2
+			bins[i].MetPct = 100 * float64(metIn[i]) / float64(k)
+			bins[i].Ratio = (ratios[i][(k-1)/2] + ratios[i][k/2]) / 2
 		}
 	}
-	return out
+	return bins, met, quota
 }

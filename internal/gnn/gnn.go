@@ -54,6 +54,23 @@ func DefaultConfig(nodes int, parents [][]int) Config {
 	}
 }
 
+// encoder is the one definition of a node's features: encode writes a node's
+// load l (req/s) and quota q (millicores) into its feature row of width(), and
+// pullback takes feature rows' gradients back to the quotas.
+type encoder struct{ loadScale, quotaScale float64 }
+
+func (c Config) encoder() encoder                  { return encoder{c.LoadScale, c.QuotaScale} }
+func (encoder) width() int                         { return 2 }
+func (e encoder) encode(x []float64, l, q float64) { x[0], x[1] = l*e.loadScale, q*e.quotaScale }
+
+// pullback adds to each dq[r] the gradient at node r's quota, in seconds per
+// millicore, of the feature row whose gradient starts at d[r*stride].
+func (e encoder) pullback(dq, d []float64, stride int) {
+	for r := range dq {
+		dq[r] += float64(d[r*stride+1] * e.quotaScale)
+	}
+}
+
 // Model is a trained or trainable latency predictor.
 type Model struct {
 	Cfg Config
@@ -102,17 +119,15 @@ func New(cfg Config, rng *rand.Rand) *Model {
 // netSizes returns the layer widths of the networks New builds: φ and γ per
 // message-passing step (none without MPNN), then the readout.
 func netSizes(cfg Config) (phi, gamma [][]int, readout []int) {
-	const features = 2 // (load, quota)
+	features := cfg.encoder().width()
 	if !cfg.UseMPNN {
 		return nil, nil, []int{cfg.Nodes * features, cfg.ReadoutHidden, cfg.ReadoutHidden, 1}
 	}
+	in := features // φ^(0) reads the features, φ^(k) step k-1's embeddings
 	for k := 0; k < cfg.Steps; k++ {
-		inDim := features
-		if k > 0 {
-			inDim = cfg.Embed
-		}
-		phi = append(phi, []int{inDim, cfg.Hidden, cfg.Hidden, cfg.Embed})
+		phi = append(phi, []int{in, cfg.Hidden, cfg.Hidden, cfg.Embed})
 		gamma = append(gamma, []int{features + cfg.Embed, cfg.Hidden, cfg.Hidden, cfg.Embed})
+		in = cfg.Embed
 	}
 	return phi, gamma, []int{cfg.Nodes * cfg.Embed, cfg.ReadoutHidden, cfg.ReadoutHidden, 1}
 }

@@ -5,7 +5,8 @@
 // one per sample — in one call (nn.Rows). Between the layers, plain loops
 // gather φ's inputs, sum the messages into γ's inputs and, going back,
 // scatter the gradients, in the order the per-node recursion of Eq. 3 takes
-// them. The path is:
+// them. Only the encoder writes a node's features, and only it takes their
+// gradients back to the quotas (PredictGrad's ∂L/∂quota). The path is:
 //
 //   - read-only: it touches only layer weights (W, B), never the GW/GB
 //     accumulators, so any number of goroutines may run it against one
@@ -40,14 +41,14 @@ type Scratch struct {
 	useMPNN             bool
 	edges               int
 
-	x    []float64  // n·nodes × 2: the (load, quota) features
+	x    []float64  // n·nodes × the encoder's width: the node features
 	nets []*nn.Rows // per network of Model.nets: φ's (n·edges rows), γ's (n·nodes rows), the readout's (n rows)
 	phi  []*nn.Rows // views of nets: per step
 	gam  []*nn.Rows
 	read *nn.Rows
 
-	dPrev         [][]float64 // per step k: n·nodes × width of step k's input, its gradient
-	dLoad, dQuota []float64   // n × nodes
+	dPrev  [][]float64 // per step k: n·nodes × width of step k's input, its gradient
+	dQuota []float64   // n × nodes
 }
 
 // NewScratch allocates a reusable one-sample inference scratch sized for m's
@@ -61,8 +62,7 @@ func (m *Model) newScratch(n int, train bool) *Scratch {
 	N := cfg.Nodes
 	s := &Scratch{
 		nodes: N, embed: cfg.Embed, steps: cfg.Steps, useMPNN: cfg.UseMPNN, edges: len(m.src),
-		x:      make([]float64, n*N*2),
-		dLoad:  make([]float64, n*N),
+		x:      make([]float64, n*N*cfg.encoder().width()),
 		dQuota: make([]float64, n*N),
 	}
 	if !cfg.UseMPNN {
@@ -111,14 +111,14 @@ func (m *Model) perSample(ni int) int {
 // setInput writes sample c's features: node i's load and quota are
 // load[group[i]] and quota[group[i]] (group nil: load[i] and quota[i]).
 func (m *Model) setInput(s *Scratch, c int, load, quota []float64, group []int) {
-	x := s.x[c*s.nodes*2 : (c+1)*s.nodes*2]
+	enc := m.Cfg.encoder()
+	f := enc.width()
 	for i := 0; i < s.nodes; i++ {
 		g := i
 		if group != nil {
 			g = group[i]
 		}
-		x[2*i] = load[g] * m.Cfg.LoadScale
-		x[2*i+1] = quota[g] * m.Cfg.QuotaScale
+		enc.encode(s.x[(c*s.nodes+i)*f:], load[g], quota[g])
 	}
 }
 
@@ -141,10 +141,10 @@ func (m *Model) drawMasks(s *Scratch, c int, rng *rand.Rand) {
 // forwardRows runs samples [lo, hi) of s through the MPNN and the readout; their
 // predictions are s.read.Out()[lo:hi].
 func (m *Model) forwardRows(s *Scratch, lo, hi int) {
-	N, E, w := s.nodes, s.edges, 2
-	cur := s.x
-	if !s.useMPNN { // one sample's features are one row
-		copy(s.read.In[lo*N*w:hi*N*w], s.x[lo*N*w:hi*N*w])
+	N, E, f := s.nodes, s.edges, m.Cfg.encoder().width()
+	cur, w := s.x, f
+	if !s.useMPNN { // one row a sample; not s.x, where the next chunk is drawn while this one's weight gradients run
+		copy(s.read.In[lo*N*f:hi*N*f], s.x[lo*N*f:hi*N*f])
 	}
 	for k := range s.phi {
 		in := s.phi[k].In
@@ -155,13 +155,13 @@ func (m *Model) forwardRows(s *Scratch, lo, hi int) {
 			}
 		}
 		m.phi[k].Forward(s.phi[k], lo*E, hi*E)
-		msgs, gin, gw := s.phi[k].Out(), s.gam[k].In, 2+s.embed
+		msgs, gin, gw := s.phi[k].Out(), s.gam[k].In, f+s.embed
 		for c := lo; c < hi; c++ {
 			for i := 0; i < N; i++ {
 				r := c*N + i
 				row := gin[r*gw : (r+1)*gw]
-				copy(row, s.x[r*2:r*2+2])
-				msg := row[2:]
+				copy(row, s.x[r*f:(r+1)*f])
+				msg := row[f:]
 				clear(msg)
 				for e := m.off[i]; e < m.off[i+1]; e++ {
 					for d, v := range msgs[(c*E+e)*s.embed : (c*E+e+1)*s.embed] {
@@ -179,32 +179,25 @@ func (m *Model) forwardRows(s *Scratch, lo, hi int) {
 // backwardRows propagates the output gradients s.read.DOut[lo:hi] back through
 // the pass forwardRows recorded for samples [lo, hi), leaving every network's
 // output gradients for the weight gradients; with features set it also fills
-// s.dLoad and s.dQuota in unscaled units (req/s, millicores).
+// s.dQuota, through the encoder, in seconds per millicore.
 func (m *Model) backwardRows(s *Scratch, lo, hi int, features bool) {
-	N, E := s.nodes, s.edges
+	enc := m.Cfg.encoder()
+	N, E, f := s.nodes, s.edges, enc.width()
 	m.readout.Backward(s.read, lo, hi, features || s.useMPNN)
 	if features {
-		clear(s.dLoad[lo*N : hi*N])
 		clear(s.dQuota[lo*N : hi*N])
-	}
-	addX := func(r int, d []float64) {
-		s.dLoad[r] += float64(d[0] * m.Cfg.LoadScale)
-		s.dQuota[r] += float64(d[1] * m.Cfg.QuotaScale)
 	}
 	src := s.read.DIn() // the gradient of the current step's input
 	for k := len(s.phi) - 1; k >= 0; k-- {
 		m.gamma[k].Backward(s.gam[k], lo*N, hi*N, true)
-		gd, gw := s.gam[k].DIn(), 2+s.embed
+		gd, gw := s.gam[k].DIn(), f+s.embed
+		if features {
+			enc.pullback(s.dQuota[lo*N:hi*N], gd[lo*N*gw:], gw)
+		}
 		dOut := s.phi[k].DOut
 		for c := lo; c < hi; c++ {
-			if features {
-				for i := 0; i < N; i++ {
-					r := c*N + i
-					addX(r, gd[r*gw:r*gw+2])
-				}
-			}
 			for e, i := range m.dst {
-				r, from := c*E+e, (c*N+i)*gw+2
+				r, from := c*E+e, (c*N+i)*gw+f
 				copy(dOut[r*s.embed:(r+1)*s.embed], gd[from:from+s.embed])
 			}
 		}
@@ -225,12 +218,8 @@ func (m *Model) backwardRows(s *Scratch, lo, hi int, features bool) {
 		}
 		src = dst
 	}
-	if !features {
-		return
-	}
-	// src now holds gradients w.r.t. the raw (load, quota) features.
-	for r := lo * N; r < hi*N; r++ {
-		addX(r, src[r*2:r*2+2])
+	if features { // src now holds the node features' gradients
+		enc.pullback(s.dQuota[lo*N:hi*N], src[lo*N*f:], f)
 	}
 }
 

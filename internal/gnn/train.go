@@ -116,13 +116,9 @@ func trainLoop(subs []*Model, groups [][]int, samples []Sample, tc TrainConfig, 
 		}
 
 		if iter%tc.EvalEvery == 0 || iter == tc.Iterations-1 {
-			v := t.evalSet(val)
-			res.Curve = append(res.Curve, CurvePoint{
-				Iteration: iter,
-				Train:     batchLoss / float64(tc.Batch),
-				Val:       v,
-			})
-			tc.Obs.Eval(iter, batchLoss/float64(tc.Batch), v)
+			v, loss := t.evalSet(val), batchLoss/float64(tc.Batch)
+			res.Curve = append(res.Curve, CurvePoint{Iteration: iter, Train: loss, Val: v})
+			tc.Obs.Eval(iter, loss, v)
 			if len(val) > 0 && (res.BestVal < 0 || v < res.BestVal) {
 				res.BestVal = v
 				if bestSnaps == nil {

@@ -69,6 +69,8 @@ func trainCases() []trainCase {
 		{name: "social-network", parents: app.SocialNetwork().Parents(), cfg: narrow},
 		{name: "chain-4", parents: app.SyntheticChain(4).Parents(), cfg: narrow},
 		{name: "no-mpnn", parents: boutique, cfg: func(c *Config) { c.UseMPNN = false }},
+		{name: "no-mpnn-batch-33", parents: boutique, cfg: func(c *Config) { c.UseMPNN = false }, // chunks overlap draws
+			tc: func(tc *TrainConfig) { tc.Batch = 33 }},
 		{name: "no-dropout", parents: boutique, cfg: func(c *Config) { c.Dropout = 0 }},
 		{name: "dropout-everywhere", parents: boutique, cfg: narrow, dropout: 0.25},
 		{name: "mse", parents: boutique, cfg: narrow, tc: func(tc *TrainConfig) { tc.Loss = nn.MSE{} }},
