@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // timed is one timestamped observation.
@@ -20,19 +21,26 @@ const (
 
 type chunk [chunkLen]timed
 
+// chunkPool holds the chunks windows have handed back, for whichever window
+// fills its tail next. A sync.Pool rather than a free list: chunks nobody
+// takes go back to the heap within two garbage collections.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
 // Window retains timestamped observations and answers queries over a
 // trailing interval, e.g. "p99 latency over the last 10 seconds". This is
 // the primitive behind both the paper's 10-second sample-collection windows
 // (§5, Sample Collection) and the autoscalers' utilization windows.
 //
-// Observations live in a ring of fixed-size chunks. A window keeps what its
-// look-back covers — everything, until SetLookback says otherwise: when the
-// tail chunk fills, Add reuses the head chunk if every observation in it is
-// older than the newest minus the look-back, and allocates a new chunk only
-// if not. A window at a steady rate therefore stops allocating once it holds
-// one look-back, and never holds more than its busiest look-back plus two
-// chunks. A query that reaches back to a reused chunk panics: its answer
-// would silently miss observations.
+// Observations live in a list of fixed-size chunks. A window keeps what its
+// look-back covers — everything, until SetLookback says otherwise. When the
+// tail chunk fills, Add takes the head chunks whose observations are all
+// older than the newest minus the look-back: it recycles one as the new tail
+// and hands the rest to a pool shared by all windows, from which it takes the
+// new tail when there is none. A window therefore holds what its look-back
+// held when its tail last filled plus at most two chunks, and a window whose
+// rate falls feeds the windows whose rate rises; one that receives no
+// observations keeps what it holds. A query that reaches back past those
+// chunks panics: its answer would silently miss observations.
 // At look-back 0 — a signal no reader declared — Add only counts and dates the
 // observation (Len and LastAt answer as ever), and every interval query panics.
 type Window struct {
@@ -73,6 +81,7 @@ func (w *Window) at(i int) *timed {
 func (w *Window) Add(at, v float64) {
 	w.total++
 	if w.lookback == 0 {
+		w.release(len(w.chunks))
 		w.chunks, w.scratch, w.off, w.n, w.floor = nil, nil, 0, 0, at
 		return
 	}
@@ -84,32 +93,48 @@ func (w *Window) Add(at, v float64) {
 }
 
 // grow makes room behind a full tail chunk for observations from time now
-// on: the head chunk once the look-back has passed all of it, else a new one.
+// on. Of the head chunks the look-back has passed all of, it hands all but
+// one back to the pool and moves that one to the tail; with none passed it
+// takes the tail from the pool. A window at a steady rate thus recycles its
+// own chunk and leaves the pool alone, which matters because a sync.Pool may
+// drop what it is given (a quarter of it under the race detector): through
+// the pool, a steady window would allocate.
 func (w *Window) grow(now float64) {
-	if len(w.chunks) > 0 {
-		head := w.chunks[0]
-		if last := head[chunkLen-1].at; last < now-w.lookback {
-			w.floor = last
-			w.n -= chunkLen - w.off
-			w.off = 0
-			copy(w.chunks, w.chunks[1:])
-			w.chunks[len(w.chunks)-1] = head
-			return
-		}
+	passed := 0
+	for passed < len(w.chunks) && w.chunks[passed][chunkLen-1].at < now-w.lookback {
+		passed++
 	}
-	w.chunks = append(w.chunks, new(chunk))
+	if passed == 0 {
+		w.chunks = append(w.chunks, chunkPool.Get().(*chunk))
+		return
+	}
+	w.floor = w.chunks[passed-1][chunkLen-1].at
+	w.n -= passed<<chunkShift - w.off
+	w.off = 0
+	w.release(passed - 1)
+	head := w.chunks[0]
+	copy(w.chunks, w.chunks[1:])
+	w.chunks[len(w.chunks)-1] = head
 }
 
-// Trim discards observations strictly older than before, freeing the chunks
-// they filled.
+// release hands the k oldest chunks back to the pool.
+func (w *Window) release(k int) {
+	for _, c := range w.chunks[:k] {
+		chunkPool.Put(c)
+	}
+	kept := copy(w.chunks, w.chunks[k:])
+	clear(w.chunks[kept:])
+	w.chunks = w.chunks[:kept]
+}
+
+// Trim discards observations strictly older than before, handing back the
+// chunks they filled.
 func (w *Window) Trim(before float64) {
 	i := sort.Search(w.n, func(i int) bool { return w.at(i).at >= before })
 	w.off += i
 	w.n -= i
 	if drop := w.off >> chunkShift; drop > 0 {
-		kept := copy(w.chunks, w.chunks[drop:])
-		clear(w.chunks[kept:])
-		w.chunks = w.chunks[:kept]
+		w.release(drop)
 		w.off -= drop << chunkShift
 	}
 }

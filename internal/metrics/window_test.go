@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -124,17 +125,17 @@ func sameAnswers(w *Window, ref *sliceWindow, q, from, to float64) error {
 var testQuantiles = []float64{0, 0.5, 0.9, 0.95, 0.99, 1}
 
 // A window with a look-back answers every query that stays inside it exactly
-// as one that kept everything, and holds no more than the look-back at the
-// stream's highest rate plus two chunks — through idle gaps, bursts at that
-// rate, and explicit Trims that leave the head chunk partly consumed when it
-// is reused.
+// as one that kept everything, and holds no more chunks than the look-back
+// held when its tail chunk last filled, plus two — through idle gaps, bursts
+// at several rates, and explicit Trims that leave the head chunk partly
+// consumed when the look-back passes it.
 func TestLookbackMatchesUnboundedReference(t *testing.T) {
-	partHeadsReused := 0
+	partHeadsPassed := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		lookback := []float64{0.3, 2, 10, 45}[rng.Intn(4)] * (0.5 + rng.Float64())
 		maxRate := []float64{20, 300, 5000}[rng.Intn(3)]
-		maxChunks := int(math.Ceil(lookback*maxRate/chunkLen)) + 2
+		maxChunks := 0
 		w, ref := NewWindow(""), &sliceWindow{}
 		w.SetLookback(lookback)
 		now := 0.0
@@ -151,15 +152,20 @@ func TestLookbackMatchesUnboundedReference(t *testing.T) {
 				for n := rng.Intn(3 * chunkLen); n > 0; n-- {
 					now += (1 + slow*rng.Float64()) / maxRate
 					v := float64(rng.Intn(50)) // heavy ties
-					if w.off > 0 && w.off+w.n == len(w.chunks)*chunkLen && w.chunks[0][chunkLen-1].at < now-lookback {
-						partHeadsReused++
+					tailFull := w.off+w.n == len(w.chunks)*chunkLen
+					if tailFull && w.off > 0 && w.chunks[0][chunkLen-1].at < now-lookback {
+						partHeadsPassed++
 					}
 					w.Add(now, v)
 					ref.add(now, v)
+					if tailFull {
+						held := len(ref.buf) - sort.Search(len(ref.buf), func(i int) bool { return ref.buf[i].at >= now-lookback })
+						maxChunks = (held+chunkLen-1)/chunkLen + 2
+					}
 				}
 			}
 			if len(w.chunks) > maxChunks {
-				t.Fatalf("seed %d step %d: %d chunks for a %.2f s look-back at ≤ %v/s, want ≤ %d", seed, step, len(w.chunks), lookback, maxRate, maxChunks)
+				t.Fatalf("seed %d step %d: %d chunks for a %.2f s look-back, want ≤ %d", seed, step, len(w.chunks), lookback, maxChunks)
 			}
 			if w.Len() != ref.added {
 				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, w.Len(), ref.added)
@@ -183,9 +189,94 @@ func TestLookbackMatchesUnboundedReference(t *testing.T) {
 			t.Errorf("seed %d: the look-back never dropped anything", seed)
 		}
 	}
-	if partHeadsReused == 0 {
-		t.Error("no head chunk was reused while a Trim had consumed part of it")
+	if partHeadsPassed == 0 {
+		t.Error("no head chunk was passed by the look-back while a Trim had consumed part of it")
 	}
+}
+
+// feed adds one observation every 1/rate seconds after from, for seconds, and
+// returns the time it reached.
+func feed(w *Window, from, rate, seconds float64) float64 {
+	for i := 1; i <= int(rate*seconds); i++ {
+		w.Add(from+float64(i)/rate, 1)
+	}
+	return from + seconds
+}
+
+// A window whose rate falls hands back what its busier look-back held: fed at
+// 2000/s and then at 100/s for twice its look-back, it holds no more than the
+// look-back at 100/s plus two chunks.
+func TestWindowShrinksWhenItsRateFalls(t *testing.T) {
+	const lookback = 10
+	w := NewWindow("")
+	w.SetLookback(lookback)
+	now := feed(w, 0, 2000, 2*lookback)
+	peak := len(w.chunks)
+	feed(w, now, 100, 2*lookback)
+	if want := int(math.Ceil(lookback*100.0/chunkLen)) + 2; len(w.chunks) > want {
+		t.Errorf("after falling from 2000/s to 100/s: %d chunks (%d at 2000/s), want ≤ %d", len(w.chunks), peak, want)
+	}
+	if got := w.Count(now+lookback, now+2*lookback); got != 100*lookback+1 { // both ends included
+		t.Errorf("Count over the last look-back = %d, want %d", got, 100*lookback+1)
+	}
+}
+
+// Windows on several goroutines share the chunk pool while each owns its
+// windows: through look-backs of 0.3–45 s, bursts, idle gaps and Trims, every
+// window answers as its slice reference after every burst. A chunk handed to
+// two live windows at once shows up here as a wrong answer, or under -race as
+// a data race.
+func TestWindowsShareThePoolAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := int64(1); g <= 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			type pair struct {
+				w        *Window
+				ref      *sliceWindow
+				lookback float64
+			}
+			pairs := make([]pair, 3)
+			for i := range pairs {
+				pairs[i] = pair{NewWindow(""), &sliceWindow{}, 0.3 + 44.7*rng.Float64()}
+				pairs[i].w.SetLookback(pairs[i].lookback)
+			}
+			now := 0.0
+			for step := 0; step < 150; step++ {
+				p := pairs[rng.Intn(len(pairs))]
+				switch rng.Intn(5) {
+				case 0:
+					now += 3 * p.lookback * rng.Float64() // idle
+					continue
+				case 1:
+					before := now - p.lookback*rng.Float64()
+					p.w.Trim(before)
+					p.ref.trim(before)
+					continue
+				}
+				rate := []float64{20, 300, 5000}[rng.Intn(3)]
+				for n := rng.Intn(3 * chunkLen); n > 0; n-- {
+					now += rng.Float64() / rate
+					v := rng.NormFloat64()
+					p.w.Add(now, v)
+					p.ref.add(now, v)
+				}
+				newest, ok := p.w.LastAt()
+				if !ok {
+					continue
+				}
+				from := newest - p.lookback*rng.Float64()
+				if err := sameAnswers(p.w, p.ref, 0.99, from, newest); err != nil {
+					t.Errorf("goroutine %d step %d (look-back %.2f s): %v", seed, step, p.lookback, err)
+					return
+				}
+				p.ref.trim(newest - p.lookback) // nothing reads further back
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // Selecting the order statistic returns what sorting and indexing returns,
@@ -312,9 +403,10 @@ func TestLookbackZeroKeepsCountAndLastAtOnly(t *testing.T) {
 	}
 }
 
-// Appending to a window that keeps everything allocates one chunk per
-// chunkLen observations (and, rarely, a longer slice of chunk pointers); once
-// a window with a look-back holds it, appending allocates nothing. Reading a
+// Appending to a window that keeps everything allocates at most one chunk per
+// chunkLen observations (none when the pool has one to give, and, rarely, a
+// longer slice of chunk pointers); once a window with a look-back holds it,
+// appending allocates nothing. Reading a
 // range never allocates, quantiles included.
 func TestWindowAllocations(t *testing.T) {
 	w := NewWindow("")

@@ -23,6 +23,9 @@ import (
 // reader, alone on a fresh cluster, must run on its own ticker for two
 // simulated minutes — long past every look-back — and step once more without
 // such a panic: a read added to a reader without its declaration fails here.
+// Each runs at a constant rate and at one falling from 400 to 20 req/s, since
+// a window hands back what a busier look-back held: a read reaching past a
+// too-short declaration cannot then answer from chunks the busy phase left.
 func TestEveryReaderDeclaresWhatItReads(t *testing.T) {
 	a := app.SyntheticChain(4)
 	n := len(a.Services)
@@ -36,22 +39,30 @@ func TestEveryReaderDeclaresWhatItReads(t *testing.T) {
 		return core.NewController(cl, model, core.NewAnalyzer(a), bounds, core.DefaultControllerConfig(slo))
 	}
 
-	// onCluster runs a reader built by start on a fresh loaded cluster and
-	// returns its step function.
-	onCluster := func(start func(cl *cluster.Cluster) (step func())) func() {
-		return func() {
+	// onCluster runs a reader built by start on a fresh cluster, provisioned
+	// for the rate's start and loaded at the rate, and returns its step
+	// function.
+	onCluster := func(start func(cl *cluster.Cluster) (step func())) func(rate func(float64) float64) {
+		return func(rate func(float64) float64) {
 			eng := sim.NewEngine(3)
 			cl := cluster.New(eng, a, cluster.DefaultConfig())
-			autoscale.ProvisionProactive(cl, 100, 0.5)
+			autoscale.ProvisionProactive(cl, rate(0), 0.5)
 			step := start(cl)
-			workload.NewOpenLoop(cl, workload.ConstRate(100)).Start()
+			workload.NewOpenLoop(cl, rate).Start()
 			eng.RunUntil(120)
 			step()
 		}
 	}
+	rates := []struct {
+		name string
+		rate func(float64) float64
+	}{
+		{"constant", workload.ConstRate(100)},
+		{"falling", func(t float64) float64 { return max(20, 400-380*t/120) }},
+	}
 	for _, tc := range []struct {
 		name string
-		run  func()
+		run  func(rate func(float64) float64)
 	}{
 		{"controller", onCluster(func(cl *cluster.Cluster) func() {
 			ctl := newController(cl)
@@ -81,11 +92,11 @@ func TestEveryReaderDeclaresWhatItReads(t *testing.T) {
 			f.Start()
 			return f.Step
 		})},
-		{"fleet tenant", func() {
+		{"fleet tenant", func(rate func(float64) float64) {
 			f, err := fleet.New(fleet.Config{
 				App: a, Model: model, Bounds: bounds, SLO: slo, MinRate: 50, MaxRate: 400,
 				Workers: 1, Shards: 1, TickS: 5, Seed: 1,
-				Tenants: []fleet.TenantConfig{{ID: "t", Rate: workload.ConstRate(100)}},
+				Tenants: []fleet.TenantConfig{{ID: "t", Rate: rate}},
 			})
 			if err != nil {
 				panic(err)
@@ -96,7 +107,7 @@ func TestEveryReaderDeclaresWhatItReads(t *testing.T) {
 				panic(tn.PanicValue())
 			}
 		}},
-		{"graf.Simulation", func() {
+		{"graf.Simulation", func(rate func(float64) float64) {
 			s := NewSimulation(a, 3)
 			tm := &TrainedModel{Model: model, Bounds: bounds, MinRate: 50, MaxRate: 400, SLO: 250 * time.Millisecond}
 			ctl, err := s.StartGRAF(tm, tm.SLO)
@@ -105,19 +116,23 @@ func TestEveryReaderDeclaresWhatItReads(t *testing.T) {
 			}
 			s.StartHPA(0.5)
 			s.StartFIRM()
-			s.OpenLoop(workload.ConstRate(100)).Start()
+			s.OpenLoop(rate).Start()
 			s.RunFor(2 * time.Minute)
 			ctl.Step()
 			s.P99(2 * time.Minute) // any window: a simulation keeps the whole run
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatal(fmt.Sprint(r))
-				}
-			}()
-			tc.run()
+			for _, load := range rates {
+				t.Run(load.name, func(t *testing.T) {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatal(fmt.Sprint(r))
+						}
+					}()
+					tc.run(load.rate)
+				})
+			}
 		})
 	}
 }
