@@ -78,12 +78,8 @@ func runSurge(variant surgeVariant, baseRate, surgeRate, surgeAt, horizonS float
 	eng.RunUntil(end + 60)
 
 	// Tail latencies over the post-surge horizon (Fig 3).
-	vals := cl.E2EWindow().Since(surgeAt, end)
-	dg := metrics.NewDigest(len(vals))
-	for _, v := range vals {
-		dg.Add(v)
-	}
-	out.p90, out.p95, out.p99 = dg.Quantile(0.90), dg.Quantile(0.95), dg.Quantile(0.99)
+	e2e := cl.E2EWindow()
+	out.p90, out.p95, out.p99 = e2e.Quantile(0.90, surgeAt, end), e2e.Quantile(0.95, surgeAt, end), e2e.Quantile(0.99, surgeAt, end)
 	out.createdTotal = cl.CreatedTotal()
 
 	// Perception times (Fig 7): first time each service's 5-second arrival

@@ -2,11 +2,11 @@ package bench
 
 import (
 	"math"
-	"sort"
 
 	"graf/internal/app"
 	"graf/internal/cluster"
 	"graf/internal/core"
+	"graf/internal/metrics"
 	"graf/internal/sim"
 	"graf/internal/workload"
 )
@@ -51,12 +51,6 @@ func runSolverLoop(tr *Trained, version int, rate func(float64) float64, ticks i
 		coreHours: coreMilliS / 1000 / 3600,
 		calls:     float64(calls) / math.Max(1, float64(solves)),
 	}
-}
-
-func median(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
 }
 
 // solverLoopModel is the repo benchmark's model at a training seed: graf.Train
@@ -108,13 +102,13 @@ func SolverLoop(s Scale) Result {
 					out[v].calls = append(out[v].calls, o.calls)
 				}
 			}
-			if median(out[2].attain) >= median(out[1].attain) {
+			if metrics.Median(out[2].attain) >= metrics.Median(out[1].attain) {
 				wins++
 			}
 			res.AddRow(di(ts), trace,
-				f1(median(out[1].attain)), f1(median(out[2].attain)),
-				f3(median(out[1].coreH)), f3(median(out[2].coreH)),
-				f0(median(out[1].calls)), f0(median(out[2].calls)))
+				f1(metrics.Median(out[1].attain)), f1(metrics.Median(out[2].attain)),
+				f3(metrics.Median(out[1].coreH)), f3(metrics.Median(out[2].coreH)),
+				f0(metrics.Median(out[1].calls)), f0(metrics.Median(out[2].calls)))
 		}
 	}
 	res.Note("%d simulation seeds × %d control intervals per cell; version 2 attains at least version 1's median on %d of %d rows",

@@ -969,15 +969,6 @@ func (c *Cluster) InjectSurfaceDrift(svc string, factor float64) {
 	apply(c.Deployment(svc))
 }
 
-// SurfaceDrift returns the service's current persistent work multiplier
-// (1 = none).
-func (d *Deployment) SurfaceDrift() float64 {
-	if d.drift <= 0 {
-		return 1
-	}
-	return d.drift
-}
-
 // CorruptTelemetry injects n bogus observations into the frontend telemetry
 // at the current instant: n end-to-end latency samples of latS seconds into
 // the e2e window and n phantom arrivals into every API's arrival window — a

@@ -1012,6 +1012,9 @@ func (f *Fleet) publishRound() {
 	f.fobs.CacheStats(f.svc.Cache.Stats())
 }
 
+// TickS returns the tick quantum in simulated seconds.
+func (f *Fleet) TickS() float64 { return f.cfg.TickS }
+
 // Tenants returns the fleet's tenants in sorted ID order.
 func (f *Fleet) Tenants() []*Tenant { return f.tenants }
 

@@ -1,6 +1,6 @@
 package forecast
 
-import "sort"
+import "graf/internal/metrics"
 
 // Hampel is a rolling-median/MAD outlier filter applied to each telemetry
 // stream (per-API observed rates, measured p99, the forecaster's rate feed)
@@ -12,7 +12,7 @@ import "sort"
 // roughly half a window, which is exactly the persistence test that
 // separates real demand from noise.
 //
-// It lives in this package (the import-graph leaf) so both the model
+// It lives in this package (which imports only metrics) so both the model
 // lifecycle (internal/lifecycle) and the controller's forecaster can
 // sanitize their inputs without an import cycle.
 type Hampel struct {
@@ -59,13 +59,13 @@ func (h *Hampel) Push(v float64) float64 {
 	if len(h.Ring) < 3 {
 		return v
 	}
-	med := median(h.Ring)
+	med := metrics.Median(h.Ring)
 	devs := make([]float64, len(h.Ring))
 	for i, x := range h.Ring {
 		devs[i] = fabs(x - med)
 	}
 	// 1.4826 rescales MAD to the standard deviation of a normal stream.
-	mad := 1.4826 * median(devs)
+	mad := 1.4826 * metrics.Median(devs)
 	if f := floor * fabs(med); mad < f {
 		mad = f
 	}
@@ -73,18 +73,4 @@ func (h *Hampel) Push(v float64) float64 {
 		return med
 	}
 	return v
-}
-
-// median returns the middle order statistic without mutating its argument.
-func median(xs []float64) float64 {
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return 0.5 * (tmp[n/2-1] + tmp[n/2])
 }

@@ -6,6 +6,7 @@ import (
 
 	"graf/internal/core"
 	"graf/internal/gnn"
+	"graf/internal/metrics"
 )
 
 // GateResult is the promotion gate's verdict on a candidate model.
@@ -152,7 +153,7 @@ func medianLoad(samples []gnn.Sample, n int) []float64 {
 				col = append(col, s.Load[i])
 			}
 		}
-		out[i] = median(col)
+		out[i] = metrics.Median(col)
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"graf/internal/core"
 	"graf/internal/forecast"
 	"graf/internal/gnn"
+	"graf/internal/metrics"
 	"graf/internal/obs"
 )
 
@@ -493,7 +494,7 @@ func (m *Manager) retrainSet() []gnn.Sample {
 	}
 	kappa := 1.0
 	if len(kappas) > 0 {
-		kappa = median(kappas)
+		kappa = metrics.Median(kappas)
 	}
 	m.lastRatio = kappa
 	set := make([]gnn.Sample, 0, len(m.Cfg.BaseSamples)+len(fresh))

@@ -1,5 +1,7 @@
 package lifecycle
 
+import "graf/internal/metrics"
+
 // The residual monitor watches a relative, signed residual: (observed p99 −
 // predicted p99) / observed p99, so +0.5 means the model underestimates the
 // measured tail by half — the dangerous direction, because the solver will
@@ -83,7 +85,7 @@ func (m *Monitor) Tripped() bool {
 	if m.CusumHi > cusumTrip || m.CusumLo > cusumTrip {
 		return true
 	}
-	return len(m.Ring) >= ringLen && quantile(m.Ring, ringQ) > quantileTrip
+	return len(m.Ring) >= ringLen && metrics.Quantile(m.Ring, ringQ) > quantileTrip
 }
 
 // Reset clears all accumulated state: a new model starts with a clean

@@ -3,99 +3,87 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// The four TestDigest* and TestWindowMatchesDigest tests keep the names they
+// had when a sorted-sample Digest type answered quantiles; its answer is now
+// the slice helper Quantile's, and they check that helper the same way.
+
 func TestDigestQuantileExact(t *testing.T) {
-	d := NewDigest(0)
-	for i := 1; i <= 100; i++ {
-		d.Add(float64(i))
+	xs := make([]float64, 0, 100)
+	for i := 100; i >= 1; i-- {
+		xs = append(xs, float64(i))
 	}
 	cases := []struct{ q, want float64 }{
 		{0, 1}, {0.01, 1}, {0.5, 50}, {0.9, 90}, {0.95, 95}, {0.99, 99}, {1, 100},
 	}
 	for _, c := range cases {
-		if got := d.Quantile(c.q); got != c.want {
+		if got := Quantile(xs, c.q); got != c.want {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }
 
 func TestDigestEmpty(t *testing.T) {
-	d := NewDigest(0)
-	if d.Quantile(0.99) != 0 || d.Mean() != 0 || d.Max() != 0 {
-		t.Error("empty digest must return 0 for all queries")
+	w := NewWindow("")
+	if Quantile(nil, 0.99) != 0 || Median(nil) != 0 || w.Quantile(0.99, 0, 1) != 0 || w.Mean(0, 1) != 0 {
+		t.Error("empty input must return 0 for all queries")
 	}
-}
-
-func TestDigestAddAfterQuantile(t *testing.T) {
-	d := NewDigest(0)
-	d.Add(5)
-	d.Add(1)
-	if got := d.Quantile(1); got != 5 {
-		t.Fatalf("max = %v, want 5", got)
-	}
-	d.Add(10)
-	if got := d.Quantile(1); got != 10 {
-		t.Errorf("max after re-add = %v, want 10", got)
-	}
-}
-
-func TestDigestNaNPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Add(NaN) did not panic")
-		}
-	}()
-	NewDigest(0).Add(math.NaN())
 }
 
 // Property: Quantile is monotone in q and bracketed by min/max of samples.
 func TestDigestQuantileProperty(t *testing.T) {
 	f := func(vals []float64) bool {
-		d := NewDigest(len(vals))
-		ok := true
+		xs := make([]float64, 0, len(vals))
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
 			}
-			d.Add(v)
+			xs = append(xs, v)
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
-		if d.Count() == 0 {
+		if len(xs) == 0 {
 			return true
 		}
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
-			v := d.Quantile(q)
+			v := Quantile(xs, q)
 			if v < prev {
-				ok = false
+				return false
 			}
 			prev = v
 		}
-		s := d.Snapshot()
-		return ok && d.Quantile(0) == s[0] && d.Quantile(1) == s[len(s)-1]
+		return Quantile(xs, 0) == lo && Quantile(xs, 1) == hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestDigestMeanMax(t *testing.T) {
-	d := NewDigest(0)
-	for _, v := range []float64{2, 4, 6} {
-		d.Add(v)
+// Property: window quantile equals the slice helper's over the same values.
+func TestWindowMatchesDigest(t *testing.T) {
+	f := func(raw []uint16) bool {
+		w := NewWindow("")
+		xs := make([]float64, len(raw))
+		for i, r := range raw {
+			xs[i] = float64(r)
+			w.Add(float64(i), xs[i])
+		}
+		if len(raw) == 0 {
+			return true
+		}
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			if w.Quantile(q, 0, float64(len(raw))) != Quantile(xs, q) {
+				return false
+			}
+		}
+		return true
 	}
-	if d.Mean() != 4 {
-		t.Errorf("Mean = %v, want 4", d.Mean())
-	}
-	if d.Max() != 6 {
-		t.Errorf("Max = %v, want 6", d.Max())
-	}
-	d.Reset()
-	if d.Count() != 0 {
-		t.Error("Reset did not clear")
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(5))}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -115,6 +103,40 @@ func TestWindowQueries(t *testing.T) {
 	}
 	if got := w.Quantile(0.5, 90, 200); got != 94 {
 		t.Errorf("median of [90..99] = %v, want 94", got)
+	}
+}
+
+// The slice helpers answer on empty, odd, even and tied inputs and leave
+// their input in its order.
+func TestSliceQuantileAndMedian(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		xs           []float64
+		q            float64
+		wantQ, wantM float64
+	}{
+		{"empty", nil, 0.5, 0, 0},
+		{"one", []float64{7}, 0.99, 7, 7},
+		{"odd", []float64{5, 1, 4, 2, 3}, 0.5, 3, 3},
+		{"odd q=0", []float64{5, 1, 4, 2, 3}, 0, 1, 3},
+		{"odd q=1", []float64{5, 1, 4, 2, 3}, 1, 5, 3},
+		{"even", []float64{4, 1, 3, 2}, 0.5, 2, 2.5},
+		{"even q=0.75", []float64{4, 1, 3, 2}, 0.75, 3, 2.5},
+		{"tied", []float64{2, 9, 2, 2, 9, 2}, 0.9, 9, 2},
+		{"tied even middle", []float64{1, 3, 3, 1}, 0.5, 1, 2},
+	} {
+		in := append([]float64(nil), c.xs...)
+		if got := Quantile(in, c.q); got != c.wantQ {
+			t.Errorf("%s: Quantile(%v, %v) = %v, want %v", c.name, c.xs, c.q, got, c.wantQ)
+		}
+		if got := Median(in); got != c.wantM {
+			t.Errorf("%s: Median(%v) = %v, want %v", c.name, c.xs, got, c.wantM)
+		}
+		for i := range in {
+			if in[i] != c.xs[i] {
+				t.Fatalf("%s: input reordered to %v", c.name, in)
+			}
+		}
 	}
 }
 
@@ -238,40 +260,5 @@ func TestTrimmedSeriesMatchesUntrimmedReference(t *testing.T) {
 		if kept.Len() >= all.Len()/4 {
 			t.Errorf("look-back %v: trimmed series holds %d of %d points", lookback, kept.Len(), all.Len())
 		}
-	}
-}
-
-// Property: window quantile equals digest quantile over the same values.
-func TestWindowMatchesDigest(t *testing.T) {
-	f := func(raw []uint16) bool {
-		w := NewWindow("")
-		d := NewDigest(len(raw))
-		for i, r := range raw {
-			v := float64(r)
-			w.Add(float64(i), v)
-			d.Add(v)
-		}
-		if len(raw) == 0 {
-			return true
-		}
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			if w.Quantile(q, 0, float64(len(raw))) != d.Quantile(q) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(5))}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSnapshotSorted(t *testing.T) {
-	d := NewDigest(0)
-	for _, v := range []float64{5, 1, 3} {
-		d.Add(v)
-	}
-	if !sort.Float64sAreSorted(d.Snapshot()) {
-		t.Error("Snapshot not sorted")
 	}
 }

@@ -1,3 +1,8 @@
+// Package metrics provides the monitoring substrate GRAF consumes: time
+// series, sliding latency windows with percentile queries, and CPU
+// usage/utilization accounting. It plays the role Prometheus, cAdvisor and
+// Linkerd play in the paper's deployment (§3.2): the state collector samples
+// these stores instead of scraping real exporters.
 package metrics
 
 import (
@@ -179,10 +184,12 @@ func (w *Window) Since(from, to float64) []float64 {
 	return w.appendValues(make([]float64, 0, hi-lo), lo, hi)
 }
 
-// Quantile returns the nearest-rank q-quantile (as Digest.Quantile defines
-// it) of observations in [from, to], or 0 when the interval is empty. It
-// selects the order statistic in a scratch copy the window keeps, so a
-// repeated query allocates nothing.
+// Quantile returns the nearest-rank q-quantile (0 ≤ q ≤ 1) of observations
+// in [from, to] — the ⌈q·n⌉-th smallest of their n values, the first at q =
+// 0 — or 0 when the interval is empty. This is how the paper reads tail
+// latency: "picking percentile rank in the collected latency samples"
+// (§3.2). It selects the order statistic in a scratch copy the window keeps,
+// so a repeated query allocates nothing.
 func (w *Window) Quantile(q, from, to float64) float64 {
 	lo, hi := w.bounds(from, to)
 	if lo == hi {
@@ -190,6 +197,45 @@ func (w *Window) Quantile(q, from, to float64) float64 {
 	}
 	w.scratch = w.appendValues(w.scratch[:0], lo, hi)
 	return selectKth(w.scratch, nearestRank(q, hi-lo)-1)
+}
+
+// nearestRank returns the 1-based rank of the q-quantile among n ≥ 1 sorted
+// values.
+func nearestRank(q float64, n int) int {
+	if q < 0 || q > 1 {
+		panic(fmt.Sprintf("metrics: quantile %v out of [0,1]", q))
+	}
+	return min(max(int(math.Ceil(q*float64(n))), 1), n)
+}
+
+// Quantile returns the nearest-rank q-quantile of xs, as Window.Quantile
+// defines it, or 0 when xs is empty. It leaves xs in its order.
+func Quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return sortedCopy(xs)[nearestRank(q, len(xs))-1]
+}
+
+// Median returns the middle value of xs, the mean of the middle two when
+// their number is even, or 0 when xs is empty. It leaves xs in its order.
+func Median(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	s := sortedCopy(xs)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return 0.5 * (s[n/2-1] + s[n/2])
+}
+
+// sortedCopy returns an ascending copy of xs.
+func sortedCopy(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
 }
 
 // selectKth returns the value sorting v would leave at v[k], reordering v
@@ -319,10 +365,10 @@ func (s *Series) Mean(from, to float64) float64 {
 	}
 	for i := sort.SearchFloat64s(s.T, from); i < len(s.T) && s.T[i] < to; i++ {
 		if t := s.T[i]; t > from {
-			total += (t - prevT) * prevV
+			total += float64((t - prevT) * prevV)
 			prevT, prevV = t, s.V[i]
 		}
 	}
-	total += (to - prevT) * prevV
+	total += float64((to - prevT) * prevV)
 	return total / (to - from)
 }

@@ -110,8 +110,9 @@ func sameAnswers(w *Window, ref *sliceWindow, q, from, to float64) error {
 	wantMean, wantQ := 0.0, 0.0
 	if len(want) > 0 {
 		wantMean = wantSum / float64(len(want))
-		d := Digest{samples: want}
-		wantQ = d.Quantile(q)
+		sorted := append([]float64(nil), want...)
+		sort.Float64s(sorted)
+		wantQ = sorted[max(int(math.Ceil(q*float64(len(sorted)))), 1)-1]
 	}
 	if m := w.Mean(from, to); m != wantMean {
 		return fmt.Errorf("Mean(%v,%v) = %v, want %v", from, to, m, wantMean)

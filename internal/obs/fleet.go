@@ -19,14 +19,6 @@ func NewFleetObs(t *Telemetry) *FleetObs {
 	return &FleetObs{t: t}
 }
 
-// Telemetry returns the underlying bundle (nil for a nil hook).
-func (o *FleetObs) Telemetry() *Telemetry {
-	if o == nil {
-		return nil
-	}
-	return o.t
-}
-
 // TenantTick records one completed tenant tick and its SLO outcome.
 func (o *FleetObs) TenantTick(tenant string, p99 float64, violated bool, tickS float64) {
 	if o == nil {

@@ -21,8 +21,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"graf/internal/metrics"
 )
 
 // Labels are constant label pairs attached to one child of a metric family.
@@ -90,31 +88,17 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add increases the gauge by v (may be negative).
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram accumulates observations into cumulative buckets (Prometheus
-// histogram semantics) and keeps streaming P² digests for programmatic
-// p50/p99 queries without retaining samples.
+// histogram semantics) with their sum and count.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds, excluding +Inf
 	counts []uint64  // len(bounds)+1; last is the +Inf bucket
 	sum    float64
 	count  uint64
-	p50    *metrics.P2Digest
-	p99    *metrics.P2Digest
 }
 
 // DefBuckets are the default latency-shaped buckets (seconds).
@@ -145,8 +129,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]uint64, len(bounds)+1),
-		p50:    metrics.NewP2Digest(0.5),
-		p99:    metrics.NewP2Digest(0.99),
 	}
 }
 
@@ -158,8 +140,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.count++
-	h.p50.Add(v)
-	h.p99.Add(v)
 }
 
 // Count returns the number of observations.
@@ -174,34 +154,6 @@ func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
-}
-
-// Quantile returns the streaming P² estimate for q ∈ {0.5, 0.99}; other
-// quantiles are interpolated from the cumulative buckets.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	switch q {
-	case 0.5:
-		return h.p50.Quantile()
-	case 0.99:
-		return h.p99.Quantile()
-	}
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.count)))
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.p99.Max()
-		}
-	}
-	return h.p99.Max()
 }
 
 // snapshot returns bucket cumulative counts, sum and count under the lock.

@@ -20,14 +20,6 @@ func NewRPCObs(t *Telemetry) *RPCObs {
 	return &RPCObs{t: t}
 }
 
-// Telemetry returns the underlying bundle (nil for a nil hook).
-func (o *RPCObs) Telemetry() *Telemetry {
-	if o == nil {
-		return nil
-	}
-	return o.t
-}
-
 // Request records one completed client call (all retries included).
 func (o *RPCObs) Request(op, shard string, seconds float64, ok bool) {
 	if o == nil {
@@ -93,14 +85,6 @@ func NewRouterObs(t *Telemetry) *RouterObs {
 		return nil
 	}
 	return &RouterObs{t: t}
-}
-
-// Telemetry returns the underlying bundle (nil for a nil hook).
-func (o *RouterObs) Telemetry() *Telemetry {
-	if o == nil {
-		return nil
-	}
-	return o.t
 }
 
 // Round records one completed router round and its fan-out width.

@@ -38,16 +38,6 @@ func (t *Telemetry) SetTracer(tr *Tracer) {
 	t.trcMu.Unlock()
 }
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (t *Telemetry) Tracer() *Tracer {
-	if t == nil {
-		return nil
-	}
-	t.trcMu.Lock()
-	defer t.trcMu.Unlock()
-	return t.tracer
-}
-
 // SetTraceParent names the span under which subsequent hook measurements
 // nest — the fleet sets it to the tenant's current tick span before running
 // the controller. Nil-safe.
@@ -58,16 +48,6 @@ func (t *Telemetry) SetTraceParent(c SpanContext) {
 	t.trcMu.Lock()
 	t.trcParent = c
 	t.trcMu.Unlock()
-}
-
-// TraceParent returns the current parent context (zero when unset).
-func (t *Telemetry) TraceParent() SpanContext {
-	if t == nil {
-		return SpanContext{}
-	}
-	t.trcMu.Lock()
-	defer t.trcMu.Unlock()
-	return t.trcParent
 }
 
 // traced reports whether traceSpan would record a span now.

@@ -199,11 +199,6 @@ func (c *Client) SetEpoch(e uint64) {
 	c.epoch.Store(e)
 }
 
-// Epoch returns the installed fencing epoch (0 = none).
-func (c *Client) Epoch() uint64 {
-	return c.epoch.Load()
-}
-
 // SetRound tells the client the current router round — the coordinate fault
 // injection keys on, so chaos scenarios are expressed in rounds rather than
 // wall time.

@@ -1,8 +1,10 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"net/http"
 	"reflect"
 	"testing"
 
@@ -97,6 +99,11 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"app":"chain-4","rate":1,"slo_budget":{"budget":7}}`,
 		`{"app":"chain-99999999","rate":1}`,
 		`{"app":"chain-4","rate":-0}`,
+		`{"app":"chain-4","rate":1,"tick_s":1e308}`,
+		`{"app":"chain-4","rate":1,"tick_s":604801}`,
+		`{"app":"chain-4","rate":1,"tick_s":604800,"workers":1024}`,
+		`{"app":"chain-4","rate":1,"workers":2000000000}`,
+		`{"app":"chain-4","rate":1,"workers":1025}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -105,6 +112,9 @@ func FuzzSpecDecode(f *testing.F) {
 		var s Spec
 		if json.Unmarshal(body, &s) != nil || s.Validate() != nil {
 			return
+		}
+		if !(s.TickS >= 0 && s.TickS <= maxDurS) || s.Workers > maxWorkers {
+			t.Fatalf("spec %s validated with tick %v s and %d workers", body, s.TickS, s.Workers)
 		}
 		if _, err := s.FleetConfig(bundle, ""); err != nil && s.App == "chain-4" {
 			t.Fatalf("validated chain-4 spec %s does not materialise: %v", body, err)
@@ -117,6 +127,59 @@ func FuzzSpecDecode(f *testing.F) {
 			if tc.Users != nil && tc.Users(at) < 0 {
 				t.Fatalf("spec %s: users(%v) = %d", body, at, tc.Users(at))
 			}
+		}
+	})
+}
+
+// FuzzTickAdmitDecode hammers the /v1/tick and /v1/admit bodies on a shard
+// configured at a 5 s tick with no tenant. The shard runs a request's ticks
+// under its mutex, so a body that does not decode, a round below 1, a
+// negative tick count, or one whose simulated time passes maxDurS must get a
+// 400, and a rejected admit must place no tenant. A round inside the bound
+// costs nothing without a tenant, so every tick body is served; an admit is
+// served only when it must be rejected, since an accepted one replays ticks.
+func FuzzTickAdmitDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"round":3}`,
+		`{"round":0}`,
+		`{"round":-1}`,
+		`{"round":120960}`,
+		`{"round":120961}`,
+		`{"round":1000000000000}`,
+		`{"round":9223372036854775807}`,
+		`{"round":1.5}`,
+		`{"id":"t-a","ticks":2}`,
+		`{"id":"t-a","ticks":-1}`,
+		`{"id":"t-a","ticks":120961}`,
+		`{"id":"t-a","ticks":1000000000000}`,
+		`{"id":"t-a","ticks":"3"}`,
+		`{}`,
+		`{"round":3} trailing`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, h := configuredHandler(f, testSpec())
+	const maxTicks = maxDurS / 5
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var tick TickRequest
+		valid := json.NewDecoder(bytes.NewReader(body)).Decode(&tick) == nil && tick.Round >= 1 && tick.Round <= maxTicks
+		want := http.StatusBadRequest
+		if valid {
+			want = http.StatusOK
+		}
+		if code := postGuarded(t, h, "/v1/tick", body); code != want {
+			t.Fatalf("tick %s: status %d, want %d", body, code, want)
+		}
+		var admit AdmitRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&admit) == nil && admit.Ticks >= 0 && admit.Ticks <= maxTicks {
+			return
+		}
+		if code := postGuarded(t, h, "/v1/admit", body); code != http.StatusBadRequest {
+			t.Fatalf("admit %s: status %d, want 400", body, code)
+		}
+		if n := len(s.fl.Tenants()); n != 0 {
+			t.Fatalf("admit %s was rejected but placed %d tenants", body, n)
 		}
 	})
 }

@@ -2,7 +2,9 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -286,6 +288,67 @@ func TestHealthzAnswersWhileMutexHeld(t *testing.T) {
 	}
 }
 
+// postGuarded serves one POST on h from a goroutine and returns its status. A
+// handler still running after 10 s of wall time fails t, so a shard that runs
+// a runaway request fails the test instead of hanging the suite.
+func postGuarded(t testing.TB, h http.Handler, path string, body []byte) int {
+	t.Helper()
+	done := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		done <- rec.Code
+	}()
+	select {
+	case code := <-done:
+		return code
+	case <-time.After(10 * time.Second):
+		t.Fatalf("POST %s %s still running after 10 s of wall time", path, body)
+		return 0
+	}
+}
+
+// configuredHandler returns a shard configured with spec, served in-process.
+// It keeps its audit in memory and listens on nothing, so it needs no
+// shutdown (and a test whose handler is stuck holding the shard's mutex
+// must not try one).
+func configuredHandler(t testing.TB, spec Spec) (*ShardServer, http.Handler) {
+	t.Helper()
+	s := &ShardServer{Bundle: testBundle(t)}
+	h := s.Handler()
+	body, err := json.Marshal(ConfigureRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postGuarded(t, h, "/v1/configure", body); code != http.StatusOK {
+		t.Fatalf("configure: status %d", code)
+	}
+	return s, h
+}
+
+// A tick round or admit tick count whose simulated time passes the horizon
+// bound gets a 400 before the fleet moves. The shard would run all of it
+// under its mutex, and a round of 1e12 never returns. FuzzTickAdmitDecode's
+// seeds hold the bound's edge, on a shard with no tenant to tick.
+func TestTickAndAdmitRejectRunawayHorizons(t *testing.T) {
+	s, h := configuredHandler(t, testSpec())
+	if code := postGuarded(t, h, "/v1/admit", []byte(`{"id":"t-a","ticks":2}`)); code != http.StatusOK {
+		t.Fatalf("admit at tick 2: status %d", code)
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/tick", `{"round":1000000000000}`},
+		{"/v1/admit", `{"id":"t-a","ticks":1000000000000}`}, // resident: a fast-forward
+		{"/v1/admit", `{"id":"t-b","ticks":1000000000000}`}, // new: a restore
+	} {
+		if code := postGuarded(t, h, c.path, []byte(c.body)); code != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400", c.path, c.body, code)
+		}
+	}
+	if ts := s.fl.Tenants(); len(ts) != 1 || ts[0].ID != "t-a" || ts[0].Ticks() != 2 {
+		t.Errorf("rejected requests moved the fleet: %d tenants, want t-a alone at tick 2", len(ts))
+	}
+}
+
 // Planned migration: drain on one shard, rebuild + fast-forward on another,
 // audit fingerprint verified exactly; the run then finishes byte-identical
 // to the single-process reference.
@@ -516,6 +579,12 @@ func TestSpecValidate(t *testing.T) {
 		{App: "chain-4", Rate: 1, SLOBudget: &obs.SLOConfig{Budget: 1}},   // whole time in violation
 		{App: "chain-4", Rate: 1, DurS: -1},                               // negative horizon
 		{App: "chain-4", Rate: 1, DurS: maxDurS + 1},                      // absurd horizon
+		{App: "chain-4", Rate: 1, TickS: maxDurS + 1},                     // one tick past the horizon bound
+		{App: "chain-4", Rate: 1, TickS: 1e308},                           // a tick that never ends
+		{App: "chain-4", Rate: 1, TickS: math.Inf(1)},                     // infinite tick
+		{App: "chain-4", Rate: 1, TickS: math.NaN()},                      // NaN tick
+		{App: "chain-4", Rate: 1, Workers: maxWorkers + 1},                // too many workers
+		{App: "chain-4", Rate: 1, Workers: 2e9},                           // a shard slot per worker
 		{App: "chain-4", Rate: 1, Forecast: "lstm"},                       // unknown forecaster
 		{App: "chain-4", Rate: 1, HorizonTicks: 3},                        // horizon without forecast
 		{App: "chain-4", Rate: 1, ForecastQuantile: 0.9},                  // quantile without forecast
@@ -533,6 +602,7 @@ func TestSpecValidate(t *testing.T) {
 		{App: "chain-4", Rate: 1, Shape: "diurnal", DurS: 600, Forecast: "hw", HorizonTicks: 4, ForecastQuantile: 0.9},
 		{App: "chain-4", Rate: 1, Shape: "azure", Lifecycle: true, SLOMS: 200},
 		{App: "chain-4", Rate: 1, Brownout: phase(6, 12, overload.StepHold), SLOBudget: &obs.SLOConfig{Budget: 0.02}},
+		{App: "chain-4", Rate: 1, TickS: maxDurS, Workers: maxWorkers},
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {

@@ -504,6 +504,17 @@ func (s *ShardServer) handleConfigure(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ConfigureResponse{OK: true})
 }
 
+// withinHorizon reports whether n ticks of the fleet's quantum stay inside
+// maxDurS of simulated time, and answers 400 when they do not: the fleet
+// would run all of them under s.mu, which the caller holds.
+func (s *ShardServer) withinHorizon(w http.ResponseWriter, what string, n int) bool {
+	if simS := float64(n) * s.fl.TickS(); simS > maxDurS {
+		writeErr(w, http.StatusBadRequest, "%s %d is %g simulated seconds, past the %d s bound", what, n, simS, maxDurS)
+		return false
+	}
+	return true
+}
+
 func status(t *fleet.Tenant) TenantStatus {
 	n, sum := t.AuditDigest()
 	return TenantStatus{
@@ -540,6 +551,9 @@ func (s *ShardServer) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.fl == nil {
 		writeErr(w, http.StatusConflict, "shard not configured")
+		return
+	}
+	if !s.withinHorizon(w, "tick count", req.Ticks) {
 		return
 	}
 	// Replay/fast-forward ticks executed during this admit nest under it.
@@ -644,6 +658,9 @@ func (s *ShardServer) handleTick(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.fl == nil {
 		writeErr(w, http.StatusConflict, "shard not configured")
+		return
+	}
+	if !s.withinHorizon(w, "round", req.Round) {
 		return
 	}
 	// A tick that queued behind the mutex past its propagated deadline is

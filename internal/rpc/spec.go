@@ -108,7 +108,14 @@ const maxRate = 1e6
 
 // maxDurS bounds Spec.DurS (a week): the diurnal series holds one sample per
 // second, so an absurd horizon from the wire must not become an allocation.
+// It bounds Spec.TickS, and the simulated time one tick or admit request may
+// run, for the same reason in wall time: a shard runs it under its mutex.
 const maxDurS = 7 * 24 * 3600
+
+// maxWorkers bounds Spec.Workers: a dynamic fleet sizes its shard table and
+// each round's goroutines from it, so a wire value must not become billions of
+// slots, and no shard host has more cores than this to give a tick pool.
+const maxWorkers = 1024
 
 // ParseBrownout parses a -brownout flag into a scripted schedule. The flag
 // is a comma-separated list of phases, each FROM[-TO]:STEP with tick indices
@@ -166,8 +173,11 @@ func (s Spec) Validate() error {
 	if !(s.Rate > 0 && s.Rate <= maxRate) || s.SurgeTo > maxRate {
 		return fmt.Errorf("rpc: spec rate %v (surge to %v) must be in (0, %g] req/s", s.Rate, s.SurgeTo, float64(maxRate))
 	}
-	if s.TickS < 0 {
-		return fmt.Errorf("rpc: spec tick quantum must be non-negative")
+	if !(s.TickS >= 0 && s.TickS <= maxDurS) {
+		return fmt.Errorf("rpc: spec tick quantum %v s must be in [0, %d] (0 = 5)", s.TickS, maxDurS)
+	}
+	if s.Workers > maxWorkers {
+		return fmt.Errorf("rpc: spec asks for %d tick workers, more than %d", s.Workers, maxWorkers)
 	}
 	if s.DurS < 0 || s.DurS > maxDurS {
 		return fmt.Errorf("rpc: spec horizon %d s must be in [0, %d]", s.DurS, maxDurS)

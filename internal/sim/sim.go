@@ -12,12 +12,6 @@ import (
 	"math/rand"
 )
 
-// Clock exposes the current simulated time in seconds.
-type Clock interface {
-	// Now returns the current simulated time in seconds since start.
-	Now() float64
-}
-
 // event is a scheduled callback. Events are ordered by (at, seq); seq is
 // unique, so the order is total and any correct heap pops the same sequence.
 type event struct {
@@ -148,9 +142,6 @@ func (e *Engine) Run() {
 
 // Halt stops Run/RunUntil after the current event completes.
 func (e *Engine) Halt() { e.halted = true }
-
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // Ticker invokes fn every interval seconds, starting at start, until the
 // returned stop function is called. It is the simulated analogue of

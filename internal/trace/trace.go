@@ -200,7 +200,8 @@ func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
 	if r == nil || r.n == 0 {
 		return nil
 	}
-	// Nearest-rank, matching metrics.Digest.Quantile.
+	// Nearest rank, as metrics.Window.Quantile defines it: the ⌈q·n⌉-th
+	// smallest count, the first at q = 0.
 	rank := min(max(int(math.Ceil(q*float64(r.n))), 1), r.n)
 	out := make(map[string]float64, len(c.svcs))
 	for j, svc := range c.svcs {
