@@ -192,9 +192,10 @@ type Tenant struct {
 	tel       *obs.Telemetry
 	lc        *lifecycle.Manager // nil unless Config.Lifecycle
 	pred      *TenantPredictor   // shared-service handle (nil for a private predictor)
-	audit     bytes.Buffer
+	audit     auditLog
 	auditSum  hash.Hash64 // running fnv-1a/64 of audit, fed by the same writer chain
 	auditFile *os.File
+	ckpt      *ckpt.Store // the tenant's checkpoint namespace while it lives here; nil until it checkpoints
 
 	ticks    int
 	violS    float64
@@ -245,9 +246,10 @@ func (t *Tenant) Brownout() overload.Step { return t.bstep }
 // BrownoutTransitions returns how many ladder transitions the tenant made.
 func (t *Tenant) BrownoutTransitions() int { return t.bTrans }
 
-// AuditLog returns the tenant's JSONL audit stream so far. Byte-identical
-// across same-seed runs regardless of worker count, shard count or
-// GOMAXPROCS. Call from the driving goroutine (not during a round).
+// AuditLog returns the tenant's JSONL audit stream so far, in a new slice
+// each call. Byte-identical across same-seed runs regardless of worker
+// count, shard count or GOMAXPROCS. Call from the driving goroutine (not
+// during a round).
 func (t *Tenant) AuditLog() []byte {
 	t.tel.Flight.Flush()
 	return t.audit.Bytes()
@@ -658,6 +660,9 @@ func (f *Fleet) Evict(id string) (*Tenant, error) {
 		t.auditFile.Close()
 		t.auditFile = nil
 	}
+	// Wherever the tenant goes next writes its next generations: the
+	// store's listing is out of date from here on.
+	t.ckpt = nil
 	out := f.tenants[:0]
 	for _, x := range f.tenants {
 		if x.ID != id {
@@ -779,19 +784,17 @@ func (f *Fleet) restore(t *Tenant, prior []byte, ticks int, ckptDir string, maxR
 	if len(prior) == 0 {
 		return nil
 	}
-	regen := t.AuditLog()
-	for len(regen) < len(prior) {
+	for n, _ := t.AuditDigest(); n < len(prior); n, _ = t.AuditDigest() {
 		if rep.ReplayedTicks >= maxReplay {
 			return fmt.Errorf("tenant %s: prior audit log (%d bytes) not covered after replaying %d extra ticks (%d bytes) — lost decisions",
-				t.ID, len(prior), rep.ReplayedTicks, len(regen))
+				t.ID, len(prior), rep.ReplayedTicks, n)
 		}
 		if err := f.Resume(t.ID, t.ticks+1); err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}
 		rep.ReplayedTicks++
-		regen = t.AuditLog()
 	}
-	if !bytes.HasPrefix(regen, prior) {
+	if !bytes.HasPrefix(t.AuditLog(), prior) {
 		return fmt.Errorf("tenant %s: regenerated audit stream diverges from prior log — lost decisions", t.ID)
 	}
 	rep.PriorVerified = true
@@ -1085,15 +1088,21 @@ func (f *Fleet) Checkpoint(dir string) (int, error) {
 }
 
 // CheckpointTenant writes one namespaced snapshot for a single tenant — the
-// drain step of a planned migration.
+// drain step of a planned migration. The tenant lists dir for its earlier
+// generations once, at its first checkpoint there, and keeps that store
+// while it lives in this fleet, so a checkpoint costs the same however many
+// other tenants' files share the directory.
 func (f *Fleet) CheckpointTenant(dir, id string) error {
 	t := f.Tenant(id)
 	if t == nil {
 		return fmt.Errorf("fleet: unknown tenant %q", id)
 	}
-	store, err := ckpt.NewNamespacedStore(dir, "tenant-"+sanitizeID(id))
-	if err != nil {
-		return fmt.Errorf("fleet: tenant %s: %w", id, err)
+	if t.ckpt == nil || t.ckpt.Dir != dir {
+		store, err := ckpt.NewNamespacedStore(dir, "tenant-"+sanitizeID(id))
+		if err != nil {
+			return fmt.Errorf("fleet: tenant %s: %w", id, err)
+		}
+		t.ckpt = store
 	}
 	snap := &ckpt.Snapshot{
 		At:         t.Eng.Now(),
@@ -1101,7 +1110,7 @@ func (f *Fleet) CheckpointTenant(dir, id string) error {
 		Controller: t.Ctl.Snapshot(),
 		Cluster:    t.Cluster.Snapshot(),
 	}
-	if _, _, err := store.Save(snap); err != nil {
+	if _, _, err := t.ckpt.Save(snap); err != nil {
 		return fmt.Errorf("fleet: tenant %s: %w", id, err)
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"graf/internal/app"
@@ -198,6 +199,94 @@ func TestFleetCheckpointNamespaces(t *testing.T) {
 	if len(ents) != 3 {
 		t.Fatalf("want 3 files in shared checkpoint dir, got %d", len(ents))
 	}
+}
+
+// A tenant lists the shared checkpoint directory once while it lives in a
+// fleet, not at every checkpoint: what a checkpoint allocates does not grow
+// with the number of other tenants' files beside its own.
+func TestCheckpointCostIgnoresOtherTenantsFiles(t *testing.T) {
+	allocs := func(others int) float64 {
+		dir := t.TempDir()
+		for i := 0; i < others; i++ {
+			name := filepath.Join(dir, fmt.Sprintf("tenant-other-%04d-00000001.ckpt", i))
+			if err := os.WriteFile(name, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := New(testConfig(1, 1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Stop()
+		f.Run(10)
+		id := f.Tenants()[0].ID
+		return testing.AllocsPerRun(5, func() {
+			if err := f.CheckpointTenant(dir, id); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(0), allocs(2000)
+	if many > few+few/10 {
+		t.Errorf("a checkpoint beside 2000 other tenants' files allocates %.0f objects, %.0f beside none", many, few)
+	}
+}
+
+// A tenant keeps its checkpoint store only while it lives in one fleet: it
+// migrates away, checkpoints there, and comes back, and each fleet carries
+// on from the generations the other wrote, pruning to the newest three.
+func TestCheckpointGenerationsSurviveMigrationAndBack(t *testing.T) {
+	dir := t.TempDir()
+	gens := func() (out []string) {
+		m, _ := filepath.Glob(filepath.Join(dir, "tenant-tenant-00-*.ckpt"))
+		for _, p := range m {
+			out = append(out, strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "tenant-tenant-00-"), ".ckpt"))
+		}
+		return out
+	}
+	checkpoint := func(f *Fleet, times int, want ...string) {
+		t.Helper()
+		for i := 0; i < times; i++ {
+			f.Round()
+			if err := f.CheckpointTenant(dir, "tenant-00"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := gens(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("generations on disk %v, want %v", got, want)
+		}
+	}
+	dyn := func() *Fleet {
+		cfg := testConfig(0, 1, 1)
+		cfg.Dynamic = true
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Start()
+		t.Cleanup(f.Stop)
+		return f
+	}
+	tc := testConfig(1, 1, 1).Tenants[0]
+	move := func(from, to *Fleet) {
+		t.Helper()
+		ticks := from.Tenant(tc.ID).Ticks()
+		if _, err := from.Evict(tc.ID); err != nil {
+			t.Fatal(err)
+		}
+		if _, rep, err := to.Restore(tc, ticks, dir, 0); err != nil || !rep.SnapshotVerified {
+			t.Fatalf("restore at tick %d: %v (report %+v)", ticks, err, rep)
+		}
+	}
+	a, b := dyn(), dyn()
+	if _, err := a.Admit(tc); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(a, 4, "00000002", "00000003", "00000004")
+	move(a, b)
+	checkpoint(b, 2, "00000004", "00000005", "00000006")
+	move(b, a)
+	checkpoint(a, 1, "00000005", "00000006", "00000007")
 }
 
 // AuditDigest is kept as the stream is written. It must be the length and

@@ -58,7 +58,7 @@ type Window struct {
 	lookback float64 // seconds behind the newest observation that readers reach
 	floor    float64 // newest timestamp the look-back dropped; -Inf while none
 
-	scratch []float64 // Quantile's copy of the interval it selects from
+	scratch []float64 // Quantile's heap
 }
 
 // NewWindow returns an empty window, named for what it records, that keeps
@@ -188,15 +188,61 @@ func (w *Window) Since(from, to float64) []float64 {
 // in [from, to] — the ⌈q·n⌉-th smallest of their n values, the first at q =
 // 0 — or 0 when the interval is empty. This is how the paper reads tail
 // latency: "picking percentile rank in the collected latency samples"
-// (§3.2). It selects the order statistic in a scratch copy the window keeps,
-// so a repeated query allocates nothing.
+// (§3.2). The k-th smallest is also the (n−k+1)-th largest, so Quantile
+// reads the interval once through a heap of the min(k, n−k+1) values nearest
+// that end, in a scratch slice the window keeps: a repeated query allocates
+// nothing, and a p99 query holds one value per hundred it reads.
 func (w *Window) Quantile(q, from, to float64) float64 {
 	lo, hi := w.bounds(from, to)
 	if lo == hi {
 		return 0
 	}
-	w.scratch = w.appendValues(w.scratch[:0], lo, hi)
-	return selectKth(w.scratch, nearestRank(q, hi-lo)-1)
+	return w.heapSelect(lo, hi, nearestRank(q, hi-lo))
+}
+
+// heapSelect returns the k-th smallest value of observations [lo, hi): the
+// largest of the k smallest when k ≤ n−k+1, kept in a max-heap of k values,
+// and otherwise the smallest of the n−k+1 largest, kept in the same heap as
+// their negations (negation is exact, so the answer is an observed value
+// bit for bit).
+func (w *Window) heapSelect(lo, hi, k int) float64 {
+	m, sign := k, 1.0
+	if hi-lo-k+1 < k {
+		m, sign = hi-lo-k+1, -1.0
+	}
+	h := w.scratch[:0]
+	for i := lo; i < lo+m; i++ {
+		h = append(h, sign*w.at(i).v)
+	}
+	for i := m/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for i := lo + m; i < hi; i++ {
+		if v := sign * w.at(i).v; v < h[0] {
+			h[0] = v
+			siftDown(h, 0)
+		}
+	}
+	w.scratch = h
+	return sign * h[0]
+}
+
+// siftDown restores the max-heap order of h below position i.
+func siftDown(h []float64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // nearestRank returns the 1-based rank of the q-quantile among n ≥ 1 sorted
@@ -236,39 +282,6 @@ func sortedCopy(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return s
-}
-
-// selectKth returns the value sorting v would leave at v[k], reordering v
-// only as far as that takes (Hoare's Find: partition around v[k] until it
-// stays put). Both scans stop at values equal to the pivot, so tied data
-// splits evenly, and on sorted data v[k] is already the right pivot.
-func selectKth(v []float64, k int) float64 {
-	lo, hi := 0, len(v)-1
-	for lo < hi {
-		pivot := v[k]
-		i, j := lo, hi
-		for i <= j {
-			for v[i] < pivot {
-				i++
-			}
-			for v[j] > pivot {
-				j--
-			}
-			if i <= j {
-				v[i], v[j] = v[j], v[i]
-				i++
-				j--
-			}
-		}
-		// v[lo..j] ≤ pivot ≤ v[i..hi], and anything between j and i equals it.
-		if j < k {
-			lo = i
-		}
-		if k < i {
-			hi = j
-		}
-	}
-	return v[k]
 }
 
 // Sum returns the sum (in time order) and the number of the observations in

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -300,10 +301,10 @@ func TestQuantileMatchesSortedNearestRank(t *testing.T) {
 				}
 			}
 			if n <= 257 {
+				lo, hi := w.bounds(0, float64(n))
 				for k := 0; k < n; k++ {
-					v := w.Since(0, float64(n))
-					if got := selectKth(v, k); got != sorted[k] {
-						t.Fatalf("n=%d distinct=%d: selectKth(%d) = %v, want %v", n, distinct, k, got, sorted[k])
+					if got := w.heapSelect(lo, hi, k+1); got != sorted[k] {
+						t.Fatalf("n=%d distinct=%d: heapSelect(%d) = %v, want %v", n, distinct, k+1, got, sorted[k])
 					}
 				}
 			}
@@ -434,5 +435,28 @@ func TestWindowAllocations(t *testing.T) {
 		w.Quantile(0.5, at-5000, at-100)
 	}); n != 0 {
 		t.Errorf("Count+Sum+Mean+Quantile allocate %v objects, want 0", n)
+	}
+}
+
+// A tail quantile reads its interval through a heap of the values nearest
+// that end, so a fresh window answering p99 and the maximum over intervals
+// that grow to 20 000 observations allocates a few hundred values of scratch,
+// not a copy of each interval (which regrew with every longer query).
+func TestTailQuantileDoesNotCopyTheInterval(t *testing.T) {
+	const n = 20000
+	w := NewWindow("")
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < n; i++ {
+		w.Add(float64(i), rng.ExpFloat64())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for end := 1000.0; end <= n; end += 1000 {
+		w.Quantile(0.99, 0, end)
+		w.Quantile(1, 0, end)
+	}
+	runtime.ReadMemStats(&after)
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(8*(n/100+1))*4; got > ceiling {
+		t.Errorf("20 p99 and maximum queries over up to %d observations allocated %d B, want ≤ %d B", n, got, ceiling)
 	}
 }

@@ -102,7 +102,7 @@ type Record struct {
 type FlightRecorder struct {
 	mu   sync.Mutex
 	w    *bufio.Writer
-	enc  *json.Encoder // on w: Marshal's bytes plus '\n', with no copy
+	enc  recordEncoder // each record's line, in a buffer it reuses
 	mem  []Record
 	cap  int // max retained records; <= 0 means unbounded
 	seq  int
@@ -118,7 +118,6 @@ func NewFlightRecorder(w io.Writer, memCap int) *FlightRecorder {
 	f := &FlightRecorder{cap: memCap}
 	if w != nil {
 		f.w = bufio.NewWriter(w)
-		f.enc = json.NewEncoder(f.w)
 	}
 	return f
 }
@@ -136,8 +135,11 @@ func (f *FlightRecorder) Record(rec Record) {
 	}
 	f.mem = append(f.mem, rec)
 	if f.w != nil && f.err == nil {
-		// The retained copy, by pointer: Encode(rec) would box a copy.
-		f.err = f.enc.Encode(&f.mem[len(f.mem)-1])
+		// A record encoding/json would refuse (a NaN or infinite float)
+		// writes nothing and stops the stream, as json.Encoder did.
+		if f.err = f.enc.encode(&rec); f.err == nil {
+			_, f.err = f.w.Write(f.enc.buf)
+		}
 	}
 }
 

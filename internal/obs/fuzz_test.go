@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -137,4 +140,156 @@ func FuzzRepairLog(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRecordEncoder holds the flight recorder's hand-written encoder to
+// json.Marshal. It fills every exported field of a Record from the fuzzer's
+// bytes through reflect — a field of a type it cannot fill fails, and a field
+// the encoder does not write differs from Marshal's bytes — records it and a
+// second record after it, and requires the recorder's output to be each
+// record's json.Marshal plus '\n'. A record Marshal refuses (a NaN or
+// infinite float) must fail the recorder with Marshal's error and leave
+// nothing written, the record after it included.
+func FuzzRecordEncoder(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 24; i++ {
+		seed := make([]byte, 64+rng.Intn(512))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	// Strings that need escaping, as every string field and map key.
+	f.Add(bytes.Repeat([]byte("\x0b<a>&\"\\\n\t\x01\x7f\xe2\x80\xa8\xe2\x80\xa9\xff\xc3"), 40))
+	f.Add(bytes.Repeat([]byte{3, 0x80, 0xfe, 0x01}, 100))
+	f.Add(bytes.Repeat([]byte{255}, 64)) // NaN
+	f.Add(bytes.Repeat([]byte{254}, 64)) // +Inf
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := fuzzBytes(data)
+		var rec Record
+		fillRecord(t, reflect.ValueOf(&rec).Elem(), &src)
+		next := Record{Type: "summary", At: 1}
+
+		var buf bytes.Buffer
+		fr := NewFlightRecorder(&buf, 1)
+		fr.Record(rec)
+		fr.Record(next)
+		err := fr.Flush()
+
+		rec.Seq, next.Seq = 1, 2
+		want, merr := json.Marshal(rec)
+		if merr != nil {
+			if err == nil || err.Error() != merr.Error() {
+				t.Fatalf("json.Marshal fails with %v, the recorder with %v", merr, err)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("a refused record left %q in the stream", buf.Bytes())
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("recorder failed on a record json.Marshal encodes: %v", err)
+		}
+		second, _ := json.Marshal(next)
+		want = append(append(append(want, '\n'), second...), '\n')
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("audit bytes differ from json.Marshal + newline:\n got %q\nwant %q", buf.Bytes(), want)
+		}
+	})
+}
+
+// fuzzBytes hands out a fuzz input as the values of a record, reading zeros
+// once it runs out.
+type fuzzBytes []byte
+
+func (s *fuzzBytes) byte() byte {
+	if len(*s) == 0 {
+		return 0
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
+	return b
+}
+
+// str returns up to 15 raw bytes: any byte string, invalid UTF-8 included.
+func (s *fuzzBytes) str() string {
+	n := min(int(s.byte()%16), len(*s))
+	v := string((*s)[:n])
+	*s = (*s)[n:]
+	return v
+}
+
+// fuzzFloats are the values where encoding/json's number format changes.
+var fuzzFloats = []float64{1e-6, math.Nextafter(1e-6, 0), 1e-7, 1.5e-10, 1e21, math.Nextafter(1e21, 0),
+	1e20, 1e100, -1e-300, 5e-324, math.MaxFloat64, 0.1, -2.5, 100, math.Copysign(0, -1), 1 << 53}
+
+// float returns 0, NaN, ±Inf, a format boundary or any finite bit pattern.
+func (s *fuzzBytes) float() float64 {
+	switch b := s.byte(); {
+	case b == 0:
+		return 0
+	case b == 255:
+		return math.NaN()
+	case b == 254:
+		return math.Inf(1)
+	case b == 253:
+		return math.Inf(-1)
+	case b < 64:
+		return fuzzFloats[int(b)%len(fuzzFloats)]
+	default:
+		var bits uint64
+		for i := 0; i < 8; i++ {
+			bits = bits<<8 | uint64(s.byte())
+		}
+		if v := math.Float64frombits(bits); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			return v
+		}
+		return float64(b)
+	}
+}
+
+// count returns -1 (nil) or a length from 0 (empty, not nil) to 3.
+func (s *fuzzBytes) count() int { return int(s.byte()%5) - 1 }
+
+var (
+	stringsType = reflect.TypeFor[[]string]()
+	floatsType  = reflect.TypeFor[[]float64]()
+	mapType     = reflect.TypeFor[map[string]float64]()
+)
+
+// fillRecord sets every exported field of v, a Record, from src.
+func fillRecord(t *testing.T, v reflect.Value, src *fuzzBytes) {
+	for i := 0; i < v.NumField(); i++ {
+		fv, sf := v.Field(i), v.Type().Field(i)
+		switch {
+		case fv.Kind() == reflect.String:
+			fv.SetString(src.str())
+		case fv.Kind() == reflect.Float64:
+			fv.SetFloat(src.float())
+		case fv.Kind() == reflect.Int:
+			fv.SetInt(int64(int16(uint16(src.byte())<<8 | uint16(src.byte()))))
+		case fv.Kind() == reflect.Bool:
+			fv.SetBool(src.byte()&1 == 1)
+		case sf.Type == stringsType || sf.Type == floatsType:
+			if n := src.count(); n >= 0 {
+				fv.Set(reflect.MakeSlice(sf.Type, n, n))
+				for j := 0; j < n; j++ {
+					if sf.Type == stringsType {
+						fv.Index(j).SetString(src.str())
+					} else {
+						fv.Index(j).SetFloat(src.float())
+					}
+				}
+			}
+		case sf.Type == mapType:
+			if n := src.count(); n >= 0 {
+				m := make(map[string]float64, n)
+				for j := 0; j < n; j++ {
+					m[src.str()] = src.float()
+				}
+				fv.Set(reflect.ValueOf(m))
+			}
+		default:
+			t.Fatalf("Record.%s is a %s, which FuzzRecordEncoder cannot fill: teach it and the encoder the type", sf.Name, sf.Type)
+		}
+	}
 }

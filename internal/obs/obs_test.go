@@ -327,9 +327,8 @@ func TestRegistryHitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// The recorder encodes onto its buffered writer with one json.Encoder; every
-// line must stay json.Marshal's bytes plus '\n', HTML escaping included, or
-// every recorded audit digest moves.
+// Every line the recorder's encoder writes must stay json.Marshal's bytes
+// plus '\n', HTML escaping included, or every recorded audit digest moves.
 func TestFlightLineIsMarshalPlusNewline(t *testing.T) {
 	recs := []Record{
 		{Type: "header", App: "a<b>&c", SLO: 0.25, Services: []string{`say "hi"`, "x&y"}, Solver: map[string]float64{"lr": 0.05}},
@@ -357,16 +356,18 @@ func TestFlightLineIsMarshalPlusNewline(t *testing.T) {
 	}
 }
 
-// Recording a record that carries no map allocates nothing once the
-// memory buffer is at its cap: the encoder writes the retained copy, not a
-// boxed one.
+// Recording a record allocates nothing once the memory buffer is at its cap,
+// maps included: the encoder reuses its line buffer and the scratch it sorts
+// a map's keys in.
 func TestFlightRecordAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
 	f := NewFlightRecorder(io.Discard, 4)
 	rec := Record{Type: "decision", At: 5, Kind: "hysteresis", Health: "healthy", Total: 120.5,
-		Load: []float64{1, 2.25}, Raw: []float64{900}, Predicted: 0.2, Chaos: []string{"kill"}}
+		Rates: map[string]float64{"home": 80, "cart": 40.5, "checkout": 1e-7},
+		Load:  []float64{1, 2.25}, Raw: []float64{900}, Predicted: 0.2, Chaos: []string{"kill"},
+		Applied: map[string]float64{"frontend": 900, "cart<db>": 450}}
 	for i := 0; i < 8; i++ {
 		f.Record(rec)
 	}

@@ -562,7 +562,7 @@ func ReferenceAudit(bundle ModelBundle, spec Spec, ids []string, rounds int) (ma
 	f.Run(float64(rounds) * cfg.TickS)
 	out := map[string][]byte{}
 	for _, t := range f.Tenants() {
-		out[t.ID] = append([]byte(nil), t.AuditLog()...)
+		out[t.ID] = t.AuditLog()
 	}
 	return out, nil
 }

@@ -101,6 +101,9 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"app":"chain-4","rate":-0}`,
 		`{"app":"chain-4","rate":1,"tick_s":1e308}`,
 		`{"app":"chain-4","rate":1,"tick_s":604801}`,
+		`{"app":"chain-4","rate":1,"tick_s":0.5}`,
+		`{"app":"chain-4","rate":1,"tick_s":1e-300}`,
+		`{"app":"chain-4","rate":1,"tick_s":1}`,
 		`{"app":"chain-4","rate":1,"tick_s":604800,"workers":1024}`,
 		`{"app":"chain-4","rate":1,"workers":2000000000}`,
 		`{"app":"chain-4","rate":1,"workers":1025}`,
@@ -113,7 +116,7 @@ func FuzzSpecDecode(f *testing.F) {
 		if json.Unmarshal(body, &s) != nil || s.Validate() != nil {
 			return
 		}
-		if !(s.TickS >= 0 && s.TickS <= maxDurS) || s.Workers > maxWorkers {
+		if !(s.TickS == 0 || s.TickS >= minTickS && s.TickS <= maxDurS) || s.Workers > maxWorkers {
 			t.Fatalf("spec %s validated with tick %v s and %d workers", body, s.TickS, s.Workers)
 		}
 		if _, err := s.FleetConfig(bundle, ""); err != nil && s.App == "chain-4" {

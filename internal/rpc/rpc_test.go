@@ -583,6 +583,9 @@ func TestSpecValidate(t *testing.T) {
 		{App: "chain-4", Rate: 1, TickS: 1e308},                           // a tick that never ends
 		{App: "chain-4", Rate: 1, TickS: math.Inf(1)},                     // infinite tick
 		{App: "chain-4", Rate: 1, TickS: math.NaN()},                      // NaN tick
+		{App: "chain-4", Rate: 1, TickS: 0.999},                           // just under the quantum floor
+		{App: "chain-4", Rate: 1, TickS: 1e-300},                          // maxDurS s of ticks in one request
+		{App: "chain-4", Rate: 1, TickS: -1},                              // negative tick
 		{App: "chain-4", Rate: 1, Workers: maxWorkers + 1},                // too many workers
 		{App: "chain-4", Rate: 1, Workers: 2e9},                           // a shard slot per worker
 		{App: "chain-4", Rate: 1, Forecast: "lstm"},                       // unknown forecaster
@@ -603,6 +606,7 @@ func TestSpecValidate(t *testing.T) {
 		{App: "chain-4", Rate: 1, Shape: "azure", Lifecycle: true, SLOMS: 200},
 		{App: "chain-4", Rate: 1, Brownout: phase(6, 12, overload.StepHold), SLOBudget: &obs.SLOConfig{Budget: 0.02}},
 		{App: "chain-4", Rate: 1, TickS: maxDurS, Workers: maxWorkers},
+		{App: "chain-4", Rate: 1, TickS: minTickS},
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {

@@ -112,6 +112,11 @@ const maxRate = 1e6
 // run, for the same reason in wall time: a shard runs it under its mutex.
 const maxDurS = 7 * 24 * 3600
 
+// minTickS is the shortest tick quantum a spec may ask for (0 aside, which
+// means 5 s). With the bound on a request's simulated time it caps the ticks
+// one tick or admit request runs at maxDurS.
+const minTickS = 1
+
 // maxWorkers bounds Spec.Workers: a dynamic fleet sizes its shard table and
 // each round's goroutines from it, so a wire value must not become billions of
 // slots, and no shard host has more cores than this to give a tick pool.
@@ -173,8 +178,8 @@ func (s Spec) Validate() error {
 	if !(s.Rate > 0 && s.Rate <= maxRate) || s.SurgeTo > maxRate {
 		return fmt.Errorf("rpc: spec rate %v (surge to %v) must be in (0, %g] req/s", s.Rate, s.SurgeTo, float64(maxRate))
 	}
-	if !(s.TickS >= 0 && s.TickS <= maxDurS) {
-		return fmt.Errorf("rpc: spec tick quantum %v s must be in [0, %d] (0 = 5)", s.TickS, maxDurS)
+	if !(s.TickS == 0 || s.TickS >= minTickS && s.TickS <= maxDurS) {
+		return fmt.Errorf("rpc: spec tick quantum %v s must be 0 (= 5) or in [%d, %d]", s.TickS, minTickS, maxDurS)
 	}
 	if s.Workers > maxWorkers {
 		return fmt.Errorf("rpc: spec asks for %d tick workers, more than %d", s.Workers, maxWorkers)
