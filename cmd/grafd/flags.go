@@ -29,7 +29,6 @@ type options struct {
 	assertRestore bool
 
 	modelArchive string
-	shards       int
 
 	shardAddr        string
 	maxInflight      int
@@ -52,7 +51,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Float64Var(&o.crashAt, "crash-at", 0, "die abruptly (exit 42) at this simulated time, leaving a torn audit tail for the restart to recover")
 	fs.BoolVar(&o.assertRestore, "assert-restore", false, "with -ckpt: exit non-zero unless every tenant was restored from a snapshot and verified against it")
 	fs.StringVar(&o.modelArchive, "model-archive", "", "with -lifecycle: persist every model generation under this directory as <tenant>/model-N.graf")
-	fs.IntVar(&o.shards, "shards", 0, "number of deterministic tenant groups ticked in parallel (default: one per worker)")
 	fs.StringVar(&o.shardAddr, "shard", "", "serve one control-plane shard on this address (host:port; port 0 picks one) and wait for a grafrouter to install the fleet spec")
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "with -shard: admission-gate bound on concurrently executing control-plane requests (0 = default)")
 	fs.Float64Var(&o.governorBudgetMS, "governor-budget-ms", 0, "with -shard: defend this per-round wall budget with the adaptive brownout governor (0 = off)")
@@ -129,9 +127,6 @@ func (o *options) validate() error {
 	}
 	if !overload.ValidBudgetMS(o.governorBudgetMS) {
 		return fmt.Errorf("-governor-budget-ms %v must be finite, non-negative and fit a time.Duration (0 = off)", o.governorBudgetMS)
-	}
-	if o.shards < 0 || o.shards > o.Tenants {
-		return fmt.Errorf("-shards %d must be in [0, %d]: it exceeds the fleet's tenants and shards must not be empty", o.shards, o.Tenants)
 	}
 	if name := o.given("crash-at", "assert-restore", "cold"); name != "" && o.Ckpt == "" {
 		return fmt.Errorf("-%s requires -ckpt: without a checkpoint store there is nothing to restore", name)

@@ -17,7 +17,7 @@ import (
 // runFleet drives the local fleet: -fleet N tenants built from the one spec
 // the flags describe — the same spec that drives the multi-process control
 // plane (grafrouter + grafd -shard), which is what makes this run the
-// byte-exact reference for a distributed one. Tenants are sharded across the
+// byte-exact reference for a distributed one. Tenants are ticked by the
 // worker pool and solve against one shared model behind a prediction cache.
 //
 // With -ckpt every tenant boots through fleet.Restore, the sequence a shard
@@ -36,7 +36,6 @@ func runFleet(tr *graf.TrainedModel, o *options) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	cfg.Shards = o.shards
 	var tel *obs.Telemetry
 	if o.obs != "" {
 		tel = obs.New(obs.Options{})
@@ -51,8 +50,8 @@ func runFleet(tr *graf.TrainedModel, o *options) int {
 	if code := boot(f, o, rounds); code != 0 {
 		return code
 	}
-	fmt.Printf("fleet: %d tenants, %d shards, shape=%s, %ds horizon (%d rounds)\n",
-		o.Tenants, f.Stats().Shards, o.spec.Shape, o.spec.DurS, rounds)
+	fmt.Printf("fleet: %d tenants, shape=%s, %ds horizon (%d rounds)\n",
+		o.Tenants, o.spec.Shape, o.spec.DurS, rounds)
 	if c := cfg.Controller; c != nil {
 		fmt.Printf("forecast: model=%s horizon=%d ticks\n", c.Forecast.Model, c.Forecast.HorizonTicks)
 	}
@@ -211,8 +210,8 @@ func report(f *fleet.Fleet, o *options, wall float64) {
 			status = fmt.Sprintf("DEGRADED (%v)", tn.PanicValue())
 		}
 		st := tn.Ctl.Stats()
-		fmt.Printf("  %-12s shard %d  ticks %3d  p99 %6.1f ms  violation %5.1fs  health=%s solves=%d boosts=%d breakerTrips=%d  %s\n",
-			tn.ID, tn.Shard, tn.Ticks(), tn.LastP99()*1000, tn.ViolationSeconds(),
+		fmt.Printf("  %-12s ticks %3d  p99 %6.1f ms  violation %5.1fs  health=%s solves=%d boosts=%d breakerTrips=%d  %s\n",
+			tn.ID, tn.Ticks(), tn.LastP99()*1000, tn.ViolationSeconds(),
 			tn.Ctl.Health(), tn.Ctl.Solves(), st.Boosts, st.BreakerTrips, status)
 		if fc := tn.Ctl.Forecaster(); fc != nil {
 			fmt.Printf("  %-12s forecast: model=%s forecastSolves=%d prewarms=%d degradedTicks=%d matured=%d mae=%.1f rps healthy=%v\n",

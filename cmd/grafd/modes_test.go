@@ -97,7 +97,7 @@ func TestFeatureModeTable(t *testing.T) {
 		{"slo", []string{"-slo", "200"}, fromRouter},
 		{"slo budget", []string{"-slo-budget", "0.02"}, fromRouter},
 		{"scripted brownout", []string{"-brownout", "2-5:heuristic"}, fromRouter},
-		{"many tenants", []string{"-fleet", "3", "-shards", "2"}, fromRouter},
+		{"many tenants", []string{"-fleet", "3"}, fromRouter},
 		{"obs endpoint", []string{"-obs", "127.0.0.1:0", "-smoke"}, fromRouter}, // a shard's /metrics rides its control-plane port
 		{"audit dir", []string{"-audit-dir", at("audit")}, ""},
 		{"checkpoints", []string{"-ckpt", at("ckpt"), "-audit-dir", at("ckpt-audit")}, ""},
@@ -175,7 +175,6 @@ func TestValidateRejectsContradictions(t *testing.T) {
 		{[]string{"-model", "m", "-brownout", "12:turbo"}, "ladder step"},
 		{[]string{"-model", "m", "-brownout", "24-12:heuristic"}, "above FROM"},
 		{[]string{"-model", "m", "-slo-budget", "1.5"}, "[0,1)"},
-		{[]string{"-model", "m", "-fleet", "4", "-shards", "8"}, "exceeds"},
 		{[]string{"-model", "m", "-crash-at", "100"}, "-crash-at requires -ckpt"},
 		{[]string{"-model", "m", "-assert-restore"}, "-assert-restore requires -ckpt"},
 		{[]string{"-model", "m", "-cold"}, "-cold requires -ckpt"},

@@ -724,7 +724,7 @@ var ErrFencedEpoch = rpc.ErrFencedEpoch
 // treat the shard as failed.
 func IsFencedEpoch(err error) bool { return rpc.IsFenced(err) }
 
-// --- Fleet mode (sharded multi-tenant control plane, DESIGN.md §3g) ---------
+// --- Fleet mode (multi-tenant control plane, DESIGN.md §3g) -----------------
 
 type (
 	// Fleet runs many tenant applications — each with its own simulated
@@ -733,7 +733,7 @@ type (
 	Fleet = fleet.Fleet
 
 	// FleetConfig parameterizes NewFleet beyond what the trained model
-	// provides: the tenant set, worker/shard counts and policies.
+	// provides: the tenant set, the worker count and policies.
 	FleetConfig = fleet.Config
 
 	// FleetTenant describes one tenant application in a fleet.

@@ -381,3 +381,18 @@ func TestSolverLoopRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceOverheadSpanCountRepeats: the traced quick-scale fleet reports
+// the same spans_recorded on every run. Forward-pass spans are counted
+// apart, because how many passes run depends on which tenants miss the
+// shared cache at the same moment.
+func TestTraceOverheadSpanCountRepeats(t *testing.T) {
+	_, a := TraceOverheadRun(Quick())
+	_, b := TraceOverheadRun(Quick())
+	if a.Spans == 0 || a.Spans != b.Spans {
+		t.Fatalf("spans_recorded %v then %v: want one positive count", a.Spans, b.Spans)
+	}
+	if a.Passes == 0 {
+		t.Fatal("no forward-pass spans recorded")
+	}
+}

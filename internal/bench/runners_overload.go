@@ -94,8 +94,7 @@ func runOverload(s Scale, seed int64) (Result, OverloadStats) {
 			Bounds:  tr.Bounds,
 			SLO:     tr.Spec.SLO,
 			MinRate: tr.Spec.MinRate, MaxRate: tr.Spec.MaxRate,
-			Workers: 2, Shards: 2,
-			TickS: 5, Seed: seed,
+			Workers: 2, TickS: 5, Seed: seed,
 			Controller: &ccfg,
 			Brownout:   scripted,
 		}

@@ -17,17 +17,22 @@ type TraceOverheadStats struct {
 	DisabledNSPerTick float64
 	EnabledNSPerTick  float64
 	OverheadPct       float64
-	Spans             float64 // spans recorded by the traced run (incl. dropped)
-	ByteIdentical     bool    // tracing moved no audit bytes
+	// Spans counts the traced run's spans whose number is a function of the
+	// seed: round roots, tenant ticks and decision stages.
+	Spans float64
+	// Passes counts its forward-pass spans, which depend on the schedule:
+	// two tenants that miss the same cache entry at once both run the pass.
+	Passes        float64
+	ByteIdentical bool // tracing moved no audit bytes
 }
 
 // TraceOverhead measures what distributed tracing costs the fleet's hot
-// path (DESIGN.md §3i): the same sharded multi-tenant run with the tracer
-// disabled (nil, one pointer check per instrumentation point) and enabled
-// (per-round roots, tenant ticks, decision stages, and inference forward
-// passes all recording spans). The traced run must also leave every
-// tenant's audit log byte-identical — spans go to the tracer's own store,
-// never the decision stream.
+// path (DESIGN.md §3i): the same multi-tenant run with the tracer disabled
+// (nil, one pointer check per instrumentation point) and enabled (per-round
+// roots, tenant ticks, decision stages, and inference forward passes all
+// recording spans). The traced run must also leave every tenant's audit log
+// byte-identical — spans go to the tracer's own store, never the decision
+// stream.
 func TraceOverhead(s Scale) Result {
 	res, _ := TraceOverheadRun(s)
 	return res
@@ -37,7 +42,7 @@ func TraceOverhead(s Scale) Result {
 func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 	res := Result{
 		ID:     "trace-overhead",
-		Title:  "Distributed-tracing overhead per tenant tick (sharded fleet)",
+		Title:  "Distributed-tracing overhead per tenant tick (fleet)",
 		Header: []string{"mode", "tenants", "rounds", "ns/tenant-tick", "overhead"},
 	}
 
@@ -51,13 +56,12 @@ func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 	bundle := untrainedBundle(4, 42)
 	spec := rpc.Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7, TickS: 5}
 
-	run := func(traced bool) (nsPerTick float64, spans float64, audit map[string][]byte) {
+	run := func(traced bool) (nsPerTick, spans, passes float64, audit map[string][]byte) {
 		cfg, err := spec.FleetConfig(bundle, "")
 		if err != nil {
 			panic(err)
 		}
 		cfg.Dynamic = false
-		cfg.Shards = 2
 		cfg.Workers = 2
 		for i := 0; i < tenants; i++ {
 			cfg.Tenants = append(cfg.Tenants, spec.TenantConfig(fmt.Sprintf("tenant-%03d", i)))
@@ -89,31 +93,35 @@ func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 		}
 		wall := time.Since(t0)
 		f.Stop()
-		if traced {
-			spans = float64(len(tracer.Snapshot())) + float64(tracer.Dropped())
+		for _, sp := range tracer.Snapshot() {
+			if sp.Name == "inference/batch" {
+				passes++
+			} else {
+				spans++
+			}
 		}
 		audit = map[string][]byte{}
 		for _, t := range f.Tenants() {
 			audit[t.ID] = t.AuditLog()
 		}
-		return float64(wall.Nanoseconds()) / float64(rounds*tenants), spans, audit
+		return float64(wall.Nanoseconds()) / float64(rounds*tenants), spans, passes, audit
 	}
 
 	// Interleave repetitions and keep each mode's best time: the solver
 	// dominates a tick at ~ms scale, so scheduling noise between two single
 	// runs easily swamps a sub-µs span cost.
-	off, on, spans := 0.0, 0.0, 0.0
+	off, on, spans, passes := 0.0, 0.0, 0.0, 0.0
 	var plain, traced map[string][]byte
 	for rep := 0; rep < 3; rep++ {
-		o, _, pa := run(false)
-		e, sp, ta := run(true)
+		o, _, _, pa := run(false)
+		e, sp, ps, ta := run(true)
 		if rep == 0 || o < off {
 			off = o
 		}
 		if rep == 0 || e < on {
 			on = e
 		}
-		spans, plain, traced = sp, pa, ta
+		spans, passes, plain, traced = sp, ps, pa, ta
 	}
 
 	st := TraceOverheadStats{
@@ -121,6 +129,7 @@ func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 		EnabledNSPerTick:  on,
 		OverheadPct:       (on - off) / off * 100,
 		Spans:             spans,
+		Passes:            passes,
 		ByteIdentical:     true,
 	}
 	for id := range plain {
@@ -134,7 +143,8 @@ func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 	res.AddRow("enabled (spans+events)", di(tenants), di(rounds), f0(on),
 		fmt.Sprintf("%+.2f%%", st.OverheadPct))
 	res.Note("trace_overhead_pct=%.2f (target <1%% per tenant tick; CI regression ceiling 5%% for runner noise)", st.OverheadPct)
-	res.Note("spans_recorded=%.0f across %d timed rounds: round roots, tenant ticks, decision stages, inference forward passes", spans, rounds)
+	res.Note("spans_recorded=%.0f across %d timed rounds: round roots, tenant ticks, decision stages", spans, rounds)
+	res.Note("forward_pass_spans=%.0f (schedule-dependent: tenants that miss the same cache entry at once each run the pass)", passes)
 	if st.ByteIdentical {
 		res.Note("byte_identical=true: tracing moved no audit bytes (spans live in the tracer's ring, decisions in the flight recorder)")
 	} else {

@@ -22,7 +22,7 @@ import (
 
 // campaignConfig mirrors the fleet package's own test rig: a synthetic chain
 // app with a fresh deterministic model, sized by the campaign's tenant count.
-func campaignConfig(tenants, workers, shards int) fleet.Config {
+func campaignConfig(tenants, workers int) fleet.Config {
 	a := app.SyntheticChain(4)
 	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(42)))
 	n := len(a.Services)
@@ -36,8 +36,7 @@ func campaignConfig(tenants, workers, shards int) fleet.Config {
 		Bounds:  core.Bounds{Lo: lo, Hi: hi},
 		SLO:     0.25,
 		MinRate: 50, MaxRate: 400,
-		Workers: workers, Shards: shards,
-		TickS: 5, Seed: 1,
+		Workers: workers, TickS: 5, Seed: 1,
 	}
 	for i := 0; i < tenants; i++ {
 		cfg.Tenants = append(cfg.Tenants, fleet.TenantConfig{
@@ -50,9 +49,9 @@ func campaignConfig(tenants, workers, shards int) fleet.Config {
 
 // runCampaign plays a campaign against a real fleet on the given schedule
 // and returns the invariant report plus per-tenant audit bytes.
-func runCampaign(t *testing.T, c chaos.Campaign, workers, shards, seconds int) chaos.Report {
+func runCampaign(t *testing.T, c chaos.Campaign, workers, seconds int) chaos.Report {
 	t.Helper()
-	cfg := campaignConfig(c.Tenants, workers, shards)
+	cfg := campaignConfig(c.Tenants, workers)
 	for i := range cfg.Tenants {
 		if sc, ok := c.Scenarios[i]; ok {
 			scc := sc
@@ -118,7 +117,7 @@ func TestCampaignInvariants(t *testing.T) {
 	for _, c := range chaos.Campaigns(21, 6) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			rep := runCampaign(t, c, 3, 2, 120)
+			rep := runCampaign(t, c, 3, 120)
 			if err := chaos.CheckInvariants(rep); err != nil {
 				t.Fatal(err)
 			}
@@ -142,16 +141,16 @@ func TestCampaignInvariants(t *testing.T) {
 }
 
 // TestCampaignByteIdenticalAcrossSchedules is the correlated-chaos
-// determinism drill: the same campaign replayed on a serial (1 worker,
-// 1 shard) and a wide (4 workers, 3 shards) schedule must produce
+// determinism drill: the same campaign replayed on a serial (1 worker) and
+// a wide (4 workers) schedule must produce
 // byte-identical per-tenant audit logs — correlated faults, contention,
 // aliased telemetry and brownout transitions included.
 func TestCampaignByteIdenticalAcrossSchedules(t *testing.T) {
 	for _, c := range chaos.Campaigns(33, 6) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			serial := runCampaign(t, c, 1, 1, 120)
-			wide := runCampaign(t, c, 4, 3, 120)
+			serial := runCampaign(t, c, 1, 120)
+			wide := runCampaign(t, c, 4, 120)
 			if err := chaos.CheckInvariants(serial); err != nil {
 				t.Fatal(err)
 			}

@@ -3,15 +3,12 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"graf/internal/app"
 	"graf/internal/core"
-	"graf/internal/gnn"
 	"graf/internal/obs"
 	"graf/internal/overload"
 	"graf/internal/workload"
@@ -46,8 +43,8 @@ func ladderTransitions(t *testing.T, log []byte) []overload.Transition {
 // decision kind shows up in the stream.
 func TestFleetScriptedBrownoutDeterministic(t *testing.T) {
 	sched := []BrownoutPhase{{FromTick: 4, ToTick: 9, Step: overload.StepHold}}
-	run := func(workers, shards int) map[string][]byte {
-		cfg := testConfig(5, workers, shards)
+	run := func(workers int) map[string][]byte {
+		cfg := testConfig(5, workers)
 		cfg.Brownout = sched
 		for i := range cfg.Tenants {
 			cfg.Tenants[i].Rate = workload.StepRate(100, 160, 20)
@@ -70,13 +67,13 @@ func TestFleetScriptedBrownoutDeterministic(t *testing.T) {
 		return out
 	}
 
-	want := run(1, 1)
-	for _, sc := range [][2]int{{4, 4}, {3, 5}} {
-		got := run(sc[0], sc[1])
+	want := run(1)
+	for _, workers := range []int{4, 3} {
+		got := run(workers)
 		for id, log := range want {
 			if !bytes.Equal(got[id], log) {
-				t.Errorf("workers=%d shards=%d: tenant %s audit log differs across brownout (%d vs %d bytes)",
-					sc[0], sc[1], id, len(got[id]), len(log))
+				t.Errorf("workers=%d: tenant %s audit log differs across brownout (%d vs %d bytes)",
+					workers, id, len(got[id]), len(log))
 			}
 		}
 	}
@@ -118,7 +115,7 @@ func TestFleetScriptedBrownoutDeterministic(t *testing.T) {
 // left a torn last line, which Restore cuts off in the one read of the log
 // that also yields the schedule.
 func TestFleetAdaptiveBrownoutReplaysFromAudit(t *testing.T) {
-	cfg := testConfig(3, 2, 2)
+	cfg := testConfig(3, 2)
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +150,7 @@ func TestFleetAdaptiveBrownoutReplaysFromAudit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gcfg := testConfig(3, 1, 1)
+	gcfg := testConfig(3, 1)
 	tenants := gcfg.Tenants
 	gcfg.Tenants, gcfg.Dynamic, gcfg.AuditDir = nil, true, dir
 	g, err := New(gcfg)
@@ -177,94 +174,38 @@ func TestFleetAdaptiveBrownoutReplaysFromAudit(t *testing.T) {
 	}
 }
 
-// TestFleetHeterogeneousDeterministic mixes four application topologies with
-// per-tenant SLOs and bounds in one fleet and checks audit byte-identity
-// across worker/shard schedules — per-tenant override state must be as
-// schedule-independent as the homogeneous path.
-func TestFleetHeterogeneousDeterministic(t *testing.T) {
-	apps := []*app.App{
-		app.SyntheticChain(3),
-		app.SyntheticChain(5),
-		app.Bookinfo(),
-		app.RobotShop(),
+// TestFleetPerTenantSLOAndBounds: a tenant's own SLO is what its controller
+// and its header record carry, and bounds that do not fit the fleet's
+// application are rejected when the fleet is built, not at solve time deep
+// inside a worker.
+func TestFleetPerTenantSLOAndBounds(t *testing.T) {
+	slos := []float64{0.2, 0.3, 0.25}
+	cfg := testConfig(len(slos), 2)
+	for i, slo := range slos {
+		cfg.Tenants[i].SLO = slo
 	}
-	slos := []float64{0.2, 0.3, 0.25, 0.35}
-	mkCfg := func(workers, shards int) Config {
-		cfg := testConfig(0, workers, shards)
-		for i, a := range apps {
-			n := len(a.Services)
-			lo, hi := make([]float64, n), make([]float64, n)
-			for j := range lo {
-				lo[j], hi[j] = 100, 1500
-			}
-			m := gnn.New(gnn.DefaultConfig(n, a.Parents()), rand.New(rand.NewSource(int64(100+i))))
-			cfg.Tenants = append(cfg.Tenants, TenantConfig{
-				ID:     fmt.Sprintf("hetero-%02d", i),
-				Rate:   workload.StepRate(80, 140, 25),
-				App:    a,
-				Model:  m,
-				SLO:    slos[i],
-				Bounds: &core.Bounds{Lo: lo, Hi: hi},
-			})
-		}
-		// Two homogeneous tenants ride the shared service alongside.
-		cfg.Tenants = append(cfg.Tenants,
-			TenantConfig{ID: "shared-00", Rate: workload.ConstRate(110)},
-			TenantConfig{ID: "shared-01", Rate: workload.ConstRate(120)},
-		)
-		return cfg
-	}
-
-	run := func(workers, shards int) map[string][]byte {
-		f, err := New(mkCfg(workers, shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Run(40)
-		out := map[string][]byte{}
-		for _, tn := range f.Tenants() {
-			if tn.Degraded() {
-				t.Fatalf("tenant %s degraded: %v", tn.ID, tn.PanicValue())
-			}
-			out[tn.ID] = append([]byte(nil), tn.AuditLog()...)
-		}
-		return out
-	}
-
-	want := run(1, 1)
-	if len(want) != 6 {
-		t.Fatalf("expected 6 tenants, got %d", len(want))
-	}
-	got := run(4, 3)
-	for id, log := range want {
-		if !bytes.Equal(got[id], log) {
-			t.Errorf("tenant %s: heterogeneous audit log differs across schedules (%d vs %d bytes)",
-				id, len(got[id]), len(log))
-		}
-	}
-
-	// Per-tenant SLOs must be what the controllers and accounting actually
-	// used: each override tenant's header record carries its own SLO.
-	f, err := New(mkCfg(2, 2))
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range apps {
-		tn := f.Tenant(fmt.Sprintf("hetero-%02d", i))
-		if tn.SLO() != slos[i] {
-			t.Errorf("tenant %s: SLO %g, want %g", tn.ID, tn.SLO(), slos[i])
+	for i, slo := range slos {
+		tn := f.Tenant(fmt.Sprintf("tenant-%02d", i))
+		if tn.SLO() != slo || tn.Ctl.Cfg.SLO != slo {
+			t.Errorf("tenant %s: SLO %g, controller SLO %g, want %g", tn.ID, tn.SLO(), tn.Ctl.Cfg.SLO, slo)
 		}
 		recs := tn.Records()
-		if len(recs) == 0 || recs[0].Type != "header" || recs[0].SLO != slos[i] {
+		if len(recs) == 0 || recs[0].Type != "header" || recs[0].SLO != slo {
 			t.Errorf("tenant %s: header record does not carry the per-tenant SLO", tn.ID)
 		}
 	}
-	// A mis-sized bounds override is rejected at build time, not at solve
-	// time deep inside a worker.
-	bad := mkCfg(1, 1)
-	bad.Tenants[0].Bounds = &core.Bounds{Lo: []float64{1}, Hi: []float64{2}}
+	bad := testConfig(1, 1)
+	bad.Bounds = core.Bounds{Lo: []float64{1}, Hi: []float64{2}}
 	if _, err := New(bad); err == nil {
-		t.Error("mis-sized per-tenant bounds accepted")
+		t.Error("mis-sized fleet bounds accepted")
+	}
+	bad.Tenants, bad.Dynamic = nil, true
+	if _, err := New(bad); err == nil {
+		t.Error("mis-sized fleet bounds accepted by a dynamic fleet")
 	}
 }
 
@@ -296,7 +237,7 @@ func TestRestoreRefusesAnotherSolverVersionsLog(t *testing.T) {
 		{"v2 log, v1 fleet", nil, &v1, "version 2", "version 1"},
 	} {
 		dir := t.TempDir()
-		cfg := testConfig(1, 1, 1)
+		cfg := testConfig(1, 1)
 		cfg.AuditDir, cfg.Controller = dir, tc.wrote
 		f, err := New(cfg)
 		if err != nil {
@@ -312,7 +253,7 @@ func TestRestoreRefusesAnotherSolverVersionsLog(t *testing.T) {
 			t.Fatalf("%s: no prior log: %v", tc.name, err)
 		}
 
-		gcfg := testConfig(1, 1, 1)
+		gcfg := testConfig(1, 1)
 		tenant := gcfg.Tenants[0]
 		gcfg.Tenants, gcfg.Dynamic, gcfg.AuditDir, gcfg.Controller = nil, true, dir, tc.reads
 		g, err := New(gcfg)

@@ -1,18 +1,18 @@
-// Package fleet is the sharded multi-tenant control plane: N independent
-// GRAF application controllers (each with its own simulated cluster,
-// workload and decision loop) driven inside one process by a fixed worker
-// pool, all sharing one latency model behind a quantized prediction cache.
+// Package fleet is the multi-tenant control plane: N independent GRAF
+// application controllers (each with its own simulated cluster, workload
+// and decision loop) driven inside one process by a fixed worker pool, all
+// sharing one latency model behind a quantized prediction cache.
 //
 // Three properties anchor the design:
 //
-//   - Determinism. Tenants are assigned to shards by an fnv-1a hash of
-//     their ID, ticked in sorted order within a shard, and each owns its
-//     private sim.Engine and rng — so a same-seed fleet run produces
-//     byte-identical per-tenant audit logs no matter how many workers,
-//     shards or OS threads drive it. The prediction cache preserves this
-//     by construction: every prediction is computed AT the quantized grid
-//     point, so a hit returns bit-identical values to the miss that would
-//     have computed it, and an eviction changes only the hit rate.
+//   - Determinism. Each round hands the tenants, in sorted ID order, to
+//     the worker pool one at a time, and each owns its private sim.Engine
+//     and rng — so a same-seed fleet run produces byte-identical
+//     per-tenant audit logs no matter how many workers or OS threads drive
+//     it. The prediction cache preserves this by construction: every
+//     prediction is computed AT the quantized grid point, so a hit returns
+//     bit-identical values to the miss that would have computed it, and an
+//     eviction changes only the hit rate.
 //
 //   - Containment. A panic inside one tenant's tick marks that tenant
 //     degraded and quarantines it; the process and every other tenant are

@@ -10,8 +10,8 @@ import (
 )
 
 // Same seed + same tenant set must produce byte-identical per-tenant audit
-// logs no matter how the fleet is scheduled: worker count, shard count and
-// GOMAXPROCS may each change which OS thread runs which tenant when, and
+// logs no matter how the fleet is scheduled: worker count and GOMAXPROCS
+// may each change which OS thread runs which tenant when, and
 // which tenant's miss fills a cache entry first — none of it may leak into
 // a tenant's decisions. The prediction cache is the dangerous part: it is
 // shared mutable state whose contents DO depend on scheduling, which is why
@@ -19,8 +19,8 @@ import (
 // then return bit-identical values).
 func TestFleetDeterministicAcrossSchedules(t *testing.T) {
 	const tenants = 6
-	mkCfg := func(workers, shards int) Config {
-		cfg := testConfig(tenants, workers, shards)
+	mkCfg := func(workers int) Config {
+		cfg := testConfig(tenants, workers)
 		// A time-varying rate keeps the solvers busy (hysteresis would
 		// otherwise let them coast), maximizing traffic through the shared
 		// cache — the path under test.
@@ -29,12 +29,12 @@ func TestFleetDeterministicAcrossSchedules(t *testing.T) {
 		}
 		return cfg
 	}
-	run := func(workers, shards, maxprocs int) map[string][]byte {
+	run := func(workers, maxprocs int) map[string][]byte {
 		if maxprocs > 0 {
 			old := runtime.GOMAXPROCS(maxprocs)
 			defer runtime.GOMAXPROCS(old)
 		}
-		f, err := New(mkCfg(workers, shards))
+		f, err := New(mkCfg(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,32 +49,32 @@ func TestFleetDeterministicAcrossSchedules(t *testing.T) {
 		return out
 	}
 
-	want := run(1, 1, 0) // serial-ish reference schedule
+	want := run(1, 0) // serial reference schedule
 	schedules := []struct {
-		workers, shards, maxprocs int
+		workers, maxprocs int
 	}{
-		{4, 4, 0},
-		{8, 6, 0},
-		{2, 3, 2},
-		{8, 6, 4},
+		{4, 0},
+		{8, 0},
+		{2, 2},
+		{8, 4},
 	}
 	for _, sc := range schedules {
-		got := run(sc.workers, sc.shards, sc.maxprocs)
+		got := run(sc.workers, sc.maxprocs)
 		for id, log := range want {
 			if !bytes.Equal(got[id], log) {
-				t.Errorf("workers=%d shards=%d GOMAXPROCS=%d: tenant %s audit log differs from reference (%d vs %d bytes)",
-					sc.workers, sc.shards, sc.maxprocs, id, len(got[id]), len(log))
+				t.Errorf("workers=%d GOMAXPROCS=%d: tenant %s audit log differs from reference (%d vs %d bytes)",
+					sc.workers, sc.maxprocs, id, len(got[id]), len(log))
 			}
 		}
 	}
 }
 
 // The shared-service path must also be reproducible against itself when the
-// tenant set is permuted: shard membership and tick order are derived from
-// sorted tenant IDs, not from Config.Tenants order.
+// tenant set is permuted: dispatch order is derived from sorted tenant IDs,
+// not from Config.Tenants order.
 func TestFleetDeterministicUnderTenantPermutation(t *testing.T) {
 	mk := func(perm bool) map[string][]byte {
-		cfg := testConfig(5, 3, 3)
+		cfg := testConfig(5, 3)
 		if perm {
 			for i, j := 0, len(cfg.Tenants)-1; i < j; i, j = i+1, j-1 {
 				cfg.Tenants[i], cfg.Tenants[j] = cfg.Tenants[j], cfg.Tenants[i]
@@ -104,7 +104,7 @@ func TestFleetDeterministicUnderTenantPermutation(t *testing.T) {
 // iteration, timing-dependent values).
 func TestFleetRepeatedRunsIdentical(t *testing.T) {
 	run := func() map[string][]byte {
-		f, err := New(testConfig(4, 4, 4))
+		f, err := New(testConfig(4, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestFleetRoundsWithoutStart(t *testing.T) {
 		sum uint64
 	}
 	run := func(start bool) map[string]digest {
-		cfg := testConfig(3, 2, 2)
+		cfg := testConfig(3, 2)
 		for i := range cfg.Tenants {
 			cfg.Tenants[i].Rate = workload.StepRate(100, 160, 20)
 		}

@@ -47,15 +47,14 @@ type Config struct {
 
 	// Workers is the worker-pool size driving tenant ticks (default 8).
 	Workers int
-	// Shards is the number of deterministic tenant groups; tenants map to
-	// shards by fnv-1a of their ID. Default: one shard per worker, and no
-	// more shards than a static fleet has tenants.
+	// Shards is read by nothing: the frozen benchmark/ module sets it; it
+	// goes at the benchmark refresh (ROADMAP 7(a)).
 	Shards int
 	// TickS is the per-tenant tick quantum in simulated seconds: each
 	// round advances every live tenant by this much (default 5).
 	TickS float64
-	// Seed derives per-tenant engine seeds for tenants that don't pin
-	// their own.
+	// Seed derives every tenant's engine seed (with an fnv-1a hash of the
+	// tenant's ID).
 	Seed int64
 
 	// Controller optionally overrides the per-tenant controller
@@ -65,7 +64,7 @@ type Config struct {
 	// Lifecycle, when non-nil, runs the model-trust lifecycle (drift
 	// detection, shadow retraining, gated promotion, rollback) for every
 	// tenant. A lifecycle tenant swaps model generations on its own, so it
-	// gets a private predictor like a TenantConfig.Model override. The
+	// predicts privately instead of through the shared cache. The
 	// manager runs on the tenant's simulated clock and retrains from a fixed
 	// seed, so restores by re-execution reproduce every promotion. With
 	// Lifecycle.Dir set, SaveModel persists each tenant's generations under
@@ -95,9 +94,9 @@ type Config struct {
 	// run on simulated time, so alerts are deterministic per tenant.
 	SLOBudget *obs.SLOConfig
 
-	// Dynamic admits an initially empty tenant set and enables runtime
-	// Admit/Evict/Resume — the RPC shard-server mode, where the router
-	// decides placement and the fleet is just this process's slice of it.
+	// Dynamic admits an initially empty tenant set — the RPC shard-server
+	// mode, where the router decides placement through Admit/Evict/Resume
+	// and the fleet is just this process's slice of it.
 	Dynamic bool
 
 	// AuditDir, when set, mirrors each tenant's audit stream into
@@ -106,10 +105,6 @@ type Config struct {
 	// what the previous owner left (a crash mid-append leaves a torn final
 	// line) and verifies the regenerated stream against it.
 	AuditDir string
-
-	// AuditMemory bounds each tenant's in-memory audit record buffer
-	// (default 16; shard servers that stream decisions set it higher).
-	AuditMemory int
 
 	// Brownout, when non-empty, is a scripted brownout schedule keyed by
 	// tick index: every tenant walks the degradation ladder toward the
@@ -141,10 +136,15 @@ func scriptedStep(phases []BrownoutPhase, tick int) overload.Step {
 	return s
 }
 
-// TenantConfig describes one tenant application.
+// auditMemory is how many audit records each tenant keeps in memory for
+// Records (the decision-stream endpoint's source).
+const auditMemory = 16
+
+// TenantConfig describes one tenant application. Every tenant runs the
+// fleet's application graph, model and bounds.
 type TenantConfig struct {
-	// ID names the tenant; it determines shard placement and the audit
-	// stream identity. IDs must be unique.
+	// ID names the tenant; it seeds the tenant's engine and names its audit
+	// stream. IDs must be unique.
 	ID string
 	// Rate is the open-loop arrival-rate shape (req/s as a function of
 	// simulated time). Nil means a constant 150 req/s.
@@ -153,37 +153,22 @@ type TenantConfig struct {
 	// user threads, the Azure-trace replay); Rate then only sizes the warm
 	// start.
 	Users func(t float64) int
-	// Seed pins the tenant's engine seed; 0 derives one from the fleet
-	// seed and the tenant ID.
-	Seed int64
 	// Chaos, when non-nil, is played against the tenant's cluster at
 	// start (event times are absolute simulated times).
 	Chaos *chaos.Scenario
 	// PanicAt, when positive, schedules a panic inside the tenant's tick
 	// at that simulated time — the containment path's test hook.
 	PanicAt float64
-
-	// App optionally overrides the fleet-wide application graph — a
-	// heterogeneous fleet mixes topologies in one process. Override
-	// tenants get a private (uncached) predictor: the shared inference
-	// service serves only the fleet-wide model/topology pair.
-	App *app.App
-	// Model optionally overrides the shared latency model (private
-	// predictor, same caveat as App).
-	Model *gnn.Model
 	// SLO, when positive, overrides the fleet SLO (seconds) for this
 	// tenant's controller and violation accounting.
 	SLO float64
-	// Bounds optionally overrides the solver's per-service quota bounds.
-	Bounds *core.Bounds
 }
 
 // Tenant is one running application controller and everything tenant-scoped
 // around it. During Run it is owned by exactly one worker at a time; after
 // Run returns it may be inspected freely.
 type Tenant struct {
-	ID    string
-	Shard int
+	ID string
 
 	Eng     *sim.Engine
 	Cluster *cluster.Cluster
@@ -248,8 +233,7 @@ func (t *Tenant) BrownoutTransitions() int { return t.bTrans }
 
 // AuditLog returns the tenant's JSONL audit stream so far, in a new slice
 // each call. Byte-identical across same-seed runs regardless of worker
-// count, shard count or GOMAXPROCS. Call from the driving goroutine (not
-// during a round).
+// count or GOMAXPROCS. Call from the driving goroutine (not during a round).
 func (t *Tenant) AuditLog() []byte {
 	t.tel.Flight.Flush()
 	return t.audit.Bytes()
@@ -285,7 +269,6 @@ func (t *Tenant) Quotas() map[string]float64 {
 type Fleet struct {
 	cfg     Config
 	tenants []*Tenant
-	shards  [][]*Tenant
 	svc     *InferenceService
 	fobs    *obs.FleetObs
 	tracer  *obs.Tracer
@@ -305,13 +288,6 @@ type Fleet struct {
 	// Written by the driving goroutine before a round, read by workers.
 	traceMu     sync.Mutex
 	traceParent obs.SpanContext
-}
-
-// shardOf deterministically places a tenant ID.
-func shardOf(id string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(shards))
 }
 
 // SanitizeID maps a tenant ID onto the filename-safe form used for its
@@ -343,20 +319,15 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = cfg.Workers
-		if !cfg.Dynamic {
-			cfg.Shards = min(cfg.Workers, len(cfg.Tenants))
-		}
-	}
-	if cfg.Shards > len(cfg.Tenants) && !cfg.Dynamic {
-		return nil, fmt.Errorf("fleet: %d shards exceed %d tenants", cfg.Shards, len(cfg.Tenants))
-	}
 	if cfg.TickS <= 0 {
 		cfg.TickS = 5
 	}
 	if cfg.SLO <= 0 {
 		return nil, fmt.Errorf("fleet: SLO must be positive")
+	}
+	if n := len(cfg.App.Services); len(cfg.Bounds.Lo) != n || len(cfg.Bounds.Hi) != n {
+		return nil, fmt.Errorf("fleet: bounds sized %d/%d for app %s with %d services",
+			len(cfg.Bounds.Lo), len(cfg.Bounds.Hi), cfg.App.Name, n)
 	}
 
 	f := &Fleet{cfg: cfg, fobs: obs.NewFleetObs(cfg.Obs), tracer: cfg.Tracer}
@@ -390,53 +361,25 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		f.tenants = append(f.tenants, t)
 	}
-	// Sorted tenant order everywhere: shard membership lists, summaries
-	// and checkpoints are then independent of Config.Tenants ordering.
+	// Sorted tenant order everywhere: dispatch, summaries and checkpoints
+	// are then independent of Config.Tenants ordering.
 	sort.Slice(f.tenants, func(i, j int) bool { return f.tenants[i].ID < f.tenants[j].ID })
-	f.shards = make([][]*Tenant, cfg.Shards)
-	for _, t := range f.tenants {
-		f.shards[t.Shard] = append(f.shards[t.Shard], t)
-	}
 	return f, nil
 }
 
 func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 	cfg := f.cfg
-	seed := tc.Seed
-	if seed == 0 {
-		h := fnv.New32a()
-		h.Write([]byte(tc.ID))
-		seed = cfg.Seed + int64(h.Sum32())
-	}
-	// Per-tenant heterogeneity: topology, model, SLO and bounds may all be
-	// overridden. An overridden topology or model cannot ride the shared
-	// service (it was built for the fleet-wide pair), so those
-	// tenants get a private predictor below.
-	tapp := cfg.App
-	if tc.App != nil {
-		tapp = tc.App
-	}
-	model := cfg.Model
-	if tc.Model != nil {
-		model = tc.Model
-	}
-	private := tc.App != nil || tc.Model != nil || cfg.Lifecycle != nil
+	h := fnv.New32a()
+	h.Write([]byte(tc.ID))
+	seed := cfg.Seed + int64(h.Sum32())
 	slo := cfg.SLO
 	if tc.SLO > 0 {
 		slo = tc.SLO
 	}
-	bounds := cfg.Bounds
-	if tc.Bounds != nil {
-		bounds = *tc.Bounds
-	}
-	if len(bounds.Lo) != len(tapp.Services) || len(bounds.Hi) != len(tapp.Services) {
-		return nil, fmt.Errorf("fleet: tenant %s: bounds sized %d/%d for app %s with %d services",
-			tc.ID, len(bounds.Lo), len(bounds.Hi), tapp.Name, len(tapp.Services))
-	}
 
-	t := &Tenant{ID: tc.ID, Shard: shardOf(tc.ID, cfg.Shards), slo: slo, auditSum: fnv.New64a()}
+	t := &Tenant{ID: tc.ID, slo: slo, auditSum: fnv.New64a()}
 	t.Eng = sim.NewEngine(seed)
-	t.Cluster = cluster.New(t.Eng, tapp, cluster.DefaultConfig())
+	t.Cluster = cluster.New(t.Eng, cfg.App, cluster.DefaultConfig())
 	t.Cluster.DeclareLookback(cluster.E2ELatency, cfg.TickS) // tick's p99 over the interval it just ran
 
 	// Per-tenant telemetry: the audit stream goes to a private buffer so
@@ -453,11 +396,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 		t.auditFile = file
 		auditW = io.MultiWriter(auditW, file)
 	}
-	mem := cfg.AuditMemory
-	if mem <= 0 {
-		mem = 16
-	}
-	t.tel = obs.New(obs.Options{AuditW: auditW, AuditMemory: mem})
+	t.tel = obs.New(obs.Options{AuditW: auditW, AuditMemory: auditMemory})
 	t.tel.SetTracer(f.tracer)
 	t.Cluster.Obs = obs.NewClusterObs(t.tel)
 
@@ -472,15 +411,15 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 
 	ccfg := f.controllerConfig(slo)
 
-	var predictor core.LatencyModel = model
-	if !private {
+	var predictor core.LatencyModel = cfg.Model
+	if cfg.Lifecycle == nil {
 		t.pred = f.svc.NewPredictor()
 		predictor = t.pred
 	}
-	an := core.NewAnalyzer(tapp)
-	t.Ctl = core.NewController(t.Cluster, predictor, an, bounds, ccfg)
+	an := core.NewAnalyzer(cfg.App)
+	t.Ctl = core.NewController(t.Cluster, predictor, an, cfg.Bounds, ccfg)
 	t.Ctl.Obs = obs.NewControllerObs(t.tel)
-	t.tel.Flight.Record(core.HeaderRecord(tapp, ccfg, t.Eng.Now()))
+	t.tel.Flight.Record(core.HeaderRecord(cfg.App, ccfg, t.Eng.Now()))
 	t.Ctl.Start()
 	if cfg.Lifecycle != nil {
 		lcfg := *cfg.Lifecycle
@@ -490,7 +429,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 				return nil, fmt.Errorf("fleet: tenant %s model archive: %w", tc.ID, err)
 			}
 		}
-		t.lc = lifecycle.NewManager(t.Cluster, model, bounds, slo, lcfg)
+		t.lc = lifecycle.NewManager(t.Cluster, cfg.Model, cfg.Bounds, slo, lcfg)
 		t.lc.Obs = obs.NewLifecycleObs(t.tel)
 		t.lc.SaveModel = cfg.SaveModel
 		t.lc.PersistIncumbent()
@@ -519,7 +458,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 }
 
 // Run advances every live tenant through rounds of TickS simulated seconds
-// until each has covered durS. Shards are dispatched to the worker pool
+// until each has covered durS. Tenants are dispatched to the worker pool
 // each round with a barrier between rounds, so no tenant can run more than
 // one tick ahead of another.
 func (f *Fleet) Run(durS float64) {
@@ -581,35 +520,29 @@ func (f *Fleet) RoundTo(round int) {
 	f.publishRound()
 }
 
-// runRound dispatches shards to the worker pool. A nil filter ticks every
-// live tenant; otherwise only tenants the filter accepts are ticked.
+// runRound hands tenants, in sorted ID order, to the worker pool one at a
+// time. A nil filter ticks every live tenant; otherwise only tenants the
+// filter accepts are ticked. Which worker ticks a tenant moves nothing a
+// tenant writes: each owns its engine and its audit stream.
 func (f *Fleet) runRound(filter func(*Tenant) bool) {
-	workers := f.cfg.Workers
-	if workers > len(f.shards) {
-		workers = len(f.shards)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	shardC := make(chan []*Tenant)
+	workers := max(1, min(f.cfg.Workers, len(f.tenants)))
+	tenantC := make(chan *Tenant)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for shard := range shardC {
-				for _, t := range shard {
-					if filter == nil || filter(t) {
-						f.tick(t)
-					}
-				}
+			for t := range tenantC {
+				f.tick(t)
 			}
 		}()
 	}
-	for _, shard := range f.shards {
-		shardC <- shard
+	for _, t := range f.tenants {
+		if filter == nil || filter(t) {
+			tenantC <- t
+		}
 	}
-	close(shardC)
+	close(tenantC)
 	wg.Wait()
 }
 
@@ -642,7 +575,6 @@ func (f *Fleet) Admit(tc TenantConfig) (*Tenant, error) {
 	}
 	f.tenants = append(f.tenants, t)
 	sort.Slice(f.tenants, func(i, j int) bool { return f.tenants[i].ID < f.tenants[j].ID })
-	f.rebucket()
 	return t, nil
 }
 
@@ -670,7 +602,6 @@ func (f *Fleet) Evict(id string) (*Tenant, error) {
 		}
 	}
 	f.tenants = out
-	f.rebucket()
 	return t, nil
 }
 
@@ -846,14 +777,6 @@ func CheckpointedTicks(dir, id string) (int, error) {
 		return 0, err
 	}
 	return snap.Ticks, nil
-}
-
-// rebucket rebuilds the shard membership lists after an admit or evict.
-func (f *Fleet) rebucket() {
-	f.shards = make([][]*Tenant, f.cfg.Shards)
-	for _, t := range f.tenants {
-		f.shards[t.Shard] = append(f.shards[t.Shard], t)
-	}
 }
 
 // SetTraceParent names the span the next rounds' tenant tick spans nest
@@ -1034,7 +957,6 @@ func (f *Fleet) Tenant(id string) *Tenant {
 // Stats summarizes a fleet run.
 type Stats struct {
 	Tenants  int
-	Shards   int
 	Degraded int
 	Rounds   int
 	Ticks    int
@@ -1056,7 +978,7 @@ type Stats struct {
 // Stats aggregates the fleet's accounting. Call after Run (or between
 // rounds from the driving goroutine).
 func (f *Fleet) Stats() Stats {
-	s := Stats{Tenants: len(f.tenants), Shards: f.cfg.Shards, Rounds: f.rounds, Panics: f.panics}
+	s := Stats{Tenants: len(f.tenants), Rounds: f.rounds, Panics: f.panics}
 	for _, t := range f.tenants {
 		s.Ticks += t.ticks
 		s.ViolationSeconds += t.violS

@@ -24,7 +24,7 @@ import (
 // testConfig builds a small fleet over a synthetic chain app with a fresh
 // (untrained) model — predictions are arbitrary but deterministic, which is
 // all the scheduling, containment and determinism tests need.
-func testConfig(tenants, workers, shards int) Config {
+func testConfig(tenants, workers int) Config {
 	a := app.SyntheticChain(4)
 	m := gnn.New(gnn.DefaultConfig(len(a.Services), a.Parents()), rand.New(rand.NewSource(42)))
 	n := len(a.Services)
@@ -38,8 +38,7 @@ func testConfig(tenants, workers, shards int) Config {
 		Bounds:  core.Bounds{Lo: lo, Hi: hi},
 		SLO:     0.25,
 		MinRate: 50, MaxRate: 400,
-		Workers: workers, Shards: shards,
-		TickS: 5, Seed: 1,
+		Workers: workers, TickS: 5, Seed: 1,
 	}
 	for i := 0; i < tenants; i++ {
 		cfg.Tenants = append(cfg.Tenants, TenantConfig{
@@ -51,7 +50,7 @@ func testConfig(tenants, workers, shards int) Config {
 }
 
 func TestFleetRunBasics(t *testing.T) {
-	f, err := New(testConfig(4, 2, 2))
+	f, err := New(testConfig(4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,47 +75,18 @@ func TestFleetRunBasics(t *testing.T) {
 	}
 }
 
-func TestFleetShardAssignmentIsDeterministic(t *testing.T) {
-	cfg := testConfig(8, 4, 4)
-	f1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := New(testConfig(8, 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tn := range f1.Tenants() {
-		if got := f2.Tenants()[i]; got.ID != tn.ID || got.Shard != tn.Shard {
-			t.Fatalf("shard assignment differs: %s/%d vs %s/%d", tn.ID, tn.Shard, got.ID, got.Shard)
-		}
-		if want := shardOf(tn.ID, 4); tn.Shard != want {
-			t.Fatalf("tenant %s on shard %d, fnv says %d", tn.ID, tn.Shard, want)
-		}
-	}
-}
-
 func TestFleetRejectsBadConfigs(t *testing.T) {
-	cfg := testConfig(2, 2, 2)
-	cfg.Shards = 3
-	if _, err := New(cfg); err == nil {
-		t.Fatal("accepted more shards than tenants")
+	// The defaults are not a bad config: eight workers over a two-tenant
+	// fleet.
+	if _, err := New(testConfig(2, 0)); err != nil {
+		t.Fatalf("default workers over two tenants: %v", err)
 	}
-	// The defaults are not a bad config: eight workers' worth of shards
-	// shrink to a two-tenant fleet.
-	f, err := New(testConfig(2, 0, 0))
-	if err != nil {
-		t.Fatalf("default workers and shards over two tenants: %v", err)
-	}
-	if n := f.Stats().Shards; n != 2 {
-		t.Fatalf("default shards over two tenants: %d, want 2", n)
-	}
-	cfg = testConfig(2, 2, 2)
+	cfg := testConfig(2, 2)
 	cfg.Tenants[1].ID = cfg.Tenants[0].ID
 	if _, err := New(cfg); err == nil {
 		t.Fatal("accepted duplicate tenant IDs")
 	}
-	cfg = testConfig(1, 1, 1)
+	cfg = testConfig(1, 1)
 	cfg.Tenants = nil
 	if _, err := New(cfg); err == nil {
 		t.Fatal("accepted empty tenant set")
@@ -130,7 +100,7 @@ func TestFleetRejectsBadConfigs(t *testing.T) {
 // without the panic.
 func TestFleetSmoke(t *testing.T) {
 	build := func(withPanic bool) *Fleet {
-		cfg := testConfig(4, 2, 2)
+		cfg := testConfig(4, 2)
 		// One chaos event in both runs: kill an instance of tenant-01's
 		// frontend at t=12s.
 		sc := &chaos.Scenario{Events: []chaos.Event{chaos.Kill(12, "svc0", 1)}}
@@ -178,7 +148,7 @@ func TestFleetSmoke(t *testing.T) {
 
 func TestFleetCheckpointNamespaces(t *testing.T) {
 	dir := t.TempDir()
-	f, err := New(testConfig(3, 1, 1))
+	f, err := New(testConfig(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +183,7 @@ func TestCheckpointCostIgnoresOtherTenantsFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		f, err := New(testConfig(1, 1, 1))
+		f, err := New(testConfig(1, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +227,7 @@ func TestCheckpointGenerationsSurviveMigrationAndBack(t *testing.T) {
 		}
 	}
 	dyn := func() *Fleet {
-		cfg := testConfig(0, 1, 1)
+		cfg := testConfig(0, 1)
 		cfg.Dynamic = true
 		f, err := New(cfg)
 		if err != nil {
@@ -267,7 +237,7 @@ func TestCheckpointGenerationsSurviveMigrationAndBack(t *testing.T) {
 		t.Cleanup(f.Stop)
 		return f
 	}
-	tc := testConfig(1, 1, 1).Tenants[0]
+	tc := testConfig(1, 1).Tenants[0]
 	move := func(from, to *Fleet) {
 		t.Helper()
 		ticks := from.Tenant(tc.ID).Ticks()
@@ -306,7 +276,7 @@ func TestAuditDigestMatchesAuditLog(t *testing.T) {
 		return n, sum
 	}
 	dir := t.TempDir()
-	cfg := testConfig(2, 2, 1)
+	cfg := testConfig(2, 2)
 	cfg.AuditDir = dir
 	f, err := New(cfg)
 	if err != nil {
@@ -329,7 +299,7 @@ func TestAuditDigestMatchesAuditLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gcfg := testConfig(0, 1, 1)
+	gcfg := testConfig(0, 1)
 	gcfg.Dynamic, gcfg.AuditDir = true, dir
 	g, err := New(gcfg)
 	if err != nil {
@@ -363,7 +333,7 @@ func TestAuditDigestMatchesAuditLog(t *testing.T) {
 // snapshots a forecasting fleet really takes, the file must have the length
 // of one framed from a fresh encoder's stream and decode to the same snapshot.
 func TestCheckpointEncodingMatchesFreshEncoder(t *testing.T) {
-	cfg := testConfig(3, 1, 1)
+	cfg := testConfig(3, 1)
 	ccfg := core.DefaultControllerConfig(cfg.SLO)
 	ccfg.Forecast = forecast.Config{Enabled: true, Model: "hw"}
 	cfg.Controller = &ccfg

@@ -17,7 +17,7 @@ import (
 // no breaker to second-guess it, so after the first solve hysteresis keeps
 // the configuration.
 func steadyConfig(a *app.App) Config {
-	cfg := testConfig(1, 1, 1)
+	cfg := testConfig(1, 1)
 	n := len(a.Services)
 	cfg.App = a
 	cfg.Model = gnn.New(gnn.DefaultConfig(n, a.Parents()), rand.New(rand.NewSource(42)))
@@ -95,7 +95,7 @@ func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 // windows count what they are given and hold none of it, while the signals
 // the controller and the tick read hold about one look-back each.
 func TestTenantRetainsOnlySignalsItReads(t *testing.T) {
-	f, err := New(testConfig(1, 1, 1))
+	f, err := New(testConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

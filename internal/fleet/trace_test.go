@@ -14,7 +14,7 @@ import (
 // simulated time only.
 func TestFleetAuditByteIdenticalWithTracing(t *testing.T) {
 	run := func(trace bool) map[string][]byte {
-		cfg := testConfig(5, 4, 4)
+		cfg := testConfig(5, 4)
 		if trace {
 			cfg.Tracer = obs.NewTracer(obs.TracerOptions{
 				Seed: obs.DeriveTraceSeed(cfg.Seed, "test"), Proc: "test",
@@ -59,7 +59,7 @@ func TestFleetAuditByteIdenticalWithTracing(t *testing.T) {
 // trace needs: tenant ticks, controller decision stages, and inference
 // forward passes all land under the round root.
 func TestFleetTraceCoversControlPlane(t *testing.T) {
-	cfg := testConfig(4, 3, 3)
+	cfg := testConfig(4, 3)
 	tracer := obs.NewTracer(obs.TracerOptions{
 		Seed: obs.DeriveTraceSeed(cfg.Seed, "test"), Proc: "test",
 	})
@@ -110,7 +110,7 @@ func TestFleetTraceCoversControlPlane(t *testing.T) {
 // (b) any "slo" records appear in the stream via the flight recorder.
 func TestFleetSLOAlertsDeterministicAndAudited(t *testing.T) {
 	run := func() map[string][]byte {
-		cfg := testConfig(4, 3, 3)
+		cfg := testConfig(4, 3)
 		// A tiny budget with short windows makes ordinary transient
 		// violations (if any) alert quickly; determinism holds either way.
 		cfg.SLOBudget = &obs.SLOConfig{Budget: 0.001, FastWindowS: 20, SlowWindowS: 60}
@@ -136,7 +136,7 @@ func TestFleetSLOAlertsDeterministicAndAudited(t *testing.T) {
 // TestFleetSLOOffByDefault: a nil SLOBudget leaves the audit stream exactly
 // as it was before the monitor existed (no "slo" records ever).
 func TestFleetSLOOffByDefault(t *testing.T) {
-	cfg := testConfig(3, 2, 2)
+	cfg := testConfig(3, 2)
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 package obs
 
-// FleetObs observes the sharded multi-tenant control plane: per-tenant tick
+// FleetObs observes the multi-tenant control plane: per-tenant tick
 // and SLO accounting under a {tenant} label, fleet-wide aggregates, and the
 // shared prediction cache's counters. Like every hook
 // in this package it is a valid no-op when nil. Its methods are called from

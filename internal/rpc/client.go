@@ -46,13 +46,6 @@ type ClientConfig struct {
 	BreakerCooldown time.Duration
 	// Seed makes the jitter sequence reproducible (0 = 1).
 	Seed int64
-	// OpBudget bounds each logical call end-to-end — attempts, backoff
-	// sleeps and Retry-After waits included. An attempt (or sleep) that
-	// cannot fit in the remaining budget is refused with ErrBudgetExhausted
-	// instead of started; the remaining budget is forwarded to the shard in
-	// the Graf-Deadline-Ms header so it can shed work that would complete
-	// past the deadline. 0 = unbounded (per-attempt Timeout still applies).
-	OpBudget time.Duration
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -102,10 +95,10 @@ var errDropped = fmt.Errorf("rpc: request dropped (injected fault)")
 // circuit breaker is open.
 var ErrBreakerOpen = fmt.Errorf("rpc: circuit breaker open")
 
-// ErrBudgetExhausted is returned when a call's end-to-end budget (OpBudget
-// and/or a router-stamped round deadline) cannot fit another attempt or
-// backoff sleep. It means "out of time", not "shard broken" — callers treat
-// it like shed work, not failure.
+// ErrBudgetExhausted is returned when the deadline installed by SetDeadline
+// (the router stamps one per round) cannot fit another attempt or backoff
+// sleep. It means "out of time", not "shard broken" — callers treat it like
+// shed work, not failure.
 var ErrBudgetExhausted = errors.New("rpc: op budget exhausted")
 
 // ErrFencedEpoch is the typed match target for a shard's 409 stale-epoch
@@ -212,27 +205,24 @@ func (c *Client) SetRound(r int) {
 }
 
 // SetDeadline installs an absolute end-to-end deadline every subsequent call
-// must fit within — the router stamps one per round so slow shards cannot
-// stretch a round past its budget. The zero time clears it. OpBudget, when
-// also set, still applies per call; the effective deadline is the earlier.
+// must fit within — attempts, backoff sleeps and Retry-After waits
+// included. The router stamps one per round so slow shards cannot stretch a
+// round past its budget. An attempt (or sleep) that cannot fit is refused
+// with ErrBudgetExhausted instead of started, and the remaining budget is
+// forwarded to the shard in the Graf-Deadline-Ms header so it can shed work
+// that would complete past the deadline. The zero time clears it (the
+// per-attempt Timeout still applies).
 func (c *Client) SetDeadline(t time.Time) {
 	c.mu.Lock()
 	c.deadline = t
 	c.mu.Unlock()
 }
 
-// callDeadline resolves the effective deadline for one logical call: the
-// earlier of the installed round deadline and now+OpBudget. Zero = unbounded.
+// callDeadline is the deadline installed by SetDeadline (zero = unbounded).
 func (c *Client) callDeadline() time.Time {
 	c.mu.Lock()
-	d := c.deadline
-	c.mu.Unlock()
-	if c.cfg.OpBudget > 0 {
-		if od := time.Now().Add(c.cfg.OpBudget); d.IsZero() || od.Before(d) {
-			d = od
-		}
-	}
-	return d
+	defer c.mu.Unlock()
+	return c.deadline
 }
 
 // allow consults the shard's breaker before an attempt. transition is
@@ -339,7 +329,7 @@ func (c *Client) call(shard, method, path, op string, in, out any, parent ...obs
 }
 
 // callLoop is call's retry loop, running inside the call span. The loop is
-// budget-aware end to end: the effective deadline is resolved once, every
+// budget-aware end to end: the installed deadline is read once, every
 // sleep (backoff or Retry-After) that would overrun it is refused, and the
 // remaining budget rides to the shard in the Graf-Deadline-Ms header.
 func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, span *obs.ActiveSpan) error {

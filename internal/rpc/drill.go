@@ -550,7 +550,6 @@ func ReferenceAudit(bundle ModelBundle, spec Spec, ids []string, rounds int) (ma
 		return nil, err
 	}
 	cfg.Dynamic = false
-	cfg.Shards = 1
 	cfg.Workers = 1
 	for _, id := range ids {
 		cfg.Tenants = append(cfg.Tenants, spec.TenantConfig(id))

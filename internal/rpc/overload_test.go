@@ -21,11 +21,11 @@ import (
 )
 
 // TestClientOpBudgetBoundsElapsed pins the end-to-end budget contract: under
-// injected per-attempt latency, a call with an OpBudget returns within the
-// budget (plus one attempt's slack — an in-flight attempt is cancelled by
-// context, not abandoned instantly), fails typed with ErrBudgetExhausted,
-// and every attempt that did go out carried a positive, non-increasing
-// Graf-Deadline-Ms budget.
+// injected per-attempt latency, a call under a SetDeadline budget returns
+// within the budget (plus one attempt's slack — an in-flight attempt is
+// cancelled by context, not abandoned instantly), fails typed with
+// ErrBudgetExhausted, and every attempt that did go out carried a positive,
+// non-increasing Graf-Deadline-Ms budget.
 func TestClientOpBudgetBoundsElapsed(t *testing.T) {
 	var mu sync.Mutex
 	var headers []int64
@@ -55,10 +55,10 @@ func TestClientOpBudgetBoundsElapsed(t *testing.T) {
 		Retries:     10, // budget must stop the loop, not retry exhaustion
 		BackoffBase: 20 * time.Millisecond,
 		BackoffMax:  40 * time.Millisecond,
-		OpBudget:    budget,
 	}, nil)
 
 	start := time.Now()
+	c.SetDeadline(start.Add(budget))
 	err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrBudgetExhausted) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"graf/internal/ckpt"
@@ -79,7 +80,7 @@ func (p *placement) note(sts ...TenantStatus) {
 	}
 }
 
-// live returns the live slots' addresses, in slot order: the ring's members.
+// live returns the live slots' addresses, in slot order.
 func (p *placement) live() []string {
 	var out []string
 	for _, s := range p.Slots {
@@ -114,8 +115,31 @@ func (p *placement) candidates(want ...string) []string {
 	return out
 }
 
+// ring is the consistent-hash ring over the live slots. Its members are slot
+// numbers, not addresses: a tenant's ring home then depends only on which
+// slots are alive — the same in every run of a schedule, whatever ports the
+// shards bound, and the same after its slot respawns at another address.
+func (p *placement) ring() *Ring {
+	var slots []string
+	for _, s := range p.Slots {
+		if s.Alive {
+			slots = append(slots, strconv.Itoa(s.Slot))
+		}
+	}
+	return NewRing(ringVNodes, slots...)
+}
+
+// ringAddr is the address of id's slot on ring ("" on an empty ring).
+func (p *placement) ringAddr(id string, ring *Ring) string {
+	slot, err := strconv.Atoi(ring.Lookup(id))
+	if err != nil {
+		return ""
+	}
+	return p.Slots[slot].Addr
+}
+
 // home is a tenant's ring placement.
-func (p *placement) home(id string, ring *Ring) []string { return p.candidates(ring.Lookup(id)) }
+func (p *placement) home(id string, ring *Ring) []string { return p.candidates(p.ringAddr(id, ring)) }
 
 // migrateTo is a migration's: the target, then rollback onto the source (its
 // audit log and checkpoint are intact there), then every other survivor.
@@ -126,7 +150,7 @@ func (p *placement) migrateTo(id, to string) []string {
 // rollForward is a drained migration's completion after a router death:
 // forward onto the target, else back to the source, else the ring.
 func (p *placement) rollForward(m *migrationRecord, ring *Ring) []string {
-	return p.candidates(m.To, m.From, ring.Lookup(m.Tenant))
+	return p.candidates(m.To, m.From, p.ringAddr(m.Tenant, ring))
 }
 
 // residence is one tenant's status as one shard reports it.
@@ -372,7 +396,7 @@ func (r *Router) reconcile() (*ReconcileReport, error) {
 		r.logf("reconcile: tenant %s duplicate on %s evicted", h.st.ID, h.addr)
 	}
 	if m != nil {
-		won, _ := r.place(m.Tenant, span.Context(), r.p.rollForward(m, NewRing(ringVNodes, r.p.live()...))...)
+		won, _ := r.place(m.Tenant, span.Context(), r.p.rollForward(m, r.p.ring())...)
 		switch {
 		case won != "" && won == m.To:
 			rep.MigrationAction = "rolled-forward"

@@ -6,12 +6,11 @@ import (
 	"sort"
 )
 
-// Ring is a consistent-hash ring mapping tenant IDs to shard members. It
-// generalizes the in-process fleet's fnv-1a modulo placement: with virtual
-// nodes, removing a dead shard reassigns only that shard's tenants instead
-// of reshuffling the whole population — the property shard-loss rebalancing
-// depends on to bound recovery work. A ring is immutable: the router derives
-// a fresh one from its live slots whenever it places by ring.
+// Ring is a consistent-hash ring mapping tenant IDs to shard members. With
+// virtual nodes, removing a dead shard reassigns only that shard's tenants
+// instead of reshuffling the whole population — the property shard-loss
+// rebalancing depends on to bound recovery work. A ring is immutable: the
+// router derives a fresh one from its live slots whenever it places by ring.
 type Ring struct {
 	points []ringPoint // sorted by hash
 }
@@ -37,10 +36,17 @@ func NewRing(vnodes int, members ...string) *Ring {
 	return r
 }
 
+// hash64 places a key or a virtual node on the ring: fnv-1a/64 through
+// splitmix64's finalizer. The ring orders points by their top bits, which
+// fnv-1a barely moves when only a key's last bytes differ — without the
+// finalizer "tenant-00" … "tenant-15" all land on one member.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	z := h.Sum64()
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Lookup maps a key to its owning member ("" when the ring is empty).

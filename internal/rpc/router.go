@@ -377,7 +377,7 @@ func (r *Router) placeUnplaced(parent obs.SpanContext) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	ring := NewRing(ringVNodes, r.p.live()...)
+	ring := r.p.ring()
 	for _, id := range ids {
 		if _, err := r.place(id, parent, r.p.home(id, ring)...); err != nil {
 			return err
@@ -555,7 +555,7 @@ func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
 	if err != nil {
 		return err
 	}
-	ring := NewRing(ringVNodes, r.p.live()...)
+	ring := r.p.ring()
 	for _, id := range orphans {
 		home := []string{addr}
 		if addr == "" {

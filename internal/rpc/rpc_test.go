@@ -117,6 +117,35 @@ func TestRingLookupStableAndMinimalMovement(t *testing.T) {
 	}
 }
 
+// TestRingSpreadsSequentialTenantIDs: IDs that differ only in their last
+// bytes ("tenant-00", "tenant-01", ...) must spread over the members. Plain
+// fnv-1a barely moves its top bits for a change in the last byte, and the
+// ring compares top bits first, so without a finalizer every such ID
+// landed on one member.
+func TestRingSpreadsSequentialTenantIDs(t *testing.T) {
+	members := []string{"127.0.0.1:7711", "127.0.0.1:7712"}
+	r := NewRing(ringVNodes, members...)
+	owned := map[string]int{}
+	for i := 0; i < 16; i++ {
+		owned[r.Lookup(fmt.Sprintf("tenant-%02d", i))]++
+	}
+	for _, m := range members {
+		if owned[m] == 0 {
+			t.Errorf("tenant-00…tenant-15: %s owns none (%v)", m, owned)
+		}
+	}
+	clear(owned)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		owned[r.Lookup(fmt.Sprintf("tenant-%03d", i))]++
+	}
+	for _, m := range members {
+		if owned[m] < n/4 {
+			t.Errorf("tenant-000…tenant-999: %s owns %d of %d, want at least %d (%v)", m, owned[m], n, n/4, owned)
+		}
+	}
+}
+
 func TestClientRetriesAndBreaker(t *testing.T) {
 	var calls atomic.Int64
 	var failing atomic.Bool

@@ -59,8 +59,6 @@ type Spec struct {
 	WarmStart bool `json:"warm_start"`
 	// Workers sizes each shard process's tick worker pool (0 = default).
 	Workers int `json:"workers,omitempty"`
-	// AuditMemory bounds per-tenant in-memory audit retention (0 = default).
-	AuditMemory int `json:"audit_memory,omitempty"`
 	// Trace enables control-plane tracing in every process built from this
 	// spec; each shard derives its tracer seed from Seed plus its own
 	// address, so same-seed runs mint identical (per-process) ID streams.
@@ -256,8 +254,8 @@ func (s Spec) RateFn() func(float64) float64 {
 }
 
 // TenantConfig builds the fleet tenant description for one tenant ID. The
-// zero tenant Seed means the fleet derives it from Spec.Seed and the ID —
-// the same derivation in every process.
+// fleet derives the tenant's engine seed from Spec.Seed and the ID — the
+// same derivation in every process.
 func (s Spec) TenantConfig(id string) fleet.TenantConfig {
 	tc := fleet.TenantConfig{ID: id, Rate: s.RateFn(), SLO: float64(s.SLOMS) / 1000}
 	if s.Shape == "azure" {
@@ -303,21 +301,20 @@ func (s Spec) FleetConfig(b ModelBundle, auditDir string) (fleet.Config, error) 
 			b.Model.Cfg.Nodes, s.App, len(a.Services))
 	}
 	cfg := fleet.Config{
-		App:         a,
-		Model:       b.Model,
-		Bounds:      b.Bounds,
-		SLO:         b.SLO,
-		MinRate:     b.MinRate,
-		MaxRate:     b.MaxRate,
-		Workers:     s.Workers,
-		TickS:       s.TickS,
-		Seed:        s.Seed,
-		WarmStart:   s.WarmStart,
-		Dynamic:     true,
-		AuditDir:    auditDir,
-		AuditMemory: s.AuditMemory,
-		SLOBudget:   s.SLOBudget,
-		Brownout:    s.Brownout,
+		App:       a,
+		Model:     b.Model,
+		Bounds:    b.Bounds,
+		SLO:       b.SLO,
+		MinRate:   b.MinRate,
+		MaxRate:   b.MaxRate,
+		Workers:   s.Workers,
+		TickS:     s.TickS,
+		Seed:      s.Seed,
+		WarmStart: s.WarmStart,
+		Dynamic:   true,
+		AuditDir:  auditDir,
+		SLOBudget: s.SLOBudget,
+		Brownout:  s.Brownout,
 	}
 	if s.Forecast != "" {
 		ccfg := core.DefaultControllerConfig(b.SLO) // tenants apply their own SLO

@@ -95,7 +95,7 @@ func TestEveryReaderDeclaresWhatItReads(t *testing.T) {
 		{"fleet tenant", func(rate func(float64) float64) {
 			f, err := fleet.New(fleet.Config{
 				App: a, Model: model, Bounds: bounds, SLO: slo, MinRate: 50, MaxRate: 400,
-				Workers: 1, Shards: 1, TickS: 5, Seed: 1,
+				Workers: 1, TickS: 5, Seed: 1,
 				Tenants: []fleet.TenantConfig{{ID: "t", Rate: rate}},
 			})
 			if err != nil {
