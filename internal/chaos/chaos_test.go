@@ -123,16 +123,11 @@ func TestArrivalSamplingUnderReports(t *testing.T) {
 	g := workload.NewOpenLoop(cl, workload.ConstRate(40))
 	g.Start()
 	eng.RunUntil(100)
-	full := 0.0
-	for _, r := range cl.APIArrivalRates(20) {
-		full += r
-	}
+	rates := map[string]float64{}
+	full := cl.FillAPIArrivalRates(rates, 20)
 	cl.SetArrivalSampling(0.1)
 	eng.RunUntil(130)
-	sampled := 0.0
-	for _, r := range cl.APIArrivalRates(20) {
-		sampled += r
-	}
+	sampled := cl.FillAPIArrivalRates(rates, 20)
 	g.Stop()
 	eng.Run()
 	if full <= 0 {

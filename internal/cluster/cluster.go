@@ -157,12 +157,13 @@ type Cluster struct {
 	App *app.App
 	Cfg Config
 
-	deps    map[string]*Deployment
-	names   []string
-	apis    map[string]*apiState
-	traces  *trace.Collector
-	onTrace func(*trace.Trace)
-	e2eAll  *metrics.Window // end-to-end latency, all APIs
+	deps     map[string]*Deployment
+	names    []string
+	apis     map[string]*apiState
+	apiNames []string // the APIs' names, sorted once: the order their rates are summed in
+	traces   *trace.Collector
+	onTrace  func(*trace.Trace)
+	e2eAll   *metrics.Window // end-to-end latency, all APIs
 
 	declared bool // DeclareLookback was called: windows keep what their signal's readers declared, not everything
 
@@ -225,6 +226,10 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 	for _, api := range a.APIs {
 		c.apis[api.Name] = &apiState{name: api.Name, root: c.compile(api.Root), arrivals: metrics.NewWindow("API arrival")}
 	}
+	for name := range c.apis {
+		c.apiNames = append(c.apiNames, name)
+	}
+	sort.Strings(c.apiNames)
 	return c
 }
 
@@ -233,7 +238,7 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 type Signal uint8
 
 const (
-	APIRates     Signal = 1 << iota // APIArrivalRate(s), per API
+	APIRates     Signal = 1 << iota // APIArrivalRate, FillAPIArrivalRates, per API
 	E2ELatency                      // E2ELatencyQuantile, E2EWindow
 	CPU                             // Utilization, CPUPerRequestMS, per service
 	ServiceRates                    // ArrivalRate, ArrivalRateAt, per service
@@ -306,13 +311,23 @@ func (c *Cluster) APIArrivalRate(api string, window float64) float64 {
 	return float64(st.arrivals.Count(from, now)) / (now - from)
 }
 
-// APIArrivalRates returns APIArrivalRate for every API.
-func (c *Cluster) APIArrivalRates(window float64) map[string]float64 {
-	out := make(map[string]float64, len(c.apis))
-	for api := range c.apis {
-		out[api] = c.APIArrivalRate(api, window)
+// APINames returns the names of the application's APIs in sorted order. The
+// slice is the cluster's own: callers must not modify it.
+func (c *Cluster) APINames() []string { return c.apiNames }
+
+// FillAPIArrivalRates sets dst[api] to APIArrivalRate for every API and
+// returns their sum, added in APINames order. Map iteration order is
+// randomized and float addition is not associative, so an unordered sum could
+// differ by an ULP between otherwise identical runs — enough to break the
+// flight recorder's byte-identical same-seed replay. dst is the caller's: a
+// controller fills the same map every decision.
+func (c *Cluster) FillAPIArrivalRates(dst map[string]float64, window float64) (total float64) {
+	for _, api := range c.apiNames {
+		r := c.APIArrivalRate(api, window)
+		dst[api] = r
+		total += r
 	}
-	return out
+	return total
 }
 
 // Deployment returns the deployment for the named service. It panics on an

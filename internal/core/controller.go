@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"graf/internal/cluster"
@@ -295,6 +294,13 @@ type Controller struct {
 	stop func()
 	tk   tick // the decision in flight, reused by every Step
 
+	// What every decision reads and fills, kept across decisions so a held
+	// one allocates nothing: the service names, collect's observed per-API
+	// rates and scaleRates' forecast- and region-scaled copy of them.
+	names  []string
+	rates  map[string]float64
+	scaled map[string]float64
+
 	// OnDecision, if set, observes every applied configuration.
 	OnDecision func(t float64, totalRate float64, sol Solution)
 
@@ -318,8 +324,11 @@ func NewController(cl *cluster.Cluster, m LatencyModel, an *Analyzer, b Bounds, 
 	}
 	cl.DeclareLookback(cluster.APIRates, RateWindowS)
 	cl.DeclareLookback(cluster.E2ELatency|cluster.CPU, 3*RateWindowS) // the measured-p99 and CPU-per-request reads
+	apis := len(cl.APINames())
 	return &Controller{Cluster: cl, Model: m, Analyzer: an, Bounds: b, Cfg: cfg,
-		st: ControllerState{StaleSince: -1, Forecast: fc}}
+		st:    ControllerState{StaleSince: -1, Forecast: fc},
+		names: cl.App.ServiceNames(),
+		rates: make(map[string]float64, apis), scaled: make(map[string]float64, apis)}
 }
 
 // Forecaster returns the controller's workload predictor, or nil when
@@ -426,8 +435,9 @@ func (c *Controller) Stop() {
 }
 
 // tick is one decision in flight: what the stages have read and proposed so
-// far. Nothing in it outlives the step, so the controller keeps one and Step
-// resets it.
+// far. The controller keeps one and Step resets it. Its rate maps are the
+// controller's own (c.rates, c.scaled), refilled by the next step: the flight
+// recorder copies rec.Rates, and nothing else keeps them.
 type tick struct {
 	now float64
 	// rec is the decision's audit record, filled as the stages go: every
@@ -436,7 +446,7 @@ type tick struct {
 	// doubles as the proposal: non-nil means "actuate this".
 	rec    obs.Record
 	live   liveFacts          // what commit needs and rec does not carry
-	rates  map[string]float64 // per-API rates the allocators will see (forecast- and region-scaled)
+	rates  map[string]float64 // per-API rates the allocators will see (forecast- and region-scaled): c.rates or c.scaled
 	scale  float64            // workload-scaling factor (§3.6)
 	sol    Solution           // OnDecision's argument
 	solved bool               // the solver ran this tick
@@ -524,23 +534,9 @@ func (c *Controller) holdRung(t *tick) bool {
 // solve against it, and the fold makes the identical call per record.
 func (c *Controller) collect(t *tick) bool {
 	tCollect := c.wallStart()
-	rates := c.Cluster.APIArrivalRates(RateWindowS)
-	// Sum in sorted key order: map iteration order is randomized, and float
-	// addition is not associative, so an unordered sum can differ by an ULP
-	// between otherwise identical runs — enough to break the flight
-	// recorder's byte-identical same-seed replay contract.
-	var buf [8]string // on the stack for every modelled application's APIs
-	apis := buf[:0]
-	for api := range rates {
-		apis = append(apis, api)
-	}
-	sort.Strings(apis)
-	total := 0.0
-	for _, api := range apis {
-		total += rates[api]
-	}
+	total := c.Cluster.FillAPIArrivalRates(c.rates, RateWindowS)
 	c.stage("collect", tCollect, c.spanAttr("total_rate", total))
-	t.rates, t.rec.Rates, t.rec.Total = rates, rates, total
+	t.rates, t.rec.Rates, t.rec.Total = c.rates, c.rates, total
 
 	pred, matured := c.st.observe(t.now, total)
 	fc := c.st.Forecast
@@ -593,7 +589,7 @@ func (c *Controller) boost(t *tick) bool {
 		last = c.Cluster.Quotas()
 	}
 	boosted := make(map[string]float64, len(last))
-	for i, name := range c.Cluster.App.ServiceNames() {
+	for i, name := range c.names {
 		q, ok := last[name]
 		if !ok {
 			continue
@@ -701,8 +697,8 @@ func (c *Controller) hysteresis(t *tick) bool {
 	return false
 }
 
-// scaleRates settles the per-API rates the allocators will distribute. It
-// never yields.
+// scaleRates settles the per-API rates the allocators will distribute, in
+// c.scaled when either scaling applies. It never yields.
 func (c *Controller) scaleRates(t *tick) bool {
 	rate := solveRate(&t.rec)
 	// Substitute the forecasted total for the observed one, keeping the
@@ -710,11 +706,10 @@ func (c *Controller) scaleRates(t *tick) bool {
 	// distributes the forecasted demand over the same shape.
 	if total := t.rec.Total; total > 0 && rate != total {
 		f := rate / total
-		scaled := make(map[string]float64, len(t.rates))
 		for k, v := range t.rates {
-			scaled[k] = v * f
+			c.scaled[k] = v * f
 		}
-		t.rates = scaled
+		t.rates = c.scaled
 	}
 	// Workload scaling (§3.6): solve inside the trained region, scale the
 	// configuration back proportionally in either direction.
@@ -725,11 +720,12 @@ func (c *Controller) scaleRates(t *tick) bool {
 		t.scale = rate / c.Cfg.TrainedMinRate
 	}
 	if t.scale != 1 {
-		scaled := make(map[string]float64, len(t.rates))
+		// In place when the forecast already scaled: each key is visited
+		// once, so it still divides what the forecast step wrote.
 		for k, v := range t.rates {
-			scaled[k] = v / t.scale
+			c.scaled[k] = v / t.scale
 		}
-		t.rates = scaled
+		t.rates = c.scaled
 	}
 	t.rec.Scale = t.scale
 	return false
@@ -814,7 +810,7 @@ func (c *Controller) solve(t *tick) bool {
 		}
 	default:
 		quotas = make(map[string]float64, len(sol.Quotas))
-		for i, name := range c.Cluster.App.ServiceNames() {
+		for i, name := range c.names {
 			quotas[name] = sol.Quotas[i] * t.scale
 		}
 		if c.Trust() == ModelProbation {
@@ -837,7 +833,7 @@ func (c *Controller) solve(t *tick) bool {
 func (c *Controller) demandBounds(load []float64) (lo, hi []float64) {
 	lo = append([]float64(nil), c.Bounds.Lo...)
 	hi = append([]float64(nil), c.Bounds.Hi...)
-	for i, name := range c.Cluster.App.ServiceNames() {
+	for i, name := range c.names {
 		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(RateWindowS * 3)
 		// req/s × cpu-ms/req = cpu-ms/s = millicores of demand.
 		floor := load[i] * cpuMS / demandFloorUtil
@@ -939,7 +935,7 @@ func (c *Controller) heuristicQuotas(load []float64, scale float64, breakerOpen 
 		util = untrustedUtil
 	}
 	out := make(map[string]float64, len(load))
-	for i, name := range c.Cluster.App.ServiceNames() {
+	for i, name := range c.names {
 		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(RateWindowS * 3)
 		if cpuMS <= 0 {
 			// No telemetry either (e.g. black-holed): fall back to the

@@ -122,10 +122,10 @@ func TestTenantRetainsOnlySignalsItReads(t *testing.T) {
 }
 
 // What a warmed tenant allocates per decision while hysteresis holds: the
-// simulator's requests, telemetry, the controller's tick and the audit
-// record. It measures 0.57 KB on OnlineBoutique (Go 1.24, amd64) and the
-// ceiling is ~1.5× that.
-const steadyDecisionCeilingKB = 0.85
+// simulator's requests, telemetry and the audit log's blocks; the controller
+// and the flight recorder reuse their maps. It measures 0.31 KB on
+// OnlineBoutique (Go 1.24, amd64) and the ceiling is ~1.5× that.
+const steadyDecisionCeilingKB = 0.47
 
 func TestSteadyDecisionAllocation(t *testing.T) {
 	if raceEnabled {

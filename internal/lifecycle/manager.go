@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"sort"
 
 	"graf/internal/cluster"
 	"graf/internal/core"
@@ -183,6 +182,7 @@ type Manager struct {
 	mon        *Monitor
 	hampelP99  *forecast.Hampel
 	hampelRate map[string]*forecast.Hampel
+	rates      map[string]float64 // the Hampel-filtered per-API rates, refilled every tick
 	samples    []gnn.Sample
 
 	candidate  *gnn.Model
@@ -218,6 +218,7 @@ func NewManager(cl *cluster.Cluster, model *gnn.Model, b core.Bounds, slo float6
 		mon:         &Monitor{},
 		hampelP99:   &forecast.Hampel{},
 		hampelRate:  map[string]*forecast.Hampel{},
+		rates:       make(map[string]float64, len(cl.APINames())),
 		archive:     map[int]*gnn.Model{0: model},
 		lastRatio:   1,
 		boundsScale: 1,
@@ -327,21 +328,17 @@ func (m *Manager) Tick() {
 
 	// Sanitized telemetry. Per-API rates and the measured p99 each pass
 	// through their own Hampel filter before anything downstream sees them.
-	rawRates := m.Cl.APIArrivalRates(windowS)
-	apis := make([]string, 0, len(rawRates))
-	for api := range rawRates {
-		apis = append(apis, api)
-	}
-	sort.Strings(apis)
-	rates := make(map[string]float64, len(rawRates))
+	// The sum runs in APINames' sorted order, so it is bit-identical run to
+	// run.
+	rates := m.rates
 	total := 0.0
-	for _, api := range apis {
+	for _, api := range m.Cl.APINames() {
 		h, ok := m.hampelRate[api]
 		if !ok {
 			h = &forecast.Hampel{}
 			m.hampelRate[api] = h
 		}
-		rates[api] = h.Push(rawRates[api])
+		rates[api] = h.Push(m.Cl.APIArrivalRate(api, windowS))
 		total += rates[api]
 	}
 	p99 := m.hampelP99.Push(m.Cl.E2ELatencyQuantile(0.99, windowS))

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sync"
 )
@@ -47,6 +48,9 @@ import (
 // Float64 values round-trip bit-identically through encoding/json (shortest
 // round-trippable decimal), which is what makes bit-exact replay possible
 // from a file on disk.
+//
+// A record handed to FlightRecorder.Record lends it Rates for the call only:
+// the recorder keeps a copy. Every other map and slice it keeps as given.
 type Record struct {
 	Type string  `json:"type"`
 	At   float64 `json:"at"`
@@ -61,7 +65,7 @@ type Record struct {
 	// Decision fields.
 	Kind      string             `json:"kind,omitempty"`
 	Health    string             `json:"health,omitempty"`
-	Rates     map[string]float64 `json:"rates,omitempty"`
+	Rates     map[string]float64 `json:"rates,omitempty"` // the caller's for the Record call only
 	Total     float64            `json:"total,omitempty"`
 	Load      []float64          `json:"load,omitempty"`
 	Lo        []float64          `json:"lo,omitempty"`
@@ -98,7 +102,8 @@ type Record struct {
 
 // FlightRecorder appends Records to an optional JSONL sink and retains the
 // most recent ones in memory (for in-process replay and inspection without
-// any file). Safe for concurrent use.
+// any file). The retained records' Rates maps are the recorder's own. Safe
+// for concurrent use.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	w    *bufio.Writer
@@ -122,18 +127,22 @@ func NewFlightRecorder(w io.Writer, memCap int) *FlightRecorder {
 	return f
 }
 
-// Record appends one record, stamping its sequence number.
+// Record appends one record, stamping its sequence number. rec.Rates is the
+// caller's only for the duration of the call, so a controller can refill one
+// map every decision: the recorder keeps a copy, in the map of the record it
+// evicts when the memory buffer is full. A nil Rates stays nil.
 func (f *FlightRecorder) Record(rec Record) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
 	rec.Seq = f.seq
+	var spare map[string]float64
 	if f.cap > 0 && len(f.mem) >= f.cap {
+		spare = f.mem[0].Rates
 		n := copy(f.mem, f.mem[1:])
 		f.mem = f.mem[:n]
 		f.drop++
 	}
-	f.mem = append(f.mem, rec)
 	if f.w != nil && f.err == nil {
 		// A record encoding/json would refuse (a NaN or infinite float)
 		// writes nothing and stops the stream, as json.Encoder did.
@@ -141,13 +150,30 @@ func (f *FlightRecorder) Record(rec Record) {
 			_, f.err = f.w.Write(f.enc.buf)
 		}
 	}
+	rec.Rates = copyRates(spare, rec.Rates)
+	f.mem = append(f.mem, rec)
 }
 
-// Records returns a copy of the retained in-memory records.
+// copyRates copies src into dst, emptied, or into a new map when dst is nil.
+func copyRates(dst, src map[string]float64) map[string]float64 {
+	if src == nil || dst == nil {
+		return maps.Clone(src)
+	}
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
+}
+
+// Records returns a copy of the retained in-memory records. Their Rates are
+// copies too: the recorder reuses its own maps as later records evict these.
 func (f *FlightRecorder) Records() []Record {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]Record(nil), f.mem...)
+	out := append([]Record(nil), f.mem...)
+	for i := range out {
+		out[i].Rates = maps.Clone(out[i].Rates)
+	}
+	return out
 }
 
 // Dropped returns how many records were evicted from the memory buffer.

@@ -489,6 +489,25 @@ func (e *RemoteError) Is(target error) bool {
 	return target == ErrFencedEpoch && e.Fenced
 }
 
+// maxResponseBytes caps what one response body may be read to.
+const maxResponseBytes = 64 << 20
+
+// respBufs holds the buffers attempt reads response bodies into, so a call
+// costs what it decodes rather than a fresh body buffer. One that grew past
+// keptRespBuf is left to the collector instead of pinning a rare large
+// response's memory.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const keptRespBuf = 1 << 20
+
+func putRespBuf(b *bytes.Buffer) {
+	if b.Cap() > keptRespBuf {
+		return
+	}
+	b.Reset()
+	respBufs.Put(b)
+}
+
 // attempt performs one wire attempt. remaining, when positive, is the call's
 // leftover end-to-end budget: it rides to the shard as Graf-Deadline-Ms and
 // additionally bounds this attempt below the per-attempt Timeout.
@@ -519,10 +538,12 @@ func (c *Client) attempt(shard, method, path string, body []byte, out any, remai
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
+	buf := respBufs.Get().(*bytes.Buffer)
+	defer putRespBuf(buf)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes)); err != nil {
 		return err
 	}
+	data := buf.Bytes() // json.Unmarshal and string(data) copy out of it
 	if resp.StatusCode/100 != 2 {
 		var er errorResponse
 		msg := string(data)
