@@ -10,6 +10,12 @@
 //	grafrouter ... -state-dir s -standby HOST:7171  # probe the primary, take over when it dies
 //	grafrouter ... -state-dir s -resume             # warm restart in place
 //
+// Timings are not flags. The client's timeout, retries, backoff and breaker,
+// the heartbeat that declares a shard dead (3 probes, 20 ms apart) and the
+// standby's probe of the primary (every 50 ms, 4 misses) are rpc constants,
+// and a spawned shard slot is respawned once before its tenants are
+// reassigned.
+//
 // It exits non-zero unless the drill's rpc.Verdict has no error;
 // `lost_decisions=0` on the "router done:" line is the machine-checked
 // success marker (README "Multi-process fleet", "Crash-safe router").
@@ -38,8 +44,7 @@ type routerOptions struct {
 	drill rpc.Drill // flags that are drill fields bind straight into it; validate completes it
 
 	shards, grafdBin, killShard, migrate string
-	netDrop, netDelayMS, roundBudgetMS   float64
-	standbyEveryMS                       float64
+	netDrop, roundBudgetMS               float64
 }
 
 // parseFlags declares grafrouter's flags on fs, parses args and validates.
@@ -49,23 +54,17 @@ func parseFlags(fs *flag.FlagSet, args []string) (*routerOptions, error) {
 	fs.IntVar(&d.Spawn, "spawn", 0, "spawn this many grafd -shard child processes")
 	fs.StringVar(&o.shards, "shards", "", "attach to running shard processes at these comma-separated addresses (instead of -spawn)")
 	fs.StringVar(&o.grafdBin, "grafd-bin", "./grafd", "grafd binary to spawn shards from (with -spawn)")
-	fs.IntVar(&d.CheckpointEveryRounds, "ckpt-every-rounds", 0, "checkpoint every shard each N rounds (0 = only at shutdown)")
-	fs.IntVar(&d.RestartBudget, "restart-budget", 1, "respawns allowed per shard slot before falling back to reassignment (0 = reassign immediately)")
 	fs.StringVar(&o.killShard, "kill-shard", "", "chaos: SIGKILL spawned shard <slot> at the start of round <round>, as slot@round (e.g. 0@12)")
 	fs.StringVar(&o.migrate, "migrate", "", "planned migration tenant@round:slot (e.g. tenant-03@5:1)")
 	fs.Float64Var(&o.netDrop, "net-drop", 0, "chaos: drop each control-plane request with this probability (seeded-deterministic)")
-	fs.Float64Var(&o.netDelayMS, "net-delay-ms", 0, "chaos: add this latency to ~30% of control-plane requests")
 	fs.Float64Var(&o.roundBudgetMS, "round-budget-ms", 0, "end-to-end wall budget per round; the remaining budget propagates to shards as Graf-Deadline-Ms and over-budget ticks are shed, not retried (0 = unbounded)")
 	fs.StringVar(&d.TraceFile, "trace", "", "enable control-plane tracing on router and every shard; write the merged Chrome trace-event JSON to this file")
 	fs.StringVar(&d.ObsAddr, "obs", "", "serve the router's metrics plus a federated fleet-wide /metrics view (every shard's registry relabeled with shard=addr) on this address")
 	fs.StringVar(&d.StateDir, "state-dir", "", "durable router state directory: placement, round clock, migration records, and the fencing epoch are checkpointed here (\"\" = in-memory router, no crash safety)")
 	fs.BoolVar(&d.Resume, "resume", false, "warm-restore the router from -state-dir: bump the fencing epoch, reconcile placement against every shard's reported residency, and continue the round sequence")
 	fs.StringVar(&d.RouterAddr, "router-addr", "", "serve the router's own /v1/router/healthz on this address (the standby's probe target)")
-	fs.StringVar(&d.Standby, "standby", "", "run as a hot standby: probe the primary router's /v1/router/healthz at this host:port and take over (epoch bump + reconcile) after sustained failure")
-	fs.IntVar(&d.StandbyMisses, "standby-misses", 5, "consecutive failed primary probes that trigger the standby's takeover")
-	fs.Float64Var(&o.standbyEveryMS, "standby-every-ms", 100, "primary probe interval (ms)")
+	fs.StringVar(&d.Standby, "standby", "", "run as a hot standby: probe the primary router's /v1/router/healthz at this host:port every 50 ms and take over (epoch bump + reconcile) after 4 consecutive failures")
 	fs.BoolVar(&d.Schedule.CrashAfterDrain, "crash-after-drain", false, "drill: self-SIGKILL at the migrate-after-drain crash site — the migrated tenant is resident nowhere, only the durable migration record knows where it was headed")
-	fs.IntVar(&d.Schedule.CrashAtRound, "crash-at-round", 0, "drill: self-SIGKILL at the start of this round (0 = never)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -86,7 +85,6 @@ func (o *routerOptions) validate() error {
 		return err
 	}
 	takeover := d.Resume || d.Standby != ""
-	crash := d.Schedule.CrashAfterDrain || d.Schedule.CrashAtRound > 0
 	for _, rule := range []struct {
 		broken bool
 		msg    string
@@ -97,8 +95,7 @@ func (o *routerOptions) validate() error {
 		{takeover && d.Spawn > 0, "-resume/-standby attach to the previous generation's shards (recorded in -state-dir); they cannot -spawn a new fleet"},
 		{d.Resume && d.Standby != "", "-resume takes over immediately and -standby waits for the primary to die: pick one"},
 		{d.Schedule.CrashAfterDrain && o.migrate == "", "-crash-after-drain fires inside a migration's drain window: it needs -migrate"},
-		{crash && d.StateDir == "", "a scripted router crash without -state-dir leaves nothing to resume from"},
-		{d.Standby != "" && d.StandbyMisses <= 0, fmt.Sprintf("-standby-misses %d must be positive", d.StandbyMisses)},
+		{d.Schedule.CrashAfterDrain && d.StateDir == "", "a scripted router crash without -state-dir leaves nothing to resume from"},
 		{o.killShard != "" && d.Spawn <= 0, "-kill-shard sends SIGKILL to a spawned shard; it needs -spawn (the router does not kill processes it did not start)"},
 		{!(o.netDrop >= 0 && o.netDrop < 1), fmt.Sprintf("-net-drop %v must be in [0,1)", o.netDrop)},
 		{!overload.ValidBudgetMS(o.roundBudgetMS), fmt.Sprintf("-round-budget-ms %v must be finite, non-negative and fit a time.Duration (0 disables the round deadline)", o.roundBudgetMS)},
@@ -123,18 +120,11 @@ func (o *routerOptions) validate() error {
 	if o.netDrop > 0 {
 		d.Schedule.Net.Events = append(d.Schedule.Net.Events, chaos.Drop(1, d.Rounds, "", o.netDrop))
 	}
-	if o.netDelayMS > 0 {
-		d.Schedule.Net.Events = append(d.Schedule.Net.Events, chaos.Delay(1, d.Rounds, "", 0.3, o.netDelayMS))
-	}
 	// The policy travels in the spec, so every shard — including a respawned
 	// one — rebuilds identical tenants.
 	d.Spec.Trace = d.TraceFile != ""
-	d.Tenants, d.Client = o.TenantIDs(), rpc.ClientConfig{Seed: d.Spec.Seed}
+	d.Tenants = o.TenantIDs()
 	d.RoundBudget = time.Duration(o.roundBudgetMS * float64(time.Millisecond))
-	d.StandbyEvery = max(time.Duration(o.standbyEveryMS*float64(time.Millisecond)), 10*time.Millisecond)
-	if d.RestartBudget == 0 {
-		d.RestartBudget = -1 // reassign immediately, never respawn
-	}
 	d.FinalCheckpoint, d.AuditDir = o.Ckpt != "", o.AuditDir
 	return nil
 }

@@ -131,8 +131,7 @@ func TestValidateRejectsContradictions(t *testing.T) {
 		{[]string{"-model", "m", "-resume", "-state-dir", "s", "-spawn", "2"}, "cannot -spawn"},
 		{[]string{"-model", "m", "-state-dir", "s", "-resume", "-standby", "h:1"}, "pick one"},
 		{[]string{"-model", "m", "-spawn", "2", "-crash-after-drain"}, "-migrate"},
-		{[]string{"-model", "m", "-spawn", "2", "-crash-at-round", "3"}, "-state-dir"},
-		{[]string{"-model", "m", "-state-dir", "s", "-standby", "h:1", "-standby-misses", "0"}, "-standby-misses"},
+		{[]string{"-model", "m", "-spawn", "2", "-migrate", "tenant-00@3:1", "-crash-after-drain"}, "-state-dir"},
 		{[]string{"-model", "m", "-shards", "127.0.0.1:1", "-kill-shard", "0@3"}, "-spawn"},
 		{[]string{"-model", "m", "-spawn", "2", "-kill-shard", "2@3"}, "out of range"},
 		{[]string{"-model", "m", "-spawn", "2", "-migrate", "tenant-00@soon:1"}, "tenant@round:slot"},

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"graf/internal/app"
 	"graf/internal/chaos"
@@ -99,8 +98,10 @@ func FleetRPCRun(s Scale) (Result, FleetRPCStats) {
 
 // planeDrill is what the control-plane experiments share: an untrained
 // chain-4 model (they measure the plane, not the model), constant-rate
-// tenants, a client with tight timings, and a verdict that compares every
-// audit log under dir with the single-process reference.
+// tenants, and a verdict that compares every audit log under dir with the
+// single-process reference. The router's timings are rpc constants: they
+// are the ones this drill used to set, so seeded drops cost milliseconds of
+// backoff and a breaker a drop burst opens is reset by the heartbeat.
 func planeDrill(tenants, rounds int, dir string) rpc.Drill {
 	bundle := untrainedBundle(4, 42)
 	ids := make([]string, tenants)
@@ -111,16 +112,6 @@ func planeDrill(tenants, rounds int, dir string) rpc.Drill {
 		RouterConfig: rpc.RouterConfig{
 			Spec:    rpc.Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7, TickS: 5},
 			Tenants: ids,
-			// The breaker keeps its default threshold: a drop burst can open
-			// it spuriously, but the router resets the breaker on a
-			// heartbeat-ok verdict before re-ticking, so a droppy patch does
-			// not turn into a false shard death.
-			Client: rpc.ClientConfig{
-				Timeout: 5 * time.Second, Retries: 4,
-				BackoffBase: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-				BreakerCooldown: 50 * time.Millisecond,
-			},
-			HeartbeatEvery: 20 * time.Millisecond,
 		},
 		Rounds:    rounds,
 		Reference: &bundle,

@@ -108,11 +108,16 @@ type FlightRecorder struct {
 	mu   sync.Mutex
 	w    *bufio.Writer
 	enc  recordEncoder // each record's line, in a buffer it reuses
-	mem  []Record
+	mem  []Record      // a ring once full: mem[head] is the oldest record
+	head int
 	cap  int // max retained records; <= 0 means unbounded
 	seq  int
 	err  error
 	drop int // records evicted from memory
+	// spare holds the Rates maps of evicted records that no new record has
+	// taken yet: a record without rates (health, forecast, chaos) frees one,
+	// the next decision refills it. There are never more than cap maps.
+	spare []map[string]float64
 }
 
 // NewFlightRecorder returns a recorder writing JSONL to w (nil = memory
@@ -129,18 +134,21 @@ func NewFlightRecorder(w io.Writer, memCap int) *FlightRecorder {
 
 // Record appends one record, stamping its sequence number. rec.Rates is the
 // caller's only for the duration of the call, so a controller can refill one
-// map every decision: the recorder keeps a copy, in the map of the record it
-// evicts when the memory buffer is full. A nil Rates stays nil.
+// map every decision: the recorder keeps a copy, in a map an evicted record
+// left behind when there is one. A nil Rates stays nil. Once the memory
+// buffer is full, a record overwrites the oldest in place.
 func (f *FlightRecorder) Record(rec Record) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
 	rec.Seq = f.seq
-	var spare map[string]float64
-	if f.cap > 0 && len(f.mem) >= f.cap {
-		spare = f.mem[0].Rates
-		n := copy(f.mem, f.mem[1:])
-		f.mem = f.mem[:n]
+	slot := len(f.mem)
+	if f.cap > 0 && slot >= f.cap {
+		slot = f.head
+		f.head = (f.head + 1) % f.cap
+		if m := f.mem[slot].Rates; m != nil {
+			f.spare = append(f.spare, m)
+		}
 		f.drop++
 	}
 	if f.w != nil && f.err == nil {
@@ -150,26 +158,37 @@ func (f *FlightRecorder) Record(rec Record) {
 			_, f.err = f.w.Write(f.enc.buf)
 		}
 	}
-	rec.Rates = copyRates(spare, rec.Rates)
-	f.mem = append(f.mem, rec)
+	if rec.Rates != nil {
+		rec.Rates = f.keep(rec.Rates)
+	}
+	if slot == len(f.mem) {
+		f.mem = append(f.mem, rec)
+	} else {
+		f.mem[slot] = rec
+	}
 }
 
-// copyRates copies src into dst, emptied, or into a new map when dst is nil.
-func copyRates(dst, src map[string]float64) map[string]float64 {
-	if src == nil || dst == nil {
+// keep copies src into a spare map, or into a new one when none is spare.
+func (f *FlightRecorder) keep(src map[string]float64) map[string]float64 {
+	n := len(f.spare)
+	if n == 0 {
 		return maps.Clone(src)
 	}
+	dst := f.spare[n-1]
+	f.spare = f.spare[:n-1]
 	clear(dst)
 	maps.Copy(dst, src)
 	return dst
 }
 
-// Records returns a copy of the retained in-memory records. Their Rates are
-// copies too: the recorder reuses its own maps as later records evict these.
+// Records returns a copy of the retained in-memory records, oldest first.
+// Their Rates are copies too: the recorder reuses its own maps as later
+// records evict these.
 func (f *FlightRecorder) Records() []Record {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := append([]Record(nil), f.mem...)
+	out := make([]Record, 0, len(f.mem))
+	out = append(append(out, f.mem[f.head:]...), f.mem[:f.head]...)
 	for i := range out {
 		out[i].Rates = maps.Clone(out[i].Rates)
 	}

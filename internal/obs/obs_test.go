@@ -211,6 +211,21 @@ func TestFlightMemoryCap(t *testing.T) {
 	if recs[0].At != 7 || recs[2].At != 9 || recs[2].Seq != 10 {
 		t.Errorf("wrong records retained: %+v", recs)
 	}
+	// Oldest first at every point of the ring's wrap, not only a multiple
+	// of the cap.
+	f = NewFlightRecorder(nil, 3)
+	for i := 0; i < 8; i++ {
+		f.Record(Record{Type: "decision", At: float64(i)})
+		recs := f.Records()
+		if want := min(i+1, 3); len(recs) != want {
+			t.Fatalf("after %d records: %d retained, want %d", i+1, len(recs), want)
+		}
+		for j, rec := range recs {
+			if want := float64(i + 1 - len(recs) + j); rec.At != want || rec.Seq != int(want)+1 {
+				t.Errorf("after %d records: record %d is at %v seq %d, want at %v seq %v", i+1, j, rec.At, rec.Seq, want, want+1)
+			}
+		}
+	}
 }
 
 // TestActiveChaos pins window registration, pruning and sorted labels.
@@ -376,5 +391,36 @@ func TestFlightRecordAllocatesNothing(t *testing.T) {
 	}
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A full buffer where records with rates evict records without them, and
+// the other way round, still allocates nothing: the maps a decision's
+// eviction frees wait in the spare list for the next decision that evicts a
+// health record. Strict alternation against an even cap would always evict
+// a record of the same type, so this mixes one health record to every two
+// decisions.
+func TestFlightMixedRecordsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	f := NewFlightRecorder(nil, 16)
+	rates := map[string]float64{"home": 80, "cart": 40.5}
+	health := Record{Type: "health", At: 5, From: "healthy", To: "degraded"}
+	decision := Record{Type: "decision", At: 5, Kind: "hysteresis", Rates: rates}
+	round := func() {
+		f.Record(health)
+		f.Record(decision)
+		f.Record(decision)
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("%v allocations per health, decision, decision on a full buffer, want 0", n)
+	}
+	recs := f.Records()
+	if len(recs) != 16 || recs[15].Seq != f.seq || recs[15].Rates["cart"] != 40.5 {
+		t.Fatalf("retained %d records, newest %+v", len(recs), recs[15])
 	}
 }

@@ -52,28 +52,30 @@ type GateStats struct {
 	Shed     [3]int64 // by Priority
 }
 
+// retryAfterMS is the backoff hint every shed verdict carries; no caller
+// ever set another. The router's client waits it out in place of its 2–20
+// ms jittered backoff, so a shed request is retried after roughly one tick
+// of a loaded shard instead of at once, and the client's four retries span
+// 200 ms of shedding before a tick counts as shed.
+const retryAfterMS = 50
+
 // Gate is a bounded-inflight admission gate with priority shedding. All
 // methods are safe for concurrent use.
 type Gate struct {
-	mu           sync.Mutex
-	max          int
-	retryAfterMS int
-	inflight     int
-	admitted     [priCount]int64
-	shed         [priCount]int64
+	mu       sync.Mutex
+	max      int
+	inflight int
+	admitted [priCount]int64
+	shed     [priCount]int64
 }
 
 // NewGate builds a gate admitting at most max non-critical requests at
-// once; retryAfterMS is the backoff hint attached to shed verdicts (50 ms
-// when <= 0).
-func NewGate(max, retryAfterMS int) *Gate {
+// once (32 when max <= 0).
+func NewGate(max int) *Gate {
 	if max <= 0 {
 		max = 32
 	}
-	if retryAfterMS <= 0 {
-		retryAfterMS = 50
-	}
-	return &Gate{max: max, retryAfterMS: retryAfterMS}
+	return &Gate{max: max}
 }
 
 // Enter admits or sheds one request. On admission it returns a release
@@ -100,7 +102,7 @@ func (g *Gate) Enter(p Priority) (func(), error) {
 	}
 	if p != PriCritical && g.inflight >= limit {
 		g.shed[p]++
-		return nil, &ErrOverloaded{Inflight: g.inflight, Max: limit, RetryAfterMS: g.retryAfterMS}
+		return nil, &ErrOverloaded{Inflight: g.inflight, Max: limit, RetryAfterMS: retryAfterMS}
 	}
 	g.inflight++
 	g.admitted[p]++

@@ -78,7 +78,7 @@ func TestMonotoneTransitionsRejectsJumps(t *testing.T) {
 }
 
 func TestGatePriorities(t *testing.T) {
-	g := NewGate(4, 25)
+	g := NewGate(4)
 
 	// Fill half capacity with high-priority work: low sheds, high admits.
 	var releases []func()
@@ -93,8 +93,8 @@ func TestGatePriorities(t *testing.T) {
 		t.Fatal("low-priority admitted at half capacity")
 	} else {
 		var ov *ErrOverloaded
-		if !errors.As(err, &ov) || ov.RetryAfterMS != 25 {
-			t.Fatalf("shed verdict %v, want ErrOverloaded with RetryAfterMS=25", err)
+		if !errors.As(err, &ov) || ov.RetryAfterMS != retryAfterMS {
+			t.Fatalf("shed verdict %v, want ErrOverloaded with RetryAfterMS=%d", err, retryAfterMS)
 		}
 	}
 	// Fill to max: high now sheds too, critical still admits.
@@ -132,7 +132,7 @@ func TestGatePriorities(t *testing.T) {
 
 func TestGateConcurrentInflightBound(t *testing.T) {
 	const max = 8
-	g := NewGate(max, 10)
+	g := NewGate(max)
 	var mu sync.Mutex
 	inflight, peak := 0, 0
 	var wg sync.WaitGroup

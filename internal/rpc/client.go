@@ -23,57 +23,47 @@ import (
 // the shard can continue the trace server-side (DESIGN.md §3i).
 const traceparentHeader = "Traceparent"
 
-// ClientConfig tunes the router-side call discipline: per-attempt timeout,
-// bounded retries with exponential backoff and full jitter, and a per-shard
-// circuit breaker so one dead shard costs at most Threshold timeouts before
-// subsequent calls fail fast instead of stalling the router loop.
-type ClientConfig struct {
-	// Timeout bounds each attempt (default 2s).
-	Timeout time.Duration
-	// Retries is how many times a failed call is retried (default 3; the
-	// call is attempted 1+Retries times).
-	Retries int
-	// BackoffBase/BackoffMax bound the exponential backoff between
-	// attempts (defaults 50ms / 1s); the actual sleep is uniform in
-	// (0, min(BackoffMax, BackoffBase·2^attempt)] — full jitter.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BreakerThreshold consecutive failures open a shard's breaker
-	// (default 3); while open, calls to that shard fail immediately.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before letting one
-	// probe through (half-open; default 2s).
-	BreakerCooldown time.Duration
-	// Seed makes the jitter sequence reproducible (0 = 1).
-	Seed int64
-}
-
-func (c ClientConfig) withDefaults() ClientConfig {
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
+// The router's call discipline: a per-attempt timeout, bounded retries
+// under exponential backoff with full jitter, and a per-shard circuit
+// breaker, so one dead shard costs at most breakerThreshold failed attempts
+// before calls to it fail fast instead of stalling the router loop. Each
+// value is the one bench.planeDrill, grafbench's fleet-rpc and
+// router-failover drill, set before it was a constant.
+const (
+	// attemptTimeout bounds one wire attempt, heartbeat probes included.
+	// The slowest /v1/tick of `grafbench -exp fleet-rpc -scale standard`
+	// (96 tenants on two shards, then all 96 on the survivor) took 122 ms,
+	// and the slowest restoring /v1/admit of the rpc tests (48 ticks
+	// re-executed through a lifecycle retrain, under -race) 1.3 s, on a
+	// 2-vCPU Xeon: 5 s covers both with margin. A retry after a timeout
+	// lands in the idempotent path, which restores nothing and so verifies
+	// nothing, so the bound must clear the slowest restore, not the typical
+	// tick. A shard that hangs rather than dies costs 3 × 5 s of tick
+	// attempts and 3 × 5 s of probes before it is declared dead.
+	attemptTimeout = 5 * time.Second
+	// retries is how many times a failed attempt is retried: a call makes
+	// at most 1+retries attempts. Transport failures open the breaker at
+	// the third attempt, so the last two run only after overloaded answers,
+	// which do not count against the breaker: four Retry-After waits let a
+	// call ride out 200 ms of shedding.
+	retries = 4
+	// backoffBase and backoffMax bound the sleep before retry n, uniform in
+	// (0, min(backoffMax, backoffBase·2^(n-1))]. A loopback attempt fails
+	// in well under a millisecond, so a longer backoff only lengthens a
+	// round under seeded drops.
+	backoffBase = 2 * time.Millisecond
+	backoffMax  = 20 * time.Millisecond
+	// breakerThreshold consecutive failures open a shard's breaker; it was
+	// every caller's default. A 10% drop rate opens it on 0.1% of calls, and
+	// the router then resets it on a heartbeat-ok verdict, so a droppy patch
+	// never becomes a false death.
+	breakerThreshold = 3
+	// breakerCooldown is how long an open breaker fails calls fast before it
+	// lets one probe through (half-open). The router resets breakers itself
+	// after a heartbeat, so this only paces calls made outside a failure
+	// investigation: one failed attempt per 50 ms against a dead shard.
+	breakerCooldown = 50 * time.Millisecond
+)
 
 // FaultInjector intercepts outbound control-plane requests — the seam
 // chaos.NetInjector plugs into. op is the endpoint name ("tick", "admit",
@@ -110,8 +100,8 @@ var ErrBudgetExhausted = errors.New("rpc: op budget exhausted")
 var ErrFencedEpoch = errors.New("rpc: fenced stale epoch")
 
 // breaker is a per-shard circuit breaker: closed (normal) → open after
-// Threshold consecutive failures (calls fail fast) → half-open after
-// Cooldown (one probe allowed; success closes, failure re-opens).
+// breakerThreshold consecutive failures (calls fail fast) → half-open after
+// breakerCooldown (one probe allowed; success closes, failure re-opens).
 type breaker struct {
 	failures int
 	openAt   time.Time
@@ -122,7 +112,6 @@ type breaker struct {
 // Client is the router's HTTP client: typed wrappers over the wire protocol
 // with retry/backoff/jitter and per-shard breakers. Safe for concurrent use.
 type Client struct {
-	cfg   ClientConfig
 	http  *http.Client
 	Fault FaultInjector
 	// Obs, when set, records request latency, attempt outcomes and breaker
@@ -149,15 +138,14 @@ type Client struct {
 	draws map[string]int
 }
 
-// NewClient builds a client. fault may be nil.
-func NewClient(cfg ClientConfig, fault FaultInjector) *Client {
-	cfg = cfg.withDefaults()
+// NewClient builds a client whose backoff jitter is drawn from seed. fault
+// may be nil.
+func NewClient(seed int64, fault FaultInjector) *Client {
 	return &Client{
-		cfg:      cfg,
-		http:     &http.Client{Timeout: cfg.Timeout},
+		http:     &http.Client{Timeout: attemptTimeout},
 		Fault:    fault,
 		breakers: map[string]*breaker{},
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      rand.New(rand.NewSource(seed)),
 		names:    map[string]string{},
 		draws:    map[string]int{},
 	}
@@ -211,7 +199,7 @@ func (c *Client) SetRound(r int) {
 // with ErrBudgetExhausted instead of started, and the remaining budget is
 // forwarded to the shard in the Graf-Deadline-Ms header so it can shed work
 // that would complete past the deadline. The zero time clears it (the
-// per-attempt Timeout still applies).
+// per-attempt timeout still applies).
 func (c *Client) SetDeadline(t time.Time) {
 	c.mu.Lock()
 	c.deadline = t
@@ -239,7 +227,7 @@ func (c *Client) allow(shard string) (allowed bool, transition string) {
 	if !b.open {
 		return true, ""
 	}
-	if time.Since(b.openAt) >= c.cfg.BreakerCooldown && !b.probing {
+	if time.Since(b.openAt) >= breakerCooldown && !b.probing {
 		b.probing = true // half-open: exactly one probe
 		c.Obs.BreakerTransition(shard, "half-open", obs.BreakerHalfOpen)
 		return true, "half-open"
@@ -269,7 +257,7 @@ func (c *Client) record(shard string, ok bool) (transition string) {
 	wasProbing := b.probing
 	b.probing = false
 	b.failures++
-	if b.failures >= c.cfg.BreakerThreshold {
+	if b.failures >= breakerThreshold {
 		wasOpen := b.open
 		b.open = true
 		b.openAt = time.Now()
@@ -296,10 +284,7 @@ func (c *Client) ResetBreaker(shard string) {
 
 // backoff returns the full-jitter sleep before retry attempt n (1-based).
 func (c *Client) backoff(attempt int) time.Duration {
-	max := c.cfg.BackoffBase << uint(attempt-1)
-	if max > c.cfg.BackoffMax {
-		max = c.cfg.BackoffMax
-	}
+	max := min(backoffBase<<uint(attempt-1), backoffMax)
 	c.mu.Lock()
 	d := time.Duration(c.rng.Int63n(int64(max)) + 1)
 	c.mu.Unlock()
@@ -335,7 +320,7 @@ func (c *Client) call(shard, method, path, op string, in, out any, parent ...obs
 func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, span *obs.ActiveSpan) error {
 	deadline := c.callDeadline()
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			d := c.backoff(attempt)
 			if wait := retryAfter(lastErr); wait > 0 {
@@ -419,7 +404,7 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 			return lastErr
 		}
 	}
-	return fmt.Errorf("rpc: %s %s after %d attempts: %w", op, shard, c.cfg.Retries+1, lastErr)
+	return fmt.Errorf("rpc: %s %s after %d attempts: %w", op, shard, retries+1, lastErr)
 }
 
 // retryAfter extracts the shard's backpressure hint from an overloaded
@@ -510,7 +495,7 @@ func putRespBuf(b *bytes.Buffer) {
 
 // attempt performs one wire attempt. remaining, when positive, is the call's
 // leftover end-to-end budget: it rides to the shard as Graf-Deadline-Ms and
-// additionally bounds this attempt below the per-attempt Timeout.
+// additionally bounds this attempt below attemptTimeout.
 func (c *Client) attempt(shard, method, path string, body []byte, out any, remaining time.Duration, trace ...obs.SpanContext) error {
 	req, err := http.NewRequest(method, "http://"+shard+path, bytes.NewReader(body))
 	if err != nil {
@@ -527,7 +512,7 @@ func (c *Client) attempt(shard, method, path string, body []byte, out any, remai
 	}
 	if remaining > 0 {
 		req.Header.Set(overload.HeaderDeadlineMS, overload.FormatRemaining(remaining))
-		if remaining < c.cfg.Timeout {
+		if remaining < attemptTimeout {
 			ctx, cancel := context.WithTimeout(context.Background(), remaining)
 			defer cancel()
 			req = req.WithContext(ctx)

@@ -55,11 +55,9 @@ type ShardKill struct {
 type Schedule struct {
 	Migrations []Migration
 	Kills      []ShardKill
-	// CrashAtRound kills the router at the start of that round (0 = never).
-	// CrashAfterDrain kills it inside a scheduled migration, at the
+	// CrashAfterDrain kills the router inside a scheduled migration, at the
 	// migrate-after-drain site: the tenant is resident nowhere and only the
 	// durable migration record knows where it was headed.
-	CrashAtRound    int
 	CrashAfterDrain bool
 	// Net is the wire-fault schedule (drops, delays, partitions).
 	Net chaos.NetScenario
@@ -165,12 +163,10 @@ type Drill struct {
 	// Resume takes the fleet over from StateDir — epoch bump, reconcile —
 	// instead of bootstrapping it; the shard set is in the durable state.
 	// Standby, when set, is a primary router's healthz address: Run first
-	// waits for StandbyMisses consecutive failed probes, StandbyEvery apart,
+	// waits for standbyMisses consecutive failed probes, standbyEvery apart,
 	// then resumes.
-	Resume        bool
-	Standby       string
-	StandbyEvery  time.Duration
-	StandbyMisses int
+	Resume  bool
+	Standby string
 	// FinalCheckpoint checkpoints every shard after the last round.
 	FinalCheckpoint bool
 	// RouterAddr, when set, serves /v1/router/healthz for a standby to probe.
@@ -215,18 +211,15 @@ func (d *Drill) Run() (*Verdict, error) {
 		cfg.Fault = chaos.NewNetInjector(d.Schedule.Net)
 	}
 	var crashed error
-	crash := func(site string) error {
+	cfg.Failpoint = func(site string) error {
+		if site != "migrate-after-drain" || !d.Schedule.CrashAfterDrain {
+			return nil
+		}
 		crashed = fmt.Errorf("%w at %s", ErrRouterCrashed, site)
 		if d.Failpoint != nil {
 			crashed = d.Failpoint(site)
 		}
 		return crashed
-	}
-	cfg.Failpoint = func(site string) error {
-		if site == "migrate-after-drain" && d.Schedule.CrashAfterDrain {
-			return crash(site)
-		}
-		return nil
 	}
 	defer d.shutdownShards()
 	v := &Verdict{TakeoverBlackoutMS: -1}
@@ -251,9 +244,6 @@ func (d *Drill) Run() (*Verdict, error) {
 	start := time.Now()
 	rung := 0
 	for round := r.Round() + 1; round <= d.Rounds; round++ {
-		if d.Schedule.CrashAtRound == round && crash(fmt.Sprintf("round %d", round)) != nil {
-			return nil, crashed
-		}
 		d.kill(r, round)
 		v.failures = append(v.failures, d.migrate(r, round)...)
 		if crashed != nil {
@@ -304,9 +294,9 @@ func (d *Drill) open(cfg RouterConfig, v *Verdict) (*Router, error) {
 	}
 	deadAt := time.Now()
 	if d.Standby != "" {
-		d.logf("standby: probing primary %s every %s (%d misses → takeover)", d.Standby, d.StandbyEvery, d.StandbyMisses)
+		d.logf("standby: probing primary %s every %s (%d misses → takeover)", d.Standby, standbyEvery, standbyMisses)
 		answered := false
-		if deadAt, answered = WaitForPrimaryFailure(d.Standby, d.StandbyEvery, d.StandbyMisses); !answered {
+		if deadAt, answered = waitForPrimaryFailure(d.Standby, standbyEvery, standbyMisses); !answered {
 			d.logf("standby: primary never answered within the grace window — claiming leadership")
 		}
 		d.logf("standby: primary declared dead — taking over")
@@ -665,17 +655,28 @@ func (v *Verdict) String() string {
 	return b.String()
 }
 
-// primaryGrace is how long a standby waits for a primary that has never
-// answered before concluding it was dead from the start.
-const primaryGrace = 60 * time.Second
+// A standby probes the primary's /v1/router/healthz every standbyEvery and
+// takes over after standbyMisses consecutive failures: a 200 ms detection
+// window, the cadence CI's failover drill runs. The primary serves
+// that endpoint outside its round loop, so a slow round does not miss a
+// probe, and fencing, not the probe, is what keeps a merely paused primary
+// from acting after the takeover (DESIGN.md §3k). primaryGrace is how long
+// a standby waits for a primary that has never answered before concluding
+// it was dead from the start.
+const (
+	standbyEvery  = 50 * time.Millisecond
+	standbyMisses = 4
+	primaryGrace  = 60 * time.Second
+)
 
-// WaitForPrimaryFailure blocks until the primary's /v1/router/healthz has
-// failed `misses` consecutive probes after having answered at least once,
-// and returns the instant of the last successful probe — where the takeover
-// blackout clock starts. If the primary never answers within the grace
-// window (it was already dead when the standby started), it returns the
-// current time and answered=false: leadership is claimed immediately.
-func WaitForPrimaryFailure(primary string, every time.Duration, misses int) (lastOK time.Time, answered bool) {
+// waitForPrimaryFailure blocks until the primary's /v1/router/healthz has
+// failed `misses` consecutive probes, `every` apart, after having answered
+// at least once, and returns the instant of the last successful probe —
+// where the takeover blackout clock starts. If the primary never answers
+// within the grace window (it was already dead when the standby started),
+// it returns the current time and answered=false: leadership is claimed
+// immediately.
+func waitForPrimaryFailure(primary string, every time.Duration, misses int) (lastOK time.Time, answered bool) {
 	cl := &http.Client{Timeout: max(2*every, 100*time.Millisecond)}
 	url := "http://" + primary + "/v1/router/healthz"
 	grace := time.Now().Add(primaryGrace)

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"graf/internal/chaos"
+	"graf/internal/fleet"
 	"graf/internal/obs"
 )
 
@@ -23,18 +25,13 @@ func testDrill(t *testing.T, tenants, rounds int) *Drill {
 	t.Helper()
 	dir := t.TempDir()
 	bundle := testBundle(t)
-	client := fastClient()
-	client.BreakerCooldown = 50 * time.Millisecond
 	return &Drill{
-		RouterConfig: RouterConfig{
-			Spec: testSpec(), Tenants: tenantIDs(tenants), Client: client,
-			HeartbeatMisses: 2, HeartbeatEvery: 10 * time.Millisecond,
-		},
-		Rounds:     rounds,
-		Spawn:      2,
-		StartShard: LocalShards(bundle, filepath.Join(dir, "ckpt"), filepath.Join(dir, "audit")),
-		Reference:  &bundle,
-		AuditDir:   filepath.Join(dir, "audit"),
+		RouterConfig: RouterConfig{Spec: testSpec(), Tenants: tenantIDs(tenants)},
+		Rounds:       rounds,
+		Spawn:        2,
+		StartShard:   LocalShards(bundle, filepath.Join(dir, "ckpt"), filepath.Join(dir, "audit")),
+		Reference:    &bundle,
+		AuditDir:     filepath.Join(dir, "audit"),
 	}
 }
 
@@ -301,7 +298,7 @@ func TestWaitForPrimaryFailure(t *testing.T) {
 	done := make(chan result, 1)
 	started := time.Now()
 	go func() {
-		lastOK, ok := WaitForPrimaryFailure(addr, every, misses)
+		lastOK, ok := waitForPrimaryFailure(addr, every, misses)
 		done <- result{lastOK, time.Now(), ok}
 	}()
 	for probes := 0; probes < 2; probes++ {
@@ -328,11 +325,12 @@ func TestWaitForPrimaryFailure(t *testing.T) {
 	}
 }
 
-// recordingFault lets every request through and remembers its coordinates.
+// recordingFault remembers every request's coordinates and drops the first
+// drops tick attempts to slot 0 in round dropRound.
 type recordingFault struct {
-	mu    sync.Mutex
-	seen  map[string][]int // "op shard round" → attempts, in call order
-	drops int              // drop this many first tick attempts of round 2
+	mu               sync.Mutex
+	seen             map[string][]int // "op shard round" → attempts, in call order
+	dropRound, drops int
 }
 
 func (f *recordingFault) Intercept(op, shard string, round, attempt int) (bool, time.Duration) {
@@ -340,7 +338,7 @@ func (f *recordingFault) Intercept(op, shard string, round, attempt int) (bool, 
 	defer f.mu.Unlock()
 	key := fmt.Sprintf("%s %s %d", op, shard, round)
 	f.seen[key] = append(f.seen[key], attempt)
-	return op == "tick" && shard == "0" && round == 2 && attempt < f.drops, 0
+	return op == "tick" && shard == "0" && round == f.dropRound && attempt < f.drops, 0
 }
 
 // The client must give fault injection a shard's slot, not its address, and
@@ -351,13 +349,8 @@ func TestFaultCoordinatesAreSlotAndRunningAttempt(t *testing.T) {
 	bundle := testBundle(t)
 	_, addr1 := startShard(t, bundle, "", t.TempDir())
 	_, addr2 := startShard(t, bundle, "", t.TempDir())
-	fault := &recordingFault{seen: map[string][]int{}, drops: 3}
-	client := fastClient()
-	client.Retries = 8
-	r, err := NewRouter(RouterConfig{
-		Spec: testSpec(), Tenants: tenantIDs(4), Client: client, Fault: fault,
-		HeartbeatEvery: time.Millisecond,
-	}, []string{addr1, addr2})
+	fault := &recordingFault{seen: map[string][]int{}, dropRound: 2, drops: 3}
+	r, err := NewRouter(RouterConfig{Spec: testSpec(), Tenants: tenantIDs(4), Fault: fault}, []string{addr1, addr2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,5 +374,77 @@ func TestFaultCoordinatesAreSlotAndRunningAttempt(t *testing.T) {
 	}
 	if got := fault.seen["tick 0 3"]; !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("round 3 did not restart the count: %v", got)
+	}
+}
+
+// A tick call whose every attempt is lost opens the shard's breaker and
+// fails; the failure investigation's first heartbeat finds the shard alive,
+// resets the breaker, and the re-tick lands on the next attempt. The fault
+// drops exactly the attempts the first call makes — until the breaker opens
+// or the retries run out — so only that call is lost: nothing is declared
+// dead, no tenant moves, and every audit equals the reference.
+func TestRouterResetsBreakerOnHeartbeatOK(t *testing.T) {
+	bundle := testBundle(t)
+	audit := t.TempDir()
+	_, addr0 := startShard(t, bundle, "", audit)
+	_, addr1 := startShard(t, bundle, "", audit)
+	spec, ids := testSpec(), tenantIDs(4)
+	const rounds = 5
+	attempts := min(1+retries, breakerThreshold) // what the first call makes
+	fault := &recordingFault{seen: map[string][]int{}, dropRound: 3, drops: attempts}
+	var mu sync.Mutex
+	var log []string
+	r, err := NewRouter(RouterConfig{Spec: spec, Tenants: ids, Fault: fault, Logf: func(format string, args ...any) {
+		mu.Lock()
+		log = append(log, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}}, []string{addr0, addr1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RunRounds(rounds); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	text := strings.Join(log, "\n")
+	mu.Unlock()
+	reset := fmt.Sprintf("shard 0 (%s): unresponsive but heartbeat ok; breaker reset", addr0)
+	if n := strings.Count(text, reset); n != 1 {
+		t.Errorf("log has %d %q lines, want 1:\n%s", n, reset, text)
+	}
+	if strings.Contains(text, "declared dead") {
+		t.Errorf("a live shard was declared dead:\n%s", text)
+	}
+	want := make([]int, attempts+1)
+	for i := range want {
+		want[i] = i
+	}
+	if got := fault.seen["tick 0 3"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("slot 0's round-3 tick attempts were %v, want %v: the dropped call, then the re-tick", got, want)
+	}
+	r.client.mu.Lock()
+	b := r.client.breakers[addr0]
+	open := b != nil && (b.open || b.probing)
+	r.client.mu.Unlock()
+	if open {
+		t.Errorf("slot 0's breaker is still open after the re-tick: %+v", *b)
+	}
+	st := r.Stats()
+	if st.Rounds != rounds || st.Reassignments != 0 || st.Respawns != 0 || st.LostDecisions != 0 {
+		t.Fatalf("stats %+v: want %d rounds, no reassignment, no respawn, no lost decision", st, rounds)
+	}
+	ref := referenceAudit(t, bundle, spec, ids, rounds)
+	for _, ts := range r.TenantStates() {
+		if ts.Ticks != rounds {
+			t.Errorf("tenant %s: %d/%d ticks", ts.ID, ts.Ticks, rounds)
+		}
+		b, err := os.ReadFile(filepath.Join(audit, fleet.SanitizeID(ts.ID)+".jsonl"))
+		if err != nil || !bytes.Equal(b, ref[ts.ID]) {
+			t.Errorf("tenant %s: audit log differs from the reference (err %v)", ts.ID, err)
+		}
 	}
 }

@@ -46,7 +46,6 @@ func durableRouterConfig(stateDir string, ids []string) RouterConfig {
 	return RouterConfig{
 		Spec:     testSpec(),
 		Tenants:  ids,
-		Client:   fastClient(),
 		StateDir: stateDir,
 	}
 }
@@ -59,7 +58,7 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 	dir := t.TempDir()
 	_, addr := startShard(t, testBundle(t), filepath.Join(dir, "ckpt"), filepath.Join(dir, "audit"))
 
-	cur := NewClient(fastClient(), nil)
+	cur := NewClient(1, nil)
 	cur.SetEpoch(2)
 	if err := cur.Configure(addr, testSpec()); err != nil {
 		t.Fatalf("configure at epoch 2: %v", err)
@@ -68,7 +67,7 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 		t.Fatalf("admit at epoch 2: %v", err)
 	}
 
-	stale := NewClient(fastClient(), nil)
+	stale := NewClient(1, nil)
 	stale.SetEpoch(1)
 	if _, err := stale.Tick(addr, 1); !IsFenced(err) || !errors.Is(err, ErrFencedEpoch) {
 		t.Fatalf("stale tick: got %v, want fenced 409", err)
@@ -90,7 +89,7 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 	if _, err := stale.Tenants(addr); err != nil {
 		t.Fatalf("stale read should pass the fence: %v", err)
 	}
-	legacy := NewClient(fastClient(), nil)
+	legacy := NewClient(1, nil)
 	if _, err := legacy.Tick(addr, 1); err != nil {
 		t.Fatalf("epoch-unaware tick should pass the fence: %v", err)
 	}
@@ -117,7 +116,7 @@ func TestShardFenceSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	ckptDir := filepath.Join(dir, "ckpt")
 	_, addr := startShard(t, testBundle(t), ckptDir, "")
-	c := NewClient(fastClient(), nil)
+	c := NewClient(1, nil)
 	c.SetEpoch(7)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
@@ -131,7 +130,7 @@ func TestShardFenceSurvivesRestart(t *testing.T) {
 	if h.Epoch != 7 {
 		t.Fatalf("restarted shard fence = %d, want 7 (loaded from epoch.fence)", h.Epoch)
 	}
-	stale := NewClient(fastClient(), nil)
+	stale := NewClient(1, nil)
 	stale.SetEpoch(6)
 	if err := stale.Configure(addr2, testSpec()); !IsFenced(err) {
 		t.Fatalf("restarted shard accepted stale epoch: %v", err)
@@ -332,7 +331,7 @@ func TestZombieRouterCannotMutate(t *testing.T) {
 	if err := successor.RunRounds(1); err != nil {
 		t.Fatalf("successor after zombie attempt: %v", err)
 	}
-	probe := NewClient(fastClient(), nil)
+	probe := NewClient(1, nil)
 	for _, addr := range shards {
 		h, err := probe.Health(addr)
 		if err != nil {
@@ -357,7 +356,7 @@ func TestZombieRouterCannotMutate(t *testing.T) {
 func TestConcurrentDuplicateAdmitEvict(t *testing.T) {
 	dir := t.TempDir()
 	_, addr := startShard(t, testBundle(t), filepath.Join(dir, "ckpt"), filepath.Join(dir, "audit"))
-	c := NewClient(fastClient(), nil)
+	c := NewClient(1, nil)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +373,7 @@ func TestConcurrentDuplicateAdmitEvict(t *testing.T) {
 			// serialize nothing but breaker state, which is fine, but
 			// distinct clients better model duplicated requests from a
 			// retrying router plus a zombie.
-			cc := NewClient(fastClient(), nil)
+			cc := NewClient(1, nil)
 			admitResp[i], admitErrs[i] = cc.Admit(addr, "tenant-00", 3)
 		}(i)
 	}
@@ -401,7 +400,7 @@ func TestConcurrentDuplicateAdmitEvict(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cc := NewClient(fastClient(), nil)
+			cc := NewClient(1, nil)
 			evictResp[i], evictErrs[i] = cc.Evict(addr, "tenant-00", false)
 		}(i)
 	}

@@ -49,13 +49,11 @@ func TestClientOpBudgetBoundsElapsed(t *testing.T) {
 	defer ts.Close()
 	shard := strings.TrimPrefix(ts.URL, "http://")
 
+	// Three 100 ms attempts fill the budget: the budget stops the loop, not
+	// retry exhaustion (1+retries attempts) and not the breaker (the third
+	// failure opens it, but the budget refuses the fourth attempt first).
 	const budget = 300 * time.Millisecond
-	c := NewClient(ClientConfig{
-		Timeout:     2 * time.Second,
-		Retries:     10, // budget must stop the loop, not retry exhaustion
-		BackoffBase: 20 * time.Millisecond,
-		BackoffMax:  40 * time.Millisecond,
-	}, nil)
+	c := NewClient(1, nil)
 
 	start := time.Now()
 	c.SetDeadline(start.Add(budget))
@@ -65,7 +63,8 @@ func TestClientOpBudgetBoundsElapsed(t *testing.T) {
 		t.Fatalf("want ErrBudgetExhausted, got %v", err)
 	}
 	// Slack: one in-flight attempt (100ms injected latency) plus scheduling
-	// noise. The point is that elapsed tracks the budget, not Retries×Timeout.
+	// noise. The point is that elapsed tracks the budget, not retries × the
+	// attempt timeout.
 	if elapsed > budget+500*time.Millisecond {
 		t.Fatalf("call took %v with a %v budget", elapsed, budget)
 	}
@@ -108,23 +107,19 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	defer ts.Close()
 	shard := strings.TrimPrefix(ts.URL, "http://")
 
-	c := NewClient(ClientConfig{
-		Timeout: time.Second, Retries: -1, // single attempt per call
-		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: 30 * time.Millisecond,
-	}, nil)
+	c := NewClient(1, nil)
 
-	for i := 0; i < 2; i++ {
-		if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err == nil {
-			t.Fatal("expected transport failure")
-		}
+	// One call's attempts fail until the breaker opens; the next call is
+	// refused without touching the wire.
+	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err == nil {
+		t.Fatal("expected transport failure")
 	}
 	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("breaker not open after threshold failures: %v", err)
 	}
 
 	failing.Store(false)
-	time.Sleep(50 * time.Millisecond) // past cooldown: next allow() goes half-open
+	time.Sleep(breakerCooldown + 20*time.Millisecond) // past cooldown: next allow() goes half-open
 
 	const n = 8
 	start := make(chan struct{})
@@ -170,7 +165,7 @@ func TestShardAdmissionShedsTyped(t *testing.T) {
 	bundle := testBundle(t)
 	s, addr := startShard(t, bundle, "", "")
 	s.MaxInflight = 1 // before the first request builds the gate
-	c := NewClient(fastClient(), nil)
+	c := NewClient(1, nil)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +256,7 @@ func TestRouterOverloadDrillByteIdentical(t *testing.T) {
 		},
 	})
 	r, err := NewRouter(RouterConfig{
-		Spec: spec, Tenants: ids, Client: fastClient(), Fault: inj,
+		Spec: spec, Tenants: ids, Fault: inj,
 		RoundBudget: 250 * time.Millisecond,
 		Logf:        t.Logf,
 	}, []string{addr1, addr2})

@@ -425,7 +425,7 @@ func TestParentRouterStateResumes(t *testing.T) {
 	// migration drained.
 	bundle := testBundle(t)
 	dir := t.TempDir()
-	setup := NewClient(fastClient(), nil)
+	setup := NewClient(1, nil)
 	for _, addr := range []string{"127.0.0.1:17301", "127.0.0.1:17303"} {
 		s := &ShardServer{Bundle: bundle, AuditDir: filepath.Join(dir, "audit")}
 		if _, err := s.Serve(addr); err != nil {

@@ -18,23 +18,12 @@ type RouterConfig struct {
 	Spec Spec
 	// Tenants is the tenant ID population the router places.
 	Tenants []string
-	// Client tunes call discipline (timeouts, retries, breakers).
-	Client ClientConfig
-	// HeartbeatMisses is how many consecutive failed health probes declare
-	// a shard dead (default 3).
-	HeartbeatMisses int
-	// HeartbeatEvery spaces the probes of a failure investigation
-	// (default 100ms).
-	HeartbeatEvery time.Duration
 	// RestartBudget bounds respawns per shard slot; once exhausted a dead
 	// shard's tenants are reassigned to survivors instead (default 1).
 	RestartBudget int
 	// Respawn, when set, restarts a dead shard slot and returns the new
 	// process's address. nil disables respawn (straight to reassignment).
 	Respawn func(slot int) (addr string, err error)
-	// CheckpointEveryRounds periodically checkpoints every shard
-	// (0 = only on demand).
-	CheckpointEveryRounds int
 	// RoundBudget, when positive, is the end-to-end wall budget each round's
 	// tick fan-out must fit in. The router stamps the client with an absolute
 	// deadline at fan-out start; every attempt forwards the remaining budget
@@ -57,7 +46,8 @@ type RouterConfig struct {
 	// behavior is testable in-process. The process drill installs a
 	// self-SIGKILL here instead. nil in production.
 	Failpoint func(site string) error
-	// Fault, when set, is installed into the client (chaos injection).
+	// Fault, when set, is installed into the client (chaos injection). The
+	// client's backoff jitter is seeded from Spec.Seed.
 	Fault FaultInjector
 	// Obs, when set, receives router-level metrics: round duration and
 	// failure counts, migration outcomes and blackout histograms, shard
@@ -74,13 +64,19 @@ type RouterConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// A failure investigation probes a shard whose tick failed heartbeatMisses
+// times, heartbeatEvery apart, before declaring it dead. /healthz answers
+// from atomic mirrors, never under the fleet mutex, and Client.Health
+// bypasses both the breaker and the fault injector, so a live shard answers
+// every probe however long its round runs: a short cadence cannot make it
+// look dead, and a real death is declared 40 ms after the failed tick.
+// Every caller ran 3 misses; bench.planeDrill ran the 20 ms cadence.
+const (
+	heartbeatMisses = 3
+	heartbeatEvery  = 20 * time.Millisecond
+)
+
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 3
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 100 * time.Millisecond
-	}
 	if c.RestartBudget < 0 {
 		c.RestartBudget = 0
 	} else if c.RestartBudget == 0 {
@@ -164,7 +160,7 @@ func newRouter(cfg RouterConfig, p *placement) (*Router, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Router{cfg: cfg, client: NewClient(cfg.Client, cfg.Fault)}
+	r := &Router{cfg: cfg, client: NewClient(cfg.Spec.Seed, cfg.Fault)}
 	r.client.Obs, r.client.Tracer = cfg.RPCObs, cfg.Tracer
 	if cfg.StateDir != "" {
 		var err error
@@ -425,13 +421,6 @@ func (r *Router) RunRound() error {
 		r.client.SetDeadline(time.Now().Add(r.cfg.RoundBudget))
 		defer r.client.SetDeadline(time.Time{})
 	}
-	if r.cfg.CheckpointEveryRounds > 0 && round > 1 && (round-1)%r.cfg.CheckpointEveryRounds == 0 {
-		for _, addr := range r.live() {
-			if _, err := r.client.Checkpoint(addr, span.Context()); err != nil {
-				r.logf("round %d: checkpoint %s: %v", round, addr, err)
-			}
-		}
-	}
 	for attempt := 0; ; attempt++ {
 		failing, n, err := r.tick(round, span)
 		if shed += n; err != nil {
@@ -518,9 +507,9 @@ func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
 	slot := slices.IndexFunc(r.p.Slots, func(s *ShardInfo) bool { return s.Addr == dead })
 	span := r.cfg.Tracer.StartChild(parent, "router/recover").SetTrack(dead)
 	defer span.End()
-	for probe := 0; probe < r.cfg.HeartbeatMisses; probe++ {
+	for probe := 0; probe < heartbeatMisses; probe++ {
 		if probe > 0 {
-			time.Sleep(r.cfg.HeartbeatEvery)
+			time.Sleep(heartbeatEvery)
 		}
 		if _, err := r.client.Health(dead, span.Context()); err == nil {
 			// Alive after all — a slow round, a transient partition, or a
@@ -535,7 +524,7 @@ func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
 			return nil
 		}
 	}
-	r.logf("shard %d (%s): declared dead after %d missed heartbeats", slot, dead, r.cfg.HeartbeatMisses)
+	r.logf("shard %d (%s): declared dead after %d missed heartbeats", slot, dead, heartbeatMisses)
 	span.Event("declared-dead", dead)
 	var orphans []string
 	r.commit(func(p *placement) { // membership change: the slot leaves the ring

@@ -48,16 +48,6 @@ func testSpec() Spec {
 	return Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7, TickS: 5}
 }
 
-// fastClient keeps test-time retries and backoffs tight.
-func fastClient() ClientConfig {
-	return ClientConfig{
-		Timeout:     2 * time.Second,
-		Retries:     2,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
-	}
-}
-
 func startShard(t *testing.T, bundle ModelBundle, ckptDir, auditDir string) (*ShardServer, string) {
 	t.Helper()
 	s := &ShardServer{Bundle: bundle, CkptDir: ckptDir, AuditDir: auditDir}
@@ -164,31 +154,29 @@ func TestClientRetriesAndBreaker(t *testing.T) {
 	defer ts.Close()
 	shard := ts.Listener.Addr().String()
 
-	cfg := fastClient()
-	cfg.BreakerThreshold = 3
-	cfg.BreakerCooldown = 50 * time.Millisecond
-	c := NewClient(cfg, nil)
+	c := NewClient(1, nil)
 
-	// One logical call = 3 attempts (Retries=2), all failing → breaker
-	// opens at the threshold.
+	// One logical call against a dead shard makes breakerThreshold attempts:
+	// the breaker opens on the last of them, before the retries run out, and
+	// the next attempt fails fast.
 	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err == nil {
 		t.Fatal("expected failure against dead shard")
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("expected 3 attempts, saw %d", got)
+	if got := calls.Load(); got != breakerThreshold {
+		t.Fatalf("expected %d attempts, saw %d", breakerThreshold, got)
 	}
 	// Breaker now open: further calls fail fast without touching the wire.
 	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err == nil {
 		t.Fatal("expected breaker-open failure")
 	}
-	if got := calls.Load(); got != 3 {
+	if got := calls.Load(); got != breakerThreshold {
 		t.Fatalf("breaker-open call hit the network (%d attempts)", got)
 	}
 
 	// After the cooldown, the half-open probe goes through; with the shard
 	// healthy again the breaker closes.
 	failing.Store(false)
-	time.Sleep(cfg.BreakerCooldown + 10*time.Millisecond)
+	time.Sleep(breakerCooldown + 10*time.Millisecond)
 	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
@@ -200,7 +188,7 @@ func TestClientRetriesAndBreaker(t *testing.T) {
 func TestShardServerLifecycle(t *testing.T) {
 	bundle := testBundle(t)
 	_, addr := startShard(t, bundle, t.TempDir(), t.TempDir())
-	c := NewClient(fastClient(), nil)
+	c := NewClient(1, nil)
 
 	if _, err := c.Health(addr); err != nil {
 		t.Fatalf("health: %v", err)
@@ -261,7 +249,7 @@ func TestShardServerLifecycle(t *testing.T) {
 func TestAdmitRetryFastForwards(t *testing.T) {
 	bundle := testBundle(t)
 	_, addr := startShard(t, bundle, "", t.TempDir())
-	c := NewClient(fastClient(), nil)
+	c := NewClient(1, nil)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +274,7 @@ func TestAdmitRetryFastForwards(t *testing.T) {
 func TestHealthzAnswersWhileMutexHeld(t *testing.T) {
 	bundle := testBundle(t)
 	s, addr := startShard(t, bundle, "", "")
-	c := NewClient(fastClient(), nil)
+	c := NewClient(1, nil)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +378,7 @@ func TestRouterMigrationLossless(t *testing.T) {
 	spec := testSpec()
 	ids := tenantIDs(6)
 	const rounds = 8
-	r, err := NewRouter(RouterConfig{Spec: spec, Tenants: ids, Client: fastClient()}, []string{addr1, addr2})
+	r, err := NewRouter(RouterConfig{Spec: spec, Tenants: ids}, []string{addr1, addr2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,11 +445,9 @@ func TestRouterShardLossByteIdentical(t *testing.T) {
 	ids := tenantIDs(8)
 	const rounds = 10
 	cfg := RouterConfig{
-		Spec: spec, Tenants: ids, Client: fastClient(),
-		HeartbeatMisses: 2, HeartbeatEvery: 10 * time.Millisecond,
-		CheckpointEveryRounds: 3,
-		Respawn:               nil, // no respawn: force reassignment
-		Logf:                  t.Logf,
+		Spec: spec, Tenants: ids,
+		Respawn: nil, // no respawn: force reassignment
+		Logf:    t.Logf,
 	}
 	r, err := NewRouter(cfg, []string{addr1, addr2})
 	if err != nil {
@@ -534,8 +520,7 @@ func TestRouterRespawnWithinBudget(t *testing.T) {
 	ids := tenantIDs(6)
 	respawned := 0
 	cfg := RouterConfig{
-		Spec: spec, Tenants: ids, Client: fastClient(),
-		HeartbeatMisses: 2, HeartbeatEvery: 10 * time.Millisecond,
+		Spec: spec, Tenants: ids,
 		RestartBudget: 1,
 		Respawn: func(slot int) (string, error) {
 			respawned++
@@ -677,12 +662,10 @@ func TestNewPolicySpecsMigrateLossless(t *testing.T) {
 			_, addr2 := startShard(t, bundle, ckpt, audit)
 			ids := tenantIDs(c.tenants)
 			// The restoring admit re-executes up to 48 ticks, a retrain among
-			// them: seconds under -race. An attempt that times out is retried
-			// into the idempotent path, which restores nothing and so verifies
-			// nothing — the migration would pass unverified.
-			client := fastClient()
-			client.Timeout = time.Minute
-			r, err := NewRouter(RouterConfig{Spec: spec, Tenants: ids, Client: client}, []string{addr1, addr2})
+			// them: 1.3 s under -race on 2 vCPUs, inside attemptTimeout. An
+			// attempt that timed out would be retried into the idempotent
+			// path, which restores nothing and so verifies nothing.
+			r, err := NewRouter(RouterConfig{Spec: spec, Tenants: ids}, []string{addr1, addr2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -788,8 +771,9 @@ func TestRouterSurvivesInjectedDrops(t *testing.T) {
 		},
 	})
 	var fault FaultInjector = inj // compile-time structural check
-	// The breaker keeps its default threshold of 3 deliberately, so Retries
-	// is not what bounds a tick under a 30% drop storm: three drops in a row
+	// The breaker opens at breakerThreshold = 3, before the retries run out,
+	// so retries are not what bounds a tick under a 30% drop storm: three
+	// drops in a row
 	// (0.3^3 ≈ 3% of calls) open the breaker and fail the call whatever
 	// retries are left. The router must survive that — the heartbeat-ok
 	// verdict resets the breaker and the round is re-ticked, on attempt
@@ -797,12 +781,7 @@ func TestRouterSurvivesInjectedDrops(t *testing.T) {
 	// draws fresh verdicts instead of the three drops again. A round is lost
 	// only to twelve straight drops (four ticks of three), and the stream is
 	// fixed by the seed and the slot names: this run is the same every time.
-	client := fastClient()
-	client.Retries = 8
-	client.BreakerCooldown = 50 * time.Millisecond
-	r, err := NewRouter(RouterConfig{
-		Spec: spec, Tenants: ids, Client: client, Fault: fault,
-	}, []string{addr1, addr2})
+	r, err := NewRouter(RouterConfig{Spec: spec, Tenants: ids, Fault: fault}, []string{addr1, addr2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -839,8 +818,7 @@ func TestMigrateRollbackOnRestoreFailure(t *testing.T) {
 	spec := testSpec()
 	ids := tenantIDs(1)
 	r, err := NewRouter(RouterConfig{
-		Spec: spec, Tenants: ids, Client: fastClient(),
-		HeartbeatMisses: 2, HeartbeatEvery: 10 * time.Millisecond,
+		Spec: spec, Tenants: ids,
 		Logf: t.Logf,
 	}, []string{addr1, addr2})
 	if err != nil {
@@ -896,8 +874,7 @@ func TestRouterObserversConcurrentWithRounds(t *testing.T) {
 	spec := testSpec()
 	ids := tenantIDs(4)
 	r, err := NewRouter(RouterConfig{
-		Spec: spec, Tenants: ids, Client: fastClient(),
-		HeartbeatMisses: 2, HeartbeatEvery: 10 * time.Millisecond,
+		Spec: spec, Tenants: ids,
 	}, []string{addr1, addr2})
 	if err != nil {
 		t.Fatal(err)

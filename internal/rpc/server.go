@@ -54,9 +54,6 @@ type ShardServer struct {
 	// (healthz, configure, admit, evict, checkpoint) are never shed; ticks
 	// shed at full capacity; status reads first, at half.
 	MaxInflight int
-	// RetryAfterMS is the backpressure hint attached to shed verdicts
-	// (<=0 = gate default).
-	RetryAfterMS int
 	// GovernorBudgetMS, when positive, drives the fleet's adaptive brownout
 	// target from observed round wall times: rounds over this budget walk
 	// every tenant one rung down the degradation ladder, calm rounds walk
@@ -149,7 +146,7 @@ func (s *ShardServer) Handler() http.Handler {
 // admission returns the shard's admission gate, built on first use.
 func (s *ShardServer) admission() *overload.Gate {
 	s.gateOnce.Do(func() {
-		s.gate = overload.NewGate(s.MaxInflight, s.RetryAfterMS)
+		s.gate = overload.NewGate(s.MaxInflight)
 	})
 	return s.gate
 }

@@ -45,7 +45,7 @@ func TestRoutedRunTracedByteIdenticalAndStitched(t *testing.T) {
 		Seed: obs.DeriveTraceSeed(spec.Seed, "router"), Proc: "router",
 	})
 	r, err := NewRouter(RouterConfig{
-		Spec: spec, Tenants: ids, Client: fastClient(),
+		Spec: spec, Tenants: ids,
 		Obs: obs.NewRouterObs(tel), RPCObs: obs.NewRPCObs(tel), Tracer: tracer,
 	}, []string{addr1, addr2})
 	if err != nil {
@@ -80,7 +80,7 @@ func TestRoutedRunTracedByteIdenticalAndStitched(t *testing.T) {
 	// span buffer over /v1/traces and merge with the router's own spans.
 	spans := tracer.Snapshot()
 	procs := map[string]bool{"router": true}
-	cl := NewClient(fastClient(), nil)
+	cl := NewClient(1, nil)
 	for _, addr := range []string{addr1, addr2} {
 		resp, err := cl.Traces(addr)
 		if err != nil {
@@ -157,7 +157,7 @@ func TestClientTraceHeaderPropagates(t *testing.T) {
 	_ = s
 
 	tracer := obs.NewTracer(obs.TracerOptions{Seed: 11, Proc: "router"})
-	c := NewClient(fastClient(), nil)
+	c := NewClient(1, nil)
 	c.Tracer = tracer
 
 	spec := testSpec()
