@@ -38,4 +38,4 @@ bench-repo:
 obs-demo:
 	$(GO) run ./cmd/grafd -train -dur 120 -obs 127.0.0.1:9090 -smoke -hold 10
 
-ci: build vet test-race
+ci: build vet test test-race

@@ -93,6 +93,7 @@ func TestFeatureModeTable(t *testing.T) {
 		{"shape diurnal", []string{"-shape", "diurnal"}, fromRouter},
 		{"shape azure", []string{"-shape", "azure"}, fromRouter},
 		{"forecast", []string{"-shape", "diurnal", "-forecast", "hw", "-horizon-ticks", "3", "-forecast-quantile", "0.9"}, fromRouter},
+		{"forecast auto horizon", []string{"-shape", "diurnal", "-forecast", "hw"}, fromRouter},
 		{"lifecycle", []string{"-fleet", "2", "-lifecycle", "-model-archive", at("models")}, fromRouter},
 		{"slo", []string{"-slo", "200"}, fromRouter},
 		{"slo budget", []string{"-slo-budget", "0.02"}, fromRouter},
@@ -134,6 +135,18 @@ func TestFeatureModeTable(t *testing.T) {
 				t.Errorf("grafd -shard %v: got %v, want the reason %q", row.flags, err, row.shard)
 			}
 		})
+	}
+	// A fleet prints its totals, and a forecast without -horizon-ticks sizes
+	// its horizon from the startup curve (Spec.forecastConfig).
+	for feature, want := range map[string][]string{
+		"many tenants":          {"fleet done:", " 0 contained panics", "cache hit rate"},
+		"forecast auto horizon": {"forecast: model=hw horizon=3 ticks"},
+	} {
+		for _, w := range want {
+			if !strings.Contains(stdout[feature], w) {
+				t.Errorf("%s run printed no %q:\n%s", feature, w, stdout[feature])
+			}
+		}
 	}
 	// Every tenant of a lifecycle fleet archives its generation 0 and prints
 	// its lifecycle summary.

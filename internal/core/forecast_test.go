@@ -55,6 +55,8 @@ func TestForecastDrivesSolvesAndPrewarms(t *testing.T) {
 	}
 	if ctl.Forecaster() == nil || ctl.Forecaster().MaturedN == 0 {
 		t.Error("no forecasts matured over a 600 s run")
+	} else if !ctl.Forecaster().Healthy() {
+		t.Error("the forecaster ends a matched seasonal run unhealthy")
 	}
 	if err := tel.Flight.Flush(); err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func TestFleetRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// TestFleetSmoke is the CI fleet-smoke scenario: a small fleet where one
+// TestFleetSmoke is the fleet smoke scenario: a small fleet where one
 // tenant panics mid-run and another takes a chaos hit. The panicking tenant
 // must be quarantined (not crash the process), and every OTHER tenant's
 // audit log and SLO accounting must be byte-identical to a control run

@@ -547,9 +547,10 @@ func (c *Client) attempt(shard, method, path string, body []byte, out any, remai
 	return nil
 }
 
-// Health probes a shard. It bypasses the breaker — it IS the probe the
-// router uses to decide whether an unresponsive shard is dead — and carries
-// no deadline: health must answer even on a shard that is shedding work.
+// Health probes a shard. It skips the breaker's gate and the fault injector
+// — it IS the probe the router uses to decide whether an unresponsive shard
+// is dead — and a success closes the shard's breaker. It carries no
+// deadline: health must answer even on a shard that is shedding work.
 func (c *Client) Health(shard string, parent ...obs.SpanContext) (HealthResponse, error) {
 	var out HealthResponse
 	span := c.Tracer.StartChild(optCtx(parent), "rpc/health").SetTrack(shard)

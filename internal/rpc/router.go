@@ -513,13 +513,12 @@ func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
 		}
 		if _, err := r.client.Health(dead, span.Context()); err == nil {
 			// Alive after all — a slow round, a transient partition, or a
-			// breaker that opened during a blip. Close the breaker so the
-			// caller's re-tick actually reaches the shard: without the reset,
-			// an open breaker fails every re-tick instantly with
-			// ErrBreakerOpen until its cooldown elapses, burning through the
-			// recovery-attempt bound in milliseconds and aborting the round
-			// over a survivable transient.
-			r.client.ResetBreaker(dead)
+			// breaker that opened during a blip. The successful probe has
+			// closed the breaker (Client.Health records it), so the caller's
+			// re-tick reaches the shard: an open breaker would fail every
+			// re-tick instantly with ErrBreakerOpen until its cooldown
+			// elapsed, burning through the recovery-attempt bound in
+			// milliseconds and aborting the round over a survivable transient.
 			r.logf("shard %d (%s): unresponsive but heartbeat ok; breaker reset", slot, dead)
 			return nil
 		}
