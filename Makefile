@@ -22,8 +22,8 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 
 # Reproduce the paper's evaluation tables (see EXPERIMENTS.md). An
-# experiment's floors live in its root-package benchmark, which fails when
-# one breaks: go test -run '^$' -bench '^BenchmarkForecast$' -benchtime 1x .
+# experiment's floors live in its runner; grafbench exits 1 when one breaks,
+# and so does go test -run '^$' -bench 'Experiment/^forecast$' -benchtime 1x .
 bench:
 	$(GO) run ./cmd/grafbench -scale quick
 

@@ -14,12 +14,12 @@ import (
 // Ablations for the design choices DESIGN.md §4 calls out. These go beyond
 // the paper's own figures: they quantify why each mechanism is there.
 
-// AblationLoss compares the asymmetric Hüber loss (Eq. 4) against plain
+// ablationLoss compares the asymmetric Hüber loss (Eq. 4) against plain
 // MSE on percentage error: the asymmetric loss should push the signed mean
 // error positive (safe overestimation) at similar absolute error.
-func AblationLoss(s Scale) Result {
+func ablationLoss(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "abl-loss", Title: "Ablation: asymmetric hüber (Eq.4) vs MSE",
+	res := Result{Title: "Ablation: asymmetric hüber (Eq.4) vs MSE",
 		Header: []string{"loss", "test_MAPE_%", "signed_mean_%", "underestimates_%"}}
 
 	eval := func(m *gnn.Model) (mape, signed, under float64) {
@@ -48,11 +48,11 @@ func AblationLoss(s Scale) Result {
 	return res
 }
 
-// AblationSteps sweeps the number of message-passing steps K ∈ {0,1,2,3}
+// ablationSteps sweeps the number of message-passing steps K ∈ {0,1,2,3}
 // (the paper fixes K=2; K=0 is the no-MPNN ablation of Fig 11).
-func AblationSteps(s Scale) Result {
+func ablationSteps(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "abl-steps", Title: "Ablation: message-passing steps",
+	res := Result{Title: "Ablation: message-passing steps",
 		Header: []string{"steps", "best_val_loss", "test_MAPE_%"}}
 	for _, k := range []int{0, 1, 2, 3} {
 		cfg := gnn.DefaultConfig(len(tr.App.Services), tr.App.Parents())
@@ -72,14 +72,14 @@ func AblationSteps(s Scale) Result {
 	return res
 }
 
-// AblationSolver compares the gradient-based configuration solver against
+// ablationSolver compares the gradient-based configuration solver against
 // random search and coordinate grid search, each allowed the solver's whole
 // latency-model-query budget (the solver stops on its own criterion long
 // before it) — the paper's argument for gradients is that global optimizers
 // do not fit the synchronous decision window.
-func AblationSolver(s Scale) Result {
+func ablationSolver(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "abl-solver", Title: "Ablation: configuration solver strategies (same model-query budget, queries used)",
+	res := Result{Title: "Ablation: configuration solver strategies (same model-query budget, queries used)",
 		Header: []string{"strategy", "total_quota_mc", "predicted_ms", "feasible", "queries"}}
 	a := tr.App
 	load := make([]float64, len(a.Services))
@@ -150,12 +150,12 @@ func AblationSolver(s Scale) Result {
 	return res
 }
 
-// AblationSampler compares the product's two labellers: core.Train with the
+// ablationSampler compares the product's two labellers: core.Train with the
 // same spec, once on simulator-calibrated analytic labels and once on
 // simulator labels (at a quarter of the samples), both evaluated against
 // simulator-measured ground truth.
-func AblationSampler(s Scale) Result {
-	res := Result{ID: "abl-sampler", Title: "Ablation: analytic-calibrated vs simulator-labeled training data",
+func ablationSampler(s Scale) Result {
+	res := Result{Title: "Ablation: analytic-calibrated vs simulator-labeled training data",
 		Header: []string{"labeler", "sim_test_MAPE_%", "samples"}}
 	a := app.OnlineBoutique()
 	nTest := 60

@@ -1,11 +1,13 @@
 // Package bench regenerates every table and figure of the paper's
 // observation and evaluation sections (the experiment index of DESIGN.md
-// §3). Each runner returns a Result whose rows mirror the series the paper
-// plots; cmd/grafbench prints them and the root bench_test.go exposes one
-// testing.B target per experiment.
+// §3). Experiments lists them; each runner returns a Result whose rows
+// mirror the series the paper plots and which records any floor the run
+// broke. cmd/grafbench prints them and the root BenchmarkExperiment runs
+// each as a sub-benchmark.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -15,6 +17,64 @@ import (
 	"graf/internal/sim"
 )
 
+// Experiment is one entry of the experiment index: an id and its runner.
+type Experiment struct {
+	ID  string
+	run func(Scale) Result
+}
+
+// Run runs the experiment at scale s; the result carries the experiment's id.
+func (e Experiment) Run(s Scale) Result {
+	res := e.run(s)
+	res.ID = e.ID
+	return res
+}
+
+// Experiments is every experiment in run order: cheap observation
+// experiments first, then grouped by the trained pipeline they share.
+var Experiments = []Experiment{
+	{"fig01", fig01InstanceCreation},
+	{"fig06", fig06LatencyCurves},
+	{"fig02", fig02SurgeInstances},
+	{"fig03", fig03SurgeLatency},
+	{"fig07", fig07CascadingEffect},
+	{"tab01", tab01Hyperparameters},
+	{"tab02", tab02PredictionError},
+	{"fig11", fig11MPNNAblation},
+	{"fig12", fig12LossHeatmap},
+	{"fig13", fig13SearchSpace},
+	{"fig14", fig14TotalCPU},
+	{"fig15", fig15PerMSBoutique},
+	{"fig16", fig16PerMSSocial},
+	{"fig17", fig17SLOTargeting},
+	{"fig18", fig18UserScaling},
+	{"tab03", tab03Budget},
+	{"fig19", fig19CostBenefit},
+	{"fig20", fig20AzureReplay},
+	{"fig21", fig21SurgeComparison},
+	{"fig22", fig22Convergence},
+	{"abl-loss", ablationLoss},
+	{"abl-steps", ablationSteps},
+	{"abl-solver", ablationSolver},
+	{"solver-loop", solverLoop},
+	{"abl-sampler", ablationSampler},
+	{"abl-integer", ablationInteger},
+	{"abl-anomaly", ablationAnomaly},
+	{"abl-partition", ablationPartition},
+	{"scalability", scalability},
+	{"chaos", chaosRobustness},
+	{"recovery", recovery},
+	{"drift", drift},
+	{"replay", obsReplay},
+	{"obs-overhead", obsOverhead},
+	{"fleet-rpc", fleetRPC},
+	{"router-failover", routerFailover},
+	{"overload", overloadLadder},
+	{"slo-burn", sloBurn},
+	{"trace-overhead", traceOverhead},
+	{"forecast", forecastVsReactive},
+}
+
 // Result is one regenerated table or figure.
 type Result struct {
 	ID     string // experiment id, e.g. "fig02"
@@ -22,6 +82,7 @@ type Result struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	fails  []string // floors the run broke
 }
 
 // AddRow appends a formatted row.
@@ -30,6 +91,19 @@ func (r *Result) AddRow(cells ...string) { r.Rows = append(r.Rows, cells) }
 // Note appends a free-form annotation (assumptions, paper reference value).
 func (r *Result) Note(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+}
+
+// Fail records a floor the run broke: Format prints it and Err returns it.
+func (r *Result) Fail(format string, args ...any) {
+	r.fails = append(r.fails, fmt.Sprintf(format, args...))
+}
+
+// Err returns the floors the run broke, or nil if it broke none.
+func (r Result) Err() error {
+	if len(r.fails) == 0 {
+		return nil
+	}
+	return errors.New(r.ID + ": " + strings.Join(r.fails, "; "))
 }
 
 // Format renders the result as an aligned text table.
@@ -68,11 +142,14 @@ func (r Result) Format() string {
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
+	for _, f := range r.fails {
+		fmt.Fprintf(&b, "FAIL: %s\n", f)
+	}
 	return b.String()
 }
 
 // Scale selects how much compute an experiment spends. Tests and the root
-// benchmarks default to Quick; cmd/grafbench defaults to Standard; Full
+// benchmark default to quick; cmd/grafbench defaults to standard; full
 // approaches the paper's budgets.
 type Scale struct {
 	Name string
@@ -90,31 +167,41 @@ type Scale struct {
 	CalibrationProbes int
 }
 
-// Quick is the CI/test scale: seconds of wall time end to end.
-func Quick() Scale {
+// quick is the CI/test scale: seconds of wall time end to end.
+func quick() Scale {
 	return Scale{
 		Name: "quick", Samples: 1100, Iterations: 360, Batch: 64,
 		SteadyS: 480, SurgeS: 200, CalibrationProbes: 6,
 	}
 }
 
-// Standard is the grafbench scale: minutes of wall time end to end.
-func Standard() Scale {
+// standard is the grafbench scale: minutes of wall time end to end.
+func standard() Scale {
 	return Scale{
 		Name: "standard", Samples: 8000, Iterations: 2600, Batch: 128,
 		SteadyS: 700, SurgeS: 240, CalibrationProbes: 12,
 	}
 }
 
-// Full approaches the paper's budgets (50 K samples; 20 K iterations of batch
-// 256, against Table 1's 70 K). One core.Train of Online Boutique at Full
+// full approaches the paper's budgets (50 K samples; 20 K iterations of batch
+// 256, against Table 1's 70 K). One core.Train of Online Boutique at full
 // takes 2 min 11 s wall on a 2-vCPU Xeon — grafbench -scale full, and the root
-// benchmarks under GRAF_BENCH_SCALE=full.
-func Full() Scale {
+// benchmark under GRAF_BENCH_SCALE=full.
+func full() Scale {
 	return Scale{
 		Name: "full", Samples: 50000, Iterations: 20000, Batch: 256,
 		SteadyS: 900, SurgeS: 300, CalibrationProbes: 24,
 	}
+}
+
+// ParseScale returns the scale called name: quick, standard or full.
+func ParseScale(name string) (Scale, error) {
+	for _, s := range []Scale{quick(), standard(), full()} {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q", name)
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"reflect"
+	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,8 +50,49 @@ func TestFormatRendersAllParts(t *testing.T) {
 	}
 }
 
+// TestExperimentIDs holds the experiment index to the ids grafbench -list
+// has printed since solver-loop landed, each unique and flag-safe.
+func TestExperimentIDs(t *testing.T) {
+	want := strings.Fields(`abl-anomaly abl-integer abl-loss abl-partition abl-sampler
+		abl-solver abl-steps chaos drift fig01 fig02 fig03 fig06 fig07 fig11 fig12 fig13
+		fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fleet-rpc forecast
+		obs-overhead overload recovery replay router-failover scalability slo-burn
+		solver-loop tab01 tab02 tab03 trace-overhead`)
+	valid := regexp.MustCompile(`^[a-z0-9-]+$`)
+	var ids []string
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		if seen[e.ID] || !valid.MatchString(e.ID) {
+			t.Errorf("experiment id %q repeated or not [a-z0-9-]+", e.ID)
+		}
+		seen[e.ID] = true
+		ids = append(ids, e.ID)
+	}
+	sort.Strings(ids)
+	if !reflect.DeepEqual(ids, want) {
+		t.Errorf("experiment ids\n%v\nwant\n%v", ids, want)
+	}
+}
+
+func TestResultFailures(t *testing.T) {
+	var ok Result
+	if err := ok.Err(); err != nil {
+		t.Errorf("empty result: Err() = %v, want nil", err)
+	}
+	r := Result{ID: "x", Title: "T"}
+	r.Note("fine")
+	r.Fail("blackout %d ms, ceiling %d ms", 6000, 5000)
+	err := r.Err()
+	if err == nil || !strings.Contains(err.Error(), "x: blackout 6000 ms, ceiling 5000 ms") {
+		t.Errorf("Err() = %v, want the recorded failure", err)
+	}
+	if out := r.Format(); !strings.Contains(out, "FAIL: blackout 6000 ms, ceiling 5000 ms") {
+		t.Errorf("Format does not print the failure:\n%s", out)
+	}
+}
+
 func TestFig01MatchesPaperBand(t *testing.T) {
-	r := Fig01InstanceCreation(Quick())
+	r := fig01InstanceCreation(quick())
 	if len(r.Rows) != 5 {
 		t.Fatalf("fig01 has %d rows, want 5", len(r.Rows))
 	}
@@ -63,7 +106,7 @@ func TestFig01MatchesPaperBand(t *testing.T) {
 }
 
 func TestFig06CurveShape(t *testing.T) {
-	r := Fig06LatencyCurves(Quick())
+	r := fig06LatencyCurves(quick())
 	n := len(r.Rows)
 	// Catalogue strictly above web at every quota; both decrease overall.
 	for i := 0; i < n; i++ {
@@ -84,8 +127,8 @@ func TestSurgeShapeTargets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("surge study is seconds-long")
 	}
-	s := Quick()
-	r2 := Fig02SurgeInstances(s)
+	s := quick()
+	r2 := fig02SurgeInstances(s)
 	peak := findRow(t, r2, "peak")
 	pro := cell(t, r2, peak, 1)
 	h10 := cell(t, r2, peak, 2)
@@ -98,7 +141,7 @@ func TestSurgeShapeTargets(t *testing.T) {
 		t.Errorf("fig02: HPA(10%%) peak %v not ≫ proactive %v (paper: 6.6×)", h10, pro)
 	}
 
-	r3 := Fig03SurgeLatency(s)
+	r3 := fig03SurgeLatency(s)
 	p99row := findRow(t, r3, "99%-tile")
 	proL := cell(t, r3, p99row, 1)
 	for col := 2; col <= 4; col++ {
@@ -107,7 +150,7 @@ func TestSurgeShapeTargets(t *testing.T) {
 		}
 	}
 
-	r7 := Fig07CascadingEffect(s)
+	r7 := fig07CascadingEffect(s)
 	// Deep services perceive the surge later than the frontend under HPA,
 	// and proactive is never slower than HPA.
 	front := cell(t, r7, 0, 1)
@@ -131,8 +174,8 @@ func TestModelShapeTargets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	s := Quick()
-	r := Tab02PredictionError(s)
+	s := quick()
+	r := tab02PredictionError(s)
 	over := cell(t, r, len(r.Rows)-1, 1)
 	if over < -10 {
 		t.Errorf("tab02: strong underestimation bias %.1f%% (want ≳ 0, paper +5.2%%)", over)
@@ -142,14 +185,14 @@ func TestModelShapeTargets(t *testing.T) {
 		t.Errorf("tab02: 0-800ms MAPE %.1f%% implausible", wide)
 	}
 
-	r11 := Fig11MPNNAblation(s)
+	r11 := fig11MPNNAblation(s)
 	mapeRow := findRow(t, r11, "test MAPE %")
 	graf, nom := cell(t, r11, mapeRow, 1), cell(t, r11, mapeRow, 2)
 	if graf > nom*1.25 {
 		t.Errorf("fig11: GRAF test MAPE %.1f%% much worse than no-MPNN %.1f%%", graf, nom)
 	}
 
-	r13 := Fig13SearchSpace(s)
+	r13 := fig13SearchSpace(s)
 	for i := 0; i < len(r13.Rows)-1; i++ {
 		lo, hi := cell(t, r13, i, 1), cell(t, r13, i, 2)
 		if lo >= hi || lo < 50 || hi > 3000 {
@@ -162,7 +205,7 @@ func TestFig12SingleBasin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	r := Fig12LossHeatmap(Quick())
+	r := fig12LossHeatmap(quick())
 	if len(r.Rows) != 6 || len(r.Rows[0]) != 7 {
 		t.Fatalf("fig12 grid %dx%d, want 6x7", len(r.Rows), len(r.Rows[0]))
 	}
@@ -184,7 +227,7 @@ func TestFig14GRAFWinsOrTies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long steady-state study")
 	}
-	r := Fig14TotalCPU(Quick())
+	r := fig14TotalCPU(quick())
 	for i := range r.Rows {
 		saving := cell(t, r, i, 3)
 		grafP99 := cell(t, r, i, 4)
@@ -202,7 +245,7 @@ func TestFig17MostlyWithinSLO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long steady-state study")
 	}
-	r := Fig17SLOTargeting(Quick())
+	r := fig17SLOTargeting(quick())
 	last := r.Rows[len(r.Rows)-1]
 	frac := strings.TrimSuffix(last[2], "%")
 	v, err := strconv.ParseFloat(frac, 64)
@@ -215,7 +258,7 @@ func TestFig17MostlyWithinSLO(t *testing.T) {
 }
 
 func TestTab03MatchesPaperExactly(t *testing.T) {
-	r := Tab03Budget(Quick())
+	r := tab03Budget(quick())
 	for _, row := range r.Rows {
 		got, err1 := strconv.ParseFloat(row[3], 64)
 		want, err2 := strconv.ParseFloat(row[4], 64)
@@ -242,7 +285,7 @@ func TestCostArithmetic(t *testing.T) {
 }
 
 func TestScalesAreOrdered(t *testing.T) {
-	q, s, f := Quick(), Standard(), Full()
+	q, s, f := quick(), standard(), full()
 	if !(q.Samples < s.Samples && s.Samples < f.Samples) {
 		t.Error("sample budgets not ordered")
 	}
@@ -252,7 +295,7 @@ func TestScalesAreOrdered(t *testing.T) {
 }
 
 func TestChaosHardenedBeatsVanilla(t *testing.T) {
-	tr := BoutiquePipeline(Quick())
+	tr := BoutiquePipeline(quick())
 	hardened := runChaosPolicy(tr, "graf", tr.Spec.SLO, 42)
 	vanilla := runChaosPolicy(tr, "graf-vanilla", tr.Spec.SLO, 42)
 	if hardened.violRate >= vanilla.violRate {
@@ -287,7 +330,7 @@ func TestChaosHardenedBeatsVanilla(t *testing.T) {
 // so the stats must not depend on GOMAXPROCS.
 func TestOverloadLadderBeatsFixedPolicies(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		_, st := runOverload(Quick(), seed)
+		_, st := runOverload(quick(), seed)
 		if st.MissesLadder >= st.MissesNever {
 			t.Errorf("seed %d: ladder deadline misses %.0f not below never-degrade %.0f", seed, st.MissesLadder, st.MissesNever)
 		}
@@ -299,9 +342,9 @@ func TestOverloadLadderBeatsFixedPolicies(t *testing.T) {
 		}
 	}
 
-	stats := func(procs int) OverloadStats {
+	stats := func(procs int) overloadStats {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		_, st := runOverload(Quick(), 9)
+		_, st := runOverload(quick(), 9)
 		return st
 	}
 	if one, two := stats(1), stats(2); !reflect.DeepEqual(one, two) {
@@ -313,7 +356,7 @@ func TestDriftLifecycleBeatsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drift experiment needs a trained pipeline")
 	}
-	tr := BoutiquePipeline(Quick())
+	tr := BoutiquePipeline(quick())
 	lc := runDrift(tr, true, tr.Spec.SLO, 42, 480)
 	st := runDrift(tr, false, tr.Spec.SLO, 42, 480)
 	if lc.violS >= st.violS {
@@ -342,7 +385,7 @@ func TestRecoveryWarmBeatsCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery experiment needs a trained pipeline")
 	}
-	tr := BoutiquePipeline(Quick())
+	tr := BoutiquePipeline(quick())
 	warm := runRecovery(tr, true, tr.Spec.SLO, 42)
 	cold := runRecovery(tr, false, tr.Spec.SLO, 42)
 	if warm.violS >= cold.violS {
@@ -371,7 +414,7 @@ func TestSolverLoopRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	r := SolverLoop(Quick())
+	r := solverLoop(quick())
 	if len(r.Rows) != 2 {
 		t.Fatalf("want a diurnal and a step row, got %v", r.Rows)
 	}
@@ -387,12 +430,11 @@ func TestSolverLoopRuns(t *testing.T) {
 // apart, because how many passes run depends on which tenants miss the
 // shared cache at the same moment.
 func TestTraceOverheadSpanCountRepeats(t *testing.T) {
-	_, a := TraceOverheadRun(Quick())
-	_, b := TraceOverheadRun(Quick())
-	if a.Spans == 0 || a.Spans != b.Spans {
-		t.Fatalf("spans_recorded %v then %v: want one positive count", a.Spans, b.Spans)
+	a, b := measureTracing(quick()), measureTracing(quick())
+	if a.spans == 0 || a.spans != b.spans {
+		t.Fatalf("spans_recorded %v then %v: want one positive count", a.spans, b.spans)
 	}
-	if a.Passes == 0 {
+	if a.passes == 0 {
 		t.Fatal("no forward-pass spans recorded")
 	}
 }

@@ -38,10 +38,10 @@ func Cost(nSamples int) CostBreakdown {
 	return cb
 }
 
-// Tab03Budget reproduces Table 3: the expected budget for collecting 50 K
+// tab03Budget reproduces Table 3: the expected budget for collecting 50 K
 // samples and training the latency prediction model.
-func Tab03Budget(Scale) Result {
-	res := Result{ID: "tab03", Title: "Expected budget: 50K samples + training (AWS EC2 on-demand)",
+func tab03Budget(Scale) Result {
+	res := Result{Title: "Expected budget: 50K samples + training (AWS EC2 on-demand)",
 		Header: []string{"module", "instance", "time_h", "budget_$", "paper_$"}}
 	cb := Cost(50000)
 	res.AddRow("Load Generator", "CPU (c4.large)", f1(cb.SampleHours), f2(cb.LoadGenCost), "20.83")
@@ -76,12 +76,12 @@ func savedInstancesPerQPS(s Scale) float64 {
 	return slope
 }
 
-// Fig19CostBenefit reproduces Figure 19: the profit/loss frontier over
+// fig19CostBenefit reproduces Figure 19: the profit/loss frontier over
 // (microservice update period, workload magnitude). GRAF's one-time cost is
 // amortized over the update period; the benefit is the per-day value of the
 // instances it saves at the given workload.
-func Fig19CostBenefit(s Scale) Result {
-	res := Result{ID: "fig19", Title: "Cost-benefit frontier: min workload (qps) for GRAF to be profitable",
+func fig19CostBenefit(s Scale) Result {
+	res := Result{Title: "Cost-benefit frontier: min workload (qps) for GRAF to be profitable",
 		Header: []string{"update_period_days", "breakeven_qps", "profit_at_2000qps"}}
 	cb := Cost(50000)
 	slope := savedInstancesPerQPS(s)

@@ -16,12 +16,12 @@ import (
 // Benches for the paper's §6 future-work directions, implemented as
 // extensions in this repository.
 
-// AblationInteger quantifies §6's integer-optimization headroom: the CPU
+// ablationInteger quantifies §6's integer-optimization headroom: the CPU
 // recovered by RefineInteger over the naive per-service ceil of Eq. 7,
 // across a sweep of workloads.
-func AblationInteger(s Scale) Result {
+func ablationInteger(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "abl-integer", Title: "Extension (§6): integer refinement vs naive Eq.7 round-up",
+	res := Result{Title: "Extension (§6): integer refinement vs naive Eq.7 round-up",
 		Header: []string{"rate_rps", "solver_mc", "naive_ceil_mc", "refined_mc", "recovered_mc"}}
 	unit := cluster.DefaultConfig().CPUUnit
 	for _, rate := range []float64{80, 160, 240, 320} {
@@ -42,12 +42,12 @@ func AblationInteger(s Scale) Result {
 	return res
 }
 
-// AblationAnomaly demonstrates §6's contention-anomaly direction: inject a
+// ablationAnomaly demonstrates §6's contention-anomaly direction: inject a
 // contention spike into a GRAF-minimized deployment and compare tail
 // latency with and without the anomaly mitigator.
-func AblationAnomaly(s Scale) Result {
+func ablationAnomaly(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "abl-anomaly", Title: "Extension (§6): contention anomaly, with vs without mitigator",
+	res := Result{Title: "Extension (§6): contention anomaly, with vs without mitigator",
 		Header: []string{"variant", "p99_before_ms", "p99_during_ms", "p99_after_ms", "boosts"}}
 	run := func(mitigate bool) []string {
 		eng := sim.NewEngine(71)
@@ -92,13 +92,13 @@ func AblationAnomaly(s Scale) Result {
 	return res
 }
 
-// Scalability sweeps the number of microservices (§6, "Scalability of
+// scalability sweeps the number of microservices (§6, "Scalability of
 // GRAF"): per-prediction and per-solve wall time as the graph grows,
 // comparing the monolithic model against the graph-partitioned variant
 // (gnn.Partitioned) whose readout dimension is bounded by the largest
 // partition.
-func Scalability(s Scale) Result {
-	res := Result{ID: "scalability", Title: "Extension (§6): model/solver cost vs application size, monolithic vs partitioned",
+func scalability(s Scale) Result {
+	res := Result{Title: "Extension (§6): model/solver cost vs application size, monolithic vs partitioned",
 		Header: []string{"services", "predict_us", "part_predict_us", "solve_ms", "part_solve_ms", "readout_dim", "part_dim"}}
 	sizes := []int{6, 10, 20, 40}
 	if s.Name != "quick" {
@@ -153,11 +153,11 @@ func Scalability(s Scale) Result {
 	return res
 }
 
-// AblationPartition quantifies what partitioning costs in accuracy: both
+// ablationPartition quantifies what partitioning costs in accuracy: both
 // predictors trained on the same samples from a 20-service chain, evaluated
 // on the same held-out split.
-func AblationPartition(s Scale) Result {
-	res := Result{ID: "abl-partition", Title: "Extension (§6): monolithic vs partitioned model accuracy (20-service chain)",
+func ablationPartition(s Scale) Result {
+	res := Result{Title: "Extension (§6): monolithic vs partitioned model accuracy (20-service chain)",
 		Header: []string{"model", "best_val_loss", "test_MAPE_%"}}
 	a := app.SyntheticChain(20)
 	ana := core.NewAnalyticMeasurer(a, 0.1, 41)

@@ -40,13 +40,12 @@ func obsRun(tr *Trained, seed int64, horizonS float64) []byte {
 	return buf.Bytes()
 }
 
-// ObsReplay verifies the flight recorder's determinism contract two ways:
+// obsReplay verifies the flight recorder's determinism contract two ways:
 // an offline replay of the recorded solver inputs must reproduce every
 // model-path decision bit-identically, and a second simulation run from the
 // same seed must produce a byte-identical audit log.
-func ObsReplay(s Scale) Result {
+func obsReplay(s Scale) Result {
 	r := Result{
-		ID:     "replay",
 		Title:  "Flight-recorder audit log: offline replay + same-seed determinism",
 		Header: []string{"check", "decisions", "solves", "matched", "mismatches", "verdict"},
 	}
@@ -65,6 +64,7 @@ func ObsReplay(s Scale) Result {
 	verdict := "bit-identical"
 	if !rep.OK() {
 		verdict = "MISMATCH"
+		r.Fail("offline replay: %d of %d solves mismatched", len(rep.Mismatches), rep.Solves)
 	}
 	r.AddRow("offline solver replay", fmt.Sprint(rep.Decisions), fmt.Sprint(rep.Solves),
 		fmt.Sprint(rep.Matched), fmt.Sprint(len(rep.Mismatches)), verdict)
@@ -73,6 +73,7 @@ func ObsReplay(s Scale) Result {
 	same := "byte-identical"
 	if !bytes.Equal(raw, raw2) {
 		same = "DIVERGED"
+		r.Fail("same-seed re-run wrote a different audit log")
 	}
 	r.AddRow("same-seed re-run", fmt.Sprint(rep.Decisions), fmt.Sprint(rep.Solves),
 		"-", "-", same)
@@ -85,13 +86,12 @@ func ObsReplay(s Scale) Result {
 	return r
 }
 
-// ObsOverhead measures the wall-clock cost the telemetry subsystem adds to
+// obsOverhead measures the wall-clock cost the telemetry subsystem adds to
 // one controller decision: the same solve-heavy Step loop with
 // instrumentation disabled (nil hooks) and enabled (metrics + audit records
 // to a memory-capped recorder).
-func ObsOverhead(s Scale) Result {
+func obsOverhead(s Scale) Result {
 	r := Result{
-		ID:     "obs-overhead",
 		Title:  "Observability overhead per controller decision",
 		Header: []string{"mode", "decisions", "ns/decision", "overhead"},
 	}

@@ -29,7 +29,7 @@ func TestPipelineModelBytesArePinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes recorded on amd64")
 	}
-	boutique := BoutiquePipeline(Quick())
+	boutique := BoutiquePipeline(quick())
 	noMPNN, _ := trainNoMPNN(boutique)
 	for _, c := range []struct {
 		name string
@@ -38,7 +38,7 @@ func TestPipelineModelBytesArePinned(t *testing.T) {
 	}{
 		{"boutique", boutique.Model, "b003d02cf9bbc63da084c1276d1b074a7ae1fe216ba02831840097623283b101"},
 		{"boutique no-MPNN", noMPNN, "d342488851668287882104d64b750730783b7441b2de57330d89dc3d1dda0050"},
-		{"social", SocialPipeline(Quick()).Model, "8502d2c446a676604b8ac4a1ed7a0590bbfc18c7b40fe194f0cdb3157138ae9c"},
+		{"social", SocialPipeline(quick()).Model, "8502d2c446a676604b8ac4a1ed7a0590bbfc18c7b40fe194f0cdb3157138ae9c"},
 	} {
 		if got := modelHash(t, c.m); got != c.want {
 			t.Errorf("%s model sha256 = %s, want %s", c.name, got, c.want)

@@ -117,18 +117,17 @@ func runChaosPolicy(tr *Trained, policy string, slo float64, seed int64) chaosOu
 	return out
 }
 
-// ChaosRobustness is the robustness experiment: the same deterministic
+// chaosRobustness is the robustness experiment: the same deterministic
 // fault schedule — lossy telemetry, a correlated 50% crash, a frontend
 // kill, a contention burst — against the hardened GRAF controller, the
 // paper-exact vanilla controller, and the reactive baselines. The hardened
 // controller's stale-telemetry hold is the difference that matters: vanilla
 // re-solves on the sampled-down arrival rate and scales in exactly as half
 // the capacity dies.
-func ChaosRobustness(s Scale) Result {
+func chaosRobustness(s Scale) Result {
 	tr := BoutiquePipeline(s)
 	slo := tr.Spec.SLO
 	res := Result{
-		ID:    "chaos",
 		Title: "SLO violations under fault injection (Online Boutique, 240 rps, 250 ms SLO)",
 		Header: []string{"policy", "viol %", "worst p99", "recovery s", "killed", "degraded reqs",
 			"stale holds", "fallbacks"},
@@ -140,7 +139,7 @@ func ChaosRobustness(s Scale) Result {
 			fmt.Sprintf("%d", o.killed), fmt.Sprintf("%d", o.failed),
 			fmt.Sprintf("%d", o.stats.StaleHolds), fmt.Sprintf("%d", o.stats.FallbackSolves))
 		if o.stranded != 0 {
-			res.Note("%s stranded %d in-flight requests after drain (BUG)", policy, o.stranded)
+			res.Fail("%s stranded %d in-flight requests after drain", policy, o.stranded)
 		}
 		if policy == "graf" && len(o.health) > 0 {
 			res.Note("hardened health transitions: %v", o.health)

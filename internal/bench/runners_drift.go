@@ -117,7 +117,7 @@ func runDrift(tr *Trained, withLifecycle bool, slo float64, seed int64, observeS
 	return out
 }
 
-// Drift is the model-lifecycle experiment: a permanent ×1.6 drift of every
+// drift is the model-lifecycle experiment: a permanent ×1.6 drift of every
 // service's queueing surface under a constant 240 rps load, with and without
 // the trust subsystem. The static controller keeps solving on the stale
 // surface and under-provisions for the rest of the run; the lifecycle
@@ -125,7 +125,7 @@ func runDrift(tr *Trained, withLifecycle bool, slo float64, seed int64, observeS
 // retrains a candidate on post-drift telemetry, and canary-promotes it.
 // Acceptance: the lifecycle run logs strictly fewer SLO-violation seconds,
 // with at least one drift trip and one promotion.
-func Drift(s Scale) Result {
+func drift(s Scale) Result {
 	tr := BoutiquePipeline(s)
 	slo := tr.Spec.SLO
 	observeS := 600.0
@@ -133,7 +133,6 @@ func Drift(s Scale) Result {
 		observeS = 480
 	}
 	res := Result{
-		ID:     "drift",
 		Title:  "Model drift: static vs lifecycle-managed controller (Online Boutique, ×1.6 surface drift, 250 ms SLO)",
 		Header: []string{"controller", "SLO-viol s", "worst p99", "final gen", "phase", "trips", "promoted", "rolled back", "rejected"},
 	}
@@ -144,7 +143,7 @@ func Drift(s Scale) Result {
 		res.AddRow(mode, f0(o.violS), ms(o.worstP99), di(o.gen), o.phase,
 			di(o.trips), di(o.promos), di(o.rolls), di(o.rejects))
 		if o.stranded != 0 {
-			res.Note("%s stranded %d in-flight requests after drain (BUG)", mode, o.stranded)
+			res.Fail("%s stranded %d in-flight requests after drain", mode, o.stranded)
 		}
 	}
 	res.Note("violation seconds per minute after drift: lifecycle %v, static %v",
@@ -157,12 +156,11 @@ func Drift(s Scale) Result {
 		res.Note("%s", ev)
 	}
 	l, st := outs["lifecycle"], outs["static"]
-	switch {
-	case l.violS < st.violS && l.trips >= 1 && l.promos >= 1:
+	if l.violS < st.violS && l.trips >= 1 && l.promos >= 1 {
 		res.Note("lifecycle beats static: %.0f vs %.0f violation-seconds, %d drift trip(s), %d promotion(s)",
 			l.violS, st.violS, l.trips, l.promos)
-	default:
-		res.Note("REGRESSION: lifecycle (%.0f viol-s, %d trips, %d promotions) does not beat static (%.0f viol-s)",
+	} else {
+		res.Fail("lifecycle (%.0f viol-s, %d trips, %d promotions) does not beat static (%.0f viol-s)",
 			l.violS, l.trips, l.promos, st.violS)
 	}
 	res.Note(fmt.Sprintf("same seed and workload for both runs; drift lands 180 s after the controllers attach; observed for %.0f s", observeS))

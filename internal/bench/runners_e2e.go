@@ -127,11 +127,11 @@ func tuneHPAUncached(tr *Trained, slo, totalRate, horizonS float64, seed int64) 
 	return 0.1, best
 }
 
-// Fig14TotalCPU reproduces Figure 14: total CPU quota under GRAF vs the
+// fig14TotalCPU reproduces Figure 14: total CPU quota under GRAF vs the
 // fine-tuned K8s autoscaler for both applications, at the same achieved
 // latency SLO.
-func Fig14TotalCPU(s Scale) Result {
-	res := Result{ID: "fig14", Title: "Total CPU quota (millicores): GRAF vs fine-tuned K8s autoscaler",
+func fig14TotalCPU(s Scale) Result {
+	res := Result{Title: "Total CPU quota (millicores): GRAF vs fine-tuned K8s autoscaler",
 		Header: []string{"application", "GRAF_mc", "K8s_mc", "saving_%", "GRAF_p99_ms", "K8s_p99_ms", "SLO_ms"}}
 	for _, c := range []struct {
 		tr   *Trained
@@ -150,8 +150,8 @@ func Fig14TotalCPU(s Scale) Result {
 	return res
 }
 
-func perMSFigure(id string, tr *Trained, rate float64, s Scale) Result {
-	res := Result{ID: id, Title: tr.App.Name + ": per-microservice CPU quota, GRAF vs fine-tuned K8s autoscaler",
+func perMSFigure(tr *Trained, rate float64, s Scale) Result {
+	res := Result{Title: tr.App.Name + ": per-microservice CPU quota, GRAF vs fine-tuned K8s autoscaler",
 		Header: []string{"service", "GRAF_mc", "K8s_mc"}}
 	graf := runGRAFSteady(tr, tr.Spec.SLO, rate, s.SteadyS, 23)
 	_, k8s := tuneHPA(tr, tr.Spec.SLO, rate, s.SteadyS, 24)
@@ -163,22 +163,22 @@ func perMSFigure(id string, tr *Trained, rate float64, s Scale) Result {
 	return res
 }
 
-// Fig15PerMSBoutique reproduces Figure 15 (Online Boutique MS1..MS6).
-func Fig15PerMSBoutique(s Scale) Result {
-	return perMSFigure("fig15", BoutiquePipeline(s), EvalRate, s)
+// fig15PerMSBoutique reproduces Figure 15 (Online Boutique MS1..MS6).
+func fig15PerMSBoutique(s Scale) Result {
+	return perMSFigure(BoutiquePipeline(s), EvalRate, s)
 }
 
-// Fig16PerMSSocial reproduces Figure 16 (Social Network MS1..MS10).
-func Fig16PerMSSocial(s Scale) Result {
-	return perMSFigure("fig16", SocialPipeline(s), EvalRate, s)
+// fig16PerMSSocial reproduces Figure 16 (Social Network MS1..MS10).
+func fig16PerMSSocial(s Scale) Result {
+	return perMSFigure(SocialPipeline(s), EvalRate, s)
 }
 
-// Fig17SLOTargeting reproduces Figure 17: measured p99 latency of solver
+// fig17SLOTargeting reproduces Figure 17: measured p99 latency of solver
 // configurations across a sweep of target SLOs, with the fraction landing
 // within their SLO (paper: 85.1%).
-func Fig17SLOTargeting(s Scale) Result {
+func fig17SLOTargeting(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "fig17", Title: "Measured 99%-tile latency vs target SLO (Online Boutique)",
+	res := Result{Title: "Measured 99%-tile latency vs target SLO (Online Boutique)",
 		Header: []string{"SLO_ms", "predicted_ms", "measured_ms", "within"}}
 	within, n := 0, 0
 	rate := float64(EvalRate)
@@ -216,12 +216,12 @@ func Fig17SLOTargeting(s Scale) Result {
 	return res
 }
 
-// Fig18UserScaling reproduces Figure 18: total instances for GRAF and the
+// fig18UserScaling reproduces Figure 18: total instances for GRAF and the
 // tuned K8s autoscaler under increasing simulated users (closed loop), and
 // the instances saved.
-func Fig18UserScaling(s Scale) Result {
+func fig18UserScaling(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "fig18", Title: "Total instances vs simulated users (Online Boutique, closed loop)",
+	res := Result{Title: "Total instances vs simulated users (Online Boutique, closed loop)",
 		Header: []string{"users", "GRAF", "K8s", "saved"}}
 	th, _ := tuneHPA(tr, tr.Spec.SLO, EvalRate, s.SteadyS, 41)
 	users := []int{500, 1000, 1500, 2000, 2500, 3000}
@@ -254,11 +254,11 @@ func Fig18UserScaling(s Scale) Result {
 	return res
 }
 
-// Fig20AzureReplay reproduces Figure 20: total instances over time replaying
+// fig20AzureReplay reproduces Figure 20: total instances over time replaying
 // the Azure-functions-style invocation trace, GRAF vs K8s autoscaler.
-func Fig20AzureReplay(s Scale) Result {
+func fig20AzureReplay(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "fig20", Title: "Azure trace replay: total instances over time (Online Boutique)",
+	res := Result{Title: "Azure trace replay: total instances over time (Online Boutique)",
 		Header: []string{"t_s", "workload_users", "GRAF", "K8s"}}
 	cfg := azure.DefaultTrace()
 	if s.Name == "quick" {
@@ -382,12 +382,12 @@ func runSurgeCompare(tr *Trained, policy string, baseUsers, surgeUsers int, surg
 	return out
 }
 
-// Fig21SurgeComparison reproduces Figure 21: total instances during a
+// fig21SurgeComparison reproduces Figure 21: total instances during a
 // Locust-thread surge for GRAF, the K8s autoscaler and the FIRM-like
 // baseline, at 250 and 500 threads.
-func Fig21SurgeComparison(s Scale) Result {
+func fig21SurgeComparison(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "fig21", Title: "Instances during Locust-thread surge: GRAF vs K8s vs FIRM-like",
+	res := Result{Title: "Instances during Locust-thread surge: GRAF vs K8s vs FIRM-like",
 		Header: []string{"threads", "policy", "settled", "peak", "t+40s", "t+120s"}}
 	threadCases := []int{250, 500}
 	if s.Name == "quick" {
@@ -404,11 +404,11 @@ func Fig21SurgeComparison(s Scale) Result {
 	return res
 }
 
-// Fig22Convergence reproduces Figure 22: time for the end-to-end tail
+// fig22Convergence reproduces Figure 22: time for the end-to-end tail
 // latency to converge after the surge.
-func Fig22Convergence(s Scale) Result {
+func fig22Convergence(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "fig22", Title: "Time to tail-latency convergence after surge (seconds)",
+	res := Result{Title: "Time to tail-latency convergence after surge (seconds)",
 		Header: []string{"threads", "GRAF", "K8s", "FIRM-like", "settled_p99_ms (G/K/F)"}}
 	threadCases := []int{250, 500}
 	if s.Name == "quick" {

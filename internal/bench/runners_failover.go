@@ -10,36 +10,17 @@ import (
 	"graf/internal/rpc"
 )
 
-// RouterFailoverStats are the machine-checked numbers of the router-failover
-// experiment, exposed for BenchmarkRouterFailover, which holds
-// TakeoverBlackoutMS under a ceiling; the three integrity counters are hard
-// zero/nonzero assertions, not trends.
-type RouterFailoverStats struct {
-	TakeoverBlackoutMS float64
-	LostDecisions      float64
-	FencedAccepted     float64
-	FencedRejected     float64
-	ByteIdentical      bool
-	MigrationAction    string
-}
-
-// RouterFailover runs the crash-safe-router drill (DESIGN.md §3k): a durable
+// routerFailover runs the crash-safe-router drill (DESIGN.md §3k): a durable
 // primary router is killed at the worst possible moment — mid-migration,
 // after the drain, before the restore, with seeded request drops on the wire
 // throughout — and a standby takes over from the shared checkpoint: epoch
 // bump, anti-entropy reconcile, migration roll-forward, then the rest of the
-// round sequence. The run must end with every tenant's audit log
-// byte-identical to an uninterrupted single-process fleet, zero lost
-// decisions, and zero stale-epoch mutations accepted by any shard.
-func RouterFailover(s Scale) Result {
-	res, _ := RouterFailoverRun(s)
-	return res
-}
-
-// RouterFailoverRun is RouterFailover plus its raw stats.
-func RouterFailoverRun(s Scale) (Result, RouterFailoverStats) {
+// round sequence. Its floors: every tenant's audit log byte-identical to an
+// uninterrupted single-process fleet, zero lost decisions, zero stale-epoch
+// mutations accepted by any shard, a zombie primary fenced off, the
+// migration rolled forward, and a takeover blackout of at most 3 s.
+func routerFailover(s Scale) Result {
 	res := Result{
-		ID:     "router-failover",
 		Title:  "Crash-safe router: SIGKILL mid-migration, standby takeover, zombie fencing",
 		Header: []string{"mode", "tenants", "shards", "rounds", "epoch", "wall s", "lost decisions"},
 	}
@@ -111,28 +92,33 @@ func RouterFailoverRun(s Scale) (Result, RouterFailoverStats) {
 	}
 
 	rs := v.Stats
-	st := RouterFailoverStats{
-		TakeoverBlackoutMS: v.TakeoverBlackoutMS,
-		LostDecisions:      float64(rs.LostDecisions + dead.Stats().LostDecisions),
-		FencedAccepted:     float64(accepted),
-		FencedRejected:     float64(rejected),
-		ByteIdentical:      len(v.Mismatched) == 0,
-		MigrationAction:    v.Reconcile.MigrationAction,
-	}
+	lost := rs.LostDecisions + dead.Stats().LostDecisions
+	action := v.Reconcile.MigrationAction
 
 	res.AddRow("primary (killed)", di(tenants), "2", di(dead.Stats().Rounds), di(int(dead.Epoch())), f2(primaryWall), "-")
-	res.AddRow("standby (takeover)", di(tenants), "2", di(rs.Rounds), di(int(v.Epoch)), f2(v.WallS), f0(st.LostDecisions))
+	res.AddRow("standby (takeover)", di(tenants), "2", di(rs.Rounds), di(int(v.Epoch)), f2(v.WallS), di(lost))
 
-	res.Note("router_takeover_blackout_ms=%.2f (epoch bump + reconcile + migration roll-forward; detection excluded in-process)", st.TakeoverBlackoutMS)
+	res.Note("router_takeover_blackout_ms=%.2f (epoch bump + reconcile + migration roll-forward; detection excluded in-process)", v.TakeoverBlackoutMS)
 	res.Note("reconcile: %s", v.Reconcile.String())
-	res.Note("migration %s -> %s resolved by reconcile as %q (want rolled-forward: drain completed, restore never ran)", victim, standby.Router().Owner(victim), st.MigrationAction)
-	res.Note("lost_decisions=%.0f verified_restores=%d snapshot_verified=%d (target 0 lost)", st.LostDecisions, rs.VerifiedRestores, rs.SnapshotVerified)
-	res.Note("fenced_writes_accepted=%.0f fenced_writes_rejected=%.0f zombie_fenced=%v (accepted must be 0)", st.FencedAccepted, st.FencedRejected, zombieFenced)
+	res.Note("migration %s -> %s resolved by reconcile as %q (want rolled-forward: drain completed, restore never ran)", victim, standby.Router().Owner(victim), action)
+	res.Note("lost_decisions=%d verified_restores=%d snapshot_verified=%d (target 0 lost)", lost, rs.VerifiedRestores, rs.SnapshotVerified)
+	res.Note("fenced_writes_accepted=%d fenced_writes_rejected=%d zombie_fenced=%v (accepted must be 0)", accepted, rejected, zombieFenced)
 	if !zombieFenced {
-		st.FencedAccepted++ // a zombie that mutates freely is an acceptance even if no shard counted one
-		res.Note("REGRESSION: zombie primary round did not bounce off the fence (err %v)", zombieErr)
+		res.Fail("zombie primary round did not bounce off the fence (err %v)", zombieErr)
 	}
 	noteByteIdentity(&res, v, "uninterrupted", "the takeover")
 	res.Note("wire chaos: 5%% seeded request drops all run, including during the reconcile sweep")
-	return res, st
+	if lost > 0 {
+		res.Fail("%d lost decisions, want 0", lost)
+	}
+	if accepted > 0 {
+		res.Fail("shards accepted %d stale-epoch mutations, want 0", accepted)
+	}
+	if action != "rolled-forward" {
+		res.Fail("mid-flight migration resolved as %q, want rolled-forward", action)
+	}
+	if v.TakeoverBlackoutMS > 3000 {
+		res.Fail("takeover blackout %.0f ms, ceiling 3000 ms", v.TakeoverBlackoutMS)
+	}
+	return res
 }

@@ -14,33 +14,16 @@ import (
 	"graf/internal/rpc"
 )
 
-// FleetRPCStats are the machine-checked numbers of the fleet-rpc
-// experiment, exposed separately so BenchmarkFleetRPC can report them as
-// testing.B metrics and hold them to their floors.
-type FleetRPCStats struct {
-	TicksPerS           float64
-	MigrationBlackoutMS float64
-	RebalanceBlackoutMS float64
-	LostDecisions       float64
-	ByteIdentical       bool
-}
-
-// FleetRPC measures the multi-process control plane (DESIGN.md §3h): two
+// fleetRPC measures the multi-process control plane (DESIGN.md §3h): two
 // shard servers behind a router, driven over real HTTP sockets, through a
 // full robustness drill — a planned tenant migration mid-run, then a chaos
 // shard kill (abrupt server death, no drain) with seeded request drops on
-// the wire throughout. The run must end with every tenant's on-disk audit
-// log byte-identical to an unkilled single-process fleet of the same seed:
+// the wire throughout. Its floors: every tenant's on-disk audit log
+// byte-identical to an unkilled single-process fleet of the same seed, a
+// verdict with no lost decision, and a migration blackout of at most 5 s —
 // the distributed plane may cost wall clock, but never decisions.
-func FleetRPC(s Scale) Result {
-	res, _ := FleetRPCRun(s)
-	return res
-}
-
-// FleetRPCRun is FleetRPC plus its raw stats.
-func FleetRPCRun(s Scale) (Result, FleetRPCStats) {
+func fleetRPC(s Scale) Result {
 	res := Result{
-		ID:     "fleet-rpc",
 		Title:  "Multi-process fleet: routed shards vs single process, with migration + shard kill",
 		Header: []string{"mode", "tenants", "shards", "rounds", "wall s", "ticks/s", "lost decisions"},
 	}
@@ -71,29 +54,28 @@ func FleetRPCRun(s Scale) (Result, FleetRPCStats) {
 	}
 
 	rs := v.Stats
-	st := FleetRPCStats{
-		TicksPerS:           float64(v.Ticks) / v.WallS,
-		RebalanceBlackoutMS: rs.RecoveryBlackoutMS,
-		LostDecisions:       float64(rs.LostDecisions),
-		ByteIdentical:       len(v.Mismatched) == 0,
-	}
+	ticksPerS := float64(v.Ticks) / v.WallS
+	migrationMS := 0.0
 	for _, ms := range rs.MigrationBlackouts {
-		st.MigrationBlackoutMS = max(st.MigrationBlackoutMS, ms)
+		migrationMS = max(migrationMS, ms)
 	}
 
 	// Reference: the same population in one static single-process fleet.
 	res.AddRow("single process", di(tenants), "1", di(rounds), f2(v.ReferenceS),
 		f1(float64(tenants*rounds)/v.ReferenceS), "-")
 	res.AddRow("routed 2 shards", di(tenants), "2", di(rounds), f2(v.WallS),
-		f1(st.TicksPerS), f0(st.LostDecisions))
+		f1(ticksPerS), di(rs.LostDecisions))
 
-	res.Note("fleetrpc_ticks_per_s=%.1f (aggregate, %d tenants across 2 shard processes + router over HTTP)", st.TicksPerS, tenants)
-	res.Note("migration_blackout_ms=%.2f (drain -> checkpoint -> rebuild + fast-forward on target, fingerprint-verified)", st.MigrationBlackoutMS)
-	res.Note("rebalance_blackout_ms=%.2f (shard killed at round %d: %d respawns, %d reassignments)", st.RebalanceBlackoutMS, killRound, rs.Respawns, rs.Reassignments)
-	res.Note("lost_decisions=%.0f verified_restores=%d snapshot_verified=%d replayed_ticks=%d (target 0 lost)", st.LostDecisions, rs.VerifiedRestores, rs.SnapshotVerified, rs.ReplayedTicks)
+	res.Note("fleetrpc_ticks_per_s=%.1f (aggregate, %d tenants across 2 shard processes + router over HTTP)", ticksPerS, tenants)
+	res.Note("migration_blackout_ms=%.2f (drain -> checkpoint -> rebuild + fast-forward on target, fingerprint-verified)", migrationMS)
+	res.Note("rebalance_blackout_ms=%.2f (shard killed at round %d: %d respawns, %d reassignments)", rs.RecoveryBlackoutMS, killRound, rs.Respawns, rs.Reassignments)
+	res.Note("lost_decisions=%d verified_restores=%d snapshot_verified=%d replayed_ticks=%d (target 0 lost)", rs.LostDecisions, rs.VerifiedRestores, rs.SnapshotVerified, rs.ReplayedTicks)
 	noteByteIdentity(&res, v, "unkilled", "distributed run")
 	res.Note("wire chaos: 10%% seeded request drops all run; client retries with jittered backoff absorb them")
-	return res, st
+	if migrationMS > 5000 {
+		res.Fail("migration blackout %.0f ms, ceiling 5000 ms", migrationMS)
+	}
+	return res
 }
 
 // planeDrill is what the control-plane experiments share: an untrained
@@ -120,16 +102,16 @@ func planeDrill(tenants, rounds int, dir string) rpc.Drill {
 }
 
 // noteByteIdentity records the acceptance check — every audit file
-// byte-identical to the single-process reference — and anything else the
-// verdict holds against the run.
+// byte-identical to the single-process reference — and fails the run on a
+// mismatch or anything else the verdict holds against it.
 func noteByteIdentity(res *Result, v *rpc.Verdict, reference, run string) {
 	if len(v.Mismatched) > 0 {
-		res.Note("byte_identical=false REGRESSION: %s lost or altered decisions", run)
+		res.Fail("byte_identical=false: %s lost or altered decisions", run)
 	} else {
 		res.Note("byte_identical=true: every tenant's audit log matches the %s single-process run exactly", reference)
 	}
 	if err := v.Err(); err != nil {
-		res.Note("REGRESSION: %s", strings.ReplaceAll(err.Error(), "\n", "; "))
+		res.Fail("%s", strings.ReplaceAll(err.Error(), "\n", "; "))
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"graf/internal/gnn"
 )
 
-// Tab01Hyperparameters reproduces Table 1: the latency prediction model's
+// tab01Hyperparameters reproduces Table 1: the latency prediction model's
 // training hyperparameters, alongside the scaled values this repository
 // uses at the given Scale.
-func Tab01Hyperparameters(s Scale) Result {
-	res := Result{ID: "tab01", Title: "Latency Prediction Model training parameters",
+func tab01Hyperparameters(s Scale) Result {
+	res := Result{Title: "Latency Prediction Model training parameters",
 		Header: []string{"parameter", "paper", "this_run"}}
 	res.AddRow("iterations", "7e4", di(s.Iterations))
 	res.AddRow("batch size", "256", di(s.Batch))
@@ -25,12 +25,12 @@ func Tab01Hyperparameters(s Scale) Result {
 	return res
 }
 
-// Tab02PredictionError reproduces Table 2: mean absolute percentage error
+// tab02PredictionError reproduces Table 2: mean absolute percentage error
 // of the trained model by true-latency region, plus the mean signed
 // overestimation across all test points.
-func Tab02PredictionError(s Scale) Result {
+func tab02PredictionError(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "tab02", Title: "Prediction percentage error by 99%-tile latency region (Online Boutique)",
+	res := Result{Title: "Prediction percentage error by 99%-tile latency region (Online Boutique)",
 		Header: []string{"region_ms", "MAPE_%", "n", "paper_%"}}
 	regions := [][2]float64{{0, 50}, {50, 100}, {0, 200}, {0, 800}}
 	paper := []string{"21.3", "27.1", "27.1", "31.9"}
@@ -48,11 +48,11 @@ func Tab02PredictionError(s Scale) Result {
 	return res
 }
 
-// Fig11MPNNAblation reproduces Figure 11: validation-loss learning curves
+// fig11MPNNAblation reproduces Figure 11: validation-loss learning curves
 // for GRAF versus GRAF without the MPNN (readout over raw node features).
-func Fig11MPNNAblation(s Scale) Result {
+func fig11MPNNAblation(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "fig11", Title: "Learning curves: GRAF vs GRAF w/o MPNN (validation loss)",
+	res := Result{Title: "Learning curves: GRAF vs GRAF w/o MPNN (validation loss)",
 		Header: []string{"iteration", "GRAF", "GRAF w/o MPNN"}}
 	noMPNN, noMPNNR := trainNoMPNN(tr)
 	n := len(tr.Result.Curve)
@@ -85,12 +85,12 @@ func trainNoMPNN(tr *Trained) (*gnn.Model, gnn.TrainResult) {
 	return m, m.Train(tr.Samples, tr.Spec.TrainConfig())
 }
 
-// Fig12LossHeatmap reproduces Figure 12: the solver's Eq. 5 loss over a
+// fig12LossHeatmap reproduces Figure 12: the solver's Eq. 5 loss over a
 // grid of two microservices' quotas with the rest held at the solved
 // optimum — empirically convex with a single basin.
-func Fig12LossHeatmap(s Scale) Result {
+func fig12LossHeatmap(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "fig12", Title: "Eq.5 loss heatmap over (recommendation, frontend) quotas",
+	res := Result{Title: "Eq.5 loss heatmap over (recommendation, frontend) quotas",
 		Header: []string{"rec\\front_mc", "300", "600", "900", "1200", "1500", "1800"}}
 	a := tr.App
 	load := make([]float64, len(a.Services))
@@ -115,11 +115,11 @@ func Fig12LossHeatmap(s Scale) Result {
 	return res
 }
 
-// Fig13SearchSpace reproduces Figure 13: Algorithm 1's reduced search space
+// fig13SearchSpace reproduces Figure 13: Algorithm 1's reduced search space
 // against the original per microservice, and the volume ratio of §5.1.
-func Fig13SearchSpace(s Scale) Result {
+func fig13SearchSpace(s Scale) Result {
 	tr := BoutiquePipeline(s)
-	res := Result{ID: "fig13", Title: "Reduced vs original search space (Online Boutique)",
+	res := Result{Title: "Reduced vs original search space (Online Boutique)",
 		Header: []string{"service", "lo_mc", "hi_mc", "original"}}
 	sc := core.NewSampleCollector(tr.App, core.NewAnalyticMeasurer(tr.App, 0, 1), tr.Spec.SLO, (tr.Spec.MinRate+tr.Spec.MaxRate)/2)
 	for i, name := range tr.App.ServiceNames() {

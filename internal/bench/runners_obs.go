@@ -11,10 +11,10 @@ import (
 	"graf/internal/workload"
 )
 
-// Fig01InstanceCreation reproduces Figure 1: the time to create 1, 2, 4, 8
+// fig01InstanceCreation reproduces Figure 1: the time to create 1, 2, 4, 8
 // and 16 microservice instances at once.
-func Fig01InstanceCreation(Scale) Result {
-	res := Result{ID: "fig01", Title: "Time to create microservice instances (batch)",
+func fig01InstanceCreation(Scale) Result {
+	res := Result{Title: "Time to create microservice instances (batch)",
 		Header: []string{"batch", "time_to_ready_s", "paper_s"}}
 	paper := map[int]float64{1: 5.5, 2: 8.7, 4: 12.5, 8: 23.6, 16: 45.6}
 	for _, k := range []int{1, 2, 4, 8, 16} {
@@ -125,10 +125,10 @@ func surgeVariants() []surgeVariant {
 	return []surgeVariant{proactive, mk(0.10), mk(0.25), mk(0.50)}
 }
 
-// Fig02SurgeInstances reproduces Figure 2: total instances over time under
+// fig02SurgeInstances reproduces Figure 2: total instances over time under
 // the cart-page surge for Proactive vs K8s autoscaler at 10/25/50%.
-func Fig02SurgeInstances(s Scale) Result {
-	res := Result{ID: "fig02", Title: "Total instances during traffic surge (300 qps cart)",
+func fig02SurgeInstances(s Scale) Result {
+	res := Result{Title: "Total instances during traffic surge (300 qps cart)",
 		Header: []string{"t_s", "Proactive", "HPA(10%)", "HPA(25%)", "HPA(50%)"}}
 	var outs []surgeOut
 	for _, v := range surgeVariants() {
@@ -148,10 +148,10 @@ func Fig02SurgeInstances(s Scale) Result {
 	return res
 }
 
-// Fig03SurgeLatency reproduces Figure 3: p90/p95/p99 end-to-end latency
+// fig03SurgeLatency reproduces Figure 3: p90/p95/p99 end-to-end latency
 // during the surge for the same four policies.
-func Fig03SurgeLatency(s Scale) Result {
-	res := Result{ID: "fig03", Title: "End-to-end latency during traffic surge (seconds)",
+func fig03SurgeLatency(s Scale) Result {
+	res := Result{Title: "End-to-end latency during traffic surge (seconds)",
 		Header: []string{"percentile", "Proactive", "HPA(10%)", "HPA(25%)", "HPA(50%)"}}
 	var outs []surgeOut
 	for _, v := range surgeVariants() {
@@ -171,11 +171,11 @@ func Fig03SurgeLatency(s Scale) Result {
 	return res
 }
 
-// Fig07CascadingEffect reproduces Figure 7: when each microservice in the
+// fig07CascadingEffect reproduces Figure 7: when each microservice in the
 // cart chain first perceives the surged workload — sequential under the K8s
 // autoscaler, simultaneous under proactive allocation.
-func Fig07CascadingEffect(s Scale) Result {
-	res := Result{ID: "fig07", Title: "Time (s after surge) until each microservice perceives peak workload",
+func fig07CascadingEffect(s Scale) Result {
+	res := Result{Title: "Time (s after surge) until each microservice perceives peak workload",
 		Header: []string{"service", "K8s Autoscaler", "Proactive"}}
 	vs := surgeVariants()
 	hpa := runSurge(vs[1], 5, 300, 60, s.SurgeS, 7) // HPA(10%)
@@ -188,11 +188,11 @@ func Fig07CascadingEffect(s Scale) Result {
 	return res
 }
 
-// Fig06LatencyCurves reproduces Figure 6: per-microservice median latency
+// fig06LatencyCurves reproduces Figure 6: per-microservice median latency
 // versus CPU quota for Robot Shop's Web and Catalogue, swept vertically on
 // a single instance.
-func Fig06LatencyCurves(Scale) Result {
-	res := Result{ID: "fig06", Title: "Robot Shop: 50%-tile latency vs CPU quota (ms)",
+func fig06LatencyCurves(Scale) Result {
+	res := Result{Title: "Robot Shop: 50%-tile latency vs CPU quota (ms)",
 		Header: []string{"quota_mc", "web_ms", "catalogue_ms"}}
 	cfg := cluster.DefaultConfig()
 	cfg.CPUUnit = 2000 // vertical scaling: one instance across the sweep

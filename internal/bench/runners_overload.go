@@ -10,9 +10,9 @@ import (
 	"graf/internal/workload"
 )
 
-// OverloadStats are the machine-checked numbers of the overload experiment,
+// overloadStats are the machine-checked numbers of the overload experiment,
 // which TestOverloadLadderBeatsFixedPolicies holds to their orderings.
-type OverloadStats struct {
+type overloadStats struct {
 	// Round-deadline misses per policy (rounds whose cost exceeded the
 	// calibrated budget) across the whole run.
 	MissesNever     float64
@@ -29,7 +29,7 @@ type OverloadStats struct {
 	Monotone          bool
 }
 
-// Overload compares three overload policies on the same fleet through the
+// overloadLadder compares three overload policies on the same fleet through the
 // same contention burst (DESIGN.md §3j):
 //
 //   - never-degrade: full GNN solves no matter what — best decisions, but
@@ -50,7 +50,7 @@ type OverloadStats struct {
 // burst round costs burstFactor times as much: the burst leaves a solver a
 // seventh of a core. So the table is the same on every host and at every
 // GOMAXPROCS.
-func Overload(s Scale) Result {
+func overloadLadder(s Scale) Result {
 	res, _ := runOverload(s, 9)
 	return res
 }
@@ -60,9 +60,8 @@ func Overload(s Scale) Result {
 const burstFactor = 7
 
 // runOverload runs the three policies on a fleet seeded with seed.
-func runOverload(s Scale, seed int64) (Result, OverloadStats) {
+func runOverload(s Scale, seed int64) (Result, overloadStats) {
 	res := Result{
-		ID:     "overload",
 		Title:  "Overload brownout ladder vs never-degrade and always-heuristic",
 		Header: []string{"policy", "rounds", "deadline misses", "viol s", "transitions"},
 	}
@@ -169,7 +168,7 @@ func runOverload(s Scale, seed int64) (Result, OverloadStats) {
 	heuristic, _ := run([]fleet.BrownoutPhase{{FromTick: 0, Step: overload.StepHeuristic}}, false)
 	ladder, lf := run(nil, true)
 
-	st := OverloadStats{
+	st := overloadStats{
 		MissesNever: float64(never.misses), MissesLadder: float64(ladder.misses), MissesHeuristic: float64(heuristic.misses),
 		ViolSNever: never.violS, ViolSLadder: ladder.violS, ViolSHeuristic: heuristic.violS,
 		LadderTransitions: float64(ladder.trans),

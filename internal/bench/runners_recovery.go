@@ -144,17 +144,16 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 	return out
 }
 
-// Recovery is the crash-recovery experiment: the same deterministic
+// recovery is the crash-recovery experiment: the same deterministic
 // schedule — a lying telemetry pipeline, a control-plane kill at the onset
 // of a 240→300 rps surge, a 15 s restart delay — against warm
 // (checkpoint + audit-tail) and cold restart. The acceptance bar is strict:
 // warm must log fewer SLO-violation seconds and fewer
 // ticks-to-reconverge than cold under the identical seed and fault script.
-func Recovery(s Scale) Result {
+func recovery(s Scale) Result {
 	tr := BoutiquePipeline(s)
 	slo := tr.Spec.SLO
 	res := Result{
-		ID:     "recovery",
 		Title:  "Cold vs. warm control-plane restart under a surge (Online Boutique, 240→300 rps, 250 ms SLO)",
 		Header: []string{"restart", "SLO-viol s", "worst p99", "reconverge ticks", "crashes", "restore"},
 	}
@@ -166,16 +165,15 @@ func Recovery(s Scale) Result {
 			f0(o.violS), ms(o.worstP99), fmt.Sprintf("%d", o.reconvergeTick),
 			fmt.Sprintf("%d", o.crashes), o.mode)
 		if o.stranded != 0 {
-			res.Note("%s stranded %d in-flight requests after drain (BUG)", mode, o.stranded)
+			res.Fail("%s stranded %d in-flight requests after drain", mode, o.stranded)
 		}
 	}
 	w, c := outs["warm"], outs["cold"]
-	switch {
-	case w.violS < c.violS && w.reconvergeTick < c.reconvergeTick:
+	if w.violS < c.violS && w.reconvergeTick < c.reconvergeTick {
 		res.Note("warm restart beats cold on both axes: %.0f vs %.0f violation-seconds, %d vs %d ticks to reconverge",
 			w.violS, c.violS, w.reconvergeTick, c.reconvergeTick)
-	default:
-		res.Note("REGRESSION: warm (%.0f viol-s, %d ticks) does not strictly beat cold (%.0f viol-s, %d ticks)",
+	} else {
+		res.Fail("warm (%.0f viol-s, %d ticks) does not strictly beat cold (%.0f viol-s, %d ticks)",
 			w.violS, w.reconvergeTick, c.violS, c.reconvergeTick)
 	}
 	res.Note("checkpoint cadence 20 s; telemetry reports 5%% of arrivals from +10 s for 60 s; controller killed at +13 s, restarted after 15 s; workload surges 240→300 rps 2 s after the restart")

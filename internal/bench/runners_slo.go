@@ -6,31 +6,14 @@ import (
 	"graf/internal/obs"
 )
 
-// SLOBurnStats are the machine-checked numbers of the slo-burn experiment
-// at the default burn-rate configuration, exposed separately so
-// BenchmarkSLOBurn can report them and hold the ordering.
-type SLOBurnStats struct {
-	FastAtS float64 // sustained-violation seconds before the fast window fired
-	SlowAtS float64 // sustained-violation seconds before the slow window fired
-	LeadS   float64 // detection lead of the fast window over the slow one
-	Ordered bool    // fast fired strictly before slow in every swept config
-	Rearmed bool    // fast re-fired after a recovery in every swept config
-}
-
-// SLOBurn demonstrates the multi-window error-budget alerting contract
+// sloBurn demonstrates the multi-window error-budget alerting contract
 // (DESIGN.md §3i): under a sustained SLO violation the fast window — sized
 // to page on incidents — fires strictly before the slow window that guards
-// the long-term budget, across every burn-rate configuration swept. The
-// ordering is pinned by TestSLOFastFiresBeforeSlow.
-func SLOBurn(s Scale) Result {
-	res, _ := SLOBurnRun(s)
-	return res
-}
-
-// SLOBurnRun is SLOBurn plus its raw stats.
-func SLOBurnRun(s Scale) (Result, SLOBurnStats) {
+// the long-term budget, and fires again after a recovery, across every
+// burn-rate configuration swept. The ordering is also pinned by
+// TestSLOFastFiresBeforeSlow.
+func sloBurn(s Scale) Result {
 	res := Result{
-		ID:     "slo-burn",
 		Title:  "SLO error-budget burn: multi-window alert ordering under a sustained violation",
 		Header: []string{"config", "budget", "fast alert s", "slow alert s", "lead s", "re-armed"},
 	}
@@ -103,30 +86,29 @@ func SLOBurnRun(s Scale) (Result, SLOBurnStats) {
 		return fastAt, slowAt, rearmed
 	}
 
-	var st SLOBurnStats
-	st.Ordered, st.Rearmed = true, true
+	ordered := true
+	var defFast, defSlow float64
 	for i, sw := range sweeps {
 		fastAt, slowAt, rearmed := drive(sw.cfg)
 		eff := obs.NewSLOMonitor(sw.cfg, nil).Config()
 		if fastAt < 0 || slowAt < 0 || fastAt >= slowAt {
-			st.Ordered = false
-			res.Note("ORDERING REGRESSION %s: fast@%.0fs slow@%.0fs", sw.name, fastAt, slowAt)
+			ordered = false
+			res.Fail("ordering %s: fast@%.0fs slow@%.0fs", sw.name, fastAt, slowAt)
 		}
 		if !rearmed {
-			st.Rearmed = false
-			res.Note("RE-ARM REGRESSION %s: fast alert did not re-fire after recovery", sw.name)
+			res.Fail("re-arm %s: fast alert did not re-fire after recovery", sw.name)
 		}
 		if i == 0 {
-			st.FastAtS, st.SlowAtS, st.LeadS = fastAt, slowAt, slowAt-fastAt
+			defFast, defSlow = fastAt, slowAt
 		}
 		res.AddRow(sw.name, fmt.Sprintf("%.3g", eff.Budget),
 			f0(fastAt), f0(slowAt), f0(slowAt-fastAt), fmt.Sprint(rearmed))
 	}
 
 	res.Note("slo_fast_before_slow=%v (default config: fast@%.0fs, slow@%.0fs after onset, lead %.0fs)",
-		st.Ordered, st.FastAtS, st.SlowAtS, st.LeadS)
+		ordered, defFast, defSlow, defSlow-defFast)
 	res.Note("thresholds: fast fires after FastBurn·Budget·FastWindowS violation-seconds, slow after SlowBurn·Budget·SlowWindowS — fast < slow by construction in every swept pair")
 	res.Note("alerts are rising-edge with re-arming on recovery; ordering is pinned by TestSLOFastFiresBeforeSlow")
 	res.Note("the monitor runs on simulated time, so the alert stream is deterministic and byte-safe in the audit log (graf_slo_* metrics carry the live view)")
-	return res, st
+	return res
 }

@@ -63,7 +63,7 @@ func solverLoopModel(seed int64) *Trained {
 	})
 }
 
-// SolverLoop compares the two solver versions where it counts: in the loop.
+// solverLoop compares the two solver versions where it counts: in the loop.
 // Each row is one latency model (the repo benchmark's, solverLoopModel, at
 // one training seed) on one trace (the benchmark's diurnal 50–250 req/s, and
 // rpc_plane's 40 → 80 req/s step, which sits on the lower edge of the trained
@@ -73,13 +73,12 @@ func solverLoopModel(seed int64) *Trained {
 // core.Honesty per training seed: the grid score core.TestSolverHonesty
 // ratchets, and how the model's predictions at version 2's answers on the
 // solver grid compare with the simulator's.
-func SolverLoop(s Scale) Result {
+func solverLoop(s Scale) Result {
 	trainSeeds, simSeeds, ticks := 4, 12, 180
 	if s.Name == "quick" {
 		trainSeeds, simSeeds, ticks = 1, 2, 60
 	}
 	res := Result{
-		ID:     "solver-loop",
 		Title:  "Closed-loop SLO attainment and cost, solver version 1 vs 2",
 		Header: []string{"train_seed", "trace", "v1_attain_%", "v2_attain_%", "v1_core_h", "v2_core_h", "v1_calls", "v2_calls"},
 	}

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sort"
 	"time"
 
 	"graf/internal/fleet"
@@ -10,53 +12,82 @@ import (
 	"graf/internal/rpc"
 )
 
-// TraceOverheadStats are the machine-checked numbers of the trace-overhead
-// experiment, exposed separately so BenchmarkTraceOverhead can report them
-// and hold the overhead under its ceiling.
-type TraceOverheadStats struct {
-	DisabledNSPerTick float64
-	EnabledNSPerTick  float64
-	OverheadPct       float64
-	// Spans counts the traced run's spans whose number is a function of the
+// traceRun is one measurement of the same fleet untraced and traced.
+type traceRun struct {
+	tenants, rounds int
+	offNS, onNS     float64 // wall clock per tenant tick, best of the repetitions
+	// What tracing allocates per tenant tick: traced minus untraced heap
+	// bytes and allocations, each mode's least of the repetitions.
+	extraBytes, extraAllocs float64
+	// spans counts the traced run's spans whose number is a function of the
 	// seed: round roots, tenant ticks and decision stages.
-	Spans float64
-	// Passes counts its forward-pass spans, which depend on the schedule:
+	spans float64
+	// passes counts its forward-pass spans, which depend on the schedule:
 	// two tenants that miss the same cache entry at once both run the pass.
-	Passes        float64
-	ByteIdentical bool // tracing moved no audit bytes
+	passes     float64
+	mismatched []string // tenants whose audit log tracing changed
 }
 
-// TraceOverhead measures what distributed tracing costs the fleet's hot
+// traceOverhead measures what distributed tracing costs the fleet's hot
 // path (DESIGN.md §3i): the same multi-tenant run with the tracer disabled
 // (nil, one pointer check per instrumentation point) and enabled (per-round
 // roots, tenant ticks, decision stages, and inference forward passes all
-// recording spans). The traced run must also leave every tenant's audit log
-// byte-identical — spans go to the tracer's own store, never the decision
-// stream.
-func TraceOverhead(s Scale) Result {
-	res, _ := TraceOverheadRun(s)
-	return res
-}
-
-// TraceOverheadRun is TraceOverhead plus its raw stats.
-func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
+// recording spans). Its floors: the traced run leaves every tenant's audit
+// log byte-identical — spans go to the tracer's own store, never the
+// decision stream — and allocates at most a ceiling per tenant tick. The
+// wall-clock overhead is printed but not gated: on a shared 2-vCPU host
+// single readings of unchanged code range from −15% to +28%.
+func traceOverhead(s Scale) Result {
 	res := Result{
-		ID:     "trace-overhead",
 		Title:  "Distributed-tracing overhead per tenant tick (fleet)",
 		Header: []string{"mode", "tenants", "rounds", "ns/tenant-tick", "overhead"},
 	}
-
-	tenants := 8
-	rounds := 12
+	// The ceilings are about 1.5 times the reading on a 2-vCPU Xeon: +2.3 KB
+	// and +11 allocations on the quick fleet, +3.5 KB and +12 on the larger
+	// one.
+	bytesCeiling, allocsCeiling := 3500.0, 17.0
 	if s.Name != "quick" {
-		tenants = 24
-		rounds = 24
+		bytesCeiling, allocsCeiling = 5200, 18
 	}
+	m := measureTracing(s)
+	overheadPct := (m.onNS - m.offNS) / m.offNS * 100
+	for _, id := range m.mismatched {
+		res.Fail("tenant %s: tracing changed the audit log", id)
+	}
+
+	res.AddRow("disabled (nil tracer)", di(m.tenants), di(m.rounds), f0(m.offNS), "-")
+	res.AddRow("enabled (spans+events)", di(m.tenants), di(m.rounds), f0(m.onNS),
+		fmt.Sprintf("%+.2f%%", overheadPct))
+	res.Note("trace_overhead_pct=%.2f (target <1%% per tenant tick; wall clock, not gated)", overheadPct)
+	res.Note("trace_alloc_per_tick=%+.0f B %+.1f allocs (ceilings %.0f B, %.0f allocs)",
+		m.extraBytes, m.extraAllocs, bytesCeiling, allocsCeiling)
+	res.Note("spans_recorded=%.0f across %d timed rounds: round roots, tenant ticks, decision stages", m.spans, m.rounds)
+	res.Note("forward_pass_spans=%.0f (schedule-dependent: tenants that miss the same cache entry at once each run the pass)", m.passes)
+	if len(m.mismatched) == 0 {
+		res.Note("byte_identical=true: tracing moved no audit bytes (spans live in the tracer's ring, decisions in the flight recorder)")
+	}
+	res.Note("a span is two seeded ID draws and a ring append under one mutex, off the solver path; IDs replay bit-identically for a given seed")
+	if m.extraBytes > bytesCeiling || m.extraAllocs > allocsCeiling {
+		res.Fail("tracing allocates %+.0f B and %+.1f allocations per tenant tick, ceilings %.0f B and %.0f",
+			m.extraBytes, m.extraAllocs, bytesCeiling, allocsCeiling)
+	}
+	return res
+}
+
+// measureTracing runs the fleet untraced and traced, interleaved, three
+// times each.
+func measureTracing(s Scale) traceRun {
+	m := traceRun{tenants: 8, rounds: 12}
+	if s.Name != "quick" {
+		m.tenants, m.rounds = 24, 24
+	}
+	tenants, rounds := m.tenants, m.rounds
 
 	bundle := untrainedBundle(4, 42)
 	spec := rpc.Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7, TickS: 5}
 
-	run := func(traced bool) (nsPerTick, spans, passes float64, audit map[string][]byte) {
+	type sample struct{ ns, bytes, allocs float64 }
+	run := func(traced bool) (per sample, spans, passes float64, audit map[string][]byte) {
 		cfg, err := spec.FleetConfig(bundle, "")
 		if err != nil {
 			panic(err)
@@ -87,11 +118,14 @@ func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 			span.End()
 		}
 		round(1) // warm caches and first-registration costs before timing
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		t0 := time.Now()
 		for r := 2; r <= rounds+1; r++ {
 			round(r)
 		}
 		wall := time.Since(t0)
+		runtime.ReadMemStats(&after)
 		f.Stop()
 		for _, sp := range tracer.Snapshot() {
 			if sp.Name == "inference/batch" {
@@ -104,52 +138,37 @@ func TraceOverheadRun(s Scale) (Result, TraceOverheadStats) {
 		for _, t := range f.Tenants() {
 			audit[t.ID] = t.AuditLog()
 		}
-		return float64(wall.Nanoseconds()) / float64(rounds*tenants), spans, passes, audit
+		ticks := float64(rounds * tenants)
+		per = sample{
+			ns:     float64(wall.Nanoseconds()) / ticks,
+			bytes:  float64(after.TotalAlloc-before.TotalAlloc) / ticks,
+			allocs: float64(after.Mallocs-before.Mallocs) / ticks,
+		}
+		return per, spans, passes, audit
 	}
 
-	// Interleave repetitions and keep each mode's best time: the solver
-	// dominates a tick at ~ms scale, so scheduling noise between two single
-	// runs easily swamps a sub-µs span cost.
-	off, on, spans, passes := 0.0, 0.0, 0.0, 0.0
+	// Interleave repetitions and keep each mode's least time and
+	// allocation: the solver dominates a tick at ~ms scale, so scheduling
+	// noise between two single runs easily swamps a sub-µs span cost.
+	var off, on sample
 	var plain, traced map[string][]byte
 	for rep := 0; rep < 3; rep++ {
 		o, _, _, pa := run(false)
 		e, sp, ps, ta := run(true)
-		if rep == 0 || o < off {
-			off = o
+		if rep == 0 {
+			off, on = o, e
 		}
-		if rep == 0 || e < on {
-			on = e
-		}
-		spans, passes, plain, traced = sp, ps, pa, ta
+		off = sample{min(off.ns, o.ns), min(off.bytes, o.bytes), min(off.allocs, o.allocs)}
+		on = sample{min(on.ns, e.ns), min(on.bytes, e.bytes), min(on.allocs, e.allocs)}
+		m.spans, m.passes, plain, traced = sp, ps, pa, ta
 	}
-
-	st := TraceOverheadStats{
-		DisabledNSPerTick: off,
-		EnabledNSPerTick:  on,
-		OverheadPct:       (on - off) / off * 100,
-		Spans:             spans,
-		Passes:            passes,
-		ByteIdentical:     true,
-	}
+	m.offNS, m.onNS = off.ns, on.ns
+	m.extraBytes, m.extraAllocs = on.bytes-off.bytes, on.allocs-off.allocs
 	for id := range plain {
 		if !bytes.Equal(plain[id], traced[id]) {
-			st.ByteIdentical = false
-			res.Note("MISMATCH tenant %s: tracing changed the audit log", id)
+			m.mismatched = append(m.mismatched, id)
 		}
 	}
-
-	res.AddRow("disabled (nil tracer)", di(tenants), di(rounds), f0(off), "-")
-	res.AddRow("enabled (spans+events)", di(tenants), di(rounds), f0(on),
-		fmt.Sprintf("%+.2f%%", st.OverheadPct))
-	res.Note("trace_overhead_pct=%.2f (target <1%% per tenant tick; CI regression ceiling 5%% for runner noise)", st.OverheadPct)
-	res.Note("spans_recorded=%.0f across %d timed rounds: round roots, tenant ticks, decision stages", spans, rounds)
-	res.Note("forward_pass_spans=%.0f (schedule-dependent: tenants that miss the same cache entry at once each run the pass)", passes)
-	if st.ByteIdentical {
-		res.Note("byte_identical=true: tracing moved no audit bytes (spans live in the tracer's ring, decisions in the flight recorder)")
-	} else {
-		res.Note("byte_identical=false REGRESSION: tracing altered the decision stream")
-	}
-	res.Note("a span is two seeded ID draws and a ring append under one mutex, off the solver path; IDs replay bit-identically for a given seed")
-	return res, st
+	sort.Strings(m.mismatched)
+	return m
 }

@@ -10,7 +10,7 @@ package core
 // removed without (predicted) violation.
 //
 // This is a heuristic for an NP-hard problem, as §6 notes; the ablation
-// BenchmarkAblationInteger quantifies what it recovers of the rounding
+// experiment abl-integer quantifies what it recovers of the rounding
 // slack.
 
 // RefineInteger returns unit-aligned quotas (multiples of unit, floored at

@@ -53,7 +53,7 @@ func (h AsymmetricHuber) Loss(pred, truth float64) (loss, dPred float64) {
 }
 
 // MSE is plain mean-squared error on percentage error, the ablation
-// baseline for BenchmarkAblationLoss.
+// baseline for the abl-loss experiment.
 type MSE struct{}
 
 // Loss returns the squared percentage error and its derivative w.r.t. pred.
