@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race loc bench bench-repo obs-demo ci
+.PHONY: all build vet test test-race loc deadcode bench bench-repo obs-demo ci
 
 all: build vet test
 
@@ -21,6 +21,11 @@ test-race:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 
+# Fail, naming file:line, on any non-test function of the module that no
+# binary, example, benchmark or test binary links (scripts/deadcode.py).
+deadcode:
+	python3 scripts/deadcode.py
+
 # Reproduce the paper's evaluation tables (see EXPERIMENTS.md). An
 # experiment's floors live in its runner; grafbench exits 1 when one breaks,
 # and so does go test -run '^$' -bench 'Experiment/^forecast$' -benchtime 1x .
@@ -38,4 +43,4 @@ bench-repo:
 obs-demo:
 	$(GO) run ./cmd/grafd -train -dur 120 -obs 127.0.0.1:9090 -smoke -hold 10
 
-ci: build vet test test-race
+ci: build vet deadcode test test-race

@@ -8,19 +8,44 @@
 //
 // # Quick start
 //
-// Build a simulated deployment of an application, train a latency
-// prediction model offline, and let the GRAF controller hold the tail
-// latency SLO with minimal CPU:
+// Train a latency prediction model offline, solve once, and let the GRAF
+// controller hold the tail-latency SLO with minimal CPU on a simulated
+// deployment (the package's Example is this code and compiles with its
+// tests):
 //
-//	sim := graf.NewSimulation(graf.OnlineBoutique(), 1)
-//	trained := graf.Train(graf.OnlineBoutique(), graf.TrainOptions{
-//		SLO: 200 * time.Millisecond, MinRate: 40, MaxRate: 320,
+//	a := graf.OnlineBoutique()
+//	slo := 250 * time.Millisecond
+//	trained := graf.Train(a, graf.TrainOptions{
+//		SLO: slo, MinRate: 40, MaxRate: 320,
 //	})
-//	ctl, err := sim.StartGRAF(trained, 200*time.Millisecond)
-//	gen := sim.OpenLoop(graf.ConstRate(150))
+//	load := graf.DistributeWorkload(a, a.MixRates(150))
+//	sol := graf.Solve(trained, load, slo)
+//	fmt.Println(sol.Quotas, sol.Predicted)
+//	s := graf.NewSimulation(a, 1)
+//	ctl, err := s.StartGRAF(trained, slo)
+//	if err != nil {
+//		panic(err)
+//	}
+//	gen := s.OpenLoop(graf.ConstRate(150))
 //	gen.Start()
-//	sim.RunFor(10 * time.Minute)
-//	fmt.Println(sim.P99(30*time.Second), sim.Cluster.TotalQuota())
+//	s.RunFor(10 * time.Minute)
+//	fmt.Println(s.Cluster.TotalInstances(), s.P99(time.Minute))
+//	gen.Stop()
+//	ctl.Stop()
+//
+// # What the package holds
+//
+// The builtin applications (OnlineBoutique, SocialNetwork, RobotShop,
+// Bookinfo, AppByName); the offline path (Train, TrainedModel with Save,
+// LoadModel, Bundle and ValidateFor, Solve, DistributeWorkload); Simulation,
+// one cluster on a discrete-event engine, with its load generators
+// (ConstRate, StepRate), the baselines (StartHPA, StartFIRM), the controller
+// (StartGRAF), faults (Chaos and the Chaos* events), the model lifecycle
+// (NewLifecycle) and the flight recorder (EnableObservability); audit logs
+// (ReadAuditLog, ReplayAuditManaged); the multi-tenant fleet (NewFleet); and
+// aliases of the internal types those signatures use. Every name is used by
+// a command, an example, a test or the repository benchmark; the internal
+// packages hold the rest.
 //
 // See examples/ for runnable programs and DESIGN.md for the architecture.
 package graf
@@ -40,7 +65,6 @@ import (
 	"graf/internal/cluster"
 	"graf/internal/core"
 	"graf/internal/fleet"
-	"graf/internal/forecast"
 	"graf/internal/gnn"
 	"graf/internal/lifecycle"
 	"graf/internal/obs"
@@ -56,12 +80,8 @@ type (
 	// App describes a microservice application: its service graph, API
 	// call trees, and per-service CPU-work parameters.
 	App = app.App
-	// Service is one microservice's resource/latency characteristics.
-	Service = app.Service
 	// API is one request type exposed by an application's frontend.
 	API = app.API
-	// Call is a node in an API's call tree.
-	Call = app.Call
 	// Cluster is the simulated orchestration substrate an App runs on.
 	Cluster = cluster.Cluster
 	// Deployment is one microservice's replica set within a Cluster.
@@ -72,25 +92,10 @@ type (
 	Sample = gnn.Sample
 	// Controller is GRAF's runtime control loop (§3.6/§3.8).
 	Controller = core.Controller
-	// ControllerConfig parameterizes the control loop, including the
-	// graceful-degradation guardrails.
-	ControllerConfig = core.ControllerConfig
-	// HealthState is the controller's degraded-mode state.
-	HealthState = core.HealthState
-	// HealthStats counts the controller's degraded-mode activity.
-	HealthStats = core.HealthStats
 	// Bounds is Algorithm 1's reduced per-service search space.
 	Bounds = core.Bounds
 	// Solution is the configuration solver's output (§3.5).
 	Solution = core.Solution
-	// ForecastConfig parameterizes the workload forecasting subsystem
-	// (ControllerConfig.Forecast): model choice, horizon, and the
-	// risk-adjusted quantile the solver plans against.
-	ForecastConfig = forecast.Config
-	// ForecastPredictor is the composed forecaster: a seasonal or
-	// autoregressive model behind Hampel sanitization, residual tracking,
-	// and a blowout detector that degrades the loop back to reactive.
-	ForecastPredictor = forecast.Predictor
 	// HPA is the Kubernetes horizontal-pod-autoscaler baseline.
 	HPA = autoscale.HPA
 	// FIRMLike is the FIRM-style latency-ratio baseline.
@@ -99,10 +104,6 @@ type (
 	OpenLoop = workload.OpenLoop
 	// ClosedLoop is a Locust-like user-thread load generator.
 	ClosedLoop = workload.ClosedLoop
-	// DiurnalConfig parameterizes the seeded diurnal-seasonality workload.
-	DiurnalConfig = workload.DiurnalConfig
-	// SurgeRampConfig parameterizes the seeded single-surge workload.
-	SurgeRampConfig = workload.SurgeRampConfig
 )
 
 // Builtin applications from the paper's evaluation.
@@ -124,26 +125,6 @@ func Bookinfo() *App { return app.Bookinfo() }
 // router spec always resolve to the identical graph.
 func AppByName(name string) (*App, error) { return app.ByName(name) }
 
-// Controller health states (see Controller.Health).
-const (
-	Healthy           = core.Healthy
-	DegradedTelemetry = core.DegradedTelemetry
-	FallbackHeuristic = core.FallbackHeuristic
-	Boosting          = core.Boosting
-)
-
-// DefaultControllerConfig returns the hardened default control-loop
-// settings for the given SLO.
-func DefaultControllerConfig(slo time.Duration) ControllerConfig {
-	return core.DefaultControllerConfig(slo.Seconds())
-}
-
-// VanillaControllerConfig returns the control loop exactly as the paper
-// describes it, with every graceful-degradation guardrail disabled.
-func VanillaControllerConfig(slo time.Duration) ControllerConfig {
-	return core.VanillaControllerConfig(slo.Seconds())
-}
-
 // ConstRate returns a fixed open-loop rate shape.
 func ConstRate(rps float64) func(float64) float64 { return workload.ConstRate(rps) }
 
@@ -152,22 +133,6 @@ func ConstRate(rps float64) func(float64) float64 { return workload.ConstRate(rp
 func StepRate(base, surge float64, at time.Duration) func(float64) float64 {
 	return workload.StepRate(base, surge, at.Seconds())
 }
-
-// DiurnalRate returns an open-loop rate shape following a seeded sinusoidal
-// day/night cycle with persistent noise — the seasonal workload the
-// forecasting subsystem proves itself on. One sample per second.
-func DiurnalRate(cfg DiurnalConfig) func(float64) float64 {
-	return workload.SeriesRate(workload.Diurnal(cfg), 1)
-}
-
-// SurgeRampRate returns DiurnalRate's single-surge sibling: flat baseline,
-// linear climb, hold, descent.
-func SurgeRampRate(cfg SurgeRampConfig) func(float64) float64 {
-	return workload.SeriesRate(workload.SurgeRamp(cfg), 1)
-}
-
-// ConstUsers returns a fixed closed-loop user count.
-func ConstUsers(n int) func(float64) int { return workload.ConstUsers(n) }
 
 // Chaos-injection building blocks (see internal/chaos and DESIGN.md).
 type (
@@ -223,15 +188,6 @@ func ChaosSurfaceDrift(at time.Duration, svc string, factor float64) ChaosEvent 
 	return chaos.Drift(at.Seconds(), svc, factor)
 }
 
-// ChaosTelemetryCorrupt injects n bogus end-to-end latency samples of the
-// given magnitude, plus matching phantom arrivals, into the telemetry plane
-// at the offset — a metrics-pipeline glitch. Requests are unaffected; the
-// lifecycle manager's Hampel sanitization should absorb the spike without
-// tripping drift detection.
-func ChaosTelemetryCorrupt(at, lat time.Duration, n int) ChaosEvent {
-	return chaos.CorruptTelemetry(at.Seconds(), lat.Seconds(), n)
-}
-
 // ErrCorruptFile matches (via errors.Is) every corruption error raised by
 // checkpoint and model files: bad magic, wrong version, truncation, or
 // checksum mismatch.
@@ -252,30 +208,17 @@ type (
 	// LifecyclePhase is the manager's state-machine phase (Trusted,
 	// Drifted, Shadow, Probation).
 	LifecyclePhase = lifecycle.Phase
-	// ModelTrust is the controller's view of the model: trusted,
-	// probation (envelope-clamped), or untrusted (heuristic fallback).
-	ModelTrust = core.ModelTrust
 )
 
-// Lifecycle phases and controller trust levels.
+// Lifecycle phases.
 const (
 	LifecycleTrusted   = lifecycle.PhaseTrusted
 	LifecycleDrifted   = lifecycle.PhaseDrifted
-	LifecycleShadow    = lifecycle.PhaseShadow
 	LifecycleProbation = lifecycle.PhaseProbation
-
-	ModelTrusted   = core.ModelTrusted
-	ModelProbation = core.ModelProbation
-	ModelUntrusted = core.ModelUntrusted
 )
 
 // LifecycleOptions parameterizes NewLifecycle.
 type LifecycleOptions struct {
-	// Dir, when non-empty, persists every model generation as a
-	// generation-numbered GRAFMDL1 file (model-00000001.graf, …) readable
-	// with LoadModel.
-	Dir string
-
 	// OnEvent observes lifecycle transitions (trips, retrains, promotions,
 	// rollbacks) for CLI logging.
 	OnEvent func(at time.Duration, kind, detail string)
@@ -288,18 +231,16 @@ type LifecycleOptions struct {
 // watching anything: bind it to a controller with Attach, then Start it:
 //
 //	ctl, _ := sim.StartGRAF(trained, slo)
-//	lc := sim.NewLifecycle(trained, graf.LifecycleOptions{Dir: "models"})
+//	lc := sim.NewLifecycle(trained, graf.LifecycleOptions{})
 //	lc.Attach(ctl)
 //	lc.Start()
 //
-// A simulation's manager lives and dies with the process. A lifecycle
-// tenant that must survive a crash runs on the fleet (grafd -lifecycle),
-// whose restore re-executes the tenant, lifecycle included, up to its
-// checkpoint.
+// A simulation's manager and its generations (Models) live and die with the
+// process; a lifecycle tenant that must survive a crash, or archive its
+// generations (grafd -model-archive), runs on the fleet.
 func (s *Simulation) NewLifecycle(t *TrainedModel, o LifecycleOptions) *Lifecycle {
-	cfg := lifecycle.Config{BaseSamples: t.Samples, Dir: o.Dir}
+	cfg := lifecycle.Config{BaseSamples: t.Samples}
 	m := lifecycle.NewManager(s.Cluster, t.Model, t.Bounds, t.SLO.Seconds(), cfg)
-	m.SaveModel = t.saveGeneration
 	if s.obs != nil {
 		m.Obs = obs.NewLifecycleObs(s.obs)
 	}
@@ -308,13 +249,6 @@ func (s *Simulation) NewLifecycle(t *TrainedModel, o LifecycleOptions) *Lifecycl
 		m.OnEvent = func(at float64, kind, detail string) {
 			ev(time.Duration(at*float64(time.Second)), kind, detail)
 		}
-	}
-	if cfg.Dir != "" {
-		// Archive writes report failures through the manager's event stream
-		// rather than failing promotion; creating the directory up front
-		// keeps that path quiet in the common case.
-		_ = os.MkdirAll(cfg.Dir, 0o755)
-		m.PersistIncumbent()
 	}
 	return m
 }
@@ -327,89 +261,32 @@ type (
 	Observability = obs.Telemetry
 	// AuditRecord is one line of the flight-recorder audit log.
 	AuditRecord = obs.Record
-	// ReplayReport summarizes an audit-log replay (see ReplayAudit).
+	// ReplayReport summarizes an audit-log replay (see ReplayAuditManaged).
 	ReplayReport = core.ReplayReport
-
-	// Tracer mints deterministic distributed-trace spans: with the same
-	// seed, two runs produce byte-identical span IDs (see internal/obs and
-	// DESIGN.md §3i). Obtain one with NewTracer.
-	Tracer = obs.Tracer
-	// TracerOptions parameterizes NewTracer.
-	TracerOptions = obs.TracerOptions
-	// TraceSpan is one completed span in a tracer's buffer.
-	TraceSpan = obs.TraceSpan
-	// SpanContext identifies a span for parent/child propagation; its
-	// Traceparent() form rides HTTP headers across processes.
-	SpanContext = obs.SpanContext
-	// SLOConfig is a per-tenant SLO error budget with fast/slow burn-rate
-	// alert windows.
-	SLOConfig = obs.SLOConfig
-	// SLOAlert is one burn-rate alert firing.
-	SLOAlert = obs.SLOAlert
 )
 
-// NewTracer builds a deterministic tracer; see TracerOptions.
-func NewTracer(o TracerOptions) *Tracer { return obs.NewTracer(o) }
-
-// DeriveTraceSeed maps (run seed, process name) to a tracer seed so each
-// process of a distributed run mints IDs from a disjoint stream.
-func DeriveTraceSeed(seed int64, proc string) int64 { return obs.DeriveTraceSeed(seed, proc) }
-
-// ExportChromeTrace writes spans as Chrome trace-event JSON (load in
-// chrome://tracing or Perfetto). Output is deterministic for a given span
-// set.
-func ExportChromeTrace(w io.Writer, spans []TraceSpan) error { return obs.ChromeTrace(w, spans) }
-
-// ObservabilityConfig parameterizes Simulation.EnableObservability.
-type ObservabilityConfig struct {
-	// AuditW, if non-nil, receives the JSONL audit-log stream (e.g. a
-	// file). The in-memory record buffer works either way.
-	AuditW io.Writer
-
-	// AuditMemory bounds the in-memory audit records (0 = keep all, which
-	// in-process replay wants; long-running daemons writing to a file set
-	// a cap).
-	AuditMemory int
-}
-
-// ReadAuditLog parses a JSONL audit log previously written through
-// ObservabilityConfig.AuditW. A log whose final line is torn (the writer
+// ReadAuditLog parses a JSONL audit log, such as a grafd -audit-dir
+// tenant's. A log whose final line is torn (the writer
 // crashed mid-append) yields the valid prefix plus ErrTruncatedAuditTail.
 func ReadAuditLog(r io.Reader) ([]AuditRecord, error) { return obs.ReadLog(r) }
-
-// RepairAuditLog reads the audit log at path and, when it ends in a
-// crash-torn final record, truncates the file back to its valid prefix so
-// subsequent appends keep the log parseable. It returns the salvaged
-// records and whether a torn tail was removed.
-func RepairAuditLog(path string) (recs []AuditRecord, repaired bool, err error) {
-	_, recs, repaired, err = obs.RepairLog(path)
-	return recs, repaired, err
-}
 
 // ErrTruncatedAuditTail matches (via errors.Is) the error ReadAuditLog
 // returns for a log ending in a torn record. The accompanying records are
 // the valid prefix — complete for everything but the interrupted append.
 var ErrTruncatedAuditTail = obs.ErrTruncatedTail
 
-// ReplayAudit re-runs every model-path decision of a recorded audit log
-// through the trained model's solver and verifies each reproduces
-// bit-identically (same quotas, prediction, iteration count, convergence).
-// The model must be the one the recording ran with — Save/LoadModel
-// round-trips weights exactly, so a saved model replays its own logs.
-func ReplayAudit(t *TrainedModel, log []AuditRecord) ReplayReport {
-	return core.ReplayAudit(t.Model, log)
-}
-
 // LatencyModel is the prediction interface the solver and replay consume; a
 // *Model implements it.
 type LatencyModel = core.LatencyModel
 
-// ReplayAuditManaged re-runs a log whose recording swapped model generations
-// mid-run — a lifecycle promotion or rollback. Each decision record names the
+// ReplayAuditManaged re-runs every model-path decision of a recorded audit
+// log and verifies each reproduces bit-identically (same quotas, prediction,
+// iteration count, convergence). Each decision record names the model
 // generation that produced it and replays through that generation's model.
-// models maps generation → model; a live Lifecycle provides it via Models(),
-// and an archive directory of generation files (LifecycleOptions.Dir) can
-// rebuild it offline with LoadModel.
+// models maps generation → model: {0: trained.Model} for a log recorded
+// without a lifecycle, a live Lifecycle's Models() for one that promoted or
+// rolled back mid-run, or the generation files a fleet's model archive
+// (grafd -model-archive) wrote, reloaded with LoadModel.
 func ReplayAuditManaged(models map[int]LatencyModel, log []AuditRecord) ReplayReport {
 	return core.ReplayAuditModels(models, log)
 }
@@ -427,11 +304,11 @@ type Simulation struct {
 // EnableObservability attaches a flight-recorder telemetry bundle to the
 // simulation: cluster scale events and instance churn, chaos firings, and —
 // for controllers started after this call — per-decision metrics and audit
-// records. Returns the bundle; serve its Handler (or call Serve) to
-// expose /metrics, /debug/vars and /debug/pprof/*. Calling it again replaces
-// the bundle.
-func (s *Simulation) EnableObservability(cfg ObservabilityConfig) *Observability {
-	t := obs.New(obs.Options{AuditW: cfg.AuditW, AuditMemory: cfg.AuditMemory})
+// records, all kept in memory (Flight.Records). Returns the bundle; serve its
+// Handler (or call Serve) to expose /metrics, /debug/vars and
+// /debug/pprof/*. Calling it again replaces the bundle.
+func (s *Simulation) EnableObservability() *Observability {
+	t := obs.New(obs.Options{})
 	s.obs = t
 	s.Cluster.Obs = obs.NewClusterObs(t)
 	if s.chaosInj != nil {
@@ -439,9 +316,6 @@ func (s *Simulation) EnableObservability(cfg ObservabilityConfig) *Observability
 	}
 	return t
 }
-
-// Observability returns the bundle attached by EnableObservability, or nil.
-func (s *Simulation) Observability() *Observability { return s.obs }
 
 // NewSimulation deploys a on a fresh simulated cluster (one warm instance
 // per microservice) with the default Kubernetes-like configuration. The
@@ -512,18 +386,11 @@ func (s *Simulation) StartFIRM() *FIRMLike {
 // model trained for a different app, or a stale file after the service
 // graph changed.
 func (s *Simulation) StartGRAF(t *TrainedModel, slo time.Duration) (*Controller, error) {
-	cfg := core.DefaultControllerConfig(slo.Seconds())
-	return s.StartGRAFWith(t, cfg)
-}
-
-// StartGRAFWith is StartGRAF with an explicit controller configuration
-// (e.g. VanillaControllerConfig for a guardrail-free paper-exact loop).
-// The trained workload range always comes from the model.
-func (s *Simulation) StartGRAFWith(t *TrainedModel, cfg ControllerConfig) (*Controller, error) {
 	if err := t.ValidateFor(s.Cluster.App); err != nil {
 		return nil, err
 	}
 	an := core.NewAnalyzer(s.Cluster.App)
+	cfg := core.DefaultControllerConfig(slo.Seconds())
 	cfg.TrainedMinRate = t.MinRate
 	cfg.TrainedMaxRate = t.MaxRate
 	ctl := core.NewController(s.Cluster, t.Model, an, t.Bounds, cfg)
@@ -712,18 +579,6 @@ func DistributeWorkload(a *App, apiRates map[string]float64) []float64 {
 	return core.NewAnalyzer(a).Distribute(apiRates)
 }
 
-// ErrFencedEpoch matches (via errors.Is) the typed 409 a shard returns for a
-// mutation stamped with a stale router epoch — the sender is a router
-// generation that lost leadership to a resumed or standby successor
-// (DESIGN.md §3k). Fencing is fatal to the sender's round loop: retrying
-// cannot succeed, a newer generation owns the fleet.
-var ErrFencedEpoch = rpc.ErrFencedEpoch
-
-// IsFencedEpoch reports whether err is (or wraps) a stale-epoch rejection —
-// the signal for a router generation to stand down as a zombie rather than
-// treat the shard as failed.
-func IsFencedEpoch(err error) bool { return rpc.IsFenced(err) }
-
 // --- Fleet mode (multi-tenant control plane, DESIGN.md §3g) -----------------
 
 type (
@@ -738,13 +593,6 @@ type (
 
 	// FleetTenant describes one tenant application in a fleet.
 	FleetTenant = fleet.TenantConfig
-
-	// FleetStats aggregates a fleet run.
-	FleetStats = fleet.Stats
-
-	// InferenceService shares one GNN behind a quantized prediction cache;
-	// NewFleet wires one up automatically.
-	InferenceService = fleet.InferenceService
 )
 
 // NewFleet builds a multi-tenant fleet from a trained model: the

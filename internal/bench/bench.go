@@ -10,7 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"time"
 
 	"graf/internal/app"
 	"graf/internal/cluster"
@@ -202,6 +204,28 @@ func ParseScale(name string) (Scale, error) {
 		}
 	}
 	return Scale{}, fmt.Errorf("unknown scale %q", name)
+}
+
+// perOp is a timed loop's cost per operation: wall clock, heap bytes and
+// allocations.
+type perOp struct{ ns, bytes, allocs float64 }
+
+// measure runs fn, which performs n operations, and returns its cost per
+// operation.
+func measure(n int, fn func()) perOp {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	fn()
+	wall := time.Since(t0)
+	runtime.ReadMemStats(&after)
+	return perOp{float64(wall.Nanoseconds()) / float64(n),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(n), float64(after.Mallocs-before.Mallocs) / float64(n)}
+}
+
+// least keeps the smaller of each reading of p and q.
+func (p perOp) least(q perOp) perOp {
+	return perOp{min(p.ns, q.ns), min(p.bytes, q.bytes), min(p.allocs, q.allocs)}
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

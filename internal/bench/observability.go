@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"graf/internal/core"
 	"graf/internal/obs"
@@ -86,29 +85,32 @@ func obsReplay(s Scale) Result {
 	return r
 }
 
-// obsOverhead measures the wall-clock cost the telemetry subsystem adds to
-// one controller decision: the same solve-heavy Step loop with
-// instrumentation disabled (nil hooks) and enabled (metrics + audit records
-// to a memory-capped recorder).
+// obsOverhead measures what the telemetry subsystem adds to one controller
+// decision: the same solve-heavy Step loop with instrumentation disabled (nil
+// hooks) and enabled (metrics + audit records to a memory-capped recorder).
+// Its floor is a ceiling on what enabled allocates per decision over
+// disabled; the wall-clock overhead, swamped by the solve, is not gated.
 func obsOverhead(s Scale) Result {
 	r := Result{
 		Title:  "Observability overhead per controller decision",
 		Header: []string{"mode", "decisions", "ns/decision", "overhead"},
 	}
+	// About 1.5 times the reading on a 2-vCPU Xeon: +1626 B and +2.2
+	// allocations per decision at quick scale, +1190 B and +2.1 at standard.
+	const bytesCeiling, allocsCeiling float64 = 2400, 3.5
 	tr := BoutiquePipeline(s)
 	steps := 60
 	if s.Name == "quick" {
 		steps = 20
 	}
 
-	run := func(enabled bool) (nsPer float64) {
+	run := func(enabled bool) perOp {
 		eng := sim.NewEngine(11)
 		cl := newCluster(eng, tr.App)
 		warmStart(eng, cl, EvalRate)
 		ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(tr.Spec.SLO))
 		// Defeat hysteresis so every Step takes the full
-		// collect→analyze→solve→actuate path — the path whose overhead the
-		// <5% budget is about.
+		// collect→analyze→solve→actuate path.
 		ctl.Cfg.Hysteresis = 0
 		if enabled {
 			tel := obs.New(obs.Options{AuditMemory: 1024})
@@ -119,19 +121,33 @@ func obsOverhead(s Scale) Result {
 		g.Start()
 		eng.RunUntil(eng.Now() + 30) // build telemetry windows
 		ctl.Step()                   // warm caches, first-registration costs
-		t0 := time.Now()
-		for i := 0; i < steps; i++ {
-			ctl.Step()
-		}
-		return float64(time.Since(t0).Nanoseconds()) / float64(steps)
+		return measure(steps, func() {
+			for i := 0; i < steps; i++ {
+				ctl.Step()
+			}
+		})
 	}
 
-	off := run(false)
-	on := run(true)
-	overhead := (on - off) / off * 100
-	r.AddRow("disabled (nil hooks)", fmt.Sprint(steps), f0(off), "-")
-	r.AddRow("enabled (metrics+audit)", fmt.Sprint(steps), f0(on), fmt.Sprintf("%+.1f%%", overhead))
+	// Interleave repetitions and keep each mode's least, as trace-overhead
+	// does: one reading of either mode can carry a GC cycle or a slow slice.
+	var off, on perOp
+	for rep := 0; rep < 3; rep++ {
+		o, e := run(false), run(true)
+		if rep == 0 {
+			off, on = o, e
+		}
+		off, on = off.least(o), on.least(e)
+	}
+	overhead := (on.ns - off.ns) / off.ns * 100
+	extraBytes, extraAllocs := on.bytes-off.bytes, on.allocs-off.allocs
+	r.AddRow("disabled (nil hooks)", fmt.Sprint(steps), f0(off.ns), "-")
+	r.AddRow("enabled (metrics+audit)", fmt.Sprint(steps), f0(on.ns), fmt.Sprintf("%+.1f%%", overhead))
 	r.Note("every decision solves (hysteresis defeated); the disabled path costs one nil check per instrumentation point")
-	r.Note("acceptance budget: enabled ≤ +5%% per decision")
+	r.Note("gated: enabled allocates %+.0f B and %+.1f allocations per decision over disabled (ceilings %.0f B, %.1f); the wall-clock overhead is printed, not gated",
+		extraBytes, extraAllocs, bytesCeiling, allocsCeiling)
+	if extraBytes > bytesCeiling || extraAllocs > allocsCeiling {
+		r.Fail("instrumentation allocates %+.0f B and %+.1f allocations per decision, ceilings %.0f B and %.1f",
+			extraBytes, extraAllocs, bytesCeiling, allocsCeiling)
+	}
 	return r
 }

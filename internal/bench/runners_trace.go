@@ -3,9 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"graf/internal/fleet"
 	"graf/internal/obs"
@@ -86,8 +84,7 @@ func measureTracing(s Scale) traceRun {
 	bundle := untrainedBundle(4, 42)
 	spec := rpc.Spec{App: "chain-4", Shape: "const", Rate: 120, Seed: 7, TickS: 5}
 
-	type sample struct{ ns, bytes, allocs float64 }
-	run := func(traced bool) (per sample, spans, passes float64, audit map[string][]byte) {
+	run := func(traced bool) (per perOp, spans, passes float64, audit map[string][]byte) {
 		cfg, err := spec.FleetConfig(bundle, "")
 		if err != nil {
 			panic(err)
@@ -118,14 +115,11 @@ func measureTracing(s Scale) traceRun {
 			span.End()
 		}
 		round(1) // warm caches and first-registration costs before timing
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		for r := 2; r <= rounds+1; r++ {
-			round(r)
-		}
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&after)
+		per = measure(rounds*tenants, func() {
+			for r := 2; r <= rounds+1; r++ {
+				round(r)
+			}
+		})
 		f.Stop()
 		for _, sp := range tracer.Snapshot() {
 			if sp.Name == "inference/batch" {
@@ -138,19 +132,13 @@ func measureTracing(s Scale) traceRun {
 		for _, t := range f.Tenants() {
 			audit[t.ID] = t.AuditLog()
 		}
-		ticks := float64(rounds * tenants)
-		per = sample{
-			ns:     float64(wall.Nanoseconds()) / ticks,
-			bytes:  float64(after.TotalAlloc-before.TotalAlloc) / ticks,
-			allocs: float64(after.Mallocs-before.Mallocs) / ticks,
-		}
 		return per, spans, passes, audit
 	}
 
 	// Interleave repetitions and keep each mode's least time and
 	// allocation: the solver dominates a tick at ~ms scale, so scheduling
 	// noise between two single runs easily swamps a sub-µs span cost.
-	var off, on sample
+	var off, on perOp
 	var plain, traced map[string][]byte
 	for rep := 0; rep < 3; rep++ {
 		o, _, _, pa := run(false)
@@ -158,8 +146,7 @@ func measureTracing(s Scale) traceRun {
 		if rep == 0 {
 			off, on = o, e
 		}
-		off = sample{min(off.ns, o.ns), min(off.bytes, o.bytes), min(off.allocs, o.allocs)}
-		on = sample{min(on.ns, e.ns), min(on.bytes, e.bytes), min(on.allocs, e.allocs)}
+		off, on = off.least(o), on.least(e)
 		m.spans, m.passes, plain, traced = sp, ps, pa, ta
 	}
 	m.offNS, m.onNS = off.ns, on.ns

@@ -211,19 +211,6 @@ const (
 	ModelUntrusted
 )
 
-// String names the trust level.
-func (m ModelTrust) String() string {
-	switch m {
-	case ModelTrusted:
-		return "Trusted"
-	case ModelProbation:
-		return "Probation"
-	case ModelUntrusted:
-		return "Untrusted"
-	}
-	return "Unknown"
-}
-
 // DefaultControllerConfig returns the loop settings used in the evaluation.
 func DefaultControllerConfig(slo float64) ControllerConfig {
 	return ControllerConfig{
@@ -337,9 +324,6 @@ func (c *Controller) Forecaster() *forecast.Predictor { return c.st.Forecast }
 
 // Solves returns how many times the solver has run.
 func (c *Controller) Solves() int { return c.st.Solves }
-
-// Boosts returns how many times the SLO-violation guardrail fired.
-func (c *Controller) Boosts() int { return c.st.Boosts }
 
 // Health returns the controller's current degraded-mode state.
 func (c *Controller) Health() HealthState { return HealthState(c.st.Health) }

@@ -191,8 +191,8 @@ func TestControllerBoostCapBoundsCompounding(t *testing.T) {
 	gen.Stop()
 	ctl.Stop()
 	eng.Run()
-	if ctl.Boosts() < 2 {
-		t.Fatalf("guardrail fired %d times; test needs repeated boosts", ctl.Boosts())
+	if ctl.Stats().Boosts < 2 {
+		t.Fatalf("guardrail fired %d times; test needs repeated boosts", ctl.Stats().Boosts)
 	}
 	// Bounds.Hi = 4000 per service, cap 2× → no quota may exceed 8000.
 	for name, q := range cl.Quotas() {

@@ -13,7 +13,7 @@ import (
 )
 
 // TestPartialConfigAdvancesTime: a ControllerConfig that sets only the SLO
-// and the solver is a legal literal (graf.ControllerConfig aliases it). Its
+// and the solver is a legal literal for any caller of NewController. Its
 // loop must still decide once per interval and let simulated time pass; a
 // zero interval would re-arm the ticker at one instant forever, and
 // RunUntil would never return.

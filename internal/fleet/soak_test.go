@@ -78,7 +78,7 @@ func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 			}
 			early, late := liveAfter(500), liveAfter(2000)
 			t.Logf("live heap less model and audit: %.0f KB after 500 decisions, %.0f KB after 2000 (%d requests, %d solves, %d boosts)",
-				early/1024, late/1024, tn.Cluster.E2EWindow().Len(), tn.Ctl.Solves(), tn.Ctl.Boosts())
+				early/1024, late/1024, tn.Cluster.E2EWindow().Len(), tn.Ctl.Solves(), tn.Ctl.Stats().Boosts)
 			if late > 1.05*early {
 				t.Errorf("live heap grew from %.0f KB at decision 500 to %.0f KB at decision 2000, want within 5%%", early/1024, late/1024)
 			}

@@ -167,7 +167,7 @@ type Manager struct {
 	// OnEvent, if set, observes every lifecycle event (for CLI logging).
 	OnEvent func(at float64, kind, detail string)
 
-	// SaveModel persists one model generation to a file. graf.go wires it
+	// SaveModel persists one model generation to a file. The fleet wires it
 	// to the public TrainedModel Save (GRAFMDL1 framing); nil keeps the
 	// archive in memory only.
 	SaveModel func(m *gnn.Model, path string) error
@@ -629,7 +629,7 @@ func (m *Manager) rollback() {
 }
 
 // PersistIncumbent writes the current incumbent generation to the archive
-// directory. Callers that wire SaveModel after NewManager (graf.NewLifecycle)
+// directory. Callers that wire SaveModel after NewManager (fleet tenants)
 // invoke it once so generation 0 reaches disk like every later generation.
 func (m *Manager) PersistIncumbent() { m.persistGen(m.gen, m.incumbent) }
 

@@ -20,19 +20,6 @@ const (
 	priCount
 )
 
-// String names the class for metrics labels.
-func (p Priority) String() string {
-	switch p {
-	case PriCritical:
-		return "critical"
-	case PriHigh:
-		return "high"
-	case PriLow:
-		return "low"
-	}
-	return fmt.Sprintf("priority(%d)", int(p))
-}
-
 // ErrOverloaded is the typed shed verdict: the caller should back off for
 // RetryAfterMS and try again — it is backpressure, not failure, and must
 // not count against circuit breakers or trigger failure investigation.

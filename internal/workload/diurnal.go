@@ -83,93 +83,6 @@ func Diurnal(cfg DiurnalConfig) []float64 {
 	return out
 }
 
-// SurgeRampConfig parameterizes the surge-ramp variant: a flat baseline, a
-// linear climb to a peak, a hold, and a ramp back down — the single-surge
-// stress shape (a flash sale, a failover) where pre-warming either pays the
-// Figure-1 startup ahead of the climb or doesn't.
-type SurgeRampConfig struct {
-	// Seed drives the noise stream. 0 picks 1.
-	Seed int64
-
-	// Seconds is the series length. 0 picks 900.
-	Seconds int
-
-	// Base and Peak are the baseline and surge rates (req/s). Base 0 picks
-	// 120; Peak 0 picks 360.
-	Base float64
-	Peak float64
-
-	// RampStartS, RampS and HoldS shape the surge: flat until RampStartS,
-	// climb linearly for RampS seconds, hold the peak for HoldS, descend
-	// for RampS, then flat again. Zeros pick 300 / 60 / 180.
-	RampStartS float64
-	RampS      float64
-	HoldS      float64
-
-	// Noise is the σ of multiplicative i.i.d. noise. 0 picks 0.02;
-	// negative disables.
-	Noise float64
-}
-
-func (c SurgeRampConfig) withDefaults() SurgeRampConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Seconds <= 0 {
-		c.Seconds = 900
-	}
-	if c.Base == 0 {
-		c.Base = 120
-	}
-	if c.Peak == 0 {
-		c.Peak = 360
-	}
-	if c.RampStartS == 0 {
-		c.RampStartS = 300
-	}
-	if c.RampS == 0 {
-		c.RampS = 60
-	}
-	if c.HoldS == 0 {
-		c.HoldS = 180
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.02
-	}
-	return c
-}
-
-// SurgeRamp generates the per-second rate series for cfg.
-func SurgeRamp(cfg SurgeRampConfig) []float64 {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	out := make([]float64, cfg.Seconds)
-	for i := range out {
-		t := float64(i)
-		var clean float64
-		switch {
-		case t < cfg.RampStartS:
-			clean = cfg.Base
-		case t < cfg.RampStartS+cfg.RampS:
-			clean = cfg.Base + (cfg.Peak-cfg.Base)*(t-cfg.RampStartS)/cfg.RampS
-		case t < cfg.RampStartS+cfg.RampS+cfg.HoldS:
-			clean = cfg.Peak
-		case t < cfg.RampStartS+2*cfg.RampS+cfg.HoldS:
-			clean = cfg.Peak - (cfg.Peak-cfg.Base)*(t-cfg.RampStartS-cfg.RampS-cfg.HoldS)/cfg.RampS
-		default:
-			clean = cfg.Base
-		}
-		if cfg.Noise > 0 {
-			clean *= 1 + cfg.Noise*rng.NormFloat64()
-		}
-		if clean < 0 {
-			clean = 0
-		}
-		out[i] = clean
-	}
-	return out
-}
-
 // SeriesRate converts a per-second rate series into an open-loop rate
 // function, holding each sample for stepS seconds (stepS ≤ 0 picks 1).
 // Before the series starts or after it ends the rate is 0, matching

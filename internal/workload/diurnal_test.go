@@ -36,33 +36,6 @@ func TestDiurnalGolden(t *testing.T) {
 	}
 }
 
-func TestSurgeRampGolden(t *testing.T) {
-	s := SurgeRamp(SurgeRampConfig{})
-	if len(s) != 900 {
-		t.Fatalf("default surge-ramp length = %d, want 900", len(s))
-	}
-	golden := map[int]float64{
-		0:   117.03898037376493,
-		299: 119.45335767510332,
-		330: 240.55721345040843,
-		360: 359.3651325101798,
-		500: 353.7489284914616,
-		560: 272.9354765733703,
-		899: 119.67678717770467,
-	}
-	for i, want := range golden {
-		if s[i] != want {
-			t.Errorf("SurgeRamp[%d] = %v, want %v", i, s[i], want)
-		}
-	}
-	again := SurgeRamp(SurgeRampConfig{})
-	for i := range s {
-		if s[i] != again[i] {
-			t.Fatalf("SurgeRamp not deterministic at %d: %v vs %v", i, s[i], again[i])
-		}
-	}
-}
-
 // The clean variants (Noise < 0) are what the forecaster's unit tests feed:
 // pure seasonality with a known period.
 func TestDiurnalClean(t *testing.T) {

@@ -65,7 +65,7 @@ func driftUntil(t *testing.T, s *Simulation, lc *Lifecycle, phase LifecyclePhase
 func TestLifecycleReplayAcrossPromotion(t *testing.T) {
 	tr := lcTrained(t)
 	s := NewSimulation(OnlineBoutique(), 11)
-	tel := s.EnableObservability(ObservabilityConfig{})
+	tel := s.EnableObservability()
 
 	ctl, err := s.StartGRAF(tr, 250*time.Millisecond)
 	if err != nil {
