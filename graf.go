@@ -80,12 +80,8 @@ type (
 	// App describes a microservice application: its service graph, API
 	// call trees, and per-service CPU-work parameters.
 	App = app.App
-	// API is one request type exposed by an application's frontend.
-	API = app.API
 	// Cluster is the simulated orchestration substrate an App runs on.
 	Cluster = cluster.Cluster
-	// Deployment is one microservice's replica set within a Cluster.
-	Deployment = cluster.Deployment
 	// Model is the GNN latency prediction model (§3.4 of the paper).
 	Model = gnn.Model
 	// Sample is one (workload, resources, latency) training triple.
@@ -266,14 +262,10 @@ type (
 )
 
 // ReadAuditLog parses a JSONL audit log, such as a grafd -audit-dir
-// tenant's. A log whose final line is torn (the writer
-// crashed mid-append) yields the valid prefix plus ErrTruncatedAuditTail.
+// tenant's. A log whose final line is torn (the writer crashed mid-append)
+// yields the valid prefix — complete for everything but the interrupted
+// append — together with an error.
 func ReadAuditLog(r io.Reader) ([]AuditRecord, error) { return obs.ReadLog(r) }
-
-// ErrTruncatedAuditTail matches (via errors.Is) the error ReadAuditLog
-// returns for a log ending in a torn record. The accompanying records are
-// the valid prefix — complete for everything but the interrupted append.
-var ErrTruncatedAuditTail = obs.ErrTruncatedTail
 
 // LatencyModel is the prediction interface the solver and replay consume; a
 // *Model implements it.

@@ -161,6 +161,7 @@ type Cluster struct {
 	names    []string
 	apis     map[string]*apiState
 	apiNames []string // the APIs' names, sorted once: the order their rates are summed in
+	applying []string // ApplyQuotas' sorted service names, reused by every call
 	traces   *trace.Collector
 	onTrace  func(*trace.Trace)
 	e2eAll   *metrics.Window // end-to-end latency, all APIs
@@ -782,11 +783,12 @@ func (c *Cluster) StartupSeconds(n int) float64 {
 // ApplyQuotas scales every deployment named in quotas.
 func (c *Cluster) ApplyQuotas(quotas map[string]float64) {
 	// Deterministic order.
-	names := make([]string, 0, len(quotas))
+	names := c.applying[:0]
 	for n := range quotas {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	c.applying = names
 	for _, n := range names {
 		c.Deployment(n).SetQuota(quotas[n])
 	}

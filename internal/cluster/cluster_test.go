@@ -322,7 +322,7 @@ func TestBoutiqueEndToEnd(t *testing.T) {
 	if done != 100 {
 		t.Fatalf("completed %d/100 requests", done)
 	}
-	p := c.Traces().VisitProfile("cart", 0.9)
+	p := c.Traces().VisitProfile("cart", 0.9, nil)
 	if p["currency"] != 2 {
 		t.Errorf("traced currency visits = %v, want 2", p["currency"])
 	}

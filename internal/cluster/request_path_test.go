@@ -206,7 +206,7 @@ func observedRun(a *app.App, seed int64, outage string, observe bool) observatio
 		eng.At(at, func() {
 			for _, api := range a.APIs {
 				for _, q := range []float64{0.5, 0.9, 0.99} {
-					p := cl.Traces().VisitProfile(api.Name, q)
+					p := cl.Traces().VisitProfile(api.Name, q, nil)
 					o.profiles = append(o.profiles, fmt.Sprintf("t=%v %s q=%v %v", eng.Now(), api.Name, q, p))
 					if rec != nil && o.recorderMismatch == "" {
 						if want := nearestRank(rec.Traces(api.Name), q); !reflect.DeepEqual(p, want) {

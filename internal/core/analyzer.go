@@ -29,7 +29,8 @@ type LatencyModel interface {
 // Analyzer is the Workload Analyzer (§3.3): it converts front-end per-API
 // workloads into the per-microservice workload distribution that forms the
 // GNN's node states, using the 90th-percentile visit counts extracted from
-// tracing data.
+// tracing data. It is not safe for concurrent use: Refresh and Distribute
+// refill its buffers.
 type Analyzer struct {
 	App *app.App
 
@@ -37,8 +38,10 @@ type Analyzer struct {
 	// represents an API's behaviour (paper: 0.90).
 	VisitQuantile float64
 
-	// profiles[api][service] is the visit multiplicity learned from traces.
+	// profiles[api][service] is the visit multiplicity learned from traces;
+	// Refresh refills each API's map in place.
 	profiles map[string]map[string]float64
+	apis     []string // Distribute's sorted API names, reused by every call
 }
 
 // NewAnalyzer returns an analyzer for application a with the paper's 90th
@@ -52,7 +55,7 @@ func NewAnalyzer(a *app.App) *Analyzer {
 // analyzer degrades gracefully during cold start.
 func (an *Analyzer) Refresh(tc *trace.Collector) {
 	for _, api := range an.App.APIs {
-		if p := tc.VisitProfile(api.Name, an.VisitQuantile); p != nil {
+		if p := tc.VisitProfile(api.Name, an.VisitQuantile, an.profiles[api.Name]); p != nil {
 			an.profiles[api.Name] = p
 		}
 	}
@@ -100,13 +103,20 @@ func (an *Analyzer) visits(api string) map[string]float64 {
 // Distribute converts per-API frontend rates into the per-service workload
 // vector (indexed like App.Services) the latency model consumes.
 func (an *Analyzer) Distribute(apiRates map[string]float64) []float64 {
-	load := make([]float64, len(an.App.Services))
+	return an.distributeInto(make([]float64, len(an.App.Services)), apiRates)
+}
+
+// distributeInto is Distribute into load, which it zeroes first: the
+// controller passes a vector it keeps across decisions.
+func (an *Analyzer) distributeInto(load []float64, apiRates map[string]float64) []float64 {
+	clear(load)
 	// Deterministic iteration.
-	apis := make([]string, 0, len(apiRates))
+	apis := an.apis[:0]
 	for api := range apiRates {
 		apis = append(apis, api)
 	}
 	sort.Strings(apis)
+	an.apis = apis
 	for _, api := range apis {
 		rate := apiRates[api]
 		if rate <= 0 {

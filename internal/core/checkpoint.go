@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"graf/internal/forecast"
 	"graf/internal/obs"
 )
@@ -66,7 +68,7 @@ type ControllerState struct {
 
 // clone deep-copies the state: snapshot isolation in both directions.
 func (st ControllerState) clone() ControllerState {
-	st.LastQuotas = copyQuotas(st.LastQuotas)
+	st.LastQuotas = maps.Clone(st.LastQuotas)
 	if st.LastRaw != nil {
 		st.LastRaw = append([]float64(nil), st.LastRaw...)
 	}
@@ -203,7 +205,13 @@ func (st *ControllerState) commit(rec *obs.Record, cfg ControllerConfig, live *l
 		st.StaleSince = rec.At
 	}
 	if rec.Applied != nil {
-		st.LastQuotas = copyQuotas(rec.Applied)
+		// Refilled in place: the record's map is the controller's (or the
+		// log's), and the state's outlives it.
+		if st.LastQuotas == nil {
+			st.LastQuotas = make(map[string]float64, len(rec.Applied))
+		}
+		clear(st.LastQuotas)
+		maps.Copy(st.LastQuotas, rec.Applied)
 	}
 	if rec.Limited {
 		st.Stats.RateLimited++
@@ -221,7 +229,7 @@ func (st *ControllerState) commit(rec *obs.Record, cfg ControllerConfig, live *l
 func (st *ControllerState) commitSolve(rec *obs.Record, cfg ControllerConfig, live *liveFacts) {
 	st.Solves++
 	st.ModelGen = rec.ModelGen
-	st.LastRaw = append([]float64(nil), rec.Raw...)
+	st.LastRaw = append(st.LastRaw[:0], rec.Raw...)
 	if rec.FcRate > 0 {
 		st.Stats.ForecastSolves++
 	}

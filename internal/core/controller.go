@@ -281,14 +281,21 @@ type Controller struct {
 	stop func()
 	tk   tick // the decision in flight, reused by every Step
 
-	// What every decision reads and fills, kept across decisions so a held
-	// one allocates nothing: the service names, collect's observed per-API
-	// rates and scaleRates' forecast- and region-scaled copy of them.
-	names  []string
-	rates  map[string]float64
-	scaled map[string]float64
+	// What every decision reads and fills, kept across decisions so that
+	// neither a held nor a solving one allocates: the service names,
+	// collect's observed per-API rates and scaleRates' forecast- and
+	// region-scaled copy of them; the analyzed load and the solver box;
+	// the solver's workspace; the proposed quotas. The record carries load,
+	// box, raw answer and proposal by reference — the flight recorder and
+	// commit copy what they keep — and the next decision refills them.
+	names         []string
+	rates, scaled map[string]float64
+	load, lo, hi  []float64
+	ws            workspace
+	quotas        map[string]float64
 
-	// OnDecision, if set, observes every applied configuration.
+	// OnDecision, if set, observes every applied configuration. sol.Quotas
+	// is the controller's own vector, valid for the call only.
 	OnDecision func(t float64, totalRate float64, sol Solution)
 
 	// OnHealth, if set, observes every transition of the degraded-mode
@@ -311,11 +318,13 @@ func NewController(cl *cluster.Cluster, m LatencyModel, an *Analyzer, b Bounds, 
 	}
 	cl.DeclareLookback(cluster.APIRates, RateWindowS)
 	cl.DeclareLookback(cluster.E2ELatency|cluster.CPU, 3*RateWindowS) // the measured-p99 and CPU-per-request reads
-	apis := len(cl.APINames())
+	apis, n := len(cl.APINames()), len(cl.App.Services)
 	return &Controller{Cluster: cl, Model: m, Analyzer: an, Bounds: b, Cfg: cfg,
 		st:    ControllerState{StaleSince: -1, Forecast: fc},
 		names: cl.App.ServiceNames(),
-		rates: make(map[string]float64, apis), scaled: make(map[string]float64, apis)}
+		rates: make(map[string]float64, apis), scaled: make(map[string]float64, apis),
+		load: make([]float64, n), lo: make([]float64, n), hi: make([]float64, n),
+		quotas: make(map[string]float64, n)}
 }
 
 // Forecaster returns the controller's workload predictor, or nil when
@@ -419,9 +428,9 @@ func (c *Controller) Stop() {
 }
 
 // tick is one decision in flight: what the stages have read and proposed so
-// far. The controller keeps one and Step resets it. Its rate maps are the
-// controller's own (c.rates, c.scaled), refilled by the next step: the flight
-// recorder copies rec.Rates, and nothing else keeps them.
+// far. The controller keeps one and Step resets it. Its maps and vectors are
+// the controller's own, refilled by the next step: the flight recorder copies
+// every one rec carries, and commit copies Applied and Raw into the state.
 type tick struct {
 	now float64
 	// rec is the decision's audit record, filled as the stages go: every
@@ -572,7 +581,7 @@ func (c *Controller) boost(t *tick) bool {
 	if last == nil {
 		last = c.Cluster.Quotas()
 	}
-	boosted := make(map[string]float64, len(last))
+	boosted := c.proposal()
 	for i, name := range c.names {
 		q, ok := last[name]
 		if !ok {
@@ -723,7 +732,7 @@ func (c *Controller) heuristicRung(t *tick) bool {
 	if c.Brownout() < BrownoutHeuristic {
 		return false
 	}
-	load := c.Analyzer.Distribute(t.rates)
+	load := c.Analyzer.distributeInto(c.load, t.rates)
 	quotas := c.heuristicQuotas(load, t.scale, c.st.BreakerOpen)
 	t.rec.Kind, t.rec.Load = KindBrownoutHeuristic, load
 	t.rec.Applied, t.rec.Limited = c.limitStep(quotas)
@@ -735,7 +744,7 @@ func (c *Controller) heuristicRung(t *tick) bool {
 func (c *Controller) solve(t *tick) bool {
 	tAnalyze := c.wallStart()
 	c.Analyzer.Refresh(c.Cluster.Traces())
-	load := c.Analyzer.Distribute(t.rates)
+	load := c.Analyzer.distributeInto(c.load, t.rates)
 	c.stage("analyze", tAnalyze, nil)
 	lo, hi := c.demandBounds(load)
 
@@ -751,7 +760,7 @@ func (c *Controller) solve(t *tick) bool {
 		warmStart = c.st.LastRaw
 	}
 	tSolve := c.wallStart()
-	sol := SolveFrom(c.Model, load, c.Cfg.SLO, lo, hi, scfg, warmStart)
+	sol := c.ws.solve(c.Model, load, c.Cfg.SLO, lo, hi, scfg, warmStart)
 	if c.Obs != nil {
 		wallNS := time.Since(tSolve).Nanoseconds()
 		c.stage("solve", tSolve, c.spanAttr("predicted", sol.Predicted))
@@ -761,9 +770,7 @@ func (c *Controller) solve(t *tick) bool {
 	// The complete solver inputs and raw outputs: with the header's SLO and
 	// solver configuration these replay the solve bit-identically. ModelGen
 	// names the model that produced them, so replay of a run that swapped
-	// models mid-flight picks the right archived model. load, lo, hi and
-	// sol.Quotas are this tick's own allocations, so the record keeps them
-	// without another copy.
+	// models mid-flight picks the right archived model.
 	rec := &t.rec
 	rec.ModelGen = c.st.ModelGen
 	rec.Load, rec.Lo, rec.Hi = load, lo, hi
@@ -793,7 +800,7 @@ func (c *Controller) solve(t *tick) bool {
 			rec.Kind = KindFallback
 		}
 	default:
-		quotas = make(map[string]float64, len(sol.Quotas))
+		quotas = c.proposal()
 		for i, name := range c.names {
 			quotas[name] = sol.Quotas[i] * t.scale
 		}
@@ -815,8 +822,9 @@ func (c *Controller) solve(t *tick) bool {
 // demandBounds returns this tick's solver box — the Algorithm-1 bounds with
 // the capacity guardrail applied: never solve below measured CPU demand.
 func (c *Controller) demandBounds(load []float64) (lo, hi []float64) {
-	lo = append([]float64(nil), c.Bounds.Lo...)
-	hi = append([]float64(nil), c.Bounds.Hi...)
+	lo = append(c.lo[:0], c.Bounds.Lo...)
+	hi = append(c.hi[:0], c.Bounds.Hi...)
+	c.lo, c.hi = lo, hi
 	for i, name := range c.names {
 		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(RateWindowS * 3)
 		// req/s × cpu-ms/req = cpu-ms/s = millicores of demand.
@@ -861,17 +869,11 @@ func (c *Controller) countPrewarm(rec *obs.Record) {
 	}
 }
 
-// copyQuotas snapshots a quota map: a record's map belongs to the flight
-// recorder, the state's to the next decision.
-func copyQuotas(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+// proposal empties and returns the controller's quota map, which the stage
+// that allocates fills as this tick's proposal.
+func (c *Controller) proposal() map[string]float64 {
+	clear(c.quotas)
+	return c.quotas
 }
 
 // nextUnconverged counts consecutive solves that ran out of budget without
@@ -909,7 +911,8 @@ func (c *Controller) solveHealthy(sol Solution) bool {
 // heuristicQuotas is the demand-floor allocator used while the model circuit
 // breaker is open: quota_i = load_i × measured-CPU-per-request / target
 // utilization, clamped to the solver bounds. It cannot shave latency like
-// the model can, but it never starves a service of raw CPU demand.
+// the model can, but it never starves a service of raw CPU demand. It fills
+// the proposal map.
 func (c *Controller) heuristicQuotas(load []float64, scale float64, breakerOpen bool) map[string]float64 {
 	util := demandFloorUtil
 	// A lifecycle demotion (as opposed to an open breaker) over-provisions:
@@ -918,7 +921,7 @@ func (c *Controller) heuristicQuotas(load []float64, scale float64, breakerOpen 
 	if c.Trust() == ModelUntrusted && !breakerOpen {
 		util = untrustedUtil
 	}
-	out := make(map[string]float64, len(load))
+	out := c.proposal()
 	for i, name := range c.names {
 		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(RateWindowS * 3)
 		if cpuMS <= 0 {

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"graf/internal/app"
@@ -360,6 +361,83 @@ func TestHysteresisStepAllocatesNothing(t *testing.T) {
 		t.Errorf("%v allocations per hysteresis-hold Step, want 0", allocs)
 	}
 	gen.Stop()
+}
+
+// ownGradHyperbola is hyperbola with fleet.TenantPredictor's calling
+// convention: PredictGrad returns the model's own buffer, which its next call
+// overwrites.
+type ownGradHyperbola struct {
+	hyperbola
+	g []float64
+}
+
+func (h *ownGradHyperbola) PredictGrad(load, quota []float64) (float64, []float64) {
+	for i := range quota {
+		h.g[i] = -h.a[i] * load[i] / (quota[i] * quota[i])
+	}
+	return h.Predict(load, quota), h.g
+}
+
+// A decision that solves allocates nothing either: the analyzer's profiles
+// and load, the solver box, the solver's workspace, the proposed quotas, the
+// state's copies of them, the cluster's actuation order and the flight
+// recorder's copies of the record's vectors and maps are all refilled in
+// place. The offered rate is a square wave of period 20 s, so the 10 s rate
+// window reads about 60, 75, 90, 75, 60, … req/s at 5 s steps — past
+// hysteresis every time. The engine runs between steps, outside the
+// measurement.
+func TestSolvingStepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	a := app.RobotShop()
+	eng := sim.NewEngine(10)
+	// One instance holds any quota in the box: creating instances allocates,
+	// and that is the simulator's cost, not the decision's.
+	ccfg := cluster.DefaultConfig()
+	ccfg.CPUUnit = 4000
+	cl := cluster.New(eng, a, ccfg)
+	b := Bounds{Lo: []float64{100, 100}, Hi: []float64{4000, 4000}}
+	// Pessimistic enough, against an SLO loose enough, that the measured
+	// tail never engages the boost guardrail once warm.
+	m := &ownGradHyperbola{hyperbola: hyperbola{a: []float64{4, 4}, c: 0.01}, g: make([]float64, 2)}
+	ctl := NewController(cl, m, NewAnalyzer(a), b, DefaultControllerConfig(0.3))
+	tel := obs.New(obs.Options{AuditW: io.Discard, AuditMemory: 16})
+	ctl.Obs = obs.NewControllerObs(tel)
+	gen := workload.NewOpenLoop(cl, func(now float64) float64 {
+		if int(now/10)%2 == 0 {
+			return 60
+		}
+		return 90
+	})
+	gen.Start()
+	defer gen.Stop()
+	step := func() uint64 {
+		var before, after runtime.MemStats
+		eng.RunUntil(eng.Now() + IntervalS)
+		runtime.ReadMemStats(&before)
+		ctl.Step()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for i := 0; i < 40; i++ { // fill the audit memory, every metric child and the instance counts
+		step()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var allocs uint64
+	const steps = 16
+	for i := 0; i < steps; i++ {
+		allocs += step()
+	}
+	recs := tel.Flight.Records()
+	for _, rec := range recs[len(recs)-steps:] {
+		if rec.Type != "decision" || rec.Kind != KindSolve {
+			t.Fatalf("record at %v is a %s %q, want every measured step to solve", rec.At, rec.Type, rec.Kind)
+		}
+	}
+	if allocs > 0 {
+		t.Errorf("%v allocations per solving Step, want 0", float64(allocs)/steps)
+	}
 }
 
 func TestControllerWorkloadScaling(t *testing.T) {

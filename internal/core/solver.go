@@ -99,6 +99,21 @@ func WarmSolverConfig(cfg SolverConfig) SolverConfig {
 // that tenants under the same load walk the same points and share them in
 // the prediction cache.
 func SolveFrom(m LatencyModel, load []float64, sloSeconds float64, lo, hi []float64, cfg SolverConfig, start []float64) Solution {
+	return new(workspace).solve(m, load, sloSeconds, lo, hi, cfg, start)
+}
+
+// workspace is what a version 2 solve writes: its scratch vectors and the
+// answer. SolveFrom takes a new one per call; a Controller keeps one, so a
+// solving decision allocates none of it. A Solution's Quotas are the
+// workspace's x, valid until its next solve.
+type workspace struct {
+	buf  []float64 // g, gPrev, d, ones, trial, probe: n each
+	x    []float64
+	free []bool
+}
+
+// solve is SolveFrom in w's buffers.
+func (w *workspace) solve(m LatencyModel, load []float64, sloSeconds float64, lo, hi []float64, cfg SolverConfig, start []float64) Solution {
 	n := len(load)
 	if len(lo) != n || len(hi) != n {
 		panic("core: Solve bounds must match load length")
@@ -107,11 +122,23 @@ func SolveFrom(m LatencyModel, load []float64, sloSeconds float64, lo, hi []floa
 	if !ok {
 		panic("core: unknown solver version")
 	}
-	return solve(m, load, sloSeconds, lo, hi, cfg, start)
+	return solve(w, m, load, sloSeconds, lo, hi, cfg, start)
+}
+
+// reset sizes w for n coordinates, all zero, as a fresh allocation would be.
+func (w *workspace) reset(n int) {
+	if cap(w.x) < n {
+		w.buf, w.x, w.free = make([]float64, 6*n), make([]float64, n), make([]bool, n)
+	}
+	w.buf, w.x, w.free = w.buf[:6*n], w.x[:n], w.free[:n]
+	clear(w.buf)
+	clear(w.x)
+	clear(w.free)
 }
 
 // solvers are the versions SolveFrom implements, by SolverConfig.Version.
-var solvers = map[int]func(m LatencyModel, load []float64, sloSeconds float64, lo, hi []float64, cfg SolverConfig, start []float64) Solution{
+// Version 1 allocates its own vectors and ignores the workspace.
+var solvers = map[int]func(w *workspace, m LatencyModel, load []float64, sloSeconds float64, lo, hi []float64, cfg SolverConfig, start []float64) Solution{
 	1: solveV1,
 	2: solveV2,
 }
@@ -176,12 +203,13 @@ type descent struct {
 // every free coordinate buys the same latency per millicore) or when no step
 // longer than minStep makes progress. Every iterate after the first bracket
 // is feasible, so running out of budget returns a usable answer.
-func solveV2(m LatencyModel, load []float64, sloSeconds float64, lo, hi []float64, cfg SolverConfig, start []float64) Solution {
+func solveV2(w *workspace, m LatencyModel, load []float64, sloSeconds float64, lo, hi []float64, cfg SolverConfig, start []float64) Solution {
 	n := len(load)
-	buf := make([]float64, 6*n)
+	w.reset(n)
+	buf := w.buf
 	s := descent{
 		m: m, load: load, slo: sloSeconds, lo: lo, hi: hi, budget: cfg.MaxIters,
-		x: make([]float64, n), free: make([]bool, n),
+		x: w.x, free: w.free,
 		g: buf[:n], gPrev: buf[n : 2*n], d: buf[2*n : 3*n], ones: buf[3*n : 4*n],
 		trial: buf[4*n : 5*n], probe: buf[5*n : 6*n],
 		band: boundaryBand * sloSeconds,

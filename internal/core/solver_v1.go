@@ -19,7 +19,7 @@ import (
 // digests recorded at cd08a14 pin the controller kernel through it, and the
 // optimality-gap harness measures version 2 against it. Iterations counts
 // loop iterations (one PredictGrad each); the final Predict is not counted.
-func solveV1(m LatencyModel, load []float64, sloSeconds float64, lo, hi []float64, cfg SolverConfig, start []float64) Solution {
+func solveV1(_ *workspace, m LatencyModel, load []float64, sloSeconds float64, lo, hi []float64, cfg SolverConfig, start []float64) Solution {
 	n := len(load)
 	// Variables in kilocores, starting at the top of the box where
 	// predicted latency is lowest — or at the caller's warm start.

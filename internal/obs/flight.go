@@ -9,6 +9,7 @@ import (
 	"io"
 	"maps"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -49,8 +50,9 @@ import (
 // round-trippable decimal), which is what makes bit-exact replay possible
 // from a file on disk.
 //
-// A record handed to FlightRecorder.Record lends it Rates for the call only:
-// the recorder keeps a copy. Every other map and slice it keeps as given.
+// A record handed to FlightRecorder.Record lends it its maps and slices for
+// the call only: the recorder keeps copies of every one, so a controller can
+// refill the same buffers every decision.
 type Record struct {
 	Type string  `json:"type"`
 	At   float64 `json:"at"`
@@ -65,7 +67,7 @@ type Record struct {
 	// Decision fields.
 	Kind      string             `json:"kind,omitempty"`
 	Health    string             `json:"health,omitempty"`
-	Rates     map[string]float64 `json:"rates,omitempty"` // the caller's for the Record call only
+	Rates     map[string]float64 `json:"rates,omitempty"`
 	Total     float64            `json:"total,omitempty"`
 	Load      []float64          `json:"load,omitempty"`
 	Lo        []float64          `json:"lo,omitempty"`
@@ -102,8 +104,8 @@ type Record struct {
 
 // FlightRecorder appends Records to an optional JSONL sink and retains the
 // most recent ones in memory (for in-process replay and inspection without
-// any file). The retained records' Rates maps are the recorder's own. Safe
-// for concurrent use.
+// any file). The retained records' maps and slices are the recorder's own
+// copies, and Records hands out copies of those. Safe for concurrent use.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	w    *bufio.Writer
@@ -114,10 +116,21 @@ type FlightRecorder struct {
 	seq  int
 	err  error
 	drop int // records evicted from memory
-	// spare holds the Rates maps of evicted records that no new record has
-	// taken yet: a record without rates (health, forecast, chaos) frees one,
-	// the next decision refills it. There are never more than cap maps.
-	spare []map[string]float64
+	// The maps and slices of evicted records that no new record has taken
+	// yet, one list per field in buffers' order: a record without a field
+	// (a health record has no rates) frees its buffer, the next record that
+	// has one refills it. No list holds more than cap buffers, so each is
+	// made at that capacity.
+	spareMaps   [4][]map[string]float64
+	spareFloats [4][][]float64
+	spareNames  [2][][]string
+}
+
+// buffers lists the maps and slices of r, the fields the recorder copies.
+func (r *Record) buffers() ([4]*map[string]float64, [4]*[]float64, [2]*[]string) {
+	return [4]*map[string]float64{&r.Rates, &r.Applied, &r.Solver, &r.Summary},
+		[4]*[]float64{&r.Load, &r.Lo, &r.Hi, &r.Raw},
+		[2]*[]string{&r.Services, &r.Chaos}
 }
 
 // NewFlightRecorder returns a recorder writing JSONL to w (nil = memory
@@ -126,17 +139,29 @@ type FlightRecorder struct {
 // set a cap and rely on the file.
 func NewFlightRecorder(w io.Writer, memCap int) *FlightRecorder {
 	f := &FlightRecorder{cap: memCap}
+	if memCap > 0 {
+		for i := range f.spareMaps {
+			f.spareMaps[i] = make([]map[string]float64, 0, memCap)
+		}
+		for i := range f.spareFloats {
+			f.spareFloats[i] = make([][]float64, 0, memCap)
+		}
+		for i := range f.spareNames {
+			f.spareNames[i] = make([][]string, 0, memCap)
+		}
+	}
 	if w != nil {
 		f.w = bufio.NewWriter(w)
 	}
 	return f
 }
 
-// Record appends one record, stamping its sequence number. rec.Rates is the
-// caller's only for the duration of the call, so a controller can refill one
-// map every decision: the recorder keeps a copy, in a map an evicted record
-// left behind when there is one. A nil Rates stays nil. Once the memory
-// buffer is full, a record overwrites the oldest in place.
+// Record appends one record, stamping its sequence number. rec's maps and
+// slices are the caller's only for the duration of the call, so a controller
+// can refill the same ones every decision: the recorder keeps copies, in
+// buffers an evicted record left behind when there are some. A nil field
+// stays nil. Once the memory buffer is full, a record overwrites the oldest
+// in place.
 func (f *FlightRecorder) Record(rec Record) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -146,8 +171,21 @@ func (f *FlightRecorder) Record(rec Record) {
 	if f.cap > 0 && slot >= f.cap {
 		slot = f.head
 		f.head = (f.head + 1) % f.cap
-		if m := f.mem[slot].Rates; m != nil {
-			f.spare = append(f.spare, m)
+		ms, fs, ns := f.mem[slot].buffers()
+		for i, p := range ms {
+			if *p != nil {
+				f.spareMaps[i] = append(f.spareMaps[i], *p)
+			}
+		}
+		for i, p := range fs {
+			if *p != nil {
+				f.spareFloats[i] = append(f.spareFloats[i], *p)
+			}
+		}
+		for i, p := range ns {
+			if *p != nil {
+				f.spareNames[i] = append(f.spareNames[i], *p)
+			}
 		}
 		f.drop++
 	}
@@ -158,8 +196,15 @@ func (f *FlightRecorder) Record(rec Record) {
 			_, f.err = f.w.Write(f.enc.buf)
 		}
 	}
-	if rec.Rates != nil {
-		rec.Rates = f.keep(rec.Rates)
+	ms, fs, ns := rec.buffers()
+	for i, p := range ms {
+		*p = keepMap(&f.spareMaps[i], *p)
+	}
+	for i, p := range fs {
+		*p = keepSlice(&f.spareFloats[i], *p)
+	}
+	for i, p := range ns {
+		*p = keepSlice(&f.spareNames[i], *p)
 	}
 	if slot == len(f.mem) {
 		f.mem = append(f.mem, rec)
@@ -168,21 +213,33 @@ func (f *FlightRecorder) Record(rec Record) {
 	}
 }
 
-// keep copies src into a spare map, or into a new one when none is spare.
-func (f *FlightRecorder) keep(src map[string]float64) map[string]float64 {
-	n := len(f.spare)
-	if n == 0 {
+// keepMap copies src into a map from the spare list, or into a new one when
+// none is spare. A nil src stays nil.
+func keepMap(spare *[]map[string]float64, src map[string]float64) map[string]float64 {
+	n := len(*spare)
+	if src == nil || n == 0 {
 		return maps.Clone(src)
 	}
-	dst := f.spare[n-1]
-	f.spare = f.spare[:n-1]
+	dst := (*spare)[n-1]
+	*spare = (*spare)[:n-1]
 	clear(dst)
 	maps.Copy(dst, src)
 	return dst
 }
 
+// keepSlice is keepMap for a slice.
+func keepSlice[T any](spare *[][]T, src []T) []T {
+	n := len(*spare)
+	if src == nil || n == 0 {
+		return slices.Clone(src)
+	}
+	dst := (*spare)[n-1]
+	*spare = (*spare)[:n-1]
+	return append(dst[:0], src...)
+}
+
 // Records returns a copy of the retained in-memory records, oldest first.
-// Their Rates are copies too: the recorder reuses its own maps as later
+// Their maps and slices are copies too: the recorder reuses its own as later
 // records evict these.
 func (f *FlightRecorder) Records() []Record {
 	f.mu.Lock()
@@ -190,7 +247,16 @@ func (f *FlightRecorder) Records() []Record {
 	out := make([]Record, 0, len(f.mem))
 	out = append(append(out, f.mem[f.head:]...), f.mem[:f.head]...)
 	for i := range out {
-		out[i].Rates = maps.Clone(out[i].Rates)
+		ms, fs, ns := out[i].buffers()
+		for _, p := range ms {
+			*p = maps.Clone(*p)
+		}
+		for _, p := range fs {
+			*p = slices.Clone(*p)
+		}
+		for _, p := range ns {
+			*p = slices.Clone(*p)
+		}
 	}
 	return out
 }

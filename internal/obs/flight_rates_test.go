@@ -104,3 +104,63 @@ func TestRecordsConcurrentWithRecord(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// The recorder keeps copies of a record's vectors and quota map too: a
+// controller that refills its load, raw answer and proposal every decision
+// does not rewrite what was recorded.
+func TestRecordKeepsItsOwnVectorsAndQuotas(t *testing.T) {
+	for _, memCap := range []int{0, 4} {
+		t.Run(fmt.Sprintf("cap=%d", memCap), func(t *testing.T) {
+			f := NewFlightRecorder(nil, memCap)
+			rec := Record{Type: "decision", At: 1, Load: []float64{10, 20}, Raw: []float64{300, 400},
+				Applied: map[string]float64{"web": 300, "db": 400}}
+			f.Record(rec)
+			rec.Load[0], rec.Raw[1], rec.Applied["web"], rec.Applied["cache"] = -1, -1, -1, -1
+			got := f.Records()[0]
+			if got.Load[0] != 10 || got.Load[1] != 20 || got.Raw[0] != 300 || got.Raw[1] != 400 {
+				t.Errorf("kept load %v and raw %v after the caller's vectors changed, want [10 20] and [300 400]", got.Load, got.Raw)
+			}
+			if len(got.Applied) != 2 || got.Applied["web"] != 300 || got.Applied["db"] != 400 {
+				t.Errorf("kept applied %v after the caller's map changed, want map[db:400 web:300]", got.Applied)
+			}
+		})
+	}
+}
+
+// Records hands out copies of every vector and map: once the buffer wraps
+// and the recorder refills the evicted records' buffers, a slice returned
+// earlier still reads what was recorded.
+func TestRecordsSurviveBufferReuse(t *testing.T) {
+	const memCap = 4
+	f := NewFlightRecorder(nil, memCap)
+	load, lo, hi, raw := make([]float64, 1), make([]float64, 1), make([]float64, 1), make([]float64, 1)
+	applied, summary := map[string]float64{}, map[string]float64{}
+	chaos := make([]string, 1)
+	record := func(i int) {
+		v := float64(i)
+		load[0], lo[0], hi[0], raw[0], applied["web"], summary["n"] = v, v, v, v, v, v
+		chaos[0] = fmt.Sprint(i)
+		f.Record(Record{Type: "decision", At: v, Load: load, Lo: lo, Hi: hi, Raw: raw,
+			Applied: applied, Summary: summary, Chaos: chaos})
+	}
+	for i := 0; i < memCap; i++ {
+		record(i)
+	}
+	before := f.Records()
+	for i := memCap; i < memCap+20; i++ {
+		record(i)
+	}
+	for i, rec := range before {
+		v := float64(i)
+		if rec.Load[0] != v || rec.Lo[0] != v || rec.Hi[0] != v || rec.Raw[0] != v ||
+			rec.Applied["web"] != v || rec.Summary["n"] != v || rec.Chaos[0] != fmt.Sprint(i) {
+			t.Errorf("record %d of an earlier Records() now reads load %v lo %v hi %v raw %v applied %v summary %v chaos %v, want %d throughout",
+				i, rec.Load, rec.Lo, rec.Hi, rec.Raw, rec.Applied, rec.Summary, rec.Chaos, i)
+		}
+	}
+	for i, rec := range f.Records() {
+		if want := float64(20 + i); rec.Load[0] != want || rec.Applied["web"] != want {
+			t.Errorf("retained record %d reads load %v applied %v, want %v", i, rec.Load, rec.Applied, want)
+		}
+	}
+}

@@ -194,8 +194,10 @@ func (c *Collector) APIs() []string {
 // "from the history 90%-ile samples are chosen". The Workload Analyzer calls
 // this every solve tick over the whole retained history, so it reads the
 // table of distinct visit vectors and their reference counts rather than the
-// traces.
-func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
+// traces. The profile is written into out, cleared first (a new map when
+// out is nil), so a caller that keeps one map per API refills it every tick;
+// with no retained trace of api it returns nil and leaves out as it was.
+func (c *Collector) VisitProfile(api string, q float64, out map[string]float64) map[string]float64 {
 	r := c.byAPI[api]
 	if r == nil || r.n == 0 {
 		return nil
@@ -203,7 +205,10 @@ func (c *Collector) VisitProfile(api string, q float64) map[string]float64 {
 	// Nearest rank, as metrics.Window.Quantile defines it: the ⌈q·n⌉-th
 	// smallest count, the first at q = 0.
 	rank := min(max(int(math.Ceil(q*float64(r.n))), 1), r.n)
-	out := make(map[string]float64, len(c.svcs))
+	if out == nil {
+		out = make(map[string]float64, len(c.svcs))
+	}
+	clear(out)
 	for j, svc := range c.svcs {
 		// traces[n] retained traces visit svc n times.
 		clear(r.traces)

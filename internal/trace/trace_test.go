@@ -55,7 +55,7 @@ func TestCollectorCap(t *testing.T) {
 		collect(c, tr)
 		rec.Record(&tr)
 	}
-	if p := c.VisitProfile("cart", 1); p["cart"] != 1 {
+	if p := c.VisitProfile("cart", 1, nil); p["cart"] != 1 {
 		t.Errorf("most visits to cart among the retained = %v, want 1: the oldest five were not evicted", p["cart"])
 	}
 	if c.Total() != 10 {
@@ -76,11 +76,11 @@ func TestVisitProfile(t *testing.T) {
 		collect(c, mkTrace(int64(i), "cart", 0.1, map[string]int{"cart": 1}))
 	}
 	collect(c, mkTrace(99, "cart", 0.1, map[string]int{"cart": 5}))
-	p := c.VisitProfile("cart", 0.90)
+	p := c.VisitProfile("cart", 0.90, nil)
 	if p["cart"] != 1 {
 		t.Errorf("p90 cart visits = %v, want 1", p["cart"])
 	}
-	p = c.VisitProfile("cart", 0.99)
+	p = c.VisitProfile("cart", 0.99, nil)
 	if p["cart"] != 5 {
 		t.Errorf("p99 cart visits = %v, want 5", p["cart"])
 	}
@@ -97,7 +97,7 @@ func TestVisitProfileMissingService(t *testing.T) {
 		collect(c, mkTrace(int64(i), "home", 0.1, nil))
 	}
 	collect(c, mkTrace(9, "home", 0.1, map[string]int{"rare": 1}))
-	p := c.VisitProfile("home", 0.5)
+	p := c.VisitProfile("home", 0.5, nil)
 	if p["rare"] != 0 {
 		t.Errorf("median visits for rare service = %v, want 0", p["rare"])
 	}
@@ -137,6 +137,7 @@ func visitProfileReference(traces []Trace, q float64) map[string]float64 {
 func TestVisitProfileMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	services := []string{"frontend", "cart", "currency", "catalog", "shipping", "ads"}
+	var kept map[string]float64
 	for set := 0; set < 200; set++ {
 		c, rec := NewCollector(0, services), &Recorder{}
 		for id, n := 0, 1+rng.Intn(40); id < n; id++ {
@@ -153,13 +154,17 @@ func TestVisitProfileMatchesSortReference(t *testing.T) {
 			rec.Record(&tr)
 		}
 		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-			got, want := c.VisitProfile("home", q), visitProfileReference(rec.Traces("home"), q)
+			got, want := c.VisitProfile("home", q, nil), visitProfileReference(rec.Traces("home"), q)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("set %d q=%v: VisitProfile = %v, sort reference = %v", set, q, got, want)
 			}
+			// Refilled, the previous set's map keeps none of its entries.
+			if kept = c.VisitProfile("home", q, kept); !reflect.DeepEqual(kept, want) {
+				t.Fatalf("set %d q=%v: VisitProfile into a used map = %v, sort reference = %v", set, q, kept, want)
+			}
 		}
 	}
-	if p := NewCollector(0, services).VisitProfile("home", 0.9); p != nil {
+	if p := NewCollector(0, services).VisitProfile("home", 0.9, nil); p != nil {
 		t.Errorf("no traces: VisitProfile = %v, want nil", p)
 	}
 }
@@ -254,7 +259,7 @@ func TestRingMatchesSliceCollector(t *testing.T) {
 				}
 				checkRing(t, c, api, want)
 				for _, q := range []float64{0.5, 0.9, 1} {
-					if got, want := c.VisitProfile(api, q), visitProfileReference(want, q); !reflect.DeepEqual(got, want) {
+					if got, want := c.VisitProfile(api, q, nil), visitProfileReference(want, q); !reflect.DeepEqual(got, want) {
 						t.Fatalf("cap %d after %d: VisitProfile(%s, %v) = %v, want %v", limit, id, api, q, got, want)
 					}
 				}
@@ -292,7 +297,7 @@ func TestVectorTableIsBoundedByCap(t *testing.T) {
 	if n := distinctVectors(rec.Traces("x")); n != limit {
 		t.Fatalf("the stream repeated itself: %d distinct vectors among the last %d traces", n, limit)
 	}
-	if got, want := c.VisitProfile("x", 0.9), visitProfileReference(rec.Traces("x"), 0.9); !reflect.DeepEqual(got, want) {
+	if got, want := c.VisitProfile("x", 0.9, nil), visitProfileReference(rec.Traces("x"), 0.9); !reflect.DeepEqual(got, want) {
 		t.Errorf("VisitProfile = %v, want %v", got, want)
 	}
 }
@@ -341,16 +346,26 @@ func TestVisitProfileCostIsIndependentOfRingSize(t *testing.T) {
 	for _, limit := range []int{16, 4096} {
 		c, rec, names := fullRings(limit)
 		for _, api := range names {
-			if got, want := c.VisitProfile(api, 0.9), visitProfileReference(rec.Traces(api), 0.9); !reflect.DeepEqual(got, want) {
+			if got, want := c.VisitProfile(api, 0.9, nil), visitProfileReference(rec.Traces(api), 0.9); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cap %d: VisitProfile(%s) = %v, recount = %v", limit, api, got, want)
 			}
 		}
 		if n := testing.AllocsPerRun(20, func() {
 			for _, api := range names {
-				c.VisitProfile(api, 0.9)
+				c.VisitProfile(api, 0.9, nil)
 			}
 		}); n > 6 {
 			t.Errorf("cap %d: three profiles allocate %v objects, want ≤ 6 (the maps returned)", limit, n)
+		}
+		kept := map[string]map[string]float64{}
+		refill := func() {
+			for _, api := range names {
+				kept[api] = c.VisitProfile(api, 0.9, kept[api])
+			}
+		}
+		refill()
+		if n := testing.AllocsPerRun(20, refill); n != 0 {
+			t.Errorf("cap %d: three profiles refilled into their own maps allocate %v objects, want 0", limit, n)
 		}
 	}
 }
@@ -359,16 +374,15 @@ func TestVisitProfileCostIsIndependentOfRingSize(t *testing.T) {
 // profile per API over three full rings of the default TraceCap.
 func BenchmarkVisitProfile(b *testing.B) {
 	c, _, names := fullRings(4096)
+	kept := map[string]map[string]float64{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, api := range names {
-			sink = c.VisitProfile(api, 0.9)
+			kept[api] = c.VisitProfile(api, 0.9, kept[api])
 		}
 	}
 }
-
-var sink map[string]float64
 
 func TestEdges(t *testing.T) {
 	var rec Recorder
