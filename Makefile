@@ -28,7 +28,7 @@ deadcode:
 
 # Reproduce the paper's evaluation tables (see EXPERIMENTS.md). An
 # experiment's floors live in its runner; grafbench exits 1 when one breaks,
-# and so does go test -run '^$' -bench 'Experiment/^forecast$' -benchtime 1x .
+# and go test ./internal/bench runs every runner at quick scale.
 bench:
 	$(GO) run ./cmd/grafbench -scale quick
 

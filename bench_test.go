@@ -1,54 +1,19 @@
-// Benchmarks regenerating every table and figure of the paper (DESIGN.md
-// §3), plus microbenchmarks of the hot paths.
+// Microbenchmarks of the hot paths. The paper's tables and figures are
+// regenerated by cmd/grafbench, and internal/bench's TestExperimentFloors
+// checks every experiment's floors.
 package graf_test
 
 import (
-	"cmp"
-	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"graf/internal/app"
-	"graf/internal/bench"
 	"graf/internal/cluster"
 	"graf/internal/core"
 	"graf/internal/gnn"
 	"graf/internal/sim"
 	"graf/internal/workload"
 )
-
-// BenchmarkExperiment runs each entry of bench.Experiments as a
-// sub-benchmark: the runner cmd/grafbench uses, which prints its table once
-// and fails when the run broke one of its floors:
-//
-//	go test -run '^$' -bench 'Experiment/^fleet-rpc$' -benchtime 1x .
-//
-// The scale defaults to quick so the full suite stays in CI-friendly time;
-// GRAF_BENCH_SCALE=standard (or full) spends more compute.
-func BenchmarkExperiment(b *testing.B) {
-	scale, err := bench.ParseScale(cmp.Or(os.Getenv("GRAF_BENCH_SCALE"), "quick"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, e := range bench.Experiments {
-		printed := false
-		b.Run(e.ID, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := e.Run(scale)
-				if !printed {
-					printed = true
-					fmt.Println(res.Format())
-				}
-				if err := res.Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Microbenchmarks of the hot paths ---------------------------------------
 
 // BenchmarkSolver measures one full Eq.5 gradient descent (§3.5; the paper
 // reports 3.4-6.8 s on their hardware for this step).

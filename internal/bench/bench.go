@@ -2,8 +2,8 @@
 // observation and evaluation sections (the experiment index of DESIGN.md
 // §3). Experiments lists them; each runner returns a Result whose rows
 // mirror the series the paper plots and which records any floor the run
-// broke. cmd/grafbench prints them and the root BenchmarkExperiment runs
-// each as a sub-benchmark.
+// broke. cmd/grafbench prints them, and TestExperimentFloors runs each at
+// quick scale.
 package bench
 
 import (
@@ -150,9 +150,8 @@ func (r Result) Format() string {
 	return b.String()
 }
 
-// Scale selects how much compute an experiment spends. Tests and the root
-// benchmark default to quick; cmd/grafbench defaults to standard; full
-// approaches the paper's budgets.
+// Scale selects how much compute an experiment spends. Tests run at quick;
+// cmd/grafbench defaults to standard; full approaches the paper's budgets.
 type Scale struct {
 	Name string
 
@@ -187,8 +186,7 @@ func standard() Scale {
 
 // full approaches the paper's budgets (50 K samples; 20 K iterations of batch
 // 256, against Table 1's 70 K). One core.Train of Online Boutique at full
-// takes 2 min 11 s wall on a 2-vCPU Xeon — grafbench -scale full, and the root
-// benchmark under GRAF_BENCH_SCALE=full.
+// takes 2 min 11 s wall on a 2-vCPU Xeon (grafbench -scale full).
 func full() Scale {
 	return Scale{
 		Name: "full", Samples: 50000, Iterations: 20000, Batch: 256,

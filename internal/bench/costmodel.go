@@ -1,5 +1,7 @@
 package bench
 
+import "math"
+
 // Cost-benefit analysis (Table 3, Figure 19). These are pure arithmetic over
 // the paper's published AWS EC2 on-demand prices and its sample-collection
 // procedure (15 s per sample), so they are reproduced exactly.
@@ -44,10 +46,16 @@ func tab03Budget(Scale) Result {
 	res := Result{Title: "Expected budget: 50K samples + training (AWS EC2 on-demand)",
 		Header: []string{"module", "instance", "time_h", "budget_$", "paper_$"}}
 	cb := Cost(50000)
-	res.AddRow("Load Generator", "CPU (c4.large)", f1(cb.SampleHours), f2(cb.LoadGenCost), "20.83")
-	res.AddRow("Worker Node", "CPU (c4.2xlarge)", f1(cb.SampleHours), f2(cb.WorkerCost), "82.92")
-	res.AddRow("Model Training", "GPU (g4dn.xlarge)", f1(cb.TrainingHours), f2(cb.TrainingCost), "8.42")
-	res.AddRow("Total", "", "", f2(cb.Total), "112.17")
+	row := func(module, instance, hours string, budget, paper float64) {
+		res.AddRow(module, instance, hours, f2(budget), f2(paper))
+		if budget < paper*0.99 || budget > paper*1.01 {
+			res.Fail("%s: $%.2f, paper $%.2f (more than 1%% off)", module, budget, paper)
+		}
+	}
+	row("Load Generator", "CPU (c4.large)", f1(cb.SampleHours), cb.LoadGenCost, 20.83)
+	row("Worker Node", "CPU (c4.2xlarge)", f1(cb.SampleHours), cb.WorkerCost, 82.92)
+	row("Model Training", "GPU (g4dn.xlarge)", f1(cb.TrainingHours), cb.TrainingCost, 8.42)
+	row("Total", "", "", cb.Total, 112.17)
 	res.Note("50k samples × 15s/sample = 208.3h; one-time cost unless the application is updated")
 	return res
 }
@@ -58,7 +66,7 @@ func savedInstancesPerQPS(s Scale) float64 {
 	tr := BoutiquePipeline(s)
 	// Two operating points of the Fig 18 study suffice for a slope.
 	loRate, hiRate := 120.0, 280.0
-	th, _ := tuneHPA(tr, tr.Spec.SLO, EvalRate, s.SteadyS, 91)
+	th, _ := tuneHPA(tr, tr.Spec.SLO, EvalRate, s.SteadyS)
 	run := func(rate float64, graf bool) float64 {
 		if graf {
 			return runGRAFSteady(tr, tr.Spec.SLO, rate, s.SteadyS, 92).instances
@@ -88,11 +96,16 @@ func fig19CostBenefit(s Scale) Result {
 	// One instance is one CPU unit's share of a c4.2xlarge (8 vCPU ≈
 	// 8000 mc): price per instance-day.
 	instDay := priceC4XL2 * 24 * (250.0 / 8000.0) * 10 // ×10: bundle of 10 shares ≈ pod cost
+	last := math.Inf(1)
 	for _, days := range []float64{1, 5, 10, 20, 30, 45, 60} {
 		// Profit(days, qps) = slope·qps·instDay·days − cb.Total.
 		breakeven := cb.Total / (slope * instDay * days)
 		profit := slope*2000*instDay*days - cb.Total
 		res.AddRow(f0(days), f0(breakeven), f2(profit))
+		if breakeven >= last {
+			res.Fail("breakeven %.0f qps at %.0f days not below %.0f qps at the shorter period", breakeven, days, last)
+		}
+		last = breakeven
 	}
 	res.Note("saved-instance slope %.4f inst/qps; paper: profit region grows with both workload and update period", slope)
 	return res

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"graf/internal/autoscale"
 	"graf/internal/chaos"
@@ -132,8 +134,10 @@ func chaosRobustness(s Scale) Result {
 		Header: []string{"policy", "viol %", "worst p99", "recovery s", "killed", "degraded reqs",
 			"stale holds", "fallbacks"},
 	}
+	outs := map[string]chaosOut{}
 	for _, policy := range []string{"graf", "graf-vanilla", "hpa", "firm"} {
 		o := runChaosPolicy(tr, policy, slo, 42)
+		outs[policy] = o
 		res.AddRow(policy,
 			f1(o.violRate*100), ms(o.worstP99), f0(o.recoveryS),
 			fmt.Sprintf("%d", o.killed), fmt.Sprintf("%d", o.failed),
@@ -144,6 +148,19 @@ func chaosRobustness(s Scale) Result {
 		if policy == "graf" && len(o.health) > 0 {
 			res.Note("hardened health transitions: %v", o.health)
 		}
+	}
+	h, v := outs["graf"], outs["graf-vanilla"]
+	if h.violRate >= v.violRate {
+		res.Fail("hardened violation rate %.1f%% not below vanilla's %.1f%%", h.violRate*100, v.violRate*100)
+	}
+	if h.stats.StaleHolds == 0 {
+		res.Fail("the telemetry blackhole never engaged the stale-telemetry hold")
+	}
+	if !slices.ContainsFunc(h.health, func(t string) bool { return strings.Contains(t, "DegradedTelemetry") }) {
+		res.Fail("no DegradedTelemetry transition in the hardened health log %v", h.health)
+	}
+	if st := v.stats; st.StaleHolds != 0 || st.BreakerTrips != 0 || st.RateLimited != 0 {
+		res.Fail("vanilla ran with guardrails: %d stale holds, %d breaker trips, %d rate-limited steps", st.StaleHolds, st.BreakerTrips, st.RateLimited)
 	}
 	res.Note("same seed and fault schedule for every policy; faults start 150 s after the policy attaches")
 	res.Note("hpa/firm scale on CPU utilization and never read the faulted telemetry; they dodge the trap here but give up the proactive SLO protection measured in the other experiments")

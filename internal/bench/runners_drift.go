@@ -163,6 +163,12 @@ func drift(s Scale) Result {
 		res.Fail("lifecycle (%.0f viol-s, %d trips, %d promotions) does not beat static (%.0f viol-s)",
 			l.violS, l.trips, l.promos, st.violS)
 	}
+	if l.gen < 1 {
+		res.Fail("final incumbent generation %d, want a promoted one (≥ 1)", l.gen)
+	}
+	if st.trips != 0 || st.promos != 0 {
+		res.Fail("static run tripped %d and promoted %d times: it must carry no lifecycle manager", st.trips, st.promos)
+	}
 	res.Note(fmt.Sprintf("same seed and workload for both runs; drift lands 180 s after the controllers attach; observed for %.0f s", observeS))
 	return res
 }

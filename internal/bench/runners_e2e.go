@@ -93,7 +93,9 @@ func finishSteady(eng *sim.Engine, cl *cluster.Cluster, horizonS float64, stop f
 // tuneHPA finds the highest utilization threshold whose settled p99 meets
 // the SLO — the paper's hand-tuning of the K8s autoscaler ("we have
 // fine-tuned the threshold value of K8s autoscaler to meet latency SLO").
-// Results are memoized: several figures tune against the same workload.
+// Every figure tunes at one seed, so a figure's K8s row does not depend on
+// which figures ran before it in the process. Results are memoized: several
+// figures tune against the same workload.
 var tuneMemo = map[string]tunedHPA{}
 
 type tunedHPA struct {
@@ -101,30 +103,21 @@ type tunedHPA struct {
 	out steadyOut
 }
 
-func tuneHPA(tr *Trained, slo, totalRate, horizonS float64, seed int64) (float64, steadyOut) {
+func tuneHPA(tr *Trained, slo, totalRate, horizonS float64) (float64, steadyOut) {
 	key := fmt.Sprintf("%s/%.3f/%.0f/%.0f", tr.App.Name, slo, totalRate, horizonS)
 	if t, ok := tuneMemo[key]; ok {
 		return t.th, t.out
 	}
-	th, out := tuneHPAUncached(tr, slo, totalRate, horizonS, seed)
-	tuneMemo[key] = tunedHPA{th, out}
-	return th, out
-}
-
-func tuneHPAUncached(tr *Trained, slo, totalRate, horizonS float64, seed int64) (float64, steadyOut) {
-	var thresholds []float64
+	t := tunedHPA{th: 0.1}
 	for th := 0.95; th >= 0.095; th -= 0.05 {
-		thresholds = append(thresholds, th)
-	}
-	var best steadyOut
-	for _, th := range thresholds {
-		out := runHPASteady(tr, th, totalRate, horizonS, seed)
-		if out.p99 > 0 && out.p99 <= slo {
-			return th, out
+		t.out = runHPASteady(tr, th, totalRate, horizonS, 22)
+		if t.out.p99 > 0 && t.out.p99 <= slo {
+			t.th = th
+			break
 		}
-		best = out
 	}
-	return 0.1, best
+	tuneMemo[key] = t
+	return t.th, t.out
 }
 
 // fig14TotalCPU reproduces Figure 14: total CPU quota under GRAF vs the
@@ -141,36 +134,50 @@ func fig14TotalCPU(s Scale) Result {
 		{SocialPipeline(s), EvalRate},
 	} {
 		graf := runGRAFSteady(c.tr, c.tr.Spec.SLO, c.rate, s.SteadyS, 21)
-		_, k8s := tuneHPA(c.tr, c.tr.Spec.SLO, c.rate, s.SteadyS, 22)
+		_, k8s := tuneHPA(c.tr, c.tr.Spec.SLO, c.rate, s.SteadyS)
 		saving := (k8s.total - graf.total) / k8s.total * 100
 		res.AddRow(c.tr.App.Name, f0(graf.total), f0(k8s.total), f1(saving),
 			ms(graf.p99), ms(k8s.p99), ms(c.tr.Spec.SLO))
+		if graf.p99 > c.tr.Spec.SLO {
+			res.Fail("%s: GRAF p99 %s ms violates the %s ms SLO", c.tr.App.Name, ms(graf.p99), ms(c.tr.Spec.SLO))
+		}
+		if saving < -15 {
+			res.Fail("%s: GRAF uses %.1f%% more CPU than tuned K8s (floor: 15%% more)", c.tr.App.Name, -saving)
+		}
 	}
 	res.Note("paper: GRAF saves 14-19%% total CPU at equal tail latency (2324 vs 2711 social; 2220 vs 2650 boutique)")
 	return res
 }
 
-func perMSFigure(tr *Trained, rate float64, s Scale) Result {
-	res := Result{Title: tr.App.Name + ": per-microservice CPU quota, GRAF vs fine-tuned K8s autoscaler",
+// perMSFigure returns the per-service table and GRAF's and K8s's total
+// quota.
+func perMSFigure(tr *Trained, rate float64, s Scale) (res Result, graf, k8s float64) {
+	res = Result{Title: tr.App.Name + ": per-microservice CPU quota, GRAF vs fine-tuned K8s autoscaler",
 		Header: []string{"service", "GRAF_mc", "K8s_mc"}}
-	graf := runGRAFSteady(tr, tr.Spec.SLO, rate, s.SteadyS, 23)
-	_, k8s := tuneHPA(tr, tr.Spec.SLO, rate, s.SteadyS, 24)
+	g := runGRAFSteady(tr, tr.Spec.SLO, rate, s.SteadyS, 23)
+	_, k := tuneHPA(tr, tr.Spec.SLO, rate, s.SteadyS)
 	for _, name := range tr.App.ServiceNames() {
-		res.AddRow(name, f0(graf.quotas[name]), f0(k8s.quotas[name]))
+		res.AddRow(name, f0(g.quotas[name]), f0(k.quotas[name]))
 	}
-	res.AddRow("total", f0(graf.total), f0(k8s.total))
+	res.AddRow("total", f0(g.total), f0(k.total))
 	res.Note("paper: GRAF shifts quota toward latency-sensitive services and saves elsewhere (Fig 15: more to recommendation/shipping)")
-	return res
+	return res, g.total, k.total
 }
 
 // fig15PerMSBoutique reproduces Figure 15 (Online Boutique MS1..MS6).
 func fig15PerMSBoutique(s Scale) Result {
-	return perMSFigure(BoutiquePipeline(s), EvalRate, s)
+	res, graf, k8s := perMSFigure(BoutiquePipeline(s), EvalRate, s)
+	if graf >= k8s {
+		res.Fail("GRAF total %.0f mc not below K8s's %.0f mc", graf, k8s)
+	}
+	return res
 }
 
-// fig16PerMSSocial reproduces Figure 16 (Social Network MS1..MS10).
+// fig16PerMSSocial reproduces Figure 16 (Social Network MS1..MS10). It has
+// no floor: GRAF's total exceeds K8s's (EXPERIMENTS.md, Known deviation 2).
 func fig16PerMSSocial(s Scale) Result {
-	return perMSFigure(SocialPipeline(s), EvalRate, s)
+	res, _, _ := perMSFigure(SocialPipeline(s), EvalRate, s)
+	return res
 }
 
 // fig17SLOTargeting reproduces Figure 17: measured p99 latency of solver
@@ -211,7 +218,11 @@ func fig17SLOTargeting(s Scale) Result {
 		n++
 		res.AddRow(f0(sloMS), ms(sol.Predicted), ms(measured), fmt.Sprintf("%v", ok))
 	}
-	res.AddRow("within SLO", fmt.Sprintf("%d/%d", within, n), f1(float64(within)/float64(n)*100)+"%", "paper: 85.1%")
+	frac := float64(within) / float64(n) * 100
+	res.AddRow("within SLO", fmt.Sprintf("%d/%d", within, n), f1(frac)+"%", "paper: 85.1%")
+	if frac < 60 {
+		res.Fail("only %.0f%% of configurations within their SLO (floor 60%%, paper 85.1%%)", frac)
+	}
 	res.Note("shape target: measured points dense just below the diagonal (tight minimization)")
 	return res
 }
@@ -223,7 +234,7 @@ func fig18UserScaling(s Scale) Result {
 	tr := BoutiquePipeline(s)
 	res := Result{Title: "Total instances vs simulated users (Online Boutique, closed loop)",
 		Header: []string{"users", "GRAF", "K8s", "saved"}}
-	th, _ := tuneHPA(tr, tr.Spec.SLO, EvalRate, s.SteadyS, 41)
+	th, _ := tuneHPA(tr, tr.Spec.SLO, EvalRate, s.SteadyS)
 	users := []int{500, 1000, 1500, 2000, 2500, 3000}
 	if s.Name == "quick" {
 		users = []int{300, 600, 900}
@@ -315,6 +326,12 @@ func fig20AzureReplay(s Scale) Result {
 	res.AddRow("mean", "", f1(gAvg), f1(kAvg))
 	res.AddRow("p95_ms", "", ms(gp95), ms(kp95))
 	res.AddRow("net saved %", "", f1((kAvg-gAvg)/kAvg*100), "paper: 21%")
+	if gAvg >= kAvg {
+		res.Fail("GRAF mean instances %.1f not below K8s's %.1f", gAvg, kAvg)
+	}
+	if slo := tr.Spec.SLO; gp95 > slo || kp95 > slo {
+		res.Fail("p95 GRAF %s ms, K8s %s ms: want both within the %s ms SLO", ms(gp95), ms(kp95), ms(slo))
+	}
 	res.Note("shape target: GRAF tracks the workload up and down; K8s scale-down trails by the 5-minute stabilization window after the drop")
 	return res
 }
@@ -417,8 +434,10 @@ func fig22Convergence(s Scale) Result {
 	for _, threads := range threadCases {
 		row := []string{di(threads)}
 		settled := ""
+		converge := map[string]float64{}
 		for _, p := range []string{"graf", "hpa", "firm"} {
 			o := runSurgeCompare(tr, p, 50, threads, 60, s.SurgeS, int64(61+threads))
+			converge[p] = o.converge
 			row = append(row, f0(o.converge))
 			if settled != "" {
 				settled += "/"
@@ -427,6 +446,9 @@ func fig22Convergence(s Scale) Result {
 		}
 		row = append(row, settled)
 		res.AddRow(row...)
+		if converge["graf"] > converge["hpa"] {
+			res.Fail("%d threads: GRAF converges at %.0f s, after K8s's %.0f s", threads, converge["graf"], converge["hpa"])
+		}
 	}
 	res.Note("paper: GRAF 100/170s vs K8s 260/230s vs FIRM 205/205s — up to 2.6x faster")
 	res.Note("convergence is relative to each policy's own settled tail; the settled_p99 column exposes a policy that 'converges' fast to a bad steady state")

@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"graf/internal/core"
 	"graf/internal/gnn"
+	"graf/internal/nn"
 )
 
 // tab01Hyperparameters reproduces Table 1: the latency prediction model's
@@ -16,11 +19,21 @@ func tab01Hyperparameters(s Scale) Result {
 	res.AddRow("iterations", "7e4", di(s.Iterations))
 	res.AddRow("batch size", "256", di(s.Batch))
 	res.AddRow("learning rate", "2e-4", "2e-4 (scaled up for shorter runs)")
-	res.AddRow("dropout probability", "0.25", "0.25")
-	res.AddRow("asymmetric hüber θ (under, over)", "(0.3, 0.1)", "(0.3, 0.1)")
-	res.AddRow("MPNN hidden layers", "2 × 20 units", "2 × 20 units")
-	res.AddRow("readout hidden layers", "2 × 120 units", "2 × 120 units")
-	res.AddRow("message-passing steps", "2", "2")
+	// The architecture rows read the model this repository builds; each must
+	// equal the paper's.
+	cfg, loss := gnn.DefaultConfig(0, nil), nn.PaperLoss()
+	for _, row := range [][3]string{
+		{"dropout probability", "0.25", fmt.Sprint(cfg.Dropout)},
+		{"asymmetric hüber θ (under, over)", "(0.3, 0.1)", fmt.Sprintf("(%v, %v)", loss.ThetaUnder, loss.ThetaOver)},
+		{"MPNN hidden layers", "2 × 20 units", fmt.Sprintf("2 × %d units", cfg.Hidden)},
+		{"readout hidden layers", "2 × 120 units", fmt.Sprintf("2 × %d units", cfg.ReadoutHidden)},
+		{"message-passing steps", "2", di(cfg.Steps)},
+	} {
+		res.AddRow(row[:]...)
+		if row[1] != row[2] {
+			res.Fail("%s: %s, paper %s", row[0], row[2], row[1])
+		}
+	}
 	res.Note("paper Table 1 lists θL=0.1, θR=0.3 while §3.4 requires the under-estimation side to use the larger θ; we follow the text (see internal/nn/loss.go)")
 	return res
 }
@@ -44,6 +57,12 @@ func tab02PredictionError(s Scale) Result {
 		)
 	}
 	res.AddRow("over-estimate (signed mean)", f1(over*100), di(len(tr.Result.Test)), "5.2")
+	if over*100 < -10 {
+		res.Fail("signed mean error %.1f%%: strong underestimation (paper +5.2%%)", over*100)
+	}
+	if wide := rows[3].MAPE * 100; wide <= 0 || wide > 60 {
+		res.Fail("0-800 ms MAPE %.1f%% implausible (want in (0, 60])", wide)
+	}
 	res.Note("samples=%d iterations=%d; shape target: errors grow with region size, signed mean positive (deliberate overestimation)", len(tr.Samples), s.Iterations)
 	return res
 }
@@ -71,6 +90,9 @@ func fig11MPNNAblation(s Scale) Result {
 	g, _ := tr.Model.Evaluate(tr.Result.Test, [][2]float64{{0, 10000}})
 	ng, _ := noMPNN.Evaluate(tr.Result.Test, [][2]float64{{0, 10000}})
 	res.AddRow("test MAPE %", f1(g[0].MAPE*100), f1(ng[0].MAPE*100))
+	if g[0].MAPE > ng[0].MAPE*1.25 {
+		res.Fail("GRAF test MAPE %.1f%% more than 1.25x no-MPNN's %.1f%%", g[0].MAPE*100, ng[0].MAPE*100)
+	}
 	res.Note("paper: GRAF generalizes better; w/o MPNN converges faster in training but overfits noisy samples")
 	return res
 }
@@ -103,13 +125,21 @@ func fig12LossHeatmap(s Scale) Result {
 	ri := a.ServiceIndex("recommendation")
 	quota := append([]float64(nil), sol.Quotas...)
 	grid := []float64{150, 400, 700, 1000, 1400, 1800}
+	least, leastAt := math.Inf(1), [2]float64{}
 	for _, rq := range grid {
 		row := []string{f0(rq)}
 		for _, fq := range grid {
 			quota[ri], quota[fi] = rq, fq
-			row = append(row, f2(core.LossAt(tr.Model, load, quota, tr.Spec.SLO, core.DefaultSolverConfig().Rho)))
+			loss := core.LossAt(tr.Model, load, quota, tr.Spec.SLO, core.DefaultSolverConfig().Rho)
+			row = append(row, f2(loss))
+			if loss < least {
+				least, leastAt = loss, [2]float64{rq, fq}
+			}
 		}
 		res.AddRow(row...)
+	}
+	if top := grid[len(grid)-1]; leastAt == [2]float64{top, top} {
+		res.Fail("loss minimum at the max-quota corner: the resource term does not bite")
 	}
 	res.Note("shape target: single basin; loss rises toward low quotas (SLO penalty) and toward high quotas (resource term)")
 	return res
@@ -123,7 +153,11 @@ func fig13SearchSpace(s Scale) Result {
 		Header: []string{"service", "lo_mc", "hi_mc", "original"}}
 	sc := core.NewSampleCollector(tr.App, core.NewAnalyticMeasurer(tr.App, 0, 1), tr.Spec.SLO, (tr.Spec.MinRate+tr.Spec.MaxRate)/2)
 	for i, name := range tr.App.ServiceNames() {
-		res.AddRow(name, f0(tr.Bounds.Lo[i]), f0(tr.Bounds.Hi[i]), f0(sc.MinQuota)+"-"+f0(sc.HighQuota))
+		lo, hi := tr.Bounds.Lo[i], tr.Bounds.Hi[i]
+		res.AddRow(name, f0(lo), f0(hi), f0(sc.MinQuota)+"-"+f0(sc.HighQuota))
+		if lo >= hi || lo < 50 || hi > 3000 {
+			res.Fail("%s: bounds [%.0f, %.0f] mc invalid", name, lo, hi)
+		}
 	}
 	res.AddRow("volume ratio", f3(sc.VolumeRatio(tr.Bounds)*1e4)+"e-4", "", "paper: 2.7e-4")
 	return res

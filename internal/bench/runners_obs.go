@@ -28,7 +28,11 @@ func fig01InstanceCreation(Scale) Result {
 				break
 			}
 		}
-		res.AddRow(di(k), f1(eng.Now()-t0), f1(paper[k]))
+		got := eng.Now() - t0
+		res.AddRow(di(k), f1(got), f1(paper[k]))
+		if got < paper[k]*0.7 || got > paper[k]*1.3 {
+			res.Fail("batch %d: %.1f s to ready, paper %.1f s (more than 30%% off)", k, got, paper[k])
+		}
 	}
 	res.Note("startup model: ready_j = %.1f + %.2f·j seconds, fit to the paper's Figure 1", cluster.DefaultConfig().StartupBaseS, cluster.DefaultConfig().StartupSlopeS)
 	return res
@@ -141,9 +145,14 @@ func fig02SurgeInstances(s Scale) Result {
 		}
 		res.AddRow(row...)
 	}
-	res.AddRow("peak",
-		di(outs[0].peakInstances), di(outs[1].peakInstances),
-		di(outs[2].peakInstances), di(outs[3].peakInstances))
+	pro, h10, h25, h50 := outs[0].peakInstances, outs[1].peakInstances, outs[2].peakInstances, outs[3].peakInstances
+	res.AddRow("peak", di(pro), di(h10), di(h25), di(h50))
+	if !(h10 > h25 && h25 > h50 && h50 > pro) {
+		res.Fail("peak instances Proactive %d, HPA(10%%) %d, HPA(25%%) %d, HPA(50%%) %d: want HPA(10%%) > HPA(25%%) > HPA(50%%) > Proactive", pro, h10, h25, h50)
+	}
+	if h10 < 4*pro {
+		res.Fail("HPA(10%%) peak %d under 4x Proactive's %d (paper: 6.6x)", h10, pro)
+	}
 	res.Note("paper: 10%% threshold reaches ~258 instances vs ~39 proactive (6.6x); shape target: HPA(10%%) ≫ HPA(25%%) > HPA(50%%) > Proactive")
 	return res
 }
@@ -167,6 +176,11 @@ func fig03SurgeLatency(s Scale) Result {
 	res.AddRow(append([]string{"90%-tile"}, get(func(o surgeOut) float64 { return o.p90 })...)...)
 	res.AddRow(append([]string{"95%-tile"}, get(func(o surgeOut) float64 { return o.p95 })...)...)
 	res.AddRow(append([]string{"99%-tile"}, get(func(o surgeOut) float64 { return o.p99 })...)...)
+	for _, o := range outs[1:] {
+		if o.p99 <= outs[0].p99 {
+			res.Fail("%s p99 %.2f s not above Proactive's %.2f s", o.name, o.p99, outs[0].p99)
+		}
+	}
 	res.Note("paper: proactive p99 2.0s vs 17.2/22.6/27.8s for HPA 10/25/50%%; shape target: Proactive ≪ all HPA settings, HPA worsens as threshold rises")
 	return res
 }
@@ -180,9 +194,18 @@ func fig07CascadingEffect(s Scale) Result {
 	vs := surgeVariants()
 	hpa := runSurge(vs[1], 5, 300, 60, s.SurgeS, 7) // HPA(10%)
 	proactive := runSurge(vs[0], 5, 300, 60, s.SurgeS, 7)
-	a := app.OnlineBoutique()
-	for _, name := range a.ServiceNames() {
-		res.AddRow(name, f0(hpa.perception[name]), f0(proactive.perception[name]))
+	names := app.OnlineBoutique().ServiceNames()
+	deepest := 0.0
+	for _, name := range names {
+		h, p := hpa.perception[name], proactive.perception[name]
+		res.AddRow(name, f0(h), f0(p))
+		if p > h {
+			res.Fail("%s: Proactive perceives the surge at %.0f s, after HPA's %.0f s", name, p, h)
+		}
+		deepest = max(deepest, h)
+	}
+	if front := hpa.perception[names[0]]; deepest <= front {
+		res.Fail("no cascade under HPA: no service perceives the surge after %s (%.0f s)", names[0], front)
 	}
 	res.Note("paper: frontend peaks at 31s, cart 118s, deepest 155s under HPA; all ≈58s under proactive")
 	return res
@@ -197,6 +220,7 @@ func fig06LatencyCurves(Scale) Result {
 	cfg := cluster.DefaultConfig()
 	cfg.CPUUnit = 2000 // vertical scaling: one instance across the sweep
 	cfg.StartupBaseS, cfg.StartupSlopeS = 0, 0
+	var web, cat, web200, cat200 float64
 	for quota := 100.0; quota <= 1500; quota += 100 {
 		eng := sim.NewEngine(int64(quota))
 		cl := cluster.New(eng, app.RobotShop(), cfg)
@@ -205,9 +229,18 @@ func fig06LatencyCurves(Scale) Result {
 		g.Start()
 		eng.RunUntil(40)
 		g.Stop()
-		web := cl.Deployment("web").SelfLatencyQuantile(0.5, 30)
-		cat := cl.Deployment("catalogue").SelfLatencyQuantile(0.5, 30)
+		web = cl.Deployment("web").SelfLatencyQuantile(0.5, 30)
+		cat = cl.Deployment("catalogue").SelfLatencyQuantile(0.5, 30)
 		res.AddRow(f0(quota), ms(web), ms(cat))
+		if cat <= web {
+			res.Fail("quota %.0f mc: catalogue %s ms not above web %s ms", quota, ms(cat), ms(web))
+		}
+		if quota == 200 {
+			web200, cat200 = web, cat
+		}
+	}
+	if web >= web200 || cat >= cat200 {
+		res.Fail("latency did not fall from 200 to 1500 mc: web %s → %s ms, catalogue %s → %s ms", ms(web200), ms(web), ms(cat200), ms(cat))
 	}
 	res.Note("shape target: both curves monotone decreasing and convex; catalogue strictly above web (sharper curve, §2.2)")
 	return res

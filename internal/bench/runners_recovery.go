@@ -167,6 +167,9 @@ func recovery(s Scale) Result {
 		if o.stranded != 0 {
 			res.Fail("%s stranded %d in-flight requests after drain", mode, o.stranded)
 		}
+		if o.crashes != 1 || o.mode != mode {
+			res.Fail("%s run: %d crashes and restore mode %q, want one scripted kill and a %s restore", mode, o.crashes, o.mode, mode)
+		}
 	}
 	w, c := outs["warm"], outs["cold"]
 	if w.violS < c.violS && w.reconvergeTick < c.reconvergeTick {

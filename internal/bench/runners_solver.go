@@ -104,10 +104,14 @@ func solverLoop(s Scale) Result {
 			if metrics.Median(out[2].attain) >= metrics.Median(out[1].attain) {
 				wins++
 			}
+			v1, v2 := metrics.Median(out[1].calls), metrics.Median(out[2].calls)
 			res.AddRow(di(ts), trace,
 				f1(metrics.Median(out[1].attain)), f1(metrics.Median(out[2].attain)),
 				f3(metrics.Median(out[1].coreH)), f3(metrics.Median(out[2].coreH)),
-				f0(metrics.Median(out[1].calls)), f0(metrics.Median(out[2].calls)))
+				f0(v1), f0(v2))
+			if !(v2 > 0 && v2 < v1/4) {
+				res.Fail("train_seed %d, %s: %.0f model calls per solve under version 2 against %.0f under version 1, want under a quarter", ts, trace, v2, v1)
+			}
 		}
 	}
 	res.Note("%d simulation seeds × %d control intervals per cell; version 2 attains at least version 1's median on %d of %d rows",
