@@ -107,7 +107,11 @@ type instance struct {
 	busy      bool
 	condemned bool
 	crashed   bool
+	pending   bool // the ready event is scheduled and has not fired
 	readyAt   float64
+
+	d       *Deployment
+	readyFn func() // in.becomeReady, bound once per object
 }
 
 // Deployment is one microservice's replica set.
@@ -117,6 +121,7 @@ type Deployment struct {
 	cl        *Cluster
 	queue     frameQueue // frames waiting for an instance, FIFO
 	instances []*instance
+	free      []*instance // retired instances nothing can reach any more, for createBatch to reuse
 	nextID    int
 
 	quota float64 // total desired CPU quota in millicores
@@ -217,7 +222,8 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 			selfLat:     metrics.NewWindow("service self-latency"),
 			arrivals:    metrics.NewWindow("service arrival"),
 		}
-		inst := &instance{id: d.nextID, ready: true, readyAt: eng.Now()}
+		inst := &instance{id: d.nextID, ready: true, readyAt: eng.Now(), d: d}
+		inst.readyFn = inst.becomeReady
 		d.nextID++
 		d.instances = append(d.instances, inst)
 		d.recordCounts()
@@ -462,25 +468,47 @@ func (d *Deployment) SetReplicas(n int) {
 func (d *Deployment) createBatch(k int) {
 	now := d.cl.Eng.Now()
 	for j := 1; j <= k; j++ {
-		inst := &instance{id: d.nextID, readyAt: now + d.cl.Cfg.StartupBaseS + float64(j)*d.cl.Cfg.StartupSlopeS}
+		var in *instance
+		if n := len(d.free); n > 0 {
+			in, d.free = d.free[n-1], d.free[:n-1]
+		} else {
+			in = new(instance)
+			in.readyFn = in.becomeReady
+		}
+		*in = instance{id: d.nextID, pending: true, readyAt: now + d.cl.Cfg.StartupBaseS + float64(j)*d.cl.Cfg.StartupSlopeS, d: d, readyFn: in.readyFn}
 		d.nextID++
-		d.instances = append(d.instances, inst)
+		d.instances = append(d.instances, in)
 		d.cl.createdTotal++
-		in := inst
-		d.cl.Eng.At(in.readyAt, func() {
-			if in.condemned || in.crashed {
-				return
-			}
-			in.ready = true
-			d.recordCounts()
-			if d.cl.Obs != nil {
-				d.cl.Obs.Churn(d.Service.Name, 0, 0, 0, d.ReadyReplicas())
-			}
-			d.dispatch()
-		})
+		d.cl.Eng.At(in.readyAt, in.readyFn)
 	}
 	if d.cl.Obs != nil && k > 0 {
 		d.cl.Obs.Churn(d.Service.Name, k, 0, 0, d.ReadyReplicas())
+	}
+}
+
+// becomeReady is an instance's ready event. One condemned or crashed while
+// starting has already left d.instances and is retired instead.
+func (in *instance) becomeReady() {
+	in.pending = false
+	d := in.d
+	if in.condemned || in.crashed {
+		d.retire(in)
+		return
+	}
+	in.ready = true
+	d.recordCounts()
+	if d.cl.Obs != nil {
+		d.cl.Obs.Churn(d.Service.Name, 0, 0, 0, d.ReadyReplicas())
+	}
+	d.dispatch()
+}
+
+// retire puts an instance that has left d.instances on the free list once
+// nothing can still reach it: its ready event has fired and no frame is
+// serving on it. Whichever of the two comes last calls it again.
+func (d *Deployment) retire(in *instance) {
+	if !in.pending && !in.busy {
+		d.free = append(d.free, in)
 	}
 }
 
@@ -511,6 +539,7 @@ func (d *Deployment) gc() {
 	kept := d.instances[:0]
 	for _, in := range d.instances {
 		if in.condemned && !in.busy {
+			d.retire(in)
 			continue
 		}
 		kept = append(kept, in)
@@ -865,6 +894,7 @@ func (d *Deployment) KillInstances(n int) int {
 	kept := d.instances[:0]
 	for _, in := range d.instances {
 		if in.crashed {
+			d.retire(in)
 			continue
 		}
 		kept = append(kept, in)

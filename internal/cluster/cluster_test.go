@@ -138,6 +138,46 @@ func TestScaleDownBusyInstanceFinishesJob(t *testing.T) {
 	}
 }
 
+// A deployment reuses the instances it retires: condemned while starting,
+// condemned once ready, crashed (one mid-request) and replaced. Driven
+// through the same scale-up/scale-down cycle twice under a steady load, the
+// second cycle allocates nothing: no instance, ready callback or event.
+func TestScalingCycleReusesInstances(t *testing.T) {
+	eng, c := newTestCluster(twoSvc())
+	c.DeclareLookback(AllSignals, 30)
+	d := c.Deployment("back")
+	unit := c.Cfg.CPUUnit
+	submit := func() { c.Submit("get", nil) }
+	created, crashedBusy := 0, 0
+	cycle := func() {
+		start := eng.Now()
+		for i := 0; i < 120*50; i++ {
+			eng.At(start+float64(i)/50, submit)
+		}
+		before, lost := c.CreatedTotal(), d.failedAttempts
+		d.SetQuota(8 * unit)
+		eng.RunUntil(start + 15) // four of the seven are ready
+		d.SetQuota(3 * unit)
+		eng.RunUntil(start + 30)
+		d.KillInstances(2) // and starts two replacements
+		eng.RunUntil(start + 90)
+		d.SetQuota(unit)
+		eng.RunUntil(start + 120)
+		created += c.CreatedTotal() - before
+		crashedBusy += d.failedAttempts - lost
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1, cycle); allocs != 0 {
+		t.Errorf("a repeated scaling cycle allocated %v objects, want 0", allocs)
+	}
+	if created != 3*(7+2) || crashedBusy != 3 {
+		t.Fatalf("three cycles created %d instances and crashed %d requests, want 27 and 3", created, crashedBusy)
+	}
+	if got := d.ReadyReplicas(); got != 1 || len(d.instances) != 1 {
+		t.Errorf("%d ready of %d listed after the last cycle, want 1 of 1", got, len(d.instances))
+	}
+}
+
 func TestQueueingLatencyGrowsWithLoad(t *testing.T) {
 	eng, c := newTestCluster(twoSvc())
 	// back: 16ms service at 250mc, one instance → capacity 62.5 rps.

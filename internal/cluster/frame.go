@@ -247,7 +247,9 @@ func (f *frame) onServiceDone() {
 	f.inst = nil
 	if in.crashed {
 		// The instance died under the request: its work and telemetry are
-		// lost.
+		// lost, and this frame was the last thing that could reach it.
+		in.busy = false
+		f.node.d.retire(in)
 		f.retryOrFail()
 		return
 	}

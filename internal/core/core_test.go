@@ -392,11 +392,7 @@ func TestSolvingStepAllocatesNothing(t *testing.T) {
 	}
 	a := app.RobotShop()
 	eng := sim.NewEngine(10)
-	// One instance holds any quota in the box: creating instances allocates,
-	// and that is the simulator's cost, not the decision's.
-	ccfg := cluster.DefaultConfig()
-	ccfg.CPUUnit = 4000
-	cl := cluster.New(eng, a, ccfg)
+	cl := cluster.New(eng, a, cluster.DefaultConfig())
 	b := Bounds{Lo: []float64{100, 100}, Hi: []float64{4000, 4000}}
 	// Pessimistic enough, against an SLO loose enough, that the measured
 	// tail never engages the boost guardrail once warm.

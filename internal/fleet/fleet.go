@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"graf/internal/app"
 	"graf/internal/autoscale"
@@ -288,6 +289,15 @@ type Fleet struct {
 	// Written by the driving goroutine before a round, read by workers.
 	traceMu     sync.Mutex
 	traceParent obs.SpanContext
+
+	// Round dispatch, reused by every round: due is the round's tenants in
+	// sorted ID order, and workers claim them through the cursor next.
+	// drainFn is f.drain bound once in New, because `go f.drain()` would
+	// allocate a closure per worker per round.
+	due     []*Tenant
+	next    atomic.Int64
+	workers sync.WaitGroup
+	drainFn func()
 }
 
 // SanitizeID maps a tenant ID onto the filename-safe form used for its
@@ -331,6 +341,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 
 	f := &Fleet{cfg: cfg, fobs: obs.NewFleetObs(cfg.Obs), tracer: cfg.Tracer}
+	f.drainFn = f.drain
 	if cfg.SLOBudget != nil {
 		var reg *obs.Registry
 		if cfg.Obs != nil {
@@ -487,7 +498,7 @@ func (f *Fleet) Stop() {
 
 // Round runs exactly one barrier round: every live tenant advances TickS.
 func (f *Fleet) Round() {
-	f.runRound(nil)
+	f.runRound(0)
 	f.rounds++
 	f.publishRound()
 }
@@ -512,7 +523,7 @@ func (f *Fleet) RoundTo(round int) {
 		if !behind {
 			break
 		}
-		f.runRound(func(t *Tenant) bool { return t.ticks < round })
+		f.runRound(round)
 	}
 	if round > f.rounds {
 		f.rounds = round
@@ -520,30 +531,39 @@ func (f *Fleet) RoundTo(round int) {
 	f.publishRound()
 }
 
-// runRound hands tenants, in sorted ID order, to the worker pool one at a
-// time. A nil filter ticks every live tenant; otherwise only tenants the
-// filter accepts are ticked. Which worker ticks a tenant moves nothing a
-// tenant writes: each owns its engine and its audit stream.
-func (f *Fleet) runRound(filter func(*Tenant) bool) {
-	workers := max(1, min(f.cfg.Workers, len(f.tenants)))
-	tenantC := make(chan *Tenant)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range tenantC {
-				f.tick(t)
-			}
-		}()
-	}
+// runRound hands the live tenants, in sorted ID order, to the worker pool
+// one at a time: with bound 0 every one, otherwise only those with fewer
+// than bound ticks. Which worker ticks a tenant moves nothing a tenant
+// writes: each owns its engine and its audit stream. A round allocates
+// nothing: the slice, cursor, WaitGroup and worker function are the fleet's.
+func (f *Fleet) runRound(bound int) {
 	for _, t := range f.tenants {
-		if filter == nil || filter(t) {
-			tenantC <- t
+		if !t.degraded && (bound == 0 || t.ticks < bound) {
+			f.due = append(f.due, t)
 		}
 	}
-	close(tenantC)
-	wg.Wait()
+	workers := min(f.cfg.Workers, len(f.due))
+	f.next.Store(0)
+	f.workers.Add(workers)
+	for w := 0; w < workers; w++ {
+		go f.drainFn()
+	}
+	f.workers.Wait()
+	clear(f.due) // an evicted tenant is not kept reachable
+	f.due = f.due[:0]
+}
+
+// drain is one worker's share of a round: it ticks tenants from the due
+// list until the cursor passes its end.
+func (f *Fleet) drain() {
+	defer f.workers.Done()
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= len(f.due) {
+			return
+		}
+		f.tick(f.due[i])
+	}
 }
 
 // FlushAudit forces every tenant's buffered audit output to its sinks (the

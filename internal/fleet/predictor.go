@@ -10,7 +10,7 @@ import (
 const (
 	loadGridRel    = 0.05 // relative width of the logarithmic load grid: loads within ~5% share a point
 	quotaGridMC    = 2    // quota quantization grid, millicores
-	predCacheSlots = 8192 // prediction-cache slots, in sets of cacheWays
+	predCacheSlots = 2048 // prediction-cache slots, in sets of cacheWays (sized in DESIGN.md §3g)
 )
 
 // InferenceService shares one gnn.Model between tenants: a quantization grid

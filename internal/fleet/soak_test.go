@@ -123,9 +123,10 @@ func TestTenantRetainsOnlySignalsItReads(t *testing.T) {
 
 // What a warmed tenant allocates per decision while hysteresis holds: the
 // simulator's requests, telemetry and the audit log's blocks; the controller
-// and the flight recorder reuse their maps. It measures 0.31 KB on
-// OnlineBoutique (Go 1.24, amd64) and the ceiling is ~1.5× that.
-const steadyDecisionCeilingKB = 0.47
+// and the flight recorder reuse their maps, and a round reuses its dispatch
+// state. It measures 0.16 KB on OnlineBoutique (Go 1.24, amd64) and the
+// ceiling is ~1.5× that.
+const steadyDecisionCeilingKB = 0.24
 
 func TestSteadyDecisionAllocation(t *testing.T) {
 	if raceEnabled {

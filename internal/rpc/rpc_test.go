@@ -366,6 +366,45 @@ func TestTickAndAdmitRejectRunawayHorizons(t *testing.T) {
 	}
 }
 
+// A tick's response reuses one status slice across rounds and still writes
+// the bytes a freshly built response does: the live tenants only, and null
+// for a shard with none.
+func TestTickResponseBytes(t *testing.T) {
+	s, h := configuredHandler(t, testSpec())
+	round := 0
+	tick := func(want int) {
+		t.Helper()
+		round++
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tick", bytes.NewReader(fmt.Appendf(nil, `{"round":%d}`, round))))
+		fresh := TickResponse{Round: round}
+		for _, tn := range s.fl.Tenants() {
+			fresh.Statuses = append(fresh.Statuses, status(tn))
+		}
+		wantBody, err := json.Marshal(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusOK || rec.Body.String() != string(wantBody)+"\n" || len(fresh.Statuses) != want {
+			t.Errorf("round %d: status %d, body %s, want %s with %d statuses", round, rec.Code, rec.Body, wantBody, want)
+		}
+	}
+	post := func(path, body string) {
+		t.Helper()
+		if code := postGuarded(t, h, path, []byte(body)); code != http.StatusOK {
+			t.Fatalf("POST %s %s: status %d", path, body, code)
+		}
+	}
+	tick(0)
+	post("/v1/admit", `{"id":"t-a","ticks":1}`)
+	post("/v1/admit", `{"id":"t-b","ticks":1}`)
+	tick(2)
+	post("/v1/evict", `{"id":"t-a"}`)
+	tick(1)
+	post("/v1/evict", `{"id":"t-b"}`)
+	tick(0)
+}
+
 // Planned migration: drain on one shard, rebuild + fast-forward on another,
 // audit fingerprint verified exactly; the run then finishes byte-identical
 // to the single-process reference.

@@ -67,6 +67,8 @@ type ShardServer struct {
 	started time.Time
 	gov     *overload.Governor // lazily built from GovernorBudgetMS; guarded by mu
 
+	tickStatuses []TenantStatus // handleTick's response, reused; guarded by mu
+
 	gateOnce sync.Once
 	gate     *overload.Gate
 
@@ -692,9 +694,15 @@ func (s *ShardServer) handleTick(w http.ResponseWriter, r *http.Request) {
 	// Durable-before-acknowledged: flush every tenant's on-disk audit log
 	// before answering, so the file is never behind what the router knows.
 	s.fl.FlushAudit()
+	// The statuses reuse one slice: s.mu is held until writeJSON returns. A
+	// shard with no tenants still answers null.
 	resp := TickResponse{Round: req.Round}
-	for _, t := range s.fl.Tenants() {
-		resp.Statuses = append(resp.Statuses, status(t))
+	if tenants := s.fl.Tenants(); len(tenants) > 0 {
+		s.tickStatuses = s.tickStatuses[:0]
+		for _, t := range tenants {
+			s.tickStatuses = append(s.tickStatuses, status(t))
+		}
+		resp.Statuses = s.tickStatuses
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
