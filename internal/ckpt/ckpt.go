@@ -134,14 +134,18 @@ func Unframe(magic string, version uint32, data []byte) ([]byte, error) {
 // directory, fsync, rename over the target, then fsync of the directory. A
 // crash at any point leaves either the old file or the new one — never a
 // torn mixture.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
+	defer func() {
+		if err != nil { // after a rename there is nothing to remove
+			os.Remove(tmpName)
+		}
+	}()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err
@@ -220,13 +224,15 @@ func (g *GobEncoder[T]) warm() error {
 
 var snapshotGob GobEncoder[Snapshot]
 
-// EncodeSnapshot serializes a snapshot into its framed on-disk form.
-func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	out, err := snapshotGob.Append(make([]byte, headerLen), s)
+// AppendSnapshot appends a snapshot's framed on-disk form to dst. On error
+// dst is returned unchanged.
+func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
+	start := len(dst)
+	out, err := snapshotGob.Append(append(dst, make([]byte, headerLen)...), s)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	putHeader(out, SnapshotMagic, SnapshotVersion)
+	putHeader(out[start:], SnapshotMagic, SnapshotVersion)
 	return out, nil
 }
 

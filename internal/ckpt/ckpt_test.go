@@ -73,7 +73,7 @@ func TestEncodeDecodeSnapshotRoundTrip(t *testing.T) {
 	in := &Snapshot{Generation: 7, At: 123.5}
 	in.Controller.LastRate = 240
 	in.Controller.LastQuotas = map[string]float64{"web": 900, "db": 450}
-	data, err := EncodeSnapshot(in)
+	data, err := AppendSnapshot(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 // FuzzDecodeSnapshot feeds the GRAFCKP1 decoder arbitrary bytes, both as a
 // whole file and as the payload of a valid frame (random bytes almost never
 // pass the checksum, so the framed form is what reaches gob). Decoding never
-// panics, and a snapshot that decodes re-encodes through EncodeSnapshot to a
+// panics, and a snapshot that decodes re-encodes through AppendSnapshot to a
 // file that decodes to the same snapshot.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, s := range []*Snapshot{{}, richSnapshot(1), {Generation: 2, Opaque: []byte("router")}} {
-		data, err := EncodeSnapshot(s)
+		data, err := AppendSnapshot(nil, s)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			again, err := EncodeSnapshot(s)
+			again, err := AppendSnapshot(nil, s)
 			if err != nil {
 				t.Fatalf("re-encode of a decoded snapshot: %v", err)
 			}

@@ -102,7 +102,7 @@ func TestGobEncoderIsByteEqualAndRecovers(t *testing.T) {
 	}
 }
 
-// EncodeSnapshot is shared by every store in a process; concurrent callers
+// AppendSnapshot is shared by every store in a process; concurrent callers
 // (two shard servers checkpointing at once) each get their own value back.
 // Run under -race in CI.
 func TestEncodeSnapshotConcurrent(t *testing.T) {
@@ -114,7 +114,7 @@ func TestEncodeSnapshotConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				in := richSnapshot(w*100 + i)
-				data, err := EncodeSnapshot(in)
+				data, err := AppendSnapshot(nil, in)
 				if err == nil {
 					var out *Snapshot
 					if out, err = DecodeSnapshot(data); err == nil && !reflect.DeepEqual(out, in) {

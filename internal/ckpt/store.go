@@ -36,11 +36,14 @@ type Store struct {
 	// error return simulates ENOSPC (Save must fail without advancing the
 	// generation counter), and a mutated/truncated byte slice simulates a
 	// short write that the kernel "accepted" (the resulting generation must
-	// fail validation on load and fall back). Production code leaves it nil.
+	// fail validation on load and fall back). data is the store's encode
+	// buffer, overwritten by the next Save: a hook that keeps it copies it.
+	// Production code leaves it nil.
 	WriteFault func(path string, data []byte) ([]byte, error)
 
-	lastGen int   // highest generation ever saved or seen
-	gens    []int // generations on disk, ascending: the constructor's listing, kept by Save, prune and LoadLatest
+	lastGen int    // highest generation ever saved or seen
+	gens    []int  // generations on disk, ascending: the constructor's listing, kept by Save, prune and LoadLatest
+	buf     []byte // Save's encode buffer: a snapshot's bytes are valid until the next Save
 }
 
 // DefaultKeep is how many snapshot generations a store retains by default:
@@ -106,7 +109,9 @@ func (s *Store) generations() ([]int, error) {
 }
 
 // Save persists snap as the next generation and prunes old ones. It returns
-// the generation number and the encoded size.
+// the generation number and the encoded size. The encoding goes through a
+// buffer the store keeps, so a store that saves same-shape snapshots
+// allocates no buffer proportional to their size once warm.
 //
 // Failure leaves the store exactly where it was: the generation counter does
 // not advance (the next Save reuses the number) and snap.Generation is rolled
@@ -121,10 +126,11 @@ func (s *Store) Save(snap *Snapshot) (gen, size int, err error) {
 			snap.Generation = prevGen
 		}
 	}()
-	data, err := EncodeSnapshot(snap)
+	data, err := AppendSnapshot(s.buf[:0], snap)
 	if err != nil {
 		return 0, 0, err
 	}
+	s.buf = data
 	if s.WriteFault != nil {
 		data, err = s.WriteFault(s.path(gen), data)
 		if err != nil {

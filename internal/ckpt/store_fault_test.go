@@ -198,7 +198,7 @@ func TestRetiredLifecycleFieldStillLoads(t *testing.T) {
 
 func mustEncode(t *testing.T, snap *Snapshot) []byte {
 	t.Helper()
-	data, err := EncodeSnapshot(snap)
+	data, err := AppendSnapshot(nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -31,10 +32,22 @@ type ClusterState struct {
 // Snapshot captures the current scaling state. Condemned and crashed
 // instances are not part of desired state and are skipped.
 func (c *Cluster) Snapshot() ClusterState {
-	st := ClusterState{At: c.Eng.Now()}
+	var st ClusterState
+	c.SnapshotInto(&st)
+	return st
+}
+
+// SnapshotInto writes Snapshot's value into st, refilling the slices st
+// already holds instead of allocating new ones — for a caller that encodes
+// each snapshot and keeps none.
+func (c *Cluster) SnapshotInto(st *ClusterState) {
+	st.At = c.Eng.Now()
+	deps := st.Deployments[:0]
 	for _, name := range c.names {
 		d := c.deps[name]
-		ds := DeploymentState{Service: name, Quota: d.quota}
+		deps = slices.Grow(deps, 1)[:len(deps)+1]
+		ds := &deps[len(deps)-1]
+		*ds = DeploymentState{Service: name, Quota: d.quota, PendingReadyAt: ds.PendingReadyAt[:0]}
 		for _, in := range d.instances {
 			if in.condemned || in.crashed {
 				continue
@@ -46,9 +59,8 @@ func (c *Cluster) Snapshot() ClusterState {
 			}
 		}
 		sort.Float64s(ds.PendingReadyAt)
-		st.Deployments = append(st.Deployments, ds)
 	}
-	return st
+	st.Deployments = deps
 }
 
 // ReconcileQuotas re-applies a checkpointed quota map through the normal

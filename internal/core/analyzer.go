@@ -62,20 +62,24 @@ func (an *Analyzer) Refresh(tc *trace.Collector) {
 }
 
 // SnapshotProfiles deep-copies the learned per-API visit profiles for
-// checkpointing. Returns nil when nothing has been learned yet.
-func (an *Analyzer) SnapshotProfiles() map[string]map[string]float64 {
+// checkpointing into dst, reusing its maps (dst may be nil). Returns nil
+// when nothing has been learned yet.
+func (an *Analyzer) SnapshotProfiles(dst map[string]map[string]float64) map[string]map[string]float64 {
 	if len(an.profiles) == 0 {
 		return nil
 	}
-	out := make(map[string]map[string]float64, len(an.profiles))
-	for api, p := range an.profiles {
-		cp := make(map[string]float64, len(p))
-		for svc, m := range p {
-			cp[svc] = m
-		}
-		out[api] = cp
+	if dst == nil {
+		dst = make(map[string]map[string]float64, len(an.profiles))
 	}
-	return out
+	for api := range dst {
+		if _, ok := an.profiles[api]; !ok {
+			delete(dst, api)
+		}
+	}
+	for api, p := range an.profiles {
+		dst[api] = refill(dst[api], p)
+	}
+	return dst
 }
 
 // RestoreProfiles replaces the learned visit profiles with a checkpointed

@@ -79,12 +79,40 @@ func (st ControllerState) clone() ControllerState {
 // Snapshot captures the controller's current state. It is a pure read: the
 // running controller is not disturbed.
 func (c *Controller) Snapshot() ControllerState {
-	s := c.st.clone()
-	s.At = c.Cluster.Eng.Now()
-	if c.Analyzer != nil {
-		s.Profiles = c.Analyzer.SnapshotProfiles()
-	}
+	var s ControllerState
+	c.SnapshotInto(&s)
 	return s
+}
+
+// SnapshotInto writes Snapshot's value into dst, refilling the maps and the
+// slice dst already holds instead of allocating new ones — for a caller
+// that encodes each snapshot and keeps none. dst shares nothing with the
+// controller.
+func (c *Controller) SnapshotInto(dst *ControllerState) {
+	quotas, raw, profiles := dst.LastQuotas, dst.LastRaw, dst.Profiles
+	*dst = c.st
+	dst.At = c.Cluster.Eng.Now()
+	dst.LastQuotas = refill(quotas, c.st.LastQuotas)
+	dst.LastRaw = append(raw[:0], c.st.LastRaw...)
+	dst.Forecast = c.st.Forecast.Clone()
+	dst.Profiles = nil
+	if c.Analyzer != nil {
+		dst.Profiles = c.Analyzer.SnapshotProfiles(profiles)
+	}
+}
+
+// refill copies src into dst, reusing dst when there is one. A nil src gives
+// nil, as maps.Clone does: gob writes an empty map but not a nil one.
+func refill(dst, src map[string]float64) map[string]float64 {
+	if src == nil {
+		return nil
+	}
+	if dst == nil {
+		return maps.Clone(src)
+	}
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
 }
 
 // Restore overwrites the controller's state from a snapshot, typically on a

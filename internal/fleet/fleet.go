@@ -181,7 +181,8 @@ type Tenant struct {
 	audit     auditLog
 	auditSum  hash.Hash64 // running fnv-1a/64 of audit, fed by the same writer chain
 	auditFile *os.File
-	ckpt      *ckpt.Store // the tenant's checkpoint namespace while it lives here; nil until it checkpoints
+	ckpt      *ckpt.Store   // the tenant's checkpoint namespace while it lives here; nil until it checkpoints
+	saved     ckpt.Snapshot // the last checkpoint's state, refilled by the next: nothing keeps it past Save
 
 	ticks    int
 	violS    float64
@@ -1046,13 +1047,10 @@ func (f *Fleet) CheckpointTenant(dir, id string) error {
 		}
 		t.ckpt = store
 	}
-	snap := &ckpt.Snapshot{
-		At:         t.Eng.Now(),
-		Ticks:      t.ticks,
-		Controller: t.Ctl.Snapshot(),
-		Cluster:    t.Cluster.Snapshot(),
-	}
-	if _, _, err := t.ckpt.Save(snap); err != nil {
+	t.saved.At, t.saved.Ticks = t.Eng.Now(), t.ticks
+	t.Ctl.SnapshotInto(&t.saved.Controller)
+	t.Cluster.SnapshotInto(&t.saved.Cluster)
+	if _, _, err := t.ckpt.Save(&t.saved); err != nil {
 		return fmt.Errorf("fleet: tenant %s: %w", id, err)
 	}
 	return nil

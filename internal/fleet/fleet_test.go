@@ -346,7 +346,7 @@ func TestCheckpointEncodingMatchesFreshEncoder(t *testing.T) {
 		f.Run(20)
 		for _, tn := range f.Tenants() {
 			snap := &ckpt.Snapshot{At: tn.Eng.Now(), Ticks: tn.Ticks(), Controller: tn.Ctl.Snapshot(), Cluster: tn.Cluster.Snapshot()}
-			got, err := ckpt.EncodeSnapshot(snap)
+			got, err := ckpt.AppendSnapshot(nil, snap)
 			if err != nil {
 				t.Fatal(err)
 			}

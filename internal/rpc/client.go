@@ -477,22 +477,6 @@ func (e *RemoteError) Is(target error) bool {
 // maxResponseBytes caps what one response body may be read to.
 const maxResponseBytes = 64 << 20
 
-// respBufs holds the buffers attempt reads response bodies into, so a call
-// costs what it decodes rather than a fresh body buffer. One that grew past
-// keptRespBuf is left to the collector instead of pinning a rare large
-// response's memory.
-var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const keptRespBuf = 1 << 20
-
-func putRespBuf(b *bytes.Buffer) {
-	if b.Cap() > keptRespBuf {
-		return
-	}
-	b.Reset()
-	respBufs.Put(b)
-}
-
 // attempt performs one wire attempt. remaining, when positive, is the call's
 // leftover end-to-end budget: it rides to the shard as Graf-Deadline-Ms and
 // additionally bounds this attempt below attemptTimeout.
@@ -502,7 +486,7 @@ func (c *Client) attempt(shard, method, path string, body []byte, out any, remai
 		return err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header[contentType] = jsonContent
 	}
 	if tc := optCtx(trace); tc.Valid() {
 		req.Header.Set(traceparentHeader, tc.Traceparent())
@@ -523,8 +507,8 @@ func (c *Client) attempt(shard, method, path string, body []byte, out any, remai
 		return err
 	}
 	defer resp.Body.Close()
-	buf := respBufs.Get().(*bytes.Buffer)
-	defer putRespBuf(buf)
+	buf := getBodyBuf()
+	defer putBodyBuf(buf)
 	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes)); err != nil {
 		return err
 	}
@@ -584,11 +568,14 @@ func (c *Client) Evict(shard, id string, checkpoint bool, parent ...obs.SpanCont
 	return out, err
 }
 
-// Tick advances a shard to the absolute round.
-func (c *Client) Tick(shard string, round int, parent ...obs.SpanContext) (TickResponse, error) {
-	var out TickResponse
-	err := c.call(shard, http.MethodPost, "/v1/tick", "tick", TickRequest{Round: round}, &out, parent...)
-	return out, err
+// Tick advances a shard to the absolute round and decodes the answer into
+// out, reusing out.Statuses' backing array. encoding/json decodes into the
+// elements it finds there and leaves a field the answer omits (Degraded,
+// Brownout) as it was, so every element is zeroed first.
+func (c *Client) Tick(shard string, round int, out *TickResponse, parent ...obs.SpanContext) error {
+	clear(out.Statuses[:cap(out.Statuses)])
+	*out = TickResponse{Statuses: out.Statuses[:0]}
+	return c.call(shard, http.MethodPost, "/v1/tick", "tick", TickRequest{Round: round}, out, parent...)
 }
 
 // Quotas fetches the shard's per-tenant quota allocations.

@@ -69,7 +69,7 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 
 	stale := NewClient(1, nil)
 	stale.SetEpoch(1)
-	if _, err := stale.Tick(addr, 1); !IsFenced(err) || !errors.Is(err, ErrFencedEpoch) {
+	if err := stale.Tick(addr, 1, &TickResponse{}); !IsFenced(err) || !errors.Is(err, ErrFencedEpoch) {
 		t.Fatalf("stale tick: got %v, want fenced 409", err)
 	}
 	if _, err := stale.Admit(addr, "tenant-01", 0); !IsFenced(err) {
@@ -79,7 +79,7 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 		t.Fatalf("stale evict: got %v, want fenced 409", err)
 	}
 	var re *RemoteError
-	_, err := stale.Tick(addr, 1)
+	err := stale.Tick(addr, 1, &TickResponse{})
 	if !errors.As(err, &re) || re.Status != 409 || re.Epoch != 2 {
 		t.Fatalf("fenced rejection should be a 409 carrying the shard's fence, got %+v", re)
 	}
@@ -90,7 +90,7 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 		t.Fatalf("stale read should pass the fence: %v", err)
 	}
 	legacy := NewClient(1, nil)
-	if _, err := legacy.Tick(addr, 1); err != nil {
+	if err := legacy.Tick(addr, 1, &TickResponse{}); err != nil {
 		t.Fatalf("epoch-unaware tick should pass the fence: %v", err)
 	}
 

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -136,11 +135,13 @@ func FuzzSpecDecode(f *testing.F) {
 
 // FuzzTickAdmitDecode hammers the /v1/tick and /v1/admit bodies on a shard
 // configured at a 5 s tick with no tenant. The shard runs a request's ticks
-// under its mutex, so a body that does not decode, a round below 1, a
-// negative tick count, or one whose simulated time passes maxDurS must get a
-// 400, and a rejected admit must place no tenant. A round inside the bound
-// costs nothing without a tenant, so every tick body is served; an admit is
-// served only when it must be rejected, since an accepted one replays ticks.
+// under its mutex, so a body that does not decode (as a whole: trailing
+// bytes after the JSON value are refused), a round below 1, a negative tick
+// count, or one whose simulated time passes maxDurS must get a 400, a body
+// over maxRequestBytes a 413, and a rejected admit must place no tenant. A
+// round inside the bound costs nothing without a tenant, so every tick body
+// is served; an admit is served only when it must be rejected, since an
+// accepted one replays ticks.
 func FuzzTickAdmitDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"round":3}`,
@@ -165,9 +166,13 @@ func FuzzTickAdmitDecode(f *testing.F) {
 	s, h := configuredHandler(f, testSpec())
 	const maxTicks = maxDurS / 5
 	f.Fuzz(func(t *testing.T, body []byte) {
+		rejected := http.StatusBadRequest
+		if len(body) > maxRequestBytes {
+			rejected = http.StatusRequestEntityTooLarge
+		}
 		var tick TickRequest
-		valid := json.NewDecoder(bytes.NewReader(body)).Decode(&tick) == nil && tick.Round >= 1 && tick.Round <= maxTicks
-		want := http.StatusBadRequest
+		valid := rejected == http.StatusBadRequest && json.Unmarshal(body, &tick) == nil && tick.Round >= 1 && tick.Round <= maxTicks
+		want := rejected
 		if valid {
 			want = http.StatusOK
 		}
@@ -175,11 +180,11 @@ func FuzzTickAdmitDecode(f *testing.F) {
 			t.Fatalf("tick %s: status %d, want %d", body, code, want)
 		}
 		var admit AdmitRequest
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&admit) == nil && admit.Ticks >= 0 && admit.Ticks <= maxTicks {
+		if rejected == http.StatusBadRequest && json.Unmarshal(body, &admit) == nil && admit.Ticks >= 0 && admit.Ticks <= maxTicks {
 			return
 		}
-		if code := postGuarded(t, h, "/v1/admit", body); code != http.StatusBadRequest {
-			t.Fatalf("admit %s: status %d, want 400", body, code)
+		if code := postGuarded(t, h, "/v1/admit", body); code != rejected {
+			t.Fatalf("admit %s: status %d, want %d", body, code, rejected)
 		}
 		if n := len(s.fl.Tenants()); n != 0 {
 			t.Fatalf("admit %s was rejected but placed %d tenants", body, n)

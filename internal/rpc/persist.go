@@ -238,11 +238,9 @@ func (p *placement) resolve(up []bool, seen []residence) (res ReconcileReport, e
 	return res, evict, roll
 }
 
+// placementGob encodes the placement commit persists; decodeRouterState
+// reads it back.
 var placementGob ckpt.GobEncoder[placement]
-
-func encodeRouterState(p *placement) ([]byte, error) {
-	return placementGob.Append(nil, p)
-}
 
 func decodeRouterState(b []byte) (*placement, error) {
 	var p placement
@@ -289,9 +287,10 @@ func (r *Router) commit(f func(p *placement)) {
 	if r.store == nil || r.fenced.Load() {
 		return
 	}
-	blob, err := encodeRouterState(&r.p)
+	blob, err := placementGob.Append(r.saved.Opaque[:0], &r.p)
 	if err == nil {
-		_, _, err = r.store.Save(&ckpt.Snapshot{At: float64(r.p.Round), Ticks: r.p.Round, Opaque: blob})
+		r.saved = ckpt.Snapshot{At: float64(r.p.Round), Ticks: r.p.Round, Opaque: blob}
+		_, _, err = r.store.Save(&r.saved)
 	}
 	if err != nil {
 		r.stats.PersistErrors++

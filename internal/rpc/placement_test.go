@@ -492,7 +492,7 @@ func FuzzDecodeRouterState(f *testing.F) {
 		f.Add(blob)
 	}
 	for _, p := range []*placement{{}, fixturePlacement(), {Epoch: 9, Slots: []*ShardInfo{{Addr: "a"}}, Migration: &migrationRecord{}}} {
-		b, err := encodeRouterState(p)
+		b, err := placementGob.Append(nil, p)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -504,7 +504,7 @@ func FuzzDecodeRouterState(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := encodeRouterState(p)
+		again, err := placementGob.Append(nil, p)
 		if err != nil {
 			t.Fatalf("re-encode of a decoded state: %v", err)
 		}
@@ -522,7 +522,7 @@ func FuzzDecodeRouterState(f *testing.F) {
 }
 
 func mustEncode(t *testing.T, p *placement) []byte {
-	b, err := encodeRouterState(p)
+	b, err := placementGob.Append(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,12 @@
 package rpc
 
-import "graf/internal/obs"
+import (
+	"bytes"
+	"encoding/json"
+	"sync"
+
+	"graf/internal/obs"
+)
 
 // Wire protocol (DESIGN.md §3h). Every endpoint is HTTP/JSON; errors are
 // {"error": "..."} with a non-2xx status. Requests carry absolute state
@@ -199,3 +205,39 @@ type errorResponse struct {
 // endpoints are deliberately unfenced: a stale router reading status is
 // harmless, and the standby needs /v1/tenants before it owns an epoch.
 const epochHeader = "Graf-Epoch"
+
+// contentType and jsonContent are the one header every message with a body
+// carries, set by map assignment: Header.Set would allocate the value slice
+// on every message.
+const contentType = "Content-Type"
+
+var jsonContent = []string{"application/json"}
+
+// bodyBuf is a message body buffer with a JSON encoder writing into it.
+// Both ends of the protocol read and write bodies through pooled ones, so
+// a message costs what it decodes rather than a fresh buffer and decoder.
+type bodyBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var bodyBufs = sync.Pool{New: func() any {
+	b := new(bodyBuf)
+	b.enc = json.NewEncoder(&b.Buffer)
+	return b
+}}
+
+// keptBodyBuf bounds the buffers returned to the pool: one that grew past
+// it is left to the collector instead of pinning a rare large message's
+// memory.
+const keptBodyBuf = 1 << 20
+
+func getBodyBuf() *bodyBuf { return bodyBufs.Get().(*bodyBuf) }
+
+func putBodyBuf(b *bodyBuf) {
+	if b.Cap() > keptBodyBuf {
+		return
+	}
+	b.Reset()
+	bodyBufs.Put(b)
+}

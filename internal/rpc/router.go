@@ -126,11 +126,19 @@ type Router struct {
 	mu     sync.Mutex
 
 	// store is the durable generation store (nil when cfg.StateDir is
-	// empty). fenced flips permanently when any shard rejects this
-	// generation as stale — the router has lost leadership and must stop
-	// mutating the fleet and the shared store.
+	// empty); saved is the snapshot commit last handed it, whose Opaque
+	// buffer the next commit encodes into. fenced flips permanently when
+	// any shard rejects this generation as stale — the router has lost
+	// leadership and must stop mutating the fleet and the shared store.
 	store  *ckpt.Store
+	saved  ckpt.Snapshot
 	fenced atomic.Bool
+
+	// tickResps and tickErrs hold each live shard's answer to a round's
+	// tick, by position in the live list, across rounds. Only tick, on the
+	// round loop, touches them.
+	tickResps []TickResponse
+	tickErrs  []error
 }
 
 // NewRouter builds a router over the given shard addresses. Call Bootstrap
@@ -457,13 +465,16 @@ func (r *Router) tick(round int, span *obs.ActiveSpan) (failed []string, shed in
 	if len(live) == 0 {
 		return nil, 0, fmt.Errorf("rpc: round %d: no live shards", round)
 	}
-	resps, errs := make([]TickResponse, len(live)), make([]error, len(live))
+	if len(r.tickResps) < len(live) {
+		r.tickResps, r.tickErrs = make([]TickResponse, len(live)), make([]error, len(live))
+	}
+	resps, errs := r.tickResps[:len(live)], r.tickErrs[:len(live)]
 	var wg sync.WaitGroup
 	for i, addr := range live {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			resps[i], errs[i] = r.client.Tick(addr, round, span.Context())
+			errs[i] = r.client.Tick(addr, round, &resps[i], span.Context())
 		}(i, addr)
 	}
 	wg.Wait()

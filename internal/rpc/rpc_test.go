@@ -194,7 +194,7 @@ func TestShardServerLifecycle(t *testing.T) {
 		t.Fatalf("health: %v", err)
 	}
 	// Tick before configure must be rejected, not crash.
-	if _, err := c.Tick(addr, 1); err == nil {
+	if err := c.Tick(addr, 1, &TickResponse{}); err == nil {
 		t.Fatal("tick on unconfigured shard accepted")
 	}
 	if err := c.Configure(addr, testSpec()); err != nil {
@@ -207,15 +207,15 @@ func TestShardServerLifecycle(t *testing.T) {
 	if dup, err := c.Admit(addr, "t-a", 0); err != nil || dup.Status.ID != "t-a" {
 		t.Fatalf("retried admit not idempotent: %+v err %v", dup, err)
 	}
-	resp, err := c.Tick(addr, 3)
-	if err != nil {
+	var resp, resp2 TickResponse
+	if err := c.Tick(addr, 3, &resp); err != nil {
 		t.Fatalf("tick: %v", err)
 	}
 	if len(resp.Statuses) != 1 || resp.Statuses[0].Ticks != 3 {
 		t.Fatalf("tick response %+v: want tenant at 3 ticks", resp)
 	}
 	// Retried tick is a no-op (idempotent).
-	resp2, err := c.Tick(addr, 3)
+	err := c.Tick(addr, 3, &resp2)
 	if err != nil || resp2.Statuses[0].Ticks != 3 || resp2.Statuses[0].AuditFNV != resp.Statuses[0].AuditFNV {
 		t.Fatalf("retried tick changed state: %+v vs %+v (err %v)", resp2, resp, err)
 	}
@@ -281,7 +281,7 @@ func TestHealthzAnswersWhileMutexHeld(t *testing.T) {
 	if _, err := c.Admit(addr, "t-a", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Tick(addr, 2); err != nil {
+	if err := c.Tick(addr, 2, &TickResponse{}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a tick that outlasts the probe timeout.

@@ -413,18 +413,43 @@ func (s *ShardServer) Kill() {
 	}
 }
 
+// maxRequestBytes caps every request body a shard reads. The largest
+// legitimate request is configure's Spec: its fixed fields encode to under
+// 1 KB and each scripted brownout phase to about 40 bytes, so the cap holds
+// a schedule of well over a thousand phases
+// (TestRequestCapHoldsTheLargestSpec). A larger body is answered 413.
+const maxRequestBytes = 64 << 10
+
+// writeJSON answers v as JSON plus a newline, encoded in a pooled buffer.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b := getBodyBuf()
+	defer putBodyBuf(b)
+	b.enc.Encode(v)
+	w.Header()[contentType] = jsonContent
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// readJSON decodes the request body into v through a pooled buffer, and
+// answers 413 for a body over maxRequestBytes or 400 for one that does not
+// decode. json.Unmarshal copies what it keeps, so v never aliases the buffer.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	b := getBodyBuf()
+	defer putBodyBuf(b)
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooLarge.Limit)
+		return false
+	}
+	if err == nil {
+		err = json.Unmarshal(b.Bytes(), v)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "decode request: %v", err)
 		return false
 	}

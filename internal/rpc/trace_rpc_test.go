@@ -169,7 +169,7 @@ func TestClientTraceHeaderPropagates(t *testing.T) {
 	if _, err := c.Admit(addr, "tenant-00", 0, root.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Tick(addr, 1, root.Context()); err != nil {
+	if err := c.Tick(addr, 1, &TickResponse{}, root.Context()); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
