@@ -22,7 +22,10 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 
 # Fail, naming file:line, on any non-test function of the module that no
-# binary, example, benchmark or test binary links (scripts/deadcode.py).
+# binary, example, benchmark or test binary links, any exported name no other
+# package names and any field no non-test code reads (scripts/deadcode.py,
+# which runs scripts/deadnames beside its builds); print the settable-value
+# census.
 deadcode:
 	python3 scripts/deadcode.py
 

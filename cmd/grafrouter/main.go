@@ -116,7 +116,7 @@ func (o *routerOptions) validate() error {
 	d.Schedule.Migrations, d.Schedule.Kills = sched.Migrations, sched.Kills
 	// Wire faults are keyed by the round clock and a fixed seed: replayable.
 	d.Rounds = o.Rounds()
-	d.Schedule.Net = chaos.NetScenario{Name: "grafrouter", Seed: d.Spec.Seed}
+	d.Schedule.Net = chaos.NetScenario{Seed: d.Spec.Seed}
 	if o.netDrop > 0 {
 		d.Schedule.Net.Events = append(d.Schedule.Net.Events, chaos.Drop(1, d.Rounds, "", o.netDrop))
 	}

@@ -80,8 +80,6 @@ type (
 	// App describes a microservice application: its service graph, API
 	// call trees, and per-service CPU-work parameters.
 	App = app.App
-	// Cluster is the simulated orchestration substrate an App runs on.
-	Cluster = cluster.Cluster
 	// Model is the GNN latency prediction model (§3.4 of the paper).
 	Model = gnn.Model
 	// Sample is one (workload, resources, latency) training triple.
@@ -416,10 +414,6 @@ type TrainOptions struct {
 	// but exact.
 	SimulatorLabels bool
 
-	// Obs, if set, streams the learning curve and per-batch timing into
-	// the telemetry bundle's metrics registry during training.
-	Obs *Observability
-
 	Seed int64
 }
 
@@ -457,7 +451,7 @@ func Train(a *App, o TrainOptions) *TrainedModel {
 		SLO: o.SLO.Seconds(), MinRate: o.MinRate, MaxRate: o.MaxRate,
 		Samples: o.Samples, Iterations: o.Iterations, Batch: o.Batch,
 		LR: core.ProductLR, CalibrationProbes: core.ProductCalibrationProbes,
-		SimulatorLabels: o.SimulatorLabels, Seed: o.Seed, Obs: o.Obs,
+		SimulatorLabels: o.SimulatorLabels, Seed: o.Seed,
 	})
 	return &TrainedModel{Model: tr.Model, Bounds: tr.Bounds, MinRate: o.MinRate, MaxRate: o.MaxRate, SLO: o.SLO, Samples: tr.Samples}
 }

@@ -244,7 +244,7 @@ func TestChaosViaPublicAPI(t *testing.T) {
 	if inj != s.Chaos() {
 		t.Fatal("Chaos() must memoize the injector")
 	}
-	inj.Play(ChaosScenario{Name: "pub", Events: []ChaosEvent{
+	inj.Play(ChaosScenario{Events: []ChaosEvent{
 		ChaosKill(1*time.Second, "cart", 1),
 		ChaosCrashFraction(5*time.Second, 0.3),
 		ChaosTelemetryBlackhole(10*time.Second, 10*time.Second),

@@ -222,7 +222,7 @@ func ProvisionProactiveRates(c *cluster.Cluster, apiRates map[string]float64, ta
 
 // App re-exported helper: total CPU demand (millicores) of an application at
 // a total front-end rate, the lower bound any allocator must exceed.
-func CPUDemand(a *app.App, totalRate float64) float64 {
+func cpuDemand(a *app.App, totalRate float64) float64 {
 	rates := a.PerServiceRate(a.MixRates(totalRate))
 	sum := 0.0
 	for _, svc := range a.Services {

@@ -147,14 +147,14 @@ func TestProvisionProactive(t *testing.T) {
 		}
 	}
 	// Demand-based lower bound holds.
-	if total := cl.TotalQuota(); total < CPUDemand(cl.App, 300) {
-		t.Errorf("proactive quota %v below raw CPU demand %v", total, CPUDemand(cl.App, 300))
+	if total := cl.TotalQuota(); total < cpuDemand(cl.App, 300) {
+		t.Errorf("proactive quota %v below raw CPU demand %v", total, cpuDemand(cl.App, 300))
 	}
 }
 
 func TestCPUDemandScalesLinearly(t *testing.T) {
 	a := app.OnlineBoutique()
-	d1, d2 := CPUDemand(a, 100), CPUDemand(a, 200)
+	d1, d2 := cpuDemand(a, 100), cpuDemand(a, 200)
 	if d2 < d1*1.99 || d2 > d1*2.01 {
 		t.Errorf("CPU demand not linear: %v vs %v", d1, d2)
 	}

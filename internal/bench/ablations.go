@@ -18,7 +18,7 @@ import (
 // MSE on percentage error: the asymmetric loss should push the signed mean
 // error positive (safe overestimation) at similar absolute error.
 func ablationLoss(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Ablation: asymmetric hüber (Eq.4) vs MSE",
 		Header: []string{"loss", "test_MAPE_%", "signed_mean_%", "underestimates_%"}}
 
@@ -51,7 +51,7 @@ func ablationLoss(s Scale) Result {
 // ablationSteps sweeps the number of message-passing steps K ∈ {0,1,2,3}
 // (the paper fixes K=2; K=0 is the no-MPNN ablation of Fig 11).
 func ablationSteps(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Ablation: message-passing steps",
 		Header: []string{"steps", "best_val_loss", "test_MAPE_%"}}
 	for _, k := range []int{0, 1, 2, 3} {
@@ -78,12 +78,12 @@ func ablationSteps(s Scale) Result {
 // before it) — the paper's argument for gradients is that global optimizers
 // do not fit the synchronous decision window.
 func ablationSolver(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Ablation: configuration solver strategies (same model-query budget, queries used)",
 		Header: []string{"strategy", "total_quota_mc", "predicted_ms", "feasible", "queries"}}
 	a := tr.App
 	load := make([]float64, len(a.Services))
-	rates := a.PerServiceRate(a.MixRates(EvalRate))
+	rates := a.PerServiceRate(a.MixRates(evalRate))
 	for i, n := range a.ServiceNames() {
 		load[i] = rates[n]
 	}

@@ -2,7 +2,7 @@ package bench
 
 import "math"
 
-// Cost-benefit analysis (Table 3, Figure 19). These are pure arithmetic over
+// cost-benefit analysis (Table 3, Figure 19). These are pure arithmetic over
 // the paper's published AWS EC2 on-demand prices and its sample-collection
 // procedure (15 s per sample), so they are reproduced exactly.
 
@@ -15,8 +15,8 @@ const (
 	trainingHours  = 16.0  // paper's measured training time
 )
 
-// CostBreakdown is Table 3's rows for a given sample count.
-type CostBreakdown struct {
+// costBreakdown is Table 3's rows for a given sample count.
+type costBreakdown struct {
 	SampleHours   float64
 	LoadGenCost   float64
 	WorkerCost    float64
@@ -25,11 +25,11 @@ type CostBreakdown struct {
 	TrainingHours float64
 }
 
-// Cost computes the one-time sample-collection + training budget for
+// oneTimeCost computes the one-time sample-collection + training budget for
 // nSamples (paper: 50 K samples → $112.17).
-func Cost(nSamples int) CostBreakdown {
+func oneTimeCost(nSamples int) costBreakdown {
 	h := float64(nSamples) * secondsPerSamp / 3600
-	cb := CostBreakdown{
+	cb := costBreakdown{
 		SampleHours:   h,
 		LoadGenCost:   h * priceC4Large,
 		WorkerCost:    h * priceC4XL2,
@@ -45,7 +45,7 @@ func Cost(nSamples int) CostBreakdown {
 func tab03Budget(Scale) Result {
 	res := Result{Title: "Expected budget: 50K samples + training (AWS EC2 on-demand)",
 		Header: []string{"module", "instance", "time_h", "budget_$", "paper_$"}}
-	cb := Cost(50000)
+	cb := oneTimeCost(50000)
 	row := func(module, instance, hours string, budget, paper float64) {
 		res.AddRow(module, instance, hours, f2(budget), f2(paper))
 		if budget < paper*0.99 || budget > paper*1.01 {
@@ -63,10 +63,10 @@ func tab03Budget(Scale) Result {
 // savedInstancesPerQPS converts Figure 18's trend into a $/day benefit: the
 // fitted slope of instances saved per unit of front-end workload.
 func savedInstancesPerQPS(s Scale) float64 {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	// Two operating points of the Fig 18 study suffice for a slope.
 	loRate, hiRate := 120.0, 280.0
-	th, _ := tuneHPA(tr, tr.Spec.SLO, EvalRate, s.SteadyS)
+	th, _ := tuneHPA(tr, tr.Spec.SLO, evalRate, s.SteadyS)
 	run := func(rate float64, graf bool) float64 {
 		if graf {
 			return runGRAFSteady(tr, tr.Spec.SLO, rate, s.SteadyS, 92).instances
@@ -91,7 +91,7 @@ func savedInstancesPerQPS(s Scale) float64 {
 func fig19CostBenefit(s Scale) Result {
 	res := Result{Title: "Cost-benefit frontier: min workload (qps) for GRAF to be profitable",
 		Header: []string{"update_period_days", "breakeven_qps", "profit_at_2000qps"}}
-	cb := Cost(50000)
+	cb := oneTimeCost(50000)
 	slope := savedInstancesPerQPS(s)
 	// One instance is one CPU unit's share of a c4.2xlarge (8 vCPU ≈
 	// 8000 mc): price per instance-day.

@@ -20,7 +20,7 @@ import (
 // recovered by RefineInteger over the naive per-service ceil of Eq. 7,
 // across a sweep of workloads.
 func ablationInteger(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Extension (§6): integer refinement vs naive Eq.7 round-up",
 		Header: []string{"rate_rps", "solver_mc", "naive_ceil_mc", "refined_mc", "recovered_mc"}}
 	unit := cluster.DefaultConfig().CPUUnit
@@ -46,7 +46,7 @@ func ablationInteger(s Scale) Result {
 // contention spike into a GRAF-minimized deployment and compare tail
 // latency with and without the anomaly mitigator.
 func ablationAnomaly(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Extension (§6): contention anomaly, with vs without mitigator",
 		Header: []string{"variant", "p99_before_ms", "p99_during_ms", "p99_after_ms", "boosts"}}
 	run := func(mitigate bool) []string {

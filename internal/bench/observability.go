@@ -14,10 +14,10 @@ import (
 // log bytes it produced. Identical seeds produce identical logs — the
 // simulation is deterministic and the recorder captures simulated time, not
 // wall time.
-func obsRun(tr *Trained, seed int64, horizonS float64) []byte {
+func obsRun(tr *trained, seed int64, horizonS float64) []byte {
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
-	warmStart(eng, cl, EvalRate)
+	warmStart(eng, cl, evalRate)
 
 	var buf bytes.Buffer
 	tel := obs.New(obs.Options{AuditW: &buf})
@@ -27,7 +27,7 @@ func obsRun(tr *Trained, seed int64, horizonS float64) []byte {
 	ctl.Obs = obs.NewControllerObs(tel)
 	tel.Flight.Record(core.HeaderRecord(tr.App, cfg, eng.Now()))
 	ctl.Start()
-	g := workload.NewOpenLoop(cl, workload.StepRate(EvalRate*0.5, EvalRate, eng.Now()+60))
+	g := workload.NewOpenLoop(cl, workload.StepRate(evalRate*0.5, evalRate, eng.Now()+60))
 	g.Start()
 	eng.RunUntil(eng.Now() + horizonS)
 	g.Stop()
@@ -48,7 +48,7 @@ func obsReplay(s Scale) Result {
 		Title:  "Flight-recorder audit log: offline replay + same-seed determinism",
 		Header: []string{"check", "decisions", "solves", "matched", "mismatches", "verdict"},
 	}
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	horizon := s.SteadyS
 	if horizon < 120 {
 		horizon = 120
@@ -102,7 +102,7 @@ func obsOverhead(s Scale) Result {
 	// allocations per decision, taken while a 1024-record ring filled.
 	const bytesCeiling, allocsCeiling float64 = 2400, 3.5
 	const ring = 16 // fleet's per-tenant audit memory
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	steps := 60
 	if s.Name == "quick" {
 		steps = 20
@@ -111,7 +111,7 @@ func obsOverhead(s Scale) Result {
 	run := func(enabled bool) (fill, full perOp) {
 		eng := sim.NewEngine(11)
 		cl := newCluster(eng, tr.App)
-		warmStart(eng, cl, EvalRate)
+		warmStart(eng, cl, evalRate)
 		ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(tr.Spec.SLO))
 		// Defeat hysteresis so every Step takes the full
 		// collect→analyze→solve→actuate path.
@@ -121,7 +121,7 @@ func obsOverhead(s Scale) Result {
 			cl.Obs = obs.NewClusterObs(tel)
 			ctl.Obs = obs.NewControllerObs(tel)
 		}
-		g := workload.NewOpenLoop(cl, workload.ConstRate(EvalRate))
+		g := workload.NewOpenLoop(cl, workload.ConstRate(evalRate))
 		g.Start()
 		eng.RunUntil(eng.Now() + 30) // build telemetry windows
 		ctl.Step()                   // warm caches, first-registration costs

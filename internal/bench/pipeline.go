@@ -8,10 +8,10 @@ import (
 	"graf/internal/core"
 )
 
-// Trained bundles everything the end-to-end experiments need: the
+// trained bundles everything the end-to-end experiments need: the
 // application, the spec it was trained to, and core.Train's bounds, samples
 // and latency model.
-type Trained struct {
+type trained struct {
 	core.Trained
 	App  *app.App
 	Spec core.TrainSpec
@@ -41,35 +41,35 @@ type pipeKey struct {
 
 var (
 	pipeMu   sync.Mutex
-	pipeMemo = map[pipeKey]*Trained{}
+	pipeMemo = map[pipeKey]*trained{}
 )
 
-// SharedPipeline returns the memoized core.Train of a to spec.
-func SharedPipeline(a *app.App, spec core.TrainSpec) *Trained {
+// sharedPipeline returns the memoized core.Train of a to spec.
+func sharedPipeline(a *app.App, spec core.TrainSpec) *trained {
 	key := pipeKey{a.Name, spec}
 	pipeMu.Lock()
 	defer pipeMu.Unlock()
 	if t, ok := pipeMemo[key]; ok {
 		return t
 	}
-	t := &Trained{Trained: core.Train(a, spec), App: a, Spec: spec}
+	t := &trained{Trained: core.Train(a, spec), App: a, Spec: spec}
 	pipeMemo[key] = t
 	return t
 }
 
-// BoutiquePipeline is the default Online Boutique pipeline used across the
+// boutiquePipeline is the default Online Boutique pipeline used across the
 // end-to-end experiments. The workload range keeps every service needing
 // multiple instances, the regime where allocation quality matters (below
 // one instance per service, every allocator sits at the same floor).
-func BoutiquePipeline(scale Scale) *Trained {
-	return SharedPipeline(app.OnlineBoutique(), figureSpec(0.250, 40, 420, scale, 1))
+func boutiquePipeline(scale Scale) *trained {
+	return sharedPipeline(app.OnlineBoutique(), figureSpec(0.250, 40, 420, scale, 1))
 }
 
-// SocialPipeline is the Social Network pipeline (Fig 14/16).
-func SocialPipeline(scale Scale) *Trained {
-	return SharedPipeline(app.SocialNetwork(), figureSpec(0.150, 40, 420, scale, 2))
+// socialPipeline is the Social Network pipeline (Fig 14/16).
+func socialPipeline(scale Scale) *trained {
+	return sharedPipeline(app.SocialNetwork(), figureSpec(0.150, 40, 420, scale, 2))
 }
 
-// EvalRate is the steady-state workload the Fig 14/15/16 comparisons run
+// evalRate is the steady-state workload the Fig 14/15/16 comparisons run
 // at: high enough that every microservice needs several instances.
-const EvalRate = 240
+const evalRate = 240

@@ -30,7 +30,7 @@ type chaosOut struct {
 // telemetry is lying, then a frontend kill and a contention burst probe
 // recovery.
 func chaosScenario() chaos.Scenario {
-	return chaos.Scenario{Name: "robustness", Events: []chaos.Event{
+	return chaos.Scenario{Events: []chaos.Event{
 		chaos.BlackholeFrontend(0, 60),
 		chaos.DropTraces(0, 0.9, 120),
 		chaos.Crash(45, 0.5),
@@ -43,10 +43,10 @@ func chaosScenario() chaos.Scenario {
 // a warm Online Boutique cluster at the standard evaluation rate.
 // Policies: "graf" (hardened), "graf-vanilla" (guardrails off), "hpa",
 // "firm".
-func runChaosPolicy(tr *Trained, policy string, slo float64, seed int64) chaosOut {
+func runChaosPolicy(tr *trained, policy string, slo float64, seed int64) chaosOut {
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
-	warmStart(eng, cl, EvalRate) // engine now at 60
+	warmStart(eng, cl, evalRate) // engine now at 60
 
 	var out chaosOut
 	var stopPolicy func()
@@ -75,7 +75,7 @@ func runChaosPolicy(tr *Trained, policy string, slo float64, seed int64) chaosOu
 		panic("bench: unknown chaos policy " + policy)
 	}
 
-	g := workload.NewOpenLoop(cl, workload.ConstRate(EvalRate))
+	g := workload.NewOpenLoop(cl, workload.ConstRate(evalRate))
 	g.Start()
 	settle := eng.Now() + 150
 	eng.RunUntil(settle)
@@ -127,7 +127,7 @@ func runChaosPolicy(tr *Trained, policy string, slo float64, seed int64) chaosOu
 // re-solves on the sampled-down arrival rate and scales in exactly as half
 // the capacity dies.
 func chaosRobustness(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	slo := tr.Spec.SLO
 	res := Result{
 		Title: "SLO violations under fault injection (Online Boutique, 240 rps, 250 ms SLO)",

@@ -31,7 +31,7 @@ type driftOut struct {
 // code regression. Unlike a contention burst it never expires — the latency
 // surface the model was trained on is simply gone.
 func driftScenario(factor float64) chaos.Scenario {
-	return chaos.Scenario{Name: "drift", Events: []chaos.Event{
+	return chaos.Scenario{Events: []chaos.Event{
 		chaos.Drift(0, "", factor),
 	}}
 }
@@ -41,10 +41,10 @@ func driftScenario(factor float64) chaos.Scenario {
 // cluster at the evaluation rate. Identical seed, workload, and fault
 // script; the only difference is whether a lifecycle manager watches the
 // model.
-func runDrift(tr *Trained, withLifecycle bool, slo float64, seed int64, observeS float64) driftOut {
+func runDrift(tr *trained, withLifecycle bool, slo float64, seed int64, observeS float64) driftOut {
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
-	warmStart(eng, cl, EvalRate)
+	warmStart(eng, cl, evalRate)
 
 	ctl := newGRAFController(tr, cl, core.DefaultControllerConfig(slo))
 	ctl.Start()
@@ -55,7 +55,7 @@ func runDrift(tr *Trained, withLifecycle bool, slo float64, seed int64, observeS
 	// re-solve exercises it — which is exactly where a wrong model hurts.
 	start := eng.Now()
 	g := workload.NewOpenLoop(cl, func(t float64) float64 {
-		return EvalRate + 60*math.Sin(2*math.Pi*(t-start)/120)
+		return evalRate + 60*math.Sin(2*math.Pi*(t-start)/120)
 	})
 	g.Start()
 
@@ -126,7 +126,7 @@ func runDrift(tr *Trained, withLifecycle bool, slo float64, seed int64, observeS
 // Acceptance: the lifecycle run logs strictly fewer SLO-violation seconds,
 // with at least one drift trip and one promotion.
 func drift(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	slo := tr.Spec.SLO
 	observeS := 600.0
 	if s.Name == "quick" {

@@ -15,7 +15,6 @@ import (
 // steadyOut summarizes one policy's steady-state run.
 type steadyOut struct {
 	p99       float64            // end-to-end p99 over the settled window (s)
-	p95       float64            // end-to-end p95 (s)
 	quotas    map[string]float64 // settled per-service quota (mc)
 	total     float64            // Σ realized quotas (ceil to CPU units, Eq. 7)
 	instances float64            // mean instances over the settled window
@@ -23,7 +22,7 @@ type steadyOut struct {
 
 // newGRAFController wires a trained pipeline into a live cluster under cfg,
 // telling it the workload range the model was trained on.
-func newGRAFController(tr *Trained, cl *cluster.Cluster, cfg core.ControllerConfig) *core.Controller {
+func newGRAFController(tr *trained, cl *cluster.Cluster, cfg core.ControllerConfig) *core.Controller {
 	cfg.TrainedMinRate = tr.Spec.MinRate
 	cfg.TrainedMaxRate = tr.Spec.MaxRate
 	return core.NewController(cl, tr.Model, core.NewAnalyzer(tr.App), tr.Bounds, cfg)
@@ -40,7 +39,7 @@ func warmStart(eng *sim.Engine, cl *cluster.Cluster, totalRate float64) {
 }
 
 // runGRAFSteady runs GRAF on a warm cluster at a constant open-loop rate.
-func runGRAFSteady(tr *Trained, slo, totalRate, horizonS float64, seed int64) steadyOut {
+func runGRAFSteady(tr *trained, slo, totalRate, horizonS float64, seed int64) steadyOut {
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, totalRate)
@@ -53,7 +52,7 @@ func runGRAFSteady(tr *Trained, slo, totalRate, horizonS float64, seed int64) st
 
 // runHPASteady runs the K8s autoscaler at a fixed utilization threshold on
 // a warm cluster.
-func runHPASteady(tr *Trained, threshold, totalRate, horizonS float64, seed int64) steadyOut {
+func runHPASteady(tr *trained, threshold, totalRate, horizonS float64, seed int64) steadyOut {
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
 	warmStart(eng, cl, totalRate)
@@ -80,7 +79,6 @@ func finishSteady(eng *sim.Engine, cl *cluster.Cluster, horizonS float64, stop f
 	eng.RunUntil(horizonS + 30)
 	out := steadyOut{quotas: cl.RealizedQuotas()}
 	out.p99 = cl.E2EWindow().Quantile(0.99, settleFrom, horizonS)
-	out.p95 = cl.E2EWindow().Quantile(0.95, settleFrom, horizonS)
 	for _, q := range out.quotas {
 		out.total += q
 	}
@@ -103,7 +101,7 @@ type tunedHPA struct {
 	out steadyOut
 }
 
-func tuneHPA(tr *Trained, slo, totalRate, horizonS float64) (float64, steadyOut) {
+func tuneHPA(tr *trained, slo, totalRate, horizonS float64) (float64, steadyOut) {
 	key := fmt.Sprintf("%s/%.3f/%.0f/%.0f", tr.App.Name, slo, totalRate, horizonS)
 	if t, ok := tuneMemo[key]; ok {
 		return t.th, t.out
@@ -127,11 +125,11 @@ func fig14TotalCPU(s Scale) Result {
 	res := Result{Title: "Total CPU quota (millicores): GRAF vs fine-tuned K8s autoscaler",
 		Header: []string{"application", "GRAF_mc", "K8s_mc", "saving_%", "GRAF_p99_ms", "K8s_p99_ms", "SLO_ms"}}
 	for _, c := range []struct {
-		tr   *Trained
+		tr   *trained
 		rate float64
 	}{
-		{BoutiquePipeline(s), EvalRate},
-		{SocialPipeline(s), EvalRate},
+		{boutiquePipeline(s), evalRate},
+		{socialPipeline(s), evalRate},
 	} {
 		graf := runGRAFSteady(c.tr, c.tr.Spec.SLO, c.rate, s.SteadyS, 21)
 		_, k8s := tuneHPA(c.tr, c.tr.Spec.SLO, c.rate, s.SteadyS)
@@ -151,7 +149,7 @@ func fig14TotalCPU(s Scale) Result {
 
 // perMSFigure returns the per-service table and GRAF's and K8s's total
 // quota.
-func perMSFigure(tr *Trained, rate float64, s Scale) (res Result, graf, k8s float64) {
+func perMSFigure(tr *trained, rate float64, s Scale) (res Result, graf, k8s float64) {
 	res = Result{Title: tr.App.Name + ": per-microservice CPU quota, GRAF vs fine-tuned K8s autoscaler",
 		Header: []string{"service", "GRAF_mc", "K8s_mc"}}
 	g := runGRAFSteady(tr, tr.Spec.SLO, rate, s.SteadyS, 23)
@@ -166,7 +164,7 @@ func perMSFigure(tr *Trained, rate float64, s Scale) (res Result, graf, k8s floa
 
 // fig15PerMSBoutique reproduces Figure 15 (Online Boutique MS1..MS6).
 func fig15PerMSBoutique(s Scale) Result {
-	res, graf, k8s := perMSFigure(BoutiquePipeline(s), EvalRate, s)
+	res, graf, k8s := perMSFigure(boutiquePipeline(s), evalRate, s)
 	if graf >= k8s {
 		res.Fail("GRAF total %.0f mc not below K8s's %.0f mc", graf, k8s)
 	}
@@ -176,7 +174,7 @@ func fig15PerMSBoutique(s Scale) Result {
 // fig16PerMSSocial reproduces Figure 16 (Social Network MS1..MS10). It has
 // no floor: GRAF's total exceeds K8s's (EXPERIMENTS.md, Known deviation 2).
 func fig16PerMSSocial(s Scale) Result {
-	res, _, _ := perMSFigure(SocialPipeline(s), EvalRate, s)
+	res, _, _ := perMSFigure(socialPipeline(s), evalRate, s)
 	return res
 }
 
@@ -184,11 +182,11 @@ func fig16PerMSSocial(s Scale) Result {
 // configurations across a sweep of target SLOs, with the fraction landing
 // within their SLO (paper: 85.1%).
 func fig17SLOTargeting(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Measured 99%-tile latency vs target SLO (Online Boutique)",
 		Header: []string{"SLO_ms", "predicted_ms", "measured_ms", "within"}}
 	within, n := 0, 0
-	rate := float64(EvalRate)
+	rate := float64(evalRate)
 	load := make([]float64, len(tr.App.Services))
 	rates := tr.App.PerServiceRate(tr.App.MixRates(rate))
 	for i, name := range tr.App.ServiceNames() {
@@ -231,10 +229,10 @@ func fig17SLOTargeting(s Scale) Result {
 // tuned K8s autoscaler under increasing simulated users (closed loop), and
 // the instances saved.
 func fig18UserScaling(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Total instances vs simulated users (Online Boutique, closed loop)",
 		Header: []string{"users", "GRAF", "K8s", "saved"}}
-	th, _ := tuneHPA(tr, tr.Spec.SLO, EvalRate, s.SteadyS)
+	th, _ := tuneHPA(tr, tr.Spec.SLO, evalRate, s.SteadyS)
 	users := []int{500, 1000, 1500, 2000, 2500, 3000}
 	if s.Name == "quick" {
 		users = []int{300, 600, 900}
@@ -268,7 +266,7 @@ func fig18UserScaling(s Scale) Result {
 // fig20AzureReplay reproduces Figure 20: total instances over time replaying
 // the Azure-functions-style invocation trace, GRAF vs K8s autoscaler.
 func fig20AzureReplay(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Azure trace replay: total instances over time (Online Boutique)",
 		Header: []string{"t_s", "workload_users", "GRAF", "K8s"}}
 	cfg := azure.DefaultTrace()
@@ -301,7 +299,7 @@ func fig20AzureReplay(s Scale) Result {
 		}
 		g := workload.NewClosedLoop(cl, usersFn)
 		g.Start()
-		series := metrics.NewSeries("instances")
+		series := new(metrics.Series)
 		sum, n := 0.0, 0
 		start := eng.Now()
 		stopTick := eng.Ticker(start+1, 10, func() {
@@ -345,7 +343,7 @@ type surgeCompareOut struct {
 	settleP99 float64
 }
 
-func runSurgeCompare(tr *Trained, policy string, baseUsers, surgeUsers int, surgeAt, horizonS float64, seed int64) surgeCompareOut {
+func runSurgeCompare(tr *trained, policy string, baseUsers, surgeUsers int, surgeAt, horizonS float64, seed int64) surgeCompareOut {
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
 	var stopCtl func()
@@ -367,7 +365,7 @@ func runSurgeCompare(tr *Trained, policy string, baseUsers, surgeUsers int, surg
 	}
 	g := workload.NewClosedLoop(cl, workload.StepUsers(baseUsers, surgeUsers, surgeAt))
 	g.Start()
-	out := surgeCompareOut{series: metrics.NewSeries(policy)}
+	out := surgeCompareOut{series: new(metrics.Series)}
 	stopTick := eng.Ticker(0.5, 2, func() {
 		v := cl.TotalInstances()
 		out.series.Add(eng.Now(), float64(v))
@@ -403,7 +401,7 @@ func runSurgeCompare(tr *Trained, policy string, baseUsers, surgeUsers int, surg
 // Locust-thread surge for GRAF, the K8s autoscaler and the FIRM-like
 // baseline, at 250 and 500 threads.
 func fig21SurgeComparison(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Instances during Locust-thread surge: GRAF vs K8s vs FIRM-like",
 		Header: []string{"threads", "policy", "settled", "peak", "t+40s", "t+120s"}}
 	threadCases := []int{250, 500}
@@ -424,7 +422,7 @@ func fig21SurgeComparison(s Scale) Result {
 // fig22Convergence reproduces Figure 22: time for the end-to-end tail
 // latency to converge after the surge.
 func fig22Convergence(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Time to tail-latency convergence after surge (seconds)",
 		Header: []string{"threads", "GRAF", "K8s", "FIRM-like", "settled_p99_ms (G/K/F)"}}
 	threadCases := []int{250, 500}

@@ -44,7 +44,7 @@ func routerFailover(s Scale) Result {
 		base.Shards = append(base.Shards, sh.Addr())
 	}
 	// Mild request drops all run, absorbed by retries.
-	base.Schedule.Net = chaos.NetScenario{Name: "router-failover", Seed: 13,
+	base.Schedule.Net = chaos.NetScenario{Seed: 13,
 		Events: []chaos.NetEvent{chaos.Drop(1, rounds, "", 0.05)}}
 
 	// Primary: a planned migration drains the victim tenant off its owner,

@@ -45,7 +45,7 @@ func fleetRPC(s Scale) Result {
 	d.Schedule = rpc.Schedule{
 		Migrations: []rpc.Migration{{Tenant: d.Tenants[0], Round: 3, Slot: rpc.SlotOther}},
 		Kills:      []rpc.ShardKill{{Slot: rpc.SlotMax, Round: killRound}},
-		Net: chaos.NetScenario{Name: "fleet-rpc", Seed: 11,
+		Net: chaos.NetScenario{Seed: 11,
 			Events: []chaos.NetEvent{chaos.Drop(1, rounds, "", 0.10)}},
 	}
 	v, err := d.Run()

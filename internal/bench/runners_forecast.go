@@ -16,7 +16,6 @@ type forecastOut struct {
 	worstP99  float64 // worst rolling p99 sample (s)
 	fcSolves  int     // solves driven by the forecasted rate
 	prewarms  int     // pre-warm orders placed ahead of forecasted demand
-	matured   int64   // matured forecast/actual pairs
 	mae       float64 // mean absolute forecast error (rps)
 }
 
@@ -24,7 +23,7 @@ type forecastOut struct {
 // paper-exact reactive otherwise — against a workload generator for horizonS
 // seconds and scores SLO-violation time and the provisioning bill. attach
 // starts the generator once the cluster is warm and returns its stop.
-func runForecastPolicy(tr *Trained, fc forecast.Config, horizonS, scoreFromS, warmRate float64, seed int64,
+func runForecastPolicy(tr *trained, fc forecast.Config, horizonS, scoreFromS, warmRate float64, seed int64,
 	attach func(cl *cluster.Cluster) (stop func())) forecastOut {
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
@@ -70,7 +69,6 @@ func runForecastPolicy(tr *Trained, fc forecast.Config, horizonS, scoreFromS, wa
 	out.fcSolves = st.ForecastSolves
 	out.prewarms = st.Prewarms
 	if p := ctl.Forecaster(); p != nil {
-		out.matured = p.MaturedN
 		out.mae = p.MAE()
 	}
 	return out
@@ -80,7 +78,7 @@ func runForecastPolicy(tr *Trained, fc forecast.Config, horizonS, scoreFromS, wa
 // between trough and peak every two minutes with AR(1) wobble. Holt-Winters
 // learns the cycle (period = 120 s / 5 s interval = 24 ticks, the default)
 // and the controller scales into each climb before it arrives.
-func forecastDiurnal(tr *Trained, horizonS float64, fc forecast.Config) forecastOut {
+func forecastDiurnal(tr *trained, horizonS float64, fc forecast.Config) forecastOut {
 	wcfg := workload.DiurnalConfig{
 		Seed:    7,
 		Seconds: int(horizonS) + 180, // covers warm-up offset and drain
@@ -104,7 +102,7 @@ func forecastDiurnal(tr *Trained, horizonS float64, fc forecast.Config) forecast
 // trace driven closed-loop, with the AR model forecasting the correlated
 // minute-to-minute drift (the trace has no clean seasonality for HW to lock
 // onto).
-func forecastAzure(tr *Trained, s Scale, fc forecast.Config) forecastOut {
+func forecastAzure(tr *trained, s Scale, fc forecast.Config) forecastOut {
 	cfg := azure.DefaultTrace()
 	if s.Name == "quick" {
 		cfg.Minutes, cfg.DropAt = 15, 8
@@ -130,7 +128,7 @@ func forecastAzure(tr *Trained, s Scale, fc forecast.Config) forecastOut {
 // violates nothing there is nothing to buy, and a forecast that violates
 // nothing either passes.
 func forecastVsReactive(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Forecasted vs reactive provisioning: scale ahead of the surge (Online Boutique)",
 		Header: []string{"workload", "policy", "viol_s", "core_h", "worst_p99_ms", "fc_solves", "prewarms", "mae_rps"}}
 

@@ -42,7 +42,7 @@ func tab01Hyperparameters(s Scale) Result {
 // of the trained model by true-latency region, plus the mean signed
 // overestimation across all test points.
 func tab02PredictionError(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Prediction percentage error by 99%-tile latency region (Online Boutique)",
 		Header: []string{"region_ms", "MAPE_%", "n", "paper_%"}}
 	regions := [][2]float64{{0, 50}, {50, 100}, {0, 200}, {0, 800}}
@@ -70,7 +70,7 @@ func tab02PredictionError(s Scale) Result {
 // fig11MPNNAblation reproduces Figure 11: validation-loss learning curves
 // for GRAF versus GRAF without the MPNN (readout over raw node features).
 func fig11MPNNAblation(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Learning curves: GRAF vs GRAF w/o MPNN (validation loss)",
 		Header: []string{"iteration", "GRAF", "GRAF w/o MPNN"}}
 	noMPNN, noMPNNR := trainNoMPNN(tr)
@@ -100,7 +100,7 @@ func fig11MPNNAblation(s Scale) Result {
 // trainNoMPNN fits Fig 11's ablation: the pipeline's model without message
 // passing (readout over raw node features), trained on the same samples with
 // the same training loop.
-func trainNoMPNN(tr *Trained) (*gnn.Model, gnn.TrainResult) {
+func trainNoMPNN(tr *trained) (*gnn.Model, gnn.TrainResult) {
 	cfg := gnn.DefaultConfig(len(tr.App.Services), tr.App.Parents())
 	cfg.UseMPNN = false
 	m := gnn.New(cfg, rand.New(rand.NewSource(tr.Spec.Seed+70)))
@@ -111,12 +111,12 @@ func trainNoMPNN(tr *Trained) (*gnn.Model, gnn.TrainResult) {
 // grid of two microservices' quotas with the rest held at the solved
 // optimum — empirically convex with a single basin.
 func fig12LossHeatmap(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Eq.5 loss heatmap over (recommendation, frontend) quotas",
 		Header: []string{"rec\\front_mc", "300", "600", "900", "1200", "1500", "1800"}}
 	a := tr.App
 	load := make([]float64, len(a.Services))
-	rates := a.PerServiceRate(a.MixRates(EvalRate))
+	rates := a.PerServiceRate(a.MixRates(evalRate))
 	for i, n := range a.ServiceNames() {
 		load[i] = rates[n]
 	}
@@ -148,7 +148,7 @@ func fig12LossHeatmap(s Scale) Result {
 // fig13SearchSpace reproduces Figure 13: Algorithm 1's reduced search space
 // against the original per microservice, and the volume ratio of §5.1.
 func fig13SearchSpace(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	res := Result{Title: "Reduced vs original search space (Online Boutique)",
 		Header: []string{"service", "lo_mc", "hi_mc", "original"}}
 	sc := core.NewSampleCollector(tr.App, core.NewAnalyticMeasurer(tr.App, 0, 1), tr.Spec.SLO, (tr.Spec.MinRate+tr.Spec.MaxRate)/2)

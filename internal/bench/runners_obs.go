@@ -46,13 +46,11 @@ type surgeVariant struct {
 
 // surgeOut is one policy's outcome in the surge study.
 type surgeOut struct {
-	name            string
-	instances       *metrics.Series
-	p90, p95, p99   float64
-	perception      map[string]float64 // time service first sees ≥80% of its steady post-surge rate
-	peakInstances   int
-	createdTotal    int
-	finalP99Settled float64
+	name          string
+	instances     *metrics.Series
+	p90, p95, p99 float64
+	perception    map[string]float64 // time service first sees ≥80% of its steady post-surge rate
+	peakInstances int
 }
 
 // runSurge drives the Online Boutique cart-page surge of §2.1: a small base
@@ -67,7 +65,7 @@ func runSurge(variant surgeVariant, baseRate, surgeRate, surgeAt, horizonS float
 	gen.API = "cart"
 	gen.Start()
 
-	out := surgeOut{name: variant.name, instances: metrics.NewSeries(variant.name), perception: map[string]float64{}}
+	out := surgeOut{name: variant.name, instances: new(metrics.Series), perception: map[string]float64{}}
 	stopSample := eng.Ticker(0.5, 2, func() {
 		n := cl.TotalInstances()
 		out.instances.Add(eng.Now(), float64(n))
@@ -84,7 +82,6 @@ func runSurge(variant surgeVariant, baseRate, surgeRate, surgeAt, horizonS float
 	// Tail latencies over the post-surge horizon (Fig 3).
 	e2e := cl.E2EWindow()
 	out.p90, out.p95, out.p99 = e2e.Quantile(0.90, surgeAt, end), e2e.Quantile(0.95, surgeAt, end), e2e.Quantile(0.99, surgeAt, end)
-	out.createdTotal = cl.CreatedTotal()
 
 	// Perception times (Fig 7): first time each service's 5-second arrival
 	// rate reaches 80% of its steady post-surge rate.
@@ -101,8 +98,6 @@ func runSurge(variant surgeVariant, baseRate, surgeRate, surgeAt, horizonS float
 			out.perception[name] = horizonS // never reached within horizon
 		}
 	}
-	// Settled tail latency at the end of the horizon.
-	out.finalP99Settled = cl.E2ELatencyQuantile(0.99, 30)
 	return out
 }
 

@@ -10,25 +10,6 @@ import (
 	"graf/internal/workload"
 )
 
-// overloadStats are the machine-checked numbers of the overload experiment,
-// which TestOverloadLadderBeatsFixedPolicies holds to their orderings.
-type overloadStats struct {
-	// Round-deadline misses per policy (rounds whose cost exceeded the
-	// calibrated budget) across the whole run.
-	MissesNever     float64
-	MissesLadder    float64
-	MissesHeuristic float64
-
-	// Simulated SLO-violation seconds per policy, summed over tenants.
-	ViolSNever     float64
-	ViolSLadder    float64
-	ViolSHeuristic float64
-
-	// Ladder activity in the governed run.
-	LadderTransitions float64
-	Monotone          bool
-}
-
 // overloadLadder compares three overload policies on the same fleet through the
 // same contention burst (DESIGN.md §3j):
 //
@@ -51,8 +32,7 @@ type overloadStats struct {
 // seventh of a core. So the table is the same on every host and at every
 // GOMAXPROCS.
 func overloadLadder(s Scale) Result {
-	res, _ := runOverload(s, 9)
-	return res
+	return runOverload(s, 9)
 }
 
 // burstFactor is the contention a burst round runs under: its model calls
@@ -60,7 +40,7 @@ func overloadLadder(s Scale) Result {
 const burstFactor = 7
 
 // runOverload runs the three policies on a fleet seeded with seed.
-func runOverload(s Scale, seed int64) (Result, overloadStats) {
+func runOverload(s Scale, seed int64) Result {
 	res := Result{
 		Title:  "Overload brownout ladder vs never-degrade and always-heuristic",
 		Header: []string{"policy", "rounds", "deadline misses", "viol s", "transitions"},
@@ -72,7 +52,7 @@ func runOverload(s Scale, seed int64) (Result, overloadStats) {
 	}
 	// The contention burst covers the middle third of the run.
 	burstFrom, burstTo := rounds/3, 2*rounds/3
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	// Per-tenant request rate. The boutique cluster must be feasible —
 	// p99 near the SLO with the available quota bounds — or every policy
 	// violates every tick and the quality axis collapses; 50 rps sits in
@@ -168,22 +148,25 @@ func runOverload(s Scale, seed int64) (Result, overloadStats) {
 	heuristic, _ := run([]fleet.BrownoutPhase{{FromTick: 0, Step: overload.StepHeuristic}}, false)
 	ladder, lf := run(nil, true)
 
-	st := overloadStats{
-		MissesNever: float64(never.misses), MissesLadder: float64(ladder.misses), MissesHeuristic: float64(heuristic.misses),
-		ViolSNever: never.violS, ViolSLadder: ladder.violS, ViolSHeuristic: heuristic.violS,
-		LadderTransitions: float64(ladder.trans),
-	}
-
 	// The governed run's per-tenant audit streams must record a monotone
 	// ladder walk — the same invariant the chaos campaign checker holds
 	// scripted runs to.
-	st.Monotone = true
+	monotone := true
 	for _, tn := range lf.Tenants() {
 		trans, err := chaos.BrownoutTransitions(tn.AuditLog())
 		if err != nil || overload.MonotoneTransitions(trans) != nil {
-			st.Monotone = false
-			res.Note("NON-MONOTONE ladder walk in tenant %s audit stream (err %v)", tn.ID, err)
+			monotone = false
+			res.Fail("non-monotone ladder walk in tenant %s audit stream (err %v)", tn.ID, err)
 		}
+	}
+	if ladder.misses >= never.misses {
+		res.Fail("ladder deadline misses %d not below never-degrade %d", ladder.misses, never.misses)
+	}
+	if ladder.violS >= heuristic.violS {
+		res.Fail("ladder violation seconds %.0f not below always-heuristic %.0f", ladder.violS, heuristic.violS)
+	}
+	if ladder.trans < 1 {
+		res.Fail("the ladder never moved")
 	}
 
 	res.AddRow("never-degrade", di(rounds), di(never.misses), f1(never.violS), di(never.trans))
@@ -197,6 +180,6 @@ func runOverload(s Scale, seed int64) (Result, overloadStats) {
 	res.Note("ladder_beats_heuristic=%v: %.0f vs %.0f violation seconds (full solves whenever there is headroom)",
 		ladder.violS < heuristic.violS, ladder.violS, heuristic.violS)
 	res.Note("ladder transitions=%d monotone=%v (every walk one rung at a time, recorded in the audit stream)",
-		ladder.trans, st.Monotone)
-	return res, st
+		ladder.trans, monotone)
+	return res
 }

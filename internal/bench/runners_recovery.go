@@ -47,10 +47,10 @@ const (
 // compare against) and tears capacity down just as the surge lands; the
 // warm one recognizes the collapse against its restored reference rate and
 // holds the last-known-good configuration until the telemetry recovers.
-func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
+func runRecovery(tr *trained, warm bool, slo float64, seed int64) recoveryOut {
 	eng := sim.NewEngine(seed)
 	cl := newCluster(eng, tr.App)
-	warmStart(eng, cl, EvalRate) // engine now at 60
+	warmStart(eng, cl, evalRate) // engine now at 60
 
 	dir, err := os.MkdirTemp("", "graf-recovery-ckpt-*")
 	if err != nil {
@@ -81,7 +81,7 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 	// The workload surges 240→300 rps at absolute t=240, two seconds after
 	// the restarted controller comes back at t=238: the restart and the
 	// surge land inside the same lying-telemetry window.
-	g := workload.NewOpenLoop(cl, workload.StepRate(EvalRate, 300, 240))
+	g := workload.NewOpenLoop(cl, workload.StepRate(evalRate, 300, 240))
 	g.Start()
 	settle := eng.Now() + 150
 	eng.RunUntil(settle)
@@ -106,7 +106,7 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 		ctl.Start()
 	}
 	faultStart := eng.Now() // 210
-	chaos.New(cl).Play(chaos.Scenario{Name: "recovery", Events: []chaos.Event{
+	chaos.New(cl).Play(chaos.Scenario{Events: []chaos.Event{
 		chaos.SampleArrivals(10, 0.05, 60),
 	}})
 	eng.At(faultStart+recoveryCrashAtS, func() {
@@ -151,7 +151,7 @@ func runRecovery(tr *Trained, warm bool, slo float64, seed int64) recoveryOut {
 // warm must log fewer SLO-violation seconds and fewer
 // ticks-to-reconverge than cold under the identical seed and fault script.
 func recovery(s Scale) Result {
-	tr := BoutiquePipeline(s)
+	tr := boutiquePipeline(s)
 	slo := tr.Spec.SLO
 	res := Result{
 		Title:  "Cold vs. warm control-plane restart under a surge (Online Boutique, 240→300 rps, 250 ms SLO)",

@@ -21,7 +21,7 @@ type solverLoopOut struct {
 // runSolverLoop drives one tenant the way the repo benchmark's single_diurnal
 // does — warm start, then RunUntil and Controller.Step alternating — under
 // the given solver version, and scores it the same way.
-func runSolverLoop(tr *Trained, version int, rate func(float64) float64, ticks int, seed int64) solverLoopOut {
+func runSolverLoop(tr *trained, version int, rate func(float64) float64, ticks int, seed int64) solverLoopOut {
 	const tickS = 5.0
 	eng := sim.NewEngine(seed)
 	cl := cluster.New(eng, tr.App, cluster.DefaultConfig())
@@ -56,8 +56,8 @@ func runSolverLoop(tr *Trained, version int, rate func(float64) float64, ticks i
 // solverLoopModel is the repo benchmark's model at a training seed: graf.Train
 // of Online Boutique at 250 ms, 50–300 req/s, 800 samples, 400 iterations,
 // batch 32.
-func solverLoopModel(seed int64) *Trained {
-	return SharedPipeline(app.OnlineBoutique(), core.TrainSpec{
+func solverLoopModel(seed int64) *trained {
+	return sharedPipeline(app.OnlineBoutique(), core.TrainSpec{
 		SLO: 0.25, MinRate: 50, MaxRate: 300, Samples: 800, Iterations: 400, Batch: 32,
 		LR: core.ProductLR, CalibrationProbes: core.ProductCalibrationProbes, Seed: seed,
 	})

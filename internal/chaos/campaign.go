@@ -13,8 +13,8 @@ import (
 // Correlated-chaos campaigns (DESIGN.md §3j). A Campaign is a seeded,
 // multi-tenant fault script: per-tenant cluster scenarios whose events are
 // deliberately CORRELATED across the population (same drift instant, the
-// same contention window, aliased telemetry bursts), plus an optional wire
-// scenario and a brownout schedule for the degradation ladder. The
+// same contention window, aliased telemetry bursts), plus an optional
+// brownout schedule for the degradation ladder. The
 // generators are pure functions of (seed, tenants) — a campaign replays
 // identically on any schedule — and CheckInvariants is the fleet-level
 // verdict every campaign run is held to: no lost decisions, no
@@ -38,95 +38,89 @@ type BrownoutWindow struct {
 // Campaign is a seeded multi-tenant fault script.
 type Campaign struct {
 	Name string
-	Seed int64
 	// Tenants is the population size the script was generated for.
 	Tenants int
 	// Scenarios maps tenant index -> that tenant's cluster fault schedule.
 	// Indices without an entry run fault-free (the control group).
 	Scenarios map[int]Scenario
-	// Net, when non-nil, is the wire-level scenario for rpc-backed runs.
-	Net *NetScenario
 	// Brownout, when non-empty, is the scripted degradation schedule the
 	// driver installs fleet-wide.
 	Brownout []BrownoutWindow
 }
 
-// CorrelatedDrift scripts a permanent CPU-surface drift that hits most of
+// correlatedDrift scripts a permanent CPU-surface drift that hits most of
 // the population at the SAME instant (a rollout gone wrong, a kernel
 // regression landing fleet-wide) with per-tenant jitter of a few seconds —
 // the correlated version of the single-tenant drift fault.
-func CorrelatedDrift(seed int64, tenants int) Campaign {
+func correlatedDrift(seed int64, tenants int) Campaign {
 	rng := rand.New(rand.NewSource(seed))
 	at := 40 + rng.Float64()*20
-	c := Campaign{Name: "correlated-drift", Seed: seed, Tenants: tenants, Scenarios: map[int]Scenario{}}
+	c := Campaign{Name: "correlated-drift", Tenants: tenants, Scenarios: map[int]Scenario{}}
 	for i := 0; i < tenants; i++ {
 		if rng.Float64() > 0.75 { // a quarter of the fleet dodges the rollout
 			continue
 		}
 		factor := 1.3 + rng.Float64()*0.5
 		c.Scenarios[i] = Scenario{
-			Name:   fmt.Sprintf("%s/t%02d", c.Name, i),
 			Events: []Event{Drift(at+rng.Float64()*5, "", factor)},
 		}
 	}
 	return c
 }
 
-// NoisyNeighbor scripts one tenant saturating shared capacity: the noisy
+// noisyNeighbor scripts one tenant saturating shared capacity: the noisy
 // index gets a long, heavy contention window, and every co-located tenant
 // gets a lighter overlapping window — cross-tenant interference with one
 // root cause.
-func NoisyNeighbor(seed int64, tenants int) Campaign {
+func noisyNeighbor(seed int64, tenants int) Campaign {
 	rng := rand.New(rand.NewSource(seed))
 	noisy := rng.Intn(maxInt(tenants, 1))
 	start := 30 + rng.Float64()*20
 	dur := 40 + rng.Float64()*20
-	c := Campaign{Name: "noisy-neighbor", Seed: seed, Tenants: tenants, Scenarios: map[int]Scenario{}}
+	c := Campaign{Name: "noisy-neighbor", Tenants: tenants, Scenarios: map[int]Scenario{}}
 	for i := 0; i < tenants; i++ {
 		factor, d := 1.2+rng.Float64()*0.3, dur*0.8
 		if i == noisy {
 			factor, d = 2.5+rng.Float64(), dur
 		}
 		c.Scenarios[i] = Scenario{
-			Name:   fmt.Sprintf("%s/t%02d", c.Name, i),
 			Events: []Event{Contend(start+rng.Float64()*5, "", factor, d)},
 		}
 	}
 	return c
 }
 
-// CacheAliasing scripts periodic telemetry-corruption bursts phase-locked
+// cacheAliasing scripts periodic telemetry-corruption bursts phase-locked
 // across the population at an interval chosen to alias with typical control
 // cadences — every tenant's sanitizer and quantized-decision path sees the
 // same bogus spike in the same windows, plus a lossy-arrivals window so the
 // corruption lands on thinned telemetry.
-func CacheAliasing(seed int64, tenants int) Campaign {
+func cacheAliasing(seed int64, tenants int) Campaign {
 	rng := rand.New(rand.NewSource(seed))
 	period := 15 + rng.Float64()*10 // seconds; deliberately near tick cadence
 	phase := rng.Float64() * 5
-	c := Campaign{Name: "cache-aliasing", Seed: seed, Tenants: tenants, Scenarios: map[int]Scenario{}}
+	c := Campaign{Name: "cache-aliasing", Tenants: tenants, Scenarios: map[int]Scenario{}}
 	for i := 0; i < tenants; i++ {
 		ev := []Event{SampleArrivals(20+phase, 0.5, 60)}
 		for k := 0; k < 4; k++ {
-			ev = append(ev, CorruptTelemetry(20+phase+float64(k)*period, 2.0, 30))
+			ev = append(ev, corruptTelemetry(20+phase+float64(k)*period, 2.0, 30))
 		}
-		c.Scenarios[i] = Scenario{Name: fmt.Sprintf("%s/t%02d", c.Name, i), Events: ev}
+		c.Scenarios[i] = Scenario{Events: ev}
 	}
 	return c
 }
 
-// OverloadBurst scripts the drill the brownout ladder exists for: a
-// fleet-wide contention burst that inflates decision cost, a matching wire
-// burst delaying tick fan-out, and a scripted brownout window covering the
-// burst so the ladder degrades into it and recovers out of it.
-func OverloadBurst(seed int64, tenants int) Campaign {
+// overloadBurst scripts the drill the brownout ladder exists for: a
+// fleet-wide contention burst that inflates decision cost, and a scripted
+// brownout window covering the burst so the ladder degrades into it and
+// recovers out of it.
+func overloadBurst(seed int64, tenants int) Campaign {
 	rng := rand.New(rand.NewSource(seed))
 	start := 30 + rng.Float64()*10
 	dur := 30 + rng.Float64()*10
-	c := Campaign{Name: "overload-burst", Seed: seed, Tenants: tenants, Scenarios: map[int]Scenario{}}
+	c := Campaign{Name: "overload-burst", Tenants: tenants, Scenarios: map[int]Scenario{}}
 	for i := 0; i < tenants; i++ {
 		c.Scenarios[i] = Scenario{
-			Name:   fmt.Sprintf("%s/t%02d", c.Name, i),
 			Events: []Event{Contend(start+rng.Float64()*3, "", 2+rng.Float64(), dur)},
 		}
 	}
@@ -135,10 +129,6 @@ func OverloadBurst(seed int64, tenants int) Campaign {
 	from := int(start / 5)
 	to := int((start + dur) / 5)
 	c.Brownout = []BrownoutWindow{{FromTick: from, ToTick: to, Step: overload.StepHeuristic}}
-	c.Net = &NetScenario{
-		Name: c.Name, Seed: seed,
-		Events: []NetEvent{Delay(from+1, to, "", 0.5, 40)},
-	}
 	return c
 }
 
@@ -146,10 +136,10 @@ func OverloadBurst(seed int64, tenants int) Campaign {
 // set the invariant tests and the CI smoke loop iterate.
 func Campaigns(seed int64, tenants int) []Campaign {
 	return []Campaign{
-		CorrelatedDrift(seed, tenants),
-		NoisyNeighbor(seed+1, tenants),
-		CacheAliasing(seed+2, tenants),
-		OverloadBurst(seed+3, tenants),
+		correlatedDrift(seed, tenants),
+		noisyNeighbor(seed+1, tenants),
+		cacheAliasing(seed+2, tenants),
+		overloadBurst(seed+3, tenants),
 	}
 }
 
@@ -185,9 +175,8 @@ func BrownoutTransitions(log []byte) ([]overload.Transition, error) {
 			continue
 		}
 		out = append(out, overload.Transition{
-			Round: int(r.Summary["tick"]),
-			From:  overload.Step(r.Summary["from_step"]),
-			To:    overload.Step(r.Summary["to_step"]),
+			From: overload.Step(r.Summary["from_step"]),
+			To:   overload.Step(r.Summary["to_step"]),
 		})
 	}
 	return out, nil

@@ -21,57 +21,57 @@ import (
 type Kind int
 
 const (
-	// KillInstances kills N instances of one service.
-	KillInstances Kind = iota
-	// CrashFraction kills a correlated fraction of every deployment's
+	// killInstances kills N instances of one service.
+	killInstances Kind = iota
+	// crashFraction kills a correlated fraction of every deployment's
 	// instances (node loss, AZ outage).
-	CrashFraction
-	// TelemetryBlackhole suppresses one deployment's telemetry for a
+	crashFraction
+	// telemetryBlackhole suppresses one deployment's telemetry for a
 	// window: its CPU, latency and arrival windows read empty/stale.
-	TelemetryBlackhole
-	// FrontendBlackhole suppresses the frontend arrival and end-to-end
+	telemetryBlackhole
+	// frontendBlackhole suppresses the frontend arrival and end-to-end
 	// latency windows for a window.
-	FrontendBlackhole
-	// ArrivalSampling keeps only a fraction of frontend arrival
+	frontendBlackhole
+	// arrivalSampling keeps only a fraction of frontend arrival
 	// observations for a window (a lossy telemetry pipeline).
-	ArrivalSampling
-	// TraceDrop drops each completed trace with probability Fraction
+	arrivalSampling
+	// traceDrop drops each completed trace with probability Fraction
 	// before it reaches the collector, for a window.
-	TraceDrop
-	// Contention multiplies one service's CPU work for a window.
-	Contention
-	// SurfaceDrift permanently multiplies a service's CPU work per request
+	traceDrop
+	// contention multiplies one service's CPU work for a window.
+	contention
+	// surfaceDrift permanently multiplies a service's CPU work per request
 	// (Service == "" drifts every service): the queueing surface the latency
 	// model was trained on no longer exists, and never comes back. The fault
 	// the model-lifecycle drift monitor is built to catch.
-	SurfaceDrift
-	// TelemetryCorrupt injects N bogus observations into the frontend
+	surfaceDrift
+	// telemetryCorrupt injects N bogus observations into the frontend
 	// telemetry at one instant: N end-to-end latency samples of Factor
 	// seconds plus N phantom arrivals per API. A scrape glitch, not a real
 	// latency change — sanitization should swallow it.
-	TelemetryCorrupt
+	telemetryCorrupt
 )
 
 // String names the fault kind.
 func (k Kind) String() string {
 	switch k {
-	case KillInstances:
+	case killInstances:
 		return "kill"
-	case CrashFraction:
+	case crashFraction:
 		return "crash-fraction"
-	case TelemetryBlackhole:
+	case telemetryBlackhole:
 		return "telemetry-blackhole"
-	case FrontendBlackhole:
+	case frontendBlackhole:
 		return "frontend-blackhole"
-	case ArrivalSampling:
+	case arrivalSampling:
 		return "arrival-sampling"
-	case TraceDrop:
+	case traceDrop:
 		return "trace-drop"
-	case Contention:
+	case contention:
 		return "contention"
-	case SurfaceDrift:
+	case surfaceDrift:
 		return "surface-drift"
-	case TelemetryCorrupt:
+	case telemetryCorrupt:
 		return "telemetry-corrupt"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
@@ -82,50 +82,50 @@ func (k Kind) String() string {
 type Event struct {
 	At       float64
 	Kind     Kind
-	Service  string  // KillInstances, TelemetryBlackhole, Contention, SurfaceDrift ("" = all)
-	N        int     // KillInstances; TelemetryCorrupt bogus-sample count
-	Fraction float64 // CrashFraction kill fraction; ArrivalSampling keep; TraceDrop probability
-	Factor   float64 // Contention / SurfaceDrift work multiplier; TelemetryCorrupt bogus latency seconds
+	Service  string  // killInstances, telemetryBlackhole, contention, surfaceDrift ("" = all)
+	N        int     // killInstances; telemetryCorrupt bogus-sample count
+	Fraction float64 // crashFraction kill fraction; arrivalSampling keep; traceDrop probability
+	Factor   float64 // contention / surfaceDrift work multiplier; telemetryCorrupt bogus latency seconds
 	Duration float64 // windowed faults (blackholes, sampling, drop, contention)
 }
 
 // Kill returns an event killing n instances of svc at time at.
 func Kill(at float64, svc string, n int) Event {
-	return Event{At: at, Kind: KillInstances, Service: svc, N: n}
+	return Event{At: at, Kind: killInstances, Service: svc, N: n}
 }
 
 // Crash returns an event killing fraction of every deployment's instances.
 func Crash(at, fraction float64) Event {
-	return Event{At: at, Kind: CrashFraction, Fraction: fraction}
+	return Event{At: at, Kind: crashFraction, Fraction: fraction}
 }
 
-// Blackhole returns an event suppressing svc's telemetry for duration.
-func Blackhole(at float64, svc string, duration float64) Event {
-	return Event{At: at, Kind: TelemetryBlackhole, Service: svc, Duration: duration}
+// blackhole returns an event suppressing svc's telemetry for duration.
+func blackhole(at float64, svc string, duration float64) Event {
+	return Event{At: at, Kind: telemetryBlackhole, Service: svc, Duration: duration}
 }
 
 // BlackholeFrontend returns an event suppressing the frontend arrival and
 // latency windows for duration.
 func BlackholeFrontend(at, duration float64) Event {
-	return Event{At: at, Kind: FrontendBlackhole, Duration: duration}
+	return Event{At: at, Kind: frontendBlackhole, Duration: duration}
 }
 
 // SampleArrivals returns an event that records only fraction keep of
 // frontend arrivals for duration.
 func SampleArrivals(at, keep, duration float64) Event {
-	return Event{At: at, Kind: ArrivalSampling, Fraction: keep, Duration: duration}
+	return Event{At: at, Kind: arrivalSampling, Fraction: keep, Duration: duration}
 }
 
 // DropTraces returns an event dropping traces with probability p for
 // duration.
 func DropTraces(at, p, duration float64) Event {
-	return Event{At: at, Kind: TraceDrop, Fraction: p, Duration: duration}
+	return Event{At: at, Kind: traceDrop, Fraction: p, Duration: duration}
 }
 
 // Contend returns an event multiplying svc's CPU work by factor for
 // duration.
 func Contend(at float64, svc string, factor, duration float64) Event {
-	return Event{At: at, Kind: Contention, Service: svc, Factor: factor, Duration: duration}
+	return Event{At: at, Kind: contention, Service: svc, Factor: factor, Duration: duration}
 }
 
 // Drift returns an event permanently multiplying svc's CPU work per request
@@ -133,19 +133,18 @@ func Contend(at float64, svc string, factor, duration float64) Event {
 // never expires: only a model retrained on post-drift telemetry recovers
 // prediction accuracy.
 func Drift(at float64, svc string, factor float64) Event {
-	return Event{At: at, Kind: SurfaceDrift, Service: svc, Factor: factor}
+	return Event{At: at, Kind: surfaceDrift, Service: svc, Factor: factor}
 }
 
-// CorruptTelemetry returns an event injecting n bogus frontend observations
+// corruptTelemetry returns an event injecting n bogus frontend observations
 // at time at: n end-to-end latency samples of latS seconds and n phantom
 // arrivals per API.
-func CorruptTelemetry(at, latS float64, n int) Event {
-	return Event{At: at, Kind: TelemetryCorrupt, Factor: latS, N: n}
+func corruptTelemetry(at, latS float64, n int) Event {
+	return Event{At: at, Kind: telemetryCorrupt, Factor: latS, N: n}
 }
 
 // Scenario is a named, deterministic fault schedule.
 type Scenario struct {
-	Name   string
 	Events []Event
 }
 
@@ -187,35 +186,35 @@ func (in *Injector) Play(sc Scenario) {
 func (in *Injector) apply(ev Event) {
 	detail := ""
 	switch ev.Kind {
-	case KillInstances:
+	case killInstances:
 		detail = fmt.Sprintf("%s killed %d", ev.Service, in.cl.KillInstances(ev.Service, ev.N))
-	case CrashFraction:
+	case crashFraction:
 		detail = fmt.Sprintf("killed %d (%.0f%% of every deployment)", in.cl.CrashFraction(ev.Fraction), ev.Fraction*100)
-	case TelemetryBlackhole:
+	case telemetryBlackhole:
 		in.cl.Deployment(ev.Service).SuppressTelemetry(ev.Duration)
 		detail = fmt.Sprintf("%s for %.0fs", ev.Service, ev.Duration)
-	case FrontendBlackhole:
+	case frontendBlackhole:
 		in.cl.SuppressFrontendTelemetry(ev.Duration)
 		detail = fmt.Sprintf("for %.0fs", ev.Duration)
-	case ArrivalSampling:
+	case arrivalSampling:
 		in.cl.SetArrivalSampling(ev.Fraction)
 		in.cl.Eng.After(ev.Duration, func() { in.cl.SetArrivalSampling(1) })
 		detail = fmt.Sprintf("keep %.0f%% for %.0fs", ev.Fraction*100, ev.Duration)
-	case TraceDrop:
+	case traceDrop:
 		in.cl.SetTraceDrop(ev.Fraction)
 		in.cl.Eng.After(ev.Duration, func() { in.cl.SetTraceDrop(0) })
 		detail = fmt.Sprintf("p=%.2f for %.0fs", ev.Fraction, ev.Duration)
-	case Contention:
+	case contention:
 		in.cl.InjectContention(ev.Service, ev.Factor, ev.Duration)
 		detail = fmt.Sprintf("%s ×%.1f for %.0fs", ev.Service, ev.Factor, ev.Duration)
-	case SurfaceDrift:
+	case surfaceDrift:
 		in.cl.InjectSurfaceDrift(ev.Service, ev.Factor)
 		who := ev.Service
 		if who == "" {
 			who = "all services"
 		}
 		detail = fmt.Sprintf("%s ×%.2f permanently", who, ev.Factor)
-	case TelemetryCorrupt:
+	case telemetryCorrupt:
 		in.cl.CorruptTelemetry(ev.Factor, ev.N)
 		detail = fmt.Sprintf("%d bogus samples @ %.1fs", ev.N, ev.Factor)
 	}

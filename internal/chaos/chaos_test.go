@@ -33,7 +33,7 @@ func scriptedRun(t *testing.T, seed int64, sc Scenario, horizon float64) (*Injec
 }
 
 func TestScenarioDeterministic(t *testing.T) {
-	sc := Scenario{Name: "det", Events: []Event{
+	sc := Scenario{Events: []Event{
 		Kill(10, "cart", 2),
 		Crash(20, 0.34),
 		SampleArrivals(30, 0.1, 20),
@@ -55,7 +55,7 @@ func TestScenarioDeterministic(t *testing.T) {
 }
 
 func TestKillsReplaceAndDrain(t *testing.T) {
-	sc := Scenario{Name: "kills", Events: []Event{
+	sc := Scenario{Events: []Event{
 		Kill(5, "cart", 2),
 		Crash(15, 0.5),
 	}}
@@ -96,7 +96,7 @@ func TestBlackholeWindowsReadEmpty(t *testing.T) {
 	inj := New(cl)
 	inj.Play(Scenario{Events: []Event{
 		BlackholeFrontend(0.5, 30),
-		Blackhole(0.5, "web", 30),
+		blackhole(0.5, "web", 30),
 	}})
 	eng.RunUntil(110)
 	if r := cl.APIArrivalRate("catalogue", 10); r != 0 {

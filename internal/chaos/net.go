@@ -22,26 +22,26 @@ import (
 type NetFaultKind int
 
 const (
-	// NetDrop loses each matching request with probability P (the retry
+	// netDrop loses each matching request with probability P (the retry
 	// path's exercise: the router must retry with backoff and succeed).
-	NetDrop NetFaultKind = iota
+	netDrop NetFaultKind = iota
 	// NetDelay injects DelayMS of latency into each matching request with
 	// probability P (the timeout path's exercise).
 	NetDelay
-	// NetPartition drops every matching request — the shard is unreachable
+	// netPartition drops every matching request — the shard is unreachable
 	// for the window, though the process stays healthy (heartbeats fail
 	// too; the breaker and the router's dead-shard machinery take over).
-	NetPartition
+	netPartition
 )
 
 // String names the network fault kind.
 func (k NetFaultKind) String() string {
 	switch k {
-	case NetDrop:
+	case netDrop:
 		return "net-drop"
 	case NetDelay:
 		return "net-delay"
-	case NetPartition:
+	case netPartition:
 		return "net-partition"
 	default:
 		return "unknown"
@@ -62,7 +62,7 @@ type NetEvent struct {
 	// Op targets one endpoint name ("" = every endpoint; heartbeat probes
 	// are "health").
 	Op string
-	// P is the per-request probability for NetDrop/NetDelay (0..1).
+	// P is the per-request probability for netDrop/NetDelay (0..1).
 	P float64
 	// DelayMS is the injected latency for NetDelay.
 	DelayMS float64
@@ -78,14 +78,13 @@ func (e NetEvent) active(round int) bool {
 
 // NetScenario is a deterministic schedule of network faults.
 type NetScenario struct {
-	Name   string
 	Seed   int64
 	Events []NetEvent
 }
 
 // Drop returns a request-drop event.
 func Drop(fromRound, toRound int, shard string, p float64) NetEvent {
-	return NetEvent{Kind: NetDrop, FromRound: fromRound, ToRound: toRound, Shard: shard, P: p}
+	return NetEvent{Kind: netDrop, FromRound: fromRound, ToRound: toRound, Shard: shard, P: p}
 }
 
 // Delay returns a latency-injection event.
@@ -93,9 +92,9 @@ func Delay(fromRound, toRound int, shard string, p, delayMS float64) NetEvent {
 	return NetEvent{Kind: NetDelay, FromRound: fromRound, ToRound: toRound, Shard: shard, P: p, DelayMS: delayMS}
 }
 
-// Partition returns a full-partition event.
-func Partition(fromRound, toRound int, shard string) NetEvent {
-	return NetEvent{Kind: NetPartition, FromRound: fromRound, ToRound: toRound, Shard: shard}
+// partition returns a full-partition event.
+func partition(fromRound, toRound int, shard string) NetEvent {
+	return NetEvent{Kind: netPartition, FromRound: fromRound, ToRound: toRound, Shard: shard}
 }
 
 // NetInjector evaluates a NetScenario against outbound control-plane
@@ -153,9 +152,9 @@ func (n *NetInjector) Intercept(op, shard string, round, attempt int) (drop bool
 			continue
 		}
 		switch e.Kind {
-		case NetPartition:
+		case netPartition:
 			return true, 0
-		case NetDrop:
+		case netDrop:
 			if n.roll(op, shard, round, attempt, i) < e.P {
 				return true, delay
 			}

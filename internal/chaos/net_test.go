@@ -35,7 +35,7 @@ func TestNetInjectorDeterministic(t *testing.T) {
 func TestNetInjectorWindowsAndTargeting(t *testing.T) {
 	inj := NewNetInjector(NetScenario{
 		Seed:   3,
-		Events: []NetEvent{Partition(4, 6, "s1")},
+		Events: []NetEvent{partition(4, 6, "s1")},
 	})
 	for round := 0; round < 10; round++ {
 		drop, _ := inj.Intercept("tick", "s1", round, 0)

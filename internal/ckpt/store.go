@@ -19,17 +19,9 @@ var ErrNoSnapshot = errors.New("ckpt: no valid snapshot")
 // wins. File layout: graf-<generation>.ckpt; corrupt files are renamed to
 // <name>.corrupt so they are preserved for inspection but never retried.
 type Store struct {
+	// Dir is the directory the store was opened on. Its file names are
+	// built from it once, so changing it moves nothing.
 	Dir string
-
-	// Prefix namespaces the store's files within Dir: snapshots are named
-	// <prefix>-<generation>.ckpt. Empty means "graf" — the historical
-	// single-tenant layout. The fleet gives each tenant its own prefix so
-	// many tenants can checkpoint into one directory without colliding.
-	Prefix string
-
-	// Keep bounds how many generations are retained (older ones are
-	// pruned after each save). <= 0 keeps DefaultKeep.
-	Keep int
 
 	// WriteFault, if set, intercepts the encoded bytes just before they hit
 	// the filesystem in Save. Tests inject write-path faults through it: an
@@ -44,11 +36,19 @@ type Store struct {
 	lastGen int    // highest generation ever saved or seen
 	gens    []int  // generations on disk, ascending: the constructor's listing, kept by Save, prune and LoadLatest
 	buf     []byte // Save's encode buffer: a snapshot's bytes are valid until the next Save
+
+	// prefix namespaces the store's files within Dir: snapshots are named
+	// <prefix>-<generation>.ckpt, "graf" for a NewStore — the historical
+	// single-tenant layout. The fleet gives each tenant its own prefix so
+	// many tenants can checkpoint into one directory without colliding.
+	prefix string
+	base   string // Dir/<prefix>-, every file name's start
+	name   []byte // path's buffer
 }
 
-// DefaultKeep is how many snapshot generations a store retains by default:
-// the current one plus two fallbacks.
-const DefaultKeep = 3
+// keep is how many snapshot generations a store retains, pruning older ones
+// after each save: the current one plus two fallbacks.
+const keep = 3
 
 // NewStore returns a store rooted at dir, creating it if needed.
 func NewStore(dir string) (*Store, error) {
@@ -59,34 +59,84 @@ func NewStore(dir string) (*Store, error) {
 // given prefix, so several stores (e.g. one per fleet tenant) can share one
 // directory. The prefix must not contain path separators.
 func NewNamespacedStore(dir, prefix string) (*Store, error) {
-	if strings.ContainsAny(prefix, `/\%`) {
-		return nil, fmt.Errorf("ckpt: invalid prefix %q (no path separators or %%)", prefix)
+	stores, err := NewNamespacedStores(dir, prefix)
+	if err != nil {
+		return nil, err
+	}
+	return stores[0], nil
+}
+
+// NewNamespacedStores opens one store per prefix in dir from a single
+// listing of it, so opening every tenant's store in a shared directory reads
+// the directory once, not once per tenant. The prefixes must be distinct.
+func NewNamespacedStores(dir string, prefixes ...string) ([]*Store, error) {
+	stores := make([]*Store, len(prefixes))
+	byPrefix := make(map[string]*Store, len(prefixes))
+	for i, prefix := range prefixes {
+		if strings.ContainsAny(prefix, `/\%`) {
+			return nil, fmt.Errorf("ckpt: invalid prefix %q (no path separators or %%)", prefix)
+		}
+		if prefix == "" {
+			prefix = "graf"
+		}
+		s := &Store{Dir: dir, prefix: prefix, base: filepath.Join(dir, prefix+"-")}
+		stores[i], byPrefix[prefix] = s, s
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{Dir: dir, Prefix: prefix}
-	if gens, err := s.generations(); err == nil && len(gens) > 0 {
-		s.gens, s.lastGen = gens, gens[len(gens)-1]
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	for _, e := range ents {
+		if prefix, gen, ok := parseName(e.Name()); ok {
+			if s := byPrefix[prefix]; s != nil {
+				s.gens = append(s.gens, gen)
+			}
+		}
+	}
+	for _, s := range stores {
+		sort.Ints(s.gens)
+		if len(s.gens) > 0 {
+			s.lastGen = s.gens[len(s.gens)-1]
+		}
+	}
+	return stores, nil
 }
 
-func (s *Store) prefix() string {
-	if s.Prefix == "" {
-		return "graf"
-	}
-	return s.Prefix
-}
-
+// path returns generation gen's file name: base, then gen in at least eight
+// digits, then ".ckpt".
 func (s *Store) path(gen int) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s-%08d.ckpt", s.prefix(), gen))
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(gen), 10)
+	s.name = append(s.name[:0], s.base...)
+	for n := len(d); n < 8; n++ {
+		s.name = append(s.name, '0')
+	}
+	s.name = append(append(s.name, d...), ".ckpt"...)
+	return string(s.name)
 }
 
-// generations lists the on-disk generation numbers, ascending: exactly the
-// names <prefix>-<8 digits>.ckpt, so other stores' files sharing the
-// directory, temp files and quarantined .corrupt files are skipped unparsed.
-// It reads the whole directory, so Save works from s.gens instead.
+// parseName splits a name path writes into its prefix and generation.
+// Anything else (a temp file, a quarantined .corrupt file, a name with a
+// padded ninth digit) does not parse.
+func parseName(name string) (prefix string, gen int, ok bool) {
+	stem, ok := strings.CutSuffix(name, ".ckpt")
+	i := strings.LastIndexByte(stem, '-')
+	if !ok || i < 0 {
+		return "", 0, false
+	}
+	num := stem[i+1:]
+	if len(num) < 8 || (len(num) > 8 && num[0] == '0') || strings.Trim(num, "0123456789") != "" {
+		return "", 0, false
+	}
+	gen, err := strconv.Atoi(num)
+	return stem[:i], gen, err == nil
+}
+
+// generations lists this store's generation numbers on disk, ascending. It
+// reads the whole directory, so Save works from s.gens instead.
 func (s *Store) generations() ([]int, error) {
 	ents, err := os.ReadDir(s.Dir)
 	if err != nil {
@@ -94,15 +144,9 @@ func (s *Store) generations() ([]int, error) {
 	}
 	var gens []int
 	for _, e := range ents {
-		num, ok := strings.CutPrefix(e.Name(), s.prefix()+"-")
-		if !ok {
-			continue
+		if prefix, gen, ok := parseName(e.Name()); ok && prefix == s.prefix {
+			gens = append(gens, gen)
 		}
-		if num, ok = strings.CutSuffix(num, ".ckpt"); !ok || len(num) != 8 || strings.Trim(num, "0123456789") != "" {
-			continue
-		}
-		g, _ := strconv.Atoi(num) // eight digits always parse
-		gens = append(gens, g)
 	}
 	sort.Ints(gens)
 	return gens, nil
@@ -131,13 +175,14 @@ func (s *Store) Save(snap *Snapshot) (gen, size int, err error) {
 		return 0, 0, err
 	}
 	s.buf = data
+	path := s.path(gen)
 	if s.WriteFault != nil {
-		data, err = s.WriteFault(s.path(gen), data)
+		data, err = s.WriteFault(path, data)
 		if err != nil {
 			return 0, 0, err
 		}
 	}
-	if err := WriteFileAtomic(s.path(gen), data, 0o644); err != nil {
+	if err := WriteFileAtomic(path, data, 0o644); err != nil {
 		return 0, 0, err
 	}
 	s.lastGen = gen
@@ -147,10 +192,6 @@ func (s *Store) Save(snap *Snapshot) (gen, size int, err error) {
 }
 
 func (s *Store) prune() {
-	keep := s.Keep
-	if keep <= 0 {
-		keep = DefaultKeep
-	}
 	for len(s.gens) > keep {
 		os.Remove(s.path(s.gens[0]))
 		s.gens = append(s.gens[:0], s.gens[1:]...)

@@ -31,7 +31,7 @@ func TestStoreSaveLoadPrune(t *testing.T) {
 			t.Fatalf("save %d: gen=%d size=%d", i, gen, size)
 		}
 	}
-	// DefaultKeep=3: generations 1 and 2 must be pruned.
+	// keep=3: generations 1 and 2 must be pruned.
 	gens, err := st.generations()
 	if err != nil {
 		t.Fatal(err)
@@ -208,10 +208,11 @@ func TestNamespacedStoreRejectsBadPrefixes(t *testing.T) {
 	}
 }
 
-// generations lists exactly the store's own <prefix>-<8 digits>.ckpt files in
-// a directory 16 tenants share — not a tenant whose prefix extends this one
-// (tenant-1 vs tenant-10), not temp files of an interrupted write, not
-// quarantined .corrupt files, not names with a ninth digit or a sign.
+// generations lists exactly the store's own <prefix>-<generation>.ckpt files
+// in a directory 16 tenants share — not a tenant whose prefix extends this
+// one (tenant-1 vs tenant-10), not temp files of an interrupted write, not
+// quarantined .corrupt files, not names with a sign, fewer than eight digits
+// or a zero-padded ninth digit, none of which path writes.
 func TestStoreListsOnlyItsOwnGenerations(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string) {
@@ -226,7 +227,7 @@ func TestStoreListsOnlyItsOwnGenerations(t *testing.T) {
 		write(fmt.Sprintf("tenant-%d-%08d.ckpt.tmp-12345", i, 10*i+4))
 		write(fmt.Sprintf("tenant-%d-%08d.ckpt.corrupt", i, 10*i))
 	}
-	for _, name := range []string{"tenant-1-123456789.ckpt", "tenant-1-+0000001.ckpt", "tenant-1-0000001.ckpt", "tenant-1-00000x01.ckpt", "tenant-1-00000099.ckpt.bak"} {
+	for _, name := range []string{"tenant-1-012345678.ckpt", "tenant-1-+0000001.ckpt", "tenant-1-0000001.ckpt", "tenant-1-00000x01.ckpt", "tenant-1-00000099.ckpt.bak"} {
 		write(name)
 	}
 	s, err := NewNamespacedStore(dir, "tenant-1")
@@ -288,5 +289,45 @@ func TestSaveReusesItsBuffer(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, snap) {
 		t.Fatalf("saved %+v, loaded %+v", snap, got)
+	}
+}
+
+// Below generation 100 000 000 a file name has eight digits, as it always
+// had; from it on, nine, and the store lists it like any other, so
+// LoadLatest returns it.
+func TestStoreCountsPastEightDigits(t *testing.T) {
+	dir := t.TempDir()
+	data, err := AppendSnapshot(nil, &Snapshot{Generation: 99999999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "graf-99999999.ckpt"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []int{1, 12345678, 99999999} {
+		if got, want := s.path(g), filepath.Join(dir, fmt.Sprintf("graf-%08d.ckpt", g)); got != want {
+			t.Errorf("generation %d is saved as %s, want %s", g, got, want)
+		}
+	}
+	if gen, _, err := s.Save(&Snapshot{}); err != nil || gen != 100000000 {
+		t.Fatalf("save after generation 99999999: generation %d, %v", gen, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "graf-100000000.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := reopened.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Generation != 100000000 {
+		t.Fatalf("LoadLatest returned generation %d, want 100000000", snap.Generation)
 	}
 }

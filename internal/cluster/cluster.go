@@ -217,7 +217,7 @@ func New(eng *sim.Engine, a *app.App, cfg Config) *Cluster {
 			Service:     svc,
 			cl:          c,
 			quota:       cfg.CPUUnit,
-			readySeries: metrics.NewSeries(svc.Name + "/ready"),
+			readySeries: new(metrics.Series),
 			cpuWork:     metrics.NewWindow("CPU work"),
 			selfLat:     metrics.NewWindow("service self-latency"),
 			arrivals:    metrics.NewWindow("service arrival"),

@@ -304,7 +304,6 @@ func (f *frame) runStages() {
 		}
 		tr := req.tr
 		tr.Spans = append(tr.Spans, trace.Span{
-			TraceID: tr.ID, API: tr.API,
 			Service: f.node.d.Service.Name, Parent: parent,
 			Start: f.enq, End: f.cl.Eng.Now(), Queue: f.queued,
 		})

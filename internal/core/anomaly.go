@@ -2,7 +2,6 @@ package core
 
 import (
 	"graf/internal/cluster"
-	"graf/internal/obs"
 )
 
 // The anomaly mitigator's one recipe.
@@ -26,9 +25,6 @@ const (
 // quota until the spike clears.
 type AnomalyMitigator struct {
 	Cluster *cluster.Cluster
-
-	// Obs, if set, counts every boost firing per service.
-	Obs *obs.ControllerObs
 
 	extra    map[string]float64 // quota added by the mitigator per service
 	preBoost map[string]float64 // quota observed before the first boost
@@ -84,7 +80,6 @@ func (m *AnomalyMitigator) Step() {
 			m.extra[name] += boostQuota
 			m.fired++
 			d.SetQuota(d.Quota() + boostQuota)
-			m.Obs.Boost(m.Cluster.Eng.Now(), name)
 		case !spiking && m.extra[name] > 0 && short <= long*1.1:
 			// Spike cleared: return the borrowed quota. Never restore below
 			// the quota the service held before the first boost — the

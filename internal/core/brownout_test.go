@@ -50,10 +50,10 @@ func TestBrownoutLadderKindsAndReplay(t *testing.T) {
 	var buf bytes.Buffer
 	eng, ctl, tel, _, h, gen := brownoutRig(&buf)
 	ctl.Start()
-	eng.At(100, func() { ctl.SetBrownout(BrownoutWarm) })
-	eng.At(150, func() { ctl.SetBrownout(BrownoutHeuristic) })
-	eng.At(180, func() { ctl.SetBrownout(BrownoutHold) })
-	eng.At(210, func() { ctl.SetBrownout(BrownoutFull) })
+	eng.At(100, func() { ctl.SetBrownout(brownoutWarm) })
+	eng.At(150, func() { ctl.SetBrownout(brownoutHeuristic) })
+	eng.At(180, func() { ctl.SetBrownout(brownoutHold) })
+	eng.At(210, func() { ctl.SetBrownout(brownoutFull) })
 	eng.RunUntil(300)
 	gen.Stop()
 	ctl.Stop()

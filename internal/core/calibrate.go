@@ -10,25 +10,25 @@ import (
 	"graf/internal/app"
 )
 
-// Calibration maps analytic end-to-end labels onto the simulator's scale
+// calibration maps analytic end-to-end labels onto the simulator's scale
 // with a log-linear fit ln(sim) = A + B·ln(analytic). A single scalar ratio
 // is not enough: in well-provisioned regions the analytic sum-of-quantiles
 // composition over-estimates the simulator (ratio ≈ 0.5) while near the SLO
 // boundary queueing correlations push the ratio above 1 — and the boundary
 // is exactly where the solver operates.
-type Calibration struct {
+type calibration struct {
 	A, B float64
 }
 
 // Apply maps one analytic latency (seconds) onto the calibrated scale.
-func (c Calibration) Apply(analytic float64) float64 {
+func (c calibration) Apply(analytic float64) float64 {
 	if analytic <= 0 {
 		return analytic
 	}
 	return math.Exp(c.A + c.B*math.Log(analytic))
 }
 
-// Calibrate fits the log-linear map from probe configurations spanning the
+// calibrate fits the log-linear map from probe configurations spanning the
 // whole search space and workload range, discarding probes where either
 // measurer saturates beyond maxLat (their ratios are artifacts of the
 // analytic saturation penalty). Every attempted probe costs one analytic
@@ -37,8 +37,8 @@ func (c Calibration) Apply(analytic float64) float64 {
 // attempts as probes are still missing: attempt p's run is seeded by p alone,
 // as the serial loop's p-th run was, and kept probes enter the fit in attempt
 // order, so the result does not depend on the schedule.
-func Calibrate(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probes int, seed int64) Calibration {
-	ident := Calibration{A: 0, B: 1}
+func calibrate(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probes int, seed int64) calibration {
+	ident := calibration{A: 0, B: 1}
 	if probes <= 0 {
 		return ident
 	}
@@ -76,7 +76,7 @@ func Calibrate(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probes int,
 
 // fitLogLinear is the ordinary least-squares fit of ys on xs in log space,
 // with its slope clamped to [0.7, 2.5].
-func fitLogLinear(xs, ys []float64) Calibration {
+func fitLogLinear(xs, ys []float64) calibration {
 	n := float64(len(xs))
 	var sx, sy, sxx, sxy float64
 	for i := range xs {
@@ -87,7 +87,7 @@ func fitLogLinear(xs, ys []float64) Calibration {
 	}
 	den := n*sxx - sx*sx
 	if den == 0 {
-		return Calibration{A: 0, B: 1}
+		return calibration{A: 0, B: 1}
 	}
 	bHat := (n*sxy - sx*sy) / den
 	// A slope well below 1 compresses the label range and erases the
@@ -99,19 +99,19 @@ func fitLogLinear(xs, ys []float64) Calibration {
 		bHat = 2.5
 	}
 	aHat := (sy - bHat*sx) / n
-	return Calibration{A: aHat, B: bHat}
+	return calibration{A: aHat, B: bHat}
 }
 
-// CalibratedMeasurer applies a Calibration to an AnalyticMeasurer's
+// calibratedMeasurer applies a calibration to an AnalyticMeasurer's
 // end-to-end labels, so bulk sample collection stays cheap while labels
 // track what the simulator will actually measure.
-type CalibratedMeasurer struct {
+type calibratedMeasurer struct {
 	*AnalyticMeasurer
-	Cal Calibration
+	Cal calibration
 }
 
 // MeasureE2E implements Measurer.
-func (c CalibratedMeasurer) MeasureE2E(quotas map[string]float64, totalRate float64) float64 {
+func (c calibratedMeasurer) MeasureE2E(quotas map[string]float64, totalRate float64) float64 {
 	return c.Cal.Apply(c.AnalyticMeasurer.MeasureE2E(quotas, totalRate))
 }
 

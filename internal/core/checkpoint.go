@@ -139,11 +139,11 @@ func (c *Controller) Restore(s ControllerState) {
 // SetTrust) so the next tick reflects the new rung immediately instead of
 // coasting on the old one.
 func (st *ControllerState) setBrownout(level int) {
-	if level < BrownoutFull {
-		level = BrownoutFull
+	if level < brownoutFull {
+		level = brownoutFull
 	}
-	if level > BrownoutHold {
-		level = BrownoutHold
+	if level > brownoutHold {
+		level = brownoutHold
 	}
 	if level == st.Brownout {
 		return
@@ -206,28 +206,28 @@ func (st *ControllerState) observe(at, total float64) (forecast.Prediction, []fo
 func (st *ControllerState) commit(rec *obs.Record, cfg ControllerConfig, live *liveFacts) (from, to HealthState) {
 	st.At = rec.At
 	switch rec.Kind {
-	case KindBoost:
+	case kindBoost:
 		st.Boosts++
 		st.Stats.Boosts++
 		fallthrough
-	case KindBoostWait:
+	case kindBoostWait:
 		st.LastRate = 0 // force a fresh solve once the violation clears
-	case KindHold:
+	case kindHold:
 		st.Stats.StaleHolds++
-	case KindSolve, KindWarmSolve, KindFallback, KindFallbackModel:
+	case kindSolve, kindWarmSolve, kindFallback, kindFallbackModel:
 		st.commitSolve(rec, cfg, live)
 		fallthrough
-	case KindBrownoutHeuristic:
+	case kindBrownoutHeuristic:
 		// An allocator ran: this is the rate the next decision's hysteresis
 		// and stale detection compare against.
 		st.LastRate, st.LastRateAt, st.LastSLO = solveRate(rec), rec.At, cfg.SLO
 	}
 	switch {
-	case rec.Kind == KindBrownoutHold || rec.Kind == KindBoost || rec.Kind == KindBoostWait:
+	case rec.Kind == kindBrownoutHold || rec.Kind == kindBoost || rec.Kind == kindBoostWait:
 		// Yielded before the stale stage ran.
 	case live != nil:
 		st.StaleSince = live.StaleSince
-	case rec.Kind != KindHold:
+	case rec.Kind != kindHold:
 		st.StaleSince = -1
 	case st.StaleSince < 0:
 		st.StaleSince = rec.At
@@ -267,7 +267,7 @@ func (st *ControllerState) commitSolve(rec *obs.Record, cfg ControllerConfig, li
 	if rec.Enveloped {
 		st.Stats.EnvelopeClamped++
 	}
-	if rec.Kind == KindFallback || rec.Kind == KindFallbackModel {
+	if rec.Kind == kindFallback || rec.Kind == kindFallbackModel {
 		st.Stats.FallbackSolves++
 	}
 	// The breaker evaluated this solve unless it is disabled or the solve
@@ -282,7 +282,7 @@ func (st *ControllerState) commitSolve(rec *obs.Record, cfg ControllerConfig, li
 	}
 	// The kind is chosen from the breaker's state after the evaluation:
 	// "fallback" if and only if it is open.
-	open := rec.Kind == KindFallback
+	open := rec.Kind == kindFallback
 	switch {
 	case open && !st.BreakerOpen:
 		st.Stats.BreakerTrips++
@@ -307,19 +307,19 @@ func (st *ControllerState) breakerOpenAfter(healthy bool) bool {
 // signal (idle, boost-wait, the brownout rungs) leave it where it was.
 func healthAfter(prev HealthState, kind string) HealthState {
 	switch kind {
-	case KindBoost:
-		return Boosting
-	case KindHold:
-		return DegradedTelemetry
-	case KindFallback, KindFallbackModel:
-		return FallbackHeuristic
-	case KindSolve, KindWarmSolve:
-		return Healthy
-	case KindHysteresis:
+	case kindBoost:
+		return boosting
+	case kindHold:
+		return degradedTelemetry
+	case kindFallback, kindFallbackModel:
+		return fallbackHeuristic
+	case kindSolve, kindWarmSolve:
+		return healthy
+	case kindHysteresis:
 		// Signal recovered and stable: the telemetry degradation, if any,
 		// is over.
-		if prev == DegradedTelemetry {
-			return Healthy
+		if prev == degradedTelemetry {
+			return healthy
 		}
 	}
 	return prev
@@ -348,7 +348,7 @@ func ApplyAuditTail(st *ControllerState, tail []obs.Record, cfg ControllerConfig
 		case rec.Type == "brownout" && rec.At >= st.At:
 			st.setBrownout(int(rec.Summary["to_step"]))
 		case rec.Type == "decision" && rec.At > st.At:
-			if rec.Kind != KindBrownoutHold { // yielded before collect
+			if rec.Kind != kindBrownoutHold { // yielded before collect
 				st.observe(rec.At, rec.Total)
 			}
 			st.commit(rec, cfg, nil)

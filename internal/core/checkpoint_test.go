@@ -128,7 +128,7 @@ func TestRestoreResumesDegradedHold(t *testing.T) {
 		restored.Start()
 	})
 	eng.RunUntil(120)
-	if restored.Health() != DegradedTelemetry {
+	if restored.Health() != degradedTelemetry {
 		t.Errorf("health %v after mid-hold restore, want DegradedTelemetry", restored.Health())
 	}
 	if got := cl.TotalQuota(); got != held {
@@ -143,7 +143,7 @@ func TestRestoreResumesDegradedHold(t *testing.T) {
 	gen.Stop()
 	restored.Stop()
 	eng.Run()
-	if restored.Health() != Healthy {
+	if restored.Health() != healthy {
 		t.Errorf("health %v after telemetry recovered, want Healthy", restored.Health())
 	}
 }

@@ -98,7 +98,7 @@ func (m *SimMeasurer) run(reads cluster.Signal, quotas map[string]float64, total
 func (m *SimMeasurer) runSeeded(seed int64, reads cluster.Signal, quotas map[string]float64, totalRate float64) *cluster.Cluster {
 	eng := sim.NewEngine(seed)
 	cl := cluster.New(eng, m.App, m.Cfg)
-	// Keep only the window a measurement reads: Calibrate runs two at once.
+	// Keep only the window a measurement reads: calibrate runs two at once.
 	cl.DeclareLookback(reads, m.WindowS)
 	cl.ApplyQuotas(quotas)
 	eng.RunUntil(1)

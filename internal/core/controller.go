@@ -17,11 +17,11 @@ const (
 	// the front-end rate is re-read.
 	IntervalS = 5.0
 
-	// RateWindowS is the trailing window over which front-end per-API rates
+	// rateWindowS is the trailing window over which front-end per-API rates
 	// are observed. Short windows make the controller proactive: the surge
 	// is visible within seconds at the front end even though deep services
 	// have not yet perceived it.
-	RateWindowS = 10.0
+	rateWindowS = 10.0
 
 	// minTotalRate is the observed-rate floor below which no decision is
 	// made at all: with no traffic there is no workload signal, and solving
@@ -150,29 +150,29 @@ type ControllerConfig struct {
 type HealthState int
 
 const (
-	// Healthy: the proactive model-driven path is in control.
-	Healthy HealthState = iota
-	// DegradedTelemetry: the workload signal looks stale or black-holed;
+	// healthy: the proactive model-driven path is in control.
+	healthy HealthState = iota
+	// degradedTelemetry: the workload signal looks stale or black-holed;
 	// the controller is holding the last-known-good configuration.
-	DegradedTelemetry
-	// FallbackHeuristic: the model circuit breaker is open; allocations
+	degradedTelemetry
+	// fallbackHeuristic: the model circuit breaker is open; allocations
 	// come from the demand-floor heuristic.
-	FallbackHeuristic
-	// Boosting: a measured SLO violation has engaged the reactive boost
+	fallbackHeuristic
+	// boosting: a measured SLO violation has engaged the reactive boost
 	// guardrail.
-	Boosting
+	boosting
 )
 
 // String names the health state.
 func (h HealthState) String() string {
 	switch h {
-	case Healthy:
+	case healthy:
 		return "Healthy"
-	case DegradedTelemetry:
+	case degradedTelemetry:
 		return "DegradedTelemetry"
-	case FallbackHeuristic:
+	case fallbackHeuristic:
 		return "FallbackHeuristic"
-	case Boosting:
+	case boosting:
 		return "Boosting"
 	}
 	return "Unknown"
@@ -247,17 +247,17 @@ func VanillaControllerConfig(slo float64) ControllerConfig {
 // Kind. The stages below produce them; ControllerState.commit is the only
 // consumer that gives them meaning.
 const (
-	KindSolve             = "solve"              // full solve, model allocation applied
-	KindWarmSolve         = "warm-solve"         // brownout warm rung: short solve from the previous Raw
-	KindFallback          = "fallback"           // solved in shadow, breaker open: heuristic allocation applied
-	KindFallbackModel     = "fallback-model"     // solved in shadow, model untrusted: heuristic allocation applied
-	KindBrownoutHeuristic = "brownout-heuristic" // brownout heuristic rung: no trace refresh, no solve
-	KindBrownoutHold      = "brownout-hold"      // brownout hold rung: nothing read, nothing changed
-	KindBoost             = "boost"              // measured SLO violation: last configuration grown
-	KindBoostWait         = "boost-wait"         // violation, but the previous scale-up is still materializing
-	KindHold              = "hold"               // suspected-stale telemetry: last-known-good held
-	KindHysteresis        = "hysteresis"         // rate moved less than Cfg.Hysteresis: configuration kept
-	KindIdle              = "idle"               // below minTotalRate: no workload signal
+	kindSolve             = "solve"              // full solve, model allocation applied
+	kindWarmSolve         = "warm-solve"         // brownout warm rung: short solve from the previous Raw
+	kindFallback          = "fallback"           // solved in shadow, breaker open: heuristic allocation applied
+	kindFallbackModel     = "fallback-model"     // solved in shadow, model untrusted: heuristic allocation applied
+	kindBrownoutHeuristic = "brownout-heuristic" // brownout heuristic rung: no trace refresh, no solve
+	kindBrownoutHold      = "brownout-hold"      // brownout hold rung: nothing read, nothing changed
+	kindBoost             = "boost"              // measured SLO violation: last configuration grown
+	kindBoostWait         = "boost-wait"         // violation, but the previous scale-up is still materializing
+	kindHold              = "hold"               // suspected-stale telemetry: last-known-good held
+	kindHysteresis        = "hysteresis"         // rate moved less than Cfg.Hysteresis: configuration kept
+	kindIdle              = "idle"               // below minTotalRate: no workload signal
 )
 
 // Controller is GRAF's runtime: every interval it reads the front-end
@@ -316,8 +316,8 @@ func NewController(cl *cluster.Cluster, m LatencyModel, an *Analyzer, b Bounds, 
 	if cfg.Forecast.Enabled {
 		fc = forecast.NewPredictor(cfg.Forecast)
 	}
-	cl.DeclareLookback(cluster.APIRates, RateWindowS)
-	cl.DeclareLookback(cluster.E2ELatency|cluster.CPU, 3*RateWindowS) // the measured-p99 and CPU-per-request reads
+	cl.DeclareLookback(cluster.APIRates, rateWindowS)
+	cl.DeclareLookback(cluster.E2ELatency|cluster.CPU, 3*rateWindowS) // the measured-p99 and CPU-per-request reads
 	apis, n := len(cl.APINames()), len(cl.App.Services)
 	return &Controller{Cluster: cl, Model: m, Analyzer: an, Bounds: b, Cfg: cfg,
 		st:    ControllerState{StaleSince: -1, Forecast: fc},
@@ -376,14 +376,14 @@ func (c *Controller) SetTrust(t ModelTrust) {
 // Brownout levels, driven externally by the fleet's ladder (overload.Step
 // semantics, kept as a plain int so core stays a leaf).
 const (
-	BrownoutFull      = 0 // full GNN solve
-	BrownoutWarm      = 1 // warm-start short solve from the last raw solution
-	BrownoutHeuristic = 2 // demand-floor heuristic, no solve, no trace refresh
-	BrownoutHold      = 3 // hold the last applied decision untouched
+	brownoutFull      = 0 // full GNN solve
+	brownoutWarm      = 1 // warm-start short solve from the last raw solution
+	brownoutHeuristic = 2 // demand-floor heuristic, no solve, no trace refresh
+	brownoutHold      = 3 // hold the last applied decision untouched
 )
 
 // SetBrownout sets the controller's brownout rung; levels outside
-// [BrownoutFull, BrownoutHold] are clamped.
+// [brownoutFull, brownoutHold] are clamped.
 func (c *Controller) SetBrownout(level int) { c.st.setBrownout(level) }
 
 // Brownout returns the controller's current brownout rung.
@@ -514,10 +514,10 @@ func (c *Controller) Step() {
 // overload, and a one-interval-deep ladder walk means the rung never
 // persists long enough for the guardrail to matter.
 func (c *Controller) holdRung(t *tick) bool {
-	if c.Brownout() < BrownoutHold {
+	if c.Brownout() < brownoutHold {
 		return false
 	}
-	t.rec.Kind = KindBrownoutHold
+	t.rec.Kind = kindBrownoutHold
 	return true
 }
 
@@ -527,7 +527,7 @@ func (c *Controller) holdRung(t *tick) bool {
 // solve against it, and the fold makes the identical call per record.
 func (c *Controller) collect(t *tick) bool {
 	tCollect := c.wallStart()
-	total := c.Cluster.FillAPIArrivalRates(c.rates, RateWindowS)
+	total := c.Cluster.FillAPIArrivalRates(c.rates, rateWindowS)
 	c.stage("collect", tCollect, c.spanAttr("total_rate", total))
 	t.rates, t.rec.Rates, t.rec.Total = c.rates, c.rates, total
 
@@ -543,7 +543,7 @@ func (c *Controller) collect(t *tick) bool {
 	// blowout all degrade back to the reactive path rather than compound
 	// with a forecast.
 	if pred.OK && fc.Healthy() && !c.st.BreakerOpen &&
-		c.Trust() != ModelUntrusted && c.Brownout() == BrownoutFull &&
+		c.Trust() != ModelUntrusted && c.Brownout() == brownoutFull &&
 		pred.Upper >= minTotalRate {
 		t.rec.FcRate, t.rec.FcPoint, t.rec.FcSigma = pred.Upper, pred.Point, pred.Sigma
 	}
@@ -567,14 +567,14 @@ func solveRate(rec *obs.Record) float64 {
 // once the violation clears.
 func (c *Controller) boost(t *tick) bool {
 	violated := c.Cfg.ViolationBoost > 1 &&
-		c.Cluster.E2ELatencyQuantile(0.99, RateWindowS) > c.Cfg.SLO*1.1
+		c.Cluster.E2ELatencyQuantile(0.99, rateWindowS) > c.Cfg.SLO*1.1
 	if !violated {
 		return false
 	}
 	// Wait until the previous scale-up has fully materialized: boosting
 	// faster than instances start compounds into huge overshoot.
 	if c.Cluster.PendingInstances() > 0 {
-		t.rec.Kind = KindBoostWait
+		t.rec.Kind = kindBoostWait
 		return true
 	}
 	last := c.st.LastQuotas
@@ -595,7 +595,7 @@ func (c *Controller) boost(t *tick) bool {
 		}
 		boosted[name] = q
 	}
-	t.rec.Kind, t.rec.Applied = KindBoost, boosted
+	t.rec.Kind, t.rec.Applied = kindBoost, boosted
 	return true
 }
 
@@ -650,7 +650,7 @@ func (c *Controller) staleHold(t *tick) bool {
 	}
 	t.live.StaleSince = since
 	if c.Cfg.StaleHoldMaxS <= 0 || t.now-since <= c.Cfg.StaleHoldMaxS {
-		t.rec.Kind = KindHold
+		t.rec.Kind = kindHold
 		return true
 	}
 	return false
@@ -659,7 +659,7 @@ func (c *Controller) staleHold(t *tick) bool {
 // idle: with no traffic there is no workload signal to decide on.
 func (c *Controller) idle(t *tick) bool {
 	if t.rec.Total < minTotalRate {
-		t.rec.Kind = KindIdle
+		t.rec.Kind = kindIdle
 		return true
 	}
 	return false
@@ -669,7 +669,7 @@ func (c *Controller) idle(t *tick) bool {
 // than Cfg.Hysteresis. It compares the rate the solver would actually see —
 // the forecasted one when the forecast is driving — so a moving forecast
 // re-solves even while the observed rate still looks flat. A stable signal
-// also ends a telemetry degradation (commit: DegradedTelemetry → Healthy).
+// also ends a telemetry degradation (commit: degradedTelemetry → healthy).
 func (c *Controller) hysteresis(t *tick) bool {
 	ref := c.st.LastRate
 	if ref <= 0 || c.Cfg.SLO != c.st.LastSLO {
@@ -684,7 +684,7 @@ func (c *Controller) hysteresis(t *tick) bool {
 	// shadow solves are what lets the breaker close, and the heuristic
 	// fallback must keep tracking measured demand.
 	if rel < c.Cfg.Hysteresis && !c.st.BreakerOpen && c.Trust() != ModelUntrusted {
-		t.rec.Kind = KindHysteresis
+		t.rec.Kind = kindHysteresis
 		return true
 	}
 	return false
@@ -729,12 +729,12 @@ func (c *Controller) scaleRates(t *tick) bool {
 // serving its last learned profile, exactly as it does under trace loss. No
 // Raw is recorded, so offline replay skips re-solving these decisions.
 func (c *Controller) heuristicRung(t *tick) bool {
-	if c.Brownout() < BrownoutHeuristic {
+	if c.Brownout() < brownoutHeuristic {
 		return false
 	}
 	load := c.Analyzer.distributeInto(c.load, t.rates)
 	quotas := c.heuristicQuotas(load, t.scale, c.st.BreakerOpen)
-	t.rec.Kind, t.rec.Load = KindBrownoutHeuristic, load
+	t.rec.Kind, t.rec.Load = kindBrownoutHeuristic, load
 	t.rec.Applied, t.rec.Limited = c.limitStep(quotas)
 	return true
 }
@@ -752,7 +752,7 @@ func (c *Controller) solve(t *tick) bool {
 	// solution. WarmSolverConfig is a pure function of the header's solver
 	// config and the warm start is the previous record's Raw, so offline
 	// replay reproduces these solves bit-identically.
-	warm := c.Brownout() == BrownoutWarm
+	warm := c.Brownout() == brownoutWarm
 	scfg := c.Cfg.Solver
 	var warmStart []float64
 	if warm {
@@ -795,9 +795,9 @@ func (c *Controller) solve(t *tick) bool {
 		// manager's — commit must not mistake a drift demotion for an open
 		// breaker.
 		quotas = c.heuristicQuotas(load, t.scale, open)
-		rec.Kind = KindFallbackModel
+		rec.Kind = kindFallbackModel
 		if open {
-			rec.Kind = KindFallback
+			rec.Kind = kindFallback
 		}
 	default:
 		quotas = c.proposal()
@@ -807,9 +807,9 @@ func (c *Controller) solve(t *tick) bool {
 		if c.Trust() == ModelProbation {
 			quotas, rec.Enveloped = envelopeClamp(quotas, c.st.LastQuotas)
 		}
-		rec.Kind = KindSolve
+		rec.Kind = kindSolve
 		if warm {
-			rec.Kind = KindWarmSolve
+			rec.Kind = kindWarmSolve
 		}
 	}
 	rec.Applied, rec.Limited = c.limitStep(quotas)
@@ -826,7 +826,7 @@ func (c *Controller) demandBounds(load []float64) (lo, hi []float64) {
 	hi = append(c.hi[:0], c.Bounds.Hi...)
 	c.lo, c.hi = lo, hi
 	for i, name := range c.names {
-		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(RateWindowS * 3)
+		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(rateWindowS * 3)
 		// req/s × cpu-ms/req = cpu-ms/s = millicores of demand.
 		floor := load[i] * cpuMS / demandFloorUtil
 		if floor > lo[i] {
@@ -904,7 +904,7 @@ func (c *Controller) solveHealthy(sol Solution) bool {
 	if nextUnconverged(c.st.Unconverged, sol.Converged, sol.Predicted, c.Cfg.SLO) >= 2 {
 		return false
 	}
-	measured := c.Cluster.E2ELatencyQuantile(0.99, RateWindowS*3)
+	measured := c.Cluster.E2ELatencyQuantile(0.99, rateWindowS*3)
 	return !(measured > sol.Predicted*c.Cfg.BreakerBand)
 }
 
@@ -923,7 +923,7 @@ func (c *Controller) heuristicQuotas(load []float64, scale float64, breakerOpen 
 	}
 	out := c.proposal()
 	for i, name := range c.names {
-		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(RateWindowS * 3)
+		cpuMS := c.Cluster.Deployment(name).CPUPerRequestMS(rateWindowS * 3)
 		if cpuMS <= 0 {
 			// No telemetry either (e.g. black-holed): fall back to the
 			// application model's nominal work per request.

@@ -150,7 +150,7 @@ func TestSimMeasurerKeepsOnlyWhatItReads(t *testing.T) {
 	}
 }
 
-// calibrateSerial is Calibrate as a serial loop, one simulator run after the
+// calibrateSerial is calibrate as a serial loop, one simulator run after the
 // other on one SimMeasurer: the oracle for its batched, parallel schedule.
 func calibrateSerial(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probes int, seed int64) (xs, ys []float64) {
 	ana := NewAnalyticMeasurer(a, 0, seed)
@@ -174,7 +174,7 @@ func calibrateSerial(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probe
 	return xs, ys
 }
 
-// Calibrate's parallel probes fit what the serial loop fits, to the bit,
+// calibrate's parallel probes fit what the serial loop fits, to the bit,
 // whether every probe is kept (one batch), some are discarded (several
 // batches) or too few survive 5·probes attempts.
 func TestCalibrateMatchesSerialLoop(t *testing.T) {
@@ -184,11 +184,11 @@ func TestCalibrateMatchesSerialLoop(t *testing.T) {
 	// Serially these keep 6 of 6, 5 of 30 and 1 of 30 attempts.
 	for _, c := range []struct{ rateHi, maxLat float64 }{{100, 1}, {100, 0.25}, {200, 0.25}} {
 		xs, ys := calibrateSerial(a, b, 20, c.rateHi, c.maxLat, 6, 9)
-		want := Calibration{A: 0, B: 1}
+		want := calibration{A: 0, B: 1}
 		if len(xs) >= 4 {
 			want = fitLogLinear(xs, ys)
 		}
-		got := Calibrate(a, b, 20, c.rateHi, c.maxLat, 6, 9)
+		got := calibrate(a, b, 20, c.rateHi, c.maxLat, 6, 9)
 		if math.Float64bits(got.A) != math.Float64bits(want.A) || math.Float64bits(got.B) != math.Float64bits(want.B) {
 			t.Errorf("%+v (%d probes kept serially): Calibrate %+v, serial loop %+v", c, len(xs), got, want)
 		}
@@ -353,7 +353,7 @@ func TestHysteresisStepAllocatesNothing(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(50, ctl.Step)
 	for _, rec := range tel.Flight.Records() {
-		if rec.Type == "decision" && rec.Kind != KindHysteresis {
+		if rec.Type == "decision" && rec.Kind != kindHysteresis {
 			t.Fatalf("decision at %v is %q, want every measured step to hold by hysteresis", rec.At, rec.Kind)
 		}
 	}
@@ -427,7 +427,7 @@ func TestSolvingStepAllocatesNothing(t *testing.T) {
 	}
 	recs := tel.Flight.Records()
 	for _, rec := range recs[len(recs)-steps:] {
-		if rec.Type != "decision" || rec.Kind != KindSolve {
+		if rec.Type != "decision" || rec.Kind != kindSolve {
 			t.Fatalf("record at %v is a %s %q, want every measured step to solve", rec.At, rec.Type, rec.Kind)
 		}
 	}

@@ -103,7 +103,7 @@ func digestScenarios(version int) []digestCase {
 				}},
 			kinds: []string{"solve", "hysteresis", "hold"},
 			check: func(t *testing.T, st ControllerState) {
-				if st.Stats.StaleHolds == 0 || st.Health != int(Healthy) {
+				if st.Stats.StaleHolds == 0 || st.Health != int(healthy) {
 					t.Errorf("holds %d, health %d: want a hold that expired", st.Stats.StaleHolds, st.Health)
 				}
 			},
@@ -128,12 +128,12 @@ func digestScenarios(version int) []digestCase {
 			name: "brownout-ladder",
 			sc: scenario{seed: 9, cfg: ladder, rate: workload.StepRate(40, 200, 30), until: 300,
 				script: func(r *scriptRig) {
-					r.brownoutAt(100, BrownoutWarm)
-					r.brownoutAt(150, BrownoutHeuristic)
-					r.brownoutAt(180, BrownoutHold)
-					r.brownoutAt(210, BrownoutHeuristic)
-					r.brownoutAt(215, BrownoutWarm)
-					r.brownoutAt(220, BrownoutFull)
+					r.brownoutAt(100, brownoutWarm)
+					r.brownoutAt(150, brownoutHeuristic)
+					r.brownoutAt(180, brownoutHold)
+					r.brownoutAt(210, brownoutHeuristic)
+					r.brownoutAt(215, brownoutWarm)
+					r.brownoutAt(220, brownoutFull)
 				}},
 			kinds: []string{"solve", "warm-solve", "brownout-heuristic", "brownout-hold"},
 			want:  [3]uint64{1: 0x30b46af4ff0efa73, 2: 0x7a0ebc4cf9eb9eb9},
@@ -248,7 +248,7 @@ func TestParentWrittenSnapshotRestores(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Forecast == nil || !st.BreakerOpen || st.StaleSince < 0 || st.Health != int(DegradedTelemetry) {
+	if st.Forecast == nil || !st.BreakerOpen || st.StaleSince < 0 || st.Health != int(degradedTelemetry) {
 		t.Fatalf("fixture is not forecast-on, breaker-open, mid-hold: %+v", st)
 	}
 	digest := func(what string, s ControllerState) {

@@ -62,7 +62,7 @@ func TestControllerStaleHoldOnTelemetryBlackhole(t *testing.T) {
 	gen := workload.NewOpenLoop(cl, workload.ConstRate(40))
 	gen.Start()
 	eng.RunUntil(90) // steady state reached
-	if ctl.Health() != Healthy {
+	if ctl.Health() != healthy {
 		t.Fatalf("health %v before fault, want Healthy", ctl.Health())
 	}
 	held := cl.TotalQuota()
@@ -73,7 +73,7 @@ func TestControllerStaleHoldOnTelemetryBlackhole(t *testing.T) {
 	// Black-hole the arrival signal for 30s while traffic keeps flowing.
 	cl.SuppressFrontendTelemetry(30)
 	eng.RunUntil(115)
-	if ctl.Health() != DegradedTelemetry {
+	if ctl.Health() != degradedTelemetry {
 		t.Errorf("health %v during blackhole, want DegradedTelemetry", ctl.Health())
 	}
 	if got := cl.TotalQuota(); got != held {
@@ -83,24 +83,24 @@ func TestControllerStaleHoldOnTelemetryBlackhole(t *testing.T) {
 		t.Error("no stale holds counted during a telemetry blackhole")
 	}
 
-	// Signal returns; the controller must recover to Healthy.
+	// Signal returns; the controller must recover to healthy.
 	eng.RunUntil(180)
 	gen.Stop()
 	ctl.Stop()
 	eng.Run()
-	if ctl.Health() != Healthy {
+	if ctl.Health() != healthy {
 		t.Errorf("health %v after recovery, want Healthy", ctl.Health())
 	}
 	sawDegraded := false
 	for _, s := range transitions {
-		if s == DegradedTelemetry {
+		if s == degradedTelemetry {
 			sawDegraded = true
 		}
 	}
 	if !sawDegraded {
 		t.Errorf("transitions %v never visited DegradedTelemetry", transitions)
 	}
-	if transitions[len(transitions)-1] != Healthy {
+	if transitions[len(transitions)-1] != healthy {
 		t.Errorf("final transition %v, want Healthy", transitions[len(transitions)-1])
 	}
 }
@@ -147,14 +147,14 @@ func TestControllerBreakerFallbackAndClose(t *testing.T) {
 	eng.RunUntil(60) // warm up: cold-start queueing would look like model error
 	ctl.Start()
 	eng.RunUntil(120)
-	if ctl.Health() != Healthy {
+	if ctl.Health() != healthy {
 		t.Fatalf("health %v before fault, want Healthy", ctl.Health())
 	}
 
 	// Corrupt the model: every solve now returns NaN.
 	eng.At(120, func() { broken = true })
 	eng.RunUntil(160)
-	if ctl.Health() != FallbackHeuristic {
+	if ctl.Health() != fallbackHeuristic {
 		t.Errorf("health %v with NaN model, want FallbackHeuristic", ctl.Health())
 	}
 	st := ctl.Stats()
@@ -171,7 +171,7 @@ func TestControllerBreakerFallbackAndClose(t *testing.T) {
 	gen.Stop()
 	ctl.Stop()
 	eng.Run()
-	if ctl.Health() != Healthy {
+	if ctl.Health() != healthy {
 		t.Errorf("health %v after model healed, want Healthy", ctl.Health())
 	}
 	if ctl.Stats().BreakerCloses == 0 {

@@ -85,7 +85,7 @@ func TestApplyAuditTailMatchesLiveState(t *testing.T) {
 	// Ladder transitions: "brownout" records, warm solves, heuristic and
 	// hold decisions.
 	folded, _ = foldAgainstLive(t, "brownout", byName("brownout-ladder"), 80)
-	if folded.Brownout != BrownoutFull || folded.Solves == 0 {
+	if folded.Brownout != brownoutFull || folded.Solves == 0 {
 		t.Errorf("brownout: fold landed on rung %d after %d solves", folded.Brownout, folded.Solves)
 	}
 
@@ -157,7 +157,7 @@ func randomFoldScenario(seed int64) (scenario, float64) {
 	}
 	var ladder []walk
 	for i := rng.Intn(4); i > 0; i-- {
-		ladder = append(ladder, walk{40 + 140*rng.Float64(), rng.Intn(BrownoutHold + 1)})
+		ladder = append(ladder, walk{40 + 140*rng.Float64(), rng.Intn(brownoutHold + 1)})
 	}
 	sc.script = func(r *scriptRig) {
 		if blackhole {

@@ -41,8 +41,8 @@ func (r ReplayReport) String() string {
 // arithmetic, no randomness, no wall-clock reads — and encoding/json
 // round-trips float64 exactly, so any mismatch means either a different
 // model than the recording used or a behavior change in the solver. Only the
-// kinds that ran the solver (KindSolve, KindWarmSolve, KindFallback,
-// KindFallbackModel) carry its inputs; the reactive paths (boost, hold,
+// kinds that ran the solver (kindSolve, kindWarmSolve, kindFallback,
+// kindFallbackModel) carry its inputs; the reactive paths (boost, hold,
 // hysteresis, idle, the brownout heuristic and hold rungs) made no model
 // call and are counted but not re-run.
 func ReplayAudit(m LatencyModel, log []obs.Record) ReplayReport {

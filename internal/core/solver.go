@@ -17,7 +17,7 @@ type SolverConfig struct {
 
 	// MaxIters is the budget: model calls (Predict and PredictGrad alike)
 	// for version 2, Adam iterations for version 1. Version 2 reads nothing
-	// else but Rho, and that only to report Solution.Loss.
+	// else.
 	MaxIters int
 
 	// Rho is the penalty coefficient ρ of Eq. 5, in total-CPU units per
@@ -60,7 +60,6 @@ type Solution struct {
 	// than by running out of budget. A corner of the box counts: an SLO the
 	// box cannot meet converges at the upper bounds.
 	Converged bool
-	Loss      float64 // Eq. 5 at Quotas
 }
 
 // Solve finds the cheapest configuration the model predicts to meet the SLO,
@@ -225,12 +224,7 @@ func solveV2(w *workspace, m LatencyModel, load []float64, sloSeconds float64, l
 		s.along(s.x, start, s.d, 0) // d is still zero: this clamps start into the box
 	}
 	converged := s.run()
-	sol := Solution{Converged: converged, Quotas: s.x, Predicted: s.lx, Iterations: s.calls, TotalQuota: total(s.x)}
-	sol.Loss = sol.TotalQuota / 1000
-	if sol.Predicted > sloSeconds {
-		sol.Loss += cfg.Rho * (sol.Predicted - sloSeconds)
-	}
-	return sol
+	return Solution{Converged: converged, Quotas: s.x, Predicted: s.lx, Iterations: s.calls, TotalQuota: total(s.x)}
 }
 
 // run is the solve: the start point, the far corner, the first boundary

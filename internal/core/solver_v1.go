@@ -61,7 +61,6 @@ func solveV1(_ *workspace, m LatencyModel, load []float64, sloSeconds float64, l
 	ema, prevEMA := math.Inf(1), math.Inf(1)
 	calm := 0
 	sol := Solution{}
-	var lastLoss float64
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		// Decay the step size over the run so the descent settles at the
 		// SLO boundary instead of oscillating across it.
@@ -98,7 +97,6 @@ func solveV1(_ *workspace, m LatencyModel, load []float64, sloSeconds float64, l
 			}
 		}
 		sol.Iterations = iter + 1
-		lastLoss = loss
 		if math.IsInf(ema, 1) {
 			ema = loss
 		} else {
@@ -121,6 +119,5 @@ func solveV1(_ *workspace, m LatencyModel, load []float64, sloSeconds float64, l
 	for _, q := range quotas {
 		sol.TotalQuota += q
 	}
-	sol.Loss = lastLoss
 	return sol
 }

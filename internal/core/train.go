@@ -59,9 +59,9 @@ func Train(a *app.App, s TrainSpec) Trained {
 	if s.SimulatorLabels {
 		sc.M = NewSimMeasurer(a, s.Seed+20)
 	} else {
-		sc.M = CalibratedMeasurer{
+		sc.M = calibratedMeasurer{
 			AnalyticMeasurer: NewAnalyticMeasurer(a, 0.15, s.Seed+40),
-			Cal:              Calibrate(a, b, s.MinRate, s.MaxRate, 5*s.SLO, s.CalibrationProbes, s.Seed+30),
+			Cal:              calibrate(a, b, s.MinRate, s.MaxRate, 5*s.SLO, s.CalibrationProbes, s.Seed+30),
 		}
 	}
 	sc.MaxLatency = 5 * s.SLO

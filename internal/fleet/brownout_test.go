@@ -28,9 +28,8 @@ func ladderTransitions(t *testing.T, log []byte) []overload.Transition {
 			continue
 		}
 		out = append(out, overload.Transition{
-			Round: int(r.Summary["tick"]),
-			From:  overload.Step(r.Summary["from_step"]),
-			To:    overload.Step(r.Summary["to_step"]),
+			From: overload.Step(r.Summary["from_step"]),
+			To:   overload.Step(r.Summary["to_step"]),
 		})
 	}
 	return out

@@ -71,10 +71,10 @@ type PredCache struct {
 	misses atomic.Int64
 }
 
-// NewPredCache returns a cache of at least slots slots (rounded up to a
+// newPredCache returns a cache of at least slots slots (rounded up to a
 // power-of-two number of sets) for keys of keyLen and gradients of gradLen
 // values.
-func NewPredCache(slots, keyLen, gradLen int) *PredCache {
+func newPredCache(slots, keyLen, gradLen int) *PredCache {
 	sets := max(1, (slots+cacheWays-1)/cacheWays)
 	logSets := bits.Len(uint(sets - 1))
 	return &PredCache{

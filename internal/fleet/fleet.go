@@ -977,7 +977,6 @@ func (f *Fleet) Tenant(id string) *Tenant {
 
 // Stats summarizes a fleet run.
 type Stats struct {
-	Tenants  int
 	Degraded int
 	Rounds   int
 	Ticks    int
@@ -999,7 +998,7 @@ type Stats struct {
 // Stats aggregates the fleet's accounting. Call after Run (or between
 // rounds from the driving goroutine).
 func (f *Fleet) Stats() Stats {
-	s := Stats{Tenants: len(f.tenants), Rounds: f.rounds, Panics: f.panics}
+	s := Stats{Rounds: f.rounds, Panics: f.panics}
 	for _, t := range f.tenants {
 		s.Ticks += t.ticks
 		s.ViolationSeconds += t.violS
@@ -1016,7 +1015,27 @@ func (f *Fleet) Stats() Stats {
 // Checkpoint writes one namespaced snapshot per live tenant into dir
 // (tenant-<id>-<generation>.ckpt), so a whole fleet shares one checkpoint
 // directory without collisions. It returns how many tenants were saved.
+// Tenants without a store in dir yet get theirs from one listing of it:
+// only a tenant's owner writes its files, so the listing stays current for
+// every tenant this fleet owns.
 func (f *Fleet) Checkpoint(dir string) (int, error) {
+	var open []*Tenant
+	var prefixes []string
+	for _, t := range f.tenants {
+		if !t.degraded && (t.ckpt == nil || t.ckpt.Dir != dir) {
+			open = append(open, t)
+			prefixes = append(prefixes, "tenant-"+sanitizeID(t.ID))
+		}
+	}
+	if len(open) > 0 {
+		stores, err := ckpt.NewNamespacedStores(dir, prefixes...)
+		if err != nil {
+			return 0, fmt.Errorf("fleet: %w", err)
+		}
+		for i, t := range open {
+			t.ckpt = stores[i]
+		}
+	}
 	saved := 0
 	for _, t := range f.tenants {
 		if t.degraded {

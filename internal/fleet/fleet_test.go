@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestFleetRunBasics(t *testing.T) {
 	}
 	f.Run(30)
 	st := f.Stats()
-	if st.Tenants != 4 || st.Degraded != 0 {
+	if len(f.Tenants()) != 4 || st.Degraded != 0 {
 		t.Fatalf("stats %+v: want 4 healthy tenants", st)
 	}
 	if st.Rounds != 6 || st.Ticks != 24 {
@@ -199,6 +200,44 @@ func TestCheckpointCostIgnoresOtherTenantsFiles(t *testing.T) {
 	few, many := allocs(0), allocs(2000)
 	if many > few+few/10 {
 		t.Errorf("a checkpoint beside 2000 other tenants' files allocates %.0f objects, %.0f beside none", many, few)
+	}
+}
+
+// A fleet's first Checkpoint lists the shared directory once for all the
+// tenants that have no store there yet, not once per tenant: beside M other
+// files it allocates one listing's worth more than in an empty directory.
+func TestFirstCheckpointListsTheDirectoryOnce(t *testing.T) {
+	const tenants, others = 8, 500
+	fill := func() string {
+		dir := t.TempDir()
+		for i := 0; i < others; i++ {
+			name := filepath.Join(dir, fmt.Sprintf("tenant-other-%04d-00000001.ckpt", i))
+			if err := os.WriteFile(name, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	first := func(dir string) uint64 {
+		f, err := New(testConfig(tenants, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Stop()
+		f.Run(10)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := f.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	dir := fill()
+	listing := testing.AllocsPerRun(1, func() { os.ReadDir(dir) })
+	empty, full := first(t.TempDir()), first(dir)
+	if extra := float64(full) - float64(empty); extra > 1.5*listing {
+		t.Errorf("the first checkpoint of %d tenants beside %d other files allocates %.0f objects more than beside none; one listing is %.0f", tenants, others, extra, listing)
 	}
 }
 

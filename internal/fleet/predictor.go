@@ -34,7 +34,7 @@ func NewInferenceService(m *gnn.Model) *InferenceService {
 		model: m,
 		nodes: m.Cfg.Nodes,
 		logK:  1 / math.Log1p(loadGridRel),
-		Cache: NewPredCache(predCacheSlots, 2*m.Cfg.Nodes, m.Cfg.Nodes),
+		Cache: newPredCache(predCacheSlots, 2*m.Cfg.Nodes, m.Cfg.Nodes),
 	}
 }
 

@@ -113,7 +113,7 @@ func TestCacheGradUpgrade(t *testing.T) {
 // A hash collision (same bucket, different key) must degrade to a miss —
 // never return another grid point's values.
 func TestCacheCollisionIsMissNotCorruption(t *testing.T) {
-	c := NewPredCache(16, 3, 0)
+	c := newPredCache(16, 3, 0)
 	keyA := []int32{1, 2, 3}
 	keyB := []int32{4, 5, 6}
 	const h = uint64(12345) // force both keys into one bucket
@@ -131,7 +131,7 @@ func TestCacheCollisionIsMissNotCorruption(t *testing.T) {
 // eviction returns its new value — never the value of the key that had
 // taken its slot.
 func TestCacheEvictionIsMissNotCorruption(t *testing.T) {
-	c := NewPredCache(cacheWays, 2, 1) // one set
+	c := newPredCache(cacheWays, 2, 1) // one set
 	key := func(i int) []int32 { return []int32{int32(i), -int32(i)} }
 	put := func(i int, lat float64) { c.Put(uint64(i), key(i), lat, []float64{-lat}) }
 	get := func(i int) (float64, bool) {
@@ -174,7 +174,7 @@ func TestCacheEvictionIsMissNotCorruption(t *testing.T) {
 // on a miss, not on a Put that evicts.
 func TestWarmCacheDoesNotAllocate(t *testing.T) {
 	const slots, n = 64, 3
-	c := NewPredCache(slots, 2*n, n)
+	c := newPredCache(slots, 2*n, n)
 	key, dq := make([]int32, 2*n), make([]float64, n)
 	next := 0
 	put := func() {
@@ -213,7 +213,7 @@ func TestWarmCacheDoesNotAllocate(t *testing.T) {
 func TestPredictorsConcurrentBitEqual(t *testing.T) {
 	s, m := testService()
 	n := m.Cfg.Nodes
-	s.Cache = NewPredCache(2*cacheWays, 2*n, n)
+	s.Cache = newPredCache(2*cacheWays, 2*n, n)
 
 	const clients, points, rounds = 32, 12, 40
 	type point struct {

@@ -18,8 +18,8 @@
 // forecaster state exactly from the recorded rates.
 package forecast
 
-// Forecaster is a univariate point predictor over a regularly-ticked series.
-type Forecaster interface {
+// forecaster is a univariate point predictor over a regularly-ticked series.
+type forecaster interface {
 	// Observe consumes the next observation.
 	Observe(v float64)
 	// Forecast extrapolates h ticks past the last observation (h >= 1).

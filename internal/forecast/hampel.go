@@ -5,7 +5,7 @@ import "graf/internal/metrics"
 // Hampel is a rolling-median/MAD outlier filter applied to each telemetry
 // stream (per-API observed rates, measured p99, the forecaster's rate feed)
 // before anything downstream consumes it. A single corrupted spike — a
-// chaos TelemetryCorrupt event, a scrape glitch, a blackholed window
+// chaos telemetryCorrupt event, a scrape glitch, a blackholed window
 // reading zero — is replaced by the window median instead of tripping the
 // drift wire, poisoning a retraining window, or teaching the forecaster a
 // surge that never happened. A genuine level shift passes through after

@@ -106,7 +106,7 @@ type Prediction struct {
 	OK    bool    // model had enough history to forecast
 }
 
-// Predictor composes a Forecaster with input sanitization, residual
+// Predictor composes a forecaster with input sanitization, residual
 // tracking, a risk-adjusted provisioning quantile, and a blowout detector
 // that degrades the subsystem to reactive when forecasts stop matching
 // reality. Every field is exported and free of pointers into shared state,
@@ -153,7 +153,7 @@ func NewPredictor(cfg Config) *Predictor {
 	return p
 }
 
-func (p *Predictor) model() Forecaster {
+func (p *Predictor) model() forecaster {
 	switch {
 	case p.HW != nil:
 		return p.HW

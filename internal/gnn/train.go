@@ -524,9 +524,9 @@ func evaluate(predict func(load, quota []float64) float64, set []Sample, regions
 	return rows, overestimate
 }
 
-// DefaultRegions returns the paper's Table 2 latency strata (milliseconds),
+// defaultRegions returns the paper's Table 2 latency strata (milliseconds),
 // scaled so the top edge covers maxMS: four bands from fast to tail.
-func DefaultRegions(maxMS float64) [][2]float64 {
+func defaultRegions(maxMS float64) [][2]float64 {
 	if maxMS <= 0 {
 		maxMS = 1000
 	}
@@ -538,7 +538,7 @@ func DefaultRegions(maxMS float64) [][2]float64 {
 	}
 }
 
-// EvaluateRegions is Evaluate over DefaultRegions sized to the set's label
+// EvaluateRegions is Evaluate over defaultRegions sized to the set's label
 // range — the probe the lifecycle promotion gate uses to compare a canary
 // candidate against the incumbent stratum by stratum.
 func (m *Model) EvaluateRegions(set []Sample) ([]RegionError, float64) {
@@ -548,5 +548,5 @@ func (m *Model) EvaluateRegions(set []Sample) ([]RegionError, float64) {
 			maxMS = ms
 		}
 	}
-	return m.Evaluate(set, DefaultRegions(maxMS))
+	return m.Evaluate(set, defaultRegions(maxMS))
 }

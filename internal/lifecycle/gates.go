@@ -9,8 +9,8 @@ import (
 	"graf/internal/metrics"
 )
 
-// GateResult is the promotion gate's verdict on a candidate model.
-type GateResult struct {
+// gateResult is the promotion gate's verdict on a candidate model.
+type gateResult struct {
 	Pass    bool
 	Reasons []string // every failed check, empty when Pass
 
@@ -23,7 +23,7 @@ type GateResult struct {
 	CandMAPE, IncMAPE float64
 }
 
-func (g GateResult) String() string {
+func (g gateResult) String() string {
 	if g.Pass {
 		return fmt.Sprintf("pass (shadow %.3f vs %.3f, mape %.3f vs %.3f)",
 			g.CandShadow, g.IncShadow, g.CandMAPE, g.IncMAPE)
@@ -59,9 +59,9 @@ func overallMAPE(m *gnn.Model, set []gnn.Sample) float64 {
 // about the quota→latency surface the solver differentiates through.
 func gateCandidate(cand, inc *gnn.Model, samples []gnn.Sample,
 	bounds core.Bounds, slo float64,
-	candShadow, incShadow float64, shadowN int) GateResult {
+	candShadow, incShadow float64, shadowN int) gateResult {
 
-	g := GateResult{CandShadow: candShadow, IncShadow: incShadow}
+	g := gateResult{CandShadow: candShadow, IncShadow: incShadow}
 	fail := func(format string, args ...any) {
 		g.Reasons = append(g.Reasons, fmt.Sprintf(format, args...))
 	}

@@ -16,7 +16,7 @@ import (
 // --- Drift monitor ----------------------------------------------------------
 
 func TestMonitorWarmupAndTrip(t *testing.T) {
-	m := &Monitor{}
+	m := &monitor{}
 	// Large residuals before warmup must not trip.
 	for i := 0; i < warmup-1; i++ {
 		m.Observe(0.9)
@@ -43,7 +43,7 @@ func TestMonitorWarmupAndTrip(t *testing.T) {
 }
 
 func TestMonitorIgnoresSmallResiduals(t *testing.T) {
-	m := &Monitor{}
+	m := &monitor{}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		m.Observe(0.05 * rng.NormFloat64()) // well inside the slack band
@@ -54,7 +54,7 @@ func TestMonitorIgnoresSmallResiduals(t *testing.T) {
 }
 
 func TestMonitorTripsOnOverestimation(t *testing.T) {
-	m := &Monitor{}
+	m := &monitor{}
 	tripped := false
 	for i := 0; i < 40; i++ {
 		m.Observe(-0.9) // model predicts far above reality
@@ -221,7 +221,7 @@ func TestManagerPromoteThenRollback(t *testing.T) {
 
 	// Promote a candidate (bypassing the gates — they have their own tests).
 	m.candidate = m.incumbent.Clone()
-	m.promote(GateResult{Pass: true})
+	m.promote(gateResult{Pass: true})
 	if m.Phase() != PhaseProbation || m.Generation() != 1 {
 		t.Fatalf("after promote: phase=%v gen=%d", m.Phase(), m.Generation())
 	}
@@ -254,7 +254,7 @@ func TestManagerPromoteThenRollback(t *testing.T) {
 func TestStartShadowTrainsFiniteDistinctCandidate(t *testing.T) {
 	m, _ := testManager(t, 61)
 	m.startShadow(PhaseTrusted)
-	if m.Phase() != PhaseShadow || m.candidate == nil {
+	if m.Phase() != phaseShadow || m.candidate == nil {
 		t.Fatalf("startShadow left phase=%v candidate=%v", m.Phase(), m.candidate)
 	}
 	s := m.samples[0]

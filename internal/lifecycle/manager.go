@@ -26,9 +26,9 @@ const (
 	// PhaseDrifted: the monitor tripped; the controller is on its heuristic
 	// fallback while fresh samples accumulate for retraining.
 	PhaseDrifted
-	// PhaseShadow: a retrained candidate is being scored on live traffic
+	// phaseShadow: a retrained candidate is being scored on live traffic
 	// against the incumbent, without driving anything.
-	PhaseShadow
+	phaseShadow
 	// PhaseProbation: the candidate was promoted and drives the solver
 	// under the envelope clamp until the probation window passes clean.
 	PhaseProbation
@@ -41,7 +41,7 @@ func (p Phase) String() string {
 		return "Trusted"
 	case PhaseDrifted:
 		return "Drifted"
-	case PhaseShadow:
+	case phaseShadow:
 		return "Shadow"
 	case PhaseProbation:
 		return "Probation"
@@ -179,7 +179,7 @@ type Manager struct {
 	gen       int
 	phase     Phase
 
-	mon        *Monitor
+	mon        *monitor
 	hampelP99  *forecast.Hampel
 	hampelRate map[string]*forecast.Hampel
 	rates      map[string]float64 // the Hampel-filtered per-API rates, refilled every tick
@@ -215,7 +215,7 @@ func NewManager(cl *cluster.Cluster, model *gnn.Model, b core.Bounds, slo float6
 		Cl: cl, Cfg: cfg, SLO: slo, Bounds: b,
 		an:          core.NewAnalyzer(cl.App),
 		incumbent:   model,
-		mon:         &Monitor{},
+		mon:         &monitor{},
 		hampelP99:   &forecast.Hampel{},
 		hampelRate:  map[string]*forecast.Hampel{},
 		rates:       make(map[string]float64, len(cl.APINames())),
@@ -257,7 +257,7 @@ func (m *Manager) trustFor(p Phase) core.ModelTrust {
 		return core.ModelUntrusted
 	case PhaseProbation:
 		return core.ModelProbation
-	case PhaseShadow:
+	case phaseShadow:
 		return m.trustFor(m.shadowFrom)
 	}
 	return core.ModelTrusted
@@ -407,7 +407,7 @@ func (m *Manager) Tick() {
 			m.startShadow(PhaseDrifted)
 		}
 
-	case PhaseShadow:
+	case phaseShadow:
 		// Score both models on this live tick. The candidate sees traffic
 		// it never trained on (its window ended at retrain time).
 		cp := m.candidate.Predict(load, quota)
@@ -522,7 +522,7 @@ func (m *Manager) startShadow(from Phase) {
 		EvalEvery:  retrainIters, // evaluate only first and last
 	})
 	m.shadowFrom = from
-	m.phase = PhaseShadow
+	m.phase = phaseShadow
 	m.shadowLeft = shadowTicks
 	m.shadowN = 0
 	m.candErrSum, m.incErrSum = 0, 0
@@ -583,7 +583,7 @@ func (m *Manager) widenBounds() {
 
 // promote archives the incumbent, installs the candidate as the new
 // generation, and opens the probation window under the envelope clamp.
-func (m *Manager) promote(g GateResult) {
+func (m *Manager) promote(g gateResult) {
 	m.promotions++
 	m.prevGen = m.gen
 	m.gen++

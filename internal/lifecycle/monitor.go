@@ -34,10 +34,10 @@ const (
 	warmup = 6
 )
 
-// Monitor is the online residual monitor: EWMA + windowed quantile of the
-// relative residual, with two one-sided CUSUM trip wires. The zero Monitor
+// monitor is the online residual monitor: EWMA + windowed quantile of the
+// relative residual, with two one-sided CUSUM trip wires. The zero monitor
 // is ready to use.
-type Monitor struct {
+type monitor struct {
 	N       int     // residuals observed since the last reset
 	EWMA    float64 // EWMA of |residual|
 	CusumHi float64 // underestimation wire (observed ≫ predicted)
@@ -46,7 +46,7 @@ type Monitor struct {
 }
 
 // Observe folds one signed relative residual into every statistic.
-func (m *Monitor) Observe(r float64) {
+func (m *monitor) Observe(r float64) {
 	a := abs(r)
 	if m.N == 0 {
 		m.EWMA = a
@@ -70,7 +70,7 @@ func (m *Monitor) Observe(r float64) {
 }
 
 // Cusum returns the larger of the two one-sided statistics.
-func (m *Monitor) Cusum() float64 {
+func (m *monitor) Cusum() float64 {
 	if m.CusumHi >= m.CusumLo {
 		return m.CusumHi
 	}
@@ -78,7 +78,7 @@ func (m *Monitor) Cusum() float64 {
 }
 
 // Tripped reports whether any armed wire has fired.
-func (m *Monitor) Tripped() bool {
+func (m *monitor) Tripped() bool {
 	if m.N < warmup {
 		return false
 	}
@@ -90,7 +90,7 @@ func (m *Monitor) Tripped() bool {
 
 // Reset clears all accumulated state: a new model starts with a clean
 // record.
-func (m *Monitor) Reset() {
+func (m *monitor) Reset() {
 	m.N = 0
 	m.EWMA = 0
 	m.CusumHi = 0

@@ -163,7 +163,7 @@ func TestWindowEmptyInterval(t *testing.T) {
 }
 
 func TestSeriesAt(t *testing.T) {
-	s := NewSeries("x")
+	s := new(Series)
 	s.Add(1, 10)
 	s.Add(3, 30)
 	if s.At(0) != 0 {
@@ -175,7 +175,7 @@ func TestSeriesAt(t *testing.T) {
 }
 
 func TestSeriesMean(t *testing.T) {
-	s := NewSeries("x")
+	s := new(Series)
 	s.Add(0, 10)
 	s.Add(10, 20)
 	// 10 for t∈[0,10), 20 for t∈[10,20) → mean over [0,20) = 15.
@@ -219,7 +219,7 @@ func seriesMeanReference(s *Series, from, to float64) float64 {
 func TestTrimmedSeriesMatchesUntrimmedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, lookback := range []float64{5, 30, 120} {
-		kept, all := NewSeries("kept"), NewSeries("all")
+		kept, all := new(Series), new(Series)
 		now := 0.0
 		for event := 0; event < 2000; event++ {
 			switch rng.Intn(4) {

@@ -321,13 +321,9 @@ func (w *Window) Retained() int { return w.n }
 // experiment outputs (instance counts over time, perceived workload, …)
 // exactly as the paper plots them.
 type Series struct {
-	Name string
-	T    []float64
-	V    []float64
+	T []float64
+	V []float64
 }
-
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
 
 // Add appends point (t, v).
 func (s *Series) Add(t, v float64) {

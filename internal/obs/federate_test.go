@@ -59,7 +59,7 @@ func TestMergeExpositions(t *testing.T) {
 // labels, histograms, escaping all flow through the text path.
 func TestMergeExpositionsRealRegistries(t *testing.T) {
 	mk := func(v float64) string {
-		r := NewRegistry()
+		r := newRegistry()
 		r.Counter("graf_rpc_requests_total", "RPC requests.", Labels{"op": "tick"}).Add(v)
 		h := r.Histogram("graf_shard_op_seconds", "Op latency.", []float64{0.01, 0.1}, Labels{"op": "tick"})
 		h.Observe(0.005)

@@ -133,11 +133,11 @@ func (r *Record) buffers() ([4]*map[string]float64, [4]*[]float64, [2]*[]string)
 		[2]*[]string{&r.Services, &r.Chaos}
 }
 
-// NewFlightRecorder returns a recorder writing JSONL to w (nil = memory
+// newFlightRecorder returns a recorder writing JSONL to w (nil = memory
 // only). memCap bounds the in-memory record buffer; 0 keeps everything —
 // callers that replay in-process want the full log, long-running daemons
 // set a cap and rely on the file.
-func NewFlightRecorder(w io.Writer, memCap int) *FlightRecorder {
+func newFlightRecorder(w io.Writer, memCap int) *FlightRecorder {
 	f := &FlightRecorder{cap: memCap}
 	if memCap > 0 {
 		for i := range f.spareMaps {

@@ -13,7 +13,7 @@ func TestRecordKeepsItsOwnRates(t *testing.T) {
 	for _, memCap := range []int{0, 4} {
 		t.Run(fmt.Sprintf("cap=%d", memCap), func(t *testing.T) {
 			var log bytes.Buffer
-			f := NewFlightRecorder(&log, memCap)
+			f := newFlightRecorder(&log, memCap)
 			rates := map[string]float64{"a": 1, "b": 2}
 			f.Record(Record{Type: "decision", At: 1, Rates: rates})
 			rates["a"], rates["c"] = 10, 30
@@ -44,7 +44,7 @@ func TestRecordKeepsItsOwnRates(t *testing.T) {
 // reads what was recorded.
 func TestRecordsSurviveMapReuse(t *testing.T) {
 	const memCap = 3
-	f := NewFlightRecorder(nil, memCap)
+	f := newFlightRecorder(nil, memCap)
 	rates := map[string]float64{}
 	record := func(i int) {
 		rates["api"] = float64(i)
@@ -76,7 +76,7 @@ func TestRecordsSurviveMapReuse(t *testing.T) {
 // that the copies are taken under the recorder's lock, and that what Records
 // returned is not written by later records.
 func TestRecordsConcurrentWithRecord(t *testing.T) {
-	f := NewFlightRecorder(nil, 8)
+	f := newFlightRecorder(nil, 8)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -111,7 +111,7 @@ func TestRecordsConcurrentWithRecord(t *testing.T) {
 func TestRecordKeepsItsOwnVectorsAndQuotas(t *testing.T) {
 	for _, memCap := range []int{0, 4} {
 		t.Run(fmt.Sprintf("cap=%d", memCap), func(t *testing.T) {
-			f := NewFlightRecorder(nil, memCap)
+			f := newFlightRecorder(nil, memCap)
 			rec := Record{Type: "decision", At: 1, Load: []float64{10, 20}, Raw: []float64{300, 400},
 				Applied: map[string]float64{"web": 300, "db": 400}}
 			f.Record(rec)
@@ -132,7 +132,7 @@ func TestRecordKeepsItsOwnVectorsAndQuotas(t *testing.T) {
 // earlier still reads what was recorded.
 func TestRecordsSurviveBufferReuse(t *testing.T) {
 	const memCap = 4
-	f := NewFlightRecorder(nil, memCap)
+	f := newFlightRecorder(nil, memCap)
 	load, lo, hi, raw := make([]float64, 1), make([]float64, 1), make([]float64, 1), make([]float64, 1)
 	applied, summary := map[string]float64{}, map[string]float64{}
 	chaos := make([]string, 1)

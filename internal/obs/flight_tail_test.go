@@ -14,7 +14,7 @@ import (
 func tornLog(t *testing.T, n int, tail string) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	f := NewFlightRecorder(&buf, 0)
+	f := newFlightRecorder(&buf, 0)
 	for i := 0; i < n; i++ {
 		f.Record(Record{Type: "decision", At: float64(i + 1), Kind: "solve", Total: 40})
 	}
@@ -103,7 +103,7 @@ func TestRepairLogTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewFlightRecorder(f, 0)
+	rec := newFlightRecorder(f, 0)
 	rec.Record(Record{Type: "decision", At: 5, Kind: "solve", Total: 40})
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)

@@ -170,7 +170,7 @@ func FuzzRecordEncoder(f *testing.F) {
 		next := Record{Type: "summary", At: 1}
 
 		var buf bytes.Buffer
-		fr := NewFlightRecorder(&buf, 1)
+		fr := newFlightRecorder(&buf, 1)
 		fr.Record(rec)
 		fr.Record(next)
 		err := fr.Flush()

@@ -11,8 +11,8 @@ import "strconv"
 // Bucket bounds of the per-decision histograms, built once: a family keeps
 // the bounds of its first registration, so every later call's are garbage.
 var (
-	solverIterBuckets    = ExpBuckets(1, 2, 10)
-	forecastErrorBuckets = ExpBuckets(1, 2, 12)
+	solverIterBuckets    = expBuckets(1, 2, 10)
+	forecastErrorBuckets = expBuckets(1, 2, 12)
 )
 
 // ControllerObs observes the collect→predict→solve→actuate loop.

@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // buildFixtureRegistry populates a registry with one family of every kind,
 // labeled and unlabeled children, and label values that need escaping.
 func buildFixtureRegistry() *Registry {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("graf_decisions_total", "Controller decisions by outcome kind.", Labels{"kind": "solve"}).Add(12)
 	r.Counter("graf_decisions_total", "Controller decisions by outcome kind.", Labels{"kind": "fallback"}).Add(3)
 	r.Gauge("graf_health_state", "Current controller health state.", nil).Set(2)
@@ -103,7 +103,7 @@ func TestExposeFormat(t *testing.T) {
 // TestRegistryKindMismatchPanics pins that re-registering a name as a
 // different kind is a programming error, not a silent aliasing bug.
 func TestRegistryKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("graf_x_total", "x", nil)
 	defer func() {
 		if recover() == nil {
@@ -117,7 +117,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 // reader renders expositions — run under -race this is the thread-safety
 // proof for the sim-goroutine-writes / scraper-goroutine-reads split.
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	var wg sync.WaitGroup
 	const workers, iters = 8, 500
 	for w := 0; w < workers; w++ {
@@ -155,7 +155,7 @@ func TestRegistryConcurrent(t *testing.T) {
 // bit-identically, including awkward float64s — the property replay rests on.
 func TestFlightRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	f := NewFlightRecorder(&buf, 0)
+	f := newFlightRecorder(&buf, 0)
 	rec := Record{
 		Type: "decision", At: 130.5, Kind: "solve", Health: "healthy",
 		Rates: map[string]float64{"checkout": 1.0 / 3.0, "search": 0.1},
@@ -200,7 +200,7 @@ func TestFlightRoundTrip(t *testing.T) {
 
 // TestFlightMemoryCap pins bounded-memory eviction semantics.
 func TestFlightMemoryCap(t *testing.T) {
-	f := NewFlightRecorder(nil, 3)
+	f := newFlightRecorder(nil, 3)
 	for i := 0; i < 10; i++ {
 		f.Record(Record{Type: "decision", At: float64(i)})
 	}
@@ -213,7 +213,7 @@ func TestFlightMemoryCap(t *testing.T) {
 	}
 	// Oldest first at every point of the ring's wrap, not only a multiple
 	// of the cap.
-	f = NewFlightRecorder(nil, 3)
+	f = newFlightRecorder(nil, 3)
 	for i := 0; i < 8; i++ {
 		f.Record(Record{Type: "decision", At: float64(i)})
 		recs := f.Records()
@@ -317,7 +317,7 @@ func TestNilHooksAreNoOps(t *testing.T) {
 // per-stage, per-decision and per-service metric updates every tick make
 // allocate nothing. Only the first lookup of a child allocates its key.
 func TestRegistryHitAllocatesNothing(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	one := Labels{"stage": "solve"}
 	two := Labels{"tenant": "tenant-07", "service": "cart"}
 	hits := map[string]func(){
@@ -352,7 +352,7 @@ func TestFlightLineIsMarshalPlusNewline(t *testing.T) {
 		{Type: "summary", Summary: map[string]float64{"b": 2, "a": 1e-9}},
 	}
 	var buf bytes.Buffer
-	f := NewFlightRecorder(&buf, 0)
+	f := newFlightRecorder(&buf, 0)
 	var want []byte
 	for i, rec := range recs {
 		f.Record(rec)
@@ -378,7 +378,7 @@ func TestFlightRecordAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	f := NewFlightRecorder(io.Discard, 4)
+	f := newFlightRecorder(io.Discard, 4)
 	rec := Record{Type: "decision", At: 5, Kind: "hysteresis", Health: "healthy", Total: 120.5,
 		Rates: map[string]float64{"home": 80, "cart": 40.5, "checkout": 1e-7},
 		Load:  []float64{1, 2.25}, Raw: []float64{900}, Predicted: 0.2, Chaos: []string{"kill"},
@@ -404,7 +404,7 @@ func TestFlightMixedRecordsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
 	}
-	f := NewFlightRecorder(nil, 16)
+	f := newFlightRecorder(nil, 16)
 	rates := map[string]float64{"home": 80, "cart": 40.5}
 	health := Record{Type: "health", At: 5, From: "healthy", To: "degraded"}
 	decision := Record{Type: "decision", At: 5, Kind: "hysteresis", Rates: rates}

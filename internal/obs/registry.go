@@ -101,11 +101,11 @@ type Histogram struct {
 	count  uint64
 }
 
-// DefBuckets are the default latency-shaped buckets (seconds).
-var DefBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
+// defBuckets are the default latency-shaped buckets (seconds).
+var defBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// ExpBuckets returns n exponentially spaced bucket bounds starting at start.
-func ExpBuckets(start, factor float64, n int) []float64 {
+// expBuckets returns n exponentially spaced bucket bounds starting at start.
+func expBuckets(start, factor float64, n int) []float64 {
 	if start <= 0 || factor <= 1 || n < 1 {
 		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
 	}
@@ -119,7 +119,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
-		bounds = DefBuckets
+		bounds = defBuckets
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -208,8 +208,8 @@ type Registry struct {
 	order    []string
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
@@ -255,7 +255,7 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 }
 
 // Histogram registers (or fetches) a histogram. The bucket bounds are fixed
-// at the family's first registration (nil = DefBuckets).
+// at the family's first registration (nil = defBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels) *Histogram {
 	return r.child(name, help, kindHistogram, labels, bounds).(*Histogram)
 }

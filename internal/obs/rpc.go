@@ -128,7 +128,7 @@ func (o *RouterObs) Migration(outcome string, blackoutMS float64) {
 	if outcome == "ok" {
 		o.t.Reg.Histogram("graf_router_migration_blackout_ms",
 			"Milliseconds a migrating tenant spent owned by no shard.",
-			ExpBuckets(1, 2, 14), nil).Observe(blackoutMS)
+			expBuckets(1, 2, 14), nil).Observe(blackoutMS)
 	}
 }
 
@@ -176,5 +176,5 @@ func (o *RouterObs) ShardDeath(respawned bool, reassigned int, blackoutMS float6
 	}
 	o.t.Reg.Histogram("graf_router_recovery_blackout_ms",
 		"Milliseconds from shard-death detection to all orphans verified on new owners.",
-		ExpBuckets(1, 2, 16), nil).Observe(blackoutMS)
+		expBuckets(1, 2, 16), nil).Observe(blackoutMS)
 }

@@ -138,7 +138,7 @@ func TestSLOBurnValues(t *testing.T) {
 // TestSLOMetrics checks the graf_slo_* families land in the registry with
 // tenant/window labels.
 func TestSLOMetrics(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	m := NewSLOMonitor(SLOConfig{}, reg)
 	for i := 1; i <= 15; i++ {
 		m.Observe("tenant-07", float64(i), true, 1)

@@ -90,8 +90,8 @@ type Options struct {
 // New builds a Telemetry bundle.
 func New(o Options) *Telemetry {
 	return &Telemetry{
-		Reg:    NewRegistry(),
-		Flight: NewFlightRecorder(o.AuditW, o.AuditMemory),
+		Reg:    newRegistry(),
+		Flight: newFlightRecorder(o.AuditW, o.AuditMemory),
 	}
 }
 

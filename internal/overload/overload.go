@@ -85,7 +85,6 @@ const (
 // Transition is one recorded ladder move. From and To always differ by
 // exactly one rung — the governor never jumps.
 type Transition struct {
-	Round    int
 	From, To Step
 }
 

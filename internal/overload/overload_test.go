@@ -17,7 +17,7 @@ func TestGovernorLadderAndHysteresis(t *testing.T) {
 		from := g.Step()
 		step, changed := g.Observe(cost)
 		if changed {
-			trans = append(trans, Transition{Round: round, From: from, To: step})
+			trans = append(trans, Transition{From: from, To: step})
 		}
 		return step, changed
 	}
@@ -64,13 +64,13 @@ func TestGovernorLadderAndHysteresis(t *testing.T) {
 }
 
 func TestMonotoneTransitionsRejectsJumps(t *testing.T) {
-	bad := []Transition{{Round: 1, From: StepFull, To: StepHeuristic}}
+	bad := []Transition{{From: StepFull, To: StepHeuristic}}
 	if err := MonotoneTransitions(bad); err == nil {
 		t.Fatal("rung-skipping transition accepted")
 	}
 	gap := []Transition{
-		{Round: 1, From: StepFull, To: StepWarm},
-		{Round: 2, From: StepHeuristic, To: StepHold},
+		{From: StepFull, To: StepWarm},
+		{From: StepHeuristic, To: StepHold},
 	}
 	if err := MonotoneTransitions(gap); err == nil {
 		t.Fatal("discontinuous transition chain accepted")

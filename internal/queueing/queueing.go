@@ -45,10 +45,10 @@ func (s Sizing) Split(quota float64) (int, float64) {
 	return n, s.CPUUnit
 }
 
-// ErlangC returns the probability that an arrival must wait in an M/M/c
+// erlangC returns the probability that an arrival must wait in an M/M/c
 // queue with offered load a = λ·E[S] Erlangs. It returns 1 when a ≥ c
 // (saturation).
-func ErlangC(c int, a float64) float64 {
+func erlangC(c int, a float64) float64 {
 	if c < 1 || a <= 0 {
 		return 0
 	}
@@ -64,15 +64,15 @@ func ErlangC(c int, a float64) float64 {
 	return b / (1 - rho*(1-b))
 }
 
-// MMc models one service tier.
-type MMc struct {
+// mmc models one service tier.
+type mmc struct {
 	Lambda  float64 // arrivals/s
 	Service float64 // mean service time, seconds
 	C       int     // servers
 }
 
 // Utilization returns λ·E[S]/c.
-func (m MMc) Utilization() float64 {
+func (m mmc) Utilization() float64 {
 	if m.C < 1 {
 		return math.Inf(1)
 	}
@@ -81,25 +81,25 @@ func (m MMc) Utilization() float64 {
 
 // MeanWait returns the mean queueing delay E[Wq] in seconds, or +Inf at or
 // beyond saturation.
-func (m MMc) MeanWait() float64 {
+func (m mmc) MeanWait() float64 {
 	rho := m.Utilization()
 	if rho >= 1 {
 		return math.Inf(1)
 	}
-	pw := ErlangC(m.C, m.Lambda*m.Service)
+	pw := erlangC(m.C, m.Lambda*m.Service)
 	return pw * m.Service / (float64(m.C) * (1 - rho))
 }
 
 // WaitQuantile returns the q-quantile of the queueing delay: zero with
 // probability 1-Pw, exponential with rate c(1-ρ)/E[S] otherwise.
-func (m MMc) WaitQuantile(q float64) float64 {
+func (m mmc) WaitQuantile(q float64) float64 {
 	rho := m.Utilization()
 	if rho >= 1 {
 		// Saturated: report a delay that grows with overload so optimizers
 		// see a finite, steep gradient rather than +Inf.
 		return m.Service * 100 * rho
 	}
-	pw := ErlangC(m.C, m.Lambda*m.Service)
+	pw := erlangC(m.C, m.Lambda*m.Service)
 	if q <= 1-pw {
 		return 0
 	}
@@ -135,9 +135,9 @@ func probit(p float64) float64 {
 	}
 }
 
-// LognormQuantile returns the q-quantile of a lognormal with the given mean
+// lognormQuantile returns the q-quantile of a lognormal with the given mean
 // and coefficient of variation. CV ≤ 0 degenerates to the mean.
-func LognormQuantile(mean, cv, q float64) float64 {
+func lognormQuantile(mean, cv, q float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
@@ -155,16 +155,16 @@ func LognormQuantile(mean, cv, q float64) float64 {
 func ServiceQuantile(svc app.Service, sz Sizing, quota, lambda, q float64) float64 {
 	c, per := sz.Split(quota)
 	meanSvc := (svc.BaseMS + svc.WorkMS*1000/per) / 1000
-	m := MMc{Lambda: lambda, Service: meanSvc, C: c}
-	svcQ := (svc.BaseMS + LognormQuantile(svc.WorkMS*1000/per, svc.CV, q)) / 1000
+	m := mmc{Lambda: lambda, Service: meanSvc, C: c}
+	svcQ := (svc.BaseMS + lognormQuantile(svc.WorkMS*1000/per, svc.CV, q)) / 1000
 	return m.WaitQuantile(q) + svcQ
 }
 
-// E2EQuantile approximates the q-quantile of end-to-end latency (seconds)
+// e2eQuantile approximates the q-quantile of end-to-end latency (seconds)
 // for one API given per-service quotas and per-service arrival rates. It
 // composes per-hop quantiles: sums across sequential stages/repetitions,
 // maxes across parallel calls — an upper-biased approximation.
-func E2EQuantile(a *app.App, api string, sz Sizing, quotas, rates map[string]float64, q float64) float64 {
+func e2eQuantile(a *app.App, api string, sz Sizing, quotas, rates map[string]float64, q float64) float64 {
 	ap := a.API(api)
 	if ap == nil {
 		return 0
@@ -188,13 +188,13 @@ func E2EQuantile(a *app.App, api string, sz Sizing, quotas, rates map[string]flo
 	return eval(ap.Root)
 }
 
-// WorstAPIQuantile returns the maximum E2EQuantile across the application's
+// WorstAPIQuantile returns the maximum e2eQuantile across the application's
 // APIs weighted presence in mix — the paper's SLO applies to the end-to-end
 // latency of the application, so the binding API is the slowest one.
 func WorstAPIQuantile(a *app.App, sz Sizing, quotas, rates map[string]float64, q float64) float64 {
 	worst := 0.0
 	for _, ap := range a.APIs {
-		if v := E2EQuantile(a, ap.Name, sz, quotas, rates, q); v > worst {
+		if v := e2eQuantile(a, ap.Name, sz, quotas, rates, q); v > worst {
 			worst = v
 		}
 	}

@@ -14,34 +14,34 @@ import (
 
 func TestErlangCKnownValues(t *testing.T) {
 	// M/M/1: P(wait) = ρ.
-	if got := ErlangC(1, 0.5); math.Abs(got-0.5) > 1e-12 {
+	if got := erlangC(1, 0.5); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("ErlangC(1, 0.5) = %v, want 0.5", got)
 	}
-	// Classic tabulated value: c=2, a=1 → ErlangC = 1/3.
-	if got := ErlangC(2, 1); math.Abs(got-1.0/3) > 1e-12 {
+	// Classic tabulated value: c=2, a=1 → erlangC = 1/3.
+	if got := erlangC(2, 1); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("ErlangC(2, 1) = %v, want 1/3", got)
 	}
-	if got := ErlangC(4, 4.5); got != 1 {
+	if got := erlangC(4, 4.5); got != 1 {
 		t.Errorf("saturated ErlangC = %v, want 1", got)
 	}
-	if got := ErlangC(3, 0); got != 0 {
+	if got := erlangC(3, 0); got != 0 {
 		t.Errorf("zero-load ErlangC = %v, want 0", got)
 	}
 }
 
-// Property: ErlangC ∈ [0,1], increasing in load, decreasing in servers.
+// Property: erlangC ∈ [0,1], increasing in load, decreasing in servers.
 func TestErlangCProperty(t *testing.T) {
 	f := func(cRaw uint8, aRaw uint16) bool {
 		c := int(cRaw%20) + 1
 		a := float64(aRaw) / float64(math.MaxUint16) * float64(c) * 0.99
-		p := ErlangC(c, a)
+		p := erlangC(c, a)
 		if p < 0 || p > 1 {
 			return false
 		}
-		if a > 0.01 && ErlangC(c, a*0.5) > p+1e-12 {
+		if a > 0.01 && erlangC(c, a*0.5) > p+1e-12 {
 			return false
 		}
-		return ErlangC(c+1, a) <= p+1e-12
+		return erlangC(c+1, a) <= p+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Error(err)
@@ -50,18 +50,18 @@ func TestErlangCProperty(t *testing.T) {
 
 func TestMMcMeanWaitMM1(t *testing.T) {
 	// M/M/1: E[Wq] = ρ/(1-ρ)·E[S]. ρ=0.8, S=0.01 → 0.04.
-	m := MMc{Lambda: 80, Service: 0.01, C: 1}
+	m := mmc{Lambda: 80, Service: 0.01, C: 1}
 	if got := m.MeanWait(); math.Abs(got-0.04) > 1e-12 {
 		t.Errorf("MeanWait = %v, want 0.04", got)
 	}
-	sat := MMc{Lambda: 200, Service: 0.01, C: 1}
+	sat := mmc{Lambda: 200, Service: 0.01, C: 1}
 	if !math.IsInf(sat.MeanWait(), 1) {
 		t.Error("saturated MeanWait should be +Inf")
 	}
 }
 
 func TestWaitQuantileMonotone(t *testing.T) {
-	m := MMc{Lambda: 80, Service: 0.01, C: 1}
+	m := mmc{Lambda: 80, Service: 0.01, C: 1}
 	prev := -1.0
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
 		v := m.WaitQuantile(q)
@@ -90,13 +90,13 @@ func TestLognormQuantile(t *testing.T) {
 	// Median of lognormal = exp(mu) = mean/sqrt(1+cv²).
 	mean, cv := 10.0, 1.0
 	want := mean / math.Sqrt(1+cv*cv)
-	if got := LognormQuantile(mean, cv, 0.5); math.Abs(got-want) > 1e-9 {
+	if got := lognormQuantile(mean, cv, 0.5); math.Abs(got-want) > 1e-9 {
 		t.Errorf("median = %v, want %v", got, want)
 	}
-	if got := LognormQuantile(mean, 0, 0.99); got != mean {
+	if got := lognormQuantile(mean, 0, 0.99); got != mean {
 		t.Errorf("cv=0 quantile = %v, want mean", got)
 	}
-	if LognormQuantile(mean, cv, 0.99) <= LognormQuantile(mean, cv, 0.5) {
+	if lognormQuantile(mean, cv, 0.99) <= lognormQuantile(mean, cv, 0.5) {
 		t.Error("p99 should exceed median")
 	}
 }
@@ -130,7 +130,7 @@ func TestE2EQuantileStructure(t *testing.T) {
 	sz := DefaultSizing()
 	quotas := map[string]float64{"productpage": 1000, "details": 1000, "reviews": 1000, "ratings": 1000}
 	rates := map[string]float64{"productpage": 20, "details": 20, "reviews": 20, "ratings": 20}
-	e2e := E2EQuantile(a, "productpage", sz, quotas, rates, 0.99)
+	e2e := e2eQuantile(a, "productpage", sz, quotas, rates, 0.99)
 	pp := ServiceQuantile(a.Services[a.ServiceIndex("productpage")], sz, 1000, 20, 0.99)
 	det := ServiceQuantile(a.Services[a.ServiceIndex("details")], sz, 1000, 20, 0.99)
 	rev := ServiceQuantile(a.Services[a.ServiceIndex("reviews")], sz, 1000, 20, 0.99)
@@ -142,7 +142,7 @@ func TestE2EQuantileStructure(t *testing.T) {
 	// §2.2: shrinking details' quota doesn't change e2e while it stays
 	// under the reviews branch.
 	quotas["details"] = 400
-	e2e2 := E2EQuantile(a, "productpage", sz, quotas, rates, 0.99)
+	e2e2 := e2eQuantile(a, "productpage", sz, quotas, rates, 0.99)
 	if math.Abs(e2e2-e2e) > 1e-9 {
 		det2 := ServiceQuantile(a.Services[a.ServiceIndex("details")], sz, 400, 20, 0.99)
 		if det2 < rev+rat {
@@ -160,7 +160,7 @@ func TestWorstAPIQuantile(t *testing.T) {
 	}
 	rates := a.PerServiceRate(a.MixRates(50))
 	worst := WorstAPIQuantile(a, sz, quotas, rates, 0.99)
-	cart := E2EQuantile(a, "cart", sz, quotas, rates, 0.99)
+	cart := e2eQuantile(a, "cart", sz, quotas, rates, 0.99)
 	if worst < cart {
 		t.Errorf("worst (%v) < cart (%v)", worst, cart)
 	}

@@ -81,23 +81,23 @@ type FaultInjector interface {
 // ErrDropped is the injected-fault "network ate it" error.
 var errDropped = fmt.Errorf("rpc: request dropped (injected fault)")
 
-// ErrBreakerOpen is returned without touching the network while a shard's
+// errBreakerOpen is returned without touching the network while a shard's
 // circuit breaker is open.
-var ErrBreakerOpen = fmt.Errorf("rpc: circuit breaker open")
+var errBreakerOpen = fmt.Errorf("rpc: circuit breaker open")
 
-// ErrBudgetExhausted is returned when the deadline installed by SetDeadline
+// errBudgetExhausted is returned when the deadline installed by SetDeadline
 // (the router stamps one per round) cannot fit another attempt or backoff
 // sleep. It means "out of time", not "shard broken" — callers treat it like
 // shed work, not failure.
-var ErrBudgetExhausted = errors.New("rpc: op budget exhausted")
+var errBudgetExhausted = errors.New("rpc: op budget exhausted")
 
-// ErrFencedEpoch is the typed match target for a shard's 409 stale-epoch
+// errFencedEpoch is the typed match target for a shard's 409 stale-epoch
 // rejection: the caller's Graf-Epoch is older than the highest the shard has
 // seen, meaning a newer router generation has taken over. errors.Is(err,
-// ErrFencedEpoch) matches through the RemoteError the wire rejection arrives
+// errFencedEpoch) matches through the remoteError the wire rejection arrives
 // as. Fencing is fatal to the sender — it has lost leadership and must stop
 // mutating the fleet, not retry.
-var ErrFencedEpoch = errors.New("rpc: fenced stale epoch")
+var errFencedEpoch = errors.New("rpc: fenced stale epoch")
 
 // breaker is a per-shard circuit breaker: closed (normal) → open after
 // breakerThreshold consecutive failures (calls fail fast) → half-open after
@@ -138,9 +138,9 @@ type Client struct {
 	draws map[string]int
 }
 
-// NewClient builds a client whose backoff jitter is drawn from seed. fault
+// newClient builds a client whose backoff jitter is drawn from seed. fault
 // may be nil.
-func NewClient(seed int64, fault FaultInjector) *Client {
+func newClient(seed int64, fault FaultInjector) *Client {
 	return &Client{
 		http:     &http.Client{Timeout: attemptTimeout},
 		Fault:    fault,
@@ -196,7 +196,7 @@ func (c *Client) SetRound(r int) {
 // must fit within — attempts, backoff sleeps and Retry-After waits
 // included. The router stamps one per round so slow shards cannot stretch a
 // round past its budget. An attempt (or sleep) that cannot fit is refused
-// with ErrBudgetExhausted instead of started, and the remaining budget is
+// with errBudgetExhausted instead of started, and the remaining budget is
 // forwarded to the shard in the Graf-Deadline-Ms header so it can shed work
 // that would complete past the deadline. The zero time clears it (the
 // per-attempt timeout still applies).
@@ -329,7 +329,7 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 			if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
 				c.Obs.Attempt(op, "budget")
 				span.Event("budget-exhausted", fmt.Sprintf("attempt %d", attempt))
-				return fmt.Errorf("%w: %s %s: %v", ErrBudgetExhausted, op, shard, lastErr)
+				return fmt.Errorf("%w: %s %s: %v", errBudgetExhausted, op, shard, lastErr)
 			}
 			time.Sleep(d)
 		}
@@ -340,7 +340,7 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 		if !allowed {
 			c.Obs.Attempt(op, "rejected")
 			span.Event("breaker-rejected", shard)
-			return fmt.Errorf("%w: shard %s", ErrBreakerOpen, shard)
+			return fmt.Errorf("%w: shard %s", errBreakerOpen, shard)
 		}
 		if c.Fault != nil {
 			name, round, n := c.faultCoords(op, shard)
@@ -363,7 +363,7 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 			if remaining = time.Until(deadline); remaining <= 0 {
 				c.Obs.Attempt(op, "budget")
 				span.Event("budget-exhausted", fmt.Sprintf("attempt %d", attempt))
-				return fmt.Errorf("%w: %s %s: %v", ErrBudgetExhausted, op, shard, lastErr)
+				return fmt.Errorf("%w: %s %s: %v", errBudgetExhausted, op, shard, lastErr)
 			}
 		}
 		as := c.Tracer.StartChild(span.Context(), "rpc/attempt").
@@ -372,7 +372,7 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 		outcome := "ok"
 		if lastErr != nil {
 			outcome = "error"
-			if re, isRemote := lastErr.(*RemoteError); isRemote && re.Overloaded {
+			if re, isRemote := lastErr.(*remoteError); isRemote && re.Overloaded {
 				outcome = "overloaded"
 			}
 			as.SetAttr("error", 1)
@@ -382,7 +382,7 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 		// A remote rejection means the shard is alive and answering — it
 		// feeds the breaker as a success, whatever the application verdict.
 		ok := lastErr == nil
-		if _, isRemote := lastErr.(*RemoteError); isRemote {
+		if _, isRemote := lastErr.(*remoteError); isRemote {
 			ok = true
 		}
 		if trans := c.record(shard, ok); trans != "" {
@@ -391,7 +391,7 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 		if lastErr == nil {
 			return nil
 		}
-		if re, isRemote := lastErr.(*RemoteError); isRemote {
+		if re, isRemote := lastErr.(*remoteError); isRemote {
 			if re.Overloaded {
 				// Backpressure, not failure: honor Retry-After on the next
 				// pass (budget permitting) instead of giving up.
@@ -410,32 +410,32 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 // retryAfter extracts the shard's backpressure hint from an overloaded
 // rejection; 0 when the error carries none.
 func retryAfter(err error) time.Duration {
-	var re *RemoteError
+	var re *remoteError
 	if errors.As(err, &re) && re.Overloaded && re.RetryAfterMS > 0 {
 		return time.Duration(re.RetryAfterMS) * time.Millisecond
 	}
 	return 0
 }
 
-// IsOverloaded reports whether err is a shard's admission-control rejection —
+// isOverloaded reports whether err is a shard's admission-control rejection —
 // backpressure to be absorbed, not a failure to investigate.
-func IsOverloaded(err error) bool {
-	var re *RemoteError
+func isOverloaded(err error) bool {
+	var re *remoteError
 	return errors.As(err, &re) && re.Overloaded
 }
 
-// IsExpired reports whether err is a shard's deadline rejection: the work's
+// isExpired reports whether err is a shard's deadline rejection: the work's
 // propagated budget was spent before the shard would have executed it.
-func IsExpired(err error) bool {
-	var re *RemoteError
+func isExpired(err error) bool {
+	var re *remoteError
 	return errors.As(err, &re) && re.Expired
 }
 
 // IsFenced reports whether err is a shard's stale-epoch rejection — the
 // sender has lost router leadership and must stop mutating the fleet.
-// Equivalent to errors.Is(err, ErrFencedEpoch).
+// Equivalent to errors.Is(err, errFencedEpoch).
 func IsFenced(err error) bool {
-	var re *RemoteError
+	var re *remoteError
 	return errors.As(err, &re) && re.Fenced
 }
 
@@ -447,11 +447,11 @@ func optCtx(parents []obs.SpanContext) obs.SpanContext {
 	return parents[0]
 }
 
-// RemoteError is an application-level rejection from a shard (HTTP 4xx/5xx
+// remoteError is an application-level rejection from a shard (HTTP 4xx/5xx
 // with an error body) — distinguished from transport errors, which drive
 // retries and the breaker. Overloaded/RetryAfterMS/Expired/Fenced mirror the
-// wire errorResponse; use IsOverloaded/IsExpired/IsFenced to classify.
-type RemoteError struct {
+// wire errorResponse; use isOverloaded/isExpired/IsFenced to classify.
+type remoteError struct {
 	Shard        string
 	Status       int
 	Msg          string
@@ -464,14 +464,14 @@ type RemoteError struct {
 	Epoch  uint64
 }
 
-func (e *RemoteError) Error() string {
+func (e *remoteError) Error() string {
 	return fmt.Sprintf("rpc: shard %s: %d %s", e.Shard, e.Status, e.Msg)
 }
 
 // Is lets errors.Is match the typed sentinels a remote rejection can carry:
-// errors.Is(err, ErrFencedEpoch) is true for a fenced rejection.
-func (e *RemoteError) Is(target error) bool {
-	return target == ErrFencedEpoch && e.Fenced
+// errors.Is(err, errFencedEpoch) is true for a fenced rejection.
+func (e *remoteError) Is(target error) bool {
+	return target == errFencedEpoch && e.Fenced
 }
 
 // maxResponseBytes caps what one response body may be read to.
@@ -519,7 +519,7 @@ func (c *Client) attempt(shard, method, path string, body []byte, out any, remai
 		if json.Unmarshal(data, &er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		return &RemoteError{Shard: shard, Status: resp.StatusCode, Msg: msg,
+		return &remoteError{Shard: shard, Status: resp.StatusCode, Msg: msg,
 			Overloaded: er.Overloaded, RetryAfterMS: er.RetryAfterMS, Expired: er.Expired,
 			Fenced: er.Fenced, Epoch: er.Epoch}
 	}
@@ -551,20 +551,20 @@ func (c *Client) Health(shard string, parent ...obs.SpanContext) (HealthResponse
 
 // Configure installs the fleet spec on a shard.
 func (c *Client) Configure(shard string, spec Spec, parent ...obs.SpanContext) error {
-	return c.call(shard, http.MethodPost, "/v1/configure", "configure", ConfigureRequest{Spec: spec}, &ConfigureResponse{}, parent...)
+	return c.call(shard, http.MethodPost, "/v1/configure", "configure", configureRequest{Spec: spec}, &configureResponse{}, parent...)
 }
 
 // Admit places (or restores) a tenant on a shard.
 func (c *Client) Admit(shard, id string, ticks int, parent ...obs.SpanContext) (AdmitResponse, error) {
 	var out AdmitResponse
-	err := c.call(shard, http.MethodPost, "/v1/admit", "admit", AdmitRequest{ID: id, Ticks: ticks}, &out, parent...)
+	err := c.call(shard, http.MethodPost, "/v1/admit", "admit", admitRequest{ID: id, Ticks: ticks}, &out, parent...)
 	return out, err
 }
 
 // Evict drains a tenant off a shard.
 func (c *Client) Evict(shard, id string, checkpoint bool, parent ...obs.SpanContext) (EvictResponse, error) {
 	var out EvictResponse
-	err := c.call(shard, http.MethodPost, "/v1/evict", "evict", EvictRequest{ID: id, Checkpoint: checkpoint}, &out, parent...)
+	err := c.call(shard, http.MethodPost, "/v1/evict", "evict", evictRequest{ID: id, Checkpoint: checkpoint}, &out, parent...)
 	return out, err
 }
 
@@ -575,7 +575,7 @@ func (c *Client) Evict(shard, id string, checkpoint bool, parent ...obs.SpanCont
 func (c *Client) Tick(shard string, round int, out *TickResponse, parent ...obs.SpanContext) error {
 	clear(out.Statuses[:cap(out.Statuses)])
 	*out = TickResponse{Statuses: out.Statuses[:0]}
-	return c.call(shard, http.MethodPost, "/v1/tick", "tick", TickRequest{Round: round}, out, parent...)
+	return c.call(shard, http.MethodPost, "/v1/tick", "tick", tickRequest{Round: round}, out, parent...)
 }
 
 // Quotas fetches the shard's per-tenant quota allocations.

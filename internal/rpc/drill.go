@@ -301,7 +301,7 @@ func (d *Drill) open(cfg RouterConfig, v *Verdict) (*Router, error) {
 		}
 		d.logf("standby: primary declared dead — taking over")
 	}
-	r, rep, err := ResumeRouter(cfg)
+	r, rep, err := resumeRouter(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +353,7 @@ func (d *Drill) serve(r *Router) (stop func(), err error) {
 		}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/v1/router/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			writeJSON(w, http.StatusOK, RouterHealth{OK: true, PID: os.Getpid(), Epoch: r.Epoch(), Round: r.Round(), Fenced: r.Fenced()})
+			writeJSON(w, http.StatusOK, routerHealth{OK: true, PID: os.Getpid(), Epoch: r.Epoch(), Round: r.Round(), Fenced: r.Fenced()})
 		})
 		srv := &http.Server{Handler: mux}
 		go srv.Serve(ln)

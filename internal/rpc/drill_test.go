@@ -283,7 +283,7 @@ func TestWaitForPrimaryFailure(t *testing.T) {
 		if r.URL.Path != "/v1/router/healthz" {
 			t.Errorf("standby probed %s", r.URL.Path)
 		}
-		writeJSON(w, http.StatusOK, RouterHealth{OK: true, Epoch: 1})
+		writeJSON(w, http.StatusOK, routerHealth{OK: true, Epoch: 1})
 		select {
 		case answered <- struct{}{}:
 		default:

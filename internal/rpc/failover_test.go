@@ -58,7 +58,7 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 	dir := t.TempDir()
 	_, addr := startShard(t, testBundle(t), filepath.Join(dir, "ckpt"), filepath.Join(dir, "audit"))
 
-	cur := NewClient(1, nil)
+	cur := newClient(1, nil)
 	cur.SetEpoch(2)
 	if err := cur.Configure(addr, testSpec()); err != nil {
 		t.Fatalf("configure at epoch 2: %v", err)
@@ -67,9 +67,9 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 		t.Fatalf("admit at epoch 2: %v", err)
 	}
 
-	stale := NewClient(1, nil)
+	stale := newClient(1, nil)
 	stale.SetEpoch(1)
-	if err := stale.Tick(addr, 1, &TickResponse{}); !IsFenced(err) || !errors.Is(err, ErrFencedEpoch) {
+	if err := stale.Tick(addr, 1, &TickResponse{}); !IsFenced(err) || !errors.Is(err, errFencedEpoch) {
 		t.Fatalf("stale tick: got %v, want fenced 409", err)
 	}
 	if _, err := stale.Admit(addr, "tenant-01", 0); !IsFenced(err) {
@@ -78,7 +78,7 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 	if _, err := stale.Evict(addr, "tenant-00", false); !IsFenced(err) {
 		t.Fatalf("stale evict: got %v, want fenced 409", err)
 	}
-	var re *RemoteError
+	var re *remoteError
 	err := stale.Tick(addr, 1, &TickResponse{})
 	if !errors.As(err, &re) || re.Status != 409 || re.Epoch != 2 {
 		t.Fatalf("fenced rejection should be a 409 carrying the shard's fence, got %+v", re)
@@ -89,7 +89,7 @@ func TestEpochFencingRejectsStaleRouter(t *testing.T) {
 	if _, err := stale.Tenants(addr); err != nil {
 		t.Fatalf("stale read should pass the fence: %v", err)
 	}
-	legacy := NewClient(1, nil)
+	legacy := newClient(1, nil)
 	if err := legacy.Tick(addr, 1, &TickResponse{}); err != nil {
 		t.Fatalf("epoch-unaware tick should pass the fence: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestShardFenceSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	ckptDir := filepath.Join(dir, "ckpt")
 	_, addr := startShard(t, testBundle(t), ckptDir, "")
-	c := NewClient(1, nil)
+	c := newClient(1, nil)
 	c.SetEpoch(7)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestShardFenceSurvivesRestart(t *testing.T) {
 	if h.Epoch != 7 {
 		t.Fatalf("restarted shard fence = %d, want 7 (loaded from epoch.fence)", h.Epoch)
 	}
-	stale := NewClient(1, nil)
+	stale := newClient(1, nil)
 	stale.SetEpoch(6)
 	if err := stale.Configure(addr2, testSpec()); !IsFenced(err) {
 		t.Fatalf("restarted shard accepted stale epoch: %v", err)
@@ -167,7 +167,7 @@ func TestRouterResumeByteIdentical(t *testing.T) {
 	// process drill in cmd/grafbench kills a real one).
 
 	cfg := durableRouterConfig(stateDir, nil)
-	r2, rep, err := ResumeRouter(cfg)
+	r2, rep, err := resumeRouter(cfg)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestCrashMidMigrationRollsForward(t *testing.T) {
 	}
 	// The crash left the tenant drained and unplaced — exactly the window.
 
-	r2, rep, err := ResumeRouter(durableRouterConfig(stateDir, nil))
+	r2, rep, err := resumeRouter(durableRouterConfig(stateDir, nil))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -303,7 +303,7 @@ func TestZombieRouterCannotMutate(t *testing.T) {
 
 	// Takeover while the old generation is still alive (the false-positive
 	// standby case fencing exists for).
-	successor, _, err := ResumeRouter(durableRouterConfig(stateDir, nil))
+	successor, _, err := resumeRouter(durableRouterConfig(stateDir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestZombieRouterCannotMutate(t *testing.T) {
 	}
 
 	err = zombie.RunRound()
-	if !errors.Is(err, ErrFencedEpoch) {
+	if !errors.Is(err, errFencedEpoch) {
 		t.Fatalf("zombie round: got %v, want ErrFencedEpoch", err)
 	}
 	if !zombie.Fenced() {
@@ -331,7 +331,7 @@ func TestZombieRouterCannotMutate(t *testing.T) {
 	if err := successor.RunRounds(1); err != nil {
 		t.Fatalf("successor after zombie attempt: %v", err)
 	}
-	probe := NewClient(1, nil)
+	probe := newClient(1, nil)
 	for _, addr := range shards {
 		h, err := probe.Health(addr)
 		if err != nil {
@@ -356,7 +356,7 @@ func TestZombieRouterCannotMutate(t *testing.T) {
 func TestConcurrentDuplicateAdmitEvict(t *testing.T) {
 	dir := t.TempDir()
 	_, addr := startShard(t, testBundle(t), filepath.Join(dir, "ckpt"), filepath.Join(dir, "audit"))
-	c := NewClient(1, nil)
+	c := newClient(1, nil)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestConcurrentDuplicateAdmitEvict(t *testing.T) {
 			// serialize nothing but breaker state, which is fine, but
 			// distinct clients better model duplicated requests from a
 			// retrying router plus a zombie.
-			cc := NewClient(1, nil)
+			cc := newClient(1, nil)
 			admitResp[i], admitErrs[i] = cc.Admit(addr, "tenant-00", 3)
 		}(i)
 	}
@@ -400,7 +400,7 @@ func TestConcurrentDuplicateAdmitEvict(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cc := NewClient(1, nil)
+			cc := newClient(1, nil)
 			evictResp[i], evictErrs[i] = cc.Evict(addr, "tenant-00", false)
 		}(i)
 	}

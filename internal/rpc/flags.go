@@ -63,7 +63,7 @@ func (f *Flags) Spec() (Spec, error) {
 		s.SLOBudget = &obs.SLOConfig{Budget: f.sloBudget}
 	}
 	var err error
-	if s.Brownout, err = ParseBrownout(f.brownout); err != nil {
+	if s.Brownout, err = parseBrownout(f.brownout); err != nil {
 		return s, fmt.Errorf("-brownout: %v", err)
 	}
 	return s, s.Validate()

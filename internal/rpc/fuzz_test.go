@@ -41,7 +41,7 @@ func FuzzParseBrownout(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		sched, err := ParseBrownout(s)
+		sched, err := parseBrownout(s)
 		if err != nil {
 			if sched != nil {
 				t.Fatalf("ParseBrownout(%q) returned a partial schedule alongside error %v", s, err)
@@ -62,7 +62,7 @@ func FuzzParseBrownout(f *testing.F) {
 		// Determinism: a second parse of the same flag must yield the
 		// identical schedule — this is what keeps the distributed run and
 		// the single-process reference degrading in lockstep.
-		again, err2 := ParseBrownout(s)
+		again, err2 := parseBrownout(s)
 		if err2 != nil {
 			t.Fatalf("ParseBrownout(%q) second parse errored: %v", s, err2)
 		}
@@ -170,7 +170,7 @@ func FuzzTickAdmitDecode(f *testing.F) {
 		if len(body) > maxRequestBytes {
 			rejected = http.StatusRequestEntityTooLarge
 		}
-		var tick TickRequest
+		var tick tickRequest
 		valid := rejected == http.StatusBadRequest && json.Unmarshal(body, &tick) == nil && tick.Round >= 1 && tick.Round <= maxTicks
 		want := rejected
 		if valid {
@@ -179,7 +179,7 @@ func FuzzTickAdmitDecode(f *testing.F) {
 		if code := postGuarded(t, h, "/v1/tick", body); code != want {
 			t.Fatalf("tick %s: status %d, want %d", body, code, want)
 		}
-		var admit AdmitRequest
+		var admit admitRequest
 		if rejected == http.StatusBadRequest && json.Unmarshal(body, &admit) == nil && admit.Ticks >= 0 && admit.Ticks <= maxTicks {
 			return
 		}

@@ -24,7 +24,7 @@ import (
 // injected per-attempt latency, a call under a SetDeadline budget returns
 // within the budget (plus one attempt's slack — an in-flight attempt is
 // cancelled by context, not abandoned instantly), fails typed with
-// ErrBudgetExhausted, and every attempt that did go out carried a positive,
+// errBudgetExhausted, and every attempt that did go out carried a positive,
 // non-increasing Graf-Deadline-Ms budget.
 func TestClientOpBudgetBoundsElapsed(t *testing.T) {
 	var mu sync.Mutex
@@ -53,13 +53,13 @@ func TestClientOpBudgetBoundsElapsed(t *testing.T) {
 	// retry exhaustion (1+retries attempts) and not the breaker (the third
 	// failure opens it, but the budget refuses the fourth attempt first).
 	const budget = 300 * time.Millisecond
-	c := NewClient(1, nil)
+	c := newClient(1, nil)
 
 	start := time.Now()
 	c.SetDeadline(start.Add(budget))
 	err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil)
 	elapsed := time.Since(start)
-	if !errors.Is(err, ErrBudgetExhausted) {
+	if !errors.Is(err, errBudgetExhausted) {
 		t.Fatalf("want ErrBudgetExhausted, got %v", err)
 	}
 	// Slack: one in-flight attempt (100ms injected latency) plus scheduling
@@ -85,7 +85,7 @@ func TestClientOpBudgetBoundsElapsed(t *testing.T) {
 
 // TestBreakerHalfOpenSingleProbe races concurrent callers against a breaker
 // entering half-open: exactly one probe may reach the shard, losers fail
-// fast with the typed ErrBreakerOpen, and the successful probe closes the
+// fast with the typed errBreakerOpen, and the successful probe closes the
 // breaker. Run under -race this also proves the breaker's internal state is
 // properly synchronized.
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
@@ -107,14 +107,14 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	defer ts.Close()
 	shard := strings.TrimPrefix(ts.URL, "http://")
 
-	c := NewClient(1, nil)
+	c := newClient(1, nil)
 
 	// One call's attempts fail until the breaker opens; the next call is
 	// refused without touching the wire.
 	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err == nil {
 		t.Fatal("expected transport failure")
 	}
-	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); !errors.Is(err, ErrBreakerOpen) {
+	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("breaker not open after threshold failures: %v", err)
 	}
 
@@ -134,7 +134,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 			switch {
 			case err == nil:
 				ok.Add(1)
-			case errors.Is(err, ErrBreakerOpen):
+			case errors.Is(err, errBreakerOpen):
 				rejected.Add(1)
 			default:
 				t.Errorf("unexpected error class: %v", err)
@@ -165,7 +165,7 @@ func TestShardAdmissionShedsTyped(t *testing.T) {
 	bundle := testBundle(t)
 	s, addr := startShard(t, bundle, "", "")
 	s.MaxInflight = 1 // before the first request builds the gate
-	c := NewClient(1, nil)
+	c := newClient(1, nil)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +175,10 @@ func TestShardAdmissionShedsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, terr := c.Tenants(addr)
-	if !IsOverloaded(terr) {
+	if !isOverloaded(terr) {
 		t.Fatalf("full gate: want typed overloaded error, got %v", terr)
 	}
-	var re *RemoteError
+	var re *remoteError
 	if errors.As(terr, &re) && re.RetryAfterMS <= 0 {
 		t.Errorf("overloaded verdict carries no Retry-After hint: %+v", re)
 	}

@@ -119,18 +119,18 @@ func (p *placement) candidates(want ...string) []string {
 // numbers, not addresses: a tenant's ring home then depends only on which
 // slots are alive — the same in every run of a schedule, whatever ports the
 // shards bound, and the same after its slot respawns at another address.
-func (p *placement) ring() *Ring {
+func (p *placement) ring() *hashRing {
 	var slots []string
 	for _, s := range p.Slots {
 		if s.Alive {
 			slots = append(slots, strconv.Itoa(s.Slot))
 		}
 	}
-	return NewRing(ringVNodes, slots...)
+	return newRing(ringVNodes, slots...)
 }
 
 // ringAddr is the address of id's slot on ring ("" on an empty ring).
-func (p *placement) ringAddr(id string, ring *Ring) string {
+func (p *placement) ringAddr(id string, ring *hashRing) string {
 	slot, err := strconv.Atoi(ring.Lookup(id))
 	if err != nil {
 		return ""
@@ -139,7 +139,9 @@ func (p *placement) ringAddr(id string, ring *Ring) string {
 }
 
 // home is a tenant's ring placement.
-func (p *placement) home(id string, ring *Ring) []string { return p.candidates(p.ringAddr(id, ring)) }
+func (p *placement) home(id string, ring *hashRing) []string {
+	return p.candidates(p.ringAddr(id, ring))
+}
 
 // migrateTo is a migration's: the target, then rollback onto the source (its
 // audit log and checkpoint are intact there), then every other survivor.
@@ -149,7 +151,7 @@ func (p *placement) migrateTo(id, to string) []string {
 
 // rollForward is a drained migration's completion after a router death:
 // forward onto the target, else back to the source, else the ring.
-func (p *placement) rollForward(m *migrationRecord, ring *Ring) []string {
+func (p *placement) rollForward(m *migrationRecord, ring *hashRing) []string {
 	return p.candidates(m.To, m.From, p.ringAddr(m.Tenant, ring))
 }
 
@@ -337,7 +339,7 @@ func (rep *ReconcileReport) String() string {
 	return s
 }
 
-// ResumeRouter rebuilds a router from the durable state in
+// resumeRouter rebuilds a router from the durable state in
 // cfg.StateDir — the warm-restore path behind `grafrouter -resume` and the
 // standby's takeover. It bumps the fencing epoch past the dead generation's
 // (and persists the bump before touching any shard, so a crash mid-resume
@@ -346,7 +348,7 @@ func (rep *ReconcileReport) String() string {
 // residency win, roll a mid-flight migration forward or back, and re-place
 // orphans through the ring. The returned router continues the round sequence
 // where the checkpoint left off.
-func ResumeRouter(cfg RouterConfig) (*Router, *ReconcileReport, error) {
+func resumeRouter(cfg RouterConfig) (*Router, *ReconcileReport, error) {
 	if cfg.StateDir == "" {
 		return nil, nil, fmt.Errorf("rpc: ResumeRouter needs cfg.StateDir")
 	}

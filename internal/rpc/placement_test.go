@@ -96,11 +96,11 @@ func (m *placementModel) place(id string, failP float64, cands ...string) string
 	return ""
 }
 
-func (m *placementModel) ring() *Ring { return m.p.ring() }
+func (m *placementModel) ring() *hashRing { return m.p.ring() }
 
 // ringHome is the address of the live slot ring names for id ("" when no
 // slot is alive).
-func (m *placementModel) ringHome(id string, ring *Ring) string {
+func (m *placementModel) ringHome(id string, ring *hashRing) string {
 	slot := ring.Lookup(id)
 	for _, s := range m.p.Slots {
 		if s.Alive && fmt.Sprint(s.Slot) == slot {
@@ -425,7 +425,7 @@ func TestParentRouterStateResumes(t *testing.T) {
 	// migration drained.
 	bundle := testBundle(t)
 	dir := t.TempDir()
-	setup := NewClient(1, nil)
+	setup := newClient(1, nil)
 	for _, addr := range []string{"127.0.0.1:17301", "127.0.0.1:17303"} {
 		s := &ShardServer{Bundle: bundle, AuditDir: filepath.Join(dir, "audit")}
 		if _, err := s.Serve(addr); err != nil {
@@ -451,7 +451,7 @@ func TestParentRouterStateResumes(t *testing.T) {
 	if _, _, err := store.Save(&ckpt.Snapshot{At: 12, Ticks: 12, Opaque: blob}); err != nil {
 		t.Fatal(err)
 	}
-	r, rep, err := ResumeRouter(durableRouterConfig(stateDir, nil))
+	r, rep, err := resumeRouter(durableRouterConfig(stateDir, nil))
 	if err != nil {
 		t.Fatalf("resume from the 2754ce6 blob: %v", err)
 	}

@@ -55,11 +55,11 @@ type HealthResponse struct {
 	FencedAccepted int64  `json:"fenced_accepted,omitempty"`
 }
 
-// RouterHealth answers GET /v1/router/healthz on the *router's* own control
+// routerHealth answers GET /v1/router/healthz on the *router's* own control
 // address (grafrouter -router-addr) — the standby's liveness probe. Sustained
 // probe failure is the takeover trigger; Fenced lets an operator spot a
 // zombie generation that is still running but has lost leadership.
-type RouterHealth struct {
+type routerHealth struct {
 	OK     bool   `json:"ok"`
 	PID    int    `json:"pid"`
 	Epoch  uint64 `json:"epoch"`
@@ -67,18 +67,18 @@ type RouterHealth struct {
 	Fenced bool   `json:"fenced"`
 }
 
-// ConfigureRequest (POST /v1/configure) installs the fleet spec; the shard
+// configureRequest (POST /v1/configure) installs the fleet spec; the shard
 // builds an empty dynamic fleet from it. Reconfiguring a shard that already
 // holds tenants is an error — evict them first.
-type ConfigureRequest struct {
+type configureRequest struct {
 	Spec Spec `json:"spec"`
 }
 
-type ConfigureResponse struct {
+type configureResponse struct {
 	OK bool `json:"ok"`
 }
 
-// AdmitRequest (POST /v1/admit) places a tenant on the shard. Ticks is the
+// admitRequest (POST /v1/admit) places a tenant on the shard. Ticks is the
 // router's last known completed tick count: zero admits a fresh tenant,
 // positive fast-forwards the rebuilt tenant by deterministic re-execution.
 // The shard repairs and re-reads any on-disk audit log for the tenant first
@@ -87,7 +87,7 @@ type ConfigureResponse struct {
 // already resident (a retried request whose first attempt's response was
 // lost), the shard fast-forwards it to Ticks if behind and reports its
 // current status instead of rejecting.
-type AdmitRequest struct {
+type admitRequest struct {
 	ID    string `json:"id"`
 	Ticks int    `json:"ticks"`
 }
@@ -110,13 +110,13 @@ type AdmitResponse struct {
 	SnapshotVerified bool `json:"snapshot_verified,omitempty"`
 }
 
-// EvictRequest (POST /v1/evict) drains a tenant off the shard — the first
+// evictRequest (POST /v1/evict) drains a tenant off the shard — the first
 // half of a planned migration. With Checkpoint set the shard snapshots the
 // tenant into its checkpoint store before removal, so the target can verify
 // its rebuilt state against it. Evict is idempotent: evicting a tenant that
 // is not resident succeeds with Missing set rather than 404, so a retried
 // drain whose first attempt completed does not abort the migration.
-type EvictRequest struct {
+type evictRequest struct {
 	ID         string `json:"id"`
 	Checkpoint bool   `json:"checkpoint"`
 }
@@ -129,12 +129,12 @@ type EvictResponse struct {
 	Missing bool `json:"missing,omitempty"`
 }
 
-// TickRequest (POST /v1/tick) advances the shard to the absolute round
+// tickRequest (POST /v1/tick) advances the shard to the absolute round
 // index. Only tenants behind the round are ticked, so a duplicated or
 // retried tick is a no-op; the shard flushes every tenant's on-disk audit
 // log before answering, so the durable log is never behind what the router
 // has been told.
-type TickRequest struct {
+type tickRequest struct {
 	Round int `json:"round"`
 }
 

@@ -80,7 +80,7 @@ func TestTickStatusesDoNotCarryOver(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/tick":
-			var req TickRequest
+			var req tickRequest
 			if !readJSON(w, r, &req) {
 				return
 			}
@@ -92,7 +92,7 @@ func TestTickStatusesDoNotCarryOver(t *testing.T) {
 		case "/v1/admit":
 			writeJSON(w, http.StatusOK, AdmitResponse{Status: TenantStatus{ID: "tenant-00"}})
 		default:
-			writeJSON(w, http.StatusOK, ConfigureResponse{OK: true})
+			writeJSON(w, http.StatusOK, configureResponse{OK: true})
 		}
 	}))
 	defer ts.Close()
@@ -137,13 +137,13 @@ func brownoutSchedule(n int) []fleet.BrownoutPhase {
 }
 
 // A body over maxRequestBytes gets a 413, which the client reports as a
-// RemoteError and does not retry; the shard then ticks as if nothing had
+// remoteError and does not retry; the shard then ticks as if nothing had
 // happened.
 func TestOversizedRequestIsRefused(t *testing.T) {
 	bundle := testBundle(t)
 	_, addr := startShard(t, bundle, "", "")
 	fault := &countingFault{attempts: map[string]int{}}
-	c := NewClient(1, fault)
+	c := newClient(1, fault)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestOversizedRequestIsRefused(t *testing.T) {
 
 	big := testSpec()
 	big.Brownout = brownoutSchedule(maxRequestBytes / 40)
-	if b, _ := json.Marshal(ConfigureRequest{Spec: big}); len(b) <= maxRequestBytes {
+	if b, _ := json.Marshal(configureRequest{Spec: big}); len(b) <= maxRequestBytes {
 		t.Fatalf("the oversized spec encodes to %d bytes, not past the %d B cap", len(b), maxRequestBytes)
 	}
 	err := c.Configure(addr, big)
-	var re *RemoteError
+	var re *remoteError
 	if !errors.As(err, &re) || re.Status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized configure: got %v, want a 413 RemoteError", err)
 	}
@@ -191,7 +191,7 @@ func TestRequestCapHoldsTheLargestSpec(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(ConfigureRequest{Spec: spec})
+	b, err := json.Marshal(configureRequest{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}

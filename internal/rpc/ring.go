@@ -6,12 +6,12 @@ import (
 	"sort"
 )
 
-// Ring is a consistent-hash ring mapping tenant IDs to shard members. With
+// hashRing is a consistent-hash ring mapping tenant IDs to shard members. With
 // virtual nodes, removing a dead shard reassigns only that shard's tenants
 // instead of reshuffling the whole population — the property shard-loss
 // rebalancing depends on to bound recovery work. A ring is immutable: the
 // router derives a fresh one from its live slots whenever it places by ring.
-type Ring struct {
+type hashRing struct {
 	points []ringPoint // sorted by hash
 }
 
@@ -23,10 +23,10 @@ type ringPoint struct {
 // ringVNodes is the router's virtual-node count per member.
 const ringVNodes = 64
 
-// NewRing returns the ring over members with the given virtual-node count
+// newRing returns the ring over members with the given virtual-node count
 // per member.
-func NewRing(vnodes int, members ...string) *Ring {
-	r := &Ring{}
+func newRing(vnodes int, members ...string) *hashRing {
+	r := &hashRing{}
 	for _, m := range members {
 		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, ringPoint{hash64(fmt.Sprintf("%s#%d", m, i)), m})
@@ -50,7 +50,7 @@ func hash64(s string) uint64 {
 }
 
 // Lookup maps a key to its owning member ("" when the ring is empty).
-func (r *Ring) Lookup(key string) string {
+func (r *hashRing) Lookup(key string) string {
 	if len(r.points) == 0 {
 		return ""
 	}

@@ -37,7 +37,7 @@ type RouterConfig struct {
 	// restart-budget counters are checkpointed into StateDir's "router"
 	// namespace at round boundaries and every placement mutation, and the
 	// router fences all mutating shard RPCs with a persisted epoch
-	// (Graf-Epoch) that ResumeRouter bumps on restore/takeover. "" keeps the
+	// (Graf-Epoch) that resumeRouter bumps on restore/takeover. "" keeps the
 	// router in memory: no persistence, no fencing.
 	StateDir string
 	// Failpoint, when set, is consulted at named crash sites
@@ -112,7 +112,7 @@ type RouterStats struct {
 // decide, the drivers below execute every shard RPC, and commit persists.
 //
 // Locking: the round loop — RunRound, Migrate, Bootstrap, Settle, and the
-// reconcile inside ResumeRouter — is single-caller and the only writer of
+// reconcile inside resumeRouter — is single-caller and the only writer of
 // the placement and the stats. It writes them under r.mu (through commit
 // wherever the change must be durable) and reads them without it; observers
 // (Stats, Shards, Owner, TenantStates, Round) read under r.mu, so they are
@@ -168,7 +168,7 @@ func newRouter(cfg RouterConfig, p *placement) (*Router, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Router{cfg: cfg, client: NewClient(cfg.Spec.Seed, cfg.Fault)}
+	r := &Router{cfg: cfg, client: newClient(cfg.Spec.Seed, cfg.Fault)}
 	r.client.Obs, r.client.Tracer = cfg.RPCObs, cfg.Tracer
 	if cfg.StateDir != "" {
 		var err error
@@ -491,7 +491,7 @@ func (r *Router) tick(round int, span *obs.ActiveSpan) (failed []string, shed in
 			// and retrying can never succeed. The process must stop driving
 			// the fleet.
 			err = fmt.Errorf("rpc: round %d: router lost leadership: %w", round, e)
-		case IsOverloaded(e) || IsExpired(e) || errors.Is(e, ErrBudgetExhausted):
+		case isOverloaded(e) || isExpired(e) || errors.Is(e, errBudgetExhausted):
 			// Shedding — an admission-control 429, a deadline-expiry 504, or
 			// the client's own budget refusal — not shard death: the shard
 			// is alive and deliberately refused (or we refused to send) this
@@ -527,7 +527,7 @@ func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
 			// breaker that opened during a blip. The successful probe has
 			// closed the breaker (Client.Health records it), so the caller's
 			// re-tick reaches the shard: an open breaker would fail every
-			// re-tick instantly with ErrBreakerOpen until its cooldown
+			// re-tick instantly with errBreakerOpen until its cooldown
 			// elapsed, burning through the recovery-attempt bound in
 			// milliseconds and aborting the round over a survivable transient.
 			r.logf("shard %d (%s): unresponsive but heartbeat ok; breaker reset", slot, dead)

@@ -79,7 +79,7 @@ func referenceAudit(t *testing.T, bundle ModelBundle, spec Spec, ids []string, r
 }
 
 func TestRingLookupStableAndMinimalMovement(t *testing.T) {
-	r := NewRing(64, "a:1", "b:2", "c:3")
+	r := newRing(64, "a:1", "b:2", "c:3")
 	keys := tenantIDs(200)
 	before := map[string]string{}
 	for _, k := range keys {
@@ -91,7 +91,7 @@ func TestRingLookupStableAndMinimalMovement(t *testing.T) {
 			t.Fatal("lookup not stable")
 		}
 	}
-	r = NewRing(64, "a:1", "c:3") // the same ring with b:2 dead
+	r = newRing(64, "a:1", "c:3") // the same ring with b:2 dead
 	moved := 0
 	for _, k := range keys {
 		after := r.Lookup(k)
@@ -114,7 +114,7 @@ func TestRingLookupStableAndMinimalMovement(t *testing.T) {
 // landed on one member.
 func TestRingSpreadsSequentialTenantIDs(t *testing.T) {
 	members := []string{"127.0.0.1:7711", "127.0.0.1:7712"}
-	r := NewRing(ringVNodes, members...)
+	r := newRing(ringVNodes, members...)
 	owned := map[string]int{}
 	for i := 0; i < 16; i++ {
 		owned[r.Lookup(fmt.Sprintf("tenant-%02d", i))]++
@@ -154,7 +154,7 @@ func TestClientRetriesAndBreaker(t *testing.T) {
 	defer ts.Close()
 	shard := ts.Listener.Addr().String()
 
-	c := NewClient(1, nil)
+	c := newClient(1, nil)
 
 	// One logical call against a dead shard makes breakerThreshold attempts:
 	// the breaker opens on the last of them, before the retries run out, and
@@ -188,7 +188,7 @@ func TestClientRetriesAndBreaker(t *testing.T) {
 func TestShardServerLifecycle(t *testing.T) {
 	bundle := testBundle(t)
 	_, addr := startShard(t, bundle, t.TempDir(), t.TempDir())
-	c := NewClient(1, nil)
+	c := newClient(1, nil)
 
 	if _, err := c.Health(addr); err != nil {
 		t.Fatalf("health: %v", err)
@@ -249,7 +249,7 @@ func TestShardServerLifecycle(t *testing.T) {
 func TestAdmitRetryFastForwards(t *testing.T) {
 	bundle := testBundle(t)
 	_, addr := startShard(t, bundle, "", t.TempDir())
-	c := NewClient(1, nil)
+	c := newClient(1, nil)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestAdmitRetryFastForwards(t *testing.T) {
 func TestHealthzAnswersWhileMutexHeld(t *testing.T) {
 	bundle := testBundle(t)
 	s, addr := startShard(t, bundle, "", "")
-	c := NewClient(1, nil)
+	c := newClient(1, nil)
 	if err := c.Configure(addr, testSpec()); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func configuredHandler(t testing.TB, spec Spec) (*ShardServer, http.Handler) {
 	t.Helper()
 	s := &ShardServer{Bundle: testBundle(t)}
 	h := s.Handler()
-	body, err := json.Marshal(ConfigureRequest{Spec: spec})
+	body, err := json.Marshal(configureRequest{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -480,7 +480,7 @@ func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *ShardServer) handleConfigure(w http.ResponseWriter, r *http.Request) {
-	var req ConfigureRequest
+	var req configureRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
@@ -525,7 +525,7 @@ func (s *ShardServer) handleConfigure(w http.ResponseWriter, r *http.Request) {
 	s.spec = req.Spec
 	s.round = 0
 	s.logf("configured: app=%s seed=%d tick=%gs trace=%v", req.Spec.App, req.Spec.Seed, cfg.TickS, req.Spec.Trace)
-	writeJSON(w, http.StatusOK, ConfigureResponse{OK: true})
+	writeJSON(w, http.StatusOK, configureResponse{OK: true})
 }
 
 // withinHorizon reports whether n ticks of the fleet's quantum stay inside
@@ -556,7 +556,7 @@ func status(t *fleet.Tenant) TenantStatus {
 // handleAdmit places a tenant, restoring it losslessly (fleet.Restore) when
 // it lived before.
 func (s *ShardServer) handleAdmit(w http.ResponseWriter, r *http.Request) {
-	var req AdmitRequest
+	var req admitRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
@@ -619,7 +619,7 @@ func (s *ShardServer) handleAdmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *ShardServer) handleEvict(w http.ResponseWriter, r *http.Request) {
-	var req EvictRequest
+	var req evictRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
@@ -663,7 +663,7 @@ func (s *ShardServer) handleEvict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *ShardServer) handleTick(w http.ResponseWriter, r *http.Request) {
-	var req TickRequest
+	var req tickRequest
 	if !readJSON(w, r, &req) {
 		return
 	}

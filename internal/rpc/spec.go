@@ -120,7 +120,7 @@ const minTickS = 1
 // slots, and no shard host has more cores than this to give a tick pool.
 const maxWorkers = 1024
 
-// ParseBrownout parses a -brownout flag into a scripted schedule. The flag
+// parseBrownout parses a -brownout flag into a scripted schedule. The flag
 // is a comma-separated list of phases, each FROM[-TO]:STEP with tick indices
 // (TO exclusive; omitted = until the end of the run) and a ladder rung name:
 //
@@ -128,7 +128,7 @@ const maxWorkers = 1024
 //	12-24:heuristic,30:warm  ...then warm from tick 30 onward
 //
 // Later phases win on overlap, matching fleet.BrownoutPhase semantics.
-func ParseBrownout(s string) ([]fleet.BrownoutPhase, error) {
+func parseBrownout(s string) ([]fleet.BrownoutPhase, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}

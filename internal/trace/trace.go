@@ -17,8 +17,6 @@ import (
 
 // Span records one microservice invocation within a request.
 type Span struct {
-	TraceID int64
-	API     string
 	Service string
 	Parent  string // calling service; "" for the frontend span
 

@@ -22,10 +22,10 @@ func collect(c *Collector, tr Trace) {
 
 func mkTrace(id int64, api string, e2e float64, visits map[string]int) Trace {
 	t := Trace{ID: id, API: api}
-	t.Spans = append(t.Spans, Span{TraceID: id, API: api, Service: "frontend", Start: 0, End: e2e})
+	t.Spans = append(t.Spans, Span{Service: "frontend", Start: 0, End: e2e})
 	for svc, n := range visits {
 		for i := 0; i < n; i++ {
-			t.Spans = append(t.Spans, Span{TraceID: id, API: api, Service: svc, Parent: "frontend", Start: 0.001, End: e2e / 2})
+			t.Spans = append(t.Spans, Span{Service: svc, Parent: "frontend", Start: 0.001, End: e2e / 2})
 		}
 	}
 	return t
@@ -146,7 +146,7 @@ func TestVisitProfileMatchesSortReference(t *testing.T) {
 			// others; spans of different services interleave.
 			for _, svc := range services[:1+rng.Intn(len(services))] {
 				for v := rng.Intn(5) * rng.Intn(2); v > 0; v-- {
-					tr.Spans = append(tr.Spans, Span{TraceID: tr.ID, API: tr.API, Service: svc})
+					tr.Spans = append(tr.Spans, Span{Service: svc})
 				}
 			}
 			rng.Shuffle(len(tr.Spans), func(i, j int) { tr.Spans[i], tr.Spans[j] = tr.Spans[j], tr.Spans[i] })
@@ -246,7 +246,7 @@ func TestRingMatchesSliceCollector(t *testing.T) {
 				if i > 0 && rng.Float64() < failP {
 					continue
 				}
-				spans = append(spans, Span{TraceID: id, API: api, Service: svc, Parent: trees[api][0]})
+				spans = append(spans, Span{Service: svc, Parent: trees[api][0]})
 			}
 			tr := Trace{ID: id, API: api, Spans: spans}
 			collect(c, tr)
@@ -321,7 +321,7 @@ func fullRings(limit int) (*Collector, *Recorder, []string) {
 			if svc == "shipping" && id%7 == 0 {
 				continue
 			}
-			tr.Spans = append(tr.Spans, Span{TraceID: tr.ID, API: api, Service: svc})
+			tr.Spans = append(tr.Spans, Span{Service: svc})
 		}
 		collect(c, tr)
 		rec.Record(&tr)

@@ -83,7 +83,7 @@ func TestLifecycleReplayAcrossPromotion(t *testing.T) {
 	lc.Start()
 	s.RunFor(60 * time.Second) // monitor warms up on the surface it trusts
 
-	s.Chaos().Play(ChaosScenario{Name: "drift", Events: []ChaosEvent{
+	s.Chaos().Play(ChaosScenario{Events: []ChaosEvent{
 		ChaosSurfaceDrift(0, "", 1.6),
 	}})
 	driftUntil(t, s, lc, LifecycleDrifted, 200, &events)

@@ -1,7 +1,15 @@
 #!/usr/bin/env python3
-"""Report every non-test function of the graf module that no binary links.
+"""Report every non-test function of the graf module that no binary links,
+and every name and field that nothing uses.
 
 Usage: python3 scripts/deadcode.py   (or: make deadcode), from the repo root.
+
+It runs two passes and prints one "file:line: ..." line per finding. The
+first is the type checker's, scripts/deadnames (go run ./scripts/deadnames
+runs it alone, in a few seconds): exported names no other package names,
+struct fields no non-test code reads, and the census of settable values
+nothing but tests or the benchmark sets, which fails nothing. The second,
+below, is the linker's, for functions.
 
 It links every binary the repository has -- cmd/*, examples/*, the nested
 benchmark module -- and every package's test binary, with inlining off
@@ -92,6 +100,9 @@ def linked(cmd, cwd, seen):
 
 def main():
     root = os.getcwd()
+    # The type checker's pass runs beside the builds below.
+    names = subprocess.Popen(["go", "run", "./scripts/deadnames"], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
     pkgs = go_list()
     mains = [path for path, name, _, _ in pkgs if name == "main"]
     seen = set()
@@ -101,12 +112,20 @@ def main():
         bench = os.path.join(root, "benchmark")
         linked(["go", "build"] + FLAGS + ["-o", os.path.join(tmp, "bench")], bench, seen)
         linked(["go", "test", "-c"] + FLAGS + ["-o", os.path.join(tmp, "bench.test")], bench, seen)
+    report, errors = names.communicate()
+    if names.returncode not in (0, 1):
+        sys.stderr.write(errors)
+        sys.exit("deadcode: scripts/deadnames failed")
+    sys.stdout.write(report)
+    sys.stderr.write(errors)
     dead = [(pos, sym) for sym, pos in declared(pkgs) if sym not in seen]
     for pos, sym in dead:
         print("%s: %s is linked by no binary or test binary" % (pos, sym))
     if dead:
         sys.exit("deadcode: %d function(s) nothing links; delete them, or call them from the code that needs them" % len(dead))
-    print("deadcode: every function of %d packages is linked" % len(pkgs))
+    if names.returncode != 0:
+        sys.exit(1)
+    print("deadcode: every function of %d packages is linked, and every name and field is used" % len(pkgs))
 
 
 if __name__ == "__main__":
