@@ -28,7 +28,6 @@ func main() {
 	iters := flag.Int("iters", 1600, "training iterations")
 	batch := flag.Int("batch", 128, "batch size")
 	simLabels := flag.Bool("sim-labels", false, "label every sample with a discrete-event measurement (slow, exact)")
-	full := flag.Bool("full", false, "paper-scale budget: 50k samples, 20k iterations (hours of CPU)")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
@@ -36,9 +35,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *full {
-		*samples, *iters, *batch = 50000, 20000, 256
 	}
 
 	fmt.Printf("training GRAF latency model for %s: %d samples, %d iterations (batch %d)\n",

@@ -132,8 +132,6 @@ func StepRate(base, surge float64, at time.Duration) func(float64) float64 {
 type (
 	// ChaosInjector schedules scripted fault scenarios against a cluster.
 	ChaosInjector = chaos.Injector
-	// ChaosScenario is a named, ordered fault schedule.
-	ChaosScenario = chaos.Scenario
 	// ChaosEvent is one scheduled fault.
 	ChaosEvent = chaos.Event
 )

@@ -244,14 +244,14 @@ func TestChaosViaPublicAPI(t *testing.T) {
 	if inj != s.Chaos() {
 		t.Fatal("Chaos() must memoize the injector")
 	}
-	inj.Play(ChaosScenario{Events: []ChaosEvent{
+	inj.Play([]ChaosEvent{
 		ChaosKill(1*time.Second, "cart", 1),
 		ChaosCrashFraction(5*time.Second, 0.3),
 		ChaosTelemetryBlackhole(10*time.Second, 10*time.Second),
 		ChaosArrivalSampling(12*time.Second, 0.5, 5*time.Second),
 		ChaosTraceDrop(12*time.Second, 0.5, 5*time.Second),
 		ChaosContention(15*time.Second, "currency", 2.0, 5*time.Second),
-	}})
+	})
 	s.RunFor(60 * time.Second)
 	gen.Stop()
 	s.Engine.Run()

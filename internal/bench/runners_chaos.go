@@ -29,14 +29,14 @@ type chaosOut struct {
 // trace drop), a correlated crash kills half of every deployment while the
 // telemetry is lying, then a frontend kill and a contention burst probe
 // recovery.
-func chaosScenario() chaos.Scenario {
-	return chaos.Scenario{Events: []chaos.Event{
+func chaosScenario() []chaos.Event {
+	return []chaos.Event{
 		chaos.BlackholeFrontend(0, 60),
 		chaos.DropTraces(0, 0.9, 120),
 		chaos.Crash(45, 0.5),
 		chaos.Kill(100, "frontend", 1),
 		chaos.Contend(140, "productcatalog", 2.0, 30),
-	}}
+	}
 }
 
 // runChaosPolicy drives one allocation policy through the chaos scenario on

@@ -30,10 +30,10 @@ type driftOut struct {
 // driftScenario permanently multiplies every service's CPU work: a global
 // code regression. Unlike a contention burst it never expires — the latency
 // surface the model was trained on is simply gone.
-func driftScenario(factor float64) chaos.Scenario {
-	return chaos.Scenario{Events: []chaos.Event{
+func driftScenario(factor float64) []chaos.Event {
+	return []chaos.Event{
 		chaos.Drift(0, "", factor),
-	}}
+	}
 }
 
 // runDrift drives one GRAF control plane — with or without the model

@@ -106,9 +106,9 @@ func runRecovery(tr *trained, warm bool, slo float64, seed int64) recoveryOut {
 		ctl.Start()
 	}
 	faultStart := eng.Now() // 210
-	chaos.New(cl).Play(chaos.Scenario{Events: []chaos.Event{
+	chaos.New(cl).Play([]chaos.Event{
 		chaos.SampleArrivals(10, 0.05, 60),
-	}})
+	})
 	eng.At(faultStart+recoveryCrashAtS, func() {
 		out.crashes++
 		ctl.Stop()

@@ -42,7 +42,7 @@ type Campaign struct {
 	Tenants int
 	// Scenarios maps tenant index -> that tenant's cluster fault schedule.
 	// Indices without an entry run fault-free (the control group).
-	Scenarios map[int]Scenario
+	Scenarios map[int][]Event
 	// Brownout, when non-empty, is the scripted degradation schedule the
 	// driver installs fleet-wide.
 	Brownout []BrownoutWindow
@@ -55,15 +55,13 @@ type Campaign struct {
 func correlatedDrift(seed int64, tenants int) Campaign {
 	rng := rand.New(rand.NewSource(seed))
 	at := 40 + rng.Float64()*20
-	c := Campaign{Name: "correlated-drift", Tenants: tenants, Scenarios: map[int]Scenario{}}
+	c := Campaign{Name: "correlated-drift", Tenants: tenants, Scenarios: map[int][]Event{}}
 	for i := 0; i < tenants; i++ {
 		if rng.Float64() > 0.75 { // a quarter of the fleet dodges the rollout
 			continue
 		}
 		factor := 1.3 + rng.Float64()*0.5
-		c.Scenarios[i] = Scenario{
-			Events: []Event{Drift(at+rng.Float64()*5, "", factor)},
-		}
+		c.Scenarios[i] = []Event{Drift(at+rng.Float64()*5, "", factor)}
 	}
 	return c
 }
@@ -77,15 +75,13 @@ func noisyNeighbor(seed int64, tenants int) Campaign {
 	noisy := rng.Intn(maxInt(tenants, 1))
 	start := 30 + rng.Float64()*20
 	dur := 40 + rng.Float64()*20
-	c := Campaign{Name: "noisy-neighbor", Tenants: tenants, Scenarios: map[int]Scenario{}}
+	c := Campaign{Name: "noisy-neighbor", Tenants: tenants, Scenarios: map[int][]Event{}}
 	for i := 0; i < tenants; i++ {
 		factor, d := 1.2+rng.Float64()*0.3, dur*0.8
 		if i == noisy {
 			factor, d = 2.5+rng.Float64(), dur
 		}
-		c.Scenarios[i] = Scenario{
-			Events: []Event{Contend(start+rng.Float64()*5, "", factor, d)},
-		}
+		c.Scenarios[i] = []Event{Contend(start+rng.Float64()*5, "", factor, d)}
 	}
 	return c
 }
@@ -99,13 +95,13 @@ func cacheAliasing(seed int64, tenants int) Campaign {
 	rng := rand.New(rand.NewSource(seed))
 	period := 15 + rng.Float64()*10 // seconds; deliberately near tick cadence
 	phase := rng.Float64() * 5
-	c := Campaign{Name: "cache-aliasing", Tenants: tenants, Scenarios: map[int]Scenario{}}
+	c := Campaign{Name: "cache-aliasing", Tenants: tenants, Scenarios: map[int][]Event{}}
 	for i := 0; i < tenants; i++ {
 		ev := []Event{SampleArrivals(20+phase, 0.5, 60)}
 		for k := 0; k < 4; k++ {
 			ev = append(ev, corruptTelemetry(20+phase+float64(k)*period, 2.0, 30))
 		}
-		c.Scenarios[i] = Scenario{Events: ev}
+		c.Scenarios[i] = ev
 	}
 	return c
 }
@@ -118,11 +114,9 @@ func overloadBurst(seed int64, tenants int) Campaign {
 	rng := rand.New(rand.NewSource(seed))
 	start := 30 + rng.Float64()*10
 	dur := 30 + rng.Float64()*10
-	c := Campaign{Name: "overload-burst", Tenants: tenants, Scenarios: map[int]Scenario{}}
+	c := Campaign{Name: "overload-burst", Tenants: tenants, Scenarios: map[int][]Event{}}
 	for i := 0; i < tenants; i++ {
-		c.Scenarios[i] = Scenario{
-			Events: []Event{Contend(start+rng.Float64()*3, "", 2+rng.Float64(), dur)},
-		}
+		c.Scenarios[i] = []Event{Contend(start+rng.Float64()*3, "", 2+rng.Float64(), dur)}
 	}
 	// Ticks are ~5s of simulated time: convert the burst window to ticks and
 	// brown the fleet out one rung shy of hold for its duration.

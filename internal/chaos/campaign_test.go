@@ -53,10 +53,7 @@ func runCampaign(t *testing.T, c chaos.Campaign, workers, seconds int) chaos.Rep
 	t.Helper()
 	cfg := campaignConfig(c.Tenants, workers)
 	for i := range cfg.Tenants {
-		if sc, ok := c.Scenarios[i]; ok {
-			scc := sc
-			cfg.Tenants[i].Chaos = &scc
-		}
+		cfg.Tenants[i].Chaos = c.Scenarios[i]
 	}
 	for _, w := range c.Brownout {
 		cfg.Brownout = append(cfg.Brownout, fleet.BrownoutPhase{

@@ -1,8 +1,8 @@
-// Package chaos is the fault-injection subsystem: deterministic,
-// scenario-scripted failures driven by the simulation engine. A Scenario
-// is a fixed schedule of Events — instance kills, correlated crash
-// fractions, telemetry blackholes and sampling faults, trace loss,
-// contention bursts — and an Injector plays it against a live cluster.
+// Package chaos is the fault-injection subsystem: deterministic, scripted
+// failures driven by the simulation engine. A fault schedule is a slice of
+// Events — instance kills, correlated crash fractions, telemetry
+// blackholes and sampling faults, trace loss, contention bursts — and an
+// Injector plays it against a live cluster.
 // Because every event fires at a scripted simulated time and all
 // randomness flows through the engine's seeded source, a chaos run is as
 // reproducible as any other simulation, which is what lets the robustness
@@ -143,11 +143,6 @@ func corruptTelemetry(at, latS float64, n int) Event {
 	return Event{At: at, Kind: telemetryCorrupt, Factor: latS, N: n}
 }
 
-// Scenario is a named, deterministic fault schedule.
-type Scenario struct {
-	Events []Event
-}
-
 // Fired records one executed fault.
 type Fired struct {
 	At     float64 // simulated time the fault fired
@@ -159,7 +154,7 @@ func (f Fired) String() string {
 	return fmt.Sprintf("t=%.1f %s %s", f.At, f.Event.Kind, f.Detail)
 }
 
-// Injector plays fault scenarios against one cluster on its engine.
+// Injector plays fault schedules against one cluster on its engine.
 type Injector struct {
 	cl  *cluster.Cluster
 	log []Fired
@@ -173,11 +168,11 @@ type Injector struct {
 // New returns an injector for cl.
 func New(cl *cluster.Cluster) *Injector { return &Injector{cl: cl} }
 
-// Play schedules every event of sc relative to the current simulated time.
+// Play schedules every event relative to the current simulated time.
 // It may be called more than once; schedules compose.
-func (in *Injector) Play(sc Scenario) {
+func (in *Injector) Play(events []Event) {
 	now := in.cl.Eng.Now()
-	for _, ev := range sc.Events {
+	for _, ev := range events {
 		ev := ev
 		in.cl.Eng.At(now+ev.At, func() { in.apply(ev) })
 	}

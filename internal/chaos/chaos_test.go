@@ -12,7 +12,7 @@ import (
 
 // scriptedRun plays one scenario against a loaded Online Boutique cluster
 // and returns the injector and cluster after the horizon.
-func scriptedRun(t *testing.T, seed int64, sc Scenario, horizon float64) (*Injector, *cluster.Cluster) {
+func scriptedRun(t *testing.T, seed int64, sc []Event, horizon float64) (*Injector, *cluster.Cluster) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	cfg := cluster.DefaultConfig()
@@ -33,13 +33,13 @@ func scriptedRun(t *testing.T, seed int64, sc Scenario, horizon float64) (*Injec
 }
 
 func TestScenarioDeterministic(t *testing.T) {
-	sc := Scenario{Events: []Event{
+	sc := []Event{
 		Kill(10, "cart", 2),
 		Crash(20, 0.34),
 		SampleArrivals(30, 0.1, 20),
 		DropTraces(30, 0.5, 20),
 		Contend(40, "productcatalog", 2.0, 15),
-	}}
+	}
 	run := func() string {
 		inj, cl := scriptedRun(t, 7, sc, 120)
 		s := fmt.Sprintf("killed=%d failedCalls=%d dropped=%d\n", cl.KilledTotal(), cl.FailedCalls(), cl.DroppedTraces())
@@ -55,10 +55,10 @@ func TestScenarioDeterministic(t *testing.T) {
 }
 
 func TestKillsReplaceAndDrain(t *testing.T) {
-	sc := Scenario{Events: []Event{
+	sc := []Event{
 		Kill(5, "cart", 2),
 		Crash(15, 0.5),
-	}}
+	}
 	inj, cl := scriptedRun(t, 3, sc, 150)
 	if cl.KilledTotal() == 0 {
 		t.Fatal("no instances killed")
@@ -94,10 +94,10 @@ func TestBlackholeWindowsReadEmpty(t *testing.T) {
 	}
 
 	inj := New(cl)
-	inj.Play(Scenario{Events: []Event{
+	inj.Play([]Event{
 		BlackholeFrontend(0.5, 30),
 		blackhole(0.5, "web", 30),
-	}})
+	})
 	eng.RunUntil(110)
 	if r := cl.APIArrivalRate("catalogue", 10); r != 0 {
 		t.Errorf("frontend arrival rate %v during blackhole, want 0", r)
@@ -140,7 +140,7 @@ func TestArrivalSamplingUnderReports(t *testing.T) {
 }
 
 func TestTraceDropLosesTraces(t *testing.T) {
-	sc := Scenario{Events: []Event{DropTraces(1, 0.9, 60)}}
+	sc := []Event{DropTraces(1, 0.9, 60)}
 	_, cl := scriptedRun(t, 9, sc, 80)
 	if cl.DroppedTraces() == 0 {
 		t.Error("no traces dropped at p=0.9")

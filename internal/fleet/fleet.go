@@ -156,7 +156,7 @@ type TenantConfig struct {
 	Users func(t float64) int
 	// Chaos, when non-nil, is played against the tenant's cluster at
 	// start (event times are absolute simulated times).
-	Chaos *chaos.Scenario
+	Chaos []chaos.Event
 	// PanicAt, when positive, schedules a panic inside the tenant's tick
 	// at that simulated time — the containment path's test hook.
 	PanicAt float64
@@ -458,7 +458,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 	if tc.Chaos != nil {
 		inj := chaos.New(t.Cluster)
 		inj.Obs = obs.NewChaosObs(t.tel)
-		inj.Play(*tc.Chaos)
+		inj.Play(tc.Chaos)
 	}
 	if tc.PanicAt > 0 {
 		at := math.Max(tc.PanicAt, t.Eng.Now())

@@ -104,8 +104,7 @@ func TestFleetSmoke(t *testing.T) {
 		cfg := testConfig(4, 2)
 		// One chaos event in both runs: kill an instance of tenant-01's
 		// frontend at t=12s.
-		sc := &chaos.Scenario{Events: []chaos.Event{chaos.Kill(12, "svc0", 1)}}
-		cfg.Tenants[1].Chaos = sc
+		cfg.Tenants[1].Chaos = []chaos.Event{chaos.Kill(12, "svc0", 1)}
 		if withPanic {
 			cfg.Tenants[2].PanicAt = 17
 		}

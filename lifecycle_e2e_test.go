@@ -83,9 +83,9 @@ func TestLifecycleReplayAcrossPromotion(t *testing.T) {
 	lc.Start()
 	s.RunFor(60 * time.Second) // monitor warms up on the surface it trusts
 
-	s.Chaos().Play(ChaosScenario{Events: []ChaosEvent{
+	s.Chaos().Play([]ChaosEvent{
 		ChaosSurfaceDrift(0, "", 1.6),
-	}})
+	})
 	driftUntil(t, s, lc, LifecycleDrifted, 200, &events)
 	driftUntil(t, s, lc, LifecycleProbation, 400, &events)
 	s.RunFor(60 * time.Second) // some decisions on the promoted generation

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Report every non-test function of the graf module that no binary links,
-and every name and field that nothing uses.
+every name and field that nothing uses, and every non-test function that
+only test binaries link.
 
 Usage: python3 scripts/deadcode.py   (or: make deadcode), from the repo root.
 
@@ -18,7 +19,10 @@ a symbol) and the linker's reachability dump on (-ldflags=-dumpdep, one
 "from -> to" line per edge it follows). A function declared in a package's
 non-test files (as `go list` names them, so build constraints apply) that
 appears in none of the dumps is printed as file:line, and the exit status
-is 1. Generic instantiations are matched by their declaration: the shapes in
+is 1. The binaries' dumps and the test binaries' are kept apart: a function
+only test binaries link is listed ("is linked only by test binaries"), which
+fails nothing -- it is code whose one user is a test. Generic instantiations
+are matched by their declaration: the shapes in
 (*GobEncoder[go.shape.int]).Append are stripped before the lookup.
 """
 
@@ -105,20 +109,25 @@ def main():
                              stderr=subprocess.PIPE, text=True)
     pkgs = go_list()
     mains = [path for path, name, _, _ in pkgs if name == "main"]
-    seen = set()
+    bins, tests = set(), set()
     with tempfile.TemporaryDirectory() as tmp:
-        linked(["go", "build"] + FLAGS + ["-o", os.path.join(tmp, "bin") + "/"] + mains, root, seen)
-        linked(["go", "test", "-c"] + FLAGS + ["-o", os.path.join(tmp, "test") + "/", "./..."], root, seen)
+        linked(["go", "build"] + FLAGS + ["-o", os.path.join(tmp, "bin") + "/"] + mains, root, bins)
+        linked(["go", "test", "-c"] + FLAGS + ["-o", os.path.join(tmp, "test") + "/", "./..."], root, tests)
         bench = os.path.join(root, "benchmark")
-        linked(["go", "build"] + FLAGS + ["-o", os.path.join(tmp, "bench")], bench, seen)
-        linked(["go", "test", "-c"] + FLAGS + ["-o", os.path.join(tmp, "bench.test")], bench, seen)
+        linked(["go", "build"] + FLAGS + ["-o", os.path.join(tmp, "bench")], bench, bins)
+        linked(["go", "test", "-c"] + FLAGS + ["-o", os.path.join(tmp, "bench.test")], bench, tests)
     report, errors = names.communicate()
     if names.returncode not in (0, 1):
         sys.stderr.write(errors)
         sys.exit("deadcode: scripts/deadnames failed")
     sys.stdout.write(report)
     sys.stderr.write(errors)
-    dead = [(pos, sym) for sym, pos in declared(pkgs) if sym not in seen]
+    funcs = list(declared(pkgs))
+    test_only = [(pos, sym) for sym, pos in funcs if sym in tests and sym not in bins]
+    for pos, sym in test_only:
+        print("%s: %s is linked only by test binaries" % (pos, sym))
+    print("deadcode: %d function(s) only test binaries link (listed, not failed)" % len(test_only))
+    dead = [(pos, sym) for sym, pos in funcs if sym not in bins and sym not in tests]
     for pos, sym in dead:
         print("%s: %s is linked by no binary or test binary" % (pos, sym))
     if dead:
