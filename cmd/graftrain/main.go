@@ -6,7 +6,9 @@
 //
 //	graftrain -app boutique -o boutique.graf
 //	graftrain -app social -samples 20000 -iters 8000 -o social.graf
-//	graftrain -app boutique -sim-labels -samples 2000 -o exact.graf
+//
+// The model covers total frontend rates of 40–320 req/s, with samples
+// labelled by the calibrated analytic measurer.
 package main
 
 import (
@@ -22,12 +24,9 @@ func main() {
 	appName := flag.String("app", "boutique", "builtin application (online-boutique | social-network | robot-shop | bookinfo | chain-N; legacy short names accepted)")
 	out := flag.String("o", "model.graf", "output path for the trained model")
 	sloMS := flag.Int("slo", 250, "latency SLO in milliseconds")
-	minRate := flag.Float64("min-rate", 40, "lowest total frontend rate covered (req/s)")
-	maxRate := flag.Float64("max-rate", 320, "highest total frontend rate covered (req/s)")
 	samples := flag.Int("samples", 4000, "training samples to collect")
 	iters := flag.Int("iters", 1600, "training iterations")
 	batch := flag.Int("batch", 128, "batch size")
-	simLabels := flag.Bool("sim-labels", false, "label every sample with a discrete-event measurement (slow, exact)")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
@@ -41,14 +40,13 @@ func main() {
 		a.Name, *samples, *iters, *batch)
 	start := time.Now()
 	tr := graf.Train(a, graf.TrainOptions{
-		SLO:             time.Duration(*sloMS) * time.Millisecond,
-		MinRate:         *minRate,
-		MaxRate:         *maxRate,
-		Samples:         *samples,
-		Iterations:      *iters,
-		Batch:           *batch,
-		SimulatorLabels: *simLabels,
-		Seed:            *seed,
+		SLO:        time.Duration(*sloMS) * time.Millisecond,
+		MinRate:    40,
+		MaxRate:    320,
+		Samples:    *samples,
+		Iterations: *iters,
+		Batch:      *batch,
+		Seed:       *seed,
 	})
 	fmt.Printf("trained in %.1fs\n", time.Since(start).Seconds())
 	for i, name := range a.ServiceNames() {

@@ -211,7 +211,11 @@ func TestBaselinesViaPublicAPI(t *testing.T) {
 	s2.RunFor(3 * time.Minute)
 	gen2.Stop()
 	f.Stop()
-	if s2.Cluster.TotalQuota() <= 6*250 {
+	total := 0.0
+	for _, q := range s2.Cluster.Quotas() {
+		total += q
+	}
+	if total <= 6*250 {
 		t.Error("FIRM-like did not scale via public API")
 	}
 }
@@ -244,6 +248,7 @@ func TestChaosViaPublicAPI(t *testing.T) {
 	if inj != s.Chaos() {
 		t.Fatal("Chaos() must memoize the injector")
 	}
+	tel := s.EnableObservability() // records every firing
 	inj.Play([]ChaosEvent{
 		ChaosKill(1*time.Second, "cart", 1),
 		ChaosCrashFraction(5*time.Second, 0.3),
@@ -256,8 +261,14 @@ func TestChaosViaPublicAPI(t *testing.T) {
 	gen.Stop()
 	s.Engine.Run()
 
-	if got := len(inj.Log()); got != 6 {
-		t.Fatalf("injector fired %d events, want 6", got)
+	fired := 0
+	for _, r := range tel.Flight.Records() {
+		if r.Type == "chaos" {
+			fired++
+		}
+	}
+	if fired != 6 {
+		t.Fatalf("injector fired %d events, want 6", fired)
 	}
 	if s.Cluster.KilledTotal() == 0 {
 		t.Error("no instances were killed")

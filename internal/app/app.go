@@ -121,10 +121,6 @@ func (a *App) ServiceNames() []string {
 	return out
 }
 
-// Frontend returns the name of the frontend service: the root of the first
-// API (all APIs of one app share a frontend in the paper's benchmarks).
-func (a *App) Frontend() string { return a.APIs[0].Root.Service }
-
 // API returns the named API, or nil.
 func (a *App) API(name string) *API {
 	for i := range a.APIs {

@@ -11,7 +11,7 @@ func TestBuiltinsValidate(t *testing.T) {
 		if len(a.Services) == 0 || len(a.APIs) == 0 {
 			t.Errorf("%s: empty app", a.Name)
 		}
-		if a.Frontend() == "" {
+		if a.APIs[0].Root.Service == "" {
 			t.Errorf("%s: no frontend", a.Name)
 		}
 	}
@@ -22,8 +22,8 @@ func TestOnlineBoutiqueShape(t *testing.T) {
 	if len(a.Services) != 6 {
 		t.Fatalf("boutique has %d services, want 6 (MS1..MS6)", len(a.Services))
 	}
-	if a.Frontend() != "frontend" {
-		t.Errorf("frontend = %q", a.Frontend())
+	if a.APIs[0].Root.Service != "frontend" {
+		t.Errorf("frontend = %q", a.APIs[0].Root.Service)
 	}
 	if len(a.APIs) != 3 {
 		t.Errorf("boutique has %d APIs, want 3 (multi-API Locust mix)", len(a.APIs))

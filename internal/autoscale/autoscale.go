@@ -9,7 +9,6 @@ package autoscale
 import (
 	"math"
 
-	"graf/internal/app"
 	"graf/internal/cluster"
 	"graf/internal/metrics"
 )
@@ -99,10 +98,10 @@ func (h *HPA) Step() {
 		w := h.recs[name]
 		if w == nil {
 			w = metrics.NewWindow(name + " replicas")
+			w.SetLookback(k8sStabilizationS)
 			h.recs[name] = w
 		}
 		w.Add(now, float64(desired))
-		w.Trim(now - k8sStabilizationS)
 		apply := desired
 		if desired < cur {
 			m := w.Quantile(1, now-k8sStabilizationS, now)
@@ -218,15 +217,4 @@ func ProvisionProactiveRates(c *cluster.Cluster, apiRates map[string]float64, ta
 	}
 	c.ApplyQuotas(quotas)
 	return quotas
-}
-
-// App re-exported helper: total CPU demand (millicores) of an application at
-// a total front-end rate, the lower bound any allocator must exceed.
-func cpuDemand(a *app.App, totalRate float64) float64 {
-	rates := a.PerServiceRate(a.MixRates(totalRate))
-	sum := 0.0
-	for _, svc := range a.Services {
-		sum += rates[svc.Name] * svc.WorkMS
-	}
-	return sum
 }

@@ -107,7 +107,7 @@ func TestFIRMLikeScalesUpOnTailRatio(t *testing.T) {
 	g.Stop()
 	f.Stop()
 	eng.Run()
-	if got := cl.TotalQuota(); got <= float64(len(cl.App.Services))*250 {
+	if got := totalQuota(cl); got <= float64(len(cl.App.Services))*250 {
 		t.Errorf("FIRM-like never scaled up: total quota %v", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestProvisionProactive(t *testing.T) {
 		}
 	}
 	// Demand-based lower bound holds.
-	if total := cl.TotalQuota(); total < cpuDemand(cl.App, 300) {
+	if total := totalQuota(cl); total < cpuDemand(cl.App, 300) {
 		t.Errorf("proactive quota %v below raw CPU demand %v", total, cpuDemand(cl.App, 300))
 	}
 }
@@ -158,4 +158,24 @@ func TestCPUDemandScalesLinearly(t *testing.T) {
 	if d2 < d1*1.99 || d2 > d1*2.01 {
 		t.Errorf("CPU demand not linear: %v vs %v", d1, d2)
 	}
+}
+
+// cpuDemand returns the total CPU demand (millicores) of an application at a
+// total front-end rate, the lower bound any allocator must exceed.
+func cpuDemand(a *app.App, totalRate float64) float64 {
+	rates := a.PerServiceRate(a.MixRates(totalRate))
+	sum := 0.0
+	for _, svc := range a.Services {
+		sum += rates[svc.Name] * svc.WorkMS
+	}
+	return sum
+}
+
+// totalQuota returns the sum of cl's desired quotas in millicores.
+func totalQuota(cl *cluster.Cluster) float64 {
+	q := 0.0
+	for _, v := range cl.Quotas() {
+		q += v
+	}
+	return q
 }

@@ -1,8 +1,9 @@
 package chaos_test
 
-// Campaign tests live in an external test package: the campaign harness is
-// plain data below fleet in the import graph, and these tests are the
-// reference driver mapping campaigns onto real fleets.
+// Campaign tests live in an external test package, which may import fleet:
+// the campaign harness (campaign_gen_test.go, in package chaos) is plain
+// data below fleet in the import graph, and these tests are the driver
+// mapping campaigns onto real fleets.
 
 import (
 	"bytes"

@@ -99,11 +99,6 @@ func Crash(at, fraction float64) Event {
 	return Event{At: at, Kind: crashFraction, Fraction: fraction}
 }
 
-// blackhole returns an event suppressing svc's telemetry for duration.
-func blackhole(at float64, svc string, duration float64) Event {
-	return Event{At: at, Kind: telemetryBlackhole, Service: svc, Duration: duration}
-}
-
 // BlackholeFrontend returns an event suppressing the frontend arrival and
 // latency windows for duration.
 func BlackholeFrontend(at, duration float64) Event {
@@ -136,28 +131,9 @@ func Drift(at float64, svc string, factor float64) Event {
 	return Event{At: at, Kind: surfaceDrift, Service: svc, Factor: factor}
 }
 
-// corruptTelemetry returns an event injecting n bogus frontend observations
-// at time at: n end-to-end latency samples of latS seconds and n phantom
-// arrivals per API.
-func corruptTelemetry(at, latS float64, n int) Event {
-	return Event{At: at, Kind: telemetryCorrupt, Factor: latS, N: n}
-}
-
-// Fired records one executed fault.
-type Fired struct {
-	At     float64 // simulated time the fault fired
-	Event  Event
-	Detail string // e.g. "killed 3"
-}
-
-func (f Fired) String() string {
-	return fmt.Sprintf("t=%.1f %s %s", f.At, f.Event.Kind, f.Detail)
-}
-
 // Injector plays fault schedules against one cluster on its engine.
 type Injector struct {
-	cl  *cluster.Cluster
-	log []Fired
+	cl *cluster.Cluster
 
 	// Obs, if set, records every firing: a counter per fault kind, a span,
 	// a flight-recorder entry, and an active-fault window so controller
@@ -213,7 +189,6 @@ func (in *Injector) apply(ev Event) {
 		in.cl.CorruptTelemetry(ev.Factor, ev.N)
 		detail = fmt.Sprintf("%d bogus samples @ %.1fs", ev.N, ev.Factor)
 	}
-	in.log = append(in.log, Fired{At: in.cl.Eng.Now(), Event: ev, Detail: detail})
 	if in.Obs != nil {
 		// Windowed faults stay "active" for their duration; instantaneous
 		// ones (kills, crashes) linger for a recovery-scale window so the
@@ -227,6 +202,3 @@ func (in *Injector) apply(ev Event) {
 		in.Obs.Fired(now, ev.Kind.String(), detail, until)
 	}
 }
-
-// Log returns the faults fired so far, in firing order.
-func (in *Injector) Log() []Fired { return in.log }

@@ -6,13 +6,24 @@ import (
 
 	"graf/internal/app"
 	"graf/internal/cluster"
+	"graf/internal/obs"
 	"graf/internal/sim"
+	"graf/internal/trace"
 	"graf/internal/workload"
 )
 
+// scripted is what one scripted run leaves: the cluster after the horizon,
+// the injector's flight records (one per fired fault, in firing order) and
+// the number of traces that reached the collector.
+type scripted struct {
+	cl     *cluster.Cluster
+	fired  []obs.Record
+	traced int
+}
+
 // scriptedRun plays one scenario against a loaded Online Boutique cluster
-// and returns the injector and cluster after the horizon.
-func scriptedRun(t *testing.T, seed int64, sc []Event, horizon float64) (*Injector, *cluster.Cluster) {
+// and drains it.
+func scriptedRun(t *testing.T, seed int64, sc []Event, horizon float64) scripted {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	cfg := cluster.DefaultConfig()
@@ -22,14 +33,19 @@ func scriptedRun(t *testing.T, seed int64, sc []Event, horizon float64) (*Inject
 		cl.Deployment(name).SetReplicas(3)
 	}
 	eng.RunUntil(60) // let replicas come up
+	out := scripted{cl: cl}
+	cl.OnTrace(func(*trace.Trace) { out.traced++ })
 	g := workload.NewOpenLoop(cl, workload.ConstRate(40))
 	g.Start()
+	tel := obs.New(obs.Options{})
 	inj := New(cl)
+	inj.Obs = obs.NewChaosObs(tel)
 	inj.Play(sc)
 	eng.RunUntil(60 + horizon)
 	g.Stop()
 	eng.Run() // drain
-	return inj, cl
+	out.fired = tel.Flight.Records()
+	return out
 }
 
 func TestScenarioDeterministic(t *testing.T) {
@@ -41,10 +57,10 @@ func TestScenarioDeterministic(t *testing.T) {
 		Contend(40, "productcatalog", 2.0, 15),
 	}
 	run := func() string {
-		inj, cl := scriptedRun(t, 7, sc, 120)
-		s := fmt.Sprintf("killed=%d failedCalls=%d dropped=%d\n", cl.KilledTotal(), cl.FailedCalls(), cl.DroppedTraces())
-		for _, f := range inj.Log() {
-			s += f.String() + "\n"
+		r := scriptedRun(t, 7, sc, 120)
+		s := fmt.Sprintf("killed=%d failedRequests=%d traced=%d\n", r.cl.KilledTotal(), r.cl.FailedRequests(), r.traced)
+		for _, f := range r.fired {
+			s += fmt.Sprintf("t=%.1f %s %s\n", f.At, f.Kind, f.Detail)
 		}
 		return s
 	}
@@ -59,12 +75,13 @@ func TestKillsReplaceAndDrain(t *testing.T) {
 		Kill(5, "cart", 2),
 		Crash(15, 0.5),
 	}
-	inj, cl := scriptedRun(t, 3, sc, 150)
+	r := scriptedRun(t, 3, sc, 150)
+	cl := r.cl
 	if cl.KilledTotal() == 0 {
 		t.Fatal("no instances killed")
 	}
-	if len(inj.Log()) != 2 {
-		t.Fatalf("fired %d events, want 2", len(inj.Log()))
+	if len(r.fired) != 2 {
+		t.Fatalf("fired %d events, want 2", len(r.fired))
 	}
 	if cl.InFlight() != 0 {
 		t.Errorf("%d requests stranded in flight after drain", cl.InFlight())
@@ -96,7 +113,7 @@ func TestBlackholeWindowsReadEmpty(t *testing.T) {
 	inj := New(cl)
 	inj.Play([]Event{
 		BlackholeFrontend(0.5, 30),
-		blackhole(0.5, "web", 30),
+		{At: 0.5, Kind: telemetryBlackhole, Service: "web", Duration: 30},
 	})
 	eng.RunUntil(110)
 	if r := cl.APIArrivalRate("catalogue", 10); r != 0 {
@@ -139,10 +156,13 @@ func TestArrivalSamplingUnderReports(t *testing.T) {
 	}
 }
 
+// At p = 0.9 for the whole run, about one trace in ten reaches the
+// collector.
 func TestTraceDropLosesTraces(t *testing.T) {
-	sc := []Event{DropTraces(1, 0.9, 60)}
-	_, cl := scriptedRun(t, 9, sc, 80)
-	if cl.DroppedTraces() == 0 {
-		t.Error("no traces dropped at p=0.9")
+	sc := []Event{DropTraces(0, 0.9, 80)}
+	r := scriptedRun(t, 9, sc, 80)
+	completed := r.cl.E2EWindow().Len()
+	if completed == 0 || r.traced > completed/5 {
+		t.Errorf("%d of %d completed requests' traces collected at p=0.9, want about a tenth", r.traced, completed)
 	}
 }

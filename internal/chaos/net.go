@@ -87,16 +87,6 @@ func Drop(fromRound, toRound int, shard string, p float64) NetEvent {
 	return NetEvent{Kind: netDrop, FromRound: fromRound, ToRound: toRound, Shard: shard, P: p}
 }
 
-// Delay returns a latency-injection event.
-func Delay(fromRound, toRound int, shard string, p, delayMS float64) NetEvent {
-	return NetEvent{Kind: NetDelay, FromRound: fromRound, ToRound: toRound, Shard: shard, P: p, DelayMS: delayMS}
-}
-
-// partition returns a full-partition event.
-func partition(fromRound, toRound int, shard string) NetEvent {
-	return NetEvent{Kind: netPartition, FromRound: fromRound, ToRound: toRound, Shard: shard}
-}
-
 // NetInjector evaluates a NetScenario against outbound control-plane
 // requests. It implements the rpc client's FaultInjector interface
 // structurally. Stateless by construction — every verdict is recomputed

@@ -13,7 +13,7 @@ func TestNetInjectorDeterministic(t *testing.T) {
 		Seed: 11,
 		Events: []NetEvent{
 			Drop(2, 6, "s1", 0.5),
-			Delay(3, 8, "", 0.3, 40),
+			{Kind: NetDelay, FromRound: 3, ToRound: 8, P: 0.3, DelayMS: 40},
 		},
 	}
 	a, b := NewNetInjector(sc), NewNetInjector(sc)
@@ -35,7 +35,7 @@ func TestNetInjectorDeterministic(t *testing.T) {
 func TestNetInjectorWindowsAndTargeting(t *testing.T) {
 	inj := NewNetInjector(NetScenario{
 		Seed:   3,
-		Events: []NetEvent{partition(4, 6, "s1")},
+		Events: []NetEvent{{Kind: netPartition, FromRound: 4, ToRound: 6, Shard: "s1"}},
 	})
 	for round := 0; round < 10; round++ {
 		drop, _ := inj.Intercept("tick", "s1", round, 0)
@@ -89,8 +89,8 @@ func TestNetInjectorDelayAccumulates(t *testing.T) {
 	inj := NewNetInjector(NetScenario{
 		Seed: 5,
 		Events: []NetEvent{
-			Delay(1, 1, "s1", 1.0, 25),
-			Delay(1, 1, "s1", 1.0, 10),
+			{Kind: NetDelay, FromRound: 1, ToRound: 1, Shard: "s1", P: 1.0, DelayMS: 25},
+			{Kind: NetDelay, FromRound: 1, ToRound: 1, Shard: "s1", P: 1.0, DelayMS: 10},
 		},
 	})
 	drop, delay := inj.Intercept("tick", "s1", 1, 0)

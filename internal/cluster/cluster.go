@@ -355,16 +355,11 @@ func (c *Cluster) Traces() *trace.Collector { return c.traces }
 // the collector (see SetTraceDrop). Only those requests build spans: one
 // already in flight when fn is registered is counted by the collector but
 // never shown to fn. The trace is valid for the call only — its request
-// record is reused — so an observer that keeps it copies it, as
-// trace.Recorder does.
+// record is reused — so an observer that keeps it copies it.
 func (c *Cluster) OnTrace(fn func(*trace.Trace)) { c.onTrace = fn }
 
 // InFlight returns the number of requests currently executing.
 func (c *Cluster) InFlight() int { return c.inFlight }
-
-// CreatedTotal returns the cumulative number of instances ever created
-// (excluding the initial one per deployment).
-func (c *Cluster) CreatedTotal() int { return c.createdTotal }
 
 // --- Deployment: scaling ---------------------------------------------------
 
@@ -769,15 +764,6 @@ func (c *Cluster) PendingInstances() int {
 	return n
 }
 
-// TotalQuota returns the sum of desired quotas in millicores.
-func (c *Cluster) TotalQuota() float64 {
-	q := 0.0
-	for _, name := range c.names {
-		q += c.deps[name].quota
-	}
-	return q
-}
-
 // Quotas returns the per-service quota map (copy).
 func (c *Cluster) Quotas() map[string]float64 {
 	out := make(map[string]float64, len(c.names))
@@ -850,14 +836,6 @@ func (c *Cluster) InjectContention(svc string, factor, duration float64) {
 		return
 	}
 	apply(c.Deployment(svc))
-}
-
-// Contention returns the service's current contention factor (1 = none).
-func (d *Deployment) Contention() float64 {
-	if d.contention < 1 {
-		return 1
-	}
-	return d.contention
 }
 
 // --- Fault injection (the substrate hooks internal/chaos drives) -----------
@@ -1039,15 +1017,9 @@ func (c *Cluster) CorruptTelemetry(latS float64, n int) {
 // injection.
 func (c *Cluster) KilledTotal() int { return c.killedTotal }
 
-// FailedCalls returns how many calls exhausted their retries.
-func (c *Cluster) FailedCalls() int { return c.failedCalls }
-
 // FailedRequests returns how many requests completed with at least one
 // failed call (a degraded response).
 func (c *Cluster) FailedRequests() int { return c.failedReqs }
-
-// DroppedTraces returns how many traces were lost before the collector.
-func (c *Cluster) DroppedTraces() int { return c.droppedTraces }
 
 // LastArrivalAt returns the timestamp of the most recent recorded frontend
 // arrival across all APIs, and whether any exists — the freshness signal a

@@ -9,7 +9,6 @@ import (
 	"graf/internal/app"
 	"graf/internal/metrics"
 	"graf/internal/sim"
-	"graf/internal/trace"
 )
 
 // twoSvc is a minimal frontend→backend app for focused tests.
@@ -206,7 +205,7 @@ func TestQueueingLatencyGrowsWithLoad(t *testing.T) {
 
 func TestTraceStructure(t *testing.T) {
 	eng, c := newTestCluster(twoSvc())
-	var rec trace.Recorder
+	var rec Recorder
 	c.OnTrace(rec.Record)
 	c.Submit("get", nil)
 	eng.Run()
@@ -218,16 +217,17 @@ func TestTraceStructure(t *testing.T) {
 	if len(tr.Spans) != 2 {
 		t.Fatalf("trace has %d spans, want 2", len(tr.Spans))
 	}
-	v := tr.Visits()
+	v := Visits(tr)
 	if v["front"] != 1 || v["back"] != 1 {
 		t.Errorf("visits = %v", v)
 	}
-	if tr.EndToEnd() <= 0 {
-		t.Error("EndToEnd must be positive")
-	}
-	edges := rec.Edges("get")
-	if !edges[[2]string{"front", "back"}] {
-		t.Errorf("edges = %v, missing front→back", edges)
+	for _, s := range tr.Spans {
+		if s.End <= s.Start {
+			t.Errorf("span %+v: want a positive duration", s)
+		}
+		if s.Service == "back" && s.Parent != "front" {
+			t.Errorf("span %+v: want back called by front", s)
+		}
 	}
 }
 
@@ -301,7 +301,7 @@ func TestSequentialRepetitions(t *testing.T) {
 	)
 	eng := sim.NewEngine(3)
 	c := New(eng, a, DefaultConfig())
-	var rec trace.Recorder
+	var rec Recorder
 	c.OnTrace(rec.Record)
 	var lat float64
 	c.Submit("q", func(l float64) { lat = l })
@@ -310,7 +310,7 @@ func TestSequentialRepetitions(t *testing.T) {
 	if math.Abs(lat-0.016) > 1e-9 {
 		t.Errorf("latency = %v, want 0.016", lat)
 	}
-	if v := rec.Traces("q")[0].Visits(); v["b"] != 3 {
+	if v := Visits(rec.Traces("q")[0]); v["b"] != 3 {
 		t.Errorf("b visited %d times, want 3", v["b"])
 	}
 }
@@ -318,8 +318,8 @@ func TestSequentialRepetitions(t *testing.T) {
 func TestApplyQuotasAndTotals(t *testing.T) {
 	eng, c := newTestCluster(twoSvc())
 	c.ApplyQuotas(map[string]float64{"front": 500, "back": 750})
-	if got := c.TotalQuota(); got != 1250 {
-		t.Errorf("TotalQuota = %v, want 1250", got)
+	if q := c.Quotas(); q["front"] != 500 || q["back"] != 750 {
+		t.Errorf("Quotas = %v, want front 500 and back 750", q)
 	}
 	eng.RunUntil(60)
 	if got := c.TotalInstances(); got != 2+3 {

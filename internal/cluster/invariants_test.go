@@ -7,7 +7,6 @@ import (
 
 	"graf/internal/app"
 	"graf/internal/sim"
-	"graf/internal/trace"
 )
 
 // Conservation: every submitted request completes exactly once, across
@@ -49,7 +48,7 @@ func TestTraceCompletenessProperty(t *testing.T) {
 		eng := sim.NewEngine(seed)
 		a := app.SocialNetwork()
 		cl := New(eng, a, DefaultConfig())
-		var rec trace.Recorder
+		var rec Recorder
 		cl.OnTrace(rec.Record)
 		const n = 40
 		for i := 0; i < n; i++ {
@@ -63,7 +62,7 @@ func TestTraceCompletenessProperty(t *testing.T) {
 		}
 		want := a.Visits("compose-post")
 		for _, tr := range traces {
-			got := tr.Visits()
+			got := Visits(tr)
 			for svc, w := range want {
 				if float64(got[svc]) != w {
 					return false
@@ -82,7 +81,7 @@ func TestTraceCompletenessProperty(t *testing.T) {
 func TestSpanNesting(t *testing.T) {
 	eng := sim.NewEngine(9)
 	cl := New(eng, app.Bookinfo(), DefaultConfig())
-	var rec trace.Recorder
+	var rec Recorder
 	cl.OnTrace(rec.Record)
 	for i := 0; i < 20; i++ {
 		at := float64(i)
@@ -217,8 +216,8 @@ func TestRequestConservationUnderKillsProperty(t *testing.T) {
 				return false
 			}
 		}
-		if cl.InFlight() != 0 || cl.Traces().Total() != n {
-			t.Logf("in flight %d, traces %d", cl.InFlight(), cl.Traces().Total())
+		if cl.InFlight() != 0 || cl.e2eAll.Len() != n {
+			t.Logf("in flight %d, completions %d", cl.InFlight(), cl.e2eAll.Len())
 			return false
 		}
 		if len(cl.freeFrames) != cl.framesMade || len(cl.freeReqs) == 0 {

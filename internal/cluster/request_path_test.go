@@ -26,7 +26,7 @@ import (
 func simulationDigest(a *app.App, cfg cluster.Config) uint64 {
 	eng := sim.NewEngine(42)
 	cl := cluster.New(eng, a, cfg)
-	rec := &trace.Recorder{Cap: cfg.TraceCap} // what the collector's rings retain, spans and all
+	rec := &cluster.Recorder{Cap: cfg.TraceCap} // what the collector's rings retain, spans and all
 	cl.OnTrace(rec.Record)
 	for _, name := range a.ServiceNames() {
 		cl.Deployment(name).SetQuota(750)
@@ -52,7 +52,7 @@ func simulationDigest(a *app.App, cfg cluster.Config) uint64 {
 		h.Write([]byte(s))
 		h.Write([]byte{0})
 	}
-	for _, api := range cl.Traces().APIs() {
+	for _, api := range rec.APIs() {
 		str(api)
 		for _, tr := range rec.Traces(api) {
 			f64(float64(tr.Errors))
@@ -117,14 +117,14 @@ func TestSteadyStateRequestAllocations(t *testing.T) {
 	eng.RunUntil(120)
 
 	var before, after runtime.MemStats
-	completed := cl.Traces().Total()
+	completed := cl.E2EWindow().Len()
 	runtime.ReadMemStats(&before)
 	const runs = 5
 	objects := testing.AllocsPerRun(runs-1, func() { eng.RunUntil(eng.Now() + 10) }) // runs once more to warm up
 	runtime.ReadMemStats(&after)
 	gen.Stop()
 
-	perRun := float64(cl.Traces().Total()-completed) / runs
+	perRun := float64(cl.E2EWindow().Len()-completed) / runs
 	if perRun < 900 {
 		t.Fatalf("only %.0f requests completed per 10 simulated seconds at 100 req/s", perRun)
 	}
@@ -155,7 +155,7 @@ func nearestRank(traces []trace.Trace, q float64) map[string]float64 {
 	}
 	counts := map[string][]int{}
 	for _, tr := range traces {
-		for svc, n := range tr.Visits() {
+		for svc, n := range cluster.Visits(tr) {
 			counts[svc] = append(counts[svc], n)
 		}
 	}
@@ -185,9 +185,9 @@ func observedRun(a *app.App, seed int64, outage string, observe bool) observatio
 	cfg.QueueTimeoutS = 0.5
 	eng := sim.NewEngine(seed)
 	cl := cluster.New(eng, a, cfg)
-	var rec *trace.Recorder
+	var rec *cluster.Recorder
 	if observe {
-		rec = &trace.Recorder{Cap: cfg.TraceCap}
+		rec = &cluster.Recorder{Cap: cfg.TraceCap}
 		cl.OnTrace(rec.Record)
 	}
 	for _, name := range a.ServiceNames() {
@@ -288,7 +288,7 @@ func TestObserverAttachedMidRunSeesWholeTraces(t *testing.T) {
 	a := app.SocialNetwork()
 	eng := sim.NewEngine(3)
 	cl := cluster.New(eng, a, cluster.DefaultConfig())
-	var first, second trace.Recorder
+	var first, second cluster.Recorder
 	submitted, inFlight := 0, 0
 	for i := 0; i < 400; i++ {
 		eng.At(float64(i)/40, func() {
@@ -323,7 +323,7 @@ func TestObserverAttachedMidRunSeesWholeTraces(t *testing.T) {
 	want := a.Visits("compose-post")
 	for _, tr := range append(first.Traces("compose-post"), second.Traces("compose-post")...) {
 		got := map[string]float64{}
-		for svc, n := range tr.Visits() {
+		for svc, n := range cluster.Visits(tr) {
 			got[svc] = float64(n)
 		}
 		if !reflect.DeepEqual(got, want) {

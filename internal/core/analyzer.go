@@ -134,13 +134,3 @@ func (an *Analyzer) distributeInto(load []float64, apiRates map[string]float64) 
 	}
 	return load
 }
-
-// DistributeMap is Distribute keyed by service name.
-func (an *Analyzer) DistributeMap(apiRates map[string]float64) map[string]float64 {
-	load := an.Distribute(apiRates)
-	out := make(map[string]float64, len(load))
-	for i, name := range an.App.ServiceNames() {
-		out[name] = load[i]
-	}
-	return out
-}

@@ -53,9 +53,6 @@ func (m *AnomalyMitigator) Stop() {
 // Fired returns how many boost actions the mitigator has taken.
 func (m *AnomalyMitigator) Fired() int { return m.fired }
 
-// Extra returns the quota currently added for the named service.
-func (m *AnomalyMitigator) Extra(svc string) float64 { return m.extra[svc] }
-
 // Step performs one detection pass across all deployments.
 func (m *AnomalyMitigator) Step() {
 	for _, name := range m.Cluster.App.ServiceNames() {

@@ -112,7 +112,7 @@ func TestRestoreResumesDegradedHold(t *testing.T) {
 	gen := workload.NewOpenLoop(cl, workload.ConstRate(40))
 	gen.Start()
 	eng.RunUntil(90)
-	held := cl.TotalQuota()
+	held := totalQuota(cl)
 
 	// Black-hole the arrival signal, let the controller enter the hold,
 	// then crash-and-restore it in the middle of the degraded window.
@@ -131,7 +131,7 @@ func TestRestoreResumesDegradedHold(t *testing.T) {
 	if restored.Health() != degradedTelemetry {
 		t.Errorf("health %v after mid-hold restore, want DegradedTelemetry", restored.Health())
 	}
-	if got := cl.TotalQuota(); got != held {
+	if got := totalQuota(cl); got != held {
 		t.Errorf("restored controller moved quota %v → %v during the hold", held, got)
 	}
 	if restored.Stats().StaleHolds == 0 {

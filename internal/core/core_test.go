@@ -42,11 +42,11 @@ func TestAnalyzerFallbackMatchesGroundTruth(t *testing.T) {
 	a := app.OnlineBoutique()
 	an := NewAnalyzer(a)
 	rates := map[string]float64{"cart": 10, "home": 5}
-	load := an.DistributeMap(rates)
+	load := an.Distribute(rates)
 	want := a.PerServiceRate(rates)
 	for svc, w := range want {
-		if math.Abs(load[svc]-w) > 1e-9 {
-			t.Errorf("%s: load %v, want %v", svc, load[svc], w)
+		if got := load[a.ServiceIndex(svc)]; math.Abs(got-w) > 1e-9 {
+			t.Errorf("%s: load %v, want %v", svc, got, w)
 		}
 	}
 }
@@ -62,13 +62,13 @@ func TestAnalyzerLearnsFromTraces(t *testing.T) {
 	eng.Run()
 	an := NewAnalyzer(a)
 	an.Refresh(cl.Traces())
-	load := an.DistributeMap(map[string]float64{"cart": 10})
+	load := an.Distribute(map[string]float64{"cart": 10})
 	// Traced multiplicities must reproduce Count: 2 on currency.
-	if math.Abs(load["currency"]-20) > 1e-9 {
-		t.Errorf("traced currency load = %v, want 20", load["currency"])
+	if got := load[a.ServiceIndex("currency")]; math.Abs(got-20) > 1e-9 {
+		t.Errorf("traced currency load = %v, want 20", got)
 	}
-	if math.Abs(load["frontend"]-10) > 1e-9 {
-		t.Errorf("frontend load = %v, want 10", load["frontend"])
+	if got := load[a.ServiceIndex("frontend")]; math.Abs(got-10) > 1e-9 {
+		t.Errorf("frontend load = %v, want 10", got)
 	}
 }
 
@@ -288,10 +288,10 @@ func TestControllerReactsToSurge(t *testing.T) {
 	gen := workload.NewOpenLoop(cl, workload.StepRate(20, 200, 120))
 	gen.Start()
 	eng.RunUntil(115)
-	preQuota := cl.TotalQuota()
+	preQuota := totalQuota(cl)
 	preSolves := ctl.Solves()
 	eng.RunUntil(140) // a few control intervals after the surge
-	postQuota := cl.TotalQuota()
+	postQuota := totalQuota(cl)
 	gen.Stop()
 	ctl.Stop()
 	eng.RunUntil(200)
@@ -462,9 +462,19 @@ func TestControllerWorkloadScaling(t *testing.T) {
 	if solvedTotal == 0 {
 		t.Fatal("no decision observed")
 	}
-	applied := cl.TotalQuota()
+	applied := totalQuota(cl)
 	ratio := applied / solvedTotal
 	if ratio < 2 || ratio > 4 {
 		t.Errorf("applied/solved quota ratio %v, want ≈3 (workload scaling)", ratio)
 	}
+}
+
+// totalQuota returns the sum of cl's desired quotas in millicores, in
+// service order.
+func totalQuota(cl *cluster.Cluster) float64 {
+	q := 0.0
+	for _, name := range cl.App.ServiceNames() {
+		q += cl.Deployment(name).Quota()
+	}
+	return q
 }

@@ -65,7 +65,7 @@ func TestControllerStaleHoldOnTelemetryBlackhole(t *testing.T) {
 	if ctl.Health() != healthy {
 		t.Fatalf("health %v before fault, want Healthy", ctl.Health())
 	}
-	held := cl.TotalQuota()
+	held := totalQuota(cl)
 	if held <= 0 {
 		t.Fatal("no configuration applied before the fault")
 	}
@@ -76,7 +76,7 @@ func TestControllerStaleHoldOnTelemetryBlackhole(t *testing.T) {
 	if ctl.Health() != degradedTelemetry {
 		t.Errorf("health %v during blackhole, want DegradedTelemetry", ctl.Health())
 	}
-	if got := cl.TotalQuota(); got != held {
+	if got := totalQuota(cl); got != held {
 		t.Errorf("quota changed %v → %v during stale hold; want last-known-good held", held, got)
 	}
 	if ctl.Stats().StaleHolds == 0 {
@@ -115,7 +115,7 @@ func TestControllerStaleHoldExpires(t *testing.T) {
 	gen := workload.NewOpenLoop(cl, workload.ConstRate(40))
 	gen.Start()
 	eng.RunUntil(90)
-	held := cl.TotalQuota()
+	held := totalQuota(cl)
 
 	// Permanent heavy sampling: the observed rate collapses to 5% and
 	// stays there. The hold must expire and the controller accept the
@@ -127,7 +127,7 @@ func TestControllerStaleHoldExpires(t *testing.T) {
 	gen.Stop()
 	ctl.Stop()
 	eng.Run()
-	if got := cl.TotalQuota(); got >= held {
+	if got := totalQuota(cl); got >= held {
 		t.Errorf("quota %v still ≥ held %v long after StaleHoldMaxS; hold never expired", got, held)
 	}
 }
@@ -161,7 +161,7 @@ func TestControllerBreakerFallbackAndClose(t *testing.T) {
 	if st.BreakerTrips == 0 || st.FallbackSolves == 0 {
 		t.Errorf("breaker never engaged: %+v", st)
 	}
-	if q := cl.TotalQuota(); q <= 0 || math.IsNaN(q) {
+	if q := totalQuota(cl); q <= 0 || math.IsNaN(q) {
 		t.Errorf("heuristic fallback applied bogus total quota %v", q)
 	}
 

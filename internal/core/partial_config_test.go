@@ -32,10 +32,10 @@ func TestPartialConfigAdvancesTime(t *testing.T) {
 	ctl.Obs = obs.NewControllerObs(tel)
 	solves := 0
 	ctl.OnDecision = func(float64, float64, Solution) {
-		// A runaway loop solves at one instant forever: halt it, so the
+		// A runaway loop solves at one instant forever: stop it, so the
 		// failure is reported instead of spinning the test binary.
 		if solves++; solves > 100 {
-			eng.Halt()
+			ctl.Stop()
 		}
 	}
 	gen := workload.NewOpenLoop(cl, workload.ConstRate(100))

@@ -59,7 +59,7 @@ func TestFleetScriptedBrownoutDeterministic(t *testing.T) {
 			if tn.Brownout() != overload.StepFull {
 				t.Errorf("tenant %s ended on rung %v, want full", tn.ID, tn.Brownout())
 			}
-			if tn.BrownoutTransitions() == 0 {
+			if tn.bTrans == 0 {
 				t.Errorf("tenant %s made no ladder transitions", tn.ID)
 			}
 		}
@@ -189,8 +189,8 @@ func TestFleetPerTenantSLOAndBounds(t *testing.T) {
 	}
 	for i, slo := range slos {
 		tn := f.Tenant(fmt.Sprintf("tenant-%02d", i))
-		if tn.SLO() != slo || tn.Ctl.Cfg.SLO != slo {
-			t.Errorf("tenant %s: SLO %g, controller SLO %g, want %g", tn.ID, tn.SLO(), tn.Ctl.Cfg.SLO, slo)
+		if tn.slo != slo || tn.Ctl.Cfg.SLO != slo {
+			t.Errorf("tenant %s: SLO %g, controller SLO %g, want %g", tn.ID, tn.slo, tn.Ctl.Cfg.SLO, slo)
 		}
 		recs := tn.Records()
 		if len(recs) == 0 || recs[0].Type != "header" || recs[0].SLO != slo {

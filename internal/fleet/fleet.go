@@ -216,9 +216,6 @@ func (t *Tenant) Degraded() bool { return t.degraded }
 // PanicValue returns the recovered panic value for a degraded tenant.
 func (t *Tenant) PanicValue() any { return t.panicVal }
 
-// SLO returns the tenant's effective latency objective in seconds.
-func (t *Tenant) SLO() float64 { return t.slo }
-
 // Lifecycle returns the tenant's model-trust manager (nil unless the fleet
 // runs with Config.Lifecycle).
 func (t *Tenant) Lifecycle() *lifecycle.Manager { return t.lc }
@@ -229,9 +226,6 @@ func (t *Tenant) Exposition() string { return t.tel.Reg.Expose() }
 
 // Brownout returns the ladder rung the tenant currently sits on.
 func (t *Tenant) Brownout() overload.Step { return t.bstep }
-
-// BrownoutTransitions returns how many ladder transitions the tenant made.
-func (t *Tenant) BrownoutTransitions() int { return t.bTrans }
 
 // AuditLog returns the tenant's JSONL audit stream so far, in a new slice
 // each call. Byte-identical across same-seed runs regardless of worker

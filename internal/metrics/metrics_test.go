@@ -140,20 +140,6 @@ func TestSliceQuantileAndMedian(t *testing.T) {
 	}
 }
 
-func TestWindowTrim(t *testing.T) {
-	w := NewWindow("")
-	for i := 0; i < 10; i++ {
-		w.Add(float64(i), 1)
-	}
-	w.Trim(5)
-	if w.Retained() != 5 || w.Len() != 10 {
-		t.Errorf("after Trim(5), Retained = %d and Len = %d, want 5 of 10", w.Retained(), w.Len())
-	}
-	if got := w.Count(0, 100); got != 5 {
-		t.Errorf("Count after trim = %d, want 5", got)
-	}
-}
-
 func TestWindowEmptyInterval(t *testing.T) {
 	w := NewWindow("")
 	w.Add(1, 10)

@@ -50,8 +50,7 @@ var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 // observation (Len and LastAt answer as ever), and every interval query panics.
 type Window struct {
 	name   string   // what the window records, for the panic of a read past its look-back
-	chunks []*chunk // oldest first
-	off    int      // position in chunks[0] of the oldest retained observation
+	chunks []*chunk // oldest first; the oldest retained observation opens chunks[0]
 	n      int      // retained observations
 	total  int      // observations ever added
 
@@ -77,8 +76,7 @@ func (w *Window) Lookback() float64 { return w.lookback }
 
 // at returns the i-th oldest retained observation.
 func (w *Window) at(i int) *timed {
-	pos := w.off + i
-	return &w.chunks[pos>>chunkShift][pos&(chunkLen-1)]
+	return &w.chunks[i>>chunkShift][i&(chunkLen-1)]
 }
 
 // Add records observation v at time at. Observations must be added in
@@ -87,10 +85,10 @@ func (w *Window) Add(at, v float64) {
 	w.total++
 	if w.lookback == 0 {
 		w.release(len(w.chunks))
-		w.chunks, w.scratch, w.off, w.n, w.floor = nil, nil, 0, 0, at
+		w.chunks, w.scratch, w.n, w.floor = nil, nil, 0, at
 		return
 	}
-	if w.off+w.n == len(w.chunks)*chunkLen {
+	if w.n == len(w.chunks)*chunkLen {
 		w.grow(at)
 	}
 	*w.at(w.n) = timed{at, v}
@@ -114,8 +112,7 @@ func (w *Window) grow(now float64) {
 		return
 	}
 	w.floor = w.chunks[passed-1][chunkLen-1].at
-	w.n -= passed<<chunkShift - w.off
-	w.off = 0
+	w.n -= passed << chunkShift
 	w.release(passed - 1)
 	head := w.chunks[0]
 	copy(w.chunks, w.chunks[1:])
@@ -130,18 +127,6 @@ func (w *Window) release(k int) {
 	kept := copy(w.chunks, w.chunks[k:])
 	clear(w.chunks[kept:])
 	w.chunks = w.chunks[:kept]
-}
-
-// Trim discards observations strictly older than before, handing back the
-// chunks they filled.
-func (w *Window) Trim(before float64) {
-	i := sort.Search(w.n, func(i int) bool { return w.at(i).at >= before })
-	w.off += i
-	w.n -= i
-	if drop := w.off >> chunkShift; drop > 0 {
-		w.release(drop)
-		w.off -= drop << chunkShift
-	}
 }
 
 // LastAt returns the timestamp of the most recent observation and whether
@@ -170,18 +155,14 @@ func (w *Window) bounds(from, to float64) (lo, hi int) {
 	return lo, hi
 }
 
-// appendValues appends the values of observations [lo, hi) to dst.
-func (w *Window) appendValues(dst []float64, lo, hi int) []float64 {
-	for i := lo; i < hi; i++ {
-		dst = append(dst, w.at(i).v)
-	}
-	return dst
-}
-
 // Since returns the observations with timestamp in [from, to].
 func (w *Window) Since(from, to float64) []float64 {
 	lo, hi := w.bounds(from, to)
-	return w.appendValues(make([]float64, 0, hi-lo), lo, hi)
+	out := make([]float64, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, w.at(i).v)
+	}
+	return out
 }
 
 // Quantile returns the nearest-rank q-quantile (0 ≤ q ≤ 1) of observations
@@ -309,8 +290,8 @@ func (w *Window) Count(from, to float64) int {
 	return hi - lo
 }
 
-// Len returns the number of observations ever added — those a look-back or
-// Trim has since dropped included, so it counts events (requests completed,
+// Len returns the number of observations ever added — those the look-back
+// has since dropped included, so it counts events (requests completed,
 // arrivals) however little of them the window still holds.
 func (w *Window) Len() int { return w.total }
 

@@ -12,7 +12,8 @@ import (
 )
 
 // sliceWindow is the reference the chunked Window must agree with: every
-// observation in one slice, trimmed by copying down.
+// observation in one slice, trimmed by copying down to what a look-back
+// reaches.
 type sliceWindow struct {
 	buf   []timed
 	added int
@@ -38,17 +39,15 @@ func (w *sliceWindow) since(from, to float64) []float64 {
 	return out
 }
 
-// Random add/trim/query streams: bursts long enough to cross several chunk
-// boundaries, repeated timestamps, trims that land inside a chunk, on a
-// boundary, past the end and before the start.
+// Random add/query streams: bursts long enough to cross several chunk
+// boundaries, repeated timestamps, queries before the start and past the end.
 func TestWindowMatchesSliceReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		w, ref := NewWindow(""), &sliceWindow{}
 		now := 0.0
 		for step := 0; step < 60; step++ {
-			switch rng.Intn(4) {
-			case 0, 1:
+			if rng.Intn(2) == 0 {
 				for n := rng.Intn(3 * chunkLen); n > 0; n-- {
 					if rng.Intn(4) > 0 {
 						now += rng.Float64()
@@ -57,16 +56,6 @@ func TestWindowMatchesSliceReference(t *testing.T) {
 					w.Add(now, v)
 					ref.add(now, v)
 				}
-			case 2:
-				before := now * (rng.Float64()*1.2 - 0.1)
-				if rng.Intn(5) == 0 && len(ref.buf) > 0 {
-					before = ref.buf[rng.Intn(len(ref.buf))].at // an exact timestamp
-				}
-				w.Trim(before)
-				ref.trim(before)
-			case 3:
-				w.Trim(now + 1) // empty it; the next Add must still work
-				ref.trim(now + 1)
 			}
 
 			if w.Retained() != len(ref.buf) || w.Len() != ref.added {
@@ -128,11 +117,9 @@ var testQuantiles = []float64{0, 0.5, 0.9, 0.95, 0.99, 1}
 
 // A window with a look-back answers every query that stays inside it exactly
 // as one that kept everything, and holds no more chunks than the look-back
-// held when its tail chunk last filled, plus two — through idle gaps, bursts
-// at several rates, and explicit Trims that leave the head chunk partly
-// consumed when the look-back passes it.
+// held when its tail chunk last filled, plus two — through idle gaps and
+// bursts at several rates.
 func TestLookbackMatchesUnboundedReference(t *testing.T) {
-	partHeadsPassed := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		lookback := []float64{0.3, 2, 10, 45}[rng.Intn(4)] * (0.5 + rng.Float64())
@@ -142,22 +129,15 @@ func TestLookbackMatchesUnboundedReference(t *testing.T) {
 		w.SetLookback(lookback)
 		now := 0.0
 		for step := 0; step < 80; step++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0:
 				now += lookback * 3 * rng.Float64() // idle
-			case 1:
-				before := now - lookback*rng.Float64() // lands inside the look-back
-				w.Trim(before)
-				ref.trim(before)
 			default:
 				slow := 1 + 4*rng.Float64()*float64(rng.Intn(2))
 				for n := rng.Intn(3 * chunkLen); n > 0; n-- {
 					now += (1 + slow*rng.Float64()) / maxRate
 					v := float64(rng.Intn(50)) // heavy ties
-					tailFull := w.off+w.n == len(w.chunks)*chunkLen
-					if tailFull && w.off > 0 && w.chunks[0][chunkLen-1].at < now-lookback {
-						partHeadsPassed++
-					}
+					tailFull := w.n == len(w.chunks)*chunkLen
 					w.Add(now, v)
 					ref.add(now, v)
 					if tailFull {
@@ -191,9 +171,6 @@ func TestLookbackMatchesUnboundedReference(t *testing.T) {
 			t.Errorf("seed %d: the look-back never dropped anything", seed)
 		}
 	}
-	if partHeadsPassed == 0 {
-		t.Error("no head chunk was passed by the look-back while a Trim had consumed part of it")
-	}
 }
 
 // feed adds one observation every 1/rate seconds after from, for seconds, and
@@ -224,7 +201,7 @@ func TestWindowShrinksWhenItsRateFalls(t *testing.T) {
 }
 
 // Windows on several goroutines share the chunk pool while each owns its
-// windows: through look-backs of 0.3–45 s, bursts, idle gaps and Trims, every
+// windows: through look-backs of 0.3–45 s, bursts and idle gaps, every
 // window answers as its slice reference after every burst. A chunk handed to
 // two live windows at once shows up here as a wrong answer, or under -race as
 // a data race.
@@ -248,14 +225,8 @@ func TestWindowsShareThePoolAcrossGoroutines(t *testing.T) {
 			now := 0.0
 			for step := 0; step < 150; step++ {
 				p := pairs[rng.Intn(len(pairs))]
-				switch rng.Intn(5) {
-				case 0:
+				if rng.Intn(4) == 0 {
 					now += 3 * p.lookback * rng.Float64() // idle
-					continue
-				case 1:
-					before := now - p.lookback*rng.Float64()
-					p.w.Trim(before)
-					p.ref.trim(before)
 					continue
 				}
 				rate := []float64{20, 300, 5000}[rng.Intn(3)]

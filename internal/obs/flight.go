@@ -261,13 +261,6 @@ func (f *FlightRecorder) Records() []Record {
 	return out
 }
 
-// Dropped returns how many records were evicted from the memory buffer.
-func (f *FlightRecorder) Dropped() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.drop
-}
-
 // Flush forces buffered JSONL output to the underlying writer and returns
 // the first write error encountered, if any.
 func (f *FlightRecorder) Flush() error {

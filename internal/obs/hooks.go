@@ -28,14 +28,6 @@ func NewControllerObs(t *Telemetry) *ControllerObs {
 	return &ControllerObs{t: t}
 }
 
-// Telemetry returns the underlying bundle (nil for a nil hook).
-func (o *ControllerObs) Telemetry() *Telemetry {
-	if o == nil {
-		return nil
-	}
-	return o.t
-}
-
 // Traced reports whether a stage measured now becomes a trace span, so a
 // caller builds span attributes only when they will be kept.
 func (o *ControllerObs) Traced() bool { return o != nil && o.t.traced() }
@@ -147,16 +139,6 @@ func (o *ControllerObs) Health(at float64, from, to string, code int) {
 		"Current controller health state (0=healthy 1=degraded-telemetry 2=fallback-heuristic 3=boosting).",
 		nil).Set(float64(code))
 	o.t.Flight.Record(Record{Type: "health", At: at, From: from, To: to})
-}
-
-// Boost records an anomaly-triggered emergency boost for one service.
-func (o *ControllerObs) Boost(at float64, service string) {
-	if o == nil {
-		return
-	}
-	o.t.Reg.Counter("graf_boosts_total",
-		"Anomaly-triggered emergency quota boosts.",
-		Labels{"service": service}).Inc()
 }
 
 // ClusterObs observes actuation effects: scale events and instance churn.

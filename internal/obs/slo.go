@@ -181,19 +181,3 @@ func (m *SLOMonitor) burnLocked(st *sloState, now, window float64) float64 {
 	}
 	return viol / (window * m.cfg.Budget)
 }
-
-// Burn returns a tenant's current burn rates (fast, slow) as of the last
-// observation — a test/inspection helper.
-func (m *SLOMonitor) Burn(tenant string) (fast, slow float64) {
-	if m == nil {
-		return 0, 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.tenants[tenant]
-	if !ok || len(st.samples) == 0 {
-		return 0, 0
-	}
-	now := st.samples[len(st.samples)-1].at
-	return m.burnLocked(st, now, m.cfg.FastWindowS), m.burnLocked(st, now, m.cfg.SlowWindowS)
-}

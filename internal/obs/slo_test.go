@@ -194,3 +194,19 @@ func TestSLODeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Burn returns a tenant's current burn rates (fast, slow) as of the last
+// observation — a test/inspection helper.
+func (m *SLOMonitor) Burn(tenant string) (fast, slow float64) {
+	if m == nil {
+		return 0, 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, ok := m.tenants[tenant]
+	if !ok || len(st.samples) == 0 {
+		return 0, 0
+	}
+	now := st.samples[len(st.samples)-1].at
+	return m.burnLocked(st, now, m.cfg.FastWindowS), m.burnLocked(st, now, m.cfg.SlowWindowS)
+}

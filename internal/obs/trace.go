@@ -97,7 +97,7 @@ type TracerOptions struct {
 	// Proc names the emitting process on every span.
 	Proc string
 	// Cap bounds the in-memory span store (default 8192); the oldest spans
-	// are dropped once full, counted by Dropped.
+	// are dropped once full, counted in dropped.
 	Cap int
 	// W, when set, receives every completed span as one JSON line.
 	W io.Writer
@@ -252,16 +252,6 @@ func (tr *Tracer) Snapshot() []TraceSpan {
 	out = append(out, tr.spans[tr.head:]...)
 	out = append(out, tr.spans[:tr.head]...)
 	return out
-}
-
-// Dropped counts spans evicted from the bounded store.
-func (tr *Tracer) Dropped() uint64 {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.dropped
 }
 
 // ActiveSpan is an open span. It is owned by one goroutine until End; a nil

@@ -252,3 +252,13 @@ func TestChromeTraceStitches(t *testing.T) {
 		t.Errorf("fixture spans %d processes, want 2", len(procs))
 	}
 }
+
+// Dropped counts spans evicted from the bounded store.
+func (tr *Tracer) Dropped() uint64 {
+	if tr == nil {
+		return 0
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.dropped
+}

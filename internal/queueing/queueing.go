@@ -79,17 +79,6 @@ func (m mmc) Utilization() float64 {
 	return m.Lambda * m.Service / float64(m.C)
 }
 
-// MeanWait returns the mean queueing delay E[Wq] in seconds, or +Inf at or
-// beyond saturation.
-func (m mmc) MeanWait() float64 {
-	rho := m.Utilization()
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	pw := erlangC(m.C, m.Lambda*m.Service)
-	return pw * m.Service / (float64(m.C) * (1 - rho))
-}
-
 // WaitQuantile returns the q-quantile of the queueing delay: zero with
 // probability 1-Pw, exponential with rate c(1-ρ)/E[S] otherwise.
 func (m mmc) WaitQuantile(q float64) float64 {

@@ -48,15 +48,18 @@ func TestErlangCProperty(t *testing.T) {
 	}
 }
 
+// The mean of the wait distribution WaitQuantile describes is M/M/1's
+// E[Wq] = ρ/(1-ρ)·E[S]: ρ=0.8, S=0.01 → 0.04, the integral of the quantile
+// function over (0, 1).
 func TestMMcMeanWaitMM1(t *testing.T) {
-	// M/M/1: E[Wq] = ρ/(1-ρ)·E[S]. ρ=0.8, S=0.01 → 0.04.
 	m := mmc{Lambda: 80, Service: 0.01, C: 1}
-	if got := m.MeanWait(); math.Abs(got-0.04) > 1e-12 {
-		t.Errorf("MeanWait = %v, want 0.04", got)
+	const n = 1 << 20
+	mean := 0.0
+	for i := 0; i < n; i++ {
+		mean += m.WaitQuantile((float64(i) + 0.5) / n)
 	}
-	sat := mmc{Lambda: 200, Service: 0.01, C: 1}
-	if !math.IsInf(sat.MeanWait(), 1) {
-		t.Error("saturated MeanWait should be +Inf")
+	if mean /= n; math.Abs(mean-0.04) > 1e-5 {
+		t.Errorf("mean of WaitQuantile = %v, want 0.04", mean)
 	}
 }
 

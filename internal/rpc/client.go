@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -578,24 +577,10 @@ func (c *Client) Tick(shard string, round int, out *TickResponse, parent ...obs.
 	return c.call(shard, http.MethodPost, "/v1/tick", "tick", tickRequest{Round: round}, out, parent...)
 }
 
-// Quotas fetches the shard's per-tenant quota allocations.
-func (c *Client) Quotas(shard string, parent ...obs.SpanContext) (QuotasResponse, error) {
-	var out QuotasResponse
-	err := c.call(shard, http.MethodGet, "/v1/quotas", "quotas", nil, &out, parent...)
-	return out, err
-}
-
 // Tenants lists the shard's tenants.
 func (c *Client) Tenants(shard string, parent ...obs.SpanContext) (TenantsResponse, error) {
 	var out TenantsResponse
 	err := c.call(shard, http.MethodGet, "/v1/tenants", "tenants", nil, &out, parent...)
-	return out, err
-}
-
-// Decisions streams a tenant's retained decision records.
-func (c *Client) Decisions(shard, tenant string, parent ...obs.SpanContext) (DecisionsResponse, error) {
-	var out DecisionsResponse
-	err := c.call(shard, http.MethodGet, "/v1/decisions?tenant="+url.QueryEscape(tenant), "decisions", nil, &out, parent...)
 	return out, err
 }
 

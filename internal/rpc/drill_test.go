@@ -357,7 +357,7 @@ func TestFaultCoordinatesAreSlotAndRunningAttempt(t *testing.T) {
 	if err := r.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunRounds(3); err != nil {
+	if err := runRounds(r, 3); err != nil {
 		t.Fatal(err)
 	}
 	for key := range fault.seen {
@@ -405,7 +405,7 @@ func TestRouterResetsBreakerOnHeartbeatOK(t *testing.T) {
 	if err := r.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunRounds(rounds); err != nil {
+	if err := runRounds(r, rounds); err != nil {
 		t.Fatal(err)
 	}
 

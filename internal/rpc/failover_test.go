@@ -160,7 +160,7 @@ func TestRouterResumeByteIdentical(t *testing.T) {
 	if err := r1.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.RunRounds(3); err != nil {
+	if err := runRounds(r1, 3); err != nil {
 		t.Fatal(err)
 	}
 	// r1 is never used again: the in-process stand-in for SIGKILL (the
@@ -180,7 +180,7 @@ func TestRouterResumeByteIdentical(t *testing.T) {
 	if rep.Confirmed != len(ids) || rep.Adopted != 0 || rep.Orphaned != 0 {
 		t.Fatalf("clean resume reconcile: %+v, want all %d confirmed", rep, len(ids))
 	}
-	if err := r2.RunRounds(3); err != nil {
+	if err := runRounds(r2, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := r2.Round(); got != 6 {
@@ -235,7 +235,7 @@ func TestCrashMidMigrationRollsForward(t *testing.T) {
 	if err := r1.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.RunRounds(2); err != nil {
+	if err := runRounds(r1, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Pick a tenant and a target it does not live on.
@@ -264,7 +264,7 @@ func TestCrashMidMigrationRollsForward(t *testing.T) {
 	if got := r2.Owner(victim); got != target {
 		t.Fatalf("victim owned by %s after roll-forward, want %s", got, target)
 	}
-	if err := r2.RunRounds(3); err != nil {
+	if err := runRounds(r2, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := r2.Settle(); err != nil {
@@ -297,7 +297,7 @@ func TestZombieRouterCannotMutate(t *testing.T) {
 	if err := zombie.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := zombie.RunRounds(2); err != nil {
+	if err := runRounds(zombie, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -307,7 +307,7 @@ func TestZombieRouterCannotMutate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := successor.RunRounds(1); err != nil {
+	if err := runRounds(successor, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -328,7 +328,7 @@ func TestZombieRouterCannotMutate(t *testing.T) {
 		t.Fatalf("durable state epoch = %d, want successor's %d", st.Epoch, successor.Epoch())
 	}
 
-	if err := successor.RunRounds(1); err != nil {
+	if err := runRounds(successor, 1); err != nil {
 		t.Fatalf("successor after zombie attempt: %v", err)
 	}
 	probe := newClient(1, nil)

@@ -266,7 +266,7 @@ func TestRouterOverloadDrillByteIdentical(t *testing.T) {
 	if err := r.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunRounds(rounds); err != nil {
+	if err := runRounds(r, rounds); err != nil {
 		t.Fatal(err)
 	}
 

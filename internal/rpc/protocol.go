@@ -143,9 +143,9 @@ type TickResponse struct {
 	Statuses []TenantStatus `json:"statuses"`
 }
 
-// QuotasResponse (GET /v1/quotas) reports current per-tenant, per-service
+// quotasResponse (GET /v1/quotas) reports current per-tenant, per-service
 // quota allocations.
-type QuotasResponse struct {
+type quotasResponse struct {
 	Quotas map[string]map[string]float64 `json:"quotas"`
 }
 
@@ -154,9 +154,9 @@ type TenantsResponse struct {
 	Statuses []TenantStatus `json:"statuses"`
 }
 
-// DecisionsResponse (GET /v1/decisions?tenant=ID) streams the tenant's
+// decisionsResponse (GET /v1/decisions?tenant=ID) streams the tenant's
 // retained decision records.
-type DecisionsResponse struct {
+type decisionsResponse struct {
 	Tenant  string       `json:"tenant"`
 	Records []obs.Record `json:"records"`
 }

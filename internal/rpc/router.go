@@ -390,16 +390,6 @@ func (r *Router) placeUnplaced(parent obs.SpanContext) error {
 	return nil
 }
 
-// RunRounds advances the whole fleet n rounds.
-func (r *Router) RunRounds(n int) error {
-	for i := 0; i < n; i++ {
-		if err := r.RunRound(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunRound advances every shard to the next absolute round, in parallel.
 // A shard that fails its tick call (after the client's retries) is
 // investigated with heartbeat probes and, if dead, recovered from — the

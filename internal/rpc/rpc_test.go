@@ -219,12 +219,12 @@ func TestShardServerLifecycle(t *testing.T) {
 	if err != nil || resp2.Statuses[0].Ticks != 3 || resp2.Statuses[0].AuditFNV != resp.Statuses[0].AuditFNV {
 		t.Fatalf("retried tick changed state: %+v vs %+v (err %v)", resp2, resp, err)
 	}
-	q, err := c.Quotas(addr)
-	if err != nil || len(q.Quotas["t-a"]) == 0 {
+	var q quotasResponse
+	if err := c.call(addr, http.MethodGet, "/v1/quotas", "quotas", nil, &q); err != nil || len(q.Quotas["t-a"]) == 0 {
 		t.Fatalf("quotas: %+v err %v", q, err)
 	}
-	d, err := c.Decisions(addr, "t-a")
-	if err != nil || len(d.Records) == 0 {
+	var d decisionsResponse
+	if err := c.call(addr, http.MethodGet, "/v1/decisions?tenant=t-a", "decisions", nil, &d); err != nil || len(d.Records) == 0 {
 		t.Fatalf("decisions: %d records, err %v", len(d.Records), err)
 	}
 	ck, err := c.Checkpoint(addr)
@@ -424,7 +424,7 @@ func TestRouterMigrationLossless(t *testing.T) {
 	if err := r.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunRounds(rounds / 2); err != nil {
+	if err := runRounds(r, rounds/2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -445,7 +445,7 @@ func TestRouterMigrationLossless(t *testing.T) {
 	if got := r.Owner(id); got != to {
 		t.Fatalf("tenant on %s after migration, want %s", got, to)
 	}
-	if err := r.RunRounds(rounds / 2); err != nil {
+	if err := runRounds(r, rounds/2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -495,7 +495,7 @@ func TestRouterShardLossByteIdentical(t *testing.T) {
 	if err := r.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunRounds(rounds / 2); err != nil {
+	if err := runRounds(r, rounds/2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -516,7 +516,7 @@ func TestRouterShardLossByteIdentical(t *testing.T) {
 	}
 	victim.srv.Close()
 
-	if err := r.RunRounds(rounds - rounds/2); err != nil {
+	if err := runRounds(r, rounds-rounds/2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -576,7 +576,7 @@ func TestRouterRespawnWithinBudget(t *testing.T) {
 	if err := r.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunRounds(4); err != nil {
+	if err := runRounds(r, 4); err != nil {
 		t.Fatal(err)
 	}
 	victim := s1
@@ -588,7 +588,7 @@ func TestRouterRespawnWithinBudget(t *testing.T) {
 		victim = s2
 	}
 	victim.srv.Close()
-	if err := r.RunRounds(4); err != nil {
+	if err := runRounds(r, 4); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
@@ -711,7 +711,7 @@ func TestNewPolicySpecsMigrateLossless(t *testing.T) {
 			if err := r.Bootstrap(); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.RunRounds(3 * rounds / 4); err != nil {
+			if err := runRounds(r, 3*rounds/4); err != nil {
 				t.Fatal(err)
 			}
 			to := addr1
@@ -721,7 +721,7 @@ func TestNewPolicySpecsMigrateLossless(t *testing.T) {
 			if _, err := r.Migrate(ids[0], to); err != nil {
 				t.Fatalf("migrate: %v", err)
 			}
-			if err := r.RunRounds(rounds / 4); err != nil {
+			if err := runRounds(r, rounds/4); err != nil {
 				t.Fatal(err)
 			}
 			if st := r.Stats(); st.LostDecisions != 0 || st.SnapshotVerified == 0 {
@@ -806,7 +806,7 @@ func TestRouterSurvivesInjectedDrops(t *testing.T) {
 		Seed: 13,
 		Events: []chaos.NetEvent{
 			chaos.Drop(1, rounds, "", 0.3),
-			chaos.Delay(1, rounds, "", 0.2, 3),
+			{Kind: chaos.NetDelay, FromRound: 1, ToRound: rounds, P: 0.2, DelayMS: 3},
 		},
 	})
 	var fault FaultInjector = inj // compile-time structural check
@@ -827,7 +827,7 @@ func TestRouterSurvivesInjectedDrops(t *testing.T) {
 	if err := r.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunRounds(rounds); err != nil {
+	if err := runRounds(r, rounds); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.LostDecisions != 0 {
@@ -866,7 +866,7 @@ func TestMigrateRollbackOnRestoreFailure(t *testing.T) {
 	if err := r.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunRounds(2); err != nil {
+	if err := runRounds(r, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -890,7 +890,7 @@ func TestMigrateRollbackOnRestoreFailure(t *testing.T) {
 	}
 	// Subsequent rounds must run (the dead target gets declared dead and
 	// dropped) and the tenant's audit stream must stay lossless.
-	if err := r.RunRounds(2); err != nil {
+	if err := runRounds(r, 2); err != nil {
 		t.Fatal(err)
 	}
 	want := referenceAudit(t, bundle, spec, ids, 4)
@@ -941,11 +941,11 @@ func TestRouterObserversConcurrentWithRounds(t *testing.T) {
 		}
 	}()
 
-	if err := r.RunRounds(2); err != nil {
+	if err := runRounds(r, 2); err != nil {
 		t.Fatal(err)
 	}
 	s2.srv.Close() // exercise the recovery path under observation
-	if err := r.RunRounds(3); err != nil {
+	if err := runRounds(r, 3); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -954,4 +954,14 @@ func TestRouterObserversConcurrentWithRounds(t *testing.T) {
 	if st := r.Stats(); st.LostDecisions != 0 {
 		t.Fatalf("stats %+v: lost decisions", st)
 	}
+}
+
+// runRounds advances r's whole fleet n rounds.
+func runRounds(r *Router, n int) error {
+	for i := 0; i < n; i++ {
+		if err := r.RunRound(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -739,7 +739,7 @@ func (s *ShardServer) handleQuotas(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "shard not configured")
 		return
 	}
-	resp := QuotasResponse{Quotas: map[string]map[string]float64{}}
+	resp := quotasResponse{Quotas: map[string]map[string]float64{}}
 	for _, t := range s.fl.Tenants() {
 		resp.Quotas[t.ID] = t.Quotas()
 	}
@@ -773,7 +773,7 @@ func (s *ShardServer) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown tenant %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, DecisionsResponse{Tenant: id, Records: t.Records()})
+	writeJSON(w, http.StatusOK, decisionsResponse{Tenant: id, Records: t.Records()})
 }
 
 func (s *ShardServer) handleTraces(w http.ResponseWriter, r *http.Request) {

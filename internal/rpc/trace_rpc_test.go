@@ -54,7 +54,7 @@ func TestRoutedRunTracedByteIdenticalAndStitched(t *testing.T) {
 	if err := r.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunRounds(rounds); err != nil {
+	if err := runRounds(r, rounds); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.LostDecisions != 0 {

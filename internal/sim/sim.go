@@ -33,11 +33,10 @@ func (a *event) before(b *event) bool {
 // safe for concurrent use: all callbacks run on the goroutine that calls Run
 // or Step.
 type Engine struct {
-	now    float64
-	seq    uint64
-	queue  []event // binary min-heap, stored by value: scheduling allocates nothing
-	rng    *rand.Rand
-	halted bool
+	now   float64
+	seq   uint64
+	queue []event // binary min-heap, stored by value: scheduling allocates nothing
+	rng   *rand.Rand
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -121,27 +120,21 @@ func (e *Engine) Step() bool {
 
 // RunUntil executes events in order until the queue is empty or the next
 // event is after t, then advances the clock to t so subsequent scheduling is
-// relative to t. If Halt stops it early the clock stays at the last executed
-// event: events before t are still queued, and time must not pass them.
+// relative to t.
 func (e *Engine) RunUntil(t float64) {
-	for len(e.queue) > 0 && !e.halted && e.queue[0].at <= t {
+	for len(e.queue) > 0 && e.queue[0].at <= t {
 		e.Step()
 	}
-	if !e.halted && t > e.now {
+	if t > e.now {
 		e.now = t
 	}
-	e.halted = false
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	for !e.halted && e.Step() {
+	for e.Step() {
 	}
-	e.halted = false
 }
-
-// Halt stops Run/RunUntil after the current event completes.
-func (e *Engine) Halt() { e.halted = true }
 
 // Ticker invokes fn every interval seconds, starting at start, until the
 // returned stop function is called. It is the simulated analogue of

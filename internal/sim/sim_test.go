@@ -131,61 +131,6 @@ func TestTickerStopBeforeFirstTick(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func() {
-			n++
-			if n == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run()
-	if n != 3 {
-		t.Errorf("Halt did not stop Run: %d events fired", n)
-	}
-	// Run can resume afterwards.
-	e.Run()
-	if n != 10 {
-		t.Errorf("resumed Run fired %d total events, want 10", n)
-	}
-}
-
-// A halted RunUntil(t) leaves events before t queued, so it must not move
-// the clock to t: the next run would execute them with time going backwards,
-// and At would accept times before them.
-func TestHaltedRunUntilKeepsClockAtLastEvent(t *testing.T) {
-	e := NewEngine(1)
-	var fired []float64
-	for i := 1; i <= 5; i++ {
-		e.At(float64(i), func() {
-			fired = append(fired, e.Now())
-			if e.Now() == 2 {
-				e.Halt()
-			}
-		})
-	}
-	e.RunUntil(10)
-	if e.Now() != 2 {
-		t.Fatalf("Now() = %v after a RunUntil(10) halted at 2, want 2", e.Now())
-	}
-	e.RunUntil(10)
-	want := []float64{1, 2, 3, 4, 5}
-	if len(fired) != len(want) {
-		t.Fatalf("fired at %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Errorf("event %d saw clock %v, want %v", i, fired[i], want[i])
-		}
-	}
-	if e.Now() != 10 {
-		t.Errorf("Now() = %v after the resumed RunUntil(10), want 10", e.Now())
-	}
-}
-
 // Property: however events are scheduled, they fire in nondecreasing time
 // order and the clock matches each event's scheduled time.
 func TestEventOrderProperty(t *testing.T) {

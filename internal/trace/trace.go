@@ -4,15 +4,14 @@
 // Analyzer (§3.3) consumes: which microservices an API touches and how many
 // times, at the 90th percentile of observed request histories. The cluster
 // simulator gives it one visit vector per completed request; only for an
-// observer (a Recorder) does it build a Trace of one Span per microservice
-// invocation.
+// observer (cluster.Cluster.OnTrace) does it build a Trace of one Span per
+// microservice invocation.
 package trace
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Span records one microservice invocation within a request.
@@ -25,9 +24,6 @@ type Span struct {
 	Queue float64 // portion of Start..End spent waiting for an instance
 }
 
-// Duration returns the span's wall-clock time in seconds.
-func (s Span) Duration() float64 { return s.End - s.Start }
-
 // Trace is the full tree of spans for one end-to-end request.
 type Trace struct {
 	ID    int64
@@ -37,27 +33,6 @@ type Trace struct {
 	// Errors counts calls within the request that exhausted their retries
 	// and returned a failure to their caller (Jaeger's error tag).
 	Errors int
-}
-
-// EndToEnd returns the end-to-end latency in seconds: the root span's
-// duration (the root encloses all children, as in Jaeger).
-func (t Trace) EndToEnd() float64 {
-	best := 0.0
-	for _, s := range t.Spans {
-		if s.Parent == "" && s.Duration() > best {
-			best = s.Duration()
-		}
-	}
-	return best
-}
-
-// Visits returns how many times each service appears in the trace.
-func (t Trace) Visits() map[string]int {
-	m := make(map[string]int)
-	for _, s := range t.Spans {
-		m[s.Service]++
-	}
-	return m
 }
 
 // ring holds what the collector keeps of one API's retained traces: how many
@@ -140,13 +115,11 @@ func (r *ring) intern(visits []int32) uint32 {
 // Collector accumulates completed requests' visit counts. Cap bounds retained
 // traces per API (oldest evicted first); 0 means unbounded. It retains a
 // trace's visit counts, not its spans: a reader that wants those observes the
-// traces as they are produced (cluster.Cluster.OnTrace) and keeps them in a
-// Recorder.
+// traces as they are produced (cluster.Cluster.OnTrace) and keeps them.
 type Collector struct {
-	Cap    int
-	svcs   []string
-	byAPI  map[string]*ring
-	nTotal int
+	Cap   int
+	svcs  []string
+	byAPI map[string]*ring
 }
 
 // NewCollector returns a collector of visit vectors over services, retaining
@@ -166,24 +139,10 @@ func (c *Collector) Collect(api string, visits []int32) {
 		r = &ring{}
 		c.byAPI[api] = r
 	}
-	c.nTotal++
 	if c.Cap > 0 && r.n == c.Cap {
 		r.pop() // first, so that the table never has more vectors than Cap
 	}
 	r.push(visits)
-}
-
-// Total returns the number of traces ever collected.
-func (c *Collector) Total() int { return c.nTotal }
-
-// APIs returns the API names seen, sorted.
-func (c *Collector) APIs() []string {
-	names := make([]string, 0, len(c.byAPI))
-	for k := range c.byAPI {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // VisitProfile returns, for each service touched by a retained trace of api,
@@ -226,46 +185,6 @@ func (c *Collector) VisitProfile(api string, q float64, out map[string]float64) 
 			atMost += r.traces[n]
 		}
 		out[svc] = float64(n)
-	}
-	return out
-}
-
-// Recorder keeps copies of whole traces, spans included — the last Cap per
-// API, 0 for all — for the tests and exporters that want what the Collector
-// does not retain. Record is a cluster.Cluster.OnTrace observer.
-type Recorder struct {
-	Cap   int
-	byAPI map[string][]Trace
-}
-
-// Record copies t, which its producer may reuse once Record returns.
-func (r *Recorder) Record(t *Trace) {
-	if r.byAPI == nil {
-		r.byAPI = make(map[string][]Trace)
-	}
-	kept := *t
-	kept.Spans = append([]Span(nil), t.Spans...)
-	list := append(r.byAPI[t.API], kept)
-	if r.Cap > 0 && len(list) > r.Cap {
-		list = list[1:]
-	}
-	r.byAPI[t.API] = list
-}
-
-// Traces returns the recorded traces of api, oldest first.
-func (r *Recorder) Traces(api string) []Trace { return r.byAPI[api] }
-
-// Edges returns the set of caller→callee pairs recorded for api. The GNN's
-// message-passing structure is "constructed from microservices tracing data"
-// (§3.4); this is that construction.
-func (r *Recorder) Edges(api string) map[[2]string]bool {
-	out := make(map[[2]string]bool)
-	for _, t := range r.byAPI[api] {
-		for _, s := range t.Spans {
-			if s.Parent != "" {
-				out[[2]string{s.Parent, s.Service}] = true
-			}
-		}
 	}
 	return out
 }

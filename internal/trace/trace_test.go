@@ -10,6 +10,80 @@ import (
 	"testing"
 )
 
+// Duration returns the span's wall-clock time in seconds.
+func (s Span) Duration() float64 { return s.End - s.Start }
+
+// EndToEnd returns the end-to-end latency in seconds: the root span's
+// duration (the root encloses all children, as in Jaeger).
+func (t Trace) EndToEnd() float64 {
+	best := 0.0
+	for _, s := range t.Spans {
+		if s.Parent == "" && s.Duration() > best {
+			best = s.Duration()
+		}
+	}
+	return best
+}
+
+// Visits returns how many times each service appears in the trace.
+func (t Trace) Visits() map[string]int {
+	m := make(map[string]int)
+	for _, s := range t.Spans {
+		m[s.Service]++
+	}
+	return m
+}
+
+// APIs returns the API names seen, sorted.
+func (c *Collector) APIs() []string {
+	names := make([]string, 0, len(c.byAPI))
+	for k := range c.byAPI {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Recorder keeps copies of whole traces, spans included — the last Cap per
+// API, 0 for all — as the reference the collector's rings are checked
+// against.
+type Recorder struct {
+	Cap   int
+	byAPI map[string][]Trace
+}
+
+// Record copies t, which its producer may reuse once Record returns.
+func (r *Recorder) Record(t *Trace) {
+	if r.byAPI == nil {
+		r.byAPI = make(map[string][]Trace)
+	}
+	kept := *t
+	kept.Spans = append([]Span(nil), t.Spans...)
+	list := append(r.byAPI[t.API], kept)
+	if r.Cap > 0 && len(list) > r.Cap {
+		list = list[1:]
+	}
+	r.byAPI[t.API] = list
+}
+
+// Traces returns the recorded traces of api, oldest first.
+func (r *Recorder) Traces(api string) []Trace { return r.byAPI[api] }
+
+// Edges returns the set of caller→callee pairs recorded for api. The GNN's
+// message-passing structure is "constructed from microservices tracing data"
+// (§3.4); this is that construction.
+func (r *Recorder) Edges(api string) map[[2]string]bool {
+	out := make(map[[2]string]bool)
+	for _, t := range r.byAPI[api] {
+		for _, s := range t.Spans {
+			if s.Parent != "" {
+				out[[2]string{s.Parent, s.Service}] = true
+			}
+		}
+	}
+	return out
+}
+
 // collect gives c the visit counts of tr's spans, as the cluster counts a
 // request's invocations.
 func collect(c *Collector, tr Trace) {
@@ -57,9 +131,6 @@ func TestCollectorCap(t *testing.T) {
 	}
 	if p := c.VisitProfile("cart", 1, nil); p["cart"] != 1 {
 		t.Errorf("most visits to cart among the retained = %v, want 1: the oldest five were not evicted", p["cart"])
-	}
-	if c.Total() != 10 {
-		t.Errorf("Total = %d, want 10", c.Total())
 	}
 	// Oldest evicted: remaining IDs are 5..9.
 	if got := rec.Traces("cart"); len(got) != 5 {
@@ -264,9 +335,6 @@ func TestRingMatchesSliceCollector(t *testing.T) {
 					}
 				}
 			}
-		}
-		if c.Total() != 120 {
-			t.Errorf("cap %d: Total = %d, want 120", limit, c.Total())
 		}
 	}
 }

@@ -19,18 +19,18 @@ func TestClosedLoopScalesDownUsers(t *testing.T) {
 	g := NewClosedLoop(c, StepUsers(100, 10, start+60))
 	g.Start()
 	eng.RunUntil(start + 55)
-	if a := g.Active(); a < 80 {
+	if a := g.active; a < 80 {
 		t.Fatalf("ramped to %d users, want ≈100", a)
 	}
 	// After the step down, threads retire as they complete think cycles.
 	eng.RunUntil(start + 90)
-	if a := g.Active(); a > 20 {
+	if a := g.active; a > 20 {
 		t.Errorf("active users %d well above target 10 after step-down", a)
 	}
 	g.Stop()
 	eng.Run()
-	if g.Active() != 0 {
-		t.Errorf("Stop left %d active users", g.Active())
+	if g.active != 0 {
+		t.Errorf("Stop left %d active users", g.active)
 	}
 }
 

@@ -194,9 +194,6 @@ func (g *ClosedLoop) Start() {
 // Stop retires all user threads after their in-flight requests complete.
 func (g *ClosedLoop) Stop() { g.stopped = true }
 
-// Active returns the current number of live user threads.
-func (g *ClosedLoop) Active() int { return g.active }
-
 func (g *ClosedLoop) spawn() {
 	var loop func()
 	loop = func() {

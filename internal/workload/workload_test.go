@@ -54,16 +54,16 @@ func TestOpenLoopStepSurge(t *testing.T) {
 
 func TestOpenLoopAPIMix(t *testing.T) {
 	eng, c := boutique(3)
-	var tr trace.Recorder
-	c.OnTrace(tr.Record)
+	traces := map[string]int{}
+	c.OnTrace(func(tr *trace.Trace) { traces[tr.API]++ })
 	g := NewOpenLoop(c, ConstRate(100))
 	g.Start()
 	start := eng.Now()
 	eng.RunUntil(start + 60)
 	g.Stop()
 	eng.Run()
-	nCart := len(tr.Traces("cart"))
-	nHome := len(tr.Traces("home"))
+	nCart := traces["cart"]
+	nHome := traces["home"]
 	if nCart == 0 || nHome == 0 {
 		t.Fatalf("mix not exercised: cart=%d home=%d", nCart, nHome)
 	}
@@ -76,8 +76,8 @@ func TestOpenLoopAPIMix(t *testing.T) {
 
 func TestOpenLoopFixedAPI(t *testing.T) {
 	eng, c := boutique(4)
-	var tr trace.Recorder
-	c.OnTrace(tr.Record)
+	traces := map[string]int{}
+	c.OnTrace(func(tr *trace.Trace) { traces[tr.API]++ })
 	g := NewOpenLoop(c, ConstRate(50))
 	g.API = "cart"
 	g.Start()
@@ -85,10 +85,10 @@ func TestOpenLoopFixedAPI(t *testing.T) {
 	eng.RunUntil(start + 20)
 	g.Stop()
 	eng.Run()
-	if n := len(tr.Traces("home")); n != 0 {
+	if n := traces["home"]; n != 0 {
 		t.Errorf("fixed-API generator produced %d home traces", n)
 	}
-	if n := len(tr.Traces("cart")); n == 0 {
+	if n := traces["cart"]; n == 0 {
 		t.Error("fixed-API generator produced no cart traces")
 	}
 }
@@ -124,11 +124,11 @@ func TestClosedLoopUserStep(t *testing.T) {
 	g := NewClosedLoop(c, StepUsers(20, 80, start+60))
 	g.Start()
 	eng.RunUntil(start + 59)
-	if a := g.Active(); a < 15 || a > 20 {
+	if a := g.active; a < 15 || a > 20 {
 		t.Errorf("active users before step = %d, want ≈20", a)
 	}
 	eng.RunUntil(start + 90)
-	if a := g.Active(); a < 60 || a > 80 {
+	if a := g.active; a < 60 || a > 80 {
 		t.Errorf("active users after step = %d, want ≈80", a)
 	}
 	g.Stop()

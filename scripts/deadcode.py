@@ -19,11 +19,16 @@ a symbol) and the linker's reachability dump on (-ldflags=-dumpdep, one
 "from -> to" line per edge it follows). A function declared in a package's
 non-test files (as `go list` names them, so build constraints apply) that
 appears in none of the dumps is printed as file:line, and the exit status
-is 1. The binaries' dumps and the test binaries' are kept apart: a function
-only test binaries link is listed ("is linked only by test binaries"), which
-fails nothing -- it is code whose one user is a test. Generic instantiations
-are matched by their declaration: the shapes in
-(*GobEncoder[go.shape.int]).Append are stripped before the lookup.
+is 1. The binaries' dumps and the test binaries' are kept apart, and a
+function only test binaries link ("is linked only by test binaries") fails
+too: non-test code serves non-test callers, and what only a test calls
+belongs in that package's _test.go files. Two kinds pass, listed:
+functions of the root package graf that its own test binary links (its
+tests count as callers of the public API, as in scripts/deadnames), and the
+test seams in SEAMS below, each a hook or probe other packages' tests need
+and no production API replaces. Generic instantiations are matched by their
+declaration: the shapes in (*GobEncoder[go.shape.int]).Append are stripped
+before the lookup.
 """
 
 import os
@@ -37,6 +42,22 @@ FLAGS = ["-gcflags=all=-l", "-ldflags=-dumpdep"]
 
 # A top-level function or method declaration, as gofmt writes it:
 # func Name, func (r T) Name, func (r *T[K]) Name.
+# The non-test functions that only test binaries may link, and why.
+SEAMS = {
+    "graf/internal/cluster.(*Cluster).OnTrace":
+        "the observer that gates span building (frame.go): cluster, workload and chaos tests read whole traces through it",
+    "graf/internal/cluster.(*Cluster).Retained":
+        "what the signals' windows hold: the look-back tests of cluster, core and fleet measure retention with it",
+    "graf/internal/metrics.(*Window).Retained":
+        "Cluster.Retained's per-window count",
+    "graf/internal/metrics.(*Window).Since":
+        "the one read of a window's observations in order: cluster's pinned simulation digest hashes every end-to-end latency",
+    "graf/internal/nn.(*Linear).MirrorFresh":
+        "the W-mirror invariant probe: gnn's tests check it on every layer after Train, SetParams and decode",
+    "graf/internal/lifecycle.(*Manager).Models":
+        "graf.Lifecycle's generation map, ReplayAuditManaged's documented input; the root package's lifecycle test replays through it",
+}
+
 DECL = re.compile(r"^func\s+(?:\(\s*(?:\w+\s+)?(\*?)\s*(\w+)(?:\[[^\]]*\])?\s*\)\s*)?(\w+)")
 
 
@@ -76,8 +97,9 @@ def strip_shapes(sym):
     return "".join(out)
 
 
-def linked(cmd, cwd, seen):
-    """Runs one go build/test with the dump on; adds the module's symbols to seen."""
+def linked(cmd, cwd, seen, root_test=None):
+    """Runs one go build/test with the dump on; adds the module's symbols to
+    seen, and those the root package's test binary links to root_test."""
     proc = subprocess.Popen(cmd, cwd=cwd, stderr=subprocess.PIPE, stdout=subprocess.DEVNULL,
                             text=True, errors="replace")
     binary = ""
@@ -97,6 +119,8 @@ def linked(cmd, cwd, seen):
                 sym = binary + sym[4:]
             if sym.startswith(MODULE + ".") or sym.startswith(MODULE + "/"):
                 seen.add(strip_shapes(sym))
+                if root_test is not None and binary == MODULE + ".test":
+                    root_test.add(strip_shapes(sym))
     if proc.wait() != 0:
         sys.stderr.write("".join(errors))
         sys.exit("deadcode: %s failed" % " ".join(cmd))
@@ -109,10 +133,10 @@ def main():
                              stderr=subprocess.PIPE, text=True)
     pkgs = go_list()
     mains = [path for path, name, _, _ in pkgs if name == "main"]
-    bins, tests = set(), set()
+    bins, tests, root_test = set(), set(), set()
     with tempfile.TemporaryDirectory() as tmp:
         linked(["go", "build"] + FLAGS + ["-o", os.path.join(tmp, "bin") + "/"] + mains, root, bins)
-        linked(["go", "test", "-c"] + FLAGS + ["-o", os.path.join(tmp, "test") + "/", "./..."], root, tests)
+        linked(["go", "test", "-c"] + FLAGS + ["-o", os.path.join(tmp, "test") + "/", "./..."], root, tests, root_test)
         bench = os.path.join(root, "benchmark")
         linked(["go", "build"] + FLAGS + ["-o", os.path.join(tmp, "bench")], bench, bins)
         linked(["go", "test", "-c"] + FLAGS + ["-o", os.path.join(tmp, "bench.test")], bench, tests)
@@ -124,17 +148,30 @@ def main():
     sys.stderr.write(errors)
     funcs = list(declared(pkgs))
     test_only = [(pos, sym) for sym, pos in funcs if sym in tests and sym not in bins]
+    failing = []
     for pos, sym in test_only:
-        print("%s: %s is linked only by test binaries" % (pos, sym))
-    print("deadcode: %d function(s) only test binaries link (listed, not failed)" % len(test_only))
+        if sym.startswith(MODULE + ".") and sym in root_test:
+            why = "the root package's API: its own tests count as callers"
+        elif sym in SEAMS:
+            why = "a test seam: " + SEAMS[sym]
+        else:
+            why = "fails: delete it, call it from non-test code, or move it into a _test.go file"
+            failing.append(sym)
+        print("%s: %s is linked only by test binaries (%s)" % (pos, sym, why))
+    for sym in SEAMS:
+        if sym not in tests or sym in bins:
+            print("scripts/deadcode.py: SEAMS names %s, which is not a function only test binaries link" % sym)
+            failing.append(sym)
     dead = [(pos, sym) for sym, pos in funcs if sym not in bins and sym not in tests]
     for pos, sym in dead:
         print("%s: %s is linked by no binary or test binary" % (pos, sym))
     if dead:
         sys.exit("deadcode: %d function(s) nothing links; delete them, or call them from the code that needs them" % len(dead))
+    if failing:
+        sys.exit("deadcode: %d function(s) only test binaries link outside the root package and SEAMS" % len(failing))
     if names.returncode != 0:
         sys.exit(1)
-    print("deadcode: every function of %d packages is linked, and every name and field is used" % len(pkgs))
+    print("deadcode: every function of %d packages is linked by a binary, the root package's tests or as a seam, and every name and field is used" % len(pkgs))
 
 
 if __name__ == "__main__":

@@ -29,9 +29,11 @@
 //
 // It also prints the settable-value census, which fails nothing: each
 // exported field that no non-test code of the module writes, and each flag
-// that neither non-test code nor a workflow sets (as a "-name" string),
-// with who does set it: tests, benchmark/, both, or nothing. The workflows
-// under .github/workflows count as tests.
+// that neither non-test code nor a Makefile recipe sets (as a "-name"
+// string), with who does set it: tests, benchmark/, both, or nothing. The
+// workflows under .github/workflows count as tests; the recipes of the
+// Makefile at the root, which is how the repository runs its commands, as
+// non-test code.
 //
 // Aliases are types of their own here (gotypesalias), so an alias that an
 // exported signature names is exposed by it.
@@ -284,6 +286,9 @@ func (c *checker) report(out io.Writer) (int, error) {
 		}
 	}
 	if err := w.workflows(); err != nil {
+		return 0, err
+	}
+	if err := w.makefile(); err != nil {
 		return 0, err
 	}
 	type finding struct {
@@ -688,6 +693,26 @@ func (w *walker) workflows() error {
 		}
 		for _, m := range workflowFlag.FindAllSubmatch(b, -1) {
 			w.set(string(m[1]), setBy{tests: true})
+		}
+	}
+	return nil
+}
+
+// makefile records the flags the root Makefile's recipes pass, as non-test
+// code: a recipe line starts with a tab.
+func (w *walker) makefile() error {
+	b, err := os.ReadFile(filepath.Join(w.root, "Makefile"))
+	if os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	for _, line := range bytes.Split(b, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte("\t")) {
+			continue
+		}
+		for _, m := range workflowFlag.FindAllSubmatch(line, -1) {
+			w.set(string(m[1]), setBy{code: true})
 		}
 	}
 	return nil

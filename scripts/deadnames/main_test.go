@@ -8,7 +8,8 @@ import (
 
 // The fixture module under testdata holds one declaration for each rule:
 // what fails, what is only listed, and what passes (lib.Store, which
-// NewStore's signature exposes, and wire.Reached, which gob reads).
+// NewStore's signature exposes, wire.Reached, which gob reads, and the flag
+// -width, which a Makefile recipe sets).
 func TestRules(t *testing.T) {
 	var out bytes.Buffer
 	failed, err := run(filepath.Join("testdata", "mod"), &out)

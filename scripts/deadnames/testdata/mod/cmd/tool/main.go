@@ -4,6 +4,7 @@ import "flag"
 
 func main() {
 	depth := flag.Int("depth", 1, "how deep")
+	width := flag.Int("width", 1, "how wide")
 	flag.Parse()
-	_ = *depth
+	_, _ = *depth, *width
 }
