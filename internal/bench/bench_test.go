@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFormatRendersAllParts(t *testing.T) {
@@ -66,14 +67,16 @@ func TestResultFailures(t *testing.T) {
 // floor its runner records. The subtests run one after another: runners share
 // tuneMemo, which has no lock. Under -short only the experiments that train no
 // model run. Under -race only those whose runners start goroutines of their
-// own (fleet rounds, RPC shards) run: the others are single-goroutine apart
-// from model training, whose goroutines gnn's and core's tests race, and
-// overload still trains its pipeline here.
+// own (fleet rounds, RPC shards, solver-loop's cells) run: the others are
+// single-goroutine apart from model training, whose goroutines gnn's and
+// core's tests race, and overload still trains its pipeline here. Each
+// subtest logs its wall time, so a change that slows the suite shows which
+// runner grew.
 func TestExperimentFloors(t *testing.T) {
 	trainsNoModel := map[string]bool{"fig01": true, "fig02": true, "fig03": true, "fig06": true,
 		"fig07": true, "tab01": true, "tab03": true, "scalability": true, "fleet-rpc": true,
 		"router-failover": true, "slo-burn": true, "trace-overhead": true}
-	concurrent := map[string]bool{"fleet-rpc": true, "router-failover": true, "overload": true, "trace-overhead": true}
+	concurrent := map[string]bool{"fleet-rpc": true, "router-failover": true, "overload": true, "trace-overhead": true, "solver-loop": true}
 	for _, e := range Experiments {
 		t.Run(e.ID, func(t *testing.T) {
 			if testing.Short() && !trainsNoModel[e.ID] {
@@ -82,10 +85,27 @@ func TestExperimentFloors(t *testing.T) {
 			if raceEnabled && !concurrent[e.ID] {
 				t.Skip("starts no goroutine of its own")
 			}
+			start := time.Now()
 			if res := e.Run(quick()); res.Err() != nil {
 				t.Errorf("%v\n%s", res.Err(), res.Format())
 			}
+			t.Logf("%s: %.1f s at quick", e.ID, time.Since(start).Seconds())
 		})
+	}
+}
+
+// TestSolverLoopIgnoresSchedule: solver-loop's cells run in parallel, each
+// seeded by its place, so the table is the same bytes on one core as on two.
+func TestSolverLoopIgnoresSchedule(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("trains a model; TestExperimentFloors races the runner")
+	}
+	table := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return solverLoop(quick()).Format()
+	}
+	if one, two := table(1), table(2); one != two {
+		t.Errorf("solver-loop table depends on GOMAXPROCS:\n1:\n%s\n2:\n%s", one, two)
 	}
 }
 

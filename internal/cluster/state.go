@@ -29,17 +29,10 @@ type ClusterState struct {
 	Deployments []DeploymentState
 }
 
-// Snapshot captures the current scaling state. Condemned and crashed
-// instances are not part of desired state and are skipped.
-func (c *Cluster) Snapshot() ClusterState {
-	var st ClusterState
-	c.SnapshotInto(&st)
-	return st
-}
-
-// SnapshotInto writes Snapshot's value into st, refilling the slices st
-// already holds instead of allocating new ones — for a caller that encodes
-// each snapshot and keeps none.
+// SnapshotInto writes the current scaling state into st, refilling the
+// slices st already holds instead of allocating new ones — for a caller that
+// encodes each snapshot and keeps none. Condemned and crashed instances are
+// not part of desired state and are skipped.
 func (c *Cluster) SnapshotInto(st *ClusterState) {
 	st.At = c.Eng.Now()
 	deps := st.Deployments[:0]

@@ -20,7 +20,8 @@ func TestSnapshotCapturesScalingState(t *testing.T) {
 	eng.RunUntil(40) // instances ready
 	// Scale up just before the snapshot so startups are still in progress.
 	cl.Deployment("web").SetQuota(2000)
-	st := cl.Snapshot()
+	var st ClusterState
+	cl.SnapshotInto(&st)
 	if st.At != 40 {
 		t.Fatalf("snapshot at %.1f, want 40", st.At)
 	}

@@ -57,7 +57,7 @@ func calibrate(a *app.App, b Bounds, rateLo, rateHi, maxLat float64, probes int,
 			}
 			rates[k] = rateLo + rng.Float64()*(rateHi-rateLo)
 		}
-		eachParallel(n, func(k int) { sims[k] = simm.measureE2EAt(p+k, quotas[k], rates[k]) })
+		EachParallel(n, func(k int) { sims[k] = simm.measureE2EAt(p+k, quotas[k], rates[k]) })
 		for k, q := range quotas {
 			av, sv := ana.MeasureE2E(q, rates[k]), sims[k]
 			if av <= 0 || sv <= 0 || av > maxLat || sv > maxLat {
@@ -115,9 +115,9 @@ func (c calibratedMeasurer) MeasureE2E(quotas map[string]float64, totalRate floa
 	return c.Cal.Apply(c.AnalyticMeasurer.MeasureE2E(quotas, totalRate))
 }
 
-// eachParallel calls fn(k) for every k in [0, n) on up to GOMAXPROCS
+// EachParallel calls fn(k) for every k in [0, n) on up to GOMAXPROCS
 // goroutines and returns when all calls have.
-func eachParallel(n int, fn func(k int)) {
+func EachParallel(n int, fn func(k int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {

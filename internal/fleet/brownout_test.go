@@ -192,7 +192,8 @@ func TestFleetPerTenantSLOAndBounds(t *testing.T) {
 		if tn.slo != slo || tn.Ctl.Cfg.SLO != slo {
 			t.Errorf("tenant %s: SLO %g, controller SLO %g, want %g", tn.ID, tn.slo, tn.Ctl.Cfg.SLO, slo)
 		}
-		recs := tn.Records()
+		tn.tel.Flight.Flush()
+		recs := tn.tel.Flight.Records()
 		if len(recs) == 0 || recs[0].Type != "header" || recs[0].SLO != slo {
 			t.Errorf("tenant %s: header record does not carry the per-tenant SLO", tn.ID)
 		}

@@ -245,22 +245,6 @@ func (t *Tenant) AuditDigest() (n int, sum uint64) {
 	return t.audit.Len(), t.auditSum.Sum64()
 }
 
-// Records returns the tenant's retained in-memory audit records — the
-// decision-stream endpoint's source.
-func (t *Tenant) Records() []obs.Record {
-	t.tel.Flight.Flush()
-	return t.tel.Flight.Records()
-}
-
-// Quotas returns the tenant cluster's current per-service quotas.
-func (t *Tenant) Quotas() map[string]float64 {
-	q := map[string]float64{}
-	for _, d := range t.Cluster.Snapshot().Deployments {
-		q[d.Service] = d.Quota
-	}
-	return q
-}
-
 // Fleet is a running multi-tenant control plane.
 type Fleet struct {
 	cfg     Config

@@ -383,7 +383,8 @@ func TestCheckpointEncodingMatchesFreshEncoder(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		f.Run(20)
 		for _, tn := range f.Tenants() {
-			snap := &ckpt.Snapshot{At: tn.Eng.Now(), Ticks: tn.Ticks(), Controller: tn.Ctl.Snapshot(), Cluster: tn.Cluster.Snapshot()}
+			snap := &ckpt.Snapshot{At: tn.Eng.Now(), Ticks: tn.Ticks(), Controller: tn.Ctl.Snapshot()}
+			tn.Cluster.SnapshotInto(&snap.Cluster)
 			got, err := ckpt.AppendSnapshot(nil, snap)
 			if err != nil {
 				t.Fatal(err)

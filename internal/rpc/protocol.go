@@ -143,22 +143,9 @@ type TickResponse struct {
 	Statuses []TenantStatus `json:"statuses"`
 }
 
-// quotasResponse (GET /v1/quotas) reports current per-tenant, per-service
-// quota allocations.
-type quotasResponse struct {
-	Quotas map[string]map[string]float64 `json:"quotas"`
-}
-
 // TenantsResponse (GET /v1/tenants) lists the shard's tenants.
 type TenantsResponse struct {
 	Statuses []TenantStatus `json:"statuses"`
-}
-
-// decisionsResponse (GET /v1/decisions?tenant=ID) streams the tenant's
-// retained decision records.
-type decisionsResponse struct {
-	Tenant  string       `json:"tenant"`
-	Records []obs.Record `json:"records"`
 }
 
 // TracesResponse (GET /v1/traces) returns the shard's retained control-plane

@@ -219,14 +219,6 @@ func TestShardServerLifecycle(t *testing.T) {
 	if err != nil || resp2.Statuses[0].Ticks != 3 || resp2.Statuses[0].AuditFNV != resp.Statuses[0].AuditFNV {
 		t.Fatalf("retried tick changed state: %+v vs %+v (err %v)", resp2, resp, err)
 	}
-	var q quotasResponse
-	if err := c.call(addr, http.MethodGet, "/v1/quotas", "quotas", nil, &q); err != nil || len(q.Quotas["t-a"]) == 0 {
-		t.Fatalf("quotas: %+v err %v", q, err)
-	}
-	var d decisionsResponse
-	if err := c.call(addr, http.MethodGet, "/v1/decisions?tenant=t-a", "decisions", nil, &d); err != nil || len(d.Records) == 0 {
-		t.Fatalf("decisions: %d records, err %v", len(d.Records), err)
-	}
 	ck, err := c.Checkpoint(addr)
 	if err != nil || ck.Saved != 1 {
 		t.Fatalf("checkpoint: %+v err %v", ck, err)

@@ -132,9 +132,7 @@ func (s *ShardServer) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/admit", s.shielded("admit", overload.PriCritical, s.fenceFast("admit", s.handleAdmit)))
 	mux.HandleFunc("POST /v1/evict", s.shielded("evict", overload.PriCritical, s.fenceFast("evict", s.handleEvict)))
 	mux.HandleFunc("POST /v1/tick", s.shielded("tick", overload.PriHigh, s.fenceFast("tick", s.handleTick)))
-	mux.HandleFunc("GET /v1/quotas", s.shielded("quotas", overload.PriLow, s.handleQuotas))
 	mux.HandleFunc("GET /v1/tenants", s.shielded("tenants", overload.PriLow, s.handleTenants))
-	mux.HandleFunc("GET /v1/decisions", s.shielded("decisions", overload.PriLow, s.handleDecisions))
 	mux.HandleFunc("GET /v1/traces", s.shielded("traces", overload.PriLow, s.handleTraces))
 	mux.HandleFunc("POST /v1/checkpoint", s.shielded("checkpoint", overload.PriCritical, s.fenceFast("checkpoint", s.handleCheckpoint)))
 	if s.Tel != nil {
@@ -732,20 +730,6 @@ func (s *ShardServer) handleTick(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *ShardServer) handleQuotas(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fl == nil {
-		writeErr(w, http.StatusConflict, "shard not configured")
-		return
-	}
-	resp := quotasResponse{Quotas: map[string]map[string]float64{}}
-	for _, t := range s.fl.Tenants() {
-		resp.Quotas[t.ID] = t.Quotas()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *ShardServer) handleTenants(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -758,22 +742,6 @@ func (s *ShardServer) handleTenants(w http.ResponseWriter, r *http.Request) {
 		resp.Statuses = append(resp.Statuses, status(t))
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *ShardServer) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("tenant")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fl == nil {
-		writeErr(w, http.StatusConflict, "shard not configured")
-		return
-	}
-	t := s.fl.Tenant(id)
-	if t == nil {
-		writeErr(w, http.StatusNotFound, "unknown tenant %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, decisionsResponse{Tenant: id, Records: t.Records()})
 }
 
 func (s *ShardServer) handleTraces(w http.ResponseWriter, r *http.Request) {
