@@ -256,6 +256,7 @@ type Fleet struct {
 	rounds  int
 	panics  int
 	mu      sync.Mutex // guards panics count (written from workers)
+	audit   auditCodec // compresses every tenant's full audit blocks
 
 	// btarget is the adaptive brownout target rung (SetBrownoutTarget):
 	// tenants walk one rung per tick toward it. Written by the driving
@@ -367,7 +368,7 @@ func (f *Fleet) buildTenant(tc TenantConfig) (*Tenant, error) {
 		slo = tc.SLO
 	}
 
-	t := &Tenant{ID: tc.ID, slo: slo, auditSum: fnv.New64a()}
+	t := &Tenant{ID: tc.ID, slo: slo, audit: auditLog{codec: &f.audit}, auditSum: fnv.New64a()}
 	t.Eng = sim.NewEngine(seed)
 	t.Cluster = cluster.New(t.Eng, cfg.App, cluster.DefaultConfig())
 	t.Cluster.DeclareLookback(cluster.E2ELatency, cfg.TickS) // tick's p99 over the interval it just ran

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"graf/internal/app"
 	"graf/internal/cluster"
@@ -37,8 +38,9 @@ func steadyConfig(a *app.App) Config {
 // of visit vector, and the request path recycles everything else. The live
 // heap after 2000 decisions is the live heap after 500, the audit buffer
 // aside (it is the tenant's output and grows by one record per decision) —
-// and it is small: the ceilings are what each tenant measures (608–614 and
-// 641–647 KB) plus ~10%, so that a per-tenant structure of ring size — trace
+// and it is small: the ceilings are what each tenant measured (608–614 and
+// 641–647 KB) plus ~10%, and it reads 562–564 and 603–606 KB now (Go 1.24,
+// amd64), so that a per-tenant structure of ring size — trace
 // spans were 5.9 MB on OnlineBoutique, unread windows 0.9 MB, the request
 // records' span arrays and the index rings 0.11–0.26 MB — cannot come back
 // unnoticed.
@@ -74,7 +76,7 @@ func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 				if tn.Degraded() {
 					t.Fatalf("tenant degraded at tick %d: %v", tn.Ticks(), tn.PanicValue())
 				}
-				return live() - without - float64(len(tn.audit.blocks)*auditBlockLen)
+				return live() - without - auditHeld(&tn.audit)
 			}
 			early, late := liveAfter(500), liveAfter(2000)
 			t.Logf("live heap less model and audit: %.0f KB after 500 decisions, %.0f KB after 2000 (%d requests, %d solves, %d boosts)",
@@ -88,6 +90,24 @@ func TestTenantHeapIsFlatInRunLength(t *testing.T) {
 			f.Stop()
 		})
 	}
+}
+
+// auditHeld is the heap a tenant's audit log holds: its compressed blocks,
+// the slice that lists them, the raw tail block, and the fleet's codec (its
+// encoder, the encoder's buffers and, once the log was read, its decoder),
+// which a fleet of one tenant spends on that tenant alone.
+func auditHeld(l *auditLog) float64 {
+	n := cap(l.tail) + cap(l.blocks)*int(unsafe.Sizeof(l.tail))
+	for _, b := range l.blocks {
+		n += cap(b)
+	}
+	if c := l.codec; c.enc != nil {
+		n += int(unsafe.Sizeof(*c.enc)) + c.bw.Size() + c.sink.Cap()
+	}
+	if c := l.codec; c.dec != nil {
+		n += int(unsafe.Sizeof(*c.dec))
+	}
+	return float64(n)
 }
 
 // Nothing in a default tenant reads per-service arrival rates or self latency
@@ -122,11 +142,11 @@ func TestTenantRetainsOnlySignalsItReads(t *testing.T) {
 }
 
 // What a warmed tenant allocates per decision while hysteresis holds: the
-// simulator's requests, telemetry and the audit log's blocks; the controller
-// and the flight recorder reuse their maps, and a round reuses its dispatch
-// state. It measures 0.16 KB on OnlineBoutique (Go 1.24, amd64) and the
-// ceiling is ~1.5× that.
-const steadyDecisionCeilingKB = 0.24
+// simulator's requests, telemetry and the audit log's compressed blocks; the
+// controller and the flight recorder reuse their maps, and a round reuses
+// its dispatch state. It measures 0.054–0.059 KB on OnlineBoutique (Go 1.24,
+// amd64; 0.16 KB with raw blocks) and the ceiling is ~1.5× that.
+const steadyDecisionCeilingKB = 0.09
 
 func TestSteadyDecisionAllocation(t *testing.T) {
 	if raceEnabled {
@@ -154,7 +174,7 @@ func TestSteadyDecisionAllocation(t *testing.T) {
 		t.Fatalf("tenant left its steady state (degraded %v, %d solves during the run)", tn.Degraded(), tn.Ctl.Solves()-solves)
 	}
 	perKB := float64(after.TotalAlloc-before.TotalAlloc) / decisions / 1024
-	t.Logf("%.2f KB per decision", perKB)
+	t.Logf("%.3f KB per decision", perKB)
 	if perKB > steadyDecisionCeilingKB {
 		t.Errorf("%.2f KB allocated per steady decision, want ≤ %.2f KB", perKB, steadyDecisionCeilingKB)
 	}
