@@ -10,11 +10,11 @@
 //	grafrouter ... -state-dir s -standby HOST:7171  # probe the primary, take over when it dies
 //	grafrouter ... -state-dir s -resume             # warm restart in place
 //
-// Timings are not flags. The client's timeout, retries, backoff and breaker,
-// the heartbeat that declares a shard dead (3 probes, 20 ms apart) and the
-// standby's probe of the primary (every 50 ms, 4 misses) are rpc constants,
-// and a spawned shard slot is respawned once before its tenants are
-// reassigned.
+// Timings are not flags. The client's timeout, retries and backoff, the
+// three transport failures that end a call, the heartbeat that declares a
+// shard dead (3 probes, 20 ms apart) and the standby's probe of the primary
+// (every 50 ms, 4 misses) are rpc constants, and a spawned shard slot is
+// respawned once before its tenants are reassigned.
 //
 // It exits non-zero unless the drill's rpc.Verdict has no error;
 // `lost_decisions=0` on the "router done:" line is the machine-checked

@@ -83,7 +83,7 @@ func fleetRPC(s Scale) Result {
 // tenants, and a verdict that compares every audit log under dir with the
 // single-process reference. The router's timings are rpc constants: they
 // are the ones this drill used to set, so seeded drops cost milliseconds of
-// backoff and a breaker a drop burst opens is reset by the heartbeat.
+// backoff and a drop burst that ends a call is re-ticked after a heartbeat.
 func planeDrill(tenants, rounds int, dir string) rpc.Drill {
 	bundle := untrainedBundle(4, 42)
 	ids := make([]string, tenants)

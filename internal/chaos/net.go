@@ -30,7 +30,7 @@ const (
 	NetDelay
 	// netPartition drops every matching request — the shard is unreachable
 	// for the window, though the process stays healthy (heartbeats fail
-	// too; the breaker and the router's dead-shard machinery take over).
+	// too, so the router's dead-shard machinery takes over).
 	netPartition
 )
 

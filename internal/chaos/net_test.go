@@ -130,10 +130,10 @@ func TestNetInjectorVerdictsPinnedBySlotName(t *testing.T) {
 	}
 }
 
-// A round whose first three tick attempts all drop opens the client's default
-// breaker; the router resets it and re-ticks the same round. The re-tick must
-// continue the attempt count: replaying 0..2 would replay the three drops and
-// re-open the breaker on every recovery attempt — the livelock this pins.
+// A round whose first three tick attempts all drop ends the client's call;
+// the router's heartbeat finds the shard alive and re-ticks the same round.
+// The re-tick must continue the attempt count: replaying 0..2 would replay
+// the three drops and fail every recovery attempt — the livelock this pins.
 func TestNetInjectorRetickDrawsFresh(t *testing.T) {
 	prefixes := 0
 	for seed := int64(1); seed <= 40; seed++ {

@@ -1,10 +1,10 @@
 package obs
 
 // RPCObs observes the control-plane routing client: per-shard request
-// latency, attempt outcomes, retries, and circuit-breaker state. RouterObs
-// observes the router itself — round duration, migration blackouts, shard
-// deaths and the respawn/reassign outcomes that were previously only
-// greppable stdout stats. Both follow the package's hook convention: valid
+// latency and attempt outcomes. RouterObs observes the router itself —
+// round duration, migration blackouts, shard deaths and the
+// respawn/reassign outcomes that were previously only greppable stdout
+// stats. Both follow the package's hook convention: valid
 // no-ops when nil, concurrency-safe via the registry's own locking.
 
 // RPCObs is the routing-client hook.
@@ -38,40 +38,16 @@ func (o *RPCObs) Request(op, shard string, seconds float64, ok bool) {
 }
 
 // Attempt records one wire attempt inside a call's retry loop. Outcomes:
-// "ok", "error", "dropped" (fault injection), "rejected" (breaker open).
+// "ok", "error", "overloaded", "dropped" (fault injection) and "budget" (the
+// round budget refused the attempt). Failed attempts per op are
+// sum by (op) (graf_rpc_attempts_total{outcome!="ok"}).
 func (o *RPCObs) Attempt(op, outcome string) {
 	if o == nil {
 		return
 	}
 	o.t.Reg.Counter("graf_rpc_attempts_total",
-		"Wire attempts per operation and outcome (ok/error/dropped/rejected).",
+		"Wire attempts per operation and outcome (ok/error/overloaded/dropped/budget).",
 		Labels{"op": op, "outcome": outcome}).Inc()
-	if outcome != "ok" && outcome != "rejected" {
-		o.t.Reg.Counter("graf_rpc_retries_total",
-			"Attempts that failed and were retried (or exhausted the budget).",
-			Labels{"op": op}).Inc()
-	}
-}
-
-// Breaker state codes for graf_rpc_breaker_state.
-const (
-	BreakerClosed   = 0.0
-	BreakerHalfOpen = 1.0
-	BreakerOpen     = 2.0
-)
-
-// BreakerTransition records a circuit-breaker state change and updates the
-// per-shard state gauge (0 closed, 1 half-open, 2 open).
-func (o *RPCObs) BreakerTransition(shard, to string, state float64) {
-	if o == nil {
-		return
-	}
-	o.t.Reg.Counter("graf_rpc_breaker_transitions_total",
-		"Circuit-breaker state transitions per shard and target state.",
-		Labels{"shard": shard, "to": to}).Inc()
-	o.t.Reg.Gauge("graf_rpc_breaker_state",
-		"Current circuit-breaker state per shard (0 closed, 1 half-open, 2 open).",
-		Labels{"shard": shard}).Set(state)
 }
 
 // RouterObs is the router-side hook.

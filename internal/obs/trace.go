@@ -61,8 +61,8 @@ func ParseTraceparent(s string) (SpanContext, bool) {
 	return c, true
 }
 
-// SpanEvent is a point-in-time annotation inside a span (a retry attempt, a
-// breaker transition).
+// SpanEvent is a point-in-time annotation inside a span (a dropped attempt,
+// an overloaded answer).
 type SpanEvent struct {
 	Name string `json:"name"`
 	AtNS int64  `json:"at_ns"`
@@ -292,8 +292,8 @@ func (s *ActiveSpan) SetTrack(track string) *ActiveSpan {
 	return s
 }
 
-// Event appends a point-in-time annotation (retry attempt, breaker
-// transition) stamped with the tracer's clock.
+// Event appends a point-in-time annotation (dropped attempt, overloaded
+// answer) stamped with the tracer's clock.
 func (s *ActiveSpan) Event(name, note string) {
 	if s == nil {
 		return

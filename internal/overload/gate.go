@@ -22,7 +22,7 @@ const (
 
 // ErrOverloaded is the typed shed verdict: the caller should back off for
 // RetryAfterMS and try again — it is backpressure, not failure, and must
-// not count against circuit breakers or trigger failure investigation.
+// not count as a transport failure or trigger failure investigation.
 type ErrOverloaded struct {
 	Inflight, Max int
 	RetryAfterMS  int

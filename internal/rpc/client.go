@@ -22,10 +22,11 @@ import (
 // the shard can continue the trace server-side (DESIGN.md §3i).
 const traceparentHeader = "Traceparent"
 
-// The router's call discipline: a per-attempt timeout, bounded retries
-// under exponential backoff with full jitter, and a per-shard circuit
-// breaker, so one dead shard costs at most breakerThreshold failed attempts
-// before calls to it fail fast instead of stalling the router loop. Each
+// The router's call discipline: a per-attempt timeout, and bounded retries
+// under exponential backoff with full jitter that stop at transportAttempts
+// consecutive transport failures, so one dead shard costs a call at most
+// three failed attempts before the router's heartbeat investigation decides
+// whether it is dead. The discipline keeps no state across calls. Each
 // value is the one bench.planeDrill, grafbench's fleet-rpc and
 // router-failover drill, set before it was a constant.
 const (
@@ -41,10 +42,10 @@ const (
 	// attempts and 3 × 5 s of probes before it is declared dead.
 	attemptTimeout = 5 * time.Second
 	// retries is how many times a failed attempt is retried: a call makes
-	// at most 1+retries attempts. Transport failures open the breaker at
-	// the third attempt, so the last two run only after overloaded answers,
-	// which do not count against the breaker: four Retry-After waits let a
-	// call ride out 200 ms of shedding.
+	// at most 1+retries attempts. Transport failures end a call at the
+	// third attempt, so the last two run only after overloaded answers,
+	// which reset the count: four Retry-After waits let a call ride out
+	// 200 ms of shedding.
 	retries = 4
 	// backoffBase and backoffMax bound the sleep before retry n, uniform in
 	// (0, min(backoffMax, backoffBase·2^(n-1))]. A loopback attempt fails
@@ -52,16 +53,12 @@ const (
 	// round under seeded drops.
 	backoffBase = 2 * time.Millisecond
 	backoffMax  = 20 * time.Millisecond
-	// breakerThreshold consecutive failures open a shard's breaker; it was
-	// every caller's default. A 10% drop rate opens it on 0.1% of calls, and
-	// the router then resets it on a heartbeat-ok verdict, so a droppy patch
-	// never becomes a false death.
-	breakerThreshold = 3
-	// breakerCooldown is how long an open breaker fails calls fast before it
-	// lets one probe through (half-open). The router resets breakers itself
-	// after a heartbeat, so this only paces calls made outside a failure
-	// investigation: one failed attempt per 50 ms against a dead shard.
-	breakerCooldown = 50 * time.Millisecond
+	// transportAttempts consecutive transport failures (refused, reset,
+	// timed out or dropped) end a call; any answer from the shard, whatever
+	// its status, resets the count. A 10% drop rate ends 0.1% of calls this
+	// way, and the router's heartbeat then finds the shard alive and
+	// re-ticks it, so a droppy patch never becomes a false death.
+	transportAttempts = 3
 )
 
 // FaultInjector intercepts outbound control-plane requests — the seam
@@ -69,20 +66,17 @@ const (
 // ...). shard is the target's stable name: its router slot ("0", "1", ...)
 // once a Router has named it, its address for a bare Client — a verdict keyed
 // on an ephemeral port would differ on every run. attempt counts the
-// attempts at op on that shard since the round began, across calls: a
-// re-tick after a breaker reset continues the sequence, it does not replay
-// the draws that opened the breaker. Returning drop simulates the network
-// losing the request; a positive delay is injected before the attempt.
+// attempts at op on that shard since the round began, across calls: the
+// re-tick after a heartbeat-ok investigation continues the sequence, it
+// does not replay the draws that ended the failed call. Returning drop
+// simulates the network losing the request; a positive delay is injected
+// before the attempt.
 type FaultInjector interface {
 	Intercept(op, shard string, round, attempt int) (drop bool, delay time.Duration)
 }
 
 // ErrDropped is the injected-fault "network ate it" error.
 var errDropped = fmt.Errorf("rpc: request dropped (injected fault)")
-
-// errBreakerOpen is returned without touching the network while a shard's
-// circuit breaker is open.
-var errBreakerOpen = fmt.Errorf("rpc: circuit breaker open")
 
 // errBudgetExhausted is returned when the deadline installed by SetDeadline
 // (the router stamps one per round) cannot fit another attempt or backoff
@@ -98,24 +92,14 @@ var errBudgetExhausted = errors.New("rpc: op budget exhausted")
 // mutating the fleet, not retry.
 var errFencedEpoch = errors.New("rpc: fenced stale epoch")
 
-// breaker is a per-shard circuit breaker: closed (normal) → open after
-// breakerThreshold consecutive failures (calls fail fast) → half-open after
-// breakerCooldown (one probe allowed; success closes, failure re-opens).
-type breaker struct {
-	failures int
-	openAt   time.Time
-	open     bool
-	probing  bool
-}
-
 // Client is the router's HTTP client: typed wrappers over the wire protocol
-// with retry/backoff/jitter and per-shard breakers. Safe for concurrent use.
+// with retry/backoff/jitter. Safe for concurrent use.
 type Client struct {
 	http  *http.Client
 	Fault FaultInjector
-	// Obs, when set, records request latency, attempt outcomes and breaker
-	// transitions as graf_rpc_* metrics. Tracer, when set, wraps every call
-	// in an "rpc/<op>" span with per-attempt child spans, and stamps the
+	// Obs, when set, records request latency and attempt outcomes as
+	// graf_rpc_* metrics. Tracer, when set, wraps every call in an
+	// "rpc/<op>" span with per-attempt child spans, and stamps the
 	// traceparent header on the wire. Both are nil-safe no-ops; set them
 	// before first use.
 	Obs    *obs.RPCObs
@@ -127,7 +111,6 @@ type Client struct {
 	epoch atomic.Uint64
 
 	mu       sync.Mutex
-	breakers map[string]*breaker
 	rng      *rand.Rand
 	round    int
 	deadline time.Time
@@ -141,12 +124,11 @@ type Client struct {
 // may be nil.
 func newClient(seed int64, fault FaultInjector) *Client {
 	return &Client{
-		http:     &http.Client{Timeout: attemptTimeout},
-		Fault:    fault,
-		breakers: map[string]*breaker{},
-		rng:      rand.New(rand.NewSource(seed)),
-		names:    map[string]string{},
-		draws:    map[string]int{},
+		http:  &http.Client{Timeout: attemptTimeout},
+		Fault: fault,
+		rng:   rand.New(rand.NewSource(seed)),
+		names: map[string]string{},
+		draws: map[string]int{},
 	}
 }
 
@@ -212,75 +194,6 @@ func (c *Client) callDeadline() time.Time {
 	return c.deadline
 }
 
-// allow consults the shard's breaker before an attempt. transition is
-// non-empty when the check itself moved the breaker ("half-open" on the
-// first post-cooldown probe).
-func (c *Client) allow(shard string) (allowed bool, transition string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.breakers[shard]
-	if b == nil {
-		b = &breaker{}
-		c.breakers[shard] = b
-	}
-	if !b.open {
-		return true, ""
-	}
-	if time.Since(b.openAt) >= breakerCooldown && !b.probing {
-		b.probing = true // half-open: exactly one probe
-		c.Obs.BreakerTransition(shard, "half-open", obs.BreakerHalfOpen)
-		return true, "half-open"
-	}
-	return false, ""
-}
-
-// record feeds an attempt outcome into the shard's breaker and reports any
-// state transition it caused ("open", "closed", or "").
-func (c *Client) record(shard string, ok bool) (transition string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.breakers[shard]
-	if b == nil {
-		b = &breaker{}
-		c.breakers[shard] = b
-	}
-	if ok {
-		wasOpen := b.open || b.probing
-		*b = breaker{}
-		if wasOpen {
-			c.Obs.BreakerTransition(shard, "closed", obs.BreakerClosed)
-			return "closed"
-		}
-		return ""
-	}
-	wasProbing := b.probing
-	b.probing = false
-	b.failures++
-	if b.failures >= breakerThreshold {
-		wasOpen := b.open
-		b.open = true
-		b.openAt = time.Now()
-		if !wasOpen || wasProbing { // closed→open, or a failed probe re-opening
-			c.Obs.BreakerTransition(shard, "open", obs.BreakerOpen)
-			return "open"
-		}
-	}
-	return ""
-}
-
-// ResetBreaker force-closes a shard's breaker (after a respawn installs a
-// fresh process behind the same address).
-func (c *Client) ResetBreaker(shard string) {
-	c.mu.Lock()
-	b := c.breakers[shard]
-	wasOpen := b != nil && (b.open || b.probing)
-	delete(c.breakers, shard)
-	c.mu.Unlock()
-	if wasOpen {
-		c.Obs.BreakerTransition(shard, "closed", obs.BreakerClosed)
-	}
-}
-
 // backoff returns the full-jitter sleep before retry attempt n (1-based).
 func (c *Client) backoff(attempt int) time.Duration {
 	max := min(backoffBase<<uint(attempt-1), backoffMax)
@@ -315,11 +228,14 @@ func (c *Client) call(shard, method, path, op string, in, out any, parent ...obs
 // callLoop is call's retry loop, running inside the call span. The loop is
 // budget-aware end to end: the installed deadline is read once, every
 // sleep (backoff or Retry-After) that would overrun it is refused, and the
-// remaining budget rides to the shard in the Graf-Deadline-Ms header.
+// remaining budget rides to the shard in the Graf-Deadline-Ms header. It
+// stops after transportAttempts consecutive transport failures, checked
+// after the budget so a call the budget cannot fit is still shed.
 func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, span *obs.ActiveSpan) error {
 	deadline := c.callDeadline()
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	attempt, failures := 0, 0 // failures: consecutive transport failures
+	for ; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			d := c.backoff(attempt)
 			if wait := retryAfter(lastErr); wait > 0 {
@@ -330,16 +246,10 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 				span.Event("budget-exhausted", fmt.Sprintf("attempt %d", attempt))
 				return fmt.Errorf("%w: %s %s: %v", errBudgetExhausted, op, shard, lastErr)
 			}
+			if failures == transportAttempts {
+				break
+			}
 			time.Sleep(d)
-		}
-		allowed, trans := c.allow(shard)
-		if trans != "" {
-			span.Event("breaker", trans)
-		}
-		if !allowed {
-			c.Obs.Attempt(op, "rejected")
-			span.Event("breaker-rejected", shard)
-			return fmt.Errorf("%w: shard %s", errBreakerOpen, shard)
 		}
 		if c.Fault != nil {
 			name, round, n := c.faultCoords(op, shard)
@@ -349,11 +259,9 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 			}
 			if drop {
 				lastErr = errDropped
+				failures++
 				c.Obs.Attempt(op, "dropped")
 				span.Event("attempt-dropped", fmt.Sprintf("attempt %d", attempt))
-				if trans := c.record(shard, false); trans != "" {
-					span.Event("breaker", trans)
-				}
 				continue
 			}
 		}
@@ -378,32 +286,27 @@ func (c *Client) callLoop(shard, method, path, op string, body []byte, out any, 
 		}
 		c.Obs.Attempt(op, outcome)
 		as.End()
-		// A remote rejection means the shard is alive and answering — it
-		// feeds the breaker as a success, whatever the application verdict.
-		ok := lastErr == nil
-		if _, isRemote := lastErr.(*remoteError); isRemote {
-			ok = true
-		}
-		if trans := c.record(shard, ok); trans != "" {
-			span.Event("breaker", trans)
-		}
 		if lastErr == nil {
 			return nil
 		}
-		if re, isRemote := lastErr.(*remoteError); isRemote {
-			if re.Overloaded {
-				// Backpressure, not failure: honor Retry-After on the next
-				// pass (budget permitting) instead of giving up.
-				span.Event("overloaded", fmt.Sprintf("retry-after %dms", re.RetryAfterMS))
-				continue
-			}
+		re, isRemote := lastErr.(*remoteError)
+		switch {
+		case !isRemote:
+			failures++
+		case re.Overloaded:
+			// Backpressure, not failure: the shard answered, so the
+			// transport count restarts, and Retry-After is honored on the
+			// next pass (budget permitting) instead of giving up.
+			failures = 0
+			span.Event("overloaded", fmt.Sprintf("retry-after %dms", re.RetryAfterMS))
+		default:
 			// The shard answered and rejected the request: retrying the
 			// same request cannot succeed, and it is not a shard-health
 			// signal either.
 			return lastErr
 		}
 	}
-	return fmt.Errorf("rpc: %s %s after %d attempts: %w", op, shard, retries+1, lastErr)
+	return fmt.Errorf("rpc: %s %s after %d attempts: %w", op, shard, attempt, lastErr)
 }
 
 // retryAfter extracts the shard's backpressure hint from an overloaded
@@ -448,8 +351,9 @@ func optCtx(parents []obs.SpanContext) obs.SpanContext {
 
 // remoteError is an application-level rejection from a shard (HTTP 4xx/5xx
 // with an error body) — distinguished from transport errors, which drive
-// retries and the breaker. Overloaded/RetryAfterMS/Expired/Fenced mirror the
-// wire errorResponse; use isOverloaded/isExpired/IsFenced to classify.
+// retries and end a call at transportAttempts. Overloaded/RetryAfterMS/
+// Expired/Fenced mirror the wire errorResponse; use
+// isOverloaded/isExpired/IsFenced to classify.
 type remoteError struct {
 	Shard        string
 	Status       int
@@ -530,17 +434,15 @@ func (c *Client) attempt(shard, method, path string, body []byte, out any, remai
 	return nil
 }
 
-// Health probes a shard. It skips the breaker's gate and the fault injector
-// — it IS the probe the router uses to decide whether an unresponsive shard
-// is dead — and a success closes the shard's breaker. It carries no
-// deadline: health must answer even on a shard that is shedding work.
+// Health probes a shard with one attempt. It skips the fault injector — it
+// IS the probe the router uses to decide whether an unresponsive shard is
+// dead — and carries no deadline: health must answer even on a shard that
+// is shedding work.
 func (c *Client) Health(shard string, parent ...obs.SpanContext) (HealthResponse, error) {
 	var out HealthResponse
 	span := c.Tracer.StartChild(optCtx(parent), "rpc/health").SetTrack(shard)
 	err := c.attempt(shard, http.MethodGet, "/healthz", nil, &out, 0, span.Context())
-	if err == nil {
-		c.record(shard, true)
-	} else {
+	if err != nil {
 		span.SetAttr("error", 1)
 	}
 	span.End()

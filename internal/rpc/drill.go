@@ -478,13 +478,18 @@ func (d *Drill) judge(r *Router, v *Verdict) {
 	}
 	alive := r.live()
 	for _, addr := range alive {
-		if h, err := r.client.Health(addr); err == nil {
-			v.Shards.Shed += h.Shed
-			v.Shards.ExpiredShed += h.ExpiredShed
-			v.Shards.ExpiredExecuted += h.ExpiredExecuted
-			v.Shards.FencedAccepted += h.FencedAccepted
-			v.Shards.FencedRejected += h.FencedRejected
+		// A live shard that cannot report its counters would let the
+		// tripwires below pass without checking it.
+		h, err := r.client.Health(addr)
+		if err != nil {
+			v.failures = append(v.failures, fmt.Errorf("shard %s did not report its counters: %w", addr, err))
+			continue
 		}
+		v.Shards.Shed += h.Shed
+		v.Shards.ExpiredShed += h.ExpiredShed
+		v.Shards.ExpiredExecuted += h.ExpiredExecuted
+		v.Shards.FencedAccepted += h.FencedAccepted
+		v.Shards.FencedRejected += h.FencedRejected
 	}
 	v.failIf(v.Stats.LostDecisions > 0, "%d restores failed audit verification: lost decisions", v.Stats.LostDecisions)
 	v.failIf(behind > 0, "%d tenants finished behind the round clock", behind)

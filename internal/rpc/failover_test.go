@@ -369,10 +369,8 @@ func TestConcurrentDuplicateAdmitEvict(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Each goroutine needs its own client: one client would
-			// serialize nothing but breaker state, which is fine, but
-			// distinct clients better model duplicated requests from a
-			// retrying router plus a zombie.
+			// Each goroutine has its own client: distinct clients model
+			// duplicated requests from a retrying router plus a zombie.
 			cc := newClient(1, nil)
 			admitResp[i], admitErrs[i] = cc.Admit(addr, "tenant-00", 3)
 		}(i)

@@ -167,7 +167,7 @@ type errorResponse struct {
 	// Overloaded marks a 429-style admission rejection: the shard is alive
 	// and healthy but shedding this priority class. RetryAfterMS is its
 	// backpressure hint. Clients and the router treat this as backpressure,
-	// not shard failure — it must not trip breakers or trigger recovery.
+	// not shard failure — it must not end a call or trigger recovery.
 	Overloaded   bool `json:"overloaded,omitempty"`
 	RetryAfterMS int  `json:"retry_after_ms,omitempty"`
 	// Expired marks a 504-style deadline rejection: the request's propagated

@@ -54,7 +54,7 @@ type RouterConfig struct {
 	// deaths / respawns / reassignments and recovery blackout.
 	Obs *obs.RouterObs
 	// RPCObs, when set, is installed on the router's shard client so every
-	// call records per-shard latency, retry, and breaker-state metrics.
+	// call records per-shard latency and attempt-outcome metrics.
 	RPCObs *obs.RPCObs
 	// Tracer, when set, roots a trace span around every round, migration,
 	// and bootstrap; the span context rides each shard call's traceparent
@@ -67,9 +67,9 @@ type RouterConfig struct {
 // A failure investigation probes a shard whose tick failed heartbeatMisses
 // times, heartbeatEvery apart, before declaring it dead. /healthz answers
 // from atomic mirrors, never under the fleet mutex, and Client.Health
-// bypasses both the breaker and the fault injector, so a live shard answers
-// every probe however long its round runs: a short cadence cannot make it
-// look dead, and a real death is declared 40 ms after the failed tick.
+// bypasses the fault injector, so a live shard answers every probe however
+// long its round runs: a short cadence cannot make it look dead, and a real
+// death is declared 40 ms after the failed tick.
 // Every caller ran 3 misses; bench.planeDrill ran the 20 ms cadence.
 const (
 	heartbeatMisses = 3
@@ -514,13 +514,8 @@ func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
 		}
 		if _, err := r.client.Health(dead, span.Context()); err == nil {
 			// Alive after all — a slow round, a transient partition, or a
-			// breaker that opened during a blip. The successful probe has
-			// closed the breaker (Client.Health records it), so the caller's
-			// re-tick reaches the shard: an open breaker would fail every
-			// re-tick instantly with errBreakerOpen until its cooldown
-			// elapsed, burning through the recovery-attempt bound in
-			// milliseconds and aborting the round over a survivable transient.
-			r.logf("shard %d (%s): unresponsive but heartbeat ok; breaker reset", slot, dead)
+			// drop burst that ended the tick call. The caller re-ticks it.
+			r.logf("shard %d (%s): unresponsive but heartbeat ok", slot, dead)
 			return nil
 		}
 	}
@@ -540,7 +535,7 @@ func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
 		span.SetAttr("orphans", float64(len(orphans))).SetAttr("blackout_ms", ms)
 		r.logf("shard %d: recovery of %d tenants took %.1fms", slot, len(orphans), ms)
 	}()
-	addr, err := r.respawn(slot, dead, span)
+	addr, err := r.respawn(slot, span)
 	if err != nil {
 		return err
 	}
@@ -573,7 +568,7 @@ func (r *Router) handleShardFailure(dead string, parent obs.SpanContext) error {
 // respawn restarts a dead slot's process while its restart budget lasts and
 // commits the new address into the slot. "" with a nil error means no
 // respawn: the budget is spent or the respawn failed, so reassign instead.
-func (r *Router) respawn(slot int, dead string, span *obs.ActiveSpan) (string, error) {
+func (r *Router) respawn(slot int, span *obs.ActiveSpan) (string, error) {
 	if r.cfg.Respawn == nil || r.p.Slots[slot].Respawns >= r.cfg.RestartBudget {
 		return "", nil
 	}
@@ -583,8 +578,6 @@ func (r *Router) respawn(slot int, dead string, span *obs.ActiveSpan) (string, e
 		r.logf("shard %d: respawn failed (%v); falling back to reassignment", slot, err)
 		return "", nil
 	}
-	r.client.ResetBreaker(dead)
-	r.client.ResetBreaker(addr)
 	r.client.nameShard(addr, slot)
 	if err := r.client.Configure(addr, r.cfg.Spec, span.Context()); err != nil {
 		return "", fmt.Errorf("rpc: configure respawned shard %d (%s): %w", slot, addr, err)
@@ -686,13 +679,6 @@ func (r *Router) Settle() error {
 	round := r.p.Round
 	if round == 0 {
 		return nil
-	}
-	r.client.SetDeadline(time.Time{})
-	for _, addr := range r.live() {
-		// A breaker left open by a budget-starved burst is stale state here:
-		// settling runs with no deadline, so probe the shard directly instead
-		// of failing fast on the burst's verdict.
-		r.client.ResetBreaker(addr)
 	}
 	failed, shed, err := r.tick(round, nil)
 	if err == nil && len(failed)+shed > 0 {

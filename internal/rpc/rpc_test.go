@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,52 +138,50 @@ func TestRingSpreadsSequentialTenantIDs(t *testing.T) {
 	}
 }
 
-func TestClientRetriesAndBreaker(t *testing.T) {
-	var calls atomic.Int64
-	var failing atomic.Bool
-	failing.Store(true)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		if failing.Load() {
-			// Simulate a hung/dead shard: close without a response.
-			hj, _ := w.(http.Hijacker)
-			conn, _, _ := hj.Hijack()
-			conn.Close()
-			return
-		}
-		writeJSON(w, http.StatusOK, HealthResponse{OK: true})
-	}))
-	defer ts.Close()
-	shard := ts.Listener.Addr().String()
-
-	c := newClient(1, nil)
-
-	// One logical call against a dead shard makes breakerThreshold attempts:
-	// the breaker opens on the last of them, before the retries run out, and
-	// the next attempt fails fast.
-	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err == nil {
-		t.Fatal("expected failure against dead shard")
-	}
-	if got := calls.Load(); got != breakerThreshold {
-		t.Fatalf("expected %d attempts, saw %d", breakerThreshold, got)
-	}
-	// Breaker now open: further calls fail fast without touching the wire.
-	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err == nil {
-		t.Fatal("expected breaker-open failure")
-	}
-	if got := calls.Load(); got != breakerThreshold {
-		t.Fatalf("breaker-open call hit the network (%d attempts)", got)
-	}
-
-	// After the cooldown, the half-open probe goes through; with the shard
-	// healthy again the breaker closes.
-	failing.Store(false)
-	time.Sleep(breakerCooldown + 10*time.Millisecond)
-	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
-	}
-	if err := c.call(shard, http.MethodGet, "/healthz", "health", nil, nil); err != nil {
-		t.Fatalf("closed-breaker call failed: %v", err)
+// The call discipline keeps no state across calls: consecutive transport
+// failures end a call at the third, any answer from the shard — here an
+// overloaded 429 with Retry-After — restarts the count, and a second call
+// against the same dead shard reaches the wire again. None of these is a
+// shed: the round budget is not involved.
+func TestClientCallDiscipline(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		script   string // per attempt: T transport failure, O overloaded 429
+		calls    int
+		attempts int
+		errText  string
+	}{
+		{"three transport failures", "TTTTT", 1, 3, "after 3 attempts"},
+		{"overloaded answers restart the count", "TOTOT", 1, 5, "after 5 attempts"},
+		{"a second call reaches the wire", "TTTTTT", 2, 6, "after 3 attempts"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var n atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if i := int(n.Add(1)) - 1; i < len(tc.script) && tc.script[i] == 'O' {
+					writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "shed", Overloaded: true, RetryAfterMS: 1})
+					return
+				}
+				// A dead shard: close without a response.
+				hj, _ := w.(http.Hijacker)
+				conn, _, _ := hj.Hijack()
+				conn.Close()
+			}))
+			defer ts.Close()
+			shard := ts.Listener.Addr().String()
+			c := newClient(1, nil)
+			// POST: net/http never replays it on a fresh connection, so the
+			// server counts exactly the client's attempts.
+			for i := 0; i < tc.calls; i++ {
+				err := c.call(shard, http.MethodPost, "/v1/tick", "tick", tickRequest{Round: 1}, nil)
+				if err == nil || errors.Is(err, errBudgetExhausted) || !strings.Contains(err.Error(), tc.errText) {
+					t.Fatalf("call %d: %v, want a transport failure %q", i, err, tc.errText)
+				}
+			}
+			if got := n.Load(); got != int64(tc.attempts) {
+				t.Fatalf("%d attempts reached the shard, want %d", got, tc.attempts)
+			}
+		})
 	}
 }
 
@@ -802,14 +802,13 @@ func TestRouterSurvivesInjectedDrops(t *testing.T) {
 		},
 	})
 	var fault FaultInjector = inj // compile-time structural check
-	// The breaker opens at breakerThreshold = 3, before the retries run out,
-	// so retries are not what bounds a tick under a 30% drop storm: three
-	// drops in a row
-	// (0.3^3 ≈ 3% of calls) open the breaker and fail the call whatever
-	// retries are left. The router must survive that — the heartbeat-ok
-	// verdict resets the breaker and the round is re-ticked, on attempt
-	// numbers that continue where the failed call stopped, so the re-tick
-	// draws fresh verdicts instead of the three drops again. A round is lost
+	// A call ends at transportAttempts = 3, before the retries run out, so
+	// retries are not what bounds a tick under a 30% drop storm: three
+	// drops in a row (0.3^3 ≈ 3% of calls) fail the call whatever retries
+	// are left. The router must survive that — the heartbeat finds the
+	// shard alive and the round is re-ticked, on attempt numbers that
+	// continue where the failed call stopped, so the re-tick draws fresh
+	// verdicts instead of the three drops again. A round is lost
 	// only to twelve straight drops (four ticks of three), and the stream is
 	// fixed by the seed and the slot names: this run is the same every time.
 	r, err := NewRouter(RouterConfig{Spec: spec, Tenants: ids, Fault: fault}, []string{addr1, addr2})

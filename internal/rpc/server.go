@@ -157,8 +157,8 @@ func (s *ShardServer) admission() *overload.Gate {
 // is re-anchored onto the request context so the handler can re-check after
 // queueing; (2) admission control — the bounded-inflight gate sheds by
 // priority with a typed 429 carrying a Retry-After hint. Both verdicts are
-// backpressure, not failure: the client and router must not feed them into
-// breakers or recovery.
+// backpressure, not failure: the client and router must not count them as
+// transport failures or start recovery.
 func (s *ShardServer) shielded(op string, pri overload.Priority, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if rem, ok := overload.ParseRemaining(r.Header.Get(overload.HeaderDeadlineMS)); ok {
